@@ -1,38 +1,32 @@
-//! Query-path scaling: concurrent readers over settled data, read-locked
-//! fast path versus the pre-overhaul write-locked baseline.
+//! Query-path scaling: concurrent readers over settled data on the
+//! read-locked fast path.
 //!
 //! Usage: `query_bench [--ops N] [--threads T] [--shards S] [--smoke]
 //! [--cache-bytes B] [--json] [--stats-json PATH]`
 //! Without `--threads` the sweep runs {1, 2, 4, 8} reader threads; without
-//! `--shards` it compares engine shard counts {1, 4}. Every cell runs
-//! twice — mode `read` drives `StorageEngine::query` (shared lock,
-//! streaming k-way merge) and mode `exclusive` drives
-//! `StorageEngine::query_exclusive` (write lock, collect + re-sort) — so
-//! the table reads as a before/after of the read-path overhaul.
-//! `--smoke` shrinks the dataset and query counts for CI.
+//! `--shards` it compares engine shard counts {1, 4}. Every cell (mode
+//! `read`) drives `StorageEngine::query` (shared lock, streaming k-way
+//! merge). `--smoke` shrinks the dataset and query counts for CI.
 //! `--cache-bytes B` sets the engine's block-cache budget for every cell
 //! (0 disables the cache). `--stats-json PATH` shares one metrics
 //! registry across every cell and writes its JSON rendering (all
 //! counters, gauges and histogram summaries) to PATH at the end.
 //!
-//! Every grid run appends one high-cardinality cell pair per sorter
-//! (≥1k devices, device-banded files): `hicard-filter` runs with the
-//! per-file key existence filters on, `hicard-envelope` pins the
-//! envelope-only baseline, so the pair's `files_pruned_by_filter` delta
-//! is the read-path win the filters buy before any chunk-index walk.
+//! Every grid run appends one high-cardinality cell per sorter (≥1k
+//! devices, device-banded files), `hicard-filter`: its
+//! `files_pruned_by_filter` is what the per-file key existence filters
+//! dismiss before any chunk-index walk.
 
 use std::sync::Arc;
 
-use backsort_benchmark::{run_query_bench_with, BenchConfig, QueryMode};
+use backsort_benchmark::{run_query_bench_with, BenchConfig};
 use backsort_core::Algorithm;
 use backsort_workload::DelayModel;
 
 use crate::cli::Args;
 use crate::table;
 
-/// The `query_bench` binary's entry point, shared by the
-/// `backsort-experiments` bin and the workspace-root wrapper (so plain
-/// `cargo run --bin query_bench` resolves without `-p`).
+/// The `query_bench` binary's entry point.
 pub fn main() {
     let args = Args::from_env();
     let smoke = args.has("smoke");
@@ -93,7 +87,7 @@ pub fn main() {
         table::print_json(&json_rows);
         return;
     }
-    table::heading("Query-path scaling (read-locked fast path vs exclusive baseline)");
+    table::heading("Query-path scaling (read-locked fast path)");
     table::print_table(
         &[
             "shards",
@@ -198,7 +192,6 @@ fn run_ingest_cell(
         wall_ms: wall.as_secs_f64() * 1e3,
         read_lock_queries: 0,
         sorted_on_read_queries: 0,
-        exclusive_queries: 0,
         files_considered: 0,
         files_pruned: 0,
         files_pruned_by_filter: 0,
@@ -208,22 +201,20 @@ fn run_ingest_cell(
     }
 }
 
-/// One high-cardinality cell pair: ≥1k devices with a single sensor
-/// each, ingested device-sequentially with a small memtable so every
-/// flushed file covers a narrow device band. Any one query's series
-/// lives in a handful of those files; the rest are dead weight the read
-/// path must dismiss. The pair runs the identical workload twice —
-/// filters on (`hicard-filter`) and the envelope-only baseline
-/// (`hicard-envelope`) — so the filtered cell's `files_pruned_by_filter`
-/// and its reduced probed count (`files_considered` minus filter prunes)
-/// measure what the split-Bloom footer block buys.
-pub fn run_high_cardinality_cells(
+/// The high-cardinality cell (`hicard-filter`): ≥1k devices with a
+/// single sensor each, ingested device-sequentially with a small
+/// memtable so every flushed file covers a narrow device band. Any one
+/// query's series lives in a handful of those files; the rest are dead
+/// weight the read path must dismiss. `files_pruned_by_filter` and the
+/// reduced probed count (`files_considered` minus filter prunes) measure
+/// what the split-Bloom footer block buys.
+fn run_high_cardinality_cell(
     sorter: Algorithm,
     shards: usize,
     cache_bytes: usize,
     registry: Option<Arc<backsort_obs::Registry>>,
-) -> Vec<backsort_benchmark::QueryBenchReport> {
-    let base = BenchConfig {
+) -> backsort_benchmark::QueryBenchReport {
+    let config = BenchConfig {
         devices: 1_024,
         sensors_per_device: 1,
         batch_size: 32,
@@ -237,23 +228,12 @@ pub fn run_high_cardinality_cells(
         memtable_max_points: 2_000,
         sorter,
         shards,
-        use_file_filters: true,
         cache_bytes,
         seed: 42,
     };
-    [("hicard-filter", true), ("hicard-envelope", false)]
-        .into_iter()
-        .map(|(mode, filters)| {
-            let config = BenchConfig {
-                use_file_filters: filters,
-                ..base
-            };
-            let mut report =
-                run_query_bench_with(&config, 2, 50, QueryMode::ReadLocked, registry.clone());
-            report.mode = mode.to_string();
-            report
-        })
-        .collect()
+    let mut report = run_query_bench_with(&config, 2, 50, registry);
+    report.mode = "hicard-filter".to_string();
+    report
 }
 
 /// [`run_cells_with_cache`] at the default block-cache budget.
@@ -276,12 +256,12 @@ pub fn run_cells(
     )
 }
 
-/// Runs the full (shards × threads × sorter × mode) grid — plus one
-/// ingest sweep cell per (shards × sorter × batch size) and one
-/// high-cardinality filter/envelope cell pair per sorter — and returns
-/// the per-cell reports. Shared by [`main`] and the perf-smoke
-/// regression gate ([`crate::perf_gate`]), so the gate measures exactly
-/// the cells `query_bench --smoke` prints.
+/// Runs the full (shards × threads × sorter) grid — plus one ingest
+/// sweep cell per (shards × sorter × batch size) and one
+/// high-cardinality cell per sorter — and returns the per-cell reports.
+/// Shared by [`main`] and the perf-smoke regression gate
+/// ([`crate::perf_gate`]), so the gate measures exactly the cells
+/// `query_bench --smoke` prints.
 pub fn run_cells_with_cache(
     ops: usize,
     queries_per_thread: usize,
@@ -311,17 +291,13 @@ pub fn run_cells_with_cache(
                     shards,
                     cache_bytes,
                     seed: 42,
-                    ..BenchConfig::default()
                 };
-                for mode in [QueryMode::ReadLocked, QueryMode::Exclusive] {
-                    reports.push(run_query_bench_with(
-                        &config,
-                        threads,
-                        queries_per_thread,
-                        mode,
-                        registry.clone(),
-                    ));
-                }
+                reports.push(run_query_bench_with(
+                    &config,
+                    threads,
+                    queries_per_thread,
+                    registry.clone(),
+                ));
             }
         }
         for &sorter in sorters {
@@ -336,13 +312,13 @@ pub fn run_cells_with_cache(
             }
         }
     }
-    // The high-cardinality pair runs once per sorter at the first shard
+    // The high-cardinality cell runs once per sorter at the first shard
     // count: it measures filter pruning, which is per-file and
     // shard-independent, and the 1k-device seed is the grid's most
     // expensive ingest.
     let hicard_shards = shard_counts.first().copied().unwrap_or(1);
     for &sorter in sorters {
-        reports.extend(run_high_cardinality_cells(
+        reports.push(run_high_cardinality_cell(
             sorter,
             hicard_shards,
             cache_bytes,
@@ -369,47 +345,25 @@ pub fn smoke_grid() -> (usize, usize, Vec<usize>, Vec<usize>, Vec<Algorithm>) {
 mod tests {
     use super::*;
 
-    /// The tentpole's measurable claim: on high-cardinality data the
-    /// filtered cell prunes files *before* the envelope walk, so it
-    /// probes strictly fewer files than the envelope-only baseline over
-    /// the identical (seeded) workload.
+    /// On high-cardinality data the filters prune files *before* the
+    /// envelope walk, so most considered files never reach it.
     #[test]
-    fn high_cardinality_pair_shows_filter_pruning() {
-        let cells = run_high_cardinality_cells(
+    fn high_cardinality_cell_shows_filter_pruning() {
+        let cell = run_high_cardinality_cell(
             Algorithm::Backward(Default::default()),
             1,
             BenchConfig::default().cache_bytes,
             None,
         );
-        assert_eq!(cells.len(), 2);
-        let filtered = &cells[0];
-        let envelope = &cells[1];
-        assert_eq!(filtered.mode, "hicard-filter");
-        assert_eq!(envelope.mode, "hicard-envelope");
-        assert_eq!(
-            filtered.files_considered, envelope.files_considered,
-            "identical workload must consider the same files"
-        );
+        assert_eq!(cell.mode, "hicard-filter");
+        assert!(cell.points > 0, "queries still find their series");
         assert!(
-            filtered.files_pruned_by_filter > 0,
+            cell.files_pruned_by_filter > 0,
             "device-banded files must trip the existence filter"
         );
-        assert_eq!(
-            envelope.files_pruned_by_filter, 0,
-            "the baseline runs with filters disabled"
-        );
-        let probed = |r: &backsort_benchmark::QueryBenchReport| {
-            r.files_considered - r.files_pruned_by_filter
-        };
         assert!(
-            probed(filtered) < probed(envelope),
-            "filters must reduce the files reaching the envelope walk \
-             ({} vs {})",
-            probed(filtered),
-            probed(envelope)
+            cell.files_pruned_by_filter < cell.files_considered,
+            "the files holding the series survive the filter"
         );
-        // Both paths return the same answers: the filter may only skip
-        // files that provably lack the series.
-        assert_eq!(filtered.points, envelope.points);
     }
 }

@@ -185,7 +185,9 @@ pub fn run_benchmark_concurrent(
             let seed = config.seed ^ (q as u64 + 101);
             scope.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(seed);
-                while writers_live.load(Ordering::Acquire) > 0 {
+                // Query first, check the flag after: a querier scheduled
+                // only once the writers are done still issues one query.
+                loop {
                     let key = &keys[rng.gen_range(0..sensor_count)];
                     let current = engine.latest_time(key).unwrap_or(0);
                     let t0 = Instant::now();
@@ -193,6 +195,9 @@ pub fn run_benchmark_concurrent(
                     query_nanos.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
                     points_queried.fetch_add(result.len() as u64, Ordering::Relaxed);
                     queries_done.fetch_add(1, Ordering::Relaxed);
+                    if writers_live.load(Ordering::Acquire) == 0 {
+                        break;
+                    }
                 }
             });
         }

@@ -30,10 +30,6 @@ pub struct BenchConfig {
     /// paper's single-lock engine exactly; higher values let concurrent
     /// writers on different devices proceed in parallel.
     pub shards: usize,
-    /// Consult per-file key existence filters before walking a flushed
-    /// file's chunk index. `false` pins the envelope-only baseline so a
-    /// sweep can report what the filters prune.
-    pub use_file_filters: bool,
     /// Block-cache budget in bytes for flushed-file page reads
     /// (`0` disables the cache).
     pub cache_bytes: usize,
@@ -57,7 +53,6 @@ impl Default for BenchConfig {
             memtable_max_points: 100_000,
             sorter: Algorithm::Backward(backsort_core::BackwardSort::default()),
             shards: 1,
-            use_file_filters: true,
             cache_bytes: 16 << 20,
             seed: 1,
         }

@@ -24,5 +24,5 @@ mod server_bench;
 pub use concurrent::{run_benchmark_concurrent, ConcurrentReport};
 pub use config::BenchConfig;
 pub use driver::{run_benchmark, BenchReport};
-pub use query_bench::{run_query_bench, run_query_bench_with, QueryBenchReport, QueryMode};
+pub use query_bench::{run_query_bench, run_query_bench_with, QueryBenchReport};
 pub use server_bench::{run_server_bench, ServerBenchConfig, ServerBenchReport, ServerScenario};

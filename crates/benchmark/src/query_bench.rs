@@ -4,12 +4,9 @@
 //! this harness first ingests a fixed dataset (with natural rotations,
 //! so queries span flushed files *and* memtable residue), lets the
 //! buffers settle, and then measures *queries only*: per-query latency
-//! percentiles and aggregate throughput as reader threads scale. Run
-//! with [`QueryMode::ReadLocked`] it exercises the read-lock fast path
-//! (same-shard readers overlap); with [`QueryMode::Exclusive`] it pins
-//! every query to the pre-overhaul write-locked collect-and-re-sort
-//! baseline ([`StorageEngine::query_exclusive`]), so the two reports
-//! side by side show what the overhaul bought.
+//! percentiles and aggregate throughput as reader threads scale. On
+//! settled data every [`StorageEngine::query`] stays on the read-lock
+//! fast path, so same-shard readers overlap.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
@@ -24,29 +21,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::config::BenchConfig;
 
-/// Which query path a [`run_query_bench`] run drives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueryMode {
-    /// [`StorageEngine::query`]: read-locked fast path with
-    /// double-checked sort-on-read.
-    ReadLocked,
-    /// [`StorageEngine::query_exclusive`]: the pre-overhaul baseline —
-    /// every query takes the shard write lock and re-sorts its
-    /// candidate set.
-    Exclusive,
-}
-
-impl QueryMode {
-    /// Short label used in reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            QueryMode::ReadLocked => "read",
-            QueryMode::Exclusive => "exclusive",
-        }
-    }
-}
-
-/// Results of one query-bench run (one mode × thread-count cell).
+/// Results of one query-bench run (one thread-count cell).
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct QueryBenchReport {
     /// Sorter name.
@@ -55,7 +30,8 @@ pub struct QueryBenchReport {
     pub shards: usize,
     /// Query threads.
     pub threads: usize,
-    /// `"read"` or `"exclusive"`.
+    /// The cell's label: `"read"` for query cells; callers overwrite it
+    /// for ingest, high-cardinality and server cells.
     pub mode: String,
     /// Queries executed across all threads.
     pub queries: u64,
@@ -73,20 +49,17 @@ pub struct QueryBenchReport {
     pub pps: f64,
     /// Wall time of the measured phase, milliseconds.
     pub wall_ms: f64,
-    /// Queries served under the shard read lock (fast path). Stays 0 in
-    /// exclusive mode; equals `queries` on settled data in read mode.
+    /// Queries served under the shard read lock (fast path); equals
+    /// `queries` on settled data.
     pub read_lock_queries: u64,
     /// Queries that had to sort a buffer under the write lock.
     pub sorted_on_read_queries: u64,
-    /// Queries pinned to the exclusive (write-locked) baseline path.
-    pub exclusive_queries: u64,
     /// Flushed files examined by the measured queries (registry delta).
     pub files_considered: u64,
     /// Of those, files skipped by the cached per-key time-range index.
     pub files_pruned: u64,
     /// Of the considered files, those skipped because the per-file key
     /// existence filter proved the series absent (registry delta).
-    /// Stays 0 when the engine runs with filters disabled.
     #[serde(default)]
     pub files_pruned_by_filter: u64,
     /// Traced queries whose root span crossed the slow-query threshold
@@ -127,7 +100,6 @@ fn seed_engine(
         array_size: 32,
         sorter: config.sorter,
         shards: config.shards,
-        use_file_filters: config.use_file_filters,
         cache_bytes: config.cache_bytes,
         ..EngineConfig::default()
     };
@@ -179,9 +151,8 @@ pub fn run_query_bench(
     config: &BenchConfig,
     threads: usize,
     queries_per_thread: usize,
-    mode: QueryMode,
 ) -> QueryBenchReport {
-    run_query_bench_with(config, threads, queries_per_thread, mode, None)
+    run_query_bench_with(config, threads, queries_per_thread, None)
 }
 
 /// [`run_query_bench`] with an optional shared metrics registry. When
@@ -192,7 +163,6 @@ pub fn run_query_bench_with(
     config: &BenchConfig,
     threads: usize,
     queries_per_thread: usize,
-    mode: QueryMode,
     registry: Option<Arc<backsort_obs::Registry>>,
 ) -> QueryBenchReport {
     assert!(threads > 0 && queries_per_thread > 0);
@@ -233,12 +203,7 @@ pub fn run_query_bench_with(
                     let key = &keys[rng.gen_range(0..sensor_count)];
                     let current = engine.latest_time(key).unwrap_or(0);
                     let t0 = Instant::now();
-                    let result = match mode {
-                        QueryMode::ReadLocked => engine.query(key, current - window, current),
-                        QueryMode::Exclusive => {
-                            engine.query_exclusive(key, current - window, current)
-                        }
-                    };
+                    let result = engine.query(key, current - window, current);
                     local.push(t0.elapsed().as_nanos() as u64);
                     returned += result.len();
                 }
@@ -275,7 +240,7 @@ pub fn run_query_bench_with(
         sorter: config.sorter.name().to_string(),
         shards: engine.shard_count(),
         threads,
-        mode: mode.label().to_string(),
+        mode: "read".to_string(),
         queries,
         points: total_points,
         p50_us: percentile(0.50),
@@ -286,7 +251,6 @@ pub fn run_query_bench_with(
         wall_ms,
         read_lock_queries: delta.counter(backsort_obs::names::QUERY_READ_PATH),
         sorted_on_read_queries: delta.counter(backsort_obs::names::QUERY_SORTED_ON_READ),
-        exclusive_queries: delta.counter(backsort_obs::names::QUERY_EXCLUSIVE_PATH),
         files_considered: delta.counter(backsort_obs::names::QUERY_FILES_CONSIDERED),
         files_pruned: delta.counter(backsort_obs::names::QUERY_FILES_PRUNED),
         files_pruned_by_filter: delta.counter(backsort_obs::names::QUERY_FILES_PRUNED_BY_FILTER),
@@ -323,8 +287,8 @@ mod tests {
     }
 
     #[test]
-    fn read_mode_stays_on_the_fast_path() {
-        let report = run_query_bench(&config(), 2, 25, QueryMode::ReadLocked);
+    fn settled_data_stays_on_the_fast_path() {
+        let report = run_query_bench(&config(), 2, 25);
         assert_eq!(report.queries, 50);
         assert_eq!(report.mode, "read");
         assert_eq!(
@@ -332,7 +296,6 @@ mod tests {
             "settled data must never hit the write path"
         );
         assert_eq!(report.read_lock_queries, 50);
-        assert_eq!(report.exclusive_queries, 0);
         assert!(report.p50_us <= report.p99_us);
         assert!(report.points > 0);
         assert!(
@@ -342,37 +305,14 @@ mod tests {
     }
 
     #[test]
-    fn exclusive_mode_counts_no_fast_path_queries() {
-        let report = run_query_bench(&config(), 2, 10, QueryMode::Exclusive);
-        assert_eq!(report.queries, 20);
-        assert_eq!(report.mode, "exclusive");
-        assert_eq!(report.read_lock_queries, 0);
-        assert_eq!(report.sorted_on_read_queries, 0);
-        assert_eq!(report.exclusive_queries, 20);
-        assert!(report.qps > 0.0);
-    }
-
-    #[test]
     fn shared_registry_accumulates_across_cells() {
         let registry = Arc::new(backsort_obs::Registry::new());
         let before = registry.snapshot();
-        run_query_bench_with(
-            &config(),
-            1,
-            10,
-            QueryMode::ReadLocked,
-            Some(Arc::clone(&registry)),
-        );
-        run_query_bench_with(
-            &config(),
-            1,
-            10,
-            QueryMode::Exclusive,
-            Some(Arc::clone(&registry)),
-        );
+        for _ in 0..2 {
+            run_query_bench_with(&config(), 1, 10, Some(Arc::clone(&registry)));
+        }
         let delta = registry.snapshot().delta_since(&before);
-        assert!(delta.counter(backsort_obs::names::QUERY_READ_PATH) >= 10);
-        assert_eq!(delta.counter(backsort_obs::names::QUERY_EXCLUSIVE_PATH), 10);
+        assert!(delta.counter(backsort_obs::names::QUERY_READ_PATH) >= 20);
         assert!(delta.counter(backsort_obs::names::ENGINE_WRITE_POINTS) > 0);
     }
 
@@ -381,7 +321,7 @@ mod tests {
         // Default engine config samples 1 query in 16 for tracing; 60
         // single-threaded queries guarantee several traced ones, so the
         // per-stage histograms carry the cell's p99 attribution.
-        let report = run_query_bench(&config(), 1, 60, QueryMode::ReadLocked);
+        let report = run_query_bench(&config(), 1, 60);
         assert!(
             report.p99_merge_stage_us > 0.0,
             "sampled traces must time the merge stage"
@@ -390,14 +330,5 @@ mod tests {
             report.p99_files_stage_us >= 0.0,
             "files stage attribution is present (possibly sub-µs)"
         );
-    }
-
-    #[test]
-    fn modes_return_the_same_data() {
-        // Same seed, same dataset: total points returned must agree for
-        // a fixed query sequence (both paths answer identically).
-        let a = run_query_bench(&config(), 1, 30, QueryMode::ReadLocked);
-        let b = run_query_bench(&config(), 1, 30, QueryMode::Exclusive);
-        assert_eq!(a.points, b.points);
     }
 }

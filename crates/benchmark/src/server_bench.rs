@@ -187,7 +187,6 @@ impl ServerBenchReport {
             wall_ms: self.wall_ms,
             read_lock_queries: 0,
             sorted_on_read_queries: 0,
-            exclusive_queries: 0,
             files_considered: 0,
             files_pruned: 0,
             files_pruned_by_filter: 0,

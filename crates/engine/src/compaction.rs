@@ -219,7 +219,6 @@ impl StorageEngine {
     /// ascending order (the engine's lock-ordering rule); files never
     /// move between shards, so per-shard merging loses nothing.
     pub fn compact(&self) -> CompactionReport {
-        let span_start = std::time::Instant::now();
         let _trace = self.trace_always(backsort_obs::names::SPAN_COMPACTION_ROOT, || {
             "compact full".to_string()
         });
@@ -231,7 +230,7 @@ impl StorageEngine {
             }
             total.absorb(self.compact_shard(shard));
         }
-        self.record_compaction(&total, span_start);
+        self.record_compaction(&total);
         total
     }
 
@@ -245,7 +244,6 @@ impl StorageEngine {
     /// continuously: write amplification is bounded by the leveling
     /// ladder instead of re-rewriting every byte per pass.
     pub fn compact_auto(&self) -> CompactionReport {
-        let span_start = std::time::Instant::now();
         let _trace = self.trace_always(backsort_obs::names::SPAN_COMPACTION_ROOT, || {
             "compact auto".to_string()
         });
@@ -257,11 +255,11 @@ impl StorageEngine {
             }
             total.absorb(self.compact_shard_leveled(shard));
         }
-        self.record_compaction(&total, span_start);
+        self.record_compaction(&total);
         total
     }
 
-    fn record_compaction(&self, total: &CompactionReport, span_start: std::time::Instant) {
+    fn record_compaction(&self, total: &CompactionReport) {
         let obs = self.obs();
         obs.counter(backsort_obs::names::COMPACTION_RUNS).inc();
         obs.counter(backsort_obs::names::COMPACTION_BYTES_IN)
@@ -272,11 +270,6 @@ impl StorageEngine {
             obs.counter(backsort_obs::names::COMPACTION_LEVEL_MOVES)
                 .add(total.level_moves);
         }
-        obs.tracer().record(
-            backsort_obs::names::SPAN_COMPACTION,
-            format!("files_in={} files_out={}", total.files_in, total.files_out),
-            span_start.elapsed().as_nanos() as u64,
-        );
     }
 
     /// Merges the run `handles[a..b)` into one image: gathers every
@@ -409,10 +402,7 @@ impl StorageEngine {
             .kill_point(backsort_faults::sites::COMPACTION_BEFORE_RESTORE);
         // The merged file carries a fresh id: the durable store sees the
         // old ids vanish and this one appear, and re-persists accordingly.
-        // analyzer:allow(panic-freedom): the image was produced by our own writer one call above; dropping it on a parse error would silently discard the inputs' data
-        let handle = FileHandle::parse(self.alloc_file_id(), image)
-            .expect("compacted image parses")
-            .with_level(out_level);
+        let handle = self.parse_own_image(image).with_level(out_level);
         self.publish(shard, vec![handle], tombstones, 0, files_in, true);
         CompactionReport {
             files_in,
@@ -468,10 +458,7 @@ impl StorageEngine {
                 let (report, has_output) = match merged {
                     Some((image, points)) => {
                         let bytes_out = image.len() as u64;
-                        // analyzer:allow(panic-freedom): the image was produced by our own writer one call above; dropping it on a parse error would silently discard the inputs' data
-                        let handle = FileHandle::parse(self.alloc_file_id(), image)
-                            .expect("compacted image parses")
-                            .with_level(level);
+                        let handle = self.parse_own_image(image).with_level(level);
                         // Crash site: the level-move's output exists (id
                         // allocated, filter written, level assigned) but
                         // the shard still serves nothing for the run —

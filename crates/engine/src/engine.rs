@@ -43,7 +43,7 @@ use parking_lot::RwLock;
 use crate::batch::{type_mismatch, PointBatch, WriteError};
 use crate::cache::BlockCache;
 use crate::delete::Tombstone;
-use crate::flush::{flush_memtable_observed, FlushMetrics};
+use crate::flush::{flush_memtable, FlushMetrics};
 use crate::memtable::{MemTable, SeriesBuffer};
 use crate::read::{FileHandle, IntervalSet};
 use crate::types::{SeriesKey, TsValue};
@@ -99,10 +99,6 @@ pub struct EngineConfig {
     /// ([`BlockCache`]); `0` disables caching entirely (every disk read
     /// decodes from the image).
     pub cache_bytes: usize,
-    /// Whether queries consult each file's `(device, sensor)` existence
-    /// filter before walking its chunk index. Disabling reproduces the
-    /// envelope-only baseline the benchmark compares against.
-    pub use_file_filters: bool,
     /// Leveled compaction policy knobs.
     pub compaction: CompactionConfig,
     /// Trace one in every `trace_sample_n` engine queries as a full
@@ -121,7 +117,6 @@ impl Default for EngineConfig {
             sorter: Algorithm::Backward(backsort_core::BackwardSort::default()),
             shards: 1,
             cache_bytes: 16 << 20,
-            use_file_filters: true,
             compaction: CompactionConfig::default(),
             trace_sample_n: 16,
         }
@@ -136,7 +131,7 @@ pub type QueryResult = Vec<(i64, TsValue)>;
 /// shard it came from.
 ///
 /// Produced by [`StorageEngine::begin_flush`] /
-/// [`StorageEngine::write_nonblocking`]; consumed by
+/// [`StorageEngine::write_batch_nonblocking`]; consumed by
 /// [`StorageEngine::complete_flush`] (directly or via an
 /// [`AsyncFlusher`](crate::AsyncFlusher) pool). While the job is
 /// outstanding, queries still see the data through the owning shard's
@@ -145,9 +140,6 @@ pub type QueryResult = Vec<(i64, TsValue)>;
 pub struct FlushJob {
     shard: usize,
     memtable: MemTable,
-    /// When the rotation happened — the start of the submit→install span
-    /// the tracer records at completion.
-    submitted: Instant,
 }
 
 impl FlushJob {
@@ -190,21 +182,6 @@ impl ShardState {
             ..ShardState::default()
         }
     }
-}
-
-/// How queries have been served, split by the lock they ran under — the
-/// observable proof of the read-lock fast path. Snapshot returned by
-/// [`StorageEngine::query_path_stats`].
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct QueryPathStats {
-    /// Queries served entirely under the shard's shared *read* lock
-    /// (every relevant buffer was already sorted), running concurrently
-    /// with other readers.
-    pub read_lock: u64,
-    /// Queries that found an unsorted buffer, upgraded to the exclusive
-    /// write lock and sorted it first (the double-checked
-    /// sort-on-read path).
-    pub sorted_on_read: u64,
 }
 
 /// Per-level file survival inside a [`QueryPlan`].
@@ -271,11 +248,11 @@ struct EngineObs {
     flush_queue_depth: Arc<Gauge>,
     read_path: Arc<Counter>,
     sorted_on_read: Arc<Counter>,
-    exclusive_path: Arc<Counter>,
     files_considered: Arc<Counter>,
     files_pruned: Arc<Counter>,
     files_pruned_by_filter: Arc<Counter>,
     rows_merged: Arc<Counter>,
+    file_parse: Arc<Counter>,
     ooo_points: Arc<Counter>,
     delta_tau: Arc<Histogram>,
     dirty_buffer_points: Arc<Histogram>,
@@ -345,11 +322,11 @@ impl EngineObs {
             flush_queue_depth: registry.gauge(names::ENGINE_FLUSH_QUEUE_DEPTH),
             read_path: registry.counter(names::QUERY_READ_PATH),
             sorted_on_read: registry.counter(names::QUERY_SORTED_ON_READ),
-            exclusive_path: registry.counter(names::QUERY_EXCLUSIVE_PATH),
             files_considered: registry.counter(names::QUERY_FILES_CONSIDERED),
             files_pruned: registry.counter(names::QUERY_FILES_PRUNED),
             files_pruned_by_filter: registry.counter(names::QUERY_FILES_PRUNED_BY_FILTER),
             rows_merged: registry.counter(names::QUERY_ROWS_MERGED),
+            file_parse: registry.counter(names::FILE_PARSE),
             ooo_points: registry.counter(names::MEMTABLE_OOO_POINTS),
             delta_tau: registry.histogram(names::MEMTABLE_DELTA_TAU),
             dirty_buffer_points: registry.histogram(names::MEMTABLE_DIRTY_BUFFER_POINTS),
@@ -553,25 +530,14 @@ impl StorageEngine {
     }
 
     /// The engine's metrics registry — every internal observable
-    /// (catalogued in [`backsort_obs::names`]) plus the lifecycle span
-    /// tracer. Render it with `render_prometheus()` / `render_json()` or
+    /// (catalogued in [`backsort_obs::names`]) plus the trace store.
+    /// Render it with `render_prometheus()` / `render_json()` or
     /// diff [`Registry::snapshot`]s around a workload phase.
     pub fn obs(&self) -> &Arc<Registry> {
         &self.obs.registry
     }
 
-    /// How queries have been served so far: read-locked fast path vs
-    /// sort-on-read write path. On a workload whose buffers are already
-    /// time-ordered, `sorted_on_read` stays at zero — queries never
-    /// exclude each other. Reads the registry's `query.*` counters.
-    pub fn query_path_stats(&self) -> QueryPathStats {
-        QueryPathStats {
-            read_lock: self.obs.read_path.get(),
-            sorted_on_read: self.obs.sorted_on_read.get(),
-        }
-    }
-
-    pub(crate) fn alloc_file_id(&self) -> u64 {
+    fn alloc_file_id(&self) -> u64 {
         self.next_file_id.fetch_add(1, Ordering::Relaxed)
     }
 
@@ -660,75 +626,56 @@ impl StorageEngine {
         key: &SeriesKey,
         batch: &PointBatch,
     ) -> Result<Vec<FlushMetrics>, WriteError> {
-        let enabled = self.obs.registry.is_enabled();
-        let start = enabled.then(Instant::now);
+        let start = self.obs.registry.is_enabled().then(Instant::now);
         let shard = self.shard_of(&key.device);
         let mut st = self.shards[shard].write();
-        self.check_batch_type(&st, key, batch)?;
-        let mut flushes = Vec::new();
-        let mut deltas = LocalHistogram::new();
-        let mut split_nanos = 0u64;
-        let ts = batch.ts();
-        let mut watermark = st.watermarks.get(key).copied();
-        let mut idx = 0;
-        while idx < ts.len() {
-            let (run_end, unseq, split_ns) = next_run(
-                ts,
-                idx,
-                watermark,
-                &st.working,
-                self.config.memtable_max_points,
-                enabled,
-            );
-            split_nanos += split_ns;
-            let append_start = enabled.then(Instant::now);
-            let (run_ts, run_vals) = batch.slice(idx, run_end);
-            let target = if unseq {
-                &mut st.unseq
-            } else {
-                &mut st.working
-            };
-            target.write_columns(key, run_ts, run_vals, &mut deltas)?;
-            if let Some(s) = append_start {
-                self.obs
-                    .batch_append_nanos
-                    .record(s.elapsed().as_nanos() as u64);
-            }
-            idx = run_end;
-            if st.working.total_points() >= self.config.memtable_max_points {
-                // analyzer:allow(lock-order): same invariant as the point path — rotation and watermark advance are one critical section, and kill_point never blocks
-                flushes.push(self.flush_shard_locked(shard, &mut st));
-                watermark = st.watermarks.get(key).copied();
-            }
-        }
-        self.obs.write_points.add(ts.len() as u64);
-        self.obs.record_batch_deltas(&deltas);
-        if let Some(start) = start {
-            self.obs.batch_split_nanos.record(split_nanos);
-            self.obs
-                .write_batch_nanos
-                .record(start.elapsed().as_nanos() as u64);
-        }
-        Ok(flushes)
+        self.write_batch_locked(&mut st, key, batch, start, |st| {
+            // analyzer:allow(lock-order): same invariant as the point path — rotation and watermark advance are one critical section, and kill_point never blocks
+            Some(self.flush_shard_locked(shard, st))
+        })
     }
 
     /// Like [`StorageEngine::write_batch`], but a full working memtable
     /// rotates into the shard's flushing slot instead of flushing inline;
     /// the returned [`FlushJob`] is completed off the write path (by the
-    /// caller or an [`AsyncFlusher`](crate::AsyncFlusher)). At most one
-    /// job is returned per call: while it is outstanding, the shard
-    /// backpressures further rotations into the growing working memtable.
+    /// caller or an [`AsyncFlusher`](crate::AsyncFlusher)) — IoTDB's
+    /// asynchronous flushing (paper §V-A, §VI-D2). At most one job is
+    /// returned per call: while it is outstanding, the shard
+    /// backpressures further rotations into the growing working
+    /// memtable, just as IoTDB stalls rotation until the flusher catches
+    /// up. Different shards can each have a job in flight at once — that
+    /// is what the flusher *pool* drains.
     pub fn write_batch_nonblocking(
         &self,
         key: &SeriesKey,
         batch: &PointBatch,
     ) -> Result<Option<FlushJob>, WriteError> {
-        let enabled = self.obs.registry.is_enabled();
-        let start = enabled.then(Instant::now);
+        let start = self.obs.registry.is_enabled().then(Instant::now);
         let shard = self.shard_of(&key.device);
         let mut st = self.shards[shard].write();
-        self.check_batch_type(&st, key, batch)?;
-        let mut job = None;
+        let mut jobs = self.write_batch_locked(&mut st, key, batch, start, |st| {
+            self.begin_flush_shard_locked(shard, st)
+        })?;
+        Ok(jobs.pop())
+    }
+
+    /// The batch write body behind both public entry points, run under
+    /// the caller's shard guard. `rotate` runs each time the working
+    /// memtable is full; `Some` means it rotated (so the watermark moved
+    /// and is re-read), `None` that the shard is backpressured. Returns
+    /// what the rotations produced, in order. `start` is when the caller
+    /// began (before taking the lock), `None` with telemetry disabled.
+    fn write_batch_locked<R>(
+        &self,
+        st: &mut ShardState,
+        key: &SeriesKey,
+        batch: &PointBatch,
+        start: Option<Instant>,
+        mut rotate: impl FnMut(&mut ShardState) -> Option<R>,
+    ) -> Result<Vec<R>, WriteError> {
+        let enabled = start.is_some();
+        self.check_batch_type(st, key, batch)?;
+        let mut rotations = Vec::new();
         let mut deltas = LocalHistogram::new();
         let mut split_nanos = 0u64;
         let ts = batch.ts();
@@ -759,8 +706,8 @@ impl StorageEngine {
             }
             idx = run_end;
             if st.working.total_points() >= self.config.memtable_max_points {
-                if let Some(j) = self.begin_flush_shard_locked(shard, &mut st) {
-                    job = Some(j);
+                if let Some(r) = rotate(st) {
+                    rotations.push(r);
                     watermark = st.watermarks.get(key).copied();
                 }
             }
@@ -773,7 +720,7 @@ impl StorageEngine {
                 .write_batch_nanos
                 .record(start.elapsed().as_nanos() as u64);
         }
-        Ok(job)
+        Ok(rotations)
     }
 
     /// Forces a flush of every shard's working memtable (ascending shard
@@ -817,21 +764,8 @@ impl StorageEngine {
         let mut total = FlushMetrics::default();
         for (shard, lock) in self.shards.iter().enumerate() {
             let mut st = lock.write();
-            let mut flushing =
-                std::mem::replace(&mut st.unseq, MemTable::new(self.config.array_size));
-            let (image, metrics) = flush_memtable_observed(
-                &mut flushing,
-                &self.config.sorter,
-                Some(&self.obs.registry),
-            );
-            if metrics.points > 0 {
-                let id = self.alloc_file_id();
-                // analyzer:allow(panic-freedom): the image was produced by our own encoder one call above; dropping it on a parse error would silently lose acked writes
-                let handle = FileHandle::parse(id, image).expect("flushed image parses");
-                st.files.push(handle);
-            }
-            st.flush_history.push(metrics);
-            self.obs.record_flush(shard, &metrics);
+            let unseq = std::mem::replace(&mut st.unseq, MemTable::new(self.config.array_size));
+            let metrics = self.flush_taken(shard, &mut st, unseq);
             total = merge_metrics(total, metrics);
         }
         total
@@ -855,7 +789,7 @@ impl StorageEngine {
     /// the level the manifest recorded, so a reopened engine resumes the
     /// leveling ladder instead of re-treating merged output as fresh L0.
     pub fn adopt_file_at_level(&self, image: Vec<u8>, level: u32) -> Option<Vec<(usize, u64)>> {
-        let handle = FileHandle::parse(self.alloc_file_id(), image)?.with_level(level);
+        let handle = self.parse_image(image)?.with_level(level);
         let metas: Vec<(SeriesKey, i64)> = handle
             .chunks()
             .iter()
@@ -1095,39 +1029,6 @@ impl StorageEngine {
         self.shards[shard].read().tombstones.clone()
     }
 
-    /// Writes one point like [`StorageEngine::write`], but instead of
-    /// flushing synchronously when the memtable fills, rotates it into
-    /// the shard's *flushing* slot and returns a [`FlushJob`] for the
-    /// caller (or an [`AsyncFlusher`](crate::AsyncFlusher)) to complete
-    /// off the write path — IoTDB's asynchronous flushing (paper §V-A,
-    /// §VI-D2).
-    ///
-    /// Returns `None` while a previous flush of the same shard is still
-    /// pending (backpressure: the working memtable keeps absorbing writes
-    /// beyond its threshold, just as IoTDB stalls rotation until the
-    /// flusher catches up). Different shards can each have a job in
-    /// flight at once — that is what the flusher *pool* drains.
-    pub fn write_nonblocking(&self, key: &SeriesKey, t: i64, v: TsValue) -> Option<FlushJob> {
-        let shard = self.shard_of(&key.device);
-        let mut st = self.shards[shard].write();
-        let written = match st.watermarks.get(key).copied() {
-            Some(w) if t <= w => st.unseq.write(key, t, v),
-            _ => st.working.write(key, t, v),
-        };
-        match written {
-            Ok(delta) => {
-                self.obs.write_points.inc();
-                self.obs.record_point_delta(delta);
-            }
-            Err(_) => self.obs.type_mismatch_rejects.inc(),
-        }
-        if st.working.total_points() >= self.config.memtable_max_points {
-            self.begin_flush_shard_locked(shard, &mut st)
-        } else {
-            None
-        }
-    }
-
     /// Rotates the first rotatable shard's working memtable (ascending
     /// order) into its flushing slot and returns the job, or `None` if
     /// every shard is empty or already has a flush pending.
@@ -1142,17 +1043,26 @@ impl StorageEngine {
         self.begin_flush_shard_locked(shard, &mut st)
     }
 
-    fn begin_flush_shard_locked(&self, shard: usize, st: &mut ShardState) -> Option<FlushJob> {
-        if st.flushing.is_some() || st.working.is_empty() {
-            return None;
-        }
-        let flushing = std::mem::replace(&mut st.working, MemTable::new(self.config.array_size));
-        for (key, buffer) in flushing.iter() {
+    /// Swaps a fresh working memtable into the (locked) shard and
+    /// advances the watermarks past everything the old one holds, so
+    /// later arrivals below them take the unsequence path. Returns the
+    /// rotated memtable.
+    fn rotate(&self, st: &mut ShardState) -> MemTable {
+        let rotated = std::mem::replace(&mut st.working, MemTable::new(self.config.array_size));
+        for (key, buffer) in rotated.iter() {
             if let Some(max_t) = buffer.max_time() {
                 let w = st.watermarks.entry(key.clone()).or_insert(i64::MIN);
                 *w = (*w).max(max_t);
             }
         }
+        rotated
+    }
+
+    fn begin_flush_shard_locked(&self, shard: usize, st: &mut ShardState) -> Option<FlushJob> {
+        if st.flushing.is_some() || st.working.is_empty() {
+            return None;
+        }
+        let flushing = self.rotate(st);
         // The flushing memtable stays visible to queries; the job works
         // on its own copy so sorting/encoding happens outside the lock.
         st.flushing = Some(flushing.clone());
@@ -1160,8 +1070,21 @@ impl StorageEngine {
         Some(FlushJob {
             shard,
             memtable: flushing,
-            submitted: Instant::now(),
         })
+    }
+
+    /// Parses a TsFile image under a fresh file id, counting the parse
+    /// in `file.parse`. `None` if the image is not a valid TsFile.
+    fn parse_image(&self, image: Vec<u8>) -> Option<FileHandle> {
+        self.obs.file_parse.inc();
+        FileHandle::parse(self.alloc_file_id(), image)
+    }
+
+    /// [`Self::parse_image`] for an image this engine's own writer just
+    /// produced (flush and compaction outputs).
+    pub(crate) fn parse_own_image(&self, image: Vec<u8>) -> FileHandle {
+        // analyzer:allow(panic-freedom): the image was produced by our own encoder one call above (a flush or compaction output); dropping it on a parse error would silently lose acked writes
+        self.parse_image(image).expect("own image parses")
     }
 
     /// Runs a [`FlushJob`] (sort + encode, outside any lock) and installs
@@ -1173,7 +1096,7 @@ impl StorageEngine {
         });
         obs_trace::add_attr(names::ATTR_SHARD, job.shard as u64);
         let span_encode = obs_trace::span(names::SPAN_FLUSH_ENCODE);
-        let (image, metrics) = flush_memtable_observed(
+        let (image, metrics) = flush_memtable(
             &mut job.memtable,
             &self.config.sorter,
             Some(&self.obs.registry),
@@ -1189,50 +1112,42 @@ impl StorageEngine {
             .kill_point(fault_sites::FLUSH_COMPLETE_BEFORE_INSTALL);
         // Parse the chunk index outside the lock too — installing the
         // handle is then just a push.
-        // analyzer:allow(panic-freedom): the image was produced by our own encoder one call above; dropping it on a parse error would silently lose acked writes
-        let handle = (metrics.points > 0)
-            .then(|| FileHandle::parse(self.alloc_file_id(), image).expect("flushed image parses"));
+        let handle = (metrics.points > 0).then(|| self.parse_own_image(image));
         let mut st = self.shards[job.shard].write();
-        if let Some(handle) = handle {
-            st.files.push(handle);
-        }
+        st.files.extend(handle);
         st.flush_history.push(metrics);
         st.flushing = None;
         drop(st);
         self.obs.flush_queue_depth.dec();
         self.obs.record_flush(job.shard, &metrics);
-        self.obs.registry.tracer().record(
-            names::SPAN_FLUSH,
-            format!("shard={} points={}", job.shard, metrics.points),
-            job.submitted.elapsed().as_nanos() as u64,
-        );
         metrics
     }
 
     fn flush_shard_locked(&self, shard: usize, st: &mut ShardState) -> FlushMetrics {
-        // Rotate: working becomes flushing; a fresh working memtable
-        // accepts subsequent writes. (Flushing is synchronous here — the
-        // paper measures its duration, not its overlap.)
-        let mut flushing =
-            std::mem::replace(&mut st.working, MemTable::new(self.config.array_size));
-        // Advance watermarks before encoding.
-        for (key, buffer) in flushing.iter() {
-            if let Some(max_t) = buffer.max_time() {
-                let w = st.watermarks.entry(key.clone()).or_insert(i64::MIN);
-                *w = (*w).max(max_t);
-            }
-        }
+        // Rotate: a fresh working memtable accepts subsequent writes.
+        // (Flushing is synchronous here — the paper measures its
+        // duration, not its overlap.)
+        let flushing = self.rotate(st);
         // Crash site: the memtable has rotated but nothing is encoded
         // yet — the points' only durable copy is the WAL.
         // analyzer:allow(lock-scope): kill_point never blocks (it either returns or aborts the process) and must fire inside the critical section to model dying mid-rotation
         self.faults.kill_point(fault_sites::FLUSH_ROTATE);
+        self.flush_taken(shard, st, flushing)
+    }
+
+    /// Encodes a memtable already taken out of the (locked) shard and
+    /// installs the resulting file — the synchronous flush body of the
+    /// working and unsequence flushes.
+    fn flush_taken(
+        &self,
+        shard: usize,
+        st: &mut ShardState,
+        mut memtable: MemTable,
+    ) -> FlushMetrics {
         let (image, metrics) =
-            flush_memtable_observed(&mut flushing, &self.config.sorter, Some(&self.obs.registry));
+            flush_memtable(&mut memtable, &self.config.sorter, Some(&self.obs.registry));
         if metrics.points > 0 {
-            let id = self.alloc_file_id();
-            // analyzer:allow(panic-freedom): the image was produced by our own encoder one call above; dropping it on a parse error would silently lose acked writes
-            let handle = FileHandle::parse(id, image).expect("flushed image parses");
-            st.files.push(handle);
+            st.files.push(self.parse_own_image(image));
         }
         st.flush_history.push(metrics);
         self.obs.record_flush(shard, &metrics);
@@ -1275,17 +1190,9 @@ impl StorageEngine {
             }
         }
         let mut st = self.shards[shard].write();
-        let start = self.obs.registry.is_enabled().then(Instant::now);
         {
             let _sort = obs_trace::span(names::SPAN_QUERY_SORT_ON_READ);
             sort_key_buffers(&mut st, key, &self.config.sorter, &self.obs);
-        }
-        if let Some(start) = start {
-            self.obs.registry.tracer().record(
-                names::SPAN_SORT_ON_READ,
-                key.to_string(),
-                start.elapsed().as_nanos() as u64,
-            );
         }
         self.obs.sorted_on_read.inc();
         query_with_state(&st, key, t_lo, t_hi, self)
@@ -1316,7 +1223,7 @@ impl StorageEngine {
             for handle in &st.files {
                 let entry = levels.entry(handle.level()).or_insert((0, 0));
                 entry.0 += 1;
-                if self.config.use_file_filters && !handle.may_contain(key) {
+                if !handle.may_contain(key) {
                     plan.files_pruned_by_filter += 1;
                     continue;
                 }
@@ -1352,55 +1259,6 @@ impl StorageEngine {
         plan
     }
 
-    /// The pre-overhaul query path, kept as the benchmark baseline:
-    /// unconditionally takes the shard lock *exclusively* (serializing
-    /// all of that shard's readers and writers, as the paper observes in
-    /// §VI-D1) and resolves duplicates by collecting every candidate
-    /// point and re-sorting, instead of streaming the merge. Returns
-    /// exactly what [`StorageEngine::query`] returns.
-    pub fn query_exclusive(&self, key: &SeriesKey, t_lo: i64, t_hi: i64) -> QueryResult {
-        let mut st = self.shards[self.shard_of(&key.device)].write();
-        sort_key_buffers(&mut st, key, &self.config.sorter, &self.obs);
-        self.obs.exclusive_path.inc();
-
-        let mut merged: Vec<(i64, TsValue, u8)> = Vec::new();
-        if needs_disk(&st, key, t_lo) {
-            for (file_idx, handle) in st.files.iter().enumerate() {
-                for chunk in handle.points_in_range(key, t_lo, t_hi) {
-                    for (t, v) in chunk {
-                        let erased = st
-                            .tombstones
-                            .iter()
-                            .any(|(ts, horizon)| file_idx < *horizon && ts.covers(key, t));
-                        if !erased {
-                            merged.push((t, v, 0));
-                        }
-                    }
-                }
-            }
-        }
-        for (i, buffer) in key_buffers(&st, key).enumerate() {
-            let priority = i as u8 + 1;
-            let start = buffer.lower_bound(t_lo);
-            for idx in start..buffer.len() {
-                let (t, v) = buffer.get(idx);
-                if t > t_hi {
-                    break;
-                }
-                merged.push((t, v, priority));
-            }
-        }
-
-        // Sort by (time, priority) and keep the highest-priority point
-        // per timestamp.
-        merged.sort_by_key(|&(t, _, p)| (t, p));
-        let mut out: QueryResult = Vec::with_capacity(merged.len());
-        for (t, v, _) in merged {
-            push_last_wins(&mut out, t, v);
-        }
-        out
-    }
-
     /// The freshest point of a sensor across memtables and flushed data,
     /// honoring deletions and duplicate-timestamp overrides. Same
     /// double-checked locking as [`StorageEngine::query`]: read lock
@@ -1417,17 +1275,9 @@ impl StorageEngine {
             }
         }
         let mut st = self.shards[shard].write();
-        let start = self.obs.registry.is_enabled().then(Instant::now);
         {
             let _sort = obs_trace::span(names::SPAN_QUERY_SORT_ON_READ);
             sort_key_buffers(&mut st, key, &self.config.sorter, &self.obs);
-        }
-        if let Some(start) = start {
-            self.obs.registry.tracer().record(
-                names::SPAN_SORT_ON_READ,
-                key.to_string(),
-                start.elapsed().as_nanos() as u64,
-            );
         }
         self.obs.sorted_on_read.inc();
         latest_value_with_state(&st, key, self)
@@ -1520,8 +1370,8 @@ fn sort_key_buffers(st: &mut ShardState, key: &SeriesKey, sorter: &Algorithm, ob
 
 /// Whether a `[t_lo, ..]` range can reach flushed data: only when it
 /// starts at or below the key's flush watermark (the shared
-/// watermark-consulting check of `query` / `query_exclusive` /
-/// `latest_value`).
+/// watermark-consulting check of `query` / `latest_value` /
+/// `explain_query`).
 fn needs_disk(st: &ShardState, key: &SeriesKey, t_lo: i64) -> bool {
     st.watermarks.get(key).is_some_and(|&w| t_lo <= w)
 }
@@ -1556,7 +1406,7 @@ fn query_with_state<'s>(
             // walk: a file that provably never stored this series is
             // skipped without touching its (string-keyed) envelope
             // table. v1 files carry no filter and fall through.
-            if eng.config.use_file_filters && !handle.may_contain(key) {
+            if !handle.may_contain(key) {
                 pruned_by_filter += 1;
                 continue;
             }
@@ -2032,11 +1882,14 @@ mod tests {
             eng.write(&ka, t, TsValue::Long(t));
             eng.write(&kb, t, TsValue::Long(t));
         }
+        let last = PointBatch::from_rows(vec![(99, TsValue::Long(99))]).unwrap();
         let ja = eng
-            .write_nonblocking(&ka, 99, TsValue::Long(99))
+            .write_batch_nonblocking(&ka, &last)
+            .unwrap()
             .expect("shard a rotates");
         let jb = eng
-            .write_nonblocking(&kb, 99, TsValue::Long(99))
+            .write_batch_nonblocking(&kb, &last)
+            .unwrap()
             .expect("shard b rotates");
         assert_ne!(ja.shard(), jb.shard());
         // Data stays visible while both jobs are outstanding.
@@ -2068,24 +1921,6 @@ mod tests {
             1,
             "the file holding only sensor b is filter-pruned for sensor a"
         );
-        // With filters disabled the same query probes both files.
-        let eng2 = StorageEngine::new(EngineConfig {
-            memtable_max_points: 100,
-            array_size: 8,
-            sorter: Algorithm::Backward(Default::default()),
-            use_file_filters: false,
-            ..EngineConfig::default()
-        });
-        for i in 0..100i64 {
-            eng2.write(&key("a"), i, TsValue::Long(i));
-        }
-        for i in 0..100i64 {
-            eng2.write(&key("b"), i, TsValue::Long(i));
-        }
-        let before = eng2.obs().snapshot();
-        assert_eq!(eng2.query(&key("a"), 0, 100).len(), 100);
-        let delta = eng2.obs().snapshot().delta_since(&before);
-        assert_eq!(delta.counter(names::QUERY_FILES_PRUNED_BY_FILTER), 0);
     }
 
     #[test]

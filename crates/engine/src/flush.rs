@@ -9,7 +9,7 @@ use std::time::Instant;
 
 use backsort_core::Algorithm;
 
-use crate::memtable::{MemTable, SeriesBuffer};
+use crate::memtable::MemTable;
 use crate::tsfile::TsFileWriter;
 
 /// Timing breakdown of one memtable flush.
@@ -40,15 +40,12 @@ impl FlushMetrics {
 /// IoTDB's last-write-wins. (With an unstable sorter, which arrival wins
 /// among duplicates is unspecified; with the stable configuration it is
 /// the latest arrival.)
-pub fn flush_memtable(memtable: &mut MemTable, sorter: &Algorithm) -> (Vec<u8>, FlushMetrics) {
-    flush_memtable_observed(memtable, sorter, None)
-}
-
-/// [`flush_memtable`], streaming telemetry into `obs` when given: each
-/// still-dirty buffer's size (buffer dirtiness at flush time) plus the
-/// sort-phase telemetry Backward-Sort reports per buffer (block size,
-/// `α̃_L`, per-merge overlap `Q`).
-pub fn flush_memtable_observed(
+///
+/// Telemetry streams into `obs` when given: each still-dirty buffer's
+/// size (buffer dirtiness at flush time) plus the sort-phase telemetry
+/// Backward-Sort reports per buffer (block size, `α̃_L`, per-merge
+/// overlap `Q`).
+pub fn flush_memtable(
     memtable: &mut MemTable,
     sorter: &Algorithm,
     obs: Option<&backsort_obs::Registry>,
@@ -109,7 +106,7 @@ mod tests {
             in_block: backsort_core::InBlockSort::Stable,
             ..BackwardSort::default()
         });
-        let (image, metrics) = flush_memtable(&mut mt, &alg);
+        let (image, metrics) = flush_memtable(&mut mt, &alg, None);
         assert_eq!(metrics.points, 4, "one duplicate removed");
         assert!(metrics.bytes > 0);
 
@@ -138,7 +135,7 @@ mod tests {
         let mut reference: Option<Vec<i64>> = None;
         for alg in backsort_core::Algorithm::contenders() {
             let mut mt = build();
-            let (image, _) = flush_memtable(&mut mt, &alg);
+            let (image, _) = flush_memtable(&mut mt, &alg, None);
             let r = TsFileReader::open(&image).unwrap();
             let times: Vec<i64> = r
                 .query(&key("s"), i64::MIN, i64::MAX)
@@ -157,7 +154,7 @@ mod tests {
     fn flush_empty_memtable() {
         let mut mt = MemTable::new(32);
         let alg = Algorithm::Baseline(BaselineSorter::Tim);
-        let (image, metrics) = flush_memtable(&mut mt, &alg);
+        let (image, metrics) = flush_memtable(&mut mt, &alg, None);
         assert_eq!(metrics.points, 0);
         assert!(TsFileReader::open(&image).unwrap().chunks().is_empty());
     }
@@ -169,7 +166,7 @@ mod tests {
             mt.write(&key("s"), i, TsValue::Long(i)).unwrap();
         }
         let alg = Algorithm::Baseline(BaselineSorter::Quick);
-        let (_, metrics) = flush_memtable(&mut mt, &alg);
+        let (_, metrics) = flush_memtable(&mut mt, &alg, None);
         assert!(metrics.sort_nanos > 0);
         assert!(metrics.encode_nanos > 0);
         assert!(metrics.write_nanos > 0);
@@ -178,146 +175,5 @@ mod tests {
             metrics.total_nanos(),
             metrics.sort_nanos + metrics.encode_nanos + metrics.write_nanos
         );
-    }
-}
-
-/// Like [`flush_memtable`], but sorts + deduplicates sensors across
-/// `threads` worker threads before writing chunks sequentially — IoTDB's
-/// sub-task flush pipeline. Falls back to the serial path for a single
-/// thread or a single sensor.
-///
-/// `sort_nanos`/`encode_nanos` aggregate per-sensor CPU time across
-/// workers (they can exceed wall time); `write_nanos` stays wall time.
-pub fn flush_memtable_parallel(
-    memtable: &mut MemTable,
-    sorter: &Algorithm,
-    threads: usize,
-) -> (Vec<u8>, FlushMetrics) {
-    if threads <= 1 || memtable.series_count() <= 1 {
-        return flush_memtable(memtable, sorter);
-    }
-    let mut metrics = FlushMetrics::default();
-    let mut writer = TsFileWriter::new();
-
-    let mut buffers: Vec<(&crate::types::SeriesKey, &mut SeriesBuffer)> =
-        memtable.iter_mut().filter(|(_, b)| !b.is_empty()).collect();
-    let chunk_size = buffers.len().div_ceil(threads);
-    /// One sensor's sorted, deduplicated columns plus per-phase timings.
-    struct Prepared {
-        key: crate::types::SeriesKey,
-        times: Vec<i64>,
-        values: crate::batch::ValueColumn,
-        sort_ns: u64,
-        encode_ns: u64,
-    }
-    let mut prepared: Vec<Vec<Prepared>> = Vec::new();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for chunk in buffers.chunks_mut(chunk_size.max(1)) {
-            handles.push(scope.spawn(move || {
-                let mut out = Vec::with_capacity(chunk.len());
-                for (key, buffer) in chunk.iter_mut() {
-                    let t0 = Instant::now();
-                    buffer.sort_with(sorter);
-                    let sort_ns = t0.elapsed().as_nanos() as u64;
-                    let t1 = Instant::now();
-                    let (times, values) = buffer.dedup_columns();
-                    let encode_ns = t1.elapsed().as_nanos() as u64;
-                    out.push(Prepared {
-                        key: (*key).clone(),
-                        times,
-                        values,
-                        sort_ns,
-                        encode_ns,
-                    });
-                }
-                out
-            }));
-        }
-        for handle in handles {
-            let group = handle
-                .join()
-                .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-            prepared.push(group);
-        }
-    });
-
-    let t2 = Instant::now();
-    for group in prepared {
-        for p in group {
-            metrics.sort_nanos += p.sort_ns;
-            metrics.encode_nanos += p.encode_ns;
-            metrics.points += p.times.len() as u64;
-            writer.write_chunk_columns(&p.key, &p.times, p.values.as_slice());
-        }
-    }
-    let image = writer.finish();
-    metrics.write_nanos = t2.elapsed().as_nanos() as u64;
-    metrics.bytes = image.len() as u64;
-    (image, metrics)
-}
-
-#[cfg(test)]
-mod parallel_tests {
-    use super::*;
-    use crate::tsfile::TsFileReader;
-    use crate::types::{SeriesKey, TsValue};
-
-    fn build(sensors: usize, points: i64) -> MemTable {
-        let mut mt = MemTable::new(32);
-        let mut x = 3u64;
-        for s in 0..sensors {
-            let key = SeriesKey::new("root.sg.d1", format!("s{s}"));
-            for i in 0..points {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                // Collision-free delay-only timestamps (stride 8 > max
-                // delay), so point counts survive dedup exactly.
-                mt.write(&key, i * 8 + (x % 5) as i64, TsValue::Long(i))
-                    .unwrap();
-            }
-        }
-        mt
-    }
-
-    #[test]
-    fn parallel_flush_matches_serial_timestamps() {
-        let alg = Algorithm::Backward(Default::default());
-        let mut serial_mt = build(8, 2_000);
-        let (serial_image, serial_metrics) = flush_memtable(&mut serial_mt, &alg);
-        let mut parallel_mt = build(8, 2_000);
-        let (parallel_image, parallel_metrics) = flush_memtable_parallel(&mut parallel_mt, &alg, 4);
-
-        assert_eq!(serial_metrics.points, parallel_metrics.points);
-        let sr = TsFileReader::open(&serial_image).unwrap();
-        let pr = TsFileReader::open(&parallel_image).unwrap();
-        assert_eq!(sr.chunks().len(), pr.chunks().len());
-        for (sm, pm) in sr.chunks().iter().zip(pr.chunks()) {
-            assert_eq!(sm.key, pm.key);
-            assert_eq!(sm.num_points, pm.num_points);
-            let st: Vec<i64> = sr.read_chunk(sm).unwrap().iter().map(|p| p.0).collect();
-            let pt: Vec<i64> = pr.read_chunk(pm).unwrap().iter().map(|p| p.0).collect();
-            assert_eq!(st, pt, "{}", sm.key);
-        }
-    }
-
-    #[test]
-    fn single_thread_falls_back_to_serial() {
-        let alg = Algorithm::Backward(Default::default());
-        let mut mt = build(3, 100);
-        let (image, metrics) = flush_memtable_parallel(&mut mt, &alg, 1);
-        assert_eq!(metrics.points, 3 * 100);
-        assert!(TsFileReader::open(&image).is_some());
-    }
-
-    #[test]
-    fn more_threads_than_sensors_is_fine() {
-        let alg = Algorithm::Backward(Default::default());
-        let mut mt = build(2, 500);
-        let (image, metrics) = flush_memtable_parallel(&mut mt, &alg, 16);
-        assert_eq!(metrics.points, 1_000);
-        let r = TsFileReader::open(&image).unwrap();
-        assert_eq!(r.chunks().len(), 2);
     }
 }

@@ -2,7 +2,7 @@
 //! flush time "is asynchronously awaited, including processes such as
 //! sorting, encoding, and I/O", §VI-D2).
 //!
-//! Writers call [`crate::StorageEngine::write_nonblocking`]; when a
+//! Writers call [`crate::StorageEngine::write_batch_nonblocking`]; when a
 //! rotation happens, the returned [`FlushJob`](crate::engine::FlushJob)
 //! is handed to the [`AsyncFlusher`], whose worker threads sort and
 //! encode off the write path. Queries keep seeing the rotating
@@ -132,6 +132,7 @@ impl Drop for AsyncFlusher {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::PointBatch;
     use crate::engine::EngineConfig;
     use crate::types::{SeriesKey, TsValue};
     use backsort_core::Algorithm;
@@ -154,12 +155,20 @@ mod tests {
         SeriesKey::new("root.sg.d1", "s1")
     }
 
+    /// One point through the non-blocking batch entry point.
+    fn write_nb(engine: &StorageEngine, k: &SeriesKey, t: i64) -> Option<FlushJob> {
+        let batch = PointBatch::from_rows(vec![(t, TsValue::Long(t))]).expect("one typed point");
+        engine
+            .write_batch_nonblocking(k, &batch)
+            .expect("matching type")
+    }
+
     #[test]
     fn async_flush_pipeline_end_to_end() {
         let engine = engine(100);
         let flusher = AsyncFlusher::new(Arc::clone(&engine));
         for t in 0..450i64 {
-            if let Some(job) = engine.write_nonblocking(&key(), t, TsValue::Long(t)) {
+            if let Some(job) = write_nb(&engine, &key(), t) {
                 flusher.submit(job).expect("pool running");
             }
         }
@@ -180,7 +189,7 @@ mod tests {
         // Fill to rotation but do NOT complete the flush yet.
         let mut job = None;
         for t in 0..50i64 {
-            if let Some(j) = engine.write_nonblocking(&key(), t, TsValue::Long(t)) {
+            if let Some(j) = write_nb(&engine, &key(), t) {
                 job = Some(j);
             }
         }
@@ -189,7 +198,7 @@ mod tests {
         let got = engine.query(&key(), 0, 100);
         assert_eq!(got.len(), 50, "flushing-slot data visible");
         // New writes land in the fresh working memtable meanwhile.
-        engine.write_nonblocking(&key(), 100, TsValue::Long(100));
+        write_nb(&engine, &key(), 100);
         assert_eq!(engine.query(&key(), 0, 200).len(), 51);
         // Completing the flush keeps results identical.
         engine.complete_flush(job);
@@ -202,10 +211,7 @@ mod tests {
         let engine = engine(20);
         let mut jobs = 0;
         for t in 0..100i64 {
-            if engine
-                .write_nonblocking(&key(), t, TsValue::Long(t))
-                .is_some()
-            {
+            if write_nb(&engine, &key(), t).is_some() {
                 jobs += 1;
             }
         }
@@ -227,7 +233,7 @@ mod tests {
                 scope.spawn(move || {
                     let k = SeriesKey::new("root.sg.d1", format!("s{w}"));
                     for t in 0..2_000i64 {
-                        if let Some(job) = engine.write_nonblocking(&k, t, TsValue::Long(t)) {
+                        if let Some(job) = write_nb(&engine, &k, t) {
                             flusher.submit(job).expect("pool running");
                         }
                     }
@@ -249,7 +255,7 @@ mod tests {
         let flusher = AsyncFlusher::with_workers(Arc::clone(&engine), 2);
         let mut job = None;
         for t in 0..10i64 {
-            if let Some(j) = engine.write_nonblocking(&key(), t, TsValue::Long(t)) {
+            if let Some(j) = write_nb(&engine, &key(), t) {
                 job = Some(j);
             }
         }
@@ -280,7 +286,7 @@ mod tests {
         let kb = SeriesKey::new("root.sg.d2", "s");
         for t in 0..500i64 {
             for k in [&ka, &kb] {
-                if let Some(job) = engine.write_nonblocking(k, t, TsValue::Long(t)) {
+                if let Some(job) = write_nb(&engine, k, t) {
                     flusher.submit(job).expect("pool running");
                 }
             }

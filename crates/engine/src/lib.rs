@@ -49,11 +49,10 @@ pub use cache::BlockCache;
 pub use compaction::CompactionReport;
 pub use delete::Tombstone;
 pub use engine::{
-    CompactionConfig, EngineConfig, FlushJob, LevelPlan, QueryPathStats, QueryPlan, QueryResult,
-    StorageEngine,
+    CompactionConfig, EngineConfig, FlushJob, LevelPlan, QueryPlan, QueryResult, StorageEngine,
 };
 pub use filter::KeyFilter;
-pub use flush::{flush_memtable, flush_memtable_parallel, FlushMetrics};
+pub use flush::{flush_memtable, FlushMetrics};
 pub use flusher::{AsyncFlusher, FlusherClosed};
 pub use memtable::{MemTable, SeriesBuffer};
 pub use read::{FileHandle, IntervalSet};

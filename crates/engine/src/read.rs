@@ -30,7 +30,7 @@ use crate::types::SeriesKey;
 /// `(min_time, max_time)` envelope — computed once at parse, not
 /// re-derived per query — and the key-sorted chunk index. Only when a
 /// query survives that pruning are the overlapping chunks' pages
-/// decoded — lazily, through [`FileHandle::points_in_range`].
+/// decoded — lazily, through [`FileHandle::points_in_range_cached`].
 #[derive(Debug, Clone)]
 pub struct FileHandle {
     id: u64,
@@ -54,12 +54,6 @@ impl FileHandle {
     /// the image is not a valid TsFile. This is the *only* place the
     /// footer is parsed; every later read reuses the cached state.
     pub fn parse(id: u64, image: Vec<u8>) -> Option<Self> {
-        // Installs are process-wide facts (handles migrate across
-        // engines via adoption), so the counter lives on the global
-        // registry, mirroring the static it replaced.
-        backsort_obs::global()
-            .counter(backsort_obs::names::FILE_PARSE)
-            .inc();
         let mut reader = TsFileReader::open(&image)?;
         let filter = reader.take_filter();
         let chunks = reader.chunks().to_vec();
@@ -114,14 +108,6 @@ impl FileHandle {
     pub fn with_level(mut self, level: u32) -> Self {
         self.level = level;
         self
-    }
-
-    /// Total [`FileHandle::parse`] calls so far, process-wide — the
-    /// `file.parse` counter on [`backsort_obs::global`]. Queries must
-    /// never move it (the index is parsed once per install), which tests
-    /// assert by diffing it around query storms.
-    pub fn parse_count() -> u64 {
-        backsort_obs::global().counter_value(backsort_obs::names::FILE_PARSE)
     }
 
     /// The engine-unique file id.
@@ -213,20 +199,9 @@ impl FileHandle {
 
     /// Lazy page-streaming readers over the series' chunks that overlap
     /// `[t_lo, t_hi]`, in file order (oldest chunk first — the order the
-    /// merge's duplicate resolution relies on).
-    pub fn points_in_range<'h>(
-        &'h self,
-        key: &SeriesKey,
-        t_lo: i64,
-        t_hi: i64,
-    ) -> impl Iterator<Item = ChunkPointsIter<'h>> + 'h {
-        self.points_in_range_cached(key, t_lo, t_hi, None)
-    }
-
-    /// [`points_in_range`](Self::points_in_range) with an optional
-    /// decoded-page cache: each reader serves pages out of `cache`
-    /// (keyed by this file's id) instead of re-decoding, inserting on
-    /// miss.
+    /// merge's duplicate resolution relies on). With a decoded-page
+    /// `cache`, each reader serves pages out of it (keyed by this file's
+    /// id) instead of re-decoding, inserting on miss.
     pub fn points_in_range_cached<'h>(
         &'h self,
         key: &SeriesKey,
@@ -318,9 +293,7 @@ mod tests {
 
     #[test]
     fn handle_caches_index_and_prunes_by_key_and_range() {
-        let before = FileHandle::parse_count();
         let h = FileHandle::parse(7, two_key_image()).expect("valid image");
-        assert_eq!(FileHandle::parse_count(), before + 1);
         assert_eq!(h.id(), 7);
         assert_eq!(h.chunks().len(), 2);
         assert_eq!(h.key_time_range(&key("a")), Some((10, 30)));
@@ -330,16 +303,17 @@ mod tests {
         assert!(!h.overlaps(&key("a"), 31, 100));
         assert!(!h.overlaps(&key("c"), i64::MIN, i64::MAX));
 
-        // Reading goes through the cached index: no parse counter move.
-        let pts: Vec<(i64, TsValue)> = h.points_in_range(&key("a"), 15, 30).flatten().collect();
+        // Reading goes through the cached index.
+        let pts: Vec<(i64, TsValue)> = h
+            .points_in_range_cached(&key("a"), 15, 30, None)
+            .flatten()
+            .collect();
         assert_eq!(pts, vec![(20, TsValue::Long(2)), (30, TsValue::Long(3))]);
-        assert_eq!(FileHandle::parse_count(), before + 1);
 
         // Re-tagging reuses the index without a reparse.
         let h2 = h.with_id(9);
         assert_eq!(h2.id(), 9);
         assert_eq!(h2.chunks().len(), 2);
-        assert_eq!(FileHandle::parse_count(), before + 1);
     }
 
     #[test]

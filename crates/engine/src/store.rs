@@ -917,7 +917,6 @@ impl DurableEngine {
     }
 
     fn persist_and_rotate(&mut self) -> StoreResult<()> {
-        let span_start = std::time::Instant::now();
         self.faults
             .hit(fault_sites::STORE_ROTATE_BEGIN)
             .map_err(StoreError::Wal)?;
@@ -995,13 +994,10 @@ impl DurableEngine {
                 &self.dir.join(format!("wal-{gen}.log")),
             );
         }
-        let obs = self.engine.obs();
-        obs.counter(backsort_obs::names::WAL_ROTATIONS).inc();
-        obs.tracer().record(
-            backsort_obs::names::SPAN_WAL_ROTATE,
-            format!("generation={}", self.generation),
-            span_start.elapsed().as_nanos() as u64,
-        );
+        self.engine
+            .obs()
+            .counter(backsort_obs::names::WAL_ROTATIONS)
+            .inc();
         Ok(())
     }
 

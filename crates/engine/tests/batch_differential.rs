@@ -8,7 +8,10 @@
 //! splits a batch into seq/unseq column runs and bulk-appends them, and
 //! any divergence from the per-point reference path (a mis-split run, a
 //! stale watermark after a mid-batch flush, a Δτ recorded against the
-//! wrong running max) shows up here as a minimized counterexample.
+//! wrong running max) shows up here as a minimized counterexample. The
+//! same holds for `write_batch_nonblocking` with every returned job
+//! completed at once: rotate-then-install must leave exactly what the
+//! inline flush leaves.
 
 use backsort_core::Algorithm;
 use backsort_engine::{EngineConfig, PointBatch, SeriesKey, StorageEngine, TsValue};
@@ -70,24 +73,44 @@ fn keys() -> Vec<SeriesKey> {
         .collect()
 }
 
-/// Applies the op stream to a fresh engine. `batched` selects the path
-/// under test: batches through `write_batch`, or unrolled point writes.
-fn run(ops: &[Op], shards: usize, batched: bool) -> StorageEngine {
+/// How [`run`] applies an [`Op::Batch`].
+#[derive(Debug, Clone, Copy)]
+enum BatchPath {
+    /// Unrolled into point writes — the reference.
+    Points,
+    /// `write_batch` (inline flush on a full memtable).
+    Blocking,
+    /// `write_batch_nonblocking`, completing the returned job at once.
+    Nonblocking,
+}
+
+/// Applies the op stream to a fresh engine, batches going down `path`.
+fn run(ops: &[Op], shards: usize, path: BatchPath) -> StorageEngine {
     let engine = StorageEngine::new(config(shards));
     let keys = keys();
     for op in ops {
         match op {
             Op::Batch { k, rows } => {
-                if batched {
-                    let batch =
-                        PointBatch::from_rows(rows.iter().map(|&(t, v)| (t, TsValue::Long(v))))
-                            .expect("uniform Long rows");
-                    engine
-                        .write_batch(&keys[*k], &batch)
-                        .expect("uniform Long batch");
-                } else {
-                    for &(t, v) in rows {
-                        engine.write(&keys[*k], t, TsValue::Long(v));
+                let batch = PointBatch::from_rows(rows.iter().map(|&(t, v)| (t, TsValue::Long(v))))
+                    .expect("uniform Long rows");
+                match path {
+                    BatchPath::Points => {
+                        for &(t, v) in rows {
+                            engine.write(&keys[*k], t, TsValue::Long(v));
+                        }
+                    }
+                    BatchPath::Blocking => {
+                        engine
+                            .write_batch(&keys[*k], &batch)
+                            .expect("uniform Long batch");
+                    }
+                    BatchPath::Nonblocking => {
+                        if let Some(job) = engine
+                            .write_batch_nonblocking(&keys[*k], &batch)
+                            .expect("uniform Long batch")
+                        {
+                            engine.complete_flush(job);
+                        }
                     }
                 }
             }
@@ -165,52 +188,10 @@ proptest! {
         ops in prop::collection::vec(op_strategy(), 1..30),
     ) {
         for shards in [1usize, 4] {
-            let reference = run(&ops, shards, false);
-            let batched = run(&ops, shards, true);
-            assert_identical(&reference, &batched, shards)?;
-        }
-    }
-
-    // The nonblocking variant must agree on data too (flush jobs are
-    // completed inline, so residency timing matches the blocking path
-    // only for visible points, not file boundaries).
-    #[test]
-    fn nonblocking_batched_path_preserves_data(
-        ops in prop::collection::vec(op_strategy(), 1..20),
-    ) {
-        let reference = run(&ops, 1, false);
-        let engine = StorageEngine::new(config(1));
-        let keys = keys();
-        for op in &ops {
-            match op {
-                Op::Batch { k, rows } => {
-                    let batch = PointBatch::from_rows(
-                        rows.iter().map(|&(t, v)| (t, TsValue::Long(v))),
-                    )
-                    .expect("uniform Long rows");
-                    if let Some(job) = engine
-                        .write_batch_nonblocking(&keys[*k], &batch)
-                        .expect("uniform Long batch")
-                    {
-                        engine.complete_flush(job);
-                    }
-                }
-                Op::Write { k, t, v } => {
-                    engine.write(&keys[*k], *t, TsValue::Long(*v));
-                }
-                Op::Delete { k, lo, len } => {
-                    engine.delete_range(&keys[*k], *lo, lo + len);
-                }
-                Op::Flush => {
-                    engine.flush();
-                }
+            let reference = run(&ops, shards, BatchPath::Points);
+            for path in [BatchPath::Blocking, BatchPath::Nonblocking] {
+                assert_identical(&reference, &run(&ops, shards, path), shards)?;
             }
-        }
-        for key in keys {
-            prop_assert_eq!(
-                reference.query(&key, i64::MIN, i64::MAX),
-                engine.query(&key, i64::MIN, i64::MAX)
-            );
         }
     }
 }

@@ -1,14 +1,13 @@
 //! Acceptance tests for the read-path overhaul: queries on sorted data
 //! stay on the shard *read* lock (concurrent readers overlap), file
-//! footers are parsed once per install and never per query, and the new
-//! streaming merge / `latest_value` / `query_exclusive` paths agree with
-//! each other.
+//! footers are parsed once per install and never per query, and the
+//! streaming merge and `latest_value` paths agree with each other.
 
 use std::sync::Barrier;
 
 use backsort_core::Algorithm;
-use backsort_engine::read::FileHandle;
 use backsort_engine::{EngineConfig, SeriesKey, StorageEngine, TsValue};
+use backsort_obs::names;
 
 fn engine(memtable_max_points: usize, shards: usize) -> StorageEngine {
     StorageEngine::new(EngineConfig {
@@ -24,6 +23,15 @@ fn key(s: &str) -> SeriesKey {
     SeriesKey::new("root.sg.d1", "s".to_string() + s)
 }
 
+/// `(query.read_path, query.sorted_on_read)` so far.
+fn query_paths(eng: &StorageEngine) -> (u64, u64) {
+    let snap = eng.obs().snapshot();
+    (
+        snap.counter(names::QUERY_READ_PATH),
+        snap.counter(names::QUERY_SORTED_ON_READ),
+    )
+}
+
 #[test]
 fn sorted_data_queries_never_take_the_write_path() {
     let eng = engine(100, 1);
@@ -31,7 +39,7 @@ fn sorted_data_queries_never_take_the_write_path() {
     for t in 0..150i64 {
         eng.write(&key("a"), t, TsValue::Long(t));
     }
-    assert_eq!(eng.query_path_stats().sorted_on_read, 0, "writes only");
+    assert_eq!(query_paths(&eng).1, 0, "writes only");
 
     // Many concurrent readers of the *same* shard: with the data
     // sorted, every one of them must be served under the read lock.
@@ -50,12 +58,12 @@ fn sorted_data_queries_never_take_the_write_path() {
             });
         }
     });
-    let stats = eng.query_path_stats();
+    let (read_lock, sorted_on_read) = query_paths(&eng);
     assert_eq!(
-        stats.sorted_on_read, 0,
+        sorted_on_read, 0,
         "already-sorted data must never need the shard write lock"
     );
-    assert_eq!(stats.read_lock, (THREADS * QUERIES) as u64);
+    assert_eq!(read_lock, (THREADS * QUERIES) as u64);
 }
 
 #[test]
@@ -66,23 +74,20 @@ fn unsorted_buffer_sorts_once_then_reads_stay_shared() {
     }
     // First query finds the working buffer unsorted: write path, once.
     assert_eq!(eng.query(&key("a"), 0, 10).len(), 5);
-    let stats = eng.query_path_stats();
-    assert_eq!((stats.read_lock, stats.sorted_on_read), (0, 1));
+    assert_eq!(query_paths(&eng), (0, 1));
 
     // The sort persisted: every further query reads under the read lock.
     for _ in 0..10 {
         assert_eq!(eng.query(&key("a"), 0, 10).len(), 5);
     }
-    let stats = eng.query_path_stats();
-    assert_eq!((stats.read_lock, stats.sorted_on_read), (10, 1));
+    assert_eq!(query_paths(&eng), (10, 1));
 
     // A new out-of-order write dirties the buffer again — exactly one
     // more sorted-on-read upgrade.
     eng.write(&key("a"), 0, TsValue::Long(0));
     eng.query(&key("a"), 0, 10);
     eng.query(&key("a"), 0, 10);
-    let stats = eng.query_path_stats();
-    assert_eq!((stats.read_lock, stats.sorted_on_read), (11, 2));
+    assert_eq!(query_paths(&eng), (11, 2));
 }
 
 #[test]
@@ -106,44 +111,21 @@ fn file_indexes_parse_once_per_install_not_per_query() {
     };
     eng.adopt_file(image).expect("valid image");
 
-    let parses_before = FileHandle::parse_count();
+    let parses = || eng.obs().snapshot().counter(names::FILE_PARSE);
+    assert_eq!(
+        parses(),
+        5,
+        "one parse per install: four flushes, one adoption"
+    );
     for round in 0..100i64 {
         assert!(!eng.query(&key("a"), round, round + 40).is_empty());
         eng.latest_value(&key("a")).expect("data exists");
-        eng.query_exclusive(&key("a"), round, round + 40);
     }
     assert_eq!(
-        FileHandle::parse_count(),
-        parses_before,
+        parses(),
+        5,
         "queries must reuse the cached chunk indexes, never re-parse"
     );
-}
-
-#[test]
-fn query_exclusive_matches_query() {
-    let eng = engine(60, 4);
-    let keys: Vec<SeriesKey> = (0..4)
-        .map(|d| SeriesKey::new(format!("root.sg.d{d}"), "s"))
-        .collect();
-    let mut x = 42u64;
-    for i in 0..900i64 {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        let k = &keys[(x % 4) as usize];
-        eng.write(k, i + (x % 6) as i64, TsValue::Long(i));
-    }
-    eng.delete_range(&keys[0], 100, 140);
-    eng.flush_unseq();
-    for k in &keys {
-        for (lo, hi) in [(i64::MIN, i64::MAX), (0, 300), (250, 600), (899, 910)] {
-            assert_eq!(
-                eng.query(k, lo, hi),
-                eng.query_exclusive(k, lo, hi),
-                "{k:?} [{lo}, {hi}]"
-            );
-        }
-    }
 }
 
 #[test]

@@ -13,9 +13,6 @@
 //!   binary can measure its own instrumentation overhead.
 //! * **[`Snapshot`]** — a point-in-time copy of every metric, with
 //!   [`Snapshot::delta_since`] so benches report per-phase deltas.
-//! * **[`Tracer`]** — a bounded ring buffer of lifecycle [`SpanEvent`]s
-//!   (flush submit→install, WAL rotate, compaction, sort-on-read
-//!   upgrades): enough tail to debug a stall, never unbounded growth.
 //! * **[`trace`]** — hierarchical per-request span trees
 //!   ([`trace::TraceContext`] / [`trace::SpanGuard`]) with a
 //!   thread-local lock-free hot path, a bounded slow-query log, and
@@ -37,10 +34,10 @@
 pub mod names;
 pub mod trace;
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, RwLock};
 
 /// Number of histogram buckets: one for zero, one per power of two, the
 /// top one absorbing everything at or above `2^63` (the overflow
@@ -360,107 +357,6 @@ impl HistogramSnapshot {
     }
 }
 
-/// One recorded lifecycle span.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpanEvent {
-    /// Span kind (see the `SPAN_*` constants in [`names`]).
-    pub kind: &'static str,
-    /// Free-form detail, e.g. `shard=2 points=100000`.
-    pub detail: String,
-    /// Span duration in nanoseconds.
-    pub nanos: u64,
-}
-
-/// A bounded ring buffer of [`SpanEvent`]s.
-///
-/// Lifecycle events (flushes, WAL rotations, compactions, sort-on-read
-/// upgrades) are orders of magnitude rarer than point writes, so a
-/// mutex-guarded ring is fine here; the bound keeps a long-running
-/// engine's memory flat while preserving the recent tail for debugging.
-#[derive(Debug)]
-pub struct Tracer {
-    enabled: bool,
-    capacity: usize,
-    total: AtomicU64,
-    // Poisoning is recovered (`PoisonError::into_inner`) everywhere this
-    // lock is taken: a panicking recorder must not take telemetry down
-    // with it, and a half-updated ring is still well-formed spans.
-    //
-    // Entries are `Arc`ed so both `record` and `recent` do their
-    // allocation and cloning *outside* the critical section: under the
-    // lock, a record is one push (plus a pop at capacity) and a read is
-    // `capacity` refcount bumps into a pre-sized Vec.
-    ring: Mutex<VecDeque<Arc<SpanEvent>>>,
-}
-
-impl Tracer {
-    fn new(enabled: bool, capacity: usize) -> Self {
-        Self {
-            enabled,
-            capacity,
-            total: AtomicU64::new(0),
-            ring: Mutex::new(VecDeque::with_capacity(if enabled { capacity } else { 0 })),
-        }
-    }
-
-    /// Records one span, evicting the oldest when full.
-    pub fn record(&self, kind: &'static str, detail: String, nanos: u64) {
-        if !self.enabled {
-            return;
-        }
-        self.total.fetch_add(1, Ordering::Relaxed);
-        let event = Arc::new(SpanEvent {
-            kind,
-            detail,
-            nanos,
-        });
-        let evicted = {
-            let mut ring = self
-                .ring
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            let evicted = if ring.len() == self.capacity {
-                ring.pop_front()
-            } else {
-                None
-            };
-            ring.push_back(event);
-            evicted
-        };
-        drop(evicted); // any deallocation happens after the lock is gone
-    }
-
-    /// The retained spans, oldest first. Copies out under a short
-    /// critical section: the shared handles are gathered under the lock
-    /// (refcount increments only — the output Vec is pre-sized outside
-    /// it) and the payload clones happen after it is released.
-    pub fn recent(&self) -> Vec<SpanEvent> {
-        let mut handles: Vec<Arc<SpanEvent>> = Vec::with_capacity(self.capacity);
-        {
-            let ring = self
-                .ring
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            handles.extend(ring.iter().map(Arc::clone));
-        }
-        handles.iter().map(|e| e.as_ref().clone()).collect()
-    }
-
-    /// Spans recorded over the tracer's lifetime (including evicted
-    /// ones).
-    pub fn total_recorded(&self) -> u64 {
-        self.total.load(Ordering::Relaxed)
-    }
-
-    /// Maximum retained spans.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-}
-
-/// How many spans a registry's tracer retains.
-const TRACER_CAPACITY: usize = 1024;
-
 #[derive(Debug, Default)]
 struct Inner {
     counters: BTreeMap<String, Arc<Counter>>,
@@ -468,7 +364,7 @@ struct Inner {
     histograms: BTreeMap<String, Arc<Histogram>>,
 }
 
-/// The metrics registry: named metrics plus the span tracer.
+/// The metrics registry: named metrics plus the trace store.
 ///
 /// Registration (`counter`/`gauge`/`histogram`) takes a write lock on a
 /// miss and a read lock on a hit; hot paths are expected to cache the
@@ -481,7 +377,6 @@ pub struct Registry {
     // a panic mid-insert leaves them consistent, and metrics must never
     // abort the process that is trying to report a failure.
     inner: RwLock<Inner>,
-    tracer: Tracer,
     traces: Arc<trace::TraceStore>,
 }
 
@@ -497,7 +392,7 @@ impl Registry {
         Self::build(true)
     }
 
-    /// A registry whose metrics and tracer are all no-ops — the control
+    /// A registry whose metrics and traces are all no-ops — the control
     /// arm of the instrumentation-overhead experiment. Names still
     /// register (so renders stay shape-identical); values never move.
     pub fn new_disabled() -> Self {
@@ -535,7 +430,6 @@ impl Registry {
         Self {
             enabled,
             inner: RwLock::new(inner),
-            tracer: Tracer::new(enabled, TRACER_CAPACITY),
             traces: Arc::new(trace::TraceStore::new(
                 enabled,
                 started,
@@ -645,11 +539,6 @@ impl Registry {
             .gauges
             .get(name)
             .map_or(0, |g| g.get())
-    }
-
-    /// The span tracer.
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
     }
 
     /// The hierarchical trace store (span trees, slow-query log,
@@ -867,16 +756,6 @@ fn prometheus_name(name: &str) -> (String, String) {
     (safe, labels)
 }
 
-static GLOBAL: OnceLock<Registry> = OnceLock::new();
-
-/// The process-global registry — for process-wide facts only (e.g. the
-/// TsFile parse-once counter). Engine metrics live on per-engine
-/// registries so parallel tests and side-by-side benches don't bleed
-/// into each other.
-pub fn global() -> &'static Registry {
-    GLOBAL.get_or_init(Registry::new)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1007,40 +886,6 @@ mod tests {
     }
 
     #[test]
-    fn tracer_contention_loses_no_records_and_reads_stay_consistent() {
-        const THREADS: usize = 8;
-        const PER_THREAD: u64 = 5_000;
-        let tracer = Arc::new(Tracer::new(true, 64));
-        std::thread::scope(|scope| {
-            for t in 0..THREADS {
-                let tracer = Arc::clone(&tracer);
-                scope.spawn(move || {
-                    for i in 0..PER_THREAD {
-                        tracer.record("flush", format!("t={t} i={i}"), t as u64);
-                        // Interleave reads with writes so `recent` runs
-                        // under real contention, not after the dust
-                        // settles.
-                        if i % 64 == 0 {
-                            let seen = tracer.recent();
-                            assert!(seen.len() <= tracer.capacity());
-                            for ev in &seen {
-                                assert_eq!(ev.kind, "flush");
-                                assert!(ev.detail.starts_with("t="));
-                            }
-                        }
-                    }
-                });
-            }
-        });
-        assert_eq!(
-            tracer.total_recorded(),
-            THREADS as u64 * PER_THREAD,
-            "no lost records under contention"
-        );
-        assert_eq!(tracer.recent().len(), tracer.capacity(), "ring stays full");
-    }
-
-    #[test]
     fn registry_returns_the_same_metric_for_the_same_name() {
         let r = Registry::new();
         let a = r.counter("x");
@@ -1074,12 +919,9 @@ mod tests {
         c.add(10);
         g.set(10);
         h.record(10);
-        r.tracer().record("kind", "detail".into(), 1);
         assert_eq!(c.get(), 0);
         assert_eq!(g.get(), 0);
         assert_eq!(h.count(), 0);
-        assert_eq!(r.tracer().total_recorded(), 0);
-        assert!(r.tracer().recent().is_empty());
         // Names still render (shape parity with an enabled registry).
         assert!(r.render_json().contains("\"c\":0"));
     }
@@ -1105,19 +947,6 @@ mod tests {
         c2.add(3);
         let delta2 = r.snapshot().delta_since(&before);
         assert_eq!(delta2.counter("late"), 3);
-    }
-
-    #[test]
-    fn tracer_ring_is_bounded_and_ordered() {
-        let t = Tracer::new(true, 4);
-        for i in 0..10u64 {
-            t.record("flush", format!("job={i}"), i);
-        }
-        assert_eq!(t.total_recorded(), 10);
-        let recent = t.recent();
-        assert_eq!(recent.len(), 4, "bounded at capacity");
-        let kept: Vec<u64> = recent.iter().map(|s| s.nanos).collect();
-        assert_eq!(kept, vec![6, 7, 8, 9], "oldest evicted first");
     }
 
     #[test]
@@ -1154,13 +983,6 @@ mod tests {
             Registry::labeled("flush.count", "shard", 7),
             "flush.count{shard=7}"
         );
-    }
-
-    #[test]
-    fn global_registry_is_a_singleton() {
-        let a = global().counter("global.test");
-        a.inc();
-        assert_eq!(global().counter_value("global.test"), 1);
     }
 
     #[test]

@@ -28,8 +28,6 @@ pub const QUERY_READ_PATH: &str = "query.read_path";
 /// Queries that upgraded to the write lock to sort a dirty buffer
 /// (counter).
 pub const QUERY_SORTED_ON_READ: &str = "query.sorted_on_read";
-/// Queries served by the pre-overhaul exclusive baseline path (counter).
-pub const QUERY_EXCLUSIVE_PATH: &str = "query.exclusive_path";
 /// Flushed files examined by queries that reached disk (counter).
 pub const QUERY_FILES_CONSIDERED: &str = "query.files_considered";
 /// Of those, files skipped by the per-key time-range prune (counter).
@@ -126,9 +124,8 @@ pub const SORT_ALPHA_PPM: &str = "sort.alpha_ppm";
 /// of the paper's Theorem bound `E[Q] ≤ E[Δτ | Δτ ≥ 0]`.
 pub const MERGE_OVERLAP_Q: &str = "merge.overlap_q";
 
-/// TsFile footer parses, process-wide (counter on the
-/// [`global()`](crate::global) registry — installs parse once; queries
-/// must never move it).
+/// TsFile footer parses by this engine (counter — installs parse once;
+/// queries must never move it).
 pub const FILE_PARSE: &str = "file.parse";
 
 /// Client connections currently open on the SQL wire path (gauge).
@@ -160,15 +157,6 @@ pub const SERVER_FLUSH_BACKLOG: &str = "server.flush_backlog";
 /// Request wall time, decode to response enqueued, nanoseconds
 /// (histogram).
 pub const SERVER_REQUEST_NANOS: &str = "server.request_nanos";
-
-/// Span kind: flush submit → install.
-pub const SPAN_FLUSH: &str = "flush";
-/// Span kind: WAL persist-and-rotate.
-pub const SPAN_WAL_ROTATE: &str = "wal_rotate";
-/// Span kind: compaction pass.
-pub const SPAN_COMPACTION: &str = "compaction";
-/// Span kind: sort-on-read write-lock upgrade.
-pub const SPAN_SORT_ON_READ: &str = "sort_on_read";
 
 /// Rows merged out of the k-way merge by queries (counter; the
 /// registry twin of the per-span `rows_merged` attribute).
@@ -254,8 +242,7 @@ pub const ATTR_SHARD: &str = "shard";
 
 /// Every metric an instrumented [`StorageEngine`] registers at
 /// construction — the catalog the CI smoke check asserts against an
-/// exported snapshot. [`FILE_PARSE`] is absent deliberately: it lives on
-/// the process-global registry, not the engine's.
+/// exported snapshot.
 pub const REQUIRED: &[&str] = &[
     ENGINE_WRITE_BATCH_NANOS,
     ENGINE_BATCH_SPLIT_NANOS,
@@ -263,7 +250,6 @@ pub const REQUIRED: &[&str] = &[
     ENGINE_FLUSH_QUEUE_DEPTH,
     QUERY_READ_PATH,
     QUERY_SORTED_ON_READ,
-    QUERY_EXCLUSIVE_PATH,
     QUERY_FILES_CONSIDERED,
     QUERY_FILES_PRUNED,
     QUERY_FILES_PRUNED_BY_FILTER,
@@ -297,6 +283,7 @@ pub const REQUIRED: &[&str] = &[
     SORT_ALPHA_PPM,
     MERGE_OVERLAP_Q,
     QUERY_ROWS_MERGED,
+    FILE_PARSE,
     TRACE_STARTED,
     TRACE_DROPPED_SPANS,
     TRACE_SLOW_QUERIES,

@@ -1,10 +1,9 @@
 //! Hierarchical per-request tracing: span trees, a slow-query log, and
 //! Chrome-trace export.
 //!
-//! The flat [`Tracer`](crate::Tracer) ring answers "what lifecycle
-//! events happened recently"; this module answers "why was *this*
-//! query slow". A [`TraceStore::begin`] call opens a trace on the
-//! current thread; every [`span`] opened until the matching
+//! This module answers "why was *this* query slow". A
+//! [`TraceStore::begin`] call opens a trace on the current thread;
+//! every [`span`] opened until the matching
 //! [`TraceContext`] finishes becomes a node in one span tree, with its
 //! parent, wall time, and typed attributes (`files_considered`,
 //! `cache_hits`, `rows_merged`, …).

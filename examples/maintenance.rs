@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use backward_sort_repro::core::Algorithm;
 use backward_sort_repro::engine::{
-    Aggregation, AsyncFlusher, EngineConfig, SeriesKey, StorageEngine, TsValue,
+    Aggregation, AsyncFlusher, EngineConfig, PointBatch, SeriesKey, StorageEngine, TsValue,
 };
 
 fn main() {
@@ -29,7 +29,12 @@ fn main() {
         x ^= x >> 7;
         x ^= x << 17;
         let t = i + (x % 4) as i64;
-        if let Some(job) = engine.write_nonblocking(&key, t, TsValue::Double((t % 211) as f64)) {
+        let point = PointBatch::from_rows(vec![(t, TsValue::Double((t % 211) as f64))])
+            .expect("one typed point");
+        if let Some(job) = engine
+            .write_batch_nonblocking(&key, &point)
+            .expect("matching type")
+        {
             // Sorting/encoding happens off-thread; a closed pool hands the
             // job back, so finish it inline instead of losing data.
             if let Err(closed) = flusher.submit(job) {

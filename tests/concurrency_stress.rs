@@ -6,7 +6,17 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use backward_sort_repro::core::Algorithm;
-use backward_sort_repro::engine::{AsyncFlusher, EngineConfig, SeriesKey, StorageEngine, TsValue};
+use backward_sort_repro::engine::{
+    AsyncFlusher, EngineConfig, FlushJob, PointBatch, SeriesKey, StorageEngine, TsValue,
+};
+
+/// One point through the non-blocking batch entry point.
+fn write_nb(engine: &StorageEngine, key: &SeriesKey, t: i64) -> Option<FlushJob> {
+    let batch = PointBatch::from_rows(vec![(t, TsValue::Long(t))]).expect("one typed point");
+    engine
+        .write_batch_nonblocking(key, &batch)
+        .expect("matching type")
+}
 
 #[test]
 fn writers_queriers_and_flusher_do_not_corrupt_data() {
@@ -37,7 +47,7 @@ fn writers_queriers_and_flusher_do_not_corrupt_data() {
                     x ^= x << 17;
                     // Delay-only arrivals, collision-free timestamps.
                     let t = i * 8 + (x % 8) as i64;
-                    if let Some(job) = engine.write_nonblocking(&key, t, TsValue::Long(t)) {
+                    if let Some(job) = write_nb(&engine, &key, t) {
                         if let Err(closed) = flusher.submit(job) {
                             engine.complete_flush(closed.0);
                         }
@@ -173,15 +183,14 @@ fn run_sharded_stress(shards: usize) -> Vec<Vec<(i64, TsValue)>> {
                     }
                 };
                 for (i, t) in private_times(w, POINTS_PER_WRITER).into_iter().enumerate() {
-                    if let Some(job) = engine.write_nonblocking(&key, t, TsValue::Long(t)) {
+                    if let Some(job) = write_nb(&engine, &key, t) {
                         submit(job);
                     }
                     // Interleave the overlapping device: writer w owns the
                     // disjoint range [w*100_000, w*100_000 + SHARED_POINTS).
                     if (i as i64) < SHARED_POINTS {
                         let st = w as i64 * 100_000 + i as i64;
-                        if let Some(job) = engine.write_nonblocking(&shared, st, TsValue::Long(st))
-                        {
+                        if let Some(job) = write_nb(&engine, &shared, st) {
                             submit(job);
                         }
                     }

@@ -115,7 +115,7 @@ fn the_declared_catalog_is_present_from_birth() {
 }
 
 #[test]
-fn flush_spans_land_in_the_tracer() {
+fn flush_spans_land_in_the_trace_store() {
     let registry = Arc::new(Registry::new());
     let engine = StorageEngine::with_registry(
         EngineConfig {
@@ -145,9 +145,12 @@ fn flush_spans_land_in_the_tracer() {
     }
     let completed = flusher.shutdown();
     assert!(completed > 0, "memtable rotations must have flushed");
-    let spans = registry.tracer().recent();
+    let traces = registry.traces().recent();
     assert!(
-        spans.iter().any(|s| s.kind == names::SPAN_FLUSH),
-        "async flushes must trace submit→install spans, got {spans:?}"
+        traces.iter().any(|t| t
+            .spans
+            .first()
+            .is_some_and(|s| s.name == names::SPAN_FLUSH_ROOT)),
+        "async flushes must leave a flush.root trace, got {traces:?}"
     );
 }
