@@ -109,8 +109,10 @@ fn check_span_catalog(doc: &serde::Value) {
 
 /// In-process smoke: `EXPLAIN ANALYZE` over a freshly seeded engine
 /// must produce a span tree that opens `query.root` and reaches
-/// `query.merge`. Guards the whole trace pipeline (begin → engine spans
-/// → finish → render) without needing a server.
+/// `query.merge`, and a `count` over the flushed page must show on its
+/// `query.files` span that the page was answered from its header.
+/// Guards the whole trace pipeline (begin → engine spans → finish →
+/// render) without needing a server.
 fn check_explain_analyze_smoke() {
     let engine = StorageEngine::new(EngineConfig {
         memtable_max_points: 10_000,
@@ -155,6 +157,27 @@ fn check_explain_analyze_smoke() {
             std::process::exit(1);
         }
     }
+    let counted = backsort_sql::execute(
+        &engine,
+        "EXPLAIN ANALYZE SELECT count(s0) FROM root.check.d0 WHERE time >= 0",
+    );
+    let from_header = match &counted {
+        Ok(backsort_sql::QueryOutput::Analyze { spans, .. }) => spans
+            .iter()
+            .filter(|s| s.name == backsort_obs::names::SPAN_QUERY_FILES)
+            .flat_map(|s| s.attrs.iter())
+            .filter(|(k, _)| k == backsort_obs::names::ATTR_PAGES_FROM_HEADER)
+            .map(|(_, v)| *v)
+            .sum::<u64>(),
+        _ => 0,
+    };
+    if from_header != 1 {
+        eprintln!(
+            "obs_check: EXPLAIN ANALYZE SELECT count(..) over one flushed page reported \
+             {from_header} pages from headers on its query.files span, expected 1: {counted:?}"
+        );
+        std::process::exit(1);
+    }
 }
 
 /// Checks the catalog statically (via [`check_catalog_sync`]) and a
@@ -198,6 +221,10 @@ pub fn obs_check_main() {
             counter(backsort_obs::names::QUERY_READ_PATH),
         ),
         (
+            backsort_obs::names::QUERY_PAGES_DECODED,
+            counter(backsort_obs::names::QUERY_PAGES_DECODED),
+        ),
+        (
             backsort_obs::names::SORT_BLOCK_SIZE,
             histogram_count(backsort_obs::names::SORT_BLOCK_SIZE),
         ),
@@ -222,11 +249,13 @@ pub fn obs_check_main() {
     println!(
         "obs_check: ok — catalog in sync with call sites; span catalog \
          pre-registered ({} stages); EXPLAIN ANALYZE smoke traced; \
-         query.read_path={} sort.block_size samples={} merge.overlap_q samples={}",
+         query.read_path={} query.pages_decoded={} sort.block_size samples={} \
+         merge.overlap_q samples={}",
         backsort_obs::names::SPAN_STAGES.len(),
         live[0].1,
         live[1].1,
         live[2].1,
+        live[3].1,
     );
 }
 

@@ -142,6 +142,37 @@ impl ColumnSlice<'_> {
         })
     }
 
+    /// Borrows the sub-run `lo..hi`.
+    ///
+    /// # Panics
+    /// Panics if the range is out of bounds.
+    pub fn slice(&self, lo: usize, hi: usize) -> Self {
+        match self {
+            ColumnSlice::Int(s) => ColumnSlice::Int(&s[lo..hi]),
+            ColumnSlice::Long(s) => ColumnSlice::Long(&s[lo..hi]),
+            ColumnSlice::Float(s) => ColumnSlice::Float(&s[lo..hi]),
+            ColumnSlice::Double(s) => ColumnSlice::Double(&s[lo..hi]),
+            ColumnSlice::Bool(s) => ColumnSlice::Bool(&s[lo..hi]),
+            ColumnSlice::Text(s) => ColumnSlice::Text(&s[lo..hi]),
+        }
+    }
+
+    /// Appends the run to `out` as `(time, value)` rows, pairing it
+    /// index by index with `times` — the one place typed columns turn
+    /// back into dynamic rows (the raw-row query result, the row
+    /// adapters over the page decoder).
+    pub fn zip_rows_into(&self, times: &[i64], out: &mut Vec<(i64, TsValue)>) {
+        let t = times.iter().copied();
+        match self {
+            ColumnSlice::Int(s) => out.extend(t.zip(s.iter().map(|&v| TsValue::Int(v)))),
+            ColumnSlice::Long(s) => out.extend(t.zip(s.iter().map(|&v| TsValue::Long(v)))),
+            ColumnSlice::Float(s) => out.extend(t.zip(s.iter().map(|&v| TsValue::Float(v)))),
+            ColumnSlice::Double(s) => out.extend(t.zip(s.iter().map(|&v| TsValue::Double(v)))),
+            ColumnSlice::Bool(s) => out.extend(t.zip(s.iter().map(|&v| TsValue::Bool(v)))),
+            ColumnSlice::Text(s) => out.extend(t.zip(s.iter().map(|v| TsValue::Text(v.clone())))),
+        }
+    }
+
     /// Copies the run into an owned column.
     pub fn to_column(&self) -> ValueColumn {
         match self {

@@ -4,9 +4,11 @@
 //! Page decoding (TS_2DIFF timestamps plus a per-type value codec) is
 //! the dominant cost of a disk read once the chunk index and key filter
 //! have done their pruning. The cache keeps recently decoded pages —
-//! keyed `(file id, chunk offset, page index)` — behind `Arc`s, so a hot
-//! window query re-serves the same decoded column without touching the
-//! image bytes again.
+//! keyed `(file id, chunk offset, page index)` — behind `Arc`s, as the
+//! typed columns the decoder produced (a timestamp `Vec<i64>` beside a
+//! [`ValueColumn`]: 16 bytes a DOUBLE point), so a hot window query
+//! re-serves sub-slices of the same decoded columns without touching
+//! the image bytes again.
 //!
 //! Structure: [`CACHE_SHARDS`] independent mutex-protected segments,
 //! selected by key hash, each holding a hash map plus a lazy LRU queue
@@ -27,15 +29,16 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::types::TsValue;
+use crate::batch::ValueColumn;
+use crate::tsfile::PageColumns;
 
 /// Independent cache segments; key hash picks one, so concurrent
 /// readers on different files rarely contend.
 pub const CACHE_SHARDS: usize = 8;
 
-/// A decoded page: the full page's points, unfiltered (queries slice
-/// their range out of the shared `Arc`).
-pub type CachedPage = Arc<Vec<(i64, TsValue)>>;
+/// A decoded page: the full page's columns, unfiltered (queries borrow
+/// their range out of the shared `Arc` as sub-slices).
+pub type CachedPage = Arc<PageColumns>;
 
 /// Identifies one page of one chunk of one file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -65,14 +68,22 @@ impl PageKey {
     }
 }
 
-/// Estimated heap bytes of a decoded page (tuple storage plus text
-/// payloads) — the unit the byte budget is accounted in.
-pub fn page_bytes(page: &[(i64, TsValue)]) -> usize {
-    let text: usize = page
-        .iter()
-        .map(|(_, v)| v.as_text().map_or(0, str::len))
-        .sum();
-    48 + std::mem::size_of_val(page) + text
+/// Estimated heap bytes of a decoded page — both columns at their real
+/// element widths, plus text payloads — the unit the byte budget is
+/// accounted in.
+pub fn page_bytes(page: &PageColumns) -> usize {
+    let (times, values) = page;
+    let value_bytes = match values {
+        ValueColumn::Int(c) => std::mem::size_of_val(c.as_slice()),
+        ValueColumn::Long(c) => std::mem::size_of_val(c.as_slice()),
+        ValueColumn::Float(c) => std::mem::size_of_val(c.as_slice()),
+        ValueColumn::Double(c) => std::mem::size_of_val(c.as_slice()),
+        ValueColumn::Bool(c) => std::mem::size_of_val(c.as_slice()),
+        ValueColumn::Text(c) => {
+            std::mem::size_of_val(c.as_slice()) + c.iter().map(String::len).sum::<usize>()
+        }
+    };
+    64 + std::mem::size_of_val(times.as_slice()) + value_bytes
 }
 
 struct Entry {
@@ -245,7 +256,7 @@ mod tests {
     }
 
     fn page(n: usize, v: i64) -> CachedPage {
-        Arc::new((0..n as i64).map(|t| (t, TsValue::Long(v))).collect())
+        Arc::new(((0..n as i64).collect(), ValueColumn::Long(vec![v; n])))
     }
 
     fn key(file: u64, page_idx: u32) -> PageKey {
@@ -263,7 +274,7 @@ mod tests {
         assert!(cache.get(key(1, 0)).is_none());
         cache.insert(key(1, 0), page(10, 7));
         let got = cache.get(key(1, 0)).expect("present");
-        assert_eq!(got.len(), 10);
+        assert_eq!(got.0.len(), 10);
         assert_eq!(reg.counter_value(backsort_obs::names::CACHE_HITS), 1);
         assert_eq!(reg.counter_value(backsort_obs::names::CACHE_MISSES), 1);
         assert_eq!(
@@ -274,6 +285,24 @@ mod tests {
     }
 
     #[test]
+    fn page_bytes_accounts_real_widths() {
+        let times: Vec<i64> = (0..1024).collect();
+        let overhead = page_bytes(&(Vec::new(), ValueColumn::Bool(Vec::new())));
+        let bytes = |values: ValueColumn| page_bytes(&(times.clone(), values)) - overhead;
+        assert_eq!(bytes(ValueColumn::Double(vec![0.5; 1024])), 1024 * 16);
+        assert_eq!(bytes(ValueColumn::Long(vec![7; 1024])), 1024 * 16);
+        assert_eq!(bytes(ValueColumn::Int(vec![7; 1024])), 1024 * 12);
+        assert_eq!(bytes(ValueColumn::Float(vec![0.5; 1024])), 1024 * 12);
+        assert_eq!(bytes(ValueColumn::Bool(vec![true; 1024])), 1024 * 9);
+        let text = ValueColumn::Text(vec!["abcde".to_string(); 1024]);
+        assert_eq!(
+            bytes(text),
+            1024 * (8 + std::mem::size_of::<String>() + 5),
+            "text pages count their payload bytes"
+        );
+    }
+
+    #[test]
     fn replacing_an_entry_does_not_leak_bytes() {
         let reg = registry();
         let cache = BlockCache::new(1 << 20, &reg);
@@ -281,7 +310,10 @@ mod tests {
         let b = cache.bytes();
         cache.insert(key(1, 0), page(10, 2));
         assert_eq!(cache.bytes(), b, "same-size replacement keeps bytes flat");
-        assert_eq!(cache.get(key(1, 0)).expect("live")[0].1, TsValue::Long(2));
+        assert_eq!(
+            cache.get(key(1, 0)).expect("live").1,
+            ValueColumn::Long(vec![2; 10])
+        );
     }
 
     #[test]

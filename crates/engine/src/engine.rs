@@ -33,19 +33,18 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use backsort_core::merge::LastWins;
 use backsort_core::Algorithm;
 use backsort_faults::{sites as fault_sites, FailpointRegistry};
 use backsort_obs::trace as obs_trace;
 use backsort_obs::{names, Counter, Gauge, Histogram, LocalHistogram, Registry};
 use parking_lot::RwLock;
 
-use crate::batch::{type_mismatch, PointBatch, WriteError};
+use crate::batch::{type_mismatch, ColumnSlice, PointBatch, WriteError};
 use crate::cache::BlockCache;
 use crate::delete::Tombstone;
 use crate::flush::{flush_memtable, FlushMetrics};
 use crate::memtable::{MemTable, SeriesBuffer};
-use crate::read::{FileHandle, IntervalSet};
+use crate::read::{FileHandle, IntervalSet, Run, Scan, Sink};
 use crate::types::{SeriesKey, TsValue};
 
 /// Tunables of the leveled compaction policy
@@ -252,6 +251,8 @@ struct EngineObs {
     files_pruned: Arc<Counter>,
     files_pruned_by_filter: Arc<Counter>,
     rows_merged: Arc<Counter>,
+    pages_decoded: Arc<Counter>,
+    pages_from_header: Arc<Counter>,
     file_parse: Arc<Counter>,
     ooo_points: Arc<Counter>,
     delta_tau: Arc<Histogram>,
@@ -326,6 +327,8 @@ impl EngineObs {
             files_pruned: registry.counter(names::QUERY_FILES_PRUNED),
             files_pruned_by_filter: registry.counter(names::QUERY_FILES_PRUNED_BY_FILTER),
             rows_merged: registry.counter(names::QUERY_ROWS_MERGED),
+            pages_decoded: registry.counter(names::QUERY_PAGES_DECODED),
+            pages_from_header: registry.counter(names::QUERY_PAGES_FROM_HEADER),
             file_parse: registry.counter(names::FILE_PARSE),
             ooo_points: registry.counter(names::MEMTABLE_OOO_POINTS),
             delta_tau: registry.histogram(names::MEMTABLE_DELTA_TAU),
@@ -1154,48 +1157,66 @@ impl StorageEngine {
         metrics
     }
 
-    /// Time-range query over `[t_lo, t_hi]`.
+    /// Time-range query over `[t_lo, t_hi]`: the series [`scan`]ned
+    /// into rows.
     ///
-    /// Double-checked sort-on-read: first take the shard lock *shared*;
-    /// if every buffer holding the key is already time-ordered
-    /// ([`SeriesBuffer::is_sorted`]), the whole query is served under
-    /// the read lock — concurrent readers of the same shard overlap
-    /// instead of serializing, and writers are only blocked for the scan
-    /// itself. Only when an unsorted buffer is found does the query drop
-    /// the read lock, take the write lock, sort the buffers with the
-    /// configured algorithm (where Backward-Sort earns its keep) and
-    /// serve under the write lock (no release-and-retry, so a steady
-    /// writer cannot livelock the reader).
-    ///
-    /// The scan itself is a streaming k-way merge over sorted runs —
-    /// cached disk chunk readers (pruned by the per-key time ranges in
-    /// each [`FileHandle`], masked by a pre-resolved tombstone
-    /// [`IntervalSet`]) plus the flushing/working/unsequence buffer
-    /// slices — emitting last-write-wins per timestamp (unsequence >
-    /// working > flushing > disk; among files, later wins). Nothing is
-    /// collected and re-sorted.
+    /// [`scan`]: StorageEngine::scan
     pub fn query(&self, key: &SeriesKey, t_lo: i64, t_hi: i64) -> QueryResult {
+        let mut rows = Rows(Vec::new());
+        self.scan(key, t_lo, t_hi, &mut rows);
+        rows.0
+    }
+
+    /// Reads one series over `[t_lo, t_hi]` into `sink` — the one read
+    /// `query`, `aggregate`, `aggregate_many` and `group_by_time` are.
+    ///
+    /// The scan itself runs over sorted runs — disk chunks (pruned by
+    /// the key filter and per-key time ranges in each [`FileHandle`],
+    /// masked by a pre-resolved tombstone [`IntervalSet`]) plus the
+    /// flushing/working/unsequence buffer slices: runs that overlap no
+    /// other reach the sink as typed column slices, and only runs whose
+    /// time envelopes intersect are merged, last write winning per
+    /// timestamp (unsequence > working > flushing > disk; among files,
+    /// later wins). See [`Scan`].
+    pub(crate) fn scan(&self, key: &SeriesKey, t_lo: i64, t_hi: i64, sink: &mut dyn Sink) {
         // Declared before the span guards so the root context drops —
         // and assembles the tree — last, outside every lock.
         let _trace = self.maybe_trace(names::SPAN_QUERY_ROOT, || {
             format!("query {key} [{t_lo}, {t_hi}]")
         });
         let _read = obs_trace::span(names::SPAN_QUERY_READ);
+        self.with_sorted_buffers(key, |st| scan_with_state(st, key, t_lo, t_hi, self, sink));
+    }
+
+    /// Runs `read` on `key`'s shard with every buffer holding the key
+    /// time-ordered — double-checked sort-on-read: first take the shard
+    /// lock *shared*; if the buffers are already sorted
+    /// ([`SeriesBuffer::is_sorted`]), `read` runs under the read lock —
+    /// concurrent readers of the same shard overlap instead of
+    /// serializing, and writers are only blocked for the read itself.
+    /// Only when an unsorted buffer is found does it drop the read lock,
+    /// take the write lock, sort the buffers with the configured
+    /// algorithm (where Backward-Sort earns its keep) and run `read`
+    /// under the write lock (no release-and-retry, so a steady writer
+    /// cannot livelock the reader).
+    fn with_sorted_buffers<R>(&self, key: &SeriesKey, read: impl FnOnce(&ShardState) -> R) -> R {
         let shard = self.shard_of(&key.device);
         {
+            // analyzer:allow(lock-scope): the `&ShardState` in this signature is the parameter of the callback run under the guard taken here, not a guard the caller already holds
             let st = self.shards[shard].read();
             if buffers_sorted(&st, key) {
                 self.obs.read_path.inc();
-                return query_with_state(&st, key, t_lo, t_hi, self);
+                return read(&st);
             }
         }
+        // analyzer:allow(lock-scope): as above — the read guard was dropped with its block, so this is the only shard lock held
         let mut st = self.shards[shard].write();
         {
             let _sort = obs_trace::span(names::SPAN_QUERY_SORT_ON_READ);
             sort_key_buffers(&mut st, key, &self.config.sorter, &self.obs);
         }
         self.obs.sorted_on_read.inc();
-        query_with_state(&st, key, t_lo, t_hi, self)
+        read(&st)
     }
 
     /// The static plan a `query(key, t_lo, t_hi)` would execute: shard,
@@ -1266,21 +1287,7 @@ impl StorageEngine {
     pub fn latest_value(&self, key: &SeriesKey) -> Option<(i64, TsValue)> {
         let _trace = self.maybe_trace(names::SPAN_QUERY_ROOT, || format!("latest {key}"));
         let _latest = obs_trace::span(names::SPAN_QUERY_LATEST);
-        let shard = self.shard_of(&key.device);
-        {
-            let st = self.shards[shard].read();
-            if buffers_sorted(&st, key) {
-                self.obs.read_path.inc();
-                return latest_value_with_state(&st, key, self);
-            }
-        }
-        let mut st = self.shards[shard].write();
-        {
-            let _sort = obs_trace::span(names::SPAN_QUERY_SORT_ON_READ);
-            sort_key_buffers(&mut st, key, &self.config.sorter, &self.obs);
-        }
-        self.obs.sorted_on_read.inc();
-        latest_value_with_state(&st, key, self)
+        self.with_sorted_buffers(key, |st| latest_value_with_state(st, key, self))
     }
 
     /// Latest timestamp seen for a sensor across memtables and flushed
@@ -1376,27 +1383,51 @@ fn needs_disk(st: &ShardState, key: &SeriesKey, t_lo: i64) -> bool {
     st.watermarks.get(key).is_some_and(|&w| t_lo <= w)
 }
 
-/// The streaming read path, shared by the read-locked fast path and the
-/// sorted-on-read write path (`st` must have `key`'s buffers sorted).
+/// `query`'s sink: the scan's typed slices turned back into rows.
+struct Rows(QueryResult);
+
+impl Sink for Rows {
+    fn push(&mut self, times: &[i64], values: ColumnSlice<'_>) {
+        values.zip_rows_into(times, &mut self.0);
+    }
+}
+
+/// `latest_value`'s sink: keeps the last point to arrive.
+struct LastPoint(Option<(i64, TsValue)>);
+
+impl Sink for LastPoint {
+    fn push(&mut self, times: &[i64], values: ColumnSlice<'_>) {
+        let last = times.len().checked_sub(1);
+        if let Some((&t, v)) = last.and_then(|i| times.get(i).zip(values.get(i))) {
+            self.0 = Some((t, v));
+        }
+    }
+}
+
+/// One series read under a lock guard, shared by the read-locked fast
+/// path and the sorted-on-read write path (`st` must have `key`'s
+/// buffers sorted).
 ///
-/// Registers one time-sorted source per surviving run — each pruned disk
-/// chunk (files oldest first, a file's chunks in file order, masked by
-/// the file's pre-resolved tombstone [`IntervalSet`]), then the
-/// flushing/working/unsequence buffer slices bounded by
-/// `lower_bound`/`upper_bound` — and lets [`LastWins`] emit the merge,
-/// resolving duplicate timestamps toward the highest-ranked (freshest)
-/// source.
-fn query_with_state<'s>(
-    st: &'s ShardState,
+/// Collects one [`Run`] per surviving source in ascending priority —
+/// each pruned disk chunk (files oldest first, a file's chunks in file
+/// order, masked by the file's pre-resolved tombstone [`IntervalSet`]),
+/// then the flushing/working/unsequence buffer slices bounded by
+/// `lower_bound`/`upper_bound` — and lets the [`Scan`] stream the
+/// disjoint ones and merge the overlapping ones into `sink`.
+fn scan_with_state(
+    st: &ShardState,
     key: &SeriesKey,
     t_lo: i64,
     t_hi: i64,
-    eng: &'s StorageEngine,
-) -> QueryResult {
+    eng: &StorageEngine,
+    sink: &mut dyn Sink,
+) {
     debug_assert!(buffers_sorted(st, key));
     let obs = &eng.obs;
+    // Open for the whole read: the page work the scan does below is
+    // accounted here, next to the files it was done on.
     let span_files = obs_trace::span(names::SPAN_QUERY_FILES);
-    let mut sources: Vec<Box<dyn Iterator<Item = (i64, TsValue)> + 's>> = Vec::new();
+    let mut runs: Vec<Run<'_>> = Vec::new();
     if needs_disk(st, key, t_lo) {
         let considered = st.files.len() as u64;
         let mut pruned_by_filter = 0u64;
@@ -1415,14 +1446,12 @@ fn query_with_state<'s>(
                 continue;
             }
             let erased = IntervalSet::resolve(&st.tombstones, key, file_idx);
-            for chunk in handle.points_in_range_cached(key, t_lo, t_hi, eng.cache.as_ref()) {
-                if erased.is_empty() {
-                    sources.push(Box::new(chunk));
-                } else {
-                    let erased = erased.clone();
-                    sources.push(Box::new(chunk.filter(move |&(t, _)| !erased.contains(t))));
-                }
-            }
+            runs.extend(
+                handle
+                    .chunks_for(key)
+                    .iter()
+                    .filter_map(|meta| Run::chunk(handle, meta, erased.clone(), t_lo, t_hi)),
+            );
         }
         obs.files_considered.add(considered);
         obs.files_pruned_by_filter.add(pruned_by_filter);
@@ -1433,85 +1462,32 @@ fn query_with_state<'s>(
             s.attr(names::ATTR_FILES_PRUNED, pruned_by_envelope);
         }
     }
-    for buffer in key_buffers(st, key) {
-        let (lo, hi) = (buffer.lower_bound(t_lo), buffer.upper_bound(t_hi));
-        if lo < hi {
-            sources.push(Box::new((lo..hi).map(move |i| buffer.get(i))));
+    runs.extend(key_buffers(st, key).filter_map(|buffer| Run::buffer(buffer, t_lo, t_hi)));
+    let scan = Scan::new(t_lo, t_hi, eng.cache.as_ref());
+    {
+        let span_merge = obs_trace::span(names::SPAN_QUERY_MERGE);
+        scan.run(&runs, sink);
+        let points = scan.stats.points.get();
+        obs.rows_merged.add(points);
+        if let Some(s) = &span_merge {
+            s.attr(names::ATTR_ROWS_MERGED, points);
         }
     }
-    drop(span_files);
-    let span_merge = obs_trace::span(names::SPAN_QUERY_MERGE);
-    // The overwhelmingly common shapes — one buffer covers the range,
-    // or working + unsequence — skip the heap entirely. Popping twice
-    // yields (highest-priority, second-highest).
-    let out = match (sources.pop(), sources.pop()) {
-        (None, _) => Vec::new(),
-        (Some(only), None) => {
-            let mut out: QueryResult = Vec::new();
-            for (t, v) in only {
-                push_last_wins(&mut out, t, v);
-            }
-            out
-        }
-        (Some(hi), Some(lo)) if sources.is_empty() => merge_two_last_wins(lo, hi),
-        (Some(hi), Some(lo)) => {
-            sources.push(lo);
-            sources.push(hi);
-            LastWins::new(sources).collect()
-        }
-    };
-    obs.rows_merged.add(out.len() as u64);
-    if let Some(s) = &span_merge {
-        s.attr(names::ATTR_ROWS_MERGED, out.len() as u64);
-    }
-    out
-}
-
-/// Appends `(t, v)` keeping one point per timestamp, the later append
-/// winning — the streaming equivalent of the last-wins dedup.
-fn push_last_wins(out: &mut QueryResult, t: i64, v: TsValue) {
-    match out.last_mut() {
-        Some(last) if last.0 == t => *last = (t, v),
-        _ => out.push((t, v)),
-    }
-}
-
-/// Direct two-way merge with last-wins dedup: on equal timestamps the
-/// lower-priority point is emitted first so `hi`'s overwrites it, which
-/// is exactly [`LastWins`] over `[lo, hi]` without the heap.
-fn merge_two_last_wins(
-    mut lo: impl Iterator<Item = (i64, TsValue)>,
-    mut hi: impl Iterator<Item = (i64, TsValue)>,
-) -> QueryResult {
-    let mut out: QueryResult = Vec::new();
-    let mut a = lo.next();
-    let mut b = hi.next();
-    loop {
-        match (a, b) {
-            (Some((ta, va)), Some((tb, vb))) => {
-                if ta <= tb {
-                    push_last_wins(&mut out, ta, va);
-                    a = lo.next();
-                    b = Some((tb, vb));
-                } else {
-                    push_last_wins(&mut out, tb, vb);
-                    a = Some((ta, va));
-                    b = hi.next();
-                }
-            }
-            (rest_a, rest_b) => {
-                for (t, v) in rest_a.into_iter().chain(lo).chain(rest_b).chain(hi) {
-                    push_last_wins(&mut out, t, v);
-                }
-                return out;
-            }
-        }
+    let (decoded, from_header) = (
+        scan.stats.pages_decoded.get(),
+        scan.stats.pages_from_header.get(),
+    );
+    obs.pages_decoded.add(decoded);
+    obs.pages_from_header.add(from_header);
+    if let Some(s) = &span_files {
+        s.attr(names::ATTR_PAGES_DECODED, decoded);
+        s.attr(names::ATTR_PAGES_FROM_HEADER, from_header);
     }
 }
 
 /// `latest_value` under a lock guard: anchor on the maximum timestamp
-/// any source reports and merge just `[anchor, ∞)`; only if tombstones
-/// erased everything there (rare) fall back to a full-range merge.
+/// any source reports and scan just `[anchor, ∞)`; only if tombstones
+/// erased everything there (rare) fall back to a full-range scan.
 fn latest_value_with_state(
     st: &ShardState,
     key: &SeriesKey,
@@ -1524,12 +1500,12 @@ fn latest_value_with_state(
         .filter_map(|h| h.key_time_range(key).map(|(_, hi)| hi))
         .max();
     let anchor = mem_max.into_iter().chain(disk_max).max()?;
-    if let Some(last) = query_with_state(st, key, anchor, i64::MAX, eng).last() {
-        return Some(last.clone());
+    let mut last = LastPoint(None);
+    scan_with_state(st, key, anchor, i64::MAX, eng, &mut last);
+    if last.0.is_none() {
+        scan_with_state(st, key, i64::MIN, i64::MAX, eng, &mut last);
     }
-    query_with_state(st, key, i64::MIN, i64::MAX, eng)
-        .last()
-        .cloned()
+    last.0
 }
 
 fn merge_metrics(a: FlushMetrics, b: FlushMetrics) -> FlushMetrics {
@@ -1958,6 +1934,173 @@ mod tests {
         }
         assert_eq!(cold.query(&key("s"), 0, 99), a);
         assert_eq!(cold.obs().counter_value(names::CACHE_MISSES), 0);
+    }
+
+    /// An engine holding `n` in-order DOUBLE points of one sensor, all
+    /// flushed, `per_file` points a file.
+    fn flushed_engine(n: i64, per_file: usize) -> StorageEngine {
+        let eng = StorageEngine::new(EngineConfig {
+            memtable_max_points: per_file,
+            array_size: 32,
+            sorter: Algorithm::Backward(Default::default()),
+            ..EngineConfig::default()
+        });
+        for t in 0..n {
+            eng.write(&key("s"), t, TsValue::Double(t as f64 * 0.5));
+        }
+        eng.flush_dirty();
+        eng
+    }
+
+    /// `(pages_decoded, pages_from_header, cache.hits, rows_merged)` so
+    /// far.
+    fn page_counts(eng: &StorageEngine) -> (u64, u64, u64, u64) {
+        let snap = eng.obs().snapshot();
+        (
+            snap.counter(names::QUERY_PAGES_DECODED),
+            snap.counter(names::QUERY_PAGES_FROM_HEADER),
+            snap.counter(names::CACHE_HITS),
+            snap.counter(names::QUERY_ROWS_MERGED),
+        )
+    }
+
+    fn since(eng: &StorageEngine, before: (u64, u64, u64, u64)) -> (u64, u64, u64, u64) {
+        let now = page_counts(eng);
+        (
+            now.0 - before.0,
+            now.1 - before.1,
+            now.2 - before.2,
+            now.3 - before.3,
+        )
+    }
+
+    #[test]
+    fn a_count_takes_whole_pages_from_their_headers() {
+        use crate::aggregate::{AggValue, Aggregation};
+        use crate::tsfile::PAGE_POINTS;
+        let page = PAGE_POINTS as i64;
+        // Two files of five pages each; the range cuts page 1 and page 8.
+        let eng = flushed_engine(10 * page, 5 * PAGE_POINTS);
+        assert_eq!(eng.file_count(), 2);
+        let (lo, hi) = (page + 100, 8 * page + 99);
+        let before = page_counts(&eng);
+        let got = eng.aggregate_many(
+            &key("s"),
+            lo,
+            hi,
+            &[
+                Aggregation::Count,
+                Aggregation::MinTime,
+                Aggregation::MaxTime,
+            ],
+        );
+        assert_eq!(
+            got,
+            vec![
+                AggValue::Number((hi - lo + 1) as f64),
+                AggValue::Time(lo),
+                AggValue::Time(hi)
+            ]
+        );
+        assert_eq!(
+            since(&eng, before),
+            (2, 6, 0, (page - 100) as u64 + 100),
+            "two boundary pages decoded (timestamps only), six answered from \
+             headers, and only the boundary points scanned"
+        );
+        // The timestamp-only decodes were not cached: a fold that reads
+        // values decodes all eight pages, and caches them.
+        let before = page_counts(&eng);
+        let sum = eng.aggregate(&key("s"), lo, hi, Aggregation::Sum);
+        let want: f64 = (lo..=hi).map(|t| t as f64 * 0.5).sum();
+        assert_eq!(sum, AggValue::Number(want));
+        assert_eq!(since(&eng, before), (8, 0, 0, (hi - lo + 1) as u64));
+        // Now the count's boundary pages are cache hits, not decodes.
+        let before = page_counts(&eng);
+        assert_eq!(
+            eng.aggregate(&key("s"), lo, hi, Aggregation::Count),
+            AggValue::Number((hi - lo + 1) as f64)
+        );
+        assert_eq!(since(&eng, before), (0, 6, 2, (page - 100) as u64 + 100));
+    }
+
+    #[test]
+    fn a_served_page_is_a_cache_hit_not_a_decode() {
+        use crate::tsfile::PAGE_POINTS;
+        let eng = flushed_engine(3 * PAGE_POINTS as i64, 3 * PAGE_POINTS);
+        let before = page_counts(&eng);
+        let first = eng.query(&key("s"), 10, 2 * PAGE_POINTS as i64 + 10);
+        assert_eq!(since(&eng, before), (3, 0, 0, first.len() as u64));
+        let before = page_counts(&eng);
+        let again = eng.query(&key("s"), 10, 2 * PAGE_POINTS as i64 + 10);
+        assert_eq!(again, first);
+        assert_eq!(
+            since(&eng, before),
+            (0, 0, 3, first.len() as u64),
+            "the second read decodes nothing"
+        );
+    }
+
+    #[test]
+    fn headers_are_not_trusted_under_a_tombstone_or_a_newer_run() {
+        use crate::aggregate::{AggValue, Aggregation};
+        use crate::tsfile::PAGE_POINTS;
+        let n = 4 * PAGE_POINTS as i64;
+        let count = |eng: &StorageEngine| eng.aggregate(&key("s"), 0, n - 1, Aggregation::Count);
+        // A tombstone inside page 2 of the only file.
+        let eng = flushed_engine(n, n as usize);
+        eng.delete_range(
+            &key("s"),
+            2 * PAGE_POINTS as i64 + 5,
+            2 * PAGE_POINTS as i64 + 14,
+        );
+        let before = page_counts(&eng);
+        assert_eq!(count(&eng), AggValue::Number((n - 10) as f64));
+        let (decoded, from_header, _, scanned) = since(&eng, before);
+        assert_eq!(
+            (decoded, from_header, scanned),
+            (4, 0, (n - 10) as u64),
+            "every page of a tombstoned file is decoded"
+        );
+        // A late rewrite of one flushed timestamp sits in the unsequence
+        // buffer: its envelope is inside the file's, so the two runs are
+        // merged point by point and the duplicate counts once.
+        let eng = flushed_engine(n, n as usize);
+        eng.write(&key("s"), 7, TsValue::Double(-1.0));
+        let before = page_counts(&eng);
+        assert_eq!(count(&eng), AggValue::Number(n as f64));
+        assert_eq!(
+            since(&eng, before).1,
+            0,
+            "no page of a shadowed run from its header"
+        );
+        assert_eq!(
+            eng.aggregate(&key("s"), 7, 7, Aggregation::LastValue),
+            AggValue::Number(-1.0),
+            "and the fresher run wins the shared timestamp"
+        );
+    }
+
+    #[test]
+    fn disjoint_runs_stream_and_only_the_overlap_merges() {
+        // Three flushed files in time order, then stragglers into the
+        // middle one's range: files 0 and 2 overlap nothing.
+        let eng = flushed_engine(300, 100);
+        assert_eq!(eng.file_count(), 3);
+        for t in [150i64, 120, 199] {
+            eng.write(&key("s"), t, TsValue::Double(-(t as f64)));
+        }
+        let got = eng.query(&key("s"), 0, 299);
+        assert_eq!(got.len(), 300);
+        for (i, (t, v)) in got.iter().enumerate() {
+            assert_eq!(*t, i as i64);
+            let want = if [120, 150, 199].contains(t) {
+                -(*t as f64)
+            } else {
+                *t as f64 * 0.5
+            };
+            assert_eq!(*v, TsValue::Double(want), "t={t}");
+        }
     }
 
     #[test]

@@ -68,7 +68,7 @@ pub fn flush_memtable(
         metrics.sort_nanos += t0.elapsed().as_nanos() as u64;
 
         let t1 = Instant::now();
-        let (times, values) = buffer.dedup_columns();
+        let (times, values) = buffer.dedup_columns(0..buffer.len());
         metrics.encode_nanos += t1.elapsed().as_nanos() as u64;
         metrics.points += times.len() as u64;
 

@@ -16,8 +16,11 @@
 //!   a shard *read* lock when every relevant buffer is already sorted
 //!   (concurrent readers overlap), upgrading to the write lock only to
 //!   sort an unsorted buffer on demand (§VI-D1's lock contention, now
-//!   confined to the sort). The scan is a streaming k-way merge over
-//!   cached per-file chunk indexes and the memtable buffers.
+//!   confined to the sort). Every read — rows, latest value, aggregates,
+//!   group-by-time — is one typed scan over time-sorted runs (flushed
+//!   chunks, memtable buffer slices): runs that overlap no other stream
+//!   to a sink as column slices, and only runs whose time envelopes
+//!   intersect are merged last-write-wins.
 //!
 //! The sort algorithm is pluggable per engine instance
 //! ([`EngineConfig::sorter`]), which is how the system experiments compare

@@ -220,37 +220,38 @@ impl SeriesBuffer {
         for_each_buffer!(self, l => l.time(i), t => t.time(i))
     }
 
-    /// Copies the buffer out as deduplicated columns — last write wins on
-    /// equal timestamps — ready for
-    /// [`write_chunk_columns`](crate::tsfile::TsFileWriter::write_chunk_columns).
-    /// Requires the buffer to be sorted; this is the flush pipeline's
-    /// no-row-materialization handoff.
-    pub fn dedup_columns(&self) -> (Vec<i64>, ValueColumn) {
+    /// Copies the index range `range` of the buffer out as deduplicated
+    /// columns — last write wins on equal timestamps. Requires the
+    /// buffer to be sorted. The whole buffer is the flush pipeline's
+    /// no-row-materialization handoff to
+    /// [`write_chunk_columns`](crate::tsfile::TsFileWriter::write_chunk_columns);
+    /// a `lower_bound..upper_bound` range is what a query streams from a
+    /// buffer no other run overlaps.
+    pub fn dedup_columns(&self, range: std::ops::Range<usize>) -> (Vec<i64>, ValueColumn) {
         debug_assert!(self.is_sorted());
-        let n = self.len();
         match self {
             SeriesBuffer::Int(l) => {
-                let (ts, vs) = dedup_last(n, |i| l.time(i), |i| l.value(i));
+                let (ts, vs) = dedup_last(range, |i| l.time(i), |i| l.value(i));
                 (ts, ValueColumn::Int(vs))
             }
             SeriesBuffer::Long(l) => {
-                let (ts, vs) = dedup_last(n, |i| l.time(i), |i| l.value(i));
+                let (ts, vs) = dedup_last(range, |i| l.time(i), |i| l.value(i));
                 (ts, ValueColumn::Long(vs))
             }
             SeriesBuffer::Float(l) => {
-                let (ts, vs) = dedup_last(n, |i| l.time(i), |i| l.value(i));
+                let (ts, vs) = dedup_last(range, |i| l.time(i), |i| l.value(i));
                 (ts, ValueColumn::Float(vs))
             }
             SeriesBuffer::Double(l) => {
-                let (ts, vs) = dedup_last(n, |i| l.time(i), |i| l.value(i));
+                let (ts, vs) = dedup_last(range, |i| l.time(i), |i| l.value(i));
                 (ts, ValueColumn::Double(vs))
             }
             SeriesBuffer::Bool(l) => {
-                let (ts, vs) = dedup_last(n, |i| l.time(i), |i| l.value(i));
+                let (ts, vs) = dedup_last(range, |i| l.time(i), |i| l.value(i));
                 (ts, ValueColumn::Bool(vs))
             }
             SeriesBuffer::Text(l) => {
-                let (ts, vs) = dedup_last(n, |i| l.time(i), |i| l.text(i).to_string());
+                let (ts, vs) = dedup_last(range, |i| l.time(i), |i| l.text(i).to_string());
                 (ts, ValueColumn::Text(vs))
             }
         }
@@ -282,15 +283,16 @@ fn record_delta_tau(ts: &[i64], prev_max: Option<i64>, deltas: &mut LocalHistogr
     }
 }
 
-/// Columnar last-wins dedup over an index-addressable sorted buffer.
+/// Columnar last-wins dedup over an index range of an
+/// index-addressable sorted buffer.
 fn dedup_last<T>(
-    n: usize,
+    range: std::ops::Range<usize>,
     time: impl Fn(usize) -> i64,
     value: impl Fn(usize) -> T,
 ) -> (Vec<i64>, Vec<T>) {
-    let mut ts: Vec<i64> = Vec::with_capacity(n);
-    let mut vs: Vec<T> = Vec::with_capacity(n);
-    for i in 0..n {
+    let mut ts: Vec<i64> = Vec::with_capacity(range.len());
+    let mut vs: Vec<T> = Vec::with_capacity(range.len());
+    for i in range {
         let t = time(i);
         if ts.last() == Some(&t) {
             if let Some(slot) = vs.last_mut() {
@@ -528,9 +530,13 @@ mod tests {
         for (t, v) in [(1i64, 1i32), (2, 2), (2, 22), (2, 222), (3, 3)] {
             buf.push(t, TsValue::Int(v)).unwrap();
         }
-        let (ts, vals) = buf.dedup_columns();
+        let (ts, vals) = buf.dedup_columns(0..buf.len());
         assert_eq!(ts, vec![1, 2, 3]);
         assert_eq!(vals, ValueColumn::Int(vec![1, 222, 3]));
+        // A sub-range dedups what it covers and nothing else.
+        let (ts, vals) = buf.dedup_columns(2..5);
+        assert_eq!(ts, vec![2, 3]);
+        assert_eq!(vals, ValueColumn::Int(vec![222, 3]));
     }
 
     #[test]

@@ -385,286 +385,167 @@ pub fn chunks_for<'c>(chunks: &'c [ChunkMeta], key: &SeriesKey) -> &'c [ChunkMet
     &chunks[lo..hi]
 }
 
+/// A decoded page: its timestamp column beside its typed value column,
+/// index-aligned — what the one page decoder ([`PageHeader::decode`])
+/// returns and the block cache holds.
+pub type PageColumns = (Vec<i64>, ValueColumn);
+
+/// One page's header: the statistics stored ahead of its encoded
+/// columns, and where those columns lie in the image. A reader prunes
+/// on `min_time`/`max_time`, and a fold that needs only counts and
+/// times can take a whole page from here without decoding it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PageHeader {
+    /// Page ordinal within its chunk.
+    pub index: u32,
+    /// Smallest timestamp in the page.
+    pub min_time: i64,
+    /// Largest timestamp in the page.
+    pub max_time: i64,
+    /// Points in the page.
+    pub count: u32,
+    ts: std::ops::Range<usize>,
+    values: std::ops::Range<usize>,
+}
+
+impl PageHeader {
+    /// Whether any of the page's points can fall inside `[t_lo, t_hi]`.
+    pub fn overlaps(&self, t_lo: i64, t_hi: i64) -> bool {
+        self.max_time >= t_lo && self.min_time <= t_hi
+    }
+
+    /// Decodes the page's timestamp column alone, verifying it carries
+    /// exactly `count` entries. `None` on corruption.
+    pub fn decode_times(&self, buf: &[u8]) -> Option<Vec<i64>> {
+        let times = ts2diff::decode(buf.get(self.ts.clone())?)?;
+        (times.len() == self.count as usize).then_some(times)
+    }
+
+    /// The page decoder: both columns, typed, each verified to carry
+    /// exactly `count` entries. `None` on corruption.
+    pub fn decode(&self, buf: &[u8], data_type: DataType) -> Option<PageColumns> {
+        let times = self.decode_times(buf)?;
+        let values = ValueColumn::decode(data_type, times.len(), buf.get(self.values.clone())?)?;
+        Some((times, values))
+    }
+}
+
+/// Walks one chunk's page headers in file order, decoding nothing. A
+/// header that does not parse ends the walk early;
+/// [`read_chunk_range`] notices by the point total falling short.
+#[derive(Debug, Clone)]
+pub struct ChunkPages<'a> {
+    buf: &'a [u8],
+    pos: usize,
+    pages_left: u32,
+    next_index: u32,
+    num_points: u32,
+}
+
+impl<'a> ChunkPages<'a> {
+    /// Positions the walk at `meta`'s first page. `None` when the chunk
+    /// header does not parse.
+    pub fn open(buf: &'a [u8], meta: &ChunkMeta) -> Option<Self> {
+        let mut pos = usize::try_from(meta.offset).ok()?;
+        let name_len = read_u16(buf, &mut pos)? as usize;
+        pos = pos.checked_add(name_len + 1)?; // name + type tag
+        let num_points = read_u32(buf, &mut pos)?;
+        pos = pos.checked_add(16)?; // chunk min/max time
+        let pages_left = read_u32(buf, &mut pos)?;
+        Some(Self {
+            buf,
+            pos,
+            pages_left,
+            next_index: 0,
+            num_points,
+        })
+    }
+
+    /// The point count the chunk header declares.
+    pub fn num_points(&self) -> u32 {
+        self.num_points
+    }
+
+    fn read_header(&mut self) -> Option<PageHeader> {
+        let (buf, pos) = (self.buf, &mut self.pos);
+        let min_time = read_i64(buf, pos)?;
+        let max_time = read_i64(buf, pos)?;
+        let count = read_u32(buf, pos)?;
+        let ts_len = read_u32(buf, pos)? as usize;
+        let ts = *pos..pos.checked_add(ts_len)?;
+        *pos = ts.end;
+        let val_len = read_u32(buf, pos)? as usize;
+        let values = *pos..pos.checked_add(val_len)?;
+        *pos = values.end;
+        let index = self.next_index;
+        self.next_index = index.wrapping_add(1);
+        Some(PageHeader {
+            index,
+            min_time,
+            max_time,
+            count,
+            ts,
+            values,
+        })
+    }
+}
+
+impl Iterator for ChunkPages<'_> {
+    type Item = PageHeader;
+
+    fn next(&mut self) -> Option<PageHeader> {
+        if self.pages_left == 0 {
+            return None;
+        }
+        self.pages_left -= 1;
+        let header = self.read_header();
+        if header.is_none() {
+            self.pages_left = 0;
+        }
+        header
+    }
+}
+
+/// The index range of the ascending `times` that lies inside
+/// `[t_lo, t_hi]`, by two binary searches (empty, never inverted, should
+/// a corrupt page's timestamps not ascend).
+pub(crate) fn range_within(times: &[i64], t_lo: i64, t_hi: i64) -> std::ops::Range<usize> {
+    let lo = times.partition_point(|&t| t < t_lo);
+    lo..times.partition_point(|&t| t <= t_hi).max(lo)
+}
+
 /// Decodes only the pages of a chunk that overlap `[t_lo, t_hi]`,
-/// returning the in-range points and how many pages were decoded (the
-/// pruning the page statistics buy). `None` on a corrupt chunk.
+/// returning the in-range points as rows and how many pages were decoded
+/// (the pruning the page statistics buy) — the row adapter over
+/// [`PageHeader::decode`] that compaction and tests read through.
+/// `None` on a corrupt chunk.
 pub fn read_chunk_range(
     buf: &[u8],
     meta: &ChunkMeta,
     t_lo: i64,
     t_hi: i64,
 ) -> Option<(Vec<(i64, TsValue)>, usize)> {
-    let mut pos = meta.offset as usize;
-    let name_len = read_u16(buf, &mut pos)? as usize;
-    pos += name_len + 1; // name + type tag
-    let num_points = read_u32(buf, &mut pos)? as usize;
-    pos += 16; // chunk min/max time
-    let page_count = read_u32(buf, &mut pos)? as usize;
+    let pages = ChunkPages::open(buf, meta)?;
+    let num_points = pages.num_points() as usize;
     let mut out = Vec::new();
     let mut pages_decoded = 0usize;
     let mut points_seen = 0usize;
-    for _ in 0..page_count {
-        let page_min = read_i64(buf, &mut pos)?;
-        let page_max = read_i64(buf, &mut pos)?;
-        let count = read_u32(buf, &mut pos)? as usize;
-        let ts_len = read_u32(buf, &mut pos)? as usize;
-        let ts_range = pos..pos.checked_add(ts_len)?;
-        pos = ts_range.end;
-        let val_len = read_u32(buf, &mut pos)? as usize;
-        let val_range = pos..pos.checked_add(val_len)?;
-        pos = val_range.end;
-        points_seen = points_seen.checked_add(count)?;
-        if page_max < t_lo || page_min > t_hi {
+    for header in pages {
+        points_seen = points_seen.checked_add(header.count as usize)?;
+        if !header.overlaps(t_lo, t_hi) {
             continue; // page pruned by its statistics
         }
         pages_decoded += 1;
-        let ts_bytes = buf.get(ts_range)?;
-        let val_bytes = buf.get(val_range)?;
-        let times = ts2diff::decode(ts_bytes)?;
-        if times.len() != count {
-            return None;
-        }
-        let values = decode_values(meta.data_type, val_bytes)?;
-        if values.len() != count {
-            return None;
-        }
-        out.extend(
-            times
-                .into_iter()
-                .zip(values)
-                .filter(|&(t, _)| t >= t_lo && t <= t_hi),
-        );
+        let (times, values) = header.decode(buf, meta.data_type)?;
+        let kept = range_within(&times, t_lo, t_hi);
+        values
+            .slice(kept.start, kept.end)
+            .zip_rows_into(&times[kept], &mut out);
     }
     if points_seen != num_points {
         return None;
     }
     Some((out, pages_decoded))
-}
-
-/// A streaming reader over one chunk's in-range points: pages are
-/// decoded lazily, one at a time, as the consumer advances — the unit of
-/// work a k-way merge pulls on demand instead of materializing the whole
-/// chunk up front. Pages outside `[t_lo, t_hi]` are skipped without
-/// decoding (their statistics prune them). A corrupt page ends the
-/// stream.
-///
-/// Built [`with_cache`](Self::with_cache), each page is first looked up
-/// in the engine's [`BlockCache`](crate::cache::BlockCache) under
-/// `(file id, chunk offset, page index)`; a hit serves the decoded
-/// points without touching the image bytes, a miss decodes the full
-/// page and inserts it before filtering to the query range.
-pub struct ChunkPointsIter<'a> {
-    buf: &'a [u8],
-    data_type: DataType,
-    pos: usize,
-    pages_left: usize,
-    t_lo: i64,
-    t_hi: i64,
-    page: std::vec::IntoIter<(i64, TsValue)>,
-    pages_decoded: usize,
-    cache: Option<(std::sync::Arc<crate::cache::BlockCache>, u64)>,
-    chunk_offset: u64,
-    page_idx: u32,
-}
-
-impl<'a> ChunkPointsIter<'a> {
-    /// Positions a lazy reader at `meta`'s first page. An unparsable
-    /// chunk header yields an empty iterator.
-    pub fn new(buf: &'a [u8], meta: &ChunkMeta, t_lo: i64, t_hi: i64) -> Self {
-        let mut iter = Self {
-            buf,
-            data_type: meta.data_type,
-            pos: 0,
-            pages_left: 0,
-            t_lo,
-            t_hi,
-            page: Vec::new().into_iter(),
-            pages_decoded: 0,
-            cache: None,
-            chunk_offset: meta.offset,
-            page_idx: 0,
-        };
-        let mut pos = meta.offset as usize;
-        let header = (|| {
-            let name_len = read_u16(buf, &mut pos)? as usize;
-            pos = pos.checked_add(name_len + 1)?; // name + type tag
-            read_u32(buf, &mut pos)?; // num_points
-            pos = pos.checked_add(16)?; // chunk min/max time
-            let pages = read_u32(buf, &mut pos)? as usize;
-            Some((pages, pos))
-        })();
-        if let Some((pages, pos)) = header {
-            iter.pages_left = pages;
-            iter.pos = pos;
-        }
-        iter
-    }
-
-    /// [`new`](Self::new), but serving pages through a decoded-page
-    /// cache keyed by `file_id` — the engine's read path uses this form
-    /// whenever a block cache is configured.
-    pub fn with_cache(
-        buf: &'a [u8],
-        meta: &ChunkMeta,
-        t_lo: i64,
-        t_hi: i64,
-        file_id: u64,
-        cache: std::sync::Arc<crate::cache::BlockCache>,
-    ) -> Self {
-        let mut iter = Self::new(buf, meta, t_lo, t_hi);
-        iter.cache = Some((cache, file_id));
-        iter
-    }
-
-    /// Pages decoded so far (pruned pages are skipped, not counted).
-    pub fn pages_decoded(&self) -> usize {
-        self.pages_decoded
-    }
-
-    /// Decodes pages until one yields in-range points. `false` when the
-    /// chunk is exhausted (or corrupt).
-    fn advance_page(&mut self) -> bool {
-        while self.pages_left > 0 {
-            self.pages_left -= 1;
-            let this_page = self.page_idx;
-            self.page_idx = self.page_idx.wrapping_add(1);
-            let buf = self.buf;
-            let pos = &mut self.pos;
-            let Some((page_min, page_max, count, ts_range, val_range)) = (|| {
-                let page_min = read_i64(buf, pos)?;
-                let page_max = read_i64(buf, pos)?;
-                let count = read_u32(buf, pos)? as usize;
-                let ts_len = read_u32(buf, pos)? as usize;
-                let ts_range = *pos..pos.checked_add(ts_len)?;
-                *pos = ts_range.end;
-                let val_len = read_u32(buf, pos)? as usize;
-                let val_range = *pos..pos.checked_add(val_len)?;
-                *pos = val_range.end;
-                Some((page_min, page_max, count, ts_range, val_range))
-            })() else {
-                self.pages_left = 0;
-                return false;
-            };
-            if page_max < self.t_lo || page_min > self.t_hi {
-                continue; // pruned without decoding
-            }
-            // A configured cache serves and stores *full* decoded pages;
-            // the query range is filtered out of the shared Arc.
-            if let Some((cache, file_id)) = self.cache.clone() {
-                let cache_key = crate::cache::PageKey {
-                    file: file_id,
-                    chunk: self.chunk_offset,
-                    page: this_page,
-                };
-                let full = match cache.get(cache_key) {
-                    Some(hit) => hit,
-                    None => {
-                        let Some(decoded) =
-                            decode_page(buf, self.data_type, count, ts_range, val_range)
-                        else {
-                            self.pages_left = 0;
-                            return false;
-                        };
-                        let decoded = std::sync::Arc::new(decoded);
-                        cache.insert(cache_key, std::sync::Arc::clone(&decoded));
-                        decoded
-                    }
-                };
-                self.pages_decoded += 1;
-                let points: Vec<(i64, TsValue)> = full
-                    .iter()
-                    .filter(|&&(t, _)| t >= self.t_lo && t <= self.t_hi)
-                    .cloned()
-                    .collect();
-                if !points.is_empty() {
-                    self.page = points.into_iter();
-                    return true;
-                }
-                continue;
-            }
-            let Some(points) = (|| {
-                let full = decode_page(buf, self.data_type, count, ts_range, val_range)?;
-                Some(
-                    full.into_iter()
-                        .filter(|&(t, _)| t >= self.t_lo && t <= self.t_hi)
-                        .collect::<Vec<_>>(),
-                )
-            })() else {
-                self.pages_left = 0;
-                return false;
-            };
-            self.pages_decoded += 1;
-            if !points.is_empty() {
-                self.page = points.into_iter();
-                return true;
-            }
-        }
-        false
-    }
-}
-
-impl Iterator for ChunkPointsIter<'_> {
-    type Item = (i64, TsValue);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if let Some(p) = self.page.next() {
-                return Some(p);
-            }
-            if !self.advance_page() {
-                return None;
-            }
-        }
-    }
-}
-
-/// Decodes one full page (timestamps plus values), verifying both
-/// columns carry exactly `count` entries. `None` on corruption.
-fn decode_page(
-    buf: &[u8],
-    data_type: DataType,
-    count: usize,
-    ts_range: std::ops::Range<usize>,
-    val_range: std::ops::Range<usize>,
-) -> Option<Vec<(i64, TsValue)>> {
-    let times = ts2diff::decode(buf.get(ts_range)?)?;
-    if times.len() != count {
-        return None;
-    }
-    let values = decode_values(data_type, buf.get(val_range)?)?;
-    if values.len() != count {
-        return None;
-    }
-    Some(times.into_iter().zip(values).collect())
-}
-
-fn decode_values(dt: DataType, val_bytes: &[u8]) -> Option<Vec<TsValue>> {
-    Some(match dt {
-        DataType::Int32 => intcolumn::decode(val_bytes)?
-            .into_iter()
-            .map(|v| TsValue::Int(v as i32))
-            .collect(),
-        DataType::Int64 => intcolumn::decode(val_bytes)?
-            .into_iter()
-            .map(TsValue::Long)
-            .collect(),
-        DataType::Float => gorilla::decode_f32(val_bytes)?
-            .into_iter()
-            .map(TsValue::Float)
-            .collect(),
-        DataType::Double => gorilla::decode_f64(val_bytes)?
-            .into_iter()
-            .map(TsValue::Double)
-            .collect(),
-        DataType::Boolean => boolpack::decode(val_bytes)?
-            .into_iter()
-            .map(TsValue::Bool)
-            .collect(),
-        DataType::Text => textpack::decode(val_bytes)?
-            .into_iter()
-            .map(TsValue::Text)
-            .collect(),
-    })
 }
 
 fn read_u16(buf: &[u8], pos: &mut usize) -> Option<u16> {
@@ -961,49 +842,44 @@ mod page_tests {
     }
 
     #[test]
-    fn chunk_points_iter_streams_pages_lazily() {
-        let image = big_chunk(10 * PAGE_POINTS);
+    fn chunk_pages_walks_headers_without_decoding() {
+        let image = big_chunk(10 * PAGE_POINTS + 5);
         let r = TsFileReader::open(&image).unwrap();
         let meta = &r.chunks()[0];
-        // Full scan yields everything, page by page.
-        let all: Vec<(i64, TsValue)> =
-            ChunkPointsIter::new(&image, meta, i64::MIN, i64::MAX).collect();
-        assert_eq!(all.len(), 10 * PAGE_POINTS);
-        assert_eq!(all[4_000], (4_000, TsValue::Long(12_000)));
-        // A narrow range decodes only the containing page.
-        let lo = 3 * PAGE_POINTS as i64 + 10;
-        let mut iter = ChunkPointsIter::new(&image, meta, lo, lo + 50);
-        let pts: Vec<(i64, TsValue)> = iter.by_ref().collect();
-        assert_eq!(pts.len(), 51);
-        assert_eq!(iter.pages_decoded(), 1);
-        // Taking only the first point decodes only the first page.
-        let mut iter = ChunkPointsIter::new(&image, meta, i64::MIN, i64::MAX);
-        assert_eq!(iter.next(), Some((0, TsValue::Long(0))));
-        assert_eq!(iter.pages_decoded(), 1);
-        // Out-of-range decodes nothing.
-        let mut iter = ChunkPointsIter::new(&image, meta, -100, -1);
-        assert_eq!(iter.next(), None);
-        assert_eq!(iter.pages_decoded(), 0);
+        let pages = ChunkPages::open(&image, meta).expect("chunk header parses");
+        assert_eq!(pages.num_points() as usize, 10 * PAGE_POINTS + 5);
+        let headers: Vec<PageHeader> = pages.collect();
+        assert_eq!(headers.len(), 11);
+        for (i, h) in headers.iter().enumerate() {
+            assert_eq!(h.index as usize, i);
+            assert_eq!(h.min_time, (i * PAGE_POINTS) as i64);
+        }
+        assert_eq!(headers[10].count, 5);
+        assert_eq!(headers[10].max_time, (10 * PAGE_POINTS + 4) as i64);
+        assert!(headers[3].overlaps(3 * PAGE_POINTS as i64 + 10, i64::MAX));
+        assert!(!headers[3].overlaps(4 * PAGE_POINTS as i64, i64::MAX));
+        // A chunk offset past the image does not parse.
+        let mut bad = meta.clone();
+        bad.offset = image.len() as u64;
+        assert!(ChunkPages::open(&image, &bad).is_none());
     }
 
     #[test]
-    fn chunk_points_iter_matches_read_chunk_range() {
+    fn typed_page_decode_matches_the_row_adapter() {
         let image = big_chunk(3 * PAGE_POINTS + 100);
         let r = TsFileReader::open(&image).unwrap();
         let meta = &r.chunks()[0];
-        for (lo, hi) in [
-            (i64::MIN, i64::MAX),
-            (0, 0),
-            (100, 2_000),
-            (PAGE_POINTS as i64 - 1, PAGE_POINTS as i64),
-            (3 * PAGE_POINTS as i64, i64::MAX),
-        ] {
-            let (eager, pages) = r.read_chunk_range(meta, lo, hi).unwrap();
-            let mut iter = ChunkPointsIter::new(&image, meta, lo, hi);
-            let lazy: Vec<(i64, TsValue)> = iter.by_ref().collect();
-            assert_eq!(lazy, eager, "range [{lo}, {hi}]");
-            assert!(iter.pages_decoded() <= pages);
+        let mut rows = Vec::new();
+        for header in ChunkPages::open(&image, meta).unwrap() {
+            let (times, values) = header.decode(&image, meta.data_type).expect("own page");
+            assert_eq!(times.len(), header.count as usize);
+            assert_eq!(times.first(), Some(&header.min_time));
+            assert_eq!(times.last(), Some(&header.max_time));
+            assert_eq!(header.decode_times(&image), Some(times.clone()));
+            assert!(matches!(values, ValueColumn::Long(_)));
+            values.as_slice().zip_rows_into(&times, &mut rows);
         }
+        assert_eq!(Some(rows), r.read_chunk(meta));
     }
 
     #[test]

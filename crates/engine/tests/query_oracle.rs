@@ -1,13 +1,23 @@
-//! Differential test: the engine's query path versus a naive oracle.
+//! Differential test: the engine's read paths versus a naive oracle.
 //!
 //! The oracle replays the same operation sequence chronologically into a
-//! per-key `BTreeMap<i64, i64>` — inserts overwrite (last write wins),
-//! deletes remove — which is exactly the visible semantics the engine
-//! promises across memtables, flushed files, tombstones and adopted
-//! files. Randomized interleavings of writes, deletions, flushes,
-//! unsequence flushes, adoptions and queries are driven through engines
-//! with 1 and 4 shards; every query must agree with the oracle and with
-//! the single-shard engine.
+//! per-key `BTreeMap<i64, TsValue>` — inserts overwrite (last write
+//! wins), deletes remove — which is exactly the visible semantics the
+//! engine promises across memtables, flushed files, tombstones, adopted
+//! files and compaction. Randomized interleavings of writes, deletions,
+//! flushes, unsequence flushes, adoptions, compactions, queries and
+//! aggregates are driven through engines with 1 and 4 shards; every raw
+//! query, every one of the nine aggregates — through `aggregate`,
+//! `aggregate_many` and `group_by_time` — and `latest_value` must agree
+//! with the oracle **exactly** (numbers bit for bit), and so with each
+//! other. Exactness is what catches a page header's count used under a
+//! tombstone, under a newer overlapping run, or for a timestamp that two
+//! runs both hold.
+//!
+//! A second stream adopts foreign files whose chunks hold DOUBLE values
+//! for a series the live buffers hold as INT64: rows of mixed type are
+//! what a series read has always been able to return, and the typed
+//! slices must still allow it.
 //!
 //! The engines use the *stable* Backward-Sort configuration: with the
 //! unstable default, equal timestamps inside one buffer may settle in
@@ -18,7 +28,7 @@ use std::collections::{BTreeMap, HashMap};
 
 use backsort_core::{Algorithm, BackwardSort, InBlockSort};
 use backsort_engine::tsfile::TsFileWriter;
-use backsort_engine::{EngineConfig, SeriesKey, StorageEngine, TsValue};
+use backsort_engine::{AggValue, Aggregation, EngineConfig, SeriesKey, StorageEngine, TsValue};
 use proptest::prelude::*;
 
 fn engine(shards: usize) -> StorageEngine {
@@ -42,31 +52,169 @@ fn keys() -> [SeriesKey; 2] {
     ]
 }
 
-type Oracle = HashMap<SeriesKey, BTreeMap<i64, i64>>;
+type Oracle = HashMap<SeriesKey, BTreeMap<i64, TsValue>>;
 
 fn oracle_range(oracle: &Oracle, key: &SeriesKey, lo: i64, hi: i64) -> Vec<(i64, TsValue)> {
+    if lo > hi {
+        return Vec::new();
+    }
     oracle
         .get(key)
-        .map(|m| {
-            m.range(lo..=hi)
-                .map(|(&t, &v)| (t, TsValue::Long(v)))
-                .collect()
-        })
+        .map(|m| m.range(lo..=hi).map(|(&t, v)| (t, v.clone())).collect())
         .unwrap_or_default()
 }
 
-/// One encoded operation: `(opcode, timestamp-ish, value-ish)`.
-fn apply(engines: &[StorageEngine], oracle: &mut Oracle, op: (u8, i64, i32)) -> Result<(), String> {
+const ALL_AGGREGATIONS: [Aggregation; 9] = [
+    Aggregation::Count,
+    Aggregation::MinValue,
+    Aggregation::MaxValue,
+    Aggregation::Avg,
+    Aggregation::Sum,
+    Aggregation::FirstValue,
+    Aggregation::LastValue,
+    Aggregation::MinTime,
+    Aggregation::MaxTime,
+];
+
+/// The specification of one aggregate, written over materialized rows
+/// with the standard library's own folds.
+fn oracle_aggregate(rows: &[(i64, TsValue)], agg: Aggregation) -> AggValue {
+    let (Some(first), Some(last)) = (rows.first(), rows.last()) else {
+        return AggValue::Empty;
+    };
+    let values = || rows.iter().map(|(_, v)| v.as_f64());
+    match agg {
+        Aggregation::Count => AggValue::Number(rows.len() as f64),
+        Aggregation::MinValue => AggValue::Number(values().fold(f64::INFINITY, f64::min)),
+        Aggregation::MaxValue => AggValue::Number(values().fold(f64::NEG_INFINITY, f64::max)),
+        Aggregation::Sum => AggValue::Number(values().sum()),
+        Aggregation::Avg => AggValue::Number(values().sum::<f64>() / rows.len() as f64),
+        Aggregation::FirstValue => AggValue::Number(first.1.as_f64()),
+        Aggregation::LastValue => AggValue::Number(last.1.as_f64()),
+        Aggregation::MinTime => AggValue::Time(first.0),
+        Aggregation::MaxTime => AggValue::Time(last.0),
+    }
+}
+
+/// The specification of group-by-time: `[lo + k·step, lo + (k+1)·step)`
+/// buckets through `hi`, empty ones included.
+fn oracle_group_by(
+    rows: &[(i64, TsValue)],
+    lo: i64,
+    hi: i64,
+    step: i64,
+    agg: Aggregation,
+) -> Vec<(i64, AggValue)> {
+    let mut out = Vec::new();
+    let mut start = lo;
+    while start <= hi {
+        let end = start.saturating_add(step);
+        let bucket: Vec<(i64, TsValue)> = rows
+            .iter()
+            .filter(|(t, _)| (start..end).contains(t))
+            .cloned()
+            .collect();
+        out.push((start, oracle_aggregate(&bucket, agg)));
+        if end <= start {
+            break;
+        }
+        start = end;
+    }
+    out
+}
+
+/// Equality that tells `-0.0` from `0.0` and would tell two NaNs alike.
+fn exact(v: AggValue) -> (u8, u64) {
+    match v {
+        AggValue::Empty => (0, 0),
+        AggValue::Number(x) => (1, x.to_bits()),
+        AggValue::Time(t) => (2, t as u64),
+    }
+}
+
+/// Every aggregate path of one engine over `[lo, hi]` against the
+/// oracle's rows.
+fn check_aggregates(
+    eng: &StorageEngine,
+    oracle: &Oracle,
+    key: &SeriesKey,
+    lo: i64,
+    hi: i64,
+    step: i64,
+) -> Result<(), String> {
+    let rows = oracle_range(oracle, key, lo, hi);
+    let many = eng.aggregate_many(key, lo, hi, &ALL_AGGREGATIONS);
+    let times_only = eng.aggregate_many(
+        key,
+        lo,
+        hi,
+        &[
+            Aggregation::MaxTime,
+            Aggregation::Count,
+            Aggregation::MinTime,
+        ],
+    );
+    for (i, &agg) in ALL_AGGREGATIONS.iter().enumerate() {
+        let want = oracle_aggregate(&rows, agg);
+        let mut got = vec![
+            ("aggregate", eng.aggregate(key, lo, hi, agg)),
+            ("many", many[i]),
+        ];
+        match agg {
+            Aggregation::MaxTime => got.push(("times-only many", times_only[0])),
+            Aggregation::Count => got.push(("times-only many", times_only[1])),
+            Aggregation::MinTime => got.push(("times-only many", times_only[2])),
+            _ => {}
+        }
+        for (path, got) in got {
+            if exact(got) != exact(want) {
+                return Err(format!(
+                    "shards={}: {path} {agg:?}({key:?}, {lo}, {hi}) = {got:?}, oracle = {want:?}",
+                    eng.shard_count()
+                ));
+            }
+        }
+        let want = oracle_group_by(&rows, lo, hi, step, agg);
+        let got = eng.group_by_time(key, lo, hi, step, agg);
+        let same = got.len() == want.len()
+            && got
+                .iter()
+                .zip(&want)
+                .all(|(g, w)| g.0 == w.0 && exact(g.1) == exact(w.1));
+        if !same {
+            return Err(format!(
+                "shards={}: group_by_time {agg:?}({key:?}, {lo}, {hi}, step {step}) = {got:?}, \
+                 oracle = {want:?}",
+                eng.shard_count()
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// One encoded operation: `(opcode, timestamp-ish, value-ish)`. With
+/// `foreign_doubles`, adopted files hold DOUBLE chunks for the series
+/// the engines buffer as INT64, and compaction — which documents a
+/// mixed-type series as a caller bug — is left out of the stream.
+fn apply(
+    engines: &[StorageEngine],
+    oracle: &mut Oracle,
+    op: (u8, i64, i32),
+    foreign_doubles: bool,
+) -> Result<(), String> {
     let (code, t, v) = op;
     let keys = keys();
-    let key = &keys[(code % 2) as usize];
-    match code % 12 {
+    let key = &keys[(v as i64).rem_euclid(2) as usize];
+    match code % 14 {
         // Writes (weighted heaviest).
         0..=5 => {
             for eng in engines {
                 eng.write(key, t, TsValue::Long(v as i64));
             }
-            oracle.entry(key.clone()).or_default().insert(t, v as i64);
+            oracle
+                .entry(key.clone())
+                .or_default()
+                .insert(t, TsValue::Long(v as i64));
         }
         // Range delete of a bounded window.
         6 | 7 => {
@@ -102,7 +250,13 @@ fn apply(engines: &[StorageEngine], oracle: &mut Oracle, op: (u8, i64, i32)) -> 
             let times = [t, t + 1, t + 2];
             let values: Vec<TsValue> = times
                 .iter()
-                .map(|&ts| TsValue::Long(v as i64 ^ ts))
+                .map(|&ts| {
+                    if foreign_doubles {
+                        TsValue::Double((v as i64 ^ ts) as f64 * 0.25)
+                    } else {
+                        TsValue::Long(v as i64 ^ ts)
+                    }
+                })
                 .collect();
             w.write_chunk(key, &times, &values);
             let image = w.finish();
@@ -111,8 +265,27 @@ fn apply(engines: &[StorageEngine], oracle: &mut Oracle, op: (u8, i64, i32)) -> 
                     .ok_or("adoptable image must parse")?;
             }
             let m = oracle.entry(key.clone()).or_default();
-            for &ts in &times {
-                m.insert(ts, v as i64 ^ ts);
+            for (&ts, value) in times.iter().zip(values) {
+                m.insert(ts, value);
+            }
+        }
+        // Compact: a leveled pass or a full merge. Neither may change
+        // what any read sees.
+        11 if !foreign_doubles => {
+            for eng in engines {
+                if v % 2 == 0 {
+                    eng.compact_auto();
+                } else {
+                    eng.compact();
+                }
+            }
+        }
+        // Mid-sequence aggregates, all nine, every path.
+        11 | 12 => {
+            let hi = t + (v as i64).rem_euclid(400);
+            let step = 1 + (v as i64).rem_euclid(97);
+            for eng in engines {
+                check_aggregates(eng, oracle, key, t, hi, step)?;
             }
         }
         // Mid-sequence query: both engines must agree with the oracle.
@@ -133,37 +306,54 @@ fn apply(engines: &[StorageEngine], oracle: &mut Oracle, op: (u8, i64, i32)) -> 
     Ok(())
 }
 
+/// Runs one op stream through both engines, then sweeps every key over
+/// the full range and a few windows: rows, every aggregate path, and the
+/// latest-value accessor.
+fn run(ops: Vec<(u8, i64, i32)>, foreign_doubles: bool) -> Result<(), TestCaseError> {
+    let engines = [engine(1), engine(4)];
+    let mut oracle = Oracle::new();
+    for op in ops {
+        apply(&engines, &mut oracle, op, foreign_doubles).map_err(TestCaseError::fail)?;
+    }
+    for key in &keys() {
+        for (lo, hi) in [(i64::MIN, i64::MAX), (0, 400), (350, 801), (795, 810)] {
+            let want = oracle_range(&oracle, key, lo, hi);
+            for eng in &engines {
+                prop_assert_eq!(
+                    eng.query(key, lo, hi),
+                    want.clone(),
+                    "shards={} range=[{}, {}]",
+                    eng.shard_count(),
+                    lo,
+                    hi
+                );
+                // The whole axis at step 64 would be 2^58 buckets.
+                let step = if lo == i64::MIN { i64::MAX } else { 64 };
+                check_aggregates(eng, &oracle, key, lo, hi, step).map_err(TestCaseError::fail)?;
+            }
+        }
+        let want_latest = oracle_range(&oracle, key, i64::MIN, i64::MAX)
+            .last()
+            .cloned();
+        for eng in &engines {
+            prop_assert_eq!(eng.latest_value(key), want_latest.clone());
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #[test]
     fn query_matches_naive_oracle(
-        ops in prop::collection::vec((0u8..12, 0i64..800, any::<i32>()), 1..150)
+        ops in prop::collection::vec((0u8..14, 0i64..800, any::<i32>()), 1..150)
     ) {
-        let engines = [engine(1), engine(4)];
-        let mut oracle = Oracle::new();
-        for op in ops {
-            if let Err(msg) = apply(&engines, &mut oracle, op) {
-                return Err(TestCaseError::fail(msg));
-            }
-        }
-        // Final sweep: full range and a few windows, every key, both
-        // engines, plus the latest-value accessor.
-        for key in &keys() {
-            for (lo, hi) in [(i64::MIN, i64::MAX), (0, 400), (350, 801), (795, 810)] {
-                let want = oracle_range(&oracle, key, lo, hi);
-                for eng in &engines {
-                    prop_assert_eq!(
-                        eng.query(key, lo, hi),
-                        want.clone(),
-                        "shards={} range=[{}, {}]", eng.shard_count(), lo, hi
-                    );
-                }
-            }
-            let want_latest = oracle_range(&oracle, key, i64::MIN, i64::MAX)
-                .last()
-                .cloned();
-            for eng in &engines {
-                prop_assert_eq!(eng.latest_value(key), want_latest.clone());
-            }
-        }
+        run(ops, false)?;
+    }
+
+    #[test]
+    fn mixed_type_series_read_like_rows(
+        ops in prop::collection::vec((0u8..14, 0i64..800, any::<i32>()), 1..150)
+    ) {
+        run(ops, true)?;
     }
 }

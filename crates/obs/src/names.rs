@@ -158,9 +158,17 @@ pub const SERVER_FLUSH_BACKLOG: &str = "server.flush_backlog";
 /// (histogram).
 pub const SERVER_REQUEST_NANOS: &str = "server.request_nanos";
 
-/// Rows merged out of the k-way merge by queries (counter; the
-/// registry twin of the per-span `rows_merged` attribute).
+/// Points reads decoded and scanned into their results (counter; the
+/// registry twin of the per-span `rows_merged` attribute). A page
+/// answered from its header adds nothing here.
 pub const QUERY_ROWS_MERGED: &str = "query.rows_merged";
+/// Pages reads decoded from file bytes — both columns, or the
+/// timestamps alone for a fold that reads no values (counter). A page
+/// served from the block cache is a `cache.hits`, not one of these.
+pub const QUERY_PAGES_DECODED: &str = "query.pages_decoded";
+/// Pages a count/time fold took from the `count`/`min_time`/`max_time`
+/// of their headers without decoding them (counter).
+pub const QUERY_PAGES_FROM_HEADER: &str = "query.pages_from_header";
 
 /// Sampled traces started (counter).
 pub const TRACE_STARTED: &str = "trace.started";
@@ -182,12 +190,16 @@ pub const SPAN_QUERY_ROOT: &str = "query.root";
 pub const SPAN_QUERY_READ: &str = "query.read";
 /// Hierarchical span: one engine latest-value lookup inside a trace.
 pub const SPAN_QUERY_LATEST: &str = "query.latest";
-/// Hierarchical span: file filter/envelope pruning plus chunk-source
-/// assembly. Carries the `files_considered` / pruning / `cache_hits`
-/// attributes.
+/// Hierarchical span: the disk side of one series read — file
+/// filter/envelope pruning, run assembly, and (in the `query.merge` span
+/// nested under it) the page work of the scan. Carries the
+/// `files_considered` / pruning attributes and the page accounting:
+/// `pages_decoded` and `pages_from_header` here, `cache_hits` /
+/// `cache_misses` on the nested scan.
 pub const SPAN_QUERY_FILES: &str = "query.files";
-/// Hierarchical span: the k-way last-write-wins merge. Carries
-/// `rows_merged`.
+/// Hierarchical span: the run scan — disjoint runs streamed, runs whose
+/// envelopes intersect merged last-write-wins. Carries `rows_merged`
+/// and the block-cache lookups.
 pub const SPAN_QUERY_MERGE: &str = "query.merge";
 /// Hierarchical span: the write-lock upgrade that sorts dirty buffers
 /// before a read.
@@ -233,8 +245,12 @@ pub const ATTR_FILES_PRUNED_BY_FILTER: &str = "files_pruned_by_filter";
 pub const ATTR_CACHE_HITS: &str = "cache_hits";
 /// Span attribute: block-cache misses during chunk decoding.
 pub const ATTR_CACHE_MISSES: &str = "cache_misses";
-/// Span attribute: rows emitted by the k-way merge.
+/// Span attribute: points the scan decoded and handed to its sink.
 pub const ATTR_ROWS_MERGED: &str = "rows_merged";
+/// Span attribute: pages decoded from file bytes by this read.
+pub const ATTR_PAGES_DECODED: &str = "pages_decoded";
+/// Span attribute: pages answered from their header statistics.
+pub const ATTR_PAGES_FROM_HEADER: &str = "pages_from_header";
 /// Span attribute: points processed by a flush or compaction stage.
 pub const ATTR_POINTS: &str = "points";
 /// Span attribute: shard index a stage ran against.
@@ -283,6 +299,8 @@ pub const REQUIRED: &[&str] = &[
     SORT_ALPHA_PPM,
     MERGE_OVERLAP_Q,
     QUERY_ROWS_MERGED,
+    QUERY_PAGES_DECODED,
+    QUERY_PAGES_FROM_HEADER,
     FILE_PARSE,
     TRACE_STARTED,
     TRACE_DROPPED_SPANS,

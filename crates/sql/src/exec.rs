@@ -426,6 +426,35 @@ fn show_stats(engine: &StorageEngine) -> QueryOutput {
     QueryOutput::Stats { names, values }
 }
 
+/// The most buckets one `GROUP BY` may ask for. Every bucket of the
+/// window is returned, empty or not, so the window and step alone — not
+/// the data — size the reply; past this the statement is refused instead
+/// of growing a worker's memory without limit.
+const MAX_GROUP_BY_BUCKETS: i128 = 1_000_000;
+
+/// Refuses a `GROUP BY (start, end, step)` whose window holds more than
+/// [`MAX_GROUP_BY_BUCKETS`] steps.
+fn check_bucket_count(g: &GroupBy) -> Result<(), SqlError> {
+    if g.step <= 0 {
+        return Err(SqlError::new("GROUP BY step must be positive"));
+    }
+    // i128 holds `end - start` of any two i64s, so nothing here can
+    // overflow. A window that ends before it starts has no buckets.
+    let span = i128::from(g.end) - i128::from(g.start);
+    let buckets = if span < 0 {
+        0
+    } else {
+        span / i128::from(g.step) + 1
+    };
+    if buckets > MAX_GROUP_BY_BUCKETS {
+        return Err(SqlError::new(format!(
+            "GROUP BY ({}, {}, {}) asks for {buckets} buckets; the limit is {MAX_GROUP_BY_BUCKETS}",
+            g.start, g.end, g.step
+        )));
+    }
+    Ok(())
+}
+
 fn select(
     engine: &StorageEngine,
     items: &[SelectItem],
@@ -460,6 +489,7 @@ fn select(
     }
 
     if let Some(g) = group_by {
+        check_bucket_count(&g)?;
         let mut columns = Vec::new();
         let mut series: Vec<Vec<(i64, AggValue)>> = Vec::new();
         for item in &expanded {
@@ -489,17 +519,38 @@ fn select(
     }
 
     if any_agg {
+        // One scan per sensor, however many of its aggregates the list
+        // asks for: fold each distinct column's aggregates in one
+        // `aggregate_many` and put the answers back in select order.
         let mut columns = Vec::new();
-        let mut values = Vec::new();
+        let mut items: Vec<(Aggregation, &str)> = Vec::new();
         for item in &expanded {
             let SelectItem::Agg(agg, column) = item else {
                 return Err(SqlError::new(
                     "internal: raw column in aggregate select list",
                 ));
             };
-            let key = SeriesKey::new(device, column.clone());
             columns.push(agg_label(*agg, column));
-            values.push(engine.aggregate(&key, range.lo, range.hi, to_aggregation(*agg)));
+            items.push((to_aggregation(*agg), column));
+        }
+        let mut values = vec![AggValue::Empty; items.len()];
+        for (first, &(_, sensor)) in items.iter().enumerate() {
+            if items.iter().take(first).any(|&(_, seen)| seen == sensor) {
+                continue; // answered with the column's first item
+            }
+            let (slots, aggs): (Vec<usize>, Vec<Aggregation>) = items
+                .iter()
+                .enumerate()
+                .filter(|(_, &(_, column))| column == sensor)
+                .map(|(slot, &(agg, _))| (slot, agg))
+                .unzip();
+            let key = SeriesKey::new(device, sensor);
+            let answers = engine.aggregate_many(&key, range.lo, range.hi, &aggs);
+            for (slot, answer) in slots.into_iter().zip(answers) {
+                if let Some(value) = values.get_mut(slot) {
+                    *value = answer;
+                }
+            }
         }
         return Ok(QueryOutput::Aggregates { columns, values });
     }
@@ -636,6 +687,123 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn one_sensors_aggregates_share_one_scan() {
+        let eng = engine();
+        for t in 0..100i64 {
+            execute(
+                &eng,
+                &format!("INSERT INTO root.sg.d1(timestamp, s, r) VALUES ({t}, {t}, 1)"),
+            )
+            .unwrap();
+        }
+        eng.flush();
+        let reads = || {
+            let snap = eng.obs().snapshot();
+            snap.counter(backsort_obs::names::QUERY_READ_PATH)
+                + snap.counter(backsort_obs::names::QUERY_SORTED_ON_READ)
+        };
+        let before = reads();
+        let out = execute(&eng, "SELECT count(s), avg(s) FROM root.sg.d1").unwrap();
+        assert_eq!(reads() - before, 1, "count(s), avg(s) is one scan of s");
+        assert_eq!(
+            out,
+            QueryOutput::Aggregates {
+                columns: vec!["count(s)".into(), "avg(s)".into()],
+                values: vec![AggValue::Number(100.0), AggValue::Number(49.5)],
+            }
+        );
+        // Interleaved sensors: one scan each, answers back in select
+        // order.
+        let before = reads();
+        let out = execute(
+            &eng,
+            "SELECT max_time(s), sum(r), min_value(s), count(r) FROM root.sg.d1 WHERE time >= 10",
+        )
+        .unwrap();
+        assert_eq!(reads() - before, 2, "two sensors, two scans");
+        assert_eq!(
+            out,
+            QueryOutput::Aggregates {
+                columns: vec![
+                    "max_time(s)".into(),
+                    "sum(r)".into(),
+                    "min_value(s)".into(),
+                    "count(r)".into()
+                ],
+                values: vec![
+                    AggValue::Time(99),
+                    AggValue::Number(90.0),
+                    AggValue::Number(10.0),
+                    AggValue::Number(90.0)
+                ],
+            }
+        );
+    }
+
+    #[test]
+    fn unbounded_group_by_is_refused() {
+        let eng = engine();
+        execute(&eng, "INSERT INTO root.sg.d1(timestamp, s) VALUES (1, 1)").unwrap();
+        let err = execute(
+            &eng,
+            "SELECT count(s) FROM root.sg.d1 GROUP BY (0, 9223372036854775807, 1)",
+        )
+        .unwrap_err();
+        assert!(err.message.contains("buckets"), "{}", err.message);
+        // The whole i64 axis does not overflow the count either.
+        let err = execute(
+            &eng,
+            "SELECT count(s) FROM root.sg.d1 GROUP BY (-9223372036854775807, 9223372036854775807, 3)",
+        )
+        .unwrap_err();
+        assert!(err.message.contains("buckets"), "{}", err.message);
+        // Exactly the limit passes, one more bucket does not.
+        let out = execute(
+            &eng,
+            "SELECT count(s) FROM root.sg.d1 GROUP BY (0, 999999, 1)",
+        )
+        .unwrap();
+        match out {
+            QueryOutput::Grouped { buckets, .. } => {
+                assert_eq!(buckets.len(), 1_000_000);
+                assert_eq!(buckets[1], (1, vec![AggValue::Number(1.0)]));
+            }
+            other => panic!("{other:?}"),
+        }
+        assert!(execute(
+            &eng,
+            "SELECT count(s) FROM root.sg.d1 GROUP BY (0, 1000000, 1)"
+        )
+        .is_err());
+        // A huge window is fine when the step is as huge (the third
+        // bucket is the one that starts where the time axis saturates).
+        let out = execute(
+            &eng,
+            "SELECT count(s) FROM root.sg.d1 GROUP BY (0, 9223372036854775807, 4611686018427387904)",
+        )
+        .unwrap();
+        match out {
+            QueryOutput::Grouped { buckets, .. } => assert_eq!(buckets.len(), 3),
+            other => panic!("{other:?}"),
+        }
+        // A statement built without the parser cannot divide by zero.
+        let stmt = Statement::Select {
+            items: vec![SelectItem::Agg(Aggregate::Count, "s".into())],
+            device: "root.sg.d1".into(),
+            range: TimeRange {
+                lo: i64::MIN,
+                hi: i64::MAX,
+            },
+            group_by: Some(GroupBy {
+                start: 0,
+                end: 10,
+                step: 0,
+            }),
+        };
+        assert!(execute_statement(&eng, &stmt).is_err());
     }
 
     #[test]

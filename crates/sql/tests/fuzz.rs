@@ -37,6 +37,32 @@ proptest! {
         let _ = execute(&eng, &format!("{verb} {middle}"));
     }
 
+    /// A `GROUP BY` window returns every bucket, empty or not, so its
+    /// size is the statement's to choose: whatever the window and step,
+    /// the reply is bounded or the statement is refused.
+    #[test]
+    fn group_by_windows_are_bounded_or_refused(
+        start in (i64::MIN + 1)..i64::MAX,
+        span_exp in 0u32..63,
+        step_exp in 0u32..63,
+    ) {
+        let eng = engine();
+        let end = start.saturating_add(1i64 << span_exp);
+        let step = 1i64 << step_exp;
+        let sql = format!("SELECT count(s) FROM root.sg.d1 GROUP BY ({start}, {end}, {step})");
+        match execute(&eng, &sql) {
+            Ok(backsort_sql::QueryOutput::Grouped { buckets, .. }) => {
+                prop_assert!(buckets.len() <= 1_000_001, "{} buckets", buckets.len());
+                prop_assert_eq!(buckets[0].0, start);
+            }
+            Ok(other) => prop_assert!(false, "unexpected output {:?}", other),
+            Err(e) => {
+                prop_assert!(span_exp >= step_exp + 19, "refused a small window: {}", e.message);
+                prop_assert!(e.message.contains("buckets"), "{}", e.message);
+            }
+        }
+    }
+
     #[test]
     fn valid_range_queries_always_succeed(lo in -100i64..100, width in 0i64..100) {
         let eng = engine();

@@ -1,7 +1,8 @@
 //! Acceptance: `EXPLAIN ANALYZE` on a multi-file, multi-shard query
 //! renders a span tree whose per-stage attributes — files considered and
-//! pruned, cache hits, rows merged — exactly match the registry counter
-//! deltas for that query, and a default-config run loses no spans.
+//! pruned, cache hits, pages decoded and pages answered from their
+//! headers, rows merged — exactly match the registry counter deltas for
+//! that query, and a default-config run loses no spans.
 
 use backsort_core::Algorithm;
 use backsort_engine::{EngineConfig, StorageEngine};
@@ -94,6 +95,11 @@ fn analyze_attributes_match_registry_counter_deltas_exactly() {
         (names::ATTR_CACHE_HITS, names::CACHE_HITS),
         (names::ATTR_CACHE_MISSES, names::CACHE_MISSES),
         (names::ATTR_ROWS_MERGED, names::QUERY_ROWS_MERGED),
+        (names::ATTR_PAGES_DECODED, names::QUERY_PAGES_DECODED),
+        (
+            names::ATTR_PAGES_FROM_HEADER,
+            names::QUERY_PAGES_FROM_HEADER,
+        ),
     ] {
         assert_eq!(
             attr_sum(&spans, attr),
@@ -131,6 +137,67 @@ fn analyze_attributes_match_registry_counter_deltas_exactly() {
         .iter()
         .filter(|s| s.name != names::SPAN_QUERY_ROOT)
         .all(|s| s.depth >= 1));
+}
+
+/// `EXPLAIN ANALYZE SELECT count(s)` says why it was fast: the
+/// `query.files` span carries the pages taken from their headers next to
+/// the pages decoded, the nested scan carries the cache lookups, and
+/// each equals its registry counter's delta.
+#[test]
+fn analyze_of_a_count_shows_the_pages_answered_from_headers() {
+    let eng = populated_engine();
+    let before = eng.obs().snapshot();
+    let out = execute(
+        &eng,
+        "EXPLAIN ANALYZE SELECT count(s1) FROM root.sg.d1 WHERE time >= 120 AND time <= 310",
+    )
+    .expect("explain analyze");
+    let after = eng.obs().snapshot();
+    let QueryOutput::Analyze {
+        spans, rendered, ..
+    } = out
+    else {
+        panic!("expected Analyze, got {out:?}");
+    };
+    let files: Vec<&SpanRow> = spans
+        .iter()
+        .filter(|s| s.name == names::SPAN_QUERY_FILES)
+        .collect();
+    assert_eq!(files.len(), 1, "{spans:?}");
+    let attr = |key: &str| {
+        files[0]
+            .attrs
+            .iter()
+            .find(|(k, _)| k == key)
+            .map_or(0, |(_, v)| *v)
+    };
+    // File 2 (100..=199) is cut by the range and decoded — timestamps
+    // only; file 3 (200..=299) lies inside it and is never decoded.
+    assert_eq!(attr(names::ATTR_PAGES_FROM_HEADER), 1, "{rendered:?}");
+    assert_eq!(attr(names::ATTR_PAGES_DECODED), 1, "{rendered:?}");
+    let delta = |name: &str| after.counter(name) - before.counter(name);
+    assert_eq!(delta(names::QUERY_PAGES_FROM_HEADER), 1);
+    assert_eq!(delta(names::QUERY_PAGES_DECODED), 1);
+    assert_eq!(
+        attr_sum(&spans, names::ATTR_ROWS_MERGED),
+        80 + 11,
+        "the cut page's 80 points and the memtable's 11; the whole page's 100 were not scanned"
+    );
+    assert_eq!(delta(names::QUERY_ROWS_MERGED), 91);
+    assert!(
+        rendered.iter().any(|l| l.contains("pages_from_header=1")),
+        "{rendered:?}"
+    );
+    // The scan is nested under the files span it does the page work of.
+    let merge_depth = spans
+        .iter()
+        .find(|s| s.name == names::SPAN_QUERY_MERGE)
+        .map(|s| s.depth);
+    let files_depth = spans
+        .iter()
+        .find(|s| s.name == names::SPAN_QUERY_FILES)
+        .map(|s| s.depth);
+    assert_eq!(merge_depth, files_depth.map(|d| d + 1));
 }
 
 /// Satellite: under the default configuration nothing is lost — the
