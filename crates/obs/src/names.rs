@@ -154,8 +154,10 @@ pub const SERVER_QUEUE_DEPTH: &str = "server.queue_depth";
 /// Rotated memtables handed to the server's flush pool and not yet
 /// installed (gauge — the backlog the BUSY policy watches).
 pub const SERVER_FLUSH_BACKLOG: &str = "server.flush_backlog";
-/// Request wall time, decode to response enqueued, nanoseconds
-/// (histogram).
+/// Request wall time in the worker, from picking the decoded frame off
+/// the queue to the end of its execution, nanoseconds (histogram).
+/// Stops before the response is encoded and written: those are the
+/// `wire.encode` and `wire.write` spans of a sampled trace.
 pub const SERVER_REQUEST_NANOS: &str = "server.request_nanos";
 
 /// Points reads decoded and scanned into their results (counter; the
@@ -213,9 +215,22 @@ pub const SPAN_FLUSH_ENCODE: &str = "flush.encode";
 pub const SPAN_COMPACTION_ROOT: &str = "compaction.root";
 /// Hierarchical span: compaction work within a single shard.
 pub const SPAN_COMPACTION_SHARD: &str = "compaction.shard";
-/// Hierarchical span: one framed request executed by a server worker —
-/// the root of server-sampled traces; engine query spans nest under it.
+/// Hierarchical span: one framed request in a server worker, from the
+/// decoded frame to the reply written — the root of server-sampled
+/// traces; the four spans below and the engine's nest under it.
 pub const SPAN_SERVER_REQUEST: &str = "server.request";
+/// Hierarchical span: parsing one SQL statement off a request frame.
+/// Carries `bytes`, the statement's length.
+pub const SPAN_SQL_PARSE: &str = "sql.parse";
+/// Hierarchical span: assembling a raw `SELECT`'s per-sensor reads into
+/// timestamp-aligned rows. Carries `rows`.
+pub const SPAN_SQL_ROWS: &str = "sql.rows";
+/// Hierarchical span: encoding one response frame. Carries `bytes`, the
+/// frame's length with its header.
+pub const SPAN_WIRE_ENCODE: &str = "wire.encode";
+/// Hierarchical span: the ordered send of one response — the wait for
+/// the connection's write lock and the socket write. Carries `bytes`.
+pub const SPAN_WIRE_WRITE: &str = "wire.write";
 
 /// The hierarchical span-name catalog. Every `trace::span` call site
 /// uses one of these names; [`Registry`](crate::Registry) construction
@@ -233,6 +248,10 @@ pub const SPAN_STAGES: &[&str] = &[
     SPAN_COMPACTION_ROOT,
     SPAN_COMPACTION_SHARD,
     SPAN_SERVER_REQUEST,
+    SPAN_SQL_PARSE,
+    SPAN_SQL_ROWS,
+    SPAN_WIRE_ENCODE,
+    SPAN_WIRE_WRITE,
 ];
 
 /// Span attribute: flushed files examined by this read.
@@ -251,6 +270,10 @@ pub const ATTR_ROWS_MERGED: &str = "rows_merged";
 pub const ATTR_PAGES_DECODED: &str = "pages_decoded";
 /// Span attribute: pages answered from their header statistics.
 pub const ATTR_PAGES_FROM_HEADER: &str = "pages_from_header";
+/// Span attribute: rows a stage produced.
+pub const ATTR_ROWS: &str = "rows";
+/// Span attribute: bytes a stage consumed or produced.
+pub const ATTR_BYTES: &str = "bytes";
 /// Span attribute: points processed by a flush or compaction stage.
 pub const ATTR_POINTS: &str = "points";
 /// Span attribute: shard index a stage ran against.

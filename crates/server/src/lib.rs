@@ -149,27 +149,28 @@ struct OutBuf {
     pending: BTreeMap<u64, Vec<u8>>,
 }
 
-/// Inserts `frame` at `seq` and writes every now-contiguous response.
+/// Writes `frame` if `seq` is the next response due, followed by every
+/// parked response that thereby becomes contiguous; otherwise parks it.
+/// The worker's own buffer goes to the socket as it is — only a frame
+/// that had to wait for an earlier one is copied, onto the run it joins.
 /// The lock is held across the socket write: two workers draining
 /// concurrently must not interleave their contiguous runs.
-fn send_ordered(conn: &ConnShared, seq: u64, frame: Vec<u8>) {
-    let mut out = conn.out.lock().expect("connection out buffer poisoned");
-    out.pending.insert(seq, frame);
-    let mut run = Vec::new();
-    loop {
-        let next_seq = out.next_seq;
-        let Some(next) = out.pending.remove(&next_seq) else {
-            break;
-        };
-        run.extend_from_slice(&next);
+fn send_ordered(conn: &ConnShared, seq: u64, mut frame: Vec<u8>) {
+    let mut guard = conn.out.lock().expect("connection out buffer poisoned");
+    let out = &mut *guard;
+    if seq != out.next_seq {
+        out.pending.insert(seq, frame);
+        return;
+    }
+    out.next_seq += 1;
+    while let Some(next) = out.pending.remove(&out.next_seq) {
+        frame.extend_from_slice(&next);
         out.next_seq += 1;
     }
-    if !run.is_empty() {
-        // A dead peer just drops responses; the reader notices EOF.
-        // analyzer:allow(dropped-error): a response-write failure is the peer's loss — acked durability lives in the engine, and the reader thread tears the connection down on EOF/reset
-        // analyzer:allow(blocking-in-worker): bounded by the write timeout set on every accepted socket, and the per-connection inflight window caps how much one peer can queue
-        let _ = (&conn.stream).write_all(&run);
-    }
+    // A dead peer just drops responses; the reader notices EOF.
+    // analyzer:allow(dropped-error): a response-write failure is the peer's loss — acked durability lives in the engine, and the reader thread tears the connection down on EOF/reset
+    // analyzer:allow(blocking-in-worker): bounded by the write timeout set on every accepted socket, and the per-connection inflight window caps how much one peer can queue
+    let _ = (&conn.stream).write_all(&frame);
 }
 
 /// State shared by the accept loop, connection readers, and workers.
@@ -186,7 +187,7 @@ impl ServerCore {
     /// Executes one decoded request body against the engine.
     fn execute(&self, body: RequestBody) -> Response {
         match body {
-            RequestBody::Sql(sql) => match parse(&sql) {
+            RequestBody::Sql(sql) => match traced_parse(&sql) {
                 Err(e) => Response::Error(e.message),
                 Ok(Statement::Insert {
                     device,
@@ -234,9 +235,10 @@ impl ServerCore {
     }
 
     /// Starts a sampled `server.request` trace for one request in
-    /// `trace_sample_n`. Engine spans opened during execution nest
-    /// under it, so an exported trace shows the whole wire-to-storage
-    /// path.
+    /// `trace_sample_n`. Every span the worker opens until the reply is
+    /// on the socket nests under it — `sql.parse`, the engine's read
+    /// spans, `sql.rows`, `wire.encode`, `wire.write` — so an exported
+    /// trace shows the request from decoded frame to written reply.
     fn sample_trace(&self, body: &RequestBody) -> Option<obs_trace::TraceContext> {
         let n = self.cfg.trace_sample_n;
         if n == 0 || !self.engine.obs().is_enabled() || obs_trace::active() {
@@ -269,11 +271,9 @@ impl ServerCore {
     /// Worker body: execute, record, answer in order.
     fn serve(&self, task: Task<ConnShared>) {
         let started = Instant::now();
-        let ctx = self.sample_trace(&task.body);
+        // Dropped — and with that filed — once the reply is written.
+        let _trace = self.sample_trace(&task.body);
         let response = self.execute(task.body);
-        if let Some(ctx) = ctx {
-            let _ = ctx.finish();
-        }
         if matches!(response, Response::Busy(_)) {
             self.metrics.rejected_busy.inc();
         }
@@ -281,10 +281,31 @@ impl ServerCore {
             .request_nanos
             .record(started.elapsed().as_nanos() as u64);
         let mut frame = Vec::new();
-        wire::encode_response(&mut frame, task.id, &response);
-        send_ordered(&task.conn, task.seq, frame);
+        {
+            let span = obs_trace::span(names::SPAN_WIRE_ENCODE);
+            wire::encode_response(&mut frame, task.id, &response);
+            if let Some(span) = &span {
+                span.attr(names::ATTR_BYTES, frame.len() as u64);
+            }
+        }
+        {
+            let span = obs_trace::span(names::SPAN_WIRE_WRITE);
+            if let Some(span) = &span {
+                span.attr(names::ATTR_BYTES, frame.len() as u64);
+            }
+            send_ordered(&task.conn, task.seq, frame);
+        }
         task.conn.inflight.fetch_sub(1, Ordering::Relaxed);
     }
+}
+
+/// [`parse`] under a `sql.parse` span.
+fn traced_parse(sql: &str) -> Result<Statement, backsort_sql::SqlError> {
+    let span = obs_trace::span(names::SPAN_SQL_PARSE);
+    if let Some(span) = &span {
+        span.attr(names::ATTR_BYTES, sql.len() as u64);
+    }
+    parse(sql)
 }
 
 /// A running framed SQL server.
@@ -758,10 +779,6 @@ pub struct SqlClient {
     in_flight: VecDeque<u64>,
 }
 
-/// Responses can carry whole query results; allow more than we accept
-/// on the request path.
-const CLIENT_MAX_RESPONSE_BYTES: usize = 64 << 20;
-
 impl SqlClient {
     /// Connects to a running server.
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Self> {
@@ -824,7 +841,7 @@ impl SqlClient {
     /// deadlock.
     pub fn recv(&mut self) -> Result<(u64, Response), ClientError> {
         self.writer.flush()?;
-        match wire::read_response(&mut self.reader, CLIENT_MAX_RESPONSE_BYTES)? {
+        match wire::read_response(&mut self.reader, wire::MAX_RESPONSE_BYTES)? {
             Some((id, response)) => {
                 if self.in_flight.front() == Some(&id) {
                     self.in_flight.pop_front();

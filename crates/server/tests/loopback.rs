@@ -227,6 +227,97 @@ fn metrics_exports_cover_the_whole_catalog() {
     server.shutdown();
 }
 
+/// A sampled request's trace follows the reply out: `sql.parse`, the
+/// engine's read, `sql.rows`, `wire.encode` and `wire.write` all hang off
+/// one `server.request`, with the row and byte counts the reply had.
+#[test]
+fn a_sampled_request_is_traced_from_parse_to_socket_write() {
+    use backsort_obs::names;
+
+    let engine = Arc::new(StorageEngine::new(EngineConfig {
+        shards: 1,
+        ..EngineConfig::default()
+    }));
+    let server = SqlServer::start_with(
+        "127.0.0.1:0",
+        Arc::clone(&engine),
+        backsort_server::ServerConfig {
+            trace_sample_n: 1,
+            ..Default::default()
+        },
+    )
+    .expect("bind");
+    let mut client = SqlClient::connect(server.addr()).expect("connect");
+    client
+        .execute("INSERT INTO root.net.d1(timestamp, s) VALUES (1, 1.5), (2, 2.5), (3, 3.5)")
+        .expect("insert");
+    let sql = "SELECT s FROM root.net.d1 WHERE time >= 1";
+    client.execute(sql).expect("select");
+
+    // The trace is filed after the reply is written, so the reply can
+    // get here first.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    let trace = loop {
+        let found = engine
+            .obs()
+            .traces()
+            .recent()
+            .into_iter()
+            .find(|t| t.label.starts_with("sql: SELECT s"));
+        match found {
+            Some(trace) => break trace,
+            None if std::time::Instant::now() < deadline => std::thread::yield_now(),
+            None => panic!("the SELECT's trace was never filed"),
+        }
+    };
+    assert_eq!(trace.spans[0].name, names::SPAN_SERVER_REQUEST);
+    let child = |name: &str| {
+        trace
+            .spans
+            .iter()
+            .find(|s| s.name == name && s.parent == Some(0))
+            .unwrap_or_else(|| panic!("no {name} under server.request: {:?}", trace.render_text()))
+    };
+    let attr = |name: &str, key: &str| {
+        child(name)
+            .attrs
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map(|(_, v)| *v)
+    };
+    assert_eq!(
+        attr(names::SPAN_SQL_PARSE, names::ATTR_BYTES),
+        Some(sql.len() as u64)
+    );
+    assert_eq!(attr(names::SPAN_SQL_ROWS, names::ATTR_ROWS), Some(3));
+    // ncols, the name `s`, nrows, three timestamps, one run of three.
+    let frame = (13 + 2 + 3 + 4 + 3 * 8 + 5 + 3 * 8) as u64;
+    assert_eq!(
+        attr(names::SPAN_WIRE_ENCODE, names::ATTR_BYTES),
+        Some(frame)
+    );
+    assert_eq!(attr(names::SPAN_WIRE_WRITE, names::ATTR_BYTES), Some(frame));
+    child(names::SPAN_QUERY_READ);
+    // In the order the worker runs them.
+    let order: Vec<&str> = trace
+        .spans
+        .iter()
+        .filter(|s| s.parent == Some(0))
+        .map(|s| s.name)
+        .collect();
+    assert_eq!(
+        order,
+        [
+            names::SPAN_SQL_PARSE,
+            names::SPAN_QUERY_READ,
+            names::SPAN_SQL_ROWS,
+            names::SPAN_WIRE_ENCODE,
+            names::SPAN_WIRE_WRITE
+        ]
+    );
+    server.shutdown();
+}
+
 /// `/traces` serves Chrome-viewer JSON and `/slow` the slow-query log,
 /// fed by an `EXPLAIN ANALYZE` executed over the SQL connection.
 #[test]

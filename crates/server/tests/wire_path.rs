@@ -133,6 +133,67 @@ fn batch_frames_compile_straight_into_the_engine() {
     server.shutdown();
 }
 
+/// A batch frame may carry any double — nothing on the write path
+/// refuses NaN or the infinities — and a `SELECT` over them reads every
+/// one back bit for bit: rows travel as bits, not as JSON numbers. (At
+/// the parent the same `SELECT` was answered `unserializable result`,
+/// leaving the series unreadable over the wire.) Aggregates are still
+/// JSON, so `avg` over the series degrades to that error, and the
+/// connection carries on.
+#[test]
+fn non_finite_doubles_read_back_bit_for_bit() {
+    let engine = engine_with(100_000);
+    let server = SqlServer::start("127.0.0.1:0", Arc::clone(&engine)).expect("bind");
+    let mut client = SqlClient::connect(server.addr()).expect("connect");
+
+    let quiet_nan = f64::NAN;
+    let payload_nan = f64::from_bits(0x7FF0_0000_DEAD_BEEF);
+    let written = [
+        quiet_nan,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        -0.0,
+        payload_nan,
+        1.5,
+    ];
+    let batch = PointBatch::from_rows(
+        written
+            .iter()
+            .enumerate()
+            .map(|(t, &v)| (t as i64, TsValue::Double(v))),
+    )
+    .expect("batch");
+    assert_eq!(
+        client
+            .insert_batch("root.nan.d1", "s", &batch)
+            .expect("insert"),
+        written.len()
+    );
+    let read_back = |client: &mut SqlClient| -> Vec<u64> {
+        match client.execute("SELECT s FROM root.nan.d1").expect("select") {
+            QueryOutput::Rows { rows, .. } => rows
+                .iter()
+                .map(|(_, cells)| match cells.as_slice() {
+                    [Some(TsValue::Double(v))] => v.to_bits(),
+                    other => panic!("{other:?}"),
+                })
+                .collect(),
+            other => panic!("{other:?}"),
+        }
+    };
+    let bits: Vec<u64> = written.iter().map(|v| v.to_bits()).collect();
+    assert_eq!(read_back(&mut client), bits, "from the memtable");
+    engine.flush();
+    assert_eq!(read_back(&mut client), bits, "from a flushed file");
+
+    match client.execute("SELECT avg(s) FROM root.nan.d1") {
+        Err(ClientError::Server(m)) => assert!(m.contains("unserializable result"), "{m}"),
+        other => panic!("{other:?}"),
+    }
+    assert_eq!(read_back(&mut client), bits, "the connection carries on");
+    server.shutdown();
+}
+
 /// A malformed frame gets an in-order error response and the connection
 /// survives; an oversized frame gets an error and a close; the server
 /// keeps serving fresh clients throughout. Both sheds are visible as

@@ -1,7 +1,9 @@
 //! Statement execution against a [`StorageEngine`].
 
-use backsort_core::merge::KWayMerge;
-use backsort_engine::{AggValue, Aggregation, PointBatch, SeriesKey, StorageEngine, TsValue};
+use backsort_engine::{
+    AggValue, Aggregation, PointBatch, QueryResult, SeriesKey, StorageEngine, TsValue,
+};
+use backsort_obs::{names, trace};
 
 use crate::parser::{Aggregate, GroupBy, Literal, SelectItem, Statement, TimeRange};
 use crate::SqlError;
@@ -555,41 +557,54 @@ fn select(
         return Ok(QueryOutput::Aggregates { columns, values });
     }
 
-    // Raw rows: query each sensor, then align by timestamp with the same
-    // streaming k-way merge the engine's read path uses. Each sensor's
-    // result is already time-sorted with unique timestamps, and the
-    // merge tags every point with its source rank (here: the column), so
-    // one heap pass emits the aligned rows in order — no map needed.
-    let mut columns = Vec::new();
-    let mut results: Vec<Vec<(i64, TsValue)>> = Vec::new();
-    for item in &expanded {
+    // Raw rows: read each sensor, then align the reads by timestamp.
+    let mut columns = Vec::with_capacity(expanded.len());
+    let mut reads: Vec<QueryResult> = Vec::with_capacity(expanded.len());
+    for item in expanded {
         let SelectItem::Column(column) = item else {
             return Err(SqlError::new("internal: aggregate item in raw select list"));
         };
-        columns.push(column.clone());
-        let key = SeriesKey::new(device, column.clone());
-        results.push(engine.query(&key, range.lo, range.hi));
+        let key = SeriesKey::new(device, column.as_str());
+        reads.push(engine.query(&key, range.lo, range.hi));
+        columns.push(column);
     }
-    let width = expanded.len();
-    let sources: Vec<Box<dyn Iterator<Item = (i64, TsValue)> + '_>> = results
-        .iter()
-        .map(|r| {
-            Box::new(r.iter().map(|(t, v)| (*t, v.clone())))
-                as Box<dyn Iterator<Item = (i64, TsValue)> + '_>
-        })
-        .collect();
-    let mut rows: Vec<(i64, Vec<Option<TsValue>>)> = Vec::new();
-    for (t, column, v) in KWayMerge::new(sources) {
-        match rows.last_mut() {
-            Some((last_t, cells)) if *last_t == t => cells[column] = Some(v),
-            _ => {
-                let mut cells = vec![None; width];
-                cells[column] = Some(v);
-                rows.push((t, cells));
-            }
-        }
+    let span = trace::span(names::SPAN_SQL_ROWS);
+    let rows = align_rows(reads);
+    if let Some(span) = &span {
+        span.attr(names::ATTR_ROWS, rows.len() as u64);
     }
     Ok(QueryOutput::Rows { columns, rows })
+}
+
+/// Aligns per-sensor reads — each ascending in time, timestamps unique —
+/// into one row per distinct timestamp, `None` where a sensor has no
+/// point there. Values are moved out of the reads, never cloned.
+fn align_rows(mut reads: Vec<QueryResult>) -> Vec<(i64, Vec<Option<TsValue>>)> {
+    if reads.len() == 1 {
+        // One sensor has nothing to align with: every point is a row.
+        let only = reads.pop().unwrap_or_default();
+        return only.into_iter().map(|(t, v)| (t, vec![Some(v)])).collect();
+    }
+    // Several sensors: one cursor each. The next row's timestamp is the
+    // least head, and every cursor whose head is at it gives its value.
+    let longest = reads.iter().map(Vec::len).max().unwrap_or(0);
+    let mut cursors: Vec<_> = reads
+        .into_iter()
+        .map(|read| read.into_iter().peekable())
+        .collect();
+    let mut rows = Vec::with_capacity(longest);
+    while let Some(t) = cursors
+        .iter_mut()
+        .filter_map(|cursor| cursor.peek().map(|&(t, _)| t))
+        .min()
+    {
+        let cells = cursors
+            .iter_mut()
+            .map(|cursor| cursor.next_if(|&(head, _)| head == t).map(|(_, v)| v))
+            .collect();
+        rows.push((t, cells));
+    }
+    rows
 }
 
 #[cfg(test)]
