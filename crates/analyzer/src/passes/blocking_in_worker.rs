@@ -21,7 +21,11 @@
 //!   else on a pool thread should touch one;
 //! - registry render-path calls (`registry_patterns`) — `snapshot()` /
 //!   `render_*` take the registry segment mutexes;
-//! - `thread::sleep` (`sleep_patterns`).
+//! - `thread::sleep` (`sleep_patterns`);
+//! - condition-variable and barrier waits (`wait_patterns` — `.wait(`,
+//!   `.wait_timeout(` and their `_while` forms): a worker parked on a
+//!   signal is as unavailable as one asleep, for as long as whoever
+//!   signals takes.
 //!
 //! Findings land on the blocking line itself with the call chain from
 //! the entry point, so a justified `analyzer:allow(blocking-in-worker)`
@@ -45,7 +49,7 @@ impl Lint for BlockingInWorker {
     }
 
     fn description(&self) -> &'static str {
-        "no blocking call (file I/O, socket outside wire, registry render, sleep) reachable from a bounded-pool entry point"
+        "no blocking call (file I/O, socket outside wire, registry render, sleep, condvar wait) reachable from a bounded-pool entry point"
     }
 
     fn run(&self, ws: &Workspace, cfg: &Config, analysis: &Analysis, out: &mut Vec<Finding>) {
@@ -65,6 +69,15 @@ impl Lint for BlockingInWorker {
             &[".snapshot()", ".render_prometheus()", ".render_json()"],
         );
         let sleep_patterns = or_default(cfg.list(SECTION, "sleep_patterns"), &["thread::sleep("]);
+        let wait_patterns = or_default(
+            cfg.list(SECTION, "wait_patterns"),
+            &[
+                ".wait(",
+                ".wait_timeout(",
+                ".wait_while(",
+                ".wait_timeout_while(",
+            ],
+        );
 
         let table = &analysis.symbols;
         let graph = &analysis.graph;
@@ -122,6 +135,8 @@ impl Lint for BlockingInWorker {
                     what = Some("registry render-path lock");
                 } else if sleep_patterns.iter().any(|p| text.contains(p.as_str())) {
                     what = Some("thread sleep");
+                } else if wait_patterns.iter().any(|p| text.contains(p.as_str())) {
+                    what = Some("condition wait");
                 }
                 let Some(what) = what else { continue };
                 let chain = graph.chain_to(entry, |g| g == fn_idx).unwrap_or_default();

@@ -15,6 +15,13 @@ impl ServerCore {
         self.render_stats();
         std::fs::write("trace.json", b"{}"); //~ blocking-in-worker
         thread::sleep(self.backoff); //~ blocking-in-worker
+        self.await_flush();
+    }
+
+    fn await_flush(&self) {
+        let guard = self.lock.lock();
+        let guard = self.flushed.wait(guard); //~ blocking-in-worker
+        let _ = self.flushed.wait_timeout_while(guard, self.limit, |_| self.stalled()); //~ blocking-in-worker
     }
 
     fn render_stats(&self) {

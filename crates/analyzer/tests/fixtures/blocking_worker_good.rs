@@ -13,9 +13,11 @@ impl ServerCore {
         task.stream.write_all(&task.frame);
     }
 
-    /// Never called from `serve`: blocking is fine off the pool.
+    /// Never called from `serve`: blocking is fine off the pool —
+    /// an idle worker parks here between tasks.
     pub fn startup_load(&self) {
         let _ = std::fs::read("catalog.json");
         thread::sleep(self.backoff);
+        let _ = self.not_empty.wait(self.state.lock());
     }
 }

@@ -33,7 +33,7 @@ fn bench(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new(alg.name(), "100k"), &alg, |b, alg| {
             b.iter_batched(
                 || template.clone(),
-                |mut mt| flush_memtable(&mut mt, alg, None),
+                |mt| flush_memtable(&mt, alg, None),
                 BatchSize::LargeInput,
             )
         });

@@ -349,8 +349,7 @@ impl StorageEngine {
     }
 
     fn compact_shard(&self, shard: usize) -> CompactionReport {
-        let handles = self.take_files_for_compaction(shard);
-        let tombstones = self.take_tombstones(shard);
+        let (handles, tombstones) = self.take_for_compaction(shard);
         // Crash site: inputs are removed from the shard (in memory) and
         // the merged file does not exist yet. Recovery must serve the
         // data from the persisted inputs — the durable store only GCs
@@ -420,8 +419,7 @@ impl StorageEngine {
         let growth = cfg.growth.max(2);
         let base = cfg.level_base_bytes.max(1);
 
-        let mut handles = self.take_files_for_compaction(shard);
-        let tombstones = self.take_tombstones(shard);
+        let (mut handles, tombstones) = self.take_for_compaction(shard);
         // Same exposure as the full pass: inputs are out of the shard,
         // nothing new exists yet.
         self.faults()

@@ -155,4 +155,46 @@ mod tests {
         assert_eq!(got.len(), 10);
         assert_eq!(got[0].1, TsValue::Long(100));
     }
+
+    /// A delete counts an occupied flushing slot as one upcoming file.
+    /// When it leaves the slot empty that file never comes, and the
+    /// files that do come next — rewrites inside the range — must not
+    /// be masked (and then erased by compaction) in its place.
+    #[test]
+    fn a_delete_that_empties_the_flushing_slot_spares_later_writes() {
+        for earlier_file in [false, true] {
+            let eng = engine(10_000);
+            if earlier_file {
+                for t in 0..10i64 {
+                    eng.write(&key(), t, TsValue::Long(t));
+                }
+                eng.flush();
+            }
+            for t in 10..60i64 {
+                eng.write(&key(), t, TsValue::Long(t));
+            }
+            let job = eng.begin_flush_shard(0).expect("rotates");
+            eng.delete_range(&key(), 5, 100);
+            assert_eq!(eng.complete_flush(job).points, 0);
+            assert_eq!(eng.file_count(), usize::from(earlier_file));
+            // With no file left to mask the tombstone is gone; with
+            // one it still covers 5..=9 of that file and no more.
+            assert_eq!(eng.tombstone_count(), usize::from(earlier_file));
+
+            // One rewrite below the watermark (unsequence), one above.
+            eng.write(&key(), 50, TsValue::Long(-50));
+            eng.write(&key(), 70, TsValue::Long(-70));
+            eng.flush();
+            eng.flush_unseq();
+            let mut want: Vec<(i64, TsValue)> = if earlier_file {
+                (0..5).map(|t| (t, TsValue::Long(t))).collect()
+            } else {
+                Vec::new()
+            };
+            want.extend([(50, TsValue::Long(-50)), (70, TsValue::Long(-70))]);
+            assert_eq!(eng.query(&key(), i64::MIN, i64::MAX), want);
+            eng.compact();
+            assert_eq!(eng.query(&key(), i64::MIN, i64::MAX), want);
+        }
+    }
 }

@@ -42,7 +42,7 @@ use parking_lot::RwLock;
 use crate::batch::{type_mismatch, ColumnSlice, PointBatch, WriteError};
 use crate::cache::BlockCache;
 use crate::delete::Tombstone;
-use crate::flush::{flush_memtable, FlushMetrics};
+use crate::flush::{flush_memtable, flush_series, FlushMetrics, Gathered};
 use crate::memtable::{MemTable, SeriesBuffer};
 use crate::read::{FileHandle, IntervalSet, Run, Scan, Sink};
 use crate::types::{SeriesKey, TsValue};
@@ -126,19 +126,22 @@ impl Default for EngineConfig {
 /// range reaches below the flush watermark).
 pub type QueryResult = Vec<(i64, TsValue)>;
 
-/// A rotated memtable awaiting an asynchronous flush, tagged with the
-/// shard it came from.
+/// The ticket for one shard's pending asynchronous flush.
 ///
 /// Produced by [`StorageEngine::begin_flush`] /
-/// [`StorageEngine::write_batch_nonblocking`]; consumed by
+/// [`StorageEngine::write_batch_nonblocking`] when a working memtable
+/// rotates into its shard's flushing slot; consumed by
 /// [`StorageEngine::complete_flush`] (directly or via an
-/// [`AsyncFlusher`](crate::AsyncFlusher) pool). While the job is
-/// outstanding, queries still see the data through the owning shard's
-/// flushing slot.
+/// [`AsyncFlusher`](crate::AsyncFlusher) pool). The job carries no data:
+/// the slot is the rotated memtable's only owner, queries keep reading
+/// it (and deletes editing it) there while the job is outstanding, and
+/// the flush copies each series out under the shard's read lock. Only
+/// completing the job frees the slot, so a dropped job leaves its shard
+/// unable to rotate.
 #[derive(Debug)]
+#[must_use = "the shard's flushing slot stays occupied until the job is completed"]
 pub struct FlushJob {
     shard: usize,
-    memtable: MemTable,
 }
 
 impl FlushJob {
@@ -151,8 +154,10 @@ impl FlushJob {
 #[derive(Debug, Default)]
 struct ShardState {
     working: MemTable,
-    /// Immutable memtable currently being flushed asynchronously (still
-    /// visible to queries).
+    /// The rotated memtable an asynchronous flush is writing out, owned
+    /// here alone until the flush installs its file: queries read it
+    /// (sorting its buffers in place when dirty), deletes edit it, and
+    /// the flush copies it out series by series under the read lock.
     flushing: Option<MemTable>,
     unseq: MemTable,
     /// Per-sensor flush watermark: timestamps `<=` this have been flushed,
@@ -278,6 +283,7 @@ impl EngineObs {
             names::SORT_PROBE_LOOPS,
             names::SORT_ALPHA_PPM,
             names::MERGE_OVERLAP_Q,
+            names::SERVER_FLUSH_WAIT_NANOS,
             names::SERVER_REQUEST_NANOS,
         ] {
             registry.histogram(name);
@@ -378,34 +384,27 @@ impl EngineObs {
     }
 }
 
-/// Finds the end of the next maximal same-route run of a batch's
-/// timestamp column, starting at `idx`: consecutive points that all land
-/// on the same side of the separation watermark. A sequence-bound run is
-/// additionally capped at the working memtable's remaining room (at
-/// least one point), so the caller flushes — and re-reads the moved
-/// watermark — before routing the rest of the batch. Returns
-/// `(run_end, routes_unseq, split_nanos)`.
-fn next_run(
-    ts: &[i64],
-    idx: usize,
-    watermark: Option<i64>,
-    working: &MemTable,
-    max_points: usize,
-    timed: bool,
-) -> (usize, bool, u64) {
-    let start = timed.then(Instant::now);
+/// Finds the end of the next run of a batch's timestamp column,
+/// starting at `idx`: consecutive points that all land on the same side
+/// of the separation watermark. A sequence-bound run additionally stops
+/// after `seq_room` points — the working memtable's remaining room while
+/// a rotation can still happen, so the caller rotates, and re-reads the
+/// moved watermark, before routing the rest; `usize::MAX` once one was
+/// refused. The scan stops where the run does, so no point of a batch is
+/// looked at twice. Returns `(run_end, routes_unseq)`.
+fn next_run(ts: &[i64], idx: usize, watermark: Option<i64>, seq_room: usize) -> (usize, bool) {
     let routes_unseq = |t: i64| matches!(watermark, Some(w) if t <= w);
     let unseq = ts.get(idx).copied().is_some_and(routes_unseq);
+    let limit = if unseq {
+        ts.len()
+    } else {
+        ts.len().min(idx.saturating_add(seq_room))
+    };
     let mut end = idx + 1;
-    while end < ts.len() && ts.get(end).copied().is_some_and(routes_unseq) == unseq {
+    while end < limit && ts.get(end).copied().is_some_and(routes_unseq) == unseq {
         end += 1;
     }
-    if !unseq {
-        let room = max_points.saturating_sub(working.total_points()).max(1);
-        end = end.min(idx + room);
-    }
-    let ns = start.map_or(0, |s| s.elapsed().as_nanos() as u64);
-    (end, unseq, ns)
+    (end, unseq)
 }
 
 /// FNV-1a over a device name — stable across runs, so the same device
@@ -618,11 +617,13 @@ impl StorageEngine {
     /// Writes a columnar [`PointBatch`] for one sensor (IoTDB-benchmark
     /// sends batches; §VI-A2). Returns metrics for any flushes triggered.
     ///
-    /// The batch is split *once* at the separation watermark into
-    /// seq/unseq column runs — the watermark is looked up once per run
-    /// boundary and only re-read after a mid-batch flush (the only event
-    /// that can move it) — and each run lands with a single memtable
-    /// series lookup and one bulk [`MemTable::write_columns`] append.
+    /// The batch is split at the separation watermark into seq/unseq
+    /// column runs — each point is compared with it once, and it is only
+    /// re-read after a mid-batch flush (the only event that can move it)
+    /// — and each run lands with a single memtable series lookup and one
+    /// bulk [`MemTable::write_columns`] append. A sequence-bound run ends
+    /// where the working memtable fills, so flushes fall on exactly the
+    /// point counts a sequence of single writes would give.
     /// A batch whose type does not match the series is rejected whole.
     pub fn write_batch(
         &self,
@@ -643,11 +644,20 @@ impl StorageEngine {
     /// the returned [`FlushJob`] is completed off the write path (by the
     /// caller or an [`AsyncFlusher`](crate::AsyncFlusher)) — IoTDB's
     /// asynchronous flushing (paper §V-A, §VI-D2). At most one job is
-    /// returned per call: while it is outstanding, the shard
-    /// backpressures further rotations into the growing working
-    /// memtable, just as IoTDB stalls rotation until the flusher catches
-    /// up. Different shards can each have a job in flight at once — that
-    /// is what the flusher *pool* drains.
+    /// returned per call, and different shards can each have one in
+    /// flight at once — that is what the flusher *pool* drains.
+    ///
+    /// **What bounds the memtable.** Not this call: it never blocks and
+    /// never refuses. While a shard's job is outstanding its slot is
+    /// occupied, a full working memtable cannot rotate, and the rest of
+    /// the batch is appended to it regardless, in one run — so a caller
+    /// that holds the job itself (and may complete it only after further
+    /// writes) cannot deadlock here. The bound is the caller's to keep,
+    /// by waiting for the flush that frees the slot: ask
+    /// [`flush_stalled`](Self::flush_stalled) before writing, as
+    /// `backsort-server` does against its own flush pool, and a shard's
+    /// working memtable stays within `memtable_max_points` plus the
+    /// batches written concurrently with that check.
     pub fn write_batch_nonblocking(
         &self,
         key: &SeriesKey,
@@ -662,12 +672,29 @@ impl StorageEngine {
         Ok(jobs.pop())
     }
 
+    /// Whether `shard` is stalled on its flush: its working memtable is
+    /// at its limit *and* its flushing slot is still occupied, so the
+    /// next write can only grow the memtable past the limit.
+    /// [`complete_flush`](Self::complete_flush) ends the stall. The
+    /// engine itself never waits on it (see
+    /// [`write_batch_nonblocking`](Self::write_batch_nonblocking)); the
+    /// check is for the caller that owns the flusher.
+    pub fn flush_stalled(&self, shard: usize) -> bool {
+        self.shards.get(shard).is_some_and(|lock| {
+            let st = lock.read();
+            st.flushing.is_some() && st.working.total_points() >= self.config.memtable_max_points
+        })
+    }
+
     /// The batch write body behind both public entry points, run under
-    /// the caller's shard guard. `rotate` runs each time the working
-    /// memtable is full; `Some` means it rotated (so the watermark moved
-    /// and is re-read), `None` that the shard is backpressured. Returns
-    /// what the rotations produced, in order. `start` is when the caller
-    /// began (before taking the lock), `None` with telemetry disabled.
+    /// the caller's shard guard. `rotate` runs when the working memtable
+    /// is full — before the run that would overfill it, not after;
+    /// `Some` means it rotated (so the watermark moved and is re-read),
+    /// `None` that the flushing slot is occupied, which cannot change
+    /// under the guard: the rest of the batch is then split only where
+    /// its route changes. Returns what the rotations produced, in order.
+    /// `start` is when the caller began (before taking the lock), `None`
+    /// with telemetry disabled.
     fn write_batch_locked<R>(
         &self,
         st: &mut ShardState,
@@ -676,25 +703,43 @@ impl StorageEngine {
         start: Option<Instant>,
         mut rotate: impl FnMut(&mut ShardState) -> Option<R>,
     ) -> Result<Vec<R>, WriteError> {
-        let enabled = start.is_some();
         self.check_batch_type(st, key, batch)?;
+        let max_points = self.config.memtable_max_points;
         let mut rotations = Vec::new();
         let mut deltas = LocalHistogram::new();
-        let mut split_nanos = 0u64;
+        // The split is timed once a batch: what is left of the loop's
+        // time after its appends and rotations.
+        let clock = || start.map(|_| Instant::now());
+        let nanos_since = |t: Option<Instant>| t.map_or(0, |t| t.elapsed().as_nanos() as u64);
+        let split_start = clock();
+        let mut not_split_nanos = 0u64;
         let ts = batch.ts();
         let mut watermark = st.watermarks.get(key).copied();
+        let mut can_rotate = true;
         let mut idx = 0;
-        while idx < ts.len() {
-            let (run_end, unseq, split_ns) = next_run(
-                ts,
-                idx,
-                watermark,
-                &st.working,
-                self.config.memtable_max_points,
-                enabled,
-            );
-            split_nanos += split_ns;
-            let append_start = enabled.then(Instant::now);
+        loop {
+            let total = st.working.total_points();
+            if can_rotate && total >= max_points && total > 0 {
+                let rotate_start = clock();
+                match rotate(st) {
+                    Some(r) => {
+                        rotations.push(r);
+                        watermark = st.watermarks.get(key).copied();
+                    }
+                    None => can_rotate = false,
+                }
+                not_split_nanos += nanos_since(rotate_start);
+            }
+            if idx >= ts.len() {
+                break;
+            }
+            let seq_room = if can_rotate {
+                max_points.saturating_sub(st.working.total_points()).max(1)
+            } else {
+                usize::MAX
+            };
+            let (run_end, unseq) = next_run(ts, idx, watermark, seq_room);
+            let append_start = clock();
             let (run_ts, run_vals) = batch.slice(idx, run_end);
             let target = if unseq {
                 &mut st.unseq
@@ -702,19 +747,14 @@ impl StorageEngine {
                 &mut st.working
             };
             target.write_columns(key, run_ts, run_vals, &mut deltas)?;
-            if let Some(s) = append_start {
-                self.obs
-                    .batch_append_nanos
-                    .record(s.elapsed().as_nanos() as u64);
+            if append_start.is_some() {
+                let nanos = nanos_since(append_start);
+                self.obs.batch_append_nanos.record(nanos);
+                not_split_nanos += nanos;
             }
             idx = run_end;
-            if st.working.total_points() >= self.config.memtable_max_points {
-                if let Some(r) = rotate(st) {
-                    rotations.push(r);
-                    watermark = st.watermarks.get(key).copied();
-                }
-            }
         }
+        let split_nanos = nanos_since(split_start).saturating_sub(not_split_nanos);
         self.obs.write_points.add(ts.len() as u64);
         self.obs.record_batch_deltas(&deltas);
         if let Some(start) = start {
@@ -863,16 +903,28 @@ impl StorageEngine {
             .map(|h| h.image().to_vec())
     }
 
-    /// Removes and returns one shard's flushed file images (compaction
-    /// intake).
+    /// Removes and returns one shard's flushed file images and the
+    /// tombstones pending physical application, paired with their file
+    /// horizons (compaction intake). Both leave under one lock: a
+    /// horizon is an index into that file list, and a flush that
+    /// installs no file lowers horizons to the list's length
+    /// ([`complete_flush`](Self::complete_flush)) — it must never see
+    /// the tombstones without their files.
     ///
     /// Concurrent queries between this call and [`restore_files`] would
     /// miss disk data; run compaction from a maintenance context, as
     /// IoTDB schedules it.
     ///
     /// [`restore_files`]: StorageEngine::restore_files
-    pub(crate) fn take_files_for_compaction(&self, shard: usize) -> Vec<FileHandle> {
-        std::mem::take(&mut self.shards[shard].write().files)
+    pub(crate) fn take_for_compaction(
+        &self,
+        shard: usize,
+    ) -> (Vec<FileHandle>, Vec<(Tombstone, usize)>) {
+        let mut st = self.shards[shard].write();
+        (
+            std::mem::take(&mut st.files),
+            std::mem::take(&mut st.tombstones),
+        )
     }
 
     /// Re-installs file handles at the *oldest* position of a shard, so
@@ -882,12 +934,6 @@ impl StorageEngine {
         let mut st = self.shards[shard].write();
         files.append(&mut st.files);
         st.files = files;
-    }
-
-    /// One shard's tombstones pending physical application, paired with
-    /// their file horizons (compaction intake).
-    pub(crate) fn take_tombstones(&self, shard: usize) -> Vec<(Tombstone, usize)> {
-        std::mem::take(&mut self.shards[shard].write().tombstones)
     }
 
     /// Number of tombstones awaiting compaction, across all shards.
@@ -927,7 +973,7 @@ impl StorageEngine {
 
     /// Deletes all points of `key` with timestamps in `[t_lo, t_hi]`.
     ///
-    /// Memtable points (working, flushing snapshot, unsequence) are
+    /// Memtable points (working, flushing slot, unsequence) are
     /// removed immediately; flushed files are masked by a tombstone that
     /// the next [`compact`](StorageEngine::compact) applies physically —
     /// IoTDB's "mods" mechanism. Returns how many in-memory points were
@@ -950,9 +996,9 @@ impl StorageEngine {
         let mut removed = st.working.delete_range(key, t_lo, t_hi);
         removed += st.unseq.delete_range(key, t_lo, t_hi);
         if let Some(fl) = st.flushing.as_mut() {
-            // The queryable snapshot loses the points now; the in-flight
-            // flush job's private copy will still write them, so the
-            // horizon below covers that upcoming file as well.
+            // Readers lose the points now; the flush in flight may have
+            // copied this series out already and still write them, so
+            // the horizon below covers that upcoming file as well.
             fl.delete_range(key, t_lo, t_hi);
         }
         let horizon = st.files.len() + usize::from(st.flushing.is_some());
@@ -1065,15 +1111,9 @@ impl StorageEngine {
         if st.flushing.is_some() || st.working.is_empty() {
             return None;
         }
-        let flushing = self.rotate(st);
-        // The flushing memtable stays visible to queries; the job works
-        // on its own copy so sorting/encoding happens outside the lock.
-        st.flushing = Some(flushing.clone());
+        st.flushing = Some(self.rotate(st));
         self.obs.flush_queue_depth.inc();
-        Some(FlushJob {
-            shard,
-            memtable: flushing,
-        })
+        Some(FlushJob { shard })
     }
 
     /// Parses a TsFile image under a fresh file id, counting the parse
@@ -1090,20 +1130,37 @@ impl StorageEngine {
         self.parse_image(image).expect("own image parses")
     }
 
-    /// Runs a [`FlushJob`] (sort + encode, outside any lock) and installs
-    /// the result into the shard the job was rotated from: the file
-    /// becomes queryable and that shard's flushing slot is released.
-    pub fn complete_flush(&self, mut job: FlushJob) -> FlushMetrics {
-        let _trace = self.trace_always(names::SPAN_FLUSH_ROOT, || {
-            format!("flush shard={}", job.shard)
-        });
-        obs_trace::add_attr(names::ATTR_SHARD, job.shard as u64);
+    /// Runs a [`FlushJob`] and installs the result into the shard the
+    /// job was rotated from: the file becomes queryable and that shard's
+    /// flushing slot is released.
+    ///
+    /// The slot's memtable is never taken out or copied whole. Each
+    /// series is copied out flat under the shard's *read* lock — a
+    /// memcpy per chunk, readers unaffected, a writer held up for one
+    /// series' copy at most — and sorted, encoded and parsed with no
+    /// lock held. A delete that lands between two such copies edits the
+    /// slot as usual; whether or not the file still carries its points,
+    /// the delete's tombstone horizon already covers this file. When
+    /// deletes have emptied the slot there is no file: the horizons
+    /// that counted one are lowered to the files that exist, so the
+    /// next file to land — later writes — is not masked in its place.
+    pub fn complete_flush(&self, job: FlushJob) -> FlushMetrics {
+        let FlushJob { shard } = job;
+        let _trace = self.trace_always(names::SPAN_FLUSH_ROOT, || format!("flush shard={shard}"));
+        obs_trace::add_attr(names::ATTR_SHARD, shard as u64);
         let span_encode = obs_trace::span(names::SPAN_FLUSH_ENCODE);
-        let (image, metrics) = flush_memtable(
-            &mut job.memtable,
-            &self.config.sorter,
-            Some(&self.obs.registry),
-        );
+        let lock = &self.shards[shard];
+        let keys: Vec<SeriesKey> = lock
+            .read()
+            .flushing
+            .iter()
+            .flat_map(|m| m.iter().map(|(key, _)| key.clone()))
+            .collect();
+        let series = keys.into_iter().filter_map(|key| {
+            let gathered = lock.read().flushing.as_ref()?.get(&key).map(Gathered::of)?;
+            Some((key, gathered))
+        });
+        let (image, metrics) = flush_series(series, &self.config.sorter, Some(&self.obs.registry));
         if let Some(s) = &span_encode {
             s.attr(names::ATTR_POINTS, metrics.points);
         }
@@ -1116,13 +1173,28 @@ impl StorageEngine {
         // Parse the chunk index outside the lock too — installing the
         // handle is then just a push.
         let handle = (metrics.points > 0).then(|| self.parse_own_image(image));
-        let mut st = self.shards[job.shard].write();
-        st.files.extend(handle);
+        let mut st = lock.write();
+        match handle {
+            Some(handle) => st.files.push(handle),
+            None => {
+                // Deletes emptied the slot and it becomes no file after
+                // all. Their horizons counted it as one (`files.len() +
+                // 1`); left there they would mask whatever lands at
+                // that index next, which can only be newer than they are.
+                let files = st.files.len();
+                st.tombstones.retain_mut(|(_, horizon)| {
+                    *horizon = (*horizon).min(files);
+                    *horizon > 0
+                });
+            }
+        }
         st.flush_history.push(metrics);
-        st.flushing = None;
+        let retired = st.flushing.take();
         drop(st);
+        // Freeing the retired memtable's chunks holds nobody up.
+        drop(retired);
         self.obs.flush_queue_depth.dec();
-        self.obs.record_flush(job.shard, &metrics);
+        self.obs.record_flush(shard, &metrics);
         metrics
     }
 
@@ -1141,14 +1213,9 @@ impl StorageEngine {
     /// Encodes a memtable already taken out of the (locked) shard and
     /// installs the resulting file — the synchronous flush body of the
     /// working and unsequence flushes.
-    fn flush_taken(
-        &self,
-        shard: usize,
-        st: &mut ShardState,
-        mut memtable: MemTable,
-    ) -> FlushMetrics {
+    fn flush_taken(&self, shard: usize, st: &mut ShardState, memtable: MemTable) -> FlushMetrics {
         let (image, metrics) =
-            flush_memtable(&mut memtable, &self.config.sorter, Some(&self.obs.registry));
+            flush_memtable(&memtable, &self.config.sorter, Some(&self.obs.registry));
         if metrics.points > 0 {
             st.files.push(self.parse_own_image(image));
         }
@@ -1875,6 +1942,81 @@ mod tests {
         eng.complete_flush(ja);
         assert_eq!(eng.file_count(), 2);
         assert_eq!(eng.query(&ka, 0, 200).len(), 100);
+    }
+
+    /// Appends so far, one `memtable.batch_append_nanos` record a run.
+    fn runs(eng: &StorageEngine) -> u64 {
+        eng.obs()
+            .snapshot()
+            .histogram(names::MEMTABLE_BATCH_APPEND_NANOS)
+            .map_or(0, |h| h.count)
+    }
+
+    /// ROADMAP 4c, pinned as a count: with the rotation refused a batch
+    /// is split where its route changes and nowhere else. Before, the
+    /// full memtable's "room" of one point made every sequence-bound
+    /// point a run of its own, each re-scanning the rest of the batch —
+    /// 25,000 runs for the first batch below.
+    #[test]
+    fn a_refused_rotation_splits_a_batch_only_where_its_route_changes() {
+        let eng = small_engine(Algorithm::Backward(Default::default()));
+        let longs = |ts: &mut dyn Iterator<Item = i64>| {
+            PointBatch::from_rows(ts.map(|t| (t, TsValue::Long(t)))).unwrap()
+        };
+        // Fill to the limit: the memtable rotates, and the job is held.
+        let job = eng
+            .write_batch_nonblocking(&key("s"), &longs(&mut (0..100)))
+            .unwrap()
+            .expect("a full memtable rotates");
+        // Fill the new one to the limit as well: the slot is occupied.
+        let refused = eng
+            .write_batch_nonblocking(&key("s"), &longs(&mut (100..200)))
+            .unwrap();
+        assert!(refused.is_none());
+        assert!(eng.flush_stalled(0));
+
+        let before = runs(&eng);
+        let all_sequence = longs(&mut (200..25_200));
+        assert!(eng
+            .write_batch_nonblocking(&key("s"), &all_sequence)
+            .unwrap()
+            .is_none());
+        assert_eq!(runs(&eng) - before, 1, "one route, one run");
+        assert_eq!(eng.buffered_points(), (25_100, 0));
+
+        // Fifty points alternating around the watermark (99): fresh,
+        // late, fresh, late, … — 49 route changes.
+        let before = runs(&eng);
+        let alternating = longs(&mut (0..50).map(|i| if i % 2 == 0 { 30_000 + i } else { i }));
+        assert!(eng
+            .write_batch_nonblocking(&key("s"), &alternating)
+            .unwrap()
+            .is_none());
+        assert_eq!(runs(&eng) - before, 50, "route changes + 1");
+        assert_eq!(eng.buffered_points(), (25_125, 25));
+
+        // Nothing was lost on the way, and the flush still completes.
+        eng.complete_flush(job);
+        assert!(!eng.flush_stalled(0));
+        let got = eng.query(&key("s"), i64::MIN, i64::MAX);
+        let mut want: Vec<i64> = (0..25_200).collect();
+        want.extend((0..50).filter(|i| i % 2 == 0).map(|i| 30_000 + i));
+        assert_eq!(got.iter().map(|p| p.0).collect::<Vec<_>>(), want);
+    }
+
+    /// The synchronous path rotates exactly where single writes would:
+    /// a run ends where the memtable fills, the flush runs, and the
+    /// watermark it moved routes the rest.
+    #[test]
+    fn a_batch_larger_than_the_memtable_flushes_at_every_fill() {
+        let eng = small_engine(Algorithm::Backward(Default::default()));
+        let batch = PointBatch::from_rows((0..250).map(|t| (t, TsValue::Long(t)))).unwrap();
+        let before = runs(&eng);
+        let flushes = eng.write_batch(&key("s"), &batch).unwrap();
+        assert_eq!(flushes.len(), 2);
+        assert_eq!(runs(&eng) - before, 3, "100 + 100 + 50");
+        assert_eq!(eng.buffered_points(), (50, 0));
+        assert_eq!(eng.file_count(), 2);
     }
 
     #[test]

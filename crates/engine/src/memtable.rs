@@ -141,15 +141,13 @@ impl SeriesBuffer {
         for_each_buffer!(self, l => l.memory_bytes(), t => t.memory_bytes())
     }
 
-    /// Sorts the buffer by timestamp with the given algorithm, if not
-    /// already sorted. Returns whether a sort ran.
-    pub fn sort_with(&mut self, alg: &Algorithm) -> bool {
-        self.sort_with_observed(alg, None)
-    }
-
-    /// [`sort_with`](Self::sort_with), streaming Backward-Sort telemetry
-    /// (block size, probe loops, `α̃_L`, per-merge overlap `Q`) into
-    /// `obs` when given.
+    /// Sorts the buffer in place by timestamp with the given algorithm,
+    /// if not already sorted — the sort-on-read of a dirty buffer (a
+    /// flush sorts a contiguous copy instead, see
+    /// [`flush_memtable`](crate::flush::flush_memtable)). Streams
+    /// Backward-Sort telemetry (block size, probe loops, `α̃_L`,
+    /// per-merge overlap `Q`) into `obs` when given. Returns whether a
+    /// sort ran.
     pub fn sort_with_observed(
         &mut self,
         alg: &Algorithm,
@@ -222,11 +220,8 @@ impl SeriesBuffer {
 
     /// Copies the index range `range` of the buffer out as deduplicated
     /// columns — last write wins on equal timestamps. Requires the
-    /// buffer to be sorted. The whole buffer is the flush pipeline's
-    /// no-row-materialization handoff to
-    /// [`write_chunk_columns`](crate::tsfile::TsFileWriter::write_chunk_columns);
-    /// a `lower_bound..upper_bound` range is what a query streams from a
-    /// buffer no other run overlaps.
+    /// buffer to be sorted. A `lower_bound..upper_bound` range is what a
+    /// query streams from a buffer no other run overlaps.
     pub fn dedup_columns(&self, range: std::ops::Range<usize>) -> (Vec<i64>, ValueColumn) {
         debug_assert!(self.is_sorted());
         match self {
@@ -285,10 +280,10 @@ fn record_delta_tau(ts: &[i64], prev_max: Option<i64>, deltas: &mut LocalHistogr
 
 /// Columnar last-wins dedup over an index range of an
 /// index-addressable sorted buffer.
-fn dedup_last<T>(
+pub(crate) fn dedup_last<T>(
     range: std::ops::Range<usize>,
     time: impl Fn(usize) -> i64,
-    value: impl Fn(usize) -> T,
+    mut value: impl FnMut(usize) -> T,
 ) -> (Vec<i64>, Vec<T>) {
     let mut ts: Vec<i64> = Vec::with_capacity(range.len());
     let mut vs: Vec<T> = Vec::with_capacity(range.len());
@@ -421,11 +416,6 @@ impl MemTable {
         self.series.iter()
     }
 
-    /// Mutable iteration, for the flush pipeline.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (&SeriesKey, &mut SeriesBuffer)> {
-        self.series.iter_mut()
-    }
-
     /// Removes all of one sensor's points in `[t_lo, t_hi]`, updating the
     /// occupancy count. Returns how many were removed.
     pub fn delete_range(&mut self, key: &SeriesKey, t_lo: i64, t_hi: i64) -> usize {
@@ -547,7 +537,7 @@ mod tests {
         }
         let alg = Algorithm::Backward(BackwardSort::default());
         let buf = mt.get_mut(&key("s1")).unwrap();
-        assert!(buf.sort_with(&alg));
+        assert!(buf.sort_with_observed(&alg, None));
         assert!(buf.is_sorted());
         let pts: Vec<(i64, TsValue)> = (0..buf.len()).map(|i| buf.get(i)).collect();
         assert_eq!(
@@ -560,7 +550,7 @@ mod tests {
             ]
         );
         // Second sort is a no-op.
-        assert!(!buf.sort_with(&alg));
+        assert!(!buf.sort_with_observed(&alg, None));
     }
 
     #[test]

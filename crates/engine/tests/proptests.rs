@@ -101,7 +101,7 @@ proptest! {
         for &(t, v) in &raw {
             mt.write(&key, t, TsValue::Int(v)).unwrap();
         }
-        let (image, metrics) = flush_memtable(&mut mt, &Algorithm::Backward(Default::default()), None);
+        let (image, metrics) = flush_memtable(&mt, &Algorithm::Backward(Default::default()), None);
         let reader = TsFileReader::open(&image).expect("valid image");
         let points = reader.query(&key, i64::MIN, i64::MAX);
         let mut expected: Vec<i64> = raw.iter().map(|p| p.0).collect();

@@ -59,7 +59,10 @@ pub const MEMTABLE_TYPE_MISMATCH_REJECTS: &str = "memtable.type_mismatch_rejects
 /// Memtable flushes completed (counter; also per shard via the
 /// `{shard=N}` label).
 pub const FLUSH_COUNT: &str = "flush.count";
-/// Cumulative flush sort time, nanoseconds (counter).
+/// Cumulative flush gather + sort time, nanoseconds (counter): copying
+/// each series out of its chunked list into contiguous pairs — for an
+/// asynchronous flush under the shard's read lock, the wait for it
+/// included — and sorting them.
 pub const FLUSH_SORT_NANOS: &str = "flush.sort_nanos";
 /// Cumulative flush dedup+encode time, nanoseconds (counter).
 pub const FLUSH_ENCODE_NANOS: &str = "flush.encode_nanos";
@@ -154,6 +157,13 @@ pub const SERVER_QUEUE_DEPTH: &str = "server.queue_depth";
 /// Rotated memtables handed to the server's flush pool and not yet
 /// installed (gauge — the backlog the BUSY policy watches).
 pub const SERVER_FLUSH_BACKLOG: &str = "server.flush_backlog";
+/// Time an ingest request spent waiting, in its worker, for the flush
+/// that frees its shard's flushing slot — the shard's working memtable
+/// was at its limit and could not rotate — nanoseconds (histogram). Its
+/// count is the number of stalled writes: zero on a server whose
+/// flushers keep up. A wait that reaches its bound is answered BUSY and
+/// counted in [`SERVER_REJECTED_BUSY`] as well.
+pub const SERVER_FLUSH_WAIT_NANOS: &str = "server.flush_wait_nanos";
 /// Request wall time in the worker, from picking the decoded frame off
 /// the queue to the end of its execution, nanoseconds (histogram).
 /// Stops before the response is encoded and written: those are the
@@ -217,8 +227,12 @@ pub const SPAN_COMPACTION_ROOT: &str = "compaction.root";
 pub const SPAN_COMPACTION_SHARD: &str = "compaction.shard";
 /// Hierarchical span: one framed request in a server worker, from the
 /// decoded frame to the reply written — the root of server-sampled
-/// traces; the four spans below and the engine's nest under it.
+/// traces; the five spans below and the engine's nest under it.
 pub const SPAN_SERVER_REQUEST: &str = "server.request";
+/// Hierarchical span: an ingest request waiting for the flush that frees
+/// its shard's flushing slot (see [`SERVER_FLUSH_WAIT_NANOS`]) — why a
+/// traced write was slow. Carries `shard`.
+pub const SPAN_SERVER_FLUSH_WAIT: &str = "server.flush_wait";
 /// Hierarchical span: parsing one SQL statement off a request frame.
 /// Carries `bytes`, the statement's length.
 pub const SPAN_SQL_PARSE: &str = "sql.parse";
@@ -248,6 +262,7 @@ pub const SPAN_STAGES: &[&str] = &[
     SPAN_COMPACTION_ROOT,
     SPAN_COMPACTION_SHARD,
     SPAN_SERVER_REQUEST,
+    SPAN_SERVER_FLUSH_WAIT,
     SPAN_SQL_PARSE,
     SPAN_SQL_ROWS,
     SPAN_WIRE_ENCODE,
@@ -337,5 +352,6 @@ pub const REQUIRED: &[&str] = &[
     SERVER_REJECTED_MALFORMED,
     SERVER_QUEUE_DEPTH,
     SERVER_FLUSH_BACKLOG,
+    SERVER_FLUSH_WAIT_NANOS,
     SERVER_REQUEST_NANOS,
 ];

@@ -16,7 +16,9 @@
 //! * Admission control — a full queue, a saturated pipelining window,
 //!   or a flush pool that has fallen behind all answer with a typed
 //!   [`Response::Busy`] instead of buffering unbounded work. Sheds are
-//!   visible as `server.rejected_busy` in the registry.
+//!   visible as `server.rejected_busy` in the registry. A write whose
+//!   shard is full and still flushing *waits* for that flush instead
+//!   (`server.flush_wait_nanos`), which is what bounds a memtable.
 //! * [`SqlClient`] — a blocking client speaking the same protocol, with
 //!   an explicit pipelined API (`send_sql` / `send_batch` / `recv`).
 //! * [`MetricsServer`] — the read-only HTTP exporter for the registry
@@ -73,7 +75,12 @@ pub struct ServerConfig {
     /// and the connection is closed (the stream cannot be resynced).
     pub max_frame_bytes: usize,
     /// Ingest is shed as BUSY while more than this many flush jobs are
-    /// submitted but incomplete.
+    /// submitted but incomplete. A shard has one flushing slot, so the
+    /// backlog never exceeds the engine's shard count: the default of 8
+    /// sheds only on an engine of more than eight shards, and `0` sheds
+    /// whenever any flush is in flight. What keeps a memtable bounded on
+    /// fewer shards is not this limit but the wait for the slot (see
+    /// `server.flush_wait_nanos`).
     pub busy_flush_backlog: i64,
     /// Threads completing rotated memtables ([`FlushJob`](backsort_engine::FlushJob)s).
     pub flush_workers: usize,
@@ -106,6 +113,12 @@ impl Default for ServerConfig {
     }
 }
 
+/// How long an ingest request waits for the flush that frees its
+/// shard's flushing slot before it is shed as BUSY — three orders of
+/// magnitude above a 100,000-point flush, so only a dead or wedged
+/// flusher reaches it, and then connections are refused instead of hung.
+const FLUSH_WAIT_LIMIT: Duration = Duration::from_secs(5);
+
 /// Pre-resolved handles for every `server.*` metric, so the hot path
 /// never touches the registry's name map.
 struct ServerMetrics {
@@ -115,6 +128,7 @@ struct ServerMetrics {
     batch_points: Arc<Counter>,
     rejected_busy: Arc<Counter>,
     rejected_malformed: Arc<Counter>,
+    flush_wait_nanos: Arc<Histogram>,
     request_nanos: Arc<Histogram>,
 }
 
@@ -127,6 +141,7 @@ impl ServerMetrics {
             batch_points: registry.counter(names::SERVER_BATCH_POINTS),
             rejected_busy: registry.counter(names::SERVER_REJECTED_BUSY),
             rejected_malformed: registry.counter(names::SERVER_REJECTED_MALFORMED),
+            flush_wait_nanos: registry.histogram(names::SERVER_FLUSH_WAIT_NANOS),
             request_nanos: registry.histogram(names::SERVER_REQUEST_NANOS),
         }
     }
@@ -179,6 +194,8 @@ struct ServerCore {
     cfg: ServerConfig,
     queue: ExecQueue<ConnShared>,
     flush: FlushPool,
+    /// [`FLUSH_WAIT_LIMIT`], except in this crate's own tests.
+    flush_wait_limit: Duration,
     metrics: ServerMetrics,
     trace_tick: AtomicU64,
 }
@@ -211,8 +228,15 @@ impl ServerCore {
     }
 
     /// The admission-controlled ingest path shared by SQL INSERTs and
-    /// binary batch frames: shed when flushers lag, otherwise write
-    /// without blocking and hand any rotated memtable to the flush pool.
+    /// binary batch frames: shed when flushers lag, wait when the
+    /// batch's shard is full and still flushing, then write without
+    /// blocking and hand any rotated memtable to the flush pool.
+    ///
+    /// `Busy` is all or nothing — a client may send the whole request
+    /// again. Every batch of a request waits out its shard's stall, all
+    /// of them against one deadline, but only the first can be refused
+    /// at it: once a batch is written the rest are written too, the
+    /// engine taking what the wait could not hold back.
     fn ingest(&self, batches: Vec<(SeriesKey, PointBatch)>) -> Response {
         let backlog = self.flush.backlog();
         if backlog > self.cfg.busy_flush_backlog {
@@ -221,8 +245,19 @@ impl ServerCore {
                 self.cfg.busy_flush_backlog
             ));
         }
+        let deadline = Instant::now() + self.flush_wait_limit;
         let mut total = 0usize;
         for (key, batch) in batches {
+            let shard = self.engine.shard_of(&key.device);
+            if self.engine.flush_stalled(shard)
+                && !self.wait_for_flush(shard, deadline)
+                && total == 0
+            {
+                return Response::Busy(format!(
+                    "shard {shard} has waited {:?} for its flush; retry after backoff",
+                    self.flush_wait_limit
+                ));
+            }
             total += batch.len();
             match self.engine.write_batch_nonblocking(&key, &batch) {
                 Ok(Some(job)) => self.flush.submit(&self.engine, job),
@@ -232,6 +267,33 @@ impl ServerCore {
         }
         self.metrics.batch_points.add(total as u64);
         Response::Output(QueryOutput::Inserted(total))
+    }
+
+    /// Waits for the flush that lets `shard` rotate again — the server's
+    /// flow control. The engine accepts a write to a full shard whose
+    /// flushing slot is occupied (it cannot know who will free the
+    /// slot); the server owns the pool that will, so it holds the write
+    /// back until then, and a shard's working memtable stays within
+    /// `memtable_max_points` plus one batch per worker. Waiting, not
+    /// BUSY: every client this serves is a closed loop, and a refusal
+    /// would come straight back as a retry on the cores the flusher
+    /// needs. Returns `false` when `deadline`, the bound on the waits of
+    /// one request, was reached.
+    fn wait_for_flush(&self, shard: usize, deadline: Instant) -> bool {
+        let span = obs_trace::span(names::SPAN_SERVER_FLUSH_WAIT);
+        if let Some(span) = &span {
+            span.attr(names::ATTR_SHARD, shard as u64);
+        }
+        let started = Instant::now();
+        let resumed = self.flush.wait_while_stalled(
+            &self.engine,
+            shard,
+            deadline.saturating_duration_since(started),
+        );
+        self.metrics
+            .flush_wait_nanos
+            .record(started.elapsed().as_nanos() as u64);
+        resumed
     }
 
     /// Starts a sampled `server.request` trace for one request in
@@ -332,6 +394,18 @@ impl SqlServer {
         engine: Arc<StorageEngine>,
         cfg: ServerConfig,
     ) -> std::io::Result<Self> {
+        Self::start_with_flush_wait(addr, engine, cfg, FLUSH_WAIT_LIMIT)
+    }
+
+    /// [`start_with`](Self::start_with) under another bound on the wait
+    /// for a flush than [`FLUSH_WAIT_LIMIT`] — private: only the test of
+    /// what happens at the bound has a reason to move it.
+    fn start_with_flush_wait(
+        addr: impl ToSocketAddrs,
+        engine: Arc<StorageEngine>,
+        cfg: ServerConfig,
+        flush_wait_limit: Duration,
+    ) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let registry = Arc::clone(engine.obs());
@@ -352,6 +426,7 @@ impl SqlServer {
             cfg,
             queue,
             flush,
+            flush_wait_limit,
             metrics,
             trace_tick: AtomicU64::new(0),
         });
@@ -891,5 +966,146 @@ impl SqlClient {
                 Response::Busy(reason) => Err(ClientError::Busy(reason)),
             };
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use backsort_engine::{EngineConfig, TsValue};
+
+    /// At the bound on the wait — shortened here through the private
+    /// constructor, against a flusher that takes far longer — the frame
+    /// is answered BUSY, the connection serves what comes next, and the
+    /// frame is taken once the flusher has caught up.
+    #[test]
+    fn a_wait_that_reaches_its_bound_is_answered_busy() {
+        const LIMIT: i64 = 1_000;
+        let engine = Arc::new(StorageEngine::new(EngineConfig {
+            memtable_max_points: LIMIT as usize,
+            ..EngineConfig::default()
+        }));
+        let server = SqlServer::start_with_flush_wait(
+            "127.0.0.1:0",
+            Arc::clone(&engine),
+            ServerConfig {
+                flush_workers: 1,
+                flush_throttle: Duration::from_millis(500),
+                ..ServerConfig::default()
+            },
+            Duration::from_millis(20),
+        )
+        .expect("bind");
+        let mut client = SqlClient::connect(server.addr()).expect("connect");
+        let frame = |f: i64| {
+            PointBatch::from_rows((f * LIMIT..(f + 1) * LIMIT).map(|t| (t, TsValue::Long(t))))
+                .expect("batch")
+        };
+        // One frame rotates into the slow flusher, the next fills the
+        // memtable behind it, the third can only wait — for 20 ms.
+        for f in 0..2 {
+            assert_eq!(
+                client.insert_batch("root.dead.d1", "s", &frame(f)).ok(),
+                Some(LIMIT as usize)
+            );
+        }
+        match client.insert_batch("root.dead.d1", "s", &frame(2)) {
+            Err(ClientError::Busy(reason)) => assert!(reason.contains("has waited"), "{reason}"),
+            other => panic!("{other:?}"),
+        }
+        let obs = engine.obs();
+        assert_eq!(obs.counter_value(names::SERVER_REJECTED_BUSY), 1);
+        let waited = obs.snapshot();
+        let waited = waited
+            .histogram(names::SERVER_FLUSH_WAIT_NANOS)
+            .expect("registered");
+        assert_eq!(waited.count, 1);
+        assert!(waited.max >= 20_000_000, "{} ns", waited.max);
+
+        match client.execute("SELECT count(s) FROM root.dead.d1") {
+            Ok(QueryOutput::Aggregates { values, .. }) => {
+                assert_eq!(values[0].as_number(), Some(2.0 * LIMIT as f64));
+            }
+            other => panic!("{other:?}"),
+        }
+        // The refused frame was not written in part; sent again after
+        // the flush it lands (this wait is ended by the flusher).
+        while engine.flush_stalled(0) {
+            std::thread::yield_now();
+        }
+        assert_eq!(
+            client.insert_batch("root.dead.d1", "s", &frame(2)).ok(),
+            Some(LIMIT as usize)
+        );
+        server.shutdown();
+    }
+
+    /// BUSY is all or nothing for a request of several series, so that
+    /// sending it again never appends a point twice: a stall that
+    /// outlasts the bound *after* the first series is written does not
+    /// refuse the rest, and one that does so *before* it writes nothing.
+    #[test]
+    fn a_request_of_several_series_is_refused_whole_or_not_at_all() {
+        const LIMIT: i64 = 1_000;
+        let engine = Arc::new(StorageEngine::new(EngineConfig {
+            memtable_max_points: LIMIT as usize,
+            ..EngineConfig::default()
+        }));
+        let server = SqlServer::start_with_flush_wait(
+            "127.0.0.1:0",
+            Arc::clone(&engine),
+            ServerConfig {
+                flush_workers: 1,
+                flush_throttle: Duration::from_millis(500),
+                ..ServerConfig::default()
+            },
+            Duration::from_millis(20),
+        )
+        .expect("bind");
+        let mut client = SqlClient::connect(server.addr()).expect("connect");
+        let busy = || engine.obs().counter_value(names::SERVER_REJECTED_BUSY);
+        let waits = || {
+            let snapshot = engine.obs().snapshot();
+            snapshot
+                .histogram(names::SERVER_FLUSH_WAIT_NANOS)
+                .map(|h| h.count)
+        };
+
+        // One frame rotates into the slow flusher. Of the request that
+        // follows, column `a` fills the memtable behind it and column
+        // `b` finds the shard stalled — past the bound it is written
+        // all the same.
+        let frame = PointBatch::from_rows((0..LIMIT).map(|t| (t, TsValue::Long(t))));
+        assert_eq!(
+            client
+                .insert_batch("root.dead.d1", "s", &frame.expect("batch"))
+                .ok(),
+            Some(LIMIT as usize)
+        );
+        let rows: Vec<String> = (0..LIMIT).map(|t| format!("({t}, {t}, {t})")).collect();
+        let two_columns = format!(
+            "INSERT INTO root.dead.d1(timestamp, a, b) VALUES {}",
+            rows.join(", ")
+        );
+        match client.execute(&two_columns) {
+            Ok(QueryOutput::Inserted(n)) => assert_eq!(n, 2 * LIMIT as usize),
+            other => panic!("{other:?}"),
+        }
+        assert_eq!((waits(), busy()), (Some(1), 0));
+
+        // The next one waits at its first column and is refused before
+        // it has written anything.
+        match client.execute("INSERT INTO root.dead.d1(timestamp, c, d) VALUES (1, 1, 1)") {
+            Err(ClientError::Busy(reason)) => assert!(reason.contains("has waited"), "{reason}"),
+            other => panic!("{other:?}"),
+        }
+        assert_eq!((waits(), busy()), (Some(2), 1));
+        let columns: Vec<String> = engine
+            .list_sensors("root.dead.d1")
+            .into_iter()
+            .map(|key| key.sensor)
+            .collect();
+        assert_eq!(columns, ["a", "b", "s"]);
+        server.shutdown();
     }
 }

@@ -10,7 +10,10 @@
 //! hand rotated memtables ([`FlushJob`]s) to the pool and return to the
 //! wire immediately. Its backlog counter is the signal the BUSY policy
 //! watches — when flushers fall behind, ingest is shed at admission
-//! rather than queued into unbounded memory.
+//! rather than queued into unbounded memory. It is also what a write
+//! waits on when its shard cannot rotate ([`FlushPool::wait_while_stalled`]):
+//! the pool's workers are the ones that end the stall, so they are the
+//! ones that wake the waiter.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicI64, Ordering};
@@ -110,6 +113,24 @@ pub(crate) struct FlushPool {
     workers: Mutex<Vec<JoinHandle<()>>>,
     backlog: Arc<AtomicI64>,
     backlog_gauge: Arc<Gauge>,
+    installed: Arc<Installed>,
+}
+
+/// Signalled after every completed flush. The mutex guards no data: a
+/// waiter checks its shard under it and a flush worker takes it between
+/// installing a file and notifying, so an install either precedes the
+/// check or wakes the wait that follows it.
+#[derive(Default)]
+struct Installed {
+    gate: Mutex<()>,
+    signal: Condvar,
+}
+
+impl Installed {
+    fn notify(&self) {
+        drop(self.gate.lock().expect("flush signal poisoned"));
+        self.signal.notify_all();
+    }
 }
 
 impl FlushPool {
@@ -123,6 +144,7 @@ impl FlushPool {
         backlog_gauge: Arc<Gauge>,
     ) -> Self {
         let backlog = Arc::new(AtomicI64::new(0));
+        let installed = Arc::new(Installed::default());
         let (sender, receiver) = mpsc::channel::<FlushJob>();
         let receiver = Arc::new(Mutex::new(receiver));
         let handles = (0..workers.max(1))
@@ -131,6 +153,7 @@ impl FlushPool {
                 let receiver = Arc::clone(&receiver);
                 let backlog = Arc::clone(&backlog);
                 let gauge = Arc::clone(&backlog_gauge);
+                let installed = Arc::clone(&installed);
                 std::thread::Builder::new()
                     .name(format!("server-flush-{i}"))
                     .spawn(move || loop {
@@ -147,6 +170,7 @@ impl FlushPool {
                         let _ = engine.complete_flush(job);
                         backlog.fetch_sub(1, Ordering::Release);
                         gauge.add(-1);
+                        installed.notify();
                     })
                     .expect("spawn flush worker")
             })
@@ -156,6 +180,7 @@ impl FlushPool {
             workers: Mutex::new(handles),
             backlog,
             backlog_gauge,
+            installed,
         }
     }
 
@@ -165,24 +190,50 @@ impl FlushPool {
     }
 
     /// Submits a rotated memtable for completion. If the pool is
-    /// already shut down the job is completed inline so no acked data
-    /// is ever dropped.
+    /// already shut down, or its workers are gone, the job is completed
+    /// inline so no acked data is ever dropped and no shard is left
+    /// unable to rotate.
     pub fn submit(&self, engine: &StorageEngine, job: FlushJob) {
         let sender = self.sender.lock().expect("flush sender poisoned");
-        match sender.as_ref() {
+        let unsent = match sender.as_ref() {
             Some(tx) => {
                 self.backlog.fetch_add(1, Ordering::Release);
                 self.backlog_gauge.add(1);
-                if tx.send(job).is_err() {
+                tx.send(job).err().map(|closed| {
                     // Worker side vanished; roll the accounting back.
                     self.backlog.fetch_sub(1, Ordering::Release);
                     self.backlog_gauge.add(-1);
-                }
+                    closed.0
+                })
             }
-            None => {
-                let _ = engine.complete_flush(job);
-            }
+            None => Some(job),
+        };
+        drop(sender);
+        if let Some(job) = unsent {
+            let _ = engine.complete_flush(job);
+            self.installed.notify();
         }
+    }
+
+    /// Blocks while `shard` of `engine` is stalled on its flush
+    /// ([`StorageEngine::flush_stalled`]), for `limit` at most. Returns
+    /// whether the stall ended. Woken by the flush workers, never by a
+    /// timer: the check runs under the mutex a worker takes after its
+    /// install and before it notifies, so no wake-up is lost.
+    pub fn wait_while_stalled(
+        &self,
+        engine: &StorageEngine,
+        shard: usize,
+        limit: Duration,
+    ) -> bool {
+        let guard = self.installed.gate.lock().expect("flush signal poisoned");
+        // analyzer:allow(blocking-in-worker): the one wait a worker takes — ended by the flush of one memtable on a pool that is joined only after the workers, and bounded by `limit` (a constant) past which the request is shed as BUSY
+        let (_guard, timeout) = self
+            .installed
+            .signal
+            .wait_timeout_while(guard, limit, |_| engine.flush_stalled(shard))
+            .expect("flush signal poisoned");
+        !timeout.timed_out()
     }
 
     /// Drops the sender and joins the workers. Jobs still in the

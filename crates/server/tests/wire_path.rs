@@ -454,3 +454,235 @@ fn show_stats_reports_server_metrics() {
     }
     server.shutdown();
 }
+
+/// Records in histogram `name` so far.
+fn recorded(engine: &StorageEngine, name: &str) -> u64 {
+    engine
+        .obs()
+        .snapshot()
+        .histogram(name)
+        .map_or(0, |h| h.count)
+}
+
+/// Runs batches were split into so far (one
+/// `memtable.batch_append_nanos` record each).
+fn runs(engine: &StorageEngine) -> u64 {
+    recorded(engine, names::MEMTABLE_BATCH_APPEND_NANOS)
+}
+
+/// Writes that waited for their shard's flush so far.
+fn flush_waits(engine: &StorageEngine) -> u64 {
+    recorded(engine, names::SERVER_FLUSH_WAIT_NANOS)
+}
+
+/// An in-order batch of `len` points starting at `first`.
+fn frame(first: i64, len: i64) -> PointBatch {
+    PointBatch::from_rows((first..first + len).map(|t| (t, TsValue::Long(t)))).expect("batch")
+}
+
+/// ROADMAP 4c through the wire: 25,000-point frames into a memtable of
+/// 25,000 behind a flusher that takes 100 ms. The third frame finds the
+/// memtable full and its rotation refused; it used to crawl in as 25,000
+/// one-point runs. Now it waits for the flush and lands, like every
+/// other, as one run — and the wait is there to see, in `SHOW STATS` and
+/// in the request's trace.
+#[test]
+fn a_large_frame_behind_a_slow_flush_is_one_run() {
+    const FRAME: i64 = 25_000;
+    let engine = engine_with(FRAME as usize);
+    let server = SqlServer::start_with(
+        "127.0.0.1:0",
+        Arc::clone(&engine),
+        ServerConfig {
+            flush_workers: 1,
+            flush_throttle: Duration::from_millis(100),
+            trace_sample_n: 1,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind");
+    let mut client = SqlClient::connect(server.addr()).expect("connect");
+    for f in 0..4 {
+        let before = runs(&engine);
+        let acked = client
+            .insert_batch("root.big.d1", "s", &frame(f * FRAME, FRAME))
+            .expect("no frame is refused");
+        assert_eq!(acked, FRAME as usize);
+        assert_eq!(runs(&engine) - before, 1, "frame {f}");
+    }
+    assert!(
+        flush_waits(&engine) >= 1,
+        "the third frame met a full memtable whose flush was still running"
+    );
+    assert_eq!(
+        engine.obs().counter_value(names::SERVER_REJECTED_BUSY),
+        0,
+        "a stall is waited out, not shed"
+    );
+    match client.execute("SHOW STATS").expect("show stats") {
+        QueryOutput::Stats { names: rows, .. } => assert!(rows
+            .iter()
+            .any(|n| n.starts_with(names::SERVER_FLUSH_WAIT_NANOS))),
+        other => panic!("{other:?}"),
+    }
+    server.shutdown();
+    // Why was that write slow? Its trace says: a `server.flush_wait`
+    // under the `server.request`, naming the shard.
+    let traces = engine.obs().traces().recent();
+    let stalled = traces
+        .iter()
+        .find(|t| {
+            t.spans
+                .iter()
+                .any(|s| s.name == names::SPAN_SERVER_FLUSH_WAIT)
+        })
+        .expect("a stalled request was traced");
+    assert_eq!(stalled.spans[0].name, names::SPAN_SERVER_REQUEST);
+    assert!(stalled.label.starts_with("batch: root.big.d1.s x25000"));
+    let wait = stalled
+        .spans
+        .iter()
+        .find(|s| s.name == names::SPAN_SERVER_FLUSH_WAIT)
+        .expect("found above");
+    assert_eq!(wait.parent, Some(0));
+    assert_eq!(wait.attrs, [(names::ATTR_SHARD, 0)]);
+    assert_eq!(
+        engine
+            .query(
+                &backsort_engine::SeriesKey::new("root.big.d1", "s"),
+                i64::MIN,
+                i64::MAX
+            )
+            .len(),
+        4 * FRAME as usize
+    );
+}
+
+/// The bound the flush puts on a memtable: 1,000-point memtables behind
+/// a 50 ms flusher, forty pipelined 500-point frames. Nothing is refused
+/// — a stalled write waits for the flush pool — and the working
+/// memtable stays within its limit plus one frame per worker. (Without
+/// the wait it reached ~19,000: every frame after the second landed on
+/// the one memtable the first flush was holding up.)
+#[test]
+fn a_stalled_shard_makes_writes_wait_and_bounds_its_memtable() {
+    const LIMIT: usize = 1_000;
+    const FRAME: i64 = 500;
+    const FRAMES: i64 = 40;
+    const WINDOW: usize = 8;
+    let throttle = Duration::from_millis(50);
+    let engine = engine_with(LIMIT);
+    let cfg = ServerConfig {
+        flush_workers: 1,
+        flush_throttle: throttle,
+        ..ServerConfig::default()
+    };
+    let bound = LIMIT + cfg.workers * FRAME as usize;
+    let server = SqlServer::start_with("127.0.0.1:0", Arc::clone(&engine), cfg).expect("bind");
+    let mut client = SqlClient::connect(server.addr()).expect("connect");
+
+    let started = std::time::Instant::now();
+    let mut sent = 0;
+    let mut acked = 0;
+    let mut peak = 0;
+    while acked < FRAMES {
+        while sent < FRAMES && client.pending() < WINDOW {
+            client
+                .send_batch("root.bound.d1", "s", &frame(sent * FRAME, FRAME))
+                .expect("send");
+            sent += 1;
+        }
+        let (_, response) = client.recv().expect("recv");
+        assert_eq!(
+            response,
+            wire::Response::Output(QueryOutput::Inserted(FRAME as usize)),
+            "frame {acked}: a stall is waited out, never answered BUSY"
+        );
+        acked += 1;
+        peak = peak.max(engine.buffered_points().0);
+    }
+    let elapsed = started.elapsed();
+
+    assert!(peak <= bound, "working memtable reached {peak} > {bound}");
+    // No memtable held more than `bound` (3,000) points, so of the
+    // 20,000 acknowledged at most 6,000 were still in memory: five
+    // flushes at least had run, one after the other, 50 ms each.
+    let waits = flush_waits(&engine);
+    assert!(waits >= 5, "only {waits} writes waited");
+    assert!(
+        elapsed >= throttle * 5,
+        "forty frames in {elapsed:?} cannot have waited for their flushes"
+    );
+    assert_eq!(engine.obs().counter_value(names::SERVER_REJECTED_BUSY), 0);
+
+    // Every point once, in order.
+    match client
+        .execute("SELECT s FROM root.bound.d1")
+        .expect("read back")
+    {
+        QueryOutput::Rows { rows, .. } => {
+            let times: Vec<i64> = rows.iter().map(|(t, _)| *t).collect();
+            assert_eq!(times, (0..FRAMES * FRAME).collect::<Vec<_>>());
+            assert!(rows
+                .iter()
+                .all(|(t, cells)| cells.as_slice() == [Some(TsValue::Long(*t))]));
+        }
+        other => panic!("{other:?}"),
+    }
+    server.shutdown();
+}
+
+/// `shutdown` while a worker is waiting for a flush: the flush pool is
+/// joined after the workers, so the wait ends the way it always does —
+/// the flush completes — and shutdown returns with every acknowledged
+/// frame in the engine.
+#[test]
+fn shutdown_with_a_worker_waiting_for_a_flush_loses_nothing() {
+    const LIMIT: i64 = 1_000;
+    let engine = engine_with(LIMIT as usize);
+    let server = SqlServer::start_with(
+        "127.0.0.1:0",
+        Arc::clone(&engine),
+        ServerConfig {
+            flush_workers: 1,
+            flush_throttle: Duration::from_millis(400),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind");
+    let mut client = SqlClient::connect(server.addr()).expect("connect");
+    // The first frame rotates into the slow flusher, the second fills
+    // the memtable behind it: the shard is stalled for ~400 ms.
+    for f in 0..2 {
+        let acked = client
+            .insert_batch("root.wait.d1", "s", &frame(f * LIMIT, LIMIT))
+            .expect("acked");
+        assert_eq!(acked, LIMIT as usize);
+    }
+    assert!(engine.flush_stalled(0));
+    // The third is picked up by a worker, which can only wait.
+    client
+        .send_batch("root.wait.d1", "s", &frame(2 * LIMIT, LIMIT))
+        .expect("send");
+    client.flush().expect("flush");
+    let obs = engine.obs();
+    while obs.counter_value(names::SERVER_FRAMES) < 3
+        || obs.gauge_value(names::SERVER_QUEUE_DEPTH) > 0
+    {
+        std::thread::yield_now();
+    }
+    assert!(engine.flush_stalled(0), "the flusher is still throttled");
+    server.shutdown();
+
+    assert_eq!(flush_waits(&engine), 1, "the third frame's worker waited");
+    let stored = engine
+        .query(
+            &backsort_engine::SeriesKey::new("root.wait.d1", "s"),
+            i64::MIN,
+            i64::MAX,
+        )
+        .len();
+    // Both acknowledged frames, and the third, which the worker wrote
+    // once its wait was over (whether or not its ack reached us).
+    assert_eq!(stored, 3 * LIMIT as usize);
+}

@@ -82,6 +82,13 @@ impl TextTVList {
         &mut self.index_list
     }
 
+    /// The `(timestamp, arena index)` list and the arena it indexes,
+    /// read-only — for a caller that sorts a copy of the pairs and maps
+    /// the indices to strings afterwards, leaving this list as it is.
+    pub fn parts(&self) -> (&TVList<u32>, &[String]) {
+        (&self.index_list, &self.arena)
+    }
+
     /// Iterates `(timestamp, &str)` pairs in storage order.
     pub fn iter(&self) -> impl Iterator<Item = (i64, &str)> + '_ {
         self.index_list
@@ -120,6 +127,23 @@ mod tests {
         let collected: Vec<_> = list.iter().collect();
         assert_eq!(collected, vec![(1, "first"), (2, "second"), (3, "late")]);
         assert!(list.is_sorted());
+    }
+
+    #[test]
+    fn parts_lend_the_pairs_and_the_arena() {
+        let mut list = TextTVList::new();
+        list.push(2, "b");
+        list.push(1, "a");
+        let (index, arena) = list.parts();
+        let mut pairs = Vec::new();
+        index.read_into(0, index.len(), &mut pairs);
+        pairs.sort_by_key(|p| p.0);
+        let texts: Vec<&str> = pairs
+            .iter()
+            .map(|&(_, i)| arena[i as usize].as_str())
+            .collect();
+        assert_eq!(texts, vec!["a", "b"]);
+        assert_eq!(list.text(0), "b", "the list itself is untouched");
     }
 
     #[test]
