@@ -1,16 +1,17 @@
-//! blocking-in-worker: nothing reachable from a bounded-pool entry
+//! blocking-in-worker: nothing reachable from a request-path entry
 //! point may block.
 //!
-//! The server runs a fixed number of worker threads (plus one reader
-//! per connection) sized for CPU-bound request execution. One blocking
-//! call anywhere down the call chain — file I/O, a socket write to a
-//! wedged peer, a sleep, a contended render-path mutex — stalls a
-//! worker, and with few workers a single slow client can starve every
-//! other connection. The lexical passes cannot see this: the blocking
-//! call is typically two or three calls deep.
+//! The server answers each request on its connection's thread, so the
+//! time between reading a frame and writing its reply is a client's
+//! round trip, and its connection reads nothing else meanwhile. One
+//! blocking call anywhere down the call chain — file I/O, a socket
+//! write to a wedged peer, a sleep, a contended render-path mutex —
+//! is latency every request on that path pays. The lexical passes
+//! cannot see this: the blocking call is typically two or three calls
+//! deep.
 //!
 //! From the configured `entry_points` (qualified names like
-//! `ServerCore::serve`, `run_connection`), the pass walks the call
+//! `run_connection`, `ServerCore::serve`), the pass walks the call
 //! graph forward and flags every **local blocking fact** in a reachable
 //! function:
 //!
@@ -18,14 +19,14 @@
 //!   `Io` sink methods);
 //! - socket reads/writes (`socket_patterns`) *outside* the wire module
 //!   (`socket_exempt_files`) — framing code owns the socket, nothing
-//!   else on a pool thread should touch one;
+//!   else on the request path should touch one;
 //! - registry render-path calls (`registry_patterns`) — `snapshot()` /
 //!   `render_*` take the registry segment mutexes;
 //! - `thread::sleep` (`sleep_patterns`);
 //! - condition-variable and barrier waits (`wait_patterns` — `.wait(`,
-//!   `.wait_timeout(` and their `_while` forms): a worker parked on a
-//!   signal is as unavailable as one asleep, for as long as whoever
-//!   signals takes.
+//!   `.wait_timeout(` and their `_while` forms): a request parked on a
+//!   signal is as late as one asleep, for as long as whoever signals
+//!   takes.
 //!
 //! Findings land on the blocking line itself with the call chain from
 //! the entry point, so a justified `analyzer:allow(blocking-in-worker)`
@@ -49,7 +50,7 @@ impl Lint for BlockingInWorker {
     }
 
     fn description(&self) -> &'static str {
-        "no blocking call (file I/O, socket outside wire, registry render, sleep, condvar wait) reachable from a bounded-pool entry point"
+        "no blocking call (file I/O, socket outside wire, registry render, sleep, condvar wait) reachable from a request-path entry point, i.e. between a frame read and its reply"
     }
 
     fn run(&self, ws: &Workspace, cfg: &Config, analysis: &Analysis, out: &mut Vec<Finding>) {
@@ -146,7 +147,7 @@ impl Lint for BlockingInWorker {
                     lint: self.id(),
                     severity: Severity::Deny,
                     message: format!(
-                        "{what} reachable from pool entry point (chain: {})",
+                        "{what} reachable from request-path entry point (chain: {})",
                         graph.render_chain(table, entry, &chain)
                     ),
                 });

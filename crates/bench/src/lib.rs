@@ -28,7 +28,6 @@
 pub mod cli;
 pub mod experiments;
 pub mod obs_tools;
-pub mod perf_gate;
 pub mod query_bench_cli;
 pub mod server_bench_cli;
 pub mod table;

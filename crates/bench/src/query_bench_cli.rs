@@ -113,8 +113,8 @@ pub const INGEST_BATCH_SIZES: [usize; 3] = [1, 64, 1024];
 /// measures aggregate write throughput through
 /// [`backsort_engine::StorageEngine::write_batch`]. Reported in the same
 /// [`backsort_benchmark::QueryBenchReport`] shape as the query cells
-/// (`mode = "ingest-b{batch}"`, `pps` = write points/sec, `qps` = 0) so
-/// the perf-smoke gate ratchets ingest alongside query throughput.
+/// (`mode = "ingest-b{batch}"`, `pps` = write points/sec, `qps` = 0),
+/// so one table shows ingest alongside query throughput.
 fn run_ingest_cell(
     sorter: Algorithm,
     shards: usize,
@@ -236,33 +236,10 @@ fn run_high_cardinality_cell(
     report
 }
 
-/// [`run_cells_with_cache`] at the default block-cache budget.
-pub fn run_cells(
-    ops: usize,
-    queries_per_thread: usize,
-    thread_counts: &[usize],
-    shard_counts: &[usize],
-    sorters: &[Algorithm],
-    registry: Option<Arc<backsort_obs::Registry>>,
-) -> Vec<backsort_benchmark::QueryBenchReport> {
-    run_cells_with_cache(
-        ops,
-        queries_per_thread,
-        thread_counts,
-        shard_counts,
-        sorters,
-        BenchConfig::default().cache_bytes,
-        registry,
-    )
-}
-
 /// Runs the full (shards × threads × sorter) grid — plus one ingest
 /// sweep cell per (shards × sorter × batch size) and one
 /// high-cardinality cell per sorter — and returns the per-cell reports.
-/// Shared by [`main`] and the perf-smoke regression gate
-/// ([`crate::perf_gate`]), so the gate measures exactly the cells
-/// `query_bench --smoke` prints.
-pub fn run_cells_with_cache(
+fn run_cells_with_cache(
     ops: usize,
     queries_per_thread: usize,
     thread_counts: &[usize],
@@ -328,10 +305,9 @@ pub fn run_cells_with_cache(
     reports
 }
 
-/// The exact cell grid `--smoke` runs, for callers that need to re-run
-/// it programmatically: ops, queries per thread, thread counts, shard
-/// counts, sorters.
-pub fn smoke_grid() -> (usize, usize, Vec<usize>, Vec<usize>, Vec<Algorithm>) {
+/// The cell grid `--smoke` runs: ops, queries per thread, thread
+/// counts, shard counts, sorters.
+fn smoke_grid() -> (usize, usize, Vec<usize>, Vec<usize>, Vec<Algorithm>) {
     (
         20,
         25,

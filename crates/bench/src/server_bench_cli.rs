@@ -1,8 +1,7 @@
 //! Multi-client server benchmark over the framed TCP front door.
 //!
 //! Usage: `server_bench [--smoke] [--json] [--out PATH]
-//! [--gate-rows PATH] [--scenario LABEL] [--clients N] [--requests N]
-//! [--workers N] [--shards N]`
+//! [--scenario LABEL] [--clients N] [--requests N] [--shards N]`
 //!
 //! Runs the IoTDB-benchmark-style scenario suite (`server-ingest`,
 //! `server-query`, `server-mixed`, `server-ooo`) with M simulated
@@ -10,9 +9,7 @@
 //! client-side p50/p99 latency and throughput per scenario. `--smoke`
 //! is the CI size (seconds); the default is the paper-scale run behind
 //! EXPERIMENTS.md. `--out` writes the full reports as a JSON array
-//! (CI uploads it as the `BENCH_server.json` artifact); `--gate-rows`
-//! writes the same runs projected onto perf-gate cells, ready to feed
-//! `perf_gate --input` alongside the query-bench smoke rows.
+//! (CI uploads it as the `BENCH_server.json` artifact).
 
 use backsort_benchmark::{run_server_bench, ServerBenchConfig, ServerBenchReport, ServerScenario};
 
@@ -29,7 +26,6 @@ pub fn main() {
     };
     cfg.clients = args.get_or("clients", cfg.clients);
     cfg.requests_per_client = args.get_or("requests", cfg.requests_per_client);
-    cfg.workers = args.get_or("workers", cfg.workers);
     cfg.shards = args.get_or("shards", cfg.shards);
 
     let scenarios: Vec<ServerScenario> = match args.get("scenario") {
@@ -69,12 +65,6 @@ pub fn main() {
         std::fs::write(path, rendered).unwrap_or_else(|e| panic!("write --out {path}: {e}"));
         eprintln!("wrote {} scenario reports to {path}", reports.len());
     }
-    if let Some(path) = args.get("gate-rows") {
-        let rows: Vec<_> = reports.iter().map(ServerBenchReport::gate_row).collect();
-        let rendered = serde_json::to_string(&rows).expect("render gate rows");
-        std::fs::write(path, rendered).unwrap_or_else(|e| panic!("write --gate-rows {path}: {e}"));
-        eprintln!("wrote {} perf-gate cells to {path}", rows.len());
-    }
 
     if args.json() {
         table::print_json(&reports);
@@ -87,7 +77,6 @@ pub fn main() {
             vec![
                 r.scenario.clone(),
                 r.clients.to_string(),
-                r.workers.to_string(),
                 r.ops.to_string(),
                 format!("{:.1}", r.p50_us),
                 format!("{:.1}", r.p99_us),
@@ -100,8 +89,7 @@ pub fn main() {
         .collect();
     table::print_table(
         &[
-            "scenario", "clients", "workers", "ops", "p50 us", "p99 us", "qps", "pps", "busy",
-            "errors",
+            "scenario", "clients", "ops", "p50 us", "p99 us", "qps", "pps", "busy", "errors",
         ],
         &rows,
     );

@@ -4,8 +4,9 @@
 //! network split (paper §VI-A2); this driver reproduces that setup
 //! against [`SqlServer`]: M simulated clients pipeline requests over
 //! loopback TCP and every latency is measured send-to-response at the
-//! client, so queueing, admission control, and the worker pool are all
-//! inside the measured path.
+//! client, so the socket buffers a pipeline waits in, admission control
+//! and the scheduler that shares the cores among the connections'
+//! threads are all inside the measured path.
 //!
 //! Four scenarios mirror the benchmark's workload families:
 //!
@@ -25,11 +26,9 @@ use std::time::Instant;
 
 use backsort_core::Algorithm;
 use backsort_engine::{EngineConfig, PointBatch, SeriesKey, StorageEngine, TsValue};
-use backsort_server::{wire, ServerConfig, SqlClient, SqlServer};
+use backsort_server::{wire, SqlClient, SqlServer};
 use backsort_sql::QueryOutput;
 use serde::{Deserialize, Serialize};
-
-use crate::query_bench::QueryBenchReport;
 
 /// Which workload family the simulated clients run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,7 +44,7 @@ pub enum ServerScenario {
 }
 
 impl ServerScenario {
-    /// Stable label used in reports and perf-gate cell keys.
+    /// Stable label used in reports.
     pub fn label(self) -> &'static str {
         match self {
             ServerScenario::Ingest => "server-ingest",
@@ -80,8 +79,6 @@ pub struct ServerBenchConfig {
     pub batch_size: usize,
     /// Engine shards.
     pub shards: usize,
-    /// Server worker threads.
-    pub workers: usize,
     /// Engine memtable rotation threshold.
     pub memtable_max_points: usize,
     /// Width of the latest-window queries.
@@ -101,7 +98,6 @@ impl ServerBenchConfig {
             pipeline_window: 8,
             batch_size: 100,
             shards: 2,
-            workers: 4,
             memtable_max_points: 8_192,
             query_window: 512,
             seed_points_per_key: 4_096,
@@ -117,7 +113,6 @@ impl ServerBenchConfig {
             pipeline_window: 32,
             batch_size: 500,
             shards: 4,
-            workers: 8,
             memtable_max_points: 65_536,
             query_window: 2_000,
             seed_points_per_key: 100_000,
@@ -134,8 +129,6 @@ pub struct ServerBenchReport {
     pub scenario: String,
     /// Simulated client connections.
     pub clients: usize,
-    /// Server worker threads.
-    pub workers: usize,
     /// Engine shards.
     pub shards: usize,
     /// Requests answered (any response kind).
@@ -158,43 +151,10 @@ pub struct ServerBenchReport {
     pub pps: f64,
     /// Wall time of the measured phase, milliseconds.
     pub wall_ms: f64,
-    /// `server.rejected_busy` registry delta over the measured phase
-    /// (reader- and worker-side sheds; `>= busy` responses seen by
-    /// clients only when some shed responses were still in flight).
+    /// `server.rejected_busy` registry delta over the measured phase.
     pub rejected_busy: u64,
     /// `server.frames` registry delta over the measured phase.
     pub frames: u64,
-}
-
-impl ServerBenchReport {
-    /// Projects this run onto the perf-gate cell shape. `mode` carries
-    /// the scenario, `threads` the client count, so server cells live in
-    /// the same baseline file as the query-bench cells without
-    /// colliding.
-    pub fn gate_row(&self) -> QueryBenchReport {
-        QueryBenchReport {
-            sorter: "Backward".to_string(),
-            shards: self.shards,
-            threads: self.clients,
-            mode: self.scenario.clone(),
-            queries: self.ops,
-            points: self.points,
-            p50_us: self.p50_us,
-            p99_us: self.p99_us,
-            mean_us: self.mean_us,
-            qps: self.qps,
-            pps: self.pps,
-            wall_ms: self.wall_ms,
-            read_lock_queries: 0,
-            sorted_on_read_queries: 0,
-            files_considered: 0,
-            files_pruned: 0,
-            files_pruned_by_filter: 0,
-            slow_queries: 0,
-            p99_files_stage_us: 0.0,
-            p99_merge_stage_us: 0.0,
-        }
-    }
 }
 
 /// Cheap xorshift so clients need no shared RNG state.
@@ -256,21 +216,9 @@ pub fn run_server_bench(scenario: ServerScenario, cfg: &ServerBenchConfig) -> Se
         Vec::new()
     };
 
-    let server = SqlServer::start_with(
-        "127.0.0.1:0",
-        Arc::clone(&engine),
-        ServerConfig {
-            workers: cfg.workers,
-            // Sized to the offered load: shedding in the bench comes
-            // from the flush backlog or a genuinely saturated pool, not
-            // from an artificially small queue.
-            queue_capacity: (cfg.clients * cfg.pipeline_window * 2).max(64),
-            per_conn_inflight: cfg.pipeline_window * 2,
-            ..ServerConfig::default()
-        },
+    let server = SqlServer::start("127.0.0.1:0", Arc::clone(&engine))
         // analyzer:allow(panic-freedom): bench setup — failing to bind/connect/spawn invalidates the run, so aborting is correct
-    )
-    .expect("bind server");
+        .expect("bind server");
     let addr = server.addr();
     let before = engine.obs().snapshot();
 
@@ -419,7 +367,6 @@ pub fn run_server_bench(scenario: ServerScenario, cfg: &ServerBenchConfig) -> Se
     ServerBenchReport {
         scenario: scenario.label().to_string(),
         clients: cfg.clients,
-        workers: cfg.workers,
         shards: cfg.shards,
         ops: total_ops,
         points: total_points,
@@ -447,7 +394,6 @@ mod tests {
             pipeline_window: 4,
             batch_size: 20,
             shards: 1,
-            workers: 2,
             memtable_max_points: 4_096,
             query_window: 64,
             seed_points_per_key: 512,
@@ -479,16 +425,5 @@ mod tests {
                 report.scenario
             );
         }
-    }
-
-    #[test]
-    fn gate_row_carries_the_scenario_as_mode() {
-        let report = run_server_bench(ServerScenario::Ingest, &tiny());
-        let row = report.gate_row();
-        assert_eq!(row.mode, "server-ingest");
-        assert_eq!(row.threads, 2);
-        assert_eq!(row.queries, report.ops);
-        assert_eq!(row.qps, report.qps);
-        assert_eq!(row.p99_us, report.p99_us);
     }
 }

@@ -312,7 +312,6 @@ impl EngineObs {
         for name in [
             names::CACHE_BYTES,
             names::SERVER_CONNECTIONS,
-            names::SERVER_QUEUE_DEPTH,
             names::SERVER_FLUSH_BACKLOG,
         ] {
             registry.gauge(name);

@@ -141,32 +141,29 @@ pub const SERVER_FRAMES: &str = "server.frames";
 /// Points received through binary batch-INSERT frames (counter;
 /// disjoint from SQL-INSERT points, which the engine counts at write).
 pub const SERVER_BATCH_POINTS: &str = "server.batch_points";
-/// Requests shed with a typed BUSY response — admission control at the
-/// bounded per-connection window or shared worker queue, or ingest
-/// rejected because the flush pool's backlog crossed the configured
-/// threshold (counter). Nonzero under saturation is the server working
-/// as designed; unbounded growth of anything else is the bug.
+/// Requests shed with a typed BUSY response — ingest refused because
+/// the flush pool's backlog crossed the configured threshold, or
+/// because its wait for a flush reached its bound (counter). Nonzero
+/// under saturation is the server working as designed; unbounded growth
+/// of anything else is the bug.
 pub const SERVER_REJECTED_BUSY: &str = "server.rejected_busy";
 /// Frames rejected as malformed — oversized declared length, unknown
 /// kind, or an undecodable batch payload (counter). The offending
 /// connection may be closed; the server keeps serving the rest.
 pub const SERVER_REJECTED_MALFORMED: &str = "server.rejected_malformed";
-/// Requests admitted to the shared worker queue and not yet picked up
-/// (gauge).
-pub const SERVER_QUEUE_DEPTH: &str = "server.queue_depth";
 /// Rotated memtables handed to the server's flush pool and not yet
 /// installed (gauge — the backlog the BUSY policy watches).
 pub const SERVER_FLUSH_BACKLOG: &str = "server.flush_backlog";
-/// Time an ingest request spent waiting, in its worker, for the flush
-/// that frees its shard's flushing slot — the shard's working memtable
-/// was at its limit and could not rotate — nanoseconds (histogram). Its
-/// count is the number of stalled writes: zero on a server whose
-/// flushers keep up. A wait that reaches its bound is answered BUSY and
-/// counted in [`SERVER_REJECTED_BUSY`] as well.
+/// Time an ingest request spent waiting, on its connection's thread,
+/// for the flush that frees its shard's flushing slot — the shard's
+/// working memtable was at its limit and could not rotate — nanoseconds
+/// (histogram). Its count is the number of stalled writes: zero on a
+/// server whose flushers keep up. A wait that reaches its bound is
+/// answered BUSY and counted in [`SERVER_REJECTED_BUSY`] as well.
 pub const SERVER_FLUSH_WAIT_NANOS: &str = "server.flush_wait_nanos";
-/// Request wall time in the worker, from picking the decoded frame off
-/// the queue to the end of its execution, nanoseconds (histogram).
-/// Stops before the response is encoded and written: those are the
+/// Request wall time on its connection's thread, from the decoded
+/// frame to the end of its execution, nanoseconds (histogram). Stops
+/// before the response is encoded and written: those are the
 /// `wire.encode` and `wire.write` spans of a sampled trace.
 pub const SERVER_REQUEST_NANOS: &str = "server.request_nanos";
 
@@ -350,7 +347,6 @@ pub const REQUIRED: &[&str] = &[
     SERVER_BATCH_POINTS,
     SERVER_REJECTED_BUSY,
     SERVER_REJECTED_MALFORMED,
-    SERVER_QUEUE_DEPTH,
     SERVER_FLUSH_BACKLOG,
     SERVER_FLUSH_WAIT_NANOS,
     SERVER_REQUEST_NANOS,

@@ -9,16 +9,20 @@
 //!   requests per connection; batched INSERTs travel as binary frames
 //!   that decode straight into a [`PointBatch`](backsort_engine::PointBatch)
 //!   with no SQL parse.
-//! * [`SqlServer`] — blocking accept loop (no polling), one reader
-//!   thread per connection feeding a **bounded** queue served by a fixed
-//!   worker pool. Responses are written in per-connection request order
-//!   even though workers finish out of order.
-//! * Admission control — a full queue, a saturated pipelining window,
-//!   or a flush pool that has fallen behind all answer with a typed
-//!   [`Response::Busy`] instead of buffering unbounded work. Sheds are
-//!   visible as `server.rejected_busy` in the registry. A write whose
-//!   shard is full and still flushing *waits* for that flush instead
-//!   (`server.flush_wait_nanos`), which is what bounds a memtable.
+//! * [`SqlServer`] — blocking accept loop (no polling) and one thread
+//!   per connection that is the whole request path: read a frame,
+//!   execute it, write the reply, read the next. Replies are in request
+//!   order by construction, and a request that has to wait delays no
+//!   connection but its own.
+//! * Admission control — per connection it is TCP's: frame N+1 is read
+//!   only after frame N is answered, so pipelined frames wait in the
+//!   socket buffer and then in the client's `write`, and a connection
+//!   holds one decoded frame and one reply. Across connections, ingest
+//!   behind a flush pool that has fallen behind is answered with a typed
+//!   [`Response::Busy`], visible as `server.rejected_busy` in the
+//!   registry. A write whose shard is full and still flushing *waits*
+//!   for that flush instead (`server.flush_wait_nanos`), which is what
+//!   bounds a memtable.
 //! * [`SqlClient`] — a blocking client speaking the same protocol, with
 //!   an explicit pipelined API (`send_sql` / `send_batch` / `recv`).
 //! * [`MetricsServer`] — the read-only HTTP exporter for the registry
@@ -43,10 +47,10 @@ pub mod wire;
 
 mod pool;
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -56,21 +60,19 @@ use backsort_obs::trace as obs_trace;
 use backsort_obs::{names, Counter, Gauge, Histogram};
 use backsort_sql::{compile_insert, execute_statement, parse, QueryOutput, Statement};
 
-use pool::{ExecQueue, FlushPool, Task};
+use pool::FlushPool;
 pub use wire::{RequestBody, Response};
 
 /// Tuning knobs for [`SqlServer`]. The defaults suit tests and small
 /// deployments; benchmarks override them per scenario.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Statement-executing worker threads.
+    /// Read by nothing: a request runs on its connection's thread, so
+    /// there is no pool to size. The field stays only because
+    /// `perf/src/run.rs` names it and this change may not edit `perf/`;
+    /// the `benchmark` change of ROADMAP item 2 deletes it together
+    /// with that line.
     pub workers: usize,
-    /// Bound on the shared execution queue; pushes beyond it are shed
-    /// as BUSY.
-    pub queue_capacity: usize,
-    /// Per-connection pipelining window: admitted frames whose response
-    /// has not yet been written. Frames beyond it are shed as BUSY.
-    pub per_conn_inflight: usize,
     /// Largest accepted request payload; larger frames get an error
     /// and the connection is closed (the stream cannot be resynced).
     pub max_frame_bytes: usize,
@@ -91,9 +93,11 @@ pub struct ServerConfig {
     /// Trace one request in `n` under `server.request` (0 disables
     /// server-side sampling).
     pub trace_sample_n: u64,
-    /// Socket write timeout applied to every accepted connection, so a
-    /// wedged peer bounds how long a worker can sit in `send_ordered`
-    /// instead of stalling the pool forever (zero disables it).
+    /// Socket write timeout applied to every accepted connection: how
+    /// long a peer that has stopped reading can hold its connection's
+    /// thread in a reply write. A write that times out may have put part
+    /// of a frame on the stream, so it ends the connection (zero
+    /// disables the timeout).
     pub write_timeout: Duration,
 }
 
@@ -101,8 +105,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         Self {
             workers: 4,
-            queue_capacity: 256,
-            per_conn_inflight: 64,
             max_frame_bytes: 4 << 20,
             busy_flush_backlog: 8,
             flush_workers: 2,
@@ -147,52 +149,10 @@ impl ServerMetrics {
     }
 }
 
-/// Everything a worker needs to answer one connection in order: the
-/// write half plus the reorder buffer.
-struct ConnShared {
-    stream: TcpStream,
-    out: Mutex<OutBuf>,
-    /// Admitted frames whose response has not yet been written — the
-    /// pipelining window. File-local accounting, so relaxed suffices.
-    inflight: AtomicUsize,
-}
-
-struct OutBuf {
-    /// The next response sequence to go on the wire.
-    next_seq: u64,
-    /// Finished responses waiting for an earlier sequence.
-    pending: BTreeMap<u64, Vec<u8>>,
-}
-
-/// Writes `frame` if `seq` is the next response due, followed by every
-/// parked response that thereby becomes contiguous; otherwise parks it.
-/// The worker's own buffer goes to the socket as it is — only a frame
-/// that had to wait for an earlier one is copied, onto the run it joins.
-/// The lock is held across the socket write: two workers draining
-/// concurrently must not interleave their contiguous runs.
-fn send_ordered(conn: &ConnShared, seq: u64, mut frame: Vec<u8>) {
-    let mut guard = conn.out.lock().expect("connection out buffer poisoned");
-    let out = &mut *guard;
-    if seq != out.next_seq {
-        out.pending.insert(seq, frame);
-        return;
-    }
-    out.next_seq += 1;
-    while let Some(next) = out.pending.remove(&out.next_seq) {
-        frame.extend_from_slice(&next);
-        out.next_seq += 1;
-    }
-    // A dead peer just drops responses; the reader notices EOF.
-    // analyzer:allow(dropped-error): a response-write failure is the peer's loss — acked durability lives in the engine, and the reader thread tears the connection down on EOF/reset
-    // analyzer:allow(blocking-in-worker): bounded by the write timeout set on every accepted socket, and the per-connection inflight window caps how much one peer can queue
-    let _ = (&conn.stream).write_all(&frame);
-}
-
-/// State shared by the accept loop, connection readers, and workers.
+/// State shared by the accept loop and the connection threads.
 struct ServerCore {
     engine: Arc<StorageEngine>,
     cfg: ServerConfig,
-    queue: ExecQueue<ConnShared>,
     flush: FlushPool,
     /// [`FLUSH_WAIT_LIMIT`], except in this crate's own tests.
     flush_wait_limit: Duration,
@@ -274,7 +234,7 @@ impl ServerCore {
     /// flushing slot is occupied (it cannot know who will free the
     /// slot); the server owns the pool that will, so it holds the write
     /// back until then, and a shard's working memtable stays within
-    /// `memtable_max_points` plus one batch per worker. Waiting, not
+    /// `memtable_max_points` plus one batch per connection. Waiting, not
     /// BUSY: every client this serves is a closed loop, and a refusal
     /// would come straight back as a retry on the cores the flusher
     /// needs. Returns `false` when `deadline`, the bound on the waits of
@@ -297,10 +257,11 @@ impl ServerCore {
     }
 
     /// Starts a sampled `server.request` trace for one request in
-    /// `trace_sample_n`. Every span the worker opens until the reply is
-    /// on the socket nests under it — `sql.parse`, the engine's read
-    /// spans, `sql.rows`, `wire.encode`, `wire.write` — so an exported
-    /// trace shows the request from decoded frame to written reply.
+    /// `trace_sample_n`. Every span the connection's thread opens until
+    /// the reply is on the socket nests under it — `sql.parse`, the
+    /// engine's read spans, `sql.rows`, `wire.encode`, `wire.write` — so
+    /// an exported trace shows the request from decoded frame to written
+    /// reply.
     fn sample_trace(&self, body: &RequestBody) -> Option<obs_trace::TraceContext> {
         let n = self.cfg.trace_sample_n;
         if n == 0 || !self.engine.obs().is_enabled() || obs_trace::active() {
@@ -330,35 +291,43 @@ impl ServerCore {
             .begin(names::SPAN_SERVER_REQUEST, label)
     }
 
-    /// Worker body: execute, record, answer in order.
-    fn serve(&self, task: Task<ConnShared>) {
+    /// One request, from decoded frame to reply on the socket: execute,
+    /// record, encode, write. `Err` is a reply that could not be
+    /// written.
+    fn serve(&self, stream: &TcpStream, id: u64, body: RequestBody) -> std::io::Result<()> {
         let started = Instant::now();
         // Dropped — and with that filed — once the reply is written.
-        let _trace = self.sample_trace(&task.body);
-        let response = self.execute(task.body);
+        let _trace = self.sample_trace(&body);
+        let response = self.execute(body);
         if matches!(response, Response::Busy(_)) {
             self.metrics.rejected_busy.inc();
         }
         self.metrics
             .request_nanos
             .record(started.elapsed().as_nanos() as u64);
-        let mut frame = Vec::new();
-        {
-            let span = obs_trace::span(names::SPAN_WIRE_ENCODE);
-            wire::encode_response(&mut frame, task.id, &response);
-            if let Some(span) = &span {
-                span.attr(names::ATTR_BYTES, frame.len() as u64);
-            }
-        }
-        {
-            let span = obs_trace::span(names::SPAN_WIRE_WRITE);
-            if let Some(span) = &span {
-                span.attr(names::ATTR_BYTES, frame.len() as u64);
-            }
-            send_ordered(&task.conn, task.seq, frame);
-        }
-        task.conn.inflight.fetch_sub(1, Ordering::Relaxed);
+        write_reply(stream, id, &response)
     }
+}
+
+/// Encodes `response` and writes it to `stream`, under the `wire.encode`
+/// and `wire.write` spans of a sampled request. A fresh buffer per
+/// reply: one kept per connection would pin up to
+/// [`wire::MAX_RESPONSE_BYTES`] for the connection's life.
+fn write_reply(mut stream: &TcpStream, id: u64, response: &Response) -> std::io::Result<()> {
+    let mut frame = Vec::new();
+    {
+        let span = obs_trace::span(names::SPAN_WIRE_ENCODE);
+        wire::encode_response(&mut frame, id, response);
+        if let Some(span) = &span {
+            span.attr(names::ATTR_BYTES, frame.len() as u64);
+        }
+    }
+    let span = obs_trace::span(names::SPAN_WIRE_WRITE);
+    if let Some(span) = &span {
+        span.attr(names::ATTR_BYTES, frame.len() as u64);
+    }
+    // analyzer:allow(blocking-in-worker): the reply is the end of the round trip — a peer that does not read blocks only its own connection's thread, for `write_timeout` at most, after which the connection is closed
+    stream.write_all(&frame)
 }
 
 /// [`parse`] under a `sql.parse` span.
@@ -370,14 +339,17 @@ fn traced_parse(sql: &str) -> Result<Statement, backsort_sql::SqlError> {
     parse(sql)
 }
 
+/// Every open connection's socket, by connection id, so that `shutdown`
+/// can unblock the thread reading from or writing to it.
+type Conns = Mutex<HashMap<u64, TcpStream>>;
+
 /// A running framed SQL server.
 pub struct SqlServer {
     addr: SocketAddr,
     core: Arc<ServerCore>,
     stop: Arc<AtomicBool>,
     accept_thread: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
-    conns: Arc<Mutex<HashMap<u64, Arc<ConnShared>>>>,
+    conns: Arc<Conns>,
     conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
@@ -410,40 +382,22 @@ impl SqlServer {
         let local = listener.local_addr()?;
         let registry = Arc::clone(engine.obs());
         let metrics = ServerMetrics::new(&registry);
-        let queue = ExecQueue::new(
-            cfg.queue_capacity,
-            registry.gauge(names::SERVER_QUEUE_DEPTH),
-        );
         let flush = FlushPool::start(
             Arc::clone(&engine),
             cfg.flush_workers,
             cfg.flush_throttle,
             registry.gauge(names::SERVER_FLUSH_BACKLOG),
         );
-        let worker_count = cfg.workers.max(1);
         let core = Arc::new(ServerCore {
             engine,
             cfg,
-            queue,
             flush,
             flush_wait_limit,
             metrics,
             trace_tick: AtomicU64::new(0),
         });
-        let workers = (0..worker_count)
-            .map(|i| {
-                let core = Arc::clone(&core);
-                std::thread::Builder::new()
-                    .name(format!("server-worker-{i}"))
-                    .spawn(move || {
-                        while let Some(task) = core.queue.pop() {
-                            core.serve(task);
-                        }
-                    })
-            })
-            .collect::<std::io::Result<Vec<_>>>()?;
         let stop = Arc::new(AtomicBool::new(false));
-        let conns: Arc<Mutex<HashMap<u64, Arc<ConnShared>>>> = Arc::new(Mutex::new(HashMap::new()));
+        let conns = Arc::new(Conns::default());
         let conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         let accept_thread = {
             let core = Arc::clone(&core);
@@ -498,7 +452,6 @@ impl SqlServer {
             core,
             stop,
             accept_thread: Some(accept_thread),
-            workers,
             conns,
             conn_threads,
         })
@@ -514,10 +467,10 @@ impl SqlServer {
         &self.core.engine
     }
 
-    /// Stops accepting, unblocks and joins every connection reader,
-    /// drains the execution queue (every admitted request is answered
-    /// or its write attempted), and completes every submitted flush —
-    /// acknowledged data is never dropped.
+    /// Stops accepting, unblocks and joins every connection's thread (a
+    /// request that is executing finishes, one that is waiting for a
+    /// flush is released by that flush), and completes every submitted
+    /// flush — acknowledged data is never dropped.
     pub fn shutdown(mut self) {
         self.stop_impl();
     }
@@ -531,16 +484,10 @@ impl SqlServer {
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
-        // Unblock readers (and any worker stuck in a socket write).
-        let conns: Vec<_> = self
-            .conns
-            .lock()
-            .expect("connection map poisoned")
-            .drain()
-            .map(|(_, c)| c)
-            .collect();
-        for conn in conns {
-            let _ = conn.stream.shutdown(Shutdown::Both);
+        // Unblock every connection's thread, in a read or in a write. The
+        // entries stay: each thread removes its own on the way out.
+        for stream in self.conns.lock().expect("connection map poisoned").values() {
+            let _ = stream.shutdown(Shutdown::Both);
         }
         let handlers: Vec<_> = self
             .conn_threads
@@ -551,11 +498,7 @@ impl SqlServer {
         for t in handlers {
             let _ = t.join();
         }
-        // Readers are gone, so no new pushes: close and drain.
-        self.core.queue.close();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
+        // Last: a connection that was waiting for a flush needed the pool.
         self.core.flush.stop();
     }
 }
@@ -566,115 +509,53 @@ impl Drop for SqlServer {
     }
 }
 
-/// Per-connection reader: decode frames, apply admission control, hand
-/// admitted work to the pool. Malformed frames are answered in-line (in
-/// order) without killing the connection; oversized frames answer then
-/// close, since the unread payload makes resync impossible.
-fn run_connection(
-    core: &Arc<ServerCore>,
-    stream: TcpStream,
-    conn_id: u64,
-    conns: &Mutex<HashMap<u64, Arc<ConnShared>>>,
-) {
+/// A connection's thread, and the whole request path: read a frame,
+/// answer it, read the next — so replies are in request order and what
+/// the peer pipelines waits in the socket buffer. A malformed frame is
+/// answered and the connection carries on; an oversized one is answered
+/// and the connection closed, since its unread payload makes resync
+/// impossible; a reply that could not be written closes it too, since
+/// part of a frame may be on the stream.
+fn run_connection(core: &ServerCore, stream: TcpStream, conn_id: u64, conns: &Conns) {
     let _ = stream.set_nodelay(true);
-    let Ok(read_half) = stream.try_clone() else {
+    let Ok(handle) = stream.try_clone() else {
         return;
     };
-    let conn = Arc::new(ConnShared {
-        stream,
-        out: Mutex::new(OutBuf {
-            next_seq: 0,
-            pending: BTreeMap::new(),
-        }),
-        inflight: AtomicUsize::new(0),
-    });
     conns
         .lock()
         .expect("connection map poisoned")
-        .insert(conn_id, Arc::clone(&conn));
+        .insert(conn_id, handle);
     core.metrics.connections.inc();
     core.metrics.connections_total.inc();
-    let mut reader = BufReader::new(read_half);
-    let mut seq = 0u64;
-    let answer_inline = |seq: u64, id: u64, response: &Response| {
-        let mut frame = Vec::new();
-        wire::encode_response(&mut frame, id, response);
-        send_ordered(&conn, seq, frame);
-    };
+    let mut reader = BufReader::new(&stream);
     loop {
-        match wire::read_request(&mut reader, core.cfg.max_frame_bytes) {
+        let (written, in_step) = match wire::read_request(&mut reader, core.cfg.max_frame_bytes) {
             Ok(None) | Err(wire::DecodeError::Io(_)) => break,
             Err(wire::DecodeError::Oversized { declared, max, id }) => {
                 core.metrics.rejected_malformed.inc();
-                answer_inline(
-                    seq,
-                    id,
-                    &Response::Error(format!(
-                        "frame of {declared} bytes exceeds limit {max}; closing connection"
-                    )),
-                );
-                break;
+                let notice = Response::Error(format!(
+                    "frame of {declared} bytes exceeds limit {max}; closing connection"
+                ));
+                (write_reply(&stream, id, &notice), false)
             }
             Err(wire::DecodeError::Malformed { id, reason }) => {
                 core.metrics.rejected_malformed.inc();
-                answer_inline(
-                    seq,
-                    id,
-                    &Response::Error(format!("malformed frame: {reason}")),
-                );
-                seq += 1;
+                let notice = Response::Error(format!("malformed frame: {reason}"));
+                (write_reply(&stream, id, &notice), true)
             }
             Ok(Some(wire::RequestFrame { id, body })) => {
                 core.metrics.frames.inc();
-                if conn.inflight.load(Ordering::Relaxed) >= core.cfg.per_conn_inflight {
-                    core.metrics.rejected_busy.inc();
-                    answer_inline(
-                        seq,
-                        id,
-                        &Response::Busy(format!(
-                            "pipelining window of {} requests is full",
-                            core.cfg.per_conn_inflight
-                        )),
-                    );
-                    seq += 1;
-                    continue;
-                }
-                conn.inflight.fetch_add(1, Ordering::Relaxed);
-                let task = Task {
-                    conn: Arc::clone(&conn),
-                    seq,
-                    id,
-                    body,
-                };
-                if core.queue.try_push(task).is_err() {
-                    conn.inflight.fetch_sub(1, Ordering::Relaxed);
-                    core.metrics.rejected_busy.inc();
-                    answer_inline(
-                        seq,
-                        id,
-                        &Response::Busy("server execution queue is full".to_string()),
-                    );
-                }
-                seq += 1;
+                (core.serve(&stream, id, body), true)
             }
+        };
+        if written.is_err() || !in_step {
+            break;
         }
     }
-    // Only forget a quiescent connection: if responses are still in
-    // flight, the entry must survive so `shutdown` can unblock a worker
-    // stuck writing to this socket. The rare non-quiescent entry (peer
-    // vanished mid-pipeline) is cleaned up at shutdown.
-    let quiescent = conn.inflight.load(Ordering::Relaxed) == 0
-        && conn
-            .out
-            .lock()
-            .map(|out| out.pending.is_empty())
-            .unwrap_or(true);
-    if quiescent {
-        conns
-            .lock()
-            .expect("connection map poisoned")
-            .remove(&conn_id);
-    }
+    conns
+        .lock()
+        .expect("connection map poisoned")
+        .remove(&conn_id);
     core.metrics.connections.dec();
 }
 

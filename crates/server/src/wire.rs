@@ -81,7 +81,7 @@
 //! [`STATUS_ERR`] naming the row count, and the connection carries on —
 //! and [`SqlClient`](crate::SqlClient) accepts nothing larger.
 
-use std::io::{Read, Write};
+use std::io::Read;
 
 use backsort_engine::{DataType, PointBatch, TsValue, ValueColumn};
 use backsort_sql::QueryOutput;
@@ -622,11 +622,6 @@ fn decode_rows(payload: &[u8]) -> Result<QueryOutput, &'static str> {
         return Err("trailing bytes");
     }
     Ok(QueryOutput::Rows { columns, rows })
-}
-
-/// Writes pre-encoded frame bytes.
-pub fn write_all(writer: &mut impl Write, bytes: &[u8]) -> std::io::Result<()> {
-    writer.write_all(bytes)
 }
 
 #[cfg(test)]

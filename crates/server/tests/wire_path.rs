@@ -1,6 +1,7 @@
 //! The production-shaped wire path under stress: pipelining order,
-//! malformed/oversized frames, BUSY load shedding, and clean shutdown
-//! with clients mid-flight.
+//! malformed/oversized frames, a peer that stops reading, BUSY load
+//! shedding, writes stalled on a flush, and clean shutdown with clients
+//! mid-flight.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -25,22 +26,14 @@ fn engine_with(memtable_max_points: usize) -> Arc<StorageEngine> {
 
 /// One client pipelines a mixed stream of inserts and queries; the
 /// responses come back in exact request order, and several such clients
-/// share the server without cross-talk.
+/// share the server without cross-talk. Nor is there a depth at which a
+/// pipeline is refused: a client that sends 1,000 frames before it reads
+/// its first reply gets 1,000 replies, the frames the server had not yet
+/// read having waited in the socket.
 #[test]
 fn pipelined_responses_arrive_in_request_order() {
     let engine = engine_with(100_000);
-    // Window and queue sized above the test's 3 × 100 outstanding
-    // frames, so nothing is (correctly) shed as BUSY mid-test.
-    let server = SqlServer::start_with(
-        "127.0.0.1:0",
-        Arc::clone(&engine),
-        ServerConfig {
-            per_conn_inflight: 128,
-            queue_capacity: 1024,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bind");
+    let server = SqlServer::start("127.0.0.1:0", Arc::clone(&engine)).expect("bind");
     let addr = server.addr();
 
     std::thread::scope(|scope| {
@@ -74,21 +67,40 @@ fn pipelined_responses_arrive_in_request_order() {
                 assert_eq!(got, sent, "client {c}: responses out of order");
             });
         }
+        scope.spawn(move || {
+            let mut client = SqlClient::connect(addr).expect("connect");
+            let sent: Vec<u64> = (0..1_000i64)
+                .map(|t| {
+                    client
+                        .send_sql(&format!(
+                            "INSERT INTO root.pipe.d2(timestamp, s) VALUES ({t}, {t})"
+                        ))
+                        .expect("send insert")
+                })
+                .collect();
+            for id in sent {
+                let (got, response) = client.recv().expect("recv");
+                assert_eq!(got, id, "deep pipeline: responses out of order");
+                assert_eq!(response, wire::Response::Output(QueryOutput::Inserted(1)));
+            }
+        });
     });
 
-    // Every pipelined insert (90 per client) landed.
+    // Every pipelined insert (90 per client, 1,000 from the deep one)
+    // landed.
     let mut client = SqlClient::connect(addr).expect("connect");
+    let mut count = |sensor: &str, device: &str| match client
+        .execute(&format!("SELECT count({sensor}) FROM root.pipe.{device}"))
+        .expect("count")
+    {
+        QueryOutput::Aggregates { values, .. } => values[0].as_number(),
+        other => panic!("{other:?}"),
+    };
     for c in 0..3 {
-        match client
-            .execute(&format!("SELECT count(s{c}) FROM root.pipe.d1"))
-            .expect("count")
-        {
-            QueryOutput::Aggregates { values, .. } => {
-                assert_eq!(values[0].as_number(), Some(90.0), "sensor s{c}");
-            }
-            other => panic!("{other:?}"),
-        }
+        assert_eq!(count(&format!("s{c}"), "d1"), Some(90.0), "sensor s{c}");
     }
+    assert_eq!(count("s", "d2"), Some(1_000.0));
+    assert_eq!(engine.obs().counter_value(names::SERVER_REJECTED_BUSY), 0);
     server.shutdown();
 }
 
@@ -274,6 +286,84 @@ fn malformed_and_oversized_frames_do_not_kill_the_server() {
     server.shutdown();
 }
 
+/// A reply that could not be written ends the connection. The peer
+/// pipelines 400 `SELECT`s of 2,000 rows (32 KB a reply, more than the
+/// loopback buffers hold) and reads nothing for 300 ms; the server's
+/// write times out after 50 ms, possibly part-way through a frame. It
+/// used to carry on and append the next reply to the torn one, so the
+/// peer decoded garbage lengths; now every frame the peer gets is whole
+/// and in order, and then the stream ends.
+#[test]
+fn a_reply_that_cannot_be_written_closes_the_connection() {
+    const ROWS: i64 = 2_000;
+    const REQUESTS: u64 = 400;
+    let engine = engine_with(100_000);
+    let server = SqlServer::start_with(
+        "127.0.0.1:0",
+        Arc::clone(&engine),
+        ServerConfig {
+            write_timeout: Duration::from_millis(50),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind");
+    let mut seeder = SqlClient::connect(server.addr()).expect("connect");
+    seeder
+        .insert_batch("root.torn.d1", "s", &frame(0, ROWS))
+        .expect("seed");
+    drop(seeder);
+
+    let mut stream = TcpStream::connect(server.addr()).expect("connect raw");
+    let mut requests = Vec::new();
+    for id in 0..REQUESTS {
+        wire::encode_sql(&mut requests, id, "SELECT s FROM root.torn.d1");
+    }
+    stream.write_all(&requests).expect("write");
+    std::thread::sleep(Duration::from_millis(300));
+
+    let mut whole = 0;
+    loop {
+        match wire::read_response(&mut stream, wire::MAX_RESPONSE_BYTES) {
+            Ok(Some((id, wire::Response::Output(QueryOutput::Rows { rows, .. })))) => {
+                assert_eq!(id, whole, "a reply was skipped or repeated");
+                assert_eq!(rows.len(), ROWS as usize);
+                whole += 1;
+            }
+            // The end of the stream, at a frame boundary or inside the
+            // frame whose write timed out — never a frame that decodes
+            // to something else.
+            Ok(None) => break,
+            Err(e) => {
+                assert!(
+                    matches!(
+                        e.kind(),
+                        std::io::ErrorKind::UnexpectedEof | std::io::ErrorKind::ConnectionReset
+                    ),
+                    "after {whole} whole replies: {e}"
+                );
+                break;
+            }
+            Ok(Some(other)) => panic!("after {whole} whole replies: {other:?}"),
+        }
+    }
+    assert!(whole > 0, "some replies fit the buffers");
+    assert!(whole < REQUESTS, "the write never timed out");
+
+    // The connection is gone from the server, which serves the next one.
+    let obs = engine.obs();
+    while obs.gauge_value(names::SERVER_CONNECTIONS) > 0 {
+        std::thread::yield_now();
+    }
+    let mut client = SqlClient::connect(server.addr()).expect("connect");
+    match client.execute("SELECT count(s) FROM root.torn.d1") {
+        Ok(QueryOutput::Aggregates { values, .. }) => {
+            assert_eq!(values[0].as_number(), Some(ROWS as f64));
+        }
+        other => panic!("{other:?}"),
+    }
+    server.shutdown();
+}
+
 /// With a throttled flusher and a zero-tolerance backlog limit, a
 /// saturating ingest stream is shed with typed BUSY rather than
 /// buffered; the shed is visible as `server.rejected_busy`, and the
@@ -340,8 +430,7 @@ fn saturating_ingest_sheds_busy_and_recovers() {
 }
 
 /// Shutdown with clients mid-pipeline: `shutdown` returns (joining the
-/// accept loop, every connection handler, the workers, and the flush
-/// pool), every acknowledged write survives into the engine, and the
+/// accept loop, every connection's thread, and the flush pool), every acknowledged write survives into the engine, and the
 /// connection gauge returns to zero.
 #[test]
 fn clean_shutdown_with_clients_mid_flight() {
@@ -561,9 +650,10 @@ fn a_large_frame_behind_a_slow_flush_is_one_run() {
 /// The bound the flush puts on a memtable: 1,000-point memtables behind
 /// a 50 ms flusher, forty pipelined 500-point frames. Nothing is refused
 /// — a stalled write waits for the flush pool — and the working
-/// memtable stays within its limit plus one frame per worker. (Without
-/// the wait it reached ~19,000: every frame after the second landed on
-/// the one memtable the first flush was holding up.)
+/// memtable stays within its limit plus one frame per connection: a
+/// connection's frames are written one after the other, and each asks
+/// first. (Without the wait it reached ~19,000: every frame after the
+/// second landed on the one memtable the first flush was holding up.)
 #[test]
 fn a_stalled_shard_makes_writes_wait_and_bounds_its_memtable() {
     const LIMIT: usize = 1_000;
@@ -572,13 +662,18 @@ fn a_stalled_shard_makes_writes_wait_and_bounds_its_memtable() {
     const WINDOW: usize = 8;
     let throttle = Duration::from_millis(50);
     let engine = engine_with(LIMIT);
-    let cfg = ServerConfig {
-        flush_workers: 1,
-        flush_throttle: throttle,
-        ..ServerConfig::default()
-    };
-    let bound = LIMIT + cfg.workers * FRAME as usize;
-    let server = SqlServer::start_with("127.0.0.1:0", Arc::clone(&engine), cfg).expect("bind");
+    // One connection.
+    let bound = LIMIT + FRAME as usize;
+    let server = SqlServer::start_with(
+        "127.0.0.1:0",
+        Arc::clone(&engine),
+        ServerConfig {
+            flush_workers: 1,
+            flush_throttle: throttle,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind");
     let mut client = SqlClient::connect(server.addr()).expect("connect");
 
     let started = std::time::Instant::now();
@@ -604,13 +699,13 @@ fn a_stalled_shard_makes_writes_wait_and_bounds_its_memtable() {
     let elapsed = started.elapsed();
 
     assert!(peak <= bound, "working memtable reached {peak} > {bound}");
-    // No memtable held more than `bound` (3,000) points, so of the
-    // 20,000 acknowledged at most 6,000 were still in memory: five
+    // No memtable held more than `bound` (1,500) points, so of the
+    // 20,000 acknowledged at most 3,000 were still in memory: twelve
     // flushes at least had run, one after the other, 50 ms each.
     let waits = flush_waits(&engine);
     assert!(waits >= 5, "only {waits} writes waited");
     assert!(
-        elapsed >= throttle * 5,
+        elapsed >= throttle * 12,
         "forty frames in {elapsed:?} cannot have waited for their flushes"
     );
     assert_eq!(engine.obs().counter_value(names::SERVER_REJECTED_BUSY), 0);
@@ -632,12 +727,78 @@ fn a_stalled_shard_makes_writes_wait_and_bounds_its_memtable() {
     server.shutdown();
 }
 
-/// `shutdown` while a worker is waiting for a flush: the flush pool is
-/// joined after the workers, so the wait ends the way it always does —
-/// the flush completes — and shutdown returns with every acknowledged
-/// frame in the engine.
+/// Writers waiting for a flush hold up nobody else. A 1,000-point
+/// memtable behind a 600 ms flusher is full and cannot rotate; four
+/// connections each send a 10-point frame, which can only wait. A fifth
+/// connection's `count` is answered at once, and from before any of
+/// them: when the four waited inside a pool of four workers, it was
+/// answered when the flush was done (~600 ms, counting 2,010–2,030).
 #[test]
-fn shutdown_with_a_worker_waiting_for_a_flush_loses_nothing() {
+fn stalled_writers_do_not_hold_up_a_reader_on_another_connection() {
+    const LIMIT: i64 = 1_000;
+    const WRITERS: i64 = 4;
+    let engine = engine_with(LIMIT as usize);
+    let server = SqlServer::start_with(
+        "127.0.0.1:0",
+        Arc::clone(&engine),
+        ServerConfig {
+            flush_workers: 1,
+            flush_throttle: Duration::from_millis(600),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind");
+    let mut reader = SqlClient::connect(server.addr()).expect("connect");
+    for f in 0..2 {
+        reader
+            .insert_batch("root.hol.d1", "s", &frame(f * LIMIT, LIMIT))
+            .expect("acked");
+    }
+    let mut writers: Vec<SqlClient> = (0..WRITERS)
+        .map(|w| {
+            let mut client = SqlClient::connect(server.addr()).expect("connect");
+            client
+                .send_batch("root.hol.d1", "s", &frame(2 * LIMIT + w * 10, 10))
+                .expect("send");
+            client.flush().expect("flush");
+            client
+        })
+        .collect();
+    while engine.obs().counter_value(names::SERVER_FRAMES) < 2 + WRITERS as u64 {
+        std::thread::yield_now();
+    }
+
+    let asked = std::time::Instant::now();
+    let counted = reader.execute("SELECT count(s) FROM root.hol.d1");
+    let answered = asked.elapsed();
+    match counted {
+        Ok(QueryOutput::Aggregates { values, .. }) => assert_eq!(
+            values[0].as_number(),
+            Some(2.0 * LIMIT as f64),
+            "answered before any stalled write landed"
+        ),
+        other => panic!("{other:?}"),
+    }
+    assert!(
+        answered < Duration::from_millis(200),
+        "the reader waited {answered:?} behind other connections' writes"
+    );
+
+    // The four were waiting, not refused: each is acked after the flush.
+    for client in &mut writers {
+        let (_, response) = client.recv().expect("recv");
+        assert_eq!(response, wire::Response::Output(QueryOutput::Inserted(10)));
+    }
+    assert_eq!(flush_waits(&engine), WRITERS as u64);
+    server.shutdown();
+}
+
+/// `shutdown` while a connection is waiting for a flush: the flush pool
+/// is stopped after the connections are joined, so the wait ends the way
+/// it always does — the flush completes — and shutdown returns with
+/// every acknowledged frame in the engine.
+#[test]
+fn shutdown_with_a_connection_waiting_for_a_flush_loses_nothing() {
     const LIMIT: i64 = 1_000;
     let engine = engine_with(LIMIT as usize);
     let server = SqlServer::start_with(
@@ -660,21 +821,18 @@ fn shutdown_with_a_worker_waiting_for_a_flush_loses_nothing() {
         assert_eq!(acked, LIMIT as usize);
     }
     assert!(engine.flush_stalled(0));
-    // The third is picked up by a worker, which can only wait.
+    // The third can only wait, on the thread that counted it.
     client
         .send_batch("root.wait.d1", "s", &frame(2 * LIMIT, LIMIT))
         .expect("send");
     client.flush().expect("flush");
-    let obs = engine.obs();
-    while obs.counter_value(names::SERVER_FRAMES) < 3
-        || obs.gauge_value(names::SERVER_QUEUE_DEPTH) > 0
-    {
+    while engine.obs().counter_value(names::SERVER_FRAMES) < 3 {
         std::thread::yield_now();
     }
     assert!(engine.flush_stalled(0), "the flusher is still throttled");
     server.shutdown();
 
-    assert_eq!(flush_waits(&engine), 1, "the third frame's worker waited");
+    assert_eq!(flush_waits(&engine), 1, "the third frame waited");
     let stored = engine
         .query(
             &backsort_engine::SeriesKey::new("root.wait.d1", "s"),
@@ -682,7 +840,7 @@ fn shutdown_with_a_worker_waiting_for_a_flush_loses_nothing() {
             i64::MAX,
         )
         .len();
-    // Both acknowledged frames, and the third, which the worker wrote
-    // once its wait was over (whether or not its ack reached us).
+    // Both acknowledged frames, and the third, which its connection
+    // wrote once the wait was over (whether or not its ack reached us).
     assert_eq!(stored, 3 * LIMIT as usize);
 }
