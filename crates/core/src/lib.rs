@@ -45,7 +45,7 @@ pub mod iir;
 pub mod merge;
 
 use backsort_sorts::{BaselineSorter, SeriesSorter};
-use backsort_tvlist::SeriesAccess;
+use backsort_tvlist::{SeriesAccess, SliceSeries};
 
 /// How Backward-Sort orders the points *inside* each block.
 ///
@@ -378,6 +378,59 @@ impl Algorithm {
             }
             Algorithm::Baseline(b) => b.sort_series(s),
         }
+    }
+
+    /// Time-orders `s` given that its leading `sorted_len` points already
+    /// are — what a `TVList` reports as its `sorted_len` — for the cost of
+    /// the points that arrived since plus their overlap with the ordered
+    /// run, not of the whole series.
+    ///
+    /// The tail `s[sorted_len..]` is sorted as contiguous pairs — copied
+    /// out and written back unless `s` holds it so already
+    /// ([`SeriesAccess::contiguous_from`]) — with this algorithm,
+    /// streaming its telemetry into `obs` as
+    /// [`sort_series_observed`](Self::sort_series_observed) does; one
+    /// backward merge of the ordered run with the
+    /// sorted tail finishes, touching the overlap only, its `Q` recorded
+    /// into `core.merge_overlap_q` like any other merge step's. With
+    /// `sorted_len == 0` the tail is the series and there is nothing to
+    /// merge. The merge is stable — on equal timestamps the ordered run's
+    /// points stay ahead of the tail's — so a stable algorithm keeps
+    /// arrival order across any number of such sorts.
+    ///
+    /// Returns the closing merge's statistics.
+    pub fn sort_from_observed<S: SeriesAccess>(
+        &self,
+        s: &mut S,
+        sorted_len: usize,
+        obs: Option<&backsort_obs::Registry>,
+    ) -> merge::MergeStats {
+        let n = s.len();
+        debug_assert!(sorted_len <= n);
+        debug_assert!((1..sorted_len).all(|i| s.time(i - 1) <= s.time(i)));
+        if sorted_len >= n {
+            return merge::MergeStats::default();
+        }
+        // The tail, sorted where it lies if that is flat memory, else in
+        // a copy (whose vector the merge then borrows for its overlap).
+        let mut scratch = Vec::new();
+        match s.contiguous_from(sorted_len) {
+            Some(tail) => self.sort_series_observed(&mut SliceSeries::new(tail), obs),
+            None => {
+                s.read_into(sorted_len, n, &mut scratch);
+                self.sort_series_observed(&mut SliceSeries::new(&mut scratch), obs);
+                s.copy_from_slice(sorted_len, &scratch);
+            }
+        }
+        if sorted_len == 0 {
+            return merge::MergeStats::default();
+        }
+        let stats = merge::merge_block_with_suffix(s, 0, sorted_len, n, &mut scratch);
+        if let Some(obs) = obs {
+            obs.histogram(backsort_obs::names::MERGE_OVERLAP_Q)
+                .record(stats.suffix_overlap as u64);
+        }
+        stats
     }
 
     /// Parses a contender name as used on experiment command lines.

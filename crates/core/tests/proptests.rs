@@ -2,7 +2,9 @@
 //! equivalence with the oracle for every configuration, and the invariants
 //! the performance analysis relies on.
 
-use backsort_core::{backward_sort, choose_block_size, iir, merge, BackwardSort, InBlockSort};
+use backsort_core::{
+    backward_sort, choose_block_size, iir, merge, Algorithm, BackwardSort, InBlockSort,
+};
 use backsort_sorts::SeriesSorter;
 use backsort_tvlist::{SeriesAccess, SliceSeries, TVList};
 use proptest::prelude::*;
@@ -89,6 +91,54 @@ proptest! {
         let mut s = SliceSeries::new(&mut data);
         cfg.sort_series(&mut s);
         prop_assert_eq!(data, expected);
+    }
+
+    /// Append-k / sort-from, repeated over a delayed stream with equal
+    /// timestamps, against one sort of the whole stream: every contender
+    /// ends with the same points in time order, and the stable
+    /// configuration with exactly the stable sort of arrival order — ties
+    /// across the ordered run and the tail included.
+    #[test]
+    fn repeated_sort_from_matches_one_whole_sort(
+        delays in prop::collection::vec(0u16..48, 1..400),
+        k in 1usize..90,
+        array_size in 1usize..40,
+    ) {
+        // Halved timestamps: every other point repeats one.
+        let arrival: Vec<(i64, i32)> =
+            delay_only(&delays).into_iter().map(|(t, v)| (t / 2, v)).collect();
+        let mut stable = arrival.clone();
+        stable.sort_by_key(|p| p.0);
+        let mut want = stable.clone();
+        want.sort_unstable();
+
+        let mut algorithms = Algorithm::contenders();
+        algorithms.push(Algorithm::Backward(BackwardSort {
+            in_block: InBlockSort::Stable,
+            ..BackwardSort::default()
+        }));
+        for (a, alg) in algorithms.iter().enumerate() {
+            let mut list = TVList::<i32>::with_array_size(array_size);
+            for batch in arrival.chunks(k) {
+                for &(t, v) in batch {
+                    list.push(t, v);
+                }
+                let sorted_len = list.sorted_len();
+                alg.sort_from_observed(&mut list, sorted_len, None);
+                prop_assert!(
+                    backsort_tvlist::is_time_sorted(&list),
+                    "{} left the list unordered", alg.name()
+                );
+                list.mark_sorted();
+            }
+            let got = list.to_pairs();
+            if a + 1 == algorithms.len() {
+                prop_assert_eq!(&got, &stable, "stable configuration, k={}", k);
+            }
+            let mut got_set = got;
+            got_set.sort_unstable();
+            prop_assert_eq!(&got_set, &want, "{} lost or invented a point", alg.name());
+        }
     }
 
     #[test]

@@ -1264,7 +1264,12 @@ impl StorageEngine {
     /// take the write lock, sort the buffers with the configured
     /// algorithm (where Backward-Sort earns its keep) and run `read`
     /// under the write lock (no release-and-retry, so a steady writer
-    /// cannot livelock the reader).
+    /// cannot livelock the reader). What that sort costs is what was
+    /// written to the buffers since they were last ordered, not what
+    /// they hold ([`SeriesBuffer::sort_with_observed`]): a reader that
+    /// follows a writer pays for the writer's points and their overlap
+    /// with the ordered run, and the `query.sort_on_read` span says how
+    /// many of each (`tail_points`, `prefix_points`, `overlap`).
     fn with_sorted_buffers<R>(&self, key: &SeriesKey, read: impl FnOnce(&ShardState) -> R) -> R {
         let shard = self.shard_of(&key.device);
         {
@@ -1419,8 +1424,9 @@ fn buffers_sorted(st: &ShardState, key: &SeriesKey) -> bool {
 }
 
 /// Sorts every buffer holding `key` with the configured algorithm (under
-/// the shard's write lock), recording each still-dirty buffer's size and
-/// the sort's own telemetry.
+/// the shard's write lock), recording what each still-dirty buffer's
+/// sort worked on — the tail it sorted, the ordered run it kept, the
+/// overlap it merged — and the sort's own telemetry.
 fn sort_key_buffers(st: &mut ShardState, key: &SeriesKey, sorter: &Algorithm, obs: &EngineObs) {
     let ShardState {
         working,
@@ -1432,11 +1438,14 @@ fn sort_key_buffers(st: &mut ShardState, key: &SeriesKey, sorter: &Algorithm, ob
         .into_iter()
         .flatten()
     {
-        if let Some(buffer) = mem.get_mut(key) {
-            if !buffer.is_sorted() {
-                obs.dirty_buffer_points.record(buffer.len() as u64);
-            }
-            buffer.sort_with_observed(sorter, Some(&obs.registry));
+        let sorted = mem
+            .get_mut(key)
+            .and_then(|buffer| buffer.sort_with_observed(sorter, Some(&obs.registry)));
+        if let Some(sort) = sorted {
+            obs.dirty_buffer_points.record(sort.tail as u64);
+            obs_trace::add_attr(names::ATTR_TAIL_POINTS, sort.tail as u64);
+            obs_trace::add_attr(names::ATTR_PREFIX_POINTS, sort.prefix as u64);
+            obs_trace::add_attr(names::ATTR_OVERLAP, sort.merge.overlap as u64);
         }
     }
 }
@@ -2016,6 +2025,68 @@ mod tests {
         assert_eq!(runs(&eng) - before, 3, "100 + 100 + 50");
         assert_eq!(eng.buffered_points(), (50, 0));
         assert_eq!(eng.file_count(), 2);
+    }
+
+    /// The `query.sort_on_read` span of the newest trace, as
+    /// `(tail_points, prefix_points, overlap)`.
+    fn last_sort_on_read(eng: &StorageEngine) -> Option<(u64, u64, u64)> {
+        let traces = eng.obs().traces().recent();
+        let sort = traces
+            .last()?
+            .spans
+            .iter()
+            .find(|s| s.name == names::SPAN_QUERY_SORT_ON_READ)?;
+        let attr = |key| sort.attrs.iter().find(|a| a.0 == key).map_or(0, |a| a.1);
+        Some((
+            attr(names::ATTR_TAIL_POINTS),
+            attr(names::ATTR_PREFIX_POINTS),
+            attr(names::ATTR_OVERLAP),
+        ))
+    }
+
+    /// ROADMAP 4a, pinned as counts: what a read's sort works on is what
+    /// arrived since the buffer was last ordered plus its overlap with
+    /// the ordered run — 400 points and a handful, behind 20,000 that the
+    /// read before it ordered and this one leaves where they are.
+    #[test]
+    fn a_read_after_a_read_sorts_only_what_arrived_between() {
+        let eng = StorageEngine::new(EngineConfig {
+            trace_sample_n: 1,
+            ..EngineConfig::default()
+        });
+        let k = key("s");
+        // Every fifth point arrives 13 late; timestamps are distinct.
+        let time_of = |i: i64| 2 * i - 13 * i64::from(i % 5 == 0);
+        let arrivals = |range: std::ops::Range<i64>| {
+            PointBatch::from_rows(range.map(|i| (time_of(i), TsValue::Long(i)))).expect("one type")
+        };
+        let recent = |n: i64| (0..n).filter(|&i| time_of(i) >= 39_000).count();
+        let sorted_points = || {
+            let h = eng.obs().snapshot();
+            h.histogram(names::MEMTABLE_DIRTY_BUFFER_POINTS)
+                .map_or(0, |h| h.sum)
+        };
+
+        eng.write_batch(&k, &arrivals(0..20_000)).unwrap();
+        assert_eq!(eng.query(&k, 39_000, i64::MAX).len(), recent(20_000));
+        let (first_tail, prefix, _) = last_sort_on_read(&eng).expect("the first read sorts");
+        assert_eq!(first_tail + prefix, 20_000);
+        assert!(prefix < 8, "order first breaks at the sixth point");
+        assert_eq!(sorted_points(), first_tail);
+
+        eng.write_batch(&k, &arrivals(20_000..20_400)).unwrap();
+        assert_eq!(eng.query(&k, 39_000, i64::MAX).len(), recent(20_400));
+        let (tail, prefix, overlap) = last_sort_on_read(&eng).expect("so does the second");
+        assert_eq!((tail, prefix), (400, 20_000));
+        assert!(
+            (1..=16).contains(&overlap),
+            "a point 13 late reaches a few places back into the run, not {overlap}"
+        );
+        assert_eq!(sorted_points(), first_tail + 400);
+
+        // Nothing arrived: nothing to sort, and the read says so.
+        assert_eq!(eng.query(&k, 39_000, i64::MAX).len(), recent(20_400));
+        assert_eq!(last_sort_on_read(&eng), None);
     }
 
     #[test]

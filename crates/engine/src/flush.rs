@@ -13,7 +13,10 @@
 //! memory instead of through the list's per-access chunk arithmetic,
 //! which halves its cost, and the memtable is only ever read — so a
 //! flush needs no private copy of it, and whoever still serves reads
-//! from it keeps doing so.
+//! from it keeps doing so. The sort is the one a read of the buffer
+//! would run ([`Algorithm::sort_from_observed`]): the copy knows how
+//! long the buffer's ordered run was, and only the tail behind it is
+//! sorted and merged in.
 
 use std::borrow::Borrow;
 use std::time::Instant;
@@ -52,12 +55,18 @@ impl FlushMetrics {
 }
 
 /// One series copied out of its buffer: contiguous `(time, value)` pairs
-/// in arrival order, owning everything the rest of its flush needs, so
-/// the copy can be taken under a lock and sorted after releasing it.
+/// in the buffer's order, owning everything the rest of its flush needs,
+/// so the copy can be taken under a lock and sorted after releasing it.
+/// The copy carries the buffer's `sorted_len` with it, so a buffer that
+/// reads kept ordered costs its flush the tail written since the last
+/// one, and the flush orders the copy with the very call a read would
+/// have ordered the buffer with — the two cannot disagree on which of
+/// two equal timestamps comes last.
 #[derive(Debug)]
 pub(crate) struct Gathered {
-    /// Whether the buffer was already time-ordered when copied.
-    sorted: bool,
+    /// Length of the leading run that was time-ordered when copied
+    /// ([`SeriesBuffer::sorted_len`]); all of it once sorted.
+    sorted_len: usize,
     pairs: Pairs,
 }
 
@@ -118,7 +127,7 @@ impl Gathered {
             }
         };
         Self {
-            sorted: buffer.is_sorted(),
+            sorted_len: buffer.sorted_len(),
             pairs,
         }
     }
@@ -127,20 +136,26 @@ impl Gathered {
         for_each_pairs!(&self.pairs, p => p.len())
     }
 
-    /// Time-orders the pairs with `sorter` unless they arrived ordered,
-    /// streaming Backward-Sort's telemetry into `obs`.
+    /// Points behind the ordered run: what [`sort`](Self::sort) sorts.
+    fn unsorted_points(&self) -> usize {
+        self.len() - self.sorted_len
+    }
+
+    /// Time-orders the pairs with `sorter` — the tail behind the ordered
+    /// run, then one merge — streaming the sort's telemetry into `obs`.
     fn sort(&mut self, sorter: &Algorithm, obs: Option<&Registry>) {
-        if !self.sorted {
+        if self.unsorted_points() > 0 {
+            let sorted_len = self.sorted_len;
             for_each_pairs!(&mut self.pairs, p => {
-                sorter.sort_series_observed(&mut SliceSeries::new(p), obs)
+                sorter.sort_from_observed(&mut SliceSeries::new(p), sorted_len, obs)
             });
-            self.sorted = true;
+            self.sorted_len = self.len();
         }
     }
 
     /// The sorted pairs as columns, the last of equal timestamps kept.
     fn into_columns(self) -> (Vec<i64>, ValueColumn) {
-        debug_assert!(self.sorted);
+        debug_assert_eq!(self.unsorted_points(), 0);
         fn columns<V: Copy>(
             p: &[(i64, V)],
             wrap: fn(Vec<V>) -> ValueColumn,
@@ -176,7 +191,7 @@ impl Gathered {
 /// the latest arrival.)
 ///
 /// Telemetry streams into `obs` when given: each still-dirty buffer's
-/// size (buffer dirtiness at flush time) plus the sort-phase telemetry
+/// unsorted tail (buffer dirtiness at flush time) plus the sort-phase telemetry
 /// Backward-Sort reports per buffer (block size, `α̃_L`, per-merge
 /// overlap `Q`).
 pub fn flush_memtable(
@@ -211,8 +226,8 @@ pub(crate) fn flush_series<K: Borrow<SeriesKey>>(
             continue;
         }
         if let Some(h) = &dirty_points {
-            if !gathered.sorted {
-                h.record(gathered.len() as u64);
+            if gathered.unsorted_points() > 0 {
+                h.record(gathered.unsorted_points() as u64);
             }
         }
         gathered.sort(sorter, obs);

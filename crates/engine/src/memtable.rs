@@ -3,9 +3,10 @@
 
 use std::collections::BTreeMap;
 
+use backsort_core::merge::MergeStats;
 use backsort_core::Algorithm;
 use backsort_obs::LocalHistogram;
-use backsort_tvlist::{SeriesAccess, TVList, TextTVList};
+use backsort_tvlist::{SeriesAccess, TVList, TextTVList, Value};
 
 use crate::batch::{type_mismatch, ColumnSlice, ValueColumn, WriteError};
 use crate::types::{DataType, SeriesKey, TsValue};
@@ -141,29 +142,52 @@ impl SeriesBuffer {
         for_each_buffer!(self, l => l.memory_bytes(), t => t.memory_bytes())
     }
 
-    /// Sorts the buffer in place by timestamp with the given algorithm,
-    /// if not already sorted — the sort-on-read of a dirty buffer (a
-    /// flush sorts a contiguous copy instead, see
-    /// [`flush_memtable`](crate::flush::flush_memtable)). Streams
-    /// Backward-Sort telemetry (block size, probe loops, `α̃_L`,
-    /// per-merge overlap `Q`) into `obs` when given. Returns whether a
-    /// sort ran.
+    /// Length of the buffer's leading time-ordered run — all of it when
+    /// [`is_sorted`](Self::is_sorted). What a sort still owes is the
+    /// rest: the points that arrived since order last held.
+    pub fn sorted_len(&self) -> usize {
+        for_each_buffer!(self, l => l.sorted_len(), t => t.sorted_len())
+    }
+
+    /// Time-orders the buffer in place with the given algorithm, if it
+    /// is not already — the sort-on-read of a dirty buffer. The cost is
+    /// that of the unsorted tail, not of the buffer: the list knows how
+    /// long its ordered run is ([`sorted_len`](Self::sorted_len)), and
+    /// [`Algorithm::sort_from_observed`] sorts the rest flat and merges
+    /// the two from the back, so a read that follows a read pays for
+    /// the points written in between and their overlap `Q` with the run.
+    /// A flush sorts a contiguous copy through the same function (see
+    /// [`flush_memtable`](crate::flush::flush_memtable)). Streams the
+    /// algorithm's telemetry (block size, probe loops, `α̃_L`, per-merge
+    /// overlap `Q`) into `obs` when given. Returns what the sort did, or
+    /// `None` when the buffer was already ordered and none ran.
     pub fn sort_with_observed(
         &mut self,
         alg: &Algorithm,
         obs: Option<&backsort_obs::Registry>,
-    ) -> bool {
+    ) -> Option<TailSort> {
         if self.is_sorted() {
-            return false;
+            return None;
         }
-        for_each_buffer!(self, l => {
-            alg.sort_series_observed(l, obs);
-            l.mark_sorted();
-        }, t => {
-            alg.sort_series_observed(t.sortable(), obs);
-            t.mark_sorted();
-        });
-        true
+        fn sort<V: Value>(
+            list: &mut TVList<V>,
+            alg: &Algorithm,
+            obs: Option<&backsort_obs::Registry>,
+        ) -> MergeStats {
+            let sorted_len = list.sorted_len();
+            let merge = alg.sort_from_observed(list, sorted_len, obs);
+            list.mark_sorted();
+            merge
+        }
+        let prefix = self.sorted_len();
+        let tail = self.len() - prefix;
+        let merge =
+            for_each_buffer!(self, l => sort(l, alg, obs), t => sort(t.sortable(), alg, obs));
+        Some(TailSort {
+            prefix,
+            tail,
+            merge,
+        })
     }
 
     /// The point at index `i` as a dynamic value.
@@ -261,6 +285,18 @@ impl SeriesBuffer {
             t => t.retain(|ts, _| !(t_lo..=t_hi).contains(&ts))
         )
     }
+}
+
+/// What one sort of a dirty buffer worked on
+/// ([`SeriesBuffer::sort_with_observed`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TailSort {
+    /// Points of the leading run that was already time-ordered.
+    pub prefix: usize,
+    /// Points behind it that were sorted: the work's size.
+    pub tail: usize,
+    /// The merge of the two: how far the tail reached back into the run.
+    pub merge: MergeStats,
 }
 
 /// The `Δτ` pre-pass for a bulk append: walks the raw timestamp column
@@ -537,7 +573,7 @@ mod tests {
         }
         let alg = Algorithm::Backward(BackwardSort::default());
         let buf = mt.get_mut(&key("s1")).unwrap();
-        assert!(buf.sort_with_observed(&alg, None));
+        assert!(buf.sort_with_observed(&alg, None).is_some());
         assert!(buf.is_sorted());
         let pts: Vec<(i64, TsValue)> = (0..buf.len()).map(|i| buf.get(i)).collect();
         assert_eq!(
@@ -550,7 +586,7 @@ mod tests {
             ]
         );
         // Second sort is a no-op.
-        assert!(!buf.sort_with_observed(&alg, None));
+        assert!(buf.sort_with_observed(&alg, None).is_none());
     }
 
     #[test]

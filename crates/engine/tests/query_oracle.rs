@@ -19,6 +19,13 @@
 //! what a series read has always been able to return, and the typed
 //! slices must still allow it.
 //!
+//! A third stream is about the sort a read owes a dirty buffer, which
+//! sorts only what arrived since the buffer was last ordered: bursts of
+//! delayed points to one sensor of each of the six types, with reads
+//! between the writes, a delete between two reads, and reads while a
+//! rotated memtable sits in the flushing slot with its flush still
+//! outstanding — every read checked against the same model.
+//!
 //! The engines use the *stable* Backward-Sort configuration: with the
 //! unstable default, equal timestamps inside one buffer may settle in
 //! either order (flush.rs documents the caveat), which the chronological
@@ -28,7 +35,10 @@ use std::collections::{BTreeMap, HashMap};
 
 use backsort_core::{Algorithm, BackwardSort, InBlockSort};
 use backsort_engine::tsfile::TsFileWriter;
-use backsort_engine::{AggValue, Aggregation, EngineConfig, SeriesKey, StorageEngine, TsValue};
+use backsort_engine::{
+    AggValue, Aggregation, DataType, EngineConfig, FlushJob, PointBatch, SeriesKey, StorageEngine,
+    TsValue,
+};
 use proptest::prelude::*;
 
 fn engine(shards: usize) -> StorageEngine {
@@ -342,7 +352,223 @@ fn run(ops: Vec<(u8, i64, i32)>, foreign_doubles: bool) -> Result<(), TestCaseEr
     Ok(())
 }
 
+/// One sensor of each type, three to a device, the devices on different
+/// shards under FNV-1a mod 4.
+fn typed_keys() -> [(SeriesKey, DataType); 6] {
+    [
+        (SeriesKey::new("root.sg.d0", "i"), DataType::Int32),
+        (SeriesKey::new("root.sg.d0", "l"), DataType::Int64),
+        (SeriesKey::new("root.sg.d0", "f"), DataType::Float),
+        (SeriesKey::new("root.sg.d2", "d"), DataType::Double),
+        (SeriesKey::new("root.sg.d2", "b"), DataType::Boolean),
+        (SeriesKey::new("root.sg.d2", "t"), DataType::Text),
+    ]
+}
+
+/// A value of type `dt` that tells the `seq`-th write from every other,
+/// so a stale duplicate of a timestamp shows.
+fn typed_value(dt: DataType, t: i64, seq: i64) -> TsValue {
+    match dt {
+        DataType::Int32 => TsValue::Int((t * 1_000 + seq) as i32),
+        DataType::Int64 => TsValue::Long(t * 100_000 - seq),
+        DataType::Float => TsValue::Float(t as f32 + seq as f32 / 4_096.0),
+        DataType::Double => TsValue::Double(t as f64 * 0.5 - seq as f64),
+        DataType::Boolean => TsValue::Bool(seq % 2 == 0),
+        DataType::Text => TsValue::Text(format!("t{t}#{seq}")),
+    }
+}
+
+/// The engines of the sort-on-read stream, the flushes they have
+/// outstanding, and the model.
+struct Traffic {
+    engines: [StorageEngine; 2],
+    outstanding: [Vec<FlushJob>; 2],
+    oracle: Oracle,
+    /// Writes so far: the next value's distinguishing mark.
+    seq: i64,
+    /// Where the next "recent" burst starts.
+    frontier: i64,
+}
+
+impl Traffic {
+    fn new() -> Self {
+        let engine = |shards| {
+            StorageEngine::new(EngineConfig {
+                memtable_max_points: 600, // a few rotations a stream
+                array_size: 8,
+                sorter: Algorithm::Backward(BackwardSort {
+                    in_block: InBlockSort::Stable,
+                    ..Default::default()
+                }),
+                shards,
+                ..EngineConfig::default()
+            })
+        };
+        Self {
+            engines: [engine(1), engine(4)],
+            outstanding: [Vec::new(), Vec::new()],
+            oracle: Oracle::new(),
+            seq: 0,
+            frontier: 0,
+        }
+    }
+
+    /// Appends `k` points delayed by up to 11 behind `base + i` to every
+    /// sensor. A memtable that fills rotates into its flushing slot and
+    /// its flush joins the outstanding ones.
+    fn write_burst(&mut self, base: i64, k: i64, mut x: u64) {
+        let times: Vec<i64> = (0..k)
+            .map(|i| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                base + i - (x % 12) as i64
+            })
+            .collect();
+        for (key, dt) in typed_keys() {
+            let rows: Vec<(i64, TsValue)> = times
+                .iter()
+                .zip(self.seq..)
+                .map(|(&t, seq)| (t, typed_value(dt, t, seq)))
+                .collect();
+            let batch = PointBatch::from_rows(rows.iter().cloned()).expect("one type a sensor");
+            for (eng, jobs) in self.engines.iter().zip(&mut self.outstanding) {
+                jobs.extend(
+                    eng.write_batch_nonblocking(&key, &batch)
+                        .expect("matching type"),
+                );
+            }
+            self.oracle.entry(key).or_default().extend(rows);
+        }
+        self.seq += k;
+    }
+
+    /// Every sensor's `[lo, hi]` on every engine, against the model.
+    fn read(&self, lo: i64, hi: i64) -> Result<(), String> {
+        for (key, _) in typed_keys() {
+            let want = oracle_range(&self.oracle, &key, lo, hi);
+            for (eng, jobs) in self.engines.iter().zip(&self.outstanding) {
+                let got = eng.query(&key, lo, hi);
+                if got != want {
+                    return Err(format!(
+                        "shards={} flushes outstanding={}: query({key:?}, {lo}, {hi}) = {got:?}, \
+                         oracle = {want:?}",
+                        eng.shard_count(),
+                        jobs.len()
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn delete(&mut self, lo: i64, hi: i64) {
+        for (key, _) in typed_keys() {
+            for eng in &self.engines {
+                eng.delete_range(&key, lo, hi);
+            }
+            if let Some(m) = self.oracle.get_mut(&key) {
+                m.retain(|t, _| !(lo..=hi).contains(t));
+            }
+        }
+    }
+
+    /// Rotates every shard that can into its flushing slot; the flushes
+    /// stay outstanding.
+    fn begin_flushes(&mut self) {
+        for (eng, jobs) in self.engines.iter().zip(&mut self.outstanding) {
+            jobs.extend((0..eng.shard_count()).filter_map(|s| eng.begin_flush_shard(s)));
+        }
+    }
+
+    fn complete_flushes(&mut self) {
+        for (eng, jobs) in self.engines.iter().zip(&mut self.outstanding) {
+            for job in jobs.drain(..) {
+                eng.complete_flush(job);
+            }
+        }
+    }
+
+    fn apply(&mut self, (code, t, v): (u8, i64, i32)) -> Result<(), String> {
+        let span = (v as i64).rem_euclid(300);
+        match code % 10 {
+            // Writes: a burst behind the rising frontier (what a read
+            // finds is an ordered run and a short tail) or anywhere.
+            0..=3 => {
+                let k = 1 + (v as i64 >> 1).rem_euclid(24);
+                let base = if v % 2 == 0 { self.frontier } else { t };
+                if v % 2 == 0 {
+                    self.frontier += k;
+                }
+                self.write_burst(base, k, v as u32 as u64 | 1 << 40);
+            }
+            // A read between writes.
+            4 | 5 => self.read(t, t + span)?,
+            // A delete between two reads of the range around it.
+            6 => {
+                self.read(t - 30, t + 90)?;
+                self.delete(t, t + span % 60);
+                self.read(t - 30, t + 90)?;
+            }
+            // Reads of a slot whose flush is outstanding: its buffers
+            // are sorted where they sit, under the flush's feet.
+            7 => {
+                self.begin_flushes();
+                self.read(t, t + span)?;
+                self.read(i64::MIN, i64::MAX)?;
+            }
+            8 => {
+                self.complete_flushes();
+                self.read(t, t + span)?;
+            }
+            // Everything to files, nothing outstanding beside them.
+            9 if v % 2 == 0 => {
+                self.complete_flushes();
+                for eng in &self.engines {
+                    eng.flush_dirty();
+                    eng.flush_unseq();
+                }
+            }
+            // The newest points, as the recent-data reader asks.
+            _ => self.read(self.frontier - 200, i64::MAX)?,
+        }
+        Ok(())
+    }
+
+    /// Every sensor over the whole axis, and its latest point.
+    fn sweep(&self) -> Result<(), String> {
+        self.read(i64::MIN, i64::MAX)?;
+        for (key, _) in typed_keys() {
+            let want = oracle_range(&self.oracle, &key, i64::MIN, i64::MAX)
+                .last()
+                .cloned();
+            for eng in &self.engines {
+                let got = eng.latest_value(&key);
+                if got != want {
+                    return Err(format!(
+                        "latest_value({key:?}) = {got:?}, oracle = {want:?}"
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
 proptest! {
+    #[test]
+    fn sort_on_read_between_writes_deletes_and_flushes_reads_the_model(
+        ops in prop::collection::vec((0u8..10, 0i64..800, any::<i32>()), 1..120)
+    ) {
+        let mut traffic = Traffic::new();
+        for op in ops {
+            traffic.apply(op).map_err(TestCaseError::fail)?;
+        }
+        traffic.sweep().map_err(TestCaseError::fail)?;
+        traffic.complete_flushes();
+        traffic.sweep().map_err(TestCaseError::fail)?;
+    }
+
     #[test]
     fn query_matches_naive_oracle(
         ops in prop::collection::vec((0u8..14, 0i64..800, any::<i32>()), 1..150)

@@ -44,8 +44,9 @@ pub const MEMTABLE_OOO_POINTS: &str = "memtable.ooo_points";
 /// Out-of-order distance `Δτ` — how far behind the buffer maximum a late
 /// point landed (histogram; the paper's delay-only disorder measure).
 pub const MEMTABLE_DELTA_TAU: &str = "memtable.delta_tau";
-/// Sizes of buffers that were actually unsorted when a flush or
-/// sort-on-read reached them (histogram — buffer dirtiness).
+/// Points a flush or sort-on-read actually had to sort in a buffer it
+/// found unsorted: the tail behind the buffer's time-ordered run, not
+/// the buffer (histogram — buffer dirtiness).
 pub const MEMTABLE_DIRTY_BUFFER_POINTS: &str = "memtable.dirty_buffer_points";
 /// Time spent bulk-appending a batch's column run into a series buffer,
 /// nanoseconds per run (histogram).
@@ -211,7 +212,10 @@ pub const SPAN_QUERY_FILES: &str = "query.files";
 /// and the block-cache lookups.
 pub const SPAN_QUERY_MERGE: &str = "query.merge";
 /// Hierarchical span: the write-lock upgrade that sorts dirty buffers
-/// before a read.
+/// before a read. Carries `tail_points` (points sorted), `prefix_points`
+/// (the ordered run they were merged into, untouched but for the
+/// overlap) and `overlap` (points the merge moved), summed over the
+/// key's buffers — why this read's sort was cheap or dear.
 pub const SPAN_QUERY_SORT_ON_READ: &str = "query.sort_on_read";
 /// Hierarchical span: one memtable flush, submit → install.
 pub const SPAN_FLUSH_ROOT: &str = "flush.root";
@@ -290,6 +294,15 @@ pub const ATTR_BYTES: &str = "bytes";
 pub const ATTR_POINTS: &str = "points";
 /// Span attribute: shard index a stage ran against.
 pub const ATTR_SHARD: &str = "shard";
+/// Span attribute: points behind a buffer's ordered run that a
+/// sort-on-read sorted.
+pub const ATTR_TAIL_POINTS: &str = "tail_points";
+/// Span attribute: points of the ordered run a sort-on-read found and
+/// left in place.
+pub const ATTR_PREFIX_POINTS: &str = "prefix_points";
+/// Span attribute: points of the ordered run and of the sorted tail that
+/// interleaved, i.e. that the closing merge of a sort-on-read moved.
+pub const ATTR_OVERLAP: &str = "overlap";
 
 /// Every metric an instrumented [`StorageEngine`] registers at
 /// construction — the catalog the CI smoke check asserts against an

@@ -422,11 +422,29 @@ impl SqlServer {
                         }
                         let conn_id = next_conn_id;
                         next_conn_id += 1;
+                        // Registered here, not on the connection's own
+                        // thread: `shutdown` joins this loop before it
+                        // sweeps the map, so every accepted socket is in
+                        // it by then and none can miss the sweep.
+                        let Ok(handle) = stream.try_clone() else {
+                            continue;
+                        };
+                        conns
+                            .lock()
+                            .expect("connection map poisoned")
+                            .insert(conn_id, handle);
                         let core = Arc::clone(&core);
                         let conns2 = Arc::clone(&conns);
                         let spawned = std::thread::Builder::new()
                             .name(format!("server-conn-{conn_id}"))
                             .spawn(move || run_connection(&core, stream, conn_id, &conns2));
+                        if spawned.is_err() {
+                            // No thread will serve it or forget it.
+                            conns
+                                .lock()
+                                .expect("connection map poisoned")
+                                .remove(&conn_id);
+                        }
                         let mut threads = conn_threads.lock().expect("connection threads poisoned");
                         // Reap finished handlers so a long-lived server
                         // doesn't accumulate one JoinHandle per client
@@ -518,13 +536,6 @@ impl Drop for SqlServer {
 /// part of a frame may be on the stream.
 fn run_connection(core: &ServerCore, stream: TcpStream, conn_id: u64, conns: &Conns) {
     let _ = stream.set_nodelay(true);
-    let Ok(handle) = stream.try_clone() else {
-        return;
-    };
-    conns
-        .lock()
-        .expect("connection map poisoned")
-        .insert(conn_id, handle);
     core.metrics.connections.inc();
     core.metrics.connections_total.inc();
     let mut reader = BufReader::new(&stream);

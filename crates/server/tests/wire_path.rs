@@ -512,6 +512,69 @@ fn clean_shutdown_with_clients_mid_flight() {
     );
 }
 
+/// Shutdown while a peer keeps connecting and never closes: every socket
+/// the accept loop took is in the connection map before its thread
+/// exists, so the `shutdown(Both)` sweep reaches it and the join returns
+/// — within a bound, with the idle peers still open. (Registered on the
+/// connection's own thread, one accepted in the instant before the sweep
+/// could miss it and hold the join until its peer hung up.)
+#[test]
+fn shutdown_returns_while_idle_peers_keep_connecting() {
+    use std::collections::VecDeque;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::mpsc;
+
+    // Enough idle peers that the newest are still open at the sweep, few
+    // enough to stay far from any descriptor limit.
+    const OPEN_PEERS: usize = 64;
+
+    for round in 0..24 {
+        let server = SqlServer::start("127.0.0.1:0", engine_with(100_000)).expect("bind");
+        let addr = server.addr();
+        let quit = Arc::new(AtomicBool::new(false));
+        let (connecting_tx, connecting_rx) = mpsc::channel();
+        let connector = {
+            let quit = Arc::clone(&quit);
+            std::thread::spawn(move || {
+                let mut open = VecDeque::new();
+                let mut connected = 0usize;
+                while !quit.load(Ordering::Acquire) {
+                    // Refused once the listener is gone: shutdown got there.
+                    let Ok(peer) = TcpStream::connect(addr) else {
+                        break;
+                    };
+                    open.push_back(peer);
+                    if open.len() > OPEN_PEERS {
+                        open.pop_front();
+                    }
+                    connected += 1;
+                    if connected == 8 {
+                        let _ = connecting_tx.send(());
+                    }
+                }
+                open
+            })
+        };
+        connecting_rx.recv().expect("connector is under way");
+
+        let (returned_tx, returned_rx) = mpsc::channel();
+        let stopper = std::thread::spawn(move || {
+            server.shutdown();
+            let _ = returned_tx.send(());
+        });
+        let returned = returned_rx.recv_timeout(Duration::from_secs(10)).is_ok();
+        quit.store(true, Ordering::Release);
+        let open = connector.join().expect("connector thread");
+        assert!(
+            returned,
+            "round {round}: shutdown still joining after 10 s with {} idle peers open",
+            open.len()
+        );
+        drop(open);
+        stopper.join().expect("shutdown thread");
+    }
+}
+
 /// The new `server.*` family is visible through `SHOW STATS` over the
 /// wire — live values, not just catalog presence.
 #[test]

@@ -67,6 +67,15 @@ pub trait SeriesAccess {
         }
     }
 
+    /// The points from `lo` to the end as one mutable slice of pairs,
+    /// from an implementation that stores them so; `None` (the default)
+    /// from one that does not. A caller that wants a range contiguous, to
+    /// sort it through flat memory, skips the copy out and back where it
+    /// already is.
+    fn contiguous_from(&mut self, _lo: usize) -> Option<&mut [(i64, Self::Value)]> {
+        None
+    }
+
     /// Copies the range `src_lo..src_hi` so it starts at `dst`, with
     /// memmove semantics: the two ranges may overlap in either
     /// direction.
@@ -158,6 +167,11 @@ impl<V: Copy> SeriesAccess for SliceSeries<'_, V> {
     #[inline]
     fn copy_within(&mut self, src_lo: usize, src_hi: usize, dst: usize) {
         self.data.copy_within(src_lo..src_hi, dst);
+    }
+
+    #[inline]
+    fn contiguous_from(&mut self, lo: usize) -> Option<&mut [(i64, V)]> {
+        Some(&mut self.data[lo..])
     }
 }
 

@@ -53,6 +53,12 @@ impl TextTVList {
         self.index_list.is_sorted()
     }
 
+    /// Length of the leading time-ordered run (see
+    /// [`TVList::sorted_len`]).
+    pub fn sorted_len(&self) -> usize {
+        self.index_list.sorted_len()
+    }
+
     /// Records that the index list has been sorted by timestamp.
     pub fn mark_sorted(&mut self) {
         self.index_list.mark_sorted()

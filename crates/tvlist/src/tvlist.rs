@@ -13,9 +13,10 @@ pub const DEFAULT_ARRAY_SIZE: usize = 32;
 /// Chunk size defaults to [`DEFAULT_ARRAY_SIZE`] and is configurable; when
 /// it is a power of two, index math uses shift/mask.
 ///
-/// The list tracks whether appended timestamps have stayed non-decreasing
-/// (`is_sorted`), the minimum and maximum timestamp seen, and supports the
-/// full [`SeriesAccess`] sort interface in place.
+/// The list tracks how long its leading time-ordered run is
+/// (`sorted_len`; `is_sorted` when that is the whole list), the minimum
+/// and maximum timestamp seen, and supports the full [`SeriesAccess`]
+/// sort interface in place.
 #[derive(Debug, Clone)]
 pub struct TVList<V: Value> {
     array_size: usize,
@@ -24,7 +25,10 @@ pub struct TVList<V: Value> {
     times: Vec<Vec<i64>>,
     values: Vec<Vec<V>>,
     len: usize,
-    sorted: bool,
+    /// Length of the leading run known time-ordered: `len` while appends
+    /// have stayed in order, and never past the lowest index written
+    /// since.
+    sorted_len: usize,
     min_time: i64,
     max_time: i64,
 }
@@ -58,7 +62,7 @@ impl<V: Value> TVList<V> {
             times: Vec::new(),
             values: Vec::new(),
             len: 0,
-            sorted: true,
+            sorted_len: 0,
             min_time: i64::MAX,
             max_time: i64::MIN,
         }
@@ -101,8 +105,9 @@ impl<V: Value> TVList<V> {
         debug_assert_eq!(self.times[chunk].len(), off);
         self.times[chunk].push(t);
         self.values[chunk].push(v);
-        if self.len > 0 && t < self.max_time {
-            self.sorted = false;
+        // The ordered run grows while it is the whole list and order holds.
+        if self.sorted_len == self.len && (self.len == 0 || t >= self.max_time) {
+            self.sorted_len += 1;
         }
         self.min_time = self.min_time.min(t);
         self.max_time = self.max_time.max(t);
@@ -129,7 +134,7 @@ impl<V: Value> TVList<V> {
             pool.put(ts, vs);
         }
         self.len = 0;
-        self.sorted = true;
+        self.sorted_len = 0;
         self.min_time = i64::MAX;
         self.max_time = i64::MIN;
     }
@@ -140,7 +145,21 @@ impl<V: Value> TVList<V> {
     /// restored by [`TVList::mark_sorted`] after a sort completes.
     #[inline]
     pub fn is_sorted(&self) -> bool {
-        self.sorted
+        self.sorted_len == self.len
+    }
+
+    /// Length of the leading run known to be time-ordered:
+    /// `s[..sorted_len()]` is non-decreasing at every instant, and
+    /// `is_sorted()` is `sorted_len() == len()`.
+    ///
+    /// Appends extend it while order holds and freeze it where order
+    /// first breaks; `set`/`swap`/`copy_from_slice`/`copy_within` pull it
+    /// down to the lowest index they write; [`TVList::mark_sorted`] sets
+    /// it to `len()`. A sort owes work only to `s[sorted_len()..]` and its
+    /// overlap with the prefix.
+    #[inline]
+    pub fn sorted_len(&self) -> usize {
+        self.sorted_len
     }
 
     /// Records that the list has been sorted by timestamp.
@@ -149,7 +168,13 @@ impl<V: Value> TVList<V> {
     /// the claim.
     pub fn mark_sorted(&mut self) {
         debug_assert!(crate::is_time_sorted(self));
-        self.sorted = true;
+        self.sorted_len = self.len;
+    }
+
+    /// A write at index `lo` and up may have broken the order there.
+    #[inline]
+    fn unsorted_from(&mut self, lo: usize) {
+        self.sorted_len = self.sorted_len.min(lo);
     }
 
     /// Minimum timestamp seen, or `None` when empty.
@@ -182,7 +207,7 @@ impl<V: Value> TVList<V> {
             vs.clear();
         }
         self.len = 0;
-        self.sorted = true;
+        self.sorted_len = 0;
         self.min_time = i64::MAX;
         self.max_time = i64::MIN;
     }
@@ -199,7 +224,8 @@ impl<V: Value> TVList<V> {
     /// the whole batch, copying chunk-sized runs with `extend_from_slice`
     /// instead of paying `push` per point. The sorted flag survives iff it
     /// was set, the slice is internally non-decreasing, and the slice
-    /// starts at or after the current maximum timestamp.
+    /// starts at or after the current maximum timestamp; `sorted_len`
+    /// stops where that first fails.
     ///
     /// # Panics
     /// Panics if `ts.len() != vs.len()`.
@@ -227,19 +253,26 @@ impl<V: Value> TVList<V> {
         let Some((&first, rest)) = ts.split_first() else {
             return;
         };
-        // One pass over the timestamp column: slice bounds plus internal
-        // monotonicity, so the flag/bound updates below are O(1).
-        let mut slice_sorted = true;
+        // One pass over the timestamp column: slice bounds plus the length
+        // of its leading ordered run, so the flag/bound updates below are
+        // O(1).
+        let mut head = ts.len();
         let mut lo = first;
         let mut hi = first;
         let mut prev = first;
-        for &t in rest {
-            slice_sorted &= t >= prev;
+        for (k, &t) in rest.iter().enumerate() {
+            if t < prev {
+                head = head.min(k + 1);
+            }
             prev = t;
             lo = lo.min(t);
             hi = hi.max(t);
         }
-        self.sorted = self.sorted && slice_sorted && (self.len == 0 || first >= self.max_time);
+        // The ordered run, while it is the whole list, grows through the
+        // slice's ordered head if the slice starts at or after the maximum.
+        if self.sorted_len == self.len && (self.len == 0 || first >= self.max_time) {
+            self.sorted_len += head;
+        }
         self.min_time = self.min_time.min(lo);
         self.max_time = self.max_time.max(hi);
 
@@ -297,7 +330,7 @@ impl<V: Value> SeriesAccess for TVList<V> {
         self.values[c][o] = v;
         // A random write may break monotonicity; conservatively drop the
         // flag. Sort pipelines call `mark_sorted` when done.
-        self.sorted = false;
+        self.unsorted_from(i);
         self.min_time = self.min_time.min(t);
         self.max_time = self.max_time.max(t);
     }
@@ -320,7 +353,7 @@ impl<V: Value> SeriesAccess for TVList<V> {
             self.times[cb][ob] = ta;
             self.values[cb][ob] = va;
         }
-        self.sorted = false;
+        self.unsorted_from(a.min(b));
     }
 
     fn read_into(&self, lo: usize, hi: usize, out: &mut Vec<(i64, V)>) {
@@ -359,7 +392,7 @@ impl<V: Value> SeriesAccess for TVList<V> {
             self.min_time = self.min_time.min(t);
             self.max_time = self.max_time.max(t);
         }
-        self.sorted = false;
+        self.unsorted_from(dst);
     }
 
     fn copy_within(&mut self, src_lo: usize, src_hi: usize, dst: usize) {
@@ -409,7 +442,7 @@ impl<V: Value> SeriesAccess for TVList<V> {
                 }
             }
         }
-        self.sorted = false;
+        self.unsorted_from(dst);
     }
 }
 
