@@ -109,8 +109,10 @@ fn check_span_catalog(doc: &serde::Value) {
 
 /// In-process smoke: `EXPLAIN ANALYZE` over a freshly seeded engine
 /// must produce a span tree that opens `query.root` and reaches
-/// `query.merge`, and a `count` over the flushed page must show on its
-/// `query.files` span that the page was answered from its header.
+/// `query.merge`, and a `count` and an `avg` over the flushed page must
+/// each show on their `query.files` span that the page was answered from
+/// its header — the count from its point count, the average from the
+/// value statistics a v3 page header carries.
 /// Guards the whole trace pipeline (begin → engine spans → finish →
 /// render) without needing a server.
 fn check_explain_analyze_smoke() {
@@ -157,26 +159,29 @@ fn check_explain_analyze_smoke() {
             std::process::exit(1);
         }
     }
-    let counted = backsort_sql::execute(
-        &engine,
-        "EXPLAIN ANALYZE SELECT count(s0) FROM root.check.d0 WHERE time >= 0",
-    );
-    let from_header = match &counted {
-        Ok(backsort_sql::QueryOutput::Analyze { spans, .. }) => spans
-            .iter()
-            .filter(|s| s.name == backsort_obs::names::SPAN_QUERY_FILES)
-            .flat_map(|s| s.attrs.iter())
-            .filter(|(k, _)| k == backsort_obs::names::ATTR_PAGES_FROM_HEADER)
-            .map(|(_, v)| *v)
-            .sum::<u64>(),
-        _ => 0,
-    };
-    if from_header != 1 {
-        eprintln!(
-            "obs_check: EXPLAIN ANALYZE SELECT count(..) over one flushed page reported \
-             {from_header} pages from headers on its query.files span, expected 1: {counted:?}"
+    for aggregate in ["count", "avg"] {
+        let answered = backsort_sql::execute(
+            &engine,
+            &format!("EXPLAIN ANALYZE SELECT {aggregate}(s0) FROM root.check.d0 WHERE time >= 0"),
         );
-        std::process::exit(1);
+        let from_header = match &answered {
+            Ok(backsort_sql::QueryOutput::Analyze { spans, .. }) => spans
+                .iter()
+                .filter(|s| s.name == backsort_obs::names::SPAN_QUERY_FILES)
+                .flat_map(|s| s.attrs.iter())
+                .filter(|(k, _)| k == backsort_obs::names::ATTR_PAGES_FROM_HEADER)
+                .map(|(_, v)| *v)
+                .sum::<u64>(),
+            _ => 0,
+        };
+        if from_header != 1 {
+            eprintln!(
+                "obs_check: EXPLAIN ANALYZE SELECT {aggregate}(..) over one flushed page \
+                 reported {from_header} pages from headers on its query.files span, expected \
+                 1: {answered:?}"
+            );
+            std::process::exit(1);
+        }
     }
 }
 

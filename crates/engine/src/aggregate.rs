@@ -10,6 +10,8 @@
 use crate::batch::ColumnSlice;
 use crate::engine::StorageEngine;
 use crate::read::Sink;
+use crate::stats::{for_each_image, max_of, min_of, ExactSum};
+use crate::tsfile::PageHeader;
 use crate::types::SeriesKey;
 
 /// Supported aggregation functions (IoTDB's core set).
@@ -61,46 +63,52 @@ impl AggValue {
 /// stream of points — the sink a scan folds into, so one pass answers
 /// any number of aggregates of a series.
 ///
-/// The sum is a single accumulator advanced in time order from the
-/// identity `Iterator::sum` starts from, so `Sum` and `Avg` come out
-/// bit-identical to summing the materialized rows.
+/// Values fold as their `f64` images under the definitions of
+/// [`crate::stats`]: the sum is exact and rounded once when read, and
+/// min/max follow `totalOrder` skipping NaN. Both are associative, so a
+/// page the fold absorbs whole from its header ([`PageStats`]) adds what
+/// its decoded points would have, bit for bit.
+///
+/// [`PageStats`]: crate::tsfile::PageStats
 #[derive(Debug, Clone)]
 pub(crate) struct Fold {
     needs_values: bool,
-    /// Whether `MinValue` or `MaxValue` was asked for; the sum alone is
-    /// a third of the work of all three.
+    /// Whether `Sum` or `Avg` was asked for.
+    needs_sum: bool,
+    /// Whether `MinValue` or `MaxValue` was asked for.
     needs_extremes: bool,
+    /// Whether `FirstValue` or `LastValue` was asked for — values no
+    /// page header stores.
+    needs_ends: bool,
     count: u64,
     first_time: i64,
     last_time: i64,
     first_value: f64,
     last_value: f64,
-    sum: f64,
+    sum: ExactSum,
     min: f64,
     max: f64,
 }
 
 impl Fold {
     /// An empty fold that will be asked for `aggs`. Values are folded
-    /// only if one of them reads values.
+    /// only if one of them reads values, and only into what is asked.
     pub(crate) fn new(aggs: &[Aggregation]) -> Self {
-        let needs_values = aggs.iter().any(|agg| {
-            !matches!(
-                agg,
-                Aggregation::Count | Aggregation::MinTime | Aggregation::MaxTime
-            )
-        });
+        let asks = |wanted: &[Aggregation]| aggs.iter().any(|agg| wanted.contains(agg));
+        let needs_sum = asks(&[Aggregation::Sum, Aggregation::Avg]);
+        let needs_extremes = asks(&[Aggregation::MinValue, Aggregation::MaxValue]);
+        let needs_ends = asks(&[Aggregation::FirstValue, Aggregation::LastValue]);
         Self {
-            needs_values,
-            needs_extremes: aggs
-                .iter()
-                .any(|agg| matches!(agg, Aggregation::MinValue | Aggregation::MaxValue)),
+            needs_values: needs_sum || needs_extremes || needs_ends,
+            needs_sum,
+            needs_extremes,
+            needs_ends,
             count: 0,
             first_time: 0,
             last_time: 0,
             first_value: 0.0,
             last_value: 0.0,
-            sum: -0.0,
+            sum: ExactSum::new(),
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
@@ -114,23 +122,26 @@ impl Fold {
         self.count += points;
     }
 
-    fn fold_values<T>(&mut self, values: &[T], as_f64: impl Fn(&T) -> f64) {
-        let (Some(first), Some(last)) = (values.first(), values.last()) else {
+    fn fold_values(&mut self, values: ColumnSlice<'_>) {
+        let Some(last) = values.len().checked_sub(1) else {
             return;
         };
-        if self.count == 0 {
-            self.first_value = as_f64(first);
+        if self.needs_ends {
+            if self.count == 0 {
+                for_each_image(values.slice(0, 1), |v| self.first_value = v);
+            }
+            for_each_image(values.slice(last, last + 1), |v| self.last_value = v);
         }
-        self.last_value = as_f64(last);
-        for v in values {
-            self.sum += as_f64(v);
+        if self.needs_sum {
+            let mut sum = self.sum.adder();
+            for_each_image(values, |v| sum.add(v));
         }
         if self.needs_extremes {
-            for v in values {
-                let v = as_f64(v);
-                self.min = self.min.min(v);
-                self.max = self.max.max(v);
-            }
+            let (min, max) = (&mut self.min, &mut self.max);
+            for_each_image(values, |v| {
+                *min = min_of(*min, v);
+                *max = max_of(*max, v);
+            });
         }
     }
 
@@ -143,8 +154,8 @@ impl Fold {
             Aggregation::Count => AggValue::Number(self.count as f64),
             Aggregation::MinValue => AggValue::Number(self.min),
             Aggregation::MaxValue => AggValue::Number(self.max),
-            Aggregation::Sum => AggValue::Number(self.sum),
-            Aggregation::Avg => AggValue::Number(self.sum / self.count as f64),
+            Aggregation::Sum => AggValue::Number(self.sum.value()),
+            Aggregation::Avg => AggValue::Number(self.sum.value() / self.count as f64),
             Aggregation::FirstValue => AggValue::Number(self.first_value),
             Aggregation::LastValue => AggValue::Number(self.last_value),
             Aggregation::MinTime => AggValue::Time(self.first_time),
@@ -159,17 +170,7 @@ impl Sink for Fold {
     }
 
     fn push(&mut self, times: &[i64], values: ColumnSlice<'_>) {
-        if self.needs_values {
-            match values {
-                ColumnSlice::Int(s) => self.fold_values(s, |&v| f64::from(v)),
-                ColumnSlice::Long(s) => self.fold_values(s, |&v| v as f64),
-                ColumnSlice::Float(s) => self.fold_values(s, |&v| f64::from(v)),
-                ColumnSlice::Double(s) => self.fold_values(s, |&v| v),
-                ColumnSlice::Bool(s) => self.fold_values(s, |&v| f64::from(u8::from(v))),
-                // The same lossy cast `TsValue::as_f64` gives text rows.
-                ColumnSlice::Text(s) => self.fold_values(s, |v| v.parse().unwrap_or(0.0)),
-            }
-        }
+        self.fold_values(values);
         self.push_times(times);
     }
 
@@ -179,10 +180,30 @@ impl Sink for Fold {
         }
     }
 
-    fn push_page(&mut self, min_time: i64, max_time: i64, count: u32) -> bool {
-        if count > 0 {
-            self.note_times(min_time, max_time, u64::from(count));
+    /// Absorbs a page when its header answers everything asked: counts
+    /// and times always; sums and extremes from [`PageStats`] (a sum only
+    /// when the page stores one); first and last values never.
+    ///
+    /// [`PageStats`]: crate::tsfile::PageStats
+    fn push_page(&mut self, page: &PageHeader) -> bool {
+        if self.needs_values {
+            let Some(stats) = &page.stats else {
+                return false;
+            };
+            if self.needs_ends {
+                return false;
+            }
+            if self.needs_sum {
+                let Some(partials) = stats.sum_partials() else {
+                    return false;
+                };
+                let mut sum = self.sum.adder();
+                partials.iter().for_each(|&p| sum.add(p));
+            }
+            self.min = min_of(self.min, stats.min);
+            self.max = max_of(self.max, stats.max);
         }
+        self.note_times(page.min_time, page.max_time, u64::from(page.count));
         true
     }
 }
@@ -282,8 +303,11 @@ impl Sink for Buckets {
         self.deal(times, |open, at, to| open.push_times(&times[at..to]));
     }
 
-    fn push_page(&mut self, min_time: i64, max_time: i64, count: u32) -> bool {
-        self.seek(min_time) && max_time < self.end && self.open.push_page(min_time, max_time, count)
+    /// Absorbs a page that lies wholly inside the open bucket (after
+    /// opening the one its first point falls in), as the bucket's fold
+    /// would.
+    fn push_page(&mut self, page: &PageHeader) -> bool {
+        self.seek(page.min_time) && page.max_time < self.end && self.open.push_page(page)
     }
 }
 

@@ -311,26 +311,26 @@ impl ValueColumn {
     }
 
     /// Decodes an [`encode_into`](Self::encode_into) payload of the given
-    /// type, verifying it carries exactly `count` values. Total: returns
-    /// `None` on any malformed input.
+    /// type, verifying it carries exactly `count` values — before any
+    /// value is produced, so a forged payload count cannot make the
+    /// decoder emit more. Total: returns `None` on any malformed input.
     pub fn decode(dt: DataType, count: usize, buf: &[u8]) -> Option<ValueColumn> {
         use crate::encoding::{boolpack, gorilla, intcolumn, textpack};
-        let col = match dt {
+        Some(match dt {
             DataType::Int32 => {
-                let wide = intcolumn::decode(buf)?;
+                let wide = intcolumn::decode(buf, count)?;
                 let mut narrow = Vec::with_capacity(wide.len());
                 for v in wide {
                     narrow.push(i32::try_from(v).ok()?);
                 }
                 ValueColumn::Int(narrow)
             }
-            DataType::Int64 => ValueColumn::Long(intcolumn::decode(buf)?),
-            DataType::Float => ValueColumn::Float(gorilla::decode_f32(buf)?),
-            DataType::Double => ValueColumn::Double(gorilla::decode_f64(buf)?),
-            DataType::Boolean => ValueColumn::Bool(boolpack::decode(buf)?),
-            DataType::Text => ValueColumn::Text(textpack::decode(buf)?),
-        };
-        (col.len() == count).then_some(col)
+            DataType::Int64 => ValueColumn::Long(intcolumn::decode(buf, count)?),
+            DataType::Float => ValueColumn::Float(gorilla::decode_f32(buf, count)?),
+            DataType::Double => ValueColumn::Double(gorilla::decode_f64(buf, count)?),
+            DataType::Boolean => ValueColumn::Bool(boolpack::decode(buf, count)?),
+            DataType::Text => ValueColumn::Text(textpack::decode(buf, count)?),
+        })
     }
 }
 

@@ -276,7 +276,10 @@ impl StorageEngine {
     /// point per sensor (later files override earlier ones on equal
     /// timestamps), drops chunks belonging to other shards (adopted
     /// multi-device copies), and applies tombstones *physically* to any
-    /// input file below their horizon. Returns `(image, points)`;
+    /// input file below their horizon. A series whose surviving points
+    /// are not all of one type (an adopted file may hold another type
+    /// than the buffers flushed beside it) is written as one chunk per
+    /// same-type stretch, in time order. Returns `(image, points)`;
     /// `None` when nothing survives (no file is written).
     fn merge_run(
         &self,
@@ -322,7 +325,12 @@ impl StorageEngine {
             let times: Vec<i64> = series.keys().copied().collect();
             let values: Vec<TsValue> = series.values().cloned().collect();
             points += times.len() as u64;
-            writer.write_chunk(key, &times, &values);
+            let mut start = 0;
+            for stretch in values.chunk_by(|a, b| a.data_type() == b.data_type()) {
+                let end = start + stretch.len();
+                writer.write_chunk(key, &times[start..end], stretch);
+                start = end;
+            }
         }
         (points > 0).then(|| (writer.finish(), points))
     }

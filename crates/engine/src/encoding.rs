@@ -256,10 +256,18 @@ pub mod ts2diff {
         out
     }
 
-    /// Decodes a TS_2DIFF column. `None` on malformed input.
-    pub fn decode(buf: &[u8]) -> Option<Vec<i64>> {
+    /// Decodes a TS_2DIFF column that must hold exactly `count` values.
+    /// `None` on malformed input.
+    ///
+    /// The stream's own count is checked against `count` before any
+    /// value is produced, and a block longer than the encoder writes is
+    /// refused, so a forged count or a width-0 block with a forged length
+    /// cannot make a few bytes emit more values than the caller expects.
+    pub fn decode(buf: &[u8], count: usize) -> Option<Vec<i64>> {
         let mut pos = 0usize;
-        let count = varint::read_u64(buf, &mut pos)? as usize;
+        if varint::read_u64(buf, &mut pos)? != count as u64 {
+            return None;
+        }
         if count == 0 {
             return Some(Vec::new());
         }
@@ -280,9 +288,10 @@ pub mod ts2diff {
             let packed_len = varint::read_u64(buf, &mut pos)? as usize;
             let packed = buf.get(pos..pos.checked_add(packed_len)?)?;
             pos += packed_len;
-            if block_len == 0 {
+            if block_len == 0 || block_len > BLOCK {
                 // A zero-length block cannot make progress toward
-                // `count`; reject rather than loop forever.
+                // `count` (reject rather than loop forever), and the
+                // encoder never writes a longer one.
                 return None;
             }
             let mut br = super::bitio::BitReader::new(packed);
@@ -358,10 +367,13 @@ pub mod gorilla {
         out
     }
 
-    /// Decodes [`encode_f64`] output.
-    pub fn decode_f64(buf: &[u8]) -> Option<Vec<f64>> {
+    /// Decodes [`encode_f64`] output that must hold exactly `count`
+    /// values (checked before any value is produced).
+    pub fn decode_f64(buf: &[u8], count: usize) -> Option<Vec<f64>> {
         let mut pos = 0usize;
-        let count = varint::read_u64(buf, &mut pos)? as usize;
+        if varint::read_u64(buf, &mut pos)? != count as u64 {
+            return None;
+        }
         if count == 0 {
             return Some(Vec::new());
         }
@@ -404,9 +416,9 @@ pub mod gorilla {
         encode_f64(&widened)
     }
 
-    /// Decodes [`encode_f32`] output.
-    pub fn decode_f32(buf: &[u8]) -> Option<Vec<f32>> {
-        decode_f64(buf).map(|v| v.into_iter().map(|x| x as f32).collect())
+    /// Decodes [`encode_f32`] output of exactly `count` values.
+    pub fn decode_f32(buf: &[u8], count: usize) -> Option<Vec<f32>> {
+        decode_f64(buf, count).map(|v| v.into_iter().map(|x| x as f32).collect())
     }
 }
 
@@ -440,11 +452,15 @@ pub mod rle {
         out
     }
 
-    /// Inverse of [`encode`]. `None` on malformed input (including run
-    /// lengths that disagree with the count).
-    pub fn decode(buf: &[u8]) -> Option<Vec<i64>> {
+    /// Inverse of [`encode`] for a column of exactly `count` values.
+    /// `None` on malformed input: a stream count other than `count`
+    /// (checked before any value is produced), or run lengths that
+    /// disagree with it.
+    pub fn decode(buf: &[u8], count: usize) -> Option<Vec<i64>> {
         let mut pos = 0usize;
-        let count = varint::read_u64(buf, &mut pos)? as usize;
+        if varint::read_u64(buf, &mut pos)? != count as u64 {
+            return None;
+        }
         let mut out = Vec::with_capacity(count.min(1 << 20));
         while out.len() < count {
             let value = varint::read_i64(buf, &mut pos)?;
@@ -484,11 +500,11 @@ pub mod intcolumn {
         out
     }
 
-    /// Decodes a tagged integer column.
-    pub fn decode(buf: &[u8]) -> Option<Vec<i64>> {
+    /// Decodes a tagged integer column of exactly `count` values.
+    pub fn decode(buf: &[u8], count: usize) -> Option<Vec<i64>> {
         match *buf.first()? {
-            TAG_TS2DIFF => ts2diff::decode(&buf[1..]),
-            TAG_RLE => rle::decode(&buf[1..]),
+            TAG_TS2DIFF => ts2diff::decode(&buf[1..], count),
+            TAG_RLE => rle::decode(&buf[1..], count),
             _ => None,
         }
     }
@@ -512,11 +528,13 @@ pub mod textpack {
         out
     }
 
-    /// Inverse of [`encode`]. `None` on malformed input (bad lengths or
-    /// invalid UTF-8).
-    pub fn decode(buf: &[u8]) -> Option<Vec<String>> {
+    /// Inverse of [`encode`] for exactly `count` strings. `None` on
+    /// malformed input (another count, bad lengths or invalid UTF-8).
+    pub fn decode(buf: &[u8], count: usize) -> Option<Vec<String>> {
         let mut pos = 0usize;
-        let count = varint::read_u64(buf, &mut pos)? as usize;
+        if varint::read_u64(buf, &mut pos)? != count as u64 {
+            return None;
+        }
         let mut out = Vec::with_capacity(count.min(1 << 16));
         for _ in 0..count {
             let len = varint::read_u64(buf, &mut pos)? as usize;
@@ -545,10 +563,12 @@ pub mod boolpack {
         out
     }
 
-    /// Inverse of [`encode`].
-    pub fn decode(buf: &[u8]) -> Option<Vec<bool>> {
+    /// Inverse of [`encode`] for exactly `count` booleans.
+    pub fn decode(buf: &[u8], count: usize) -> Option<Vec<bool>> {
         let mut pos = 0usize;
-        let count = varint::read_u64(buf, &mut pos)? as usize;
+        if varint::read_u64(buf, &mut pos)? != count as u64 {
+            return None;
+        }
         let mut br = BitReader::new(buf.get(pos..)?);
         (0..count).map(|_| br.read_bit()).collect()
     }
@@ -649,40 +669,44 @@ mod tests {
             "len {}",
             encoded.len()
         );
-        assert_eq!(ts2diff::decode(&encoded), Some(values));
+        assert_eq!(ts2diff::decode(&encoded, values.len()), Some(values));
     }
 
     #[test]
     fn ts2diff_roundtrip_irregular_and_negative() {
         let values: Vec<i64> = vec![5, -3, 1_000_000, -7, 0, i64::MAX / 2, 13];
         let encoded = ts2diff::encode(&values);
-        assert_eq!(ts2diff::decode(&encoded), Some(values));
+        assert_eq!(ts2diff::decode(&encoded, values.len()), Some(values));
     }
 
     #[test]
     fn ts2diff_empty_and_singleton() {
-        assert_eq!(ts2diff::decode(&ts2diff::encode(&[])), Some(vec![]));
-        assert_eq!(ts2diff::decode(&ts2diff::encode(&[42])), Some(vec![42]));
+        assert_eq!(ts2diff::decode(&ts2diff::encode(&[]), 0), Some(vec![]));
+        assert_eq!(ts2diff::decode(&ts2diff::encode(&[42]), 1), Some(vec![42]));
     }
 
     #[test]
     fn ts2diff_multiblock() {
         let values: Vec<i64> = (0..1000).map(|i| (i * i) % 977).collect();
-        assert_eq!(ts2diff::decode(&ts2diff::encode(&values)), Some(values));
+        assert_eq!(
+            ts2diff::decode(&ts2diff::encode(&values), values.len()),
+            Some(values)
+        );
     }
 
     #[test]
     fn ts2diff_rejects_truncation() {
         let values: Vec<i64> = (0..100).collect();
         let encoded = ts2diff::encode(&values);
-        assert_eq!(ts2diff::decode(&encoded[..encoded.len() - 1]), None);
+        assert_eq!(ts2diff::decode(&encoded[..encoded.len() - 1], 100), None);
+        assert_eq!(ts2diff::decode(&encoded, 99), None, "another count");
     }
 
     #[test]
     fn gorilla_roundtrip_smooth_signal() {
         let values: Vec<f64> = (0..500).map(|i| 20.0 + (i as f64 * 0.01).sin()).collect();
         let encoded = gorilla::encode_f64(&values);
-        assert_eq!(gorilla::decode_f64(&encoded), Some(values));
+        assert_eq!(gorilla::decode_f64(&encoded, values.len()), Some(values));
     }
 
     #[test]
@@ -690,7 +714,7 @@ mod tests {
         let values = vec![3.25f64; 10_000];
         let encoded = gorilla::encode_f64(&values);
         assert!(encoded.len() < 10_000 / 4, "len {}", encoded.len());
-        assert_eq!(gorilla::decode_f64(&encoded), Some(values));
+        assert_eq!(gorilla::decode_f64(&encoded, values.len()), Some(values));
     }
 
     #[test]
@@ -706,7 +730,7 @@ mod tests {
             1.0,
             -1.0,
         ];
-        let decoded = gorilla::decode_f64(&gorilla::encode_f64(&values)).unwrap();
+        let decoded = gorilla::decode_f64(&gorilla::encode_f64(&values), values.len()).unwrap();
         for (a, b) in values.iter().zip(&decoded) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
@@ -716,16 +740,19 @@ mod tests {
     fn gorilla_f32_roundtrip() {
         let values: Vec<f32> = (0..200).map(|i| i as f32 * 0.5 - 17.0).collect();
         assert_eq!(
-            gorilla::decode_f32(&gorilla::encode_f32(&values)),
+            gorilla::decode_f32(&gorilla::encode_f32(&values), values.len()),
             Some(values)
         );
     }
 
     #[test]
     fn gorilla_empty_and_one() {
-        assert_eq!(gorilla::decode_f64(&gorilla::encode_f64(&[])), Some(vec![]));
         assert_eq!(
-            gorilla::decode_f64(&gorilla::encode_f64(&[2.5])),
+            gorilla::decode_f64(&gorilla::encode_f64(&[]), 0),
+            Some(vec![])
+        );
+        assert_eq!(
+            gorilla::decode_f64(&gorilla::encode_f64(&[2.5]), 1),
             Some(vec![2.5])
         );
     }
@@ -739,10 +766,10 @@ mod tests {
             "10 runs should encode tiny, got {}",
             encoded.len()
         );
-        assert_eq!(rle::decode(&encoded), Some(plateaus));
-        assert_eq!(rle::decode(&rle::encode(&[])), Some(vec![]));
+        assert_eq!(rle::decode(&encoded, plateaus.len()), Some(plateaus));
+        assert_eq!(rle::decode(&rle::encode(&[]), 0), Some(vec![]));
         let mixed = vec![5i64, 5, -3, i64::MAX, i64::MAX, 0];
-        assert_eq!(rle::decode(&rle::encode(&mixed)), Some(mixed));
+        assert_eq!(rle::decode(&rle::encode(&mixed), mixed.len()), Some(mixed));
     }
 
     #[test]
@@ -751,7 +778,7 @@ mod tests {
         varint::write_u64(&mut buf, 3); // claim 3 values
         varint::write_i64(&mut buf, 9);
         varint::write_u64(&mut buf, 10); // run overshoots
-        assert_eq!(rle::decode(&buf), None);
+        assert_eq!(rle::decode(&buf, 3), None);
     }
 
     #[test]
@@ -760,20 +787,20 @@ mod tests {
         let plateaus: Vec<i64> = (0..1000).map(|i| (i / 250) * 3).collect();
         let enc = intcolumn::encode(&plateaus);
         assert_eq!(enc[0], intcolumn::TAG_RLE);
-        assert_eq!(intcolumn::decode(&enc), Some(plateaus));
+        assert_eq!(intcolumn::decode(&enc, plateaus.len()), Some(plateaus));
         // A ramp -> TS_2DIFF wins.
         let ramp: Vec<i64> = (0..1000).collect();
         let enc = intcolumn::encode(&ramp);
         assert_eq!(enc[0], intcolumn::TAG_TS2DIFF);
-        assert_eq!(intcolumn::decode(&enc), Some(ramp));
+        assert_eq!(intcolumn::decode(&enc, ramp.len()), Some(ramp));
     }
 
     #[test]
     fn intcolumn_decode_is_total() {
-        assert_eq!(intcolumn::decode(&[]), None);
-        assert_eq!(intcolumn::decode(&[7, 1, 2, 3]), None);
-        let _ = intcolumn::decode(&[0, 0xFF]);
-        let _ = intcolumn::decode(&[1, 0xFF]);
+        assert_eq!(intcolumn::decode(&[], 0), None);
+        assert_eq!(intcolumn::decode(&[7, 1, 2, 3], 1), None);
+        let _ = intcolumn::decode(&[0, 0xFF], 1);
+        let _ = intcolumn::decode(&[1, 0xFF], 1);
     }
 
     #[test]
@@ -782,29 +809,35 @@ mod tests {
             .into_iter()
             .map(String::from)
             .collect::<Vec<_>>();
-        assert_eq!(textpack::decode(&textpack::encode(&values)), Some(values));
         assert_eq!(
-            textpack::decode(&textpack::encode::<String>(&[])),
+            textpack::decode(&textpack::encode(&values), values.len()),
+            Some(values)
+        );
+        assert_eq!(
+            textpack::decode(&textpack::encode::<String>(&[]), 0),
             Some(vec![])
         );
     }
 
     #[test]
     fn textpack_decode_is_total_on_garbage() {
-        assert_eq!(textpack::decode(&[0xFF, 0xFF, 0xFF]), None);
-        let _ = textpack::decode(b"not a column");
+        assert_eq!(textpack::decode(&[0xFF, 0xFF, 0xFF], 3), None);
+        let _ = textpack::decode(b"not a column", 110);
         // invalid UTF-8 payload
         let mut buf = Vec::new();
         varint::write_u64(&mut buf, 1);
         varint::write_u64(&mut buf, 2);
         buf.extend_from_slice(&[0xC3, 0x28]);
-        assert_eq!(textpack::decode(&buf), None);
+        assert_eq!(textpack::decode(&buf, 1), None);
     }
 
     #[test]
     fn boolpack_roundtrip() {
         let values: Vec<bool> = (0..77).map(|i| i % 3 == 0).collect();
-        assert_eq!(boolpack::decode(&boolpack::encode(&values)), Some(values));
-        assert_eq!(boolpack::decode(&boolpack::encode(&[])), Some(vec![]));
+        assert_eq!(
+            boolpack::decode(&boolpack::encode(&values), values.len()),
+            Some(values)
+        );
+        assert_eq!(boolpack::decode(&boolpack::encode(&[]), 0), Some(vec![]));
     }
 }

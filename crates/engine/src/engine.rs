@@ -2220,13 +2220,30 @@ mod tests {
             "two boundary pages decoded (timestamps only), six answered from \
              headers, and only the boundary points scanned"
         );
-        // The timestamp-only decodes were not cached: a fold that reads
-        // values decodes all eight pages, and caches them.
+        // A sum takes the same six pages from the statistics in their
+        // headers; the timestamp-only decodes were not cached, so it
+        // decodes the two boundary pages whole, and caches them.
         let before = page_counts(&eng);
         let sum = eng.aggregate(&key("s"), lo, hi, Aggregation::Sum);
-        let want: f64 = (lo..=hi).map(|t| t as f64 * 0.5).sum();
-        assert_eq!(sum, AggValue::Number(want));
-        assert_eq!(since(&eng, before), (8, 0, 0, (hi - lo + 1) as u64));
+        let mut want = crate::ExactSum::new();
+        (lo..=hi).for_each(|t| want.add(t as f64 * 0.5));
+        assert_eq!(sum, AggValue::Number(want.value()));
+        assert_eq!(since(&eng, before), (2, 6, 0, (page - 100) as u64 + 100));
+        // A first value is in no header: asked beside the sum, it makes
+        // the six inner pages decode (the boundary pages are cache hits)
+        // and the sum comes out the same, bit for bit.
+        let before = page_counts(&eng);
+        let decoded = eng.aggregate_many(
+            &key("s"),
+            lo,
+            hi,
+            &[Aggregation::Sum, Aggregation::FirstValue],
+        );
+        assert_eq!(
+            decoded[0].as_number().map(f64::to_bits),
+            Some(want.value().to_bits())
+        );
+        assert_eq!(since(&eng, before), (6, 0, 2, (hi - lo + 1) as u64));
         // Now the count's boundary pages are cache hits, not decodes.
         let before = page_counts(&eng);
         assert_eq!(

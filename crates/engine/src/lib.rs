@@ -42,6 +42,7 @@ pub mod flush;
 pub mod flusher;
 pub mod memtable;
 pub mod read;
+pub mod stats;
 pub mod store;
 pub mod tsfile;
 pub mod types;
@@ -59,5 +60,6 @@ pub use flush::{flush_memtable, FlushMetrics};
 pub use flusher::{AsyncFlusher, FlusherClosed};
 pub use memtable::{MemTable, SeriesBuffer};
 pub use read::{FileHandle, IntervalSet};
+pub use stats::ExactSum;
 pub use store::DurableEngine;
 pub use types::{DataType, SeriesKey, TsValue};

@@ -289,12 +289,12 @@ impl IntervalSet {
 /// Where a [`Scan`]'s points go: rows for `query`, a running fold for
 /// the aggregates. Points arrive in ascending time order, one point per
 /// timestamp (duplicates across and within runs are already resolved),
-/// as borrowed column slices.
+/// as borrowed column slices — or, for a page nothing shadows or erases,
+/// as the page's header.
 pub(crate) trait Sink {
     /// Whether the sink reads values at all. When it does not, the scan
     /// decodes timestamp columns alone and hands them to
-    /// [`push_times`](Self::push_times), and offers whole pages as
-    /// header statistics to [`push_page`](Self::push_page).
+    /// [`push_times`](Self::push_times).
     fn needs_values(&self) -> bool {
         true
     }
@@ -308,12 +308,11 @@ pub(crate) trait Sink {
         debug_assert!(times.is_empty(), "a sink that needs values got none");
     }
 
-    /// Offers a whole page as the `count` / `min_time` / `max_time` its
-    /// header stores — every point of it inside the scan range, none
-    /// shadowed or erased. Returns whether the sink absorbed it; `false`
-    /// makes the scan decode the page instead. Offered only when
-    /// [`needs_values`](Self::needs_values) is false.
-    fn push_page(&mut self, _min_time: i64, _max_time: i64, _count: u32) -> bool {
+    /// Offers a whole page as the statistics its header stores — every
+    /// point of it inside the scan range, in a streamed run (no other run
+    /// overlaps it) that no tombstone touches. Returns whether the sink
+    /// absorbed it; `false` makes the scan decode the page instead.
+    fn push_page(&mut self, _page: &PageHeader) -> bool {
         false
     }
 }
@@ -446,10 +445,11 @@ impl<'s> Scan<'s> {
 
     /// Hands a run that nothing overlaps to the sink without looking at
     /// its points one by one: a buffer as its deduplicated columns, a
-    /// chunk page by page — from the header alone when the sink reads
-    /// no values and the page lies wholly inside the range, else as the
-    /// in-range sub-slices of the decoded (or cached) columns, split
-    /// around the file's tombstones.
+    /// chunk page by page — from the header alone when the page lies
+    /// wholly inside the range, the file has no tombstone for the series
+    /// and the sink can answer from the header, else as the in-range
+    /// sub-slices of the decoded (or cached) columns, split around the
+    /// file's tombstones.
     fn stream(&self, run: &Run<'s>, sink: &mut dyn Sink) {
         let (file, meta, erased) = match &run.source {
             RunSource::Buffer { buffer, lo, hi } => {
@@ -461,11 +461,10 @@ impl<'s> Scan<'s> {
         };
         let with_values = sink.needs_values();
         for header in self.pages(file, meta) {
-            if !with_values
-                && erased.is_empty()
+            if erased.is_empty()
                 && header.min_time >= self.t_lo
                 && header.max_time <= self.t_hi
-                && sink.push_page(header.min_time, header.max_time, header.count)
+                && sink.push_page(&header)
             {
                 bump(&self.stats.pages_from_header, 1);
                 continue;
@@ -701,9 +700,9 @@ mod tests {
             "absent key pruned by the filter (deterministic hash)"
         );
         // A v1 image has no filter: may_contain must never prune.
-        let mut w = TsFileWriter::new();
+        let mut w = TsFileWriter::with_version(crate::tsfile::Version::V1);
         w.write_chunk(&key("a"), &[1], &[TsValue::Long(1)]);
-        let v1 = FileHandle::parse(2, w.finish_v1()).expect("v1 opens");
+        let v1 = FileHandle::parse(2, w.finish()).expect("v1 opens");
         assert!(v1.filter().is_none());
         assert!(v1.may_contain(&SeriesKey::new("root.absent.d", "x")));
         assert_eq!(v1.key_time_range(&key("a")), Some((1, 1)));

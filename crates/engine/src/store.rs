@@ -364,10 +364,7 @@ impl WalRecord {
                 p += 4;
                 let ts_bytes = payload.get(p..p.checked_add(ts_len)?)?;
                 p += ts_len;
-                let ts = ts2diff::decode(ts_bytes)?;
-                if ts.len() != count {
-                    return None;
-                }
+                let ts = ts2diff::decode(ts_bytes, count)?;
                 let values = ValueColumn::decode(dt, count, payload.get(p..)?)?;
                 let batch = PointBatch::from_columns(ts, values).ok()?;
                 WalRecord::PointBatch { key, batch }

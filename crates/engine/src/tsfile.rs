@@ -10,15 +10,18 @@
 //!   min_time i64 | max_time i64            little-endian
 //!   page_count u32
 //!   page*:
-//!     min_time i64 | max_time i64 | count u32
+//!     min_time i64 | max_time i64 | count u32      count in 1..=PAGE_POINTS
+//!     (v3, every type but TEXT:)
+//!     min f64 | max f64                    over the values' f64 images
+//!     sum_len u8 | (partial f64)*sum_len   the exact sum; 0xFF = no sum
 //!     ts_len u32   | ts bytes              TS_2DIFF
 //!     val_len u32  | val bytes             per-type encoding
-//! footer (v2, written by [`TsFileWriter::finish`]):
+//! footer (v3, written by [`TsFileWriter::finish`]; v2 the same):
 //!   chunk_count u32
 //!   (chunk_offset u64)*                    byte offsets of each chunk
 //!   filter_len u32 | filter bytes          key existence filter
 //!   footer_offset u64                      offset of chunk_count
-//!   "BSTF2\0"                              trailing magic
+//!   "BSTF3\0"                              trailing magic ("BSTF2\0")
 //! footer (v1, legacy — still readable):
 //!   chunk_count u32
 //!   (chunk_offset u64)*
@@ -26,23 +29,73 @@
 //!   "BSTF1\0"                              trailing magic
 //! ```
 //!
-//! The trailing magic is the version marker: `"BSTF1\0"` closes a v1
+//! The trailing magic is the [`Version`] marker: `"BSTF1\0"` closes a v1
 //! footer (no filter block), `"BSTF2\0"` a v2 footer carrying a
-//! serialized [`KeyFilter`] over the file's `(device, sensor)` keys.
-//! The leading magic stays `"BSTF1\0"` for both, so a v1 reader's
-//! cheap header sniff still recognizes the family.
+//! serialized [`KeyFilter`] over the file's `(device, sensor)` keys, and
+//! `"BSTF3\0"` the same footer over pages whose headers carry value
+//! statistics ([`PageStats`]). The leading magic stays `"BSTF1\0"` for
+//! all three, so a cheap header sniff still recognizes the family.
+//!
+//! A v3 page's sum is stored as the non-overlapping partials of its
+//! exact sum (the expansion Shewchuk's and Python's `math.fsum` keep, in
+//! increasing magnitude, at most [`MAX_SUM_PARTIALS`]): adding them to a
+//! query's [`ExactSum`] is the same as adding the page's values, so an
+//! aggregate answered from headers equals the decoded one bit for bit.
+//! `sum_len = 0xFF` says the page has no sum — it holds a NaN or an
+//! infinity, or its sum needs more partials than a header holds — and a
+//! sum over it decodes the page.
 
 use crate::batch::{ColumnSlice, ValueColumn};
 use crate::encoding::{boolpack, gorilla, intcolumn, textpack, ts2diff};
 use crate::filter::{key_hash, KeyFilter};
+use crate::stats::{for_each_image, max_of, min_of, ExactSum};
 use crate::types::{DataType, SeriesKey, TsValue};
 
 const MAGIC: &[u8; 6] = b"BSTF1\0";
 const MAGIC_V2: &[u8; 6] = b"BSTF2\0";
+const MAGIC_V3: &[u8; 6] = b"BSTF3\0";
 
 /// Points per page within a chunk (IoTDB's `max_number_of_points_in_page`
-/// defaults to the same order of magnitude).
+/// defaults to the same order of magnitude). A page header declaring
+/// more is refused.
 pub const PAGE_POINTS: usize = 1024;
+
+/// The most partials a v3 page header stores for its sum.
+pub const MAX_SUM_PARTIALS: usize = 8;
+
+/// `sum_len` of a v3 page that stores no sum.
+const NO_SUM: u8 = 0xFF;
+
+/// The format generation of an image, named by its trailing magic.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Version {
+    /// No key filter in the footer.
+    V1,
+    /// A key existence filter in the footer.
+    V2,
+    /// The v2 footer, and value statistics in every non-TEXT page header.
+    V3,
+}
+
+impl Version {
+    fn magic(self) -> &'static [u8; 6] {
+        match self {
+            Version::V1 => MAGIC,
+            Version::V2 => MAGIC_V2,
+            Version::V3 => MAGIC_V3,
+        }
+    }
+
+    fn has_filter(self) -> bool {
+        self >= Version::V2
+    }
+
+    /// Whether this version's pages of type `data_type` carry
+    /// [`PageStats`].
+    fn has_stats(self, data_type: DataType) -> bool {
+        self >= Version::V3 && data_type != DataType::Text
+    }
+}
 
 /// One encoded chunk: a sensor's sorted, deduplicated points.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,23 +112,43 @@ pub struct ChunkMeta {
     pub max_time: i64,
     /// Byte offset of the chunk within the file.
     pub offset: u64,
+    /// The format of the image the chunk lies in — which decides how its
+    /// page headers are laid out.
+    pub version: Version,
 }
 
 /// Serializes chunks into an in-memory TsFile image.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct TsFileWriter {
+    version: Version,
     buf: Vec<u8>,
     offsets: Vec<u64>,
     key_hashes: Vec<u64>,
     finished: bool,
 }
 
+impl Default for TsFileWriter {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl TsFileWriter {
-    /// Starts a new file image.
+    /// Starts a new file image in the current format (v3).
     pub fn new() -> Self {
+        Self::with_version(Version::V3)
+    }
+
+    /// Starts a new file image in a given format. Production paths
+    /// always write v3 via [`new`](Self::new); the older formats exist so
+    /// the reader's compatibility with files written before each format
+    /// change — they must keep opening and answering — stays under test
+    /// and under benchmark.
+    pub fn with_version(version: Version) -> Self {
         let mut buf = Vec::with_capacity(4096);
         buf.extend_from_slice(MAGIC);
         Self {
+            version,
             buf,
             offsets: Vec::new(),
             key_hashes: Vec::new(),
@@ -156,20 +229,25 @@ impl TsFileWriter {
             self.buf.extend_from_slice(&page_last.to_le_bytes());
             self.buf
                 .extend_from_slice(&(t_page.len() as u32).to_le_bytes());
+            let lo = page_idx * PAGE_POINTS;
+            let page_values = values.slice(lo, lo + t_page.len());
+            if self.version.has_stats(data_type) {
+                PageStats::of(page_values).write_into(&mut self.buf);
+            }
             let ts_bytes = ts2diff::encode(t_page);
             self.buf
                 .extend_from_slice(&(ts_bytes.len() as u32).to_le_bytes());
             self.buf.extend_from_slice(&ts_bytes);
-            let lo = page_idx * PAGE_POINTS;
-            let val_bytes = encode_column_page(values, lo, lo + t_page.len());
+            let val_bytes = encode_column_page(page_values);
             self.buf
                 .extend_from_slice(&(val_bytes.len() as u32).to_le_bytes());
             self.buf.extend_from_slice(&val_bytes);
         }
     }
 
-    /// Writes the v2 footer — chunk index plus the key existence filter
-    /// built from every chunk written — and returns the file image.
+    /// Writes the footer — chunk index, plus (v2 and v3) the key
+    /// existence filter built from every chunk written — and returns the
+    /// file image.
     pub fn finish(mut self) -> Vec<u8> {
         self.finished = true;
         let footer_offset = self.buf.len() as u64;
@@ -178,32 +256,16 @@ impl TsFileWriter {
         for off in &self.offsets {
             self.buf.extend_from_slice(&off.to_le_bytes());
         }
-        self.key_hashes.sort_unstable();
-        self.key_hashes.dedup();
-        let filter = KeyFilter::from_hashes(&self.key_hashes);
-        self.buf
-            .extend_from_slice(&(filter.serialized_len() as u32).to_le_bytes());
-        filter.serialize_into(&mut self.buf);
-        self.buf.extend_from_slice(&footer_offset.to_le_bytes());
-        self.buf.extend_from_slice(MAGIC_V2);
-        self.buf
-    }
-
-    /// Writes the legacy v1 footer (no filter block) and returns the
-    /// file image. Production paths always write v2 via
-    /// [`finish`](Self::finish); this exists so the reader's v1
-    /// compatibility — files flushed before the format change must keep
-    /// opening and querying — stays under test.
-    pub fn finish_v1(mut self) -> Vec<u8> {
-        self.finished = true;
-        let footer_offset = self.buf.len() as u64;
-        self.buf
-            .extend_from_slice(&(self.offsets.len() as u32).to_le_bytes());
-        for off in &self.offsets {
-            self.buf.extend_from_slice(&off.to_le_bytes());
+        if self.version.has_filter() {
+            self.key_hashes.sort_unstable();
+            self.key_hashes.dedup();
+            let filter = KeyFilter::from_hashes(&self.key_hashes);
+            self.buf
+                .extend_from_slice(&(filter.serialized_len() as u32).to_le_bytes());
+            filter.serialize_into(&mut self.buf);
         }
         self.buf.extend_from_slice(&footer_offset.to_le_bytes());
-        self.buf.extend_from_slice(MAGIC);
+        self.buf.extend_from_slice(self.version.magic());
         self.buf
     }
 }
@@ -216,21 +278,21 @@ fn type_mismatch(expected: DataType, got: &TsValue) -> ! {
     panic!("expected {expected:?}, got {got:?}")
 }
 
-/// Encodes one page's worth of a typed column (`lo..hi`) with the
-/// per-type scheme: TS_2DIFF/RLE for integers, Gorilla for floats, bit
-/// packing for booleans, length-prefixed UTF-8 for text. The INT32 arm
-/// widens to `i64` per page so the shared integer codec applies.
-fn encode_column_page(col: ColumnSlice<'_>, lo: usize, hi: usize) -> Vec<u8> {
+/// Encodes one page's worth of a typed column with the per-type
+/// scheme: TS_2DIFF/RLE for integers, Gorilla for floats, bit packing for
+/// booleans, length-prefixed UTF-8 for text. The INT32 arm widens to
+/// `i64` per page so the shared integer codec applies.
+fn encode_column_page(col: ColumnSlice<'_>) -> Vec<u8> {
     match col {
         ColumnSlice::Int(s) => {
-            let widened: Vec<i64> = s[lo..hi].iter().map(|&v| i64::from(v)).collect();
+            let widened: Vec<i64> = s.iter().map(|&v| i64::from(v)).collect();
             intcolumn::encode(&widened)
         }
-        ColumnSlice::Long(s) => intcolumn::encode(&s[lo..hi]),
-        ColumnSlice::Float(s) => gorilla::encode_f32(&s[lo..hi]),
-        ColumnSlice::Double(s) => gorilla::encode_f64(&s[lo..hi]),
-        ColumnSlice::Bool(s) => boolpack::encode(&s[lo..hi]),
-        ColumnSlice::Text(s) => textpack::encode(&s[lo..hi]),
+        ColumnSlice::Long(s) => intcolumn::encode(s),
+        ColumnSlice::Float(s) => gorilla::encode_f32(s),
+        ColumnSlice::Double(s) => gorilla::encode_f64(s),
+        ColumnSlice::Bool(s) => boolpack::encode(s),
+        ColumnSlice::Text(s) => textpack::encode(s),
     }
 }
 
@@ -259,13 +321,9 @@ impl<'a> TsFileReader<'a> {
             return None;
         }
         let trailer = buf.get(buf.len() - MAGIC.len()..)?;
-        let v2 = if trailer == MAGIC_V2 {
-            true
-        } else if trailer == MAGIC {
-            false
-        } else {
-            return None;
-        };
+        let version = [Version::V1, Version::V2, Version::V3]
+            .into_iter()
+            .find(|v| trailer == v.magic())?;
         let footer_off_pos = buf.len() - MAGIC.len() - 8;
         let footer_offset = u64::from_le_bytes(
             buf.get(footer_off_pos..footer_off_pos + 8)?
@@ -277,9 +335,9 @@ impl<'a> TsFileReader<'a> {
         let mut chunks = Vec::with_capacity(count);
         for _ in 0..count {
             let off = read_u64(buf, &mut pos)? as usize;
-            chunks.push(Self::read_chunk_meta(buf, off)?);
+            chunks.push(Self::read_chunk_meta(buf, off, version)?);
         }
-        let filter = if v2 {
+        let filter = if version.has_filter() {
             let filter_len = read_u32(buf, &mut pos)? as usize;
             let filter_bytes = buf.get(pos..pos.checked_add(filter_len)?)?;
             Some(KeyFilter::deserialize(filter_bytes)?)
@@ -296,7 +354,7 @@ impl<'a> TsFileReader<'a> {
         })
     }
 
-    /// The v2 footer's key existence filter, or `None` for a v1 image.
+    /// The footer's key existence filter, or `None` for a v1 image.
     pub fn filter(&self) -> Option<&KeyFilter> {
         self.filter.as_ref()
     }
@@ -308,7 +366,7 @@ impl<'a> TsFileReader<'a> {
         self.filter.take()
     }
 
-    fn read_chunk_meta(buf: &[u8], off: usize) -> Option<ChunkMeta> {
+    fn read_chunk_meta(buf: &[u8], off: usize, version: Version) -> Option<ChunkMeta> {
         let mut pos = off;
         let name_len = read_u16(buf, &mut pos)? as usize;
         let name = std::str::from_utf8(buf.get(pos..pos + name_len)?).ok()?;
@@ -326,6 +384,7 @@ impl<'a> TsFileReader<'a> {
             min_time,
             max_time,
             offset: off as u64,
+            version,
         })
     }
 
@@ -390,11 +449,95 @@ pub fn chunks_for<'c>(chunks: &'c [ChunkMeta], key: &SeriesKey) -> &'c [ChunkMet
 /// returns and the block cache holds.
 pub type PageColumns = (Vec<i64>, ValueColumn);
 
+/// A v3 page's value statistics, over the `f64` images of its values
+/// with the definitions of [`crate::stats`]: `min`/`max` in `totalOrder`
+/// skipping NaN (an all-NaN page stores `+inf`/`-inf`, the fold's
+/// identities), and the exact sum as partials.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PageStats {
+    /// Smallest value.
+    pub min: f64,
+    /// Largest value.
+    pub max: f64,
+    /// The exact sum's partials, the first `sum_len` of them; `sum_len`
+    /// is [`NO_SUM`] when the page stores no sum.
+    partials: [f64; MAX_SUM_PARTIALS],
+    sum_len: u8,
+}
+
+impl PageStats {
+    /// The statistics of one page's values.
+    fn of(values: ColumnSlice<'_>) -> Self {
+        let (mut min, mut max, mut sum) = (f64::INFINITY, f64::NEG_INFINITY, ExactSum::new());
+        let mut adder = sum.adder();
+        for_each_image(values, |v| {
+            min = min_of(min, v);
+            max = max_of(max, v);
+            adder.add(v);
+        });
+        drop(adder);
+        let mut stats = Self {
+            min,
+            max,
+            partials: [0.0; MAX_SUM_PARTIALS],
+            sum_len: NO_SUM,
+        };
+        if let Some(partials) = sum.partials() {
+            if let Some(slots) = stats.partials.get_mut(..partials.len()) {
+                slots.copy_from_slice(&partials);
+                stats.sum_len = partials.len() as u8;
+            }
+        }
+        stats
+    }
+
+    /// The exact sum's partials — add them to an [`ExactSum`] to add the
+    /// page's values — or `None` when the page stores no sum.
+    pub fn sum_partials(&self) -> Option<&[f64]> {
+        self.partials.get(..usize::from(self.sum_len))
+    }
+
+    fn write_into(&self, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(&self.min.to_le_bytes());
+        buf.extend_from_slice(&self.max.to_le_bytes());
+        buf.push(self.sum_len);
+        for p in self.sum_partials().unwrap_or_default() {
+            buf.extend_from_slice(&p.to_le_bytes());
+        }
+    }
+
+    /// Parses statistics written by [`write_into`](Self::write_into).
+    /// `None` on a `sum_len` no writer produces, a NaN extreme or a
+    /// non-finite partial.
+    fn read(buf: &[u8], pos: &mut usize) -> Option<Self> {
+        let min = f64::from_bits(read_u64(buf, pos)?);
+        let max = f64::from_bits(read_u64(buf, pos)?);
+        let sum_len = *buf.get(*pos)?;
+        *pos += 1;
+        let mut stats = Self {
+            min,
+            max,
+            partials: [0.0; MAX_SUM_PARTIALS],
+            sum_len,
+        };
+        if sum_len != NO_SUM {
+            for slot in stats.partials.get_mut(..usize::from(sum_len))? {
+                *slot = f64::from_bits(read_u64(buf, pos)?);
+                if !slot.is_finite() {
+                    return None;
+                }
+            }
+        }
+        (!min.is_nan() && !max.is_nan()).then_some(stats)
+    }
+}
+
 /// One page's header: the statistics stored ahead of its encoded
 /// columns, and where those columns lie in the image. A reader prunes
-/// on `min_time`/`max_time`, and a fold that needs only counts and
-/// times can take a whole page from here without decoding it.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// on `min_time`/`max_time`, and a fold can take a whole page from here
+/// without decoding it: counts and times from any page, sums and
+/// extremes from a v3 page's [`PageStats`].
+#[derive(Debug, Clone, PartialEq)]
 pub struct PageHeader {
     /// Page ordinal within its chunk.
     pub index: u32,
@@ -402,8 +545,10 @@ pub struct PageHeader {
     pub min_time: i64,
     /// Largest timestamp in the page.
     pub max_time: i64,
-    /// Points in the page.
+    /// Points in the page, `1..=PAGE_POINTS`.
     pub count: u32,
+    /// Value statistics: `Some` on v3 pages of every type but TEXT.
+    pub stats: Option<PageStats>,
     ts: std::ops::Range<usize>,
     values: std::ops::Range<usize>,
 }
@@ -417,8 +562,7 @@ impl PageHeader {
     /// Decodes the page's timestamp column alone, verifying it carries
     /// exactly `count` entries. `None` on corruption.
     pub fn decode_times(&self, buf: &[u8]) -> Option<Vec<i64>> {
-        let times = ts2diff::decode(buf.get(self.ts.clone())?)?;
-        (times.len() == self.count as usize).then_some(times)
+        ts2diff::decode(buf.get(self.ts.clone())?, self.count as usize)
     }
 
     /// The page decoder: both columns, typed, each verified to carry
@@ -440,11 +584,15 @@ pub struct ChunkPages<'a> {
     pages_left: u32,
     next_index: u32,
     num_points: u32,
+    /// Whether the page headers carry [`PageStats`] (by the chunk's
+    /// version and type).
+    stats: bool,
 }
 
 impl<'a> ChunkPages<'a> {
-    /// Positions the walk at `meta`'s first page. `None` when the chunk
-    /// header does not parse.
+    /// Positions the walk at `meta`'s first page, reading its headers
+    /// the way `meta.version` laid them out. `None` when the chunk header
+    /// does not parse.
     pub fn open(buf: &'a [u8], meta: &ChunkMeta) -> Option<Self> {
         let mut pos = usize::try_from(meta.offset).ok()?;
         let name_len = read_u16(buf, &mut pos)? as usize;
@@ -458,6 +606,7 @@ impl<'a> ChunkPages<'a> {
             pages_left,
             next_index: 0,
             num_points,
+            stats: meta.version.has_stats(meta.data_type),
         })
     }
 
@@ -471,6 +620,13 @@ impl<'a> ChunkPages<'a> {
         let min_time = read_i64(buf, pos)?;
         let max_time = read_i64(buf, pos)?;
         let count = read_u32(buf, pos)?;
+        if count == 0 || count as usize > PAGE_POINTS {
+            return None;
+        }
+        let stats = match self.stats {
+            true => Some(PageStats::read(buf, pos)?),
+            false => None,
+        };
         let ts_len = read_u32(buf, pos)? as usize;
         let ts = *pos..pos.checked_add(ts_len)?;
         *pos = ts.end;
@@ -484,6 +640,7 @@ impl<'a> ChunkPages<'a> {
             min_time,
             max_time,
             count,
+            stats,
             ts,
             values,
         })
@@ -736,13 +893,13 @@ mod tests {
         // The backward-compatibility acceptance case: a legacy footer
         // without a filter block opens, indexes, and queries exactly as
         // before.
-        let mut w = TsFileWriter::new();
+        let mut w = TsFileWriter::with_version(Version::V1);
         w.write_chunk(
             &key("s"),
             &[1, 5, 9],
             &[TsValue::Long(1), TsValue::Long(5), TsValue::Long(9)],
         );
-        let image = w.finish_v1();
+        let image = w.finish();
         let r = TsFileReader::open(&image).unwrap();
         assert!(r.filter().is_none(), "v1 images have no filter");
         assert_eq!(r.chunks().len(), 1);
@@ -880,6 +1037,90 @@ mod page_tests {
             values.as_slice().zip_rows_into(&times, &mut rows);
         }
         assert_eq!(Some(rows), r.read_chunk(meta));
+    }
+
+    #[test]
+    fn v3_headers_carry_value_statistics_and_older_ones_none() {
+        let times: Vec<i64> = (0..PAGE_POINTS as i64 + 3).collect();
+        let values: Vec<TsValue> = times
+            .iter()
+            .map(|&t| TsValue::Double(t as f64 * 0.1))
+            .collect();
+        for version in [Version::V1, Version::V2, Version::V3] {
+            let mut w = TsFileWriter::with_version(version);
+            w.write_chunk(&key(), &times, &values);
+            let texts: Vec<TsValue> = times.iter().map(|t| TsValue::Text(t.to_string())).collect();
+            w.write_chunk(&SeriesKey::new("root.sg.d1", "t"), &times, &texts);
+            let image = w.finish();
+            let r = TsFileReader::open(&image).unwrap();
+            for meta in r.chunks() {
+                assert_eq!(meta.version, version);
+                let headers: Vec<PageHeader> = ChunkPages::open(&image, meta).unwrap().collect();
+                assert_eq!(headers.len(), 2);
+                let with_stats = version == Version::V3 && meta.data_type == DataType::Double;
+                assert!(
+                    headers.iter().all(|h| h.stats.is_some() == with_stats),
+                    "{version:?} {:?}",
+                    meta.data_type
+                );
+                assert_eq!(r.read_chunk(meta).map(|p| p.len()), Some(times.len()));
+            }
+            if version != Version::V3 {
+                continue;
+            }
+            let meta = &r.chunks_for(&key())[0];
+            let headers: Vec<PageHeader> = ChunkPages::open(&image, meta).unwrap().collect();
+            let last = headers[1].stats.expect("v3 DOUBLE page");
+            assert_eq!((last.min, last.max), (102.4, 102.60000000000001));
+            let mut sum = ExactSum::new();
+            for h in &headers {
+                h.stats
+                    .unwrap()
+                    .sum_partials()
+                    .unwrap()
+                    .iter()
+                    .for_each(|&p| sum.add(p));
+            }
+            let mut want = ExactSum::new();
+            values.iter().for_each(|v| want.add(v.as_f64()));
+            assert_eq!(sum.value().to_bits(), want.value().to_bits());
+        }
+    }
+
+    #[test]
+    fn a_page_with_a_non_finite_value_stores_no_sum() {
+        let mut w = TsFileWriter::new();
+        let values = [1.0, f64::NAN, -0.0, f64::INFINITY].map(TsValue::Double);
+        w.write_chunk(&key(), &[1, 2, 3, 4], &values);
+        let image = w.finish();
+        let r = TsFileReader::open(&image).unwrap();
+        let header = ChunkPages::open(&image, &r.chunks()[0])
+            .unwrap()
+            .next()
+            .unwrap();
+        let stats = header.stats.expect("v3 DOUBLE page");
+        assert_eq!((stats.min, stats.max), (-0.0, f64::INFINITY));
+        assert!(stats.min.is_sign_negative());
+        assert_eq!(stats.sum_partials(), None);
+    }
+
+    #[test]
+    fn a_header_declaring_more_than_a_page_is_refused() {
+        let image = big_chunk(10);
+        let r = TsFileReader::open(&image).unwrap();
+        let meta = &r.chunks()[0];
+        // The page's `count` follows the chunk header and the page's two
+        // timestamps.
+        let count_at = meta.offset as usize + 2 + key().to_string().len() + 1 + 4 + 16 + 4 + 16;
+        for forged in [0u32, PAGE_POINTS as u32 + 1, u32::MAX] {
+            let mut bad = image.clone();
+            bad[count_at..count_at + 4].copy_from_slice(&forged.to_le_bytes());
+            assert_eq!(
+                ChunkPages::open(&bad, meta).unwrap().next(),
+                None,
+                "{forged}"
+            );
+        }
     }
 
     #[test]

@@ -2,8 +2,15 @@
 //! files are repeatedly folded by `compact_auto` must stay
 //! *observationally identical* to a reference engine that never
 //! compacts — same LastWins query results, same latest-value answers,
-//! same tombstone masking — across randomized interleavings of writes,
-//! range deletes, flushes and leveled passes, at one shard and four.
+//! same tombstone masking, and the same `sum`/`avg`/`min`/`max`/`count`
+//! bit for bit — across randomized interleavings of writes, range
+//! deletes, flushes and leveled passes, at one shard and four.
+//!
+//! The values are DOUBLEs spread over 2^±120 with full mantissas, so a
+//! sum that depended on how points are grouped into pages — which is
+//! exactly what compaction changes, and what page-header sums are taken
+//! over — would round differently after a pass. The exactly rounded sum
+//! is what makes the answer independent of the layout.
 //!
 //! This is the leveling tentpole's safety net: `pick_run` may fold any
 //! eligible run (L0 suffix or an over-full higher level, trimmed by
@@ -15,7 +22,7 @@
 
 use backsort_core::{Algorithm, BackwardSort, InBlockSort};
 use backsort_engine::engine::CompactionConfig;
-use backsort_engine::{EngineConfig, SeriesKey, StorageEngine, TsValue};
+use backsort_engine::{AggValue, Aggregation, EngineConfig, SeriesKey, StorageEngine, TsValue};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -84,6 +91,28 @@ fn config(shards: usize) -> EngineConfig {
     }
 }
 
+/// The value written at `t`: a full mantissa at one of seven scales.
+fn value(t: i64, v: i64) -> TsValue {
+    TsValue::Double(v as f64 / 7.0 * 2f64.powi((t % 7) as i32 * 40 - 120))
+}
+
+const AGGREGATIONS: [Aggregation; 5] = [
+    Aggregation::Sum,
+    Aggregation::Avg,
+    Aggregation::MinValue,
+    Aggregation::MaxValue,
+    Aggregation::Count,
+];
+
+/// Equality that tells `-0.0` from `0.0`.
+fn bits(v: &AggValue) -> (u8, u64) {
+    match v {
+        AggValue::Empty => (0, 0),
+        AggValue::Number(x) => (1, x.to_bits()),
+        AggValue::Time(t) => (2, *t as u64),
+    }
+}
+
 fn keys() -> Vec<SeriesKey> {
     (0..4)
         .map(|i| SeriesKey::new(format!("root.sg.d{i}"), "s"))
@@ -108,6 +137,25 @@ fn assert_agree(
                 when,
                 shards
             );
+            for agg in AGGREGATIONS {
+                let (got, want) = (
+                    subject.aggregate(&key, lo, hi, agg),
+                    reference.aggregate(&key, lo, hi, agg),
+                );
+                prop_assert_eq!(
+                    bits(&got),
+                    bits(&want),
+                    "{:?}({}, {}, {}) = {:?}, {:?} uncompacted, {} at shards={}",
+                    agg,
+                    key,
+                    lo,
+                    hi,
+                    got,
+                    want,
+                    when,
+                    shards
+                );
+            }
         }
         prop_assert_eq!(
             subject.latest_value(&key),
@@ -135,8 +183,8 @@ proptest! {
             for op in &ops {
                 match op {
                     Op::Write { k, t, v } => {
-                        reference.write(&keys[*k], *t, TsValue::Long(*v));
-                        subject.write(&keys[*k], *t, TsValue::Long(*v));
+                        reference.write(&keys[*k], *t, value(*t, *v));
+                        subject.write(&keys[*k], *t, value(*t, *v));
                     }
                     Op::Delete { k, lo, len } => {
                         reference.delete_range(&keys[*k], *lo, lo + len);

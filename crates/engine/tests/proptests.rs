@@ -8,6 +8,11 @@ use backsort_engine::tsfile::{TsFileReader, TsFileWriter};
 use backsort_engine::{flush_memtable, MemTable, SeriesKey, TsValue};
 use proptest::prelude::*;
 
+/// The count a column's leading varint claims (0 when it has none).
+fn claimed_count(bytes: &[u8]) -> usize {
+    varint::read_u64(bytes, &mut 0).unwrap_or(0) as usize
+}
+
 proptest! {
     #[test]
     fn varint_roundtrips(v in any::<u64>()) {
@@ -29,13 +34,13 @@ proptest! {
     #[test]
     fn ts2diff_roundtrips(values in prop::collection::vec(any::<i64>(), 0..600)) {
         let encoded = ts2diff::encode(&values);
-        prop_assert_eq!(ts2diff::decode(&encoded), Some(values));
+        prop_assert_eq!(ts2diff::decode(&encoded, values.len()), Some(values));
     }
 
     #[test]
     fn gorilla_roundtrips(values in prop::collection::vec(any::<f64>(), 0..400)) {
         let encoded = gorilla::encode_f64(&values);
-        let decoded = gorilla::decode_f64(&encoded).expect("well-formed");
+        let decoded = gorilla::decode_f64(&encoded, values.len()).expect("well-formed");
         prop_assert_eq!(decoded.len(), values.len());
         for (a, b) in values.iter().zip(&decoded) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
@@ -44,24 +49,25 @@ proptest! {
 
     #[test]
     fn boolpack_roundtrips(values in prop::collection::vec(any::<bool>(), 0..700)) {
-        prop_assert_eq!(boolpack::decode(&boolpack::encode(&values)), Some(values));
+        prop_assert_eq!(boolpack::decode(&boolpack::encode(&values), values.len()), Some(values));
     }
 
     // Decoders must be total: arbitrary bytes may return None but never
-    // panic, hang, or overflow.
+    // panic, hang, or overflow — even when the caller expects the count
+    // the bytes themselves claim.
     #[test]
     fn ts2diff_decode_is_total(bytes in prop::collection::vec(any::<u8>(), 0..300)) {
-        let _ = ts2diff::decode(&bytes);
+        let _ = ts2diff::decode(&bytes, claimed_count(&bytes));
     }
 
     #[test]
     fn gorilla_decode_is_total(bytes in prop::collection::vec(any::<u8>(), 0..300)) {
-        let _ = gorilla::decode_f64(&bytes);
+        let _ = gorilla::decode_f64(&bytes, claimed_count(&bytes));
     }
 
     #[test]
     fn boolpack_decode_is_total(bytes in prop::collection::vec(any::<u8>(), 0..300)) {
-        let _ = boolpack::decode(&bytes);
+        let _ = boolpack::decode(&bytes, claimed_count(&bytes));
     }
 
     #[test]

@@ -10,14 +10,22 @@
 //! query, every one of the nine aggregates — through `aggregate`,
 //! `aggregate_many` and `group_by_time` — and `latest_value` must agree
 //! with the oracle **exactly** (numbers bit for bit), and so with each
-//! other. Exactness is what catches a page header's count used under a
-//! tombstone, under a newer overlapping run, or for a timestamp that two
-//! runs both hold.
+//! other. Exactness is what catches a page header's count or value
+//! statistics used under a tombstone, inside a merged group (under a
+//! newer overlapping run), or for a timestamp that two runs both hold —
+//! and the header path is really taken: single value aggregates
+//! (`aggregate(.., Sum)`) are answered from v3 page headers wherever the
+//! trust rule allows, while `aggregate_many` of all nine asks for first
+//! and last values and so decodes every page. The oracle's sum is the
+//! exactly rounded one ([`ExactSum`], itself checked against a
+//! big-integer reference in `exact_sum.rs`), so the two paths must agree
+//! bit for bit.
 //!
 //! A second stream adopts foreign files whose chunks hold DOUBLE values
 //! for a series the live buffers hold as INT64: rows of mixed type are
 //! what a series read has always been able to return, and the typed
-//! slices must still allow it.
+//! slices must still allow it — and so must compaction, which writes
+//! such a series as one chunk per same-type stretch.
 //!
 //! A third stream is about the sort a read owes a dirty buffer, which
 //! sorts only what arrived since the buffer was last ordered: bursts of
@@ -36,9 +44,10 @@ use std::collections::{BTreeMap, HashMap};
 use backsort_core::{Algorithm, BackwardSort, InBlockSort};
 use backsort_engine::tsfile::TsFileWriter;
 use backsort_engine::{
-    AggValue, Aggregation, DataType, EngineConfig, FlushJob, PointBatch, SeriesKey, StorageEngine,
-    TsValue,
+    AggValue, Aggregation, DataType, EngineConfig, ExactSum, FlushJob, PointBatch, SeriesKey,
+    StorageEngine, TsValue,
 };
+use backsort_obs::names;
 use proptest::prelude::*;
 
 fn engine(shards: usize) -> StorageEngine {
@@ -86,19 +95,31 @@ const ALL_AGGREGATIONS: [Aggregation; 9] = [
     Aggregation::MaxTime,
 ];
 
-/// The specification of one aggregate, written over materialized rows
-/// with the standard library's own folds.
+/// The specification of one aggregate, written over materialized rows:
+/// the exactly rounded sum, extremes in `totalOrder` skipping NaN.
 fn oracle_aggregate(rows: &[(i64, TsValue)], agg: Aggregation) -> AggValue {
     let (Some(first), Some(last)) = (rows.first(), rows.last()) else {
         return AggValue::Empty;
     };
     let values = || rows.iter().map(|(_, v)| v.as_f64());
+    let sum = || {
+        let mut sum = ExactSum::new();
+        values().for_each(|v| sum.add(v));
+        sum.value()
+    };
+    let not_nan = || values().filter(|v| !v.is_nan());
     match agg {
         Aggregation::Count => AggValue::Number(rows.len() as f64),
-        Aggregation::MinValue => AggValue::Number(values().fold(f64::INFINITY, f64::min)),
-        Aggregation::MaxValue => AggValue::Number(values().fold(f64::NEG_INFINITY, f64::max)),
-        Aggregation::Sum => AggValue::Number(values().sum()),
-        Aggregation::Avg => AggValue::Number(values().sum::<f64>() / rows.len() as f64),
+        Aggregation::MinValue => {
+            AggValue::Number(not_nan().min_by(f64::total_cmp).unwrap_or(f64::INFINITY))
+        }
+        Aggregation::MaxValue => AggValue::Number(
+            not_nan()
+                .max_by(f64::total_cmp)
+                .unwrap_or(f64::NEG_INFINITY),
+        ),
+        Aggregation::Sum => AggValue::Number(sum()),
+        Aggregation::Avg => AggValue::Number(sum() / rows.len() as f64),
         Aggregation::FirstValue => AggValue::Number(first.1.as_f64()),
         Aggregation::LastValue => AggValue::Number(last.1.as_f64()),
         Aggregation::MinTime => AggValue::Time(first.0),
@@ -142,8 +163,20 @@ fn exact(v: AggValue) -> (u8, u64) {
     }
 }
 
+/// The value aggregates a page header can answer alone.
+const HEADER_AGGREGATIONS: [Aggregation; 5] = [
+    Aggregation::Sum,
+    Aggregation::Avg,
+    Aggregation::MinValue,
+    Aggregation::MaxValue,
+    Aggregation::Count,
+];
+
 /// Every aggregate path of one engine over `[lo, hi]` against the
-/// oracle's rows.
+/// oracle's rows: one at a time and all five a header can answer (both
+/// from headers where the trust rule allows), all nine at once (first
+/// and last values decode every page), the three value-blind ones, and
+/// group-by-time.
 fn check_aggregates(
     eng: &StorageEngine,
     oracle: &Oracle,
@@ -164,12 +197,16 @@ fn check_aggregates(
             Aggregation::MinTime,
         ],
     );
+    let from_headers = eng.aggregate_many(key, lo, hi, &HEADER_AGGREGATIONS);
     for (i, &agg) in ALL_AGGREGATIONS.iter().enumerate() {
         let want = oracle_aggregate(&rows, agg);
         let mut got = vec![
             ("aggregate", eng.aggregate(key, lo, hi, agg)),
             ("many", many[i]),
         ];
+        if let Some(j) = HEADER_AGGREGATIONS.iter().position(|&a| a == agg) {
+            got.push(("header many", from_headers[j]));
+        }
         match agg {
             Aggregation::MaxTime => got.push(("times-only many", times_only[0])),
             Aggregation::Count => got.push(("times-only many", times_only[1])),
@@ -204,8 +241,7 @@ fn check_aggregates(
 
 /// One encoded operation: `(opcode, timestamp-ish, value-ish)`. With
 /// `foreign_doubles`, adopted files hold DOUBLE chunks for the series
-/// the engines buffer as INT64, and compaction — which documents a
-/// mixed-type series as a caller bug — is left out of the stream.
+/// the engines buffer as INT64.
 fn apply(
     engines: &[StorageEngine],
     oracle: &mut Oracle,
@@ -281,7 +317,7 @@ fn apply(
         }
         // Compact: a leveled pass or a full merge. Neither may change
         // what any read sees.
-        11 if !foreign_doubles => {
+        11 => {
             for eng in engines {
                 if v % 2 == 0 {
                     eng.compact_auto();
@@ -291,7 +327,7 @@ fn apply(
             }
         }
         // Mid-sequence aggregates, all nine, every path.
-        11 | 12 => {
+        12 => {
             let hi = t + (v as i64).rem_euclid(400);
             let step = 1 + (v as i64).rem_euclid(97);
             for eng in engines {
@@ -552,6 +588,57 @@ impl Traffic {
             }
         }
         Ok(())
+    }
+}
+
+/// The header path is really taken: many small flushed files leave
+/// pages wholly inside the range, whose value aggregates come from their
+/// headers' statistics — and agree with the model bit for bit — while a
+/// straggler's overlapping run (a merged group) keeps the pages it
+/// touches decoded. Once a delete leaves a tombstone on the series, no
+/// page of it is taken from its header any more, and the answers stay
+/// the model's.
+#[test]
+fn value_aggregates_are_answered_from_page_headers() {
+    let engines = [engine(1), engine(4)];
+    let mut oracle = Oracle::new();
+    // Even values all go to the first key.
+    let writes = (0..400i64).map(|t| (0u8, t, (t * 7_919 % 1_000) as i32 * 2 - 1_000));
+    let after = [
+        (8, 0, 0),   // flush the working memtables
+        (0, 123, 4), // a straggler: an unsequence run over flushed pages
+        (9, 0, 0),   // flush it into a file of its own
+    ];
+    for op in writes.chain(after) {
+        apply(&engines, &mut oracle, op, false).expect("ops apply");
+    }
+    let key = &keys()[0];
+    let value_aggregates_from_headers = |eng: &StorageEngine, oracle: &Oracle| {
+        let rows = oracle_range(oracle, key, 0, 399);
+        let from_header = || eng.obs().snapshot().counter(names::QUERY_PAGES_FROM_HEADER);
+        let before = from_header();
+        for agg in [
+            Aggregation::Sum,
+            Aggregation::Avg,
+            Aggregation::MinValue,
+            Aggregation::MaxValue,
+        ] {
+            let got = eng.aggregate(key, 0, 399, agg);
+            assert_eq!(exact(got), exact(oracle_aggregate(&rows, agg)), "{agg:?}");
+        }
+        check_aggregates(eng, oracle, key, 0, 399, 64).expect("every path agrees");
+        from_header() - before
+    };
+    for eng in &engines {
+        assert!(
+            value_aggregates_from_headers(eng, &oracle) > 0,
+            "shards={}: no value aggregate was answered from a page header",
+            eng.shard_count()
+        );
+    }
+    apply(&engines, &mut oracle, (6, 300, 10), false).expect("delete [300, 310]");
+    for eng in &engines {
+        assert_eq!(value_aggregates_from_headers(eng, &oracle), 0);
     }
 }
 
