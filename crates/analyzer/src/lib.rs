@@ -10,8 +10,8 @@
 //! run over the workspace source ahead of execution.
 //!
 //! Run it as `cargo run -p backsort-analyzer -- check [--json]
-//! [--deny]`, or call [`check_workspace`] as a library (the `obs_check`
-//! bin delegates its catalog-presence half here).
+//! [--deny]`, or call [`check_workspace`] as a library (the crate's own
+//! `tests/self_check.rs` runs it over this workspace).
 
 pub mod callgraph;
 pub mod config;

@@ -10,11 +10,8 @@
 //!    but its declaration lingered);
 //! 2. every string literal passed directly to a registry call
 //!    (`.counter("…")`, `.hit("…")`, …) in production code is declared
-//!    in the matching catalog (ad-hoc names bypass `obs_check` and the
-//!    crash matrix's unexercised-site detection).
-//!
-//! This is the static half of what the `obs_check` bin used to do by
-//! executing the engine; the bin now delegates here.
+//!    in the matching catalog (ad-hoc names bypass the pre-registered
+//!    catalog and the crash matrix's unexercised-site detection).
 
 use crate::{Config, FileKind, Finding, Lint, Severity, Workspace};
 

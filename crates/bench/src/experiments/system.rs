@@ -1,11 +1,203 @@
-//! Figs. 13–21: system-level comparison through the engine + benchmark
-//! driver — query throughput, flush time and total test latency over the
-//! write-percentage grid, for each delay family and each contender.
+//! Figs. 13–21: system-level comparison through the engine and an
+//! IoTDB-benchmark-style driver (paper §VI-A2) — query throughput, flush
+//! time and total test latency over the write-percentage grid, for each
+//! delay family and each contender.
+//!
+//! The driver generates periodic out-of-order data, sends it to the
+//! engine in batches (500 points in [`run_grid`], the paper's tuned optimum),
+//! interleaves time-range queries anchored at the latest timestamp ("to
+//! avoid querying data in the disk"), and reports the paper's three
+//! system metrics:
+//!
+//! * **query throughput** — points returned per second of query time
+//!   (client side, Figs. 13–15);
+//! * **flush time** — average per-flush duration (server side,
+//!   Figs. 16–18);
+//! * **total test latency** — the whole run's wall time (Figs. 19–21).
 
-use backsort_benchmark::{run_benchmark, BenchConfig, BenchReport};
+use std::time::Instant;
+
 use backsort_core::Algorithm;
-use backsort_workload::{DatasetKind, DelayModel};
+use backsort_engine::{EngineConfig, PointBatch, SeriesKey, StorageEngine, TsValue};
+use backsort_workload::{generate_pairs, DatasetKind, DelayModel, SignalKind, StreamSpec};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use serde::Serialize;
+
+/// One benchmark run's parameters.
+#[derive(Debug, Clone, Copy)]
+pub struct BenchConfig {
+    /// Devices in the storage group.
+    pub devices: usize,
+    /// Sensors per device.
+    pub sensors_per_device: usize,
+    /// Points per write batch (the paper's tuned optimum is 500).
+    pub batch_size: usize,
+    /// Fraction of operations that are writes, in `[0, 1]` — the paper
+    /// sweeps {0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1.0}.
+    pub write_percentage: f64,
+    /// Total operations (each a batch write or one query).
+    pub operations: usize,
+    /// Delay model applied to generated points.
+    pub delay: DelayModel,
+    /// Width of each time-range query, in points, ending at the latest
+    /// ingested timestamp (avoids disk I/O, §VI-D).
+    pub query_window: i64,
+    /// Memtable capacity in points.
+    pub memtable_max_points: usize,
+    /// Sort algorithm under test.
+    pub sorter: Algorithm,
+    /// RNG seed.
+    pub seed: u64,
+}
+
+impl BenchConfig {
+    /// The write-percentage grid of the paper's system experiments.
+    pub const WRITE_PERCENTAGES: [f64; 7] = [0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1.0];
+}
+
+/// Aggregated results of one benchmark run.
+#[derive(Debug, Clone, Serialize)]
+pub struct BenchReport {
+    /// Sorter name.
+    pub sorter: String,
+    /// Delay model label.
+    pub delay: String,
+    /// Write fraction of the mix.
+    pub write_percentage: f64,
+    /// Batch writes performed.
+    pub writes: u64,
+    /// Queries performed.
+    pub queries: u64,
+    /// Points ingested.
+    pub points_written: u64,
+    /// Points returned by queries.
+    pub points_queried: u64,
+    /// Client-side query throughput: points returned per second of query
+    /// wall time (the paper's Figs. 13–15 metric). `None` when the mix
+    /// has no queries.
+    pub query_throughput_pps: Option<f64>,
+    /// Average flush duration in milliseconds (Figs. 16–18).
+    pub avg_flush_ms: Option<f64>,
+    /// Average sort share of flush time, milliseconds.
+    pub avg_flush_sort_ms: Option<f64>,
+    /// Number of flushes.
+    pub flushes: u64,
+    /// Whole-run wall time in milliseconds (Figs. 19–21).
+    pub total_latency_ms: f64,
+}
+
+/// Runs one benchmark configuration to completion on a single-shard
+/// engine, the paper's single-lock engine exactly (§VI-D reproduction).
+pub fn run_benchmark(config: &BenchConfig) -> BenchReport {
+    let engine = StorageEngine::new(EngineConfig {
+        memtable_max_points: config.memtable_max_points,
+        array_size: 32,
+        sorter: config.sorter,
+        ..EngineConfig::default()
+    });
+
+    // Pre-generate each sensor's arrival-ordered stream; batches are
+    // consecutive slices, so delays cross batch boundaries exactly as a
+    // live feed would deliver them.
+    let sensor_count = config.devices * config.sensors_per_device;
+    let keys: Vec<SeriesKey> = (0..config.devices)
+        .flat_map(|d| {
+            (0..config.sensors_per_device)
+                .map(move |s| SeriesKey::new(format!("root.sg.d{d}"), format!("s{s}")))
+        })
+        .collect();
+    let expected_batches_per_sensor =
+        (config.operations * config.batch_size) / sensor_count.max(1) + config.batch_size;
+    let streams: Vec<Vec<(i64, f64)>> = (0..sensor_count)
+        .map(|i| {
+            let spec = StreamSpec {
+                n: expected_batches_per_sensor + config.batch_size,
+                interval: 1,
+                delay: config.delay,
+                signal: SignalKind::Sine {
+                    period: 512.0,
+                    amp: 100.0,
+                    noise: 1.0,
+                },
+                seed: config.seed ^ (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            };
+            generate_pairs(&spec)
+        })
+        .collect();
+    let mut cursors = vec![0usize; sensor_count];
+
+    let mut rng = StdRng::seed_from_u64(config.seed.wrapping_mul(31).wrapping_add(7));
+    let mut report = BenchReport {
+        sorter: {
+            use backsort_sorts::SeriesSorter;
+            config.sorter.name().to_string()
+        },
+        delay: config.delay.label(),
+        write_percentage: config.write_percentage,
+        writes: 0,
+        queries: 0,
+        points_written: 0,
+        points_queried: 0,
+        query_throughput_pps: None,
+        avg_flush_ms: None,
+        avg_flush_sort_ms: None,
+        flushes: 0,
+        total_latency_ms: 0.0,
+    };
+    let mut query_nanos = 0u64;
+    let mut next_sensor = 0usize;
+
+    let run_start = Instant::now();
+    for _ in 0..config.operations {
+        let is_write = config.write_percentage >= 1.0 || rng.gen_bool(config.write_percentage);
+        if is_write {
+            let idx = next_sensor;
+            next_sensor = (next_sensor + 1) % sensor_count;
+            let stream = &streams[idx];
+            let lo = cursors[idx].min(stream.len());
+            let hi = (lo + config.batch_size).min(stream.len());
+            cursors[idx] = hi;
+            if lo == hi {
+                continue; // stream exhausted; count as a no-op write
+            }
+            let batch =
+                PointBatch::from_rows(stream[lo..hi].iter().map(|&(t, v)| (t, TsValue::Double(v))))
+                    .expect("uniform Double rows");
+            engine
+                .write_batch(&keys[idx], &batch)
+                .expect("uniform Double batch");
+            report.writes += 1;
+            report.points_written += (hi - lo) as u64;
+        } else {
+            let idx = rng.gen_range(0..sensor_count);
+            let key = &keys[idx];
+            let current = engine.latest_time(key).unwrap_or(0);
+            let lo = current - config.query_window;
+            let t0 = Instant::now();
+            let result = engine.query(key, lo, current);
+            query_nanos += t0.elapsed().as_nanos() as u64;
+            report.queries += 1;
+            report.points_queried += result.len() as u64;
+        }
+    }
+    report.total_latency_ms = run_start.elapsed().as_secs_f64() * 1e3;
+
+    if report.queries > 0 && query_nanos > 0 {
+        report.query_throughput_pps =
+            Some(report.points_queried as f64 / (query_nanos as f64 / 1e9));
+    }
+    let flushes = engine.flush_history();
+    let counted: Vec<_> = flushes.iter().filter(|f| f.points > 0).collect();
+    report.flushes = counted.len() as u64;
+    if !counted.is_empty() {
+        let total: u64 = counted.iter().map(|f| f.total_nanos()).sum();
+        let sort: u64 = counted.iter().map(|f| f.sort_nanos).sum();
+        report.avg_flush_ms = Some(total as f64 / counted.len() as f64 / 1e6);
+        report.avg_flush_sort_ms = Some(sort as f64 / counted.len() as f64 / 1e6);
+    }
+    report
+}
 
 /// One cell of a system figure: a full benchmark run.
 #[derive(Debug, Clone, Serialize)]
@@ -114,11 +306,7 @@ pub fn run_grid(
                     query_window: 2_000,
                     memtable_max_points,
                     sorter: alg,
-                    // One shard: bit-identical to the paper's single-lock
-                    // engine (§VI-D reproduction).
-                    shards: 1,
                     seed,
-                    ..BenchConfig::default()
                 };
                 let report = run_benchmark(&config);
                 rows.push(SystemRow {

@@ -20,15 +20,17 @@
 //! | `fig22_forecast` | Fig. 22 |
 //! | `ex2_moves` | Example 2 / Fig. 2 |
 //! | `ablation` | Θ / L0 / estimator / stability / model ablations |
-//! | `concurrency` | writer/query thread contention (§VI-D1) |
 //! | `trace_analyze` | disorder profile + sort comparison for any CSV |
+//! | `obs_overhead` | instrumentation and tracing overhead |
+//! | `crash_matrix` | failpoint sweep with recovery against a durability oracle |
+//!
+//! The end-to-end benchmark of record is `perf/`, a workspace of its
+//! own that drives the SQL server over loopback.
 
 #![forbid(unsafe_code)]
 
 pub mod cli;
 pub mod experiments;
 pub mod obs_tools;
-pub mod query_bench_cli;
-pub mod server_bench_cli;
 pub mod table;
 pub mod timing;

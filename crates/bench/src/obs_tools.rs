@@ -1,20 +1,8 @@
-//! Observability acceptance tools: the `obs_check` and `obs_overhead`
-//! binaries' entry points.
-//!
-//! * [`obs_check_main`] validates a `--stats` dump from `query_bench`
-//!   in two halves. The *static* half — every name the code uses is
-//!   declared in the catalog and every declared name is used — is
-//!   delegated to the `backsort-analyzer` library (its `catalog-sync`
-//!   pass, run over the workspace source). The *runtime* half stays
-//!   here: the telemetry the paper's exhibit depends on
-//!   (`query.read_path`, `sort.block_size`, `merge.overlap_q`) must
-//!   actually have fired in the dump. CI runs it after the smoke bench,
-//!   so removing or renaming a metric fails the build instead of
-//!   silently blanking a dashboard.
-//! * [`obs_overhead_main`] measures what the instrumentation costs:
-//!   identical single-thread ingest into an engine with a live registry
-//!   versus one with [`backsort_obs::Registry::new_disabled`], reporting
-//!   points/sec for both and the relative overhead (budget: < 5%).
+//! The `obs_overhead` binary's entry point: [`obs_overhead_main`]
+//! measures what the instrumentation costs — identical single-thread
+//! ingest into an engine with a live registry versus one with
+//! [`backsort_obs::Registry::new_disabled`], reporting points/sec for
+//! both and the relative overhead (budget: < 5%).
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -26,243 +14,6 @@ use backsort_workload::{generate_pairs, DelayModel, SignalKind, StreamSpec};
 
 use crate::cli::Args;
 use crate::table;
-
-/// Looks up `name` in a shim-`serde` JSON object.
-fn field<'a>(value: &'a serde::Value, name: &str) -> Option<&'a serde::Value> {
-    match value {
-        serde::Value::Object(entries) => entries.iter().find(|(k, _)| k == name).map(|(_, v)| v),
-        _ => None,
-    }
-}
-
-fn as_u64(value: &serde::Value) -> Option<u64> {
-    match value {
-        serde::Value::Int(i) if *i >= 0 => Some(*i as u64),
-        serde::Value::Float(f) if *f >= 0.0 => Some(*f as u64),
-        _ => None,
-    }
-}
-
-/// Runs the analyzer's `catalog-sync` pass over the workspace source:
-/// the static guarantee that the metric/failpoint catalogs and their
-/// call sites agree. Exits 1 with a diagnostic on any finding; silently
-/// skips when no workspace source is reachable (installed binary run
-/// outside the repo).
-fn check_catalog_sync() {
-    let root = backsort_analyzer::find_root(&std::env::current_dir().unwrap_or_default())
-        .or_else(|| backsort_analyzer::find_root(std::path::Path::new(env!("CARGO_MANIFEST_DIR"))));
-    let Some(root) = root else {
-        eprintln!(
-            "obs_check: no analyzer.toml above cwd or the source tree; skipping catalog-sync"
-        );
-        return;
-    };
-    let opts = backsort_analyzer::CheckOptions {
-        deny: true,
-        only: vec!["catalog-sync".to_string()],
-        ..Default::default()
-    };
-    match backsort_analyzer::check_root(&root, &opts) {
-        Ok(findings) if findings.is_empty() => {}
-        Ok(findings) => {
-            eprintln!(
-                "obs_check: catalog out of sync with call sites ({} finding(s)):",
-                findings.len()
-            );
-            for f in &findings {
-                eprintln!("  {f}");
-            }
-            std::process::exit(1);
-        }
-        Err(e) => {
-            eprintln!("obs_check: catalog-sync analysis failed: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-/// Verifies the span-name catalog is shape-complete in a registry dump:
-/// every stage in [`backsort_obs::names::SPAN_STAGES`] must have its
-/// `trace.span_nanos{stage=…}` histogram pre-registered (present even at
-/// zero samples), so a renamed or dropped stage fails CI instead of
-/// silently vanishing from dashboards.
-fn check_span_catalog(doc: &serde::Value) {
-    let missing: Vec<String> = backsort_obs::names::SPAN_STAGES
-        .iter()
-        .map(|stage| {
-            backsort_obs::Registry::labeled(backsort_obs::names::TRACE_SPAN_NANOS, "stage", stage)
-        })
-        .filter(|name| {
-            field(doc, "histograms")
-                .and_then(|h| field(h, name))
-                .is_none()
-        })
-        .collect();
-    if !missing.is_empty() {
-        eprintln!(
-            "obs_check: span catalog not pre-registered in the dump: {}",
-            missing.join(", ")
-        );
-        std::process::exit(1);
-    }
-}
-
-/// In-process smoke: `EXPLAIN ANALYZE` over a freshly seeded engine
-/// must produce a span tree that opens `query.root` and reaches
-/// `query.merge`, and a `count` and an `avg` over the flushed page must
-/// each show on their `query.files` span that the page was answered from
-/// its header — the count from its point count, the average from the
-/// value statistics a v3 page header carries.
-/// Guards the whole trace pipeline (begin → engine spans → finish →
-/// render) without needing a server.
-fn check_explain_analyze_smoke() {
-    let engine = StorageEngine::new(EngineConfig {
-        memtable_max_points: 10_000,
-        array_size: 32,
-        sorter: Algorithm::Backward(Default::default()),
-        shards: 1,
-        ..EngineConfig::default()
-    });
-    for t in 0..64i64 {
-        let sql = format!("INSERT INTO root.check.d0(timestamp, s0) VALUES ({t}, {t})");
-        if let Err(e) = backsort_sql::execute(&engine, &sql) {
-            eprintln!("obs_check: smoke insert failed: {e}");
-            std::process::exit(1);
-        }
-    }
-    engine.flush();
-    let out = backsort_sql::execute(
-        &engine,
-        "EXPLAIN ANALYZE SELECT s0 FROM root.check.d0 WHERE time >= 0",
-    );
-    let spans = match out {
-        Ok(backsort_sql::QueryOutput::Analyze { spans, .. }) => spans,
-        Ok(other) => {
-            eprintln!("obs_check: EXPLAIN ANALYZE returned {other:?}");
-            std::process::exit(1);
-        }
-        Err(e) => {
-            eprintln!("obs_check: EXPLAIN ANALYZE failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    for required in [
-        backsort_obs::names::SPAN_QUERY_ROOT,
-        backsort_obs::names::SPAN_QUERY_MERGE,
-    ] {
-        if !spans.iter().any(|s| s.name == required) {
-            eprintln!(
-                "obs_check: EXPLAIN ANALYZE smoke produced no {required} span \
-                 (got: {:?})",
-                spans.iter().map(|s| s.name.as_str()).collect::<Vec<_>>()
-            );
-            std::process::exit(1);
-        }
-    }
-    for aggregate in ["count", "avg"] {
-        let answered = backsort_sql::execute(
-            &engine,
-            &format!("EXPLAIN ANALYZE SELECT {aggregate}(s0) FROM root.check.d0 WHERE time >= 0"),
-        );
-        let from_header = match &answered {
-            Ok(backsort_sql::QueryOutput::Analyze { spans, .. }) => spans
-                .iter()
-                .filter(|s| s.name == backsort_obs::names::SPAN_QUERY_FILES)
-                .flat_map(|s| s.attrs.iter())
-                .filter(|(k, _)| k == backsort_obs::names::ATTR_PAGES_FROM_HEADER)
-                .map(|(_, v)| *v)
-                .sum::<u64>(),
-            _ => 0,
-        };
-        if from_header != 1 {
-            eprintln!(
-                "obs_check: EXPLAIN ANALYZE SELECT {aggregate}(..) over one flushed page \
-                 reported {from_header} pages from headers on its query.files span, expected \
-                 1: {answered:?}"
-            );
-            std::process::exit(1);
-        }
-    }
-}
-
-/// Checks the catalog statically (via [`check_catalog_sync`]) and a
-/// registry JSON dump for live Backward-Sort telemetry. Exits 1 with a
-/// diagnostic on any failure.
-pub fn obs_check_main() {
-    let args = Args::from_env();
-    let path = args.get("stats").unwrap_or_else(|| {
-        eprintln!("usage: obs_check --stats <registry.json>");
-        std::process::exit(1);
-    });
-    let raw = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("obs_check: cannot read {path}: {e}");
-        std::process::exit(1);
-    });
-    let doc: serde::Value = serde_json::from_str(&raw).unwrap_or_else(|e| {
-        eprintln!("obs_check: {path} is not valid JSON: {e}");
-        std::process::exit(1);
-    });
-
-    check_catalog_sync();
-    check_span_catalog(&doc);
-    check_explain_analyze_smoke();
-
-    let counter = |name: &str| -> u64 {
-        field(&doc, "counters")
-            .and_then(|c| field(c, name))
-            .and_then(as_u64)
-            .unwrap_or(0)
-    };
-    let histogram_count = |name: &str| -> u64 {
-        field(&doc, "histograms")
-            .and_then(|h| field(h, name))
-            .and_then(|h| field(h, "count"))
-            .and_then(as_u64)
-            .unwrap_or(0)
-    };
-    let live = [
-        (
-            backsort_obs::names::QUERY_READ_PATH,
-            counter(backsort_obs::names::QUERY_READ_PATH),
-        ),
-        (
-            backsort_obs::names::QUERY_PAGES_DECODED,
-            counter(backsort_obs::names::QUERY_PAGES_DECODED),
-        ),
-        (
-            backsort_obs::names::SORT_BLOCK_SIZE,
-            histogram_count(backsort_obs::names::SORT_BLOCK_SIZE),
-        ),
-        (
-            backsort_obs::names::MERGE_OVERLAP_Q,
-            histogram_count(backsort_obs::names::MERGE_OVERLAP_Q),
-        ),
-    ];
-    let dead: Vec<&str> = live
-        .iter()
-        .filter(|(_, v)| *v == 0)
-        .map(|(n, _)| *n)
-        .collect();
-    if !dead.is_empty() {
-        eprintln!(
-            "obs_check: telemetry never fired in {path}: {}",
-            dead.join(", ")
-        );
-        std::process::exit(1);
-    }
-
-    println!(
-        "obs_check: ok — catalog in sync with call sites; span catalog \
-         pre-registered ({} stages); EXPLAIN ANALYZE smoke traced; \
-         query.read_path={} query.pages_decoded={} sort.block_size samples={} \
-         merge.overlap_q samples={}",
-        backsort_obs::names::SPAN_STAGES.len(),
-        live[0].1,
-        live[1].1,
-        live[2].1,
-        live[3].1,
-    );
-}
 
 /// One timed single-thread ingest run; returns points/sec.
 fn ingest_pps(registry: Arc<Registry>, points: &[(i64, TsValue)], batch: usize) -> f64 {

@@ -4,7 +4,8 @@
 //!
 //! The crash-matrix harness enumerates [`ALL`] and fails if any site was
 //! never exercised, so a refactor that silently drops an instrumented
-//! site breaks CI the same way dropping a metric breaks `obs_check`.
+//! site breaks CI the same way dropping a metric fails the analyzer's
+//! `catalog-sync` lint.
 //!
 //! Naming convention: `<layer>.<operation>.<step>`. Sites under `io.`
 //! are byte-granularity faults applied *inside* the simulated disk

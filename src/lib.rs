@@ -3,8 +3,9 @@
 //! A from-scratch Rust reproduction of *Backward-Sort for Time Series in
 //! Apache IoTDB* (ICDE 2023): the Backward-Sort algorithm, every baseline
 //! it is evaluated against, the IoTDB-style TVList/memtable substrate it
-//! ships in, an IoTDB-benchmark-style driver, and the downstream LSTM
-//! forecasting experiment.
+//! ships in, a storage engine and SQL server to run it in, and the
+//! downstream LSTM forecasting experiment. The paper's figures are
+//! regenerated by the `backsort-experiments` crate's binaries.
 //!
 //! This umbrella crate re-exports the workspace members under friendly
 //! names; see each module for its own documentation:
@@ -19,7 +20,6 @@
 //! * [`sql`] — the IoTDB-style SQL surface over it;
 //! * [`server`] — the SQL-over-TCP server plus the metrics HTTP exporter;
 //! * [`obs`] — the metrics/tracing registry every layer records into;
-//! * [`benchmark`] — the workload driver with the paper's system metrics;
 //! * [`forecast`] — the LSTM for the downstream experiment.
 //!
 //! ## Quickstart
@@ -42,7 +42,6 @@
 
 #![forbid(unsafe_code)]
 
-pub use backsort_benchmark as benchmark;
 pub use backsort_core as core;
 pub use backsort_engine as engine;
 pub use backsort_forecast as forecast;

@@ -2,7 +2,7 @@
 //! families, write percentages, and contenders must complete and produce
 //! coherent metrics.
 
-use backward_sort_repro::benchmark::{run_benchmark, BenchConfig};
+use backsort_experiments::experiments::system::{run_benchmark, BenchConfig, SystemRow};
 use backward_sort_repro::core::Algorithm;
 use backward_sort_repro::workload::{DatasetKind, DelayModel};
 
@@ -17,14 +17,21 @@ fn config(delay: DelayModel, write_pct: f64, sorter: Algorithm) -> BenchConfig {
         query_window: 500,
         memtable_max_points: 2_000,
         sorter,
-        shards: 1,
         seed: 17,
-        ..BenchConfig::default()
     }
+}
+
+fn backward() -> Algorithm {
+    Algorithm::Backward(Default::default())
 }
 
 #[test]
 fn write_percentage_grid_completes_for_all_families() {
+    assert_eq!(
+        BenchConfig::WRITE_PERCENTAGES,
+        [0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1.0],
+        "the paper's write-percentage grid"
+    );
     let delays = [
         DelayModel::AbsNormal {
             mu: 1.0,
@@ -38,12 +45,12 @@ fn write_percentage_grid_completes_for_all_families() {
     ];
     for delay in delays {
         for &pct in &BenchConfig::WRITE_PERCENTAGES {
-            let report =
-                run_benchmark(&config(delay, pct, Algorithm::Backward(Default::default())));
+            let report = run_benchmark(&config(delay, pct, backward()));
             assert_eq!(report.write_percentage, pct);
             assert!(report.total_latency_ms > 0.0);
             if pct >= 1.0 {
                 assert_eq!(report.queries, 0);
+                assert_eq!(report.writes, 50, "every operation is a write");
                 assert!(report.query_throughput_pps.is_none());
             }
             assert_eq!(
@@ -63,7 +70,7 @@ fn flush_metrics_attribute_sort_time() {
             sigma: 4.0,
         },
         1.0,
-        Algorithm::Backward(Default::default()),
+        backward(),
     ));
     assert!(report.flushes > 0);
     let flush = report.avg_flush_ms.expect("flushes happened");
@@ -74,9 +81,12 @@ fn flush_metrics_attribute_sort_time() {
     );
 }
 
+/// Every contender sees the same seeded workload, so every count but the
+/// timings is identical across them — and a 90 % write mix exercises
+/// every metric the figures plot.
 #[test]
 fn contenders_report_comparable_workloads() {
-    let mut first: Option<(u64, u64)> = None;
+    let mut first = None;
     for alg in Algorithm::contenders() {
         let report = run_benchmark(&config(
             DelayModel::LogNormal {
@@ -86,7 +96,29 @@ fn contenders_report_comparable_workloads() {
             0.9,
             alg,
         ));
-        let shape = (report.points_written, report.queries);
+        assert!(
+            report.queries > 0 && report.points_queried > 0,
+            "{}",
+            report.sorter
+        );
+        assert!(report.query_throughput_pps.is_some(), "{}", report.sorter);
+        assert!(
+            report.flushes > 0,
+            "{}: 2k-point memtable must rotate",
+            report.sorter
+        );
+        assert!(
+            report.avg_flush_ms.is_some_and(|ms| ms > 0.0),
+            "{}",
+            report.sorter
+        );
+        let shape = (
+            report.writes,
+            report.queries,
+            report.points_written,
+            report.points_queried,
+            report.flushes,
+        );
         match &first {
             None => first = Some(shape),
             Some(want) => assert_eq!(
@@ -95,5 +127,24 @@ fn contenders_report_comparable_workloads() {
                 report.sorter
             ),
         }
+    }
+}
+
+#[test]
+fn row_serializes_flat_to_json() {
+    let row = SystemRow {
+        panel: "AbsNormal(1,1)".into(),
+        report: run_benchmark(&config(
+            DelayModel::AbsNormal {
+                mu: 1.0,
+                sigma: 1.0,
+            },
+            0.9,
+            backward(),
+        )),
+    };
+    let json = serde_json::to_string(&row).unwrap();
+    for key in ["\"panel\"", "\"sorter\"", "\"query_throughput_pps\""] {
+        assert!(json.contains(key), "{key} missing from {json}");
     }
 }

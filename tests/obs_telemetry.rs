@@ -76,6 +76,13 @@ fn live_overlap_q_respects_the_papers_bound() {
     engine.flush();
 
     let snap = registry.snapshot();
+    let block_size = snap
+        .histogram(names::SORT_BLOCK_SIZE)
+        .expect("sort.block_size is a declared histogram");
+    assert!(
+        block_size.count > 0,
+        "flush sorts must have recorded the block size L they chose"
+    );
     let q = snap
         .histogram(names::MERGE_OVERLAP_Q)
         .expect("flush sorts must have recorded overlap Q");
@@ -152,5 +159,35 @@ fn flush_spans_land_in_the_trace_store() {
             .first()
             .is_some_and(|s| s.name == names::SPAN_FLUSH_ROOT)),
         "async flushes must leave a flush.root trace, got {traces:?}"
+    );
+
+    // Queries are sampled at the default one in 16: 32 reads leave two
+    // query traces, and the per-stage histograms time their merges.
+    let merge_stage = Registry::labeled(names::TRACE_SPAN_NANOS, "stage", names::SPAN_QUERY_MERGE);
+    let merges_before = registry
+        .snapshot()
+        .histogram(&merge_stage)
+        .map_or(0, |h| h.count);
+    for _ in 0..32 {
+        assert!(!engine.query(&key, 0, 5_000).is_empty());
+    }
+    let query_traces = registry
+        .traces()
+        .recent()
+        .iter()
+        .filter(|t| {
+            t.spans
+                .first()
+                .is_some_and(|s| s.name == names::SPAN_QUERY_ROOT)
+        })
+        .count();
+    assert_eq!(query_traces, 2, "one query in 16 is traced");
+    let merges = registry
+        .snapshot()
+        .histogram(&merge_stage)
+        .map_or(0, |h| h.count);
+    assert!(
+        merges > merges_before,
+        "sampled traces must time the merge stage"
     );
 }
