@@ -519,7 +519,7 @@ mod tests {
         let src = "\
 pub struct Engine {
     pub io: Arc<SimIo>,
-    flusher: AsyncFlusher,
+    flusher: FlushPool,
 }
 
 pub type StoreResult<T> = Result<T, StoreError>;

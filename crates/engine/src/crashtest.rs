@@ -416,7 +416,7 @@ fn workload(
             // pick a run (round 4's full compaction folds everything to
             // one file, so round 5 needs the extra L0 files), then run
             // the leveled pass. The WAL still covers the flushed points.
-            eng.engine().flush_dirty();
+            eng.engine().flush();
             eng.engine().flush_unseq();
             // One pass does at most one move per shard (a disjoint
             // leading file promotes instead of merging), so drain the

@@ -23,8 +23,8 @@
 //! lock is ever held at a time.** Single-series operations (write,
 //! query, delete, latest-time) touch only their key's shard.
 //! Multi-shard operations ([`StorageEngine::flush`],
-//! [`StorageEngine::flush_unseq`], [`StorageEngine::begin_flush`],
-//! [`StorageEngine::adopt_file`], compaction, and the metrics accessors)
+//! [`StorageEngine::flush_unseq`], [`StorageEngine::adopt_file`],
+//! compaction, and the metrics accessors)
 //! visit shards in **ascending index order**, releasing each shard's
 //! lock before taking the next. No code path nests shard locks.
 
@@ -128,11 +128,11 @@ pub type QueryResult = Vec<(i64, TsValue)>;
 
 /// The ticket for one shard's pending asynchronous flush.
 ///
-/// Produced by [`StorageEngine::begin_flush`] /
-/// [`StorageEngine::write_batch_nonblocking`] when a working memtable
+/// Produced by [`StorageEngine::write_batch_nonblocking`] (or
+/// [`StorageEngine::begin_flush_shard`]) when a working memtable
 /// rotates into its shard's flushing slot; consumed by
-/// [`StorageEngine::complete_flush`] (directly or via an
-/// [`AsyncFlusher`](crate::AsyncFlusher) pool). The job carries no data:
+/// [`StorageEngine::complete_flush`], directly or via
+/// [`FlushPool::submit`](crate::FlushPool::submit). The job carries no data:
 /// the slot is the rotated memtable's only owner, queries keep reading
 /// it (and deletes editing it) there while the job is outstanding, and
 /// the flush copies each series out under the shard's read lock. Only
@@ -309,11 +309,7 @@ impl EngineObs {
         ] {
             registry.counter(name);
         }
-        for name in [
-            names::CACHE_BYTES,
-            names::SERVER_CONNECTIONS,
-            names::SERVER_FLUSH_BACKLOG,
-        ] {
+        for name in [names::CACHE_BYTES, names::SERVER_CONNECTIONS] {
             registry.gauge(name);
         }
         let shard_flush_count = (0..shards)
@@ -641,10 +637,10 @@ impl StorageEngine {
     /// Like [`StorageEngine::write_batch`], but a full working memtable
     /// rotates into the shard's flushing slot instead of flushing inline;
     /// the returned [`FlushJob`] is completed off the write path (by the
-    /// caller or an [`AsyncFlusher`](crate::AsyncFlusher)) — IoTDB's
+    /// caller, or a [`FlushPool`](crate::FlushPool)) — IoTDB's
     /// asynchronous flushing (paper §V-A, §VI-D2). At most one job is
     /// returned per call, and different shards can each have one in
-    /// flight at once — that is what the flusher *pool* drains.
+    /// flight at once — that is what the pool's workers drain.
     ///
     /// **What bounds the memtable.** Not this call: it never blocks and
     /// never refuses. While a shard's job is outstanding its slot is
@@ -653,10 +649,11 @@ impl StorageEngine {
     /// that holds the job itself (and may complete it only after further
     /// writes) cannot deadlock here. The bound is the caller's to keep,
     /// by waiting for the flush that frees the slot: ask
-    /// [`flush_stalled`](Self::flush_stalled) before writing, as
-    /// `backsort-server` does against its own flush pool, and a shard's
-    /// working memtable stays within `memtable_max_points` plus the
-    /// batches written concurrently with that check.
+    /// [`flush_stalled`](Self::flush_stalled) before writing and wait in
+    /// [`FlushPool::wait_while_stalled`](crate::FlushPool::wait_while_stalled),
+    /// as `backsort-server` does, and a shard's working memtable stays
+    /// within `memtable_max_points` plus the batches written concurrently
+    /// with that check.
     pub fn write_batch_nonblocking(
         &self,
         key: &SeriesKey,
@@ -765,40 +762,27 @@ impl StorageEngine {
         Ok(rotations)
     }
 
-    /// Forces a flush of every shard's working memtable (ascending shard
-    /// order, one lock at a time). Returns the metrics summed across
-    /// shards; each shard also records its own history entry.
-    pub fn flush(&self) -> FlushMetrics {
-        let mut total = FlushMetrics::default();
-        for (shard, lock) in self.shards.iter().enumerate() {
-            let mut st = lock.write();
-            let m = self.flush_shard_locked(shard, &mut st);
-            total = merge_metrics(total, m);
-        }
-        total
-    }
-
-    /// Flushes only the shards whose working memtable holds points,
-    /// leaving clean shards' flush history untouched (an empty entry
+    /// Flushes every shard's working memtable that holds points
+    /// (ascending shard order, one lock at a time). A shard with nothing
+    /// buffered is skipped and records no history entry (an empty entry
     /// would skew per-flush metrics). The durable store calls this
     /// before truncating WAL segments: a segment interleaves every
     /// shard's records, so *all* shards' buffered data must reach files
     /// before any segment is deleted. Returns the metrics summed across
     /// the shards that flushed.
-    pub fn flush_dirty(&self) -> FlushMetrics {
+    pub fn flush(&self) -> FlushMetrics {
         let mut total = FlushMetrics::default();
         for (shard, lock) in self.shards.iter().enumerate() {
             let mut st = lock.write();
-            if st.working.is_empty() {
-                continue;
+            if !st.working.is_empty() {
+                total = merge_metrics(total, self.flush_shard_locked(shard, &mut st));
             }
-            let m = self.flush_shard_locked(shard, &mut st);
-            total = merge_metrics(total, m);
         }
         total
     }
 
-    /// Flushes every shard's *unsequence* memtable to its own file.
+    /// Flushes every shard's *unsequence* memtable that holds points to
+    /// its own file, skipping empty ones as [`flush`](Self::flush) does.
     /// Watermarks are untouched (unsequence data is below them by
     /// definition). Used by the durable store so WAL segments can be
     /// truncated safely. Returns the metrics summed across shards.
@@ -806,6 +790,9 @@ impl StorageEngine {
         let mut total = FlushMetrics::default();
         for (shard, lock) in self.shards.iter().enumerate() {
             let mut st = lock.write();
+            if st.unseq.is_empty() {
+                continue;
+            }
             let unseq = std::mem::replace(&mut st.unseq, MemTable::new(self.config.array_size));
             let metrics = self.flush_taken(shard, &mut st, unseq);
             total = merge_metrics(total, metrics);
@@ -1075,13 +1062,6 @@ impl StorageEngine {
     /// durable record.
     pub fn pending_tombstones(&self, shard: usize) -> Vec<(Tombstone, usize)> {
         self.shards[shard].read().tombstones.clone()
-    }
-
-    /// Rotates the first rotatable shard's working memtable (ascending
-    /// order) into its flushing slot and returns the job, or `None` if
-    /// every shard is empty or already has a flush pending.
-    pub fn begin_flush(&self) -> Option<FlushJob> {
-        (0..self.shards.len()).find_map(|s| self.begin_flush_shard(s))
     }
 
     /// Rotates one specific shard's working memtable into its flushing
@@ -1814,11 +1794,30 @@ mod tests {
         for i in 0..100i64 {
             eng.write(&key("s"), i, TsValue::Long(i));
         }
-        eng.flush(); // empty flush still records
+        // The 100th point rotated the full memtable; nothing is left, so
+        // neither flush records anything.
+        assert_eq!(eng.flush().points, 0);
+        assert_eq!(eng.flush_unseq().points, 0);
         let hist = eng.flush_history();
-        assert_eq!(hist.len(), 2);
+        assert_eq!(hist.len(), 1);
         assert_eq!(hist[0].points, 100);
-        assert_eq!(hist[1].points, 0);
+
+        // Only the shard holding points flushes, each memtable once.
+        let eng = sharded_engine(4);
+        let k = SeriesKey::new("root.sg.d0", "s");
+        for t in 10..20i64 {
+            eng.write(&k, t, TsValue::Long(t));
+        }
+        assert_eq!(eng.flush().points, 10);
+        eng.write(&k, 5, TsValue::Long(5)); // below the watermark
+        assert_eq!(eng.flush_unseq().points, 1);
+        assert_eq!(eng.flush().points + eng.flush_unseq().points, 0);
+        assert_eq!(eng.buffered_points(), (0, 0));
+        assert_eq!(eng.file_count(), 2);
+        let hist: Vec<u64> = eng.flush_history().iter().map(|m| m.points).collect();
+        assert_eq!(hist, [10, 1], "clean shards record no history entry");
+        let snap = eng.obs().snapshot();
+        assert_eq!(snap.counter(names::FLUSH_COUNT), 2);
     }
 
     #[test]
@@ -1891,29 +1890,6 @@ mod tests {
             assert_eq!(at, bt, "{d}");
             assert!(at.windows(2).all(|w| w[0] < w[1]));
         }
-    }
-
-    #[test]
-    fn flush_dirty_skips_clean_shards() {
-        let eng = sharded_engine(4);
-        let k = SeriesKey::new("root.sg.d0", "s");
-        for t in 0..10i64 {
-            eng.write(&k, t, TsValue::Long(t));
-        }
-        let m = eng.flush_dirty();
-        assert_eq!(m.points, 10);
-        assert_eq!(eng.file_count(), 1);
-        assert_eq!(
-            eng.flush_history().len(),
-            1,
-            "clean shards record no history entry"
-        );
-        let (working, _) = eng.buffered_points();
-        assert_eq!(working, 0);
-        // Everything is clean now: a second call is a complete no-op.
-        let m = eng.flush_dirty();
-        assert_eq!(m.points, 0);
-        assert_eq!(eng.flush_history().len(), 1);
     }
 
     #[test]
@@ -2160,7 +2136,7 @@ mod tests {
         for t in 0..n {
             eng.write(&key("s"), t, TsValue::Double(t as f64 * 0.5));
         }
-        eng.flush_dirty();
+        eng.flush();
         eng
     }
 

@@ -1,131 +1,162 @@
-//! Background flush workers — IoTDB's asynchronous flushing (the paper's
-//! flush time "is asynchronously awaited, including processes such as
+//! The flush pool — IoTDB's asynchronous flushing (the paper's flush
+//! time "is asynchronously awaited, including processes such as
 //! sorting, encoding, and I/O", §VI-D2).
 //!
-//! Writers call [`crate::StorageEngine::write_batch_nonblocking`]; when a
-//! rotation happens, the returned [`FlushJob`](crate::engine::FlushJob)
-//! is handed to the [`AsyncFlusher`], whose worker threads sort and
-//! encode off the write path. Queries keep seeing the rotating
-//! memtable's data throughout via the owning shard's flushing slot.
+//! A writer calls [`StorageEngine::write_batch_nonblocking`]; when its
+//! shard rotates, it hands the returned [`FlushJob`] to
+//! [`FlushPool::submit`] and goes back to its work while a pool thread
+//! sorts, encodes and installs the file. Queries keep seeing the rotated
+//! memtable's data throughout via the shard's flushing slot. Every shard
+//! can have one rotation in flight, so the pool's workers drain one
+//! shared channel of jobs from all shards.
 //!
-//! With a sharded engine every shard can have a rotation in flight at
-//! once, so the flusher is a *pool*: `M` workers drain one shared
-//! channel of [`FlushJob`]s from all shards
-//! ([`AsyncFlusher::with_workers`]). The single-worker constructor
-//! ([`AsyncFlusher::new`]) preserves the original one-thread behavior.
+//! The pool is also what a write waits on when its shard cannot rotate
+//! ([`FlushPool::wait_while_stalled`]): its workers are the ones that end
+//! the stall, so they are the ones that wake the waiter.
 
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Arc;
+use std::sync::mpsc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
-
-use parking_lot::Mutex;
+use std::time::Duration;
 
 use crate::engine::{FlushJob, StorageEngine};
 
-/// Error returned by [`AsyncFlusher::submit`] when the worker pool is no
-/// longer accepting jobs (all workers exited). The job is handed back so
-/// the caller can complete it inline with
-/// [`StorageEngine::complete_flush`] instead of losing the rotation.
-#[derive(Debug)]
-pub struct FlusherClosed(pub FlushJob);
+/// A pool of flush threads for one engine. Every job submitted is
+/// installed: by a worker, or inline by [`submit`](Self::submit) once
+/// the pool is stopped or has no worker left.
+///
+/// No panic can leave what a mutex here guards half-updated — a sender
+/// taken whole, a list of handles, a receiver, `()` — so a poisoned lock
+/// is recovered with [`PoisonError::into_inner`].
+pub struct FlushPool {
+    engine: Arc<StorageEngine>,
+    sender: Mutex<Option<mpsc::Sender<FlushJob>>>,
+    workers: Mutex<Vec<JoinHandle<()>>>,
+    installed: Arc<Installed>,
+}
 
-impl std::fmt::Display for FlusherClosed {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "flusher closed; complete the returned job inline")
+/// Signalled after every completed flush. The mutex guards no data: a
+/// waiter checks its shard under it and a flush worker takes it between
+/// installing a file and notifying, so an install either precedes the
+/// check or wakes the wait that follows it.
+#[derive(Default)]
+struct Installed {
+    gate: Mutex<()>,
+    signal: Condvar,
+}
+
+impl Installed {
+    fn notify(&self) {
+        drop(self.gate.lock().unwrap_or_else(PoisonError::into_inner));
+        self.signal.notify_all();
     }
 }
 
-impl std::error::Error for FlusherClosed {}
-
-/// A pool of flush threads for one engine.
-pub struct AsyncFlusher {
-    sender: Option<Sender<FlushJob>>,
-    workers: Vec<JoinHandle<usize>>,
-}
-
-impl AsyncFlusher {
-    /// Spawns a single worker thread against `engine` (the original
-    /// one-flusher configuration).
-    pub fn new(engine: Arc<StorageEngine>) -> Self {
-        Self::with_workers(engine, 1)
-    }
-
-    /// Spawns a pool of `workers` threads (clamped to at least one)
-    /// draining a single shared job channel. Jobs from different shards
-    /// flush concurrently; jobs from the same shard cannot coexist (the
-    /// shard's flushing slot backpressures rotation), so no ordering
-    /// hazard arises from the work-stealing.
-    pub fn with_workers(engine: Arc<StorageEngine>, workers: usize) -> Self {
-        let (sender, receiver) = channel::<FlushJob>();
+impl FlushPool {
+    /// Spawns `workers` flush threads (at least one) over `engine`.
+    /// `throttle` is an artificial per-job delay simulating slow storage
+    /// — zero in production, nonzero in benchmarks and backpressure
+    /// tests. If no thread can be spawned the pool starts closed, and
+    /// every job is completed inline.
+    pub fn start(engine: Arc<StorageEngine>, workers: usize, throttle: Duration) -> Self {
+        let installed = Arc::new(Installed::default());
+        let (sender, receiver) = mpsc::channel::<FlushJob>();
         let receiver = Arc::new(Mutex::new(receiver));
-        let workers = (0..workers.max(1))
-            .map(|_| {
+        let handles: Vec<_> = (0..workers.max(1))
+            .filter_map(|i| {
                 let engine = Arc::clone(&engine);
-                let receiver: Arc<Mutex<Receiver<FlushJob>>> = Arc::clone(&receiver);
-                std::thread::spawn(move || {
-                    let mut completed = 0usize;
-                    loop {
-                        // recv() holds the receiver mutex for the whole
-                        // blocking wait, so exactly one idle worker
-                        // parks here at a time (the rest queue on the
-                        // mutex). Once a job is dequeued the temporary
-                        // guard drops, the next worker moves into
-                        // recv(), and the flush itself runs unlocked —
-                        // workers overlap on the sort/encode work, not
-                        // on the dequeue.
-                        let job = receiver.lock().recv();
-                        match job {
-                            Ok(job) => {
-                                engine.complete_flush(job);
-                                completed += 1;
-                            }
-                            Err(_) => break, // channel closed: shutdown
+                let receiver = Arc::clone(&receiver);
+                let installed = Arc::clone(&installed);
+                std::thread::Builder::new()
+                    .name(format!("flush-{i}"))
+                    .spawn(move || loop {
+                        // The receiver lock is held for the recv alone,
+                        // so siblings stay runnable while this one flushes.
+                        let job = receiver
+                            .lock()
+                            .unwrap_or_else(PoisonError::into_inner)
+                            .recv();
+                        let Ok(job) = job else { break };
+                        if !throttle.is_zero() {
+                            std::thread::sleep(throttle);
                         }
-                    }
-                    completed
-                })
+                        engine.complete_flush(job);
+                        installed.notify();
+                    })
+                    .ok()
             })
             .collect();
         Self {
-            sender: Some(sender),
-            workers,
+            engine,
+            sender: Mutex::new((!handles.is_empty()).then_some(sender)),
+            workers: Mutex::new(handles),
+            installed,
         }
     }
 
-    /// Queues a job for the pool.
-    ///
-    /// # Errors
-    /// Returns [`FlusherClosed`] carrying the job back when the pool has
-    /// shut down; the caller should finish it inline via
-    /// [`StorageEngine::complete_flush`] so the shard's flushing slot is
-    /// released and no data is lost.
-    pub fn submit(&self, job: FlushJob) -> Result<(), FlusherClosed> {
-        match self.sender.as_ref() {
-            Some(sender) => sender.send(job).map_err(|e| FlusherClosed(e.0)),
-            None => Err(FlusherClosed(job)),
+    /// Submits a rotated memtable for completion. If the pool is stopped,
+    /// or its workers are gone, the job is completed inline, so no acked
+    /// data is ever dropped and no shard is left unable to rotate.
+    pub fn submit(&self, job: FlushJob) {
+        let unsent = match self
+            .sender
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .as_ref()
+        {
+            Some(tx) => tx.send(job).err().map(|closed| closed.0),
+            None => Some(job),
+        };
+        if let Some(job) = unsent {
+            self.engine.complete_flush(job);
+            self.installed.notify();
         }
     }
 
-    /// Drains the queue, stops all workers, and returns how many flushes
-    /// the pool completed.
-    pub fn shutdown(mut self) -> usize {
-        drop(self.sender.take());
-        self.workers
+    /// Blocks while `shard` is stalled on its flush
+    /// ([`StorageEngine::flush_stalled`]), for `limit` at most. Returns
+    /// whether the stall ended. Woken by the flush workers, never by a
+    /// timer: the check runs under the mutex a worker takes after its
+    /// install and before it notifies, so no wake-up is lost.
+    pub fn wait_while_stalled(&self, shard: usize, limit: Duration) -> bool {
+        let guard = self
+            .installed
+            .gate
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        // analyzer:allow(blocking-in-worker): the one wait a request takes — ended by the flush of one memtable, and bounded by `limit` (a constant) past which the request is shed as BUSY
+        let (_guard, timeout) = self
+            .installed
+            .signal
+            .wait_timeout_while(guard, limit, |_| self.engine.flush_stalled(shard))
+            .unwrap_or_else(PoisonError::into_inner);
+        !timeout.timed_out()
+    }
+
+    /// Closes the channel and joins the workers. Jobs still in the
+    /// channel are drained and completed first — stopping loses nothing
+    /// that was acknowledged to a client — and a job submitted afterwards
+    /// is completed inline. Dropping the pool stops it.
+    pub fn stop(&self) {
+        self.sender
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        let handles: Vec<_> = self
+            .workers
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .drain(..)
-            .map(|w| {
-                w.join()
-                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-            })
-            .sum()
+            .collect();
+        for handle in handles {
+            let _ = handle.join();
+        }
     }
 }
 
-impl Drop for AsyncFlusher {
+impl Drop for FlushPool {
     fn drop(&mut self) {
-        drop(self.sender.take());
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
+        self.stop();
     }
 }
 
@@ -135,169 +166,28 @@ mod tests {
     use crate::batch::PointBatch;
     use crate::engine::EngineConfig;
     use crate::types::{SeriesKey, TsValue};
-    use backsort_core::Algorithm;
+    use backsort_obs::names;
 
-    fn engine(max_points: usize) -> Arc<StorageEngine> {
-        engine_sharded(max_points, 1)
-    }
-
-    fn engine_sharded(max_points: usize, shards: usize) -> Arc<StorageEngine> {
-        Arc::new(StorageEngine::new(EngineConfig {
-            memtable_max_points: max_points,
-            array_size: 16,
-            sorter: Algorithm::Backward(Default::default()),
-            shards,
+    #[test]
+    fn a_job_submitted_after_stop_is_installed_inline() {
+        let engine = Arc::new(StorageEngine::new(EngineConfig {
+            memtable_max_points: 10,
             ..EngineConfig::default()
-        }))
-    }
-
-    fn key() -> SeriesKey {
-        SeriesKey::new("root.sg.d1", "s1")
-    }
-
-    /// One point through the non-blocking batch entry point.
-    fn write_nb(engine: &StorageEngine, k: &SeriesKey, t: i64) -> Option<FlushJob> {
-        let batch = PointBatch::from_rows(vec![(t, TsValue::Long(t))]).expect("one typed point");
-        engine
-            .write_batch_nonblocking(k, &batch)
+        }));
+        let pool = FlushPool::start(Arc::clone(&engine), 2, Duration::ZERO);
+        let key = SeriesKey::new("root.sg.d1", "s1");
+        let batch =
+            PointBatch::from_rows((0..20i64).map(|t| (t, TsValue::Long(t)))).expect("typed points");
+        let job = engine
+            .write_batch_nonblocking(&key, &batch)
             .expect("matching type")
-    }
-
-    #[test]
-    fn async_flush_pipeline_end_to_end() {
-        let engine = engine(100);
-        let flusher = AsyncFlusher::new(Arc::clone(&engine));
-        for t in 0..450i64 {
-            if let Some(job) = write_nb(&engine, &key(), t) {
-                flusher.submit(job).expect("pool running");
-            }
-        }
-        // How many rotations happen depends on how fast the worker keeps
-        // up (backpressure is by design); at least the first must have
-        // completed, and no data may be lost either way.
-        let completed = flusher.shutdown();
-        assert!(completed >= 1, "completed {completed}");
-        engine.flush(); // drain whatever backpressure kept in memory
-        let got = engine.query(&key(), 0, 1_000);
-        assert_eq!(got.len(), 450);
-        assert!(got.windows(2).all(|w| w[0].0 < w[1].0));
-    }
-
-    #[test]
-    fn data_in_flushing_slot_stays_queryable() {
-        let engine = engine(50);
-        // Fill to rotation but do NOT complete the flush yet.
-        let mut job = None;
-        for t in 0..50i64 {
-            if let Some(j) = write_nb(&engine, &key(), t) {
-                job = Some(j);
-            }
-        }
-        let job = job.expect("rotation happened");
-        // The rotated data must still answer queries.
-        let got = engine.query(&key(), 0, 100);
-        assert_eq!(got.len(), 50, "flushing-slot data visible");
-        // New writes land in the fresh working memtable meanwhile.
-        write_nb(&engine, &key(), 100);
-        assert_eq!(engine.query(&key(), 0, 200).len(), 51);
-        // Completing the flush keeps results identical.
-        engine.complete_flush(job);
-        assert_eq!(engine.query(&key(), 0, 200).len(), 51);
+            .expect("rotated at capacity");
+        assert!(engine.flush_stalled(job.shard()));
+        pool.stop();
+        pool.submit(job);
+        assert!(!engine.flush_stalled(0), "the slot is free again");
+        assert_eq!(engine.obs().gauge_value(names::ENGINE_FLUSH_QUEUE_DEPTH), 0);
         assert_eq!(engine.file_count(), 1);
-    }
-
-    #[test]
-    fn no_second_rotation_while_flush_pending() {
-        let engine = engine(20);
-        let mut jobs = 0;
-        for t in 0..100i64 {
-            if write_nb(&engine, &key(), t).is_some() {
-                jobs += 1;
-            }
-        }
-        // Only the first fill rotates; the rest backpressures into the
-        // growing working memtable.
-        assert_eq!(jobs, 1);
-        let (working, _) = engine.buffered_points();
-        assert_eq!(working, 80);
-    }
-
-    #[test]
-    fn concurrent_writers_with_async_flusher() {
-        let engine = engine(500);
-        let flusher = Arc::new(AsyncFlusher::new(Arc::clone(&engine)));
-        std::thread::scope(|scope| {
-            for w in 0..4 {
-                let engine = Arc::clone(&engine);
-                let flusher = Arc::clone(&flusher);
-                scope.spawn(move || {
-                    let k = SeriesKey::new("root.sg.d1", format!("s{w}"));
-                    for t in 0..2_000i64 {
-                        if let Some(job) = write_nb(&engine, &k, t) {
-                            flusher.submit(job).expect("pool running");
-                        }
-                    }
-                });
-            }
-        });
-        let flusher = Arc::into_inner(flusher).expect("sole owner");
-        flusher.shutdown();
-        engine.flush(); // drain remainder synchronously
-        for w in 0..4 {
-            let k = SeriesKey::new("root.sg.d1", format!("s{w}"));
-            assert_eq!(engine.query(&k, 0, 10_000).len(), 2_000, "s{w}");
-        }
-    }
-
-    #[test]
-    fn submit_after_close_hands_the_job_back() {
-        let engine = engine(10);
-        let flusher = AsyncFlusher::with_workers(Arc::clone(&engine), 2);
-        let mut job = None;
-        for t in 0..10i64 {
-            if let Some(j) = write_nb(&engine, &key(), t) {
-                job = Some(j);
-            }
-        }
-        let job = job.expect("rotated at capacity");
-        // Kill the pool out from under the submit.
-        let dead = {
-            let mut f = flusher;
-            drop(f.sender.take());
-            for w in f.workers.drain(..) {
-                let _ = w.join();
-            }
-            f
-        };
-        let err = dead.submit(job).expect_err("pool is closed");
-        // The handed-back job completes inline; nothing is lost.
-        engine.complete_flush(err.0);
-        assert_eq!(engine.query(&key(), 0, 100).len(), 10);
-        assert_eq!(engine.file_count(), 1);
-    }
-
-    #[test]
-    fn pool_drains_jobs_from_multiple_shards() {
-        // d0 and d2 land on different shards (FNV-1a mod 4); both can
-        // have rotations in flight, and a 2-worker pool drains them.
-        let engine = engine_sharded(100, 4);
-        let flusher = AsyncFlusher::with_workers(Arc::clone(&engine), 2);
-        let ka = SeriesKey::new("root.sg.d0", "s");
-        let kb = SeriesKey::new("root.sg.d2", "s");
-        for t in 0..500i64 {
-            for k in [&ka, &kb] {
-                if let Some(job) = write_nb(&engine, k, t) {
-                    flusher.submit(job).expect("pool running");
-                }
-            }
-        }
-        let completed = flusher.shutdown();
-        assert!(
-            completed >= 2,
-            "both shards flushed (completed {completed})"
-        );
-        engine.flush();
-        assert_eq!(engine.query(&ka, 0, 1_000).len(), 500);
-        assert_eq!(engine.query(&kb, 0, 1_000).len(), 500);
+        assert_eq!(engine.query(&key, 0, 100).len(), 20);
     }
 }

@@ -11,7 +11,8 @@
 //!   "not-too-distant" (paper §II).
 //! * **Flush pipeline** ([`flush`]) — sort (the component under test) →
 //!   deduplicate → encode (TS_2DIFF timestamps, Gorilla floats;
-//!   [`encoding`]) → write a TsFile-like chunked layout ([`tsfile`]).
+//!   [`encoding`]) → write a TsFile-like chunked layout ([`tsfile`]),
+//!   off the write path on a [`FlushPool`] ([`flusher`]).
 //! * **Queries** ([`engine`], [`read`]) — time-range queries serve from
 //!   a shard *read* lock when every relevant buffer is already sorted
 //!   (concurrent readers overlap), upgrading to the write lock only to
@@ -57,7 +58,7 @@ pub use engine::{
 };
 pub use filter::KeyFilter;
 pub use flush::{flush_memtable, FlushMetrics};
-pub use flusher::{AsyncFlusher, FlusherClosed};
+pub use flusher::FlushPool;
 pub use memtable::{MemTable, SeriesBuffer};
 pub use read::{FileHandle, IntervalSet};
 pub use stats::ExactSum;

@@ -928,7 +928,7 @@ impl DurableEngine {
         // persisted files: flush each non-empty working memtable (the
         // shard whose rotation triggered this call is already empty) and
         // every unsequence buffer, then write out the new images.
-        self.engine.flush_dirty();
+        self.engine.flush();
         self.engine.flush_unseq();
         self.faults
             .hit(fault_sites::STORE_ROTATE_AFTER_FLUSH)

@@ -191,8 +191,8 @@ proptest! {
                         subject.delete_range(&keys[*k], *lo, lo + len);
                     }
                     Op::Flush => {
-                        reference.flush_dirty();
-                        subject.flush_dirty();
+                        reference.flush();
+                        subject.flush();
                     }
                     Op::FlushUnseq => {
                         reference.flush_unseq();

@@ -275,7 +275,7 @@ fn apply(
         // Flush the dirty working memtables.
         8 => {
             for eng in engines {
-                eng.flush_dirty();
+                eng.flush();
             }
         }
         // Flush the unsequence memtables.
@@ -289,7 +289,7 @@ fn apply(
         // chronological order matches merge priority.
         10 => {
             for eng in engines {
-                eng.flush_dirty();
+                eng.flush();
                 eng.flush_unseq();
             }
             let mut w = TsFileWriter::new();
@@ -561,7 +561,7 @@ impl Traffic {
             9 if v % 2 == 0 => {
                 self.complete_flushes();
                 for eng in &self.engines {
-                    eng.flush_dirty();
+                    eng.flush();
                     eng.flush_unseq();
                 }
             }

@@ -96,7 +96,7 @@ fn file_indexes_parse_once_per_install_not_per_query() {
     for t in 0..175i64 {
         eng.write(&key("a"), t, TsValue::Long(t)); // 3 natural rotations
     }
-    eng.flush_dirty();
+    eng.flush();
     assert_eq!(eng.file_count(), 4);
 
     // Adoption parses once and reuses the handle for every shard copy.

@@ -20,7 +20,8 @@ pub const ENGINE_BATCH_SPLIT_NANOS: &str = "engine.batch_split_nanos";
 /// Points accepted by the write paths (counter).
 pub const ENGINE_WRITE_POINTS: &str = "engine.write_points";
 /// Memtable rotations currently awaiting an asynchronous flush (gauge,
-/// incremented at submit, decremented at install).
+/// incremented when a memtable rotates into its shard's flushing slot,
+/// decremented when its file is installed).
 pub const ENGINE_FLUSH_QUEUE_DEPTH: &str = "engine.flush_queue_depth";
 
 /// Queries served entirely under a shard *read* lock (counter).
@@ -142,19 +143,15 @@ pub const SERVER_FRAMES: &str = "server.frames";
 /// Points received through binary batch-INSERT frames (counter;
 /// disjoint from SQL-INSERT points, which the engine counts at write).
 pub const SERVER_BATCH_POINTS: &str = "server.batch_points";
-/// Requests shed with a typed BUSY response — ingest refused because
-/// the flush pool's backlog crossed the configured threshold, or
-/// because its wait for a flush reached its bound (counter). Nonzero
-/// under saturation is the server working as designed; unbounded growth
-/// of anything else is the bug.
+/// Requests shed with a typed BUSY response — ingest whose wait for a
+/// flush reached its bound, which only a dead or wedged flusher makes it
+/// do (counter). Every one is also a wait in
+/// [`SERVER_FLUSH_WAIT_NANOS`].
 pub const SERVER_REJECTED_BUSY: &str = "server.rejected_busy";
 /// Frames rejected as malformed — oversized declared length, unknown
 /// kind, or an undecodable batch payload (counter). The offending
 /// connection may be closed; the server keeps serving the rest.
 pub const SERVER_REJECTED_MALFORMED: &str = "server.rejected_malformed";
-/// Rotated memtables handed to the server's flush pool and not yet
-/// installed (gauge — the backlog the BUSY policy watches).
-pub const SERVER_FLUSH_BACKLOG: &str = "server.flush_backlog";
 /// Time an ingest request spent waiting, on its connection's thread,
 /// for the flush that frees its shard's flushing slot — the shard's
 /// working memtable was at its limit and could not rotate — nanoseconds
@@ -360,7 +357,6 @@ pub const REQUIRED: &[&str] = &[
     SERVER_BATCH_POINTS,
     SERVER_REJECTED_BUSY,
     SERVER_REJECTED_MALFORMED,
-    SERVER_FLUSH_BACKLOG,
     SERVER_FLUSH_WAIT_NANOS,
     SERVER_REQUEST_NANOS,
 ];

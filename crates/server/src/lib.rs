@@ -17,12 +17,12 @@
 //! * Admission control — per connection it is TCP's: frame N+1 is read
 //!   only after frame N is answered, so pipelined frames wait in the
 //!   socket buffer and then in the client's `write`, and a connection
-//!   holds one decoded frame and one reply. Across connections, ingest
-//!   behind a flush pool that has fallen behind is answered with a typed
-//!   [`Response::Busy`], visible as `server.rejected_busy` in the
-//!   registry. A write whose shard is full and still flushing *waits*
-//!   for that flush instead (`server.flush_wait_nanos`), which is what
-//!   bounds a memtable.
+//!   holds one decoded frame and one reply. A write whose shard is full
+//!   and still flushing *waits* for that flush on the engine's
+//!   [`FlushPool`] (`server.flush_wait_nanos`), which is what bounds a
+//!   memtable. Only a wait that reaches its bound is answered with a
+//!   typed [`Response::Busy`], visible as `server.rejected_busy` in the
+//!   registry.
 //! * [`SqlClient`] — a blocking client speaking the same protocol, with
 //!   an explicit pipelined API (`send_sql` / `send_batch` / `recv`).
 //! * [`MetricsServer`] — the read-only HTTP exporter for the registry
@@ -45,8 +45,6 @@
 
 pub mod wire;
 
-mod pool;
-
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -55,12 +53,11 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use backsort_engine::{PointBatch, SeriesKey, StorageEngine};
+use backsort_engine::{FlushPool, PointBatch, SeriesKey, StorageEngine};
 use backsort_obs::trace as obs_trace;
 use backsort_obs::{names, Counter, Gauge, Histogram};
 use backsort_sql::{compile_insert, execute_statement, parse, QueryOutput, Statement};
 
-use pool::FlushPool;
 pub use wire::{RequestBody, Response};
 
 /// Tuning knobs for [`SqlServer`]. The defaults suit tests and small
@@ -76,19 +73,12 @@ pub struct ServerConfig {
     /// Largest accepted request payload; larger frames get an error
     /// and the connection is closed (the stream cannot be resynced).
     pub max_frame_bytes: usize,
-    /// Ingest is shed as BUSY while more than this many flush jobs are
-    /// submitted but incomplete. A shard has one flushing slot, so the
-    /// backlog never exceeds the engine's shard count: the default of 8
-    /// sheds only on an engine of more than eight shards, and `0` sheds
-    /// whenever any flush is in flight. What keeps a memtable bounded on
-    /// fewer shards is not this limit but the wait for the slot (see
-    /// `server.flush_wait_nanos`).
-    pub busy_flush_backlog: i64,
     /// Threads completing rotated memtables ([`FlushJob`](backsort_engine::FlushJob)s).
     pub flush_workers: usize,
     /// Artificial per-flush delay simulating slow storage — zero in
-    /// production; benchmarks and backpressure tests raise it to force
-    /// the BUSY path deterministically.
+    /// production; benchmarks and backpressure tests raise it to make
+    /// writes wait for the flush, and past the wait's bound be refused
+    /// as BUSY, deterministically.
     pub flush_throttle: Duration,
     /// Trace one request in `n` under `server.request` (0 disables
     /// server-side sampling).
@@ -106,7 +96,6 @@ impl Default for ServerConfig {
         Self {
             workers: 4,
             max_frame_bytes: 4 << 20,
-            busy_flush_backlog: 8,
             flush_workers: 2,
             flush_throttle: Duration::ZERO,
             trace_sample_n: 64,
@@ -188,9 +177,9 @@ impl ServerCore {
     }
 
     /// The admission-controlled ingest path shared by SQL INSERTs and
-    /// binary batch frames: shed when flushers lag, wait when the
-    /// batch's shard is full and still flushing, then write without
-    /// blocking and hand any rotated memtable to the flush pool.
+    /// binary batch frames: wait when the batch's shard is full and
+    /// still flushing, then write without blocking and hand any rotated
+    /// memtable to the flush pool.
     ///
     /// `Busy` is all or nothing — a client may send the whole request
     /// again. Every batch of a request waits out its shard's stall, all
@@ -198,13 +187,6 @@ impl ServerCore {
     /// at it: once a batch is written the rest are written too, the
     /// engine taking what the wait could not hold back.
     fn ingest(&self, batches: Vec<(SeriesKey, PointBatch)>) -> Response {
-        let backlog = self.flush.backlog();
-        if backlog > self.cfg.busy_flush_backlog {
-            return Response::Busy(format!(
-                "flush backlog {backlog} exceeds limit {}; retry after backoff",
-                self.cfg.busy_flush_backlog
-            ));
-        }
         let deadline = Instant::now() + self.flush_wait_limit;
         let mut total = 0usize;
         for (key, batch) in batches {
@@ -220,7 +202,7 @@ impl ServerCore {
             }
             total += batch.len();
             match self.engine.write_batch_nonblocking(&key, &batch) {
-                Ok(Some(job)) => self.flush.submit(&self.engine, job),
+                Ok(Some(job)) => self.flush.submit(job),
                 Ok(None) => {}
                 Err(e) => return Response::Error(format!("column {}: {e}", key.sensor)),
             }
@@ -245,11 +227,9 @@ impl ServerCore {
             span.attr(names::ATTR_SHARD, shard as u64);
         }
         let started = Instant::now();
-        let resumed = self.flush.wait_while_stalled(
-            &self.engine,
-            shard,
-            deadline.saturating_duration_since(started),
-        );
+        let resumed = self
+            .flush
+            .wait_while_stalled(shard, deadline.saturating_duration_since(started));
         self.metrics
             .flush_wait_nanos
             .record(started.elapsed().as_nanos() as u64);
@@ -382,12 +362,7 @@ impl SqlServer {
         let local = listener.local_addr()?;
         let registry = Arc::clone(engine.obs());
         let metrics = ServerMetrics::new(&registry);
-        let flush = FlushPool::start(
-            Arc::clone(&engine),
-            cfg.flush_workers,
-            cfg.flush_throttle,
-            registry.gauge(names::SERVER_FLUSH_BACKLOG),
-        );
+        let flush = FlushPool::start(Arc::clone(&engine), cfg.flush_workers, cfg.flush_throttle);
         let core = Arc::new(ServerCore {
             engine,
             cfg,

@@ -697,7 +697,7 @@ mod tests {
             (sample_rows(), STATUS_ROWS),
             (Response::Error("boom".to_string()), STATUS_ERR),
             (
-                Response::Busy("flush backlog 9 > 4".to_string()),
+                Response::Busy("shard 3 has waited".to_string()),
                 STATUS_BUSY,
             ),
         ] {

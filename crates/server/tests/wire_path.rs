@@ -364,71 +364,6 @@ fn a_reply_that_cannot_be_written_closes_the_connection() {
     server.shutdown();
 }
 
-/// With a throttled flusher and a zero-tolerance backlog limit, a
-/// saturating ingest stream is shed with typed BUSY rather than
-/// buffered; the shed is visible as `server.rejected_busy`, and the
-/// server recovers once the flusher drains.
-#[test]
-fn saturating_ingest_sheds_busy_and_recovers() {
-    let engine = engine_with(256);
-    let server = SqlServer::start_with(
-        "127.0.0.1:0",
-        Arc::clone(&engine),
-        ServerConfig {
-            busy_flush_backlog: 0,
-            flush_workers: 1,
-            flush_throttle: Duration::from_millis(150),
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bind");
-    let mut client = SqlClient::connect(server.addr()).expect("connect");
-
-    // Each batch overfills the 256-point memtable, so every admitted
-    // write rotates and parks a job on the throttled flusher.
-    let mut busy = 0usize;
-    let mut accepted = 0usize;
-    for b in 0..10i64 {
-        let batch = PointBatch::from_rows((0..512i64).map(|i| (b * 512 + i, TsValue::Long(i))))
-            .expect("batch");
-        match client.insert_batch("root.busy.d1", "s", &batch) {
-            Ok(n) => {
-                assert_eq!(n, 512);
-                accepted += 1;
-            }
-            Err(ClientError::Busy(reason)) => {
-                assert!(reason.contains("flush backlog"), "{reason}");
-                busy += 1;
-            }
-            Err(other) => panic!("{other}"),
-        }
-    }
-    assert!(busy > 0, "throttled flusher never shed load");
-    assert!(accepted > 0, "some writes were admitted");
-    assert!(
-        engine.obs().counter_value(names::SERVER_REJECTED_BUSY) >= busy as u64,
-        "server.rejected_busy counts the sheds"
-    );
-
-    // Once the flusher drains, ingest is admitted again.
-    std::thread::sleep(Duration::from_millis(400));
-    let retry =
-        PointBatch::from_rows((0..8i64).map(|t| (100_000 + t, TsValue::Long(t)))).expect("batch");
-    let mut recovered = false;
-    for _ in 0..20 {
-        match client.insert_batch("root.busy.d1", "s", &retry) {
-            Ok(_) => {
-                recovered = true;
-                break;
-            }
-            Err(ClientError::Busy(_)) => std::thread::sleep(Duration::from_millis(100)),
-            Err(other) => panic!("{other}"),
-        }
-    }
-    assert!(recovered, "server never recovered from BUSY");
-    server.shutdown();
-}
-
 /// Shutdown with clients mid-pipeline: `shutdown` returns (joining the
 /// accept loop, every connection's thread, and the flush pool), every acknowledged write survives into the engine, and the
 /// connection gauge returns to zero.

@@ -5,10 +5,11 @@
 //! Run with: `cargo run --release --example maintenance`
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use backward_sort_repro::core::Algorithm;
 use backward_sort_repro::engine::{
-    Aggregation, AsyncFlusher, EngineConfig, PointBatch, SeriesKey, StorageEngine, TsValue,
+    Aggregation, EngineConfig, FlushPool, PointBatch, SeriesKey, StorageEngine, TsValue,
 };
 
 fn main() {
@@ -21,8 +22,8 @@ fn main() {
     }));
     let key = SeriesKey::new("root.plant.press3", "pressure");
 
-    // --- Ingest with a background flusher (IoTDB's async flush). -------
-    let flusher = AsyncFlusher::new(Arc::clone(&engine));
+    // --- Ingest with a background flush pool (IoTDB's async flush). ----
+    let pool = FlushPool::start(Arc::clone(&engine), 1, Duration::ZERO);
     let mut x = 31u64;
     for i in 0..80_000i64 {
         x ^= x << 13;
@@ -35,21 +36,22 @@ fn main() {
             .write_batch_nonblocking(&key, &point)
             .expect("matching type")
         {
-            // Sorting/encoding happens off-thread; a closed pool hands the
-            // job back, so finish it inline instead of losing data.
-            if let Err(closed) = flusher.submit(job) {
-                engine.complete_flush(closed.0);
-            }
+            // Sorting/encoding happens off-thread.
+            pool.submit(job);
         }
     }
+    // Every job is installed before anything flushes synchronously, so
+    // files land in the order their memtables rotated.
+    pool.stop();
+    let async_flushes = engine.flush_history().len();
     // Stragglers arriving below the watermark take the unsequence path.
     for t in [100i64, 5_000, 9_999] {
         engine.write(&key, t, TsValue::Double(-1.0));
     }
-    let completed = flusher.shutdown();
     engine.flush();
     engine.flush_unseq();
-    println!("async flushes completed : {completed}");
+    assert!(async_flushes >= 1, "the pool flushed a rotated memtable");
+    println!("async flushes completed : {async_flushes}");
     println!("files on disk           : {}", engine.file_count());
 
     // --- Range deletion: drop a corrupted sensor window. ---------------

@@ -1,13 +1,14 @@
-//! Concurrency stress: many writer threads, query threads, and an async
-//! flusher all hammer one engine; afterwards, every written point must be
+//! Concurrency stress: many writer threads, query threads, and the flush
+//! pool all hammer one engine; afterwards, every written point must be
 //! present exactly once and every query observed sorted data.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use backward_sort_repro::core::Algorithm;
 use backward_sort_repro::engine::{
-    AsyncFlusher, EngineConfig, FlushJob, PointBatch, SeriesKey, StorageEngine, TsValue,
+    EngineConfig, FlushJob, FlushPool, PointBatch, SeriesKey, StorageEngine, TsValue,
 };
 
 /// One point through the non-blocking batch entry point.
@@ -27,7 +28,7 @@ fn writers_queriers_and_flusher_do_not_corrupt_data() {
         shards: 1,
         ..EngineConfig::default()
     }));
-    let flusher = Arc::new(AsyncFlusher::new(Arc::clone(&engine)));
+    let pool = FlushPool::start(Arc::clone(&engine), 1, Duration::ZERO);
     let stop = Arc::new(AtomicBool::new(false));
     let disorder_seen = Arc::new(AtomicU64::new(0));
 
@@ -36,8 +37,7 @@ fn writers_queriers_and_flusher_do_not_corrupt_data() {
 
     std::thread::scope(|scope| {
         for w in 0..WRITERS {
-            let engine = Arc::clone(&engine);
-            let flusher = Arc::clone(&flusher);
+            let (engine, pool) = (Arc::clone(&engine), &pool);
             scope.spawn(move || {
                 let key = SeriesKey::new("root.sg.d1", format!("s{w}"));
                 let mut x = w as u64 * 7919 + 1;
@@ -48,9 +48,7 @@ fn writers_queriers_and_flusher_do_not_corrupt_data() {
                     // Delay-only arrivals, collision-free timestamps.
                     let t = i * 8 + (x % 8) as i64;
                     if let Some(job) = write_nb(&engine, &key, t) {
-                        if let Err(closed) = flusher.submit(job) {
-                            engine.complete_flush(closed.0);
-                        }
+                        pool.submit(job);
                     }
                 }
             });
@@ -108,8 +106,7 @@ fn writers_queriers_and_flusher_do_not_corrupt_data() {
     );
 
     // Drain everything and verify exact contents per sensor.
-    let flusher = Arc::into_inner(flusher).expect("sole owner");
-    flusher.shutdown();
+    pool.stop();
     engine.flush();
     for w in 0..WRITERS {
         let key = SeriesKey::new("root.sg.d1", format!("s{w}"));
@@ -152,7 +149,7 @@ fn private_times(w: usize, n: i64) -> Vec<i64> {
 /// one). Writers cover *disjoint* devices (root.sg.d0..d3, which FNV-hash
 /// to four different shards) plus one *overlapping* device all writers
 /// append to in disjoint timestamp ranges; query threads run throughout;
-/// rotations drain through a flusher pool.
+/// rotations drain through a four-worker flush pool.
 fn run_sharded_stress(shards: usize) -> Vec<Vec<(i64, TsValue)>> {
     const WRITERS: usize = 4;
     const POINTS_PER_WRITER: i64 = 3_000;
@@ -165,33 +162,27 @@ fn run_sharded_stress(shards: usize) -> Vec<Vec<(i64, TsValue)>> {
         shards,
         ..EngineConfig::default()
     }));
-    let flusher = Arc::new(AsyncFlusher::with_workers(Arc::clone(&engine), 4));
+    let pool = FlushPool::start(Arc::clone(&engine), 4, Duration::ZERO);
     let stop = Arc::new(AtomicBool::new(false));
     let anomalies = Arc::new(AtomicU64::new(0));
     let shared = SeriesKey::new("root.sg.shared", "s");
 
     std::thread::scope(|scope| {
         for w in 0..WRITERS {
-            let engine = Arc::clone(&engine);
-            let flusher = Arc::clone(&flusher);
+            let (engine, pool) = (Arc::clone(&engine), &pool);
             let shared = shared.clone();
             scope.spawn(move || {
                 let key = SeriesKey::new(format!("root.sg.d{w}"), "s");
-                let submit = |job| {
-                    if let Err(closed) = flusher.submit(job) {
-                        engine.complete_flush(closed.0);
-                    }
-                };
                 for (i, t) in private_times(w, POINTS_PER_WRITER).into_iter().enumerate() {
                     if let Some(job) = write_nb(&engine, &key, t) {
-                        submit(job);
+                        pool.submit(job);
                     }
                     // Interleave the overlapping device: writer w owns the
                     // disjoint range [w*100_000, w*100_000 + SHARED_POINTS).
                     if (i as i64) < SHARED_POINTS {
                         let st = w as i64 * 100_000 + i as i64;
                         if let Some(job) = write_nb(&engine, &shared, st) {
-                            submit(job);
+                            pool.submit(job);
                         }
                     }
                 }
@@ -241,8 +232,7 @@ fn run_sharded_stress(shards: usize) -> Vec<Vec<(i64, TsValue)>> {
         "queries observed unsorted or corrupt data (shards = {shards})"
     );
 
-    let flusher = Arc::into_inner(flusher).expect("sole owner");
-    flusher.shutdown();
+    pool.stop();
     engine.flush();
     engine.flush_unseq();
 
