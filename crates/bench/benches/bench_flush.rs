@@ -2,7 +2,7 @@
 //! flush (sort + dedup + encode + write) per contender.
 
 use backsort_core::Algorithm;
-use backsort_engine::{flush_memtable, MemTable, SeriesKey, TsValue};
+use backsort_engine::{flush_memtable, ColumnSlice, MemTable, SeriesKey};
 use backsort_sorts::SeriesSorter;
 use backsort_workload::{generate_pairs, DelayModel, StreamSpec};
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
@@ -17,11 +17,10 @@ fn build_memtable(points: usize) -> MemTable {
         },
         42,
     );
+    let (ts, vs): (Vec<i64>, Vec<f64>) = generate_pairs(&spec).into_iter().unzip();
     let mut mt = MemTable::new(32);
-    for (t, v) in generate_pairs(&spec) {
-        mt.write(&key, t, TsValue::Double(v))
-            .expect("uniform Double writes");
-    }
+    mt.write_columns(&key, &ts, ColumnSlice::Double(&vs), &mut Default::default())
+        .expect("one DOUBLE run");
     mt
 }
 

@@ -27,13 +27,22 @@ fn ingest_pps(registry: Arc<Registry>, points: &[(i64, TsValue)], batch: usize) 
         },
         registry,
     );
-    let key = SeriesKey::new("root.obs.d0", "s0");
     let start = Instant::now();
+    ingest(&engine, points, batch);
+    points.len() as f64 / start.elapsed().as_secs_f64()
+}
+
+/// Writes `points` to one sensor in batches of `batch`, flushing each
+/// rotated memtable before the next batch.
+fn ingest(engine: &StorageEngine, points: &[(i64, TsValue)], batch: usize) {
+    let key = SeriesKey::new("root.obs.d0", "s0");
     for chunk in points.chunks(batch) {
         let batch = PointBatch::from_rows(chunk.iter().cloned()).expect("uniform rows");
-        engine.write_batch(&key, &batch).expect("uniform batch");
+        let job = engine.write_batch_nonblocking(&key, &batch);
+        if let Some(job) = job.expect("uniform batch") {
+            engine.complete_flush(job);
+        }
     }
-    points.len() as f64 / start.elapsed().as_secs_f64()
 }
 
 /// One timed query run at a given trace sampling rate; returns
@@ -48,10 +57,7 @@ fn query_qps(trace_sample_n: u64, points: &[(i64, TsValue)], queries: usize) -> 
         ..EngineConfig::default()
     });
     let key = SeriesKey::new("root.obs.d0", "s0");
-    for chunk in points.chunks(1_000) {
-        let batch = PointBatch::from_rows(chunk.iter().cloned()).expect("uniform rows");
-        engine.write_batch(&key, &batch).expect("uniform batch");
-    }
+    ingest(&engine, points, 1_000);
     engine.flush();
     let current = engine.latest_time(&key).unwrap_or(0);
     let window = 2_000;

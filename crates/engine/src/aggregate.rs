@@ -386,9 +386,10 @@ mod tests {
         });
         let key = SeriesKey::new("root.sg.d1", "speed");
         // Out-of-order writes, values = 2 * t.
-        for t in [5i64, 1, 3, 2, 4, 9, 7, 8, 6, 10] {
-            engine.write(&key, t, TsValue::Double(2.0 * t as f64));
-        }
+        engine.write_points(
+            &key,
+            [5i64, 1, 3, 2, 4, 9, 7, 8, 6, 10].map(|t| (t, TsValue::Double(2.0 * t as f64))),
+        );
         (engine, key)
     }
 

@@ -338,7 +338,8 @@ impl ValueColumn {
 /// a typed value column, index-aligned.
 ///
 /// This is the ingest unit the whole write path shares: SQL assembles
-/// one, [`StorageEngine::write_batch`](crate::StorageEngine::write_batch)
+/// one,
+/// [`StorageEngine::write_batch_nonblocking`](crate::StorageEngine::write_batch_nonblocking)
 /// splits it at the watermark into [`ColumnSlice`] runs, the WAL encodes
 /// it as one frame, and replay feeds the decoded batch back through the
 /// same path.

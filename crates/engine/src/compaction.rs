@@ -544,7 +544,7 @@ mod tests {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
-            eng.write(&key("s1"), i + (x % 4) as i64, TsValue::Long(i));
+            eng.write_points(&key("s1"), [(i + (x % 4) as i64, TsValue::Long(i))]);
         }
         eng.flush();
         let before = eng.query(&key("s1"), i64::MIN, i64::MAX);
@@ -564,11 +564,10 @@ mod tests {
     #[test]
     fn unsequence_overrides_survive_compaction() {
         let eng = engine(40);
-        for i in 0..40i64 {
-            eng.write(&key("s"), i, TsValue::Long(i)); // flush at 40
-        }
-        // Straggler rewrites t=10 through the unsequence path...
-        eng.write(&key("s"), 10, TsValue::Long(-10));
+        // Flush at 40; then a straggler rewrites t=10 through the
+        // unsequence path...
+        eng.write_points(&key("s"), (0..40i64).map(|i| (i, TsValue::Long(i))));
+        eng.write_points(&key("s"), [(10, TsValue::Long(-10))]);
         // ...and gets flushed into its own (overlapping) file.
         eng.flush_unseq();
         assert_eq!(eng.file_count(), 2);
@@ -594,9 +593,7 @@ mod tests {
         assert_eq!(report.files_in, 0);
         assert_eq!(report.files_out, 0);
 
-        for i in 0..10i64 {
-            eng.write(&key("s"), i, TsValue::Long(i));
-        }
+        eng.write_points(&key("s"), (0..10i64).map(|i| (i, TsValue::Long(i))));
         eng.flush();
         let report = eng.compact();
         assert_eq!(report.files_in, 1);
@@ -621,9 +618,10 @@ mod tests {
         });
         // Duplicate-heavy workload: many timestamps rewritten.
         for round in 0..6i64 {
-            for t in 0..25i64 {
-                eng.write(&key("s"), t, TsValue::Long(round * 100 + t));
-            }
+            eng.write_points(
+                &key("s"),
+                (0..25i64).map(|t| (t, TsValue::Long(round * 100 + t))),
+            );
         }
         eng.flush();
         eng.flush_unseq();
@@ -642,8 +640,8 @@ mod tests {
     fn multi_sensor_compaction() {
         let eng = engine(30);
         for i in 0..90i64 {
-            eng.write(&key("a"), i, TsValue::Int(i as i32));
-            eng.write(&key("b"), i, TsValue::Double(i as f64));
+            eng.write_points(&key("a"), [(i, TsValue::Int(i as i32))]);
+            eng.write_points(&key("b"), [(i, TsValue::Double(i as f64))]);
         }
         eng.flush();
         eng.compact();
@@ -658,10 +656,8 @@ mod tests {
         let single = engine(1_000);
         let ka = SeriesKey::new("root.sg.d0", "s");
         let kb = SeriesKey::new("root.sg.d2", "s");
-        for t in 0..20i64 {
-            single.write(&ka, t, TsValue::Long(t));
-            single.write(&kb, t, TsValue::Long(-t));
-        }
+        single.write_points(&ka, (0..20i64).map(|t| (t, TsValue::Long(t))));
+        single.write_points(&kb, (0..20i64).map(|t| (t, TsValue::Long(-t))));
         single.flush();
         let ids = single.shard_file_ids(0);
         assert_eq!(ids.len(), 1);
@@ -677,10 +673,8 @@ mod tests {
         let installed = eng.adopt_file(image).expect("valid image");
         assert_eq!(installed.len(), 2, "one copy per owning shard");
         // Give each shard a second file so compaction actually merges.
-        for t in 20..40i64 {
-            eng.write(&ka, t, TsValue::Long(t));
-            eng.write(&kb, t, TsValue::Long(-t));
-        }
+        eng.write_points(&ka, (20..40i64).map(|t| (t, TsValue::Long(t))));
+        eng.write_points(&kb, (20..40i64).map(|t| (t, TsValue::Long(-t))));
         eng.flush();
 
         let report = eng.compact();
@@ -709,10 +703,8 @@ mod tests {
         // d0 and d2 live on different shards; each produces several files.
         let ka = SeriesKey::new("root.sg.d0", "s");
         let kb = SeriesKey::new("root.sg.d2", "s");
-        for i in 0..90i64 {
-            eng.write(&ka, i, TsValue::Long(i));
-            eng.write(&kb, i, TsValue::Long(-i));
-        }
+        eng.write_points(&ka, (0..90i64).map(|i| (i, TsValue::Long(i))));
+        eng.write_points(&kb, (0..90i64).map(|i| (i, TsValue::Long(-i))));
         eng.flush();
         assert!(eng.file_count() >= 4);
 
@@ -729,9 +721,10 @@ mod tests {
         let eng = leveled_engine(20, 1, 3);
         // Six flushes → six L0 files.
         for f in 0..6i64 {
-            for t in 0..20i64 {
-                eng.write(&key("s"), f * 20 + t, TsValue::Long(f * 20 + t));
-            }
+            eng.write_points(
+                &key("s"),
+                (0..20i64).map(|t| (f * 20 + t, TsValue::Long(f * 20 + t))),
+            );
         }
         assert_eq!(eng.file_count(), 6);
         assert!(eng.shard_file_meta(0).iter().all(|&(_, level)| level == 0));
@@ -758,9 +751,10 @@ mod tests {
         // Interleave flushes and passes: L0 pairs fold to L1, L1 pairs
         // to L2 — levels stay non-increasing oldest → newest throughout.
         for f in 0..8i64 {
-            for t in 0..20i64 {
-                eng.write(&key("s"), f * 20 + t, TsValue::Long(f * 20 + t));
-            }
+            eng.write_points(
+                &key("s"),
+                (0..20i64).map(|t| (f * 20 + t, TsValue::Long(f * 20 + t))),
+            );
             eng.compact_auto();
             let meta = eng.shard_file_meta(0);
             let levels: Vec<u32> = meta.iter().map(|&(_, l)| l).collect();
@@ -786,13 +780,9 @@ mod tests {
         let ka = SeriesKey::new("root.sg.a", "s");
         let kb = SeriesKey::new("root.sg.b", "s");
         // File 1: device a only. File 2: device b only.
-        for t in 0..10i64 {
-            eng.write(&ka, t, TsValue::Long(t));
-        }
+        eng.write_points(&ka, (0..10i64).map(|t| (t, TsValue::Long(t))));
         eng.flush();
-        for t in 0..10i64 {
-            eng.write(&kb, t, TsValue::Long(-t));
-        }
+        eng.write_points(&kb, (0..10i64).map(|t| (t, TsValue::Long(-t))));
         eng.flush();
         assert_eq!(eng.file_count(), 2);
 
@@ -814,19 +804,15 @@ mod tests {
         let single = engine(1_000);
         let ka = SeriesKey::new("root.sg.d0", "s");
         let kb = SeriesKey::new("root.sg.d2", "s");
-        for t in 0..20i64 {
-            single.write(&ka, t, TsValue::Long(t));
-            single.write(&kb, t, TsValue::Long(-t));
-        }
+        single.write_points(&ka, (0..20i64).map(|t| (t, TsValue::Long(t))));
+        single.write_points(&kb, (0..20i64).map(|t| (t, TsValue::Long(-t))));
         single.flush();
         let image = single.file_image(0, single.shard_file_ids(0)[0]).unwrap();
 
         let eng = leveled_engine(20, 4, 2);
         eng.adopt_file(image).expect("valid image");
-        for t in 20..40i64 {
-            eng.write(&ka, t, TsValue::Long(t));
-            eng.write(&kb, t, TsValue::Long(-t));
-        }
+        eng.write_points(&ka, (20..40i64).map(|t| (t, TsValue::Long(t))));
+        eng.write_points(&kb, (20..40i64).map(|t| (t, TsValue::Long(-t))));
         eng.flush();
 
         eng.compact_auto();
@@ -856,12 +842,8 @@ mod tests {
         // flushing slot must keep masking the file that flush installs,
         // even when a full compaction runs in between.
         let eng = engine(40);
-        for t in 0..40i64 {
-            eng.write(&key("s"), t, TsValue::Long(t)); // flush at 40
-        }
-        for t in 40..60i64 {
-            eng.write(&key("s"), t, TsValue::Long(t));
-        }
+        eng.write_points(&key("s"), (0..40i64).map(|t| (t, TsValue::Long(t)))); // flush at 40
+        eng.write_points(&key("s"), (40..60i64).map(|t| (t, TsValue::Long(t))));
         let job = eng.begin_flush_shard(0).expect("rotates");
         // Horizon = 1 file + 1 flushing slot = 2.
         eng.delete_range(&key("s"), 45, 50);
@@ -879,9 +861,10 @@ mod tests {
     fn full_compaction_output_outranks_its_inputs() {
         let eng = leveled_engine(20, 1, 2);
         for f in 0..4i64 {
-            for t in 0..20i64 {
-                eng.write(&key("s"), f * 20 + t, TsValue::Long(t));
-            }
+            eng.write_points(
+                &key("s"),
+                (0..20i64).map(|t| (f * 20 + t, TsValue::Long(t))),
+            );
         }
         eng.compact_auto(); // some structure first
         eng.compact();

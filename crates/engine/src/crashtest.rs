@@ -11,7 +11,7 @@
 //!
 //! 1. **No acknowledged op is lost.** An op is acknowledged once a
 //!    durability barrier after it succeeds — `sync()` returning `Ok`, a
-//!    `flush()` returning `Ok`, or a `write()` that completed a
+//!    `flush()` returning `Ok`, or a `write_batch()` that completed a
 //!    rotation. The recovered state of every series must equal the
 //!    oracle's replay of some prefix of that series' ops at least as
 //!    long as its acknowledged prefix.
@@ -242,7 +242,6 @@ pub fn matrix() -> Vec<CaseSpec> {
     // Result-threaded engine failpoints: an injected error the caller
     // must surface cleanly, and a simulated death.
     for site in [
-        sites::STORE_WRITE_AFTER_WAL,
         sites::STORE_WRITE_BATCH_APPEND,
         sites::STORE_DELETE_AFTER_WAL,
         sites::STORE_ROTATE_BEGIN,
@@ -318,6 +317,34 @@ pub fn matrix() -> Vec<CaseSpec> {
     cases
 }
 
+/// Durably writes `rows` to series `k` as one batch — one WAL frame —
+/// and records them in the oracle: a write that completed a rotation
+/// acknowledges everything issued, and a failed one leaves its rows
+/// indeterminate, the checker trying both readings (the frame is atomic,
+/// so a half-applied batch shows up as a state matching no prefix).
+fn write_rows(
+    eng: &mut DurableEngine,
+    oracle: &mut Oracle,
+    keys: &[SeriesKey],
+    k: usize,
+    rows: Vec<(i64, TsValue)>,
+) {
+    let Ok(batch) = PointBatch::from_rows(rows.iter().cloned()) else {
+        return;
+    };
+    let idxs: Vec<usize> = rows
+        .into_iter()
+        .map(|(t, v)| oracle.record(k, KeyOp::Write(t, v)))
+        .collect();
+    match eng.write_batch(&keys[k], &batch) {
+        Ok(Some(_)) => oracle.barrier(),
+        Ok(None) => {}
+        Err(_) => idxs
+            .into_iter()
+            .for_each(|idx| oracle.mark_optional(k, idx)),
+    }
+}
+
 /// The scripted workload: six rounds of out-of-order writes round-robin
 /// across four devices, with range deletes, explicit and asynchronous
 /// flushes, compactions (so GC runs), and sync barriers. Stops as soon
@@ -332,52 +359,30 @@ fn workload(
 ) {
     let mut tick = vec![0i64; keys.len()];
     for round in 0..6u64 {
+        // One point a batch, so rotations fall after exactly
+        // `MEMTABLE_MAX` points of a shard.
         for i in 0..28u64 {
             let k = ((i + round) % keys.len() as u64) as usize;
             let t = tick[k] * 4 + rng.below(7) as i64 - 3;
             tick[k] += 1;
             let v = TsValue::Long(rng.below(100_000) as i64 - 50_000);
-            let idx = oracle.record(k, KeyOp::Write(t, v.clone()));
-            match eng.write(&keys[k], t, v) {
-                Ok(Some(_)) => oracle.barrier(), // completed a rotation
-                Ok(None) => {}
-                Err(_) => oracle.mark_optional(k, idx),
-            }
+            write_rows(eng, oracle, keys, k, vec![(t, v)]);
             if faults.is_dead() {
                 return;
             }
         }
-        // One columnar batch per round: a single WAL frame carrying
-        // several points. A fault on the frame append loses or keeps
-        // the batch *whole* — each point is marked indeterminate so the
-        // checker tries both readings (and, the frame being atomic, any
-        // half-applied batch shows up as a state matching no prefix).
-        {
-            let k = (round % keys.len() as u64) as usize;
-            let mut rows = Vec::new();
-            for _ in 0..5 {
+        // And one batch of several points per round.
+        let k = (round % keys.len() as u64) as usize;
+        let rows = (0..5)
+            .map(|_| {
                 let t = tick[k] * 4 + rng.below(7) as i64 - 3;
                 tick[k] += 1;
-                rows.push((t, TsValue::Long(rng.below(100_000) as i64 - 50_000)));
-            }
-            if let Ok(batch) = PointBatch::from_rows(rows.clone()) {
-                let idxs: Vec<usize> = rows
-                    .iter()
-                    .map(|(t, v)| oracle.record(k, KeyOp::Write(*t, v.clone())))
-                    .collect();
-                match eng.write_batch(&keys[k], &batch) {
-                    Ok(flushed) if !flushed.is_empty() => oracle.barrier(),
-                    Ok(_) => {}
-                    Err(_) => {
-                        for idx in idxs {
-                            oracle.mark_optional(k, idx);
-                        }
-                    }
-                }
-            }
-            if faults.is_dead() {
-                return;
-            }
+                (t, TsValue::Long(rng.below(100_000) as i64 - 50_000))
+            })
+            .collect();
+        write_rows(eng, oracle, keys, k, rows);
+        if faults.is_dead() {
+            return;
         }
         if round % 2 == 0 {
             let k = (round as usize / 2) % keys.len();
@@ -488,7 +493,8 @@ pub fn run_case(spec: &CaseSpec, shards: usize, seed: u64) -> Result<(), String>
                 tick[k] += 1;
                 let v = TsValue::Long(rng.below(100_000) as i64 - 50_000);
                 oracle.record(k, KeyOp::Write(t, v.clone()));
-                match eng.write(&keys[k], t, v) {
+                let point = PointBatch::from_rows([(t, v)]).map_err(|e| e.to_string())?;
+                match eng.write_batch(&keys[k], &point) {
                     Ok(Some(_)) => oracle.barrier(),
                     Ok(None) => {}
                     Err(e) => return Err(format!("unarmored write failed: {e}")),
@@ -527,7 +533,7 @@ pub fn run_case(spec: &CaseSpec, shards: usize, seed: u64) -> Result<(), String>
                 let flushed = eng
                     .write_batch(&keys[k], &batch)
                     .map_err(|e| format!("unarmored batch write failed: {e}"))?;
-                if flushed.is_empty() {
+                if flushed.is_none() {
                     pending -= 1;
                 } else {
                     oracle.barrier();

@@ -66,9 +66,7 @@ mod tests {
     #[test]
     fn delete_from_memtable_only() {
         let eng = engine(10_000);
-        for t in 0..100i64 {
-            eng.write(&key(), t, TsValue::Long(t));
-        }
+        eng.write_points(&key(), (0..100i64).map(|t| (t, TsValue::Long(t))));
         let removed = eng.delete_range(&key(), 20, 29);
         assert_eq!(removed, 10);
         let got = eng.query(&key(), 0, 200);
@@ -79,9 +77,7 @@ mod tests {
     #[test]
     fn delete_covers_flushed_files_via_tombstones() {
         let eng = engine(50);
-        for t in 0..80i64 {
-            eng.write(&key(), t, TsValue::Long(t)); // one flush at 50
-        }
+        eng.write_points(&key(), (0..80i64).map(|t| (t, TsValue::Long(t)))); // one flush at 50
         assert_eq!(eng.file_count(), 1, "0..=49 flushed, 50..=79 in memory");
         let removed = eng.delete_range(&key(), 40, 60);
         // The in-memory half (50..=60) is removed physically...
@@ -96,9 +92,7 @@ mod tests {
     fn aggregations_respect_deletions() {
         use crate::aggregate::{AggValue, Aggregation};
         let eng = engine(30);
-        for t in 0..60i64 {
-            eng.write(&key(), t, TsValue::Double(1.0));
-        }
+        eng.write_points(&key(), (0..60i64).map(|t| (t, TsValue::Double(1.0))));
         eng.delete_range(&key(), 0, 29);
         assert_eq!(
             eng.aggregate(&key(), 0, 100, Aggregation::Count),
@@ -109,9 +103,7 @@ mod tests {
     #[test]
     fn compaction_applies_tombstones_physically() {
         let eng = engine(25);
-        for t in 0..75i64 {
-            eng.write(&key(), t, TsValue::Long(t));
-        }
+        eng.write_points(&key(), (0..75i64).map(|t| (t, TsValue::Long(t))));
         eng.flush();
         eng.delete_range(&key(), 10, 19);
         assert_eq!(eng.tombstone_count(), 1);
@@ -129,10 +121,8 @@ mod tests {
     fn delete_affects_only_target_sensor() {
         let eng = engine(1_000);
         let other = SeriesKey::new("root.sg.d1", "other");
-        for t in 0..20i64 {
-            eng.write(&key(), t, TsValue::Long(t));
-            eng.write(&other, t, TsValue::Long(t));
-        }
+        eng.write_points(&key(), (0..20i64).map(|t| (t, TsValue::Long(t))));
+        eng.write_points(&other, (0..20i64).map(|t| (t, TsValue::Long(t))));
         eng.delete_range(&key(), 0, 100);
         assert!(eng.query(&key(), 0, 100).is_empty());
         assert_eq!(eng.query(&other, 0, 100).len(), 20);
@@ -141,16 +131,12 @@ mod tests {
     #[test]
     fn delete_then_rewrite() {
         let eng = engine(1_000);
-        for t in 0..10i64 {
-            eng.write(&key(), t, TsValue::Long(t));
-        }
+        eng.write_points(&key(), (0..10i64).map(|t| (t, TsValue::Long(t))));
         eng.delete_range(&key(), 0, 9);
         // Rewriting the same timestamps after the delete must be visible
         // (tombstones only cover data written before the delete — here,
         // memtable data was physically removed, so this just works).
-        for t in 0..10i64 {
-            eng.write(&key(), t, TsValue::Long(t + 100));
-        }
+        eng.write_points(&key(), (0..10i64).map(|t| (t, TsValue::Long(t + 100))));
         let got = eng.query(&key(), 0, 20);
         assert_eq!(got.len(), 10);
         assert_eq!(got[0].1, TsValue::Long(100));
@@ -165,14 +151,10 @@ mod tests {
         for earlier_file in [false, true] {
             let eng = engine(10_000);
             if earlier_file {
-                for t in 0..10i64 {
-                    eng.write(&key(), t, TsValue::Long(t));
-                }
+                eng.write_points(&key(), (0..10i64).map(|t| (t, TsValue::Long(t))));
                 eng.flush();
             }
-            for t in 10..60i64 {
-                eng.write(&key(), t, TsValue::Long(t));
-            }
+            eng.write_points(&key(), (10..60i64).map(|t| (t, TsValue::Long(t))));
             let job = eng.begin_flush_shard(0).expect("rotates");
             eng.delete_range(&key(), 5, 100);
             assert_eq!(eng.complete_flush(job).points, 0);
@@ -182,8 +164,8 @@ mod tests {
             assert_eq!(eng.tombstone_count(), usize::from(earlier_file));
 
             // One rewrite below the watermark (unsequence), one above.
-            eng.write(&key(), 50, TsValue::Long(-50));
-            eng.write(&key(), 70, TsValue::Long(-70));
+            eng.write_points(&key(), [(50, TsValue::Long(-50))]);
+            eng.write_points(&key(), [(70, TsValue::Long(-70))]);
             eng.flush();
             eng.flush_unseq();
             let mut want: Vec<(i64, TsValue)> = if earlier_file {

@@ -126,7 +126,7 @@ impl Default for EngineConfig {
 /// range reaches below the flush watermark).
 pub type QueryResult = Vec<(i64, TsValue)>;
 
-/// The ticket for one shard's pending asynchronous flush.
+/// The ticket for one shard's pending flush.
 ///
 /// Produced by [`StorageEngine::write_batch_nonblocking`] (or
 /// [`StorageEngine::begin_flush_shard`]) when a working memtable
@@ -136,12 +136,16 @@ pub type QueryResult = Vec<(i64, TsValue)>;
 /// the slot is the rotated memtable's only owner, queries keep reading
 /// it (and deletes editing it) there while the job is outstanding, and
 /// the flush copies each series out under the shard's read lock. Only
-/// completing the job frees the slot, so a dropped job leaves its shard
-/// unable to rotate.
+/// installing the slot frees it: completing the job, or a
+/// [`flush`](StorageEngine::flush) or
+/// [`flush_unseq`](StorageEngine::flush_unseq), which installs an
+/// occupied slot first and so leaves the job stale (it names the slot's
+/// generation; completing it then installs nothing).
 #[derive(Debug)]
 #[must_use = "the shard's flushing slot stays occupied until the job is completed"]
 pub struct FlushJob {
     shard: usize,
+    generation: u64,
 }
 
 impl FlushJob {
@@ -159,6 +163,9 @@ struct ShardState {
     /// (sorting its buffers in place when dirty), deletes edit it, and
     /// the flush copies it out series by series under the read lock.
     flushing: Option<MemTable>,
+    /// Rotations so far: the generation of the slot's occupant, which
+    /// its [`FlushJob`] carries.
+    slot_generation: u64,
     unseq: MemTable,
     /// Per-sensor flush watermark: timestamps `<=` this have been flushed,
     /// so later arrivals below it are "very long delayed" and take the
@@ -185,6 +192,50 @@ impl ShardState {
             unseq: MemTable::new(array_size),
             ..ShardState::default()
         }
+    }
+
+    /// The flushing slot's memtable while it is still the one rotated
+    /// as `generation`; `None` once that rotation was installed.
+    fn slot(&self, generation: u64) -> Option<&MemTable> {
+        self.flushing
+            .as_ref()
+            .filter(|_| self.slot_generation == generation)
+    }
+
+    /// A job for the slot's occupant, `None` when the slot is free.
+    fn occupant(&self, shard: usize) -> Option<FlushJob> {
+        self.flushing.as_ref().map(|_| FlushJob {
+            shard,
+            generation: self.slot_generation,
+        })
+    }
+
+    /// Removes `key`'s points in `[t_lo, t_hi]` from every memtable.
+    /// Returns how many the working and unsequence memtables held.
+    fn erase(&mut self, key: &SeriesKey, t_lo: i64, t_hi: i64) -> usize {
+        let removed =
+            self.working.delete_range(key, t_lo, t_hi) + self.unseq.delete_range(key, t_lo, t_hi);
+        if let Some(fl) = self.flushing.as_mut() {
+            // Readers lose the points now; the flush in flight may have
+            // copied this series out already and still write them, so
+            // the tombstone's horizon covers that upcoming file as well.
+            fl.delete_range(key, t_lo, t_hi);
+        }
+        removed
+    }
+
+    /// Masks `key`'s `[t_lo, t_hi]` in the files below `horizon`,
+    /// clamped to the files there are and the one an occupied slot
+    /// becomes. Returns the horizon recorded.
+    fn push_tombstone(&mut self, key: &SeriesKey, t_lo: i64, t_hi: i64, horizon: usize) -> usize {
+        let horizon = horizon.min(self.files.len() + usize::from(self.flushing.is_some()));
+        let tombstone = Tombstone {
+            key: key.clone(),
+            t_lo,
+            t_hi,
+        };
+        self.tombstones.push((tombstone, horizon));
+        horizon
     }
 }
 
@@ -345,26 +396,6 @@ impl EngineObs {
         }
     }
 
-    /// Records one point's memtable routing outcome: `delta` is the
-    /// out-of-order distance `Δτ` returned by [`MemTable::write`].
-    #[inline]
-    fn record_point_delta(&self, delta: Option<i64>) {
-        if let Some(d) = delta {
-            self.ooo_points.inc();
-            self.delta_tau.record(d as u64);
-        }
-    }
-
-    /// Batch-path variant of [`EngineObs::record_point_delta`]: the
-    /// write-batch loops accumulate `Δτ` into a stack-local histogram
-    /// (no atomics per point) and fold it in here once per batch.
-    fn record_batch_deltas(&self, deltas: &LocalHistogram) {
-        if deltas.count() > 0 {
-            self.ooo_points.add(deltas.count());
-            self.delta_tau.merge_local(deltas);
-        }
-    }
-
     /// Records one completed flush's metric breakdown.
     fn record_flush(&self, shard: usize, m: &FlushMetrics) {
         self.flush_count.inc();
@@ -384,9 +415,9 @@ impl EngineObs {
 /// of the separation watermark. A sequence-bound run additionally stops
 /// after `seq_room` points — the working memtable's remaining room while
 /// a rotation can still happen, so the caller rotates, and re-reads the
-/// moved watermark, before routing the rest; `usize::MAX` once one was
-/// refused. The scan stops where the run does, so no point of a batch is
-/// looked at twice. Returns `(run_end, routes_unseq)`.
+/// moved watermark, before routing the rest; `usize::MAX` once the
+/// flushing slot is taken. The scan stops where the run does, so no
+/// point of a batch is looked at twice. Returns `(run_end, routes_unseq)`.
 fn next_run(ts: &[i64], idx: usize, watermark: Option<i64>, seq_room: usize) -> (usize, bool) {
     let routes_unseq = |t: i64| matches!(watermark, Some(w) if t <= w);
     let unseq = ts.get(idx).copied().is_some_and(routes_unseq);
@@ -557,35 +588,6 @@ impl StorageEngine {
         }
     }
 
-    /// Writes one point, routing by the separation policy, and flushes
-    /// synchronously when the shard's working memtable fills. Returns the
-    /// flush metrics if a flush was triggered.
-    ///
-    /// A value whose type does not match the series' established type is
-    /// dropped (and counted in `memtable.type_mismatch_rejects`) instead
-    /// of aborting the engine.
-    pub fn write(&self, key: &SeriesKey, t: i64, v: TsValue) -> Option<FlushMetrics> {
-        let shard = self.shard_of(&key.device);
-        let mut st = self.shards[shard].write();
-        let written = match st.watermarks.get(key).copied() {
-            Some(w) if t <= w => st.unseq.write(key, t, v),
-            _ => st.working.write(key, t, v),
-        };
-        match written {
-            Ok(delta) => {
-                self.obs.write_points.inc();
-                self.obs.record_point_delta(delta);
-            }
-            Err(_) => self.obs.type_mismatch_rejects.inc(),
-        }
-        if st.working.total_points() >= self.config.memtable_max_points {
-            // analyzer:allow(lock-order): rotation must be atomic with the watermark advance, so the synchronous flush runs under the shard guard by design; the transitive failpoint (kill_point) never blocks — it returns or aborts the process
-            Some(self.flush_shard_locked(shard, &mut st))
-        } else {
-            None
-        }
-    }
-
     /// Checks a batch's value type against the series' established buffer
     /// type in any memtable of the (locked) shard, so a mismatched batch
     /// is rejected whole before any column lands.
@@ -609,38 +611,23 @@ impl StorageEngine {
         }
     }
 
-    /// Writes a columnar [`PointBatch`] for one sensor (IoTDB-benchmark
-    /// sends batches; §VI-A2). Returns metrics for any flushes triggered.
+    /// Writes a columnar [`PointBatch`] for one sensor — the engine's
+    /// one write (IoTDB-benchmark sends batches; §VI-A2). A full working
+    /// memtable rotates into the shard's flushing slot, and the returned
+    /// [`FlushJob`] is completed inline by a caller that wants a
+    /// synchronous write, or off the write path by a
+    /// [`FlushPool`](crate::FlushPool) — IoTDB's asynchronous flushing
+    /// (paper §V-A, §VI-D2). At most one job is returned per call.
     ///
     /// The batch is split at the separation watermark into seq/unseq
     /// column runs — each point is compared with it once, and it is only
-    /// re-read after a mid-batch flush (the only event that can move it)
-    /// — and each run lands with a single memtable series lookup and one
-    /// bulk [`MemTable::write_columns`] append. A sequence-bound run ends
-    /// where the working memtable fills, so flushes fall on exactly the
-    /// point counts a sequence of single writes would give.
-    /// A batch whose type does not match the series is rejected whole.
-    pub fn write_batch(
-        &self,
-        key: &SeriesKey,
-        batch: &PointBatch,
-    ) -> Result<Vec<FlushMetrics>, WriteError> {
-        let start = self.obs.registry.is_enabled().then(Instant::now);
-        let shard = self.shard_of(&key.device);
-        let mut st = self.shards[shard].write();
-        self.write_batch_locked(&mut st, key, batch, start, |st| {
-            // analyzer:allow(lock-order): same invariant as the point path — rotation and watermark advance are one critical section, and kill_point never blocks
-            Some(self.flush_shard_locked(shard, st))
-        })
-    }
-
-    /// Like [`StorageEngine::write_batch`], but a full working memtable
-    /// rotates into the shard's flushing slot instead of flushing inline;
-    /// the returned [`FlushJob`] is completed off the write path (by the
-    /// caller, or a [`FlushPool`](crate::FlushPool)) — IoTDB's
-    /// asynchronous flushing (paper §V-A, §VI-D2). At most one job is
-    /// returned per call, and different shards can each have one in
-    /// flight at once — that is what the pool's workers drain.
+    /// re-read after the rotation (the only event that can move it) —
+    /// and each run lands with a single memtable series lookup and one
+    /// bulk [`MemTable::write_columns`] append. The rotation happens where
+    /// the working memtable fills, before the run that would overfill
+    /// it; a batch larger than the room left rotates once, and the rest
+    /// lands in one run. A batch whose type does not match the series is
+    /// rejected whole.
     ///
     /// **What bounds the memtable.** Not this call: it never blocks and
     /// never refuses. While a shard's job is outstanding its slot is
@@ -662,68 +649,29 @@ impl StorageEngine {
         let start = self.obs.registry.is_enabled().then(Instant::now);
         let shard = self.shard_of(&key.device);
         let mut st = self.shards[shard].write();
-        let mut jobs = self.write_batch_locked(&mut st, key, batch, start, |st| {
-            self.begin_flush_shard_locked(shard, st)
-        })?;
-        Ok(jobs.pop())
-    }
-
-    /// Whether `shard` is stalled on its flush: its working memtable is
-    /// at its limit *and* its flushing slot is still occupied, so the
-    /// next write can only grow the memtable past the limit.
-    /// [`complete_flush`](Self::complete_flush) ends the stall. The
-    /// engine itself never waits on it (see
-    /// [`write_batch_nonblocking`](Self::write_batch_nonblocking)); the
-    /// check is for the caller that owns the flusher.
-    pub fn flush_stalled(&self, shard: usize) -> bool {
-        self.shards.get(shard).is_some_and(|lock| {
-            let st = lock.read();
-            st.flushing.is_some() && st.working.total_points() >= self.config.memtable_max_points
-        })
-    }
-
-    /// The batch write body behind both public entry points, run under
-    /// the caller's shard guard. `rotate` runs when the working memtable
-    /// is full — before the run that would overfill it, not after;
-    /// `Some` means it rotated (so the watermark moved and is re-read),
-    /// `None` that the flushing slot is occupied, which cannot change
-    /// under the guard: the rest of the batch is then split only where
-    /// its route changes. Returns what the rotations produced, in order.
-    /// `start` is when the caller began (before taking the lock), `None`
-    /// with telemetry disabled.
-    fn write_batch_locked<R>(
-        &self,
-        st: &mut ShardState,
-        key: &SeriesKey,
-        batch: &PointBatch,
-        start: Option<Instant>,
-        mut rotate: impl FnMut(&mut ShardState) -> Option<R>,
-    ) -> Result<Vec<R>, WriteError> {
-        self.check_batch_type(st, key, batch)?;
+        self.check_batch_type(&st, key, batch)?;
         let max_points = self.config.memtable_max_points;
-        let mut rotations = Vec::new();
+        let mut job = None;
         let mut deltas = LocalHistogram::new();
         // The split is timed once a batch: what is left of the loop's
-        // time after its appends and rotations.
+        // time after its appends and rotation.
         let clock = || start.map(|_| Instant::now());
         let nanos_since = |t: Option<Instant>| t.map_or(0, |t| t.elapsed().as_nanos() as u64);
         let split_start = clock();
         let mut not_split_nanos = 0u64;
         let ts = batch.ts();
         let mut watermark = st.watermarks.get(key).copied();
-        let mut can_rotate = true;
+        // Only a free slot takes a rotation, and one rotation fills it;
+        // that cannot change under the guard.
+        let mut can_rotate = st.flushing.is_none();
         let mut idx = 0;
         loop {
             let total = st.working.total_points();
             if can_rotate && total >= max_points && total > 0 {
                 let rotate_start = clock();
-                match rotate(st) {
-                    Some(r) => {
-                        rotations.push(r);
-                        watermark = st.watermarks.get(key).copied();
-                    }
-                    None => can_rotate = false,
-                }
+                job = self.rotate_into_slot(shard, &mut st);
+                can_rotate = false;
+                watermark = st.watermarks.get(key).copied();
                 not_split_nanos += nanos_since(rotate_start);
             }
             if idx >= ts.len() {
@@ -752,30 +700,51 @@ impl StorageEngine {
         }
         let split_nanos = nanos_since(split_start).saturating_sub(not_split_nanos);
         self.obs.write_points.add(ts.len() as u64);
-        self.obs.record_batch_deltas(&deltas);
+        // Δτ went into a stack-local histogram, no atomics per point.
+        if deltas.count() > 0 {
+            self.obs.ooo_points.add(deltas.count());
+            self.obs.delta_tau.merge_local(&deltas);
+        }
         if let Some(start) = start {
             self.obs.batch_split_nanos.record(split_nanos);
             self.obs
                 .write_batch_nanos
                 .record(start.elapsed().as_nanos() as u64);
         }
-        Ok(rotations)
+        Ok(job)
     }
 
-    /// Flushes every shard's working memtable that holds points
-    /// (ascending shard order, one lock at a time). A shard with nothing
-    /// buffered is skipped and records no history entry (an empty entry
-    /// would skew per-flush metrics). The durable store calls this
-    /// before truncating WAL segments: a segment interleaves every
-    /// shard's records, so *all* shards' buffered data must reach files
-    /// before any segment is deleted. Returns the metrics summed across
-    /// the shards that flushed.
+    /// Whether `shard` is stalled on its flush: its working memtable is
+    /// at its limit *and* its flushing slot is still occupied, so the
+    /// next write can only grow the memtable past the limit.
+    /// [`complete_flush`](Self::complete_flush) ends the stall. The
+    /// engine itself never waits on it (see
+    /// [`write_batch_nonblocking`](Self::write_batch_nonblocking)); the
+    /// check is for the caller that owns the flusher.
+    pub fn flush_stalled(&self, shard: usize) -> bool {
+        self.shards.get(shard).is_some_and(|lock| {
+            let st = lock.read();
+            st.flushing.is_some() && st.working.total_points() >= self.config.memtable_max_points
+        })
+    }
+
+    /// Flushes every shard's flushing slot and working memtable that hold
+    /// points (ascending shard order, one lock at a time) through the
+    /// rotation and install every flush takes: an occupied slot is
+    /// installed first — it is the older — then the working memtable
+    /// rotates into the slot and is installed from there, both outside
+    /// the shard lock. A shard with nothing buffered records no history
+    /// entry (an empty entry would skew per-flush metrics). The durable
+    /// store calls this before truncating WAL segments: a segment
+    /// interleaves every shard's records, so *all* shards' buffered data
+    /// must reach files before any segment is deleted. Returns the
+    /// metrics summed across the installs.
     pub fn flush(&self) -> FlushMetrics {
         let mut total = FlushMetrics::default();
-        for (shard, lock) in self.shards.iter().enumerate() {
-            let mut st = lock.write();
-            if !st.working.is_empty() {
-                total = merge_metrics(total, self.flush_shard_locked(shard, &mut st));
+        for shard in 0..self.shards.len() {
+            total = merge_metrics(total, self.install_slot(shard));
+            if let Some(job) = self.begin_flush_shard(shard) {
+                total = merge_metrics(total, self.complete_flush(job));
             }
         }
         total
@@ -783,21 +752,51 @@ impl StorageEngine {
 
     /// Flushes every shard's *unsequence* memtable that holds points to
     /// its own file, skipping empty ones as [`flush`](Self::flush) does.
-    /// Watermarks are untouched (unsequence data is below them by
-    /// definition). Used by the durable store so WAL segments can be
-    /// truncated safely. Returns the metrics summed across shards.
+    /// This flush stays synchronous, under the shard's write lock — one
+    /// slot a shard cannot rank unsequence data above the working
+    /// memtable's — and it runs only once the slot is free, so the
+    /// unsequence file lands after the older slot's. Watermarks are
+    /// untouched (unsequence data is below them by definition). Used by
+    /// the durable store so WAL segments can be truncated safely.
+    /// Returns the metrics summed across the installs.
     pub fn flush_unseq(&self) -> FlushMetrics {
         let mut total = FlushMetrics::default();
         for (shard, lock) in self.shards.iter().enumerate() {
-            let mut st = lock.write();
+            let mut st = loop {
+                total = merge_metrics(total, self.install_slot(shard));
+                let st = lock.write();
+                if st.flushing.is_none() {
+                    break st;
+                }
+            };
             if st.unseq.is_empty() {
                 continue;
             }
             let unseq = std::mem::replace(&mut st.unseq, MemTable::new(self.config.array_size));
-            let metrics = self.flush_taken(shard, &mut st, unseq);
+            let (image, metrics) =
+                flush_memtable(&unseq, &self.config.sorter, Some(&self.obs.registry));
+            if metrics.points > 0 {
+                st.files.push(self.parse_own_image(image));
+            }
+            st.flush_history.push(metrics);
+            self.obs.record_flush(shard, &metrics);
             total = merge_metrics(total, metrics);
         }
         total
+    }
+
+    /// Installs `shard`'s flushing slot until it is found free — each
+    /// occupant through [`complete_flush`](Self::complete_flush), outside
+    /// the shard lock — so whatever the caller installs next lands after
+    /// the older memtable's file. Returns the metrics of those installs.
+    fn install_slot(&self, shard: usize) -> FlushMetrics {
+        let mut installed = FlushMetrics::default();
+        loop {
+            let Some(job) = self.shards[shard].read().occupant(shard) else {
+                return installed;
+            };
+            installed = merge_metrics(installed, self.complete_flush(job));
+        }
     }
 
     /// Adopts an existing TsFile image (recovery path): registers it for
@@ -979,24 +978,8 @@ impl StorageEngine {
         t_hi: i64,
     ) -> (usize, usize) {
         let mut st = self.shards[self.shard_of(&key.device)].write();
-        let mut removed = st.working.delete_range(key, t_lo, t_hi);
-        removed += st.unseq.delete_range(key, t_lo, t_hi);
-        if let Some(fl) = st.flushing.as_mut() {
-            // Readers lose the points now; the flush in flight may have
-            // copied this series out already and still write them, so
-            // the horizon below covers that upcoming file as well.
-            fl.delete_range(key, t_lo, t_hi);
-        }
-        let horizon = st.files.len() + usize::from(st.flushing.is_some());
-        st.tombstones.push((
-            Tombstone {
-                key: key.clone(),
-                t_lo,
-                t_hi,
-            },
-            horizon,
-        ));
-        (removed, horizon)
+        let removed = st.erase(key, t_lo, t_hi);
+        (removed, st.push_tombstone(key, t_lo, t_hi, usize::MAX))
     }
 
     /// Re-applies a delete recovered from the WAL. The logged horizon is
@@ -1014,20 +997,8 @@ impl StorageEngine {
         logged_horizon: usize,
     ) -> usize {
         let mut st = self.shards[self.shard_of(&key.device)].write();
-        let mut removed = st.working.delete_range(key, t_lo, t_hi);
-        removed += st.unseq.delete_range(key, t_lo, t_hi);
-        if let Some(fl) = st.flushing.as_mut() {
-            fl.delete_range(key, t_lo, t_hi);
-        }
-        let current = st.files.len() + usize::from(st.flushing.is_some());
-        st.tombstones.push((
-            Tombstone {
-                key: key.clone(),
-                t_lo,
-                t_hi,
-            },
-            logged_horizon.min(current),
-        ));
+        let removed = st.erase(key, t_lo, t_hi);
+        st.push_tombstone(key, t_lo, t_hi, logged_horizon);
         removed
     }
 
@@ -1042,16 +1013,9 @@ impl StorageEngine {
     /// replayed positionally from the original record or already
     /// persisted in the flushed files the mask covers.
     pub fn restore_tombstone(&self, key: &SeriesKey, t_lo: i64, t_hi: i64, logged_horizon: usize) {
-        let mut st = self.shards[self.shard_of(&key.device)].write();
-        let current = st.files.len() + usize::from(st.flushing.is_some());
-        st.tombstones.push((
-            Tombstone {
-                key: key.clone(),
-                t_lo,
-                t_hi,
-            },
-            logged_horizon.min(current),
-        ));
+        self.shards[self.shard_of(&key.device)]
+            .write()
+            .push_tombstone(key, t_lo, t_hi, logged_horizon);
     }
 
     /// A snapshot of one shard's tombstones still awaiting physical
@@ -1068,14 +1032,17 @@ impl StorageEngine {
     /// slot, or `None` if it is empty or a flush is already pending.
     pub fn begin_flush_shard(&self, shard: usize) -> Option<FlushJob> {
         let mut st = self.shards[shard].write();
-        self.begin_flush_shard_locked(shard, &mut st)
+        self.rotate_into_slot(shard, &mut st)
     }
 
-    /// Swaps a fresh working memtable into the (locked) shard and
-    /// advances the watermarks past everything the old one holds, so
-    /// later arrivals below them take the unsequence path. Returns the
-    /// rotated memtable.
-    fn rotate(&self, st: &mut ShardState) -> MemTable {
+    /// Swaps a fresh working memtable into the (locked) shard and moves
+    /// the old one into the free flushing slot under a new generation,
+    /// advancing the watermarks past everything it holds, so later
+    /// arrivals below them take the unsequence path.
+    fn rotate_into_slot(&self, shard: usize, st: &mut ShardState) -> Option<FlushJob> {
+        if st.flushing.is_some() || st.working.is_empty() {
+            return None;
+        }
         let rotated = std::mem::replace(&mut st.working, MemTable::new(self.config.array_size));
         for (key, buffer) in rotated.iter() {
             if let Some(max_t) = buffer.max_time() {
@@ -1083,16 +1050,10 @@ impl StorageEngine {
                 *w = (*w).max(max_t);
             }
         }
-        rotated
-    }
-
-    fn begin_flush_shard_locked(&self, shard: usize, st: &mut ShardState) -> Option<FlushJob> {
-        if st.flushing.is_some() || st.working.is_empty() {
-            return None;
-        }
-        st.flushing = Some(self.rotate(st));
+        st.flushing = Some(rotated);
+        st.slot_generation += 1;
         self.obs.flush_queue_depth.inc();
-        Some(FlushJob { shard })
+        st.occupant(shard)
     }
 
     /// Parses a TsFile image under a fresh file id, counting the parse
@@ -1111,7 +1072,9 @@ impl StorageEngine {
 
     /// Runs a [`FlushJob`] and installs the result into the shard the
     /// job was rotated from: the file becomes queryable and that shard's
-    /// flushing slot is released.
+    /// flushing slot is released. The one installer of a rotated
+    /// memtable, whoever calls it: a flush pool worker, a writer that
+    /// wants its write synchronous, or [`flush`](Self::flush).
     ///
     /// The slot's memtable is never taken out or copied whole. Each
     /// series is copied out flat under the shard's *read* lock — a
@@ -1123,20 +1086,26 @@ impl StorageEngine {
     /// deletes have emptied the slot there is no file: the horizons
     /// that counted one are lowered to the files that exist, so the
     /// next file to land — later writes — is not masked in its place.
+    ///
+    /// Every copy and the install check the job's generation. A stale
+    /// job — its slot already installed by a synchronous flush —
+    /// installs nothing and returns [`FlushMetrics::default`]; it leaves
+    /// `engine.flush_queue_depth` and the flush history alone.
     pub fn complete_flush(&self, job: FlushJob) -> FlushMetrics {
-        let FlushJob { shard } = job;
+        // Crash site: the memtable has rotated into the slot but nothing
+        // is encoded yet — its points' only durable copy is the WAL.
+        self.faults.kill_point(fault_sites::FLUSH_ROTATE);
+        let FlushJob { shard, generation } = job;
+        let lock = &self.shards[shard];
+        let keys: Vec<SeriesKey> = match lock.read().slot(generation) {
+            Some(slot) => slot.iter().map(|(key, _)| key.clone()).collect(),
+            None => return FlushMetrics::default(),
+        };
         let _trace = self.trace_always(names::SPAN_FLUSH_ROOT, || format!("flush shard={shard}"));
         obs_trace::add_attr(names::ATTR_SHARD, shard as u64);
         let span_encode = obs_trace::span(names::SPAN_FLUSH_ENCODE);
-        let lock = &self.shards[shard];
-        let keys: Vec<SeriesKey> = lock
-            .read()
-            .flushing
-            .iter()
-            .flat_map(|m| m.iter().map(|(key, _)| key.clone()))
-            .collect();
         let series = keys.into_iter().filter_map(|key| {
-            let gathered = lock.read().flushing.as_ref()?.get(&key).map(Gathered::of)?;
+            let gathered = lock.read().slot(generation)?.get(&key).map(Gathered::of)?;
             Some((key, gathered))
         });
         let (image, metrics) = flush_series(series, &self.config.sorter, Some(&self.obs.registry));
@@ -1144,15 +1113,18 @@ impl StorageEngine {
             s.attr(names::ATTR_POINTS, metrics.points);
         }
         drop(span_encode);
-        // Crash site on the async flusher's worker path: the image is
-        // encoded but not yet installed — a killed worker must lose the
-        // file cleanly (its points stay WAL-covered until rotation).
+        // Crash site: the image is encoded but not yet installed — a
+        // killed flush must lose the file cleanly (its points stay
+        // WAL-covered until rotation).
         self.faults
             .kill_point(fault_sites::FLUSH_COMPLETE_BEFORE_INSTALL);
         // Parse the chunk index outside the lock too — installing the
         // handle is then just a push.
         let handle = (metrics.points > 0).then(|| self.parse_own_image(image));
         let mut st = lock.write();
+        if st.slot(generation).is_none() {
+            return FlushMetrics::default();
+        }
         match handle {
             Some(handle) => st.files.push(handle),
             None => {
@@ -1173,32 +1145,6 @@ impl StorageEngine {
         // Freeing the retired memtable's chunks holds nobody up.
         drop(retired);
         self.obs.flush_queue_depth.dec();
-        self.obs.record_flush(shard, &metrics);
-        metrics
-    }
-
-    fn flush_shard_locked(&self, shard: usize, st: &mut ShardState) -> FlushMetrics {
-        // Rotate: a fresh working memtable accepts subsequent writes.
-        // (Flushing is synchronous here — the paper measures its
-        // duration, not its overlap.)
-        let flushing = self.rotate(st);
-        // Crash site: the memtable has rotated but nothing is encoded
-        // yet — the points' only durable copy is the WAL.
-        // analyzer:allow(lock-scope): kill_point never blocks (it either returns or aborts the process) and must fire inside the critical section to model dying mid-rotation
-        self.faults.kill_point(fault_sites::FLUSH_ROTATE);
-        self.flush_taken(shard, st, flushing)
-    }
-
-    /// Encodes a memtable already taken out of the (locked) shard and
-    /// installs the resulting file — the synchronous flush body of the
-    /// working and unsequence flushes.
-    fn flush_taken(&self, shard: usize, st: &mut ShardState, memtable: MemTable) -> FlushMetrics {
-        let (image, metrics) =
-            flush_memtable(&memtable, &self.config.sorter, Some(&self.obs.registry));
-        if metrics.points > 0 {
-            st.files.push(self.parse_own_image(image));
-        }
-        st.flush_history.push(metrics);
         self.obs.record_flush(shard, &metrics);
         metrics
     }
@@ -1574,6 +1520,32 @@ fn merge_metrics(a: FlushMetrics, b: FlushMetrics) -> FlushMetrics {
 }
 
 #[cfg(test)]
+impl StorageEngine {
+    /// Writes each point as a batch of its own, completing every
+    /// rotation inline, so rotations fall after exactly
+    /// `memtable_max_points` points — the in-crate tests' point writes. A
+    /// mistyped point is dropped (and counted) like a mistyped batch.
+    /// Returns how many rotations were installed.
+    pub(crate) fn write_points(
+        &self,
+        key: &SeriesKey,
+        points: impl IntoIterator<Item = (i64, TsValue)>,
+    ) -> usize {
+        let mut rotations = 0;
+        for point in points {
+            let Ok(batch) = PointBatch::from_rows([point]) else {
+                continue;
+            };
+            if let Ok(Some(job)) = self.write_batch_nonblocking(key, &batch) {
+                self.complete_flush(job);
+                rotations += 1;
+            }
+        }
+        rotations
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use backsort_sorts::BaselineSorter;
@@ -1606,7 +1578,7 @@ mod tests {
     fn write_then_query_out_of_order() {
         let eng = small_engine(Algorithm::Backward(Default::default()));
         for (t, v) in [(5i64, 5.0), (1, 1.0), (3, 3.0), (2, 2.0), (4, 4.0)] {
-            eng.write(&key("s"), t, TsValue::Double(v));
+            eng.write_points(&key("s"), [(t, TsValue::Double(v))]);
         }
         let got = eng.query(&key("s"), 2, 4);
         assert_eq!(
@@ -1623,12 +1595,7 @@ mod tests {
     #[test]
     fn memtable_rotation_triggers_flush() {
         let eng = small_engine(Algorithm::Baseline(BaselineSorter::Tim));
-        let mut flushed = 0;
-        for i in 0..250i64 {
-            if eng.write(&key("s"), i, TsValue::Long(i)).is_some() {
-                flushed += 1;
-            }
-        }
+        let flushed = eng.write_points(&key("s"), (0..250).map(|i| (i, TsValue::Long(i))));
         assert_eq!(flushed, 2, "two rotations at 100 points each");
         assert_eq!(eng.file_count(), 2);
         let (working, unseq) = eng.buffered_points();
@@ -1639,16 +1606,15 @@ mod tests {
     #[test]
     fn separation_policy_routes_stragglers() {
         let eng = small_engine(Algorithm::Backward(Default::default()));
-        for i in 0..100i64 {
-            eng.write(&key("s"), i, TsValue::Long(i)); // triggers flush at 100
-        }
+        // triggers flush at 100
+        eng.write_points(&key("s"), (0..100i64).map(|i| (i, TsValue::Long(i))));
         assert_eq!(eng.file_count(), 1);
         // A point older than the watermark (99) goes to unsequence.
-        eng.write(&key("s"), 50, TsValue::Long(-50));
+        eng.write_points(&key("s"), [(50, TsValue::Long(-50))]);
         let (_, unseq) = eng.buffered_points();
         assert_eq!(unseq, 1);
         // And a fresh point goes to working.
-        eng.write(&key("s"), 200, TsValue::Long(200));
+        eng.write_points(&key("s"), [(200, TsValue::Long(200))]);
         let (working, _) = eng.buffered_points();
         assert_eq!(working, 1);
     }
@@ -1656,11 +1622,9 @@ mod tests {
     #[test]
     fn query_merges_disk_working_and_unseq_with_priority() {
         let eng = small_engine(Algorithm::Backward(Default::default()));
-        for i in 0..100i64 {
-            eng.write(&key("s"), i, TsValue::Long(i));
-        }
+        eng.write_points(&key("s"), (0..100i64).map(|i| (i, TsValue::Long(i))));
         // Overwrite t=50 via the unsequence path; unseq must win.
-        eng.write(&key("s"), 50, TsValue::Long(-50));
+        eng.write_points(&key("s"), [(50, TsValue::Long(-50))]);
         let got = eng.query(&key("s"), 49, 51);
         assert_eq!(
             got,
@@ -1675,22 +1639,11 @@ mod tests {
     #[test]
     fn query_skips_disk_when_range_is_fresh() {
         let eng = small_engine(Algorithm::Backward(Default::default()));
-        for i in 0..150i64 {
-            eng.write(&key("s"), i, TsValue::Long(i));
-        }
+        eng.write_points(&key("s"), (0..150i64).map(|i| (i, TsValue::Long(i))));
         // Range strictly above the watermark (99): memtable only.
         let got = eng.query(&key("s"), 120, 130);
         assert_eq!(got.len(), 11);
         assert_eq!(got[0], (120, TsValue::Long(120)));
-    }
-
-    #[test]
-    fn batch_write_matches_single_writes() {
-        let eng = small_engine(Algorithm::Baseline(BaselineSorter::Quick));
-        let batch = PointBatch::from_rows((0..50).map(|i| (i, TsValue::Int(i as i32)))).unwrap();
-        let flushes = eng.write_batch(&key("s"), &batch).unwrap();
-        assert!(flushes.is_empty());
-        assert_eq!(eng.query(&key("s"), 0, 100).len(), 50);
     }
 
     #[test]
@@ -1701,8 +1654,8 @@ mod tests {
         let mut pts: Vec<(i64, TsValue)> = (0..100).map(|i| (i, TsValue::Long(i))).collect();
         pts.push((10, TsValue::Long(-10))); // below the post-flush watermark (99)
         let batch = PointBatch::from_rows(pts).unwrap();
-        let flushes = eng.write_batch(&key("s"), &batch).unwrap();
-        assert_eq!(flushes.len(), 1);
+        let job = eng.write_batch_nonblocking(&key("s"), &batch).unwrap();
+        eng.complete_flush(job.expect("the 100th point rotates"));
         let (working, unseq) = eng.buffered_points();
         assert_eq!((working, unseq), (0, 1), "straggler routed to unsequence");
         let got = eng.query(&key("s"), 9, 11);
@@ -1710,57 +1663,24 @@ mod tests {
     }
 
     #[test]
-    fn batch_write_splits_seq_and_unseq_runs() {
-        // Establish a watermark at 99, then send a batch interleaving
-        // late and fresh points: each side must land whole, in order,
-        // and answer identically to single-point writes.
-        let eng = small_engine(Algorithm::Backward(Default::default()));
-        let eng_ref = small_engine(Algorithm::Backward(Default::default()));
-        for i in 0..100i64 {
-            eng.write(&key("s"), i, TsValue::Long(i));
-            eng_ref.write(&key("s"), i, TsValue::Long(i));
-        }
-        let pts: Vec<(i64, TsValue)> = vec![
-            (40, TsValue::Long(-40)),
-            (41, TsValue::Long(-41)),
-            (150, TsValue::Long(150)),
-            (151, TsValue::Long(151)),
-            (50, TsValue::Long(-50)),
-            (152, TsValue::Long(152)),
-        ];
-        for (t, v) in &pts {
-            eng_ref.write(&key("s"), *t, v.clone());
-        }
-        let batch = PointBatch::from_rows(pts).unwrap();
-        eng.write_batch(&key("s"), &batch).unwrap();
-        assert_eq!(eng.buffered_points(), eng_ref.buffered_points());
-        assert_eq!(
-            eng.query(&key("s"), 0, 200),
-            eng_ref.query(&key("s"), 0, 200)
-        );
-    }
-
-    #[test]
     fn type_mismatch_rejects_instead_of_aborting() {
         // Regression for the documented memtable panic: a mistyped
         // INSERT must drop the write and leave the engine serving.
         let eng = small_engine(Algorithm::Backward(Default::default()));
-        eng.write(&key("s"), 1, TsValue::Long(1));
-        eng.write(&key("s"), 2, TsValue::Double(2.0)); // dropped
+        eng.write_points(&key("s"), [(1, TsValue::Long(1))]);
+        eng.write_points(&key("s"), [(2, TsValue::Double(2.0))]); // dropped
         let bad = PointBatch::from_rows(vec![(3, TsValue::Bool(true))]).unwrap();
-        let err = eng.write_batch(&key("s"), &bad).unwrap_err();
-        assert!(matches!(err, WriteError::TypeMismatch { .. }));
         let err = eng.write_batch_nonblocking(&key("s"), &bad).unwrap_err();
         assert!(matches!(err, WriteError::TypeMismatch { .. }));
         // The engine is alive, the series intact, and the rejects
         // counted.
-        eng.write(&key("s"), 3, TsValue::Long(3));
+        eng.write_points(&key("s"), [(3, TsValue::Long(3))]);
         assert_eq!(
             eng.query(&key("s"), 0, 10),
             vec![(1, TsValue::Long(1)), (3, TsValue::Long(3))]
         );
         let snap = eng.obs().snapshot();
-        assert_eq!(snap.counter(names::MEMTABLE_TYPE_MISMATCH_REJECTS), 3);
+        assert_eq!(snap.counter(names::MEMTABLE_TYPE_MISMATCH_REJECTS), 2);
     }
 
     #[test]
@@ -1773,7 +1693,7 @@ mod tests {
                 x ^= x << 13;
                 x ^= x >> 7;
                 x ^= x << 17;
-                eng.write(&key("s"), i + (x % 7) as i64, TsValue::Long(i));
+                eng.write_points(&key("s"), [(i + (x % 7) as i64, TsValue::Long(i))]);
             }
             let got = eng.query(&key("s"), 0, 200);
             let times: Vec<i64> = got.iter().map(|p| p.0).collect();
@@ -1791,9 +1711,7 @@ mod tests {
     #[test]
     fn flush_history_accumulates() {
         let eng = small_engine(Algorithm::Backward(Default::default()));
-        for i in 0..100i64 {
-            eng.write(&key("s"), i, TsValue::Long(i));
-        }
+        eng.write_points(&key("s"), (0..100i64).map(|i| (i, TsValue::Long(i))));
         // The 100th point rotated the full memtable; nothing is left, so
         // neither flush records anything.
         assert_eq!(eng.flush().points, 0);
@@ -1805,11 +1723,9 @@ mod tests {
         // Only the shard holding points flushes, each memtable once.
         let eng = sharded_engine(4);
         let k = SeriesKey::new("root.sg.d0", "s");
-        for t in 10..20i64 {
-            eng.write(&k, t, TsValue::Long(t));
-        }
+        eng.write_points(&k, (10..20i64).map(|t| (t, TsValue::Long(t))));
         assert_eq!(eng.flush().points, 10);
-        eng.write(&k, 5, TsValue::Long(5)); // below the watermark
+        eng.write_points(&k, [(5, TsValue::Long(5))]); // below the watermark
         assert_eq!(eng.flush_unseq().points, 1);
         assert_eq!(eng.flush().points + eng.flush_unseq().points, 0);
         assert_eq!(eng.buffered_points(), (0, 0));
@@ -1848,10 +1764,8 @@ mod tests {
         let mut flushes1 = 0;
         for d in &devices {
             let k = SeriesKey::new(d.clone(), "s");
-            for t in 0..30i64 {
-                flushes4 += usize::from(eng4.write(&k, t, TsValue::Long(t)).is_some());
-                flushes1 += usize::from(eng1.write(&k, t, TsValue::Long(t)).is_some());
-            }
+            flushes4 += eng4.write_points(&k, (0..30).map(|t| (t, TsValue::Long(t))));
+            flushes1 += eng1.write_points(&k, (0..30).map(|t| (t, TsValue::Long(t))));
         }
         assert!(flushes1 >= 2, "one shared budget rotates (got {flushes1})");
         assert!(
@@ -1878,8 +1792,8 @@ mod tests {
             x ^= x << 17;
             let k = SeriesKey::new(devices[(x % 6) as usize].clone(), "s");
             let t = i + (x % 5) as i64;
-            eng1.write(&k, t, TsValue::Long(i));
-            eng4.write(&k, t, TsValue::Long(i));
+            eng1.write_points(&k, [(t, TsValue::Long(i))]);
+            eng4.write_points(&k, [(t, TsValue::Long(i))]);
         }
         for d in &devices {
             let k = SeriesKey::new(d.clone(), "s");
@@ -1906,8 +1820,8 @@ mod tests {
         let ka = SeriesKey::new(da, "s");
         let kb = SeriesKey::new(db, "s");
         for t in 0..99i64 {
-            eng.write(&ka, t, TsValue::Long(t));
-            eng.write(&kb, t, TsValue::Long(t));
+            eng.write_points(&ka, [(t, TsValue::Long(t))]);
+            eng.write_points(&kb, [(t, TsValue::Long(t))]);
         }
         let last = PointBatch::from_rows(vec![(99, TsValue::Long(99))]).unwrap();
         let ja = eng
@@ -1988,19 +1902,48 @@ mod tests {
         assert_eq!(got.iter().map(|p| p.0).collect::<Vec<_>>(), want);
     }
 
-    /// The synchronous path rotates exactly where single writes would:
-    /// a run ends where the memtable fills, the flush runs, and the
-    /// watermark it moved routes the rest.
+    /// A batch larger than the room left rotates where the memtable
+    /// fills, once, and the rest lands in one run: the fresh memtable
+    /// may go past its limit, and the next write rotates it first.
     #[test]
-    fn a_batch_larger_than_the_memtable_flushes_at_every_fill() {
+    fn a_batch_larger_than_the_memtable_rotates_once() {
         let eng = small_engine(Algorithm::Backward(Default::default()));
         let batch = PointBatch::from_rows((0..250).map(|t| (t, TsValue::Long(t)))).unwrap();
         let before = runs(&eng);
-        let flushes = eng.write_batch(&key("s"), &batch).unwrap();
-        assert_eq!(flushes.len(), 2);
-        assert_eq!(runs(&eng) - before, 3, "100 + 100 + 50");
-        assert_eq!(eng.buffered_points(), (50, 0));
-        assert_eq!(eng.file_count(), 2);
+        let job = eng.write_batch_nonblocking(&key("s"), &batch).unwrap();
+        assert_eq!(runs(&eng) - before, 2, "100 + 150");
+        assert_eq!(eng.buffered_points(), (150, 0));
+        assert_eq!(eng.complete_flush(job.expect("rotates at 100")).points, 100);
+        assert_eq!(eng.file_count(), 1);
+        let next = PointBatch::from_rows([(250, TsValue::Long(250))]).unwrap();
+        let job = eng.write_batch_nonblocking(&key("s"), &next).unwrap();
+        assert_eq!(eng.complete_flush(job.expect("rotates first")).points, 150);
+        assert_eq!(eng.buffered_points(), (1, 0));
+    }
+
+    /// A synchronous flush beside an outstanding job installs the older
+    /// slot first. At the wrong end of the file list, a newer unsequence
+    /// point would lose its duplicate timestamp to the slot's file, and a
+    /// tombstone that counted the slot as the next file would mask the
+    /// working memtable's instead. The job it overtook is stale.
+    #[test]
+    fn a_synchronous_flush_installs_an_outstanding_slot_first() {
+        let depth = |eng: &StorageEngine| eng.obs().gauge_value(names::ENGINE_FLUSH_QUEUE_DEPTH);
+        let eng = small_engine(Algorithm::Backward(Default::default()));
+        let full = PointBatch::from_rows((0..100).map(|t| (t, TsValue::Long(t)))).unwrap();
+        let job = eng.write_batch_nonblocking(&key("s"), &full).unwrap();
+        let job = job.expect("a full memtable rotates");
+        eng.write_points(&key("s"), [(50, TsValue::Long(-50))]); // unsequence
+        eng.delete_range(&key("s"), 200, 300); // horizon 1: the slot's file
+        eng.write_points(&key("s"), [(250, TsValue::Long(250))]); // working
+        assert_eq!(eng.flush_unseq().points, 101, "the slot, then unsequence");
+        assert_eq!(eng.flush().points, 1);
+        assert_eq!((eng.file_count(), depth(&eng)), (3, 0));
+        assert_eq!(eng.complete_flush(job), FlushMetrics::default());
+        assert_eq!((eng.file_count(), depth(&eng)), (3, 0));
+        assert_eq!(eng.flush_history().len(), 3, "a stale job records nothing");
+        assert_eq!(eng.query(&key("s"), 50, 50), [(50, TsValue::Long(-50))]);
+        assert_eq!(eng.query(&key("s"), 250, 250), [(250, TsValue::Long(250))]);
     }
 
     /// The `query.sort_on_read` span of the newest trace, as
@@ -2043,14 +1986,20 @@ mod tests {
                 .map_or(0, |h| h.sum)
         };
 
-        eng.write_batch(&k, &arrivals(0..20_000)).unwrap();
+        let job = eng
+            .write_batch_nonblocking(&k, &arrivals(0..20_000))
+            .unwrap();
+        assert!(job.is_none());
         assert_eq!(eng.query(&k, 39_000, i64::MAX).len(), recent(20_000));
         let (first_tail, prefix, _) = last_sort_on_read(&eng).expect("the first read sorts");
         assert_eq!(first_tail + prefix, 20_000);
         assert!(prefix < 8, "order first breaks at the sixth point");
         assert_eq!(sorted_points(), first_tail);
 
-        eng.write_batch(&k, &arrivals(20_000..20_400)).unwrap();
+        let job = eng
+            .write_batch_nonblocking(&k, &arrivals(20_000..20_400))
+            .unwrap();
+        assert!(job.is_none());
         assert_eq!(eng.query(&k, 39_000, i64::MAX).len(), recent(20_400));
         let (tail, prefix, overlap) = last_sort_on_read(&eng).expect("so does the second");
         assert_eq!((tail, prefix), (400, 20_000));
@@ -2069,12 +2018,8 @@ mod tests {
     fn key_filter_prunes_files_before_the_chunk_walk() {
         let eng = small_engine(Algorithm::Backward(Default::default()));
         // Two flushed files, each holding a different sensor.
-        for i in 0..100i64 {
-            eng.write(&key("a"), i, TsValue::Long(i));
-        }
-        for i in 0..100i64 {
-            eng.write(&key("b"), i, TsValue::Long(i));
-        }
+        eng.write_points(&key("a"), (0..100i64).map(|i| (i, TsValue::Long(i))));
+        eng.write_points(&key("b"), (0..100i64).map(|i| (i, TsValue::Long(i))));
         assert_eq!(eng.file_count(), 2);
         let before = eng.obs().snapshot();
         assert_eq!(eng.query(&key("a"), 0, 100).len(), 100);
@@ -2094,9 +2039,7 @@ mod tests {
             eng.block_cache().is_some(),
             "default config enables the cache"
         );
-        for i in 0..100i64 {
-            eng.write(&key("s"), i, TsValue::Long(i));
-        }
+        eng.write_points(&key("s"), (0..100i64).map(|i| (i, TsValue::Long(i))));
         assert_eq!(eng.file_count(), 1);
         let a = eng.query(&key("s"), 0, 99);
         let hits_after_first = eng.obs().counter_value(names::CACHE_HITS);
@@ -2117,9 +2060,7 @@ mod tests {
             ..EngineConfig::default()
         });
         assert!(cold.block_cache().is_none());
-        for i in 0..100i64 {
-            cold.write(&key("s"), i, TsValue::Long(i));
-        }
+        cold.write_points(&key("s"), (0..100i64).map(|i| (i, TsValue::Long(i))));
         assert_eq!(cold.query(&key("s"), 0, 99), a);
         assert_eq!(cold.obs().counter_value(names::CACHE_MISSES), 0);
     }
@@ -2133,9 +2074,10 @@ mod tests {
             sorter: Algorithm::Backward(Default::default()),
             ..EngineConfig::default()
         });
-        for t in 0..n {
-            eng.write(&key("s"), t, TsValue::Double(t as f64 * 0.5));
-        }
+        eng.write_points(
+            &key("s"),
+            (0..n).map(|t| (t, TsValue::Double(t as f64 * 0.5))),
+        );
         eng.flush();
         eng
     }
@@ -2271,7 +2213,7 @@ mod tests {
         // buffer: its envelope is inside the file's, so the two runs are
         // merged point by point and the duplicate counts once.
         let eng = flushed_engine(n, n as usize);
-        eng.write(&key("s"), 7, TsValue::Double(-1.0));
+        eng.write_points(&key("s"), [(7, TsValue::Double(-1.0))]);
         let before = page_counts(&eng);
         assert_eq!(count(&eng), AggValue::Number(n as f64));
         assert_eq!(
@@ -2292,9 +2234,10 @@ mod tests {
         // middle one's range: files 0 and 2 overlap nothing.
         let eng = flushed_engine(300, 100);
         assert_eq!(eng.file_count(), 3);
-        for t in [150i64, 120, 199] {
-            eng.write(&key("s"), t, TsValue::Double(-(t as f64)));
-        }
+        eng.write_points(
+            &key("s"),
+            ([150i64, 120, 199]).map(|t| (t, TsValue::Double(-(t as f64)))),
+        );
         let got = eng.query(&key("s"), 0, 299);
         assert_eq!(got.len(), 300);
         for (i, (t, v)) in got.iter().enumerate() {
@@ -2311,9 +2254,7 @@ mod tests {
     #[test]
     fn adoption_level_rides_shard_file_meta() {
         let eng = small_engine(Algorithm::Backward(Default::default()));
-        for i in 0..100i64 {
-            eng.write(&key("s"), i, TsValue::Long(i));
-        }
+        eng.write_points(&key("s"), (0..100i64).map(|i| (i, TsValue::Long(i))));
         let image = eng
             .file_image(0, eng.shard_file_ids(0)[0])
             .expect("flushed image");

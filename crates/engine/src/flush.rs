@@ -265,9 +265,9 @@ mod tests {
     #[test]
     fn flush_sorts_dedups_and_roundtrips() {
         let mut mt = MemTable::new(8);
-        for (t, v) in [(5i64, 50i32), (1, 10), (3, 30), (3, 31), (2, 20)] {
-            mt.write(&key("s1"), t, TsValue::Int(v)).unwrap();
-        }
+        let rows = [(5i64, 50i32), (1, 10), (3, 30), (3, 31), (2, 20)];
+        mt.append_rows(&key("s1"), rows.map(|(t, v)| (t, TsValue::Int(v))))
+            .unwrap();
         let alg = Algorithm::Backward(BackwardSort {
             in_block: backsort_core::InBlockSort::Stable,
             ..BackwardSort::default()
@@ -289,13 +289,13 @@ mod tests {
         let build = || {
             let mut mt = MemTable::new(32);
             let mut x = 99u64;
-            for i in 0..2_000i64 {
+            let rows = (0..2_000i64).map(|i| {
                 x ^= x << 13;
                 x ^= x >> 7;
                 x ^= x << 17;
-                let t = i + (x % 9) as i64;
-                mt.write(&key("s"), t, TsValue::Double(i as f64)).unwrap();
-            }
+                (i + (x % 9) as i64, TsValue::Double(i as f64))
+            });
+            mt.append_rows(&key("s"), rows).unwrap();
             mt
         };
         let mut reference: Option<Vec<i64>> = None;
@@ -382,14 +382,13 @@ mod tests {
         for (d, &dt) in TYPES.iter().enumerate() {
             for (name, ts) in streams {
                 let k = SeriesKey::new(format!("root.sg.d{d}"), name);
-                for (i, &t) in ts.iter().enumerate() {
-                    source.write(&k, t, value_of(dt, t, i)).unwrap();
-                }
                 if ts.is_empty() {
                     // A buffer a delete emptied: it exists and holds nothing.
-                    source.write(&k, 0, value_of(dt, 0, 0)).unwrap();
+                    source.append_rows(&k, [(0, value_of(dt, 0, 0))]).unwrap();
                     assert_eq!(source.delete_range(&k, 0, 0), 1);
                 }
+                let rows = ts.iter().enumerate().map(|(i, &t)| (t, value_of(dt, t, i)));
+                source.append_rows(&k, rows).unwrap();
             }
         }
         assert_eq!(source.series_count(), TYPES.len() * streams.len());
@@ -437,9 +436,11 @@ mod tests {
     #[test]
     fn metrics_components_are_populated() {
         let mut mt = MemTable::new(32);
-        for i in (0..10_000i64).rev() {
-            mt.write(&key("s"), i, TsValue::Long(i)).unwrap();
-        }
+        mt.append_rows(
+            &key("s"),
+            (0..10_000i64).rev().map(|i| (i, TsValue::Long(i))),
+        )
+        .unwrap();
         let alg = Algorithm::Baseline(BaselineSorter::Quick);
         let (_, metrics) = flush_memtable(&mt, &alg, None);
         assert!(metrics.sort_nanos > 0);

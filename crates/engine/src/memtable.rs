@@ -73,24 +73,6 @@ impl SeriesBuffer {
         }
     }
 
-    /// Appends a point, rejecting a type mismatch.
-    ///
-    /// The error path is built by the `#[cold]` constructor in
-    /// [`crate::batch`], so one mistyped INSERT is a dropped write and a
-    /// bumped counter, never an engine abort.
-    pub fn push(&mut self, t: i64, v: TsValue) -> Result<(), WriteError> {
-        match (self, v) {
-            (SeriesBuffer::Int(l), TsValue::Int(v)) => l.push(t, v),
-            (SeriesBuffer::Long(l), TsValue::Long(v)) => l.push(t, v),
-            (SeriesBuffer::Float(l), TsValue::Float(v)) => l.push(t, v),
-            (SeriesBuffer::Double(l), TsValue::Double(v)) => l.push(t, v),
-            (SeriesBuffer::Bool(l), TsValue::Bool(v)) => l.push(t, v),
-            (SeriesBuffer::Text(l), TsValue::Text(v)) => l.push(t, v),
-            (buf, v) => return Err(type_mismatch(buf.data_type(), v.data_type())),
-        }
-        Ok(())
-    }
-
     /// Bulk-appends an aligned column run, rejecting a type mismatch
     /// before any mutation. The numeric arms hand the slices straight to
     /// [`TVList::extend_from_slices`] — one monomorphized memcpy-style
@@ -302,7 +284,7 @@ pub struct TailSort {
 /// The `Δτ` pre-pass for a bulk append: walks the raw timestamp column
 /// with a running maximum seeded from the buffer's previous max and
 /// records `max − t` for every late arrival — identical, point for
-/// point, to what a sequence of single writes would have measured.
+/// point, to what runs of one point each would have measured.
 fn record_delta_tau(ts: &[i64], prev_max: Option<i64>, deltas: &mut LocalHistogram) {
     let mut max = prev_max.unwrap_or(i64::MIN);
     for &t in ts {
@@ -353,37 +335,6 @@ impl MemTable {
             total_points: 0,
             array_size: array_size.max(1),
         }
-    }
-
-    /// Appends one point, creating the sensor's buffer on first write.
-    ///
-    /// Returns the point's out-of-order distance `Δτ` — how far behind
-    /// the buffer's previous maximum timestamp it arrived — when
-    /// positive, `None` for in-order arrivals (the common case). The
-    /// buffer maximum is tracked on write, so this is one compare per
-    /// point, not a scan.
-    ///
-    /// A value whose type does not match the sensor's established type
-    /// is rejected with [`WriteError::TypeMismatch`]; the buffer is left
-    /// untouched.
-    pub fn write(
-        &mut self,
-        key: &SeriesKey,
-        t: i64,
-        v: TsValue,
-    ) -> Result<Option<i64>, WriteError> {
-        let delta = if let Some(buf) = self.series.get_mut(key) {
-            let delta = buf.max_time().filter(|&m| t < m).map(|m| m - t);
-            buf.push(t, v)?;
-            delta
-        } else {
-            let mut buf = SeriesBuffer::new(v.data_type(), self.array_size);
-            buf.push(t, v)?;
-            self.series.insert(key.clone(), buf);
-            None
-        };
-        self.total_points += 1;
-        Ok(delta)
     }
 
     /// Bulk-appends an aligned column run to one sensor: a single series
@@ -465,6 +416,21 @@ impl MemTable {
 }
 
 #[cfg(test)]
+impl MemTable {
+    /// Appends `rows` to one sensor as a single column run — how the
+    /// in-crate tests fill a memtable.
+    pub(crate) fn append_rows(
+        &mut self,
+        key: &SeriesKey,
+        rows: impl IntoIterator<Item = (i64, TsValue)>,
+    ) -> Result<(), WriteError> {
+        let batch = crate::batch::PointBatch::from_rows(rows)?;
+        let (ts, vals) = batch.slice(0, batch.len());
+        self.write_columns(key, ts, vals, &mut LocalHistogram::new())
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use backsort_core::BackwardSort;
@@ -473,12 +439,22 @@ mod tests {
         SeriesKey::new("root.sg.d1", s)
     }
 
+    fn buffer_of(rows: &[(i64, i64)]) -> SeriesBuffer {
+        let mut mt = MemTable::new(4);
+        mt.append_rows(&key("s"), rows.iter().map(|&(t, v)| (t, TsValue::Long(v))))
+            .unwrap();
+        mt.get(&key("s")).unwrap().clone()
+    }
+
     #[test]
     fn write_and_read_back() {
         let mut mt = MemTable::new(32);
-        mt.write(&key("s1"), 5, TsValue::Double(1.5)).unwrap();
-        mt.write(&key("s1"), 3, TsValue::Double(2.5)).unwrap();
-        mt.write(&key("s2"), 1, TsValue::Int(7)).unwrap();
+        mt.append_rows(
+            &key("s1"),
+            [(5, TsValue::Double(1.5)), (3, TsValue::Double(2.5))],
+        )
+        .unwrap();
+        mt.append_rows(&key("s2"), [(1, TsValue::Int(7))]).unwrap();
         assert_eq!(mt.total_points(), 3);
         assert_eq!(mt.series_count(), 2);
         let s1 = mt.get(&key("s1")).unwrap();
@@ -490,18 +466,12 @@ mod tests {
     #[test]
     fn type_mismatch_is_rejected_not_fatal() {
         let mut mt = MemTable::new(32);
-        mt.write(&key("s1"), 1, TsValue::Int(1)).unwrap();
-        let err = mt.write(&key("s1"), 2, TsValue::Double(2.0)).unwrap_err();
-        assert!(matches!(err, WriteError::TypeMismatch { .. }));
-        // The rejected write must leave the memtable untouched and alive:
-        // accounting unchanged, and correctly-typed writes still land.
-        assert_eq!(mt.total_points(), 1);
-        assert_eq!(mt.get(&key("s1")).unwrap().len(), 1);
-        assert_eq!(mt.write(&key("s1"), 2, TsValue::Int(2)), Ok(None));
-        assert_eq!(mt.total_points(), 2);
-
-        // Same contract on the bulk path, including first-contact runs.
         let mut deltas = LocalHistogram::new();
+        mt.write_columns(&key("s1"), &[1, 2], ColumnSlice::Int(&[1, 2]), &mut deltas)
+            .unwrap();
+        // A mistyped run is rejected whole and leaves the memtable
+        // untouched and alive: accounting unchanged, and correctly-typed
+        // runs still land.
         let err = mt
             .write_columns(
                 &key("s1"),
@@ -512,6 +482,7 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, WriteError::TypeMismatch { .. }));
         assert_eq!(mt.total_points(), 2);
+        assert_eq!(mt.get(&key("s1")).unwrap().len(), 2);
         assert_eq!(deltas.count(), 0, "no Δτ recorded for a rejected run");
         mt.write_columns(&key("s1"), &[3, 4], ColumnSlice::Int(&[3, 4]), &mut deltas)
             .unwrap();
@@ -519,16 +490,16 @@ mod tests {
     }
 
     #[test]
-    fn write_columns_matches_single_writes() {
+    fn one_run_matches_runs_of_one_point() {
         let ts = [5i64, 3, 9, 9, 1, 12];
         let vs = [50i64, 30, 90, 91, 10, 120];
 
         let mut a = MemTable::new(4);
-        let mut single_deltas: Vec<i64> = Vec::new();
-        for (&t, &v) in ts.iter().zip(&vs) {
-            if let Some(d) = a.write(&key("s"), t, TsValue::Long(v)).unwrap() {
-                single_deltas.push(d);
-            }
+        let mut single_deltas = LocalHistogram::new();
+        for (t, v) in ts.iter().zip(&vs) {
+            let (t, v) = (std::slice::from_ref(t), std::slice::from_ref(v));
+            a.write_columns(&key("s"), t, ColumnSlice::Long(v), &mut single_deltas)
+                .unwrap();
         }
 
         let mut b = MemTable::new(4);
@@ -544,18 +515,19 @@ mod tests {
         }
         assert_eq!(ba.is_sorted(), bb.is_sorted());
         assert_eq!(
-            deltas.count() as usize,
-            single_deltas.len(),
-            "bulk Δτ pass must see the same late arrivals"
+            deltas.count(),
+            single_deltas.count(),
+            "one run's Δτ pass must see the same late arrivals"
         );
     }
 
     #[test]
     fn dedup_columns_keeps_last_write() {
-        let mut buf = SeriesBuffer::new(DataType::Int32, 4);
-        for (t, v) in [(1i64, 1i32), (2, 2), (2, 22), (2, 222), (3, 3)] {
-            buf.push(t, TsValue::Int(v)).unwrap();
-        }
+        let mut mt = MemTable::new(4);
+        let rows = [(1i64, 1i32), (2, 2), (2, 22), (2, 222), (3, 3)];
+        mt.append_rows(&key("s"), rows.map(|(t, v)| (t, TsValue::Int(v))))
+            .unwrap();
+        let buf = mt.get(&key("s")).unwrap();
         let (ts, vals) = buf.dedup_columns(0..buf.len());
         assert_eq!(ts, vec![1, 2, 3]);
         assert_eq!(vals, ValueColumn::Int(vec![1, 222, 3]));
@@ -568,9 +540,9 @@ mod tests {
     #[test]
     fn sort_with_backward_sort_orders_buffer() {
         let mut mt = MemTable::new(8);
-        for (t, v) in [(4i64, 40i32), (1, 10), (3, 30), (2, 20)] {
-            mt.write(&key("s1"), t, TsValue::Int(v)).unwrap();
-        }
+        let rows = [(4i64, 40i32), (1, 10), (3, 30), (2, 20)];
+        mt.append_rows(&key("s1"), rows.map(|(t, v)| (t, TsValue::Int(v))))
+            .unwrap();
         let alg = Algorithm::Backward(BackwardSort::default());
         let buf = mt.get_mut(&key("s1")).unwrap();
         assert!(buf.sort_with_observed(&alg, None).is_some());
@@ -591,10 +563,7 @@ mod tests {
 
     #[test]
     fn lower_bound_on_sorted_buffer() {
-        let mut buf = SeriesBuffer::new(DataType::Int64, 4);
-        for t in [1i64, 3, 5, 7, 9] {
-            buf.push(t, TsValue::Long(t)).unwrap();
-        }
+        let buf = buffer_of(&[(1, 1), (3, 3), (5, 5), (7, 7), (9, 9)]);
         assert_eq!(buf.lower_bound(0), 0);
         assert_eq!(buf.lower_bound(3), 1);
         assert_eq!(buf.lower_bound(4), 2);
@@ -603,10 +572,7 @@ mod tests {
 
     #[test]
     fn upper_bound_on_sorted_buffer() {
-        let mut buf = SeriesBuffer::new(DataType::Int64, 4);
-        for t in [1i64, 3, 5, 7, 9] {
-            buf.push(t, TsValue::Long(t)).unwrap();
-        }
+        let buf = buffer_of(&[(1, 1), (3, 3), (5, 5), (7, 7), (9, 9)]);
         assert_eq!(buf.upper_bound(0), 0);
         assert_eq!(buf.upper_bound(1), 1);
         assert_eq!(buf.upper_bound(3), 2);
@@ -620,12 +586,17 @@ mod tests {
     #[test]
     fn all_data_types_buffer() {
         let mut mt = MemTable::new(16);
-        mt.write(&key("i"), 1, TsValue::Int(1)).unwrap();
-        mt.write(&key("l"), 1, TsValue::Long(2)).unwrap();
-        mt.write(&key("f"), 1, TsValue::Float(3.0)).unwrap();
-        mt.write(&key("d"), 1, TsValue::Double(4.0)).unwrap();
-        mt.write(&key("b"), 1, TsValue::Bool(true)).unwrap();
-        assert_eq!(mt.series_count(), 5);
+        for (name, v) in [
+            ("i", TsValue::Int(1)),
+            ("l", TsValue::Long(2)),
+            ("f", TsValue::Float(3.0)),
+            ("d", TsValue::Double(4.0)),
+            ("b", TsValue::Bool(true)),
+            ("t", TsValue::Text("five".into())),
+        ] {
+            mt.append_rows(&key(name), [(1, v)]).unwrap();
+        }
+        assert_eq!(mt.series_count(), 6);
         for (_, buf) in mt.iter() {
             assert_eq!(buf.len(), 1);
             assert!(buf.min_time() == Some(1) && buf.max_time() == Some(1));
@@ -636,9 +607,8 @@ mod tests {
     fn memory_accounting_grows() {
         let mut mt = MemTable::new(32);
         assert_eq!(mt.memory_bytes(), 0);
-        for t in 0..100 {
-            mt.write(&key("s"), t, TsValue::Double(0.0)).unwrap();
-        }
+        mt.append_rows(&key("s"), (0..100).map(|t| (t, TsValue::Double(0.0))))
+            .unwrap();
         assert!(mt.memory_bytes() >= 100 * 16);
     }
 }

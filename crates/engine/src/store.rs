@@ -9,7 +9,8 @@
 //!    after its tombstone is recorded (with the tombstone's file
 //!    horizon, so a replayed delete covers the same files);
 //! 2. when a shard's working memtable flushes, every other shard's
-//!    buffered data is flushed alongside it (a WAL segment interleaves
+//!    buffered data is flushed alongside it, a flushing slot whose job
+//!    is still outstanding installed first (a WAL segment interleaves
 //!    all shards' records, so all of them must reach files before any
 //!    segment is retired), the new file images are persisted durably as
 //!    `tsfile-<gen>.bstf`, still-pending tombstones are re-logged into
@@ -50,7 +51,7 @@ use crate::batch::{PointBatch, ValueColumn};
 use crate::encoding::{ts2diff, varint};
 use crate::engine::{EngineConfig, QueryResult, StorageEngine};
 use crate::flush::FlushMetrics;
-use crate::types::{DataType, SeriesKey, TsValue};
+use crate::types::{DataType, SeriesKey};
 
 /// CRC-32 (IEEE, reflected) — small table-driven implementation so the
 /// WAL needs no external dependency.
@@ -135,7 +136,9 @@ impl std::error::Error for StoreError {
 /// Result alias for every fallible [`DurableEngine`] operation.
 pub type StoreResult<T> = Result<T, StoreError>;
 
-const KIND_POINT: u8 = 0;
+// Kind 0 was a single-point write. It is refused like any unknown kind
+// and never reused, so a segment an older build wrote replays up to its
+// first point frame.
 const KIND_DELETE: u8 = 1;
 const KIND_TOMBSTONE: u8 = 2;
 const KIND_BATCH: u8 = 3;
@@ -169,26 +172,17 @@ fn encode_key(out: &mut Vec<u8>, key: &SeriesKey) {
     out.extend_from_slice(name.as_bytes());
 }
 
-/// One WAL record: a point write, a range delete, or a re-logged
+/// One WAL record: a batch write, a range delete, or a re-logged
 /// tombstone.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord {
-    /// A single point write.
-    Point {
-        /// Destination series.
-        key: SeriesKey,
-        /// Timestamp.
-        t: i64,
-        /// Value.
-        v: TsValue,
-    },
     /// A whole columnar batch for one series, logged as a single frame:
     /// the timestamp column TS_2DIFF-encoded, the value column under its
     /// type's native scheme (the same codecs the TsFile pages use).
     /// Replay feeds the decoded batch back through
-    /// [`StorageEngine::write_batch`], so the batch is one atomic WAL
-    /// unit — a torn frame loses the whole (unacknowledged) batch and
-    /// nothing before it.
+    /// [`StorageEngine::write_batch_nonblocking`], so the batch is one
+    /// atomic WAL unit — a torn frame loses the whole (unacknowledged)
+    /// batch and nothing before it.
     PointBatch {
         /// Destination series.
         key: SeriesKey,
@@ -233,7 +227,6 @@ impl WalRecord {
     /// allocation.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
-            WalRecord::Point { key, t, v } => WalRecord::encode_point(out, key, *t, v),
             WalRecord::PointBatch { key, batch } => WalRecord::encode_batch(out, key, batch),
             WalRecord::Delete {
                 key,
@@ -262,30 +255,9 @@ impl WalRecord {
         }
     }
 
-    /// Encodes a point-write frame directly from borrowed parts — the
-    /// hot ingest path calls this instead of cloning the [`SeriesKey`]
-    /// into a [`WalRecord::Point`] only to destructure it again.
-    pub fn encode_point(out: &mut Vec<u8>, key: &SeriesKey, t: i64, v: &TsValue) {
-        let frame = begin_frame(out);
-        out.push(KIND_POINT);
-        encode_key(out, key);
-        out.extend_from_slice(&t.to_le_bytes());
-        out.push(v.data_type().tag());
-        match v {
-            TsValue::Int(x) => out.extend_from_slice(&x.to_le_bytes()),
-            TsValue::Long(x) => out.extend_from_slice(&x.to_le_bytes()),
-            TsValue::Float(x) => out.extend_from_slice(&x.to_bits().to_le_bytes()),
-            TsValue::Double(x) => out.extend_from_slice(&x.to_bits().to_le_bytes()),
-            TsValue::Bool(x) => out.push(*x as u8),
-            TsValue::Text(s) => {
-                out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-                out.extend_from_slice(s.as_bytes());
-            }
-        }
-        end_frame(out, frame);
-    }
-
-    /// Encodes a columnar-batch frame from borrowed parts.
+    /// Encodes a columnar-batch frame from borrowed parts — the ingest
+    /// path calls this instead of cloning the [`SeriesKey`] and batch
+    /// into a [`WalRecord::PointBatch`] only to destructure it again.
     ///
     /// Payload layout after the common `kind | name_len | name` header:
     /// `dtype(1) | varint count | u32 ts_len | ts2diff(ts) | value
@@ -327,35 +299,6 @@ impl WalRecord {
         let (device, sensor) = name.rsplit_once('.')?;
         let key = SeriesKey::new(device, sensor);
         let record = match kind {
-            KIND_POINT => {
-                let t = i64::from_le_bytes(payload.get(p..p + 8)?.try_into().ok()?);
-                p += 8;
-                let dt = DataType::from_tag(*payload.get(p)?)?;
-                p += 1;
-                let v = match dt {
-                    DataType::Int32 => {
-                        TsValue::Int(i32::from_le_bytes(payload.get(p..p + 4)?.try_into().ok()?))
-                    }
-                    DataType::Int64 => {
-                        TsValue::Long(i64::from_le_bytes(payload.get(p..p + 8)?.try_into().ok()?))
-                    }
-                    DataType::Float => TsValue::Float(f32::from_bits(u32::from_le_bytes(
-                        payload.get(p..p + 4)?.try_into().ok()?,
-                    ))),
-                    DataType::Double => TsValue::Double(f64::from_bits(u64::from_le_bytes(
-                        payload.get(p..p + 8)?.try_into().ok()?,
-                    ))),
-                    DataType::Boolean => TsValue::Bool(*payload.get(p)? != 0),
-                    DataType::Text => {
-                        let len =
-                            u32::from_le_bytes(payload.get(p..p + 4)?.try_into().ok()?) as usize;
-                        p += 4;
-                        let bytes = payload.get(p..p.checked_add(len)?)?;
-                        TsValue::Text(std::str::from_utf8(bytes).ok()?.to_string())
-                    }
-                };
-                WalRecord::Point { key, t, v }
-            }
             KIND_BATCH => {
                 let dt = DataType::from_tag(*payload.get(p)?)?;
                 p += 1;
@@ -664,20 +607,17 @@ impl DurableEngine {
             discarded_total += discarded;
             for rec in records {
                 match rec {
-                    // Recovery writes must not trigger re-flushing
-                    // mid-replay in a surprising order; regular write
-                    // handles rotation correctly anyway.
-                    WalRecord::Point { key, t, v } => {
-                        let _ = engine.write(&key, t, v);
-                    }
                     // A batch replays through the same columnar path the
                     // live write took: one memtable lookup, the same
-                    // seq/unseq split against the recovered watermarks.
+                    // seq/unseq split against the recovered watermarks,
+                    // and a rotation installed before the next record.
                     WalRecord::PointBatch { key, batch } => {
                         faults
                             .hit(fault_sites::STORE_OPEN_BATCH_REPLAY)
                             .map_err(StoreError::Recover)?;
-                        let _ = engine.write_batch(&key, &batch);
+                        if let Ok(Some(job)) = engine.write_batch_nonblocking(&key, &batch) {
+                            engine.complete_flush(job);
+                        }
                     }
                     WalRecord::Delete {
                         key,
@@ -716,11 +656,8 @@ impl DurableEngine {
         // only by the old segments — flush it to files right away, then
         // commit a manifest whose floor retires those segments.
         let mut generation = max_gen;
-        let (w, u) = engine.buffered_points();
-        if w + u > 0 {
-            engine.flush();
-            engine.flush_unseq();
-        }
+        engine.flush();
+        engine.flush_unseq();
         let dropped = write_images(
             &engine,
             io.as_ref(),
@@ -797,36 +734,10 @@ impl DurableEngine {
         Ok(())
     }
 
-    /// Durably writes one point: WAL first, then the memtable. On a
-    /// flush, persists the file image and rotates the WAL.
-    ///
-    /// A point whose type contradicts the series' buffered type is
-    /// rejected by the memtable (counted under
-    /// `memtable.type_mismatch_rejects`) rather than aborting; its WAL
-    /// frame replays into the same rejection.
-    pub fn write(
-        &mut self,
-        key: &SeriesKey,
-        t: i64,
-        v: TsValue,
-    ) -> StoreResult<Option<FlushMetrics>> {
-        self.scratch.clear();
-        WalRecord::encode_point(&mut self.scratch, key, t, &v);
-        self.append_scratch()?;
-        self.faults
-            .hit(fault_sites::STORE_WRITE_AFTER_WAL)
-            .map_err(StoreError::Wal)?;
-        let flushed = self.engine.write(key, t, v);
-        if flushed.is_some() {
-            self.persist_and_rotate()?;
-        }
-        Ok(flushed)
-    }
-
     /// Durably writes one columnar batch as a *single* WAL frame, then
-    /// applies it through [`StorageEngine::write_batch`]. Any flush the
-    /// batch triggers persists images and rotates the WAL, exactly as a
-    /// point-triggered flush would.
+    /// applies it through [`StorageEngine::write_batch_nonblocking`]. A
+    /// rotation the batch causes is completed inline, then the images
+    /// are persisted and the WAL rotated; its metrics are returned.
     ///
     /// The frame is the atomicity unit: a crash mid-append tears the
     /// frame's CRC and replay drops the whole (unacknowledged) batch
@@ -838,9 +749,9 @@ impl DurableEngine {
         &mut self,
         key: &SeriesKey,
         batch: &PointBatch,
-    ) -> StoreResult<Vec<FlushMetrics>> {
+    ) -> StoreResult<Option<FlushMetrics>> {
         if batch.is_empty() {
-            return Ok(Vec::new());
+            return Ok(None);
         }
         let timed = self.engine.obs().is_enabled();
         let start = timed.then(std::time::Instant::now);
@@ -854,11 +765,12 @@ impl DurableEngine {
         self.faults
             .hit(fault_sites::STORE_WRITE_BATCH_APPEND)
             .map_err(StoreError::Wal)?;
-        let flushed = self.engine.write_batch(key, batch).unwrap_or_default();
-        if !flushed.is_empty() {
-            self.persist_and_rotate()?;
-        }
-        Ok(flushed)
+        let Ok(Some(job)) = self.engine.write_batch_nonblocking(key, batch) else {
+            return Ok(None);
+        };
+        let flushed = self.engine.complete_flush(job);
+        self.persist_and_rotate()?;
+        Ok(Some(flushed))
     }
 
     /// Durably deletes all points of `key` in `[t_lo, t_hi]`: the
@@ -884,7 +796,6 @@ impl DurableEngine {
 
     /// Durably flushes everything buffered.
     pub fn flush(&mut self) -> StoreResult<()> {
-        self.engine.flush();
         self.persist_and_rotate()
     }
 
@@ -1158,6 +1069,7 @@ fn commit_manifest_and_gc(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::TsValue;
     use backsort_core::Algorithm;
     use std::fs;
 
@@ -1181,8 +1093,25 @@ mod tests {
         SeriesKey::new("root.sg.d1", "s1")
     }
 
+    /// A one-point batch record.
     fn point(t: i64, v: TsValue) -> WalRecord {
-        WalRecord::Point { key: key(), t, v }
+        WalRecord::PointBatch {
+            key: key(),
+            batch: PointBatch::from_rows([(t, v)]).expect("one point"),
+        }
+    }
+
+    /// Durably writes each point as a batch of its own, so rotations
+    /// fall after exactly `memtable_max_points` points.
+    fn write_each(
+        eng: &mut DurableEngine,
+        key: &SeriesKey,
+        points: impl IntoIterator<Item = (i64, TsValue)>,
+    ) {
+        for point in points {
+            let batch = PointBatch::from_rows([point]).unwrap();
+            eng.write_batch(key, &batch).unwrap();
+        }
     }
 
     #[test]
@@ -1216,28 +1145,6 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
-    }
-
-    #[test]
-    fn wal_record_roundtrip_all_types() {
-        let values = [
-            TsValue::Int(-7),
-            TsValue::Long(1 << 40),
-            TsValue::Float(2.5),
-            TsValue::Double(-0.125),
-            TsValue::Bool(true),
-            TsValue::Text("état du capteur".to_string()),
-        ];
-        let mut buf = Vec::new();
-        for (i, v) in values.iter().enumerate() {
-            point(i as i64, v.clone()).encode_into(&mut buf);
-        }
-        let (recs, discarded) = replay_wal(&buf);
-        assert_eq!(discarded, 0);
-        assert_eq!(recs.len(), values.len());
-        for (i, rec) in recs.iter().enumerate() {
-            assert_eq!(rec, &point(i as i64, values[i].clone()));
-        }
     }
 
     #[test]
@@ -1355,10 +1262,8 @@ mod tests {
             let mut eng = DurableEngine::open(&dir, cfg()).unwrap();
             // Four flushed files → the leveled pass folds the L0 suffix.
             for round in 0..4i64 {
-                for t in 0..20i64 {
-                    eng.write(&key(), round * 100 + t, TsValue::Long(round * 100 + t))
-                        .unwrap();
-                }
+                let ts = (0..20i64).map(|t| round * 100 + t);
+                write_each(&mut eng, &key(), ts.map(|t| (t, TsValue::Long(t))));
             }
             eng.engine().compact_auto();
             let meta = eng.engine().shard_file_meta(0);
@@ -1399,11 +1304,17 @@ mod tests {
             }
             .encode_into(&mut buf);
         }
-        // Interleave a point record to prove kinds coexist in a segment.
-        point(99, TsValue::Int(1)).encode_into(&mut buf);
+        // Interleave a delete record to prove kinds coexist in a segment.
+        let delete = WalRecord::Delete {
+            key: key(),
+            t_lo: 0,
+            t_hi: 9,
+            horizon: 1,
+        };
+        delete.encode_into(&mut buf);
         let (recs, discarded) = replay_wal(&buf);
         assert_eq!(discarded, 0);
-        assert_eq!(recs.len(), batches.len() + 1);
+        assert_eq!(recs.last(), Some(&delete));
         for (rec, want) in recs.iter().zip(&batches) {
             assert_eq!(
                 rec,
@@ -1413,6 +1324,26 @@ mod tests {
                 }
             );
         }
+    }
+
+    /// A point frame an older build wrote (kind 0) is refused like any
+    /// unknown kind: replay keeps what precedes it and stops there.
+    #[test]
+    fn a_point_frame_ends_replay() {
+        let mut buf = Vec::new();
+        point(1, TsValue::Int(1)).encode_into(&mut buf);
+        let head = buf.len();
+        let frame = begin_frame(&mut buf);
+        buf.push(0);
+        encode_key(&mut buf, &key());
+        buf.extend_from_slice(&2i64.to_le_bytes());
+        buf.push(DataType::Int32.tag());
+        buf.extend_from_slice(&2i32.to_le_bytes());
+        end_frame(&mut buf, frame);
+        point(3, TsValue::Int(3)).encode_into(&mut buf);
+        let (recs, discarded) = replay_wal(&buf);
+        assert_eq!(recs, vec![point(1, TsValue::Int(1))]);
+        assert_eq!(discarded, buf.len() - head);
     }
 
     #[test]
@@ -1487,9 +1418,11 @@ mod tests {
         let dir = tmpdir("recover");
         {
             let mut eng = DurableEngine::open(&dir, config(50)).unwrap();
-            for t in 0..120i64 {
-                eng.write(&key(), t, TsValue::Long(t * 10)).unwrap();
-            }
+            write_each(
+                &mut eng,
+                &key(),
+                (0..120i64).map(|t| (t, TsValue::Long(t * 10))),
+            );
             eng.sync().unwrap();
             // Drop without flushing: 20 points live only in WAL.
         }
@@ -1509,9 +1442,11 @@ mod tests {
         let dir = tmpdir("idempotent");
         {
             let mut eng = DurableEngine::open(&dir, config(30)).unwrap();
-            for t in 0..75i64 {
-                eng.write(&key(), t, TsValue::Double(t as f64)).unwrap();
-            }
+            write_each(
+                &mut eng,
+                &key(),
+                (0..75i64).map(|t| (t, TsValue::Double(t as f64))),
+            );
             eng.sync().unwrap();
         }
         for _ in 0..2 {
@@ -1526,9 +1461,8 @@ mod tests {
         let dir = tmpdir("delete");
         {
             let mut eng = DurableEngine::open(&dir, config(25)).unwrap();
-            for t in 0..60i64 {
-                eng.write(&key(), t, TsValue::Long(t)).unwrap(); // 2 files + WAL tail
-            }
+            // 2 files + WAL tail
+            write_each(&mut eng, &key(), (0..60i64).map(|t| (t, TsValue::Long(t))));
             // Covers flushed files (via tombstone) and memtable points.
             let removed = eng.delete_range(&key(), 10, 54).unwrap();
             assert!(removed > 0);
@@ -1549,15 +1483,11 @@ mod tests {
         let dir = tmpdir("delete-rewrite");
         {
             let mut eng = DurableEngine::open(&dir, config(25)).unwrap();
-            for t in 0..30i64 {
-                eng.write(&key(), t, TsValue::Long(t)).unwrap();
-            }
+            write_each(&mut eng, &key(), (0..30i64).map(|t| (t, TsValue::Long(t))));
             eng.delete_range(&key(), 0, 100).unwrap();
             // Re-written points arrive after the delete and must
             // survive replay (the logged horizon excludes their file).
-            for t in 5..15i64 {
-                eng.write(&key(), t, TsValue::Long(-t)).unwrap();
-            }
+            write_each(&mut eng, &key(), (5..15i64).map(|t| (t, TsValue::Long(-t))));
             eng.sync().unwrap();
         }
         let eng = DurableEngine::open(&dir, config(25)).unwrap();
@@ -1576,15 +1506,15 @@ mod tests {
             let mut eng = DurableEngine::open(&dir, config(40)).unwrap();
             // Out-of-order arrivals.
             let mut x = 3u64;
-            for i in 0..100i64 {
+            let arrivals = (0..100i64).map(|i| {
                 x ^= x << 13;
                 x ^= x >> 7;
                 x ^= x << 17;
-                eng.write(&key(), i + (x % 5) as i64, TsValue::Int(i as i32))
-                    .unwrap();
-            }
+                (i + (x % 5) as i64, TsValue::Int(i as i32))
+            });
+            write_each(&mut eng, &key(), arrivals);
             // A straggler below the watermark (memtable rotated at 40).
-            eng.write(&key(), 1, TsValue::Int(-1)).unwrap();
+            write_each(&mut eng, &key(), [(1, TsValue::Int(-1))]);
             eng.sync().unwrap();
         }
         let eng = DurableEngine::open(&dir, config(40)).unwrap();
@@ -1601,9 +1531,7 @@ mod tests {
     fn wal_segments_are_truncated_after_flush() {
         let dir = tmpdir("truncate");
         let mut eng = DurableEngine::open(&dir, config(25)).unwrap();
-        for t in 0..100i64 {
-            eng.write(&key(), t, TsValue::Long(t)).unwrap();
-        }
+        write_each(&mut eng, &key(), (0..100i64).map(|t| (t, TsValue::Long(t))));
         eng.sync().unwrap();
         let wal_count = fs::read_dir(&dir)
             .unwrap()
@@ -1631,14 +1559,10 @@ mod tests {
         let kb = SeriesKey::new("root.sg.d2", "s"); // light: never rotates
         {
             let mut eng = DurableEngine::open(&dir, sharded()).unwrap();
-            for t in 0..10i64 {
-                eng.write(&kb, t, TsValue::Long(-t)).unwrap();
-            }
+            write_each(&mut eng, &kb, (0..10i64).map(|t| (t, TsValue::Long(-t))));
             // d0's rotations truncate the older WAL segments, which also
             // hold d2's only copies — d2's shard must be flushed too.
-            for t in 0..85i64 {
-                eng.write(&ka, t, TsValue::Long(t)).unwrap();
-            }
+            write_each(&mut eng, &ka, (0..85i64).map(|t| (t, TsValue::Long(t))));
             eng.sync().unwrap();
         }
         let eng = DurableEngine::open(&dir, sharded()).unwrap();
@@ -1651,22 +1575,51 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// A slot whose flush is outstanding holds acked points that are in
+    /// no file yet. A durable flush beside it truncates the WAL, so it
+    /// must install the slot first; the job it overtook then installs
+    /// nothing.
+    #[test]
+    fn a_durable_flush_beside_an_outstanding_slot_loses_nothing() {
+        let faults = Arc::new(FailpointRegistry::new());
+        let io = Arc::new(backsort_faults::sim::SimIo::new(Arc::clone(&faults)));
+        let open = || {
+            let sink: Arc<dyn Io> = Arc::clone(&io) as Arc<dyn Io>;
+            DurableEngine::open_with("/db", config(1_000), sink, Arc::clone(&faults)).unwrap()
+        };
+        let mut eng = open();
+        for lo in [0i64, 20] {
+            let batch =
+                PointBatch::from_rows((lo..lo + 20).map(|t| (t, TsValue::Long(t)))).unwrap();
+            assert!(eng.write_batch(&key(), &batch).unwrap().is_none());
+        }
+        eng.sync().unwrap();
+        let job = eng
+            .engine()
+            .begin_flush_shard(0)
+            .expect("the shard rotates");
+        eng.flush().unwrap();
+        let stale = eng.engine().complete_flush(job);
+        drop(eng);
+        io.crash();
+        let eng = open();
+        assert_eq!(eng.query(&key(), i64::MIN, i64::MAX).len(), 40);
+        assert_eq!(stale, FlushMetrics::default());
+    }
+
     #[test]
     fn compaction_under_durable_engine_keeps_later_flushes_persisted() {
         let dir = tmpdir("compact");
         let key = key();
         {
             let mut eng = DurableEngine::open(&dir, config(25)).unwrap();
-            for t in 0..75i64 {
-                eng.write(&key, t, TsValue::Long(t)).unwrap(); // 3 files persisted
-            }
+            // 3 files persisted
+            write_each(&mut eng, &key, (0..75i64).map(|t| (t, TsValue::Long(t))));
             let report = eng.engine().compact();
             assert!(report.files_in >= 2, "files_in {}", report.files_in);
             // Everything flushed *after* the compaction must still reach
             // disk (persistence keys on ids, not positions).
-            for t in 75..150i64 {
-                eng.write(&key, t, TsValue::Long(t)).unwrap();
-            }
+            write_each(&mut eng, &key, (75..150i64).map(|t| (t, TsValue::Long(t))));
             eng.sync().unwrap();
         }
         let eng = DurableEngine::open(&dir, config(25)).unwrap();
@@ -1708,10 +1661,8 @@ mod tests {
         let kb = SeriesKey::new("root.sg.d2", "s");
         {
             let mut eng = DurableEngine::open(&dir, sharded()).unwrap();
-            for t in 0..90i64 {
-                eng.write(&ka, t, TsValue::Long(t)).unwrap();
-                eng.write(&kb, t, TsValue::Long(-t)).unwrap();
-            }
+            write_each(&mut eng, &ka, (0..90i64).map(|t| (t, TsValue::Long(t))));
+            write_each(&mut eng, &kb, (0..90i64).map(|t| (t, TsValue::Long(-t))));
             eng.sync().unwrap();
         }
         let eng = DurableEngine::open(&dir, sharded()).unwrap();

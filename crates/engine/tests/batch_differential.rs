@@ -1,17 +1,17 @@
 //! Differential property test for the columnar ingest path: a batched
 //! write stream must be *observationally identical* to the same stream
-//! applied point-at-a-time — same query results, same flushed file
+//! written one point a batch — same query results, same flushed file
 //! images, same Δτ disorder histogram, same buffered counts — across
 //! randomized write/delete/flush interleavings, at one shard and four.
 //!
-//! This is the tentpole's safety net: `StorageEngine::write_batch`
-//! splits a batch into seq/unseq column runs and bulk-appends them, and
-//! any divergence from the per-point reference path (a mis-split run, a
-//! stale watermark after a mid-batch flush, a Δτ recorded against the
-//! wrong running max) shows up here as a minimized counterexample. The
-//! same holds for `write_batch_nonblocking` with every returned job
-//! completed at once: rotate-then-install must leave exactly what the
-//! inline flush leaves.
+//! This is the safety net of `StorageEngine::write_batch_nonblocking`,
+//! the engine's one write: it splits a batch into seq/unseq column runs
+//! and bulk-appends them, and any divergence from the one-point
+//! reference (a mis-split run, a stale watermark after a mid-batch
+//! rotation, a Δτ recorded against the wrong running max) shows up here
+//! as a minimized counterexample. Both sides complete every returned
+//! job at once. Batches stay shorter than the memtable, so neither side
+//! can need a second rotation inside one batch.
 
 use backsort_core::Algorithm;
 use backsort_engine::{EngineConfig, PointBatch, SeriesKey, StorageEngine, TsValue};
@@ -20,8 +20,8 @@ use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
 enum Op {
-    /// One columnar batch for key `k` (reference engine applies it
-    /// point-at-a-time).
+    /// One columnar batch for key `k` (the reference writes it one
+    /// point a batch).
     Batch { k: usize, rows: Vec<(i64, i64)> },
     /// A single point write (both engines apply it identically, so the
     /// interleaving mixes batch and point traffic).
@@ -57,8 +57,9 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 
 fn config(shards: usize) -> EngineConfig {
     EngineConfig {
-        // Small enough that batches straddle flush boundaries and create
-        // watermarks (hence unseq routing) mid-run.
+        // Small enough that batches straddle rotations and create
+        // watermarks (hence unseq routing) mid-run; larger than any
+        // batch.
         memtable_max_points: 48,
         array_size: 16,
         sorter: Algorithm::Backward(Default::default()),
@@ -73,50 +74,32 @@ fn keys() -> Vec<SeriesKey> {
         .collect()
 }
 
-/// How [`run`] applies an [`Op::Batch`].
-#[derive(Debug, Clone, Copy)]
-enum BatchPath {
-    /// Unrolled into point writes — the reference.
-    Points,
-    /// `write_batch` (inline flush on a full memtable).
-    Blocking,
-    /// `write_batch_nonblocking`, completing the returned job at once.
-    Nonblocking,
+/// Writes `rows` as one batch, completing the rotation it causes inline.
+fn put(engine: &StorageEngine, key: &SeriesKey, rows: &[(i64, i64)]) {
+    let batch = PointBatch::from_rows(rows.iter().map(|&(t, v)| (t, TsValue::Long(v))))
+        .expect("uniform Long rows");
+    if let Some(job) = engine
+        .write_batch_nonblocking(key, &batch)
+        .expect("uniform Long batch")
+    {
+        engine.complete_flush(job);
+    }
 }
 
-/// Applies the op stream to a fresh engine, batches going down `path`.
-fn run(ops: &[Op], shards: usize, path: BatchPath) -> StorageEngine {
+/// Applies the op stream to a fresh engine, each [`Op::Batch`] written
+/// whole when `batched`, one point a batch otherwise.
+fn run(ops: &[Op], shards: usize, batched: bool) -> StorageEngine {
     let engine = StorageEngine::new(config(shards));
     let keys = keys();
     for op in ops {
         match op {
+            Op::Batch { k, rows } if batched => put(&engine, &keys[*k], rows),
             Op::Batch { k, rows } => {
-                let batch = PointBatch::from_rows(rows.iter().map(|&(t, v)| (t, TsValue::Long(v))))
-                    .expect("uniform Long rows");
-                match path {
-                    BatchPath::Points => {
-                        for &(t, v) in rows {
-                            engine.write(&keys[*k], t, TsValue::Long(v));
-                        }
-                    }
-                    BatchPath::Blocking => {
-                        engine
-                            .write_batch(&keys[*k], &batch)
-                            .expect("uniform Long batch");
-                    }
-                    BatchPath::Nonblocking => {
-                        if let Some(job) = engine
-                            .write_batch_nonblocking(&keys[*k], &batch)
-                            .expect("uniform Long batch")
-                        {
-                            engine.complete_flush(job);
-                        }
-                    }
+                for row in rows {
+                    put(&engine, &keys[*k], std::slice::from_ref(row));
                 }
             }
-            Op::Write { k, t, v } => {
-                engine.write(&keys[*k], *t, TsValue::Long(*v));
-            }
+            Op::Write { k, t, v } => put(&engine, &keys[*k], &[(*t, *v)]),
             Op::Delete { k, lo, len } => {
                 engine.delete_range(&keys[*k], *lo, lo + len);
             }
@@ -188,10 +171,7 @@ proptest! {
         ops in prop::collection::vec(op_strategy(), 1..30),
     ) {
         for shards in [1usize, 4] {
-            let reference = run(&ops, shards, BatchPath::Points);
-            for path in [BatchPath::Blocking, BatchPath::Nonblocking] {
-                assert_identical(&reference, &run(&ops, shards, path), shards)?;
-            }
+            assert_identical(&run(&ops, shards, false), &run(&ops, shards, true), shards)?;
         }
     }
 }

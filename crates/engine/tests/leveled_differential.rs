@@ -22,7 +22,9 @@
 
 use backsort_core::{Algorithm, BackwardSort, InBlockSort};
 use backsort_engine::engine::CompactionConfig;
-use backsort_engine::{AggValue, Aggregation, EngineConfig, SeriesKey, StorageEngine, TsValue};
+use backsort_engine::{
+    AggValue, Aggregation, EngineConfig, PointBatch, SeriesKey, StorageEngine, TsValue,
+};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -183,8 +185,12 @@ proptest! {
             for op in &ops {
                 match op {
                     Op::Write { k, t, v } => {
-                        reference.write(&keys[*k], *t, value(*t, *v));
-                        subject.write(&keys[*k], *t, value(*t, *v));
+                        let point = PointBatch::from_rows([(*t, value(*t, *v))]).expect("one point");
+                        for eng in [&reference, &subject] {
+                            if let Some(job) = eng.write_batch_nonblocking(&keys[*k], &point).expect("DOUBLE") {
+                                eng.complete_flush(job);
+                            }
+                        }
                     }
                     Op::Delete { k, lo, len } => {
                         reference.delete_range(&keys[*k], *lo, lo + len);

@@ -4,9 +4,20 @@
 
 use backsort_core::Algorithm;
 use backsort_engine::encoding::{boolpack, gorilla, ts2diff, varint};
+use backsort_engine::store::WalRecord;
 use backsort_engine::tsfile::{TsFileReader, TsFileWriter};
-use backsort_engine::{flush_memtable, MemTable, SeriesKey, TsValue};
+use backsort_engine::{flush_memtable, ColumnSlice, MemTable, PointBatch, SeriesKey, TsValue};
 use proptest::prelude::*;
+
+/// A batch record of INT64 points for one series.
+fn batch_record(key: &SeriesKey, rows: &[(i64, i64)]) -> WalRecord {
+    let batch = PointBatch::from_rows(rows.iter().map(|&(t, v)| (t, TsValue::Long(v))))
+        .expect("uniform Long rows");
+    WalRecord::PointBatch {
+        key: key.clone(),
+        batch,
+    }
+}
 
 /// The count a column's leading varint claims (0 when it has none).
 fn claimed_count(bytes: &[u8]) -> usize {
@@ -104,9 +115,9 @@ proptest! {
     ) {
         let key = SeriesKey::new("root.sg.d", "s");
         let mut mt = MemTable::new(16);
-        for &(t, v) in &raw {
-            mt.write(&key, t, TsValue::Int(v)).unwrap();
-        }
+        let (ts, vs): (Vec<i64>, Vec<i32>) = raw.iter().copied().unzip();
+        mt.write_columns(&key, &ts, ColumnSlice::Int(&vs), &mut Default::default())
+            .unwrap();
         let (image, metrics) = flush_memtable(&mt, &Algorithm::Backward(Default::default()), None);
         let reader = TsFileReader::open(&image).expect("valid image");
         let points = reader.query(&key, i64::MIN, i64::MAX);
@@ -131,18 +142,19 @@ proptest! {
 
     #[test]
     fn wal_survives_arbitrary_truncation(
-        points in prop::collection::vec((any::<i64>(), any::<i64>()), 1..40),
+        batches in prop::collection::vec(
+            prop::collection::vec((any::<i64>(), any::<i64>()), 1..4),
+            1..40,
+        ),
         cut in 0usize..64,
     ) {
-        use backsort_engine::store::{replay_wal, WalRecord};
+        use backsort_engine::store::replay_wal;
         let key = SeriesKey::new("root.sg.d", "s");
         let mut buf = Vec::new();
         let mut frames = Vec::new();
-        for &(t, v) in &points {
+        for rows in &batches {
             let start = buf.len();
-            let mut tmp = Vec::new();
-            WalRecord::Point { key: key.clone(), t, v: TsValue::Long(v) }.encode_into(&mut tmp);
-            buf.extend_from_slice(&tmp);
+            batch_record(&key, rows).encode_into(&mut buf);
             frames.push((start, buf.len()));
         }
         let cut = cut.min(buf.len());
@@ -154,9 +166,8 @@ proptest! {
         prop_assert_eq!(recs.len(), complete);
         let consumed = frames.get(complete.wrapping_sub(1)).map_or(0, |&(_, end)| end);
         prop_assert_eq!(discarded, truncated.len() - consumed);
-        for (rec, &(t, v)) in recs.iter().zip(&points) {
-            let want = WalRecord::Point { key: key.clone(), t, v: TsValue::Long(v) };
-            prop_assert_eq!(rec, &want);
+        for (rec, rows) in recs.iter().zip(&batches) {
+            prop_assert_eq!(rec, &batch_record(&key, rows));
         }
     }
 
@@ -166,16 +177,13 @@ proptest! {
     fn wal_batch_record_roundtrips(
         rows in prop::collection::vec((any::<i64>(), any::<i64>()), 0..200),
     ) {
-        use backsort_engine::store::{replay_wal, WalRecord};
-        use backsort_engine::PointBatch;
-        let key = SeriesKey::new("root.sg.d", "s");
-        let batch = PointBatch::from_rows(rows.iter().map(|&(t, v)| (t, TsValue::Long(v))))
-            .expect("uniform Long rows");
+        use backsort_engine::store::replay_wal;
+        let record = batch_record(&SeriesKey::new("root.sg.d", "s"), &rows);
         let mut buf = Vec::new();
-        WalRecord::PointBatch { key: key.clone(), batch: batch.clone() }.encode_into(&mut buf);
+        record.encode_into(&mut buf);
         let (recs, discarded) = replay_wal(&buf);
         prop_assert_eq!(discarded, 0);
-        prop_assert_eq!(recs, vec![WalRecord::PointBatch { key, batch }]);
+        prop_assert_eq!(recs, vec![record]);
     }
 
     // The batch frame is the atomicity unit: truncate anywhere inside it
@@ -185,62 +193,35 @@ proptest! {
         rows in prop::collection::vec((0i64..10_000, any::<i32>()), 1..60),
         cut_seed in any::<u64>(),
     ) {
-        use backsort_engine::store::{replay_wal, WalRecord};
-        use backsort_engine::PointBatch;
+        use backsort_engine::store::replay_wal;
         let key = SeriesKey::new("root.sg.d", "s");
-        let point = WalRecord::Point { key: key.clone(), t: -1, v: TsValue::Long(7) };
+        let point = batch_record(&key, &[(-1, 7)]);
         let mut buf = Vec::new();
         point.encode_into(&mut buf);
         let head = buf.len();
         let batch = PointBatch::from_rows(rows.iter().map(|&(t, v)| (t, TsValue::Int(v))))
             .expect("uniform Int rows");
-        WalRecord::PointBatch { key: key.clone(), batch: batch.clone() }.encode_into(&mut buf);
+        WalRecord::PointBatch { key, batch }.encode_into(&mut buf);
         let cut = head + (cut_seed as usize) % (buf.len() - head);
         let (recs, discarded) = replay_wal(&buf[..cut]);
         prop_assert_eq!(recs, vec![point], "cut at {} left a partial batch", cut);
         prop_assert_eq!(discarded, cut - head);
     }
 
-    // A flipped bit anywhere in a batch frame must never surface a
-    // *different* batch: the CRC rejects the frame (or a length-prefix
-    // flip stops framing), so replay sees the original or nothing.
+    // A single flipped bit anywhere in a batch frame — one point or
+    // many — must never parse as a (different) record: either the CRC
+    // rejects the frame, or — when the flip lands in the length prefix
+    // and the frame no longer lines up — parsing stops. Nothing is ever
+    // invented.
     #[test]
     fn wal_batch_frame_rejects_bit_flips(
         rows in prop::collection::vec((0i64..10_000, any::<i64>()), 1..40),
         flip in any::<usize>(),
     ) {
-        use backsort_engine::store::WalRecord;
-        use backsort_engine::PointBatch;
-        let key = SeriesKey::new("root.sg.d", "s");
-        let batch = PointBatch::from_rows(rows.iter().map(|&(t, v)| (t, TsValue::Long(v))))
-            .expect("uniform Long rows");
-        let original = WalRecord::PointBatch { key, batch };
+        let original = batch_record(&SeriesKey::new("root.sg.d", "s"), &rows);
         let mut buf = Vec::new();
         original.encode_into(&mut buf);
         let bit = flip % (buf.len() * 8);
-        buf[bit / 8] ^= 1 << (bit % 8);
-        let mut pos = 0;
-        if let Some(rec) = WalRecord::read_from(&buf, &mut pos) {
-            prop_assert_eq!(rec, original);
-        }
-    }
-
-    // A single flipped bit anywhere in a framed record must never parse
-    // as a (different) record: either the CRC rejects the frame, or —
-    // when the flip lands in the length prefix and the frame no longer
-    // lines up — parsing stops. Nothing is ever invented.
-    #[test]
-    fn wal_read_from_rejects_bit_flips(
-        t in any::<i64>(),
-        v in any::<i64>(),
-        flip_bit in 0usize..64,
-    ) {
-        use backsort_engine::store::WalRecord;
-        let key = SeriesKey::new("root.sg.d", "s");
-        let original = WalRecord::Point { key, t, v: TsValue::Long(v) };
-        let mut buf = Vec::new();
-        original.encode_into(&mut buf);
-        let bit = flip_bit % (buf.len() * 8);
         buf[bit / 8] ^= 1 << (bit % 8);
         let mut pos = 0;
         if let Some(rec) = WalRecord::read_from(&buf, &mut pos) {

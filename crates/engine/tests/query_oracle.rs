@@ -32,7 +32,9 @@
 //! delayed points to one sensor of each of the six types, with reads
 //! between the writes, a delete between two reads, and reads while a
 //! rotated memtable sits in the flushing slot with its flush still
-//! outstanding — every read checked against the same model.
+//! outstanding — every read checked against the same model. Synchronous
+//! flushes run beside those outstanding flushes, which must leave files
+//! in age order and the overtaken jobs installing nothing.
 //!
 //! The engines use the *stable* Backward-Sort configuration: with the
 //! unstable default, equal timestamps inside one buffer may settle in
@@ -254,8 +256,11 @@ fn apply(
     match code % 14 {
         // Writes (weighted heaviest).
         0..=5 => {
+            let point = PointBatch::from_rows([(t, TsValue::Long(v as i64))]).expect("one point");
             for eng in engines {
-                eng.write(key, t, TsValue::Long(v as i64));
+                if let Some(job) = eng.write_batch_nonblocking(key, &point).expect("INT64") {
+                    eng.complete_flush(job);
+                }
             }
             oracle
                 .entry(key.clone())
@@ -557,12 +562,18 @@ impl Traffic {
                 self.complete_flushes();
                 self.read(t, t + span)?;
             }
-            // Everything to files, nothing outstanding beside them.
+            // Everything to files beside the outstanding flushes: each
+            // synchronous flush installs an occupied slot before its own
+            // file, so the jobs it overtook are stale and install nothing.
             9 if v % 2 == 0 => {
-                self.complete_flushes();
                 for eng in &self.engines {
                     eng.flush();
                     eng.flush_unseq();
+                }
+                let files = self.engines.each_ref().map(StorageEngine::file_count);
+                self.complete_flushes();
+                if self.engines.each_ref().map(StorageEngine::file_count) != files {
+                    return Err("a job a synchronous flush overtook installed a file".into());
                 }
             }
             // The newest points, as the recent-data reader asks.

@@ -6,7 +6,7 @@
 use std::sync::Barrier;
 
 use backsort_core::Algorithm;
-use backsort_engine::{EngineConfig, SeriesKey, StorageEngine, TsValue};
+use backsort_engine::{EngineConfig, PointBatch, SeriesKey, StorageEngine, TsValue};
 use backsort_obs::names;
 
 fn engine(memtable_max_points: usize, shards: usize) -> StorageEngine {
@@ -23,6 +23,19 @@ fn key(s: &str) -> SeriesKey {
     SeriesKey::new("root.sg.d1", "s".to_string() + s)
 }
 
+/// Writes `rows` as one batch, completing the rotation it causes inline.
+fn put(eng: &StorageEngine, key: &SeriesKey, rows: impl IntoIterator<Item = (i64, TsValue)>) {
+    let batch = PointBatch::from_rows(rows).expect("one type");
+    if let Some(job) = eng.write_batch_nonblocking(key, &batch).unwrap() {
+        eng.complete_flush(job);
+    }
+}
+
+/// `t ↦ t` INT64 rows.
+fn longs(ts: impl IntoIterator<Item = i64>) -> impl Iterator<Item = (i64, TsValue)> {
+    ts.into_iter().map(|t| (t, TsValue::Long(t)))
+}
+
 /// `(query.read_path, query.sorted_on_read)` so far.
 fn query_paths(eng: &StorageEngine) -> (u64, u64) {
     let snap = eng.obs().snapshot();
@@ -36,9 +49,7 @@ fn query_paths(eng: &StorageEngine) -> (u64, u64) {
 fn sorted_data_queries_never_take_the_write_path() {
     let eng = engine(100, 1);
     // In-order appends keep every buffer sorted; half the data flushes.
-    for t in 0..150i64 {
-        eng.write(&key("a"), t, TsValue::Long(t));
-    }
+    put(&eng, &key("a"), longs(0..150));
     assert_eq!(query_paths(&eng).1, 0, "writes only");
 
     // Many concurrent readers of the *same* shard: with the data
@@ -69,9 +80,7 @@ fn sorted_data_queries_never_take_the_write_path() {
 #[test]
 fn unsorted_buffer_sorts_once_then_reads_stay_shared() {
     let eng = engine(1_000, 1);
-    for t in [5i64, 1, 3, 2, 4] {
-        eng.write(&key("a"), t, TsValue::Long(t));
-    }
+    put(&eng, &key("a"), longs([5, 1, 3, 2, 4]));
     // First query finds the working buffer unsorted: write path, once.
     assert_eq!(eng.query(&key("a"), 0, 10).len(), 5);
     assert_eq!(query_paths(&eng), (0, 1));
@@ -84,7 +93,7 @@ fn unsorted_buffer_sorts_once_then_reads_stay_shared() {
 
     // A new out-of-order write dirties the buffer again — exactly one
     // more sorted-on-read upgrade.
-    eng.write(&key("a"), 0, TsValue::Long(0));
+    put(&eng, &key("a"), longs([0]));
     eng.query(&key("a"), 0, 10);
     eng.query(&key("a"), 0, 10);
     assert_eq!(query_paths(&eng), (11, 2));
@@ -93,8 +102,8 @@ fn unsorted_buffer_sorts_once_then_reads_stay_shared() {
 #[test]
 fn file_indexes_parse_once_per_install_not_per_query() {
     let eng = engine(50, 1);
-    for t in 0..175i64 {
-        eng.write(&key("a"), t, TsValue::Long(t)); // 3 natural rotations
+    for lo in (0..175i64).step_by(25) {
+        put(&eng, &key("a"), longs(lo..lo + 25)); // 3 natural rotations
     }
     eng.flush();
     assert_eq!(eng.file_count(), 4);
@@ -102,9 +111,7 @@ fn file_indexes_parse_once_per_install_not_per_query() {
     // Adoption parses once and reuses the handle for every shard copy.
     let image = {
         let donor = engine(1_000, 1);
-        for t in 200..220i64 {
-            donor.write(&key("a"), t, TsValue::Long(t));
-        }
+        put(&donor, &key("a"), longs(200..220));
         donor.flush();
         let ids = donor.shard_file_ids(0);
         donor.file_image(0, ids[0]).expect("flushed image")
@@ -133,17 +140,15 @@ fn latest_value_tracks_overrides_and_deletes() {
     let eng = engine(50, 1);
     assert_eq!(eng.latest_value(&key("a")), None);
 
-    for t in 0..50i64 {
-        eng.write(&key("a"), t, TsValue::Long(t)); // flushed at 50
-    }
+    put(&eng, &key("a"), longs(0..50)); // flushed at 50
     assert_eq!(eng.latest_value(&key("a")), Some((49, TsValue::Long(49))));
 
     // An unsequence rewrite of the freshest timestamp wins over disk.
-    eng.write(&key("a"), 49, TsValue::Long(-49));
+    put(&eng, &key("a"), [(49, TsValue::Long(-49))]);
     assert_eq!(eng.latest_value(&key("a")), Some((49, TsValue::Long(-49))));
 
     // Newer working-memtable data takes over.
-    eng.write(&key("a"), 60, TsValue::Long(60));
+    put(&eng, &key("a"), longs([60]));
     assert_eq!(eng.latest_value(&key("a")), Some((60, TsValue::Long(60))));
 
     // Deleting the top forces the fallback to older (flushed) points.
@@ -166,7 +171,7 @@ fn latest_value_agrees_with_full_query() {
         x ^= x >> 7;
         x ^= x << 17;
         let k = if x.is_multiple_of(2) { &ka } else { &kb };
-        eng.write(k, i + (x % 5) as i64, TsValue::Long(i));
+        put(&eng, k, [(i + (x % 5) as i64, TsValue::Long(i))]);
         if i % 97 == 0 {
             eng.delete_range(k, i - 20, i - 10);
         }

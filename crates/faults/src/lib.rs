@@ -20,7 +20,7 @@
 //!   `io.*` sites in [`sites`].
 //!
 //! Arming is programmatic ([`FailpointRegistry::arm`]) or environmental:
-//! `BACKSORT_FAULTS="store.write.after_wal=kill@3;io.wal.sync=error"`
+//! `BACKSORT_FAULTS="store.write_batch.append=kill@3;io.wal.sync=error"`
 //! (see [`FailpointRegistry::from_env`]).
 
 pub mod io;
@@ -320,11 +320,11 @@ mod tests {
     fn disarmed_hits_are_free_and_ok() {
         let reg = FailpointRegistry::new();
         for _ in 0..1000 {
-            assert!(reg.hit("store.write.after_wal").is_ok());
+            assert!(reg.hit("store.write_batch.append").is_ok());
         }
         // Disarmed hits are not even counted — the fast path never
         // touches the site map.
-        assert_eq!(reg.hits("store.write.after_wal"), 0);
+        assert_eq!(reg.hits("store.write_batch.append"), 0);
     }
 
     #[test]

@@ -13,9 +13,6 @@
 //! the engine passes through via [`crate::FailpointRegistry::hit`] /
 //! [`kill_point`](crate::FailpointRegistry::kill_point).
 
-/// After a point's WAL frame is appended, before the memtable insert.
-/// Models: crash between logging and applying a write.
-pub const STORE_WRITE_AFTER_WAL: &str = "store.write.after_wal";
 /// After a `PointBatch` record's WAL frame is appended, before the batch
 /// is applied to the memtable. Models: crash between logging and
 /// applying a whole batch — a torn frame must lose only unacked points.
@@ -59,11 +56,12 @@ pub const STORE_OPEN_BEFORE_WAL_DELETE: &str = "store.open.before_wal_delete";
 /// Models: fsync failure (fsyncgate): the caller must not ack.
 pub const STORE_SYNC: &str = "store.sync";
 
-/// In the engine's locked flush path, after the working memtable
-/// rotated into the flushing slot, before encoding. Kill-only.
+/// At the start of `complete_flush`, outside any lock: the working
+/// memtable has rotated into the flushing slot, nothing is encoded yet.
+/// Kill-only.
 pub const FLUSH_ROTATE: &str = "flush.rotate";
-/// In `complete_flush` (the async flusher worker's path), after the
-/// image is encoded, before it is installed in the shard. Kill-only.
+/// In `complete_flush`, after the image is encoded, before it is
+/// installed in the shard. Kill-only.
 pub const FLUSH_COMPLETE_BEFORE_INSTALL: &str = "flush.complete.before_install";
 
 /// After compaction removed the input files from the shard (in memory),
@@ -103,7 +101,6 @@ pub const IO_MANIFEST_WRITE: &str = "io.manifest.write";
 /// Every registered failpoint site. The crash matrix enumerates this
 /// list and fails on any site it could not exercise.
 pub const ALL: &[&str] = &[
-    STORE_WRITE_AFTER_WAL,
     STORE_WRITE_BATCH_APPEND,
     STORE_DELETE_AFTER_WAL,
     STORE_ROTATE_BEGIN,

@@ -381,7 +381,8 @@ pub fn compile_insert(
 /// Executes an `INSERT`: each sensor's column of literals becomes one
 /// columnar [`PointBatch`] handed to the engine whole — a multi-row
 /// statement costs one memtable lookup (and, under a durable store, one
-/// WAL frame) per sensor, not per point. See [`compile_insert`] for the
+/// WAL frame) per sensor, not per point. A rotation the batch causes is
+/// flushed before the statement returns. See [`compile_insert`] for the
 /// literal-promotion rules; a batch whose promoted type contradicts the
 /// series' already-buffered type is rejected whole — either way nothing
 /// from the statement is written.
@@ -392,9 +393,12 @@ fn insert(
     rows: &[(i64, Vec<Literal>)],
 ) -> Result<QueryOutput, SqlError> {
     for (key, batch) in compile_insert(device, sensors, rows)? {
-        engine
-            .write_batch(&key, &batch)
+        let job = engine
+            .write_batch_nonblocking(&key, &batch)
             .map_err(|e| SqlError::new(format!("column {}: {e}", key.sensor)))?;
+        if let Some(job) = job {
+            engine.complete_flush(job);
+        }
     }
     Ok(QueryOutput::Inserted(sensors.len() * rows.len()))
 }

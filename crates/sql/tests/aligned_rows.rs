@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use backsort_core::Algorithm;
-use backsort_engine::{EngineConfig, SeriesKey, StorageEngine, TsValue};
+use backsort_engine::{EngineConfig, PointBatch, SeriesKey, StorageEngine, TsValue};
 use backsort_server::{SqlClient, SqlServer};
 use backsort_sql::{execute_statement, parse, QueryOutput};
 use rand::rngs::StdRng;
@@ -111,7 +111,11 @@ fn aligned_rows_match_the_model_in_process_and_over_the_wire() {
                 engine.flush();
             }
             let v = value(s, &mut rng);
-            engine.write(&SeriesKey::new(DEVICE, SENSORS[s]), t, v.clone());
+            let point = PointBatch::from_rows([(t, v.clone())]).expect("one point");
+            let key = SeriesKey::new(DEVICE, SENSORS[s]);
+            if let Some(job) = engine.write_batch_nonblocking(&key, &point).expect("typed") {
+                engine.complete_flush(job);
+            }
             model.entry(SENSORS[s]).or_default().insert(t, v);
         }
 

@@ -2,7 +2,7 @@
 //! an error but can never panic, loop, or corrupt the engine.
 
 use backsort_core::Algorithm;
-use backsort_engine::{EngineConfig, SeriesKey, StorageEngine, TsValue};
+use backsort_engine::{EngineConfig, PointBatch, SeriesKey, StorageEngine, TsValue};
 use backsort_sql::execute;
 use proptest::prelude::*;
 
@@ -15,9 +15,11 @@ fn engine() -> StorageEngine {
         ..EngineConfig::default()
     });
     let key = SeriesKey::new("root.sg.d1", "s");
-    for t in 0..50i64 {
-        eng.write(&key, t, TsValue::Long(t));
-    }
+    let batch = PointBatch::from_rows((0..50).map(|t| (t, TsValue::Long(t)))).expect("INT64");
+    assert!(eng
+        .write_batch_nonblocking(&key, &batch)
+        .expect("INT64")
+        .is_none());
     eng
 }
 

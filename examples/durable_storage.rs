@@ -6,7 +6,7 @@
 
 use backward_sort_repro::core::Algorithm;
 use backward_sort_repro::engine::{AggValue, Aggregation};
-use backward_sort_repro::engine::{DurableEngine, EngineConfig, SeriesKey, TsValue};
+use backward_sort_repro::engine::{DurableEngine, EngineConfig, PointBatch, SeriesKey, TsValue};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dir = std::env::temp_dir().join(format!("backsort-demo-{}", std::process::id()));
@@ -24,18 +24,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     {
         let mut engine = DurableEngine::open(&dir, config)?;
         let mut x = 42u64;
-        for i in 0..12_000i64 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
+        for lo in (0..12_000i64).step_by(500) {
             // Delay-only arrivals; colliding timestamps overwrite
             // (last-write-wins), so distinct-t count lands near
-            // 12000·(1 − (5/6)⁶) ≈ 8000.
-            let t = i + (x % 6) as i64;
-            engine.write(&key, t, TsValue::Double(1500.0 + (t % 97) as f64))?;
+            // 12000·(1 − (5/6)⁶) ≈ 8000. One WAL frame a batch.
+            let batch = PointBatch::from_rows((lo..lo + 500).map(|i| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let t = i + (x % 6) as i64;
+                (t, TsValue::Double(1500.0 + (t % 97) as f64))
+            }))?;
+            engine.write_batch(&key, &batch)?;
         }
         // A long-delayed straggler lands below the flush watermark.
-        engine.write(&key, 3, TsValue::Double(-1.0))?;
+        engine.write_batch(&key, &PointBatch::from_rows([(3, TsValue::Double(-1.0))])?)?;
         engine.sync()?;
         let (working, unseq) = engine.engine().buffered_points();
         println!(

@@ -6,7 +6,7 @@
 //! Run with: `cargo run --release --example iot_ingestion`
 
 use backward_sort_repro::core::{Algorithm, BackwardSort};
-use backward_sort_repro::engine::{EngineConfig, SeriesKey, StorageEngine, TsValue};
+use backward_sort_repro::engine::{EngineConfig, PointBatch, SeriesKey, StorageEngine, TsValue};
 use backward_sort_repro::workload::{generate_pairs, DelayModel, SignalKind, StreamSpec};
 
 fn main() {
@@ -50,8 +50,17 @@ fn main() {
             },
             seed: 9,
         };
-        for (t, v) in generate_pairs(&spec) {
-            engine.write(&key, t, TsValue::Double(v));
+        // IoTDB-benchmark-style batches of 1,000 arrivals; a memtable
+        // that fills rotates, and is flushed before the next batch.
+        for chunk in generate_pairs(&spec).chunks(1_000) {
+            let rows = chunk.iter().map(|&(t, v)| (t, TsValue::Double(v)));
+            let batch = PointBatch::from_rows(rows).expect("DOUBLE");
+            if let Some(job) = engine
+                .write_batch_nonblocking(&key, &batch)
+                .expect("DOUBLE")
+            {
+                engine.complete_flush(job);
+            }
         }
     }
 
@@ -65,7 +74,11 @@ fn main() {
     // the separation policy sends it to the unsequence memtable instead
     // of polluting the in-memory sort.
     let key = SeriesKey::new("root.turbines.t1", "speed");
-    engine.write(&key, 10, TsValue::Double(-999.0));
+    let straggler = PointBatch::from_rows([(10, TsValue::Double(-999.0))]).expect("DOUBLE");
+    let job = engine
+        .write_batch_nonblocking(&key, &straggler)
+        .expect("DOUBLE");
+    assert!(job.is_none(), "an unsequence point never rotates");
     let (_, unseq_after) = engine.buffered_points();
     println!("  after straggler   : unsequence holds {unseq_after} points");
 

@@ -40,13 +40,17 @@ fn main() {
             pool.submit(job);
         }
     }
-    // Every job is installed before anything flushes synchronously, so
-    // files land in the order their memtables rotated.
+    // Stopping the pool installs every job it was handed, so the count
+    // below is final.
     pool.stop();
     let async_flushes = engine.flush_history().len();
     // Stragglers arriving below the watermark take the unsequence path.
     for t in [100i64, 5_000, 9_999] {
-        engine.write(&key, t, TsValue::Double(-1.0));
+        let point = PointBatch::from_rows([(t, TsValue::Double(-1.0))]).expect("one typed point");
+        let job = engine
+            .write_batch_nonblocking(&key, &point)
+            .expect("matching type");
+        assert!(job.is_none(), "an unsequence point never rotates");
     }
     engine.flush();
     engine.flush_unseq();

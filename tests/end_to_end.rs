@@ -3,12 +3,21 @@
 //! every dataset profile.
 
 use backward_sort_repro::core::Algorithm;
-use backward_sort_repro::engine::{EngineConfig, SeriesKey, StorageEngine, TsValue};
+use backward_sort_repro::engine::{EngineConfig, PointBatch, SeriesKey, StorageEngine, TsValue};
 use backward_sort_repro::workload::{Dataset, DatasetKind};
 
+/// Writes `rows` as one batch, completing the rotation it causes inline.
+fn put(engine: &StorageEngine, key: &SeriesKey, rows: impl IntoIterator<Item = (i64, TsValue)>) {
+    let batch = PointBatch::from_rows(rows).expect("one type");
+    if let Some(job) = engine.write_batch_nonblocking(key, &batch).unwrap() {
+        engine.complete_flush(job);
+    }
+}
+
+/// Ingests the dataset in IoTDB-benchmark-sized batches.
 fn ingest(engine: &StorageEngine, key: &SeriesKey, ds: &Dataset) {
-    for &(t, v) in &ds.pairs {
-        engine.write(key, t, TsValue::Int(v));
+    for chunk in ds.pairs.chunks(1_000) {
+        put(engine, key, chunk.iter().map(|p| (p.0, TsValue::Int(p.1))));
     }
 }
 
@@ -111,10 +120,9 @@ fn multi_sensor_multi_device_isolation() {
         .flat_map(|d| (0..4).map(move |s| SeriesKey::new(format!("root.sg.d{d}"), format!("s{s}"))))
         .collect();
     for (i, key) in keys.iter().enumerate() {
-        for t in 0..500i64 {
-            // Distinct value spaces per sensor.
-            engine.write(key, t, TsValue::Long(i as i64 * 10_000 + t));
-        }
+        // Distinct value spaces per sensor.
+        let values = (0..500i64).map(|t| (t, TsValue::Long(i as i64 * 10_000 + t)));
+        put(&engine, key, values);
     }
     for (i, key) in keys.iter().enumerate() {
         let got = engine.query(key, 100, 110);

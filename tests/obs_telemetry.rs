@@ -74,7 +74,12 @@ fn live_overlap_q_respects_the_papers_bound() {
         .collect();
     for chunk in points.chunks(1_000) {
         let batch = PointBatch::from_rows(chunk.iter().cloned()).expect("uniform Double rows");
-        engine.write_batch(&key, &batch).expect("uniform batch");
+        if let Some(job) = engine
+            .write_batch_nonblocking(&key, &batch)
+            .expect("uniform batch")
+        {
+            engine.complete_flush(job);
+        }
     }
     engine.flush();
 

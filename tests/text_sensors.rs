@@ -3,7 +3,9 @@
 //! and queries.
 
 use backward_sort_repro::core::Algorithm;
-use backward_sort_repro::engine::{DurableEngine, EngineConfig, SeriesKey, StorageEngine, TsValue};
+use backward_sort_repro::engine::{
+    DurableEngine, EngineConfig, PointBatch, SeriesKey, StorageEngine, TsValue,
+};
 
 fn config(max_points: usize) -> EngineConfig {
     EngineConfig {
@@ -19,18 +21,26 @@ fn key() -> SeriesKey {
     SeriesKey::new("root.fleet.truck9", "event")
 }
 
+/// Writes `rows` as one batch, completing the rotation it causes inline.
+fn put(engine: &StorageEngine, key: &SeriesKey, rows: impl IntoIterator<Item = (i64, TsValue)>) {
+    let batch = PointBatch::from_rows(rows).expect("one type");
+    if let Some(job) = engine.write_batch_nonblocking(key, &batch).unwrap() {
+        engine.complete_flush(job);
+    }
+}
+
 #[test]
 fn text_points_sort_and_query() {
     let engine = StorageEngine::new(config(10_000));
-    for (t, msg) in [
+    let events = [
         (5i64, "engine_start"),
         (1, "door_open"),
         (3, "ignition"),
         (2, "door_close"),
         (4, "seatbelt"),
-    ] {
-        engine.write(&key(), t, TsValue::from(msg));
-    }
+    ];
+    let rows = events.map(|(t, msg)| (t, TsValue::from(msg)));
+    put(&engine, &key(), rows);
     let got = engine.query(&key(), 1, 5);
     let texts: Vec<&str> = got.iter().filter_map(|(_, v)| v.as_text()).collect();
     assert_eq!(
@@ -49,13 +59,14 @@ fn text_points_sort_and_query() {
 fn text_flush_roundtrips_through_tsfile() {
     let engine = StorageEngine::new(config(200));
     let mut x = 77u64;
-    for i in 0..500i64 {
+    let events = (0..500i64).map(|i| {
         x ^= x << 13;
         x ^= x >> 7;
         x ^= x << 17;
         let t = i + (x % 5) as i64;
-        engine.write(&key(), t, TsValue::Text(format!("event-{t}-✓")));
-    }
+        (t, TsValue::Text(format!("event-{t}-✓")))
+    });
+    put(&engine, &key(), events);
     engine.flush();
     assert!(engine.file_count() >= 2);
     let got = engine.query(&key(), i64::MIN, i64::MAX);
@@ -71,9 +82,10 @@ fn text_survives_wal_recovery() {
     let _ = std::fs::remove_dir_all(&dir);
     {
         let mut engine = DurableEngine::open(&dir, config(50)).unwrap();
-        for t in 0..120i64 {
+        for lo in (0..120i64).step_by(20) {
+            let rows = (lo..lo + 20).map(|t| (t, TsValue::Text(format!("log line {t}"))));
             engine
-                .write(&key(), t, TsValue::Text(format!("log line {t}")))
+                .write_batch(&key(), &PointBatch::from_rows(rows).unwrap())
                 .unwrap();
         }
         engine.sync().unwrap();
@@ -93,10 +105,13 @@ fn mixed_text_and_numeric_sensors_coexist() {
     let engine = StorageEngine::new(config(64));
     let tkey = SeriesKey::new("root.sg.d1", "label");
     let nkey = SeriesKey::new("root.sg.d1", "value");
-    for i in 0..200i64 {
-        engine.write(&tkey, i, TsValue::Text(format!("L{i}")));
-        engine.write(&nkey, i, TsValue::Double(i as f64));
-    }
+    let labels = (0..200).map(|i| (i, TsValue::Text(format!("L{i}"))));
+    put(&engine, &tkey, labels);
+    put(
+        &engine,
+        &nkey,
+        (0..200).map(|i| (i, TsValue::Double(i as f64))),
+    );
     engine.flush();
     engine.compact();
     assert_eq!(engine.query(&tkey, 0, 300).len(), 200);
@@ -107,8 +122,8 @@ fn mixed_text_and_numeric_sensors_coexist() {
 #[test]
 fn text_last_write_wins_on_duplicates() {
     let engine = StorageEngine::new(config(10_000));
-    engine.write(&key(), 7, TsValue::from("first"));
-    engine.write(&key(), 7, TsValue::from("second"));
+    put(&engine, &key(), [(7, TsValue::from("first"))]);
+    put(&engine, &key(), [(7, TsValue::from("second"))]);
     let got = engine.query(&key(), 7, 7);
     assert_eq!(got.len(), 1);
     // With in-memory dedup, the later arrival wins (arena order is
