@@ -1,42 +1,123 @@
 //! Criterion bench for Figs. 16–18's server-side metric: one memtable
-//! flush (sort + dedup + encode + write) per contender.
+//! flush (sort + dedup + encode + write) per contender, and per two
+//! standard-library sorts of the whole tail — `StdSort` (stable, copied
+//! out and back) and `BackSort-L=N` (Backward-Sort's one-block
+//! degenerate, an in-place unstable sort on flat pairs) — the floor a
+//! flat-memory sort sets.
+//!
+//! Two memtables:
+//! * `100k` — one series of 100,000 points under AbsNormal(1, 2);
+//! * `4x25k` — four series of 25,000 points under LogNormal(4, 1): the
+//!   delays, series count and flush size of `perf`'s `ingest-ooo`.
+//!
+//! After each row the flush's own split (`FlushMetrics`: sort, encode,
+//! write) is printed as a mean per point over the row's samples. The
+//! `flush_probe` group times Backward-Sort's block-size probe alone on
+//! the `4x25k` series, the cost a per-series memory of `L` would save.
 
-use backsort_core::Algorithm;
-use backsort_engine::{flush_memtable, ColumnSlice, MemTable, SeriesKey};
-use backsort_sorts::SeriesSorter;
+use backsort_core::{choose_block_size_reporting, Algorithm, BackwardSort, BlockGrowth};
+use backsort_engine::{flush_memtable, ColumnSlice, FlushMetrics, MemTable, SeriesKey};
+use backsort_sorts::{BaselineSorter, SeriesSorter};
+use backsort_tvlist::SliceSeries;
 use backsort_workload::{generate_pairs, DelayModel, StreamSpec};
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 
-fn build_memtable(points: usize) -> MemTable {
-    let key = SeriesKey::new("root.sg.d0", "s0");
-    let spec = StreamSpec::new(
-        points,
-        DelayModel::AbsNormal {
-            mu: 1.0,
-            sigma: 2.0,
-        },
-        42,
-    );
-    let (ts, vs): (Vec<i64>, Vec<f64>) = generate_pairs(&spec).into_iter().unzip();
+/// `series` streams of `points` arrivals each, one DOUBLE run apiece.
+fn build_memtable(series: usize, points: usize, delay: DelayModel) -> MemTable {
     let mut mt = MemTable::new(32);
-    mt.write_columns(&key, &ts, ColumnSlice::Double(&vs), &mut Default::default())
-        .expect("one DOUBLE run");
+    for s in 0..series {
+        let key = SeriesKey::new("root.sg.d0", format!("s{s}"));
+        let spec = StreamSpec::new(points, delay, 42 + s as u64);
+        let (ts, vs): (Vec<i64>, Vec<f64>) = generate_pairs(&spec).into_iter().unzip();
+        mt.write_columns(&key, &ts, ColumnSlice::Double(&vs), &mut Default::default())
+            .expect("one DOUBLE run");
+    }
     mt
+}
+
+fn ingest_ooo_delay() -> DelayModel {
+    DelayModel::LogNormal {
+        mu: 4.0,
+        sigma: 1.0,
+    }
 }
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig16_flush");
     group.sample_size(10);
-    let template = build_memtable(100_000);
-    for alg in Algorithm::contenders() {
-        group.bench_with_input(BenchmarkId::new(alg.name(), "100k"), &alg, |b, alg| {
-            b.iter_batched(
-                || template.clone(),
-                |mt| flush_memtable(&mt, alg, None),
-                BatchSize::LargeInput,
-            )
-        });
+    let cases = [
+        (
+            "100k",
+            build_memtable(
+                1,
+                100_000,
+                DelayModel::AbsNormal {
+                    mu: 1.0,
+                    sigma: 2.0,
+                },
+            ),
+        ),
+        ("4x25k", build_memtable(4, 25_000, ingest_ooo_delay())),
+    ];
+    let mut sorters: Vec<(&str, Algorithm)> = Algorithm::contenders()
+        .into_iter()
+        .map(|alg| (alg.name(), alg))
+        .collect();
+    sorters.push(("StdSort", Algorithm::Baseline(BaselineSorter::Std)));
+    // Fig. 6's `L = N` degenerate: on flat pairs, one in-place
+    // `sort_unstable_by_key` of the whole tail — what blocking must beat.
+    sorters.push((
+        "BackSort-L=N",
+        Algorithm::Backward(BackwardSort::with_fixed_block_size(usize::MAX)),
+    ));
+    for (case, template) in &cases {
+        for (name, alg) in &sorters {
+            let mut splits: Vec<FlushMetrics> = Vec::new();
+            group.bench_with_input(BenchmarkId::new(*name, case), alg, |b, alg| {
+                b.iter_batched(
+                    || template.clone(),
+                    |mt| {
+                        let (image, metrics) = flush_memtable(&mt, alg, None);
+                        splits.push(metrics);
+                        image
+                    },
+                    BatchSize::LargeInput,
+                )
+            });
+            let points: u64 = splits.iter().map(|m| m.points).sum();
+            let per_point = |nanos: fn(&FlushMetrics) -> u64| {
+                splits.iter().map(nanos).sum::<u64>() as f64 / points.max(1) as f64
+            };
+            println!(
+                "fig16_flush/{name}/{case} split: sort {:.1} encode {:.1} write {:.1} ns/point",
+                per_point(|m| m.sort_nanos),
+                per_point(|m| m.encode_nanos),
+                per_point(|m| m.write_nanos),
+            );
+        }
     }
+    group.finish();
+
+    let mut group = c.benchmark_group("flush_probe");
+    group.sample_size(50);
+    let tails: Vec<Vec<(i64, f64)>> = (0..4)
+        .map(|s| generate_pairs(&StreamSpec::new(25_000, ingest_ooo_delay(), 42 + s)))
+        .collect();
+    group.bench_function("iir/4x25k", |b| {
+        b.iter_batched(
+            || tails.clone(),
+            |mut tails| {
+                tails
+                    .iter_mut()
+                    .map(|t| {
+                        let s = SliceSeries::new(t);
+                        choose_block_size_reporting(&s, 0.04, 4, BlockGrowth::Doubling).0
+                    })
+                    .sum::<usize>()
+            },
+            BatchSize::LargeInput,
+        )
+    });
     group.finish();
 }
 

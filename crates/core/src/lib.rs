@@ -14,7 +14,8 @@
 //!    doubling until the down-sampled empirical interval inversion ratio
 //!    `α̃_L` falls below the threshold `Θ`;
 //! 2. **Sort by blocks** — sort each `L`-sized block independently
-//!    (quicksort by default, substitutable);
+//!    (quicksort by default, substitutable — on flat memory, the
+//!    standard library's slice sort; see [`InBlockSort`]);
 //! 3. **Backward merge** ([`merge`]) — walk blocks back-to-front, merging
 //!    each into the already-sorted suffix; only the expected-`Q`-sized
 //!    overlap is touched, using scratch space proportional to the overlap.
@@ -54,11 +55,13 @@ use backsort_tvlist::{SeriesAccess, SliceSeries};
 /// sort stable, since the backward merge itself is stable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum InBlockSort {
-    /// Middle-pivot quicksort (paper default). Unstable.
+    /// Middle-pivot quicksort (paper default); on flat memory
+    /// ([`SeriesAccess::contiguous_from`]), `sort_unstable_by_key` on
+    /// the block's pairs. Unstable.
     #[default]
     Quick,
-    /// Extract-and-stable-sort per block (binary insertion when small).
-    /// Stable.
+    /// Extract-and-stable-sort per block (binary insertion when small);
+    /// on flat memory, `sort_by_key` on the block's pairs. Stable.
     Stable,
     /// Binary insertion sort. Stable; only sensible for small blocks.
     Insertion,
@@ -254,6 +257,14 @@ impl BackwardSort {
         report
     }
 
+    /// Sorts the block `s[lo..hi]` with [`in_block`](Self::in_block).
+    ///
+    /// On flat memory the quick and stable sorts are the standard
+    /// library's slice sorts — the substitution Algorithm 1 allows —
+    /// which move whole pairs with no per-access dispatch. A `TVList` or
+    /// an [`Instrumented`](backsort_tvlist::Instrumented) series keeps
+    /// the paper's quicksort, whose moves and comparisons Figs. 8–12
+    /// count.
     fn sort_block<S: SeriesAccess>(&self, s: &mut S, lo: usize, hi: usize) {
         // Delay-only data leaves many blocks already sorted; a linear
         // pre-check (first inversion exits early) skips them — the same
@@ -261,9 +272,11 @@ impl BackwardSort {
         if (lo + 1..hi).all(|i| s.time(i - 1) <= s.time(i)) {
             return;
         }
-        match self.in_block {
-            InBlockSort::Quick => backsort_sorts::quicksort_range(s, lo, hi),
-            InBlockSort::Stable => {
+        match (self.in_block, s.contiguous_from(lo)) {
+            (InBlockSort::Quick, Some(flat)) => flat[..hi - lo].sort_unstable_by_key(|p| p.0),
+            (InBlockSort::Stable, Some(flat)) => flat[..hi - lo].sort_by_key(|p| p.0),
+            (InBlockSort::Quick, _) => backsort_sorts::quicksort_range(s, lo, hi),
+            (InBlockSort::Stable, _) => {
                 if hi - lo <= 64 {
                     backsort_sorts::binary_insertion_sort_range(s, lo, hi, lo);
                 } else {
@@ -274,7 +287,9 @@ impl BackwardSort {
                     }
                 }
             }
-            InBlockSort::Insertion => backsort_sorts::binary_insertion_sort_range(s, lo, hi, lo),
+            (InBlockSort::Insertion, _) => {
+                backsort_sorts::binary_insertion_sort_range(s, lo, hi, lo)
+            }
         }
     }
 }

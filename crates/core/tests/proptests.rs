@@ -6,7 +6,7 @@ use backsort_core::{
     backward_sort, choose_block_size, iir, merge, Algorithm, BackwardSort, InBlockSort,
 };
 use backsort_sorts::SeriesSorter;
-use backsort_tvlist::{SeriesAccess, SliceSeries, TVList};
+use backsort_tvlist::{Instrumented, SeriesAccess, SliceSeries, TVList};
 use proptest::prelude::*;
 
 fn delay_only(delays: &[u16]) -> Vec<(i64, i32)> {
@@ -138,6 +138,49 @@ proptest! {
             let mut got_set = got;
             got_set.sort_unstable();
             prop_assert_eq!(&got_set, &want, "{} lost or invented a point", alg.name());
+        }
+    }
+
+    /// A flat series' blocks are sorted as slices, an instrumented one's
+    /// through `SeriesAccess` with the paper's quicksort: for every
+    /// in-block sort, searched and fixed block sizes, on delay-only and
+    /// shuffled streams with equal timestamps, the two give the same
+    /// timestamps, and the stable configuration exactly the pairs the
+    /// standard stable sort gives.
+    #[test]
+    fn flat_and_generic_block_sorts_agree(
+        delays in prop::collection::vec(0u16..64, 1..500),
+        shuffled in prop::collection::vec(0i64..40, 1..500),
+        l in 1usize..64,
+    ) {
+        let delayed: Vec<(i64, i32)> =
+            delay_only(&delays).into_iter().map(|(t, v)| (t / 2, v)).collect();
+        let shuffled: Vec<(i64, i32)> =
+            shuffled.iter().enumerate().map(|(i, &t)| (t, i as i32)).collect();
+        for input in [delayed, shuffled] {
+            let mut stable = input.clone();
+            stable.sort_by_key(|p| p.0);
+            let times = |p: &[(i64, i32)]| p.iter().map(|p| p.0).collect::<Vec<_>>();
+            for in_block in [InBlockSort::Quick, InBlockSort::Stable, InBlockSort::Insertion] {
+                for fixed_block_size in [None, Some(l)] {
+                    let cfg = BackwardSort { in_block, fixed_block_size, ..BackwardSort::default() };
+                    let mut flat = input.clone();
+                    cfg.sort_series(&mut SliceSeries::new(&mut flat));
+                    let mut generic = input.clone();
+                    cfg.sort_series(&mut Instrumented::new(SliceSeries::new(&mut generic)));
+                    prop_assert_eq!(times(&flat), times(&stable), "{:?} {:?}", in_block, fixed_block_size);
+                    prop_assert_eq!(times(&generic), times(&stable), "{:?} {:?}", in_block, fixed_block_size);
+                    let mut flat_set = flat.clone();
+                    flat_set.sort_unstable();
+                    let mut want = stable.clone();
+                    want.sort_unstable();
+                    prop_assert_eq!(flat_set, want, "{:?} lost or invented a point", in_block);
+                    if in_block != InBlockSort::Quick {
+                        prop_assert_eq!(&flat, &stable, "{:?} {:?}", in_block, fixed_block_size);
+                        prop_assert_eq!(&generic, &stable, "{:?} {:?}", in_block, fixed_block_size);
+                    }
+                }
+            }
         }
     }
 

@@ -7,7 +7,8 @@
 //! * [`gorilla`] — Facebook Gorilla XOR compression for floats;
 //! * [`varint`] — zigzag + LEB128 varints, the substrate for headers and
 //!   TS_2DIFF block metadata;
-//! * [`bitio`] — bit-granular reader/writer shared by the above.
+//! * [`bitio`] — bit-granular reader/writer shared by the above, each
+//!   moving a 64-bit word at a time.
 
 /// Zigzag + LEB128 variable-length integers.
 pub mod varint {
@@ -70,11 +71,22 @@ pub mod varint {
 /// Bit-granular I/O.
 pub mod bitio {
     /// MSB-first bit writer.
+    ///
+    /// Bits collect in a 64-bit accumulator, first bit highest, and
+    /// leave it as eight big-endian bytes whenever it fills, so a field
+    /// costs a shift and an or rather than a loop over the bytes it
+    /// touches. [`finish`](Self::finish) pads the last byte with zero
+    /// bits: the bytes are those a writer that appends one byte at a
+    /// time produces.
     #[derive(Debug, Default)]
     pub struct BitWriter {
+        /// Whole words written so far.
         bytes: Vec<u8>,
-        /// Bits already used in the last byte (0..8).
-        used: u8,
+        /// The bits not yet in `bytes`, in the top `used` bits; the rest
+        /// are zero.
+        acc: u64,
+        /// Bits pending in `acc` (0..64).
+        used: u32,
     }
 
     impl BitWriter {
@@ -83,42 +95,80 @@ pub mod bitio {
             Self::default()
         }
 
-        /// Writes the low `bits` bits of `v`, MSB first.
+        /// Writes the low `bits` (at most 64) bits of `v`, MSB first.
+        #[inline]
         pub fn write_bits(&mut self, v: u64, bits: u8) {
             debug_assert!(bits <= 64);
-            let mut remaining = bits;
-            while remaining > 0 {
-                let free = 8 - self.used;
-                let take = free.min(remaining);
-                let shift = remaining - take;
-                let chunk = ((v >> shift) & ((1u64 << take) - 1)) as u8;
-                if self.used == 0 {
-                    self.bytes.push(chunk << (free - take));
-                } else if let Some(last) = self.bytes.last_mut() {
-                    *last |= chunk << (free - take);
-                }
-                self.used = (self.used + take) % 8;
-                remaining -= take;
+            let bits = u32::from(bits.min(64));
+            if bits == 0 {
+                return;
+            }
+            let v = v & (u64::MAX >> (64 - bits));
+            let free = 64 - self.used;
+            if bits < free {
+                self.acc |= v << (free - bits);
+                self.used += bits;
+            } else {
+                // The field fills the word: its high `free` bits close
+                // it, and the `spill` below them open the next.
+                let spill = bits - free;
+                self.acc |= v >> spill;
+                self.bytes.extend_from_slice(&self.acc.to_be_bytes());
+                self.acc = v.checked_shl(64 - spill).unwrap_or(0);
+                self.used = spill;
             }
         }
 
         /// Writes a single bit.
+        #[inline]
         pub fn write_bit(&mut self, bit: bool) {
             self.write_bits(bit as u64, 1);
         }
 
         /// Pads to a byte boundary and returns the buffer.
-        pub fn finish(self) -> Vec<u8> {
+        pub fn finish(mut self) -> Vec<u8> {
+            self.flush_pending();
             self.bytes
         }
 
-        /// Bits written so far.
-        pub fn bit_len(&self) -> usize {
-            if self.used == 0 {
-                self.bytes.len() * 8
-            } else {
-                (self.bytes.len() - 1) * 8 + self.used as usize
+        /// Pads to a byte boundary, appends everything written to `out`,
+        /// and leaves the writer empty with its buffer kept — so one
+        /// writer packs block after block.
+        pub fn finish_into(&mut self, out: &mut Vec<u8>) {
+            self.flush_pending();
+            out.extend_from_slice(&self.bytes);
+            self.bytes.clear();
+        }
+
+        /// Moves the pending bits into `bytes`, zero-padded to a byte.
+        fn flush_pending(&mut self) {
+            let tail = (self.used as usize).div_ceil(8);
+            self.bytes
+                .extend_from_slice(&self.acc.to_be_bytes()[..tail]);
+            self.acc = 0;
+            self.used = 0;
+        }
+    }
+
+    /// The per-byte loop [`BitWriter::write_bits`] replaced, kept as the
+    /// reference its differential test compares against: it appends to
+    /// `bytes` a byte at a time, `used` counting the bits taken in the
+    /// last one, so the last byte is zero-padded as it is written.
+    #[cfg(test)]
+    pub(crate) fn write_bits_reference(bytes: &mut Vec<u8>, used: &mut u8, v: u64, bits: u8) {
+        let mut remaining = bits;
+        while remaining > 0 {
+            let free = 8 - *used;
+            let take = free.min(remaining);
+            let shift = remaining - take;
+            let chunk = ((v >> shift) & ((1u64 << take) - 1)) as u8;
+            if *used == 0 {
+                bytes.push(chunk << (free - take));
+            } else if let Some(last) = bytes.last_mut() {
+                *last |= chunk << (free - take);
             }
+            *used = (*used + take) % 8;
+            remaining -= take;
         }
     }
 
@@ -217,41 +267,32 @@ pub mod ts2diff {
             return out;
         };
         varint::write_i64(&mut out, head);
-        if rest.is_empty() {
-            return out;
-        }
-        // First-order deltas; their own deltas get packed.
-        let deltas: Vec<i64> = values
-            .iter()
-            .zip(rest)
-            .map(|(a, b)| b.wrapping_sub(*a))
-            .collect();
-        for block in deltas.chunks(BLOCK) {
-            let Some(&min) = block.iter().min() else {
-                continue;
-            };
+        // First-order deltas, a block at a time on the stack; their
+        // offsets from the block's least delta get packed, through one
+        // writer for the whole column.
+        let mut prev = head;
+        let mut deltas = [0i64; BLOCK];
+        let mut bw = super::bitio::BitWriter::new();
+        for block in rest.chunks(BLOCK) {
+            let deltas = &mut deltas[..block.len()];
+            for (d, &v) in deltas.iter_mut().zip(block) {
+                *d = v.wrapping_sub(prev);
+                prev = v;
+            }
+            let min = deltas.iter().copied().min().unwrap_or(0);
+            let max = deltas.iter().map(|&d| d.wrapping_sub(min) as u64).max();
+            let width = (64 - max.unwrap_or(0).leading_zeros()) as u8;
             varint::write_i64(&mut out, min);
-            let offsets: Vec<u64> = block
-                .iter()
-                .map(|&d| (d.wrapping_sub(min)) as u64)
-                .collect();
-            let max = offsets.iter().copied().max().unwrap_or(0);
-            let width = if max == 0 {
-                0
-            } else {
-                64 - max.leading_zeros() as u8
-            };
             out.push(width);
             varint::write_u64(&mut out, block.len() as u64);
-            let mut bw = super::bitio::BitWriter::new();
-            if width > 0 {
-                for &o in &offsets {
-                    bw.write_bits(o, width);
-                }
+            varint::write_u64(
+                &mut out,
+                (block.len() * usize::from(width)).div_ceil(8) as u64,
+            );
+            for &d in deltas.iter() {
+                bw.write_bits(d.wrapping_sub(min) as u64, width);
             }
-            let packed = bw.finish();
-            varint::write_u64(&mut out, packed.len() as u64);
-            out.extend_from_slice(&packed);
+            bw.finish_into(&mut out);
         }
         out
     }
@@ -657,6 +698,61 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The word-at-a-time `write_bits` against the per-byte loop it
+    /// replaced: random fields of every width 0–64 — values carrying
+    /// bits above the width, which neither may write — each stream
+    /// finished after every count of fields, so `finish` pads at every
+    /// bit offset; then a 64-bit field at each of the 64 offsets, and
+    /// `finish_into` handing over block after block from one writer.
+    #[test]
+    fn write_bits_matches_the_per_byte_reference() {
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let written = |fields: &[(u64, u8)]| {
+            let mut fast = bitio::BitWriter::new();
+            let (mut slow, mut used) = (Vec::new(), 0u8);
+            for &(v, bits) in fields {
+                fast.write_bits(v, bits);
+                bitio::write_bits_reference(&mut slow, &mut used, v, bits);
+            }
+            (fast.finish(), slow)
+        };
+        for round in 0..200 {
+            let fields: Vec<(u64, u8)> = (0..round % 40)
+                .map(|_| (next(), (next() % 65) as u8))
+                .collect();
+            for end in 0..=fields.len() {
+                let (fast, slow) = written(&fields[..end]);
+                assert_eq!(fast, slow, "round {round}, {end} fields");
+            }
+        }
+        for offset in 0..64u8 {
+            let fields = [(next(), offset), (next(), 64), (next(), 64 - offset)];
+            let (fast, slow) = written(&fields);
+            assert_eq!(fast, slow, "64-bit field at offset {offset}");
+            assert_eq!(fast.len(), 16);
+        }
+        let mut one = bitio::BitWriter::new();
+        let mut blocks = Vec::new();
+        let mut want = Vec::new();
+        for width in 0..=64u8 {
+            let fields: Vec<(u64, u8)> = (0..(width as usize % 7) + 1)
+                .map(|_| (next(), width))
+                .collect();
+            for &(v, bits) in &fields {
+                one.write_bits(v, bits);
+            }
+            one.finish_into(&mut blocks);
+            want.extend(written(&fields).1);
+        }
+        assert_eq!(blocks, want, "finish_into");
     }
 
     #[test]

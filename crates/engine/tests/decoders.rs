@@ -631,13 +631,8 @@ fn reader_pages(image: &[u8], meta: &ChunkMeta, lo: i64) -> u64 {
         .count() as u64
 }
 
-/// Regenerates `fixtures/writer_v3.tsfile` with the current writer:
-/// `cargo test -p backsort-engine --test decoders -- --ignored`. The
-/// committed file was written by the writer that introduced v3 and must
-/// keep reading as the points above; rewrite it only for a new format.
-#[test]
-#[ignore = "writes a fixture into the source tree"]
-fn write_the_v3_fixture() {
+/// The v3 fixture's image as the current writer writes it.
+fn v3_fixture_image() -> Vec<u8> {
     let mut w = TsFileWriter::new();
     for (sensor, n) in FIXTURE_SENSORS {
         let rows = fixture_rows(sensor, n);
@@ -645,9 +640,31 @@ fn write_the_v3_fixture() {
         let values: Vec<TsValue> = rows.into_iter().map(|(_, v)| v).collect();
         w.write_chunk(&SeriesKey::new("root.fix.d0", sensor), &times, &values);
     }
+    w.finish()
+}
+
+/// The writer's bytes are part of the format: an encoder rewritten for
+/// speed must write the committed v3 image byte for byte, every codec's
+/// pages and the page headers included.
+#[test]
+fn the_writer_reproduces_the_v3_fixture_byte_for_byte() {
+    let (_, committed, _) = FIXTURES[2];
+    let image = v3_fixture_image();
+    assert_eq!(image.len(), committed.len());
+    let first_difference = image.iter().zip(committed).position(|(a, b)| a != b);
+    assert_eq!(first_difference, None, "the image differs from the fixture");
+}
+
+/// Regenerates `fixtures/writer_v3.tsfile` with the current writer:
+/// `cargo test -p backsort-engine --test decoders -- --ignored`. The
+/// committed file was written by the writer that introduced v3 and must
+/// keep reading as the points above; rewrite it only for a new format.
+#[test]
+#[ignore = "writes a fixture into the source tree"]
+fn write_the_v3_fixture() {
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/tests/fixtures/writer_v3.tsfile"
     );
-    std::fs::write(path, w.finish()).expect("fixture written");
+    std::fs::write(path, v3_fixture_image()).expect("fixture written");
 }
