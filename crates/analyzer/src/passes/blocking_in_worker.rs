@@ -37,7 +37,7 @@ use std::collections::BTreeMap;
 
 use crate::{Analysis, Config, Finding, Lint, Severity, Workspace};
 
-use super::in_crates;
+use super::{in_crates, or_default};
 
 /// The pass.
 pub struct BlockingInWorker;
@@ -153,14 +153,5 @@ impl Lint for BlockingInWorker {
                 });
             }
         }
-    }
-}
-
-/// A configured list, or the pass's built-in default when unset.
-fn or_default(configured: &[String], default: &[&str]) -> Vec<String> {
-    if configured.is_empty() {
-        default.iter().map(|s| s.to_string()).collect()
-    } else {
-        configured.to_vec()
     }
 }

@@ -24,7 +24,7 @@ use std::collections::BTreeMap;
 
 use crate::{Analysis, Config, Finding, Lint, Severity, Workspace};
 
-use super::{contains_token, in_crates};
+use super::{contains_token, in_crates, or_default};
 
 /// The pass.
 pub struct DroppedError;
@@ -261,13 +261,4 @@ fn ret_carries_error(
 fn text_carries_error(ty: &str, error_tokens: &[String], error_paths: &[String]) -> bool {
     error_tokens.iter().any(|t| contains_token(ty, t))
         || error_paths.iter().any(|p| ty.contains(p.as_str()))
-}
-
-/// A configured list, or the pass's built-in default when unset.
-fn or_default(configured: &[String], default: &[&str]) -> Vec<String> {
-    if configured.is_empty() {
-        default.iter().map(|s| s.to_string()).collect()
-    } else {
-        configured.to_vec()
-    }
 }

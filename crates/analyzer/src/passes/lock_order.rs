@@ -27,7 +27,7 @@ use std::collections::BTreeMap;
 use crate::symbols::SymbolTable;
 use crate::{Analysis, Config, Finding, Lint, Severity, Workspace};
 
-use super::{find_word, in_crates};
+use super::{binding_name, broken_name, in_crates, loop_binding, or_default};
 
 /// The pass.
 pub struct LockOrder;
@@ -145,6 +145,7 @@ impl Lint for LockOrder {
             // Guard parameters (`st: &ShardState`) mean the caller hands
             // this function an already-held shard lock.
             let mut guards: Vec<(usize, String, usize)> = Vec::new(); // (class, name, depth)
+            let mut loop_lets: Vec<(String, usize)> = Vec::new(); // `let NAME = loop {`: (name, depth)
             for (pname, pty) in &sym.params {
                 if guard_params.iter().any(|g| pty.contains(g.as_str())) {
                     if let Some(c) = classes.intern("shard", true) {
@@ -163,6 +164,7 @@ impl Lint for LockOrder {
                     continue;
                 }
                 guards.retain(|(_, _, d)| *d == 0 || *d <= depth);
+                loop_lets.retain(|(_, d)| *d < depth);
                 for g_idx in (0..guards.len()).rev() {
                     if !guards[g_idx].1.is_empty()
                         && text.contains(&format!("drop({})", guards[g_idx].1))
@@ -212,6 +214,13 @@ impl Lint for LockOrder {
                             guards.retain(|(_, n, _)| n != &name);
                             guards.push((c, name, depth.max(1)));
                         }
+                    }
+                }
+                // A guard broken out of a `loop` lives on in its binding.
+                loop_lets.extend(loop_binding(text).map(|name| (name, depth)));
+                if let (Some(broken), Some((name, d))) = (broken_name(text), loop_lets.last()) {
+                    for g in guards.iter_mut().filter(|g| g.1 == broken) {
+                        (g.1, g.2) = (name.clone(), (*d).max(1));
                     }
                 }
             }
@@ -402,29 +411,4 @@ fn receiver_field(text: &str, at: usize, table: &SymbolTable) -> Option<String> 
     } else {
         None
     }
-}
-
-/// A configured list, or the pass's built-in default when unset.
-fn or_default(configured: &[String], default: &[&str]) -> Vec<String> {
-    if configured.is_empty() {
-        default.iter().map(|s| s.to_string()).collect()
-    } else {
-        configured.to_vec()
-    }
-}
-
-/// `let mut st = ...` / `let st = ...` → `st`.
-fn binding_name(text: &str) -> Option<String> {
-    let idx = find_word(text, "let ", 0)?;
-    let rest = text[idx + 4..].trim_start();
-    let rest = rest.strip_prefix("mut ").unwrap_or(rest).trim_start();
-    let name: String = rest
-        .chars()
-        .take_while(|c| c.is_alphanumeric() || *c == '_')
-        .collect();
-    let after = rest[name.len()..].trim_start();
-    if name.is_empty() || !after.starts_with('=') {
-        return None;
-    }
-    Some(name)
 }

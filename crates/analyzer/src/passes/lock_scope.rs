@@ -18,7 +18,7 @@
 
 use crate::{Config, Finding, Lint, Severity, Workspace};
 
-use super::{find_word, in_crates};
+use super::{binding_name, broken_name, find_word, in_crates, loop_binding, or_default};
 
 /// The pass.
 pub struct LockScope;
@@ -66,6 +66,8 @@ impl Lint for LockScope {
         for file in ws.files.iter().filter(|f| in_crates(f, crates)) {
             let scan = &file.scan;
             let mut guards: Vec<Guard> = Vec::new();
+            // Open `let NAME = loop {` bindings: (name, depth).
+            let mut loop_lets: Vec<(String, usize)> = Vec::new();
             // A function signature being accumulated (seen `fn`, waiting
             // for its opening `{` or a `;`).
             let mut sig: Option<String> = None;
@@ -82,6 +84,7 @@ impl Lint for LockScope {
 
                 // Close scopes that ended on previous lines.
                 guards.retain(|g| g.depth <= depth);
+                loop_lets.retain(|(_, d)| *d < depth);
                 if fn_depth.is_some_and(|d| depth < d) {
                     fn_depth = None;
                     guards.clear();
@@ -188,32 +191,14 @@ impl Lint for LockScope {
                         });
                     }
                 }
+                // A guard broken out of a `loop` lives on in its binding.
+                loop_lets.extend(loop_binding(text).map(|name| (name, depth)));
+                if let (Some(broken), Some((name, d))) = (broken_name(text), loop_lets.last()) {
+                    for g in guards.iter_mut().filter(|g| g.name == broken) {
+                        (g.name, g.depth) = (name.clone(), *d);
+                    }
+                }
             }
         }
     }
-}
-
-/// A configured list, or the pass's built-in default when unset.
-fn or_default(configured: &[String], default: &[&str]) -> Vec<String> {
-    if configured.is_empty() {
-        default.iter().map(|s| s.to_string()).collect()
-    } else {
-        configured.to_vec()
-    }
-}
-
-/// `let mut st = ...` / `let st = ...` → `st`.
-fn binding_name(text: &str) -> Option<String> {
-    let idx = find_word(text, "let ", 0)?;
-    let rest = text[idx + 4..].trim_start();
-    let rest = rest.strip_prefix("mut ").unwrap_or(rest).trim_start();
-    let name: String = rest
-        .chars()
-        .take_while(|c| c.is_alphanumeric() || *c == '_')
-        .collect();
-    let after = rest[name.len()..].trim_start();
-    if name.is_empty() || !after.starts_with('=') {
-        return None;
-    }
-    Some(name)
 }

@@ -1,6 +1,7 @@
 //! lock-order bad paths: an acquisition-order cycle between the pool
 //! and cache mutexes, a transitive I/O sink reached under a live shard
-//! guard, and a shard re-acquisition through a call chain.
+//! guard (taken directly, or carried out of a `loop` by `break`), and a
+//! shard re-acquisition through a call chain.
 
 pub struct Engine {
     pool: Mutex<u32>,
@@ -25,6 +26,15 @@ impl Engine {
 
     pub fn flush_under_guard(&self) {
         let st = self.shards.write();
+        self.flush_locked(); //~ lock-order
+        drop(st);
+    }
+
+    pub fn flush_under_a_guard_broken_out_of_a_loop(&self) {
+        let st = loop {
+            let st = self.shards.write();
+            break st;
+        };
         self.flush_locked(); //~ lock-order
         drop(st);
     }

@@ -31,4 +31,16 @@ impl Engine {
     pub fn locked_param(&self, st: &mut ShardState) {
         self.io.write_durable(&path, &bytes).ok(); //~ lock-scope
     }
+
+    /// A guard a `break` carries out of a `loop` stays live.
+    pub fn guard_broken_out_of_a_loop(&self) {
+        let mut st = loop {
+            let st = self.shards[0].write();
+            if st.ready {
+                break st;
+            }
+        };
+        std::fs::read_to_string("x").ok(); //~ lock-scope
+        drop(st);
+    }
 }

@@ -32,6 +32,17 @@ impl Engine {
         let mut st = self.shards[1].write();
         drop(st);
     }
+
+    /// A loop that breaks out a value, not its guard, leaves none live.
+    pub fn value_broken_out_of_a_loop(&self) {
+        let n = loop {
+            let st = self.shards[0].read();
+            let n = st.files.len();
+            drop(st);
+            break n;
+        };
+        std::fs::read_to_string("x").ok();
+    }
 }
 
 #[cfg(test)]

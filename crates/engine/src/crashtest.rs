@@ -118,11 +118,12 @@ fn apply_op(state: &mut BTreeMap<i64, TsValue>, op: &KeyOp) {
 /// The in-memory model the recovered engine is checked against: per
 /// series, the full op history, the acknowledged-prefix watermark, and
 /// which ops are indeterminate (their call returned an error, so the
-/// fault may have struck before or after their WAL record landed).
+/// fault may have struck before or after their WAL record landed) — one
+/// group a call, as a batch's rows share one frame.
 struct Oracle {
     ops: Vec<Vec<KeyOp>>,
     acked: Vec<usize>,
-    optional: Vec<Vec<usize>>,
+    optional: Vec<Vec<Vec<usize>>>,
 }
 
 impl Oracle {
@@ -139,8 +140,8 @@ impl Oracle {
         self.ops[k].len() - 1
     }
 
-    fn mark_optional(&mut self, k: usize, idx: usize) {
-        self.optional[k].push(idx);
+    fn mark_optional(&mut self, k: usize, idxs: Vec<usize>) {
+        self.optional[k].push(idxs);
     }
 
     /// A durability barrier succeeded: everything issued so far is
@@ -154,13 +155,13 @@ impl Oracle {
     /// Does `recovered` equal the replay of some admissible prefix of
     /// this series' ops? Admissible: at least the acknowledged prefix
     /// (minus excluded indeterminate ops), at most everything, with
-    /// each indeterminate op tried both included and excluded.
+    /// each group of indeterminate ops tried both included and excluded.
     fn check_key(&self, k: usize, recovered: &BTreeMap<i64, TsValue>) -> Result<(), String> {
         let ops = &self.ops[k];
         let optional = &self.optional[k];
         if optional.len() > 6 {
             return Err(format!(
-                "{} indeterminate ops on one series — harness assumption broken",
+                "{} indeterminate calls on one series — harness assumption broken",
                 optional.len()
             ));
         }
@@ -169,7 +170,7 @@ impl Oracle {
                 .iter()
                 .enumerate()
                 .filter(|(bit, _)| mask >> bit & 1 == 1)
-                .map(|(_, &idx)| idx)
+                .flat_map(|(_, group)| group.iter().copied())
                 .collect();
             let floor = self.acked[k] - excluded.iter().filter(|&&i| i < self.acked[k]).count();
             let seq: Vec<&KeyOp> = ops
@@ -320,8 +321,8 @@ pub fn matrix() -> Vec<CaseSpec> {
 /// Durably writes `rows` to series `k` as one batch — one WAL frame —
 /// and records them in the oracle: a write that completed a rotation
 /// acknowledges everything issued, and a failed one leaves its rows
-/// indeterminate, the checker trying both readings (the frame is atomic,
-/// so a half-applied batch shows up as a state matching no prefix).
+/// indeterminate as one group, the checker trying both readings (the
+/// frame is atomic, so a half-applied batch matches neither).
 fn write_rows(
     eng: &mut DurableEngine,
     oracle: &mut Oracle,
@@ -339,9 +340,7 @@ fn write_rows(
     match eng.write_batch(&keys[k], &batch) {
         Ok(Some(_)) => oracle.barrier(),
         Ok(None) => {}
-        Err(_) => idxs
-            .into_iter()
-            .for_each(|idx| oracle.mark_optional(k, idx)),
+        Err(_) => oracle.mark_optional(k, idxs),
     }
 }
 
@@ -357,6 +356,17 @@ fn workload(
     rng: &mut Rng,
     shards: usize,
 ) {
+    // A straggler burst first: a memtable of one series, then all of it
+    // again below its watermark — the unsequence memtable's rotation.
+    for _ in 0..2 {
+        let rows = (0..MEMTABLE_MAX as i64)
+            .map(|i| (i * 4, TsValue::Long(rng.below(100_000) as i64 - 50_000)))
+            .collect();
+        write_rows(eng, oracle, keys, 0, rows);
+        if faults.is_dead() {
+            return;
+        }
+    }
     let mut tick = vec![0i64; keys.len()];
     for round in 0..6u64 {
         // One point a batch, so rotations fall after exactly
@@ -390,7 +400,7 @@ fn workload(
             let lo = hi - 60;
             let idx = oracle.record(k, KeyOp::Delete(lo, hi));
             if eng.delete_range(&keys[k], lo, hi).is_err() {
-                oracle.mark_optional(k, idx);
+                oracle.mark_optional(k, vec![idx]);
             }
             if faults.is_dead() {
                 return;

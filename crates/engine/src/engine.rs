@@ -42,7 +42,7 @@ use parking_lot::RwLock;
 use crate::batch::{type_mismatch, ColumnSlice, PointBatch, WriteError};
 use crate::cache::BlockCache;
 use crate::delete::Tombstone;
-use crate::flush::{flush_memtable, flush_series, FlushMetrics, Gathered};
+use crate::flush::{flush_series, FlushMetrics, Gathered};
 use crate::memtable::{MemTable, SeriesBuffer};
 use crate::read::{FileHandle, IntervalSet, Run, Scan, Sink};
 use crate::types::{SeriesKey, TsValue};
@@ -129,11 +129,12 @@ pub type QueryResult = Vec<(i64, TsValue)>;
 /// The ticket for one shard's pending flush.
 ///
 /// Produced by [`StorageEngine::write_batch_nonblocking`] (or
-/// [`StorageEngine::begin_flush_shard`]) when a working memtable
-/// rotates into its shard's flushing slot; consumed by
+/// [`StorageEngine::begin_flush_shard`]) when a working or unsequence
+/// memtable rotates into its shard's one flushing slot; consumed by
 /// [`StorageEngine::complete_flush`], directly or via
-/// [`FlushPool::submit`](crate::FlushPool::submit). The job carries no data:
-/// the slot is the rotated memtable's only owner, queries keep reading
+/// [`FlushPool::submit`](crate::FlushPool::submit), installing in rotation
+/// order — age order (DESIGN.md §3). The job carries no data: the slot
+/// is the rotated memtable's only owner, queries keep reading
 /// it (and deletes editing it) there while the job is outstanding, and
 /// the flush copies each series out under the shard's read lock. Only
 /// installing the slot frees it: completing the job, or a
@@ -146,6 +147,7 @@ pub type QueryResult = Vec<(i64, TsValue)>;
 pub struct FlushJob {
     shard: usize,
     generation: u64,
+    unseq: bool,
 }
 
 impl FlushJob {
@@ -163,9 +165,10 @@ struct ShardState {
     /// (sorting its buffers in place when dirty), deletes edit it, and
     /// the flush copies it out series by series under the read lock.
     flushing: Option<MemTable>,
-    /// Rotations so far: the generation of the slot's occupant, which
-    /// its [`FlushJob`] carries.
+    /// Rotations so far — the generation of the slot's occupant — and
+    /// whether that is an unsequence memtable: its [`FlushJob`] carries both.
     slot_generation: u64,
+    slot_unseq: bool,
     unseq: MemTable,
     /// Per-sensor flush watermark: timestamps `<=` this have been flushed,
     /// so later arrivals below it are "very long delayed" and take the
@@ -207,7 +210,24 @@ impl ShardState {
         self.flushing.as_ref().map(|_| FlushJob {
             shard,
             generation: self.slot_generation,
+            unseq: self.slot_unseq,
         })
+    }
+
+    /// The shard's memtables in ascending merge rank — the slot's, the
+    /// working one, the unsequence one: on a shared timestamp the later
+    /// wins, because it is the younger (DESIGN.md §3).
+    fn memtables(&self) -> impl Iterator<Item = &MemTable> {
+        self.flushing.iter().chain([&self.working, &self.unseq])
+    }
+
+    /// The working memtable, or with `unseq` the unsequence one.
+    fn memtable(&mut self, unseq: bool) -> &mut MemTable {
+        if unseq {
+            &mut self.unseq
+        } else {
+            &mut self.working
+        }
     }
 
     /// Removes `key`'s points in `[t_lo, t_hi]` from every memtable.
@@ -412,20 +432,23 @@ impl EngineObs {
 
 /// Finds the end of the next run of a batch's timestamp column,
 /// starting at `idx`: consecutive points that all land on the same side
-/// of the separation watermark. A sequence-bound run additionally stops
-/// after `seq_room` points — the working memtable's remaining room while
-/// a rotation can still happen, so the caller rotates, and re-reads the
-/// moved watermark, before routing the rest; `usize::MAX` once the
-/// flushing slot is taken. The scan stops where the run does, so no
-/// point of a batch is looked at twice. Returns `(run_end, routes_unseq)`.
-fn next_run(ts: &[i64], idx: usize, watermark: Option<i64>, seq_room: usize) -> (usize, bool) {
+/// of the separation watermark. While a rotation can still happen, `room`
+/// holds the two memtables' remaining room (working, unsequence) and a
+/// run stops at its memtable's, so the caller rotates, and re-reads the
+/// watermark, before routing the rest; `None` once the flushing slot is
+/// taken. The scan stops where the run does, so no point of a batch is
+/// looked at twice. Returns `(run_end, routes_unseq)`.
+fn next_run(
+    ts: &[i64],
+    idx: usize,
+    watermark: Option<i64>,
+    room: Option<[usize; 2]>,
+) -> (usize, bool) {
     let routes_unseq = |t: i64| matches!(watermark, Some(w) if t <= w);
     let unseq = ts.get(idx).copied().is_some_and(routes_unseq);
-    let limit = if unseq {
-        ts.len()
-    } else {
-        ts.len().min(idx.saturating_add(seq_room))
-    };
+    let limit = room.map_or(ts.len(), |room| {
+        ts.len().min(idx.saturating_add(room[usize::from(unseq)]))
+    });
     let mut end = idx + 1;
     while end < limit && ts.get(end).copied().is_some_and(routes_unseq) == unseq {
         end += 1;
@@ -597,12 +620,7 @@ impl StorageEngine {
         key: &SeriesKey,
         batch: &PointBatch,
     ) -> Result<(), WriteError> {
-        let existing = st
-            .working
-            .get(key)
-            .or_else(|| st.unseq.get(key))
-            .or_else(|| st.flushing.as_ref().and_then(|m| m.get(key)));
-        match existing {
+        match st.memtables().find_map(|m| m.get(key)) {
             Some(buf) if buf.data_type() != batch.data_type() => {
                 self.obs.type_mismatch_rejects.inc();
                 Err(type_mismatch(buf.data_type(), batch.data_type()))
@@ -612,10 +630,10 @@ impl StorageEngine {
     }
 
     /// Writes a columnar [`PointBatch`] for one sensor — the engine's
-    /// one write (IoTDB-benchmark sends batches; §VI-A2). A full working
-    /// memtable rotates into the shard's flushing slot, and the returned
-    /// [`FlushJob`] is completed inline by a caller that wants a
-    /// synchronous write, or off the write path by a
+    /// one write (IoTDB-benchmark sends batches; §VI-A2). A full memtable
+    /// (the fuller, if both are) rotates into the shard's flushing slot,
+    /// and the returned [`FlushJob`] is completed inline by a caller that
+    /// wants a synchronous write, or off the write path by a
     /// [`FlushPool`](crate::FlushPool) — IoTDB's asynchronous flushing
     /// (paper §V-A, §VI-D2). At most one job is returned per call.
     ///
@@ -624,23 +642,23 @@ impl StorageEngine {
     /// re-read after the rotation (the only event that can move it) —
     /// and each run lands with a single memtable series lookup and one
     /// bulk [`MemTable::write_columns`] append. The rotation happens where
-    /// the working memtable fills, before the run that would overfill
-    /// it; a batch larger than the room left rotates once, and the rest
-    /// lands in one run. A batch whose type does not match the series is
-    /// rejected whole.
+    /// a memtable fills, before the run that would overfill it; a batch
+    /// larger than the room left rotates once, and the rest lands in one
+    /// run. A batch whose type does not match the series is rejected
+    /// whole.
     ///
-    /// **What bounds the memtable.** Not this call: it never blocks and
+    /// **What bounds the memtables.** Not this call: it never blocks and
     /// never refuses. While a shard's job is outstanding its slot is
-    /// occupied, a full working memtable cannot rotate, and the rest of
-    /// the batch is appended to it regardless, in one run — so a caller
-    /// that holds the job itself (and may complete it only after further
-    /// writes) cannot deadlock here. The bound is the caller's to keep,
-    /// by waiting for the flush that frees the slot: ask
+    /// occupied, a full memtable cannot rotate, and the rest of the batch
+    /// is appended to it regardless, in one run — so a caller that holds
+    /// the job itself (and may complete it only after further writes)
+    /// cannot deadlock here. The bound is the caller's to keep, by
+    /// waiting for the flush that frees the slot: ask
     /// [`flush_stalled`](Self::flush_stalled) before writing and wait in
     /// [`FlushPool::wait_while_stalled`](crate::FlushPool::wait_while_stalled),
-    /// as `backsort-server` does, and a shard's working memtable stays
-    /// within `memtable_max_points` plus the batches written concurrently
-    /// with that check.
+    /// as `backsort-server` does, and each of a shard's two memtables
+    /// stays within `memtable_max_points` plus the batches written
+    /// concurrently with that check.
     pub fn write_batch_nonblocking(
         &self,
         key: &SeriesKey,
@@ -666,10 +684,11 @@ impl StorageEngine {
         let mut can_rotate = st.flushing.is_none();
         let mut idx = 0;
         loop {
-            let total = st.working.total_points();
-            if can_rotate && total >= max_points && total > 0 {
+            let (working, unseq) = (st.working.total_points(), st.unseq.total_points());
+            if can_rotate && working.max(unseq) >= max_points.max(1) {
+                // The fuller of the full memtables rotates.
                 let rotate_start = clock();
-                job = self.rotate_into_slot(shard, &mut st);
+                job = self.rotate_into_slot(shard, &mut st, unseq > working);
                 can_rotate = false;
                 watermark = st.watermarks.get(key).copied();
                 not_split_nanos += nanos_since(rotate_start);
@@ -677,20 +696,13 @@ impl StorageEngine {
             if idx >= ts.len() {
                 break;
             }
-            let seq_room = if can_rotate {
-                max_points.saturating_sub(st.working.total_points()).max(1)
-            } else {
-                usize::MAX
-            };
-            let (run_end, unseq) = next_run(ts, idx, watermark, seq_room);
+            let room = |mem: &MemTable| max_points.saturating_sub(mem.total_points()).max(1);
+            let rooms = can_rotate.then(|| [room(&st.working), room(&st.unseq)]);
+            let (run_end, unseq) = next_run(ts, idx, watermark, rooms);
             let append_start = clock();
             let (run_ts, run_vals) = batch.slice(idx, run_end);
-            let target = if unseq {
-                &mut st.unseq
-            } else {
-                &mut st.working
-            };
-            target.write_columns(key, run_ts, run_vals, &mut deltas)?;
+            st.memtable(unseq)
+                .write_columns(key, run_ts, run_vals, &mut deltas)?;
             if append_start.is_some() {
                 let nanos = nanos_since(append_start);
                 self.obs.batch_append_nanos.record(nanos);
@@ -714,9 +726,9 @@ impl StorageEngine {
         Ok(job)
     }
 
-    /// Whether `shard` is stalled on its flush: its working memtable is
-    /// at its limit *and* its flushing slot is still occupied, so the
-    /// next write can only grow the memtable past the limit.
+    /// Whether `shard` is stalled on its flush: its flushing slot is
+    /// occupied *and* either memtable is at its limit, so the next write
+    /// can only grow that memtable past the limit.
     /// [`complete_flush`](Self::complete_flush) ends the stall. The
     /// engine itself never waits on it (see
     /// [`write_batch_nonblocking`](Self::write_batch_nonblocking)); the
@@ -724,79 +736,47 @@ impl StorageEngine {
     pub fn flush_stalled(&self, shard: usize) -> bool {
         self.shards.get(shard).is_some_and(|lock| {
             let st = lock.read();
-            st.flushing.is_some() && st.working.total_points() >= self.config.memtable_max_points
+            let fullest = st.working.total_points().max(st.unseq.total_points());
+            st.flushing.is_some() && fullest >= self.config.memtable_max_points
         })
     }
 
     /// Flushes every shard's flushing slot and working memtable that hold
-    /// points (ascending shard order, one lock at a time) through the
-    /// rotation and install every flush takes: an occupied slot is
-    /// installed first — it is the older — then the working memtable
-    /// rotates into the slot and is installed from there, both outside
-    /// the shard lock. A shard with nothing buffered records no history
-    /// entry (an empty entry would skew per-flush metrics). The durable
-    /// store calls this before truncating WAL segments: a segment
-    /// interleaves every shard's records, so *all* shards' buffered data
-    /// must reach files before any segment is deleted. Returns the
-    /// metrics summed across the installs.
+    /// points (see [`flush_unseq`](Self::flush_unseq) for the procedure).
+    /// The durable store calls this before truncating WAL segments: a
+    /// segment interleaves every shard's records, so *all* shards'
+    /// buffered data must reach files before any segment is deleted.
+    /// Returns the metrics summed across the installs.
     pub fn flush(&self) -> FlushMetrics {
-        let mut total = FlushMetrics::default();
-        for shard in 0..self.shards.len() {
-            total = merge_metrics(total, self.install_slot(shard));
-            if let Some(job) = self.begin_flush_shard(shard) {
-                total = merge_metrics(total, self.complete_flush(job));
-            }
-        }
-        total
+        self.flush_through_slot(false)
     }
 
-    /// Flushes every shard's *unsequence* memtable that holds points to
-    /// its own file, skipping empty ones as [`flush`](Self::flush) does.
-    /// This flush stays synchronous, under the shard's write lock — one
-    /// slot a shard cannot rank unsequence data above the working
-    /// memtable's — and it runs only once the slot is free, so the
-    /// unsequence file lands after the older slot's. Watermarks are
-    /// untouched (unsequence data is below them by definition). Used by
-    /// the durable store so WAL segments can be truncated safely.
-    /// Returns the metrics summed across the installs.
+    /// Flushes every shard's flushing slot and *unsequence* memtable that
+    /// hold points (ascending shard order, one lock at a time): an
+    /// occupied slot is installed first — it is the older — then the
+    /// memtable rotates into the slot and is installed from there, both
+    /// outside the shard lock. A shard with nothing buffered records no
+    /// history entry. Returns the metrics summed across the installs.
     pub fn flush_unseq(&self) -> FlushMetrics {
+        self.flush_through_slot(true)
+    }
+
+    fn flush_through_slot(&self, unseq: bool) -> FlushMetrics {
         let mut total = FlushMetrics::default();
         for (shard, lock) in self.shards.iter().enumerate() {
-            let mut st = loop {
-                total = merge_metrics(total, self.install_slot(shard));
-                let st = lock.write();
-                if st.flushing.is_none() {
-                    break st;
-                }
-            };
-            if st.unseq.is_empty() {
-                continue;
+            let mut ours = false;
+            while !ours {
+                // Whatever occupies the slot is older: it installs first.
+                let mut st = lock.write();
+                let older = st.occupant(shard);
+                ours = older.is_none();
+                let job = older.or_else(|| self.rotate_into_slot(shard, &mut st, unseq));
+                drop(st);
+                let Some(job) = job else { break };
+                total += self.complete_flush(job);
             }
-            let unseq = std::mem::replace(&mut st.unseq, MemTable::new(self.config.array_size));
-            let (image, metrics) =
-                flush_memtable(&unseq, &self.config.sorter, Some(&self.obs.registry));
-            if metrics.points > 0 {
-                st.files.push(self.parse_own_image(image));
-            }
-            st.flush_history.push(metrics);
-            self.obs.record_flush(shard, &metrics);
-            total = merge_metrics(total, metrics);
         }
         total
-    }
-
-    /// Installs `shard`'s flushing slot until it is found free — each
-    /// occupant through [`complete_flush`](Self::complete_flush), outside
-    /// the shard lock — so whatever the caller installs next lands after
-    /// the older memtable's file. Returns the metrics of those installs.
-    fn install_slot(&self, shard: usize) -> FlushMetrics {
-        let mut installed = FlushMetrics::default();
-        loop {
-            let Some(job) = self.shards[shard].read().occupant(shard) else {
-                return installed;
-            };
-            installed = merge_metrics(installed, self.complete_flush(job));
-        }
     }
 
     /// Adopts an existing TsFile image (recovery path): registers it for
@@ -933,11 +913,7 @@ impl StorageEngine {
     pub fn list_sensors(&self, device: &str) -> Vec<SeriesKey> {
         let st = self.shards[self.shard_of(device)].read();
         let mut keys: Vec<SeriesKey> = Vec::new();
-        let mems: Vec<&MemTable> = std::iter::once(&st.working)
-            .chain(st.flushing.as_ref())
-            .chain(std::iter::once(&st.unseq))
-            .collect();
-        for mem in mems {
+        for mem in st.memtables() {
             for (key, _) in mem.iter() {
                 if key.device == device {
                     keys.push(key.clone());
@@ -1031,19 +1007,18 @@ impl StorageEngine {
     /// Rotates one specific shard's working memtable into its flushing
     /// slot, or `None` if it is empty or a flush is already pending.
     pub fn begin_flush_shard(&self, shard: usize) -> Option<FlushJob> {
-        let mut st = self.shards[shard].write();
-        self.rotate_into_slot(shard, &mut st)
+        self.rotate_into_slot(shard, &mut self.shards[shard].write(), false)
     }
 
-    /// Swaps a fresh working memtable into the (locked) shard and moves
-    /// the old one into the free flushing slot under a new generation,
-    /// advancing the watermarks past everything it holds, so later
-    /// arrivals below them take the unsequence path.
-    fn rotate_into_slot(&self, shard: usize, st: &mut ShardState) -> Option<FlushJob> {
-        if st.flushing.is_some() || st.working.is_empty() {
+    /// Swaps a fresh working (with `unseq`, unsequence) memtable into the
+    /// (locked) shard and moves the old one into the free flushing slot
+    /// under a new generation, advancing the watermarks past everything
+    /// it holds — a no-op for an unsequence memtable, which is below them.
+    fn rotate_into_slot(&self, shard: usize, st: &mut ShardState, unseq: bool) -> Option<FlushJob> {
+        if st.flushing.is_some() || st.memtable(unseq).is_empty() {
             return None;
         }
-        let rotated = std::mem::replace(&mut st.working, MemTable::new(self.config.array_size));
+        let rotated = std::mem::replace(st.memtable(unseq), MemTable::new(self.config.array_size));
         for (key, buffer) in rotated.iter() {
             if let Some(max_t) = buffer.max_time() {
                 let w = st.watermarks.entry(key.clone()).or_insert(i64::MIN);
@@ -1051,6 +1026,7 @@ impl StorageEngine {
             }
         }
         st.flushing = Some(rotated);
+        st.slot_unseq = unseq;
         st.slot_generation += 1;
         self.obs.flush_queue_depth.inc();
         st.occupant(shard)
@@ -1073,8 +1049,9 @@ impl StorageEngine {
     /// Runs a [`FlushJob`] and installs the result into the shard the
     /// job was rotated from: the file becomes queryable and that shard's
     /// flushing slot is released. The one installer of a rotated
-    /// memtable, whoever calls it: a flush pool worker, a writer that
-    /// wants its write synchronous, or [`flush`](Self::flush).
+    /// memtable, working or unsequence (`flush.root`'s `unseq` says which),
+    /// whoever calls it: a flush pool worker, a writer that wants its
+    /// write synchronous, or [`flush`](Self::flush) and its twin.
     ///
     /// The slot's memtable is never taken out or copied whole. Each
     /// series is copied out flat under the shard's *read* lock — a
@@ -1095,7 +1072,7 @@ impl StorageEngine {
         // Crash site: the memtable has rotated into the slot but nothing
         // is encoded yet — its points' only durable copy is the WAL.
         self.faults.kill_point(fault_sites::FLUSH_ROTATE);
-        let FlushJob { shard, generation } = job;
+        let (shard, generation, unseq) = (job.shard, job.generation, job.unseq);
         let lock = &self.shards[shard];
         let keys: Vec<SeriesKey> = match lock.read().slot(generation) {
             Some(slot) => slot.iter().map(|(key, _)| key.clone()).collect(),
@@ -1103,6 +1080,7 @@ impl StorageEngine {
         };
         let _trace = self.trace_always(names::SPAN_FLUSH_ROOT, || format!("flush shard={shard}"));
         obs_trace::add_attr(names::ATTR_SHARD, shard as u64);
+        obs_trace::add_attr(names::ATTR_UNSEQ, u64::from(unseq));
         let span_encode = obs_trace::span(names::SPAN_FLUSH_ENCODE);
         let series = keys.into_iter().filter_map(|key| {
             let gathered = lock.read().slot(generation)?.get(&key).map(Gathered::of)?;
@@ -1330,17 +1308,13 @@ impl StorageEngine {
 }
 
 /// The shard's memtable buffers holding `key`, in ascending merge rank
-/// (flushing, then working, then unsequence — fresher sources override
-/// older ones on duplicate timestamps). The single place the
-/// query/latest paths enumerate buffers, so they cannot disagree on
-/// priorities.
-fn key_buffers<'s>(st: &'s ShardState, key: &SeriesKey) -> impl Iterator<Item = &'s SeriesBuffer> {
-    st.flushing
-        .as_ref()
-        .and_then(|m| m.get(key))
-        .into_iter()
-        .chain(st.working.get(key))
-        .chain(st.unseq.get(key))
+/// ([`ShardState::memtables`]). The single place the query/latest paths
+/// enumerate buffers, so they cannot disagree on priorities.
+fn key_buffers<'s>(
+    st: &'s ShardState,
+    key: &'s SeriesKey,
+) -> impl Iterator<Item = &'s SeriesBuffer> {
+    st.memtables().filter_map(move |m| m.get(key))
 }
 
 /// Whether every buffer holding `key` is already time-ordered — the
@@ -1507,16 +1481,6 @@ fn latest_value_with_state(
         scan_with_state(st, key, i64::MIN, i64::MAX, eng, &mut last);
     }
     last.0
-}
-
-fn merge_metrics(a: FlushMetrics, b: FlushMetrics) -> FlushMetrics {
-    FlushMetrics {
-        sort_nanos: a.sort_nanos + b.sort_nanos,
-        encode_nanos: a.encode_nanos + b.encode_nanos,
-        write_nanos: a.write_nanos + b.write_nanos,
-        points: a.points + b.points,
-        bytes: a.bytes + b.bytes,
-    }
 }
 
 #[cfg(test)]
@@ -1944,6 +1908,110 @@ mod tests {
         assert_eq!(eng.flush_history().len(), 3, "a stale job records nothing");
         assert_eq!(eng.query(&key("s"), 50, 50), [(50, TsValue::Long(-50))]);
         assert_eq!(eng.query(&key("s"), 250, 250), [(250, TsValue::Long(250))]);
+    }
+
+    /// `t ↦ sign · t` over `ts`, as a batch.
+    fn signed(ts: std::ops::Range<i64>, sign: i64) -> PointBatch {
+        PointBatch::from_rows(ts.map(|t| (t, TsValue::Long(sign * t)))).unwrap()
+    }
+
+    fn signed_rows(ts: std::ops::Range<i64>, sign: i64) -> QueryResult {
+        ts.map(|t| (t, TsValue::Long(sign * t))).collect()
+    }
+
+    /// The unsequence memtable has the working one's life: the write that
+    /// brings it to the bound rotates it, where it fills, and the job
+    /// installs it like any other.
+    #[test]
+    fn a_write_that_fills_the_unsequence_memtable_returns_its_flush_job() {
+        let eng = small_engine(Algorithm::Backward(Default::default()));
+        let k = key("s");
+        eng.write_points(&k, (0..200i64).map(|t| (t, TsValue::Long(t))));
+        let job = eng.write_batch_nonblocking(&k, &signed(0..99, -1)).unwrap();
+        assert!(job.is_none(), "a straggler below the bound does not rotate");
+        assert_eq!(eng.buffered_points(), (0, 99));
+        let job = eng
+            .write_batch_nonblocking(&k, &signed(99..150, -1))
+            .unwrap();
+        let job = job.expect("the unsequence memtable rotates at its bound");
+        assert_eq!(eng.buffered_points(), (0, 50), "rotated at exactly 100");
+        assert_eq!(eng.complete_flush(job).points, 100);
+        assert_eq!(eng.file_count(), 3);
+        let mut want = signed_rows(0..150, -1);
+        want.extend(signed_rows(150..200, 1));
+        assert_eq!(eng.query(&k, 0, 199), want);
+        assert_eq!(eng.flush_unseq().points, 50);
+        assert_eq!(eng.query(&k, 0, 199), want);
+    }
+
+    /// One slot for both memtables: while an unsequence flush is
+    /// outstanding, a full working memtable cannot rotate, and the shard
+    /// says so. The next write after the install rotates it first.
+    #[test]
+    fn an_outstanding_unsequence_job_stalls_a_full_working_memtable() {
+        let eng = small_engine(Algorithm::Backward(Default::default()));
+        let k = key("s");
+        eng.write_points(&k, (0..100i64).map(|t| (t, TsValue::Long(t))));
+        let job = eng
+            .write_batch_nonblocking(&k, &signed(0..100, -1))
+            .unwrap();
+        let job = job.expect("the unsequence memtable rotates");
+        assert!(
+            !eng.flush_stalled(0),
+            "the slot is taken, but nothing is full"
+        );
+        assert!(eng
+            .write_batch_nonblocking(&k, &signed(100..200, 1))
+            .unwrap()
+            .is_none());
+        assert_eq!(eng.buffered_points(), (100, 0));
+        assert!(eng.flush_stalled(0));
+        eng.complete_flush(job);
+        assert!(!eng.flush_stalled(0));
+        let job = eng
+            .write_batch_nonblocking(&k, &signed(200..201, 1))
+            .unwrap();
+        let job = job.expect("the waiting working memtable rotates first");
+        assert_eq!(eng.complete_flush(job).points, 100);
+        assert_eq!(eng.buffered_points(), (1, 0));
+    }
+
+    /// Install order is rotation order, which is age order: rewrites of
+    /// every timestamp of an outstanding working slot are stragglers,
+    /// fill the unsequence memtable behind the slot, rotate after it
+    /// installs, and win every shared timestamp — in the slot, on disk,
+    /// and against nothing newer than themselves.
+    #[test]
+    fn an_unsequence_rotation_after_an_older_working_slot_wins_every_shared_timestamp() {
+        let eng = small_engine(Algorithm::Backward(Default::default()));
+        let k = key("s");
+        let older = eng.write_batch_nonblocking(&k, &signed(0..100, 1)).unwrap();
+        let older = older.expect("the working memtable rotates");
+        assert!(eng
+            .write_batch_nonblocking(&k, &signed(0..100, -1))
+            .unwrap()
+            .is_none());
+        assert_eq!(eng.buffered_points(), (0, 100));
+        assert!(eng.flush_stalled(0), "a full unsequence memtable waits too");
+        let mut want = signed_rows(0..100, -1);
+        assert_eq!(eng.query(&k, 0, 99), want);
+        eng.complete_flush(older);
+        // The next write rotates the waiting unsequence memtable before
+        // its own straggler lands, in a fresh one that outranks the slot.
+        let third = PointBatch::from_rows([(7, TsValue::Long(700))]).unwrap();
+        let newer = eng.write_batch_nonblocking(&k, &third).unwrap();
+        let newer = newer.expect("the full unsequence memtable rotates first");
+        want[7].1 = TsValue::Long(700);
+        assert_eq!(
+            eng.query(&k, 0, 99),
+            want,
+            "slot over disk, memtable over slot"
+        );
+        assert_eq!(eng.complete_flush(newer).points, 100);
+        assert_eq!(eng.query(&k, 0, 99), want);
+        assert_eq!(eng.flush_unseq().points, 1);
+        assert_eq!(eng.file_count(), 3);
+        assert_eq!(eng.query(&k, 0, 99), want, "and file over file");
     }
 
     /// The `query.sort_on_read` span of the newest trace, as

@@ -55,6 +55,16 @@ impl FlushMetrics {
     }
 }
 
+impl std::ops::AddAssign for FlushMetrics {
+    fn add_assign(&mut self, other: Self) {
+        self.sort_nanos += other.sort_nanos;
+        self.encode_nanos += other.encode_nanos;
+        self.write_nanos += other.write_nanos;
+        self.points += other.points;
+        self.bytes += other.bytes;
+    }
+}
+
 /// One series copied out of its buffer: contiguous `(time, value)` pairs
 /// in the buffer's order, owning everything the rest of its flush needs,
 /// so the copy can be taken under a lock and sorted after releasing it.

@@ -615,6 +615,7 @@ impl<'a> ChunkPages<'a> {
         self.num_points
     }
 
+    #[inline] // inlined through `next`, below
     fn read_header(&mut self) -> Option<PageHeader> {
         let (buf, pos) = (self.buf, &mut self.pos);
         let min_time = read_i64(buf, pos)?;
@@ -650,6 +651,11 @@ impl<'a> ChunkPages<'a> {
 impl Iterator for ChunkPages<'_> {
     type Item = PageHeader;
 
+    // The per-page step of every disk read (`Scan::run`, in read.rs):
+    // the hint keeps it inlinable there whichever codegen unit each
+    // module lands in, which otherwise shifts with edits elsewhere in
+    // the crate.
+    #[inline]
     fn next(&mut self) -> Option<PageHeader> {
         if self.pages_left == 0 {
             return None;

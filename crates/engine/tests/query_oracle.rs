@@ -34,7 +34,10 @@
 //! rotated memtable sits in the flushing slot with its flush still
 //! outstanding — every read checked against the same model. Synchronous
 //! flushes run beside those outstanding flushes, which must leave files
-//! in age order and the overtaken jobs installing nothing.
+//! in age order and the overtaken jobs installing nothing. Its memtables
+//! are small enough that the write path rotates the unsequence memtable
+//! too, into the slot the working one uses, and a delete of everything
+//! empties outstanding slots before their flushes complete.
 //!
 //! The engines use the *stable* Backward-Sort configuration: with the
 //! unstable default, equal timestamps inside one buffer may settle in
@@ -419,11 +422,23 @@ fn typed_value(dt: DataType, t: i64, seq: i64) -> TsValue {
     }
 }
 
+/// What one engine of the sort-on-read stream went through.
+#[derive(Debug, Default, Clone, Copy)]
+struct Seen {
+    /// Unsequence memtables a write rotated into the slot.
+    unseq_rotations: usize,
+    /// Jobs a synchronous flush had overtaken, completed as no-ops.
+    stale: usize,
+    /// Jobs whose slot deletes had emptied, installed as no file.
+    emptied: usize,
+}
+
 /// The engines of the sort-on-read stream, the flushes they have
-/// outstanding, and the model.
+/// outstanding, what they went through, and the model.
 struct Traffic {
     engines: [StorageEngine; 2],
     outstanding: [Vec<FlushJob>; 2],
+    seen: [Seen; 2],
     oracle: Oracle,
     /// Writes so far: the next value's distinguishing mark.
     seq: i64,
@@ -435,7 +450,8 @@ impl Traffic {
     fn new() -> Self {
         let engine = |shards| {
             StorageEngine::new(EngineConfig {
-                memtable_max_points: 600, // a few rotations a stream
+                // Small: both memtables rotate on the write path.
+                memtable_max_points: 48,
                 array_size: 8,
                 sorter: Algorithm::Backward(BackwardSort {
                     in_block: InBlockSort::Stable,
@@ -448,6 +464,7 @@ impl Traffic {
         Self {
             engines: [engine(1), engine(4)],
             outstanding: [Vec::new(), Vec::new()],
+            seen: [Seen::default(); 2],
             oracle: Oracle::new(),
             seq: 0,
             frontier: 0,
@@ -473,11 +490,17 @@ impl Traffic {
                 .map(|(&t, seq)| (t, typed_value(dt, t, seq)))
                 .collect();
             let batch = PointBatch::from_rows(rows.iter().cloned()).expect("one type a sensor");
-            for (eng, jobs) in self.engines.iter().zip(&mut self.outstanding) {
-                jobs.extend(
-                    eng.write_batch_nonblocking(&key, &batch)
-                        .expect("matching type"),
-                );
+            let sides = self.engines.iter().zip(&mut self.outstanding);
+            for ((eng, jobs), seen) in sides.zip(&mut self.seen) {
+                let unseq = eng.buffered_points().1;
+                let job = eng
+                    .write_batch_nonblocking(&key, &batch)
+                    .expect("matching type");
+                // Only an unsequence rotation lowers the unsequence count.
+                if job.is_some() && eng.buffered_points().1 < unseq {
+                    seen.unseq_rotations += 1;
+                }
+                jobs.extend(job);
             }
             self.oracle.entry(key).or_default().extend(rows);
         }
@@ -523,9 +546,19 @@ impl Traffic {
     }
 
     fn complete_flushes(&mut self) {
-        for (eng, jobs) in self.engines.iter().zip(&mut self.outstanding) {
+        let sides = self.engines.iter().zip(&mut self.outstanding);
+        for ((eng, jobs), seen) in sides.zip(&mut self.seen) {
+            let depth = || eng.obs().gauge_value(names::ENGINE_FLUSH_QUEUE_DEPTH);
             for job in jobs.drain(..) {
-                eng.complete_flush(job);
+                let before = depth();
+                if eng.complete_flush(job).points == 0 {
+                    // A live job leaves the queue; a stale one never was in it.
+                    if depth() < before {
+                        seen.emptied += 1;
+                    } else {
+                        seen.stale += 1;
+                    }
+                }
             }
         }
     }
@@ -545,10 +578,16 @@ impl Traffic {
             }
             // A read between writes.
             4 | 5 => self.read(t, t + span)?,
-            // A delete between two reads of the range around it.
+            // A delete between two reads of the range around it; one in
+            // eight erases everything, outstanding slots included.
             6 => {
+                let (lo, hi) = if v % 8 == 0 {
+                    (i64::MIN, i64::MAX)
+                } else {
+                    (t, t + span % 60)
+                };
                 self.read(t - 30, t + 90)?;
-                self.delete(t, t + span % 60);
+                self.delete(lo, hi);
                 self.read(t - 30, t + 90)?;
             }
             // Reads of a slot whose flush is outstanding: its buffers
@@ -650,6 +689,33 @@ fn value_aggregates_are_answered_from_page_headers() {
     apply(&engines, &mut oracle, (6, 300, 10), false).expect("delete [300, 310]");
     for eng in &engines {
         assert_eq!(value_aggregates_from_headers(eng, &oracle), 0);
+    }
+}
+
+/// One fixed stream of the sort-on-read traffic, long enough that what
+/// the property test mixes does happen on both engines: unsequence
+/// rotations on the write path, jobs a synchronous flush overtook, and
+/// slots that deletes emptied — every read still the model's.
+#[test]
+fn unsequence_rotations_beside_stale_and_emptied_slots_read_the_model() {
+    let mut traffic = Traffic::new();
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    for _ in 0..400 {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        let op = ((x % 10) as u8, ((x >> 8) % 800) as i64, (x >> 24) as i32);
+        traffic.apply(op).expect("every read is the model's");
+    }
+    traffic.sweep().expect("every read is the model's");
+    traffic.complete_flushes();
+    traffic.sweep().expect("every read is the model's");
+    for (eng, seen) in traffic.engines.iter().zip(traffic.seen) {
+        assert!(
+            seen.unseq_rotations > 0 && seen.stale > 0 && seen.emptied > 0,
+            "shards={}: {seen:?}",
+            eng.shard_count()
+        );
     }
 }
 

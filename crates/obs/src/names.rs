@@ -214,7 +214,7 @@ pub const SPAN_QUERY_MERGE: &str = "query.merge";
 /// overlap) and `overlap` (points the merge moved), summed over the
 /// key's buffers — why this read's sort was cheap or dear.
 pub const SPAN_QUERY_SORT_ON_READ: &str = "query.sort_on_read";
-/// Hierarchical span: one memtable flush, submit → install.
+/// Hierarchical span: one memtable flush, submit → install (`shard`, `unseq`).
 pub const SPAN_FLUSH_ROOT: &str = "flush.root";
 /// Hierarchical span: the sort → dedup → encode → write body of a
 /// flush.
@@ -291,6 +291,8 @@ pub const ATTR_BYTES: &str = "bytes";
 pub const ATTR_POINTS: &str = "points";
 /// Span attribute: shard index a stage ran against.
 pub const ATTR_SHARD: &str = "shard";
+/// Span attribute on `flush.root`: 1 for an unsequence memtable, 0 for a working one.
+pub const ATTR_UNSEQ: &str = "unseq";
 /// Span attribute: points behind a buffer's ordered run that a
 /// sort-on-read sorted.
 pub const ATTR_TAIL_POINTS: &str = "tail_points";

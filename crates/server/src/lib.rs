@@ -215,7 +215,7 @@ impl ServerCore {
     /// flow control. The engine accepts a write to a full shard whose
     /// flushing slot is occupied (it cannot know who will free the
     /// slot); the server owns the pool that will, so it holds the write
-    /// back until then, and a shard's working memtable stays within
+    /// back until then, and each of a shard's memtables stays within
     /// `memtable_max_points` plus one batch per connection. Waiting, not
     /// BUSY: every client this serves is a closed loop, and a refusal
     /// would come straight back as a retry on the cores the flusher

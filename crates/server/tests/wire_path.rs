@@ -652,11 +652,15 @@ fn a_large_frame_behind_a_slow_flush_is_one_run() {
 /// connection's frames are written one after the other, and each asks
 /// first. (Without the wait it reached ~19,000: every frame after the
 /// second landed on the one memtable the first flush was holding up.)
+/// Then twenty frames of stragglers rewrite the first half, below the
+/// watermark: they wait behind the same slot, and the unsequence
+/// memtable keeps the same bound.
 #[test]
 fn a_stalled_shard_makes_writes_wait_and_bounds_its_memtable() {
     const LIMIT: usize = 1_000;
     const FRAME: i64 = 500;
     const FRAMES: i64 = 40;
+    const LATE: i64 = 20;
     const WINDOW: usize = 8;
     let throttle = Duration::from_millis(50);
     let engine = engine_with(LIMIT);
@@ -674,26 +678,32 @@ fn a_stalled_shard_makes_writes_wait_and_bounds_its_memtable() {
     .expect("bind");
     let mut client = SqlClient::connect(server.addr()).expect("connect");
 
-    let started = std::time::Instant::now();
-    let mut sent = 0;
-    let mut acked = 0;
-    let mut peak = 0;
-    while acked < FRAMES {
-        while sent < FRAMES && client.pending() < WINDOW {
-            client
-                .send_batch("root.bound.d1", "s", &frame(sent * FRAME, FRAME))
-                .expect("send");
-            sent += 1;
+    // Pipelines `n` frames, the `i`-th `batch(i)`, and returns the peak
+    // (working, unsequence) points seen after each reply.
+    let mut pipeline = |n: i64, batch: &dyn Fn(i64) -> PointBatch| {
+        let (mut sent, mut acked, mut peak) = (0, 0, (0, 0));
+        while acked < n {
+            while sent < n && client.pending() < WINDOW {
+                client
+                    .send_batch("root.bound.d1", "s", &batch(sent))
+                    .expect("send");
+                sent += 1;
+            }
+            let (_, response) = client.recv().expect("recv");
+            assert_eq!(
+                response,
+                wire::Response::Output(QueryOutput::Inserted(FRAME as usize)),
+                "frame {acked}: a stall is waited out, never answered BUSY"
+            );
+            acked += 1;
+            let (working, unseq) = engine.buffered_points();
+            peak = (peak.0.max(working), peak.1.max(unseq));
         }
-        let (_, response) = client.recv().expect("recv");
-        assert_eq!(
-            response,
-            wire::Response::Output(QueryOutput::Inserted(FRAME as usize)),
-            "frame {acked}: a stall is waited out, never answered BUSY"
-        );
-        acked += 1;
-        peak = peak.max(engine.buffered_points().0);
-    }
+        peak
+    };
+
+    let started = std::time::Instant::now();
+    let (peak, _) = pipeline(FRAMES, &|i| frame(i * FRAME, FRAME));
     let elapsed = started.elapsed();
 
     assert!(peak <= bound, "working memtable reached {peak} > {bound}");
@@ -706,9 +716,23 @@ fn a_stalled_shard_makes_writes_wait_and_bounds_its_memtable() {
         elapsed >= throttle * 12,
         "forty frames in {elapsed:?} cannot have waited for their flushes"
     );
+
+    // At most 3,000 points are buffered, so the watermark is past
+    // 10,000 and every one of these is a straggler.
+    let negated = |i: i64| {
+        PointBatch::from_rows((i * FRAME..(i + 1) * FRAME).map(|t| (t, TsValue::Long(-t))))
+            .expect("batch")
+    };
+    let (_, peak_unseq) = pipeline(LATE, &negated);
+    assert!(
+        peak_unseq <= bound,
+        "unsequence memtable reached {peak_unseq} > {bound}"
+    );
+    let late_waits = flush_waits(&engine) - waits;
+    assert!(late_waits >= 2, "only {late_waits} straggler writes waited");
     assert_eq!(engine.obs().counter_value(names::SERVER_REJECTED_BUSY), 0);
 
-    // Every point once, in order.
+    // Every point once, in order, the stragglers' values winning.
     match client
         .execute("SELECT s FROM root.bound.d1")
         .expect("read back")
@@ -716,9 +740,10 @@ fn a_stalled_shard_makes_writes_wait_and_bounds_its_memtable() {
         QueryOutput::Rows { rows, .. } => {
             let times: Vec<i64> = rows.iter().map(|(t, _)| *t).collect();
             assert_eq!(times, (0..FRAMES * FRAME).collect::<Vec<_>>());
-            assert!(rows
-                .iter()
-                .all(|(t, cells)| cells.as_slice() == [Some(TsValue::Long(*t))]));
+            assert!(rows.iter().all(|(t, cells)| {
+                let v = if *t < LATE * FRAME { -t } else { *t };
+                cells.as_slice() == [Some(TsValue::Long(v))]
+            }));
         }
         other => panic!("{other:?}"),
     }

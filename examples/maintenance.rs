@@ -50,7 +50,7 @@ fn main() {
         let job = engine
             .write_batch_nonblocking(&key, &point)
             .expect("matching type");
-        assert!(job.is_none(), "an unsequence point never rotates");
+        assert!(job.is_none(), "a straggler below the bound does not rotate");
     }
     engine.flush();
     engine.flush_unseq();
