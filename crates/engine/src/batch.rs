@@ -253,6 +253,21 @@ impl ValueColumn {
         Ok(())
     }
 
+    /// Appends a run of the same type, rejecting a type mismatch (and
+    /// then appending nothing).
+    pub fn append_run(&mut self, values: ColumnSlice<'_>) -> Result<(), WriteError> {
+        match (self, values) {
+            (ValueColumn::Int(c), ColumnSlice::Int(s)) => c.extend_from_slice(s),
+            (ValueColumn::Long(c), ColumnSlice::Long(s)) => c.extend_from_slice(s),
+            (ValueColumn::Float(c), ColumnSlice::Float(s)) => c.extend_from_slice(s),
+            (ValueColumn::Double(c), ColumnSlice::Double(s)) => c.extend_from_slice(s),
+            (ValueColumn::Bool(c), ColumnSlice::Bool(s)) => c.extend_from_slice(s),
+            (ValueColumn::Text(c), ColumnSlice::Text(s)) => c.extend_from_slice(s),
+            (col, s) => return Err(type_mismatch(col.data_type(), s.data_type())),
+        }
+        Ok(())
+    }
+
     /// The value at index `i` as a dynamic value, or `None` out of range.
     pub fn get(&self, i: usize) -> Option<TsValue> {
         Some(match self {

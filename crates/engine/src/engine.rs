@@ -39,7 +39,7 @@ use backsort_obs::trace as obs_trace;
 use backsort_obs::{names, Counter, Gauge, Histogram, LocalHistogram, Registry};
 use parking_lot::RwLock;
 
-use crate::batch::{type_mismatch, ColumnSlice, PointBatch, WriteError};
+use crate::batch::{type_mismatch, ColumnSlice, PointBatch, ValueColumn, WriteError};
 use crate::cache::BlockCache;
 use crate::delete::Tombstone;
 use crate::flush::{flush_series, FlushMetrics, Gathered};
@@ -1137,8 +1137,24 @@ impl StorageEngine {
         rows.0
     }
 
+    /// [`query`](Self::query) as columns: the timestamps, and the value
+    /// runs that cover them in order — one run, unless the series changes
+    /// type part way (an adopted foreign file), where the next begins. A
+    /// raw `SELECT` reads through this, so it builds no row.
+    pub fn read_columns(
+        &self,
+        key: &SeriesKey,
+        t_lo: i64,
+        t_hi: i64,
+    ) -> (Vec<i64>, Vec<ValueColumn>) {
+        let mut columns = Columns::default();
+        self.scan(key, t_lo, t_hi, &mut columns);
+        (columns.times, columns.runs)
+    }
+
     /// Reads one series over `[t_lo, t_hi]` into `sink` — the one read
-    /// `query`, `aggregate`, `aggregate_many` and `group_by_time` are.
+    /// `query`, `read_columns`, `aggregate`, `aggregate_many` and
+    /// `group_by_time` are.
     ///
     /// The scan itself runs over sorted runs — disk chunks (pruned by
     /// the key filter and per-key time ranges in each [`FileHandle`],
@@ -1364,6 +1380,28 @@ struct Rows(QueryResult);
 impl Sink for Rows {
     fn push(&mut self, times: &[i64], values: ColumnSlice<'_>) {
         values.zip_rows_into(times, &mut self.0);
+    }
+}
+
+/// `read_columns`' sink: the scan's typed slices appended to owned
+/// columns, a new run wherever the type changes.
+#[derive(Default)]
+struct Columns {
+    times: Vec<i64>,
+    runs: Vec<ValueColumn>,
+}
+
+impl Sink for Columns {
+    fn push(&mut self, times: &[i64], values: ColumnSlice<'_>) {
+        if times.is_empty() {
+            return;
+        }
+        self.times.extend_from_slice(times);
+        match self.runs.last_mut().map(|run| run.append_run(values)) {
+            Some(Ok(())) => {}
+            // The first run, or the type changed: the next run begins.
+            _ => self.runs.push(values.to_column()),
+        }
     }
 }
 

@@ -56,9 +56,25 @@ use std::time::{Duration, Instant};
 use backsort_engine::{FlushPool, PointBatch, SeriesKey, StorageEngine};
 use backsort_obs::trace as obs_trace;
 use backsort_obs::{names, Counter, Gauge, Histogram};
-use backsort_sql::{compile_insert, execute_statement, parse, QueryOutput, Statement};
+use backsort_sql::{
+    compile_insert, execute_outcome, parse, Outcome, QueryOutput, RowSet, Statement,
+};
 
 pub use wire::{RequestBody, Response};
+
+/// What a request is answered with: a raw `SELECT`'s rows as the
+/// executor aligned them, encoded from those columns, or any other
+/// response.
+enum Reply {
+    Rows(RowSet),
+    Response(Response),
+}
+
+impl From<Response> for Reply {
+    fn from(response: Response) -> Self {
+        Reply::Response(response)
+    }
+}
 
 /// Tuning knobs for [`SqlServer`]. The defaults suit tests and small
 /// deployments; benchmarks override them per scenario.
@@ -150,9 +166,10 @@ struct ServerCore {
 }
 
 impl ServerCore {
-    /// Executes one decoded request body against the engine.
-    fn execute(&self, body: RequestBody) -> Response {
-        match body {
+    /// Executes one decoded request body against the engine. A raw
+    /// `SELECT`'s rows stay the executor's columns.
+    fn execute(&self, body: RequestBody) -> Reply {
+        let response = match body {
             RequestBody::Sql(sql) => match traced_parse(&sql) {
                 Err(e) => Response::Error(e.message),
                 Ok(Statement::Insert {
@@ -163,8 +180,9 @@ impl ServerCore {
                     Err(e) => Response::Error(e.message),
                     Ok(batches) => self.ingest(batches),
                 },
-                Ok(statement) => match execute_statement(&self.engine, &statement) {
-                    Ok(output) => Response::Output(output),
+                Ok(statement) => match execute_outcome(&self.engine, &statement) {
+                    Ok(Outcome::Rows(rows)) => return Reply::Rows(rows),
+                    Ok(Outcome::Output(output)) => Response::Output(output),
                     Err(e) => Response::Error(e.message),
                 },
             },
@@ -173,7 +191,8 @@ impl ServerCore {
                 sensor,
                 batch,
             } => self.ingest(vec![(SeriesKey::new(device, sensor), batch)]),
-        }
+        };
+        response.into()
     }
 
     /// The admission-controlled ingest path shared by SQL INSERTs and
@@ -278,26 +297,29 @@ impl ServerCore {
         let started = Instant::now();
         // Dropped — and with that filed — once the reply is written.
         let _trace = self.sample_trace(&body);
-        let response = self.execute(body);
-        if matches!(response, Response::Busy(_)) {
+        let reply = self.execute(body);
+        if matches!(reply, Reply::Response(Response::Busy(_))) {
             self.metrics.rejected_busy.inc();
         }
         self.metrics
             .request_nanos
             .record(started.elapsed().as_nanos() as u64);
-        write_reply(stream, id, &response)
+        write_reply(stream, id, &reply)
     }
 }
 
-/// Encodes `response` and writes it to `stream`, under the `wire.encode`
+/// Encodes `reply` and writes it to `stream`, under the `wire.encode`
 /// and `wire.write` spans of a sampled request. A fresh buffer per
 /// reply: one kept per connection would pin up to
 /// [`wire::MAX_RESPONSE_BYTES`] for the connection's life.
-fn write_reply(mut stream: &TcpStream, id: u64, response: &Response) -> std::io::Result<()> {
+fn write_reply(mut stream: &TcpStream, id: u64, reply: &Reply) -> std::io::Result<()> {
     let mut frame = Vec::new();
     {
         let span = obs_trace::span(names::SPAN_WIRE_ENCODE);
-        wire::encode_response(&mut frame, id, response);
+        match reply {
+            Reply::Rows(rows) => wire::encode_row_set(&mut frame, id, rows),
+            Reply::Response(response) => wire::encode_response(&mut frame, id, response),
+        }
         if let Some(span) = &span {
             span.attr(names::ATTR_BYTES, frame.len() as u64);
         }
@@ -522,12 +544,12 @@ fn run_connection(core: &ServerCore, stream: TcpStream, conn_id: u64, conns: &Co
                 let notice = Response::Error(format!(
                     "frame of {declared} bytes exceeds limit {max}; closing connection"
                 ));
-                (write_reply(&stream, id, &notice), false)
+                (write_reply(&stream, id, &notice.into()), false)
             }
             Err(wire::DecodeError::Malformed { id, reason }) => {
                 core.metrics.rejected_malformed.inc();
                 let notice = Response::Error(format!("malformed frame: {reason}"));
-                (write_reply(&stream, id, &notice), true)
+                (write_reply(&stream, id, &notice.into()), true)
             }
             Ok(Some(wire::RequestFrame { id, body })) => {
                 core.metrics.frames.inc();

@@ -25,10 +25,11 @@
 //!
 //! | status | constant | payload |
 //! |---|---|---|
-//! | `0x81` | [`STATUS_OK`] | JSON [`QueryOutput`] — every variant except `Rows` |
+//! | `0x81` | [`STATUS_OK`] | JSON [`QueryOutput`] — the administrative replies: `Inserted`, `Deleted`, `Stats`, `Explain`, `Analyze`, `SlowQueries` |
 //! | `0x82` | [`STATUS_ERR`] | UTF-8 message |
 //! | `0x83` | [`STATUS_BUSY`] | UTF-8 reason |
-//! | `0x84` | [`STATUS_ROWS`] | binary columnar [`QueryOutput::Rows`] |
+//! | `0x84` | [`STATUS_ROWS`] | binary columnar rows of a raw `SELECT` |
+//! | `0x85` | [`STATUS_AGGREGATES`] | binary `Aggregates` or `Grouped` |
 //!
 //! BUSY is the typed backpressure signal and not an error in the
 //! protocol sense: the statement was never executed and can be retried
@@ -36,9 +37,8 @@
 //!
 //! # The rows frame
 //!
-//! A `SELECT` of raw columns is the one reply whose size follows the
-//! data, so it alone is binary (one-row administrative and aggregate
-//! replies stay JSON). The payload is column-major:
+//! A `SELECT` of raw columns is the reply whose size follows the data.
+//! The payload is column-major:
 //!
 //! ```text
 //! u16 ncols | ncols × (u16 len | utf-8 name)
@@ -56,6 +56,14 @@
 //! to another encoding. Floats travel as bits: NaN payloads, ±inf and
 //! −0.0 survive exactly, which JSON cannot offer.
 //!
+//! The server writes the frame from the executor's [`RowSet`], which
+//! has the frame's shape in memory — timestamps, and per column a list
+//! of typed and `None` runs — so no row exists between the scan and the
+//! socket: [`encode_row_set`] knows the payload's size before it writes
+//! a byte, and copies each run as one block. [`encode_response`], handed
+//! a `QueryOutput::Rows` (in-process callers), converts it with
+//! [`RowSet::from_rows`] and calls the same encoder.
+//!
 //! Fixed-width on purpose rather than [`ValueColumn::encode_into`]: the
 //! decoder checks every count against the bytes that remain *before* it
 //! reserves for it, so a forged `nrows`, `run_len` or text length fails
@@ -66,25 +74,41 @@
 //! costs no wire bytes but one `Option<TsValue>` decoded, so a frame of
 //! many columns of `None` runs decodes to `nrows × ncols` cells — no
 //! single allocation exceeds a small multiple of the frame, their sum
-//! can. A columnar `Rows` would remove that.
+//! can. A columnar `QueryOutput::Rows` on the client would remove that.
 //!
-//! Aggregates stay JSON, and JSON has no non-finite numbers: `SELECT
-//! avg(s)` over a series holding NaN or ±inf (a [`KIND_BATCH`] frame
-//! may carry them) is still answered [`STATUS_ERR`] `unserializable
-//! result`, while `SELECT s` over the same series reads back bit for
-//! bit.
+//! # The aggregates frame
+//!
+//! `Aggregates` and `Grouped` share one binary frame, so an aggregate
+//! over NaN or ±inf (a [`KIND_BATCH`] frame may carry them) reads back
+//! bit for bit, as the rows do — JSON has no non-finite numbers:
+//!
+//! ```text
+//! u16 ncols | ncols × (u16 len | utf-8 label)
+//! u8 shape                 0: one row of values, 1: one row per bucket
+//! shape 1 only: u32 nbuckets | nbuckets × i64 bucket start
+//! nrows × ncols × cell     nrows = 1, or nbuckets; a cell is u8 tag | 8 bytes
+//! ```
+//!
+//! A cell's tag is 0 for `Number` (`f64` bits), 1 for `Time` (`i64`) and
+//! 2 for `Empty` (eight zero bytes). The decoder checks the bucket count
+//! against the bytes that remain before it reserves, and requires the
+//! cells to fill the rest of the payload exactly; an unknown shape or
+//! tag and an `Empty` cell with a byte set are
+//! [`std::io::ErrorKind::InvalidData`].
 //!
 //! # The response limit
 //!
-//! Both sides share [`MAX_RESPONSE_BYTES`]. [`encode_response`] never
-//! emits a larger payload — a result past it is answered
-//! [`STATUS_ERR`] naming the row count, and the connection carries on —
-//! and [`SqlClient`](crate::SqlClient) accepts nothing larger.
+//! Both sides share [`MAX_RESPONSE_BYTES`]. The server never emits a
+//! larger payload: a binary reply's size is known before it is written,
+//! so one past the limit is answered [`STATUS_ERR`] naming its row or
+//! bucket count without being encoded, any other reply is refused the
+//! same way once written, and the connection carries on.
+//! [`SqlClient`](crate::SqlClient) accepts nothing larger.
 
 use std::io::Read;
 
-use backsort_engine::{DataType, PointBatch, TsValue, ValueColumn};
-use backsort_sql::QueryOutput;
+use backsort_engine::{AggValue, DataType, PointBatch, TsValue, ValueColumn};
+use backsort_sql::{QueryOutput, RowSet, Run};
 
 /// Frame header size: `u32 len + u8 kind + u64 id`.
 pub const HEADER_BYTES: usize = 13;
@@ -92,8 +116,8 @@ pub const HEADER_BYTES: usize = 13;
 pub const KIND_SQL: u8 = 0x01;
 /// Request kind: a binary batched INSERT.
 pub const KIND_BATCH: u8 = 0x02;
-/// Response kind: success, payload is JSON [`QueryOutput`] (any
-/// variant but `Rows`).
+/// Response kind: success, payload is JSON [`QueryOutput`] (an
+/// administrative variant: not `Rows`, `Aggregates` or `Grouped`).
 pub const STATUS_OK: u8 = 0x81;
 /// Response kind: failure, payload is a UTF-8 message.
 pub const STATUS_ERR: u8 = 0x82;
@@ -102,6 +126,10 @@ pub const STATUS_BUSY: u8 = 0x83;
 /// Response kind: success, payload is a binary columnar
 /// [`QueryOutput::Rows`] (see the module docs for the layout).
 pub const STATUS_ROWS: u8 = 0x84;
+/// Response kind: success, payload is a binary
+/// [`QueryOutput::Aggregates`] or [`QueryOutput::Grouped`] (see the
+/// module docs for the layout).
+pub const STATUS_AGGREGATES: u8 = 0x85;
 /// Largest response payload the server sends and the client accepts.
 /// Responses carry whole query results, so this is well above the
 /// request-side `max_frame_bytes`.
@@ -109,6 +137,17 @@ pub const MAX_RESPONSE_BYTES: usize = 64 << 20;
 
 /// Run tag of `None` cells in a rows frame; `0..=5` are [`DataType::tag`].
 const TAG_NONE: u8 = 0xFF;
+/// Aggregates-frame shape: one row of values, no bucket starts.
+const SHAPE_ONE: u8 = 0;
+/// Aggregates-frame shape: one row per bucket, each with its start.
+const SHAPE_BUCKETS: u8 = 1;
+/// Aggregate cell tags: [`AggValue::Number`], [`AggValue::Time`],
+/// [`AggValue::Empty`].
+const CELL_NUMBER: u8 = 0;
+const CELL_TIME: u8 = 1;
+const CELL_EMPTY: u8 = 2;
+/// An aggregate cell: its tag and eight bytes.
+const CELL_BYTES: usize = 9;
 
 /// A decoded request frame body.
 #[derive(Debug, Clone, PartialEq)]
@@ -208,15 +247,22 @@ pub fn encode_batch(out: &mut Vec<u8>, id: u64, device: &str, sensor: &str, batc
     out.extend_from_slice(&payload);
 }
 
-/// Encodes a response frame into `out`. The payload is written straight
-/// after a reserved header whose length and status are patched in once
-/// known. A `Rows` output is always a [`STATUS_ROWS`] frame; any other
-/// output is JSON. An output that cannot be sent — JSON refuses
-/// non-finite floats, and nothing may exceed [`MAX_RESPONSE_BYTES`] —
-/// degrades to a [`STATUS_ERR`] frame rather than killing the
-/// connection.
+/// Encodes a response frame into `out`. A `Rows` output is a
+/// [`STATUS_ROWS`] frame, converted by [`RowSet::from_rows`] and written
+/// by [`encode_row_set`]'s encoder; `Aggregates` and `Grouped` are a
+/// [`STATUS_AGGREGATES`] frame; any other output is JSON. An output that
+/// cannot be sent — nothing may exceed [`MAX_RESPONSE_BYTES`] — degrades
+/// to a [`STATUS_ERR`] frame rather than killing the connection.
 pub fn encode_response(out: &mut Vec<u8>, id: u64, response: &Response) {
     encode_response_within(out, id, response, MAX_RESPONSE_BYTES);
+}
+
+/// Encodes a raw `SELECT`'s rows as a [`STATUS_ROWS`] frame into `out` —
+/// the one encoder of that frame. A result past [`MAX_RESPONSE_BYTES`]
+/// is answered [`STATUS_ERR`] naming its row count, before a byte of it
+/// is written.
+pub fn encode_row_set(out: &mut Vec<u8>, id: u64, rows: &RowSet) {
+    encode_row_set_within(out, id, rows, MAX_RESPONSE_BYTES);
 }
 
 // The header's length field is a `u32`.
@@ -225,32 +271,65 @@ const _: () = assert!(MAX_RESPONSE_BYTES <= u32::MAX as usize);
 /// [`encode_response`] with the payload limit as an argument, so a test
 /// can reach the over-limit path without a 64 MiB result.
 fn encode_response_within(out: &mut Vec<u8>, id: u64, response: &Response, limit: usize) {
-    let start = out.len();
-    put_header(out, 0, STATUS_ERR, id);
-    let body = out.len();
-    let written = match response {
+    match response {
         Response::Output(QueryOutput::Rows { columns, rows }) => {
-            encode_rows(out, columns, rows, limit).map(|()| STATUS_ROWS)
-        }
-        Response::Output(output) => match serde_json::to_string(output) {
-            Ok(json) => {
-                out.extend_from_slice(json.as_bytes());
-                Ok(STATUS_OK)
+            match RowSet::from_rows(columns, rows) {
+                Ok(rows) => encode_row_set_within(out, id, &rows, limit),
+                Err(e) => put_frame(out, id, limit, |_| {
+                    Err(format!("unserializable result: {}", e.message))
+                }),
             }
-            Err(e) => Err(format!("unserializable result: {e}")),
-        },
-        Response::Error(message) => {
+        }
+        Response::Output(QueryOutput::Aggregates { columns, values }) => {
+            put_frame(out, id, limit, |out| {
+                write_aggregates(out, columns, AggRows::One(values), limit)
+            });
+        }
+        Response::Output(QueryOutput::Grouped { columns, buckets }) => {
+            put_frame(out, id, limit, |out| {
+                write_aggregates(out, columns, AggRows::Buckets(buckets), limit)
+            });
+        }
+        Response::Output(output) => put_frame(out, id, limit, |out| {
+            let json =
+                serde_json::to_string(output).map_err(|e| format!("unserializable result: {e}"))?;
+            out.extend_from_slice(json.as_bytes());
+            Ok(STATUS_OK)
+        }),
+        Response::Error(message) => put_frame(out, id, limit, |out| {
             out.extend_from_slice(message.as_bytes());
             Ok(STATUS_ERR)
-        }
-        Response::Busy(reason) => {
+        }),
+        Response::Busy(reason) => put_frame(out, id, limit, |out| {
             out.extend_from_slice(reason.as_bytes());
             Ok(STATUS_BUSY)
-        }
-    };
-    let status = written
+        }),
+    }
+}
+
+/// [`encode_row_set`] with the payload limit as an argument.
+fn encode_row_set_within(out: &mut Vec<u8>, id: u64, rows: &RowSet, limit: usize) {
+    put_frame(out, id, limit, |out| {
+        write_row_set(out, rows, limit).map(|()| STATUS_ROWS)
+    });
+}
+
+/// Writes one response frame: a header, then the payload `body` appends,
+/// whose status it returns. A body that fails, or appends more than
+/// `limit` bytes, is replaced by the error it names in a [`STATUS_ERR`]
+/// frame.
+fn put_frame(
+    out: &mut Vec<u8>,
+    id: u64,
+    limit: usize,
+    body: impl FnOnce(&mut Vec<u8>) -> Result<u8, String>,
+) {
+    let start = out.len();
+    put_header(out, 0, STATUS_ERR, id);
+    let payload = out.len();
+    let status = body(out)
         .and_then(|status| {
-            if out.len() - body <= limit {
+            if out.len() - payload <= limit {
                 Ok(status)
             } else {
                 Err(format!(
@@ -260,36 +339,38 @@ fn encode_response_within(out: &mut Vec<u8>, id: u64, response: &Response, limit
             }
         })
         .unwrap_or_else(|message| {
-            out.truncate(body);
+            out.truncate(payload);
             out.extend_from_slice(message.as_bytes());
             STATUS_ERR
         });
-    let len = (out.len() - body) as u32;
+    let len = (out.len() - payload) as u32;
     out[start..start + 4].copy_from_slice(&len.to_le_bytes());
     out[start + 4] = status;
 }
 
-/// Appends a rows payload (module docs: "The rows frame") to `out`,
-/// giving up a cell past `limit` bytes of it. `Err` is the message to
-/// answer instead; what was appended is the caller's to truncate.
-fn encode_rows(
-    out: &mut Vec<u8>,
-    columns: &[String],
-    rows: &[(i64, Vec<Option<TsValue>>)],
-    limit: usize,
-) -> Result<(), String> {
-    let end = out.len() + limit;
-    let too_large = || {
-        format!(
-            "result of {} rows exceeds the {} MiB response limit; narrow the time range",
-            rows.len(),
-            limit >> 20
-        )
-    };
-    let ncols = u16::try_from(columns.len())
+/// Appends `values` as fixed-width cells, `cell` giving each one's
+/// bytes: the run's room is made once, then filled in place.
+fn put_cells<T, const N: usize>(out: &mut Vec<u8>, values: &[T], cell: impl Fn(&T) -> [u8; N]) {
+    let at = out.len();
+    out.resize(at + values.len() * N, 0);
+    for (slot, value) in out[at..].chunks_exact_mut(N).zip(values) {
+        slot.copy_from_slice(&cell(value));
+    }
+}
+
+/// Bytes of `u16 count | count × (u16 len | utf-8)`.
+fn labels_len(columns: &[String]) -> usize {
+    columns
+        .iter()
+        .fold(2usize, |len, name| len.saturating_add(2 + name.len()))
+}
+
+/// Appends `u16 count | count × (u16 len | utf-8)`; `Err` when a count
+/// or a length does not fit its `u16`.
+fn put_labels(out: &mut Vec<u8>, columns: &[String]) -> Result<(), String> {
+    let count = u16::try_from(columns.len())
         .map_err(|_| format!("unserializable result: {} columns", columns.len()))?;
-    let nrows = u32::try_from(rows.len()).map_err(|_| too_large())?;
-    out.extend_from_slice(&ncols.to_le_bytes());
+    out.extend_from_slice(&count.to_le_bytes());
     for name in columns {
         let len = u16::try_from(name.len()).map_err(|_| {
             format!(
@@ -300,73 +381,145 @@ fn encode_rows(
         out.extend_from_slice(&len.to_le_bytes());
         out.extend_from_slice(name.as_bytes());
     }
-    out.extend_from_slice(&nrows.to_le_bytes());
-    // The timestamp block's size is known before a byte of it is
-    // written; the cells after it are checked as they go.
-    let room = end.saturating_sub(out.len());
-    if rows.len().saturating_mul(8) > room {
+    Ok(())
+}
+
+/// Bytes a run's values take in a rows frame.
+fn run_values_len(run: &Run) -> usize {
+    match run {
+        Run::Gap(_) => 0,
+        Run::Values(ValueColumn::Int(v)) => v.len() * 4,
+        Run::Values(ValueColumn::Long(v)) => v.len() * 8,
+        Run::Values(ValueColumn::Float(v)) => v.len() * 4,
+        Run::Values(ValueColumn::Double(v)) => v.len() * 8,
+        Run::Values(ValueColumn::Bool(v)) => v.len(),
+        Run::Values(ValueColumn::Text(v)) => v.iter().map(|text| 4 + text.len()).sum(),
+    }
+}
+
+/// Appends a rows payload (module docs: "The rows frame") to `out`. Its
+/// size is known first, so a result past `limit` is refused before a
+/// byte is written; `Err` is the message to answer instead.
+fn write_row_set(out: &mut Vec<u8>, rows: &RowSet, limit: usize) -> Result<(), String> {
+    let too_large = || {
+        format!(
+            "result of {} rows exceeds the {} MiB response limit; narrow the time range",
+            rows.len(),
+            limit >> 20
+        )
+    };
+    let size = rows
+        .runs()
+        .iter()
+        .flatten()
+        .map(|run| 5 + run_values_len(run))
+        .fold(labels_len(rows.columns()), usize::saturating_add)
+        .saturating_add(4)
+        .saturating_add(rows.len().saturating_mul(8));
+    if size > limit {
         return Err(too_large());
     }
-    // Exact for gap-free 8-byte columns, never more than may be sent.
-    out.reserve(
-        (rows.len() * 8 + 5)
-            .saturating_mul(1 + columns.len())
-            .min(room),
-    );
-    for (t, cells) in rows {
-        if cells.len() != columns.len() {
-            return Err(format!(
-                "unserializable result: a row of {} cells under {} columns",
-                cells.len(),
-                columns.len()
-            ));
-        }
-        out.extend_from_slice(&t.to_le_bytes());
-    }
-    for column in 0..columns.len() {
-        // (tag, where its `run_len` goes, cells so far) of the open run.
-        let mut run: Option<(u8, usize, u32)> = None;
-        for (_, cells) in rows {
-            let cell = cells.get(column).and_then(Option::as_ref);
-            let tag = cell.map_or(TAG_NONE, |v| v.data_type().tag());
-            match &mut run {
-                Some((open, _, len)) if *open == tag => *len += 1,
-                _ => {
-                    close_run(out, run);
-                    run = Some((tag, out.len() + 1, 1));
-                    out.push(tag);
-                    out.extend_from_slice(&[0; 4]);
-                }
-            }
-            match cell {
-                None => {}
-                Some(TsValue::Int(v)) => out.extend_from_slice(&v.to_le_bytes()),
-                Some(TsValue::Long(v)) => out.extend_from_slice(&v.to_le_bytes()),
-                Some(TsValue::Float(v)) => out.extend_from_slice(&v.to_bits().to_le_bytes()),
-                Some(TsValue::Double(v)) => out.extend_from_slice(&v.to_bits().to_le_bytes()),
-                Some(TsValue::Bool(v)) => out.push(u8::from(*v)),
-                Some(TsValue::Text(v)) => {
-                    let len = u32::try_from(v.len()).map_err(|_| too_large())?;
+    // Within the limit, so every count below fits its `u32`.
+    let nrows = u32::try_from(rows.len()).map_err(|_| too_large())?;
+    out.reserve(size);
+    put_labels(out, rows.columns())?;
+    out.extend_from_slice(&nrows.to_le_bytes());
+    put_cells(out, rows.times(), |t| t.to_le_bytes());
+    for run in rows.runs().iter().flatten() {
+        let run_len = u32::try_from(run.len()).map_err(|_| too_large())?;
+        let Run::Values(values) = run else {
+            out.push(TAG_NONE);
+            out.extend_from_slice(&run_len.to_le_bytes());
+            continue;
+        };
+        out.push(values.data_type().tag());
+        out.extend_from_slice(&run_len.to_le_bytes());
+        match values {
+            ValueColumn::Int(v) => put_cells(out, v, |v| v.to_le_bytes()),
+            ValueColumn::Long(v) => put_cells(out, v, |v| v.to_le_bytes()),
+            ValueColumn::Float(v) => put_cells(out, v, |v| v.to_bits().to_le_bytes()),
+            ValueColumn::Double(v) => put_cells(out, v, |v| v.to_bits().to_le_bytes()),
+            ValueColumn::Bool(v) => put_cells(out, v, |&v| [u8::from(v)]),
+            ValueColumn::Text(v) => {
+                for text in v {
+                    let len = u32::try_from(text.len()).map_err(|_| too_large())?;
                     out.extend_from_slice(&len.to_le_bytes());
-                    out.extend_from_slice(v.as_bytes());
+                    out.extend_from_slice(text.as_bytes());
                 }
             }
-            if out.len() > end {
-                return Err(too_large());
-            }
         }
-        close_run(out, run);
     }
     Ok(())
 }
 
-/// Patches a finished run's length into the four bytes reserved for it.
-fn close_run(out: &mut [u8], run: Option<(u8, usize, u32)>) {
-    if let Some((_, at, len)) = run {
-        if let Some(slot) = out.get_mut(at..at + 4) {
-            slot.copy_from_slice(&len.to_le_bytes());
+/// The cells of an aggregates frame: one row, or one per bucket.
+enum AggRows<'a> {
+    One(&'a [AggValue]),
+    Buckets(&'a [(i64, Vec<AggValue>)]),
+}
+
+/// An aggregate cell's bytes.
+fn agg_cell(value: &AggValue) -> [u8; CELL_BYTES] {
+    let (tag, bytes) = match *value {
+        AggValue::Number(v) => (CELL_NUMBER, v.to_bits().to_le_bytes()),
+        AggValue::Time(t) => (CELL_TIME, t.to_le_bytes()),
+        AggValue::Empty => (CELL_EMPTY, [0; 8]),
+    };
+    let mut cell = [tag; CELL_BYTES];
+    cell[1..].copy_from_slice(&bytes);
+    cell
+}
+
+/// Appends an aggregates payload (module docs: "The aggregates frame")
+/// to `out`, refusing one past `limit` before a byte is written; `Err`
+/// is the message to answer instead.
+fn write_aggregates(
+    out: &mut Vec<u8>,
+    columns: &[String],
+    rows: AggRows<'_>,
+    limit: usize,
+) -> Result<u8, String> {
+    let width = columns.len();
+    let (nrows, starts, square) = match rows {
+        AggRows::One(values) => (1, 0, values.len() == width),
+        AggRows::Buckets(buckets) => (
+            buckets.len(),
+            4usize.saturating_add(buckets.len().saturating_mul(8)),
+            buckets.iter().all(|(_, values)| values.len() == width),
+        ),
+    };
+    if !square {
+        return Err(format!(
+            "unserializable result: a row of aggregates not {width} wide"
+        ));
+    }
+    let size = labels_len(columns)
+        .saturating_add(1 + starts)
+        .saturating_add(nrows.saturating_mul(width).saturating_mul(CELL_BYTES));
+    if size > limit {
+        return Err(format!(
+            "result of {nrows} buckets exceeds the {} MiB response limit; widen the step",
+            limit >> 20
+        ));
+    }
+    out.reserve(size);
+    put_labels(out, columns)?;
+    match rows {
+        AggRows::One(values) => {
+            out.push(SHAPE_ONE);
+            put_cells(out, values, agg_cell);
+        }
+        AggRows::Buckets(buckets) => {
+            out.push(SHAPE_BUCKETS);
+            // Within the limit, so the count fits its `u32`.
+            out.extend_from_slice(&(buckets.len() as u32).to_le_bytes());
+            put_cells(out, buckets, |(start, _)| start.to_le_bytes());
+            for (_, values) in buckets {
+                put_cells(out, values, agg_cell);
+            }
         }
     }
+    Ok(STATUS_AGGREGATES)
 }
 
 /// Reads the fixed header. `Ok(None)` is a clean EOF (peer closed
@@ -488,6 +641,21 @@ impl<'a> Unread<'a> {
             .map(str::to_owned)
             .map_err(|_| "text is not UTF-8")
     }
+
+    /// `u16 count | count × (u16 len | utf-8)`: a frame's column names.
+    fn labels(&mut self) -> Result<Vec<String>, &'static str> {
+        let count = self.u16()?;
+        // Each name is at least its two length bytes.
+        if count.saturating_mul(2) > self.0.len() {
+            return Err("truncated");
+        }
+        let mut labels = Vec::with_capacity(count);
+        for _ in 0..count {
+            let len = self.u16()?;
+            labels.push(self.string(len)?);
+        }
+        Ok(labels)
+    }
 }
 
 /// Decodes a [`KIND_BATCH`] payload; `None` on any inconsistency.
@@ -543,6 +711,10 @@ pub fn read_response(
         STATUS_ROWS => Response::Output(
             decode_rows(&payload).map_err(|e| invalid(format!("malformed rows payload: {e}")))?,
         ),
+        STATUS_AGGREGATES => Response::Output(
+            decode_aggregates(&payload)
+                .map_err(|e| invalid(format!("malformed aggregates payload: {e}")))?,
+        ),
         STATUS_ERR => Response::Error(text()),
         STATUS_BUSY => Response::Busy(text()),
         other => return Err(invalid(format!("unknown response status 0x{other:02x}"))),
@@ -553,16 +725,8 @@ pub fn read_response(
 /// Decodes a [`STATUS_ROWS`] payload (module docs: "The rows frame").
 fn decode_rows(payload: &[u8]) -> Result<QueryOutput, &'static str> {
     let mut unread = Unread(payload);
-    let ncols = unread.u16()?;
-    // Each name is at least its two length bytes.
-    if ncols.saturating_mul(2) > unread.0.len() {
-        return Err("truncated");
-    }
-    let mut columns = Vec::with_capacity(ncols);
-    for _ in 0..ncols {
-        let len = unread.u16()?;
-        columns.push(unread.string(len)?);
-    }
+    let columns = unread.labels()?;
+    let ncols = columns.len();
     let nrows = unread.u32()?;
     let mut rows: Vec<(i64, Vec<Option<TsValue>>)> = unread
         .cells(nrows)?
@@ -622,6 +786,64 @@ fn decode_rows(payload: &[u8]) -> Result<QueryOutput, &'static str> {
         return Err("trailing bytes");
     }
     Ok(QueryOutput::Rows { columns, rows })
+}
+
+/// Decodes one aggregate cell.
+fn agg_value([tag, bytes @ ..]: [u8; CELL_BYTES]) -> Result<AggValue, &'static str> {
+    match tag {
+        CELL_NUMBER => Ok(AggValue::Number(f64::from_bits(u64::from_le_bytes(bytes)))),
+        CELL_TIME => Ok(AggValue::Time(i64::from_le_bytes(bytes))),
+        CELL_EMPTY if bytes == [0; 8] => Ok(AggValue::Empty),
+        CELL_EMPTY => Err("an empty cell with a byte set"),
+        _ => Err("unknown cell tag"),
+    }
+}
+
+/// Decodes a [`STATUS_AGGREGATES`] payload (module docs: "The
+/// aggregates frame").
+fn decode_aggregates(payload: &[u8]) -> Result<QueryOutput, &'static str> {
+    let mut unread = Unread(payload);
+    let columns = unread.labels()?;
+    let width = columns.len();
+    let [shape] = unread.array()?;
+    let starts: Option<Vec<i64>> = match shape {
+        SHAPE_ONE => None,
+        SHAPE_BUCKETS => {
+            let count = unread.u32()?;
+            Some(unread.cells(count)?.map(i64::from_le_bytes).collect())
+        }
+        _ => return Err("unknown shape"),
+    };
+    let nrows = starts.as_ref().map_or(1, Vec::len);
+    // The cells must fill the rest exactly, which bounds every
+    // reservation below by the payload.
+    let cells = nrows
+        .checked_mul(width)
+        .and_then(|n| n.checked_mul(CELL_BYTES))
+        .ok_or("count overflows")?;
+    if unread.0.len() < cells {
+        return Err("truncated");
+    }
+    if unread.0.len() > cells {
+        return Err("trailing bytes");
+    }
+    let mut cells = unread.cells::<CELL_BYTES>(nrows * width)?;
+    let mut row = || -> Result<Vec<AggValue>, &'static str> {
+        let mut values = Vec::with_capacity(width);
+        for cell in cells.by_ref().take(width) {
+            values.push(agg_value(cell)?);
+        }
+        Ok(values)
+    };
+    let Some(starts) = starts else {
+        let values = row()?;
+        return Ok(QueryOutput::Aggregates { columns, values });
+    };
+    let mut buckets = Vec::with_capacity(starts.len());
+    for start in starts {
+        buckets.push((start, row()?));
+    }
+    Ok(QueryOutput::Grouped { columns, buckets })
 }
 
 #[cfg(test)]
@@ -692,9 +914,27 @@ mod tests {
 
     #[test]
     fn response_roundtrip() {
+        let labels = || vec!["count(s)".to_string(), "max_time(s)".to_string()];
         for (response, status) in [
             (Response::Output(QueryOutput::Inserted(7)), STATUS_OK),
             (sample_rows(), STATUS_ROWS),
+            (
+                Response::Output(QueryOutput::Aggregates {
+                    columns: labels(),
+                    values: vec![AggValue::Number(2.5), AggValue::Time(-9)],
+                }),
+                STATUS_AGGREGATES,
+            ),
+            (
+                Response::Output(QueryOutput::Grouped {
+                    columns: labels(),
+                    buckets: vec![
+                        (0, vec![AggValue::Number(1.0), AggValue::Time(3)]),
+                        (10, vec![AggValue::Empty, AggValue::Empty]),
+                    ],
+                }),
+                STATUS_AGGREGATES,
+            ),
             (Response::Error("boom".to_string()), STATUS_ERR),
             (
                 Response::Busy("shard 3 has waited".to_string()),
@@ -743,11 +983,17 @@ mod tests {
                     .collect(),
             })
         };
+        let grouped = |n: i64| {
+            Response::Output(QueryOutput::Grouped {
+                columns: vec!["count(s)".to_string()],
+                buckets: (0..n).map(|t| (t, vec![AggValue::Number(1.0)])).collect(),
+            })
+        };
         let mut buf = Vec::new();
         encode_response_within(&mut buf, 1, &rows(70_000), LIMIT);
         assert!(buf.len() < 200, "the refusal is short: {}", buf.len());
         encode_response_within(&mut buf, 2, &rows(60_000), LIMIT);
-        // Text is checked as it goes, too.
+        // Text is counted before it is written, too.
         let text = Response::Output(QueryOutput::Rows {
             columns: vec!["s".to_string()],
             rows: vec![(1, vec![Some(TsValue::Text("x".repeat(LIMIT)))])],
@@ -756,6 +1002,9 @@ mod tests {
         // So is anything that is not rows.
         encode_response_within(&mut buf, 4, &Response::Error("e".repeat(LIMIT + 1)), LIMIT);
         encode_response_within(&mut buf, 5, &Response::Busy("later".to_string()), LIMIT);
+        // 17 bytes a bucket: 70,000 do not fit, 60,000 do.
+        encode_response_within(&mut buf, 6, &grouped(70_000), LIMIT);
+        encode_response_within(&mut buf, 7, &grouped(60_000), LIMIT);
 
         let mut reader = buf.as_slice();
         let mut next = || {
@@ -786,10 +1035,17 @@ mod tests {
             )
         );
         assert_eq!(next(), (5, Response::Busy("later".to_string())));
+        match next() {
+            (6, Response::Error(m)) => {
+                assert!(m.starts_with("result of 70000 buckets exceeds"), "{m}");
+            }
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(next(), (7, grouped(60_000)));
     }
 
     #[test]
-    fn rows_that_the_frame_cannot_express_are_an_error_not_a_wrong_frame() {
+    fn results_that_the_frames_cannot_express_are_an_error_not_a_wrong_frame() {
         let cases = [
             QueryOutput::Rows {
                 columns: vec!["a".to_string(), "b".to_string()],
@@ -798,6 +1054,14 @@ mod tests {
             QueryOutput::Rows {
                 columns: vec!["n".repeat(usize::from(u16::MAX) + 1)],
                 rows: Vec::new(),
+            },
+            QueryOutput::Aggregates {
+                columns: vec!["a".to_string(), "b".to_string()],
+                values: vec![AggValue::Empty],
+            },
+            QueryOutput::Grouped {
+                columns: vec!["a".to_string()],
+                buckets: vec![(0, vec![AggValue::Empty]), (1, Vec::new())],
             },
         ];
         for output in cases {

@@ -9,9 +9,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use backsort_core::Algorithm;
-use backsort_engine::{EngineConfig, PointBatch, StorageEngine, TsValue};
+use backsort_engine::{AggValue, EngineConfig, PointBatch, StorageEngine, TsValue};
 use backsort_obs::names;
-use backsort_server::{wire, ClientError, ServerConfig, SqlClient, SqlServer};
+use backsort_server::{wire, ServerConfig, SqlClient, SqlServer};
 use backsort_sql::QueryOutput;
 
 fn engine_with(memtable_max_points: usize) -> Arc<StorageEngine> {
@@ -147,11 +147,11 @@ fn batch_frames_compile_straight_into_the_engine() {
 
 /// A batch frame may carry any double — nothing on the write path
 /// refuses NaN or the infinities — and a `SELECT` over them reads every
-/// one back bit for bit: rows travel as bits, not as JSON numbers. (At
-/// the parent the same `SELECT` was answered `unserializable result`,
-/// leaving the series unreadable over the wire.) Aggregates are still
-/// JSON, so `avg` over the series degrades to that error, and the
-/// connection carries on.
+/// one back bit for bit: rows travel as bits, not as JSON numbers. So do
+/// aggregates: `avg` over the series is NaN, and it arrives with the
+/// bits the engine computed, as do `min_value`/`max_value` (−inf, +inf)
+/// and a `GROUP BY` over it. (While aggregates were JSON, that `avg` was
+/// answered `unserializable result`.)
 #[test]
 fn non_finite_doubles_read_back_bit_for_bit() {
     let engine = engine_with(100_000);
@@ -198,8 +198,41 @@ fn non_finite_doubles_read_back_bit_for_bit() {
     engine.flush();
     assert_eq!(read_back(&mut client), bits, "from a flushed file");
 
-    match client.execute("SELECT avg(s) FROM root.nan.d1") {
-        Err(ClientError::Server(m)) => assert!(m.contains("unserializable result"), "{m}"),
+    // Every aggregate value as (tag, bits), so that NaN compares.
+    let agg_bits = |output: &QueryOutput| -> Vec<(u8, u64)> {
+        let values: Vec<&AggValue> = match output {
+            QueryOutput::Aggregates { values, .. } => values.iter().collect(),
+            QueryOutput::Grouped { buckets, .. } => buckets.iter().flat_map(|(_, v)| v).collect(),
+            other => panic!("{other:?}"),
+        };
+        values
+            .into_iter()
+            .map(|v| match *v {
+                AggValue::Number(x) => (0, x.to_bits()),
+                AggValue::Time(t) => (1, t as u64),
+                AggValue::Empty => (2, 0),
+            })
+            .collect()
+    };
+    for sql in [
+        "SELECT avg(s), sum(s), min_value(s), max_value(s), count(s) FROM root.nan.d1",
+        "SELECT avg(s), min_value(s), max_time(s) FROM root.nan.d1 GROUP BY (0, 9, 2)",
+    ] {
+        let remote = client.execute(sql).expect("aggregates leave JSON");
+        let local = backsort_sql::execute(&engine, sql).expect("in process");
+        assert_eq!(agg_bits(&remote), agg_bits(&local), "{sql}");
+    }
+    match client
+        .execute("SELECT avg(s), min_value(s), max_value(s) FROM root.nan.d1")
+        .expect("select")
+    {
+        QueryOutput::Aggregates { values, .. } => match values.as_slice() {
+            [AggValue::Number(avg), AggValue::Number(min), AggValue::Number(max)] => {
+                assert!(avg.is_nan(), "{avg}");
+                assert_eq!((*min, *max), (f64::NEG_INFINITY, f64::INFINITY));
+            }
+            other => panic!("{other:?}"),
+        },
         other => panic!("{other:?}"),
     }
     assert_eq!(read_back(&mut client), bits, "the connection carries on");

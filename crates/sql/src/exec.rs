@@ -1,11 +1,10 @@
 //! Statement execution against a [`StorageEngine`].
 
-use backsort_engine::{
-    AggValue, Aggregation, PointBatch, QueryResult, SeriesKey, StorageEngine, TsValue,
-};
+use backsort_engine::{AggValue, Aggregation, PointBatch, SeriesKey, StorageEngine, TsValue};
 use backsort_obs::{names, trace};
 
 use crate::parser::{Aggregate, GroupBy, Literal, SelectItem, Statement, TimeRange};
+use crate::rowset::{self, RowSet};
 use crate::SqlError;
 
 /// The result of executing one statement.
@@ -124,36 +123,64 @@ pub fn execute(engine: &StorageEngine, sql: &str) -> Result<QueryOutput, SqlErro
     execute_statement(engine, &statement)
 }
 
-/// Executes an already-parsed statement.
-pub fn execute_statement(
-    engine: &StorageEngine,
-    statement: &Statement,
-) -> Result<QueryOutput, SqlError> {
-    match statement {
+/// What executing a statement produced: a raw `SELECT`'s rows as the
+/// columns the executor aligned, or any other output.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Outcome {
+    /// A raw `SELECT`'s rows.
+    Rows(RowSet),
+    /// Every other statement's output.
+    Output(QueryOutput),
+}
+
+impl Outcome {
+    /// The outcome as a [`QueryOutput`], rows through
+    /// [`RowSet::into_rows`].
+    pub fn into_output(self) -> QueryOutput {
+        match self {
+            Outcome::Rows(rows) => rows.into_rows(),
+            Outcome::Output(output) => output,
+        }
+    }
+}
+
+/// Executes an already-parsed statement, leaving a raw `SELECT`'s rows
+/// as the [`RowSet`] the server encodes from.
+pub fn execute_outcome(engine: &StorageEngine, statement: &Statement) -> Result<Outcome, SqlError> {
+    let output = match statement {
         Statement::Select {
             items,
             device,
             range,
             group_by,
-        } => select(engine, items, device, *range, *group_by),
+        } => return select(engine, items, device, *range, *group_by),
         Statement::Insert {
             device,
             sensors,
             rows,
-        } => insert(engine, device, sensors, rows),
+        } => insert(engine, device, sensors, rows)?,
         Statement::Delete {
             device,
             sensor,
             range,
         } => {
             let key = SeriesKey::new(device.clone(), sensor.clone());
-            let removed = engine.delete_range(&key, range.lo, range.hi);
-            Ok(QueryOutput::Deleted(removed))
+            QueryOutput::Deleted(engine.delete_range(&key, range.lo, range.hi))
         }
-        Statement::ShowStats => Ok(show_stats(engine)),
-        Statement::ShowSlowQueries => Ok(show_slow_queries(engine)),
-        Statement::Explain { analyze, inner } => explain(engine, *analyze, inner),
-    }
+        Statement::ShowStats => show_stats(engine),
+        Statement::ShowSlowQueries => show_slow_queries(engine),
+        Statement::Explain { analyze, inner } => explain(engine, *analyze, inner)?,
+    };
+    Ok(Outcome::Output(output))
+}
+
+/// Executes an already-parsed statement: [`execute_outcome`], with a raw
+/// `SELECT`'s rows as [`QueryOutput::Rows`].
+pub fn execute_statement(
+    engine: &StorageEngine,
+    statement: &Statement,
+) -> Result<QueryOutput, SqlError> {
+    execute_outcome(engine, statement).map(Outcome::into_output)
 }
 
 /// `EXPLAIN` renders the static plan; `EXPLAIN ANALYZE` executes the
@@ -270,12 +297,11 @@ fn explain_analyze(
         .begin(backsort_obs::names::SPAN_QUERY_ROOT, label);
     let out = select(engine, items, device, range, group_by);
     let trace = ctx.and_then(backsort_obs::trace::TraceContext::finish);
-    let out = out?;
-    let result_rows = match &out {
-        QueryOutput::Rows { rows, .. } => rows.len(),
-        QueryOutput::Aggregates { values, .. } => values.len(),
-        QueryOutput::Grouped { buckets, .. } => buckets.len(),
-        _ => 0,
+    let result_rows = match &out? {
+        Outcome::Rows(rows) => rows.len(),
+        Outcome::Output(QueryOutput::Aggregates { values, .. }) => values.len(),
+        Outcome::Output(QueryOutput::Grouped { buckets, .. }) => buckets.len(),
+        Outcome::Output(_) => 0,
     };
     let Some(trace) = trace else {
         return Ok(QueryOutput::Analyze {
@@ -467,7 +493,7 @@ fn select(
     device: &str,
     range: TimeRange,
     group_by: Option<GroupBy>,
-) -> Result<QueryOutput, SqlError> {
+) -> Result<Outcome, SqlError> {
     // Expand `*` into the device's sensors.
     let mut expanded: Vec<SelectItem> = Vec::new();
     for item in items {
@@ -521,7 +547,7 @@ fn select(
                 })
                 .collect(),
         };
-        return Ok(QueryOutput::Grouped { columns, buckets });
+        return Ok(Outcome::Output(QueryOutput::Grouped { columns, buckets }));
     }
 
     if any_agg {
@@ -558,57 +584,27 @@ fn select(
                 }
             }
         }
-        return Ok(QueryOutput::Aggregates { columns, values });
+        return Ok(Outcome::Output(QueryOutput::Aggregates { columns, values }));
     }
 
-    // Raw rows: read each sensor, then align the reads by timestamp.
+    // Raw rows: read each sensor as columns, then align the reads by
+    // timestamp — no row is built.
     let mut columns = Vec::with_capacity(expanded.len());
-    let mut reads: Vec<QueryResult> = Vec::with_capacity(expanded.len());
+    let mut reads = Vec::with_capacity(expanded.len());
     for item in expanded {
         let SelectItem::Column(column) = item else {
             return Err(SqlError::new("internal: aggregate item in raw select list"));
         };
         let key = SeriesKey::new(device, column.as_str());
-        reads.push(engine.query(&key, range.lo, range.hi));
+        reads.push(engine.read_columns(&key, range.lo, range.hi));
         columns.push(column);
     }
     let span = trace::span(names::SPAN_SQL_ROWS);
-    let rows = align_rows(reads);
+    let rows = rowset::align(columns, reads);
     if let Some(span) = &span {
         span.attr(names::ATTR_ROWS, rows.len() as u64);
     }
-    Ok(QueryOutput::Rows { columns, rows })
-}
-
-/// Aligns per-sensor reads — each ascending in time, timestamps unique —
-/// into one row per distinct timestamp, `None` where a sensor has no
-/// point there. Values are moved out of the reads, never cloned.
-fn align_rows(mut reads: Vec<QueryResult>) -> Vec<(i64, Vec<Option<TsValue>>)> {
-    if reads.len() == 1 {
-        // One sensor has nothing to align with: every point is a row.
-        let only = reads.pop().unwrap_or_default();
-        return only.into_iter().map(|(t, v)| (t, vec![Some(v)])).collect();
-    }
-    // Several sensors: one cursor each. The next row's timestamp is the
-    // least head, and every cursor whose head is at it gives its value.
-    let longest = reads.iter().map(Vec::len).max().unwrap_or(0);
-    let mut cursors: Vec<_> = reads
-        .into_iter()
-        .map(|read| read.into_iter().peekable())
-        .collect();
-    let mut rows = Vec::with_capacity(longest);
-    while let Some(t) = cursors
-        .iter_mut()
-        .filter_map(|cursor| cursor.peek().map(|&(t, _)| t))
-        .min()
-    {
-        let cells = cursors
-            .iter_mut()
-            .map(|cursor| cursor.next_if(|&(head, _)| head == t).map(|(_, v)| v))
-            .collect();
-        rows.push((t, cells));
-    }
-    rows
+    Ok(Outcome::Rows(rows))
 }
 
 #[cfg(test)]

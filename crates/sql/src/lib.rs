@@ -19,7 +19,8 @@
 //!
 //! Three stages, all hand-rolled: [`lexer`] → [`parser`] (recursive
 //! descent into a [`Statement`]) → [`exec`] against a
-//! [`StorageEngine`](backsort_engine::StorageEngine).
+//! [`StorageEngine`](backsort_engine::StorageEngine). A raw `SELECT`'s
+//! rows stay columns ([`rowset`]) until a caller asks for rows.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,9 +28,13 @@
 pub mod exec;
 pub mod lexer;
 pub mod parser;
+pub mod rowset;
 
-pub use exec::{compile_insert, execute, execute_statement, QueryOutput, SpanRow};
+pub use exec::{
+    compile_insert, execute, execute_outcome, execute_statement, Outcome, QueryOutput, SpanRow,
+};
 pub use parser::{parse, Aggregate, Statement};
+pub use rowset::{RowSet, Run};
 
 /// A SQL-layer failure, with a human-readable message.
 #[derive(Debug, Clone, PartialEq, Eq)]
