@@ -11,13 +11,17 @@
 //!   with no SQL parse.
 //! * [`SqlServer`] — blocking accept loop (no polling) and one thread
 //!   per connection that is the whole request path: read a frame,
-//!   execute it, write the reply, read the next. Replies are in request
-//!   order by construction, and a request that has to wait delays no
+//!   execute it, queue the reply, read the next. Replies are in request
+//!   order by construction, a pipelined burst's replies leave in one
+//!   socket write (the four rules are in [`wire`]'s "When a frame
+//!   reaches the socket"), and a request that has to wait delays no
 //!   connection but its own.
-//! * Admission control — per connection it is TCP's: frame N+1 is read
-//!   only after frame N is answered, so pipelined frames wait in the
-//!   socket buffer and then in the client's `write`, and a connection
-//!   holds one decoded frame and one reply. A write whose shard is full
+//! * Admission control — per connection it is TCP's: frame N+1 is
+//!   decoded only after frame N is answered, so pipelined frames wait in
+//!   the connection's read buffer, the socket buffer and then the
+//!   client's `write`; a connection holds its read buffer, one decoded
+//!   frame and its queue of replies, each at most [`wire::BURST_BYTES`]
+//!   plus one frame. A write whose shard is full
 //!   and still flushing *waits* for that flush on the engine's
 //!   [`FlushPool`] (`server.flush_wait_nanos`), which is what bounds a
 //!   memtable. Only a wait that reaches its bound is answered with a
@@ -87,7 +91,9 @@ pub struct ServerConfig {
     /// with that line.
     pub workers: usize,
     /// Largest accepted request payload; larger frames get an error
-    /// and the connection is closed (the stream cannot be resynced).
+    /// and the connection is closed (the stream cannot be resynced). A
+    /// DOUBLE or INT64 point costs a batch frame 16 bytes, so the
+    /// default 4 MiB holds some 262,000 of them.
     pub max_frame_bytes: usize,
     /// Threads completing rotated memtables ([`FlushJob`](backsort_engine::FlushJob)s).
     pub flush_workers: usize,
@@ -167,8 +173,10 @@ struct ServerCore {
 
 impl ServerCore {
     /// Executes one decoded request body against the engine. A raw
-    /// `SELECT`'s rows stay the executor's columns.
-    fn execute(&self, body: RequestBody) -> Reply {
+    /// `SELECT`'s rows stay the executor's columns. `outbox` holds the
+    /// replies to the connection's earlier requests, written out before
+    /// a wait.
+    fn execute(&self, body: RequestBody, outbox: &mut Outbox<'_>) -> Reply {
         let response = match body {
             RequestBody::Sql(sql) => match traced_parse(&sql) {
                 Err(e) => Response::Error(e.message),
@@ -178,7 +186,7 @@ impl ServerCore {
                     rows,
                 }) => match compile_insert(&device, &sensors, &rows) {
                     Err(e) => Response::Error(e.message),
-                    Ok(batches) => self.ingest(batches),
+                    Ok(batches) => self.ingest(batches, outbox),
                 },
                 Ok(statement) => match execute_outcome(&self.engine, &statement) {
                     Ok(Outcome::Rows(rows)) => return Reply::Rows(rows),
@@ -190,7 +198,7 @@ impl ServerCore {
                 device,
                 sensor,
                 batch,
-            } => self.ingest(vec![(SeriesKey::new(device, sensor), batch)]),
+            } => self.ingest(vec![(SeriesKey::new(device, sensor), batch)], outbox),
         };
         response.into()
     }
@@ -204,14 +212,16 @@ impl ServerCore {
     /// again. Every batch of a request waits out its shard's stall, all
     /// of them against one deadline, but only the first can be refused
     /// at it: once a batch is written the rest are written too, the
-    /// engine taking what the wait could not hold back.
-    fn ingest(&self, batches: Vec<(SeriesKey, PointBatch)>) -> Response {
+    /// engine taking what the wait could not hold back. Before it waits,
+    /// the connection's queued replies go out, so the peer does not wait
+    /// with them.
+    fn ingest(&self, batches: Vec<(SeriesKey, PointBatch)>, outbox: &mut Outbox<'_>) -> Response {
         let deadline = Instant::now() + self.flush_wait_limit;
         let mut total = 0usize;
         for (key, batch) in batches {
             let shard = self.engine.shard_of(&key.device);
             if self.engine.flush_stalled(shard)
-                && !self.wait_for_flush(shard, deadline)
+                && !self.wait_for_flush(shard, deadline, outbox)
                 && total == 0
             {
                 return Response::Busy(format!(
@@ -240,7 +250,8 @@ impl ServerCore {
     /// would come straight back as a retry on the cores the flusher
     /// needs. Returns `false` when `deadline`, the bound on the waits of
     /// one request, was reached.
-    fn wait_for_flush(&self, shard: usize, deadline: Instant) -> bool {
+    fn wait_for_flush(&self, shard: usize, deadline: Instant, outbox: &mut Outbox<'_>) -> bool {
+        outbox.write_out();
         let span = obs_trace::span(names::SPAN_SERVER_FLUSH_WAIT);
         if let Some(span) = &span {
             span.attr(names::ATTR_SHARD, shard as u64);
@@ -290,46 +301,84 @@ impl ServerCore {
             .begin(names::SPAN_SERVER_REQUEST, label)
     }
 
-    /// One request, from decoded frame to reply on the socket: execute,
-    /// record, encode, write. `Err` is a reply that could not be
-    /// written.
-    fn serve(&self, stream: &TcpStream, id: u64, body: RequestBody) -> std::io::Result<()> {
+    /// One request, from decoded frame to queued reply: execute, record,
+    /// encode. A sampled request's reply is written out before its trace
+    /// is filed, so the trace ends at the socket.
+    fn serve(&self, outbox: &mut Outbox<'_>, id: u64, body: RequestBody) {
         let started = Instant::now();
         // Dropped — and with that filed — once the reply is written.
-        let _trace = self.sample_trace(&body);
-        let reply = self.execute(body);
+        let trace = self.sample_trace(&body);
+        let reply = self.execute(body, outbox);
         if matches!(reply, Reply::Response(Response::Busy(_))) {
             self.metrics.rejected_busy.inc();
         }
         self.metrics
             .request_nanos
             .record(started.elapsed().as_nanos() as u64);
-        write_reply(stream, id, &reply)
+        outbox.push(id, &reply);
+        if trace.is_some() {
+            outbox.write_out();
+        }
     }
 }
 
-/// Encodes `reply` and writes it to `stream`, under the `wire.encode`
-/// and `wire.write` spans of a sampled request. A fresh buffer per
-/// reply: one kept per connection would pin up to
-/// [`wire::MAX_RESPONSE_BYTES`] for the connection's life.
-fn write_reply(mut stream: &TcpStream, id: u64, reply: &Reply) -> std::io::Result<()> {
-    let mut frame = Vec::new();
-    {
+/// A connection's replies on their way to the socket: encoded into one
+/// buffer and written as a burst (the rules are in [`wire`]'s "When a
+/// frame reaches the socket").
+struct Outbox<'s> {
+    stream: &'s TcpStream,
+    bytes: Vec<u8>,
+    /// A write failed. Part of a frame may be on the stream, so nothing
+    /// more is written and the connection ends.
+    broken: bool,
+}
+
+impl<'s> Outbox<'s> {
+    fn new(stream: &'s TcpStream) -> Self {
+        Self {
+            stream,
+            bytes: Vec::new(),
+            broken: false,
+        }
+    }
+
+    /// Encodes `reply` behind the queued ones, under a sampled request's
+    /// `wire.encode` span.
+    fn push(&mut self, id: u64, reply: &Reply) {
         let span = obs_trace::span(names::SPAN_WIRE_ENCODE);
+        let before = self.bytes.len();
         match reply {
-            Reply::Rows(rows) => wire::encode_row_set(&mut frame, id, rows),
-            Reply::Response(response) => wire::encode_response(&mut frame, id, response),
+            Reply::Rows(rows) => wire::encode_row_set(&mut self.bytes, id, rows),
+            Reply::Response(response) => wire::encode_response(&mut self.bytes, id, response),
         }
         if let Some(span) = &span {
-            span.attr(names::ATTR_BYTES, frame.len() as u64);
+            span.attr(names::ATTR_BYTES, (self.bytes.len() - before) as u64);
         }
     }
-    let span = obs_trace::span(names::SPAN_WIRE_WRITE);
-    if let Some(span) = &span {
-        span.attr(names::ATTR_BYTES, frame.len() as u64);
+
+    /// Whether the queue has reached [`wire::BURST_BYTES`].
+    fn full(&self) -> bool {
+        self.bytes.len() >= wire::BURST_BYTES
     }
-    // analyzer:allow(blocking-in-worker): the reply is the end of the round trip — a peer that does not read blocks only its own connection's thread, for `write_timeout` at most, after which the connection is closed
-    stream.write_all(&frame)
+
+    /// Writes every queued reply, under a sampled request's `wire.write`
+    /// span, then gives back capacity past [`wire::BURST_BYTES`]: a
+    /// queue that kept its largest reply's room would pin up to
+    /// [`wire::MAX_RESPONSE_BYTES`] for the connection's life.
+    fn write_out(&mut self) {
+        if self.bytes.is_empty() || self.broken {
+            return;
+        }
+        let span = obs_trace::span(names::SPAN_WIRE_WRITE);
+        if let Some(span) = &span {
+            span.attr(names::ATTR_BYTES, self.bytes.len() as u64);
+        }
+        let mut stream = self.stream;
+        // analyzer:allow(blocking-in-worker): the replies are the end of their round trips — a peer that does not read blocks only its own connection's thread, for `write_timeout` at most, after which the connection is closed
+        self.broken = stream.write_all(&self.bytes).is_err();
+        self.bytes.clear();
+        self.bytes.shrink_to(wire::BURST_BYTES);
+    }
 }
 
 /// [`parse`] under a `sql.parse` span.
@@ -525,41 +574,51 @@ impl Drop for SqlServer {
 }
 
 /// A connection's thread, and the whole request path: read a frame,
-/// answer it, read the next — so replies are in request order and what
-/// the peer pipelines waits in the socket buffer. A malformed frame is
-/// answered and the connection carries on; an oversized one is answered
-/// and the connection closed, since its unread payload makes resync
-/// impossible; a reply that could not be written closes it too, since
-/// part of a frame may be on the stream.
+/// answer it into the outbox, read the next — so replies are in request
+/// order, what the peer pipelines waits in the read buffer and the
+/// socket, and the outbox is written whenever the next read could block
+/// or it is full. A malformed frame is answered and the connection
+/// carries on; an oversized one is answered and the connection closed,
+/// since its unread payload makes resync impossible; a reply that could
+/// not be written closes it too, since part of a frame may be on the
+/// stream.
 fn run_connection(core: &ServerCore, stream: TcpStream, conn_id: u64, conns: &Conns) {
     let _ = stream.set_nodelay(true);
     core.metrics.connections.inc();
     core.metrics.connections_total.inc();
-    let mut reader = BufReader::new(&stream);
+    let mut reader = BufReader::with_capacity(wire::BURST_BYTES, &stream);
+    let mut outbox = Outbox::new(&stream);
     loop {
-        let (written, in_step) = match wire::read_request(&mut reader, core.cfg.max_frame_bytes) {
+        let in_step = match wire::read_request(&mut reader, core.cfg.max_frame_bytes) {
             Ok(None) | Err(wire::DecodeError::Io(_)) => break,
             Err(wire::DecodeError::Oversized { declared, max, id }) => {
                 core.metrics.rejected_malformed.inc();
                 let notice = Response::Error(format!(
                     "frame of {declared} bytes exceeds limit {max}; closing connection"
                 ));
-                (write_reply(&stream, id, &notice.into()), false)
+                outbox.push(id, &notice.into());
+                false
             }
             Err(wire::DecodeError::Malformed { id, reason }) => {
                 core.metrics.rejected_malformed.inc();
                 let notice = Response::Error(format!("malformed frame: {reason}"));
-                (write_reply(&stream, id, &notice.into()), true)
+                outbox.push(id, &notice.into());
+                true
             }
             Ok(Some(wire::RequestFrame { id, body })) => {
                 core.metrics.frames.inc();
-                (core.serve(&stream, id, body), true)
+                core.serve(&mut outbox, id, body);
+                true
             }
         };
-        if written.is_err() || !in_step {
+        if outbox.broken || !in_step {
             break;
         }
+        if outbox.full() || !wire::holds_frame(reader.buffer()) {
+            outbox.write_out();
+        }
     }
+    outbox.write_out();
     conns
         .lock()
         .expect("connection map poisoned")
@@ -736,9 +795,20 @@ impl From<std::io::Error> for ClientError {
 /// * pipelined — [`send_sql`](Self::send_sql) /
 ///   [`send_batch`](Self::send_batch) queue N requests, then
 ///   [`recv`](Self::recv) collects responses in request order.
+///
+/// Requests are encoded into one outgoing buffer and written as a burst:
+/// when it passes [`wire::BURST_BYTES`], on [`flush`](Self::flush), on
+/// drop, and in [`recv`](Self::recv) when no whole reply is buffered.
+/// After a failed write the client sends nothing more: every later
+/// `send_*` and `flush` returns an error.
 pub struct SqlClient {
+    stream: TcpStream,
     reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
+    /// Encoded requests not yet written, and how many frames they hold.
+    out: Vec<u8>,
+    queued: usize,
+    /// Set by a failed write: the stream may end inside a frame.
+    broken: bool,
     next_id: u64,
     in_flight: VecDeque<u64>,
 }
@@ -749,29 +819,37 @@ impl SqlClient {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         Ok(Self {
-            reader: BufReader::new(stream.try_clone()?),
-            writer: BufWriter::new(stream),
+            reader: BufReader::with_capacity(wire::BURST_BYTES, stream.try_clone()?),
+            stream,
+            out: Vec::new(),
+            queued: 0,
+            broken: false,
             next_id: 0,
             in_flight: VecDeque::new(),
         })
     }
 
-    fn fresh_id(&mut self) -> u64 {
+    /// Queues the frame `encode` appends under a fresh id, writing the
+    /// queue once it passes [`wire::BURST_BYTES`]; returns the id.
+    fn send(&mut self, encode: impl FnOnce(&mut Vec<u8>, u64)) -> std::io::Result<u64> {
+        self.check_broken()?;
         let id = self.next_id;
         self.next_id += 1;
-        id
+        encode(&mut self.out, id);
+        self.queued += 1;
+        self.in_flight.push_back(id);
+        if self.out.len() >= wire::BURST_BYTES {
+            self.flush()?;
+        }
+        Ok(id)
     }
 
     /// Queues one SQL statement without waiting; returns its frame id.
     /// Call [`flush`](Self::flush) (or [`recv`](Self::recv), which
-    /// flushes) to push queued frames onto the wire.
+    /// writes the queue before it would wait) to push queued frames
+    /// onto the wire.
     pub fn send_sql(&mut self, sql: &str) -> std::io::Result<u64> {
-        let id = self.fresh_id();
-        let mut frame = Vec::new();
-        wire::encode_sql(&mut frame, id, sql);
-        self.writer.write_all(&frame)?;
-        self.in_flight.push_back(id);
-        Ok(id)
+        self.send(|out, id| wire::encode_sql(out, id, sql))
     }
 
     /// Queues one binary batched INSERT without waiting; returns its
@@ -782,17 +860,37 @@ impl SqlClient {
         sensor: &str,
         batch: &PointBatch,
     ) -> std::io::Result<u64> {
-        let id = self.fresh_id();
-        let mut frame = Vec::new();
-        wire::encode_batch(&mut frame, id, device, sensor, batch);
-        self.writer.write_all(&frame)?;
-        self.in_flight.push_back(id);
-        Ok(id)
+        self.send(|out, id| wire::encode_batch(out, id, device, sensor, batch))
     }
 
-    /// Pushes queued frames onto the wire.
+    /// Pushes queued frames onto the wire in one write, then gives back
+    /// capacity past [`wire::BURST_BYTES`] (a large batch's room is not
+    /// kept for the client's life). A failed write drops the queued
+    /// frames from [`pending`](Self::pending) and breaks the client.
     pub fn flush(&mut self) -> std::io::Result<()> {
-        self.writer.flush()
+        self.check_broken()?;
+        if self.out.is_empty() {
+            return Ok(());
+        }
+        let written = self.stream.write_all(&self.out);
+        if written.is_err() {
+            self.in_flight.truncate(self.in_flight.len() - self.queued);
+            self.broken = true;
+        }
+        self.queued = 0;
+        self.out.clear();
+        self.out.shrink_to(wire::BURST_BYTES);
+        written
+    }
+
+    fn check_broken(&self) -> std::io::Result<()> {
+        if self.broken {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::BrokenPipe,
+                "an earlier write to the server failed",
+            ));
+        }
+        Ok(())
     }
 
     /// Requests sent but not yet answered.
@@ -801,10 +899,14 @@ impl SqlClient {
     }
 
     /// Receives the next response (responses arrive in request order).
-    /// Flushes queued frames first so a bare `send_*` + `recv` cannot
-    /// deadlock.
+    /// A reply already in the read buffer is returned without a write;
+    /// otherwise the queued frames are written first, before the read
+    /// that waits — so `send_*` followed by `recv` cannot deadlock, and
+    /// a pipelined window's requests leave in one write.
     pub fn recv(&mut self) -> Result<(u64, Response), ClientError> {
-        self.writer.flush()?;
+        if !wire::holds_frame(self.reader.buffer()) {
+            self.flush()?;
+        }
         match wire::read_response(&mut self.reader, wire::MAX_RESPONSE_BYTES)? {
             Some((id, response)) => {
                 if self.in_flight.front() == Some(&id) {
@@ -855,6 +957,14 @@ impl SqlClient {
                 Response::Busy(reason) => Err(ClientError::Busy(reason)),
             };
         }
+    }
+}
+
+impl Drop for SqlClient {
+    /// Writes the queued frames, best effort as a `BufWriter`'s drop: a
+    /// dropped client has no caller left to tell of a failed write.
+    fn drop(&mut self) {
+        self.flush().unwrap_or(());
     }
 }
 
@@ -926,6 +1036,81 @@ mod tests {
             client.insert_batch("root.dead.d1", "s", &frame(2)).ok(),
             Some(LIMIT as usize)
         );
+        server.shutdown();
+    }
+
+    /// Replies queued ahead of a write that must wait for a flush leave
+    /// before the wait, not with the write's own reply after it: three
+    /// `count`s pipelined in one burst ahead of a frame for a stalled
+    /// shard are answered while that frame is still waiting — no wait
+    /// has ended yet — and the frame once its flush is done.
+    #[test]
+    fn replies_queued_before_a_wait_for_a_flush_leave_before_it() {
+        const LIMIT: i64 = 1_000;
+        let engine = Arc::new(StorageEngine::new(EngineConfig {
+            memtable_max_points: LIMIT as usize,
+            ..EngineConfig::default()
+        }));
+        let server = SqlServer::start_with_flush_wait(
+            "127.0.0.1:0",
+            Arc::clone(&engine),
+            ServerConfig {
+                flush_workers: 1,
+                flush_throttle: Duration::from_millis(400),
+                ..ServerConfig::default()
+            },
+            Duration::from_secs(30),
+        )
+        .expect("bind");
+        let waits_ended = || {
+            let snapshot = engine.obs().snapshot();
+            snapshot
+                .histogram(names::SERVER_FLUSH_WAIT_NANOS)
+                .map_or(0, |h| h.count)
+        };
+        let mut client = SqlClient::connect(server.addr()).expect("connect");
+        let frame = |f: i64| {
+            PointBatch::from_rows((f * LIMIT..(f + 1) * LIMIT).map(|t| (t, TsValue::Long(t))))
+                .expect("batch")
+        };
+        // One frame rotates into the slow flusher, the next fills the
+        // memtable behind it.
+        for f in 0..2 {
+            assert_eq!(
+                client.insert_batch("root.held.d1", "s", &frame(f)).ok(),
+                Some(LIMIT as usize)
+            );
+        }
+        assert!(engine.flush_stalled(engine.shard_of("root.held.d1")));
+
+        let counts: Vec<u64> = (0..3)
+            .map(|_| {
+                client
+                    .send_sql("SELECT count(s) FROM root.held.d1")
+                    .expect("send")
+            })
+            .collect();
+        let held = client
+            .send_batch("root.held.d1", "s", &frame(2))
+            .expect("send");
+        for id in counts {
+            match client.recv() {
+                Ok((got, Response::Output(QueryOutput::Aggregates { values, .. }))) => {
+                    assert_eq!(got, id);
+                    assert_eq!(values[0].as_number(), Some(2.0 * LIMIT as f64));
+                }
+                other => panic!("{other:?}"),
+            }
+        }
+        assert_eq!(waits_ended(), 0, "the replies waited out the flush");
+        assert_eq!(
+            client.recv().ok(),
+            Some((
+                held,
+                Response::Output(QueryOutput::Inserted(LIMIT as usize))
+            ))
+        );
+        assert_eq!(waits_ended(), 1);
         server.shutdown();
     }
 

@@ -14,12 +14,7 @@
 //!
 //! * [`KIND_SQL`] — payload is one UTF-8 SQL statement;
 //! * [`KIND_BATCH`] — a binary batched INSERT that compiles straight
-//!   into a [`PointBatch`] with no SQL parse:
-//!   `u16 device_len | device | u16 sensor_len | sensor | u8 dtype |
-//!   u32 count | count × i64 timestamps | value column` where the value
-//!   column uses the engine's own columnar encoding
-//!   ([`ValueColumn::encode_into`]) — the same bytes a WAL frame or
-//!   TsFile chunk carries.
+//!   into a [`PointBatch`] with no SQL parse (see "The batch frame").
 //!
 //! Response kinds, chosen by what the reply *is*, never by a setting:
 //!
@@ -35,6 +30,41 @@
 //! protocol sense: the statement was never executed and can be retried
 //! once the server drains.
 //!
+//! # Cells: one column codec
+//!
+//! Both frames that carry typed values — a batch's value column and a
+//! rows frame's runs — write them the same way, as *cells*: `i32` or
+//! `i64` little-endian, `f32` or `f64` bits, one byte `0`/`1` per bool,
+//! and `u32 len | utf-8` per text. One writer (`put_column`) and one
+//! reader (`read_column`) serve both. Floats travel as bits, so NaN
+//! payloads, ±inf and −0.0 survive exactly, which JSON cannot offer.
+//!
+//! Fixed-width on purpose rather than the engine's compressed column
+//! encoding (the WAL's and the TsFile's): a column is copied in on one
+//! end and out on the other, and Gorilla or TS_2DIFF runs once per
+//! point, in the flush. The reader checks every count against the bytes
+//! that remain *before* it reserves for it, so a forged count or text
+//! length fails on a short payload instead of allocating; a bool byte
+//! above 1 and bad UTF-8 are refused too.
+//!
+//! # The batch frame
+//!
+//! ```text
+//! u16 device_len | device | u16 sensor_len | sensor | u8 dtype
+//! u32 count | count × i64 timestamp | count × cell
+//! ```
+//!
+//! `dtype` is [`DataType::tag`]. [`encode_batch`] writes the header and
+//! the payload straight into the caller's buffer, patching the length
+//! in last. A payload the decoder cannot read — a short one, an unknown
+//! type, a bad cell, trailing bytes — is [`DecodeError::Malformed`]: the
+//! frame was consumed, it is answered in its place, and the connection
+//! carries on.
+//!
+//! A DOUBLE or INT64 point costs 16 payload bytes, so the server's
+//! default `max_frame_bytes` of 4 MiB holds some 262,000 of them in one
+//! frame (an INT32 or FLOAT point 12 bytes, a BOOLEAN 9).
+//!
 //! # The rows frame
 //!
 //! A `SELECT` of raw columns is the reply whose size follows the data.
@@ -44,17 +74,14 @@
 //! u16 ncols | ncols × (u16 len | utf-8 name)
 //! u32 nrows | nrows × i64 timestamp
 //! ncols × column, each a sequence of runs covering exactly nrows cells:
-//!     u8 tag | u32 run_len | values
+//!     u8 tag | u32 run_len | run_len × cell
 //! ```
 //!
-//! `tag` is [`DataType::tag`] (0–5) and `values` is then `run_len`
-//! fixed-width cells — `i32`, `i64`, `f32` bits, `f64` bits, one byte
-//! `0`/`1` per bool — or `u32 len | utf-8` per text; tag `0xFF` is a run
-//! of `None` cells and carries no values. A gap-free column of one type
-//! is a single run (5 bytes of framing); alignment gaps and a column
-//! whose cells change type are simply more runs, so nothing falls back
-//! to another encoding. Floats travel as bits: NaN payloads, ±inf and
-//! −0.0 survive exactly, which JSON cannot offer.
+//! `tag` is [`DataType::tag`] (0–5) and the run's cells are of that
+//! type; tag `0xFF` is a run of `None` cells and carries no cells. A
+//! gap-free column of one type is a single run (5 bytes of framing);
+//! alignment gaps and a column whose cells change type are simply more
+//! runs, so nothing falls back to another encoding.
 //!
 //! The server writes the frame from the executor's [`RowSet`], which
 //! has the frame's shape in memory — timestamps, and per column a list
@@ -64,17 +91,13 @@
 //! a `QueryOutput::Rows` (in-process callers), converts it with
 //! [`RowSet::from_rows`] and calls the same encoder.
 //!
-//! Fixed-width on purpose rather than [`ValueColumn::encode_into`]: the
-//! decoder checks every count against the bytes that remain *before* it
-//! reserves for it, so a forged `nrows`, `run_len` or text length fails
-//! on a short payload instead of allocating. Trailing bytes, an empty
-//! run, a run past `nrows`, a bool byte above 1, bad UTF-8 and an
-//! unknown tag are all [`std::io::ErrorKind::InvalidData`]. What the
-//! decoder cannot bound is the type it must produce: a `None` cell
-//! costs no wire bytes but one `Option<TsValue>` decoded, so a frame of
-//! many columns of `None` runs decodes to `nrows × ncols` cells — no
-//! single allocation exceeds a small multiple of the frame, their sum
-//! can. A columnar `QueryOutput::Rows` on the client would remove that.
+//! Trailing bytes, an empty run, a run past `nrows` and an unknown tag
+//! are [`std::io::ErrorKind::InvalidData`], as is a bad cell. What the
+//! decoder cannot bound is the type it must produce: a `None` cell costs
+//! no wire bytes but one `Option<TsValue>` decoded, so a frame of many
+//! columns of `None` runs decodes to `nrows × ncols` cells — no single
+//! allocation exceeds a small multiple of the frame, their sum can. A
+//! columnar `QueryOutput::Rows` on the client would remove that.
 //!
 //! # The aggregates frame
 //!
@@ -104,6 +127,28 @@
 //! bucket count without being encoded, any other reply is refused the
 //! same way once written, and the connection carries on.
 //! [`SqlClient`](crate::SqlClient) accepts nothing larger.
+//!
+//! # When a frame reaches the socket
+//!
+//! Each end of a connection encodes its frames into one outgoing buffer
+//! and reads through one buffered reader of [`BURST_BYTES`], so a
+//! pipelined burst costs one socket write on each side, not one a
+//! frame. The server writes its replies when
+//!
+//! 1. its reader holds no whole next frame, so the thread would block
+//!    reading;
+//! 2. a request is about to wait for a flush;
+//! 3. the request is a sampled trace, so `wire.write` stays inside its
+//!    `server.request`;
+//! 4. the buffer has passed [`BURST_BYTES`];
+//!
+//! and, on its way out, what is left. A malformed or oversized frame's
+//! notice goes through the same buffer, so replies stay in request
+//! order. The client writes its requests when the buffer passes
+//! [`BURST_BYTES`], on `flush`, on drop, and in `recv` when no whole
+//! reply is already buffered — so `send` followed by `recv` cannot
+//! deadlock. With one request in flight either end writes after every
+//! frame, as it would without the buffer.
 
 use std::io::Read;
 
@@ -134,6 +179,11 @@ pub const STATUS_AGGREGATES: u8 = 0x85;
 /// Responses carry whole query results, so this is well above the
 /// request-side `max_frame_bytes`.
 pub const MAX_RESPONSE_BYTES: usize = 64 << 20;
+/// What each end of a connection gathers before it writes, and the size
+/// of each end's read buffer (module docs: "When a frame reaches the
+/// socket"): room for a pipelined window of batch frames — eight
+/// 500-point DOUBLE frames, about 64,300 bytes.
+pub const BURST_BYTES: usize = 64 << 10;
 
 /// Run tag of `None` cells in a rows frame; `0..=5` are [`DataType::tag`].
 const TAG_NONE: u8 = 0xFF;
@@ -230,21 +280,35 @@ pub fn encode_sql(out: &mut Vec<u8>, id: u64, sql: &str) {
     out.extend_from_slice(sql.as_bytes());
 }
 
-/// Encodes a batched-INSERT request frame into `out`.
+/// Encodes a batched-INSERT request frame (module docs: "The batch
+/// frame") into `out`, the payload written in place behind its header.
 pub fn encode_batch(out: &mut Vec<u8>, id: u64, device: &str, sensor: &str, batch: &PointBatch) {
-    let mut payload = Vec::with_capacity(16 + device.len() + sensor.len() + batch.len() * 9);
-    payload.extend_from_slice(&(device.len() as u16).to_le_bytes());
-    payload.extend_from_slice(device.as_bytes());
-    payload.extend_from_slice(&(sensor.len() as u16).to_le_bytes());
-    payload.extend_from_slice(sensor.as_bytes());
-    payload.push(batch.data_type().tag());
-    payload.extend_from_slice(&(batch.len() as u32).to_le_bytes());
-    for t in batch.ts() {
-        payload.extend_from_slice(&t.to_le_bytes());
+    let start = out.len();
+    out.reserve(
+        HEADER_BYTES
+            + (2 + device.len())
+            + (2 + sensor.len())
+            + (1 + 4)
+            + batch.len() * 8
+            + column_len(batch.values()),
+    );
+    put_header(out, 0, KIND_BATCH, id);
+    for name in [device, sensor] {
+        out.extend_from_slice(&(name.len() as u16).to_le_bytes());
+        out.extend_from_slice(name.as_bytes());
     }
-    batch.values().encode_into(&mut payload);
-    put_header(out, payload.len(), KIND_BATCH, id);
-    out.extend_from_slice(&payload);
+    out.push(batch.data_type().tag());
+    out.extend_from_slice(&(batch.len() as u32).to_le_bytes());
+    put_cells(out, batch.ts(), |t| t.to_le_bytes());
+    put_column(out, batch.values());
+    set_len(out, start);
+}
+
+/// Patches the length of the frame that starts at `start` — everything
+/// `out` holds past its header.
+fn set_len(out: &mut [u8], start: usize) {
+    let len = (out.len() - start - HEADER_BYTES) as u32;
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
 }
 
 /// Encodes a response frame into `out`. A `Rows` output is a
@@ -343,8 +407,7 @@ fn put_frame(
             out.extend_from_slice(message.as_bytes());
             STATUS_ERR
         });
-    let len = (out.len() - payload) as u32;
-    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    set_len(out, start);
     out[start + 4] = status;
 }
 
@@ -384,16 +447,34 @@ fn put_labels(out: &mut Vec<u8>, columns: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Bytes a run's values take in a rows frame.
-fn run_values_len(run: &Run) -> usize {
-    match run {
-        Run::Gap(_) => 0,
-        Run::Values(ValueColumn::Int(v)) => v.len() * 4,
-        Run::Values(ValueColumn::Long(v)) => v.len() * 8,
-        Run::Values(ValueColumn::Float(v)) => v.len() * 4,
-        Run::Values(ValueColumn::Double(v)) => v.len() * 8,
-        Run::Values(ValueColumn::Bool(v)) => v.len(),
-        Run::Values(ValueColumn::Text(v)) => v.iter().map(|text| 4 + text.len()).sum(),
+/// Bytes `column` takes as cells (module docs: "Cells").
+fn column_len(column: &ValueColumn) -> usize {
+    match column {
+        ValueColumn::Int(v) => v.len() * 4,
+        ValueColumn::Long(v) => v.len() * 8,
+        ValueColumn::Float(v) => v.len() * 4,
+        ValueColumn::Double(v) => v.len() * 8,
+        ValueColumn::Bool(v) => v.len(),
+        ValueColumn::Text(v) => v.iter().map(|text| 4 + text.len()).sum(),
+    }
+}
+
+/// Appends `column` as cells (module docs: "Cells"), a fixed-width
+/// column as one block. A text's length is a `u32` like a frame's, so a
+/// text that fits a frame fits its length.
+fn put_column(out: &mut Vec<u8>, column: &ValueColumn) {
+    match column {
+        ValueColumn::Int(v) => put_cells(out, v, |v| v.to_le_bytes()),
+        ValueColumn::Long(v) => put_cells(out, v, |v| v.to_le_bytes()),
+        ValueColumn::Float(v) => put_cells(out, v, |v| v.to_bits().to_le_bytes()),
+        ValueColumn::Double(v) => put_cells(out, v, |v| v.to_bits().to_le_bytes()),
+        ValueColumn::Bool(v) => put_cells(out, v, |&v| [u8::from(v)]),
+        ValueColumn::Text(v) => {
+            for text in v {
+                out.extend_from_slice(&(text.len() as u32).to_le_bytes());
+                out.extend_from_slice(text.as_bytes());
+            }
+        }
     }
 }
 
@@ -412,14 +493,18 @@ fn write_row_set(out: &mut Vec<u8>, rows: &RowSet, limit: usize) -> Result<(), S
         .runs()
         .iter()
         .flatten()
-        .map(|run| 5 + run_values_len(run))
+        .map(|run| match run {
+            Run::Gap(_) => 5,
+            Run::Values(values) => 5 + column_len(values),
+        })
         .fold(labels_len(rows.columns()), usize::saturating_add)
         .saturating_add(4)
         .saturating_add(rows.len().saturating_mul(8));
     if size > limit {
         return Err(too_large());
     }
-    // Within the limit, so every count below fits its `u32`.
+    // Within the limit, so every count and text length below fits its
+    // `u32`.
     let nrows = u32::try_from(rows.len()).map_err(|_| too_large())?;
     out.reserve(size);
     put_labels(out, rows.columns())?;
@@ -434,20 +519,7 @@ fn write_row_set(out: &mut Vec<u8>, rows: &RowSet, limit: usize) -> Result<(), S
         };
         out.push(values.data_type().tag());
         out.extend_from_slice(&run_len.to_le_bytes());
-        match values {
-            ValueColumn::Int(v) => put_cells(out, v, |v| v.to_le_bytes()),
-            ValueColumn::Long(v) => put_cells(out, v, |v| v.to_le_bytes()),
-            ValueColumn::Float(v) => put_cells(out, v, |v| v.to_bits().to_le_bytes()),
-            ValueColumn::Double(v) => put_cells(out, v, |v| v.to_bits().to_le_bytes()),
-            ValueColumn::Bool(v) => put_cells(out, v, |&v| [u8::from(v)]),
-            ValueColumn::Text(v) => {
-                for text in v {
-                    let len = u32::try_from(text.len()).map_err(|_| too_large())?;
-                    out.extend_from_slice(&len.to_le_bytes());
-                    out.extend_from_slice(text.as_bytes());
-                }
-            }
-        }
+        put_column(out, values);
     }
     Ok(())
 }
@@ -574,21 +646,10 @@ pub fn read_request(
                 })
             }
         },
-        KIND_BATCH => decode_batch_payload(&payload).map_or_else(
-            || {
-                Err(DecodeError::Malformed {
-                    id,
-                    reason: "undecodable batch payload".to_string(),
-                })
-            },
-            |(device, sensor, batch)| {
-                Ok(RequestBody::Batch {
-                    device,
-                    sensor,
-                    batch,
-                })
-            },
-        )?,
+        KIND_BATCH => decode_batch(&payload).map_err(|e| DecodeError::Malformed {
+            id,
+            reason: format!("undecodable batch payload: {e}"),
+        })?,
         other => {
             return Err(DecodeError::Malformed {
                 id,
@@ -629,11 +690,9 @@ impl<'a> Unread<'a> {
         count: usize,
     ) -> Result<impl Iterator<Item = [u8; N]> + 'a, &'static str> {
         let bytes = self.take(count.checked_mul(N).ok_or("count overflows")?)?;
-        // `chunks_exact(N)` yields only `N`-byte chunks, so the
-        // conversion cannot fail.
-        Ok(bytes
-            .chunks_exact(N)
-            .map(|chunk| <[u8; N]>::try_from(chunk).unwrap_or([0; N])))
+        // `count × N` bytes: no remainder.
+        let (cells, _) = bytes.as_chunks::<N>();
+        Ok(cells.iter().copied())
     }
 
     fn string(&mut self, len: usize) -> Result<String, &'static str> {
@@ -658,22 +717,86 @@ impl<'a> Unread<'a> {
     }
 }
 
-/// Decodes a [`KIND_BATCH`] payload; `None` on any inconsistency.
-fn decode_batch_payload(payload: &[u8]) -> Option<(String, String, PointBatch)> {
+/// Reads `count` cells of `data_type` (module docs: "Cells") — the one
+/// column reader, of a batch's values and of a rows frame's runs.
+fn read_column(
+    unread: &mut Unread<'_>,
+    data_type: DataType,
+    count: usize,
+) -> Result<ValueColumn, &'static str> {
+    Ok(match data_type {
+        DataType::Int32 => ValueColumn::Int(unread.cells(count)?.map(i32::from_le_bytes).collect()),
+        DataType::Int64 => {
+            ValueColumn::Long(unread.cells(count)?.map(i64::from_le_bytes).collect())
+        }
+        DataType::Float => ValueColumn::Float(
+            unread
+                .cells(count)?
+                .map(|v| f32::from_bits(u32::from_le_bytes(v)))
+                .collect(),
+        ),
+        DataType::Double => ValueColumn::Double(
+            unread
+                .cells(count)?
+                .map(|v| f64::from_bits(u64::from_le_bytes(v)))
+                .collect(),
+        ),
+        DataType::Boolean => ValueColumn::Bool(
+            unread
+                .cells(count)?
+                .map(|[v]| match v {
+                    0 => Ok(false),
+                    1 => Ok(true),
+                    _ => Err("bool byte above 1"),
+                })
+                .collect::<Result<_, _>>()?,
+        ),
+        DataType::Text => {
+            // Each text is at least its four length bytes.
+            if count.saturating_mul(4) > unread.0.len() {
+                return Err("truncated");
+            }
+            let mut texts = Vec::with_capacity(count);
+            for _ in 0..count {
+                let len = unread.u32()?;
+                texts.push(unread.string(len)?);
+            }
+            ValueColumn::Text(texts)
+        }
+    })
+}
+
+/// Decodes a [`KIND_BATCH`] payload (module docs: "The batch frame").
+fn decode_batch(payload: &[u8]) -> Result<RequestBody, &'static str> {
     let mut unread = Unread(payload);
-    let device_len = unread.u16().ok()?;
-    let device = unread.string(device_len).ok()?;
-    let sensor_len = unread.u16().ok()?;
-    let sensor = unread.string(sensor_len).ok()?;
-    let [tag] = unread.array().ok()?;
-    let dtype = DataType::from_tag(tag)?;
-    let count = unread.u32().ok()?;
-    // The timestamp column is fixed-width, so an absurd count fails
-    // here instead of allocating.
-    let ts: Vec<i64> = unread.cells(count).ok()?.map(i64::from_le_bytes).collect();
-    let values = ValueColumn::decode(dtype, count, unread.0)?;
-    let batch = PointBatch::from_columns(ts, values).ok()?;
-    Some((device, sensor, batch))
+    let device_len = unread.u16()?;
+    let device = unread.string(device_len)?;
+    let sensor_len = unread.u16()?;
+    let sensor = unread.string(sensor_len)?;
+    let [tag] = unread.array()?;
+    let data_type = DataType::from_tag(tag).ok_or("unknown data type")?;
+    let count = unread.u32()?;
+    let ts = unread.cells(count)?.map(i64::from_le_bytes).collect();
+    let values = read_column(&mut unread, data_type, count)?;
+    if !unread.0.is_empty() {
+        return Err("trailing bytes");
+    }
+    let batch = PointBatch::from_columns(ts, values).map_err(|_| "columns of unequal length")?;
+    Ok(RequestBody::Batch {
+        device,
+        sensor,
+        batch,
+    })
+}
+
+/// Whether `buffered` begins with a whole frame, header and payload, so
+/// that reading the next frame from behind it cannot block.
+pub(crate) fn holds_frame(buffered: &[u8]) -> bool {
+    let Some(len) = buffered.first_chunk::<4>() else {
+        return false;
+    };
+    let len = u32::from_le_bytes(*len) as usize;
+    buffered.len() >= HEADER_BYTES.saturating_add(len)
 }
 
 fn invalid(reason: String) -> std::io::Error {
@@ -752,33 +875,14 @@ fn decode_rows(payload: &[u8]) -> Result<QueryOutput, &'static str> {
                 run.for_each(|cells| cells.push(None));
                 continue;
             };
-            match data_type {
-                DataType::Int32 => run
-                    .zip(unread.cells(run_len)?)
-                    .for_each(|(cells, v)| cells.push(Some(TsValue::Int(i32::from_le_bytes(v))))),
-                DataType::Int64 => run
-                    .zip(unread.cells(run_len)?)
-                    .for_each(|(cells, v)| cells.push(Some(TsValue::Long(i64::from_le_bytes(v))))),
-                DataType::Float => run.zip(unread.cells(run_len)?).for_each(|(cells, v)| {
-                    cells.push(Some(TsValue::Float(f32::from_bits(u32::from_le_bytes(v)))));
-                }),
-                DataType::Double => run.zip(unread.cells(run_len)?).for_each(|(cells, v)| {
-                    cells.push(Some(TsValue::Double(f64::from_bits(u64::from_le_bytes(v)))));
-                }),
-                DataType::Boolean => {
-                    for (cells, [v]) in run.zip(unread.cells(run_len)?) {
-                        if v > 1 {
-                            return Err("bool byte above 1");
-                        }
-                        cells.push(Some(TsValue::Bool(v == 1)));
-                    }
-                }
-                DataType::Text => {
-                    for cells in run {
-                        let len = unread.u32()?;
-                        cells.push(Some(TsValue::Text(unread.string(len)?)));
-                    }
-                }
+            let some = |cells: &mut Vec<Option<TsValue>>, value| cells.push(Some(value));
+            match read_column(&mut unread, data_type, run_len)? {
+                ValueColumn::Int(v) => run.zip(v).for_each(|(c, v)| some(c, TsValue::Int(v))),
+                ValueColumn::Long(v) => run.zip(v).for_each(|(c, v)| some(c, TsValue::Long(v))),
+                ValueColumn::Float(v) => run.zip(v).for_each(|(c, v)| some(c, TsValue::Float(v))),
+                ValueColumn::Double(v) => run.zip(v).for_each(|(c, v)| some(c, TsValue::Double(v))),
+                ValueColumn::Bool(v) => run.zip(v).for_each(|(c, v)| some(c, TsValue::Bool(v))),
+                ValueColumn::Text(v) => run.zip(v).for_each(|(c, v)| some(c, TsValue::Text(v))),
             }
         }
     }
@@ -868,7 +972,9 @@ mod tests {
     #[test]
     fn batch_frame_roundtrip_every_dtype() {
         let batches = vec![
+            PointBatch::from_rows((0..50i32).map(|t| (i64::from(t), TsValue::Int(-t)))).unwrap(),
             PointBatch::from_rows((0..50i64).map(|t| (t * 3 % 17, TsValue::Long(t)))).unwrap(),
+            PointBatch::from_rows((0..50i64).map(|t| (t, TsValue::Float(t as f32 / 3.0)))).unwrap(),
             PointBatch::from_rows((0..50i64).map(|t| (t, TsValue::Double(t as f64 * 0.5))))
                 .unwrap(),
             PointBatch::from_rows((0..8i64).map(|t| (t, TsValue::Bool(t % 2 == 0)))).unwrap(),

@@ -16,8 +16,7 @@
 //!   length over a payload of some twenty bytes fails before anything is
 //!   reserved for it.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+mod common;
 
 use backsort_engine::{AggValue, TsValue, ValueColumn};
 use backsort_server::wire::{
@@ -27,48 +26,6 @@ use backsort_sql::{QueryOutput, RowSet, Run};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use proptest::sample::select;
-
-thread_local! {
-    /// The largest single allocation request this thread has made since
-    /// the cell was last reset.
-    static LARGEST_REQUEST: Cell<usize> = const { Cell::new(0) };
-}
-
-struct CountingAllocator;
-
-fn note(size: usize) {
-    // `try_with`: the allocator also runs while a thread's locals are
-    // being torn down.
-    let _ = LARGEST_REQUEST.try_with(|c| c.set(c.get().max(size)));
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the bookkeeping beside it
-// touches a `const`-initialised thread-local `Cell` and allocates
-// nothing.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        // SAFETY: the caller's contract for `alloc` is `System.alloc`'s.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` through this allocator, with
-        // this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
-        // SAFETY: as for `dealloc`; `new_size` is the caller's to vouch
-        // for.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 /// The most one allocation of a decode may ask for, given the frame: a
 /// row's cells are reserved at one `Option<TsValue>` a column, and a
@@ -180,9 +137,7 @@ fn framed(status: u8, payload: &[u8]) -> Vec<u8> {
 
 /// Decodes `frame`, reporting the largest single allocation it asked for.
 fn decode(frame: &[u8]) -> (std::io::Result<Option<(u64, Response)>>, usize) {
-    LARGEST_REQUEST.with(|c| c.set(0));
-    let decoded = wire::read_response(&mut &*frame, MAX_RESPONSE_BYTES);
-    (decoded, LARGEST_REQUEST.with(Cell::get))
+    common::largest_allocation(|| wire::read_response(&mut &*frame, MAX_RESPONSE_BYTES))
 }
 
 proptest! {

@@ -1,7 +1,8 @@
 //! The production-shaped wire path under stress: pipelining order,
-//! malformed/oversized frames, a peer that stops reading, BUSY load
-//! shedding, writes stalled on a flush, and clean shutdown with clients
-//! mid-flight.
+//! malformed/oversized frames (alone and inside a pipelined burst), a
+//! peer that stops reading, a client dropped with frames queued, a
+//! client whose write fails, BUSY load shedding, writes stalled on a
+//! flush, and clean shutdown with clients mid-flight.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -316,6 +317,164 @@ fn malformed_and_oversized_frames_do_not_kill_the_server() {
         }
         other => panic!("{other:?}"),
     }
+    server.shutdown();
+}
+
+/// Malformed frames in the middle of a pipelined burst are answered in
+/// their places: the burst goes out in one write, the server answers it
+/// into one queue of replies, and a refusal joins that queue like any
+/// reply — written on its own ahead of the queue, it would overtake the
+/// replies to the frames before it.
+#[test]
+fn a_malformed_frame_inside_a_pipelined_burst_is_answered_in_its_place() {
+    let engine = engine_with(100_000);
+    let server = SqlServer::start("127.0.0.1:0", Arc::clone(&engine)).expect("bind");
+    let batch = frame(10, 40);
+    let mut burst = Vec::new();
+    wire::encode_sql(
+        &mut burst,
+        1,
+        "INSERT INTO root.burst.d1(timestamp, s) VALUES (1, 1)",
+    );
+    // An unknown kind.
+    burst.extend_from_slice(&2u32.to_le_bytes());
+    burst.push(0x7f);
+    burst.extend_from_slice(&2u64.to_le_bytes());
+    burst.extend_from_slice(b"xy");
+    // A batch with a byte after its last value.
+    let start = burst.len();
+    wire::encode_batch(&mut burst, 3, "root.burst.d1", "s", &batch);
+    burst.push(0);
+    let len = (burst.len() - start - wire::HEADER_BYTES) as u32;
+    burst[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    wire::encode_batch(&mut burst, 4, "root.burst.d1", "s", &batch);
+    // A statement that is not UTF-8.
+    burst.extend_from_slice(&1u32.to_le_bytes());
+    burst.push(wire::KIND_SQL);
+    burst.extend_from_slice(&5u64.to_le_bytes());
+    burst.push(0xFF);
+    wire::encode_sql(&mut burst, 6, "SELECT count(s) FROM root.burst.d1");
+
+    let mut stream = TcpStream::connect(server.addr()).expect("connect raw");
+    stream.write_all(&burst).expect("write");
+    let mut next = |want: u64| {
+        let (id, response) = wire::read_response(&mut stream, 1 << 20)
+            .expect("read")
+            .expect("response");
+        assert_eq!(id, want, "replies out of request order");
+        response
+    };
+    assert_eq!(next(1), wire::Response::Output(QueryOutput::Inserted(1)));
+    let refused = |response: wire::Response, why: &str| match response {
+        wire::Response::Error(m) => {
+            assert!(m.starts_with("malformed frame") && m.contains(why), "{m}")
+        }
+        other => panic!("{other:?}"),
+    };
+    refused(next(2), "unknown frame kind");
+    refused(next(3), "trailing bytes");
+    assert_eq!(next(4), wire::Response::Output(QueryOutput::Inserted(40)));
+    refused(next(5), "not UTF-8");
+    match next(6) {
+        wire::Response::Output(QueryOutput::Aggregates { values, .. }) => {
+            assert_eq!(
+                values[0].as_number(),
+                Some(41.0),
+                "only the good frames landed"
+            );
+        }
+        other => panic!("{other:?}"),
+    }
+    assert_eq!(
+        engine.obs().counter_value(names::SERVER_REJECTED_MALFORMED),
+        3
+    );
+    server.shutdown();
+}
+
+/// A client dropped with frames still queued writes them as it goes,
+/// as a buffered writer's drop does: they land although nobody reads
+/// their replies.
+#[test]
+fn a_dropped_client_still_delivers_its_queued_frames() {
+    const FRAMES: i64 = 50;
+    let engine = engine_with(100_000);
+    let server = SqlServer::start("127.0.0.1:0", Arc::clone(&engine)).expect("bind");
+    let mut client = SqlClient::connect(server.addr()).expect("connect");
+    for t in 0..FRAMES {
+        client
+            .send_sql(&format!(
+                "INSERT INTO root.drop.d1(timestamp, s) VALUES ({t}, {t})"
+            ))
+            .expect("send");
+    }
+    drop(client);
+
+    let key = backsort_engine::SeriesKey::new("root.drop.d1", "s");
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while engine.query(&key, i64::MIN, i64::MAX).len() < FRAMES as usize {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the dropped client's frames never landed"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    server.shutdown();
+}
+
+/// A write that fails takes the frames it carried out of `pending` and
+/// breaks the client: the stream may end inside one of them, so every
+/// later send and flush is refused rather than written behind it.
+#[test]
+fn a_failed_write_breaks_the_client() {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let mut client = SqlClient::connect(listener.local_addr().expect("addr")).expect("connect");
+    drop(listener.accept().expect("accept"));
+    let mut written = 0;
+    loop {
+        client.send_sql("SHOW STATS").expect("queued, not written");
+        if client.flush().is_err() {
+            break;
+        }
+        written += 1;
+        assert!(written < 10_000, "writes to a closed peer kept succeeding");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(client.pending(), written);
+    assert!(client.send_sql("SHOW STATS").is_err());
+    assert!(client.flush().is_err());
+    assert_eq!(client.pending(), written);
+}
+
+/// A deep pipeline of large replies: 200 `SELECT`s of 2,000 rows (32 KB
+/// a reply, 6.4 MB in all, far more than the socket buffers hold) sent
+/// before the first `recv` are all answered, in order. The client's
+/// requests leave in one write when it first waits; the server's
+/// replies leave in bursts of its queue's size while the client reads.
+#[test]
+fn a_deep_pipeline_of_large_selects_is_answered_in_order() {
+    const ROWS: i64 = 2_000;
+    const REQUESTS: usize = 200;
+    let engine = engine_with(100_000);
+    let server = SqlServer::start("127.0.0.1:0", Arc::clone(&engine)).expect("bind");
+    let mut client = SqlClient::connect(server.addr()).expect("connect");
+    client
+        .insert_batch("root.deep.d1", "s", &frame(0, ROWS))
+        .expect("seed");
+    let sent: Vec<u64> = (0..REQUESTS)
+        .map(|_| client.send_sql("SELECT s FROM root.deep.d1").expect("send"))
+        .collect();
+    for id in sent {
+        match client.recv() {
+            Ok((got, wire::Response::Output(QueryOutput::Rows { rows, .. }))) => {
+                assert_eq!(got, id, "replies out of request order");
+                assert_eq!(rows.len(), ROWS as usize);
+                assert_eq!(rows[ROWS as usize - 1].1, [Some(TsValue::Long(ROWS - 1))]);
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+    assert_eq!(client.pending(), 0);
     server.shutdown();
 }
 
