@@ -521,6 +521,40 @@ fn catalog_sync_flags_orphans_and_adhoc_literals() {
     );
 }
 
+#[test]
+fn catalog_sync_does_not_count_the_registration_lists_as_a_use() {
+    let names = fixture("catalog_listed.rs");
+    let user = "use backsort_obs::names::ENGINE_WRITES;\n\
+                fn observe(obs: &Registry) { obs.counter(ENGINE_WRITES).inc(); }\n";
+    let ws = workspace(
+        vec![
+            SourceFile::from_source(
+                "crates/obs/src/names.rs",
+                "backsort-obs",
+                FileKind::Lib,
+                &names,
+            ),
+            SourceFile::from_source(
+                "crates/engine/src/user.rs",
+                "backsort-engine",
+                FileKind::Lib,
+                user,
+            ),
+        ],
+        vec![],
+    );
+    assert_findings(
+        &ws,
+        r#"
+[lint.catalog-sync]
+metric_catalog = "crates/obs/src/names.rs"
+metric_calls = [".counter("]
+"#,
+        "catalog-sync",
+        &[("crates/obs/src/names.rs", &names)],
+    );
+}
+
 const DOC_CFG: &str = r#"
 [lint.doc-drift]
 items_from = ["crates/core/src/merge.rs"]

@@ -19,6 +19,7 @@ use std::time::Instant;
 
 use backsort_core::Algorithm;
 use backsort_engine::{EngineConfig, PointBatch, SeriesKey, StorageEngine, TsValue};
+use backsort_obs::names;
 use backsort_workload::{generate_pairs, DatasetKind, DelayModel, SignalKind, StreamSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -190,14 +191,16 @@ pub fn run_benchmark(config: &BenchConfig) -> BenchReport {
         report.query_throughput_pps =
             Some(report.points_queried as f64 / (query_nanos as f64 / 1e9));
     }
-    let flushes = engine.flush_history();
-    let counted: Vec<_> = flushes.iter().filter(|f| f.points > 0).collect();
-    report.flushes = counted.len() as u64;
-    if !counted.is_empty() {
-        let total: u64 = counted.iter().map(|f| f.total_nanos()).sum();
-        let sort: u64 = counted.iter().map(|f| f.sort_nanos).sum();
-        report.avg_flush_ms = Some(total as f64 / counted.len() as f64 / 1e6);
-        report.avg_flush_sort_ms = Some(sort as f64 / counted.len() as f64 / 1e6);
+    let flushed = engine.obs().snapshot();
+    let nanos = |name: &str| flushed.counter(name) as f64;
+    report.flushes = flushed.counter(names::FLUSH_COUNT);
+    if report.flushes > 0 {
+        let flushes = report.flushes as f64;
+        let per_flush_ms = |ns: f64| Some(ns / flushes / 1e6);
+        let sort = nanos(names::FLUSH_SORT_NANOS);
+        let total = sort + nanos(names::FLUSH_ENCODE_NANOS) + nanos(names::FLUSH_WRITE_NANOS);
+        report.avg_flush_ms = per_flush_ms(total);
+        report.avg_flush_sort_ms = per_flush_ms(sort);
     }
     report
 }

@@ -177,10 +177,10 @@ impl BackwardSort {
     }
 
     /// [`sort_with_report`](Self::sort_with_report), additionally
-    /// streaming live telemetry into `obs` when given: the chosen `L`,
-    /// probe loop count, measured `α̃_L` (ppm), and the per-step
-    /// backward-merge overlap `Q` — zero-overlap merges included, since
-    /// the Theorem bounds the expectation over *all* merge steps.
+    /// streaming live telemetry into `obs` when given: the chosen `L` and
+    /// the per-step backward-merge overlap `Q` — zero-overlap merges
+    /// included, since the Theorem bounds the expectation over *all*
+    /// merge steps. The probe loop count and `α̃_L` stay in the report.
     pub fn sort_observed<S: SeriesAccess>(
         &self,
         s: &mut S,
@@ -205,10 +205,6 @@ impl BackwardSort {
         if let Some(obs) = obs {
             obs.histogram(backsort_obs::names::SORT_BLOCK_SIZE)
                 .record(l as u64);
-            obs.histogram(backsort_obs::names::SORT_PROBE_LOOPS)
-                .record(loops as u64);
-            obs.histogram(backsort_obs::names::SORT_ALPHA_PPM)
-                .record((alpha.max(0.0) * 1e6) as u64);
         }
 
         if l >= n {
@@ -378,8 +374,8 @@ impl Algorithm {
         ]
     }
 
-    /// Sorts `s`, streaming Backward-Sort telemetry (block size, probe
-    /// count, `α̃_L`, per-merge `Q`) into `obs` when this algorithm is
+    /// Sorts `s`, streaming Backward-Sort telemetry (block size and
+    /// per-merge `Q`) into `obs` when this algorithm is
     /// Backward-Sort. Baselines have no block/merge structure to report,
     /// so they sort silently.
     pub fn sort_series_observed<S: SeriesAccess>(

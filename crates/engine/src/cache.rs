@@ -19,10 +19,10 @@
 //! including under an engine shard read lock — without ordering risk.
 //!
 //! Budgeting is per segment (`budget / CACHE_SHARDS`), byte-accounted by
-//! an estimate of each decoded page's heap footprint. The
-//! `cache.{hits,misses,evictions}` counters and the `cache.bytes` gauge
-//! record into the engine's registry; a zero byte budget disables the
-//! cache entirely (the engine then never constructs one).
+//! an estimate of each decoded page's heap footprint; [`BlockCache::bytes`]
+//! sums it. The `cache.{hits,misses,evictions}` counters record into the
+//! engine's registry; a zero byte budget disables the cache entirely
+//! (the engine then never constructs one).
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -114,12 +114,10 @@ impl Segment {
     }
 
     /// Inserts (or replaces) and evicts least-recently-touched entries
-    /// until this segment fits its budget. Returns
-    /// `(bytes delta, evictions)`.
-    fn insert(&mut self, key: PageKey, page: CachedPage, budget: usize) -> (i64, u64) {
+    /// until this segment fits its budget. Returns the evictions.
+    fn insert(&mut self, key: PageKey, page: CachedPage, budget: usize) -> u64 {
         self.tick += 1;
         let bytes = page_bytes(&page);
-        let mut delta = bytes as i64;
         if let Some(old) = self.map.insert(
             key,
             Entry {
@@ -129,7 +127,6 @@ impl Segment {
             },
         ) {
             self.bytes -= old.bytes;
-            delta -= old.bytes as i64;
         }
         self.bytes += bytes;
         self.queue.push_back((key, self.tick));
@@ -151,7 +148,6 @@ impl Segment {
             if live {
                 if let Some(entry) = self.map.remove(&victim) {
                     self.bytes -= entry.bytes;
-                    delta -= entry.bytes as i64;
                     evictions += 1;
                 }
             }
@@ -163,7 +159,7 @@ impl Segment {
             self.queue
                 .retain(|(k, stamp)| map.get(k).is_some_and(|e| e.stamp == *stamp));
         }
-        (delta, evictions)
+        evictions
     }
 }
 
@@ -174,14 +170,13 @@ pub struct BlockCache {
     hits: Arc<backsort_obs::Counter>,
     misses: Arc<backsort_obs::Counter>,
     evictions: Arc<backsort_obs::Counter>,
-    bytes: Arc<backsort_obs::Gauge>,
 }
 
 impl std::fmt::Debug for BlockCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BlockCache")
             .field("budget_per_segment", &self.budget_per_segment)
-            .field("bytes", &self.bytes.get())
+            .field("bytes", &self.bytes())
             .finish()
     }
 }
@@ -199,7 +194,6 @@ impl BlockCache {
             hits: registry.counter(backsort_obs::names::CACHE_HITS),
             misses: registry.counter(backsort_obs::names::CACHE_MISSES),
             evictions: registry.counter(backsort_obs::names::CACHE_EVICTIONS),
-            bytes: registry.gauge(backsort_obs::names::CACHE_BYTES),
         }
     }
 
@@ -230,20 +224,18 @@ impl BlockCache {
 
     /// Inserts a decoded page, evicting LRU entries past the budget.
     pub fn insert(&self, key: PageKey, page: CachedPage) {
-        let (delta, evictions) =
-            self.segment(&key)
-                .lock()
-                .insert(key, page, self.budget_per_segment);
-        self.bytes.add(delta);
+        let evictions = self
+            .segment(&key)
+            .lock()
+            .insert(key, page, self.budget_per_segment);
         if evictions > 0 {
             self.evictions.add(evictions);
         }
     }
 
-    /// Current accounted bytes across all segments (the `cache.bytes`
-    /// gauge's value).
-    pub fn bytes(&self) -> i64 {
-        self.bytes.get()
+    /// Current accounted bytes across all segments.
+    pub fn bytes(&self) -> usize {
+        self.segments.iter().map(|s| s.lock().bytes).sum()
     }
 }
 
@@ -277,11 +269,7 @@ mod tests {
         assert_eq!(got.0.len(), 10);
         assert_eq!(reg.counter_value(backsort_obs::names::CACHE_HITS), 1);
         assert_eq!(reg.counter_value(backsort_obs::names::CACHE_MISSES), 1);
-        assert_eq!(
-            reg.gauge_value(backsort_obs::names::CACHE_BYTES),
-            cache.bytes()
-        );
-        assert!(cache.bytes() > 0);
+        assert_eq!(cache.bytes(), page_bytes(&page(10, 7)));
     }
 
     #[test]
@@ -334,7 +322,7 @@ mod tests {
             "64 inserts into a ~16-page budget must evict"
         );
         assert!(
-            cache.bytes() <= (one * 2 * CACHE_SHARDS + one * CACHE_SHARDS) as i64,
+            cache.bytes() <= one * 2 * CACHE_SHARDS + one * CACHE_SHARDS,
             "accounted bytes stay near budget (at most one overshoot entry per segment)"
         );
         // The most recent insert always survives.

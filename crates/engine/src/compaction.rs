@@ -18,10 +18,11 @@
 //!   one level, the run merges into a single file one level up. Runs
 //!   are trimmed at device-disjoint boundaries (merging files that
 //!   share no device only rewrites bytes), and a singleton leftover is
-//!   *promoted* — its level bumped without a rewrite. Both count as
-//!   `compaction.level_moves`. Adopted wide multi-device images shed
-//!   their foreign-shard chunks on their first merge, so unseq adoption
-//!   stops producing wide files that every query must probe.
+//!   *promoted* — its level bumped without a rewrite. Both count in
+//!   the returned [`CompactionReport`]'s `level_moves`. Adopted wide
+//!   multi-device images shed their foreign-shard chunks on their first
+//!   merge, so unseq adoption stops producing wide files that every
+//!   query must probe.
 //!
 //! # Invariants
 //!
@@ -230,7 +231,6 @@ impl StorageEngine {
             }
             total.absorb(self.compact_shard(shard));
         }
-        self.record_compaction(&total);
         total
     }
 
@@ -255,21 +255,7 @@ impl StorageEngine {
             }
             total.absorb(self.compact_shard_leveled(shard));
         }
-        self.record_compaction(&total);
         total
-    }
-
-    fn record_compaction(&self, total: &CompactionReport) {
-        let obs = self.obs();
-        obs.counter(backsort_obs::names::COMPACTION_RUNS).inc();
-        obs.counter(backsort_obs::names::COMPACTION_BYTES_IN)
-            .add(total.bytes_in);
-        obs.counter(backsort_obs::names::COMPACTION_BYTES_OUT)
-            .add(total.bytes_out);
-        if total.level_moves > 0 {
-            obs.counter(backsort_obs::names::COMPACTION_LEVEL_MOVES)
-                .add(total.level_moves);
-        }
     }
 
     /// Merges the run `handles[a..b)` into one image: gathers every

@@ -185,7 +185,6 @@ struct ShardState {
     /// only files at an index below the horizon are filtered (data
     /// written after the delete must not be erased).
     tombstones: Vec<(Tombstone, usize)>,
-    flush_history: Vec<FlushMetrics>,
 }
 
 impl ShardState {
@@ -306,17 +305,10 @@ impl QueryPlan {
 
 /// Handles into the engine's [`Registry`], cached at construction so hot
 /// paths record through lock-free `Arc`s and never take the registry's
-/// name-map lock. Constructing this also pre-registers the complete
-/// metric catalog ([`names::REQUIRED`]) — including metrics recorded by
-/// other layers against the same registry (WAL, compaction, sort
-/// telemetry) — so a snapshot carries every declared name from the first
-/// render, at zero, and the CI catalog check can tell "metric removed"
-/// from "metric not yet hit".
+/// name-map lock. (The registry itself pre-registers the whole catalog.)
 #[derive(Debug)]
 struct EngineObs {
     registry: Arc<Registry>,
-    write_batch_nanos: Arc<Histogram>,
-    batch_split_nanos: Arc<Histogram>,
     batch_append_nanos: Arc<Histogram>,
     type_mismatch_rejects: Arc<Counter>,
     write_points: Arc<Counter>,
@@ -334,7 +326,6 @@ struct EngineObs {
     delta_tau: Arc<Histogram>,
     dirty_buffer_points: Arc<Histogram>,
     flush_count: Arc<Counter>,
-    shard_flush_count: Vec<Arc<Counter>>,
     flush_sort_nanos: Arc<Counter>,
     flush_encode_nanos: Arc<Counter>,
     flush_write_nanos: Arc<Counter>,
@@ -343,52 +334,8 @@ struct EngineObs {
 }
 
 impl EngineObs {
-    fn new(registry: Arc<Registry>, shards: usize) -> Self {
-        // Catalog metrics owned by other layers (sorts, flush pipeline,
-        // durable store, compaction): registered here so they exist from
-        // the first snapshot, recorded at their own sites.
-        for name in [
-            names::MEMTABLE_DIRTY_BUFFER_POINTS,
-            names::WAL_BATCH_ENCODE_NANOS,
-            names::SORT_BLOCK_SIZE,
-            names::SORT_PROBE_LOOPS,
-            names::SORT_ALPHA_PPM,
-            names::MERGE_OVERLAP_Q,
-            names::SERVER_FLUSH_WAIT_NANOS,
-            names::SERVER_REQUEST_NANOS,
-        ] {
-            registry.histogram(name);
-        }
-        for name in [
-            names::WAL_BYTES,
-            names::WAL_APPENDS,
-            names::WAL_ROTATIONS,
-            names::WAL_REPLAY_DISCARDED_BYTES,
-            names::STORE_REMOVE_FAILURES,
-            names::COMPACTION_RUNS,
-            names::COMPACTION_BYTES_IN,
-            names::COMPACTION_BYTES_OUT,
-            names::COMPACTION_LEVEL_MOVES,
-            names::CACHE_HITS,
-            names::CACHE_MISSES,
-            names::CACHE_EVICTIONS,
-            names::SERVER_CONNECTIONS_TOTAL,
-            names::SERVER_FRAMES,
-            names::SERVER_BATCH_POINTS,
-            names::SERVER_REJECTED_BUSY,
-            names::SERVER_REJECTED_MALFORMED,
-        ] {
-            registry.counter(name);
-        }
-        for name in [names::CACHE_BYTES, names::SERVER_CONNECTIONS] {
-            registry.gauge(name);
-        }
-        let shard_flush_count = (0..shards)
-            .map(|s| registry.counter(&Registry::labeled(names::FLUSH_COUNT, "shard", s)))
-            .collect();
+    fn new(registry: Arc<Registry>) -> Self {
         Self {
-            write_batch_nanos: registry.histogram(names::ENGINE_WRITE_BATCH_NANOS),
-            batch_split_nanos: registry.histogram(names::ENGINE_BATCH_SPLIT_NANOS),
             batch_append_nanos: registry.histogram(names::MEMTABLE_BATCH_APPEND_NANOS),
             type_mismatch_rejects: registry.counter(names::MEMTABLE_TYPE_MISMATCH_REJECTS),
             write_points: registry.counter(names::ENGINE_WRITE_POINTS),
@@ -406,7 +353,6 @@ impl EngineObs {
             delta_tau: registry.histogram(names::MEMTABLE_DELTA_TAU),
             dirty_buffer_points: registry.histogram(names::MEMTABLE_DIRTY_BUFFER_POINTS),
             flush_count: registry.counter(names::FLUSH_COUNT),
-            shard_flush_count,
             flush_sort_nanos: registry.counter(names::FLUSH_SORT_NANOS),
             flush_encode_nanos: registry.counter(names::FLUSH_ENCODE_NANOS),
             flush_write_nanos: registry.counter(names::FLUSH_WRITE_NANOS),
@@ -417,11 +363,8 @@ impl EngineObs {
     }
 
     /// Records one completed flush's metric breakdown.
-    fn record_flush(&self, shard: usize, m: &FlushMetrics) {
+    fn record_flush(&self, m: &FlushMetrics) {
         self.flush_count.inc();
-        if let Some(c) = self.shard_flush_count.get(shard) {
-            c.inc();
-        }
         self.flush_sort_nanos.add(m.sort_nanos);
         self.flush_encode_nanos.add(m.encode_nanos);
         self.flush_write_nanos.add(m.write_nanos);
@@ -525,7 +468,7 @@ impl StorageEngine {
             shards,
             next_file_id: AtomicU64::new(0),
             trace_tick: AtomicU64::new(0),
-            obs: EngineObs::new(registry, n),
+            obs: EngineObs::new(registry),
             faults,
             cache,
         }
@@ -664,19 +607,13 @@ impl StorageEngine {
         key: &SeriesKey,
         batch: &PointBatch,
     ) -> Result<Option<FlushJob>, WriteError> {
-        let start = self.obs.registry.is_enabled().then(Instant::now);
+        let timed = self.obs.registry.is_enabled();
         let shard = self.shard_of(&key.device);
         let mut st = self.shards[shard].write();
         self.check_batch_type(&st, key, batch)?;
         let max_points = self.config.memtable_max_points;
         let mut job = None;
         let mut deltas = LocalHistogram::new();
-        // The split is timed once a batch: what is left of the loop's
-        // time after its appends and rotation.
-        let clock = || start.map(|_| Instant::now());
-        let nanos_since = |t: Option<Instant>| t.map_or(0, |t| t.elapsed().as_nanos() as u64);
-        let split_start = clock();
-        let mut not_split_nanos = 0u64;
         let ts = batch.ts();
         let mut watermark = st.watermarks.get(key).copied();
         // Only a free slot takes a rotation, and one rotation fills it;
@@ -687,11 +624,9 @@ impl StorageEngine {
             let (working, unseq) = (st.working.total_points(), st.unseq.total_points());
             if can_rotate && working.max(unseq) >= max_points.max(1) {
                 // The fuller of the full memtables rotates.
-                let rotate_start = clock();
                 job = self.rotate_into_slot(shard, &mut st, unseq > working);
                 can_rotate = false;
                 watermark = st.watermarks.get(key).copied();
-                not_split_nanos += nanos_since(rotate_start);
             }
             if idx >= ts.len() {
                 break;
@@ -699,29 +634,22 @@ impl StorageEngine {
             let room = |mem: &MemTable| max_points.saturating_sub(mem.total_points()).max(1);
             let rooms = can_rotate.then(|| [room(&st.working), room(&st.unseq)]);
             let (run_end, unseq) = next_run(ts, idx, watermark, rooms);
-            let append_start = clock();
+            let append_start = timed.then(Instant::now);
             let (run_ts, run_vals) = batch.slice(idx, run_end);
             st.memtable(unseq)
                 .write_columns(key, run_ts, run_vals, &mut deltas)?;
-            if append_start.is_some() {
-                let nanos = nanos_since(append_start);
-                self.obs.batch_append_nanos.record(nanos);
-                not_split_nanos += nanos;
+            if let Some(start) = append_start {
+                self.obs
+                    .batch_append_nanos
+                    .record(start.elapsed().as_nanos() as u64);
             }
             idx = run_end;
         }
-        let split_nanos = nanos_since(split_start).saturating_sub(not_split_nanos);
         self.obs.write_points.add(ts.len() as u64);
         // Δτ went into a stack-local histogram, no atomics per point.
         if deltas.count() > 0 {
             self.obs.ooo_points.add(deltas.count());
             self.obs.delta_tau.merge_local(&deltas);
-        }
-        if let Some(start) = start {
-            self.obs.batch_split_nanos.record(split_nanos);
-            self.obs
-                .write_batch_nanos
-                .record(start.elapsed().as_nanos() as u64);
         }
         Ok(job)
     }
@@ -1117,13 +1045,12 @@ impl StorageEngine {
                 });
             }
         }
-        st.flush_history.push(metrics);
         let retired = st.flushing.take();
         drop(st);
         // Freeing the retired memtable's chunks holds nobody up.
         drop(retired);
         self.obs.flush_queue_depth.dec();
-        self.obs.record_flush(shard, &metrics);
+        self.obs.record_flush(&metrics);
         metrics
     }
 
@@ -1291,15 +1218,6 @@ impl StorageEngine {
             .filter_map(|b| b.max_time())
             .chain(st.watermarks.get(key).copied())
             .max()
-    }
-
-    /// All flush metrics recorded so far, shard 0 first.
-    pub fn flush_history(&self) -> Vec<FlushMetrics> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            out.extend(shard.read().flush_history.iter().copied());
-        }
-        out
     }
 
     /// Number of flushed file images across all shards. (A recovered
@@ -1711,16 +1629,21 @@ mod tests {
     }
 
     #[test]
-    fn flush_history_accumulates() {
+    fn flush_counters_accumulate() {
+        let flushed = |eng: &StorageEngine| {
+            let snap = eng.obs().snapshot();
+            (
+                snap.counter(names::FLUSH_COUNT),
+                snap.counter(names::FLUSH_POINTS),
+            )
+        };
         let eng = small_engine(Algorithm::Backward(Default::default()));
         eng.write_points(&key("s"), (0..100i64).map(|i| (i, TsValue::Long(i))));
         // The 100th point rotated the full memtable; nothing is left, so
         // neither flush records anything.
         assert_eq!(eng.flush().points, 0);
         assert_eq!(eng.flush_unseq().points, 0);
-        let hist = eng.flush_history();
-        assert_eq!(hist.len(), 1);
-        assert_eq!(hist[0].points, 100);
+        assert_eq!(flushed(&eng), (1, 100));
 
         // Only the shard holding points flushes, each memtable once.
         let eng = sharded_engine(4);
@@ -1732,10 +1655,7 @@ mod tests {
         assert_eq!(eng.flush().points + eng.flush_unseq().points, 0);
         assert_eq!(eng.buffered_points(), (0, 0));
         assert_eq!(eng.file_count(), 2);
-        let hist: Vec<u64> = eng.flush_history().iter().map(|m| m.points).collect();
-        assert_eq!(hist, [10, 1], "clean shards record no history entry");
-        let snap = eng.obs().snapshot();
-        assert_eq!(snap.counter(names::FLUSH_COUNT), 2);
+        assert_eq!(flushed(&eng), (2, 11), "clean shards record no flush");
     }
 
     #[test]
@@ -1943,7 +1863,8 @@ mod tests {
         assert_eq!((eng.file_count(), depth(&eng)), (3, 0));
         assert_eq!(eng.complete_flush(job), FlushMetrics::default());
         assert_eq!((eng.file_count(), depth(&eng)), (3, 0));
-        assert_eq!(eng.flush_history().len(), 3, "a stale job records nothing");
+        let flushes = eng.obs().counter_value(names::FLUSH_COUNT);
+        assert_eq!(flushes, 3, "a stale job records nothing");
         assert_eq!(eng.query(&key("s"), 50, 50), [(50, TsValue::Long(-50))]);
         assert_eq!(eng.query(&key("s"), 250, 250), [(250, TsValue::Long(250))]);
     }
@@ -2155,7 +2076,7 @@ mod tests {
             eng.obs().counter_value(names::CACHE_HITS) > hits_after_first,
             "the second identical query re-serves decoded pages"
         );
-        assert!(eng.obs().gauge_value(names::CACHE_BYTES) > 0);
+        assert!(eng.block_cache().is_some_and(|c| c.bytes() > 0));
 
         // cache_bytes = 0 disables the cache; results are identical.
         let cold = StorageEngine::new(EngineConfig {

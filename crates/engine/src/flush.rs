@@ -48,13 +48,6 @@ pub struct FlushMetrics {
     pub bytes: u64,
 }
 
-impl FlushMetrics {
-    /// Total flush wall time in nanoseconds.
-    pub fn total_nanos(&self) -> u64 {
-        self.sort_nanos + self.encode_nanos + self.write_nanos
-    }
-}
-
 impl std::ops::AddAssign for FlushMetrics {
     fn add_assign(&mut self, other: Self) {
         self.sort_nanos += other.sort_nanos;
@@ -458,9 +451,5 @@ mod tests {
         assert!(metrics.encode_nanos > 0);
         assert!(metrics.write_nanos > 0);
         assert_eq!(metrics.points, 10_000);
-        assert_eq!(
-            metrics.total_nanos(),
-            metrics.sort_nanos + metrics.encode_nanos + metrics.write_nanos
-        );
     }
 }

@@ -468,9 +468,7 @@ pub struct DurableEngine {
     persisted: Vec<HashMap<u64, u64>>,
     /// Cached registry handles — the WAL append sits on the durable
     /// write path, so it must not take the registry's name-map lock.
-    wal_appends: Arc<backsort_obs::Counter>,
     wal_bytes: Arc<backsort_obs::Counter>,
-    wal_batch_encode_nanos: Arc<backsort_obs::Histogram>,
     /// Reusable frame-encode buffer: every record of every kind is
     /// encoded here and handed to the WAL as one slice, so the steady
     /// state allocates nothing per record.
@@ -670,11 +668,7 @@ impl DurableEngine {
         let wal = io
             .open_append(&dir.join(format!("wal-{generation}.log")))
             .map_err(StoreError::Wal)?;
-        let wal_appends = engine.obs().counter(backsort_obs::names::WAL_APPENDS);
         let wal_bytes = engine.obs().counter(backsort_obs::names::WAL_BYTES);
-        let wal_batch_encode_nanos = engine
-            .obs()
-            .histogram(backsort_obs::names::WAL_BATCH_ENCODE_NANOS);
         let mut this = Self {
             engine,
             dir,
@@ -683,9 +677,7 @@ impl DurableEngine {
             wal,
             generation,
             persisted,
-            wal_appends,
             wal_bytes,
-            wal_batch_encode_nanos,
             scratch: Vec::with_capacity(256),
         };
         // Replayed deletes recreated pending tombstones whose only
@@ -729,7 +721,6 @@ impl DurableEngine {
     /// Appends whatever frame sits in `scratch` to the active segment.
     fn append_scratch(&mut self) -> StoreResult<()> {
         self.wal.append(&self.scratch).map_err(StoreError::Wal)?;
-        self.wal_appends.inc();
         self.wal_bytes.add(self.scratch.len() as u64);
         Ok(())
     }
@@ -753,14 +744,8 @@ impl DurableEngine {
         if batch.is_empty() {
             return Ok(None);
         }
-        let timed = self.engine.obs().is_enabled();
-        let start = timed.then(std::time::Instant::now);
         self.scratch.clear();
         WalRecord::encode_batch(&mut self.scratch, key, batch);
-        if let Some(start) = start {
-            self.wal_batch_encode_nanos
-                .record(start.elapsed().as_nanos() as u64);
-        }
         self.append_scratch()?;
         self.faults
             .hit(fault_sites::STORE_WRITE_BATCH_APPEND)
@@ -902,10 +887,6 @@ impl DurableEngine {
                 &self.dir.join(format!("wal-{gen}.log")),
             );
         }
-        self.engine
-            .obs()
-            .counter(backsort_obs::names::WAL_ROTATIONS)
-            .inc();
         Ok(())
     }
 
@@ -1410,6 +1391,53 @@ mod tests {
             };
             assert_eq!(v, want, "last write wins at t={t} after batch replay");
         }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_torn_wal_tail_is_counted_in_replay_discarded_bytes() {
+        let discarded = |eng: &DurableEngine| {
+            let name = backsort_obs::names::WAL_REPLAY_DISCARDED_BYTES;
+            eng.engine().obs().counter_value(name)
+        };
+        let batch =
+            |lo: i64| PointBatch::from_rows((lo..lo + 10).map(|t| (t, TsValue::Long(t)))).unwrap();
+        let dir = tmpdir("torn-wal-tail");
+        {
+            let mut eng = DurableEngine::open(&dir, config(1_000)).unwrap();
+            eng.write_batch(&key(), &batch(0)).unwrap();
+            eng.write_batch(&key(), &batch(10)).unwrap();
+            eng.sync().unwrap();
+        }
+        // Tear the newest segment inside its last frame, as a crash
+        // mid-append would.
+        let newest = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter_map(|name| {
+                let gen = name.strip_prefix("wal-")?.strip_suffix(".log")?;
+                Some((gen.parse::<u64>().ok()?, name))
+            })
+            .max()
+            .expect("a WAL segment")
+            .1;
+        let path = dir.join(newest);
+        let bytes = fs::read(&path).unwrap();
+        let mut last_frame = Vec::new();
+        WalRecord::encode_batch(&mut last_frame, &key(), &batch(10));
+        let torn = last_frame.len() / 2;
+        assert!(bytes.ends_with(&last_frame));
+        fs::write(&path, &bytes[..bytes.len() - last_frame.len() + torn]).unwrap();
+
+        let eng = DurableEngine::open(&dir, config(1_000)).unwrap();
+        assert_eq!(discarded(&eng), torn as u64, "exactly the torn frame");
+        assert_eq!(eng.query(&key(), i64::MIN, i64::MAX).len(), 10);
+        drop(eng);
+        // Recovery rewrote the log: the next open finds nothing torn.
+        let eng = DurableEngine::open(&dir, config(1_000)).unwrap();
+        assert_eq!(discarded(&eng), 0);
+        assert_eq!(eng.query(&key(), i64::MIN, i64::MAX).len(), 10);
+        drop(eng);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -24,9 +24,9 @@
 //! * **[`names`]** — the metric catalog every instrumentation site and
 //!   the CI rot-check share.
 //!
-//! Per-shard variants use a label suffix baked into the metric name via
-//! [`Registry::labeled`] (`flush.count{shard=3}`), which keeps lookup a
-//! plain string map instead of a label-set matcher.
+//! Per-stage variants use a label suffix baked into the metric name via
+//! [`Registry::labeled`] (`trace.span_nanos{stage=sql.parse}`), which
+//! keeps lookup a plain string map instead of a label-set matcher.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -105,7 +105,7 @@ impl Gauge {
 
     /// Adds a (possibly negative) delta.
     #[inline]
-    pub fn add(&self, d: i64) {
+    fn add(&self, d: i64) {
         if self.enabled {
             self.value.fetch_add(d, Ordering::Relaxed);
         }
@@ -400,44 +400,44 @@ impl Registry {
     }
 
     fn build(enabled: bool) -> Self {
-        // The trace store's health metrics are ordinary registry
-        // metrics, created here so every registry — engine-owned or not
-        // — carries them from birth and exporters stay shape-complete.
+        // The whole catalog is created here, so every registry —
+        // engine-owned or not — carries it from birth and exporters stay
+        // shape-complete. The trace store records into its own entries.
         let mut inner = Inner::default();
-        let mut mk_counter = |name: &str| {
-            let c = Arc::new(Counter::new(enabled));
-            inner.counters.insert(name.to_string(), Arc::clone(&c));
-            c
-        };
-        let started = mk_counter(names::TRACE_STARTED);
-        let dropped = mk_counter(names::TRACE_DROPPED_SPANS);
-        let slow = mk_counter(names::TRACE_SLOW_QUERIES);
-        let span_base = Arc::new(Histogram::new(enabled));
-        inner
-            .histograms
-            .insert(names::TRACE_SPAN_NANOS.to_string(), Arc::clone(&span_base));
+        for name in names::COUNTERS {
+            register(&mut inner.counters, name, || Counter::new(enabled));
+        }
+        for name in names::GAUGES {
+            register(&mut inner.gauges, name, || Gauge::new(enabled));
+        }
+        for name in names::HISTOGRAMS {
+            register(&mut inner.histograms, name, || Histogram::new(enabled));
+        }
         let stage_nanos: BTreeMap<&'static str, Arc<Histogram>> = names::SPAN_STAGES
             .iter()
             .map(|stage| {
-                let h = Arc::new(Histogram::new(enabled));
-                inner.histograms.insert(
-                    Self::labeled(names::TRACE_SPAN_NANOS, "stage", stage),
-                    Arc::clone(&h),
-                );
+                let name = Self::labeled(names::TRACE_SPAN_NANOS, "stage", stage);
+                let h = register(&mut inner.histograms, &name, || Histogram::new(enabled));
                 (*stage, h)
             })
             .collect();
+        let traces = trace::TraceStore::new(
+            enabled,
+            register(&mut inner.counters, names::TRACE_STARTED, || {
+                Counter::new(enabled)
+            }),
+            register(&mut inner.counters, names::TRACE_DROPPED_SPANS, || {
+                Counter::new(enabled)
+            }),
+            register(&mut inner.histograms, names::TRACE_SPAN_NANOS, || {
+                Histogram::new(enabled)
+            }),
+            stage_nanos,
+        );
         Self {
             enabled,
             inner: RwLock::new(inner),
-            traces: Arc::new(trace::TraceStore::new(
-                enabled,
-                started,
-                dropped,
-                slow,
-                span_base,
-                stage_nanos,
-            )),
+            traces: Arc::new(traces),
         }
     }
 
@@ -447,7 +447,8 @@ impl Registry {
     }
 
     /// A metric name carrying one label, e.g.
-    /// `labeled("flush.count", "shard", 3)` → `flush.count{shard=3}`.
+    /// `labeled("trace.span_nanos", "stage", "sql.parse")` →
+    /// `trace.span_nanos{stage=sql.parse}`.
     pub fn labeled(name: &str, label: &str, value: impl std::fmt::Display) -> String {
         format!("{name}{{{label}={value}}}")
     }
@@ -467,12 +468,7 @@ impl Registry {
             .inner
             .write()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        Arc::clone(
-            inner
-                .counters
-                .entry(name.to_string())
-                .or_insert_with(|| Arc::new(Counter::new(self.enabled))),
-        )
+        register(&mut inner.counters, name, || Counter::new(self.enabled))
     }
 
     /// Registers (or retrieves) a gauge.
@@ -490,12 +486,7 @@ impl Registry {
             .inner
             .write()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        Arc::clone(
-            inner
-                .gauges
-                .entry(name.to_string())
-                .or_insert_with(|| Arc::new(Gauge::new(self.enabled))),
-        )
+        register(&mut inner.gauges, name, || Gauge::new(self.enabled))
     }
 
     /// Registers (or retrieves) a histogram.
@@ -513,12 +504,7 @@ impl Registry {
             .inner
             .write()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        Arc::clone(
-            inner
-                .histograms
-                .entry(name.to_string())
-                .or_insert_with(|| Arc::new(Histogram::new(self.enabled))),
-        )
+        register(&mut inner.histograms, name, || Histogram::new(self.enabled))
     }
 
     /// A counter's current value; 0 when it was never registered.
@@ -584,6 +570,14 @@ impl Registry {
     pub fn render_json(&self) -> String {
         self.snapshot().render_json()
     }
+}
+
+/// The metric `name` in `map`, created by `make` if it is not there yet.
+fn register<T>(map: &mut BTreeMap<String, Arc<T>>, name: &str, make: impl FnOnce() -> T) -> Arc<T> {
+    Arc::clone(
+        map.entry(name.to_string())
+            .or_insert_with(|| Arc::new(make())),
+    )
 }
 
 /// A point-in-time copy of a whole registry, diffable for bench deltas.
@@ -736,9 +730,9 @@ pub(crate) fn json_string(s: &str) -> String {
     out
 }
 
-/// Splits `flush.count{shard=3}` into a Prometheus-safe base name
-/// (`backsort_flush_count`) and a label block (`{shard="3"}`; empty when
-/// unlabeled).
+/// Splits `trace.span_nanos{stage=sql.parse}` into a Prometheus-safe
+/// base name (`backsort_trace_span_nanos`) and a label block
+/// (`{stage="sql.parse"}`; empty when unlabeled).
 fn prometheus_name(name: &str) -> (String, String) {
     let (base, label) = match name.split_once('{') {
         Some((b, rest)) => (b, rest.trim_end_matches('}')),
@@ -966,29 +960,41 @@ mod tests {
     #[test]
     fn prometheus_render_sanitizes_names_and_labels() {
         let r = Registry::new();
-        r.counter(&Registry::labeled(names::FLUSH_COUNT, "shard", 3))
-            .inc();
-        r.histogram(names::ENGINE_WRITE_BATCH_NANOS).record(1500);
+        r.counter(&Registry::labeled("t.count", "shard", 3)).inc();
+        r.histogram(names::SERVER_REQUEST_NANOS).record(1500);
         let text = r.render_prometheus();
-        assert!(text.contains("# TYPE backsort_flush_count counter"));
-        assert!(text.contains("backsort_flush_count{shard=\"3\"} 1"));
-        assert!(text.contains("# TYPE backsort_engine_write_batch_nanos summary"));
-        assert!(text.contains("backsort_engine_write_batch_nanos_count 1"));
+        assert!(text.contains("# TYPE backsort_t_count counter"));
+        assert!(text.contains("backsort_t_count{shard=\"3\"} 1"));
+        assert!(text.contains("# TYPE backsort_server_request_nanos summary"));
+        assert!(text.contains("backsort_server_request_nanos_count 1"));
         assert!(text.contains("quantile=\"0.5\""));
     }
 
     #[test]
     fn labeled_builds_the_suffix_form() {
         assert_eq!(
-            Registry::labeled("flush.count", "shard", 7),
-            "flush.count{shard=7}"
+            Registry::labeled("trace.span_nanos", "stage", "sql.parse"),
+            "trace.span_nanos{stage=sql.parse}"
         );
     }
 
     #[test]
-    fn required_catalog_is_unique_and_wellformed() {
+    fn the_catalog_is_unique_wellformed_and_registered_from_birth() {
+        let snap = Registry::new().snapshot();
+        let registered = |list: &[&str], kind: &str, has: &dyn Fn(&str) -> bool| {
+            for name in list {
+                assert!(has(name), "{kind} {name} not registered from birth");
+            }
+        };
+        registered(names::COUNTERS, "counter", &|n| {
+            snap.counters.contains_key(n)
+        });
+        registered(names::GAUGES, "gauge", &|n| snap.gauges.contains_key(n));
+        registered(names::HISTOGRAMS, "histogram", &|n| {
+            snap.histograms.contains_key(n)
+        });
         let mut seen = std::collections::BTreeSet::new();
-        for name in names::REQUIRED {
+        for name in [names::COUNTERS, names::GAUGES, names::HISTOGRAMS].concat() {
             assert!(seen.insert(name), "duplicate catalog entry {name}");
             assert!(
                 name.chars()

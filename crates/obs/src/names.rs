@@ -3,20 +3,17 @@
 //!
 //! Instrumentation sites reference these constants instead of string
 //! literals, so a renamed metric is a compile error everywhere at once,
-//! and the CI catalog check ([`REQUIRED`]) can assert that a bench run's
-//! exported snapshot still carries every declared metric — silent
-//! instrumentation rot (a refactor dropping a `record` call) fails the
-//! build instead of producing a dashboard full of zeros.
+//! and the catalog check ([`COUNTERS`], [`GAUGES`], [`HISTOGRAMS`]) can
+//! assert that an exported snapshot still carries every declared
+//! metric — silent instrumentation rot (a refactor dropping a `record`
+//! call) fails the build instead of producing a dashboard full of zeros.
+//! A name stays in the catalog only while something reads it: the
+//! benchmark, or a test that checks some other behaviour through it.
 //!
 //! Naming convention: `<subsystem>.<measure>`, dot-separated, with an
-//! optional `{label=value}` suffix for per-shard variants (see
+//! optional `{label=value}` suffix for per-stage variants (see
 //! [`Registry::labeled`](crate::Registry::labeled)).
 
-/// Per-batch `write_batch` wall latency, nanoseconds (histogram).
-pub const ENGINE_WRITE_BATCH_NANOS: &str = "engine.write_batch_nanos";
-/// Time spent partitioning a `PointBatch` into seq/unseq column runs at
-/// the watermark, nanoseconds per batch (histogram).
-pub const ENGINE_BATCH_SPLIT_NANOS: &str = "engine.batch_split_nanos";
 /// Points accepted by the write paths (counter).
 pub const ENGINE_WRITE_POINTS: &str = "engine.write_points";
 /// Memtable rotations currently awaiting an asynchronous flush (gauge,
@@ -58,8 +55,7 @@ pub const MEMTABLE_BATCH_APPEND_NANOS: &str = "memtable.batch_append_nanos";
 /// aborting.
 pub const MEMTABLE_TYPE_MISMATCH_REJECTS: &str = "memtable.type_mismatch_rejects";
 
-/// Memtable flushes completed (counter; also per shard via the
-/// `{shard=N}` label).
+/// Memtable flushes completed (counter).
 pub const FLUSH_COUNT: &str = "flush.count";
 /// Cumulative flush gather + sort time, nanoseconds (counter): copying
 /// each series out of its chunked list into contiguous pairs — for an
@@ -77,17 +73,10 @@ pub const FLUSH_BYTES: &str = "flush.bytes";
 
 /// Bytes appended to the write-ahead log (counter).
 pub const WAL_BYTES: &str = "wal.bytes";
-/// Records appended to the write-ahead log (counter).
-pub const WAL_APPENDS: &str = "wal.appends";
-/// WAL segment rotations (persist + truncate cycles; counter).
-pub const WAL_ROTATIONS: &str = "wal.rotations";
 /// Trailing bytes discarded by WAL replay at the first torn or corrupt
 /// record (counter). Nonzero after a recovery means the log really was
 /// damaged — visible corruption instead of silent tolerance.
 pub const WAL_REPLAY_DISCARDED_BYTES: &str = "wal.replay_discarded_bytes";
-/// Time spent encoding a `PointBatch` WAL frame (delta-encoded timestamp
-/// column + value column), nanoseconds per batch (histogram).
-pub const WAL_BATCH_ENCODE_NANOS: &str = "wal.batch_encode_nanos";
 /// Best-effort removals of stale on-disk files (retired WAL segments,
 /// dead tsfile generations, torn images) that failed (counter). Never a
 /// durability problem — the file is no longer live and the next open
@@ -95,35 +84,15 @@ pub const WAL_BATCH_ENCODE_NANOS: &str = "wal.batch_encode_nanos";
 /// is counted instead of silently discarded.
 pub const STORE_REMOVE_FAILURES: &str = "store.remove_failures";
 
-/// Compaction passes run (counter).
-pub const COMPACTION_RUNS: &str = "compaction.runs";
-/// Bytes entering compaction (counter).
-pub const COMPACTION_BYTES_IN: &str = "compaction.bytes_in";
-/// Bytes surviving compaction (counter).
-pub const COMPACTION_BYTES_OUT: &str = "compaction.bytes_out";
-/// Files moved up a level by leveled compaction — merged runs and
-/// singleton promotions both count (counter).
-pub const COMPACTION_LEVEL_MOVES: &str = "compaction.level_moves";
-
 /// Decoded pages served from the block cache (counter).
 pub const CACHE_HITS: &str = "cache.hits";
 /// Block-cache lookups that had to decode from the image (counter).
 pub const CACHE_MISSES: &str = "cache.misses";
 /// Decoded pages evicted to hold the byte budget (counter).
 pub const CACHE_EVICTIONS: &str = "cache.evictions";
-/// Bytes of decoded pages currently resident in the block cache
-/// (gauge).
-pub const CACHE_BYTES: &str = "cache.bytes";
 
 /// Block size `L` chosen by Backward-Sort's phase 1 (histogram).
 pub const SORT_BLOCK_SIZE: &str = "sort.block_size";
-/// Iterations of the set-block-size probe loop (histogram; the paper's
-/// `P`, bounded by `log2(n/L0)`).
-pub const SORT_PROBE_LOOPS: &str = "sort.probe_loops";
-/// The measured interval inversion ratio `α̃_L` at the chosen `L`, in
-/// parts per million (histogram; `α̃` is a ratio ≤ 1, scaled by 10⁶ to
-/// live in integer buckets).
-pub const SORT_ALPHA_PPM: &str = "sort.alpha_ppm";
 /// Backward-merge overlap `Q`: suffix elements interleaved per merge
 /// step, *including* zero-overlap merges (histogram). The live exhibit
 /// of the paper's Theorem bound `E[Q] ≤ E[Δτ | Δτ ≥ 0]`.
@@ -135,8 +104,6 @@ pub const FILE_PARSE: &str = "file.parse";
 
 /// Client connections currently open on the SQL wire path (gauge).
 pub const SERVER_CONNECTIONS: &str = "server.connections";
-/// Client connections ever accepted (counter).
-pub const SERVER_CONNECTIONS_TOTAL: &str = "server.connections_total";
 /// Request frames decoded off client connections (counter; SQL and
 /// binary batch-INSERT frames both count).
 pub const SERVER_FRAMES: &str = "server.frames";
@@ -182,10 +149,6 @@ pub const TRACE_STARTED: &str = "trace.started";
 /// Spans lost to per-trace buffer caps or recent-ring eviction
 /// (counter). Nonzero means the trace store is shedding detail.
 pub const TRACE_DROPPED_SPANS: &str = "trace.dropped_spans";
-/// Finished traces whose root latency crossed the slow-query threshold
-/// (counter; counts every crossing, even traces the bounded slow log
-/// later displaced).
-pub const TRACE_SLOW_QUERIES: &str = "trace.slow_queries";
 /// Span wall time, nanoseconds (histogram; also per stage via the
 /// `{stage=<span name>}` label for every entry of [`SPAN_STAGES`]).
 pub const TRACE_SPAN_NANOS: &str = "trace.span_nanos";
@@ -303,23 +266,22 @@ pub const ATTR_PREFIX_POINTS: &str = "prefix_points";
 /// interleaved, i.e. that the closing merge of a sort-on-read moved.
 pub const ATTR_OVERLAP: &str = "overlap";
 
-/// Every metric an instrumented [`StorageEngine`] registers at
-/// construction — the catalog the CI smoke check asserts against an
-/// exported snapshot.
-pub const REQUIRED: &[&str] = &[
-    ENGINE_WRITE_BATCH_NANOS,
-    ENGINE_BATCH_SPLIT_NANOS,
+/// Every counter in the catalog. [`Registry`](crate::Registry)
+/// construction pre-registers this list, [`GAUGES`] and [`HISTOGRAMS`],
+/// so every registry carries the whole catalog from birth, at zero, and
+/// an exported snapshot can tell "metric removed" from "metric not yet
+/// hit".
+pub const COUNTERS: &[&str] = &[
     ENGINE_WRITE_POINTS,
-    ENGINE_FLUSH_QUEUE_DEPTH,
     QUERY_READ_PATH,
     QUERY_SORTED_ON_READ,
     QUERY_FILES_CONSIDERED,
     QUERY_FILES_PRUNED,
     QUERY_FILES_PRUNED_BY_FILTER,
+    QUERY_ROWS_MERGED,
+    QUERY_PAGES_DECODED,
+    QUERY_PAGES_FROM_HEADER,
     MEMTABLE_OOO_POINTS,
-    MEMTABLE_DELTA_TAU,
-    MEMTABLE_DIRTY_BUFFER_POINTS,
-    MEMTABLE_BATCH_APPEND_NANOS,
     MEMTABLE_TYPE_MISMATCH_REJECTS,
     FLUSH_COUNT,
     FLUSH_SORT_NANOS,
@@ -328,37 +290,33 @@ pub const REQUIRED: &[&str] = &[
     FLUSH_POINTS,
     FLUSH_BYTES,
     WAL_BYTES,
-    WAL_APPENDS,
-    WAL_ROTATIONS,
     WAL_REPLAY_DISCARDED_BYTES,
     STORE_REMOVE_FAILURES,
-    WAL_BATCH_ENCODE_NANOS,
-    COMPACTION_RUNS,
-    COMPACTION_BYTES_IN,
-    COMPACTION_BYTES_OUT,
-    COMPACTION_LEVEL_MOVES,
     CACHE_HITS,
     CACHE_MISSES,
     CACHE_EVICTIONS,
-    CACHE_BYTES,
-    SORT_BLOCK_SIZE,
-    SORT_PROBE_LOOPS,
-    SORT_ALPHA_PPM,
-    MERGE_OVERLAP_Q,
-    QUERY_ROWS_MERGED,
-    QUERY_PAGES_DECODED,
-    QUERY_PAGES_FROM_HEADER,
     FILE_PARSE,
     TRACE_STARTED,
     TRACE_DROPPED_SPANS,
-    TRACE_SLOW_QUERIES,
-    TRACE_SPAN_NANOS,
-    SERVER_CONNECTIONS,
-    SERVER_CONNECTIONS_TOTAL,
     SERVER_FRAMES,
     SERVER_BATCH_POINTS,
     SERVER_REJECTED_BUSY,
     SERVER_REJECTED_MALFORMED,
+];
+
+/// Every gauge in the catalog (see [`COUNTERS`]).
+pub const GAUGES: &[&str] = &[ENGINE_FLUSH_QUEUE_DEPTH, SERVER_CONNECTIONS];
+
+/// Every histogram in the catalog (see [`COUNTERS`]). Beside these, a
+/// registry holds one `trace.span_nanos{stage=<name>}` histogram per
+/// entry of [`SPAN_STAGES`].
+pub const HISTOGRAMS: &[&str] = &[
+    MEMTABLE_DELTA_TAU,
+    MEMTABLE_DIRTY_BUFFER_POINTS,
+    MEMTABLE_BATCH_APPEND_NANOS,
+    SORT_BLOCK_SIZE,
+    MERGE_OVERLAP_Q,
+    TRACE_SPAN_NANOS,
     SERVER_FLUSH_WAIT_NANOS,
     SERVER_REQUEST_NANOS,
 ];

@@ -50,7 +50,7 @@
 pub mod wire;
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -136,7 +136,6 @@ const FLUSH_WAIT_LIMIT: Duration = Duration::from_secs(5);
 /// never touches the registry's name map.
 struct ServerMetrics {
     connections: Arc<Gauge>,
-    connections_total: Arc<Counter>,
     frames: Arc<Counter>,
     batch_points: Arc<Counter>,
     rejected_busy: Arc<Counter>,
@@ -149,7 +148,6 @@ impl ServerMetrics {
     fn new(registry: &backsort_obs::Registry) -> Self {
         Self {
             connections: registry.gauge(names::SERVER_CONNECTIONS),
-            connections_total: registry.counter(names::SERVER_CONNECTIONS_TOTAL),
             frames: registry.counter(names::SERVER_FRAMES),
             batch_points: registry.counter(names::SERVER_BATCH_POINTS),
             rejected_busy: registry.counter(names::SERVER_REJECTED_BUSY),
@@ -585,7 +583,6 @@ impl Drop for SqlServer {
 fn run_connection(core: &ServerCore, stream: TcpStream, conn_id: u64, conns: &Conns) {
     let _ = stream.set_nodelay(true);
     core.metrics.connections.inc();
-    core.metrics.connections_total.inc();
     let mut reader = BufReader::with_capacity(wire::BURST_BYTES, &stream);
     let mut outbox = Outbox::new(&stream);
     loop {
@@ -704,7 +701,14 @@ impl Drop for MetricsServer {
     }
 }
 
-/// Reads one HTTP request line, writes one response, closes. Renders
+/// The most the metrics exporter reads of a request's head — request
+/// line and headers together. A scrape's head is a few hundred bytes;
+/// one that runs past this is answered 400 and its connection closed, so
+/// a peer that never sends a newline cannot grow a buffer on the
+/// exporter's only thread.
+const MAX_REQUEST_HEAD_BYTES: u64 = 8 * 1024;
+
+/// Reads one HTTP request head, writes one response, closes. Renders
 /// are taken inside the request (not cached) so every scrape sees a
 /// fresh snapshot. Served inline on the accept thread: a render is
 /// microseconds and scrapes arrive at human cadence, so a worker pool
@@ -714,16 +718,21 @@ fn serve_metrics_request(
     registry: &backsort_obs::Registry,
 ) -> std::io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_secs(2)))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
+    let mut head = BufReader::new(stream.try_clone()?).take(MAX_REQUEST_HEAD_BYTES);
     let mut request_line = String::new();
-    reader.read_line(&mut request_line)?;
+    head.read_line(&mut request_line)?;
     // Drain headers so the peer's write isn't cut off mid-request.
     let mut header = String::new();
-    while reader.read_line(&mut header)? > 2 {
+    while head.read_line(&mut header)? > 2 {
         header.clear();
     }
     let path = request_line.split_whitespace().nth(1).unwrap_or("");
     let (status, content_type, body) = match path {
+        _ if head.limit() == 0 => (
+            "400 Bad Request",
+            "text/plain",
+            format!("request head over {MAX_REQUEST_HEAD_BYTES} bytes\n"),
+        ),
         "/metrics" => (
             "200 OK",
             "text/plain; version=0.0.4",

@@ -177,12 +177,15 @@ fn metrics_endpoint_serves_prometheus_and_json() {
     server.shutdown();
 }
 
-/// Golden catalog coverage: every metric in the `names::REQUIRED`
-/// catalog — including the `trace.*` family — and every per-stage span
-/// histogram is present in both exports from engine construction,
-/// before any of them first fires.
+/// Golden catalog coverage, both ways: every catalog name — the
+/// `trace.*` family included — and every per-stage span histogram is in
+/// both exports from engine construction, before any of them first
+/// fires; and `/metrics.json` exports nothing the catalog does not
+/// declare.
 #[test]
 fn metrics_exports_cover_the_whole_catalog() {
+    use backsort_obs::names;
+    use serde::Value;
     use std::io::{Read, Write};
 
     let (server, engine) = start_server();
@@ -199,11 +202,38 @@ fn metrics_exports_cover_the_whole_catalog() {
 
     let json = http_get("/metrics.json");
     let prom = http_get("/metrics");
-    for name in backsort_obs::names::REQUIRED {
-        assert!(
-            json.contains(&format!("\"{name}\"")),
-            "{name} missing from /metrics.json"
-        );
+    let body = json.split_once("\r\n\r\n").expect("a response head").1;
+    let Value::Object(kinds) = serde_json::from_str::<Value>(body).expect("JSON body") else {
+        panic!("/metrics.json is not an object: {body}");
+    };
+    let catalog = [
+        ("counters", names::COUNTERS),
+        ("gauges", names::GAUGES),
+        ("histograms", names::HISTOGRAMS),
+    ];
+    assert_eq!(kinds.len(), catalog.len(), "{body}");
+    for (kind, declared) in catalog {
+        let Some((_, Value::Object(exported))) = kinds.iter().find(|(k, _)| k == kind) else {
+            panic!("no {kind} object in /metrics.json");
+        };
+        for name in declared {
+            assert!(
+                exported.iter().any(|(n, _)| n == name),
+                "{name} missing from /metrics.json"
+            );
+        }
+        for (name, _) in exported {
+            let stage = name
+                .strip_prefix("trace.span_nanos{stage=")
+                .and_then(|rest| rest.strip_suffix('}'));
+            assert!(
+                declared.contains(&name.as_str())
+                    || stage.is_some_and(|s| names::SPAN_STAGES.contains(&s)),
+                "{kind} {name} is exported but not in the catalog"
+            );
+        }
+    }
+    for name in catalog.iter().flat_map(|(_, declared)| declared.iter()) {
         let mut safe = String::from("backsort_");
         safe.extend(
             name.chars()
@@ -211,7 +241,7 @@ fn metrics_exports_cover_the_whole_catalog() {
         );
         assert!(prom.contains(&safe), "{safe} missing from /metrics");
     }
-    for stage in backsort_obs::names::SPAN_STAGES {
+    for stage in names::SPAN_STAGES {
         let labeled = format!("\"trace.span_nanos{{stage={stage}}}\"");
         assert!(
             json.contains(&labeled),

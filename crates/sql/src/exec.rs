@@ -882,25 +882,19 @@ mod tests {
                 };
                 assert_eq!(get("engine.write_points"), "1");
                 assert_eq!(get("query.read_path"), "1");
-                // INSERT rides the columnar batch path, so the
-                // per-stage ingest timings are live in SHOW STATS.
-                assert_eq!(get("engine.write_batch_nanos.count"), "1");
-                assert_eq!(get("engine.batch_split_nanos.count"), "1");
+                // INSERT rides the columnar batch path: one run appended.
                 assert_eq!(get("memtable.batch_append_nanos.count"), "1");
                 assert_eq!(get("memtable.type_mismatch_rejects"), "0");
-                // The WAL stage registers too (zero without a durable
-                // store in front).
-                assert_eq!(get("wal.batch_encode_nanos.count"), "0");
+                // The WAL registers too (zero without a durable store in
+                // front).
+                assert_eq!(get("wal.bytes"), "0");
                 assert!(names.iter().any(|n| n == "merge.overlap_q.p99"));
-                // The read-path additions are pre-registered, so an
-                // operator sees the cache, filter, and leveling
-                // counters even before they first fire.
+                // The read-path counters are pre-registered, so an
+                // operator sees them even before they first fire.
                 assert_eq!(get("cache.hits"), "0");
                 assert_eq!(get("cache.misses"), "0");
                 assert_eq!(get("cache.evictions"), "0");
-                assert_eq!(get("cache.bytes"), "0");
                 assert_eq!(get("query.files_pruned_by_filter"), "0");
-                assert_eq!(get("compaction.level_moves"), "0");
             }
             other => panic!("{other:?}"),
         }
@@ -929,10 +923,10 @@ mod tests {
         // One batch write per sensor, not one point write per cell.
         let snap = eng.obs().snapshot();
         assert_eq!(snap.counter("engine.write_points"), 6);
-        let batches = snap
-            .histogram("engine.write_batch_nanos")
+        let runs = snap
+            .histogram("memtable.batch_append_nanos")
             .map_or(0, |h| h.count);
-        assert_eq!(batches, 2);
+        assert_eq!(runs, 2);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 
 use backward_sort_repro::core::{Algorithm, BackwardSort};
 use backward_sort_repro::engine::{EngineConfig, PointBatch, SeriesKey, StorageEngine, TsValue};
+use backward_sort_repro::obs::names;
 use backward_sort_repro::workload::{generate_pairs, DelayModel, SignalKind, StreamSpec};
 
 fn main() {
@@ -103,9 +104,16 @@ fn main() {
         "the unsequence straggler must win at t=10"
     );
 
-    let flushes = engine.flush_history();
-    let avg_ms = flushes.iter().map(|f| f.total_nanos()).sum::<u64>() as f64
-        / flushes.len().max(1) as f64
-        / 1e6;
-    println!("\n{} flushes, avg {:.2} ms each", flushes.len(), avg_ms);
+    let flushed = engine.obs().snapshot();
+    let flushes = flushed.counter(names::FLUSH_COUNT);
+    let flush_nanos: u64 = [
+        names::FLUSH_SORT_NANOS,
+        names::FLUSH_ENCODE_NANOS,
+        names::FLUSH_WRITE_NANOS,
+    ]
+    .into_iter()
+    .map(|name| flushed.counter(name))
+    .sum();
+    let avg_ms = flush_nanos as f64 / flushes.max(1) as f64 / 1e6;
+    println!("\n{flushes} flushes, avg {avg_ms:.2} ms each");
 }

@@ -11,6 +11,7 @@ use backward_sort_repro::core::Algorithm;
 use backward_sort_repro::engine::{
     Aggregation, EngineConfig, FlushPool, PointBatch, SeriesKey, StorageEngine, TsValue,
 };
+use backward_sort_repro::obs::names;
 
 fn main() {
     let engine = Arc::new(StorageEngine::new(EngineConfig {
@@ -43,7 +44,7 @@ fn main() {
     // Stopping the pool installs every job it was handed, so the count
     // below is final.
     pool.stop();
-    let async_flushes = engine.flush_history().len();
+    let async_flushes = engine.obs().counter_value(names::FLUSH_COUNT);
     // Stragglers arriving below the watermark take the unsequence path.
     for t in [100i64, 5_000, 9_999] {
         let point = PointBatch::from_rows([(t, TsValue::Double(-1.0))]).expect("one typed point");

@@ -121,11 +121,17 @@ fn the_declared_catalog_is_present_from_birth() {
     let registry = Arc::new(Registry::new());
     let _engine = StorageEngine::with_registry(EngineConfig::default(), Arc::clone(&registry));
     let snap = registry.snapshot();
-    for name in names::REQUIRED {
-        let found = snap.counters.contains_key(*name)
-            || snap.gauges.contains_key(*name)
-            || snap.histograms.contains_key(*name);
-        assert!(found, "declared metric {name} not pre-registered");
+    for name in names::COUNTERS {
+        assert!(snap.counters.contains_key(*name), "counter {name} missing");
+    }
+    for name in names::GAUGES {
+        assert!(snap.gauges.contains_key(*name), "gauge {name} missing");
+    }
+    for name in names::HISTOGRAMS {
+        assert!(
+            snap.histograms.contains_key(*name),
+            "histogram {name} missing"
+        );
     }
 }
 
@@ -160,7 +166,7 @@ fn flush_spans_land_in_the_trace_store() {
     }
     pool.stop();
     assert!(
-        !engine.flush_history().is_empty(),
+        registry.counter_value(names::FLUSH_COUNT) > 0,
         "memtable rotations must have flushed"
     );
     let traces = registry.traces().recent();
