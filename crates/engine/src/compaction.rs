@@ -7,7 +7,10 @@
 //! task that merges them back into sorted, deduplicated files so reads
 //! stop paying the multi-file merge.
 //!
-//! Two entry points share one merge primitive:
+//! Two entry points share one merge, and it is the read path's: each
+//! series of a run is planned by [`plan_files`] and merged by the
+//! [`Scan`] every query runs, into the columns a raw read collects, so a
+//! compacted file holds exactly what a query over its inputs returned.
 //!
 //! * [`StorageEngine::compact`] — the full pass: every file of a shard
 //!   merges into one output. Simple, predictable, and what the paper's
@@ -38,16 +41,14 @@
 //!   to the output, masks over untouched files shift with them, and a
 //!   horizon that counted an in-flight flushing slot keeps covering it.
 
-use std::collections::BTreeMap;
-
 use crate::delete::Tombstone;
-use crate::engine::StorageEngine;
-use crate::read::FileHandle;
-use crate::tsfile::{read_chunk_range, TsFileWriter};
-use crate::types::{SeriesKey, TsValue};
+use crate::engine::{Columns, StorageEngine};
+use crate::read::{plan_files, FileHandle, Scan};
+use crate::tsfile::TsFileWriter;
+use crate::types::SeriesKey;
 
 /// Outcome of a compaction pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CompactionReport {
     /// Files merged away.
     pub files_in: usize,
@@ -66,17 +67,6 @@ pub struct CompactionReport {
 }
 
 impl CompactionReport {
-    fn zero() -> Self {
-        CompactionReport {
-            files_in: 0,
-            files_out: 0,
-            points: 0,
-            bytes_in: 0,
-            bytes_out: 0,
-            level_moves: 0,
-        }
-    }
-
     fn absorb(&mut self, r: CompactionReport) {
         self.files_in += r.files_in;
         self.files_out += r.files_out;
@@ -223,7 +213,7 @@ impl StorageEngine {
         let _trace = self.trace_always(backsort_obs::names::SPAN_COMPACTION_ROOT, || {
             "compact full".to_string()
         });
-        let mut total = CompactionReport::zero();
+        let mut total = CompactionReport::default();
         for shard in 0..self.shard_count() {
             let span = backsort_obs::trace::span(backsort_obs::names::SPAN_COMPACTION_SHARD);
             if let Some(s) = &span {
@@ -247,7 +237,7 @@ impl StorageEngine {
         let _trace = self.trace_always(backsort_obs::names::SPAN_COMPACTION_ROOT, || {
             "compact auto".to_string()
         });
-        let mut total = CompactionReport::zero();
+        let mut total = CompactionReport::default();
         for shard in 0..self.shard_count() {
             let span = backsort_obs::trace::span(backsort_obs::names::SPAN_COMPACTION_SHARD);
             if let Some(s) = &span {
@@ -258,14 +248,19 @@ impl StorageEngine {
         total
     }
 
-    /// Merges the run `handles[a..b)` into one image: gathers every
-    /// point per sensor (later files override earlier ones on equal
-    /// timestamps), drops chunks belonging to other shards (adopted
-    /// multi-device copies), and applies tombstones *physically* to any
-    /// input file below their horizon. A series whose surviving points
-    /// are not all of one type (an adopted file may hold another type
-    /// than the buffers flushed beside it) is written as one chunk per
-    /// same-type stretch, in time order. Returns `(image, points)`;
+    /// Merges the run `handles[a..b)` into one image with the read
+    /// path's own merge: per series of this shard, in key order,
+    /// [`plan_files`] over the run (tombstones below their horizon
+    /// resolved per file, so they apply *physically*) and a full-range
+    /// [`Scan`] — disjoint chunks stream as column slices, overlapping
+    /// ones merge with later files winning equal timestamps. So the
+    /// output holds exactly what a query read from these files, a
+    /// corrupt page's readable neighbours included. Chunks of other
+    /// shards' devices (adopted multi-device copies) are dropped. A
+    /// series whose surviving points are not all of one type (an adopted
+    /// file may hold another type than the buffers flushed beside it) is
+    /// written as one chunk per same-type stretch, in time order. The
+    /// scan goes around the block cache. Returns `(image, points)`;
     /// `None` when nothing survives (no file is written).
     fn merge_run(
         &self,
@@ -275,47 +270,30 @@ impl StorageEngine {
         b: usize,
         tombstones: &[(Tombstone, usize)],
     ) -> Option<(Vec<u8>, u64)> {
-        let mut merged: BTreeMap<SeriesKey, BTreeMap<i64, TsValue>> = BTreeMap::new();
-        for (file_idx, handle) in handles.iter().enumerate().take(b).skip(a) {
-            for meta in handle.chunks() {
-                // A recovered multi-device image is adopted as a copy
-                // into every shard owning one of its devices; keep only
-                // this shard's chunks so the merge does not duplicate
-                // other shards' data into this shard's compacted file.
-                if self.shard_of(&meta.key.device) != shard {
-                    continue;
-                }
-                if let Some((points, _)) =
-                    read_chunk_range(handle.image(), meta, i64::MIN, i64::MAX)
-                {
-                    let series = merged.entry(meta.key.clone()).or_default();
-                    for (t, v) in points {
-                        let erased = tombstones
-                            .iter()
-                            .any(|(ts, horizon)| file_idx < *horizon && ts.covers(&meta.key, t));
-                        if erased {
-                            series.remove(&t);
-                        } else {
-                            series.insert(t, v); // later insert wins
-                        }
-                    }
-                }
-            }
-        }
+        let files = handles.get(a..b)?;
+        let mut keys: Vec<&SeriesKey> = files
+            .iter()
+            .flat_map(|h| h.envelopes().iter().map(|(key, _, _)| key))
+            .collect();
+        keys.sort_unstable();
+        keys.dedup();
         let mut writer = TsFileWriter::new();
         let mut points = 0u64;
-        for (key, series) in &merged {
-            if series.is_empty() {
+        for key in keys {
+            if self.shard_of(&key.device) != shard {
                 continue;
             }
-            let times: Vec<i64> = series.keys().copied().collect();
-            let values: Vec<TsValue> = series.values().cloned().collect();
-            points += times.len() as u64;
-            let mut start = 0;
-            for stretch in values.chunk_by(|a, b| a.data_type() == b.data_type()) {
-                let end = start + stretch.len();
-                writer.write_chunk(key, &times[start..end], stretch);
-                start = end;
+            let plan = plan_files(files, a, tombstones, key, i64::MIN, i64::MAX);
+            let mut merged = Columns::default();
+            Scan::new(i64::MIN, i64::MAX, None).run(&plan.runs, &mut merged);
+            points += merged.times.len() as u64;
+            let mut times = merged.times.as_slice();
+            for values in &merged.runs {
+                let Some((stretch, rest)) = times.split_at_checked(values.len()) else {
+                    break;
+                };
+                writer.write_chunk_columns(key, stretch, values.as_slice());
+                times = rest;
             }
         }
         (points > 0).then(|| (writer.finish(), points))
@@ -359,33 +337,23 @@ impl StorageEngine {
                 files_out: files_in,
                 bytes_in,
                 bytes_out: bytes_in,
-                ..CompactionReport::zero()
+                ..CompactionReport::default()
             };
             self.restore_files(shard, handles);
             return report;
         }
-        if files_in == 0 {
-            // Tombstones with no files to apply to: their masks can
-            // still cover an in-flight flushing slot, so remap (the
-            // no-op surgery [0, 0)) instead of dropping.
-            self.publish(shard, handles, tombstones, 0, 0, false);
-            return CompactionReport {
-                bytes_in,
-                bytes_out: bytes_in,
-                ..CompactionReport::zero()
-            };
-        }
-
         let out_level = handles.iter().map(FileHandle::level).max().unwrap_or(0) + 1;
         let Some((image, points)) = self.merge_run(shard, &handles, 0, files_in, &tombstones)
         else {
-            // Tombstones erased everything, or every chunk belonged to
-            // other shards' copies: keep no file at all.
+            // Tombstones erased everything, every chunk belonged to
+            // other shards' copies, or there were no files — only
+            // tombstones, whose masks the remap keeps over an in-flight
+            // flushing slot: keep no file at all.
             self.publish(shard, Vec::new(), tombstones, 0, files_in, false);
             return CompactionReport {
                 files_in,
                 bytes_in,
-                ..CompactionReport::zero()
+                ..CompactionReport::default()
             };
         };
         let bytes_out = image.len() as u64;
@@ -422,7 +390,7 @@ impl StorageEngine {
         match pick_run(&handles, trigger, base, growth) {
             None => {
                 self.publish(shard, handles, tombstones, 0, 0, false);
-                CompactionReport::zero()
+                CompactionReport::default()
             }
             Some(Pick::Promote { idx, level }) => {
                 if let Some(h) = handles.get_mut(idx) {
@@ -431,7 +399,7 @@ impl StorageEngine {
                 self.publish(shard, handles, tombstones, 0, 0, false);
                 CompactionReport {
                     level_moves: 1,
-                    ..CompactionReport::zero()
+                    ..CompactionReport::default()
                 }
             }
             Some(Pick::Merge { start, end, level }) => {
@@ -475,7 +443,7 @@ impl StorageEngine {
                         CompactionReport {
                             files_in,
                             bytes_in,
-                            ..CompactionReport::zero()
+                            ..CompactionReport::default()
                         },
                         false,
                     ),
@@ -492,6 +460,7 @@ impl StorageEngine {
 mod tests {
     use super::*;
     use crate::engine::{CompactionConfig, EngineConfig};
+    use crate::types::TsValue;
     use backsort_core::Algorithm;
 
     fn engine(max_points: usize) -> StorageEngine {
@@ -841,6 +810,136 @@ mod tests {
             "deleted range stays deleted after compact + flush install: {got:?}"
         );
         assert_eq!(got.len(), 14, "points outside the range survive");
+    }
+
+    /// Where each page of `meta`'s chunk keeps its timestamp column and
+    /// its value-length field, in a v3 TEXT image (TEXT pages carry no
+    /// statistics).
+    fn text_pages(image: &[u8], meta: &crate::tsfile::ChunkMeta) -> Vec<(usize, usize)> {
+        let u32_at = |pos: usize| u32::from_le_bytes(image[pos..pos + 4].try_into().unwrap());
+        let mut pos = meta.offset as usize;
+        let name_len = u16::from_le_bytes(image[pos..pos + 2].try_into().unwrap()) as usize;
+        pos += 2 + name_len + 1; // name, type tag
+        pos += 4 + 16; // point count, min/max time
+        let pages = u32_at(pos);
+        pos += 4;
+        let mut out = Vec::new();
+        for _ in 0..pages {
+            pos += 8 + 8 + 4; // min/max time, count
+            let ts_at = pos + 4;
+            pos += 4 + u32_at(pos) as usize; // timestamps
+            out.push((ts_at, pos));
+            pos += 4 + u32_at(pos) as usize; // values
+        }
+        out
+    }
+
+    /// A TEXT chunk of 2,500 points (three pages), damaged by `corrupt`
+    /// with its footer intact, is adopted beside one flushed file; a
+    /// query reads the `readable` points before the damage plus the
+    /// flushed ten, and reads the same after `compact()` merged the two.
+    fn compaction_keeps_what_a_query_read(
+        corrupt: impl FnOnce(&mut Vec<u8>, &[(usize, usize)]),
+        readable: usize,
+    ) {
+        let k = key("t");
+        let times: Vec<i64> = (0..2_500).collect();
+        let values: Vec<TsValue> = times
+            .iter()
+            .map(|t| TsValue::Text(format!("v{t}")))
+            .collect();
+        let mut w = TsFileWriter::new();
+        w.write_chunk(&k, &times, &values);
+        let mut image = w.finish();
+        let meta = crate::tsfile::TsFileReader::open(&image).unwrap().chunks()[0].clone();
+        let pages = text_pages(&image, &meta);
+        corrupt(&mut image, &pages);
+
+        let eng = engine(1_000);
+        eng.adopt_file(image).expect("the footer still parses");
+        // A second file, so compaction has a merge to do.
+        eng.write_points(
+            &k,
+            (3_000..3_010i64).map(|t| (t, TsValue::Text(format!("w{t}")))),
+        );
+        eng.flush();
+        assert_eq!(eng.file_count(), 2);
+
+        let before = eng.query(&k, i64::MIN, i64::MAX);
+        assert_eq!(before.len(), readable + 10, "the readable pages");
+        let report = eng.compact();
+        assert_eq!(report.files_out, 1);
+        assert_eq!(eng.query(&k, i64::MIN, i64::MAX), before);
+    }
+
+    #[test]
+    fn compaction_keeps_what_a_query_read_of_a_corrupt_chunk() {
+        // The last page's value length runs past the end of the image.
+        compaction_keeps_what_a_query_read(
+            |image, pages| {
+                let at = pages[2].1;
+                let past_end = (image.len() as u32).to_le_bytes();
+                image[at..at + 4].copy_from_slice(&past_end);
+            },
+            2 * crate::tsfile::PAGE_POINTS,
+        );
+    }
+
+    #[test]
+    fn compaction_keeps_what_a_query_read_of_times_that_do_not_ascend() {
+        // The middle page's first timestamp delta becomes 0 (repeating a
+        // time) or -1 (stepping back): the times no longer ascend, so the
+        // page is corrupt and the run ends before it — in a query and in
+        // compaction's merge alike, which must not hand them to a writer.
+        for zigzag_delta in [0u8, 1] {
+            compaction_keeps_what_a_query_read(
+                |image, pages| {
+                    let mut at = pages[1].0;
+                    for _ in 0..2 {
+                        // Skip the varint count and first timestamp.
+                        while image[at] & 0x80 != 0 {
+                            at += 1;
+                        }
+                        at += 1;
+                    }
+                    assert_eq!(image[at], 2, "the block's least delta, zigzag(1)");
+                    image[at] = zigzag_delta;
+                },
+                crate::tsfile::PAGE_POINTS,
+            );
+        }
+    }
+
+    #[test]
+    fn compaction_and_explain_leave_query_and_cache_counters_alone() {
+        let eng = engine(50);
+        for f in 0..4i64 {
+            eng.write_points(&key("s"), (0..50i64).map(|t| (t * 4 + f, TsValue::Long(t))));
+        }
+        eng.flush();
+        eng.delete_range(&key("s"), 100, 140);
+        assert!(eng.file_count() >= 4);
+        assert!(eng.block_cache().is_some());
+        // Warm the cache, so a merge that went through it would hit.
+        eng.query(&key("s"), i64::MIN, i64::MAX);
+        let watched = || {
+            let snap = eng.obs().snapshot();
+            snap.counters
+                .into_iter()
+                .filter(|(name, _)| {
+                    name.starts_with("query.")
+                        || name == backsort_obs::names::CACHE_HITS
+                        || name == backsort_obs::names::CACHE_MISSES
+                })
+                .collect::<Vec<_>>()
+        };
+        let before = watched();
+        assert!(before.iter().any(|(_, v)| *v > 0), "the read was counted");
+        let plan = eng.explain_query(&key("s"), i64::MIN, i64::MAX);
+        assert!(plan.reaches_disk && plan.chunk_sources >= 4);
+        assert_eq!(eng.compact().files_out, 1);
+        eng.explain_query(&key("s"), 0, 10);
+        assert_eq!(watched(), before);
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! read time and physically applied by the next compaction. Same design
 //! here: [`StorageEngine::delete_range`](crate::StorageEngine::delete_range)
 //! purges memtables and records a
-//! [`Tombstone`]; queries filter disk points through the tombstone list;
-//! [`StorageEngine::compact`](crate::compaction) drops deleted points
-//! for good.
+//! [`Tombstone`]; reads resolve a file's tombstones into one
+//! [`IntervalSet`](crate::IntervalSet) and skip what it covers, and
+//! [`StorageEngine::compact`](crate::compaction), reading the same way,
+//! drops deleted points for good.
 
 use crate::types::SeriesKey;
 
@@ -20,13 +21,6 @@ pub struct Tombstone {
     pub t_lo: i64,
     /// Inclusive upper bound.
     pub t_hi: i64,
-}
-
-impl Tombstone {
-    /// Whether this tombstone erases `(key, t)`.
-    pub fn covers(&self, key: &SeriesKey, t: i64) -> bool {
-        &self.key == key && (self.t_lo..=self.t_hi).contains(&t)
-    }
 }
 
 #[cfg(test)]
@@ -48,19 +42,6 @@ mod tests {
 
     fn key() -> SeriesKey {
         SeriesKey::new("root.sg.d1", "s")
-    }
-
-    #[test]
-    fn tombstone_covers() {
-        let ts = Tombstone {
-            key: key(),
-            t_lo: 5,
-            t_hi: 10,
-        };
-        assert!(ts.covers(&key(), 5));
-        assert!(ts.covers(&key(), 10));
-        assert!(!ts.covers(&key(), 4));
-        assert!(!ts.covers(&SeriesKey::new("root.sg.d2", "s"), 7));
     }
 
     #[test]

@@ -44,7 +44,7 @@ use crate::cache::BlockCache;
 use crate::delete::Tombstone;
 use crate::flush::{flush_series, FlushMetrics, Gathered};
 use crate::memtable::{MemTable, SeriesBuffer};
-use crate::read::{FileHandle, IntervalSet, Run, Scan, Sink};
+use crate::read::{plan_files, FileHandle, Run, Scan, Sink};
 use crate::types::{SeriesKey, TsValue};
 
 /// Tunables of the leveled compaction policy
@@ -271,8 +271,9 @@ pub struct LevelPlan {
 }
 
 /// The static plan of one series read — what `EXPLAIN` renders without
-/// executing anything. Computed under the shard's read lock from the
-/// same pruning rules the real read path applies.
+/// executing anything. Computed under the shard's read lock by the
+/// scan's own planner (`plan_files`), so its file counts are the ones
+/// the read it describes adds to `query.files_*`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryPlan {
     /// The shard the series hashes to.
@@ -1085,7 +1086,7 @@ impl StorageEngine {
     ///
     /// The scan itself runs over sorted runs — disk chunks (pruned by
     /// the key filter and per-key time ranges in each [`FileHandle`],
-    /// masked by a pre-resolved tombstone [`IntervalSet`]) plus the
+    /// masked by pre-resolved tombstones: [`plan_files`]) plus the
     /// flushing/working/unsequence buffer slices: runs that overlap no
     /// other reach the sink as typed column slices, and only runs whose
     /// time envelopes intersect are merged, last write winning per
@@ -1139,9 +1140,11 @@ impl StorageEngine {
 
     /// The static plan a `query(key, t_lo, t_hi)` would execute: shard,
     /// per-level file survival under the filter/envelope prunes, and
-    /// the merge fan-in — `EXPLAIN` without running the read. Takes the
-    /// shard's read lock only and mutates nothing (unsorted buffers are
-    /// estimated from their maxima instead of being sorted).
+    /// the merge fan-in — `EXPLAIN` without running the read. The disk
+    /// half is the read's own planner (`plan_files`), so the two cannot
+    /// disagree. Takes the shard's read lock only, mutates nothing and
+    /// records no metric (unsorted buffers are estimated from their
+    /// maxima instead of being sorted).
     pub fn explain_query(&self, key: &SeriesKey, t_lo: i64, t_hi: i64) -> QueryPlan {
         let shard = self.shard_of(&key.device);
         let st = self.shards[shard].read();
@@ -1156,36 +1159,30 @@ impl StorageEngine {
             chunk_sources: 0,
             memtable_sources: 0,
         };
-        let mut levels: std::collections::BTreeMap<u32, (usize, usize)> =
-            std::collections::BTreeMap::new();
         if reaches_disk {
+            let files = plan_files(&st.files, 0, &st.tombstones, key, t_lo, t_hi);
+            let mut levels = std::collections::BTreeMap::<u32, (usize, usize)>::new();
             for handle in &st.files {
-                let entry = levels.entry(handle.level()).or_insert((0, 0));
-                entry.0 += 1;
-                if !handle.may_contain(key) {
-                    plan.files_pruned_by_filter += 1;
-                    continue;
-                }
-                if !handle.overlaps(key, t_lo, t_hi) {
-                    plan.files_pruned_by_envelope += 1;
-                    continue;
-                }
-                entry.1 += 1;
-                plan.chunk_sources += handle
-                    .chunks_for(key)
-                    .iter()
-                    .filter(|m| m.max_time >= t_lo && m.min_time <= t_hi)
-                    .count();
+                levels.entry(handle.level()).or_default().0 += 1;
             }
+            // A surviving file's runs sit next to each other in the plan.
+            let mut surviving: Vec<&FileHandle> = files.runs.iter().filter_map(Run::file).collect();
+            surviving.dedup_by_key(|file| file.id());
+            for file in surviving {
+                levels.entry(file.level()).or_default().1 += 1;
+            }
+            plan.levels = levels
+                .into_iter()
+                .map(|(level, (files, surviving))| LevelPlan {
+                    level,
+                    files,
+                    surviving,
+                })
+                .collect();
+            plan.files_pruned_by_filter = files.pruned_by_filter as usize;
+            plan.files_pruned_by_envelope = files.pruned_by_envelope as usize;
+            plan.chunk_sources = files.runs.len();
         }
-        plan.levels = levels
-            .into_iter()
-            .map(|(level, (files, surviving))| LevelPlan {
-                level,
-                files,
-                surviving,
-            })
-            .collect();
         plan.memtable_sources = key_buffers(&st, key)
             .filter(|b| {
                 if b.is_sorted() {
@@ -1301,12 +1298,12 @@ impl Sink for Rows {
     }
 }
 
-/// `read_columns`' sink: the scan's typed slices appended to owned
-/// columns, a new run wherever the type changes.
+/// `read_columns`' and compaction's sink: the scan's typed slices
+/// appended to owned columns, a new run wherever the type changes.
 #[derive(Default)]
-struct Columns {
-    times: Vec<i64>,
-    runs: Vec<ValueColumn>,
+pub(crate) struct Columns {
+    pub(crate) times: Vec<i64>,
+    pub(crate) runs: Vec<ValueColumn>,
 }
 
 impl Sink for Columns {
@@ -1340,9 +1337,8 @@ impl Sink for LastPoint {
 /// buffers sorted).
 ///
 /// Collects one [`Run`] per surviving source in ascending priority —
-/// each pruned disk chunk (files oldest first, a file's chunks in file
-/// order, masked by the file's pre-resolved tombstone [`IntervalSet`]),
-/// then the flushing/working/unsequence buffer slices bounded by
+/// the disk chunks [`plan_files`] keeps, then the
+/// flushing/working/unsequence buffer slices bounded by
 /// `lower_bound`/`upper_bound` — and lets the [`Scan`] stream the
 /// disjoint ones and merge the overlapping ones into `sink`.
 fn scan_with_state(
@@ -1358,41 +1354,21 @@ fn scan_with_state(
     // Open for the whole read: the page work the scan does below is
     // accounted here, next to the files it was done on.
     let span_files = obs_trace::span(names::SPAN_QUERY_FILES);
-    let mut runs: Vec<Run<'_>> = Vec::new();
-    if needs_disk(st, key, t_lo) {
+    let mut runs: Vec<Run<'_>> = if needs_disk(st, key, t_lo) {
+        let plan = plan_files(&st.files, 0, &st.tombstones, key, t_lo, t_hi);
         let considered = st.files.len() as u64;
-        let mut pruned_by_filter = 0u64;
-        let mut pruned_by_envelope = 0u64;
-        for (file_idx, handle) in st.files.iter().enumerate() {
-            // The O(1) existence filter runs before any chunk-index
-            // walk: a file that provably never stored this series is
-            // skipped without touching its (string-keyed) envelope
-            // table. v1 files carry no filter and fall through.
-            if !handle.may_contain(key) {
-                pruned_by_filter += 1;
-                continue;
-            }
-            if !handle.overlaps(key, t_lo, t_hi) {
-                pruned_by_envelope += 1;
-                continue;
-            }
-            let erased = IntervalSet::resolve(&st.tombstones, key, file_idx);
-            runs.extend(
-                handle
-                    .chunks_for(key)
-                    .iter()
-                    .filter_map(|meta| Run::chunk(handle, meta, erased.clone(), t_lo, t_hi)),
-            );
-        }
         obs.files_considered.add(considered);
-        obs.files_pruned_by_filter.add(pruned_by_filter);
-        obs.files_pruned.add(pruned_by_envelope);
+        obs.files_pruned_by_filter.add(plan.pruned_by_filter);
+        obs.files_pruned.add(plan.pruned_by_envelope);
         if let Some(s) = &span_files {
             s.attr(names::ATTR_FILES_CONSIDERED, considered);
-            s.attr(names::ATTR_FILES_PRUNED_BY_FILTER, pruned_by_filter);
-            s.attr(names::ATTR_FILES_PRUNED, pruned_by_envelope);
+            s.attr(names::ATTR_FILES_PRUNED_BY_FILTER, plan.pruned_by_filter);
+            s.attr(names::ATTR_FILES_PRUNED, plan.pruned_by_envelope);
         }
-    }
+        plan.runs
+    } else {
+        Vec::new()
+    };
     runs.extend(key_buffers(st, key).filter_map(|buffer| Run::buffer(buffer, t_lo, t_hi)));
     let scan = Scan::new(t_lo, t_hi, eng.cache.as_ref());
     {

@@ -9,17 +9,20 @@
 //!   pair resolved into a sorted, merged interval list once per query,
 //!   so erasure is a few binary searches per page instead of a scan of
 //!   every tombstone per point.
-//! * [`Scan`] — the one scan `query`, `latest_value`, `aggregate` and
-//!   `group_by_time` share. Every surviving source is a [`Run`]: a
-//!   time-sorted stretch of one series with a time envelope (a flushed
-//!   chunk, or the in-range slice of a sorted memtable buffer). The
-//!   separation policy keeps one series' sequence chunks time-disjoint
-//!   (paper §II, §V), so the scan sweeps the envelopes and treats runs
-//!   the way Backward-Sort treats blocks: a run that overlaps no other
-//!   is handed to the [`Sink`] as borrowed typed column slices, page by
-//!   page, never touching a heap or a boxed value; only a group of runs
-//!   whose envelopes really intersect goes through the ranked
-//!   last-write-wins merge.
+//! * [`plan_files`] — the one file prune: which files and chunks of a
+//!   shard's list a series read touches, and what masks them. Reads,
+//!   `EXPLAIN` and compaction all plan through it.
+//! * [`Scan`] — the one scan `query`, `latest_value`, `aggregate`,
+//!   `group_by_time` and compaction's merge share. Every surviving
+//!   source is a [`Run`]: a time-sorted stretch of one series with a
+//!   time envelope (a flushed chunk, or the in-range slice of a sorted
+//!   memtable buffer). The separation policy keeps one series' sequence
+//!   chunks time-disjoint (paper §II, §V), so the scan sweeps the
+//!   envelopes and treats runs the way Backward-Sort treats blocks: a
+//!   run that overlaps no other is handed to the [`Sink`] as borrowed
+//!   typed column slices, page by page, never touching a heap or a
+//!   boxed value; only a group of runs whose envelopes really intersect
+//!   goes through the ranked last-write-wins merge.
 
 use std::cell::Cell;
 use std::sync::Arc;
@@ -348,7 +351,7 @@ pub(crate) struct Run<'s> {
 impl<'s> Run<'s> {
     /// A flushed chunk as a run, or `None` when its envelope misses
     /// `[t_lo, t_hi]`.
-    pub(crate) fn chunk(
+    fn chunk(
         file: &'s FileHandle,
         meta: &'s ChunkMeta,
         erased: IntervalSet,
@@ -372,6 +375,56 @@ impl<'s> Run<'s> {
             source: RunSource::Buffer { buffer, lo, hi },
         })
     }
+
+    /// The file a chunk run reads, `None` for a buffer run.
+    pub(crate) fn file(&self) -> Option<&'s FileHandle> {
+        match self.source {
+            RunSource::Chunk { file, .. } => Some(file),
+            RunSource::Buffer { .. } => None,
+        }
+    }
+}
+
+/// What [`plan_files`] keeps of a file list for one series and range.
+#[derive(Default)]
+pub(crate) struct FilePlan<'s> {
+    /// One run per surviving chunk, in ascending priority (files oldest
+    /// first, a file's chunks in file order). A file past both prunes
+    /// has a chunk in range, so it owns at least one run.
+    pub(crate) runs: Vec<Run<'s>>,
+    pub(crate) pruned_by_filter: u64,
+    pub(crate) pruned_by_envelope: u64,
+}
+
+/// The one file prune, shared by reads, `EXPLAIN` and compaction. Per
+/// file: the O(1) key filter (v1 files carry none and fall through),
+/// then the series' time envelope, then its tombstones resolved into one
+/// [`IntervalSet`] and a [`Run`] per chunk inside `[t_lo, t_hi]`. `files`
+/// starts at index `first` of the shard's list, which tombstone horizons
+/// index. Records no metric: each caller counts what it needs.
+pub(crate) fn plan_files<'s>(
+    files: &'s [FileHandle],
+    first: usize,
+    tombstones: &[(Tombstone, usize)],
+    key: &SeriesKey,
+    t_lo: i64,
+    t_hi: i64,
+) -> FilePlan<'s> {
+    let mut plan = FilePlan::default();
+    for (file_idx, handle) in (first..).zip(files) {
+        if !handle.may_contain(key) {
+            plan.pruned_by_filter += 1;
+        } else if !handle.overlaps(key, t_lo, t_hi) {
+            plan.pruned_by_envelope += 1;
+        } else {
+            let erased = IntervalSet::resolve(tombstones, key, file_idx);
+            let chunks = handle.chunks_for(key).iter();
+            plan.runs.extend(
+                chunks.filter_map(|meta| Run::chunk(handle, meta, erased.clone(), t_lo, t_hi)),
+            );
+        }
+    }
+    plan
 }
 
 /// What one scan did, page by page and point by point.
@@ -654,7 +707,8 @@ mod tests {
 
         // Reading goes through the cached index.
         let chunk = &h.chunks_for(&key("a"))[0];
-        let (pts, _) = crate::tsfile::read_chunk_range(h.image(), chunk, 15, 30).unwrap();
+        let reader = TsFileReader::open(h.image()).unwrap();
+        let (pts, _) = reader.read_chunk_range(chunk, 15, 30).unwrap();
         assert_eq!(pts, vec![(20, TsValue::Long(2)), (30, TsValue::Long(3))]);
 
         // Re-tagging reuses the index without a reparse.

@@ -407,15 +407,39 @@ impl<'a> TsFileReader<'a> {
     }
 
     /// Decodes only the pages of a chunk that overlap `[t_lo, t_hi]`,
-    /// returning the in-range points and how many pages were decoded
-    /// (the pruning the page statistics buy).
+    /// returning the in-range points as rows and how many pages were
+    /// decoded (the pruning the page statistics buy) — the row adapter
+    /// over [`PageHeader::decode`] that [`query`](Self::query) and tests
+    /// read through. `None` on a corrupt chunk, however few of its pages
+    /// are bad; the engine's scan keeps a corrupt page's readable
+    /// neighbours instead.
     pub fn read_chunk_range(
         &self,
         meta: &ChunkMeta,
         t_lo: i64,
         t_hi: i64,
     ) -> Option<(Vec<(i64, TsValue)>, usize)> {
-        read_chunk_range(self.buf, meta, t_lo, t_hi)
+        let pages = ChunkPages::open(self.buf, meta)?;
+        let num_points = pages.num_points() as usize;
+        let mut out = Vec::new();
+        let mut pages_decoded = 0usize;
+        let mut points_seen = 0usize;
+        for header in pages {
+            points_seen = points_seen.checked_add(header.count as usize)?;
+            if !header.overlaps(t_lo, t_hi) {
+                continue; // page pruned by its statistics
+            }
+            pages_decoded += 1;
+            let (times, values) = header.decode(self.buf, meta.data_type)?;
+            let kept = range_within(&times, t_lo, t_hi);
+            values
+                .slice(kept.start, kept.end)
+                .zip_rows_into(&times[kept], &mut out);
+        }
+        if points_seen != num_points {
+            return None;
+        }
+        Some((out, pages_decoded))
     }
 
     /// Reads all points of `key` within `[t_lo, t_hi]`, binary-searching
@@ -560,9 +584,13 @@ impl PageHeader {
     }
 
     /// Decodes the page's timestamp column alone, verifying it carries
-    /// exactly `count` entries. `None` on corruption.
+    /// exactly `count` entries, strictly ascending inside the header's
+    /// `[min_time, max_time]`. `None` on corruption — so every decoded
+    /// page is sorted, as the scan's merge and the writer it feeds need.
     pub fn decode_times(&self, buf: &[u8]) -> Option<Vec<i64>> {
-        ts2diff::decode(buf.get(self.ts.clone())?, self.count as usize)
+        let times = ts2diff::decode(buf.get(self.ts.clone())?, self.count as usize)?;
+        let within = times.first() >= Some(&self.min_time) && times.last() <= Some(&self.max_time);
+        (within && times.is_sorted_by(|a, b| a < b)).then_some(times)
     }
 
     /// The page decoder: both columns, typed, each verified to carry
@@ -575,8 +603,10 @@ impl PageHeader {
 }
 
 /// Walks one chunk's page headers in file order, decoding nothing. A
-/// header that does not parse ends the walk early;
-/// [`read_chunk_range`] notices by the point total falling short.
+/// header that does not parse, or whose times do not follow the previous
+/// page's or leave the chunk's `[min_time, max_time]`, ends the walk
+/// early; [`TsFileReader::read_chunk_range`] notices by the point total
+/// falling short, and the engine's scan keeps the pages before it.
 #[derive(Debug, Clone)]
 pub struct ChunkPages<'a> {
     buf: &'a [u8],
@@ -584,6 +614,10 @@ pub struct ChunkPages<'a> {
     pages_left: u32,
     next_index: u32,
     num_points: u32,
+    /// The least `min_time` the next page may have (`None` past `i64::MAX`).
+    floor: Option<i64>,
+    /// The chunk's `max_time`, which no page may pass.
+    ceiling: i64,
     /// Whether the page headers carry [`PageStats`] (by the chunk's
     /// version and type).
     stats: bool,
@@ -606,6 +640,8 @@ impl<'a> ChunkPages<'a> {
             pages_left,
             next_index: 0,
             num_points,
+            floor: Some(meta.min_time),
+            ceiling: meta.max_time,
             stats: meta.version.has_stats(meta.data_type),
         })
     }
@@ -624,6 +660,10 @@ impl<'a> ChunkPages<'a> {
         if count == 0 || count as usize > PAGE_POINTS {
             return None;
         }
+        if min_time < self.floor? || min_time > max_time || max_time > self.ceiling {
+            return None;
+        }
+        self.floor = max_time.checked_add(1);
         let stats = match self.stats {
             true => Some(PageStats::read(buf, pos)?),
             false => None,
@@ -675,40 +715,6 @@ impl Iterator for ChunkPages<'_> {
 pub(crate) fn range_within(times: &[i64], t_lo: i64, t_hi: i64) -> std::ops::Range<usize> {
     let lo = times.partition_point(|&t| t < t_lo);
     lo..times.partition_point(|&t| t <= t_hi).max(lo)
-}
-
-/// Decodes only the pages of a chunk that overlap `[t_lo, t_hi]`,
-/// returning the in-range points as rows and how many pages were decoded
-/// (the pruning the page statistics buy) — the row adapter over
-/// [`PageHeader::decode`] that compaction and tests read through.
-/// `None` on a corrupt chunk.
-pub fn read_chunk_range(
-    buf: &[u8],
-    meta: &ChunkMeta,
-    t_lo: i64,
-    t_hi: i64,
-) -> Option<(Vec<(i64, TsValue)>, usize)> {
-    let pages = ChunkPages::open(buf, meta)?;
-    let num_points = pages.num_points() as usize;
-    let mut out = Vec::new();
-    let mut pages_decoded = 0usize;
-    let mut points_seen = 0usize;
-    for header in pages {
-        points_seen = points_seen.checked_add(header.count as usize)?;
-        if !header.overlaps(t_lo, t_hi) {
-            continue; // page pruned by its statistics
-        }
-        pages_decoded += 1;
-        let (times, values) = header.decode(buf, meta.data_type)?;
-        let kept = range_within(&times, t_lo, t_hi);
-        values
-            .slice(kept.start, kept.end)
-            .zip_rows_into(&times[kept], &mut out);
-    }
-    if points_seen != num_points {
-        return None;
-    }
-    Some((out, pages_decoded))
 }
 
 fn read_u16(buf: &[u8], pos: &mut usize) -> Option<u16> {
@@ -1127,6 +1133,44 @@ mod page_tests {
                 "{forged}"
             );
         }
+    }
+
+    #[test]
+    fn pages_out_of_time_order_are_corrupt() {
+        let image = big_chunk(3 * PAGE_POINTS);
+        let r = TsFileReader::open(&image).unwrap();
+        let meta = &r.chunks()[0];
+        let first = ChunkPages::open(&image, meta).unwrap().next().unwrap();
+        // The second page's header starts where the first page ends:
+        // its min_time, then its max_time.
+        let (min_at, max_at) = (first.values.end, first.values.end + 8);
+        let second_max = 2 * PAGE_POINTS as i64 - 1;
+        let forgeries = [
+            (min_at, first.max_time, "overlaps the page before"),
+            (min_at, second_max + 1, "starts after it ends"),
+            (max_at, meta.max_time + 1, "ends past the chunk"),
+        ];
+        for (at, forged, what) in forgeries {
+            let mut bad = image.clone();
+            bad[at..at + 8].copy_from_slice(&forged.to_le_bytes());
+            let walked: Vec<PageHeader> = ChunkPages::open(&bad, meta).unwrap().collect();
+            assert_eq!(walked, vec![first.clone()], "{what}: the walk ends");
+            let bad_reader = TsFileReader::open(&bad).unwrap();
+            assert_eq!(bad_reader.read_chunk_range(meta, 0, 10), None, "{what}");
+        }
+        // A header narrower than its own timestamps: the walk goes on,
+        // but the page does not decode.
+        let mut bad = image.clone();
+        bad[max_at..max_at + 8].copy_from_slice(&(second_max - 1).to_le_bytes());
+        let second = ChunkPages::open(&bad, meta).unwrap().nth(1).unwrap();
+        assert_eq!(second.decode_times(&bad), None);
+        assert!(second.decode(&bad, meta.data_type).is_none());
+        assert!(ChunkPages::open(&image, meta)
+            .unwrap()
+            .nth(1)
+            .unwrap()
+            .decode_times(&image)
+            .is_some());
     }
 
     #[test]

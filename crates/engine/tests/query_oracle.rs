@@ -39,6 +39,12 @@
 //! too, into the slot the working one uses, and a delete of everything
 //! empties outstanding slots before their flushes complete.
 //!
+//! Over the first stream, `EXPLAIN` is held to the read it describes:
+//! after every operation, a plan's file counts must be what the same
+//! query then adds to `query.files_*` (nothing when the plan does not
+//! reach disk), so a prune edited for reads alone, or for `EXPLAIN`
+//! alone, shows.
+//!
 //! The engines use the *stable* Backward-Sort configuration: with the
 //! unstable default, equal timestamps inside one buffer may settle in
 //! either order (flush.rs documents the caveat), which the chronological
@@ -396,6 +402,54 @@ fn run(ops: Vec<(u8, i64, i32)>, foreign_doubles: bool) -> Result<(), TestCaseEr
     Ok(())
 }
 
+/// `EXPLAIN` describes the read it precedes: the file counts a plan of
+/// `[lo, hi]` names are exactly what the same `query` then adds to
+/// `query.files_*` — nothing at all when the plan does not reach disk —
+/// every file is either pruned or survives at its level, and explaining
+/// counts nothing itself.
+fn check_explain(eng: &StorageEngine, key: &SeriesKey, lo: i64, hi: i64) -> Result<(), String> {
+    let counters = || {
+        let snap = eng.obs().snapshot();
+        [
+            names::QUERY_FILES_CONSIDERED,
+            names::QUERY_FILES_PRUNED_BY_FILTER,
+            names::QUERY_FILES_PRUNED,
+        ]
+        .map(|name| snap.counter(name))
+    };
+    let before = counters();
+    let plan = eng.explain_query(key, lo, hi);
+    let explained = counters();
+    eng.query(key, lo, hi);
+    let after = counters();
+    let moved: [u64; 3] = std::array::from_fn(|i| after[i] - explained[i]);
+    let described = if plan.reaches_disk {
+        [
+            plan.files_total,
+            plan.files_pruned_by_filter,
+            plan.files_pruned_by_envelope,
+        ]
+        .map(|n| n as u64)
+    } else {
+        [0; 3]
+    };
+    let surviving: usize = plan.levels.iter().map(|l| l.surviving).sum();
+    let per_level: usize = plan.levels.iter().map(|l| l.files).sum();
+    let accounted = !plan.reaches_disk
+        || (per_level == plan.files_total
+            && surviving + plan.files_pruned_by_filter + plan.files_pruned_by_envelope
+                == plan.files_total);
+    if explained != before || moved != described || !accounted {
+        return Err(format!(
+            "shards={}: explain({key:?}, {lo}, {hi}) = {plan:?}, but explaining moved \
+             query.files_* by {:?} and the query by {moved:?}",
+            eng.shard_count(),
+            std::array::from_fn::<u64, 3, _>(|i| explained[i] - before[i]),
+        ));
+    }
+    Ok(())
+}
+
 /// One sensor of each type, three to a device, the devices on different
 /// shards under FNV-1a mod 4.
 fn typed_keys() -> [(SeriesKey, DataType); 6] {
@@ -738,6 +792,25 @@ proptest! {
         ops in prop::collection::vec((0u8..14, 0i64..800, any::<i32>()), 1..150)
     ) {
         run(ops, false)?;
+    }
+
+    #[test]
+    fn explain_names_the_files_its_query_counts(
+        ops in prop::collection::vec((0u8..14, 0i64..800, any::<i32>()), 1..150)
+    ) {
+        let engines = [engine(1), engine(4)];
+        let mut oracle = Oracle::new();
+        for op in ops {
+            apply(&engines, &mut oracle, op, false).map_err(TestCaseError::fail)?;
+            let (_, t, v) = op;
+            let key = &keys()[(v as i64).rem_euclid(2) as usize];
+            let hi = t + (v as i64).rem_euclid(300);
+            for eng in &engines {
+                for (lo, hi) in [(t, hi), (i64::MIN, i64::MAX)] {
+                    check_explain(eng, key, lo, hi).map_err(TestCaseError::fail)?;
+                }
+            }
+        }
     }
 
     #[test]
