@@ -27,19 +27,31 @@
 //!   merge, so unseq adoption stops producing wide files that every
 //!   query must probe.
 //!
+//! Both are one snapshot–merge–swap per shard (`compact_shard`): the
+//! file list and tombstones are cloned under the shard's read lock (the
+//! images are shared, not copied), the merge runs with no lock held, and
+//! one write lock swaps the run for its output. Writes, flushes, deletes
+//! and queries carry on meanwhile; a query reads the inputs until the
+//! swap and the output after it. An engine-wide mutex, taken before any
+//! shard lock, serializes compactions, so nothing else moves a shard's
+//! files while a merge runs.
+//!
 //! # Invariants
 //!
 //! * A merge always consumes a *contiguous* run `[a, b)` of a shard's
 //!   (oldest-first) file list and places its single output at position
-//!   `a` — last-write-wins order is untouched for every other file.
+//!   `a` — last-write-wins order is untouched for every other file,
+//!   files flushed during the merge included.
 //! * Within a shard, levels are non-increasing oldest → newest (the
 //!   oldest files are the most-merged). A run merge targets
 //!   `level + 1` and only fires when the run's predecessor is already
 //!   above that, so the invariant is preserved.
-//! * Tombstone horizons are remapped across the file-list surgery (see
-//!   [`remap_horizon`]): masks over merged files are applied physically
-//!   to the output, masks over untouched files shift with them, and a
-//!   horizon that counted an in-flight flushing slot keeps covering it.
+//! * Tombstone horizons are remapped at the swap (see
+//!   [`remap_horizon`]): masks of the snapshot over merged files are
+//!   applied physically to the output, masks over untouched files shift
+//!   with them, a horizon that counted an in-flight flushing slot keeps
+//!   covering it, and a delete that landed during the merge keeps
+//!   masking the output.
 
 use crate::delete::Tombstone;
 use crate::engine::{Columns, StorageEngine};
@@ -79,21 +91,26 @@ impl CompactionReport {
 
 /// Where a tombstone's file horizon lands after the run `[a, b)` of a
 /// shard's file list is replaced by `has_output` output files (0 or 1)
-/// at position `a`. `None` means the tombstone no longer masks any file
-/// and is dropped.
+/// at position `a`; `applied` says whether the merge applied the
+/// tombstone (it was in the snapshot). `None` means the tombstone no
+/// longer masks any file and is dropped.
 ///
 /// * `h <= a` — the mask never reached the run; unchanged.
-/// * `a < h <= b` — the mask ends inside (or exactly at the end of) the
-///   run. Its effect on files `[a, h)` was applied *physically* during
-///   the merge (those points never reached the output), so only the
-///   untouched prefix `[0, a)` still needs masking.
-/// * `h > b` — the mask covers files beyond the run, which shifted down
-///   by `(b - a) - has_output` positions. This includes a horizon that
-///   counted the shard's in-flight flushing slot: it keeps counting it.
-fn remap_horizon(h: usize, a: usize, b: usize, has_output: bool) -> Option<usize> {
+/// * `a < h <= b`, applied — the mask ends inside (or exactly at the end
+///   of) the run. Its effect on files `[a, h)` was applied *physically*
+///   during the merge (those points never reached the output), so only
+///   the untouched prefix `[0, a)` still needs masking.
+/// * otherwise `h >= b` — files past the run shift down by
+///   `(b - a) - has_output` positions and the mask with them, and it
+///   covers the output too. This includes a horizon that counted the
+///   shard's in-flight flushing slot: it keeps counting it. A tombstone
+///   pushed during the merge has `h >= b` (it was pushed over every
+///   file) and was not applied, so even at `h == b` it keeps masking
+///   the output.
+fn remap_horizon(h: usize, a: usize, b: usize, has_output: bool, applied: bool) -> Option<usize> {
     let h2 = if h <= a {
         h
-    } else if h <= b {
+    } else if applied && h <= b {
         a
     } else {
         h - (b - a) + usize::from(has_output)
@@ -101,8 +118,11 @@ fn remap_horizon(h: usize, a: usize, b: usize, has_output: bool) -> Option<usize
     (h2 > 0).then_some(h2)
 }
 
-/// What the leveled policy decided to do with one shard.
+/// What a compaction pass decided to do with one shard.
 enum Pick {
+    /// Leave the shard as it is; the full pass reports its files as
+    /// passing through.
+    Keep,
     /// Merge the contiguous run `[start, end)` into one file at `level`.
     Merge {
         start: usize,
@@ -205,23 +225,27 @@ impl StorageEngine {
     ///
     /// Later files win on duplicate timestamps (they contain the fresher
     /// writes — unsequence flushes are appended after the sequence file
-    /// they overlap). Memtables are untouched; queries before and after
-    /// return identical results. Shards are compacted one at a time in
-    /// ascending order (the engine's lock-ordering rule); files never
-    /// move between shards, so per-shard merging loses nothing.
+    /// they overlap). Memtables are untouched; queries before, during and
+    /// after return identical results. Shards are compacted one at a time
+    /// in ascending order; files never move between shards, so per-shard
+    /// merging loses nothing. A shard of one file and no tombstone is
+    /// left as it is.
     pub fn compact(&self) -> CompactionReport {
-        let _trace = self.trace_always(backsort_obs::names::SPAN_COMPACTION_ROOT, || {
-            "compact full".to_string()
-        });
-        let mut total = CompactionReport::default();
-        for shard in 0..self.shard_count() {
-            let span = backsort_obs::trace::span(backsort_obs::names::SPAN_COMPACTION_SHARD);
-            if let Some(s) = &span {
-                s.attr(backsort_obs::names::ATTR_SHARD, shard as u64);
-            }
-            total.absorb(self.compact_shard(shard));
-        }
-        total
+        self.compact_shards(
+            "compact full",
+            backsort_faults::sites::COMPACTION_BEFORE_RESTORE,
+            |files, has_tombstones| {
+                if files.is_empty() || (files.len() == 1 && !has_tombstones) {
+                    return Some(Pick::Keep);
+                }
+                let level = files.iter().map(FileHandle::level).max().unwrap_or(0) + 1;
+                Some(Pick::Merge {
+                    start: 0,
+                    end: files.len(),
+                    level,
+                })
+            },
+        )
     }
 
     /// One pass of the tiered/leveled compaction policy
@@ -234,8 +258,28 @@ impl StorageEngine {
     /// continuously: write amplification is bounded by the leveling
     /// ladder instead of re-rewriting every byte per pass.
     pub fn compact_auto(&self) -> CompactionReport {
+        let cfg = self.config().compaction;
+        let trigger = cfg.l0_trigger.max(2);
+        let growth = cfg.growth.max(2);
+        let base = cfg.level_base_bytes.max(1);
+        self.compact_shards(
+            "compact auto",
+            backsort_faults::sites::COMPACTION_LEVEL_PUBLISH,
+            |files, _| pick_run(files, trigger, base, growth),
+        )
+    }
+
+    /// Runs [`compact_shard`](Self::compact_shard) over every shard in
+    /// ascending order under one `compaction.root` trace, summing the
+    /// reports.
+    fn compact_shards(
+        &self,
+        label: &'static str,
+        publish_site: &'static str,
+        pick: impl Fn(&[FileHandle], bool) -> Option<Pick>,
+    ) -> CompactionReport {
         let _trace = self.trace_always(backsort_obs::names::SPAN_COMPACTION_ROOT, || {
-            "compact auto".to_string()
+            label.to_string()
         });
         let mut total = CompactionReport::default();
         for shard in 0..self.shard_count() {
@@ -243,9 +287,106 @@ impl StorageEngine {
             if let Some(s) = &span {
                 s.attr(backsort_obs::names::ATTR_SHARD, shard as u64);
             }
-            total.absorb(self.compact_shard_leveled(shard));
+            total.absorb(self.compact_shard(shard, &pick, publish_site));
         }
         total
+    }
+
+    /// One compaction of one shard: snapshot, merge, swap.
+    ///
+    /// Under the shard's read lock the pass clones the file list (a
+    /// refcount bump per file) and the tombstones. `pick` chooses from
+    /// that snapshot (told whether any tombstone is pending), and a
+    /// merged run is built by [`merge_run`](Self::merge_run) with no lock
+    /// held, while writes, flushes, deletes and reads go on. One write
+    /// lock then swaps the run `[a, b)` for the output. Positions `[a, b)`
+    /// still hold the snapshot's files then: flushes and adoptions only
+    /// append, and only compaction removes files — one at a time, under
+    /// the engine's compaction mutex. Readers see the inputs up to the
+    /// swap and the output after it, never neither.
+    ///
+    /// The tombstones at the swap are the snapshot's, in order (their
+    /// horizons perhaps lowered by a flush that installed no file), then
+    /// those pushed during the merge. [`remap_horizon`] moves both kinds;
+    /// only the snapshot's were applied by the merge.
+    fn compact_shard(
+        &self,
+        shard: usize,
+        pick: impl Fn(&[FileHandle], bool) -> Option<Pick>,
+        publish_site: &str,
+    ) -> CompactionReport {
+        let _serial = self.compaction.lock();
+        let lock = &self.shards[shard];
+        let (files, tombstones) = {
+            let st = lock.read();
+            (st.files.clone(), st.tombstones.clone())
+        };
+        // Crash site: the snapshot is taken and nothing merged yet.
+        // Recovery must serve the data from the persisted inputs.
+        self.faults()
+            .kill_point(backsort_faults::sites::COMPACTION_AFTER_TAKE);
+        let (a, b, level) = match pick(&files, !tombstones.is_empty()) {
+            None => return CompactionReport::default(),
+            Some(Pick::Keep) => {
+                let bytes: u64 = files.iter().map(|h| h.image().len() as u64).sum();
+                return CompactionReport {
+                    files_in: files.len(),
+                    files_out: files.len(),
+                    bytes_in: bytes,
+                    bytes_out: bytes,
+                    ..CompactionReport::default()
+                };
+            }
+            Some(Pick::Promote { idx, level }) => {
+                if let Some(h) = lock.write().files.get_mut(idx) {
+                    h.set_level(level);
+                }
+                return CompactionReport {
+                    level_moves: 1,
+                    ..CompactionReport::default()
+                };
+            }
+            Some(Pick::Merge { start, end, level }) => (start, end, level),
+        };
+        let run = files.get(a..b).unwrap_or_default();
+        let mut report = CompactionReport {
+            files_in: run.len(),
+            bytes_in: run.iter().map(|h| h.image().len() as u64).sum(),
+            ..CompactionReport::default()
+        };
+        let output = self
+            .merge_run(shard, &files, a, b, &tombstones)
+            .map(|(image, points)| {
+                report.files_out = 1;
+                report.points = points;
+                report.bytes_out = image.len() as u64;
+                report.level_moves = 1;
+                // A fresh id: the durable store sees the inputs' ids
+                // vanish and this one appear, and re-persists.
+                self.parse_own_image(image).with_level(level)
+            });
+        let has_output = output.is_some();
+        if has_output {
+            // Crash site: the output exists (id allocated, level
+            // assigned) but the shard serves the inputs still — recovery
+            // comes from the persisted inputs, and no file may surface
+            // at two levels.
+            self.faults().kill_point(publish_site);
+        }
+        let mut st = lock.write();
+        debug_assert!(st.files.get(a..b).is_some_and(|live| live
+            .iter()
+            .map(FileHandle::id)
+            .eq(run.iter().map(FileHandle::id))));
+        // The inputs' images are freed with the snapshot, after the lock.
+        st.files.splice(a..b, output);
+        let applied = tombstones.len();
+        st.tombstones = std::mem::take(&mut st.tombstones)
+            .into_iter()
+            .enumerate()
+            .filter_map(|(i, (ts, h))| Some((ts, remap_horizon(h, a, b, has_output, i < applied)?)))
+            .collect();
+        report
     }
 
     /// Merges the run `handles[a..b)` into one image with the read
@@ -297,162 +438,6 @@ impl StorageEngine {
             }
         }
         (points > 0).then(|| (writer.finish(), points))
-    }
-
-    /// Re-installs the post-surgery state of a shard: the rebuilt file
-    /// list (prepended, so files flushed while compaction ran stay
-    /// newer) followed by the remapped tombstones (after the files, so
-    /// the restore clamp sees the final count).
-    fn publish(
-        &self,
-        shard: usize,
-        files: Vec<FileHandle>,
-        tombstones: Vec<(Tombstone, usize)>,
-        a: usize,
-        b: usize,
-        has_output: bool,
-    ) {
-        self.restore_files(shard, files);
-        for (ts, h) in tombstones {
-            if let Some(h2) = remap_horizon(h, a, b, has_output) {
-                self.restore_tombstone(&ts.key, ts.t_lo, ts.t_hi, h2);
-            }
-        }
-    }
-
-    fn compact_shard(&self, shard: usize) -> CompactionReport {
-        let (handles, tombstones) = self.take_for_compaction(shard);
-        // Crash site: inputs are removed from the shard (in memory) and
-        // the merged file does not exist yet. Recovery must serve the
-        // data from the persisted inputs — the durable store only GCs
-        // them after the merged image and manifest are on disk.
-        self.faults()
-            .kill_point(backsort_faults::sites::COMPACTION_AFTER_TAKE);
-        let files_in = handles.len();
-        let bytes_in: u64 = handles.iter().map(|h| h.image().len() as u64).sum();
-        if files_in <= 1 && tombstones.is_empty() {
-            // Nothing to merge or erase; put the files back untouched.
-            let report = CompactionReport {
-                files_in,
-                files_out: files_in,
-                bytes_in,
-                bytes_out: bytes_in,
-                ..CompactionReport::default()
-            };
-            self.restore_files(shard, handles);
-            return report;
-        }
-        let out_level = handles.iter().map(FileHandle::level).max().unwrap_or(0) + 1;
-        let Some((image, points)) = self.merge_run(shard, &handles, 0, files_in, &tombstones)
-        else {
-            // Tombstones erased everything, every chunk belonged to
-            // other shards' copies, or there were no files — only
-            // tombstones, whose masks the remap keeps over an in-flight
-            // flushing slot: keep no file at all.
-            self.publish(shard, Vec::new(), tombstones, 0, files_in, false);
-            return CompactionReport {
-                files_in,
-                bytes_in,
-                ..CompactionReport::default()
-            };
-        };
-        let bytes_out = image.len() as u64;
-        // Crash site: the merged image exists in memory but is not yet
-        // visible to queries or the durable store.
-        self.faults()
-            .kill_point(backsort_faults::sites::COMPACTION_BEFORE_RESTORE);
-        // The merged file carries a fresh id: the durable store sees the
-        // old ids vanish and this one appear, and re-persists accordingly.
-        let handle = self.parse_own_image(image).with_level(out_level);
-        self.publish(shard, vec![handle], tombstones, 0, files_in, true);
-        CompactionReport {
-            files_in,
-            files_out: 1,
-            points,
-            bytes_in,
-            bytes_out,
-            level_moves: 1,
-        }
-    }
-
-    fn compact_shard_leveled(&self, shard: usize) -> CompactionReport {
-        let cfg = self.config().compaction;
-        let trigger = cfg.l0_trigger.max(2);
-        let growth = cfg.growth.max(2);
-        let base = cfg.level_base_bytes.max(1);
-
-        let (mut handles, tombstones) = self.take_for_compaction(shard);
-        // Same exposure as the full pass: inputs are out of the shard,
-        // nothing new exists yet.
-        self.faults()
-            .kill_point(backsort_faults::sites::COMPACTION_AFTER_TAKE);
-
-        match pick_run(&handles, trigger, base, growth) {
-            None => {
-                self.publish(shard, handles, tombstones, 0, 0, false);
-                CompactionReport::default()
-            }
-            Some(Pick::Promote { idx, level }) => {
-                if let Some(h) = handles.get_mut(idx) {
-                    h.set_level(level);
-                }
-                self.publish(shard, handles, tombstones, 0, 0, false);
-                CompactionReport {
-                    level_moves: 1,
-                    ..CompactionReport::default()
-                }
-            }
-            Some(Pick::Merge { start, end, level }) => {
-                let bytes_in: u64 = handles
-                    .get(start..end)
-                    .into_iter()
-                    .flatten()
-                    .map(|h| h.image().len() as u64)
-                    .sum();
-                let files_in = end - start;
-                let merged = self.merge_run(shard, &handles, start, end, &tombstones);
-                let mut rebuilt: Vec<FileHandle> = Vec::with_capacity(handles.len());
-                let tail: Vec<FileHandle> = handles.split_off(end);
-                handles.truncate(start);
-                rebuilt.append(&mut handles);
-                let (report, has_output) = match merged {
-                    Some((image, points)) => {
-                        let bytes_out = image.len() as u64;
-                        let handle = self.parse_own_image(image).with_level(level);
-                        // Crash site: the level-move's output exists (id
-                        // allocated, filter written, level assigned) but
-                        // the shard still serves nothing for the run —
-                        // recovery must come from the persisted inputs,
-                        // and no file may surface at two levels.
-                        self.faults()
-                            .kill_point(backsort_faults::sites::COMPACTION_LEVEL_PUBLISH);
-                        rebuilt.push(handle);
-                        (
-                            CompactionReport {
-                                files_in,
-                                files_out: 1,
-                                points,
-                                bytes_in,
-                                bytes_out,
-                                level_moves: 1,
-                            },
-                            true,
-                        )
-                    }
-                    None => (
-                        CompactionReport {
-                            files_in,
-                            bytes_in,
-                            ..CompactionReport::default()
-                        },
-                        false,
-                    ),
-                };
-                rebuilt.extend(tail);
-                self.publish(shard, rebuilt, tombstones, start, end, has_output);
-                report
-            }
-        }
     }
 }
 
@@ -616,7 +601,7 @@ mod tests {
         single.flush();
         let ids = single.shard_file_ids(0);
         assert_eq!(ids.len(), 1);
-        let image = single.file_image(0, ids[0]).unwrap();
+        let image = single.file_image(0, ids[0]).unwrap().image().to_vec();
 
         let eng = StorageEngine::new(EngineConfig {
             memtable_max_points: 1_000,
@@ -762,7 +747,11 @@ mod tests {
         single.write_points(&ka, (0..20i64).map(|t| (t, TsValue::Long(t))));
         single.write_points(&kb, (0..20i64).map(|t| (t, TsValue::Long(-t))));
         single.flush();
-        let image = single.file_image(0, single.shard_file_ids(0)[0]).unwrap();
+        let image = single
+            .file_image(0, single.shard_file_ids(0)[0])
+            .unwrap()
+            .image()
+            .to_vec();
 
         let eng = leveled_engine(20, 4, 2);
         eng.adopt_file(image).expect("valid image");
@@ -778,7 +767,7 @@ mod tests {
                     .iter()
                     .filter_map(|&id| eng.file_image(s, id))
                     .flat_map(|img| {
-                        crate::tsfile::TsFileReader::open(&img)
+                        crate::tsfile::TsFileReader::open(img.image())
                             .map(|r| r.chunks().to_vec())
                             .unwrap_or_default()
                     })
@@ -956,5 +945,56 @@ mod tests {
         let meta = eng.shard_file_meta(0);
         assert_eq!(meta.len(), 1);
         assert!(meta[0].1 >= 1, "full merge output sits above level 0");
+    }
+
+    /// A delete that lands between a pass's snapshot and its swap was
+    /// not applied by the merge: its tombstone must move onto the
+    /// output, so the points stay hidden after the swap, and the next
+    /// pass erases them.
+    #[test]
+    fn a_delete_during_the_merge_hides_its_points_after_the_swap() {
+        use backsort_faults::{sites, FaultMode};
+        let (lo, hi) = (30_000, 49_999);
+        for attempt in 0.. {
+            assert!(attempt < 20, "no delete landed inside a merge");
+            let eng = engine(20_000);
+            // Four files of 20,000 points: a merge long enough to land
+            // a delete in.
+            eng.write_points(&key("s"), (0..80_000i64).map(|t| (t, TsValue::Long(t))));
+            assert_eq!(eng.file_count(), 4);
+            let mut want = eng.query(&key("s"), i64::MIN, i64::MAX);
+            want.retain(|(t, _)| !(lo..=hi).contains(t));
+            // Armed to count hits; it fires on none.
+            let faults = eng.faults();
+            faults.arm(sites::COMPACTION_AFTER_TAKE, FaultMode::Kill, u64::MAX);
+            let in_merge = std::thread::scope(|scope| {
+                let pass = scope.spawn(|| eng.compact());
+                while faults.hits(sites::COMPACTION_AFTER_TAKE) == 0 {
+                    std::hint::spin_loop();
+                }
+                eng.delete_range(&key("s"), lo, hi);
+                let in_merge = faults.hits(sites::COMPACTION_BEFORE_RESTORE) == 0;
+                assert_eq!(pass.join().expect("compaction").files_in, 4);
+                in_merge
+            });
+            if !in_merge {
+                continue;
+            }
+            assert_eq!(eng.file_count(), 1);
+            assert_eq!(eng.tombstone_count(), 1, "the delete masks the output");
+            assert_eq!(
+                eng.query(&key("s"), i64::MIN, i64::MAX),
+                want,
+                "after the swap"
+            );
+            eng.compact();
+            assert_eq!(eng.tombstone_count(), 0);
+            assert_eq!(
+                eng.query(&key("s"), i64::MIN, i64::MAX),
+                want,
+                "after a second pass"
+            );
+            break;
+        }
     }
 }

@@ -27,6 +27,8 @@
 //! compaction, and the metrics accessors)
 //! visit shards in **ascending index order**, releasing each shard's
 //! lock before taking the next. No code path nests shard locks.
+//! Compaction's mutex, which serializes compactions, is taken before
+//! any shard lock and never under one.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -37,7 +39,7 @@ use backsort_core::Algorithm;
 use backsort_faults::{sites as fault_sites, FailpointRegistry};
 use backsort_obs::trace as obs_trace;
 use backsort_obs::{names, Counter, Gauge, Histogram, LocalHistogram, Registry};
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 
 use crate::batch::{type_mismatch, ColumnSlice, PointBatch, ValueColumn, WriteError};
 use crate::cache::BlockCache;
@@ -158,7 +160,7 @@ impl FlushJob {
 }
 
 #[derive(Debug, Default)]
-struct ShardState {
+pub(crate) struct ShardState {
     working: MemTable,
     /// The rotated memtable an asynchronous flush is writing out, owned
     /// here alone until the flush installs its file: queries read it
@@ -179,12 +181,14 @@ struct ShardState {
     /// queries prune and read through the cached chunk index and never
     /// re-parse a footer. Durable persistence keys on the handle's id
     /// (not the position), so compaction replacing a shard's files is
-    /// observable as ids disappearing and a new id arriving.
-    files: Vec<FileHandle>,
+    /// observable as ids disappearing and a new id arriving. Flushes and
+    /// adoptions only append; only a compaction swap (`compaction.rs`,
+    /// under [`StorageEngine`]'s compaction mutex) removes files.
+    pub(crate) files: Vec<FileHandle>,
     /// Pending range deletions plus the file horizon they apply to:
     /// only files at an index below the horizon are filtered (data
     /// written after the delete must not be erased).
-    tombstones: Vec<(Tombstone, usize)>,
+    pub(crate) tombstones: Vec<(Tombstone, usize)>,
 }
 
 impl ShardState {
@@ -245,15 +249,18 @@ impl ShardState {
 
     /// Masks `key`'s `[t_lo, t_hi]` in the files below `horizon`,
     /// clamped to the files there are and the one an occupied slot
-    /// becomes. Returns the horizon recorded.
+    /// becomes. Returns the horizon recorded; at 0 the mask covers no
+    /// file and is not kept.
     fn push_tombstone(&mut self, key: &SeriesKey, t_lo: i64, t_hi: i64, horizon: usize) -> usize {
         let horizon = horizon.min(self.files.len() + usize::from(self.flushing.is_some()));
-        let tombstone = Tombstone {
-            key: key.clone(),
-            t_lo,
-            t_hi,
-        };
-        self.tombstones.push((tombstone, horizon));
+        if horizon > 0 {
+            let tombstone = Tombstone {
+                key: key.clone(),
+                t_lo,
+                t_hi,
+            };
+            self.tombstones.push((tombstone, horizon));
+        }
         horizon
     }
 }
@@ -420,7 +427,7 @@ fn fnv1a(device: &str) -> u64 {
 /// higher shard counts only same-device traffic contends.
 pub struct StorageEngine {
     config: EngineConfig,
-    shards: Vec<RwLock<ShardState>>,
+    pub(crate) shards: Vec<RwLock<ShardState>>,
     /// Source of the per-file ids in [`ShardState::files`].
     next_file_id: AtomicU64,
     /// Query counter driving the 1-in-`trace_sample_n` trace sampler.
@@ -433,6 +440,9 @@ pub struct StorageEngine {
     /// Decoded-page block cache, shared by every shard's read path.
     /// `None` when [`EngineConfig::cache_bytes`] is zero.
     cache: Option<Arc<BlockCache>>,
+    /// Serializes compactions, so only the one running moves a shard's
+    /// files: taken before any shard lock, never under one.
+    pub(crate) compaction: Mutex<()>,
 }
 
 impl StorageEngine {
@@ -453,7 +463,7 @@ impl StorageEngine {
     /// registry — the crash-matrix harness shares one registry between
     /// the engine and a simulated disk so an armed site can fire on
     /// either side of the `Io` boundary.
-    pub fn with_instrumentation(
+    pub(crate) fn with_instrumentation(
         config: EngineConfig,
         registry: Arc<Registry>,
         faults: Arc<FailpointRegistry>,
@@ -472,6 +482,7 @@ impl StorageEngine {
             obs: EngineObs::new(registry),
             faults,
             cache,
+            compaction: Mutex::new(()),
         }
     }
 
@@ -684,8 +695,9 @@ impl StorageEngine {
     /// hold points (ascending shard order, one lock at a time): an
     /// occupied slot is installed first — it is the older — then the
     /// memtable rotates into the slot and is installed from there, both
-    /// outside the shard lock. A shard with nothing buffered records no
-    /// history entry. Returns the metrics summed across the installs.
+    /// outside the shard lock. A shard with nothing buffered installs
+    /// nothing and counts no flush. Returns the metrics summed across the
+    /// installs.
     pub fn flush_unseq(&self) -> FlushMetrics {
         self.flush_through_slot(true)
     }
@@ -711,8 +723,8 @@ impl StorageEngine {
     /// Adopts an existing TsFile image (recovery path): registers it for
     /// queries and advances watermarks from its chunk statistics. The
     /// image is parsed into a [`FileHandle`] exactly once; every shard
-    /// that owns one of its devices gets a copy reusing that parsed
-    /// index (ascending order — queries filter by series, so the
+    /// that owns one of its devices gets a handle sharing that parsed
+    /// image (ascending order — queries filter by series, so the
     /// duplication is invisible, and per-shard compaction later drops
     /// the chunks belonging to other shards). Returns the
     /// `(shard, file id)` pairs installed, or `None` (and adopts
@@ -725,7 +737,11 @@ impl StorageEngine {
     /// level — the durable store's recovery path reinstalls each file at
     /// the level the manifest recorded, so a reopened engine resumes the
     /// leveling ladder instead of re-treating merged output as fresh L0.
-    pub fn adopt_file_at_level(&self, image: Vec<u8>, level: u32) -> Option<Vec<(usize, u64)>> {
+    pub(crate) fn adopt_file_at_level(
+        &self,
+        image: Vec<u8>,
+        level: u32,
+    ) -> Option<Vec<(usize, u64)>> {
         let handle = self.parse_image(image)?.with_level(level);
         let metas: Vec<(SeriesKey, i64)> = handle
             .chunks()
@@ -742,7 +758,6 @@ impl StorageEngine {
             targets.push(0); // an empty (but valid) file: park it in shard 0
         }
         let last = targets.len() - 1;
-        let mut handle = Some(handle);
         let mut installed = Vec::with_capacity(targets.len());
         for (i, &shard) in targets.iter().enumerate() {
             let mut st = self.shards[shard].write();
@@ -752,17 +767,12 @@ impl StorageEngine {
                     *w = (*w).max(*max_time);
                 }
             }
-            let h = match handle.take() {
-                Some(h) if i == last => h,
-                Some(src) => {
-                    // A copy for this shard under a fresh id, reusing
-                    // the already-parsed chunk index.
-                    let copy = src.with_id(self.alloc_file_id());
-                    handle = Some(src);
-                    copy
-                }
-                // The handle is only consumed on the final target.
-                None => break,
+            // Every shard but the last gets a copy under a fresh id,
+            // sharing the already-parsed image.
+            let h = if i == last {
+                handle.clone()
+            } else {
+                handle.with_id(self.alloc_file_id())
             };
             installed.push((shard, h.id()));
             st.files.push(h);
@@ -787,47 +797,12 @@ impl StorageEngine {
         st.files.iter().map(|h| (h.id(), h.level())).collect()
     }
 
-    /// The image bytes of one file by id, or `None` if compaction merged
-    /// it away since the id was listed.
-    pub fn file_image(&self, shard: usize, id: u64) -> Option<Vec<u8>> {
+    /// One file by id — a handle sharing its image, no byte copied
+    /// ([`FileHandle::image`]) — or `None` if compaction merged it away
+    /// since the id was listed.
+    pub fn file_image(&self, shard: usize, id: u64) -> Option<FileHandle> {
         let st = self.shards[shard].read();
-        st.files
-            .iter()
-            .find(|h| h.id() == id)
-            .map(|h| h.image().to_vec())
-    }
-
-    /// Removes and returns one shard's flushed file images and the
-    /// tombstones pending physical application, paired with their file
-    /// horizons (compaction intake). Both leave under one lock: a
-    /// horizon is an index into that file list, and a flush that
-    /// installs no file lowers horizons to the list's length
-    /// ([`complete_flush`](Self::complete_flush)) — it must never see
-    /// the tombstones without their files.
-    ///
-    /// Concurrent queries between this call and [`restore_files`] would
-    /// miss disk data; run compaction from a maintenance context, as
-    /// IoTDB schedules it.
-    ///
-    /// [`restore_files`]: StorageEngine::restore_files
-    pub(crate) fn take_for_compaction(
-        &self,
-        shard: usize,
-    ) -> (Vec<FileHandle>, Vec<(Tombstone, usize)>) {
-        let mut st = self.shards[shard].write();
-        (
-            std::mem::take(&mut st.files),
-            std::mem::take(&mut st.tombstones),
-        )
-    }
-
-    /// Re-installs file handles at the *oldest* position of a shard, so
-    /// files flushed while compaction ran stay newer (and keep winning
-    /// duplicate timestamps).
-    pub(crate) fn restore_files(&self, shard: usize, mut files: Vec<FileHandle>) {
-        let mut st = self.shards[shard].write();
-        files.append(&mut st.files);
-        st.files = files;
+        st.files.iter().find(|h| h.id() == id).cloned()
     }
 
     /// Number of tombstones awaiting compaction, across all shards.
@@ -869,47 +844,33 @@ impl StorageEngine {
     /// IoTDB's "mods" mechanism. Returns how many in-memory points were
     /// removed.
     pub fn delete_range(&self, key: &SeriesKey, t_lo: i64, t_hi: i64) -> usize {
-        self.delete_range_with_horizon(key, t_lo, t_hi).0
+        self.delete_range_with_horizon(key, t_lo, t_hi, usize::MAX)
+            .0
     }
 
-    /// Like [`delete_range`](Self::delete_range), additionally returning
-    /// the file horizon the tombstone was recorded under — the durable
-    /// store logs it in the delete's WAL record so a replayed tombstone
-    /// covers the same files (and nothing flushed after the delete).
-    pub fn delete_range_with_horizon(
+    /// [`delete_range`](Self::delete_range) with its tombstone masking
+    /// only the files below `horizon`, clamped to the shard's file count
+    /// (plus an occupied flushing slot). Returns the points removed and
+    /// the horizon recorded. The durable store logs that horizon in the
+    /// delete's WAL record, and replays the record with it: files
+    /// created during replay after the record cannot exist yet, so the
+    /// clamp only covers files whose contents predate the delete, and
+    /// later re-writes, replayed (and flushed) after it, stay untouched.
+    pub(crate) fn delete_range_with_horizon(
         &self,
         key: &SeriesKey,
         t_lo: i64,
         t_hi: i64,
+        horizon: usize,
     ) -> (usize, usize) {
         let mut st = self.shards[self.shard_of(&key.device)].write();
         let removed = st.erase(key, t_lo, t_hi);
-        (removed, st.push_tombstone(key, t_lo, t_hi, usize::MAX))
-    }
-
-    /// Re-applies a delete recovered from the WAL. The logged horizon is
-    /// clamped to the shard's current file count: files created *during*
-    /// replay after this record cannot exist yet, so the clamp only ever
-    /// covers files whose contents predate the delete — erasing their
-    /// in-range points is exactly the delete's semantics, while later
-    /// re-writes are replayed (and flushed) after this record and stay
-    /// untouched.
-    pub fn apply_delete_with_horizon(
-        &self,
-        key: &SeriesKey,
-        t_lo: i64,
-        t_hi: i64,
-        logged_horizon: usize,
-    ) -> usize {
-        let mut st = self.shards[self.shard_of(&key.device)].write();
-        let removed = st.erase(key, t_lo, t_hi);
-        st.push_tombstone(key, t_lo, t_hi, logged_horizon);
-        removed
+        (removed, st.push_tombstone(key, t_lo, t_hi, horizon))
     }
 
     /// Restores a *re-logged* tombstone recovered from the WAL: pushes
     /// the file mask (horizon clamped exactly as in
-    /// [`apply_delete_with_horizon`](Self::apply_delete_with_horizon))
+    /// [`delete_range_with_horizon`](Self::delete_range_with_horizon))
     /// without touching any memtable. A re-logged record sits *after*
     /// records of writes issued after the original delete — when the
     /// segment carrying the original record also survives a crash,
@@ -917,7 +878,13 @@ impl StorageEngine {
     /// erase those later writes. The delete's memtable effect is either
     /// replayed positionally from the original record or already
     /// persisted in the flushed files the mask covers.
-    pub fn restore_tombstone(&self, key: &SeriesKey, t_lo: i64, t_hi: i64, logged_horizon: usize) {
+    pub(crate) fn restore_tombstone(
+        &self,
+        key: &SeriesKey,
+        t_lo: i64,
+        t_hi: i64,
+        logged_horizon: usize,
+    ) {
         self.shards[self.shard_of(&key.device)]
             .write()
             .push_tombstone(key, t_lo, t_hi, logged_horizon);
@@ -929,7 +896,7 @@ impl StorageEngine {
     /// originally carried the delete records are about to be truncated,
     /// and until compaction applies a tombstone the WAL is its only
     /// durable record.
-    pub fn pending_tombstones(&self, shard: usize) -> Vec<(Tombstone, usize)> {
+    pub(crate) fn pending_tombstones(&self, shard: usize) -> Vec<(Tombstone, usize)> {
         self.shards[shard].read().tombstones.clone()
     }
 
@@ -996,7 +963,7 @@ impl StorageEngine {
     /// Every copy and the install check the job's generation. A stale
     /// job — its slot already installed by a synchronous flush —
     /// installs nothing and returns [`FlushMetrics::default`]; it leaves
-    /// `engine.flush_queue_depth` and the flush history alone.
+    /// `engine.flush_queue_depth` and the `flush.*` counters alone.
     pub fn complete_flush(&self, job: FlushJob) -> FlushMetrics {
         // Crash site: the memtable has rotated into the slot but nothing
         // is encoded yet — its points' only durable copy is the WAL.
@@ -2260,7 +2227,9 @@ mod tests {
         eng.write_points(&key("s"), (0..100i64).map(|i| (i, TsValue::Long(i))));
         let image = eng
             .file_image(0, eng.shard_file_ids(0)[0])
-            .expect("flushed image");
+            .expect("flushed image")
+            .image()
+            .to_vec();
         let other = small_engine(Algorithm::Backward(Default::default()));
         other.adopt_file_at_level(image.clone(), 3).expect("adopts");
         other.adopt_file(image).expect("adopts");

@@ -45,9 +45,24 @@ use crate::types::{SeriesKey, TsValue};
 /// re-derived per query — and the key-sorted chunk index. Only when a
 /// query survives that pruning are the overlapping chunks' pages
 /// decoded — lazily, page by page, by the [`Scan`].
+///
+/// The id and level belong to one install; the parsed part sits behind
+/// one `Arc`, so a clone — compaction's snapshot of a shard's list, an
+/// adopted image's copy for another shard — shares it and copies no
+/// byte.
 #[derive(Debug, Clone)]
 pub struct FileHandle {
     id: u64,
+    /// Compaction level (0 = fresh flush or adoption). Assigned by the
+    /// engine when the handle is installed; persisted in the manifest.
+    level: u32,
+    parsed: Arc<ParsedFile>,
+}
+
+/// The immutable part of a [`FileHandle`]: the image and what was
+/// parsed from it.
+#[derive(Debug)]
+struct ParsedFile {
     image: Vec<u8>,
     /// Chunk index sorted by key (chunks of one key in file order), as
     /// [`TsFileReader::open`] produces it.
@@ -57,9 +72,6 @@ pub struct FileHandle {
     envelopes: Vec<(SeriesKey, i64, i64)>,
     /// The v2 footer's key existence filter; `None` for v1 images.
     filter: Option<KeyFilter>,
-    /// Compaction level (0 = fresh flush or adoption). Assigned by the
-    /// engine when the handle is installed; persisted in the manifest.
-    level: u32,
 }
 
 impl FileHandle {
@@ -85,26 +97,21 @@ impl FileHandle {
         }
         Some(Self {
             id,
-            image,
-            chunks,
-            envelopes,
-            filter,
             level: 0,
+            parsed: Arc::new(ParsedFile {
+                image,
+                chunks,
+                envelopes,
+                filter,
+            }),
         })
     }
 
     /// Re-tags an already-parsed handle with a new engine file id,
-    /// reusing the cached index (the adopt path installs one parsed
+    /// sharing its image and index (the adopt path installs one parsed
     /// image into several shards).
     pub fn with_id(&self, id: u64) -> Self {
-        Self {
-            id,
-            image: self.image.clone(),
-            chunks: self.chunks.clone(),
-            envelopes: self.envelopes.clone(),
-            filter: self.filter.clone(),
-            level: self.level,
-        }
+        Self { id, ..self.clone() }
     }
 
     /// The handle's compaction level (0 = fresh).
@@ -131,22 +138,22 @@ impl FileHandle {
 
     /// The raw image bytes.
     pub fn image(&self) -> &[u8] {
-        &self.image
+        &self.parsed.image
     }
 
     /// The cached chunk index, sorted by key.
     pub fn chunks(&self) -> &[ChunkMeta] {
-        &self.chunks
+        &self.parsed.chunks
     }
 
     /// The chunks of one series, by binary search.
     pub fn chunks_for(&self, key: &SeriesKey) -> &[ChunkMeta] {
-        crate::tsfile::chunks_for(&self.chunks, key)
+        crate::tsfile::chunks_for(&self.parsed.chunks, key)
     }
 
     /// The key filter from the v2 footer, `None` for v1 images.
     pub fn filter(&self) -> Option<&KeyFilter> {
-        self.filter.as_ref()
+        self.parsed.filter.as_ref()
     }
 
     /// Whether the file can contain the series at all, by one filter
@@ -154,13 +161,16 @@ impl FileHandle {
     /// for v1 images (no filter: never prune on absence of evidence)
     /// and for any key the filter might hold; `false` is definitive.
     pub fn may_contain(&self, key: &SeriesKey) -> bool {
-        self.filter.as_ref().is_none_or(|f| f.may_contain(key))
+        self.parsed
+            .filter
+            .as_ref()
+            .is_none_or(|f| f.may_contain(key))
     }
 
     /// The per-key envelope table, sorted by key — one
     /// `(key, min_time, max_time)` entry per distinct series.
     pub fn envelopes(&self) -> &[(SeriesKey, i64, i64)] {
-        &self.envelopes
+        &self.parsed.envelopes
     }
 
     /// The `(min_time, max_time)` envelope of one series in this file,
@@ -169,8 +179,8 @@ impl FileHandle {
     /// the envelope table cached at parse time by binary search; the
     /// chunk metas are not walked.
     pub fn key_time_range(&self, key: &SeriesKey) -> Option<(i64, i64)> {
-        let idx = self.envelopes.partition_point(|(k, _, _)| k < key);
-        match self.envelopes.get(idx) {
+        let idx = self.parsed.envelopes.partition_point(|(k, _, _)| k < key);
+        match self.parsed.envelopes.get(idx) {
             Some((k, min, max)) if k == key => Some((*min, *max)),
             _ => None,
         }
@@ -181,8 +191,8 @@ impl FileHandle {
     /// empty file. Keys sort by `(device, sensor)`, so the table's ends
     /// bound the device set.
     pub fn device_range(&self) -> Option<(&str, &str)> {
-        let (first, _, _) = self.envelopes.first()?;
-        let (last, _, _) = self.envelopes.last()?;
+        let (first, _, _) = self.parsed.envelopes.first()?;
+        let (last, _, _) = self.parsed.envelopes.last()?;
         Some((first.device.as_str(), last.device.as_str()))
     }
 

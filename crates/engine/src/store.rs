@@ -623,8 +623,7 @@ impl DurableEngine {
                         t_hi,
                         horizon,
                     } => {
-                        let _ =
-                            engine.apply_delete_with_horizon(&key, t_lo, t_hi, horizon as usize);
+                        engine.delete_range_with_horizon(&key, t_lo, t_hi, horizon as usize);
                     }
                     // Mask-only: a re-logged tombstone replays after the
                     // records of writes issued after the original delete
@@ -765,7 +764,9 @@ impl DurableEngine {
     /// previously acknowledged write. Returns how many in-memory points
     /// were removed.
     pub fn delete_range(&mut self, key: &SeriesKey, t_lo: i64, t_hi: i64) -> StoreResult<usize> {
-        let (removed, horizon) = self.engine.delete_range_with_horizon(key, t_lo, t_hi);
+        let (removed, horizon) = self
+            .engine
+            .delete_range_with_horizon(key, t_lo, t_hi, usize::MAX);
         let record = WalRecord::Delete {
             key: key.clone(),
             t_lo,
@@ -934,9 +935,9 @@ fn write_images(
             }
             // The image can only be gone if compaction ran in between;
             // the merged file then carries the data under its own id.
-            if let Some(image) = engine.file_image(shard, id) {
+            if let Some(file) = engine.file_image(shard, id) {
                 *generation += 1;
-                io.write_durable(&dir.join(format!("tsfile-{generation}.bstf")), &image)
+                io.write_durable(&dir.join(format!("tsfile-{generation}.bstf")), file.image())
                     .map_err(StoreError::Persist)?;
                 done.insert(id, *generation);
                 if !first_written {

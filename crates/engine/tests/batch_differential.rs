@@ -155,8 +155,8 @@ fn assert_identical(
         prop_assert_eq!(&ids_a, &ids_b, "file ids diverged in shard {}", shard);
         for id in ids_a {
             prop_assert_eq!(
-                a.file_image(shard, id),
-                b.file_image(shard, id),
+                a.file_image(shard, id).map(|f| f.image().to_vec()),
+                b.file_image(shard, id).map(|f| f.image().to_vec()),
                 "file image {} diverged in shard {}",
                 id,
                 shard

@@ -64,18 +64,20 @@ pub const FLUSH_ROTATE: &str = "flush.rotate";
 /// installed in the shard. Kill-only.
 pub const FLUSH_COMPLETE_BEFORE_INSTALL: &str = "flush.complete.before_install";
 
-/// After compaction removed the input files from the shard (in memory),
-/// before the merged image exists. Kill-only.
+/// After a compaction pass snapshots a shard's file list and tombstones,
+/// before anything is merged; the shard still serves every file.
+/// Kill-only.
 pub const COMPACTION_AFTER_TAKE: &str = "compaction.after_take";
-/// After the merged image is built, before it is restored into the
-/// shard. Kill-only.
+/// In the full pass, after the merged image is built and parsed, before
+/// the shard write lock under which it is swapped in for its inputs.
+/// Kill-only.
 pub const COMPACTION_BEFORE_RESTORE: &str = "compaction.before_restore";
 /// In leveled compaction, after a run's merged image is parsed (filter
-/// block written, level assigned), before the rebuilt file list is
-/// published to the shard — i.e. between the level-move's output
-/// existing and the manifest ever hearing about it. Kill-only. Recovery
-/// must serve the run's data from the still-persisted inputs, and no
-/// file may end up live at two levels.
+/// block written, level assigned), before the shard write lock under
+/// which it is swapped in for the run — i.e. between the level-move's
+/// output existing and the manifest ever hearing about it. Kill-only.
+/// Recovery must serve the run's data from the still-persisted inputs,
+/// and no file may end up live at two levels.
 pub const COMPACTION_LEVEL_PUBLISH: &str = "compaction.level.publish";
 /// In `commit_manifest_and_gc`, after every image of the new generation
 /// set is durable, before the manifest that names (and levels) them is

@@ -1,9 +1,11 @@
 //! Storage maintenance lifecycle: asynchronous flushing off the write
 //! path, range deletion via tombstones, and compaction merging the
-//! overlapping sequence/unsequence files back into one.
+//! overlapping sequence/unsequence files back into one while a reader
+//! keeps querying.
 //!
 //! Run with: `cargo run --release --example maintenance`
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -68,13 +70,32 @@ fn main() {
     let count = engine.aggregate(&key, 29_000, 36_000, Aggregation::Count);
     println!("count around the hole   : {count:?}");
 
-    // --- Compaction merges files and applies tombstones physically. ----
+    // --- Compaction merges files and applies tombstones physically, ---
+    // --- while a reader goes on querying. ------------------------------
     let before = engine.query(&key, 0, 100_000);
-    let report = engine.compact();
+    let compacting = AtomicBool::new(true);
+    let (report, reads) = std::thread::scope(|scope| {
+        let reader = scope.spawn(|| {
+            let mut reads = 0u64;
+            loop {
+                let done = !compacting.load(Ordering::Acquire);
+                let got = engine.query(&key, 0, 100_000);
+                assert_eq!(got, before, "a read during compaction saw all the data");
+                reads += 1;
+                if done {
+                    return reads;
+                }
+            }
+        });
+        let report = engine.compact();
+        compacting.store(false, Ordering::Release);
+        (report, reader.join().expect("the reader's reads matched"))
+    });
     println!(
         "compaction              : {} files -> {}, {} pts, {} -> {} bytes",
         report.files_in, report.files_out, report.points, report.bytes_in, report.bytes_out
     );
+    println!("reads beside it         : {reads}, each the full pre-compaction result");
     assert_eq!(engine.tombstone_count(), 0);
     let after = engine.query(&key, 0, 100_000);
     assert_eq!(before, after, "compaction must not change query results");

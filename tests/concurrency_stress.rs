@@ -378,14 +378,17 @@ mod flush_traffic {
     }
 }
 
-/// Writers, range readers and a deleter against a shard whose flush is
-/// outstanding, and then completing under them. The flush copies the
-/// rotated memtable out of the shard's flushing slot series by series,
-/// under the read lock, while readers sort that same memtable's buffers
-/// in place and the deleter edits it — so every read must still be
-/// sorted, duplicate-free and exactly the model at some moment, moments
-/// never going backwards; and once the file is installed, file plus
-/// memtables are the model still.
+/// Writers, range readers, a deleter and a compactor against a shard
+/// whose flush is outstanding, and then completing under them. The flush
+/// copies the rotated memtable out of the shard's flushing slot series
+/// by series, under the read lock, while readers sort that same
+/// memtable's buffers in place and the deleter edits it; once files
+/// exist, the compactor merges them, alternating full and leveled
+/// passes, while reads, flushes and deletes go on, and the readers read
+/// on through a run of passes after the traffic. So every read must
+/// still be sorted, duplicate-free and exactly the model at some moment,
+/// moments never going backwards; and once the file is installed, files
+/// plus memtables are the model still.
 #[test]
 fn traffic_during_an_outstanding_flush_reads_the_model() {
     use flush_traffic::*;
@@ -424,6 +427,8 @@ fn traffic_during_an_outstanding_flush_reads_the_model() {
     let half_way = Barrier::new(2 + 1 + READERS + 1);
     let stop = AtomicBool::new(false);
     let anomalies = std::sync::Mutex::new(Vec::<String>::new());
+    // Reader passes, and compaction passes that merged a run.
+    let (reads, merges) = (AtomicU64::new(0), AtomicU64::new(0));
     std::thread::scope(|scope| {
         let mut actors = Vec::new();
         for key in keys.iter().take(2) {
@@ -464,9 +469,28 @@ fn traffic_during_an_outstanding_flush_reads_the_model() {
                 }
             }));
         }
+        {
+            let (engine, stop, merges) = (&engine, &stop, &merges);
+            scope.spawn(move || {
+                // Ends on a full pass begun after the others stopped,
+                // so the traffic's last files and tombstones merge too.
+                for round in 0.. {
+                    let last = stop.load(Ordering::Acquire);
+                    let report = if round % 2 == 0 {
+                        engine.compact()
+                    } else {
+                        engine.compact_auto()
+                    };
+                    merges.fetch_add(u64::from(report.points > 0), Ordering::Relaxed);
+                    if last && round % 2 == 0 {
+                        break;
+                    }
+                }
+            });
+        }
         for _ in 0..READERS {
             let (engine, half_way, keys) = (&engine, &half_way, &keys);
-            let (stop, anomalies) = (&stop, &anomalies);
+            let (stop, anomalies, reads) = (&stop, &anomalies, &reads);
             scope.spawn(move || {
                 let mut seen = [Progress::default(); 4];
                 let mut passes = 0;
@@ -490,6 +514,7 @@ fn traffic_during_an_outstanding_flush_reads_the_model() {
                         }
                     }
                     passes += 1;
+                    reads.fetch_add(1, Ordering::Relaxed);
                     if passes == 3 {
                         half_way.wait();
                     }
@@ -500,13 +525,22 @@ fn traffic_during_an_outstanding_flush_reads_the_model() {
         half_way.wait();
         assert_eq!(engine.file_count(), 0, "nothing completed the flush yet");
         engine.complete_flush(job);
-        for actor in actors {
-            actor.join().expect("a writer or the deleter panicked");
+        let joined: Vec<_> = actors.into_iter().map(|actor| actor.join()).collect();
+        let after_traffic = reads.load(Ordering::Relaxed) + 100;
+        while reads.load(Ordering::Relaxed) < after_traffic {
+            std::thread::yield_now();
         }
+        // Readers and the compactor stop before a panic is reported, so
+        // the scope can end.
         stop.store(true, Ordering::Release);
+        assert!(
+            joined.iter().all(Result::is_ok),
+            "a writer or the deleter panicked"
+        );
     });
     let anomalies = anomalies.into_inner().expect("anomaly list");
     assert!(anomalies.is_empty(), "{anomalies:#?}");
+    assert!(merges.into_inner() > 0, "the compactor never merged");
 
     let done = |s: usize| Progress {
         deleted: if s == 2 { DELETES } else { 0 },
