@@ -14,11 +14,14 @@
 //!    doubling until the down-sampled empirical interval inversion ratio
 //!    `α̃_L` falls below the threshold `Θ`;
 //! 2. **Sort by blocks** — sort each `L`-sized block independently
-//!    (quicksort by default, substitutable — on flat memory, the
-//!    standard library's slice sort; see [`InBlockSort`]);
+//!    (quicksort by default, substitutable — on flat memory, a counting
+//!    sort over the block's time range when that range is narrow, else
+//!    the standard library's slice sort; see [`InBlockSort`]);
 //! 3. **Backward merge** ([`merge`]) — walk blocks back-to-front, merging
 //!    each into the already-sorted suffix; only the expected-`Q`-sized
 //!    overlap is touched, using scratch space proportional to the overlap.
+//!    A counted block needs scratch as long as itself, so on flat memory
+//!    the sort's scratch is `O(max(L, Q))`.
 //!
 //! Degenerate cases (paper Fig. 6): `L = 1` is straight insertion sort,
 //! `L = N` is quicksort — so "Quicksort is indeed the worst case of our
@@ -53,15 +56,23 @@ use backsort_tvlist::{SeriesAccess, SliceSeries};
 /// The paper uses quicksort "in default and can be substituted by other
 /// algorithms" (Algorithm 1, line 11). The stable options make the whole
 /// sort stable, since the backward merge itself is stable.
+///
+/// On flat memory ([`SeriesAccess::contiguous_from`]) `Quick` and
+/// `Stable` share one rule: a block of at least 256 points whose time
+/// range (largest minus smallest timestamp) is below 2¹⁶ is sorted by a
+/// stable counting sort on `t − min` in two 8-bit passes; any other
+/// block by the standard library's sort.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum InBlockSort {
-    /// Middle-pivot quicksort (paper default); on flat memory
-    /// ([`SeriesAccess::contiguous_from`]), `sort_unstable_by_key` on
-    /// the block's pairs. Unstable.
+    /// Middle-pivot quicksort (paper default); on flat memory, a
+    /// counting sort or `sort_unstable_by_key` on the block's pairs.
+    /// Unstable: which of two equal timestamps comes first is
+    /// unspecified, even though a counted block keeps arrival order.
     #[default]
     Quick,
     /// Extract-and-stable-sort per block (binary insertion when small);
-    /// on flat memory, `sort_by_key` on the block's pairs. Stable.
+    /// on flat memory, a counting sort or `sort_by_key` on the block's
+    /// pairs. Stable.
     Stable,
     /// Binary insertion sort. Stable; only sensible for small blocks.
     Insertion,
@@ -144,7 +155,10 @@ pub struct SortReport {
     pub merges: usize,
     /// Total overlap length across all merges (≈ `B·Q`).
     pub overlap_total: usize,
-    /// Peak scratch usage in elements (bounded by the largest overlap).
+    /// Peak scratch usage in elements: the largest merge overlap's, or a
+    /// counted block's length if that is larger (flat memory, see
+    /// [`InBlockSort`]) — `O(Q)` on a `TVList`, `O(max(L, Q))` on flat
+    /// memory.
     pub scratch_peak: usize,
     /// The last `α̃_L` the block-size probe sampled — the measured
     /// interval inversion ratio at the chosen `L` (0.0 when phase 1 was
@@ -207,9 +221,11 @@ impl BackwardSort {
                 .record(l as u64);
         }
 
+        // One scratch vector serves the in-block sorts and the merges.
+        let mut scratch: Vec<(i64, S::Value)> = Vec::new();
         if l >= n {
             // Degenerates to a single block: plain quicksort (Fig. 6).
-            self.sort_block(s, 0, n);
+            report.scratch_peak = self.sort_block(s, 0, n, &mut scratch);
             report.blocks = 1;
             return report;
         }
@@ -221,7 +237,8 @@ impl BackwardSort {
         for i in 0..b {
             let lo = i * l;
             let hi = if i + 1 == b { n } else { lo + l };
-            self.sort_block(s, lo, hi);
+            let used = self.sort_block(s, lo, hi, &mut scratch);
+            report.scratch_peak = report.scratch_peak.max(used);
         }
 
         // Phase 3: backward merge, walking blocks from the back. After
@@ -233,7 +250,6 @@ impl BackwardSort {
         // to n/L merges; one atomic fold at the end keeps the shared
         // histogram off the merge loop).
         let mut overlap_q = obs.map(|_| backsort_obs::LocalHistogram::new());
-        let mut scratch: Vec<(i64, S::Value)> = Vec::new();
         for i in (0..b - 1).rev() {
             let suffix_start = (i + 1) * l;
             let m = merge::merge_block_with_suffix(s, i * l, suffix_start, n, &mut scratch);
@@ -253,26 +269,36 @@ impl BackwardSort {
         report
     }
 
-    /// Sorts the block `s[lo..hi]` with [`in_block`](Self::in_block).
+    /// Sorts the block `s[lo..hi]` with [`in_block`](Self::in_block)
+    /// and returns how many elements of `scratch` it used.
     ///
-    /// On flat memory the quick and stable sorts are the standard
-    /// library's slice sorts — the substitution Algorithm 1 allows —
-    /// which move whole pairs with no per-access dispatch. A `TVList` or
-    /// an [`Instrumented`](backsort_tvlist::Instrumented) series keeps
-    /// the paper's quicksort, whose moves and comparisons Figs. 8–12
-    /// count.
-    fn sort_block<S: SeriesAccess>(&self, s: &mut S, lo: usize, hi: usize) {
+    /// On flat memory the quick and stable sorts are
+    /// [`sort_flat_block`]'s, which move whole pairs with no per-access
+    /// dispatch. A `TVList` or an
+    /// [`Instrumented`](backsort_tvlist::Instrumented) series keeps the
+    /// paper's quicksort, whose moves and comparisons Figs. 8–12 count.
+    fn sort_block<S: SeriesAccess>(
+        &self,
+        s: &mut S,
+        lo: usize,
+        hi: usize,
+        scratch: &mut Vec<(i64, S::Value)>,
+    ) -> usize {
+        if self.in_block != InBlockSort::Insertion {
+            if let Some(flat) = s.contiguous_from(lo) {
+                let stable = self.in_block == InBlockSort::Stable;
+                return sort_flat_block(&mut flat[..hi - lo], stable, scratch);
+            }
+        }
         // Delay-only data leaves many blocks already sorted; a linear
         // pre-check (first inversion exits early) skips them — the same
         // economy IoTDB gets from its TVList `sorted` flag.
         if (lo + 1..hi).all(|i| s.time(i - 1) <= s.time(i)) {
-            return;
+            return 0;
         }
-        match (self.in_block, s.contiguous_from(lo)) {
-            (InBlockSort::Quick, Some(flat)) => flat[..hi - lo].sort_unstable_by_key(|p| p.0),
-            (InBlockSort::Stable, Some(flat)) => flat[..hi - lo].sort_by_key(|p| p.0),
-            (InBlockSort::Quick, _) => backsort_sorts::quicksort_range(s, lo, hi),
-            (InBlockSort::Stable, _) => {
+        match self.in_block {
+            InBlockSort::Quick => backsort_sorts::quicksort_range(s, lo, hi),
+            InBlockSort::Stable => {
                 if hi - lo <= 64 {
                     backsort_sorts::binary_insertion_sort_range(s, lo, hi, lo);
                 } else {
@@ -283,10 +309,109 @@ impl BackwardSort {
                     }
                 }
             }
-            (InBlockSort::Insertion, _) => {
-                backsort_sorts::binary_insertion_sort_range(s, lo, hi, lo)
-            }
+            InBlockSort::Insertion => backsort_sorts::binary_insertion_sort_range(s, lo, hi, lo),
         }
+        0
+    }
+}
+
+/// The shortest flat block [`sort_flat_block`] counts. Each pass clears
+/// and sums 256 counters whatever the block's length; counting every
+/// short block too made a 100,000-point AbsNormal(1, 2) flush, whose
+/// searched blocks are short, sort at 67–82 ns a point instead of 19–22
+/// (2-core Xeon).
+const COUNTING_MIN_LEN: usize = 256;
+
+/// Sorts a block of flat pairs by timestamp — the substitution
+/// Algorithm 1 (line 11) allows for its in-block quicksort.
+///
+/// A block that already ascends is left alone: delay-only data leaves
+/// many, and the scan for the first inversion exits early — the economy
+/// IoTDB gets from its TVList `sorted` flag. Past that inversion the scan
+/// goes on for the block's smallest and largest timestamp. Blocking is
+/// what keeps that range narrow: under delay-only, not-too-distant
+/// arrivals a block of `L` arrivals spans about `L` sampling intervals
+/// plus the delay tail. So a block of at least [`COUNTING_MIN_LEN`]
+/// points whose range fits 16 bits is sorted by [`counting_sort`], in
+/// two linear passes, where a comparison sort needs about `log₂ L`
+/// rounds. Any other block takes the standard library's `sort_by_key`
+/// when `stable`, else `sort_unstable_by_key`.
+///
+/// `scratch` is the counting sort's second buffer; it is grown, never
+/// shrunk, so a sort's blocks share one allocation. Returns how many of
+/// its elements the block used: its length when counted, else 0.
+fn sort_flat_block<V: Copy>(
+    block: &mut [(i64, V)],
+    stable: bool,
+    scratch: &mut Vec<(i64, V)>,
+) -> usize {
+    let mut times = block.iter().map(|p| p.0);
+    let Some(first) = times.next() else {
+        return 0;
+    };
+    let mut last = first;
+    let Some(inverted) = times.by_ref().find(|&t| {
+        if t < last {
+            return true;
+        }
+        last = t;
+        false
+    }) else {
+        return 0;
+    };
+    if block.len() >= COUNTING_MIN_LEN {
+        // Up to the inversion the block ascends from `first` to `last`.
+        let (min, max) = times.fold((first.min(inverted), last), |(lo, hi), t| {
+            (lo.min(t), hi.max(t))
+        });
+        let span = (max as u64).wrapping_sub(min as u64);
+        if span < 1 << 16 {
+            counting_sort(block, min, scratch);
+            return block.len();
+        }
+    }
+    if stable {
+        block.sort_by_key(|p| p.0);
+    } else {
+        block.sort_unstable_by_key(|p| p.0);
+    }
+    0
+}
+
+/// Stable LSD counting sort of `block` on the key `t − min`, computed as
+/// a wrapping `u64` so no range overflows; every key must be below 2¹⁶.
+/// Two 8-bit passes, low byte into `scratch`, then high byte back into
+/// `block`.
+fn counting_sort<V: Copy>(block: &mut [(i64, V)], min: i64, scratch: &mut Vec<(i64, V)>) {
+    let Some(&fill) = block.first() else {
+        return;
+    };
+    let n = block.len();
+    if scratch.len() < n {
+        scratch.resize(n, fill);
+    }
+    let buf = &mut scratch[..n];
+    let key = |p: &(i64, V)| (p.0 as u64).wrapping_sub(min as u64);
+    scatter(block, buf, |p| key(p) as u8);
+    scatter(buf, block, |p| (key(p) >> 8) as u8);
+}
+
+/// One stable counting pass: moves `src` into `dst` ordered by `digit`.
+fn scatter<V: Copy>(src: &[(i64, V)], dst: &mut [(i64, V)], digit: impl Fn(&(i64, V)) -> u8) {
+    let mut next = [0usize; 256];
+    for p in src {
+        next[usize::from(digit(p))] += 1;
+    }
+    let mut start = 0;
+    for slot in &mut next {
+        let count = *slot;
+        *slot = start;
+        start += count;
+    }
+    for p in src {
+        let slot = &mut next[usize::from(digit(p))];
+        dst[*slot] = *p;
+        *slot += 1;
     }
 }
 
@@ -543,7 +668,8 @@ mod tests {
         assert!(report.block_size >= 4);
         assert!(report.blocks >= 1);
         assert!(report.size_loops >= 1);
-        // Scratch stays bounded by the overlap, far below n.
+        // Scratch stays bounded by the overlap or a counted block, far
+        // below n.
         assert!(
             report.scratch_peak < 10_000 / 2,
             "scratch {}",
@@ -561,6 +687,11 @@ mod tests {
             assert!(backsort_tvlist::is_time_sorted(&s), "L={l}");
             assert_eq!(report.block_size, l.min(5_000));
             assert_eq!(report.size_loops, 0);
+            // Blocks of 256 or more unit-interval points are counted,
+            // and the scratch they need is in the peak.
+            if l >= 256 {
+                assert!(report.scratch_peak >= l.min(5_000), "L={l}: {report:?}");
+            }
         }
     }
 
@@ -616,6 +747,51 @@ mod tests {
         let mut s = SliceSeries::new(&mut pts);
         cfg.sort_series(&mut s);
         assert_eq!(s.as_slice(), &expected[..]);
+    }
+
+    #[test]
+    fn flat_blocks_sort_on_both_sides_of_each_digit_limit() {
+        // 512 points with repeated timestamps, spanning exactly `span`
+        // from `base`: counted up to 2¹⁶ − 1 (the high byte is 0 below
+        // 2⁸), comparison-sorted from 2¹⁶. The last span from `i64::MIN`
+        // holds both `i64::MIN` and `i64::MAX`. One scratch vector
+        // serves every call, as it serves every block of a sort, and a
+        // counted block reports using 512 of its elements; a block of
+        // range 0 already ascends and is left alone.
+        let mut scratch = Vec::new();
+        for span in [0, (1 << 8) - 1, 1 << 8, (1 << 16) - 1, 1 << 16, u64::MAX] {
+            for base in [i64::MIN, -1_000_000, 0, i64::MAX.wrapping_sub(span as i64)] {
+                let mut x = 0x9e37_79b9_7f4a_7c15u64 ^ span;
+                let block: Vec<(i64, u32)> = (0..512u32)
+                    .map(|i| {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        let off = match i {
+                            7 => span,
+                            300 => 0,
+                            _ => x % span.saturating_add(1) / 8 * 8,
+                        };
+                        (base.wrapping_add(off as i64), i)
+                    })
+                    .collect();
+                let mut want = block.clone();
+                want.sort_by_key(|p| p.0);
+                // A counted block is stable under `Quick` too; a
+                // comparison-sorted one only under `Stable`.
+                for stable in [false, true] {
+                    let mut got = block.clone();
+                    let used = sort_flat_block(&mut got, stable, &mut scratch);
+                    let counted = (1..1 << 16).contains(&span);
+                    assert_eq!(used, if counted { 512 } else { 0 });
+                    if stable || span < 1 << 16 {
+                        assert_eq!(got, want, "span {span} base {base} stable {stable}");
+                    } else {
+                        assert!(got.iter().map(|p| p.0).eq(want.iter().map(|p| p.0)));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -276,8 +276,8 @@ pub fn straight_merge_blocks<S: SeriesAccess>(
                 debug_assert_eq!(mid, mid2);
                 moves += merge_block_with_suffix(s, lo, mid, hi, scratch).moves;
                 next.push((lo, hi));
-            } else {
-                next.push(pair[0]);
+            } else if let [odd] = *pair {
+                next.push(odd);
             }
         }
         bounds = next;

@@ -141,28 +141,42 @@ proptest! {
         }
     }
 
-    /// A flat series' blocks are sorted as slices, an instrumented one's
-    /// through `SeriesAccess` with the paper's quicksort: for every
-    /// in-block sort, searched and fixed block sizes, on delay-only and
-    /// shuffled streams with equal timestamps, the two give the same
-    /// timestamps, and the stable configuration exactly the pairs the
-    /// standard stable sort gives.
+    /// A flat series' blocks are sorted as slices — counted when at least
+    /// 256 points span under 2¹⁶, else by comparison — an instrumented
+    /// one's through `SeriesAccess` with the paper's quicksort: for every
+    /// in-block sort, searched and fixed block sizes (both sides of the
+    /// 256-point cut-over), on delay-only and shuffled streams with equal
+    /// timestamps, those scaled by 1,000 (ranges on both sides of 2¹⁶),
+    /// and delay-only streams shifted to `i64::MIN` and across
+    /// `i64::MAX`, the two give the same timestamps, and the stable
+    /// configuration exactly the pairs the standard stable sort gives.
     #[test]
     fn flat_and_generic_block_sorts_agree(
-        delays in prop::collection::vec(0u16..64, 1..500),
-        shuffled in prop::collection::vec(0i64..40, 1..500),
+        delays in prop::collection::vec(0u16..64, 1..1_200),
+        shuffled in prop::collection::vec(0i64..40, 1..1_200),
         l in 1usize..64,
     ) {
         let delayed: Vec<(i64, i32)> =
             delay_only(&delays).into_iter().map(|(t, v)| (t / 2, v)).collect();
         let shuffled: Vec<(i64, i32)> =
             shuffled.iter().enumerate().map(|(i, &t)| (t, i as i32)).collect();
-        for input in [delayed, shuffled] {
+        let mapped = |p: &[(i64, i32)], f: fn(i64) -> i64| -> Vec<(i64, i32)> {
+            p.iter().map(|&(t, v)| (f(t), v)).collect()
+        };
+        let inputs = [
+            mapped(&delayed, |t| t * 1_000),
+            mapped(&shuffled, |t| t * 1_000),
+            mapped(&delayed, |t| t.wrapping_add(i64::MIN)),
+            mapped(&delayed, |t| t.wrapping_add(i64::MAX - 100)),
+            delayed,
+            shuffled,
+        ];
+        for input in inputs {
             let mut stable = input.clone();
             stable.sort_by_key(|p| p.0);
             let times = |p: &[(i64, i32)]| p.iter().map(|p| p.0).collect::<Vec<_>>();
             for in_block in [InBlockSort::Quick, InBlockSort::Stable, InBlockSort::Insertion] {
-                for fixed_block_size in [None, Some(l)] {
+                for fixed_block_size in [None, Some(l), Some(255), Some(256), Some(700)] {
                     let cfg = BackwardSort { in_block, fixed_block_size, ..BackwardSort::default() };
                     let mut flat = input.clone();
                     cfg.sort_series(&mut SliceSeries::new(&mut flat));

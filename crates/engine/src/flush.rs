@@ -11,8 +11,10 @@
 //! (`Gathered`) and runs the configured algorithm over that. The copy
 //! is a chunk-by-chunk memcpy; the sort then moves pairs through flat
 //! memory instead of through the list's per-access chunk arithmetic,
-//! and Backward-Sort sorts each of its blocks there as a slice with the
-//! standard library's sort. The memtable is only ever read — so a
+//! and Backward-Sort sorts each of its blocks there as a slice: with a
+//! counting sort over the block's time range when the block holds at
+//! least 256 points spanning under 2¹⁶, else with the standard
+//! library's sort. The memtable is only ever read — so a
 //! flush needs no private copy of it, and whoever still serves reads
 //! from it keeps doing so. The sort is the one a read of the buffer
 //! would run ([`Algorithm::sort_from_observed`]): the copy knows how
