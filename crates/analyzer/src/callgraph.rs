@@ -152,7 +152,7 @@ impl CallGraph {
         None
     }
 
-    /// Renders a chain from [`chain_to`] as `a -> b -> c` using
+    /// Renders a chain from [`chain_to`](Self::chain_to) as `a -> b -> c` using
     /// qualified names.
     pub fn render_chain(&self, table: &SymbolTable, start: usize, chain: &[usize]) -> String {
         let mut out = table.fns[start].qualified();

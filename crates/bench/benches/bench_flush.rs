@@ -22,7 +22,7 @@
 //! `flush_probe` group times Backward-Sort's block-size probe alone on
 //! the `4x25k` series, the cost a per-series memory of `L` would save.
 
-use backsort_core::{choose_block_size_reporting, Algorithm, BackwardSort, BlockGrowth};
+use backsort_core::{choose_block_size_reporting, Algorithm, BackwardSort};
 use backsort_engine::{flush_memtable, ColumnSlice, FlushMetrics, MemTable, SeriesKey};
 use backsort_sorts::{BaselineSorter, SeriesSorter};
 use backsort_tvlist::SliceSeries;
@@ -127,7 +127,7 @@ fn bench(c: &mut Criterion) {
                     .iter_mut()
                     .map(|t| {
                         let s = SliceSeries::new(t);
-                        choose_block_size_reporting(&s, 0.04, 4, BlockGrowth::Doubling).0
+                        choose_block_size_reporting(&s, 0.04, 4).0
                     })
                     .sum::<usize>()
             },

@@ -53,51 +53,6 @@ pub fn sampled_iir<S: SeriesAccess + ?Sized>(s: &S, l: usize) -> f64 {
     }
 }
 
-/// Exact inversion count (Definition 2) via merge counting,
-/// `O(n log n)`. Used by the disorder-analysis tooling, not by the sort
-/// itself.
-pub fn inversion_count<S: SeriesAccess + ?Sized>(s: &S) -> u64 {
-    let mut times: Vec<i64> = (0..s.len()).map(|i| s.time(i)).collect();
-    let mut buf = vec![0i64; times.len()];
-    merge_count(&mut times, &mut buf)
-}
-
-fn merge_count(a: &mut [i64], buf: &mut [i64]) -> u64 {
-    let n = a.len();
-    if n < 2 {
-        return 0;
-    }
-    let mid = n / 2;
-    let (left, right) = a.split_at_mut(mid);
-    let (bl, br) = buf.split_at_mut(mid);
-    let mut inv = merge_count(left, bl) + merge_count(right, br);
-    // Count cross inversions and merge into buf.
-    let (mut i, mut j, mut k) = (0usize, 0usize, 0usize);
-    while i < left.len() && j < right.len() {
-        if left[i] <= right[j] {
-            buf[k] = left[i];
-            i += 1;
-        } else {
-            inv += (left.len() - i) as u64;
-            buf[k] = right[j];
-            j += 1;
-        }
-        k += 1;
-    }
-    while i < left.len() {
-        buf[k] = left[i];
-        i += 1;
-        k += 1;
-    }
-    while j < right.len() {
-        buf[k] = right[j];
-        j += 1;
-        k += 1;
-    }
-    a.copy_from_slice(&buf[..n]);
-    inv
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,7 +111,6 @@ mod tests {
             assert_eq!(exact_iir(&s, l), 0.0, "L={l}");
             assert_eq!(sampled_iir(&s, l), 0.0, "L={l}");
         }
-        assert_eq!(inversion_count(&s), 0);
     }
 
     #[test]
@@ -168,7 +122,6 @@ mod tests {
             assert_eq!(exact_iir(&s, l), 1.0, "L={l}");
             assert_eq!(sampled_iir(&s, l), 1.0, "L={l}");
         }
-        assert_eq!(inversion_count(&s), 100 * 99 / 2);
     }
 
     #[test]
@@ -181,24 +134,5 @@ mod tests {
         assert_eq!(exact_iir(&s, 10), 0.0);
         assert_eq!(sampled_iir(&s, 0), 0.0);
         assert_eq!(sampled_iir(&s, 10), 0.0);
-    }
-
-    #[test]
-    fn inversion_count_small_cases() {
-        let cases: &[(&[i64], u64)] = &[
-            (&[], 0),
-            (&[1], 0),
-            (&[1, 2], 0),
-            (&[2, 1], 1),
-            (&[3, 1, 2], 2),
-            (&[1, 3, 2, 4], 1),
-            (&[2, 2, 2], 0), // equal timestamps are not inversions
-        ];
-        for &(times, want) in cases {
-            let data = series(times);
-            let mut data = data.clone();
-            let s = SliceSeries::new(&mut data);
-            assert_eq!(inversion_count(&s), want, "{times:?}");
-        }
     }
 }

@@ -54,8 +54,8 @@ use backsort_tvlist::{SeriesAccess, SliceSeries};
 /// How Backward-Sort orders the points *inside* each block.
 ///
 /// The paper uses quicksort "in default and can be substituted by other
-/// algorithms" (Algorithm 1, line 11). The stable options make the whole
-/// sort stable, since the backward merge itself is stable.
+/// algorithms" (Algorithm 1, line 11). `Stable` makes the whole sort
+/// stable, since the backward merge itself is stable.
 ///
 /// On flat memory ([`SeriesAccess::contiguous_from`]) `Quick` and
 /// `Stable` share one rule: a block of at least 256 points whose time
@@ -74,54 +74,23 @@ pub enum InBlockSort {
     /// on flat memory, a counting sort or `sort_by_key` on the block's
     /// pairs. Stable.
     Stable,
-    /// Binary insertion sort. Stable; only sensible for small blocks.
-    Insertion,
-}
-
-/// How the set-block-size loop updates `L` when `α̃_L` is still above
-/// `Θ` (Algorithm 1, line 7: `updateBlockSizeByRatio(L, α, Θ)`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum BlockGrowth {
-    /// `L ← 2·L` — the update the paper's analysis assumes (Eq. 15) and
-    /// the one Propositions 3/6 are proved for.
-    #[default]
-    Doubling,
-    /// `L ← L · 2^⌈log₂(α/Θ)⌉` — jump by the measured ratio, so a very
-    /// disordered stream reaches its block size in fewer probe rounds.
-    /// Still at least doubles, so Proposition 3's `O(n/L0)` scan bound
-    /// continues to hold.
-    RatioScaled,
-}
-
-impl BlockGrowth {
-    /// Computes the next block size.
-    pub fn next(self, l: usize, alpha: f64, theta: f64) -> usize {
-        match self {
-            BlockGrowth::Doubling => l.saturating_mul(2),
-            BlockGrowth::RatioScaled => {
-                let ratio = (alpha / theta.max(f64::MIN_POSITIVE)).max(2.0);
-                let exp = ratio.log2().ceil().min(20.0) as u32;
-                l.saturating_mul(1usize << exp)
-            }
-        }
-    }
 }
 
 /// Configuration and entry point for Backward-Sort.
 ///
-/// The defaults are the paper's fixed parameters: `Θ = 0.04` and `L0 = 4`
+/// Phase 1 grows the block size `L` from `L0` by doubling, the update
+/// the paper's analysis assumes (Eq. 15, Propositions 3 and 6). The
+/// defaults are the paper's fixed parameters: `Θ = 0.04` and `L0 = 4`
 /// (§VI-B "Fixed Parameter").
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BackwardSort {
     /// Interval-inversion-ratio threshold `Θ`: block size stops growing
     /// once the down-sampled `α̃_L` falls below it.
     pub theta: f64,
-    /// Initial block size `L0`.
+    /// Initial block size `L0`, doubled each probe round.
     pub l0: usize,
     /// In-block sorting algorithm.
     pub in_block: InBlockSort,
-    /// How `L` grows between probe rounds.
-    pub growth: BlockGrowth,
     /// Fixed block size override: skips phase 1 entirely. Used by the
     /// parameter-tuning experiment (paper Fig. 8(b), which "omits the
     /// first step of the algorithm" and sets `L` manually).
@@ -134,7 +103,6 @@ impl Default for BackwardSort {
             theta: 0.04,
             l0: 4,
             in_block: InBlockSort::Quick,
-            growth: BlockGrowth::Doubling,
             fixed_block_size: None,
         }
     }
@@ -211,7 +179,7 @@ impl BackwardSort {
         // Phase 1: set block size.
         let (l, loops, alpha) = match self.fixed_block_size {
             Some(l) => (l.min(n), 0, 0.0),
-            None => choose_block_size_reporting(s, self.theta, self.l0, self.growth),
+            None => choose_block_size_reporting(s, self.theta, self.l0),
         };
         report.block_size = l;
         report.size_loops = loops;
@@ -284,11 +252,9 @@ impl BackwardSort {
         hi: usize,
         scratch: &mut Vec<(i64, S::Value)>,
     ) -> usize {
-        if self.in_block != InBlockSort::Insertion {
-            if let Some(flat) = s.contiguous_from(lo) {
-                let stable = self.in_block == InBlockSort::Stable;
-                return sort_flat_block(&mut flat[..hi - lo], stable, scratch);
-            }
+        if let Some(flat) = s.contiguous_from(lo) {
+            let stable = self.in_block == InBlockSort::Stable;
+            return sort_flat_block(&mut flat[..hi - lo], stable, scratch);
         }
         // Delay-only data leaves many blocks already sorted; a linear
         // pre-check (first inversion exits early) skips them — the same
@@ -309,7 +275,6 @@ impl BackwardSort {
                     }
                 }
             }
-            InBlockSort::Insertion => backsort_sorts::binary_insertion_sort_range(s, lo, hi, lo),
         }
         0
     }
@@ -437,29 +402,18 @@ pub fn backward_sort<S: SeriesAccess>(s: &mut S) {
 /// Total work is `Σ n/L(t) ≤ 2n/L0` timestamps scanned and at most
 /// `log2(n/L0)` iterations (Proposition 3).
 pub fn choose_block_size<S: SeriesAccess>(s: &S, theta: f64, l0: usize) -> (usize, usize) {
-    choose_block_size_with(s, theta, l0, BlockGrowth::Doubling)
-}
-
-/// [`choose_block_size`] with an explicit growth rule (Algorithm 1,
-/// line 7).
-pub fn choose_block_size_with<S: SeriesAccess>(
-    s: &S,
-    theta: f64,
-    l0: usize,
-    growth: BlockGrowth,
-) -> (usize, usize) {
-    let (l, loops, _) = choose_block_size_reporting(s, theta, l0, growth);
+    let (l, loops, _) = choose_block_size_reporting(s, theta, l0);
     (l, loops)
 }
 
-/// [`choose_block_size_with`], additionally returning the last `α̃_L`
-/// sampled — the measured inversion ratio at the chosen block size (0.0
-/// when the loop never ran, i.e. `l0 > n`).
+/// [`choose_block_size`] — `L` doubles from `l0` each round —
+/// additionally returning the last `α̃_L` sampled: the measured
+/// inversion ratio at the chosen block size (0.0 when the loop never
+/// ran, i.e. `l0 > n`).
 pub fn choose_block_size_reporting<S: SeriesAccess>(
     s: &S,
     theta: f64,
     l0: usize,
-    growth: BlockGrowth,
 ) -> (usize, usize, f64) {
     let n = s.len();
     let mut l = l0.max(1);
@@ -472,7 +426,7 @@ pub fn choose_block_size_reporting<S: SeriesAccess>(
         if alpha < theta {
             break;
         }
-        l = growth.next(l, alpha, theta);
+        l = l.saturating_mul(2);
     }
     (l.min(n.max(1)), loops, last_alpha)
 }
@@ -711,11 +665,7 @@ mod tests {
     #[test]
     fn all_in_block_sorters_work() {
         let pts = delayed_series(3_000, 12, 5);
-        for in_block in [
-            InBlockSort::Quick,
-            InBlockSort::Stable,
-            InBlockSort::Insertion,
-        ] {
+        for in_block in [InBlockSort::Quick, InBlockSort::Stable] {
             let mut data = pts.clone();
             let mut s = SliceSeries::new(&mut data);
             let cfg = BackwardSort {
@@ -848,83 +798,5 @@ mod tests {
             alg.sort_series(&mut s);
             assert!(backsort_tvlist::is_time_sorted(&s), "{}", alg.name());
         }
-    }
-}
-
-#[cfg(test)]
-mod growth_tests {
-    use super::*;
-    use backsort_tvlist::SliceSeries;
-
-    #[test]
-    fn doubling_doubles() {
-        assert_eq!(BlockGrowth::Doubling.next(4, 0.5, 0.04), 8);
-        assert_eq!(BlockGrowth::Doubling.next(1024, 0.05, 0.04), 2048);
-    }
-
-    #[test]
-    fn ratio_scaled_jumps_at_least_doubling() {
-        // α barely above Θ still doubles.
-        assert_eq!(BlockGrowth::RatioScaled.next(4, 0.05, 0.04), 8);
-        // α ≫ Θ jumps several octaves: 0.64/0.04 = 16 -> ×16.
-        assert_eq!(BlockGrowth::RatioScaled.next(4, 0.64, 0.04), 64);
-    }
-
-    #[test]
-    fn ratio_scaled_reaches_same_or_larger_l_in_fewer_loops() {
-        // Heavily disordered input.
-        let mut x = 55u64;
-        let mut arrivals: Vec<(i64, i64)> = (0..100_000i64)
-            .map(|g| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                (g + (x % 3000) as i64, g)
-            })
-            .collect();
-        arrivals.sort_by_key(|a| a.0);
-        let mut pairs: Vec<(i64, i32)> = arrivals
-            .into_iter()
-            .enumerate()
-            .map(|(i, (_, g))| (g, i as i32))
-            .collect();
-        let s = SliceSeries::new(&mut pairs);
-        let (l_double, loops_double) = choose_block_size_with(&s, 0.04, 4, BlockGrowth::Doubling);
-        let (l_ratio, loops_ratio) = choose_block_size_with(&s, 0.04, 4, BlockGrowth::RatioScaled);
-        assert!(
-            loops_ratio <= loops_double,
-            "{loops_ratio} !<= {loops_double}"
-        );
-        assert!(
-            l_ratio >= l_double / 2,
-            "ratio L {l_ratio} vs doubling {l_double}"
-        );
-    }
-
-    #[test]
-    fn ratio_scaled_sorts_correctly() {
-        let mut x = 7u64;
-        let mut arrivals: Vec<(i64, i64)> = (0..20_000i64)
-            .map(|g| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                (g + (x % 100) as i64, g)
-            })
-            .collect();
-        arrivals.sort_by_key(|a| a.0);
-        let mut pairs: Vec<(i64, i32)> = arrivals
-            .into_iter()
-            .enumerate()
-            .map(|(i, (_, g))| (g, i as i32))
-            .collect();
-        let cfg = BackwardSort {
-            growth: BlockGrowth::RatioScaled,
-            ..BackwardSort::default()
-        };
-        let mut s = SliceSeries::new(&mut pairs);
-        use backsort_sorts::SeriesSorter as _;
-        cfg.sort_series(&mut s);
-        assert!(backsort_tvlist::is_time_sorted(&s));
     }
 }

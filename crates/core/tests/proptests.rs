@@ -175,7 +175,7 @@ proptest! {
             let mut stable = input.clone();
             stable.sort_by_key(|p| p.0);
             let times = |p: &[(i64, i32)]| p.iter().map(|p| p.0).collect::<Vec<_>>();
-            for in_block in [InBlockSort::Quick, InBlockSort::Stable, InBlockSort::Insertion] {
+            for in_block in [InBlockSort::Quick, InBlockSort::Stable] {
                 for fixed_block_size in [None, Some(l), Some(255), Some(256), Some(700)] {
                     let cfg = BackwardSort { in_block, fixed_block_size, ..BackwardSort::default() };
                     let mut flat = input.clone();
@@ -189,7 +189,7 @@ proptest! {
                     let mut want = stable.clone();
                     want.sort_unstable();
                     prop_assert_eq!(flat_set, want, "{:?} lost or invented a point", in_block);
-                    if in_block != InBlockSort::Quick {
+                    if in_block == InBlockSort::Stable {
                         prop_assert_eq!(&flat, &stable, "{:?} {:?}", in_block, fixed_block_size);
                         prop_assert_eq!(&generic, &stable, "{:?} {:?}", in_block, fixed_block_size);
                     }
@@ -250,6 +250,8 @@ proptest! {
         // Proposition 3: at most log2(n/l0) + 1 iterations.
         let bound = ((n.max(2) / l0.max(1)).max(2) as f64).log2().ceil() as usize + 2;
         prop_assert!(loops <= bound, "loops {loops} > bound {bound}");
+        // Each round doubles L; only the cap at n breaks the pattern.
+        prop_assert!(l == n || l == l0 << (loops - 1), "l {l} after {loops} rounds from {l0}");
     }
 
     #[test]

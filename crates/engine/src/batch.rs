@@ -8,14 +8,8 @@
 //! delta-compressed frame, the memtable bulk-appends runs with one series
 //! lookup per batch — so the per-point overhead (HashMap probes, WAL
 //! frames, enum dispatch) is paid per *batch* instead.
-//!
-//! [`BatchPool`] recycles the backing allocations through
-//! [`ArrayPool`](backsort_tvlist::ArrayPool), so a steady-state writer
-//! reuses the same columns for every batch.
 
 use std::fmt;
-
-use backsort_tvlist::ArrayPool;
 
 use crate::types::{DataType, TsValue};
 
@@ -463,95 +457,6 @@ impl PointBatch {
         self.ts.clear();
         self.values.clear();
     }
-
-    /// Consumes the batch into its columns (for pooling).
-    pub fn into_columns(self) -> (Vec<i64>, ValueColumn) {
-        (self.ts, self.values)
-    }
-}
-
-/// Recycles [`PointBatch`] backing allocations per type, built on the
-/// TVList chunk pool ([`ArrayPool`]): the timestamp/value vector pair of
-/// a released batch comes back out of [`BatchPool::acquire`] for the
-/// next one, so steady-state batched ingest allocates nothing. `Text`
-/// batches are the exception — their strings own heap anyway, so they
-/// are dropped rather than pooled.
-#[derive(Debug)]
-pub struct BatchPool {
-    ints: ArrayPool<i32>,
-    longs: ArrayPool<i64>,
-    floats: ArrayPool<f32>,
-    doubles: ArrayPool<f64>,
-    bools: ArrayPool<bool>,
-}
-
-impl BatchPool {
-    /// Creates a pool retaining at most `capacity` column pairs per type.
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            ints: ArrayPool::new(capacity),
-            longs: ArrayPool::new(capacity),
-            floats: ArrayPool::new(capacity),
-            doubles: ArrayPool::new(capacity),
-            bools: ArrayPool::new(capacity),
-        }
-    }
-
-    /// Takes an empty batch of the given type, reusing pooled columns
-    /// when available.
-    pub fn acquire(&mut self, dt: DataType, capacity: usize) -> PointBatch {
-        match dt {
-            DataType::Int32 => {
-                let (ts, vs) = self.ints.get(capacity);
-                PointBatch {
-                    ts,
-                    values: ValueColumn::Int(vs),
-                }
-            }
-            DataType::Int64 => {
-                let (ts, vs) = self.longs.get(capacity);
-                PointBatch {
-                    ts,
-                    values: ValueColumn::Long(vs),
-                }
-            }
-            DataType::Float => {
-                let (ts, vs) = self.floats.get(capacity);
-                PointBatch {
-                    ts,
-                    values: ValueColumn::Float(vs),
-                }
-            }
-            DataType::Double => {
-                let (ts, vs) = self.doubles.get(capacity);
-                PointBatch {
-                    ts,
-                    values: ValueColumn::Double(vs),
-                }
-            }
-            DataType::Boolean => {
-                let (ts, vs) = self.bools.get(capacity);
-                PointBatch {
-                    ts,
-                    values: ValueColumn::Bool(vs),
-                }
-            }
-            DataType::Text => PointBatch::with_capacity(DataType::Text, capacity),
-        }
-    }
-
-    /// Returns a batch's columns to the pool for reuse.
-    pub fn release(&mut self, batch: PointBatch) {
-        let (ts, values) = batch.into_columns();
-        match values {
-            ValueColumn::Int(vs) => self.ints.put(ts, vs),
-            ValueColumn::Long(vs) => self.longs.put(ts, vs),
-            ValueColumn::Float(vs) => self.floats.put(ts, vs),
-            ValueColumn::Double(vs) => self.doubles.put(ts, vs),
-            ValueColumn::Bool(vs) => self.bools.put(ts, vs),
-            ValueColumn::Text(_) => {}
-        }
-    }
 }
 
 #[cfg(test)]
@@ -670,22 +575,5 @@ mod tests {
         let mut buf = Vec::new();
         ValueColumn::Long(vec![i64::MAX]).encode_into(&mut buf);
         assert_eq!(ValueColumn::decode(DataType::Int32, 1, &buf), None);
-    }
-
-    #[test]
-    fn batch_pool_recycles_columns() {
-        let mut pool = BatchPool::new(4);
-        let mut b = pool.acquire(DataType::Double, 128);
-        for i in 0..100 {
-            b.push(i, TsValue::Double(i as f64)).unwrap();
-        }
-        pool.release(b);
-        let b2 = pool.acquire(DataType::Double, 64);
-        assert!(b2.is_empty(), "recycled batch comes back cleared");
-        assert!(b2.ts.capacity() >= 128, "allocation was recycled");
-        // Text batches are not pooled but still work.
-        let t = pool.acquire(DataType::Text, 8);
-        assert_eq!(t.data_type(), DataType::Text);
-        pool.release(t);
     }
 }

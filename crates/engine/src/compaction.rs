@@ -8,24 +8,25 @@
 //! stop paying the multi-file merge.
 //!
 //! Two entry points share one merge, and it is the read path's: each
-//! series of a run is planned by [`plan_files`] and merged by the
-//! [`Scan`] every query runs, into the columns a raw read collects, so a
-//! compacted file holds exactly what a query over its inputs returned.
+//! series of a run is planned by `read::plan_files` and merged by the
+//! `read::Scan` every query runs, into the columns a raw read collects,
+//! so a compacted file holds exactly what a query over its inputs
+//! returned.
 //!
 //! * [`StorageEngine::compact`] — the full pass: every file of a shard
 //!   merges into one output. Simple, predictable, and what the paper's
 //!   maintenance window runs.
 //! * [`StorageEngine::compact_auto`] — the leveled policy. Freshly
 //!   flushed (and adopted) files sit at level 0; when a shard
-//!   accumulates [`CompactionConfig::l0_trigger`] consecutive files of
-//!   one level, the run merges into a single file one level up. Runs
-//!   are trimmed at device-disjoint boundaries (merging files that
-//!   share no device only rewrites bytes), and a singleton leftover is
-//!   *promoted* — its level bumped without a rewrite. Both count in
-//!   the returned [`CompactionReport`]'s `level_moves`. Adopted wide
-//!   multi-device images shed their foreign-shard chunks on their first
-//!   merge, so unseq adoption stops producing wide files that every
-//!   query must probe.
+//!   accumulates [`l0_trigger`](crate::CompactionConfig::l0_trigger)
+//!   consecutive files of one level, the run merges into a single file
+//!   one level up. Runs are trimmed at device-disjoint boundaries
+//!   (merging files that share no device only rewrites bytes), and a
+//!   singleton leftover is *promoted* — its level bumped without a
+//!   rewrite. Both count in the returned [`CompactionReport`]'s
+//!   `level_moves`. Adopted wide multi-device images shed their
+//!   foreign-shard chunks on their first merge, so unseq adoption stops
+//!   producing wide files that every query must probe.
 //!
 //! Both are one snapshot–merge–swap per shard (`compact_shard`): the
 //! file list and tombstones are cloned under the shard's read lock (the
@@ -47,7 +48,7 @@
 //!   `level + 1` and only fires when the run's predecessor is already
 //!   above that, so the invariant is preserved.
 //! * Tombstone horizons are remapped at the swap (see
-//!   [`remap_horizon`]): masks of the snapshot over merged files are
+//!   `remap_horizon`): masks of the snapshot over merged files are
 //!   applied physically to the output, masks over untouched files shift
 //!   with them, a horizon that counted an in-flight flushing slot keeps
 //!   covering it, and a delete that landed during the merge keeps
@@ -251,7 +252,7 @@ impl StorageEngine {
     /// One pass of the tiered/leveled compaction policy
     /// ([`CompactionConfig`](crate::engine::CompactionConfig)): per
     /// shard, merge (or promote) at most one eligible run, chosen by
-    /// [`pick_run`]'s level- and device-overlap rules. Returns the
+    /// `pick_run`'s level- and device-overlap rules. Returns the
     /// summed report; a shard with no eligible run contributes nothing.
     ///
     /// Unlike [`compact`](Self::compact), this is safe to call

@@ -1022,10 +1022,8 @@ impl StorageEngine {
         metrics
     }
 
-    /// Time-range query over `[t_lo, t_hi]`: the series [`scan`]ned
-    /// into rows.
-    ///
-    /// [`scan`]: StorageEngine::scan
+    /// Time-range query over `[t_lo, t_hi]`: the series `scan`ned into
+    /// rows.
     pub fn query(&self, key: &SeriesKey, t_lo: i64, t_hi: i64) -> QueryResult {
         let mut rows = Rows(Vec::new());
         self.scan(key, t_lo, t_hi, &mut rows);

@@ -49,7 +49,7 @@ pub mod tsfile;
 pub mod types;
 
 pub use aggregate::{AggValue, Aggregation};
-pub use batch::{BatchPool, ColumnSlice, PointBatch, ValueColumn, WriteError};
+pub use batch::{ColumnSlice, PointBatch, ValueColumn, WriteError};
 pub use cache::BlockCache;
 pub use compaction::CompactionReport;
 pub use delete::Tombstone;

@@ -9,17 +9,17 @@
 //!   pair resolved into a sorted, merged interval list once per query,
 //!   so erasure is a few binary searches per page instead of a scan of
 //!   every tombstone per point.
-//! * [`plan_files`] — the one file prune: which files and chunks of a
+//! * `plan_files` — the one file prune: which files and chunks of a
 //!   shard's list a series read touches, and what masks them. Reads,
 //!   `EXPLAIN` and compaction all plan through it.
-//! * [`Scan`] — the one scan `query`, `latest_value`, `aggregate`,
+//! * `Scan` — the one scan `query`, `latest_value`, `aggregate`,
 //!   `group_by_time` and compaction's merge share. Every surviving
-//!   source is a [`Run`]: a time-sorted stretch of one series with a
+//!   source is a `Run`: a time-sorted stretch of one series with a
 //!   time envelope (a flushed chunk, or the in-range slice of a sorted
 //!   memtable buffer). The separation policy keeps one series' sequence
 //!   chunks time-disjoint (paper §II, §V), so the scan sweeps the
 //!   envelopes and treats runs the way Backward-Sort treats blocks: a
-//!   run that overlaps no other is handed to the [`Sink`] as borrowed
+//!   run that overlaps no other is handed to the `Sink` as borrowed
 //!   typed column slices, page by page, never touching a heap or a
 //!   boxed value; only a group of runs whose envelopes really intersect
 //!   goes through the ranked last-write-wins merge.
@@ -44,7 +44,7 @@ use crate::types::{SeriesKey, TsValue};
 /// `(min_time, max_time)` envelope — computed once at parse, not
 /// re-derived per query — and the key-sorted chunk index. Only when a
 /// query survives that pruning are the overlapping chunks' pages
-/// decoded — lazily, page by page, by the [`Scan`].
+/// decoded — lazily, page by page, by the `Scan`.
 ///
 /// The id and level belong to one install; the parsed part sits behind
 /// one `Arc`, so a clone — compaction's snapshot of a shard's list, an

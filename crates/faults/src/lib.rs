@@ -38,10 +38,10 @@ pub enum FaultMode {
     /// process stays alive. Models a transient syscall failure
     /// (`ENOSPC`, `EIO`) the caller is expected to surface, not mask.
     Error,
-    /// Simulated process death: the registry goes [`dead`]
-    /// (`FailpointRegistry::is_dead`), so this and every later
-    /// instrumented operation fails until [`revive`]
-    /// (`FailpointRegistry::revive`). With [`sim::SimIo`], un-synced
+    /// Simulated process death: the registry goes dead
+    /// ([`FailpointRegistry::is_dead`]), so this and every later
+    /// instrumented operation fails until
+    /// [`FailpointRegistry::revive`]. With [`sim::SimIo`], un-synced
     /// bytes are then dropped by `crash()`, exactly like a power cut.
     Kill,
     /// Only meaningful at `io.*` sites: commit a *prefix* of the write
@@ -82,8 +82,8 @@ struct SiteState {
 
 /// The failpoint registry: a shared map of named sites.
 ///
-/// The hot-path contract: when no site is armed, [`hit`]
-/// (`FailpointRegistry::hit`) is one relaxed [`AtomicBool`] load and an
+/// The hot-path contract: when no site is armed,
+/// [`FailpointRegistry::hit`] is one relaxed [`AtomicBool`] load and an
 /// immediate `Ok(())` — no lock, no allocation, no branch on the site
 /// name. The per-site bookkeeping only runs while `armed` is set.
 pub struct FailpointRegistry {
@@ -278,18 +278,6 @@ impl FailpointRegistry {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .get(site)
             .map_or(0, |s| s.hits)
-    }
-
-    /// Every site observed so far (hit at least once while armed), for
-    /// coverage diagnostics.
-    pub fn observed_sites(&self) -> Vec<String> {
-        self.sites
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .iter()
-            .filter(|(_, s)| s.hits > 0)
-            .map(|(k, _)| k.clone())
-            .collect()
     }
 }
 

@@ -69,20 +69,6 @@ impl SimIo {
         }
     }
 
-    /// `(path, visible bytes, committed bytes)` for every file, for
-    /// harness diagnostics.
-    pub fn file_sizes(&self) -> Vec<(PathBuf, usize, usize)> {
-        let state = self
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        state
-            .files
-            .iter()
-            .map(|(p, f)| (p.clone(), f.data.len(), f.committed))
-            .collect()
-    }
-
     fn check_dead(&self, site: &str) -> io::Result<()> {
         if self.faults.is_dead() {
             Err(dead_error(site))

@@ -191,8 +191,8 @@ impl Histogram {
     }
 
     /// Folds a [`LocalHistogram`] in, touching only its populated
-    /// buckets — the batch-path alternative to per-value [`record`]
-    /// (`Histogram::record`) when a loop would otherwise do thousands
+    /// buckets — the batch-path alternative to per-value
+    /// [`Histogram::record`] when a loop would otherwise do thousands
     /// of atomic adds.
     pub fn merge_local(&self, local: &LocalHistogram) {
         if !self.enabled || local.count == 0 {

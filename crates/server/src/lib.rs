@@ -7,8 +7,7 @@
 //!
 //! * [`wire`] — a length-prefixed framed protocol. Clients pipeline N
 //!   requests per connection; batched INSERTs travel as binary frames
-//!   that decode straight into a [`PointBatch`](backsort_engine::PointBatch)
-//!   with no SQL parse.
+//!   that decode straight into a [`PointBatch`] with no SQL parse.
 //! * [`SqlServer`] — blocking accept loop (no polling) and one thread
 //!   per connection that is the whole request path: read a frame,
 //!   execute it, queue the reply, read the next. Replies are in request

@@ -3,7 +3,7 @@
 //! The engine reads each selected series as a timestamp column and the
 //! typed value runs that cover it
 //! ([`StorageEngine::read_columns`](backsort_engine::StorageEngine::read_columns)).
-//! [`align`] lines the sensors up on the union of their timestamps
+//! `align` lines the sensors up on the union of their timestamps
 //! without building a row, and the server writes the rows frame straight
 //! from the result. Rows as `(i64, Vec<Option<TsValue>>)` exist only at
 //! the adapters, [`RowSet::into_rows`] and [`RowSet::from_rows`].

@@ -17,37 +17,27 @@
 //!   the list stores arena indices, exactly like IoTDB's `BinaryTVList`
 //!   sorts value indices rather than payloads);
 //! * [`Instrumented`] — a wrapper that counts element reads, writes and
-//!   swaps so experiments can report move counts;
-//! * [`ArrayPool`] — chunk recycling, mirroring IoTDB's
-//!   `PrimitiveArrayPool`.
+//!   swaps so experiments can report move counts.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod access;
 mod instrument;
-mod pool;
 mod text;
 mod tvlist;
 mod value;
 
 pub use access::{SeriesAccess, SliceSeries};
 pub use instrument::{AccessStats, Instrumented};
-pub use pool::ArrayPool;
 pub use text::TextTVList;
 pub use tvlist::{TVList, DEFAULT_ARRAY_SIZE};
 pub use value::Value;
 
 /// A `TVList` of IoTDB `INT32` values.
 pub type IntTVList = TVList<i32>;
-/// A `TVList` of IoTDB `INT64` values.
-pub type LongTVList = TVList<i64>;
-/// A `TVList` of IoTDB `FLOAT` values.
-pub type FloatTVList = TVList<f32>;
 /// A `TVList` of IoTDB `DOUBLE` values.
 pub type DoubleTVList = TVList<f64>;
-/// A `TVList` of IoTDB `BOOLEAN` values.
-pub type BooleanTVList = TVList<bool>;
 
 /// Returns `true` if the series' timestamps are non-decreasing.
 pub fn is_time_sorted<S: SeriesAccess + ?Sized>(s: &S) -> bool {

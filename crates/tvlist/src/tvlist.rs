@@ -1,6 +1,6 @@
 //! The chunked time-value list.
 
-use crate::{ArrayPool, SeriesAccess, Value};
+use crate::{SeriesAccess, Value};
 
 /// IoTDB's default TVList chunk ("array") size (paper §V-B).
 pub const DEFAULT_ARRAY_SIZE: usize = 32;
@@ -114,31 +114,6 @@ impl<V: Value> TVList<V> {
         self.len += 1;
     }
 
-    /// Appends a point, recycling chunk allocations from `pool`.
-    pub fn push_pooled(&mut self, t: i64, v: V, pool: &mut ArrayPool<V>) {
-        let chunk = match self.shift {
-            Some(sh) => self.len >> sh,
-            None => self.len / self.array_size,
-        };
-        if chunk == self.times.len() {
-            let (ts, vs) = pool.get(self.array_size);
-            self.times.push(ts);
-            self.values.push(vs);
-        }
-        self.push(t, v);
-    }
-
-    /// Releases all chunks back to `pool` and clears the list.
-    pub fn release_into(&mut self, pool: &mut ArrayPool<V>) {
-        for (ts, vs) in self.times.drain(..).zip(self.values.drain(..)) {
-            pool.put(ts, vs);
-        }
-        self.len = 0;
-        self.sorted_len = 0;
-        self.min_time = i64::MAX;
-        self.max_time = i64::MIN;
-    }
-
     /// Whether the appended timestamps have stayed non-decreasing.
     ///
     /// Maintained on `push`; invalidated conservatively by `set`/`swap` and
@@ -230,21 +205,6 @@ impl<V: Value> TVList<V> {
     /// # Panics
     /// Panics if `ts.len() != vs.len()`.
     pub fn extend_from_slices(&mut self, ts: &[i64], vs: &[V]) {
-        self.extend_from_slices_inner(ts, vs, None)
-    }
-
-    /// [`TVList::extend_from_slices`], recycling chunk allocations from
-    /// `pool`.
-    pub fn extend_from_slices_pooled(&mut self, ts: &[i64], vs: &[V], pool: &mut ArrayPool<V>) {
-        self.extend_from_slices_inner(ts, vs, Some(pool))
-    }
-
-    fn extend_from_slices_inner(
-        &mut self,
-        ts: &[i64],
-        vs: &[V],
-        mut pool: Option<&mut ArrayPool<V>>,
-    ) {
         assert_eq!(
             ts.len(),
             vs.len(),
@@ -283,15 +243,8 @@ impl<V: Value> TVList<V> {
                 None => (self.len / self.array_size, self.len % self.array_size),
             };
             if chunk == self.times.len() {
-                let (t_chunk, v_chunk) = match pool.as_deref_mut() {
-                    Some(p) => p.get(self.array_size),
-                    None => (
-                        Vec::with_capacity(self.array_size),
-                        Vec::with_capacity(self.array_size),
-                    ),
-                };
-                self.times.push(t_chunk);
-                self.values.push(v_chunk);
+                self.times.push(Vec::with_capacity(self.array_size));
+                self.values.push(Vec::with_capacity(self.array_size));
             }
             debug_assert_eq!(self.times[chunk].len(), off);
             let n = (self.array_size - off).min(ts.len() - k);
@@ -569,23 +522,6 @@ mod tests {
     }
 
     #[test]
-    fn pooled_push_and_release() {
-        let mut pool = ArrayPool::<i32>::new(8);
-        let mut list = TVList::<i32>::with_array_size(4);
-        for i in 0..9 {
-            list.push_pooled(i as i64, 0, &mut pool);
-        }
-        assert_eq!(list.len(), 9);
-        list.release_into(&mut pool);
-        assert!(list.is_empty());
-        assert_eq!(pool.available(), 3);
-        // Chunks come back out of the pool on the next fill.
-        let mut list2 = TVList::<i32>::with_array_size(4);
-        list2.push_pooled(1, 1, &mut pool);
-        assert_eq!(pool.available(), 2);
-    }
-
-    #[test]
     fn memory_accounting_scales_with_chunks() {
         let mut list = TVList::<f64>::with_array_size(32);
         assert_eq!(list.memory_bytes(), 0);
@@ -653,20 +589,6 @@ mod tests {
     fn extend_from_slices_length_mismatch_panics() {
         let mut list = TVList::<i32>::new();
         list.extend_from_slices(&[1, 2], &[1]);
-    }
-
-    #[test]
-    fn extend_from_slices_pooled_recycles_chunks() {
-        let mut pool = ArrayPool::<i32>::new(8);
-        pool.put(Vec::with_capacity(4), Vec::with_capacity(4));
-        pool.put(Vec::with_capacity(4), Vec::with_capacity(4));
-        let mut list = TVList::<i32>::with_array_size(4);
-        let ts: Vec<i64> = (0..9).collect();
-        let vs: Vec<i32> = (0..9).collect();
-        list.extend_from_slices_pooled(&ts, &vs, &mut pool);
-        assert_eq!(list.len(), 9);
-        assert_eq!(pool.available(), 0, "two recycled, one fresh");
-        assert_eq!(list.to_pairs()[8], (8, 8));
     }
 
     #[test]

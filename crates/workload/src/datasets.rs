@@ -14,8 +14,6 @@
 //! * `samsung-*` — short bounded delays: IIR truncates to zero by
 //!   `L ≈ 2^5`, α₁ ≈ 10⁻² (Fig. 8(a)'s lower curves).
 
-use backsort_tvlist::TVList;
-
 use crate::delay::DelayModel;
 use crate::stream::{generate_pairs, SignalKind, StreamSpec};
 
@@ -153,11 +151,6 @@ impl Dataset {
             .map(|(t, v)| (t, v as i32))
             .collect();
         Self { kind, pairs }
-    }
-
-    /// Copies into a fresh `IntTVList`.
-    pub fn to_tvlist(&self) -> TVList<i32> {
-        TVList::from_pairs(self.pairs.iter().copied())
     }
 
     /// The timestamp sequence.

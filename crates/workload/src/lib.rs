@@ -31,5 +31,5 @@ pub mod trace;
 
 pub use datasets::{Dataset, DatasetKind};
 pub use delay::DelayModel;
-pub use stream::{generate_pairs, generate_tvlist, SignalKind, StreamSpec};
+pub use stream::{generate_pairs, SignalKind, StreamSpec};
 pub use trace::{read_csv, write_csv, TraceError};

@@ -1,7 +1,5 @@
 //! Disorder measures (paper §II-A, Definitions 2–6).
 
-use backsort_tvlist::SeriesAccess;
-
 /// Exact inversion count (Definition 2) over a timestamp slice,
 /// `O(n log n)` by merge counting.
 pub fn inversions(times: &[i64]) -> u64 {
@@ -161,12 +159,6 @@ impl DeltaTauHistogram {
         }
         above as f64 / self.total.max(1) as f64
     }
-}
-
-/// Convenience: IIR profile of any [`SeriesAccess`] series.
-pub fn series_iir_profile<S: SeriesAccess + ?Sized>(s: &S, max_exp: u32) -> Vec<(usize, f64)> {
-    let times: Vec<i64> = (0..s.len()).map(|i| s.time(i)).collect();
-    iir_profile(&times, max_exp)
 }
 
 #[cfg(test)]

@@ -1,6 +1,5 @@
 //! Arrival-order stream synthesis (paper §II-A / Definition 5).
 
-use backsort_tvlist::TVList;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -97,17 +96,6 @@ pub fn generate_pairs(spec: &StreamSpec) -> Vec<(i64, f64)> {
     points.into_iter().map(|(_, t, v)| (t, v)).collect()
 }
 
-/// As [`generate_pairs`] but materialized into an `IntTVList`-style list
-/// with `i32` values (the paper's tuning experiment uses IntTVList,
-/// §VI-B); values are the low bits of the signal.
-pub fn generate_tvlist(spec: &StreamSpec) -> TVList<i32> {
-    let mut list = TVList::new();
-    for (t, v) in generate_pairs(spec) {
-        list.push(t, v as i32);
-    }
-    list
-}
-
 fn sample_standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     use rand_distr::{Distribution, StandardNormal};
     <StandardNormal as Distribution<f64>>::sample(&StandardNormal, rng)
@@ -116,7 +104,6 @@ fn sample_standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use backsort_tvlist::SeriesAccess;
 
     #[test]
     fn no_delay_stream_is_sorted() {
@@ -171,17 +158,6 @@ mod tests {
         let pairs = generate_pairs(&spec);
         assert_eq!(pairs[1].0, 100);
         assert_eq!(pairs[99].0, 9_900);
-    }
-
-    #[test]
-    fn tvlist_generation_matches_pairs() {
-        let spec = StreamSpec::new(300, DelayModel::DiscreteUniform { k: 5 }, 9);
-        let pairs = generate_pairs(&spec);
-        let list = generate_tvlist(&spec);
-        assert_eq!(list.len(), pairs.len());
-        for (i, &(t, _)) in pairs.iter().enumerate() {
-            assert_eq!(list.time(i), t);
-        }
     }
 
     #[test]
