@@ -32,7 +32,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criteri
 /// `series` streams of `points` arrivals each, `interval` apart, one
 /// DOUBLE run apiece.
 fn build_memtable(series: usize, points: usize, delay: DelayModel, interval: i64) -> MemTable {
-    let mut mt = MemTable::new(32);
+    let mut mt = MemTable::new();
     for s in 0..series {
         let key = SeriesKey::new("root.sg.d0", format!("s{s}"));
         let spec = StreamSpec {

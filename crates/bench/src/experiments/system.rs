@@ -93,7 +93,6 @@ pub struct BenchReport {
 pub fn run_benchmark(config: &BenchConfig) -> BenchReport {
     let engine = StorageEngine::new(EngineConfig {
         memtable_max_points: config.memtable_max_points,
-        array_size: 32,
         sorter: config.sorter,
         ..EngineConfig::default()
     });

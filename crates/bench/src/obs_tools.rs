@@ -20,7 +20,6 @@ fn ingest_pps(registry: Arc<Registry>, points: &[(i64, TsValue)], batch: usize) 
     let engine = StorageEngine::with_registry(
         EngineConfig {
             memtable_max_points: 50_000,
-            array_size: 32,
             sorter: Algorithm::Backward(Default::default()),
             shards: 1,
             ..EngineConfig::default()
@@ -50,7 +49,6 @@ fn ingest(engine: &StorageEngine, points: &[(i64, TsValue)], batch: usize) {
 fn query_qps(trace_sample_n: u64, points: &[(i64, TsValue)], queries: usize) -> f64 {
     let engine = StorageEngine::new(EngineConfig {
         memtable_max_points: 50_000,
-        array_size: 32,
         sorter: Algorithm::Backward(Default::default()),
         shards: 1,
         trace_sample_n,

@@ -470,52 +470,41 @@ impl Algorithm {
         }
     }
 
-    /// Time-orders `s` given that its leading `sorted_len` points already
-    /// are — what a `TVList` reports as its `sorted_len` — for the cost of
-    /// the points that arrived since plus their overlap with the ordered
-    /// run, not of the whole series.
+    /// Time-orders the pairs `s` given that their leading `sorted_len`
+    /// already are — what a buffer reports as its ordered run — for the
+    /// cost of the points that arrived since plus their overlap with the
+    /// ordered run, not of the whole series.
     ///
-    /// The tail `s[sorted_len..]` is sorted as contiguous pairs — copied
-    /// out and written back unless `s` holds it so already
-    /// ([`SeriesAccess::contiguous_from`]) — with this algorithm,
-    /// streaming its telemetry into `obs` as
+    /// The tail `s[sorted_len..]` is sorted where it lies with this
+    /// algorithm, streaming its telemetry into `obs` as
     /// [`sort_series_observed`](Self::sort_series_observed) does; one
-    /// backward merge of the ordered run with the
-    /// sorted tail finishes, touching the overlap only, its `Q` recorded
-    /// into `core.merge_overlap_q` like any other merge step's. With
+    /// backward merge of the ordered run with the sorted tail finishes,
+    /// touching the overlap only, its `Q` recorded into
+    /// `core.merge_overlap_q` like any other merge step's. With
     /// `sorted_len == 0` the tail is the series and there is nothing to
     /// merge. The merge is stable — on equal timestamps the ordered run's
     /// points stay ahead of the tail's — so a stable algorithm keeps
     /// arrival order across any number of such sorts.
     ///
     /// Returns the closing merge's statistics.
-    pub fn sort_from_observed<S: SeriesAccess>(
+    pub fn sort_from_observed<V: Copy>(
         &self,
-        s: &mut S,
+        s: &mut [(i64, V)],
         sorted_len: usize,
         obs: Option<&backsort_obs::Registry>,
     ) -> merge::MergeStats {
         let n = s.len();
         debug_assert!(sorted_len <= n);
-        debug_assert!((1..sorted_len).all(|i| s.time(i - 1) <= s.time(i)));
+        debug_assert!(s[..sorted_len].is_sorted_by_key(|p| p.0));
         if sorted_len >= n {
             return merge::MergeStats::default();
         }
-        // The tail, sorted where it lies if that is flat memory, else in
-        // a copy (whose vector the merge then borrows for its overlap).
-        let mut scratch = Vec::new();
-        match s.contiguous_from(sorted_len) {
-            Some(tail) => self.sort_series_observed(&mut SliceSeries::new(tail), obs),
-            None => {
-                s.read_into(sorted_len, n, &mut scratch);
-                self.sort_series_observed(&mut SliceSeries::new(&mut scratch), obs);
-                s.copy_from_slice(sorted_len, &scratch);
-            }
-        }
+        self.sort_series_observed(&mut SliceSeries::new(&mut s[sorted_len..]), obs);
         if sorted_len == 0 {
             return merge::MergeStats::default();
         }
-        let stats = merge::merge_block_with_suffix(s, 0, sorted_len, n, &mut scratch);
+        let mut s = SliceSeries::new(s);
+        let stats = merge::merge_block_with_suffix(&mut s, 0, sorted_len, n, &mut Vec::new());
         if let Some(obs) = obs {
             obs.histogram(backsort_obs::names::MERGE_OVERLAP_Q)
                 .record(stats.suffix_overlap as u64);

@@ -102,7 +102,6 @@ proptest! {
     fn repeated_sort_from_matches_one_whole_sort(
         delays in prop::collection::vec(0u16..48, 1..400),
         k in 1usize..90,
-        array_size in 1usize..40,
     ) {
         // Halved timestamps: every other point repeats one.
         let arrival: Vec<(i64, i32)> =
@@ -118,20 +117,19 @@ proptest! {
             ..BackwardSort::default()
         }));
         for (a, alg) in algorithms.iter().enumerate() {
-            let mut list = TVList::<i32>::with_array_size(array_size);
+            let mut got: Vec<(i64, i32)> = Vec::new();
             for batch in arrival.chunks(k) {
-                for &(t, v) in batch {
-                    list.push(t, v);
-                }
-                let sorted_len = list.sorted_len();
-                alg.sort_from_observed(&mut list, sorted_len, None);
+                got.extend_from_slice(batch);
+                let sorted_len = got
+                    .windows(2)
+                    .position(|w| w[1].0 < w[0].0)
+                    .map_or(got.len(), |i| i + 1);
+                alg.sort_from_observed(&mut got, sorted_len, None);
                 prop_assert!(
-                    backsort_tvlist::is_time_sorted(&list),
-                    "{} left the list unordered", alg.name()
+                    got.windows(2).all(|w| w[0].0 <= w[1].0),
+                    "{} left the got unordered", alg.name()
                 );
-                list.mark_sorted();
             }
-            let got = list.to_pairs();
             if a + 1 == algorithms.len() {
                 prop_assert_eq!(&got, &stable, "stable configuration, k={}", k);
             }

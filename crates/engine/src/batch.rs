@@ -1,13 +1,14 @@
 //! The columnar point batch — one object from socket to disk.
 //!
 //! An INSERT (or a benchmark writer) assembles a [`PointBatch`]: a
-//! timestamp column (`Vec<i64>`) next to one typed value column, the same
-//! separated-column layout the TVList stores and the TsFile encodes. Every
-//! downstream layer consumes the batch whole — the engine splits it once
-//! at the watermark into column runs, the WAL encodes it as a single
-//! delta-compressed frame, the memtable bulk-appends runs with one series
-//! lookup per batch — so the per-point overhead (HashMap probes, WAL
-//! frames, enum dispatch) is paid per *batch* instead.
+//! timestamp column (`Vec<i64>`) next to one typed value column, the
+//! separated-column layout the TsFile encodes. Every downstream layer
+//! consumes the batch whole — the engine splits it once at the watermark
+//! into column runs, the WAL encodes it as a single delta-compressed
+//! frame, the memtable copies each run onto the end of a series' flat
+//! `(time, value)` buffer with one series lookup per batch — so the
+//! per-point overhead (HashMap probes, WAL frames, enum dispatch) is paid
+//! per *batch* instead.
 
 use std::fmt;
 
@@ -57,8 +58,8 @@ pub(crate) fn type_mismatch(expected: DataType, got: DataType) -> WriteError {
     WriteError::TypeMismatch { expected, got }
 }
 
-/// A typed value column — the value half of a [`PointBatch`], matching
-/// [`SeriesBuffer`](crate::memtable::SeriesBuffer) variant for variant.
+/// A typed value column — the value half of a [`PointBatch`], one variant
+/// per type a [`SeriesBuffer`](crate::memtable::SeriesBuffer) holds.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ValueColumn {
     /// INT32 values.

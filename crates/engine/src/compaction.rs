@@ -452,7 +452,6 @@ mod tests {
     fn engine(max_points: usize) -> StorageEngine {
         StorageEngine::new(EngineConfig {
             memtable_max_points: max_points,
-            array_size: 16,
             sorter: Algorithm::Backward(Default::default()),
             shards: 1,
             ..EngineConfig::default()
@@ -462,7 +461,6 @@ mod tests {
     fn leveled_engine(max_points: usize, shards: usize, l0_trigger: usize) -> StorageEngine {
         StorageEngine::new(EngineConfig {
             memtable_max_points: max_points,
-            array_size: 16,
             sorter: Algorithm::Backward(Default::default()),
             shards,
             compaction: CompactionConfig {
@@ -549,7 +547,6 @@ mod tests {
         // stable configuration (flush.rs documents the caveat).
         let eng = StorageEngine::new(EngineConfig {
             memtable_max_points: 25,
-            array_size: 16,
             sorter: Algorithm::Backward(backsort_core::BackwardSort {
                 in_block: backsort_core::InBlockSort::Stable,
                 ..Default::default()
@@ -606,7 +603,6 @@ mod tests {
 
         let eng = StorageEngine::new(EngineConfig {
             memtable_max_points: 1_000,
-            array_size: 16,
             sorter: Algorithm::Backward(Default::default()),
             shards: 4,
             ..EngineConfig::default()
@@ -636,7 +632,6 @@ mod tests {
     fn sharded_compaction_merges_per_shard() {
         let eng = StorageEngine::new(EngineConfig {
             memtable_max_points: 30,
-            array_size: 16,
             sorter: Algorithm::Backward(Default::default()),
             shards: 4,
             ..EngineConfig::default()

@@ -52,7 +52,6 @@ const MEMTABLE_MAX: usize = 24;
 fn config(shards: usize) -> EngineConfig {
     EngineConfig {
         memtable_max_points: MEMTABLE_MAX,
-        array_size: 16,
         sorter: Algorithm::Backward(Default::default()),
         shards,
         // A hair-trigger leveling policy: with files this small, every

@@ -33,7 +33,6 @@ mod tests {
     fn engine(max_points: usize) -> StorageEngine {
         StorageEngine::new(EngineConfig {
             memtable_max_points: max_points,
-            array_size: 16,
             sorter: Algorithm::Backward(Default::default()),
             shards: 1,
             ..EngineConfig::default()

@@ -44,7 +44,7 @@ use parking_lot::{Mutex, RwLock};
 use crate::batch::{type_mismatch, ColumnSlice, PointBatch, ValueColumn, WriteError};
 use crate::cache::BlockCache;
 use crate::delete::Tombstone;
-use crate::flush::{flush_series, FlushMetrics, Gathered};
+use crate::flush::{flush_series, FlushMetrics};
 use crate::memtable::{MemTable, SeriesBuffer};
 use crate::read::{plan_files, FileHandle, Run, Scan, Sink};
 use crate::types::{SeriesKey, TsValue};
@@ -80,15 +80,15 @@ impl Default for CompactionConfig {
     }
 }
 
-/// Engine tunables.
+/// Engine tunables. There is no memory-layout knob: a memtable keeps
+/// each series as one flat `(time, value)` vector that grows as plain
+/// `Vec`s do, and rotates at `memtable_max_points`.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
     /// Points per memtable before it rotates into flushing — the paper's
     /// "100,000 is the appropriate memory points size in the IoTDB"
     /// (§VI-A3). The budget applies *per shard*.
     pub memtable_max_points: usize,
-    /// TVList chunk size (IoTDB default 32).
-    pub array_size: usize,
     /// The sort algorithm under test.
     pub sorter: Algorithm,
     /// Number of device-hash shards. `1` (the default) reproduces the
@@ -114,7 +114,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         Self {
             memtable_max_points: 100_000,
-            array_size: 32,
             sorter: Algorithm::Backward(backsort_core::BackwardSort::default()),
             shards: 1,
             cache_bytes: 16 << 20,
@@ -192,14 +191,6 @@ pub(crate) struct ShardState {
 }
 
 impl ShardState {
-    fn new(array_size: usize) -> Self {
-        Self {
-            working: MemTable::new(array_size),
-            unseq: MemTable::new(array_size),
-            ..ShardState::default()
-        }
-    }
-
     /// The flushing slot's memtable while it is still the one rotated
     /// as `generation`; `None` once that rotation was installed.
     fn slot(&self, generation: u64) -> Option<&MemTable> {
@@ -469,9 +460,7 @@ impl StorageEngine {
         faults: Arc<FailpointRegistry>,
     ) -> Self {
         let n = config.shards.max(1);
-        let shards = (0..n)
-            .map(|_| RwLock::new(ShardState::new(config.array_size)))
-            .collect();
+        let shards = (0..n).map(|_| RwLock::new(ShardState::default())).collect();
         let cache = (config.cache_bytes > 0)
             .then(|| Arc::new(BlockCache::new(config.cache_bytes, &registry)));
         Self {
@@ -914,7 +903,7 @@ impl StorageEngine {
         if st.flushing.is_some() || st.memtable(unseq).is_empty() {
             return None;
         }
-        let rotated = std::mem::replace(st.memtable(unseq), MemTable::new(self.config.array_size));
+        let rotated = std::mem::replace(st.memtable(unseq), MemTable::new());
         for (key, buffer) in rotated.iter() {
             if let Some(max_t) = buffer.max_time() {
                 let w = st.watermarks.entry(key.clone()).or_insert(i64::MIN);
@@ -950,8 +939,8 @@ impl StorageEngine {
     /// write synchronous, or [`flush`](Self::flush) and its twin.
     ///
     /// The slot's memtable is never taken out or copied whole. Each
-    /// series is copied out flat under the shard's *read* lock — a
-    /// memcpy per chunk, readers unaffected, a writer held up for one
+    /// series is copied under the shard's *read* lock — one clone of its
+    /// flat buffer, readers unaffected, a writer held up for one
     /// series' copy at most — and sorted, encoded and parsed with no
     /// lock held. A delete that lands between two such copies edits the
     /// slot as usual; whether or not the file still carries its points,
@@ -979,8 +968,8 @@ impl StorageEngine {
         obs_trace::add_attr(names::ATTR_UNSEQ, u64::from(unseq));
         let span_encode = obs_trace::span(names::SPAN_FLUSH_ENCODE);
         let series = keys.into_iter().filter_map(|key| {
-            let gathered = lock.read().slot(generation)?.get(&key).map(Gathered::of)?;
-            Some((key, gathered))
+            let copy = lock.read().slot(generation)?.get(&key)?.flush_copy();
+            Some((key, copy))
         });
         let (image, metrics) = flush_series(series, &self.config.sorter, Some(&self.obs.registry));
         if let Some(s) = &span_encode {
@@ -1418,7 +1407,6 @@ mod tests {
     fn small_engine(sorter: Algorithm) -> StorageEngine {
         StorageEngine::new(EngineConfig {
             memtable_max_points: 100,
-            array_size: 8,
             sorter,
             shards: 1,
             ..EngineConfig::default()
@@ -1428,7 +1416,6 @@ mod tests {
     fn sharded_engine(shards: usize) -> StorageEngine {
         StorageEngine::new(EngineConfig {
             memtable_max_points: 100,
-            array_size: 8,
             sorter: Algorithm::Backward(Default::default()),
             shards,
             ..EngineConfig::default()
@@ -2022,7 +2009,6 @@ mod tests {
         // cache_bytes = 0 disables the cache; results are identical.
         let cold = StorageEngine::new(EngineConfig {
             memtable_max_points: 100,
-            array_size: 8,
             sorter: Algorithm::Backward(Default::default()),
             cache_bytes: 0,
             ..EngineConfig::default()
@@ -2038,7 +2024,6 @@ mod tests {
     fn flushed_engine(n: i64, per_file: usize) -> StorageEngine {
         let eng = StorageEngine::new(EngineConfig {
             memtable_max_points: per_file,
-            array_size: 32,
             sorter: Algorithm::Backward(Default::default()),
             ..EngineConfig::default()
         });

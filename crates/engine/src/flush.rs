@@ -1,44 +1,39 @@
-//! The flush pipeline: gather → sort → deduplicate → encode → write
+//! The flush pipeline: copy → sort → deduplicate → encode → write
 //! (paper §V-C, §VI-D2).
 //!
 //! Flush time is the server-side metric the paper reports (Figs. 16–18);
 //! [`FlushMetrics`] breaks it into the same components the paper
 //! describes: "sorting, encoding, and I/O".
 //!
-//! A memtable keeps each series in a chunked `TVList` — the shape
-//! appends and sort-on-read want — but the flush does not sort that
-//! list: it copies the series out into one contiguous vector of pairs
-//! (`Gathered`) and runs the configured algorithm over that. The copy
-//! is a chunk-by-chunk memcpy; the sort then moves pairs through flat
-//! memory instead of through the list's per-access chunk arithmetic,
-//! and Backward-Sort sorts each of its blocks there as a slice: with a
-//! counting sort over the block's time range when the block holds at
-//! least 256 points spanning under 2¹⁶, else with the standard
-//! library's sort. The memtable is only ever read — so a
-//! flush needs no private copy of it, and whoever still serves reads
-//! from it keeps doing so. The sort is the one a read of the buffer
-//! would run ([`Algorithm::sort_from_observed`]): the copy knows how
-//! long the buffer's ordered run was, and only the tail behind it is
-//! sorted and merged in.
+//! A flush never sorts the memtable it writes: readers still query
+//! it until the file is installed. It takes one copy of each series
+//! ([`SeriesBuffer`]'s flat pairs, its ordered run's length and its
+//! bounds) and orders the copy with the call a read would have ordered
+//! the buffer with ([`SeriesBuffer::sort_with_observed`], which runs
+//! [`Algorithm::sort_from_observed`]): only the tail behind the ordered
+//! run is sorted — Backward-Sort's blocks as slices, with a counting
+//! sort over a block's time range when the block holds at least 256
+//! points spanning under 2¹⁶, else with the standard library's sort —
+//! and merged in. The copy is then deduplicated into columns with the
+//! buffer's own [`SeriesBuffer::dedup_columns`], so a read and a flush
+//! cannot disagree on which of two equal timestamps comes last.
 
 use std::borrow::Borrow;
 use std::time::Instant;
 
 use backsort_core::Algorithm;
 use backsort_obs::Registry;
-use backsort_tvlist::{SeriesAccess, SliceSeries, TVList, Value};
 
-use crate::batch::ValueColumn;
-use crate::memtable::{dedup_last, MemTable, SeriesBuffer};
+use crate::memtable::{MemTable, SeriesBuffer};
 use crate::tsfile::TsFileWriter;
 use crate::types::SeriesKey;
 
 /// Timing breakdown of one memtable flush.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FlushMetrics {
-    /// Time spent gathering each series into contiguous pairs and
-    /// sorting them (the component under test). For an asynchronous
-    /// flush the gather includes the wait for the shard's read lock.
+    /// Time spent copying each series out of its buffer and sorting
+    /// the copy (the component under test). For an asynchronous
+    /// flush the copy includes the wait for the shard's read lock.
     pub sort_nanos: u64,
     /// Time spent deduplicating + encoding columns.
     pub encode_nanos: u64,
@@ -60,134 +55,6 @@ impl std::ops::AddAssign for FlushMetrics {
     }
 }
 
-/// One series copied out of its buffer: contiguous `(time, value)` pairs
-/// in the buffer's order, owning everything the rest of its flush needs,
-/// so the copy can be taken under a lock and sorted after releasing it.
-/// The copy carries the buffer's `sorted_len` with it, so a buffer that
-/// reads kept ordered costs its flush the tail written since the last
-/// one, and the flush orders the copy with the very call a read would
-/// have ordered the buffer with — the two cannot disagree on which of
-/// two equal timestamps comes last.
-#[derive(Debug)]
-pub(crate) struct Gathered {
-    /// Length of the leading run that was time-ordered when copied
-    /// ([`SeriesBuffer::sorted_len`]); all of it once sorted.
-    sorted_len: usize,
-    pairs: Pairs,
-}
-
-#[derive(Debug)]
-enum Pairs {
-    Int(Vec<(i64, i32)>),
-    Long(Vec<(i64, i64)>),
-    Float(Vec<(i64, f32)>),
-    Double(Vec<(i64, f64)>),
-    Bool(Vec<(i64, bool)>),
-    /// `(time, string index)` pairs and the strings they point at: the
-    /// sort moves indices, the strings leave at the dedup.
-    Text(Vec<(i64, u32)>, Vec<String>),
-}
-
-/// Applies `$body` to the pair vector of whichever variant `$pairs` is.
-macro_rules! for_each_pairs {
-    ($pairs:expr, $p:ident => $body:expr) => {
-        match $pairs {
-            Pairs::Int($p) => $body,
-            Pairs::Long($p) => $body,
-            Pairs::Float($p) => $body,
-            Pairs::Double($p) => $body,
-            Pairs::Bool($p) => $body,
-            Pairs::Text($p, _) => $body,
-        }
-    };
-}
-
-impl Gathered {
-    /// Copies `buffer` out, leaving it untouched.
-    pub(crate) fn of(buffer: &SeriesBuffer) -> Self {
-        fn flat<V: Value>(list: &TVList<V>) -> Vec<(i64, V)> {
-            let mut pairs = Vec::new();
-            list.read_into(0, list.len(), &mut pairs);
-            pairs
-        }
-        let pairs = match buffer {
-            SeriesBuffer::Int(l) => Pairs::Int(flat(l)),
-            SeriesBuffer::Long(l) => Pairs::Long(flat(l)),
-            SeriesBuffer::Float(l) => Pairs::Float(flat(l)),
-            SeriesBuffer::Double(l) => Pairs::Double(flat(l)),
-            SeriesBuffer::Bool(l) => Pairs::Bool(flat(l)),
-            SeriesBuffer::Text(l) => {
-                // One clone per live point, renumbered in arrival order:
-                // the strings of deleted points stay in the arena.
-                let (index, arena) = l.parts();
-                let mut pairs = flat(index);
-                let strings = (0u32..)
-                    .zip(&mut pairs)
-                    .map(|(slot, pair)| {
-                        let string = arena[pair.1 as usize].clone();
-                        pair.1 = slot;
-                        string
-                    })
-                    .collect();
-                Pairs::Text(pairs, strings)
-            }
-        };
-        Self {
-            sorted_len: buffer.sorted_len(),
-            pairs,
-        }
-    }
-
-    fn len(&self) -> usize {
-        for_each_pairs!(&self.pairs, p => p.len())
-    }
-
-    /// Points behind the ordered run: what [`sort`](Self::sort) sorts.
-    fn unsorted_points(&self) -> usize {
-        self.len() - self.sorted_len
-    }
-
-    /// Time-orders the pairs with `sorter` — the tail behind the ordered
-    /// run, then one merge — streaming the sort's telemetry into `obs`.
-    fn sort(&mut self, sorter: &Algorithm, obs: Option<&Registry>) {
-        if self.unsorted_points() > 0 {
-            let sorted_len = self.sorted_len;
-            for_each_pairs!(&mut self.pairs, p => {
-                sorter.sort_from_observed(&mut SliceSeries::new(p), sorted_len, obs)
-            });
-            self.sorted_len = self.len();
-        }
-    }
-
-    /// The sorted pairs as columns, the last of equal timestamps kept.
-    fn into_columns(self) -> (Vec<i64>, ValueColumn) {
-        debug_assert_eq!(self.unsorted_points(), 0);
-        fn columns<V: Copy>(
-            p: &[(i64, V)],
-            wrap: fn(Vec<V>) -> ValueColumn,
-        ) -> (Vec<i64>, ValueColumn) {
-            let (ts, vs) = dedup_last(0..p.len(), |i| p[i].0, |i| p[i].1);
-            (ts, wrap(vs))
-        }
-        match self.pairs {
-            Pairs::Int(p) => columns(&p, ValueColumn::Int),
-            Pairs::Long(p) => columns(&p, ValueColumn::Long),
-            Pairs::Float(p) => columns(&p, ValueColumn::Float),
-            Pairs::Double(p) => columns(&p, ValueColumn::Double),
-            Pairs::Bool(p) => columns(&p, ValueColumn::Bool),
-            Pairs::Text(p, mut strings) => {
-                // One string per pair, so an index is taken at most once.
-                let (ts, vs) = dedup_last(
-                    0..p.len(),
-                    |i| p[i].0,
-                    |i| std::mem::take(&mut strings[p[i].1 as usize]),
-                );
-                (ts, ValueColumn::Text(vs))
-            }
-        }
-    }
-}
-
 /// Flushes a memtable to a TsFile image with the given sort algorithm,
 /// reading it only: the memtable is bit for bit what it was afterwards.
 ///
@@ -205,17 +72,17 @@ pub fn flush_memtable(
     sorter: &Algorithm,
     obs: Option<&Registry>,
 ) -> (Vec<u8>, FlushMetrics) {
-    let series = memtable.iter().map(|(k, b)| (k, Gathered::of(b)));
+    let series = memtable.iter().map(|(k, b)| (k, b.flush_copy()));
     flush_series(series, sorter, obs)
 }
 
-/// The flush body — the one place a flush sorts. `series` yields each
-/// series already [`Gathered`], in key order, and is pulled one series
-/// at a time: [`flush_memtable`] gathers from a memtable it borrows, the
-/// asynchronous flush from the shard's flushing slot under its read
-/// lock, so at most one series is ever held flat.
+/// The flush body — the one place a flush sorts. `series` yields a copy
+/// of each series' buffer ([`SeriesBuffer::flush_copy`]), in key order,
+/// and is pulled one series at a time: [`flush_memtable`] copies from a
+/// memtable it borrows, the asynchronous flush from the shard's flushing
+/// slot under its read lock, so at most one series is ever copied.
 pub(crate) fn flush_series<K: Borrow<SeriesKey>>(
-    mut series: impl Iterator<Item = (K, Gathered)>,
+    mut series: impl Iterator<Item = (K, SeriesBuffer)>,
     sorter: &Algorithm,
     obs: Option<&Registry>,
 ) -> (Vec<u8>, FlushMetrics) {
@@ -225,22 +92,20 @@ pub(crate) fn flush_series<K: Borrow<SeriesKey>>(
 
     loop {
         let t0 = Instant::now();
-        let Some((key, mut gathered)) = series.next() else {
+        let Some((key, mut buffer)) = series.next() else {
             break;
         };
-        if gathered.len() == 0 {
+        if buffer.is_empty() {
             continue;
         }
-        if let Some(h) = &dirty_points {
-            if gathered.unsorted_points() > 0 {
-                h.record(gathered.unsorted_points() as u64);
-            }
+        let sorted = buffer.sort_with_observed(sorter, obs);
+        if let (Some(h), Some(sort)) = (&dirty_points, sorted) {
+            h.record(sort.tail as u64);
         }
-        gathered.sort(sorter, obs);
         metrics.sort_nanos += t0.elapsed().as_nanos() as u64;
 
         let t1 = Instant::now();
-        let (times, values) = gathered.into_columns();
+        let (times, values) = buffer.dedup_columns(0..buffer.len());
         metrics.encode_nanos += t1.elapsed().as_nanos() as u64;
         metrics.points += times.len() as u64;
 
@@ -270,7 +135,7 @@ mod tests {
 
     #[test]
     fn flush_sorts_dedups_and_roundtrips() {
-        let mut mt = MemTable::new(8);
+        let mut mt = MemTable::new();
         let rows = [(5i64, 50i32), (1, 10), (3, 30), (3, 31), (2, 20)];
         mt.append_rows(&key("s1"), rows.map(|(t, v)| (t, TsValue::Int(v))))
             .unwrap();
@@ -293,7 +158,7 @@ mod tests {
     #[test]
     fn flush_with_every_contender_produces_identical_timestamps() {
         let build = || {
-            let mut mt = MemTable::new(32);
+            let mut mt = MemTable::new();
             let mut x = 99u64;
             let rows = (0..2_000i64).map(|i| {
                 x ^= x << 13;
@@ -322,9 +187,8 @@ mod tests {
         }
     }
 
-    /// What the flush was before it sorted a contiguous copy, kept here
-    /// as the reference: sort each buffer's chunked list in place, then
-    /// deduplicate it into columns.
+    /// The reference the flush's copy must match: sort each buffer in
+    /// place, then deduplicate it into columns.
     fn flush_in_place(memtable: &mut MemTable, sorter: &Algorithm) -> Vec<u8> {
         let mut writer = TsFileWriter::new();
         let keys: Vec<SeriesKey> = memtable.iter().map(|(k, _)| k.clone()).collect();
@@ -384,7 +248,7 @@ mod tests {
             ("empty", &[]),
         ];
         // Every type gets every stream, as a sensor of its own.
-        let mut source = MemTable::new(32);
+        let mut source = MemTable::new();
         for (d, &dt) in TYPES.iter().enumerate() {
             for (name, ts) in streams {
                 let k = SeriesKey::new(format!("root.sg.d{d}"), name);
@@ -432,7 +296,7 @@ mod tests {
 
     #[test]
     fn flush_empty_memtable() {
-        let mt = MemTable::new(32);
+        let mt = MemTable::new();
         let alg = Algorithm::Baseline(BaselineSorter::Tim);
         let (image, metrics) = flush_memtable(&mt, &alg, None);
         assert_eq!(metrics.points, 0);
@@ -441,7 +305,7 @@ mod tests {
 
     #[test]
     fn metrics_components_are_populated() {
-        let mut mt = MemTable::new(32);
+        let mut mt = MemTable::new();
         mt.append_rows(
             &key("s"),
             (0..10_000i64).rev().map(|i| (i, TsValue::Long(i))),

@@ -4,7 +4,8 @@
 //!
 //! * **MemTables** ([`memtable`]) — a *working* memtable accepts writes;
 //!   when full it becomes the *flushing* memtable and is drained to disk.
-//!   Each sensor buffers into its own TVList (Fig. 7).
+//!   Each sensor buffers into its own [`SeriesBuffer`]: the paper's
+//!   per-sensor TVList (Fig. 7), kept as one flat vector of pairs.
 //! * **Separation policy** ([`engine`]) — a point timestamped below the
 //!   sensor's flush watermark is routed to the *unsequence* memtable
 //!   instead of the working one, which is what keeps in-memory disorder

@@ -1,102 +1,143 @@
-//! Working/flushing memtables holding one TVList per sensor (paper §V-A,
-//! Fig. 7).
+//! Working/flushing memtables holding one flat buffer per sensor (paper
+//! §V-A, Fig. 7).
+//!
+//! IoTDB buffers a series in a chunked `TVList` so that its
+//! `PrimitiveArrayPool` can recycle 32-slot arrays. This engine has no
+//! such pool, so a [`SeriesBuffer`] keeps one contiguous vector of
+//! `(time, value)` pairs: an append is a copy onto its end, a
+//! sort-on-read sorts the unordered tail where it lies, and a flush
+//! clones the vector and sorts the clone with the same call. This module
+//! is the only one that knows how a buffered series is laid out.
 
 use std::collections::BTreeMap;
 
 use backsort_core::merge::MergeStats;
 use backsort_core::Algorithm;
 use backsort_obs::LocalHistogram;
-use backsort_tvlist::{SeriesAccess, TVList, TextTVList, Value};
 
 use crate::batch::{type_mismatch, ColumnSlice, ValueColumn, WriteError};
 use crate::types::{DataType, SeriesKey, TsValue};
 
-/// One sensor's in-memory buffer: a typed TVList.
+/// One sensor's in-memory buffer: its points in arrival order, flat,
+/// with the length of their leading time-ordered run and their bounds.
 ///
-/// Mirrors IoTDB's per-type TVList classes (`DoubleTVList` etc., §V-A):
-/// the enum dispatch happens once per operation, the inner loops are
-/// monomorphized.
+/// Sort-on-read invariant: `[..sorted_len]` is non-decreasing in time at
+/// every instant, and it is the longest such prefix — an append extends
+/// it only while order holds, a delete recomputes it, a sort makes it
+/// the whole buffer — so [`is_sorted`](Self::is_sorted) holds exactly
+/// when `sorted_len == len`. `min_time` and `max_time` are exact.
 #[derive(Debug, Clone)]
-pub enum SeriesBuffer {
-    /// INT32 sensor.
-    Int(TVList<i32>),
-    /// INT64 sensor.
-    Long(TVList<i64>),
-    /// FLOAT sensor.
-    Float(TVList<f32>),
-    /// DOUBLE sensor.
-    Double(TVList<f64>),
-    /// BOOLEAN sensor.
-    Bool(TVList<bool>),
-    /// TEXT sensor: arena-backed, sorting moves indices (§V-A's
-    /// BinaryTVList).
-    Text(TextTVList),
+pub struct SeriesBuffer {
+    points: Points,
+    sorted_len: usize,
+    min_time: i64,
+    max_time: i64,
 }
 
-/// Applies `$body` to the numeric TVList arms; `$text_body` to the text
-/// arm (whose API differs).
-macro_rules! for_each_buffer {
-    ($self:expr, $list:ident => $body:expr, $text:ident => $text_body:expr) => {
-        match $self {
-            SeriesBuffer::Int($list) => $body,
-            SeriesBuffer::Long($list) => $body,
-            SeriesBuffer::Float($list) => $body,
-            SeriesBuffer::Double($list) => $body,
-            SeriesBuffer::Bool($list) => $body,
-            SeriesBuffer::Text($text) => $text_body,
+/// The typed pairs, one arm per IoTDB type — IoTDB's per-type TVList
+/// classes (`DoubleTVList` etc., §V-A) as plain vectors: the enum
+/// dispatch happens once per operation, the inner loops are
+/// monomorphized.
+#[derive(Debug, Clone)]
+enum Points {
+    Int(Vec<(i64, i32)>),
+    Long(Vec<(i64, i64)>),
+    Float(Vec<(i64, f32)>),
+    Double(Vec<(i64, f64)>),
+    Bool(Vec<(i64, bool)>),
+    /// `(time, arena index)` pairs and the arena they index, like
+    /// IoTDB's `BinaryTVList`: a sort moves indices, never strings. A
+    /// deleted point's string stays in the arena until the buffer goes.
+    Text(Vec<(i64, u32)>, Vec<String>),
+}
+
+/// Applies `$body` to the pair vector of whichever arm `$points` is (a
+/// TEXT buffer's index pairs for TEXT).
+macro_rules! for_each_points {
+    ($points:expr, $p:ident => $body:expr) => {
+        match $points {
+            Points::Int($p) => $body,
+            Points::Long($p) => $body,
+            Points::Float($p) => $body,
+            Points::Double($p) => $body,
+            Points::Bool($p) => $body,
+            Points::Text($p, _) => $body,
         }
     };
 }
 
 impl SeriesBuffer {
     /// Creates an empty buffer of the given type.
-    pub fn new(dt: DataType, array_size: usize) -> Self {
-        match dt {
-            DataType::Int32 => SeriesBuffer::Int(TVList::with_array_size(array_size)),
-            DataType::Int64 => SeriesBuffer::Long(TVList::with_array_size(array_size)),
-            DataType::Float => SeriesBuffer::Float(TVList::with_array_size(array_size)),
-            DataType::Double => SeriesBuffer::Double(TVList::with_array_size(array_size)),
-            DataType::Boolean => SeriesBuffer::Bool(TVList::with_array_size(array_size)),
-            DataType::Text => SeriesBuffer::Text(TextTVList::new()),
+    pub fn new(dt: DataType) -> Self {
+        let points = match dt {
+            DataType::Int32 => Points::Int(Vec::new()),
+            DataType::Int64 => Points::Long(Vec::new()),
+            DataType::Float => Points::Float(Vec::new()),
+            DataType::Double => Points::Double(Vec::new()),
+            DataType::Boolean => Points::Bool(Vec::new()),
+            DataType::Text => Points::Text(Vec::new(), Vec::new()),
+        };
+        Self {
+            points,
+            sorted_len: 0,
+            min_time: i64::MAX,
+            max_time: i64::MIN,
         }
     }
 
     /// The buffer's data type.
     pub fn data_type(&self) -> DataType {
-        match self {
-            SeriesBuffer::Int(_) => DataType::Int32,
-            SeriesBuffer::Long(_) => DataType::Int64,
-            SeriesBuffer::Float(_) => DataType::Float,
-            SeriesBuffer::Double(_) => DataType::Double,
-            SeriesBuffer::Bool(_) => DataType::Boolean,
-            SeriesBuffer::Text(_) => DataType::Text,
+        match self.points {
+            Points::Int(_) => DataType::Int32,
+            Points::Long(_) => DataType::Int64,
+            Points::Float(_) => DataType::Float,
+            Points::Double(_) => DataType::Double,
+            Points::Bool(_) => DataType::Boolean,
+            Points::Text(..) => DataType::Text,
         }
     }
 
     /// Bulk-appends an aligned column run, rejecting a type mismatch
-    /// before any mutation. The numeric arms hand the slices straight to
-    /// [`TVList::extend_from_slices`] — one monomorphized memcpy-style
-    /// append per chunk instead of a per-point enum dispatch.
+    /// before any mutation: one pass over the timestamps for the run's
+    /// bounds and ordered head, then one copy of the pairs onto the end
+    /// of the buffer. A TEXT run's strings go to the arena once.
     pub fn extend_columns(&mut self, ts: &[i64], vals: ColumnSlice<'_>) -> Result<(), WriteError> {
-        match (self, vals) {
-            (SeriesBuffer::Int(l), ColumnSlice::Int(vs)) => l.extend_from_slices(ts, vs),
-            (SeriesBuffer::Long(l), ColumnSlice::Long(vs)) => l.extend_from_slices(ts, vs),
-            (SeriesBuffer::Float(l), ColumnSlice::Float(vs)) => l.extend_from_slices(ts, vs),
-            (SeriesBuffer::Double(l), ColumnSlice::Double(vs)) => l.extend_from_slices(ts, vs),
-            (SeriesBuffer::Bool(l), ColumnSlice::Bool(vs)) => l.extend_from_slices(ts, vs),
-            (SeriesBuffer::Text(l), ColumnSlice::Text(vs)) => {
-                for (&t, v) in ts.iter().zip(vs) {
-                    l.push(t, v.clone());
-                }
+        debug_assert_eq!(ts.len(), vals.len(), "an aligned column run");
+        fn append<V: Copy>(pairs: &mut Vec<(i64, V)>, ts: &[i64], vs: &[V]) {
+            pairs.extend(ts.iter().copied().zip(vs.iter().copied()));
+        }
+        let len = self.len();
+        match (&mut self.points, vals) {
+            (Points::Int(p), ColumnSlice::Int(vs)) => append(p, ts, vs),
+            (Points::Long(p), ColumnSlice::Long(vs)) => append(p, ts, vs),
+            (Points::Float(p), ColumnSlice::Float(vs)) => append(p, ts, vs),
+            (Points::Double(p), ColumnSlice::Double(vs)) => append(p, ts, vs),
+            (Points::Bool(p), ColumnSlice::Bool(vs)) => append(p, ts, vs),
+            (Points::Text(p, arena), ColumnSlice::Text(vs)) => {
+                // analyzer:allow(panic-freedom): the u32 arena index is a capacity contract — one in-memory buffer cannot reach 2^32 points (memtables flush orders of magnitude earlier)
+                let end = u32::try_from(arena.len() + vs.len())
+                    .expect("TEXT buffer exceeds u32::MAX points");
+                // Every index below `end` fits, so the run's count does too.
+                p.extend(ts.iter().copied().zip(end - vs.len() as u32..end));
+                arena.extend_from_slice(vs);
             }
-            (buf, vals) => return Err(type_mismatch(buf.data_type(), vals.data_type())),
+            (_, vals) => return Err(type_mismatch(self.data_type(), vals.data_type())),
+        }
+        if let Some(run) = RunShape::of(ts.iter().copied()) {
+            // The ordered run, while it is the whole buffer, grows through
+            // the run's ordered head if the run starts at or after the max.
+            if self.sorted_len == len && (len == 0 || run.first >= self.max_time) {
+                self.sorted_len += run.head;
+            }
+            self.min_time = self.min_time.min(run.lo);
+            self.max_time = self.max_time.max(run.hi);
         }
         Ok(())
     }
 
     /// Number of buffered points.
     pub fn len(&self) -> usize {
-        for_each_buffer!(self, l => l.len(), t => t.len())
+        for_each_points!(&self.points, p => p.len())
     }
 
     /// Whether the buffer is empty.
@@ -104,41 +145,36 @@ impl SeriesBuffer {
         self.len() == 0
     }
 
-    /// Whether appends have stayed time-ordered.
+    /// Whether the buffer is time-ordered: its ordered run is all of it.
     pub fn is_sorted(&self) -> bool {
-        for_each_buffer!(self, l => l.is_sorted(), t => t.is_sorted())
+        self.sorted_len == self.len()
     }
 
     /// Smallest buffered timestamp.
     pub fn min_time(&self) -> Option<i64> {
-        for_each_buffer!(self, l => l.min_time(), t => t.min_time())
+        (!self.is_empty()).then_some(self.min_time)
     }
 
     /// Largest buffered timestamp.
     pub fn max_time(&self) -> Option<i64> {
-        for_each_buffer!(self, l => l.max_time(), t => t.max_time())
-    }
-
-    /// Approximate heap usage for memtable accounting.
-    pub fn memory_bytes(&self) -> usize {
-        for_each_buffer!(self, l => l.memory_bytes(), t => t.memory_bytes())
+        (!self.is_empty()).then_some(self.max_time)
     }
 
     /// Length of the buffer's leading time-ordered run — all of it when
     /// [`is_sorted`](Self::is_sorted). What a sort still owes is the
     /// rest: the points that arrived since order last held.
     pub fn sorted_len(&self) -> usize {
-        for_each_buffer!(self, l => l.sorted_len(), t => t.sorted_len())
+        self.sorted_len
     }
 
     /// Time-orders the buffer in place with the given algorithm, if it
     /// is not already — the sort-on-read of a dirty buffer. The cost is
-    /// that of the unsorted tail, not of the buffer: the list knows how
-    /// long its ordered run is ([`sorted_len`](Self::sorted_len)), and
-    /// [`Algorithm::sort_from_observed`] sorts the rest flat and merges
-    /// the two from the back, so a read that follows a read pays for
-    /// the points written in between and their overlap `Q` with the run.
-    /// A flush sorts a contiguous copy through the same function (see
+    /// that of the unsorted tail, not of the buffer:
+    /// [`Algorithm::sort_from_observed`] sorts the pairs behind the
+    /// ordered run where they lie and merges the two from the back, so a
+    /// read that follows a read pays for the points written in between
+    /// and their overlap `Q` with the run. A flush sorts its copy of the
+    /// buffer with this same call (see
     /// [`flush_memtable`](crate::flush::flush_memtable)). Streams the
     /// algorithm's telemetry (block size, probe loops, `α̃_L`, per-merge
     /// overlap `Q`) into `obs` when given. Returns what the sort did, or
@@ -148,39 +184,28 @@ impl SeriesBuffer {
         alg: &Algorithm,
         obs: Option<&backsort_obs::Registry>,
     ) -> Option<TailSort> {
-        if self.is_sorted() {
+        let (prefix, len) = (self.sorted_len, self.len());
+        if prefix == len {
             return None;
         }
-        fn sort<V: Value>(
-            list: &mut TVList<V>,
-            alg: &Algorithm,
-            obs: Option<&backsort_obs::Registry>,
-        ) -> MergeStats {
-            let sorted_len = list.sorted_len();
-            let merge = alg.sort_from_observed(list, sorted_len, obs);
-            list.mark_sorted();
-            merge
-        }
-        let prefix = self.sorted_len();
-        let tail = self.len() - prefix;
-        let merge =
-            for_each_buffer!(self, l => sort(l, alg, obs), t => sort(t.sortable(), alg, obs));
+        let merge = for_each_points!(&mut self.points, p => alg.sort_from_observed(p, prefix, obs));
+        self.sorted_len = len;
         Some(TailSort {
             prefix,
-            tail,
+            tail: len - prefix,
             merge,
         })
     }
 
     /// The point at index `i` as a dynamic value.
     pub fn get(&self, i: usize) -> (i64, TsValue) {
-        match self {
-            SeriesBuffer::Int(l) => (l.time(i), TsValue::Int(l.value(i))),
-            SeriesBuffer::Long(l) => (l.time(i), TsValue::Long(l.value(i))),
-            SeriesBuffer::Float(l) => (l.time(i), TsValue::Float(l.value(i))),
-            SeriesBuffer::Double(l) => (l.time(i), TsValue::Double(l.value(i))),
-            SeriesBuffer::Bool(l) => (l.time(i), TsValue::Bool(l.value(i))),
-            SeriesBuffer::Text(l) => (l.time(i), TsValue::Text(l.text(i).to_string())),
+        match &self.points {
+            Points::Int(p) => (p[i].0, TsValue::Int(p[i].1)),
+            Points::Long(p) => (p[i].0, TsValue::Long(p[i].1)),
+            Points::Float(p) => (p[i].0, TsValue::Float(p[i].1)),
+            Points::Double(p) => (p[i].0, TsValue::Double(p[i].1)),
+            Points::Bool(p) => (p[i].0, TsValue::Bool(p[i].1)),
+            Points::Text(p, arena) => (p[i].0, TsValue::Text(arena[p[i].1 as usize].clone())),
         }
     }
 
@@ -188,17 +213,7 @@ impl SeriesBuffer {
     /// buffer to be sorted.
     pub fn lower_bound(&self, t: i64) -> usize {
         debug_assert!(self.is_sorted());
-        let (mut lo, mut hi) = (0usize, self.len());
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            let mt = for_each_buffer!(self, l => l.time(mid), t => t.time(mid));
-            if mt < t {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
+        for_each_points!(&self.points, p => p.partition_point(|q| q.0 < t))
     }
 
     /// Binary-searches the first index with `time > t` (the exclusive
@@ -206,66 +221,78 @@ impl SeriesBuffer {
     /// sorted.
     pub fn upper_bound(&self, t: i64) -> usize {
         debug_assert!(self.is_sorted());
-        let (mut lo, mut hi) = (0usize, self.len());
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            let mt = for_each_buffer!(self, l => l.time(mid), t => t.time(mid));
-            if mt <= t {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
+        for_each_points!(&self.points, p => p.partition_point(|q| q.0 <= t))
     }
 
     /// Timestamp at index `i`.
     pub fn time(&self, i: usize) -> i64 {
-        for_each_buffer!(self, l => l.time(i), t => t.time(i))
+        for_each_points!(&self.points, p => p[i].0)
     }
 
     /// Copies the index range `range` of the buffer out as deduplicated
     /// columns — last write wins on equal timestamps. Requires the
     /// buffer to be sorted. A `lower_bound..upper_bound` range is what a
-    /// query streams from a buffer no other run overlaps.
+    /// query streams from a buffer no other run overlaps, and `0..len`
+    /// what a flush encodes.
     pub fn dedup_columns(&self, range: std::ops::Range<usize>) -> (Vec<i64>, ValueColumn) {
         debug_assert!(self.is_sorted());
-        match self {
-            SeriesBuffer::Int(l) => {
-                let (ts, vs) = dedup_last(range, |i| l.time(i), |i| l.value(i));
-                (ts, ValueColumn::Int(vs))
-            }
-            SeriesBuffer::Long(l) => {
-                let (ts, vs) = dedup_last(range, |i| l.time(i), |i| l.value(i));
-                (ts, ValueColumn::Long(vs))
-            }
-            SeriesBuffer::Float(l) => {
-                let (ts, vs) = dedup_last(range, |i| l.time(i), |i| l.value(i));
-                (ts, ValueColumn::Float(vs))
-            }
-            SeriesBuffer::Double(l) => {
-                let (ts, vs) = dedup_last(range, |i| l.time(i), |i| l.value(i));
-                (ts, ValueColumn::Double(vs))
-            }
-            SeriesBuffer::Bool(l) => {
-                let (ts, vs) = dedup_last(range, |i| l.time(i), |i| l.value(i));
-                (ts, ValueColumn::Bool(vs))
-            }
-            SeriesBuffer::Text(l) => {
-                let (ts, vs) = dedup_last(range, |i| l.time(i), |i| l.text(i).to_string());
+        fn columns<V: Copy>(
+            p: &[(i64, V)],
+            wrap: fn(Vec<V>) -> ValueColumn,
+        ) -> (Vec<i64>, ValueColumn) {
+            let (ts, vs) = dedup_last(p, |v| v);
+            (ts, wrap(vs))
+        }
+        match &self.points {
+            Points::Int(p) => columns(&p[range], ValueColumn::Int),
+            Points::Long(p) => columns(&p[range], ValueColumn::Long),
+            Points::Float(p) => columns(&p[range], ValueColumn::Float),
+            Points::Double(p) => columns(&p[range], ValueColumn::Double),
+            Points::Bool(p) => columns(&p[range], ValueColumn::Bool),
+            Points::Text(p, arena) => {
+                let (ts, vs) = dedup_last(&p[range], |i| arena[i as usize].clone());
                 (ts, ValueColumn::Text(vs))
             }
         }
     }
 
-    /// Removes all points with timestamps in `[t_lo, t_hi]`. Returns how
-    /// many were removed.
+    /// Removes all points with timestamps in `[t_lo, t_hi]`, keeping the
+    /// rest in order, and recomputes the ordered run and the bounds from
+    /// what is left. Returns how many were removed.
     pub fn delete_range(&mut self, t_lo: i64, t_hi: i64) -> usize {
-        for_each_buffer!(
-            self,
-            l => l.retain(|t, _| !(t_lo..=t_hi).contains(&t)),
-            t => t.retain(|ts, _| !(t_lo..=t_hi).contains(&ts))
-        )
+        let len = self.len();
+        for_each_points!(&mut self.points, p => p.retain(|q| !(t_lo..=t_hi).contains(&q.0)));
+        let removed = len - self.len();
+        if removed > 0 {
+            let run = for_each_points!(&self.points, p => RunShape::of(p.iter().map(|q| q.0)));
+            (self.sorted_len, self.min_time, self.max_time) =
+                run.map_or((0, i64::MAX, i64::MIN), |r| (r.head, r.lo, r.hi));
+        }
+        removed
+    }
+
+    /// A copy of the buffer for a flush to sort and encode once the
+    /// shard's lock is released, while readers go on querying the
+    /// original: the pairs, the ordered run's length and the bounds. A
+    /// TEXT copy carries only its live points' strings, renumbered in
+    /// storage order.
+    pub(crate) fn flush_copy(&self) -> Self {
+        let points = match &self.points {
+            Points::Text(p, arena) => {
+                let (index, strings) = (0u32..)
+                    .zip(p)
+                    .map(|(slot, &(t, i))| ((t, slot), arena[i as usize].clone()))
+                    .unzip();
+                Points::Text(index, strings)
+            }
+            points => points.clone(),
+        };
+        Self {
+            points,
+            sorted_len: self.sorted_len,
+            min_time: self.min_time,
+            max_time: self.max_time,
+        }
     }
 }
 
@@ -279,6 +306,37 @@ pub struct TailSort {
     pub tail: usize,
     /// The merge of the two: how far the tail reached back into the run.
     pub merge: MergeStats,
+}
+
+/// One pass over a non-empty run of timestamps: its first timestamp,
+/// the length of its leading non-decreasing run, and its bounds.
+struct RunShape {
+    first: i64,
+    head: usize,
+    lo: i64,
+    hi: i64,
+}
+
+impl RunShape {
+    fn of(mut ts: impl Iterator<Item = i64>) -> Option<Self> {
+        let first = ts.next()?;
+        let mut run = Self {
+            first,
+            head: 1,
+            lo: first,
+            hi: first,
+        };
+        let mut ordered = true;
+        let mut prev = first;
+        for t in ts {
+            ordered &= t >= prev;
+            run.head += usize::from(ordered);
+            prev = t;
+            run.lo = run.lo.min(t);
+            run.hi = run.hi.max(t);
+        }
+        Some(run)
+    }
 }
 
 /// The `Δτ` pre-pass for a bulk append: walks the raw timestamp column
@@ -296,24 +354,19 @@ fn record_delta_tau(ts: &[i64], prev_max: Option<i64>, deltas: &mut LocalHistogr
     }
 }
 
-/// Columnar last-wins dedup over an index range of an
-/// index-addressable sorted buffer.
-pub(crate) fn dedup_last<T>(
-    range: std::ops::Range<usize>,
-    time: impl Fn(usize) -> i64,
-    mut value: impl FnMut(usize) -> T,
-) -> (Vec<i64>, Vec<T>) {
-    let mut ts: Vec<i64> = Vec::with_capacity(range.len());
-    let mut vs: Vec<T> = Vec::with_capacity(range.len());
-    for i in range {
-        let t = time(i);
+/// Columnar last-wins dedup of sorted pairs: of each run of equal
+/// timestamps the last pair's value (through `value`) is kept.
+fn dedup_last<V: Copy, T>(pairs: &[(i64, V)], value: impl Fn(V) -> T) -> (Vec<i64>, Vec<T>) {
+    let mut ts: Vec<i64> = Vec::with_capacity(pairs.len());
+    let mut vs: Vec<T> = Vec::with_capacity(pairs.len());
+    for &(t, v) in pairs {
         if ts.last() == Some(&t) {
             if let Some(slot) = vs.last_mut() {
-                *slot = value(i);
+                *slot = value(v);
             }
         } else {
             ts.push(t);
-            vs.push(value(i));
+            vs.push(value(v));
         }
     }
     (ts, vs)
@@ -324,17 +377,12 @@ pub(crate) fn dedup_last<T>(
 pub struct MemTable {
     series: BTreeMap<SeriesKey, SeriesBuffer>,
     total_points: usize,
-    array_size: usize,
 }
 
 impl MemTable {
-    /// Creates an empty memtable whose TVLists use the given chunk size.
-    pub fn new(array_size: usize) -> Self {
-        Self {
-            series: BTreeMap::new(),
-            total_points: 0,
-            array_size: array_size.max(1),
-        }
+    /// Creates an empty memtable.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Bulk-appends an aligned column run to one sensor: a single series
@@ -359,7 +407,7 @@ impl MemTable {
             buf.extend_columns(ts, vals)?;
             record_delta_tau(ts, prev_max, deltas);
         } else {
-            let mut buf = SeriesBuffer::new(vals.data_type(), self.array_size);
+            let mut buf = SeriesBuffer::new(vals.data_type());
             buf.extend_columns(ts, vals)?;
             record_delta_tau(ts, None, deltas);
             self.series.insert(key.clone(), buf);
@@ -381,11 +429,6 @@ impl MemTable {
     /// Whether the memtable holds no data.
     pub fn is_empty(&self) -> bool {
         self.total_points == 0
-    }
-
-    /// Approximate heap usage.
-    pub fn memory_bytes(&self) -> usize {
-        self.series.values().map(|b| b.memory_bytes()).sum()
     }
 
     /// Looks up one sensor's buffer.
@@ -440,7 +483,7 @@ mod tests {
     }
 
     fn buffer_of(rows: &[(i64, i64)]) -> SeriesBuffer {
-        let mut mt = MemTable::new(4);
+        let mut mt = MemTable::new();
         mt.append_rows(&key("s"), rows.iter().map(|&(t, v)| (t, TsValue::Long(v))))
             .unwrap();
         mt.get(&key("s")).unwrap().clone()
@@ -448,7 +491,7 @@ mod tests {
 
     #[test]
     fn write_and_read_back() {
-        let mut mt = MemTable::new(32);
+        let mut mt = MemTable::new();
         mt.append_rows(
             &key("s1"),
             [(5, TsValue::Double(1.5)), (3, TsValue::Double(2.5))],
@@ -465,7 +508,7 @@ mod tests {
 
     #[test]
     fn type_mismatch_is_rejected_not_fatal() {
-        let mut mt = MemTable::new(32);
+        let mut mt = MemTable::new();
         let mut deltas = LocalHistogram::new();
         mt.write_columns(&key("s1"), &[1, 2], ColumnSlice::Int(&[1, 2]), &mut deltas)
             .unwrap();
@@ -494,7 +537,7 @@ mod tests {
         let ts = [5i64, 3, 9, 9, 1, 12];
         let vs = [50i64, 30, 90, 91, 10, 120];
 
-        let mut a = MemTable::new(4);
+        let mut a = MemTable::new();
         let mut single_deltas = LocalHistogram::new();
         for (t, v) in ts.iter().zip(&vs) {
             let (t, v) = (std::slice::from_ref(t), std::slice::from_ref(v));
@@ -502,7 +545,7 @@ mod tests {
                 .unwrap();
         }
 
-        let mut b = MemTable::new(4);
+        let mut b = MemTable::new();
         let mut deltas = LocalHistogram::new();
         b.write_columns(&key("s"), &ts, ColumnSlice::Long(&vs), &mut deltas)
             .unwrap();
@@ -523,7 +566,7 @@ mod tests {
 
     #[test]
     fn dedup_columns_keeps_last_write() {
-        let mut mt = MemTable::new(4);
+        let mut mt = MemTable::new();
         let rows = [(1i64, 1i32), (2, 2), (2, 22), (2, 222), (3, 3)];
         mt.append_rows(&key("s"), rows.map(|(t, v)| (t, TsValue::Int(v))))
             .unwrap();
@@ -539,7 +582,7 @@ mod tests {
 
     #[test]
     fn sort_with_backward_sort_orders_buffer() {
-        let mut mt = MemTable::new(8);
+        let mut mt = MemTable::new();
         let rows = [(4i64, 40i32), (1, 10), (3, 30), (2, 20)];
         mt.append_rows(&key("s1"), rows.map(|(t, v)| (t, TsValue::Int(v))))
             .unwrap();
@@ -585,7 +628,7 @@ mod tests {
 
     #[test]
     fn all_data_types_buffer() {
-        let mut mt = MemTable::new(16);
+        let mut mt = MemTable::new();
         for (name, v) in [
             ("i", TsValue::Int(1)),
             ("l", TsValue::Long(2)),
@@ -601,14 +644,5 @@ mod tests {
             assert_eq!(buf.len(), 1);
             assert!(buf.min_time() == Some(1) && buf.max_time() == Some(1));
         }
-    }
-
-    #[test]
-    fn memory_accounting_grows() {
-        let mut mt = MemTable::new(32);
-        assert_eq!(mt.memory_bytes(), 0);
-        mt.append_rows(&key("s"), (0..100).map(|t| (t, TsValue::Double(0.0))))
-            .unwrap();
-        assert!(mt.memory_bytes() >= 100 * 16);
     }
 }

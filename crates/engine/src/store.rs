@@ -1064,7 +1064,6 @@ mod tests {
     fn config(max_points: usize) -> EngineConfig {
         EngineConfig {
             memtable_max_points: max_points,
-            array_size: 16,
             sorter: Algorithm::Backward(Default::default()),
             shards: 1,
             ..EngineConfig::default()

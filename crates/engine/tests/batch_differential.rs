@@ -66,7 +66,6 @@ fn config(shards: usize) -> EngineConfig {
         // watermarks (hence unseq routing) mid-run; larger than any
         // batch.
         memtable_max_points: 48,
-        array_size: 16,
         sorter: Algorithm::Backward(Default::default()),
         shards,
         ..EngineConfig::default()

@@ -78,7 +78,6 @@ fn config(shards: usize) -> EngineConfig {
         // hair-trigger leveling policy so nearly every CompactAuto op
         // finds an eligible run to fold or promote.
         memtable_max_points: 32,
-        array_size: 16,
         sorter: Algorithm::Backward(BackwardSort {
             in_block: InBlockSort::Stable,
             ..Default::default()

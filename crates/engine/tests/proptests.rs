@@ -1,12 +1,16 @@
 //! Property tests for the storage layer: encodings round-trip on
 //! arbitrary columns, decoders never panic on arbitrary (corrupt) bytes,
-//! and the flush → TsFile → query pipeline preserves data.
+//! a memtable buffer keeps its ordered-run invariant under any mix of
+//! appends, deletes and sorts, and the flush → TsFile → query pipeline
+//! preserves data.
 
-use backsort_core::Algorithm;
+use backsort_core::{Algorithm, BackwardSort, InBlockSort};
 use backsort_engine::encoding::{boolpack, gorilla, ts2diff, varint};
 use backsort_engine::store::WalRecord;
 use backsort_engine::tsfile::{TsFileReader, TsFileWriter};
-use backsort_engine::{flush_memtable, ColumnSlice, MemTable, PointBatch, SeriesKey, TsValue};
+use backsort_engine::{
+    flush_memtable, ColumnSlice, DataType, MemTable, PointBatch, SeriesBuffer, SeriesKey, TsValue,
+};
 use proptest::prelude::*;
 
 /// A batch record of INT64 points for one series.
@@ -22,6 +26,94 @@ fn batch_record(key: &SeriesKey, rows: &[(i64, i64)]) -> WalRecord {
 /// The count a column's leading varint claims (0 when it has none).
 fn claimed_count(bytes: &[u8]) -> usize {
     varint::read_u64(bytes, &mut 0).unwrap_or(0) as usize
+}
+
+/// One operation on a memtable buffer.
+#[derive(Debug, Clone)]
+enum BufferOp {
+    Extend(Vec<i64>),
+    Delete(i64, i64),
+    Sort,
+}
+
+/// Small timestamps, so ordered runs, out-of-order first points and
+/// equal timestamps are all common; half the appends are ordered runs.
+fn buffer_ops() -> impl Strategy<Value = Vec<BufferOp>> {
+    let t = || 0i64..48;
+    prop::collection::vec(
+        prop_oneof![
+            prop::collection::vec(t(), 0..12).prop_map(BufferOp::Extend),
+            prop::collection::vec(t(), 0..12).prop_map(|mut ts| {
+                ts.sort_unstable();
+                BufferOp::Extend(ts)
+            }),
+            (t(), 0i64..8).prop_map(|(lo, w)| BufferOp::Delete(lo, lo + w)),
+            t().prop_map(|_| BufferOp::Sort),
+        ],
+        0..60,
+    )
+}
+
+proptest! {
+    /// After every append, delete and sort of an INT32 and a TEXT buffer:
+    /// `[..sorted_len]` is time-ordered, the buffer is sorted exactly when
+    /// that run is all of it, its bounds are exact, a sort reports the run
+    /// it started from, and the contents are a `Vec` model's, sorted by
+    /// the standard stable sort where the buffer was sorted.
+    #[test]
+    fn a_buffers_ordered_run_holds_after_every_op(ops in buffer_ops()) {
+        let stable = Algorithm::Backward(BackwardSort {
+            in_block: InBlockSort::Stable,
+            ..BackwardSort::default()
+        });
+        for dt in [DataType::Int32, DataType::Text] {
+            let value = |stamp: i32| match dt {
+                DataType::Text => TsValue::Text(stamp.to_string()),
+                _ => TsValue::Int(stamp),
+            };
+            let mut buffer = SeriesBuffer::new(dt);
+            let mut model: Vec<(i64, i32)> = Vec::new();
+            let mut stamps = 0i32..;
+            for op in &ops {
+                match op {
+                    BufferOp::Extend(ts) => {
+                        let stamps: Vec<i32> = stamps.by_ref().take(ts.len()).collect();
+                        let texts: Vec<String> = stamps.iter().map(|s| s.to_string()).collect();
+                        let vals = match dt {
+                            DataType::Text => ColumnSlice::Text(&texts),
+                            _ => ColumnSlice::Int(&stamps),
+                        };
+                        buffer.extend_columns(ts, vals).unwrap();
+                        model.extend(ts.iter().copied().zip(stamps));
+                    }
+                    &BufferOp::Delete(lo, hi) => {
+                        let before = model.len();
+                        model.retain(|p| !(lo..=hi).contains(&p.0));
+                        prop_assert_eq!(buffer.delete_range(lo, hi), before - model.len());
+                    }
+                    BufferOp::Sort => {
+                        let (run, len) = (buffer.sorted_len(), buffer.len());
+                        let sort = buffer.sort_with_observed(&stable, None);
+                        prop_assert_eq!(sort.map(|s| (s.prefix, s.tail)), (run < len).then_some((run, len - run)));
+                        model.sort_by_key(|p| p.0);
+                    }
+                }
+                let (run, len) = (buffer.sorted_len(), buffer.len());
+                prop_assert_eq!(len, model.len());
+                prop_assert!(run <= len, "sorted_len {} past len {}", run, len);
+                prop_assert!(
+                    model[..run].windows(2).all(|w| w[0].0 <= w[1].0),
+                    "[..{}] is not time-ordered: {:?}", run, model
+                );
+                prop_assert_eq!(buffer.is_sorted(), run == len);
+                prop_assert_eq!(buffer.min_time(), model.iter().map(|p| p.0).min());
+                prop_assert_eq!(buffer.max_time(), model.iter().map(|p| p.0).max());
+                let got: Vec<(i64, TsValue)> = (0..len).map(|i| buffer.get(i)).collect();
+                let want: Vec<(i64, TsValue)> = model.iter().map(|&(t, s)| (t, value(s))).collect();
+                prop_assert_eq!(got, want);
+            }
+        }
+    }
 }
 
 proptest! {
@@ -114,7 +206,7 @@ proptest! {
         raw in prop::collection::vec((0i64..5_000, any::<i32>()), 1..400),
     ) {
         let key = SeriesKey::new("root.sg.d", "s");
-        let mut mt = MemTable::new(16);
+        let mut mt = MemTable::new();
         let (ts, vs): (Vec<i64>, Vec<i32>) = raw.iter().copied().unzip();
         mt.write_columns(&key, &ts, ColumnSlice::Int(&vs), &mut Default::default())
             .unwrap();

@@ -64,7 +64,6 @@ use proptest::prelude::*;
 fn engine(shards: usize) -> StorageEngine {
     StorageEngine::new(EngineConfig {
         memtable_max_points: 40, // small: natural rotations mid-sequence
-        array_size: 8,
         sorter: Algorithm::Backward(BackwardSort {
             in_block: InBlockSort::Stable,
             ..Default::default()
@@ -506,7 +505,6 @@ impl Traffic {
             StorageEngine::new(EngineConfig {
                 // Small: both memtables rotate on the write path.
                 memtable_max_points: 48,
-                array_size: 8,
                 sorter: Algorithm::Backward(BackwardSort {
                     in_block: InBlockSort::Stable,
                     ..Default::default()

@@ -12,7 +12,6 @@ use backsort_obs::names;
 fn engine(memtable_max_points: usize, shards: usize) -> StorageEngine {
     StorageEngine::new(EngineConfig {
         memtable_max_points,
-        array_size: 16,
         sorter: Algorithm::Backward(Default::default()),
         shards,
         ..EngineConfig::default()

@@ -11,7 +11,6 @@ use backsort_sql::QueryOutput;
 fn start_server() -> (SqlServer, Arc<StorageEngine>) {
     let engine = Arc::new(StorageEngine::new(EngineConfig {
         memtable_max_points: 10_000,
-        array_size: 32,
         sorter: Algorithm::Backward(Default::default()),
         shards: 1,
         ..EngineConfig::default()

@@ -18,7 +18,6 @@ use backsort_sql::QueryOutput;
 fn engine_with(memtable_max_points: usize) -> Arc<StorageEngine> {
     Arc::new(StorageEngine::new(EngineConfig {
         memtable_max_points,
-        array_size: 32,
         sorter: Algorithm::Backward(Default::default()),
         shards: 1,
         ..EngineConfig::default()

@@ -616,7 +616,6 @@ mod tests {
     fn engine() -> StorageEngine {
         StorageEngine::new(EngineConfig {
             memtable_max_points: 10_000,
-            array_size: 16,
             sorter: Algorithm::Backward(Default::default()),
             shards: 1,
             ..EngineConfig::default()

@@ -84,7 +84,6 @@ fn expected(
 fn engine() -> Arc<StorageEngine> {
     Arc::new(StorageEngine::new(EngineConfig {
         memtable_max_points: 100_000,
-        array_size: 16,
         sorter: Algorithm::Backward(Default::default()),
         shards: 1,
         ..EngineConfig::default()

@@ -9,7 +9,6 @@ use proptest::prelude::*;
 fn engine() -> StorageEngine {
     let eng = StorageEngine::new(EngineConfig {
         memtable_max_points: 1_000,
-        array_size: 16,
         sorter: Algorithm::Backward(Default::default()),
         shards: 1,
         ..EngineConfig::default()

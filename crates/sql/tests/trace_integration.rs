@@ -15,7 +15,6 @@ use backsort_sql::{execute, QueryOutput, SpanRow};
 fn populated_engine() -> StorageEngine {
     let eng = StorageEngine::new(EngineConfig {
         memtable_max_points: 100_000,
-        array_size: 32,
         sorter: Algorithm::Backward(Default::default()),
         shards: 4,
         ..EngineConfig::default()

@@ -5,7 +5,9 @@
 //! arrival order (paper §V-B). Sorting — by Backward-Sort or any baseline —
 //! is written against a narrow *sort interface* abstracted from the TVList
 //! facilities (paper §V-C, Fig. 7), so the same algorithm code runs on a
-//! chunked [`TVList`] or on a plain vector via [`SliceSeries`].
+//! chunked [`TVList`] or on a plain vector via [`SliceSeries`]. The
+//! chunked list is what the paper's sort-time experiments (Figs. 8–12)
+//! sort; the engine's memtable keeps each series as flat pairs.
 //!
 //! This crate provides:
 //!
@@ -13,9 +15,6 @@
 //!   `swap`);
 //! * [`TVList`] — the chunked storage, generic over primitive [`Value`]
 //!   types, with IoTDB's default chunk size of 32;
-//! * [`TextTVList`] — the string-valued variant (values live in an arena,
-//!   the list stores arena indices, exactly like IoTDB's `BinaryTVList`
-//!   sorts value indices rather than payloads);
 //! * [`Instrumented`] — a wrapper that counts element reads, writes and
 //!   swaps so experiments can report move counts.
 
@@ -24,13 +23,11 @@
 
 mod access;
 mod instrument;
-mod text;
 mod tvlist;
 mod value;
 
 pub use access::{SeriesAccess, SliceSeries};
 pub use instrument::{AccessStats, Instrumented};
-pub use text::TextTVList;
 pub use tvlist::{TVList, DEFAULT_ARRAY_SIZE};
 pub use value::Value;
 

@@ -14,9 +14,8 @@ pub const DEFAULT_ARRAY_SIZE: usize = 32;
 /// it is a power of two, index math uses shift/mask.
 ///
 /// The list tracks how long its leading time-ordered run is
-/// (`sorted_len`; `is_sorted` when that is the whole list), the minimum
-/// and maximum timestamp seen, and supports the full [`SeriesAccess`]
-/// sort interface in place.
+/// (`sorted_len`; `is_sorted` when that is the whole list) and supports
+/// the full [`SeriesAccess`] sort interface in place.
 #[derive(Debug, Clone)]
 pub struct TVList<V: Value> {
     array_size: usize,
@@ -29,8 +28,6 @@ pub struct TVList<V: Value> {
     /// have stayed in order, and never past the lowest index written
     /// since.
     sorted_len: usize,
-    min_time: i64,
-    max_time: i64,
 }
 
 impl<V: Value> Default for TVList<V> {
@@ -63,8 +60,6 @@ impl<V: Value> TVList<V> {
             values: Vec::new(),
             len: 0,
             sorted_len: 0,
-            min_time: i64::MAX,
-            max_time: i64::MIN,
         }
     }
 
@@ -75,12 +70,6 @@ impl<V: Value> TVList<V> {
             list.push(t, v);
         }
         list
-    }
-
-    /// The configured chunk size.
-    #[inline]
-    pub fn array_size(&self) -> usize {
-        self.array_size
     }
 
     #[inline]
@@ -106,11 +95,9 @@ impl<V: Value> TVList<V> {
         self.times[chunk].push(t);
         self.values[chunk].push(v);
         // The ordered run grows while it is the whole list and order holds.
-        if self.sorted_len == self.len && (self.len == 0 || t >= self.max_time) {
+        if self.sorted_len == self.len && (self.len == 0 || t >= self.time(self.len - 1)) {
             self.sorted_len += 1;
         }
-        self.min_time = self.min_time.min(t);
-        self.max_time = self.max_time.max(t);
         self.len += 1;
     }
 
@@ -152,16 +139,6 @@ impl<V: Value> TVList<V> {
         self.sorted_len = self.sorted_len.min(lo);
     }
 
-    /// Minimum timestamp seen, or `None` when empty.
-    pub fn min_time(&self) -> Option<i64> {
-        (self.len > 0).then_some(self.min_time)
-    }
-
-    /// Maximum timestamp seen, or `None` when empty.
-    pub fn max_time(&self) -> Option<i64> {
-        (self.len > 0).then_some(self.max_time)
-    }
-
     /// Iterates over `(timestamp, value)` pairs in storage order.
     pub fn iter(&self) -> impl Iterator<Item = (i64, V)> + '_ {
         self.times
@@ -173,86 +150,6 @@ impl<V: Value> TVList<V> {
     /// Copies the contents into a vector of pairs.
     pub fn to_pairs(&self) -> Vec<(i64, V)> {
         self.iter().collect()
-    }
-
-    /// Removes all points, keeping chunk allocations for reuse.
-    pub fn clear(&mut self) {
-        for (ts, vs) in self.times.iter_mut().zip(&mut self.values) {
-            ts.clear();
-            vs.clear();
-        }
-        self.len = 0;
-        self.sorted_len = 0;
-        self.min_time = i64::MAX;
-        self.max_time = i64::MIN;
-    }
-
-    /// Approximate heap footprint in bytes, for memtable accounting.
-    pub fn memory_bytes(&self) -> usize {
-        self.times.len() * self.array_size * (8 + V::WIDTH)
-    }
-
-    /// Appends a timestamp column and a value column in one pass.
-    ///
-    /// This is the columnar ingest entry point: one call amortizes the
-    /// chunk bookkeeping (`locate`, sorted-flag and bound maintenance) over
-    /// the whole batch, copying chunk-sized runs with `extend_from_slice`
-    /// instead of paying `push` per point. The sorted flag survives iff it
-    /// was set, the slice is internally non-decreasing, and the slice
-    /// starts at or after the current maximum timestamp; `sorted_len`
-    /// stops where that first fails.
-    ///
-    /// # Panics
-    /// Panics if `ts.len() != vs.len()`.
-    pub fn extend_from_slices(&mut self, ts: &[i64], vs: &[V]) {
-        assert_eq!(
-            ts.len(),
-            vs.len(),
-            "timestamp and value columns must have equal length"
-        );
-        let Some((&first, rest)) = ts.split_first() else {
-            return;
-        };
-        // One pass over the timestamp column: slice bounds plus the length
-        // of its leading ordered run, so the flag/bound updates below are
-        // O(1).
-        let mut head = ts.len();
-        let mut lo = first;
-        let mut hi = first;
-        let mut prev = first;
-        for (k, &t) in rest.iter().enumerate() {
-            if t < prev {
-                head = head.min(k + 1);
-            }
-            prev = t;
-            lo = lo.min(t);
-            hi = hi.max(t);
-        }
-        // The ordered run, while it is the whole list, grows through the
-        // slice's ordered head if the slice starts at or after the maximum.
-        if self.sorted_len == self.len && (self.len == 0 || first >= self.max_time) {
-            self.sorted_len += head;
-        }
-        self.min_time = self.min_time.min(lo);
-        self.max_time = self.max_time.max(hi);
-
-        let mut k = 0;
-        while k < ts.len() {
-            let (chunk, off) = match self.shift {
-                Some(sh) => (self.len >> sh, self.len & (self.array_size - 1)),
-                None => (self.len / self.array_size, self.len % self.array_size),
-            };
-            if chunk == self.times.len() {
-                self.times.push(Vec::with_capacity(self.array_size));
-                self.values.push(Vec::with_capacity(self.array_size));
-            }
-            debug_assert_eq!(self.times[chunk].len(), off);
-            let n = (self.array_size - off).min(ts.len() - k);
-            self.times[chunk].extend_from_slice(&ts[k..k + n]);
-            self.values[chunk].extend_from_slice(&vs[k..k + n]);
-            self.len += n;
-            k += n;
-        }
     }
 }
 
@@ -284,8 +181,6 @@ impl<V: Value> SeriesAccess for TVList<V> {
         // A random write may break monotonicity; conservatively drop the
         // flag. Sort pipelines call `mark_sorted` when done.
         self.unsorted_from(i);
-        self.min_time = self.min_time.min(t);
-        self.max_time = self.max_time.max(t);
     }
 
     #[inline]
@@ -339,12 +234,7 @@ impl<V: Value> SeriesAccess for TVList<V> {
             }
             k += n;
         }
-        // Same conservative semantics as `set`: monotonicity may be broken,
-        // bounds only grow.
-        for &(t, _) in src {
-            self.min_time = self.min_time.min(t);
-            self.max_time = self.max_time.max(t);
-        }
+        // Same conservative semantics as `set`: monotonicity may be broken.
         self.unsorted_from(dst);
     }
 
@@ -422,8 +312,6 @@ mod tests {
             assert_eq!(list.get(i), (i as i64, i as i32 * 10));
         }
         assert!(list.is_sorted());
-        assert_eq!(list.min_time(), Some(0));
-        assert_eq!(list.max_time(), Some(36));
     }
 
     #[test]
@@ -485,7 +373,6 @@ mod tests {
         list.set(1, 5, 9);
         assert_eq!(list.get(1), (5, 9));
         assert!(!list.is_sorted());
-        assert_eq!(list.min_time(), Some(5));
     }
 
     #[test]
@@ -507,88 +394,12 @@ mod tests {
     }
 
     #[test]
-    fn clear_keeps_capacity_and_resets_state() {
-        let mut list = TVList::<i32>::with_array_size(4);
-        for i in 0..10 {
-            list.push(i as i64, 0);
-        }
-        list.clear();
-        assert!(list.is_empty());
-        assert!(list.is_sorted());
-        assert_eq!(list.min_time(), None);
-        assert_eq!(list.max_time(), None);
-        list.push(7, 7);
-        assert_eq!(list.get(0), (7, 7));
-    }
-
-    #[test]
-    fn memory_accounting_scales_with_chunks() {
-        let mut list = TVList::<f64>::with_array_size(32);
-        assert_eq!(list.memory_bytes(), 0);
-        list.push(1, 1.0);
-        assert_eq!(list.memory_bytes(), 32 * 16);
-    }
-
-    #[test]
     fn extreme_timestamps() {
         let mut list = TVList::<i64>::new();
         list.push(i64::MIN, 0);
         list.push(i64::MAX, 1);
         assert!(list.is_sorted());
-        assert_eq!(list.min_time(), Some(i64::MIN));
-        assert_eq!(list.max_time(), Some(i64::MAX));
-    }
-
-    #[test]
-    fn extend_from_slices_matches_push() {
-        for array_size in [3usize, 4, 32] {
-            let ts: Vec<i64> = (0..77).map(|i| (i * 7 % 41) as i64).collect();
-            let vs: Vec<i32> = (0..77).collect();
-            let mut pushed = TVList::<i32>::with_array_size(array_size);
-            for (&t, &v) in ts.iter().zip(&vs) {
-                pushed.push(t, v);
-            }
-            let mut bulk = TVList::<i32>::with_array_size(array_size);
-            // Split across several calls so the tail-of-chunk path runs.
-            bulk.extend_from_slices(&ts[..10], &vs[..10]);
-            bulk.extend_from_slices(&ts[10..11], &vs[10..11]);
-            bulk.extend_from_slices(&ts[11..], &vs[11..]);
-            assert_eq!(bulk.to_pairs(), pushed.to_pairs());
-            assert_eq!(bulk.len(), pushed.len());
-            assert_eq!(bulk.is_sorted(), pushed.is_sorted());
-            assert_eq!(bulk.min_time(), pushed.min_time());
-            assert_eq!(bulk.max_time(), pushed.max_time());
-        }
-    }
-
-    #[test]
-    fn extend_from_slices_sorted_flag_cases() {
-        // Sorted + appended slice sorted and at/after max: stays sorted.
-        let mut list = TVList::<i32>::with_array_size(4);
-        list.extend_from_slices(&[1, 2, 3], &[1, 2, 3]);
-        assert!(list.is_sorted());
-        list.extend_from_slices(&[3, 5], &[4, 5]);
-        assert!(list.is_sorted());
-        // Slice starting before max breaks it.
-        list.extend_from_slices(&[4], &[6]);
-        assert!(!list.is_sorted());
-        // Internally unsorted slice breaks a fresh list.
-        let mut list2 = TVList::<i32>::new();
-        list2.extend_from_slices(&[5, 3], &[0, 1]);
-        assert!(!list2.is_sorted());
-        assert_eq!(list2.min_time(), Some(3));
-        assert_eq!(list2.max_time(), Some(5));
-        // Empty slice is a no-op.
-        let before = list2.to_pairs();
-        list2.extend_from_slices(&[], &[]);
-        assert_eq!(list2.to_pairs(), before);
-    }
-
-    #[test]
-    #[should_panic(expected = "equal length")]
-    fn extend_from_slices_length_mismatch_panics() {
-        let mut list = TVList::<i32>::new();
-        list.extend_from_slices(&[1, 2], &[1]);
+        assert_eq!(list.get(1), (i64::MAX, 1));
     }
 
     #[test]
@@ -619,8 +430,6 @@ mod tests {
             b.set(3 + k, t, v);
         }
         assert_eq!(a.to_pairs(), b.to_pairs());
-        assert_eq!(a.min_time(), b.min_time());
-        assert_eq!(a.max_time(), b.max_time());
         assert!(!a.is_sorted());
     }
 
@@ -636,59 +445,5 @@ mod tests {
             pairs.copy_within(src_lo..src_hi, dst);
             assert_eq!(fast.to_pairs(), pairs, "case {src_lo}..{src_hi} -> {dst}");
         }
-    }
-}
-
-impl<V: Value> TVList<V> {
-    /// Keeps only points satisfying `keep`, preserving order. Returns how
-    /// many points were removed. Rebuilds the chunk layout in place.
-    pub fn retain<F: FnMut(i64, V) -> bool>(&mut self, mut keep: F) -> usize {
-        let pairs: Vec<(i64, V)> = self.iter().filter(|&(t, v)| keep(t, v)).collect();
-        let removed = self.len() - pairs.len();
-        if removed == 0 {
-            return 0;
-        }
-        self.clear();
-        for (t, v) in pairs {
-            self.push(t, v);
-        }
-        removed
-    }
-}
-
-#[cfg(test)]
-mod retain_tests {
-    use super::*;
-
-    #[test]
-    fn retain_removes_matching_points() {
-        let mut list = TVList::<i32>::with_array_size(4);
-        for i in 0..20 {
-            list.push(i as i64, i);
-        }
-        let removed = list.retain(|t, _| !(5..10).contains(&t));
-        assert_eq!(removed, 5);
-        assert_eq!(list.len(), 15);
-        assert_eq!(list.time(5), 10);
-        assert!(list.is_sorted());
-    }
-
-    #[test]
-    fn retain_nothing_is_free() {
-        let mut list = TVList::<i32>::new();
-        list.push(2, 0);
-        list.push(1, 1); // out of order
-        assert_eq!(list.retain(|_, _| true), 0);
-        assert!(!list.is_sorted(), "no-op retain must not touch state");
-    }
-
-    #[test]
-    fn retain_everything_empties() {
-        let mut list = TVList::<i64>::new();
-        for i in 0..10 {
-            list.push(i, i);
-        }
-        assert_eq!(list.retain(|_, _| false), 10);
-        assert!(list.is_empty());
     }
 }

@@ -4,43 +4,17 @@
 ///
 /// IoTDB generates one concrete TVList class per primitive type to avoid
 /// boxing (paper §V-A); in Rust the same zero-overhead effect falls out of
-/// monomorphization over this trait. The `DEFAULT` value fills unused chunk
-/// slots.
-pub trait Value: Copy + PartialEq + std::fmt::Debug + Send + 'static {
-    /// Value used to pre-fill freshly allocated chunk slots.
-    const DEFAULT: Self;
-    /// Size in bytes as stored on disk, for memory accounting.
-    const WIDTH: usize;
-}
+/// monomorphization over this trait.
+pub trait Value: Copy + PartialEq + std::fmt::Debug + Send + 'static {}
 
-impl Value for bool {
-    const DEFAULT: Self = false;
-    const WIDTH: usize = 1;
-}
+impl Value for bool {}
 
-impl Value for i32 {
-    const DEFAULT: Self = 0;
-    const WIDTH: usize = 4;
-}
+impl Value for i32 {}
 
-impl Value for i64 {
-    const DEFAULT: Self = 0;
-    const WIDTH: usize = 8;
-}
+impl Value for i64 {}
 
-impl Value for f32 {
-    const DEFAULT: Self = 0.0;
-    const WIDTH: usize = 4;
-}
+impl Value for f32 {}
 
-impl Value for f64 {
-    const DEFAULT: Self = 0.0;
-    const WIDTH: usize = 8;
-}
+impl Value for f64 {}
 
-/// Arena index used by [`crate::TextTVList`]; sorting moves indices, not
-/// string payloads, mirroring IoTDB's `BinaryTVList`.
-impl Value for u32 {
-    const DEFAULT: Self = 0;
-    const WIDTH: usize = 4;
-}
+impl Value for u32 {}

@@ -27,13 +27,10 @@ fn ops(len: usize) -> impl Strategy<Value = Vec<Op>> {
 #[derive(Debug, Clone)]
 enum ListOp {
     Push(i64),
-    Extend(Vec<i64>),
     Set(usize, i64),
     Swap(usize, usize),
     CopyWithin(usize, usize, usize),
     CopyFromSlice(usize, Vec<i64>),
-    Retain(i64),
-    Clear,
     SortAndMark,
 }
 
@@ -44,18 +41,11 @@ fn list_ops() -> impl Strategy<Value = Vec<ListOp>> {
         prop_oneof![
             t().prop_map(ListOp::Push),
             t().prop_map(ListOp::Push),
-            prop::collection::vec(t(), 0..12).prop_map(ListOp::Extend),
-            prop::collection::vec(t(), 0..12).prop_map(|mut ts| {
-                ts.sort_unstable();
-                ListOp::Extend(ts)
-            }),
             (at(), t()).prop_map(|(i, t)| ListOp::Set(i, t)),
             (at(), at()).prop_map(|(a, b)| ListOp::Swap(a, b)),
             (at(), at(), at()).prop_map(|(a, b, d)| ListOp::CopyWithin(a, b, d)),
             (at(), prop::collection::vec(t(), 0..8))
                 .prop_map(|(d, ts)| ListOp::CopyFromSlice(d, ts)),
-            t().prop_map(ListOp::Retain),
-            t().prop_map(|_| ListOp::Clear),
             t().prop_map(|_| ListOp::SortAndMark),
         ],
         0..80,
@@ -82,12 +72,6 @@ proptest! {
                     list.push(p.0, p.1);
                     model.push(p);
                 }
-                ListOp::Extend(ts) => {
-                    let ps = pairs(&ts);
-                    let vs: Vec<i32> = ps.iter().map(|p| p.1).collect();
-                    list.extend_from_slices(&ts, &vs);
-                    model.extend(ps);
-                }
                 ListOp::Set(i, t) if n > 0 => {
                     let p = pairs(&[t])[0];
                     list.set(i % n, p.0, p.1);
@@ -108,16 +92,6 @@ proptest! {
                     let ps = pairs(&ts[..ts.len().min(n - dst)]);
                     list.copy_from_slice(dst, &ps);
                     model[dst..dst + ps.len()].copy_from_slice(&ps);
-                }
-                ListOp::Retain(t) => {
-                    let removed = list.retain(|pt, _| pt != t);
-                    let before = model.len();
-                    model.retain(|p| p.0 != t);
-                    prop_assert_eq!(removed, before - model.len());
-                }
-                ListOp::Clear => {
-                    list.clear();
-                    model.clear();
                 }
                 ListOp::SortAndMark => {
                     // A sort through the interface, then the claim.
@@ -187,15 +161,6 @@ proptest! {
         if list.is_sorted() {
             prop_assert!(backsort_tvlist::is_time_sorted(&list));
         }
-    }
-
-    #[test]
-    fn min_max_time_are_exact(pairs in prop::collection::vec((any::<i64>(), any::<i32>()), 1..200)) {
-        let list = TVList::from_pairs(pairs.iter().copied());
-        let min = pairs.iter().map(|p| p.0).min();
-        let max = pairs.iter().map(|p| p.0).max();
-        prop_assert_eq!(list.min_time(), min);
-        prop_assert_eq!(list.max_time(), max);
     }
 
     #[test]

@@ -13,7 +13,6 @@ use backward_sort_repro::workload::{generate_pairs, DelayModel, SignalKind, Stre
 fn main() {
     let engine = StorageEngine::new(EngineConfig {
         memtable_max_points: 50_000,
-        array_size: 32,
         sorter: Algorithm::Backward(BackwardSort::default()),
         shards: 1,
         ..EngineConfig::default()

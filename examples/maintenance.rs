@@ -18,7 +18,6 @@ use backward_sort_repro::obs::names;
 fn main() {
     let engine = Arc::new(StorageEngine::new(EngineConfig {
         memtable_max_points: 20_000,
-        array_size: 32,
         sorter: Algorithm::Backward(Default::default()),
         shards: 1,
         ..EngineConfig::default()

@@ -15,7 +15,6 @@ use backward_sort_repro::sql::QueryOutput;
 fn main() {
     let engine = Arc::new(StorageEngine::new(EngineConfig {
         memtable_max_points: 100_000,
-        array_size: 32,
         sorter: Algorithm::Backward(Default::default()),
         shards: 1,
         ..EngineConfig::default()

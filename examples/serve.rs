@@ -21,7 +21,6 @@ fn main() {
         .unwrap_or(0);
     let engine = Arc::new(StorageEngine::new(EngineConfig {
         memtable_max_points: 100_000,
-        array_size: 32,
         sorter: Algorithm::Backward(Default::default()),
         shards: 1,
         ..EngineConfig::default()

@@ -82,7 +82,6 @@ fn show(engine: &StorageEngine, sql: &str) {
 fn main() {
     let engine = StorageEngine::new(EngineConfig {
         memtable_max_points: 100_000,
-        array_size: 32,
         sorter: Algorithm::Backward(Default::default()),
         shards: 1,
         ..EngineConfig::default()

@@ -23,7 +23,6 @@ fn write_nb(engine: &StorageEngine, key: &SeriesKey, t: i64) -> Option<FlushJob>
 fn writers_queriers_and_flusher_do_not_corrupt_data() {
     let engine = Arc::new(StorageEngine::new(EngineConfig {
         memtable_max_points: 3_000,
-        array_size: 32,
         sorter: Algorithm::Backward(Default::default()),
         shards: 1,
         ..EngineConfig::default()
@@ -157,7 +156,6 @@ fn run_sharded_stress(shards: usize) -> Vec<Vec<(i64, TsValue)>> {
 
     let engine = Arc::new(StorageEngine::new(EngineConfig {
         memtable_max_points: 2_000,
-        array_size: 32,
         sorter: Algorithm::Backward(Default::default()),
         shards,
         ..EngineConfig::default()
@@ -398,7 +396,6 @@ fn traffic_during_an_outstanding_flush_reads_the_model() {
         // The four base series fill it exactly: the load's last write
         // rotates it, and the writers' fresh points fill it again.
         memtable_max_points: 4 * BASE as usize,
-        array_size: 32,
         sorter: Algorithm::Backward(Default::default()),
         shards: 1,
         ..EngineConfig::default()

@@ -30,7 +30,6 @@ fn every_contender_agrees_end_to_end() {
     for alg in Algorithm::contenders() {
         let engine = StorageEngine::new(EngineConfig {
             memtable_max_points: 8_192,
-            array_size: 32,
             sorter: alg,
             shards: 1,
             ..EngineConfig::default()
@@ -64,7 +63,6 @@ fn every_dataset_profile_survives_the_engine() {
         let key = SeriesKey::new("root.sg.d1", "s1");
         let engine = StorageEngine::new(EngineConfig {
             memtable_max_points: 4_096,
-            array_size: 32,
             sorter: Algorithm::Backward(Default::default()),
             shards: 1,
             ..EngineConfig::default()
@@ -89,7 +87,6 @@ fn heavy_straggler_workload_exercises_separation_policy() {
     let key = SeriesKey::new("root.sg.d1", "s1");
     let engine = StorageEngine::new(EngineConfig {
         memtable_max_points: 2_048,
-        array_size: 32,
         sorter: Algorithm::Backward(Default::default()),
         shards: 1,
         ..EngineConfig::default()
@@ -111,7 +108,6 @@ fn heavy_straggler_workload_exercises_separation_policy() {
 fn multi_sensor_multi_device_isolation() {
     let engine = StorageEngine::new(EngineConfig {
         memtable_max_points: 10_000,
-        array_size: 16,
         sorter: Algorithm::Backward(Default::default()),
         shards: 1,
         ..EngineConfig::default()

@@ -57,7 +57,6 @@ fn live_overlap_q_respects_the_papers_bound() {
     let engine = StorageEngine::with_registry(
         EngineConfig {
             memtable_max_points: 4_096,
-            array_size: 32,
             sorter: Algorithm::Backward(Default::default()),
             shards: 1,
             ..EngineConfig::default()
@@ -141,7 +140,6 @@ fn flush_spans_land_in_the_trace_store() {
     let engine = StorageEngine::with_registry(
         EngineConfig {
             memtable_max_points: 2_048,
-            array_size: 32,
             sorter: Algorithm::Backward(Default::default()),
             shards: 1,
             ..EngineConfig::default()
