@@ -4,15 +4,39 @@
 //! timestamp column (`Vec<i64>`) next to one typed value column, the
 //! separated-column layout the TsFile encodes. Every downstream layer
 //! consumes the batch whole — the engine splits it once at the watermark
-//! into column runs, the WAL encodes it as a single delta-compressed
-//! frame, the memtable copies each run onto the end of a series' flat
-//! `(time, value)` buffer with one series lookup per batch — so the
-//! per-point overhead (HashMap probes, WAL frames, enum dispatch) is paid
-//! per *batch* instead.
+//! into column runs, the WAL logs it as a single frame, the memtable
+//! copies each run onto the end of a series' flat `(time, value)` buffer
+//! with one series lookup per batch — so the per-point overhead (HashMap
+//! probes, WAL frames, enum dispatch) is paid per *batch* instead.
+//!
+//! # The byte form
+//!
+//! A batch has one byte form, the *batch payload*, which the wire's
+//! batch request frame carries and the WAL's batch record logs:
+//!
+//! ```text
+//! u16 device_len | device | u16 sensor_len | sensor | u8 dtype
+//! u32 count | count × i64 timestamp | count × cell
+//! ```
+//!
+//! `dtype` is [`DataType::tag`]. A value column is written as *cells*
+//! ([`put_column`], [`read_column`], which the wire's rows frame uses
+//! too): `i32` or `i64` little-endian, `f32` or `f64` bits (NaN payloads,
+//! ±inf and −0.0 survive exactly), one byte `0`/`1` per bool, and
+//! `u32 len | utf-8` per text. Fixed-width on purpose: a column is copied
+//! in on one end and out on the other, and Gorilla or TS_2DIFF runs once
+//! per point, in the flush. [`put_batch`] refuses a name or a payload its
+//! length field cannot hold rather than truncate the length, which would
+//! read back as another series. [`Unread`] checks every count against the
+//! bytes that remain *before* it reserves for it, so a forged count or
+//! text length fails on a short payload instead of allocating; a bool
+//! byte above 1, bad UTF-8, an unknown type and trailing bytes are
+//! refused too.
 
 use std::fmt;
+use std::io;
 
-use crate::types::{DataType, TsValue};
+use crate::types::{DataType, SeriesKey, TsValue};
 
 /// Why a write was rejected. The engine returns this instead of
 /// panicking, so one mistyped INSERT cannot abort the process.
@@ -300,30 +324,10 @@ impl ValueColumn {
         for_each_column!(self, v => v.clear());
     }
 
-    /// Encodes the column into `out` with the same per-type schemes the
-    /// TsFile uses (TS_2DIFF/RLE for integers, Gorilla for floats, bit
-    /// packing for booleans, length-prefixed UTF-8 for text). The
-    /// payload is self-delimiting — it carries its own count.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        use crate::encoding::{boolpack, gorilla, intcolumn, textpack};
-        let payload = match self {
-            ValueColumn::Int(c) => {
-                let widened: Vec<i64> = c.iter().map(|&v| i64::from(v)).collect();
-                intcolumn::encode(&widened)
-            }
-            ValueColumn::Long(c) => intcolumn::encode(c),
-            ValueColumn::Float(c) => gorilla::encode_f32(c),
-            ValueColumn::Double(c) => gorilla::encode_f64(c),
-            ValueColumn::Bool(c) => boolpack::encode(c),
-            ValueColumn::Text(c) => textpack::encode(c),
-        };
-        out.extend_from_slice(&payload);
-    }
-
-    /// Decodes an [`encode_into`](Self::encode_into) payload of the given
-    /// type, verifying it carries exactly `count` values — before any
-    /// value is produced, so a forged payload count cannot make the
-    /// decoder emit more. Total: returns `None` on any malformed input.
+    /// Decodes a TsFile page's value column of the given type, verifying
+    /// it carries exactly `count` values — before any value is produced,
+    /// so a forged payload count cannot make the decoder emit more.
+    /// Total: returns `None` on any malformed input.
     pub fn decode(dt: DataType, count: usize, buf: &[u8]) -> Option<ValueColumn> {
         use crate::encoding::{boolpack, gorilla, intcolumn, textpack};
         Some(match dt {
@@ -460,9 +464,235 @@ impl PointBatch {
     }
 }
 
+/// The unread tail of a binary payload. Every read is checked against
+/// what is left, so a forged count fails here, before anything is
+/// reserved for it.
+#[derive(Debug)]
+pub struct Unread<'a>(pub &'a [u8]);
+
+impl<'a> Unread<'a> {
+    /// `Err("trailing bytes")` unless every byte has been read.
+    pub fn finish(&self) -> Result<(), &'static str> {
+        if self.0.is_empty() {
+            Ok(())
+        } else {
+            Err("trailing bytes")
+        }
+    }
+
+    fn take(&mut self, n: usize) -> Result<&'a [u8], &'static str> {
+        let (head, tail) = self.0.split_at_checked(n).ok_or("truncated")?;
+        self.0 = tail;
+        Ok(head)
+    }
+
+    /// The next `N` bytes.
+    pub fn array<const N: usize>(&mut self) -> Result<[u8; N], &'static str> {
+        self.take(N)?.try_into().map_err(|_| "truncated")
+    }
+
+    /// A little-endian `u16`.
+    pub fn u16(&mut self) -> Result<usize, &'static str> {
+        Ok(usize::from(u16::from_le_bytes(self.array()?)))
+    }
+
+    /// A little-endian `u32`.
+    pub fn u32(&mut self) -> Result<usize, &'static str> {
+        usize::try_from(u32::from_le_bytes(self.array()?)).map_err(|_| "count overflows")
+    }
+
+    /// `count` fixed-width cells of `N` bytes each.
+    pub fn cells<const N: usize>(
+        &mut self,
+        count: usize,
+    ) -> Result<impl Iterator<Item = [u8; N]> + 'a, &'static str> {
+        let bytes = self.take(count.checked_mul(N).ok_or("count overflows")?)?;
+        // `count × N` bytes: no remainder.
+        let (cells, _) = bytes.as_chunks::<N>();
+        Ok(cells.iter().copied())
+    }
+
+    /// `len` bytes of UTF-8.
+    pub fn string(&mut self, len: usize) -> Result<String, &'static str> {
+        std::str::from_utf8(self.take(len)?)
+            .map(str::to_owned)
+            .map_err(|_| "text is not UTF-8")
+    }
+
+    /// `u16 device_len | device | u16 sensor_len | sensor`, what
+    /// [`put_key`] writes.
+    pub(crate) fn key(&mut self) -> Result<SeriesKey, &'static str> {
+        let device_len = self.u16()?;
+        let device = self.string(device_len)?;
+        let sensor_len = self.u16()?;
+        let sensor = self.string(sensor_len)?;
+        Ok(SeriesKey { device, sensor })
+    }
+
+    /// An older record's key: one `u16 len | "device.sensor"` name, split
+    /// at its last `.`.
+    pub(crate) fn dotted_key(&mut self) -> Result<SeriesKey, &'static str> {
+        let len = self.u16()?;
+        let name = self.string(len)?;
+        let (device, sensor) = name.rsplit_once('.').ok_or("a name without a `.`")?;
+        Ok(SeriesKey::new(device, sensor))
+    }
+}
+
+/// Appends `values` as fixed-width cells, `cell` giving each one's
+/// bytes: the run's room is made once, then filled in place.
+pub fn put_cells<T, const N: usize>(out: &mut Vec<u8>, values: &[T], cell: impl Fn(&T) -> [u8; N]) {
+    let at = out.len();
+    out.resize(at + values.len() * N, 0);
+    for (slot, value) in out[at..].chunks_exact_mut(N).zip(values) {
+        slot.copy_from_slice(&cell(value));
+    }
+}
+
+/// Bytes `column` takes as cells (module docs: "The byte form").
+pub fn column_len(column: &ValueColumn) -> usize {
+    match column {
+        ValueColumn::Int(v) => v.len() * 4,
+        ValueColumn::Long(v) => v.len() * 8,
+        ValueColumn::Float(v) => v.len() * 4,
+        ValueColumn::Double(v) => v.len() * 8,
+        ValueColumn::Bool(v) => v.len(),
+        ValueColumn::Text(v) => v.iter().map(|text| 4 + text.len()).sum(),
+    }
+}
+
+/// Appends `column` as cells (module docs: "The byte form"), a
+/// fixed-width column as one block. A text's length is a `u32` like a
+/// wire frame's, so a text that fits a frame fits its length.
+pub fn put_column(out: &mut Vec<u8>, column: &ValueColumn) {
+    match column {
+        ValueColumn::Int(v) => put_cells(out, v, |v| v.to_le_bytes()),
+        ValueColumn::Long(v) => put_cells(out, v, |v| v.to_le_bytes()),
+        ValueColumn::Float(v) => put_cells(out, v, |v| v.to_bits().to_le_bytes()),
+        ValueColumn::Double(v) => put_cells(out, v, |v| v.to_bits().to_le_bytes()),
+        ValueColumn::Bool(v) => put_cells(out, v, |&v| [u8::from(v)]),
+        ValueColumn::Text(v) => {
+            for text in v {
+                out.extend_from_slice(&(text.len() as u32).to_le_bytes());
+                out.extend_from_slice(text.as_bytes());
+            }
+        }
+    }
+}
+
+/// Reads `count` cells of `data_type` (module docs: "The byte form") —
+/// the one column reader, of a batch's values and of a rows frame's
+/// runs.
+pub fn read_column(
+    unread: &mut Unread<'_>,
+    data_type: DataType,
+    count: usize,
+) -> Result<ValueColumn, &'static str> {
+    Ok(match data_type {
+        DataType::Int32 => ValueColumn::Int(unread.cells(count)?.map(i32::from_le_bytes).collect()),
+        DataType::Int64 => {
+            ValueColumn::Long(unread.cells(count)?.map(i64::from_le_bytes).collect())
+        }
+        DataType::Float => ValueColumn::Float(
+            unread
+                .cells(count)?
+                .map(|v| f32::from_bits(u32::from_le_bytes(v)))
+                .collect(),
+        ),
+        DataType::Double => ValueColumn::Double(
+            unread
+                .cells(count)?
+                .map(|v| f64::from_bits(u64::from_le_bytes(v)))
+                .collect(),
+        ),
+        DataType::Boolean => ValueColumn::Bool(
+            unread
+                .cells(count)?
+                .map(|[v]| match v {
+                    0 => Ok(false),
+                    1 => Ok(true),
+                    _ => Err("bool byte above 1"),
+                })
+                .collect::<Result<_, _>>()?,
+        ),
+        DataType::Text => {
+            // Each text is at least its four length bytes.
+            if count.saturating_mul(4) > unread.0.len() {
+                return Err("truncated");
+            }
+            let mut texts = Vec::with_capacity(count);
+            for _ in 0..count {
+                let len = unread.u32()?;
+                texts.push(unread.string(len)?);
+            }
+            ValueColumn::Text(texts)
+        }
+    })
+}
+
+/// Appends `u16 device_len | device | u16 sensor_len | sensor`; an
+/// `InvalidInput` error, with nothing appended, when a name is over
+/// `u16::MAX` bytes.
+pub(crate) fn put_key(out: &mut Vec<u8>, device: &str, sensor: &str) -> io::Result<()> {
+    let (Ok(device_len), Ok(sensor_len)) =
+        (u16::try_from(device.len()), u16::try_from(sensor.len()))
+    else {
+        let message = "a name over 65,535 bytes does not fit its u16 length";
+        return Err(io::Error::new(io::ErrorKind::InvalidInput, message));
+    };
+    out.extend_from_slice(&device_len.to_le_bytes());
+    out.extend_from_slice(device.as_bytes());
+    out.extend_from_slice(&sensor_len.to_le_bytes());
+    out.extend_from_slice(sensor.as_bytes());
+    Ok(())
+}
+
+/// Appends `batch` as the batch payload of series `device`.`sensor`
+/// (module docs: "The byte form"); an `InvalidInput` error, with nothing
+/// appended, when a name is over `u16::MAX` bytes or the payload over
+/// `u32::MAX` — the length a wire frame or a WAL record gives it, which
+/// also bounds the point count and every text's length.
+pub fn put_batch(
+    out: &mut Vec<u8>,
+    device: &str,
+    sensor: &str,
+    batch: &PointBatch,
+) -> io::Result<()> {
+    let len = (2 + device.len() + 2 + sensor.len() + 1 + 4)
+        .saturating_add(batch.len().saturating_mul(8))
+        .saturating_add(column_len(batch.values()));
+    if u32::try_from(len).is_err() {
+        let message = format!("a batch payload of {len} bytes does not fit its u32 length");
+        return Err(io::Error::new(io::ErrorKind::InvalidInput, message));
+    }
+    out.reserve(len);
+    put_key(out, device, sensor)?;
+    out.push(batch.data_type().tag());
+    out.extend_from_slice(&(batch.len() as u32).to_le_bytes());
+    put_cells(out, batch.ts(), |t| t.to_le_bytes());
+    put_column(out, batch.values());
+    Ok(())
+}
+
+/// Reads a whole batch payload (module docs: "The byte form") back into
+/// its series and batch.
+pub fn read_batch(payload: &[u8]) -> Result<(SeriesKey, PointBatch), &'static str> {
+    let mut unread = Unread(payload);
+    let key = unread.key()?;
+    let [tag] = unread.array()?;
+    let data_type = DataType::from_tag(tag).ok_or("unknown data type")?;
+    let count = unread.u32()?;
+    let ts = unread.cells(count)?.map(i64::from_le_bytes).collect();
+    let values = read_column(&mut unread, data_type, count)?;
+    unread.finish()?;
+    let batch = PointBatch::from_columns(ts, values).map_err(|_| "columns of unequal length")?;
+    Ok((key, batch))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tsfile::encode_column_page;
 
     #[test]
     fn push_and_rows_roundtrip() {
@@ -546,8 +776,7 @@ mod tests {
             ValueColumn::Text(vec!["a".into(), "".into(), "héllo".into()]),
         ];
         for col in columns {
-            let mut buf = Vec::new();
-            col.encode_into(&mut buf);
+            let buf = encode_column_page(col.as_slice());
             let back = ValueColumn::decode(col.data_type(), col.len(), &buf);
             assert_eq!(back.as_ref(), Some(&col), "{:?}", col.data_type());
             // A wrong count is rejected.
@@ -573,8 +802,7 @@ mod tests {
             let _ = ValueColumn::decode(dt, 0, &[0x00]);
         }
         // An INT32 column whose payload decodes out of i32 range.
-        let mut buf = Vec::new();
-        ValueColumn::Long(vec![i64::MAX]).encode_into(&mut buf);
+        let buf = encode_column_page(ColumnSlice::Long(&[i64::MAX]));
         assert_eq!(ValueColumn::decode(DataType::Int32, 1, &buf), None);
     }
 }

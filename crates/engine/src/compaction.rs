@@ -798,14 +798,16 @@ mod tests {
     }
 
     /// Where each page of `meta`'s chunk keeps its timestamp column and
-    /// its value-length field, in a v3 TEXT image (TEXT pages carry no
+    /// its value-length field, in a v4 TEXT image (TEXT pages carry no
     /// statistics).
     fn text_pages(image: &[u8], meta: &crate::tsfile::ChunkMeta) -> Vec<(usize, usize)> {
         let u32_at = |pos: usize| u32::from_le_bytes(image[pos..pos + 4].try_into().unwrap());
         let mut pos = meta.offset as usize;
-        let name_len = u16::from_le_bytes(image[pos..pos + 2].try_into().unwrap()) as usize;
-        pos += 2 + name_len + 1; // name, type tag
-        pos += 4 + 16; // point count, min/max time
+        for _ in 0..2 {
+            let name_len = u16::from_le_bytes(image[pos..pos + 2].try_into().unwrap()) as usize;
+            pos += 2 + name_len; // device, then sensor
+        }
+        pos += 1 + 4 + 16; // type tag, point count, min/max time
         let pages = u32_at(pos);
         pos += 4;
         let mut out = Vec::new();

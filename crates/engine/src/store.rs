@@ -47,40 +47,50 @@ use backsort_faults::io::{Io, RealIo, WalFile};
 use backsort_faults::{sites as fault_sites, FailpointRegistry};
 use backsort_obs::Registry;
 
-use crate::batch::{PointBatch, ValueColumn};
+use crate::batch::{put_batch, put_key, read_batch, PointBatch, Unread, ValueColumn};
 use crate::encoding::{ts2diff, varint};
 use crate::engine::{EngineConfig, QueryResult, StorageEngine};
 use crate::flush::FlushMetrics;
 use crate::types::{DataType, SeriesKey};
 
-/// CRC-32 (IEEE, reflected) — small table-driven implementation so the
-/// WAL needs no external dependency.
+/// CRC-32 (IEEE, reflected), eight bytes a step ("slicing-by-8": table
+/// `k` carries a byte through `k` more zero bytes) — no dependency, and
+/// a batch's cells checksum at a third of a byte-at-a-time loop's cost.
 pub fn crc32(data: &[u8]) -> u32 {
-    const fn table() -> [u32; 256] {
-        let mut t = [0u32; 256];
+    const fn tables() -> [[u32; 256]; 8] {
+        let mut t = [[0u32; 256]; 8];
         let mut i = 0;
         while i < 256 {
             let mut c = i as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-                k += 1;
+            let mut s = 0;
+            while s < 8 {
+                let mut k = 0;
+                while k < 8 {
+                    c = (c >> 1) ^ (0xEDB8_8320 & (c & 1).wrapping_neg());
+                    k += 1;
+                }
+                t[s][i] = c;
+                s += 1;
             }
-            t[i] = c;
             i += 1;
         }
         t
     }
-    const TABLE: [u32; 256] = table();
+    const TABLES: [[u32; 256]; 8] = tables();
+    let [base, ..] = &TABLES;
+    let (words, tail) = data.as_chunks::<8>();
     let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    for word in words {
+        let x = u64::from_le_bytes(*word) ^ u64::from(c);
+        c = TABLES
+            .iter()
+            .rev()
+            .enumerate()
+            .fold(0, |acc, (i, t)| acc ^ t[((x >> (8 * i)) & 0xFF) as usize]);
     }
-    !c
+    !tail.iter().fold(c, |c, &b| {
+        base[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8)
+    })
 }
 
 /// A durability-protocol failure, classified by the stage that hit it.
@@ -138,48 +148,52 @@ pub type StoreResult<T> = Result<T, StoreError>;
 
 // Kind 0 was a single-point write. It is refused like any unknown kind
 // and never reused, so a segment an older build wrote replays up to its
-// first point frame.
-const KIND_DELETE: u8 = 1;
-const KIND_TOMBSTONE: u8 = 2;
-const KIND_BATCH: u8 = 3;
+// first point frame. Kinds 1–3, an older build's records (one dotted
+// name, a TS_2DIFF and Gorilla batch), are read, never written.
+const LEGACY_DELETE: u8 = 1;
+const LEGACY_TOMBSTONE: u8 = 2;
+const LEGACY_BATCH: u8 = 3;
+const KIND_BATCH: u8 = 4;
+const KIND_DELETE: u8 = 5;
+const KIND_TOMBSTONE: u8 = 6;
 
-/// Reserves the 4-byte length slot of a `len | payload | crc` frame and
-/// returns the payload's start offset. The payload is then encoded
-/// *directly* into `out` — no intermediate per-record buffer — and
-/// [`end_frame`] backpatches the length and appends the CRC over the
-/// payload slice in place.
-fn begin_frame(out: &mut Vec<u8>) -> usize {
+/// Appends one `len(u32) | kind | body | crc32` frame, `body` writing
+/// straight into `out` — no per-record buffer. The length and the CRC
+/// cover the kind byte and the body. A body that fails, or a payload
+/// past `u32::MAX` bytes, appends nothing.
+fn put_frame(
+    out: &mut Vec<u8>,
+    kind: u8,
+    body: impl FnOnce(&mut Vec<u8>) -> io::Result<()>,
+) -> io::Result<()> {
+    let start = out.len();
     out.extend_from_slice(&[0u8; 4]);
-    out.len()
-}
-
-/// Closes a frame opened by [`begin_frame`]: backpatches the length
-/// slot and appends `crc32` of the payload written since.
-fn end_frame(out: &mut Vec<u8>, payload_start: usize) {
-    let len = (out.len() - payload_start) as u32;
-    let crc = crc32(&out[payload_start..]);
-    if let Some(slot) = out.get_mut(payload_start - 4..payload_start) {
-        slot.copy_from_slice(&len.to_le_bytes());
-    }
+    out.push(kind);
+    let framed = body(out).and_then(|()| {
+        u32::try_from(out.len() - start - 4)
+            .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "a WAL record over 4 GiB"))
+    });
+    let len = match framed {
+        Ok(len) => len,
+        Err(e) => {
+            out.truncate(start);
+            return Err(e);
+        }
+    };
+    out.splice(start..start + 4, len.to_le_bytes());
+    let crc = crc32(out.get(start + 4..).unwrap_or_default());
     out.extend_from_slice(&crc.to_le_bytes());
-}
-
-/// Writes the `name_len(u16) | name` header every payload starts with
-/// (after its kind byte).
-fn encode_key(out: &mut Vec<u8>, key: &SeriesKey) {
-    let name = key.to_string();
-    out.extend_from_slice(&(name.len() as u16).to_le_bytes());
-    out.extend_from_slice(name.as_bytes());
+    Ok(())
 }
 
 /// One WAL record: a batch write, a range delete, or a re-logged
 /// tombstone.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord {
-    /// A whole columnar batch for one series, logged as a single frame:
-    /// the timestamp column TS_2DIFF-encoded, the value column under its
-    /// type's native scheme (the same codecs the TsFile pages use).
-    /// Replay feeds the decoded batch back through
+    /// A whole columnar batch for one series, logged as a single frame
+    /// whose payload after the kind byte is the batch's one byte form
+    /// ([`put_batch`], the wire's batch frame payload). Replay feeds the
+    /// decoded batch back through
     /// [`StorageEngine::write_batch_nonblocking`], so the batch is one
     /// atomic WAL unit — a torn frame loses the whole (unacknowledged)
     /// batch and nothing before it.
@@ -221,12 +235,14 @@ pub enum WalRecord {
 }
 
 impl WalRecord {
-    /// Serializes as `len(u32) | payload | crc32(payload)`; the payload
-    /// starts with a kind byte. Encodes straight into `out` (the store
-    /// reuses one scratch buffer across records) — no per-record
-    /// allocation.
+    /// Serializes as `len(u32) | payload | crc32(payload)`, straight
+    /// into `out`. The payload is a kind byte, then the batch payload
+    /// ([`put_batch`]), or the same two length-prefixed names and
+    /// `i64 t_lo | i64 t_hi | u32 horizon`. A record the log cannot
+    /// carry appends nothing and fails a debug assertion;
+    /// [`DurableEngine`] refuses such a write before it logs.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        match self {
+        let written = match self {
             WalRecord::PointBatch { key, batch } => WalRecord::encode_batch(out, key, batch),
             WalRecord::Delete {
                 key,
@@ -240,41 +256,25 @@ impl WalRecord {
                 t_hi,
                 horizon,
             } => {
-                let frame = begin_frame(out);
-                out.push(if matches!(self, WalRecord::Delete { .. }) {
-                    KIND_DELETE
-                } else {
-                    KIND_TOMBSTONE
-                });
-                encode_key(out, key);
-                out.extend_from_slice(&t_lo.to_le_bytes());
-                out.extend_from_slice(&t_hi.to_le_bytes());
-                out.extend_from_slice(&horizon.to_le_bytes());
-                end_frame(out, frame);
+                let kind = match self {
+                    WalRecord::Delete { .. } => KIND_DELETE,
+                    _ => KIND_TOMBSTONE,
+                };
+                encode_range(out, kind, key, *t_lo, *t_hi, *horizon)
             }
-        }
+        };
+        debug_assert!(written.is_ok(), "a record the log cannot carry");
     }
 
-    /// Encodes a columnar-batch frame from borrowed parts — the ingest
-    /// path calls this instead of cloning the [`SeriesKey`] and batch
-    /// into a [`WalRecord::PointBatch`] only to destructure it again.
-    ///
-    /// Payload layout after the common `kind | name_len | name` header:
-    /// `dtype(1) | varint count | u32 ts_len | ts2diff(ts) | value
-    /// column` — the timestamp section is length-prefixed because the
-    /// value column starts wherever it ends; the value column runs to
-    /// the end of the payload (its codecs carry their own counts).
-    pub fn encode_batch(out: &mut Vec<u8>, key: &SeriesKey, batch: &PointBatch) {
-        let frame = begin_frame(out);
-        out.push(KIND_BATCH);
-        encode_key(out, key);
-        out.push(batch.data_type().tag());
-        varint::write_u64(out, batch.len() as u64);
-        let ts_bytes = ts2diff::encode(batch.ts());
-        out.extend_from_slice(&(ts_bytes.len() as u32).to_le_bytes());
-        out.extend_from_slice(&ts_bytes);
-        batch.values().encode_into(out);
-        end_frame(out, frame);
+    /// Encodes a batch frame from borrowed parts — the ingest path calls
+    /// this instead of cloning the [`SeriesKey`] and batch into a
+    /// [`WalRecord::PointBatch`] only to destructure it again. An
+    /// `InvalidInput` error, with nothing appended, for a batch the log
+    /// cannot carry ([`put_batch`]).
+    pub fn encode_batch(out: &mut Vec<u8>, key: &SeriesKey, batch: &PointBatch) -> io::Result<()> {
+        put_frame(out, KIND_BATCH, |out| {
+            put_batch(out, &key.device, &key.sensor, batch)
+        })
     }
 
     /// Parses one record at `pos`, advancing it on success. `None` on a
@@ -288,57 +288,85 @@ impl WalRecord {
         if crc32(payload) != stored {
             return None;
         }
-        // Decode the payload.
-        let mut p = 0usize;
-        let kind = *payload.get(p)?;
-        p += 1;
-        let name_len = u16::from_le_bytes(payload.get(p..p + 2)?.try_into().ok()?) as usize;
-        p += 2;
-        let name = std::str::from_utf8(payload.get(p..p + name_len)?).ok()?;
-        p += name_len;
-        let (device, sensor) = name.rsplit_once('.')?;
-        let key = SeriesKey::new(device, sensor);
+        let (&kind, body) = payload.split_first()?;
         let record = match kind {
             KIND_BATCH => {
-                let dt = DataType::from_tag(*payload.get(p)?)?;
-                p += 1;
-                let count = varint::read_u64(payload, &mut p)? as usize;
-                let ts_len = u32::from_le_bytes(payload.get(p..p + 4)?.try_into().ok()?) as usize;
-                p += 4;
-                let ts_bytes = payload.get(p..p.checked_add(ts_len)?)?;
-                p += ts_len;
-                let ts = ts2diff::decode(ts_bytes, count)?;
-                let values = ValueColumn::decode(dt, count, payload.get(p..)?)?;
-                let batch = PointBatch::from_columns(ts, values).ok()?;
+                let (key, batch) = read_batch(body).ok()?;
                 WalRecord::PointBatch { key, batch }
             }
-            KIND_DELETE | KIND_TOMBSTONE => {
-                let t_lo = i64::from_le_bytes(payload.get(p..p + 8)?.try_into().ok()?);
-                p += 8;
-                let t_hi = i64::from_le_bytes(payload.get(p..p + 8)?.try_into().ok()?);
-                p += 8;
-                let horizon = u32::from_le_bytes(payload.get(p..p + 4)?.try_into().ok()?);
-                if kind == KIND_DELETE {
-                    WalRecord::Delete {
-                        key,
-                        t_lo,
-                        t_hi,
-                        horizon,
-                    }
-                } else {
-                    WalRecord::Tombstone {
-                        key,
-                        t_lo,
-                        t_hi,
-                        horizon,
-                    }
-                }
-            }
-            _ => return None,
+            LEGACY_BATCH => read_legacy_batch(body)?,
+            _ => read_range(kind, body)?,
         };
         *pos = crc_pos + 4;
         Some(record)
     }
+}
+
+/// Encodes a delete (`KIND_DELETE`) or a re-logged tombstone
+/// (`KIND_TOMBSTONE`) frame from borrowed parts.
+fn encode_range(
+    out: &mut Vec<u8>,
+    kind: u8,
+    key: &SeriesKey,
+    t_lo: i64,
+    t_hi: i64,
+    horizon: u32,
+) -> io::Result<()> {
+    put_frame(out, kind, |out| {
+        put_key(out, &key.device, &key.sensor)?;
+        out.extend_from_slice(&t_lo.to_le_bytes());
+        out.extend_from_slice(&t_hi.to_le_bytes());
+        out.extend_from_slice(&horizon.to_le_bytes());
+        Ok(())
+    })
+}
+
+/// Decodes a delete or a tombstone record's body: its key, then
+/// `i64 t_lo | i64 t_hi | u32 horizon`.
+fn read_range(kind: u8, body: &[u8]) -> Option<WalRecord> {
+    let mut unread = Unread(body);
+    let key = match kind {
+        KIND_DELETE | KIND_TOMBSTONE => unread.key().ok()?,
+        LEGACY_DELETE | LEGACY_TOMBSTONE => unread.dotted_key().ok()?,
+        _ => return None,
+    };
+    let t_lo = i64::from_le_bytes(unread.array().ok()?);
+    let t_hi = i64::from_le_bytes(unread.array().ok()?);
+    let horizon = u32::from_le_bytes(unread.array().ok()?);
+    unread.finish().ok()?;
+    Some(if matches!(kind, KIND_DELETE | LEGACY_DELETE) {
+        WalRecord::Delete {
+            key,
+            t_lo,
+            t_hi,
+            horizon,
+        }
+    } else {
+        WalRecord::Tombstone {
+            key,
+            t_lo,
+            t_hi,
+            horizon,
+        }
+    })
+}
+
+/// Decodes an older build's batch record, read-only: its key, then
+/// `dtype | varint count | u32 ts_len | ts2diff(ts) | value column`, the
+/// value column under the TsFile page's scheme ([`ValueColumn::decode`]).
+fn read_legacy_batch(body: &[u8]) -> Option<WalRecord> {
+    let mut unread = Unread(body);
+    let key = unread.dotted_key().ok()?;
+    let [tag] = unread.array().ok()?;
+    let rest = unread.0;
+    let mut p = 0;
+    let count = varint::read_u64(rest, &mut p)? as usize;
+    let ts_len = u32::from_le_bytes(rest.get(p..p + 4)?.try_into().ok()?) as usize;
+    let (ts, values) = rest.get(p + 4..)?.split_at_checked(ts_len)?;
+    let ts = ts2diff::decode(ts, count)?;
+    let values = ValueColumn::decode(DataType::from_tag(tag)?, count, values)?;
+    let batch = PointBatch::from_columns(ts, values).ok()?;
+    Some(WalRecord::PointBatch { key, batch })
 }
 
 /// Replays a WAL segment's bytes, stopping at the first torn/corrupt
@@ -470,8 +498,8 @@ pub struct DurableEngine {
     /// write path, so it must not take the registry's name-map lock.
     wal_bytes: Arc<backsort_obs::Counter>,
     /// Reusable frame-encode buffer: every record of every kind is
-    /// encoded here and handed to the WAL as one slice, so the steady
-    /// state allocates nothing per record.
+    /// encoded here, from borrowed parts, and handed to the WAL as one
+    /// slice, so the steady state allocates nothing per record.
     scratch: Vec<u8>,
 }
 
@@ -709,14 +737,6 @@ impl DurableEngine {
         &self.engine
     }
 
-    /// Encodes and appends one record to the active WAL segment, through
-    /// the reusable scratch buffer.
-    fn append_record(&mut self, record: &WalRecord) -> StoreResult<()> {
-        self.scratch.clear();
-        record.encode_into(&mut self.scratch);
-        self.append_scratch()
-    }
-
     /// Appends whatever frame sits in `scratch` to the active segment.
     fn append_scratch(&mut self) -> StoreResult<()> {
         self.wal.append(&self.scratch).map_err(StoreError::Wal)?;
@@ -734,7 +754,10 @@ impl DurableEngine {
     /// while keeping every record before it. A type-mismatched batch is
     /// rejected whole by the engine (nothing enters the memtables, the
     /// reject counter ticks) and its logged frame replays into the same
-    /// whole-batch rejection.
+    /// whole-batch rejection. A batch the log cannot carry — a name over
+    /// `u16::MAX` bytes, a payload over `u32::MAX` — is refused
+    /// [`StoreError::Wal`] (`InvalidInput`) with nothing logged or
+    /// applied.
     pub fn write_batch(
         &mut self,
         key: &SeriesKey,
@@ -744,7 +767,7 @@ impl DurableEngine {
             return Ok(None);
         }
         self.scratch.clear();
-        WalRecord::encode_batch(&mut self.scratch, key, batch);
+        WalRecord::encode_batch(&mut self.scratch, key, batch).map_err(StoreError::Wal)?;
         self.append_scratch()?;
         self.faults
             .hit(fault_sites::STORE_WRITE_BATCH_APPEND)
@@ -762,18 +785,21 @@ impl DurableEngine {
     /// horizon), then logged to the WAL. A crash between the two loses
     /// an unacknowledged delete — never an acknowledged one, and never a
     /// previously acknowledged write. Returns how many in-memory points
-    /// were removed.
+    /// were removed. A name over `u16::MAX` bytes is refused
+    /// [`StoreError::Wal`] (`InvalidInput`) with nothing recorded.
     pub fn delete_range(&mut self, key: &SeriesKey, t_lo: i64, t_hi: i64) -> StoreResult<usize> {
+        // A key the log cannot carry is refused before the engine records
+        // anything: with it, nothing else can fail to encode.
+        self.scratch.clear();
+        put_key(&mut self.scratch, &key.device, &key.sensor).map_err(StoreError::Wal)?;
         let (removed, horizon) = self
             .engine
             .delete_range_with_horizon(key, t_lo, t_hi, usize::MAX);
-        let record = WalRecord::Delete {
-            key: key.clone(),
-            t_lo,
-            t_hi,
-            horizon: horizon.min(u32::MAX as usize) as u32,
-        };
-        self.append_record(&record)?;
+        self.scratch.clear();
+        let horizon = horizon.min(u32::MAX as usize) as u32;
+        encode_range(&mut self.scratch, KIND_DELETE, key, t_lo, t_hi, horizon)
+            .map_err(StoreError::Wal)?;
+        self.append_scratch()?;
         self.faults
             .hit(fault_sites::STORE_DELETE_AFTER_WAL)
             .map_err(StoreError::Wal)?;
@@ -794,13 +820,18 @@ impl DurableEngine {
         let mut any = false;
         for shard in 0..self.engine.shard_count() {
             for (tomb, horizon) in self.engine.pending_tombstones(shard) {
-                let record = WalRecord::Tombstone {
-                    key: tomb.key,
-                    t_lo: tomb.t_lo,
-                    t_hi: tomb.t_hi,
-                    horizon: horizon.min(u32::MAX as usize) as u32,
-                };
-                self.append_record(&record)?;
+                self.scratch.clear();
+                let horizon = horizon.min(u32::MAX as usize) as u32;
+                encode_range(
+                    &mut self.scratch,
+                    KIND_TOMBSTONE,
+                    &tomb.key,
+                    tomb.t_lo,
+                    tomb.t_hi,
+                    horizon,
+                )
+                .map_err(StoreError::Wal)?;
+                self.append_scratch()?;
                 any = true;
             }
         }
@@ -1129,44 +1160,6 @@ mod tests {
     }
 
     #[test]
-    fn wal_delete_record_roundtrips() {
-        let mut buf = Vec::new();
-        let del = WalRecord::Delete {
-            key: key(),
-            t_lo: -5,
-            t_hi: 1 << 33,
-            horizon: 7,
-        };
-        del.encode_into(&mut buf);
-        point(1, TsValue::Int(1)).encode_into(&mut buf);
-        let relog = WalRecord::Tombstone {
-            key: key(),
-            t_lo: -5,
-            t_hi: 1 << 33,
-            horizon: 7,
-        };
-        relog.encode_into(&mut buf);
-        let (recs, discarded) = replay_wal(&buf);
-        assert_eq!(discarded, 0);
-        assert_eq!(recs, vec![del, point(1, TsValue::Int(1)), relog]);
-    }
-
-    #[test]
-    fn torn_tail_stops_replay_cleanly() {
-        let mut buf = Vec::new();
-        point(1, TsValue::Int(1)).encode_into(&mut buf);
-        point(2, TsValue::Int(2)).encode_into(&mut buf);
-        // Simulate a crash mid-write of record 3.
-        let mut partial = Vec::new();
-        point(3, TsValue::Int(3)).encode_into(&mut partial);
-        let torn = partial.len() / 2;
-        buf.extend_from_slice(&partial[..torn]);
-        let (recs, discarded) = replay_wal(&buf);
-        assert_eq!(recs.len(), 2);
-        assert_eq!(discarded, torn, "exactly the torn tail is discarded");
-    }
-
-    #[test]
     fn corrupt_crc_stops_replay() {
         let mut buf = Vec::new();
         point(1, TsValue::Int(1)).encode_into(&mut buf);
@@ -1265,48 +1258,6 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn wal_batch_record_roundtrips_every_type() {
-        use crate::types::DataType;
-        let batches = [
-            PointBatch::from_rows([(1, TsValue::Int(-7)), (5, TsValue::Int(9))]).unwrap(),
-            PointBatch::from_rows([(2, TsValue::Long(1 << 40))]).unwrap(),
-            PointBatch::from_rows([(3, TsValue::Float(2.5)), (4, TsValue::Float(-0.5))]).unwrap(),
-            PointBatch::from_rows([(0, TsValue::Double(-0.125))]).unwrap(),
-            PointBatch::from_rows([(9, TsValue::Bool(true)), (12, TsValue::Bool(false))]).unwrap(),
-            PointBatch::from_rows([(7, TsValue::Text("état".into()))]).unwrap(),
-            PointBatch::new(DataType::Int64), // empty batch still frames
-        ];
-        let mut buf = Vec::new();
-        for b in &batches {
-            WalRecord::PointBatch {
-                key: key(),
-                batch: b.clone(),
-            }
-            .encode_into(&mut buf);
-        }
-        // Interleave a delete record to prove kinds coexist in a segment.
-        let delete = WalRecord::Delete {
-            key: key(),
-            t_lo: 0,
-            t_hi: 9,
-            horizon: 1,
-        };
-        delete.encode_into(&mut buf);
-        let (recs, discarded) = replay_wal(&buf);
-        assert_eq!(discarded, 0);
-        assert_eq!(recs.last(), Some(&delete));
-        for (rec, want) in recs.iter().zip(&batches) {
-            assert_eq!(
-                rec,
-                &WalRecord::PointBatch {
-                    key: key(),
-                    batch: want.clone(),
-                }
-            );
-        }
-    }
-
     /// A point frame an older build wrote (kind 0) is refused like any
     /// unknown kind: replay keeps what precedes it and stops there.
     #[test]
@@ -1314,49 +1265,20 @@ mod tests {
         let mut buf = Vec::new();
         point(1, TsValue::Int(1)).encode_into(&mut buf);
         let head = buf.len();
-        let frame = begin_frame(&mut buf);
-        buf.push(0);
-        encode_key(&mut buf, &key());
-        buf.extend_from_slice(&2i64.to_le_bytes());
-        buf.push(DataType::Int32.tag());
-        buf.extend_from_slice(&2i32.to_le_bytes());
-        end_frame(&mut buf, frame);
+        put_frame(&mut buf, 0, |out| {
+            let name = key().to_string();
+            out.extend_from_slice(&(name.len() as u16).to_le_bytes());
+            out.extend_from_slice(name.as_bytes());
+            out.extend_from_slice(&2i64.to_le_bytes());
+            out.push(DataType::Int32.tag());
+            out.extend_from_slice(&2i32.to_le_bytes());
+            Ok(())
+        })
+        .unwrap();
         point(3, TsValue::Int(3)).encode_into(&mut buf);
         let (recs, discarded) = replay_wal(&buf);
         assert_eq!(recs, vec![point(1, TsValue::Int(1))]);
         assert_eq!(discarded, buf.len() - head);
-    }
-
-    #[test]
-    fn torn_batch_frame_drops_only_the_batch() {
-        let mut buf = Vec::new();
-        point(1, TsValue::Int(1)).encode_into(&mut buf);
-        let mut partial = Vec::new();
-        let batch = PointBatch::from_rows([(2, TsValue::Int(2)), (3, TsValue::Int(3))]).unwrap();
-        WalRecord::PointBatch { key: key(), batch }.encode_into(&mut partial);
-        // Every possible tear point: prefix survives, batch is lost whole.
-        for torn in 0..partial.len() {
-            let mut bytes = buf.clone();
-            bytes.extend_from_slice(&partial[..torn]);
-            let (recs, discarded) = replay_wal(&bytes);
-            assert_eq!(recs, vec![point(1, TsValue::Int(1))], "tear at {torn}");
-            assert_eq!(discarded, torn);
-        }
-        // Bit flips anywhere in the complete frame: total decode, the
-        // frame is either rejected or (flips in the length prefix can
-        // shift framing) never yields a half-applied batch.
-        for i in 0..partial.len() {
-            let mut bytes = buf.clone();
-            bytes.extend_from_slice(&partial);
-            let n = buf.len() + i;
-            bytes[n] ^= 0x10;
-            let (recs, _) = replay_wal(&bytes);
-            for rec in recs.iter().skip(1) {
-                if let WalRecord::PointBatch { batch, .. } = rec {
-                    assert!(batch.len() == 2, "bit flip at {i} half-applied a batch");
-                }
-            }
-        }
     }
 
     #[test]
@@ -1424,7 +1346,7 @@ mod tests {
         let path = dir.join(newest);
         let bytes = fs::read(&path).unwrap();
         let mut last_frame = Vec::new();
-        WalRecord::encode_batch(&mut last_frame, &key(), &batch(10));
+        WalRecord::encode_batch(&mut last_frame, &key(), &batch(10)).unwrap();
         let torn = last_frame.len() / 2;
         assert!(bytes.ends_with(&last_frame));
         fs::write(&path, &bytes[..bytes.len() - last_frame.len() + torn]).unwrap();

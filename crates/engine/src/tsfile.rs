@@ -4,24 +4,26 @@
 //! ```text
 //! "BSTF1\0"                                magic
 //! chunk*:
-//!   key_len u16 | key bytes                "device.sensor"
+//!   device_len u16 | device                v4; the batch payload's names
+//!   sensor_len u16 | sensor
+//!   (v1–v3: key_len u16 | "device.sensor", split at its last `.`)
 //!   data_type u8
 //!   num_points u32
 //!   min_time i64 | max_time i64            little-endian
 //!   page_count u32
 //!   page*:
 //!     min_time i64 | max_time i64 | count u32      count in 1..=PAGE_POINTS
-//!     (v3, every type but TEXT:)
+//!     (from v3, every type but TEXT:)
 //!     min f64 | max f64                    over the values' f64 images
 //!     sum_len u8 | (partial f64)*sum_len   the exact sum; 0xFF = no sum
 //!     ts_len u32   | ts bytes              TS_2DIFF
 //!     val_len u32  | val bytes             per-type encoding
-//! footer (v3, written by [`TsFileWriter::finish`]; v2 the same):
+//! footer (v4, written by [`TsFileWriter::finish`]; v2 and v3 the same):
 //!   chunk_count u32
 //!   (chunk_offset u64)*                    byte offsets of each chunk
 //!   filter_len u32 | filter bytes          key existence filter
 //!   footer_offset u64                      offset of chunk_count
-//!   "BSTF3\0"                              trailing magic ("BSTF2\0")
+//!   "BSTF4\0"                              trailing magic ("BSTF3\0", "BSTF2\0")
 //! footer (v1, legacy — still readable):
 //!   chunk_count u32
 //!   (chunk_offset u64)*
@@ -33,8 +35,11 @@
 //! footer (no filter block), `"BSTF2\0"` a v2 footer carrying a
 //! serialized [`KeyFilter`] over the file's `(device, sensor)` keys, and
 //! `"BSTF3\0"` the same footer over pages whose headers carry value
-//! statistics ([`PageStats`]). The leading magic stays `"BSTF1\0"` for
-//! all three, so a cheap header sniff still recognizes the family.
+//! statistics ([`PageStats`]), and `"BSTF4\0"` the v3 image whose chunk
+//! headers name the device and the sensor apart (a v1–v3 sensor `s.1`
+//! reads back split at its name's last `.`). The leading magic stays
+//! `"BSTF1\0"` for all four, so a cheap header sniff still recognizes
+//! the family.
 //!
 //! A v3 page's sum is stored as the non-overlapping partials of its
 //! exact sum (the expansion Shewchuk's and Python's `math.fsum` keep, in
@@ -45,7 +50,7 @@
 //! infinity, or its sum needs more partials than a header holds — and a
 //! sum over it decodes the page.
 
-use crate::batch::{ColumnSlice, ValueColumn};
+use crate::batch::{put_key, ColumnSlice, Unread, ValueColumn};
 use crate::encoding::{boolpack, gorilla, intcolumn, textpack, ts2diff};
 use crate::filter::{key_hash, KeyFilter};
 use crate::stats::{for_each_image, max_of, min_of, ExactSum};
@@ -54,6 +59,7 @@ use crate::types::{DataType, SeriesKey, TsValue};
 const MAGIC: &[u8; 6] = b"BSTF1\0";
 const MAGIC_V2: &[u8; 6] = b"BSTF2\0";
 const MAGIC_V3: &[u8; 6] = b"BSTF3\0";
+const MAGIC_V4: &[u8; 6] = b"BSTF4\0";
 
 /// Points per page within a chunk (IoTDB's `max_number_of_points_in_page`
 /// defaults to the same order of magnitude). A page header declaring
@@ -75,6 +81,8 @@ pub enum Version {
     V2,
     /// The v2 footer, and value statistics in every non-TEXT page header.
     V3,
+    /// The v3 image, a chunk naming its device and its sensor apart.
+    V4,
 }
 
 impl Version {
@@ -83,7 +91,14 @@ impl Version {
             Version::V1 => MAGIC,
             Version::V2 => MAGIC_V2,
             Version::V3 => MAGIC_V3,
+            Version::V4 => MAGIC_V4,
         }
+    }
+
+    /// How many length-prefixed names a chunk header starts with: the
+    /// device and the sensor, or (before v4) one dotted name.
+    fn names(self) -> usize {
+        1 + usize::from(self >= Version::V4)
     }
 
     fn has_filter(self) -> bool {
@@ -134,13 +149,13 @@ impl Default for TsFileWriter {
 }
 
 impl TsFileWriter {
-    /// Starts a new file image in the current format (v3).
+    /// Starts a new file image in the current format (v4).
     pub fn new() -> Self {
-        Self::with_version(Version::V3)
+        Self::with_version(Version::V4)
     }
 
     /// Starts a new file image in a given format. Production paths
-    /// always write v3 via [`new`](Self::new); the older formats exist so
+    /// always write v4 via [`new`](Self::new); the older formats exist so
     /// the reader's compatibility with files written before each format
     /// change — they must keep opening and answering — stays under test
     /// and under benchmark.
@@ -203,12 +218,16 @@ impl TsFileWriter {
 
         self.key_hashes.push(key_hash(key));
         self.offsets.push(self.buf.len() as u64);
-        let name = key.to_string();
-        let name_bytes = name.as_bytes();
-        assert!(name_bytes.len() <= u16::MAX as usize, "key too long");
-        self.buf
-            .extend_from_slice(&(name_bytes.len() as u16).to_le_bytes());
-        self.buf.extend_from_slice(name_bytes);
+        if self.version.names() == 2 {
+            let named = put_key(&mut self.buf, &key.device, &key.sensor);
+            assert!(named.is_ok(), "key too long");
+        } else {
+            let name = key.to_string();
+            assert!(name.len() <= u16::MAX as usize, "key too long");
+            self.buf
+                .extend_from_slice(&(name.len() as u16).to_le_bytes());
+            self.buf.extend_from_slice(name.as_bytes());
+        }
         self.buf.push(data_type.tag());
         self.buf
             .extend_from_slice(&(times.len() as u32).to_le_bytes());
@@ -245,7 +264,7 @@ impl TsFileWriter {
         }
     }
 
-    /// Writes the footer — chunk index, plus (v2 and v3) the key
+    /// Writes the footer — chunk index, plus (from v2) the key
     /// existence filter built from every chunk written — and returns the
     /// file image.
     pub fn finish(mut self) -> Vec<u8> {
@@ -282,7 +301,7 @@ fn type_mismatch(expected: DataType, got: &TsValue) -> ! {
 /// scheme: TS_2DIFF/RLE for integers, Gorilla for floats, bit packing for
 /// booleans, length-prefixed UTF-8 for text. The INT32 arm widens to
 /// `i64` per page so the shared integer codec applies.
-fn encode_column_page(col: ColumnSlice<'_>) -> Vec<u8> {
+pub(crate) fn encode_column_page(col: ColumnSlice<'_>) -> Vec<u8> {
     match col {
         ColumnSlice::Int(s) => {
             let widened: Vec<i64> = s.iter().map(|&v| i64::from(v)).collect();
@@ -308,7 +327,7 @@ impl<'a> TsFileReader<'a> {
     /// Parses the footer and chunk headers. `None` if the image is not a
     /// valid TsFile.
     ///
-    /// Both footer versions open: the trailing magic selects the layout,
+    /// Every version opens: the trailing magic selects the layout,
     /// and a v1 image simply carries no filter
     /// ([`TsFileReader::filter`] returns `None` — the caller falls back
     /// to chunk-index pruning alone).
@@ -321,7 +340,7 @@ impl<'a> TsFileReader<'a> {
             return None;
         }
         let trailer = buf.get(buf.len() - MAGIC.len()..)?;
-        let version = [Version::V1, Version::V2, Version::V3]
+        let version = [Version::V1, Version::V2, Version::V3, Version::V4]
             .into_iter()
             .find(|v| trailer == v.magic())?;
         let footer_off_pos = buf.len() - MAGIC.len() - 8;
@@ -367,18 +386,21 @@ impl<'a> TsFileReader<'a> {
     }
 
     fn read_chunk_meta(buf: &[u8], off: usize, version: Version) -> Option<ChunkMeta> {
-        let mut pos = off;
-        let name_len = read_u16(buf, &mut pos)? as usize;
-        let name = std::str::from_utf8(buf.get(pos..pos + name_len)?).ok()?;
-        pos += name_len;
-        let (device, sensor) = name.rsplit_once('.')?;
+        let mut unread = Unread(buf.get(off..)?);
+        let key = if version.names() == 2 {
+            unread.key()
+        } else {
+            unread.dotted_key()
+        };
+        let key = key.ok()?;
+        let mut pos = buf.len() - unread.0.len();
         let data_type = DataType::from_tag(*buf.get(pos)?)?;
         pos += 1;
         let num_points = read_u32(buf, &mut pos)?;
         let min_time = read_i64(buf, &mut pos)?;
         let max_time = read_i64(buf, &mut pos)?;
         Some(ChunkMeta {
-            key: SeriesKey::new(device, sensor),
+            key,
             data_type,
             num_points,
             min_time,
@@ -629,8 +651,11 @@ impl<'a> ChunkPages<'a> {
     /// does not parse.
     pub fn open(buf: &'a [u8], meta: &ChunkMeta) -> Option<Self> {
         let mut pos = usize::try_from(meta.offset).ok()?;
-        let name_len = read_u16(buf, &mut pos)? as usize;
-        pos = pos.checked_add(name_len + 1)?; // name + type tag
+        for _ in 0..meta.version.names() {
+            let len = read_u16(buf, &mut pos)?;
+            pos = pos.checked_add(usize::from(len))?;
+        }
+        pos = pos.checked_add(1)?; // type tag
         let num_points = read_u32(buf, &mut pos)?;
         pos = pos.checked_add(16)?; // chunk min/max time
         let pages_left = read_u32(buf, &mut pos)?;
@@ -1058,7 +1083,7 @@ mod page_tests {
             .iter()
             .map(|&t| TsValue::Double(t as f64 * 0.1))
             .collect();
-        for version in [Version::V1, Version::V2, Version::V3] {
+        for version in [Version::V1, Version::V2, Version::V3, Version::V4] {
             let mut w = TsFileWriter::with_version(version);
             w.write_chunk(&key(), &times, &values);
             let texts: Vec<TsValue> = times.iter().map(|t| TsValue::Text(t.to_string())).collect();
@@ -1069,7 +1094,7 @@ mod page_tests {
                 assert_eq!(meta.version, version);
                 let headers: Vec<PageHeader> = ChunkPages::open(&image, meta).unwrap().collect();
                 assert_eq!(headers.len(), 2);
-                let with_stats = version == Version::V3 && meta.data_type == DataType::Double;
+                let with_stats = version >= Version::V3 && meta.data_type == DataType::Double;
                 assert!(
                     headers.iter().all(|h| h.stats.is_some() == with_stats),
                     "{version:?} {:?}",

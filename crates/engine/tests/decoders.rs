@@ -1,4 +1,5 @@
-//! The typed page decoder against bytes it did not choose.
+//! The typed page decoder and the WAL record decoder against bytes they
+//! did not choose.
 //!
 //! * Truncated and bit-flipped `ts2diff`, `gorilla` (f32/f64),
 //!   `intcolumn` (both tags), `boolpack` and `textpack` pages go through
@@ -15,25 +16,43 @@
 //!   every bit and given every `sum_len`: refused, or a well-formed page.
 //! * Images written by an earlier commit's `TsFileWriter` — the *parent*
 //!   commit of the change that introduced each format (v1 and v2
-//!   footers), and the v3 writer that introduced page statistics —
+//!   footers), the v3 writer that introduced page statistics, and the v4
+//!   writer that names a chunk's device and sensor apart —
 //!   covering every value type, multi-page chunks and both integer
 //!   encodings, are checked in under `fixtures/` and must decode to the
 //!   points they were written from: through the typed decoder, the row
 //!   adapters, and an engine that adopts them and answers every
 //!   aggregate — from page headers only where the format stores them.
+//! * WAL records of every kind, each payload wrapped in a frame whose
+//!   CRC is recomputed so the damage reaches the record decoder: every
+//!   strict prefix is refused, every flipped bit gives `None` or a record
+//!   that takes the whole frame, a forged point count, text length or
+//!   name length is refused before anything is reserved for it, and no
+//!   single allocation exceeds a small multiple of the frame.
+//! * A WAL segment the earlier encoder wrote (`fixtures/parent_wal.log`:
+//!   a batch of each type, a delete, a re-logged tombstone) replays to
+//!   the records it was written from, and a durable engine opened on it
+//!   answers their points.
+//! * Names the earlier record mangled: a dotted sensor's records replay
+//!   under its own key, not the one its last `.` would split off, and
+//!   its points and its delete read back under it across reopens; a
+//!   name over `u16::MAX` bytes is refused before anything is logged, so
+//!   the log behind it survives a reopen.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::path::{Path, PathBuf};
 
 use backsort_core::Algorithm;
 use backsort_engine::encoding::{boolpack, gorilla, intcolumn, textpack, ts2diff, varint};
+use backsort_engine::store::{crc32, replay_wal, StoreError, WalRecord};
 use backsort_engine::tsfile::{
     ChunkMeta, ChunkPages, PageHeader, TsFileReader, TsFileWriter, Version, MAX_SUM_PARTIALS,
     PAGE_POINTS,
 };
 use backsort_engine::{
-    AggValue, Aggregation, DataType, EngineConfig, ExactSum, SeriesKey, StorageEngine, TsValue,
-    ValueColumn,
+    AggValue, Aggregation, DataType, DurableEngine, EngineConfig, ExactSum, PointBatch, SeriesKey,
+    StorageEngine, TsValue, ValueColumn,
 };
 use backsort_obs::names;
 
@@ -306,8 +325,12 @@ fn forged_counts_and_block_lengths_are_refused_before_a_value_is_produced() {
 /// the chunk ends.
 fn v3_header_bytes(image: &[u8], meta: &ChunkMeta) -> (Vec<usize>, Vec<usize>, usize) {
     let u32_at = |pos: usize| u32::from_le_bytes(image[pos..pos + 4].try_into().unwrap()) as usize;
-    let name_len = u16::from_le_bytes(image[meta.offset as usize..][..2].try_into().unwrap());
-    let mut pos = meta.offset as usize + 2 + usize::from(name_len) + 1 + 4 + 16;
+    let mut pos = meta.offset as usize;
+    let names = if meta.version >= Version::V4 { 2 } else { 1 };
+    for _ in 0..names {
+        pos += 2 + usize::from(u16::from_le_bytes(image[pos..pos + 2].try_into().unwrap()));
+    }
+    pos += 1 + 4 + 16;
     let pages = u32_at(pos);
     pos += 4;
     let (mut header, mut sum_lens) = (Vec::new(), Vec::new());
@@ -413,7 +436,7 @@ fn damaged_v3_page_headers_are_refused_or_whole() {
     }
 }
 
-const FIXTURES: [(&str, &[u8], Version); 3] = [
+const FIXTURES: [(&str, &[u8], Version); 4] = [
     (
         "v1",
         include_bytes!("fixtures/parent_writer_v1.tsfile"),
@@ -428,6 +451,11 @@ const FIXTURES: [(&str, &[u8], Version); 3] = [
         "v3",
         include_bytes!("fixtures/writer_v3.tsfile"),
         Version::V3,
+    ),
+    (
+        "v4",
+        include_bytes!("fixtures/writer_v4.tsfile"),
+        Version::V4,
     ),
 ];
 
@@ -544,7 +572,7 @@ fn images_written_before_this_change_decode_to_the_same_points() {
             for header in ChunkPages::open(image, meta).expect("chunk header") {
                 assert_eq!(
                     header.stats.is_some(),
-                    format == Version::V3 && meta.data_type != DataType::Text,
+                    format >= Version::V3 && meta.data_type != DataType::Text,
                     "{version} {sensor}"
                 );
                 let (times, values) = header.decode(image, meta.data_type).expect("page");
@@ -631,9 +659,8 @@ fn reader_pages(image: &[u8], meta: &ChunkMeta, lo: i64) -> u64 {
         .count() as u64
 }
 
-/// The v3 fixture's image as the current writer writes it.
-fn v3_fixture_image() -> Vec<u8> {
-    let mut w = TsFileWriter::new();
+/// The fixtures' image as `w` writes it.
+fn fixture_image(mut w: TsFileWriter) -> Vec<u8> {
     for (sensor, n) in FIXTURE_SENSORS {
         let rows = fixture_rows(sensor, n);
         let times: Vec<i64> = rows.iter().map(|(t, _)| *t).collect();
@@ -649,22 +676,461 @@ fn v3_fixture_image() -> Vec<u8> {
 #[test]
 fn the_writer_reproduces_the_v3_fixture_byte_for_byte() {
     let (_, committed, _) = FIXTURES[2];
-    let image = v3_fixture_image();
+    let image = fixture_image(TsFileWriter::with_version(Version::V3));
     assert_eq!(image.len(), committed.len());
     let first_difference = image.iter().zip(committed).position(|(a, b)| a != b);
     assert_eq!(first_difference, None, "the image differs from the fixture");
 }
 
-/// Regenerates `fixtures/writer_v3.tsfile` with the current writer:
+/// The current format, v4, byte for byte: the v3 pages behind chunk
+/// headers that name the device and the sensor apart.
+#[test]
+fn the_writer_reproduces_the_v4_fixture_byte_for_byte() {
+    let (_, committed, _) = FIXTURES[3];
+    let image = fixture_image(TsFileWriter::new());
+    assert_eq!(image.len(), committed.len());
+    let first_difference = image.iter().zip(committed).position(|(a, b)| a != b);
+    assert_eq!(first_difference, None, "the image differs from the fixture");
+}
+
+/// Regenerates `fixtures/writer_v4.tsfile` with the current writer:
 /// `cargo test -p backsort-engine --test decoders -- --ignored`. The
-/// committed file was written by the writer that introduced v3 and must
-/// keep reading as the points above; rewrite it only for a new format.
+/// committed file was written by the writer that introduced v4 and must
+/// keep reading as the points above; rewrite it only for a new format
+/// (and keep the old file as that format's fixture).
 #[test]
 #[ignore = "writes a fixture into the source tree"]
-fn write_the_v3_fixture() {
+fn write_the_v4_fixture() {
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
-        "/tests/fixtures/writer_v3.tsfile"
+        "/tests/fixtures/writer_v4.tsfile"
     );
-    std::fs::write(path, v3_fixture_image()).expect("fixture written");
+    std::fs::write(path, fixture_image(TsFileWriter::new())).expect("fixture written");
+}
+
+/// One WAL frame, `len | payload | crc32`, around whatever `payload`
+/// holds: the CRC is recomputed, so a damaged payload reaches the
+/// record decoder instead of stopping at the checksum.
+fn wal_frame(payload: &[u8]) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(payload.len() + 8);
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(payload);
+    frame.extend_from_slice(&crc32(payload).to_le_bytes());
+    frame
+}
+
+/// Decodes the one record `frame` holds, reporting the largest single
+/// allocation the decode asked for. A record that decodes must take the
+/// whole frame.
+fn decode_record(frame: &[u8]) -> (Option<WalRecord>, usize) {
+    LARGEST_REQUEST.with(|c| c.set(0));
+    let mut pos = 0;
+    let record = WalRecord::read_from(frame, &mut pos);
+    let largest = LARGEST_REQUEST.with(Cell::get);
+    if record.is_some() {
+        assert_eq!(pos, frame.len(), "a record takes its whole frame");
+    }
+    (record, largest)
+}
+
+/// The most one allocation of a record's decode may ask for: a text
+/// cell costs the frame at least its four length bytes and decodes to
+/// one 24-byte `String`.
+fn record_allocation_bound(frame_len: usize) -> usize {
+    frame_len * 6 + 512
+}
+
+/// Records of every kind this build writes: a batch of each type —
+/// empty and multi-byte text, NaN and −0.0 among the floats, an empty
+/// batch — a delete and a re-logged tombstone, on a dotted sensor too.
+fn wal_records() -> Vec<WalRecord> {
+    let key = SeriesKey::new("root.wal.d1", "s.1");
+    let batch = |values: ValueColumn| {
+        let ts = (0..values.len() as i64).map(|i| i * 7 - 3).collect();
+        WalRecord::PointBatch {
+            key: key.clone(),
+            batch: PointBatch::from_columns(ts, values).expect("a time per value"),
+        }
+    };
+    vec![
+        batch(ValueColumn::Int(vec![1, -2, i32::MAX, i32::MIN])),
+        batch(ValueColumn::Long(vec![10, -20, i64::MAX])),
+        batch(ValueColumn::Float(vec![1.5, f32::NAN, -0.0])),
+        batch(ValueColumn::Double(vec![0.1, f64::NEG_INFINITY, -0.0])),
+        batch(ValueColumn::Bool(vec![true, false, true])),
+        batch(ValueColumn::Text(vec![
+            "a".into(),
+            "".into(),
+            "état".into(),
+        ])),
+        batch(ValueColumn::Long(Vec::new())),
+        WalRecord::Delete {
+            key: key.clone(),
+            t_lo: -5,
+            t_hi: 1 << 40,
+            horizon: 3,
+        },
+        WalRecord::Tombstone {
+            key,
+            t_lo: i64::MIN,
+            t_hi: 9,
+            horizon: u32::MAX,
+        },
+    ]
+}
+
+/// `record`'s payload as the current encoder writes it.
+fn wal_payload(record: &WalRecord) -> Vec<u8> {
+    let mut frame = Vec::new();
+    record.encode_into(&mut frame);
+    frame[4..frame.len() - 4].to_vec()
+}
+
+#[test]
+fn damaged_wal_records_are_refused_or_whole_never_a_panic_or_a_huge_reservation() {
+    // Every kind in one segment replays, in order.
+    let mut segment = Vec::new();
+    wal_records()
+        .iter()
+        .for_each(|r| r.encode_into(&mut segment));
+    let (replayed, discarded) = replay_wal(&segment);
+    assert_eq!(discarded, 0);
+    assert!(replayed
+        .iter()
+        .map(wal_payload)
+        .eq(wal_records().iter().map(wal_payload)));
+    for record in wal_records() {
+        let payload = wal_payload(&record);
+        let frame = wal_frame(&payload);
+        let bound = record_allocation_bound(frame.len());
+        let (decoded, largest) = decode_record(&frame);
+        // Bit for bit: NaN payloads and −0.0 compare by their bytes.
+        let decoded = decoded.expect("the frame decodes");
+        assert_eq!(wal_payload(&decoded), payload, "{record:?} round-trips");
+        assert!(largest <= bound, "{record:?}: one allocation of {largest}");
+        for cut in 0..payload.len() {
+            let (decoded, largest) = decode_record(&wal_frame(&payload[..cut]));
+            assert_eq!(decoded, None, "prefix {cut} of {record:?}");
+            assert!(
+                largest <= bound,
+                "prefix {cut}: one allocation of {largest}"
+            );
+        }
+        let mut damaged = payload.clone();
+        for bit in 0..payload.len() * 8 {
+            damaged[bit / 8] ^= 1 << (bit % 8);
+            // `None`, or a record that took the whole frame.
+            let (_, largest) = decode_record(&wal_frame(&damaged));
+            assert!(largest <= bound, "bit {bit}: one allocation of {largest}");
+            damaged[bit / 8] = payload[bit / 8];
+        }
+    }
+}
+
+/// A record encoded into a buffer with room for it allocates nothing —
+/// no name string, no codec buffer — so the store's reused scratch
+/// buffer makes a steady-state WAL append allocation-free.
+#[test]
+fn encoding_a_record_into_a_buffer_with_room_allocates_nothing() {
+    let mut out = Vec::with_capacity(1 << 12);
+    for record in wal_records() {
+        out.clear();
+        LARGEST_REQUEST.with(|c| c.set(0));
+        record.encode_into(&mut out);
+        assert_eq!(LARGEST_REQUEST.with(Cell::get), 0, "{record:?}");
+        assert!(!out.is_empty());
+    }
+}
+
+#[test]
+fn forged_wal_counts_and_text_lengths_are_refused_before_anything_is_reserved() {
+    let batch_head = |tag: DataType, count: u32| {
+        let mut payload = vec![4, 1, 0, b'd', 1, 0, b's', tag.tag()];
+        payload.extend_from_slice(&count.to_le_bytes());
+        payload
+    };
+    let mut forged = Vec::new();
+    for dt in [
+        DataType::Int64,
+        DataType::Double,
+        DataType::Boolean,
+        DataType::Text,
+    ] {
+        let mut payload = batch_head(dt, u32::MAX);
+        payload.extend_from_slice(&[0; 16]);
+        forged.push(payload);
+    }
+    // One point whose text claims four gigabytes.
+    let mut text = batch_head(DataType::Text, 1);
+    text.extend_from_slice(&5i64.to_le_bytes());
+    text.extend_from_slice(&u32::MAX.to_le_bytes());
+    text.extend_from_slice(b"abc");
+    forged.push(text);
+    // A name longer than what follows it.
+    let mut name = vec![5];
+    name.extend_from_slice(&u16::MAX.to_le_bytes());
+    name.extend_from_slice(b"root.d");
+    forged.push(name);
+    for payload in forged {
+        let (decoded, largest) = decode_record(&wal_frame(&payload));
+        assert_eq!(decoded, None, "{payload:?}");
+        assert!(largest <= 256, "{payload:?}: one allocation of {largest}");
+    }
+}
+
+/// The records `fixtures/parent_wal.log` was written from, by the
+/// encoder before a batch record carried the batch's byte form (kinds
+/// 1–3: a dotted key, TS_2DIFF timestamps, the page's value codecs).
+fn legacy_wal_records() -> Vec<WalRecord> {
+    let key = |sensor: &str| SeriesKey::new("root.legacy.d1", sensor);
+    let mut records: Vec<WalRecord> = ["i", "l", "f", "d", "b", "x"]
+        .into_iter()
+        .map(|sensor| WalRecord::PointBatch {
+            key: key(sensor),
+            batch: PointBatch::from_rows(legacy_rows(sensor)).expect("one type a sensor"),
+        })
+        .collect();
+    records.push(WalRecord::Delete {
+        key: key("l"),
+        t_lo: 50,
+        t_hi: 120,
+        horizon: 0,
+    });
+    records.push(WalRecord::Tombstone {
+        key: key("d"),
+        t_lo: -5,
+        t_hi: 5,
+        horizon: 0,
+    });
+    records
+}
+
+fn legacy_rows(sensor: &str) -> Vec<(i64, TsValue)> {
+    (0..40i64)
+        .map(|i| i * 10 + (i * i) % 7 - 30)
+        .map(|t| {
+            let value = match sensor {
+                "i" => TsValue::Int((t % 100) as i32 - 50),
+                "l" => TsValue::Long(t * 3 - 17),
+                "f" => TsValue::Float((t % 64) as f32 * 0.5),
+                "d" => TsValue::Double(t as f64 * 0.125 - 1.0),
+                "b" => TsValue::Bool(t % 3 == 0),
+                _ => TsValue::Text(format!("v{t}é")),
+            };
+            (t, value)
+        })
+        .collect()
+}
+
+const PARENT_WAL: &[u8] = include_bytes!("fixtures/parent_wal.log");
+
+#[test]
+fn a_segment_written_before_this_change_replays_to_its_records() {
+    let (records, discarded) = replay_wal(PARENT_WAL);
+    assert_eq!(discarded, 0);
+    assert_eq!(records, legacy_wal_records());
+    // Damage reaches the legacy decoders too: refused or whole, never a
+    // panic, and no reservation past their cap.
+    let mut pos = 0;
+    while pos < PARENT_WAL.len() {
+        let len = u32::from_le_bytes(PARENT_WAL[pos..pos + 4].try_into().unwrap()) as usize;
+        let mut damaged = PARENT_WAL[pos + 4..pos + 4 + len].to_vec();
+        for bit in 0..len * 8 {
+            damaged[bit / 8] ^= 1 << (bit % 8);
+            let (_, largest) = decode_record(&wal_frame(&damaged));
+            assert!(largest <= RESERVATION_CAP_BYTES, "bit {bit}: {largest}");
+            damaged[bit / 8] ^= 1 << (bit % 8);
+        }
+        pos += 4 + len + 4;
+    }
+}
+
+#[test]
+fn a_durable_engine_recovers_a_segment_written_before_this_change() {
+    let dir = scratch_dir("legacy-wal");
+    std::fs::create_dir_all(&dir).expect("a scratch directory");
+    std::fs::write(dir.join("wal-1.log"), PARENT_WAL).expect("the segment");
+    let config = || EngineConfig {
+        sorter: Algorithm::Backward(Default::default()),
+        shards: 2,
+        ..EngineConfig::default()
+    };
+    // The second open reads what the first one persisted and re-logged.
+    for _ in 0..2 {
+        let engine = DurableEngine::open(&dir, config()).expect("the legacy segment replays");
+        assert_eq!(
+            engine
+                .engine()
+                .obs()
+                .counter_value(names::WAL_REPLAY_DISCARDED_BYTES),
+            0
+        );
+        for sensor in ["i", "l", "f", "d", "b", "x"] {
+            let key = SeriesKey::new("root.legacy.d1", sensor);
+            let mut want = legacy_rows(sensor);
+            if sensor == "l" {
+                want.retain(|(t, _)| !(50..=120).contains(t));
+            }
+            assert_eq!(engine.query(&key, i64::MIN, i64::MAX), want, "{sensor}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A fresh directory for a durable engine.
+fn scratch_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("backsort-decoders-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+fn one_shard() -> EngineConfig {
+    EngineConfig {
+        sorter: Algorithm::Backward(Default::default()),
+        shards: 1,
+        ..EngineConfig::default()
+    }
+}
+
+/// The segments in `dir`, replayed oldest first.
+fn replay_dir(dir: &Path) -> Vec<WalRecord> {
+    let mut segments: Vec<(u64, PathBuf)> = std::fs::read_dir(dir)
+        .expect("the directory")
+        .map(|e| e.expect("an entry").path())
+        .filter_map(|path| {
+            let name = path.file_name()?.to_str()?;
+            let gen = name
+                .strip_prefix("wal-")?
+                .strip_suffix(".log")?
+                .parse()
+                .ok()?;
+            Some((gen, path))
+        })
+        .collect();
+    segments.sort();
+    let mut records = Vec::new();
+    for (_, path) in segments {
+        let (recs, discarded) = replay_wal(&std::fs::read(path).expect("the segment"));
+        assert_eq!(discarded, 0);
+        records.extend(recs);
+    }
+    records
+}
+
+/// A dotted sensor and the device its dot would split off are two
+/// series in the log and in a flushed file: each record replays under
+/// its own key, and each key answers its own points and its own delete
+/// after a reopen — the first from the replayed log, the second from the
+/// file that reopen persisted.
+#[test]
+fn a_dotted_sensor_replays_under_its_own_series() {
+    let dir = scratch_dir("dotted");
+    let dotted = SeriesKey::new("root.sg.d1", "s.1");
+    let split = SeriesKey::new("root.sg.d1.s", "1");
+    let batch = |sign: i64| {
+        PointBatch::from_rows((0..10i64).map(|t| (t, TsValue::Long(sign * t)))).expect("Long rows")
+    };
+    let delete = |key: &SeriesKey, t_lo, t_hi| WalRecord::Delete {
+        key: key.clone(),
+        t_lo,
+        t_hi,
+        horizon: 0,
+    };
+    {
+        let mut eng = DurableEngine::open(&dir, one_shard()).expect("open");
+        eng.write_batch(&dotted, &batch(1)).expect("write");
+        eng.write_batch(&split, &batch(-1)).expect("write");
+        eng.delete_range(&dotted, 2, 3).expect("delete");
+        eng.delete_range(&split, 6, 8).expect("delete");
+        eng.sync().expect("sync");
+    }
+    assert_eq!(
+        replay_dir(&dir),
+        vec![
+            WalRecord::PointBatch {
+                key: dotted.clone(),
+                batch: batch(1),
+            },
+            WalRecord::PointBatch {
+                key: split.clone(),
+                batch: batch(-1),
+            },
+            delete(&dotted, 2, 3),
+            delete(&split, 6, 8),
+        ]
+    );
+    let rows = |sign: i64, deleted: std::ops::RangeInclusive<i64>| -> Vec<(i64, TsValue)> {
+        (0..10i64)
+            .filter(|t| !deleted.contains(t))
+            .map(|t| (t, TsValue::Long(sign * t)))
+            .collect()
+    };
+    for _ in 0..2 {
+        let eng = DurableEngine::open(&dir, one_shard()).expect("reopen");
+        assert_eq!(eng.query(&dotted, i64::MIN, i64::MAX), rows(1, 2..=3));
+        assert_eq!(eng.query(&split, i64::MIN, i64::MAX), rows(-1, 6..=8));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A v4 chunk names a dotted sensor and the device its dot would
+/// split off apart; a v3 chunk's one dotted name reads back split.
+#[test]
+fn a_v4_chunk_keeps_a_dotted_sensor_apart_from_the_split_key() {
+    let dotted = SeriesKey::new("root.sg.d1", "s.1");
+    let split = SeriesKey::new("root.sg.d1.s", "1");
+    for version in [Version::V3, Version::V4] {
+        let mut w = TsFileWriter::with_version(version);
+        w.write_chunk(&dotted, &[1], &[TsValue::Long(1)]);
+        w.write_chunk(&split, &[2], &[TsValue::Long(2)]);
+        let image = w.finish();
+        let r = TsFileReader::open(&image).unwrap();
+        let keys: Vec<&SeriesKey> = r.chunks().iter().map(|m| &m.key).collect();
+        if version == Version::V4 {
+            assert_eq!(keys, [&dotted, &split]);
+            assert_eq!(r.query(&dotted, 0, 9), vec![(1, TsValue::Long(1))]);
+            assert_eq!(r.query(&split, 0, 9), vec![(2, TsValue::Long(2))]);
+        } else {
+            assert_eq!(keys, [&split, &split]);
+        }
+    }
+}
+
+/// A name no `u16` length can hold is refused before anything is
+/// logged, so the writes behind it keep their place in the log.
+#[test]
+fn an_over_long_name_is_refused_and_the_log_behind_it_survives() {
+    let dir = scratch_dir("long-name");
+    let key = SeriesKey::new("root.sg.d1", "s");
+    let long = SeriesKey::new("root.sg.d1", "s".repeat(70_000));
+    let batch = PointBatch::from_rows((0..5i64).map(|t| (t, TsValue::Long(t)))).expect("rows");
+    let logged = |dir: &Path| replay_dir(dir).len();
+    {
+        let mut eng = DurableEngine::open(&dir, one_shard()).expect("open");
+        eng.write_batch(&key, &batch).expect("write");
+        eng.sync().expect("sync");
+        for refused in [
+            eng.write_batch(&long, &batch).map(|_| ()),
+            eng.delete_range(&long, 0, 10).map(|_| ()),
+        ] {
+            match refused {
+                Err(StoreError::Wal(e)) => {
+                    assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput, "{e}");
+                }
+                other => panic!("{other:?}"),
+            }
+        }
+        eng.sync().expect("sync");
+        assert_eq!(logged(&dir), 1, "nothing was appended");
+        assert!(eng.query(&long, i64::MIN, i64::MAX).is_empty());
+        let later = PointBatch::from_rows([(100, TsValue::Long(100))]).expect("a row");
+        eng.write_batch(&key, &later).expect("write");
+        eng.sync().expect("sync");
+    }
+    let eng = DurableEngine::open(&dir, one_shard()).expect("reopen");
+    let discarded = names::WAL_REPLAY_DISCARDED_BYTES;
+    assert_eq!(eng.engine().obs().counter_value(discarded), 0);
+    assert_eq!(eng.query(&key, i64::MIN, i64::MAX).len(), 6);
+    assert!(eng.query(&long, i64::MIN, i64::MAX).is_empty());
+    let _ = std::fs::remove_dir_all(&dir);
 }

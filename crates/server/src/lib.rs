@@ -838,12 +838,16 @@ impl SqlClient {
     }
 
     /// Queues the frame `encode` appends under a fresh id, writing the
-    /// queue once it passes [`wire::BURST_BYTES`]; returns the id.
-    fn send(&mut self, encode: impl FnOnce(&mut Vec<u8>, u64)) -> std::io::Result<u64> {
+    /// queue once it passes [`wire::BURST_BYTES`]; returns the id. A
+    /// frame `encode` refuses is not queued.
+    fn send(
+        &mut self,
+        encode: impl FnOnce(&mut Vec<u8>, u64) -> std::io::Result<()>,
+    ) -> std::io::Result<u64> {
         self.check_broken()?;
         let id = self.next_id;
+        encode(&mut self.out, id)?;
         self.next_id += 1;
-        encode(&mut self.out, id);
         self.queued += 1;
         self.in_flight.push_back(id);
         if self.out.len() >= wire::BURST_BYTES {
@@ -857,18 +861,22 @@ impl SqlClient {
     /// writes the queue before it would wait) to push queued frames
     /// onto the wire.
     pub fn send_sql(&mut self, sql: &str) -> std::io::Result<u64> {
-        self.send(|out, id| wire::encode_sql(out, id, sql))
+        self.send(|out, id| {
+            wire::encode_sql(out, id, sql);
+            Ok(())
+        })
     }
 
     /// Queues one binary batched INSERT without waiting; returns its
-    /// frame id.
+    /// frame id. A name over `u16::MAX` bytes, which the frame cannot
+    /// carry, is refused `InvalidInput` with nothing queued.
     pub fn send_batch(
         &mut self,
         device: &str,
         sensor: &str,
         batch: &PointBatch,
     ) -> std::io::Result<u64> {
-        self.send(|out, id| wire::encode_batch(out, id, device, sensor, batch))
+        self.send(|out, id| wire::try_encode_batch(out, id, device, sensor, batch))
     }
 
     /// Pushes queued frames onto the wire in one write, then gives back

@@ -33,19 +33,12 @@
 //! # Cells: one column codec
 //!
 //! Both frames that carry typed values — a batch's value column and a
-//! rows frame's runs — write them the same way, as *cells*: `i32` or
-//! `i64` little-endian, `f32` or `f64` bits, one byte `0`/`1` per bool,
-//! and `u32 len | utf-8` per text. One writer (`put_column`) and one
-//! reader (`read_column`) serve both. Floats travel as bits, so NaN
-//! payloads, ±inf and −0.0 survive exactly, which JSON cannot offer.
-//!
-//! Fixed-width on purpose rather than the engine's compressed column
-//! encoding (the WAL's and the TsFile's): a column is copied in on one
-//! end and out on the other, and Gorilla or TS_2DIFF runs once per
-//! point, in the flush. The reader checks every count against the bytes
-//! that remain *before* it reserves for it, so a forged count or text
-//! length fails on a short payload instead of allocating; a bool byte
-//! above 1 and bad UTF-8 are refused too.
+//! rows frame's runs — write them as the engine's *cells*, with its one
+//! writer ([`put_column`]) and one reader ([`read_column`]): fixed-width
+//! values, floats as bits (so NaN payloads, ±inf and −0.0 survive, which
+//! JSON cannot offer), a text as `u32 len | utf-8`. The cells and their
+//! checks are documented once, in [`backsort_engine::batch`] ("The byte
+//! form").
 //!
 //! # The batch frame
 //!
@@ -54,9 +47,13 @@
 //! u32 count | count × i64 timestamp | count × cell
 //! ```
 //!
-//! `dtype` is [`DataType::tag`]. [`encode_batch`] writes the header and
-//! the payload straight into the caller's buffer, patching the length
-//! in last. A payload the decoder cannot read — a short one, an unknown
+//! The payload is the engine's batch payload, which the WAL logs too:
+//! [`encode_batch`] writes the header and then [`put_batch`]'s payload
+//! into the caller's buffer, patching the length in last, and the server
+//! reads it with [`read_batch`]. A name over `u16::MAX` bytes cannot be
+//! framed: [`SqlClient::send_batch`](crate::SqlClient::send_batch)
+//! refuses it rather than send a length that reads back as another
+//! series. A payload the decoder cannot read — a short one, an unknown
 //! type, a bad cell, trailing bytes — is [`DecodeError::Malformed`]: the
 //! frame was consumed, it is answered in its place, and the connection
 //! carries on.
@@ -152,7 +149,10 @@
 
 use std::io::Read;
 
-use backsort_engine::{AggValue, DataType, PointBatch, TsValue, ValueColumn};
+use backsort_engine::batch::{
+    column_len, put_batch, put_cells, put_column, read_batch, read_column, Unread,
+};
+use backsort_engine::{AggValue, DataType, PointBatch, SeriesKey, TsValue, ValueColumn};
 use backsort_sql::{QueryOutput, RowSet, Run};
 
 /// Frame header size: `u32 len + u8 kind + u64 id`.
@@ -282,26 +282,28 @@ pub fn encode_sql(out: &mut Vec<u8>, id: u64, sql: &str) {
 
 /// Encodes a batched-INSERT request frame (module docs: "The batch
 /// frame") into `out`, the payload written in place behind its header.
+///
+/// # Panics
+/// On a batch the frame cannot carry ([`put_batch`]), which
+/// [`SqlClient::send_batch`](crate::SqlClient::send_batch) refuses.
 pub fn encode_batch(out: &mut Vec<u8>, id: u64, device: &str, sensor: &str, batch: &PointBatch) {
+    try_encode_batch(out, id, device, sensor, batch).unwrap_or_else(|e| panic!("{e}"));
+}
+
+/// [`encode_batch`], refusing what the frame cannot carry with an
+/// `InvalidInput` error and nothing appended.
+pub(crate) fn try_encode_batch(
+    out: &mut Vec<u8>,
+    id: u64,
+    device: &str,
+    sensor: &str,
+    batch: &PointBatch,
+) -> std::io::Result<()> {
     let start = out.len();
-    out.reserve(
-        HEADER_BYTES
-            + (2 + device.len())
-            + (2 + sensor.len())
-            + (1 + 4)
-            + batch.len() * 8
-            + column_len(batch.values()),
-    );
     put_header(out, 0, KIND_BATCH, id);
-    for name in [device, sensor] {
-        out.extend_from_slice(&(name.len() as u16).to_le_bytes());
-        out.extend_from_slice(name.as_bytes());
-    }
-    out.push(batch.data_type().tag());
-    out.extend_from_slice(&(batch.len() as u32).to_le_bytes());
-    put_cells(out, batch.ts(), |t| t.to_le_bytes());
-    put_column(out, batch.values());
+    put_batch(out, device, sensor, batch).inspect_err(|_| out.truncate(start))?;
     set_len(out, start);
+    Ok(())
 }
 
 /// Patches the length of the frame that starts at `start` — everything
@@ -411,16 +413,6 @@ fn put_frame(
     out[start + 4] = status;
 }
 
-/// Appends `values` as fixed-width cells, `cell` giving each one's
-/// bytes: the run's room is made once, then filled in place.
-fn put_cells<T, const N: usize>(out: &mut Vec<u8>, values: &[T], cell: impl Fn(&T) -> [u8; N]) {
-    let at = out.len();
-    out.resize(at + values.len() * N, 0);
-    for (slot, value) in out[at..].chunks_exact_mut(N).zip(values) {
-        slot.copy_from_slice(&cell(value));
-    }
-}
-
 /// Bytes of `u16 count | count × (u16 len | utf-8)`.
 fn labels_len(columns: &[String]) -> usize {
     columns
@@ -445,37 +437,6 @@ fn put_labels(out: &mut Vec<u8>, columns: &[String]) -> Result<(), String> {
         out.extend_from_slice(name.as_bytes());
     }
     Ok(())
-}
-
-/// Bytes `column` takes as cells (module docs: "Cells").
-fn column_len(column: &ValueColumn) -> usize {
-    match column {
-        ValueColumn::Int(v) => v.len() * 4,
-        ValueColumn::Long(v) => v.len() * 8,
-        ValueColumn::Float(v) => v.len() * 4,
-        ValueColumn::Double(v) => v.len() * 8,
-        ValueColumn::Bool(v) => v.len(),
-        ValueColumn::Text(v) => v.iter().map(|text| 4 + text.len()).sum(),
-    }
-}
-
-/// Appends `column` as cells (module docs: "Cells"), a fixed-width
-/// column as one block. A text's length is a `u32` like a frame's, so a
-/// text that fits a frame fits its length.
-fn put_column(out: &mut Vec<u8>, column: &ValueColumn) {
-    match column {
-        ValueColumn::Int(v) => put_cells(out, v, |v| v.to_le_bytes()),
-        ValueColumn::Long(v) => put_cells(out, v, |v| v.to_le_bytes()),
-        ValueColumn::Float(v) => put_cells(out, v, |v| v.to_bits().to_le_bytes()),
-        ValueColumn::Double(v) => put_cells(out, v, |v| v.to_bits().to_le_bytes()),
-        ValueColumn::Bool(v) => put_cells(out, v, |&v| [u8::from(v)]),
-        ValueColumn::Text(v) => {
-            for text in v {
-                out.extend_from_slice(&(text.len() as u32).to_le_bytes());
-                out.extend_from_slice(text.as_bytes());
-            }
-        }
-    }
 }
 
 /// Appends a rows payload (module docs: "The rows frame") to `out`. Its
@@ -646,10 +607,18 @@ pub fn read_request(
                 })
             }
         },
-        KIND_BATCH => decode_batch(&payload).map_err(|e| DecodeError::Malformed {
-            id,
-            reason: format!("undecodable batch payload: {e}"),
-        })?,
+        KIND_BATCH => {
+            let (SeriesKey { device, sensor }, batch) =
+                read_batch(&payload).map_err(|e| DecodeError::Malformed {
+                    id,
+                    reason: format!("undecodable batch payload: {e}"),
+                })?;
+            RequestBody::Batch {
+                device,
+                sensor,
+                batch,
+            }
+        }
         other => {
             return Err(DecodeError::Malformed {
                 id,
@@ -660,133 +629,19 @@ pub fn read_request(
     Ok(Some(RequestFrame { id, body }))
 }
 
-/// The unread tail of a binary payload. Every read is checked against
-/// what is left, so a forged count fails here, before anything is
-/// reserved for it.
-struct Unread<'a>(&'a [u8]);
-
-impl<'a> Unread<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], &'static str> {
-        let (head, tail) = self.0.split_at_checked(n).ok_or("truncated")?;
-        self.0 = tail;
-        Ok(head)
+/// `u16 count | count × (u16 len | utf-8)`: a frame's column names.
+fn read_labels(unread: &mut Unread<'_>) -> Result<Vec<String>, &'static str> {
+    let count = unread.u16()?;
+    // Each name is at least its two length bytes.
+    if count.saturating_mul(2) > unread.0.len() {
+        return Err("truncated");
     }
-
-    fn array<const N: usize>(&mut self) -> Result<[u8; N], &'static str> {
-        self.take(N)?.try_into().map_err(|_| "truncated")
+    let mut labels = Vec::with_capacity(count);
+    for _ in 0..count {
+        let len = unread.u16()?;
+        labels.push(unread.string(len)?);
     }
-
-    fn u16(&mut self) -> Result<usize, &'static str> {
-        Ok(usize::from(u16::from_le_bytes(self.array()?)))
-    }
-
-    fn u32(&mut self) -> Result<usize, &'static str> {
-        usize::try_from(u32::from_le_bytes(self.array()?)).map_err(|_| "count overflows")
-    }
-
-    /// `count` fixed-width cells of `N` bytes each.
-    fn cells<const N: usize>(
-        &mut self,
-        count: usize,
-    ) -> Result<impl Iterator<Item = [u8; N]> + 'a, &'static str> {
-        let bytes = self.take(count.checked_mul(N).ok_or("count overflows")?)?;
-        // `count × N` bytes: no remainder.
-        let (cells, _) = bytes.as_chunks::<N>();
-        Ok(cells.iter().copied())
-    }
-
-    fn string(&mut self, len: usize) -> Result<String, &'static str> {
-        std::str::from_utf8(self.take(len)?)
-            .map(str::to_owned)
-            .map_err(|_| "text is not UTF-8")
-    }
-
-    /// `u16 count | count × (u16 len | utf-8)`: a frame's column names.
-    fn labels(&mut self) -> Result<Vec<String>, &'static str> {
-        let count = self.u16()?;
-        // Each name is at least its two length bytes.
-        if count.saturating_mul(2) > self.0.len() {
-            return Err("truncated");
-        }
-        let mut labels = Vec::with_capacity(count);
-        for _ in 0..count {
-            let len = self.u16()?;
-            labels.push(self.string(len)?);
-        }
-        Ok(labels)
-    }
-}
-
-/// Reads `count` cells of `data_type` (module docs: "Cells") — the one
-/// column reader, of a batch's values and of a rows frame's runs.
-fn read_column(
-    unread: &mut Unread<'_>,
-    data_type: DataType,
-    count: usize,
-) -> Result<ValueColumn, &'static str> {
-    Ok(match data_type {
-        DataType::Int32 => ValueColumn::Int(unread.cells(count)?.map(i32::from_le_bytes).collect()),
-        DataType::Int64 => {
-            ValueColumn::Long(unread.cells(count)?.map(i64::from_le_bytes).collect())
-        }
-        DataType::Float => ValueColumn::Float(
-            unread
-                .cells(count)?
-                .map(|v| f32::from_bits(u32::from_le_bytes(v)))
-                .collect(),
-        ),
-        DataType::Double => ValueColumn::Double(
-            unread
-                .cells(count)?
-                .map(|v| f64::from_bits(u64::from_le_bytes(v)))
-                .collect(),
-        ),
-        DataType::Boolean => ValueColumn::Bool(
-            unread
-                .cells(count)?
-                .map(|[v]| match v {
-                    0 => Ok(false),
-                    1 => Ok(true),
-                    _ => Err("bool byte above 1"),
-                })
-                .collect::<Result<_, _>>()?,
-        ),
-        DataType::Text => {
-            // Each text is at least its four length bytes.
-            if count.saturating_mul(4) > unread.0.len() {
-                return Err("truncated");
-            }
-            let mut texts = Vec::with_capacity(count);
-            for _ in 0..count {
-                let len = unread.u32()?;
-                texts.push(unread.string(len)?);
-            }
-            ValueColumn::Text(texts)
-        }
-    })
-}
-
-/// Decodes a [`KIND_BATCH`] payload (module docs: "The batch frame").
-fn decode_batch(payload: &[u8]) -> Result<RequestBody, &'static str> {
-    let mut unread = Unread(payload);
-    let device_len = unread.u16()?;
-    let device = unread.string(device_len)?;
-    let sensor_len = unread.u16()?;
-    let sensor = unread.string(sensor_len)?;
-    let [tag] = unread.array()?;
-    let data_type = DataType::from_tag(tag).ok_or("unknown data type")?;
-    let count = unread.u32()?;
-    let ts = unread.cells(count)?.map(i64::from_le_bytes).collect();
-    let values = read_column(&mut unread, data_type, count)?;
-    if !unread.0.is_empty() {
-        return Err("trailing bytes");
-    }
-    let batch = PointBatch::from_columns(ts, values).map_err(|_| "columns of unequal length")?;
-    Ok(RequestBody::Batch {
-        device,
-        sensor,
-        batch,
-    })
+    Ok(labels)
 }
 
 /// Whether `buffered` begins with a whole frame, header and payload, so
@@ -848,7 +703,7 @@ pub fn read_response(
 /// Decodes a [`STATUS_ROWS`] payload (module docs: "The rows frame").
 fn decode_rows(payload: &[u8]) -> Result<QueryOutput, &'static str> {
     let mut unread = Unread(payload);
-    let columns = unread.labels()?;
+    let columns = read_labels(&mut unread)?;
     let ncols = columns.len();
     let nrows = unread.u32()?;
     let mut rows: Vec<(i64, Vec<Option<TsValue>>)> = unread
@@ -886,9 +741,7 @@ fn decode_rows(payload: &[u8]) -> Result<QueryOutput, &'static str> {
             }
         }
     }
-    if !unread.0.is_empty() {
-        return Err("trailing bytes");
-    }
+    unread.finish()?;
     Ok(QueryOutput::Rows { columns, rows })
 }
 
@@ -907,7 +760,7 @@ fn agg_value([tag, bytes @ ..]: [u8; CELL_BYTES]) -> Result<AggValue, &'static s
 /// aggregates frame").
 fn decode_aggregates(payload: &[u8]) -> Result<QueryOutput, &'static str> {
     let mut unread = Unread(payload);
-    let columns = unread.labels()?;
+    let columns = read_labels(&mut unread)?;
     let width = columns.len();
     let [shape] = unread.array()?;
     let starts: Option<Vec<i64>> = match shape {
@@ -967,39 +820,6 @@ mod tests {
             frame.body,
             RequestBody::Sql("SELECT s FROM root.sg.d1".to_string())
         );
-    }
-
-    #[test]
-    fn batch_frame_roundtrip_every_dtype() {
-        let batches = vec![
-            PointBatch::from_rows((0..50i32).map(|t| (i64::from(t), TsValue::Int(-t)))).unwrap(),
-            PointBatch::from_rows((0..50i64).map(|t| (t * 3 % 17, TsValue::Long(t)))).unwrap(),
-            PointBatch::from_rows((0..50i64).map(|t| (t, TsValue::Float(t as f32 / 3.0)))).unwrap(),
-            PointBatch::from_rows((0..50i64).map(|t| (t, TsValue::Double(t as f64 * 0.5))))
-                .unwrap(),
-            PointBatch::from_rows((0..8i64).map(|t| (t, TsValue::Bool(t % 2 == 0)))).unwrap(),
-            PointBatch::from_rows((0..8i64).map(|t| (t, TsValue::Text(format!("v{t}"))))).unwrap(),
-        ];
-        for (i, batch) in batches.into_iter().enumerate() {
-            let mut buf = Vec::new();
-            encode_batch(&mut buf, i as u64, "root.sg.d1", "s0", &batch);
-            let frame = read_request(&mut buf.as_slice(), 1 << 20)
-                .expect("decode")
-                .expect("not eof");
-            assert_eq!(frame.id, i as u64);
-            match frame.body {
-                RequestBody::Batch {
-                    device,
-                    sensor,
-                    batch: decoded,
-                } => {
-                    assert_eq!(device, "root.sg.d1");
-                    assert_eq!(sensor, "s0");
-                    assert_eq!(decoded, batch);
-                }
-                other => panic!("{other:?}"),
-            }
-        }
     }
 
     /// Two sensors aligned with gaps, the second changing type half way.
@@ -1213,21 +1033,6 @@ mod tests {
             .expect("decode")
             .expect("not eof");
         assert_eq!(next.id, 6);
-    }
-
-    #[test]
-    fn truncated_batch_payload_is_malformed() {
-        let batch = PointBatch::from_rows((0..20i64).map(|t| (t, TsValue::Long(t)))).unwrap();
-        let mut buf = Vec::new();
-        encode_batch(&mut buf, 1, "root.sg.d1", "s0", &batch);
-        // Corrupt the declared point count (offset: header + device/
-        // sensor length prefixes and names + dtype byte).
-        let count_at = HEADER_BYTES + 2 + "root.sg.d1".len() + 2 + "s0".len() + 1;
-        buf[count_at] = 200;
-        match read_request(&mut buf.as_slice(), 1 << 20) {
-            Err(DecodeError::Malformed { id, .. }) => assert_eq!(id, 1),
-            other => panic!("{other:?}"),
-        }
     }
 
     #[test]

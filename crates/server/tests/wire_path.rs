@@ -145,6 +145,41 @@ fn batch_frames_compile_straight_into_the_engine() {
     server.shutdown();
 }
 
+/// A name no `u16` length can hold is refused before anything is
+/// queued: no frame goes out that would decode to another series, and
+/// the connection stays in step for the batch behind it.
+#[test]
+fn an_over_long_name_is_refused_before_a_frame_is_sent() {
+    let engine = engine_with(100_000);
+    let server = SqlServer::start("127.0.0.1:0", Arc::clone(&engine)).expect("bind");
+    let mut client = SqlClient::connect(server.addr()).expect("connect");
+    let batch = PointBatch::from_rows((0..5i64).map(|t| (t, TsValue::Long(t)))).expect("batch");
+    let long = "s".repeat(70_000);
+    for (device, sensor) in [("root.long.d1", long.as_str()), (long.as_str(), "s")] {
+        let refused = client
+            .send_batch(device, sensor, &batch)
+            .expect_err("a name over u16::MAX bytes");
+        assert_eq!(
+            refused.kind(),
+            std::io::ErrorKind::InvalidInput,
+            "{refused}"
+        );
+    }
+    assert_eq!(client.pending(), 0, "nothing was queued");
+    assert_eq!(
+        client
+            .insert_batch("root.long.d1", "s", &batch)
+            .expect("the next batch"),
+        5
+    );
+    assert_eq!(
+        engine.obs().counter_value(names::SERVER_BATCH_POINTS),
+        5,
+        "only the batch behind the refusals reached the server"
+    );
+    server.shutdown();
+}
+
 /// A batch frame may carry any double — nothing on the write path
 /// refuses NaN or the infinities — and a `SELECT` over them reads every
 /// one back bit for bit: rows travel as bits, not as JSON numbers. So do
