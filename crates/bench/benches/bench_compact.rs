@@ -89,12 +89,8 @@ fn load(tombstones: usize) -> Load {
 /// FNV-1a over every file image of the engine's one shard, oldest first.
 fn image_hash(engine: &StorageEngine) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for id in engine.shard_file_ids(0) {
-        for &b in engine
-            .file_image(0, id)
-            .as_ref()
-            .map_or(&[][..], |f| f.image())
-        {
+    for file in engine.shard_files(0) {
+        for &b in file.image() {
             h ^= u64::from(b);
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }

@@ -17,7 +17,7 @@ use crate::table;
 
 /// One timed single-thread ingest run; returns points/sec.
 fn ingest_pps(registry: Arc<Registry>, points: &[(i64, TsValue)], batch: usize) -> f64 {
-    let engine = StorageEngine::with_registry(
+    let engine = StorageEngine::instrumented(
         EngineConfig {
             memtable_max_points: 50_000,
             sorter: Algorithm::Backward(Default::default()),
@@ -25,6 +25,7 @@ fn ingest_pps(registry: Arc<Registry>, points: &[(i64, TsValue)], batch: usize) 
             ..EngineConfig::default()
         },
         registry,
+        Arc::default(),
     );
     let start = Instant::now();
     ingest(&engine, points, batch);

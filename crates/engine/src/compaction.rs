@@ -55,10 +55,42 @@
 //!   masking the output.
 
 use crate::delete::Tombstone;
-use crate::engine::{Columns, StorageEngine};
+use crate::engine::StorageEngine;
+use crate::query::Columns;
 use crate::read::{plan_files, FileHandle, Scan};
 use crate::tsfile::TsFileWriter;
 use crate::types::SeriesKey;
+
+/// Tunables of the leveled compaction policy
+/// ([`StorageEngine::compact_auto`](crate::compaction)).
+///
+/// Freshly flushed (and adopted) files sit at level 0. When a shard's
+/// newest files accumulate [`l0_trigger`](Self::l0_trigger) consecutive
+/// level-0 files, the run is merged into one level-1 file; a run at
+/// level `L ≥ 1` moves to `L + 1` when it reaches the same count *or*
+/// its combined bytes exceed
+/// `level_base_bytes · growth^(L-1)` — the level is "full". Zero values
+/// are clamped to their minimums at use.
+#[derive(Debug, Clone, Copy)]
+pub struct CompactionConfig {
+    /// Consecutive same-level files that trigger a merge up (min 2).
+    pub l0_trigger: usize,
+    /// Byte capacity of level 1; each level up multiplies by
+    /// [`growth`](Self::growth).
+    pub level_base_bytes: usize,
+    /// Per-level capacity multiplier (min 2).
+    pub growth: usize,
+}
+
+impl Default for CompactionConfig {
+    fn default() -> Self {
+        Self {
+            l0_trigger: 4,
+            level_base_bytes: 64 << 10,
+            growth: 8,
+        }
+    }
+}
 
 /// Outcome of a compaction pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -250,7 +282,7 @@ impl StorageEngine {
     }
 
     /// One pass of the tiered/leveled compaction policy
-    /// ([`CompactionConfig`](crate::engine::CompactionConfig)): per
+    /// ([`CompactionConfig`]): per
     /// shard, merge (or promote) at most one eligible run, chosen by
     /// `pick_run`'s level- and device-overlap rules. Returns the
     /// summed report; a shard with no eligible run contributes nothing.
@@ -445,18 +477,11 @@ impl StorageEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{CompactionConfig, EngineConfig};
+    use crate::engine::tests::{engine, key};
+    use crate::engine::EngineConfig;
     use crate::types::TsValue;
+    use crate::CompactionConfig;
     use backsort_core::Algorithm;
-
-    fn engine(max_points: usize) -> StorageEngine {
-        StorageEngine::new(EngineConfig {
-            memtable_max_points: max_points,
-            sorter: Algorithm::Backward(Default::default()),
-            shards: 1,
-            ..EngineConfig::default()
-        })
-    }
 
     fn leveled_engine(max_points: usize, shards: usize, l0_trigger: usize) -> StorageEngine {
         StorageEngine::new(EngineConfig {
@@ -469,10 +494,6 @@ mod tests {
             },
             ..EngineConfig::default()
         })
-    }
-
-    fn key(s: &str) -> SeriesKey {
-        SeriesKey::new("root.sg.d1", s)
     }
 
     #[test]
@@ -597,9 +618,9 @@ mod tests {
         single.write_points(&ka, (0..20i64).map(|t| (t, TsValue::Long(t))));
         single.write_points(&kb, (0..20i64).map(|t| (t, TsValue::Long(-t))));
         single.flush();
-        let ids = single.shard_file_ids(0);
-        assert_eq!(ids.len(), 1);
-        let image = single.file_image(0, ids[0]).unwrap().image().to_vec();
+        let files = single.shard_files(0);
+        assert_eq!(files.len(), 1);
+        let image = files[0].image().to_vec();
 
         let eng = StorageEngine::new(EngineConfig {
             memtable_max_points: 1_000,
@@ -663,15 +684,15 @@ mod tests {
             );
         }
         assert_eq!(eng.file_count(), 6);
-        assert!(eng.shard_file_meta(0).iter().all(|&(_, level)| level == 0));
+        assert!(eng.shard_files(0).iter().all(|f| f.level() == 0));
 
         let report = eng.compact_auto();
         assert_eq!(report.files_in, 6, "the whole L0 suffix merges");
         assert_eq!(report.files_out, 1);
         assert_eq!(report.level_moves, 1);
-        let meta = eng.shard_file_meta(0);
+        let meta = eng.shard_files(0);
         assert_eq!(meta.len(), 1);
-        assert_eq!(meta[0].1, 1, "output lands at level 1");
+        assert_eq!(meta[0].level(), 1, "output lands at level 1");
         assert_eq!(eng.query(&key("s"), 0, 200).len(), 120);
 
         // Below the trigger nothing happens.
@@ -692,17 +713,16 @@ mod tests {
                 (0..20i64).map(|t| (f * 20 + t, TsValue::Long(f * 20 + t))),
             );
             eng.compact_auto();
-            let meta = eng.shard_file_meta(0);
-            let levels: Vec<u32> = meta.iter().map(|&(_, l)| l).collect();
+            let levels: Vec<u32> = eng.shard_files(0).iter().map(FileHandle::level).collect();
             assert!(
                 levels.windows(2).all(|w| w[0] >= w[1]),
                 "levels non-increasing oldest→newest, got {levels:?}"
             );
         }
+        let levels: Vec<u32> = eng.shard_files(0).iter().map(FileHandle::level).collect();
         assert!(
-            eng.shard_file_meta(0).iter().any(|&(_, l)| l >= 2),
-            "repeated passes climb past level 1: {:?}",
-            eng.shard_file_meta(0)
+            levels.iter().any(|&l| l >= 2),
+            "repeated passes climb past level 1: {levels:?}"
         );
         assert_eq!(eng.query(&key("s"), 0, 400).len(), 160, "no point lost");
     }
@@ -743,11 +763,7 @@ mod tests {
         single.write_points(&ka, (0..20i64).map(|t| (t, TsValue::Long(t))));
         single.write_points(&kb, (0..20i64).map(|t| (t, TsValue::Long(-t))));
         single.flush();
-        let image = single
-            .file_image(0, single.shard_file_ids(0)[0])
-            .unwrap()
-            .image()
-            .to_vec();
+        let image = single.shard_files(0)[0].image().to_vec();
 
         let eng = leveled_engine(20, 4, 2);
         eng.adopt_file(image).expect("valid image");
@@ -759,9 +775,8 @@ mod tests {
         // Every surviving file now holds only its own shard's device.
         let total_points: u64 = (0..eng.shard_count())
             .map(|s| {
-                eng.shard_file_ids(s)
+                eng.shard_files(s)
                     .iter()
-                    .filter_map(|&id| eng.file_image(s, id))
                     .flat_map(|img| {
                         crate::tsfile::TsFileReader::open(img.image())
                             .map(|r| r.chunks().to_vec())
@@ -940,9 +955,9 @@ mod tests {
         }
         eng.compact_auto(); // some structure first
         eng.compact();
-        let meta = eng.shard_file_meta(0);
+        let meta = eng.shard_files(0);
         assert_eq!(meta.len(), 1);
-        assert!(meta[0].1 >= 1, "full merge output sits above level 0");
+        assert!(meta[0].level() >= 1, "full merge output sits above level 0");
     }
 
     /// A delete that lands between a pass's snapshot and its swap was

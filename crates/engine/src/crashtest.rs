@@ -57,7 +57,7 @@ fn config(shards: usize) -> EngineConfig {
         // A hair-trigger leveling policy: with files this small, every
         // scripted `compact_auto` round finds an eligible run, so the
         // level-move failpoints actually fire.
-        compaction: crate::engine::CompactionConfig {
+        compaction: crate::CompactionConfig {
             l0_trigger: 2,
             level_base_bytes: 1 << 10,
             growth: 2,
@@ -596,7 +596,8 @@ pub fn run_case(spec: &CaseSpec, shards: usize, seed: u64) -> Result<(), String>
     // alongside its inputs, or a manifest/adoption ordering bug, shows
     // up here as a duplicate id or an inversion.
     for shard in 0..shards {
-        let meta = eng.engine().shard_file_meta(shard);
+        let files = eng.engine().shard_files(shard);
+        let meta: Vec<(u64, u32)> = files.iter().map(|f| (f.id(), f.level())).collect();
         let mut ids: Vec<u64> = meta.iter().map(|&(id, _)| id).collect();
         ids.sort_unstable();
         ids.dedup();

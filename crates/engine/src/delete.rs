@@ -10,6 +10,7 @@
 //! [`StorageEngine::compact`](crate::compaction), reading the same way,
 //! drops deleted points for good.
 
+use crate::engine::{ShardState, StorageEngine};
 use crate::types::SeriesKey;
 
 /// A recorded range deletion awaiting physical application.
@@ -23,21 +24,115 @@ pub struct Tombstone {
     pub t_hi: i64,
 }
 
+impl ShardState {
+    /// Removes `key`'s points in `[t_lo, t_hi]` from every memtable.
+    /// Returns how many the working and unsequence memtables held.
+    fn erase(&mut self, key: &SeriesKey, t_lo: i64, t_hi: i64) -> usize {
+        let removed =
+            self.working.delete_range(key, t_lo, t_hi) + self.unseq.delete_range(key, t_lo, t_hi);
+        if let Some(fl) = self.flushing.as_mut() {
+            // Readers lose the points now; the flush in flight may have
+            // copied this series out already and still write them, so
+            // the tombstone's horizon covers that upcoming file as well.
+            fl.delete_range(key, t_lo, t_hi);
+        }
+        removed
+    }
+
+    /// Masks `key`'s `[t_lo, t_hi]` in the files below `horizon`,
+    /// clamped to the files there are and the one an occupied slot
+    /// becomes. Returns the horizon recorded; at 0 the mask covers no
+    /// file and is not kept.
+    fn push_tombstone(&mut self, key: &SeriesKey, t_lo: i64, t_hi: i64, horizon: usize) -> usize {
+        let horizon = horizon.min(self.files.len() + usize::from(self.flushing.is_some()));
+        if horizon > 0 {
+            let tombstone = Tombstone {
+                key: key.clone(),
+                t_lo,
+                t_hi,
+            };
+            self.tombstones.push((tombstone, horizon));
+        }
+        horizon
+    }
+}
+
+impl StorageEngine {
+    /// Deletes all points of `key` with timestamps in `[t_lo, t_hi]`.
+    ///
+    /// Memtable points (working, flushing slot, unsequence) are
+    /// removed immediately; flushed files are masked by a tombstone that
+    /// the next [`compact`](StorageEngine::compact) applies physically —
+    /// IoTDB's "mods" mechanism. Returns how many in-memory points were
+    /// removed.
+    pub fn delete_range(&self, key: &SeriesKey, t_lo: i64, t_hi: i64) -> usize {
+        self.delete_range_with_horizon(key, t_lo, t_hi, usize::MAX)
+            .0
+    }
+
+    /// [`delete_range`](Self::delete_range) with its tombstone masking
+    /// only the files below `horizon`, clamped to the shard's file count
+    /// (plus an occupied flushing slot). Returns the points removed and
+    /// the horizon recorded. The durable store logs that horizon in the
+    /// delete's WAL record, and replays the record with it: files
+    /// created during replay after the record cannot exist yet, so the
+    /// clamp only covers files whose contents predate the delete, and
+    /// later re-writes, replayed (and flushed) after it, stay untouched.
+    pub(crate) fn delete_range_with_horizon(
+        &self,
+        key: &SeriesKey,
+        t_lo: i64,
+        t_hi: i64,
+        horizon: usize,
+    ) -> (usize, usize) {
+        let mut st = self.shards[self.shard_of(&key.device)].write();
+        let removed = st.erase(key, t_lo, t_hi);
+        (removed, st.push_tombstone(key, t_lo, t_hi, horizon))
+    }
+
+    /// Restores a *re-logged* tombstone recovered from the WAL: pushes
+    /// the file mask (horizon clamped exactly as in
+    /// [`delete_range_with_horizon`](Self::delete_range_with_horizon))
+    /// without touching any memtable. A re-logged record sits *after*
+    /// records of writes issued after the original delete — when the
+    /// segment carrying the original record also survives a crash,
+    /// deleting memtable points at the re-log's replay position would
+    /// erase those later writes. The delete's memtable effect is either
+    /// replayed positionally from the original record or already
+    /// persisted in the flushed files the mask covers.
+    pub(crate) fn restore_tombstone(
+        &self,
+        key: &SeriesKey,
+        t_lo: i64,
+        t_hi: i64,
+        logged_horizon: usize,
+    ) {
+        self.shards[self.shard_of(&key.device)]
+            .write()
+            .push_tombstone(key, t_lo, t_hi, logged_horizon);
+    }
+
+    /// A snapshot of one shard's tombstones still awaiting physical
+    /// application, with their file horizons. The durable store re-logs
+    /// these into each fresh WAL segment at rotation — the segments that
+    /// originally carried the delete records are about to be truncated,
+    /// and until compaction applies a tombstone the WAL is its only
+    /// durable record.
+    pub(crate) fn pending_tombstones(&self, shard: usize) -> Vec<(Tombstone, usize)> {
+        self.shards[shard].read().tombstones.clone()
+    }
+
+    /// Number of tombstones awaiting compaction, across all shards.
+    pub fn tombstone_count(&self) -> usize {
+        self.shards.iter().map(|s| s.read().tombstones.len()).sum()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{EngineConfig, StorageEngine};
+    use crate::engine::tests::engine;
     use crate::types::TsValue;
-    use backsort_core::Algorithm;
-
-    fn engine(max_points: usize) -> StorageEngine {
-        StorageEngine::new(EngineConfig {
-            memtable_max_points: max_points,
-            sorter: Algorithm::Backward(Default::default()),
-            shards: 1,
-            ..EngineConfig::default()
-        })
-    }
 
     fn key() -> SeriesKey {
         SeriesKey::new("root.sg.d1", "s")

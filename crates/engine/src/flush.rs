@@ -17,14 +17,20 @@
 //! and merged in. The copy is then deduplicated into columns with the
 //! buffer's own [`SeriesBuffer::dedup_columns`], so a read and a flush
 //! cannot disagree on which of two equal timestamps comes last.
+//! [`StorageEngine::complete_flush`] installs the file; adoption
+//! installs one this engine did not write.
 
 use std::borrow::Borrow;
 use std::time::Instant;
 
 use backsort_core::Algorithm;
-use backsort_obs::Registry;
+use backsort_faults::sites as fault_sites;
+use backsort_obs::trace as obs_trace;
+use backsort_obs::{names, Registry};
 
+use crate::engine::StorageEngine;
 use crate::memtable::{MemTable, SeriesBuffer};
+use crate::read::FileHandle;
 use crate::tsfile::TsFileWriter;
 use crate::types::SeriesKey;
 
@@ -121,17 +127,241 @@ pub(crate) fn flush_series<K: Borrow<SeriesKey>>(
     (image, metrics)
 }
 
+/// The ticket for one shard's pending flush.
+///
+/// Produced by [`StorageEngine::write_batch_nonblocking`] (or
+/// [`StorageEngine::begin_flush_shard`]) when a working or unsequence
+/// memtable rotates into its shard's one flushing slot; consumed by
+/// [`StorageEngine::complete_flush`], directly or via
+/// [`FlushPool::submit`](crate::FlushPool::submit), installing in rotation
+/// order — age order (DESIGN.md §3). The job carries no data: the slot
+/// is the rotated memtable's only owner, queries keep reading
+/// it (and deletes editing it) there while the job is outstanding, and
+/// the flush copies each series out under the shard's read lock. Only
+/// installing the slot frees it: completing the job, or a
+/// [`flush`](StorageEngine::flush) or
+/// [`flush_unseq`](StorageEngine::flush_unseq), which installs an
+/// occupied slot first and so leaves the job stale (it names the slot's
+/// generation; completing it then installs nothing).
+#[derive(Debug)]
+#[must_use = "the shard's flushing slot stays occupied until the job is completed"]
+pub struct FlushJob {
+    pub(crate) shard: usize,
+    pub(crate) generation: u64,
+    pub(crate) unseq: bool,
+}
+
+impl FlushJob {
+    /// The shard whose flushing slot this job will release.
+    pub fn shard(&self) -> usize {
+        self.shard
+    }
+}
+
+impl StorageEngine {
+    /// Flushes every shard's flushing slot and working memtable that hold
+    /// points (see [`flush_unseq`](Self::flush_unseq) for the procedure).
+    /// The durable store calls this before truncating WAL segments: a
+    /// segment interleaves every shard's records, so *all* shards'
+    /// buffered data must reach files before any segment is deleted.
+    /// Returns the metrics summed across the installs.
+    pub fn flush(&self) -> FlushMetrics {
+        self.flush_through_slot(false)
+    }
+
+    /// Flushes every shard's flushing slot and *unsequence* memtable that
+    /// hold points (ascending shard order, one lock at a time): an
+    /// occupied slot is installed first — it is the older — then the
+    /// memtable rotates into the slot and is installed from there, both
+    /// outside the shard lock. A shard with nothing buffered installs
+    /// nothing and counts no flush. Returns the metrics summed across the
+    /// installs.
+    pub fn flush_unseq(&self) -> FlushMetrics {
+        self.flush_through_slot(true)
+    }
+
+    fn flush_through_slot(&self, unseq: bool) -> FlushMetrics {
+        let mut total = FlushMetrics::default();
+        for (shard, lock) in self.shards.iter().enumerate() {
+            let mut ours = false;
+            while !ours {
+                // Whatever occupies the slot is older: it installs first.
+                let mut st = lock.write();
+                let older = st.occupant(shard);
+                ours = older.is_none();
+                let job = older.or_else(|| self.rotate_into_slot(shard, &mut st, unseq));
+                drop(st);
+                let Some(job) = job else { break };
+                total += self.complete_flush(job);
+            }
+        }
+        total
+    }
+
+    /// Adopts an existing TsFile image (recovery path): registers it for
+    /// queries and advances watermarks from its chunk statistics. The
+    /// image is parsed into a [`FileHandle`] exactly once; every shard
+    /// that owns one of its devices gets a handle sharing that parsed
+    /// image (ascending order — queries filter by series, so the
+    /// duplication is invisible, and per-shard compaction later drops
+    /// the chunks belonging to other shards). Returns the
+    /// `(shard, file id)` pairs installed, or `None` (and adopts
+    /// nothing) if the image does not parse.
+    pub fn adopt_file(&self, image: Vec<u8>) -> Option<Vec<(usize, u64)>> {
+        self.adopt_file_at_level(image, 0)
+    }
+
+    /// [`adopt_file`](Self::adopt_file) with an explicit compaction
+    /// level — the durable store's recovery path reinstalls each file at
+    /// the level the manifest recorded, so a reopened engine resumes the
+    /// leveling ladder instead of re-treating merged output as fresh L0.
+    pub(crate) fn adopt_file_at_level(
+        &self,
+        image: Vec<u8>,
+        level: u32,
+    ) -> Option<Vec<(usize, u64)>> {
+        let handle = self.parse_image(image)?.with_level(level);
+        let metas: Vec<(SeriesKey, i64)> = handle
+            .chunks()
+            .iter()
+            .map(|m| (m.key.clone(), m.max_time))
+            .collect();
+        let mut targets: Vec<usize> = metas
+            .iter()
+            .map(|(k, _)| self.shard_of(&k.device))
+            .collect();
+        targets.sort_unstable();
+        targets.dedup();
+        if targets.is_empty() {
+            targets.push(0); // an empty (but valid) file: park it in shard 0
+        }
+        let last = targets.len() - 1;
+        let mut installed = Vec::with_capacity(targets.len());
+        for (i, &shard) in targets.iter().enumerate() {
+            let mut st = self.shards[shard].write();
+            for (key, max_time) in &metas {
+                if self.shard_of(&key.device) == shard {
+                    let w = st.watermarks.entry(key.clone()).or_insert(i64::MIN);
+                    *w = (*w).max(*max_time);
+                }
+            }
+            // Every shard but the last gets a copy under a fresh id,
+            // sharing the already-parsed image.
+            let h = if i == last {
+                handle.clone()
+            } else {
+                handle.with_id(self.alloc_file_id())
+            };
+            installed.push((shard, h.id()));
+            st.files.push(h);
+        }
+        Some(installed)
+    }
+
+    /// Parses a TsFile image under a fresh file id, counting the parse
+    /// in `file.parse`. `None` if the image is not a valid TsFile.
+    fn parse_image(&self, image: Vec<u8>) -> Option<FileHandle> {
+        self.obs.file_parse.inc();
+        FileHandle::parse(self.alloc_file_id(), image)
+    }
+
+    /// [`Self::parse_image`] for an image this engine's own writer just
+    /// produced (flush and compaction outputs).
+    pub(crate) fn parse_own_image(&self, image: Vec<u8>) -> FileHandle {
+        // analyzer:allow(panic-freedom): the image was produced by our own encoder one call above (a flush or compaction output); dropping it on a parse error would silently lose acked writes
+        self.parse_image(image).expect("own image parses")
+    }
+
+    /// Runs a [`FlushJob`] and installs the result into the shard the
+    /// job was rotated from: the file becomes queryable and that shard's
+    /// flushing slot is released. The one installer of a rotated
+    /// memtable, working or unsequence (`flush.root`'s `unseq` says which),
+    /// whoever calls it: a flush pool worker, a writer that wants its
+    /// write synchronous, or [`flush`](Self::flush) and its twin.
+    ///
+    /// The slot's memtable is never taken out or copied whole. Each
+    /// series is copied under the shard's *read* lock — one clone of its
+    /// flat buffer, readers unaffected, a writer held up for one
+    /// series' copy at most — and sorted, encoded and parsed with no
+    /// lock held. A delete that lands between two such copies edits the
+    /// slot as usual; whether or not the file still carries its points,
+    /// the delete's tombstone horizon already covers this file. When
+    /// deletes have emptied the slot there is no file: the horizons
+    /// that counted one are lowered to the files that exist, so the
+    /// next file to land — later writes — is not masked in its place.
+    ///
+    /// Every copy and the install check the job's generation. A stale
+    /// job — its slot already installed by a synchronous flush —
+    /// installs nothing and returns [`FlushMetrics::default`]; it leaves
+    /// `engine.flush_queue_depth` and the `flush.*` counters alone.
+    pub fn complete_flush(&self, job: FlushJob) -> FlushMetrics {
+        // Crash site: the memtable has rotated into the slot but nothing
+        // is encoded yet — its points' only durable copy is the WAL.
+        self.faults.kill_point(fault_sites::FLUSH_ROTATE);
+        let (shard, generation, unseq) = (job.shard, job.generation, job.unseq);
+        let lock = &self.shards[shard];
+        let keys: Vec<SeriesKey> = match lock.read().slot(generation) {
+            Some(slot) => slot.iter().map(|(key, _)| key.clone()).collect(),
+            None => return FlushMetrics::default(),
+        };
+        let _trace = self.trace_always(names::SPAN_FLUSH_ROOT, || format!("flush shard={shard}"));
+        obs_trace::add_attr(names::ATTR_SHARD, shard as u64);
+        obs_trace::add_attr(names::ATTR_UNSEQ, u64::from(unseq));
+        let span_encode = obs_trace::span(names::SPAN_FLUSH_ENCODE);
+        let series = keys.into_iter().filter_map(|key| {
+            let copy = lock.read().slot(generation)?.get(&key)?.flush_copy();
+            Some((key, copy))
+        });
+        let (image, metrics) = flush_series(series, &self.config.sorter, Some(&self.obs.registry));
+        if let Some(s) = &span_encode {
+            s.attr(names::ATTR_POINTS, metrics.points);
+        }
+        drop(span_encode);
+        // Crash site: the image is encoded but not yet installed — a
+        // killed flush must lose the file cleanly (its points stay
+        // WAL-covered until rotation).
+        self.faults
+            .kill_point(fault_sites::FLUSH_COMPLETE_BEFORE_INSTALL);
+        // Parse the chunk index outside the lock too — installing the
+        // handle is then just a push.
+        let handle = (metrics.points > 0).then(|| self.parse_own_image(image));
+        let mut st = lock.write();
+        if st.slot(generation).is_none() {
+            return FlushMetrics::default();
+        }
+        match handle {
+            Some(handle) => st.files.push(handle),
+            None => {
+                // Deletes emptied the slot and it becomes no file after
+                // all. Their horizons counted it as one (`files.len() +
+                // 1`); left there they would mask whatever lands at
+                // that index next, which can only be newer than they are.
+                let files = st.files.len();
+                st.tombstones.retain_mut(|(_, horizon)| {
+                    *horizon = (*horizon).min(files);
+                    *horizon > 0
+                });
+            }
+        }
+        let retired = st.flushing.take();
+        drop(st);
+        // Freeing the retired memtable's chunks holds nobody up.
+        drop(retired);
+        self.obs.flush_queue_depth.dec();
+        self.obs.record_flush(&metrics);
+        metrics
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::PointBatch;
+    use crate::engine::tests::{key, sharded_engine, small_engine};
     use crate::tsfile::TsFileReader;
     use crate::types::{DataType, TsValue};
     use backsort_core::BackwardSort;
     use backsort_sorts::{BaselineSorter, SeriesSorter};
-
-    fn key(s: &str) -> SeriesKey {
-        SeriesKey::new("root.sg.d1", s)
-    }
 
     #[test]
     fn flush_sorts_dedups_and_roundtrips() {
@@ -317,5 +547,75 @@ mod tests {
         assert!(metrics.encode_nanos > 0);
         assert!(metrics.write_nanos > 0);
         assert_eq!(metrics.points, 10_000);
+    }
+
+    #[test]
+    fn flush_counters_accumulate() {
+        let flushed = |eng: &StorageEngine| {
+            let snap = eng.obs().snapshot();
+            (
+                snap.counter(names::FLUSH_COUNT),
+                snap.counter(names::FLUSH_POINTS),
+            )
+        };
+        let eng = small_engine(Algorithm::Backward(Default::default()));
+        eng.write_points(&key("s"), (0..100i64).map(|i| (i, TsValue::Long(i))));
+        // The 100th point rotated the full memtable; nothing is left, so
+        // neither flush records anything.
+        assert_eq!(eng.flush().points, 0);
+        assert_eq!(eng.flush_unseq().points, 0);
+        assert_eq!(flushed(&eng), (1, 100));
+
+        // Only the shard holding points flushes, each memtable once.
+        let eng = sharded_engine(4);
+        let k = SeriesKey::new("root.sg.d0", "s");
+        eng.write_points(&k, (10..20i64).map(|t| (t, TsValue::Long(t))));
+        assert_eq!(eng.flush().points, 10);
+        eng.write_points(&k, [(5, TsValue::Long(5))]); // below the watermark
+        assert_eq!(eng.flush_unseq().points, 1);
+        assert_eq!(eng.flush().points + eng.flush_unseq().points, 0);
+        assert_eq!(eng.buffered_points(), (0, 0));
+        assert_eq!(eng.file_count(), 2);
+        assert_eq!(flushed(&eng), (2, 11), "clean shards record no flush");
+    }
+
+    /// A synchronous flush beside an outstanding job installs the older
+    /// slot first. At the wrong end of the file list, a newer unsequence
+    /// point would lose its duplicate timestamp to the slot's file, and a
+    /// tombstone that counted the slot as the next file would mask the
+    /// working memtable's instead. The job it overtook is stale.
+    #[test]
+    fn a_synchronous_flush_installs_an_outstanding_slot_first() {
+        let depth = |eng: &StorageEngine| eng.obs().gauge_value(names::ENGINE_FLUSH_QUEUE_DEPTH);
+        let eng = small_engine(Algorithm::Backward(Default::default()));
+        let full = PointBatch::from_rows((0..100).map(|t| (t, TsValue::Long(t)))).unwrap();
+        let job = eng.write_batch_nonblocking(&key("s"), &full).unwrap();
+        let job = job.expect("a full memtable rotates");
+        eng.write_points(&key("s"), [(50, TsValue::Long(-50))]); // unsequence
+        eng.delete_range(&key("s"), 200, 300); // horizon 1: the slot's file
+        eng.write_points(&key("s"), [(250, TsValue::Long(250))]); // working
+        assert_eq!(eng.flush_unseq().points, 101, "the slot, then unsequence");
+        assert_eq!(eng.flush().points, 1);
+        assert_eq!((eng.file_count(), depth(&eng)), (3, 0));
+        assert_eq!(eng.complete_flush(job), FlushMetrics::default());
+        assert_eq!((eng.file_count(), depth(&eng)), (3, 0));
+        let flushes = eng.obs().counter_value(names::FLUSH_COUNT);
+        assert_eq!(flushes, 3, "a stale job records nothing");
+        assert_eq!(eng.query(&key("s"), 50, 50), [(50, TsValue::Long(-50))]);
+        assert_eq!(eng.query(&key("s"), 250, 250), [(250, TsValue::Long(250))]);
+    }
+
+    #[test]
+    fn adoption_level_rides_shard_files() {
+        let eng = small_engine(Algorithm::Backward(Default::default()));
+        eng.write_points(&key("s"), (0..100i64).map(|i| (i, TsValue::Long(i))));
+        let image = eng.shard_files(0)[0].image().to_vec();
+        let other = small_engine(Algorithm::Backward(Default::default()));
+        other.adopt_file_at_level(image.clone(), 3).expect("adopts");
+        other.adopt_file(image).expect("adopts");
+        let meta = other.shard_files(0);
+        assert_eq!(meta.len(), 2);
+        assert_eq!(meta[0].level(), 3, "explicit level survives adoption");
+        assert_eq!(meta[1].level(), 0, "plain adoption lands at level 0");
     }
 }

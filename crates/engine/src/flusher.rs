@@ -19,7 +19,8 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::engine::{FlushJob, StorageEngine};
+use crate::engine::StorageEngine;
+use crate::flush::FlushJob;
 
 /// A pool of flush threads for one engine. Every job submitted is
 /// installed: by a worker, or inline by [`submit`](Self::submit) once

@@ -1,28 +1,26 @@
-//! A miniature IoTDB-style storage engine (paper §V).
+//! A miniature IoTDB-style storage engine (paper §V): the system context
+//! Backward-Sort ships in. One module per decision, and [`StorageEngine`]'s
+//! methods live in the module whose decision they make:
 //!
-//! Reproduces the system context Backward-Sort ships in:
-//!
-//! * **MemTables** ([`memtable`]) — a *working* memtable accepts writes;
-//!   when full it becomes the *flushing* memtable and is drained to disk.
-//!   Each sensor buffers into its own [`SeriesBuffer`]: the paper's
-//!   per-sensor TVList (Fig. 7), kept as one flat vector of pairs.
-//! * **Separation policy** ([`engine`]) — a point timestamped below the
-//!   sensor's flush watermark is routed to the *unsequence* memtable
-//!   instead of the working one, which is what keeps in-memory disorder
-//!   "not-too-distant" (paper §II).
-//! * **Flush pipeline** ([`flush`]) — sort (the component under test) →
-//!   deduplicate → encode (TS_2DIFF timestamps, Gorilla floats;
-//!   [`encoding`]) → write a TsFile-like chunked layout ([`tsfile`]),
-//!   off the write path on a [`FlushPool`] ([`flusher`]).
-//! * **Queries** ([`engine`], [`read`]) — time-range queries serve from
-//!   a shard *read* lock when every relevant buffer is already sorted
-//!   (concurrent readers overlap), upgrading to the write lock only to
-//!   sort an unsorted buffer on demand (§VI-D1's lock contention, now
-//!   confined to the sort). Every read — rows, latest value, aggregates,
-//!   group-by-time — is one typed scan over time-sorted runs (flushed
-//!   chunks, memtable buffer slices): runs that overlap no other stream
-//!   to a sink as column slices, and only runs whose time envelopes
-//!   intersect are merged last-write-wins.
+//! * [`engine`] — the config, which shard a device hashes to, construction and counts.
+//! * `write` — a batch's route by the separation policy (paper §II), and rotation.
+//! * [`flush`] — a rotated memtable sorted, deduplicated, encoded (§V-C) and installed.
+//! * [`flusher`] — the pool that installs flushes off the write path (§VI-D2).
+//! * [`delete`] — which points a range delete erases, and which files its tombstone masks.
+//! * `query` — a series read, sorting a dirty buffer on demand (§VI-D1), and `EXPLAIN`.
+//! * [`read`] — which files and chunks a read touches, and how their time-sorted runs merge.
+//! * [`aggregate`] — the folds over a read, and which pages they answer from their headers.
+//! * [`compaction`] — which files merge, and when.
+//! * [`store`] — what is durable: the WAL, the persisted images, the manifest, and recovery.
+//! * [`crashtest`] — whether recovery keeps what was acked, at every failpoint.
+//! * [`memtable`] — how a series is buffered: the paper's TVList (Fig. 7) as one flat vector.
+//! * [`batch`] — the one columnar form of a write.
+//! * [`tsfile`] — the file layout: chunks, pages with statistics, a chunk index.
+//! * [`encoding`] — the column encodings (TS_2DIFF timestamps, Gorilla floats).
+//! * [`filter`] — whether a file may hold a key.
+//! * [`cache`] — which decoded pages stay in memory.
+//! * [`stats`] — how values are summed and compared, on every path.
+//! * [`types`] — series keys and dynamic values.
 //!
 //! The sort algorithm is pluggable per engine instance
 //! ([`EngineConfig::sorter`]), which is how the system experiments compare
@@ -43,24 +41,25 @@ pub mod filter;
 pub mod flush;
 pub mod flusher;
 pub mod memtable;
+mod query;
 pub mod read;
 pub mod stats;
 pub mod store;
 pub mod tsfile;
 pub mod types;
+mod write;
 
 pub use aggregate::{AggValue, Aggregation};
 pub use batch::{ColumnSlice, PointBatch, ValueColumn, WriteError};
 pub use cache::BlockCache;
-pub use compaction::CompactionReport;
+pub use compaction::{CompactionConfig, CompactionReport};
 pub use delete::Tombstone;
-pub use engine::{
-    CompactionConfig, EngineConfig, FlushJob, LevelPlan, QueryPlan, QueryResult, StorageEngine,
-};
+pub use engine::{EngineConfig, StorageEngine};
 pub use filter::KeyFilter;
-pub use flush::{flush_memtable, FlushMetrics};
+pub use flush::{flush_memtable, FlushJob, FlushMetrics};
 pub use flusher::FlushPool;
 pub use memtable::{MemTable, SeriesBuffer};
+pub use query::{LevelPlan, QueryPlan, QueryResult};
 pub use read::{FileHandle, IntervalSet};
 pub use stats::ExactSum;
 pub use store::DurableEngine;

@@ -49,8 +49,10 @@ use backsort_obs::Registry;
 
 use crate::batch::{put_batch, put_key, read_batch, PointBatch, Unread, ValueColumn};
 use crate::encoding::{ts2diff, varint};
-use crate::engine::{EngineConfig, QueryResult, StorageEngine};
+use crate::engine::{EngineConfig, StorageEngine};
 use crate::flush::FlushMetrics;
+use crate::query::QueryResult;
+use crate::read::FileHandle;
 use crate::types::{DataType, SeriesKey};
 
 /// CRC-32 (IEEE, reflected), eight bytes a step ("slicing-by-8": table
@@ -524,11 +526,8 @@ impl DurableEngine {
     ) -> StoreResult<Self> {
         let dir = dir.as_ref().to_path_buf();
         io.create_dir_all(&dir).map_err(StoreError::Recover)?;
-        let engine = StorageEngine::with_instrumentation(
-            config,
-            Arc::new(Registry::new()),
-            Arc::clone(&faults),
-        );
+        let engine =
+            StorageEngine::instrumented(config, Arc::new(Registry::new()), Arc::clone(&faults));
 
         // Scan the directory for persisted TsFiles and WAL segments.
         let mut tsfiles: Vec<(u64, String)> = Vec::new();
@@ -959,33 +958,28 @@ fn write_images(
     persisted: &mut [HashMap<u64, u64>],
 ) -> StoreResult<Vec<u64>> {
     let mut first_written = false;
-    for (shard, done) in persisted.iter_mut().enumerate() {
-        for id in engine.shard_file_ids(shard) {
-            if done.contains_key(&id) {
-                continue;
-            }
-            // The image can only be gone if compaction ran in between;
-            // the merged file then carries the data under its own id.
-            if let Some(file) = engine.file_image(shard, id) {
-                *generation += 1;
-                io.write_durable(&dir.join(format!("tsfile-{generation}.bstf")), file.image())
-                    .map_err(StoreError::Persist)?;
-                done.insert(id, *generation);
-                if !first_written {
-                    first_written = true;
-                    faults
-                        .hit(fault_sites::STORE_PERSIST_AFTER_FIRST_WRITE)
-                        .map_err(StoreError::Persist)?;
-                }
-            }
-        }
-    }
-    // Forget ids compaction merged away; a generation is dropped only
-    // once no shard references it anymore (a multi-device file adopted
-    // into several shards shares one).
     let mut dropped_gens: Vec<u64> = Vec::new();
     for (shard, done) in persisted.iter_mut().enumerate() {
-        let live: HashSet<u64> = engine.shard_file_ids(shard).into_iter().collect();
+        let files = engine.shard_files(shard);
+        for file in &files {
+            if done.contains_key(&file.id()) {
+                continue;
+            }
+            *generation += 1;
+            io.write_durable(&dir.join(format!("tsfile-{generation}.bstf")), file.image())
+                .map_err(StoreError::Persist)?;
+            done.insert(file.id(), *generation);
+            if !first_written {
+                first_written = true;
+                faults
+                    .hit(fault_sites::STORE_PERSIST_AFTER_FIRST_WRITE)
+                    .map_err(StoreError::Persist)?;
+            }
+        }
+        // Forget ids compaction merged away; a generation is dropped only
+        // once no shard references it anymore (a multi-device file adopted
+        // into several shards shares one).
+        let live: HashSet<u64> = files.iter().map(FileHandle::id).collect();
         done.retain(|id, gen| {
             if live.contains(id) {
                 true
@@ -1040,8 +1034,9 @@ fn commit_manifest_and_gc(
     let mut live_files: Vec<(u64, u32)> = Vec::new();
     let mut seen: HashMap<u64, usize> = HashMap::new();
     for (shard, done) in persisted.iter().enumerate() {
-        for (id, level) in engine.shard_file_meta(shard) {
-            if let Some(&gen) = done.get(&id) {
+        for file in engine.shard_files(shard) {
+            if let Some(&gen) = done.get(&file.id()) {
+                let level = file.level();
                 match seen.get(&gen) {
                     Some(&pos) => {
                         let slot = &mut live_files[pos].1;
@@ -1225,7 +1220,7 @@ mod tests {
     fn compaction_levels_survive_reopen() {
         let dir = tmpdir("level-reopen");
         let cfg = || EngineConfig {
-            compaction: crate::engine::CompactionConfig {
+            compaction: crate::CompactionConfig {
                 l0_trigger: 2,
                 level_base_bytes: 1 << 10,
                 growth: 2,
@@ -1240,7 +1235,8 @@ mod tests {
                 write_each(&mut eng, &key(), ts.map(|t| (t, TsValue::Long(t))));
             }
             eng.engine().compact_auto();
-            let meta = eng.engine().shard_file_meta(0);
+            let files = eng.engine().shard_files(0);
+            let meta: Vec<(u64, u32)> = files.iter().map(|f| (f.id(), f.level())).collect();
             assert!(
                 meta.iter().any(|&(_, level)| level > 0),
                 "compaction produced a leveled file: {meta:?}"
@@ -1249,7 +1245,8 @@ mod tests {
             eng.flush().unwrap();
         }
         let eng = DurableEngine::open(&dir, cfg()).unwrap();
-        let meta = eng.engine().shard_file_meta(0);
+        let files = eng.engine().shard_files(0);
+        let meta: Vec<(u64, u32)> = files.iter().map(|f| (f.id(), f.level())).collect();
         assert!(
             meta.iter().any(|&(_, level)| level > 0),
             "levels recovered from the manifest: {meta:?}"

@@ -149,15 +149,16 @@ fn assert_identical(
     // Same residency: identical buffered counts and flushed images.
     prop_assert_eq!(a.buffered_points(), b.buffered_points());
     for shard in 0..shards {
-        let ids_a = a.shard_file_ids(shard);
-        let ids_b = b.shard_file_ids(shard);
+        let (files_a, files_b) = (a.shard_files(shard), b.shard_files(shard));
+        let ids_a: Vec<u64> = files_a.iter().map(|f| f.id()).collect();
+        let ids_b: Vec<u64> = files_b.iter().map(|f| f.id()).collect();
         prop_assert_eq!(&ids_a, &ids_b, "file ids diverged in shard {}", shard);
-        for id in ids_a {
+        for (fa, fb) in files_a.iter().zip(&files_b) {
             prop_assert_eq!(
-                a.file_image(shard, id).map(|f| f.image().to_vec()),
-                b.file_image(shard, id).map(|f| f.image().to_vec()),
+                fa.image(),
+                fb.image(),
                 "file image {} diverged in shard {}",
-                id,
+                fa.id(),
                 shard
             );
         }

@@ -21,9 +21,9 @@
 //! merged image) shows up here as a minimized counterexample.
 
 use backsort_core::{Algorithm, BackwardSort, InBlockSort};
-use backsort_engine::engine::CompactionConfig;
 use backsort_engine::{
-    AggValue, Aggregation, EngineConfig, PointBatch, SeriesKey, StorageEngine, TsValue,
+    AggValue, Aggregation, CompactionConfig, EngineConfig, PointBatch, SeriesKey, StorageEngine,
+    TsValue,
 };
 use proptest::prelude::*;
 
@@ -225,7 +225,11 @@ proptest! {
             // Level shape sanity on the subject: unique file ids and a
             // non-increasing level sequence per shard.
             for shard in 0..shards {
-                let meta = subject.shard_file_meta(shard);
+                let meta: Vec<(u64, u32)> = subject
+                    .shard_files(shard)
+                    .iter()
+                    .map(|f| (f.id(), f.level()))
+                    .collect();
                 let mut ids: Vec<u64> = meta.iter().map(|&(id, _)| id).collect();
                 ids.sort_unstable();
                 ids.dedup();

@@ -112,12 +112,7 @@ fn file_indexes_parse_once_per_install_not_per_query() {
         let donor = engine(1_000, 1);
         put(&donor, &key("a"), longs(200..220));
         donor.flush();
-        let ids = donor.shard_file_ids(0);
-        donor
-            .file_image(0, ids[0])
-            .expect("flushed image")
-            .image()
-            .to_vec()
+        donor.shard_files(0)[0].image().to_vec()
     };
     eng.adopt_file(image).expect("valid image");
 

@@ -2,15 +2,18 @@
 //! benchmark query shape, aggregate, window, and delete — all in the
 //! dialect IoTDB-benchmark speaks (§VI-D).
 //!
-//! Run with: `cargo run --release --example sql_workbench`
+//! Run with: `cargo run --release --example sql_workbench` — it checks
+//! what it prints and panics on a wrong answer.
 
 use backward_sort_repro::core::Algorithm;
-use backward_sort_repro::engine::{EngineConfig, StorageEngine};
-use backward_sort_repro::sql::{execute, QueryOutput};
+use backward_sort_repro::engine::{AggValue, EngineConfig, StorageEngine};
+use backward_sort_repro::sql::{execute, QueryOutput, SqlError};
 
-fn show(engine: &StorageEngine, sql: &str) {
+/// Runs `sql`, prints its answer, and returns it.
+fn show(engine: &StorageEngine, sql: &str) -> Result<QueryOutput, SqlError> {
     println!("\niotdb> {sql}");
-    match execute(engine, sql) {
+    let output = execute(engine, sql);
+    match &output {
         Ok(QueryOutput::Rows { columns, rows }) => {
             println!("  time | {}", columns.join(" | "));
             for (t, vals) in rows.iter().take(6) {
@@ -25,7 +28,7 @@ fn show(engine: &StorageEngine, sql: &str) {
             }
         }
         Ok(QueryOutput::Aggregates { columns, values }) => {
-            for (c, v) in columns.iter().zip(&values) {
+            for (c, v) in columns.iter().zip(values) {
                 println!("  {c} = {v:?}");
             }
         }
@@ -33,7 +36,7 @@ fn show(engine: &StorageEngine, sql: &str) {
             for (start, vals) in buckets {
                 let cells: Vec<String> = columns
                     .iter()
-                    .zip(&vals)
+                    .zip(vals)
                     .map(|(c, v)| format!("{c}={v:?}"))
                     .collect();
                 println!("  [{start:>5}, +step)  {}", cells.join("  "));
@@ -43,14 +46,14 @@ fn show(engine: &StorageEngine, sql: &str) {
         Ok(QueryOutput::Deleted(n)) => println!("  ok, {n} in-memory point(s) removed"),
         Ok(QueryOutput::Stats { names, values }) => {
             // Show the interesting subset: the live Backward-Sort story.
-            for (n, v) in names.iter().zip(&values) {
+            for (n, v) in names.iter().zip(values) {
                 if n.starts_with("sort.") || n.starts_with("merge.") || n.starts_with("query.") {
                     println!("  {n:<28} {v}");
                 }
             }
         }
         Ok(QueryOutput::Explain { lines }) => {
-            for l in &lines {
+            for l in lines {
                 println!("  {l}");
             }
         }
@@ -59,13 +62,13 @@ fn show(engine: &StorageEngine, sql: &str) {
             result_rows,
             ..
         }) => {
-            for l in &rendered {
+            for l in rendered {
                 println!("  {l}");
             }
             println!("  ({result_rows} rows)");
         }
         Ok(QueryOutput::SlowQueries { entries }) => {
-            for (label, nanos, spans) in &entries {
+            for (label, nanos, spans) in entries {
                 println!(
                     "  {:>9.3} ms  {spans:>3} spans  {label}",
                     *nanos as f64 / 1e6
@@ -76,6 +79,15 @@ fn show(engine: &StorageEngine, sql: &str) {
             }
         }
         Err(e) => println!("  {e}"),
+    }
+    output
+}
+
+/// The first value of an aggregate answer.
+fn first_aggregate(output: Result<QueryOutput, SqlError>) -> Option<AggValue> {
+    match output {
+        Ok(QueryOutput::Aggregates { values, .. }) => values.first().copied(),
+        _ => None,
     }
 }
 
@@ -108,37 +120,49 @@ fn main() {
         .unwrap();
     }
 
-    show(&engine, "SELECT * FROM root.demo.engine WHERE time <= 5");
+    let first = show(&engine, "SELECT * FROM root.demo.engine WHERE time <= 5");
+    assert!(matches!(first, Ok(QueryOutput::Rows { rows, .. }) if rows.len() == 5));
     // The paper's benchmark query: latest window only (§VI-D).
     show(
         &engine,
         "SELECT rpm FROM root.demo.engine WHERE time > 1999 - 10",
-    );
-    show(
+    )
+    .unwrap();
+    let summary = show(
         &engine,
         "SELECT count(rpm), min_value(rpm), avg(rpm), max_time(rpm) FROM root.demo.engine",
     );
+    assert_eq!(first_aggregate(summary), Some(AggValue::Number(1_999.0)));
     // "the average speed of an engine in every minute" (§VI-E).
     show(
         &engine,
         "SELECT avg(rpm) FROM root.demo.engine GROUP BY (0, 1999, 500)",
-    );
+    )
+    .unwrap();
     show(
         &engine,
         "DELETE FROM root.demo.engine.rpm WHERE time >= 100 AND time <= 199",
-    );
-    show(&engine, "SELECT count(rpm) FROM root.demo.engine");
+    )
+    .unwrap();
+    let count = show(&engine, "SELECT count(rpm) FROM root.demo.engine");
+    assert_eq!(first_aggregate(count), Some(AggValue::Number(1_899.0)));
     // Where does a query spend its time? Static plan, then a traced run.
-    show(
+    let plan = show(
         &engine,
         "EXPLAIN SELECT rpm FROM root.demo.engine WHERE time > 1999 - 10",
+    );
+    let fan_in = "  merge fan-in: 1 (0 chunk sources + 1 memtable buffers)";
+    assert!(
+        matches!(plan, Ok(QueryOutput::Explain { lines }) if lines.iter().any(|l| l == fan_in))
     );
     show(
         &engine,
         "EXPLAIN ANALYZE SELECT rpm FROM root.demo.engine WHERE time > 1999 - 10",
-    );
-    show(&engine, "SHOW SLOW QUERIES");
+    )
+    .unwrap();
+    show(&engine, "SHOW SLOW QUERIES").unwrap();
     // Live engine telemetry, filtered to the Backward-Sort metrics.
-    show(&engine, "SHOW STATS");
-    show(&engine, "SELECT nope FROM"); // parse errors are reported, not panicked
+    show(&engine, "SHOW STATS").unwrap();
+    // Parse errors are reported, not panicked.
+    assert!(show(&engine, "SELECT nope FROM").is_err());
 }

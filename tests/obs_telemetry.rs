@@ -54,7 +54,7 @@ fn mean_nonnegative_delay(pairs: &[(i64, f64)]) -> f64 {
 #[test]
 fn live_overlap_q_respects_the_papers_bound() {
     let registry = Arc::new(Registry::new());
-    let engine = StorageEngine::with_registry(
+    let engine = StorageEngine::instrumented(
         EngineConfig {
             memtable_max_points: 4_096,
             sorter: Algorithm::Backward(Default::default()),
@@ -62,6 +62,7 @@ fn live_overlap_q_respects_the_papers_bound() {
             ..EngineConfig::default()
         },
         Arc::clone(&registry),
+        Arc::default(),
     );
     let key = SeriesKey::new("root.obs.d1", "s1");
     let pairs = delay_only_pairs(40_000, 77);
@@ -118,7 +119,11 @@ fn live_overlap_q_respects_the_papers_bound() {
 #[test]
 fn the_declared_catalog_is_present_from_birth() {
     let registry = Arc::new(Registry::new());
-    let _engine = StorageEngine::with_registry(EngineConfig::default(), Arc::clone(&registry));
+    let _engine = StorageEngine::instrumented(
+        EngineConfig::default(),
+        Arc::clone(&registry),
+        Arc::default(),
+    );
     let snap = registry.snapshot();
     for name in names::COUNTERS {
         assert!(snap.counters.contains_key(*name), "counter {name} missing");
@@ -137,7 +142,7 @@ fn the_declared_catalog_is_present_from_birth() {
 #[test]
 fn flush_spans_land_in_the_trace_store() {
     let registry = Arc::new(Registry::new());
-    let engine = StorageEngine::with_registry(
+    let engine = StorageEngine::instrumented(
         EngineConfig {
             memtable_max_points: 2_048,
             sorter: Algorithm::Backward(Default::default()),
@@ -145,6 +150,7 @@ fn flush_spans_land_in_the_trace_store() {
             ..EngineConfig::default()
         },
         Arc::clone(&registry),
+        Arc::default(),
     );
     let engine = Arc::new(engine);
     let key = SeriesKey::new("root.obs.d1", "s1");
