@@ -6,9 +6,11 @@
 //!
 //! 1. `self.method(…)` — methods of the enclosing `impl` type, across
 //!    all files (split impls like `StorageEngine` resolve correctly);
-//! 2. `self.field.method(…)` / `param.method(…)` — the receiver's type
-//!    tokens come from the struct-field map or the caller's parameter
-//!    list, and the method is looked up by owner;
+//! 2. `self.field.method(…)` / `local.method(…)` /
+//!    `local.field.method(…)` — the receiver's type tokens come from the
+//!    struct-field map or the caller's typed locals, and the method is
+//!    looked up by owner. A typed local is a parameter, or a
+//!    `let [mut] local = Type {` / `= Self {` struct-literal binding;
 //! 3. `Type::func(…)` / `Self::func(…)` — owner lookup by path segment;
 //! 4. `local.method(…)` with an untyped receiver — resolved only when
 //!    exactly one method in the workspace has that name;
@@ -69,15 +71,18 @@ impl CallGraph {
         for (caller, f) in table.fns.iter().enumerate() {
             let Some((lo, hi)) = f.body else { continue };
             let scan = &ws.files[f.file_idx].scan;
-            let param_types: BTreeMap<&str, &str> = f
+            let mut typed: BTreeMap<&str, &str> = f
                 .params
                 .iter()
                 .map(|(n, t)| (n.as_str(), t.as_str()))
                 .collect();
+            typed.extend(
+                (lo..=hi.min(scan.clean.len())).filter_map(|l| struct_binding(&scan.clean[l - 1])),
+            );
             for line in lo..=hi.min(scan.clean.len()) {
                 let text = &scan.clean[line - 1];
                 for call in extract_calls(text) {
-                    let callees = resolve(&call, caller, table, &methods, &free, &param_types, ws);
+                    let callees = resolve(&call, caller, table, &methods, &free, &typed, ws);
                     for callee in callees {
                         if callee == caller {
                             continue; // direct recursion adds nothing
@@ -180,8 +185,9 @@ pub struct Call {
 pub enum Recv {
     /// `self.name(…)`.
     SelfDot,
-    /// `self.<field>.name(…)`.
-    SelfField(String),
+    /// `<ident>.<field>.name(…)` — `self`'s, a parameter's or a local's
+    /// field.
+    Field(String, String),
     /// `<ident>.name(…)` — a parameter or local.
     Ident(String),
     /// `<Path>::name(…)` — last path segment before `::`.
@@ -307,15 +313,37 @@ fn classify_dot(bytes: &[u8], text: &str, dot: usize) -> Recv {
     if recv == "self" {
         return Recv::SelfDot;
     }
-    // `self.field.name(` — one more hop back.
-    if s >= 5 && &bytes[s - 5..s] == b"self." && !recv.as_bytes()[0].is_ascii_digit() {
-        return Recv::SelfField(recv.to_string());
+    if s == 0 || bytes[s - 1] != b'.' {
+        return Recv::Ident(recv.to_string());
     }
-    // A longer chain (`a.b.c.name(`) is unresolvable.
-    if s > 0 && bytes[s - 1] == b'.' {
+    // `<base>.field.name(` — one more hop back. A longer chain
+    // (`a.b.c.name(`) or a tuple index is unresolvable.
+    let mut b = s - 1;
+    while b > 0 && is_ident(bytes[b - 1]) {
+        b -= 1;
+    }
+    let base = &text[b..s - 1];
+    let not_a_name = |w: &str| w.is_empty() || w.starts_with(|c: char| c.is_ascii_digit());
+    if (b > 0 && bytes[b - 1] == b'.') || not_a_name(base) || not_a_name(recv) {
         return Recv::Unknown;
     }
-    Recv::Ident(recv.to_string())
+    Recv::Field(base.to_string(), recv.to_string())
+}
+
+/// `let [mut] <local> = <Type> {` — a local bound to a struct literal,
+/// as `(local, Type)`; `Type` may be `Self`, which types the local's
+/// fields (rule 2) but resolves none of its own methods.
+fn struct_binding(text: &str) -> Option<(&str, &str)> {
+    let rest = text.trim_start().strip_prefix("let ")?;
+    let (local, rest) = rest
+        .strip_prefix("mut ")
+        .unwrap_or(rest)
+        .split_once(" = ")?;
+    let ty = rest.split_once('{')?.0.trim_end();
+    let is_ident =
+        |w: &str| !w.is_empty() && w.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'_');
+    (is_ident(local) && is_ident(ty) && ty.starts_with(|c: char| c.is_ascii_uppercase()))
+        .then_some((local, ty))
 }
 
 /// Resolution rules 1–5 (see module docs). Returns every plausible
@@ -326,7 +354,7 @@ fn resolve(
     table: &SymbolTable,
     methods: &BTreeMap<(&str, &str), Vec<usize>>,
     free: &BTreeMap<&str, Vec<usize>>,
-    param_types: &BTreeMap<&str, &str>,
+    typed: &BTreeMap<&str, &str>,
     ws: &Workspace,
 ) -> Vec<usize> {
     let caller_sym = &table.fns[caller];
@@ -343,7 +371,7 @@ fn resolve(
             };
             by_owner(owner)
         }
-        Recv::SelfField(field) => {
+        Recv::Field(base, field) if base == "self" || typed.contains_key(base.as_str()) => {
             let Some(tokens) = table.field_types.get(field) else {
                 return unique_method(table, &call.name);
             };
@@ -358,7 +386,7 @@ fn resolve(
             }
         }
         Recv::Ident(ident) => {
-            if let Some(ty) = param_types.get(ident.as_str()) {
+            if let Some(ty) = typed.get(ident.as_str()) {
                 let mut out = Vec::new();
                 for tok in type_tokens(table.resolve_alias(ty)) {
                     out.extend(by_owner(&tok));
@@ -369,7 +397,7 @@ fn resolve(
             }
             unique_method(table, &call.name)
         }
-        Recv::Unknown => unique_method(table, &call.name),
+        Recv::Field(..) | Recv::Unknown => unique_method(table, &call.name),
         Recv::Path(seg) => {
             let seg = if seg == "Self" {
                 caller_sym.owner.as_deref().unwrap_or(seg)
@@ -479,13 +507,16 @@ mod tests {
 
     #[test]
     fn extracts_and_classifies_calls() {
-        let calls = extract_calls("self.engine.write(key); helper(1); Wal::open(p); g.read();");
-        assert_eq!(calls.len(), 4);
-        assert_eq!(calls[0].recv, Recv::SelfField("engine".into()));
+        let calls = extract_calls(
+            "self.engine.write(key); helper(1); Wal::open(p); g.read(); this.io.remove(p);",
+        );
+        assert_eq!(calls.len(), 5);
+        assert_eq!(calls[0].recv, Recv::Field("self".into(), "engine".into()));
         assert_eq!(calls[0].name, "write");
         assert_eq!(calls[1].recv, Recv::Free);
         assert_eq!(calls[2].recv, Recv::Path("Wal".into()));
         assert_eq!(calls[3].recv, Recv::Ident("g".into()));
+        assert_eq!(calls[4].recv, Recv::Field("this".into(), "io".into()));
     }
 
     #[test]

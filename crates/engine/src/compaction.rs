@@ -291,7 +291,7 @@ impl StorageEngine {
     /// continuously: write amplification is bounded by the leveling
     /// ladder instead of re-rewriting every byte per pass.
     pub fn compact_auto(&self) -> CompactionReport {
-        let cfg = self.config().compaction;
+        let cfg = self.config.compaction;
         let trigger = cfg.l0_trigger.max(2);
         let growth = cfg.growth.max(2);
         let base = cfg.level_base_bytes.max(1);
@@ -356,7 +356,7 @@ impl StorageEngine {
         };
         // Crash site: the snapshot is taken and nothing merged yet.
         // Recovery must serve the data from the persisted inputs.
-        self.faults()
+        self.faults
             .kill_point(backsort_faults::sites::COMPACTION_AFTER_TAKE);
         let (a, b, level) = match pick(&files, !tombstones.is_empty()) {
             None => return CompactionReport::default(),
@@ -404,7 +404,7 @@ impl StorageEngine {
             // assigned) but the shard serves the inputs still — recovery
             // comes from the persisted inputs, and no file may surface
             // at two levels.
-            self.faults().kill_point(publish_site);
+            self.faults.kill_point(publish_site);
         }
         let mut st = lock.write();
         debug_assert!(st.files.get(a..b).is_some_and(|live| live
@@ -921,7 +921,7 @@ mod tests {
         eng.flush();
         eng.delete_range(&key("s"), 100, 140);
         assert!(eng.file_count() >= 4);
-        assert!(eng.block_cache().is_some());
+        assert!(eng.cache.is_some());
         // Warm the cache, so a merge that went through it would hit.
         eng.query(&key("s"), i64::MIN, i64::MAX);
         let watched = || {
@@ -978,7 +978,7 @@ mod tests {
             let mut want = eng.query(&key("s"), i64::MIN, i64::MAX);
             want.retain(|(t, _)| !(lo..=hi).contains(t));
             // Armed to count hits; it fires on none.
-            let faults = eng.faults();
+            let faults = &eng.faults;
             faults.arm(sites::COMPACTION_AFTER_TAKE, FaultMode::Kill, u64::MAX);
             let in_merge = std::thread::scope(|scope| {
                 let pass = scope.spawn(|| eng.compact());

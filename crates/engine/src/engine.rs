@@ -336,18 +336,6 @@ impl StorageEngine {
         self.obs.registry.traces().begin(root, label())
     }
 
-    /// The decoded-page block cache, or `None` when disabled
-    /// ([`EngineConfig::cache_bytes`] = 0).
-    #[cfg(test)]
-    pub(crate) fn block_cache(&self) -> Option<&Arc<BlockCache>> {
-        self.cache.as_ref()
-    }
-
-    /// The engine's failpoint registry (disarmed unless a test armed it).
-    pub(crate) fn faults(&self) -> &Arc<FailpointRegistry> {
-        &self.faults
-    }
-
     /// The engine's metrics registry — every internal observable
     /// (catalogued in [`backsort_obs::names`]) plus the trace store.
     /// Render it with `render_prometheus()` / `render_json()` or
@@ -358,11 +346,6 @@ impl StorageEngine {
 
     pub(crate) fn alloc_file_id(&self) -> u64 {
         self.next_file_id.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// The active configuration.
-    pub(crate) fn config(&self) -> &EngineConfig {
-        &self.config
     }
 
     /// Number of shards (always ≥ 1).

@@ -579,10 +579,7 @@ mod tests {
     #[test]
     fn block_cache_serves_repeated_disk_reads() {
         let eng = small_engine(Algorithm::Backward(Default::default()));
-        assert!(
-            eng.block_cache().is_some(),
-            "default config enables the cache"
-        );
+        assert!(eng.cache.is_some(), "default config enables the cache");
         eng.write_points(&key("s"), (0..100i64).map(|i| (i, TsValue::Long(i))));
         assert_eq!(eng.file_count(), 1);
         let a = eng.query(&key("s"), 0, 99);
@@ -593,7 +590,7 @@ mod tests {
             eng.obs().counter_value(names::CACHE_HITS) > hits_after_first,
             "the second identical query re-serves decoded pages"
         );
-        assert!(eng.block_cache().is_some_and(|c| c.bytes() > 0));
+        assert!(eng.cache.as_ref().is_some_and(|c| c.bytes() > 0));
 
         // cache_bytes = 0 disables the cache; results are identical.
         let cold = StorageEngine::new(EngineConfig {
@@ -602,7 +599,7 @@ mod tests {
             cache_bytes: 0,
             ..EngineConfig::default()
         });
-        assert!(cold.block_cache().is_none());
+        assert!(cold.cache.is_none());
         cold.write_points(&key("s"), (0..100i64).map(|i| (i, TsValue::Long(i))));
         assert_eq!(cold.query(&key("s"), 0, 99), a);
         assert_eq!(cold.obs().counter_value(names::CACHE_MISSES), 0);

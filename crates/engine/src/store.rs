@@ -8,43 +8,49 @@
 //!    *before* it enters a memtable, and every delete is appended right
 //!    after its tombstone is recorded (with the tombstone's file
 //!    horizon, so a replayed delete covers the same files);
-//! 2. when a shard's working memtable flushes, every other shard's
-//!    buffered data is flushed alongside it, a flushing slot whose job
-//!    is still outstanding installed first (a WAL segment interleaves
-//!    all shards' records, so all of them must reach files before any
-//!    segment is retired), the new file images are persisted durably as
-//!    `tsfile-<gen>.bstf`, still-pending tombstones are re-logged into
-//!    the fresh segment, the `MANIFEST` commits the live generation set
-//!    plus the new WAL floor — the single atomic point that retires the
-//!    old segments — and only then is anything deleted;
+//! 2. when a shard's working memtable flushes, one persist pass runs:
+//!    every other shard's buffered data is flushed alongside it, a
+//!    flushing slot whose job is still outstanding installed first (a
+//!    WAL segment interleaves all shards' records, so all of them must
+//!    reach files before any segment is retired); each file not yet on
+//!    disk is persisted durably as `tsfile-<gen>.bstf`; a fresh segment
+//!    opens and the still-pending tombstones are re-logged into it; and
+//!    the `MANIFEST` commits the live generations plus the new WAL floor
+//!    — the single atomic point that retires the old segments. Only then
+//!    is anything deleted, and the manifest alone decides what: every
+//!    `tsfile-<gen>.bstf` it does not name and every `wal-<gen>.log`
+//!    below its floor;
 //! 3. [`DurableEngine::open`] recovers by adopting every
 //!    manifest-listed TsFile, then replaying the WAL segments at or
 //!    above the manifest's floor (torn tails are truncated at the first
 //!    bad CRC, and the discarded byte count is reported through
-//!    `wal.replay_discarded_bytes`).
+//!    `wal.replay_discarded_bytes`), then running the same pass: the
+//!    replayed data reaches files, and the segments it came from go
+//!    with every file the old manifest did not name.
 //!
 //! Persistence is keyed on the engine's per-file *ids*, not on file
 //! positions, so compaction collapsing a shard's files is picked up as
 //! "old ids gone, one new id" and the disk set follows along. The
 //! `MANIFEST` (live generations, CRC-guarded, written after new images
-//! and *before* GC) is what makes that safe across a crash: a merged
-//! image whose manifest write never happened is ignored at recovery
-//! (its data is still WAL-covered or in the manifest-listed inputs),
-//! and GC'd inputs that survived a mid-GC crash are dropped instead of
-//! resurrecting already-deleted points.
+//! and *before* any deletion) is what makes that safe across a crash: a
+//! merged image whose manifest write never happened is ignored at
+//! recovery (its data is still WAL-covered or in the manifest-listed
+//! inputs), and deleted inputs that survived a mid-deletion crash are
+//! dropped instead of resurrecting already-deleted points.
 //!
 //! All file traffic goes through an injectable [`Io`] sink and every
 //! state-changing step passes a named failpoint
 //! ([`backsort_faults::sites`]), which is how `tests/crash_matrix.rs`
 //! kills the engine at each site and checks recovery.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use backsort_faults::io::{Io, RealIo, WalFile};
-use backsort_faults::{sites as fault_sites, FailpointRegistry};
+use backsort_faults::{sites, FailpointRegistry};
 use backsort_obs::Registry;
 
 use crate::batch::{put_batch, put_key, read_batch, PointBatch, Unread, ValueColumn};
@@ -52,7 +58,6 @@ use crate::encoding::{ts2diff, varint};
 use crate::engine::{EngineConfig, StorageEngine};
 use crate::flush::FlushMetrics;
 use crate::query::QueryResult;
-use crate::read::FileHandle;
 use crate::types::{DataType, SeriesKey};
 
 /// CRC-32 (IEEE, reflected), eight bytes a step ("slicing-by-8": table
@@ -417,12 +422,6 @@ struct Manifest {
     wal_floor: u64,
 }
 
-impl Manifest {
-    fn live_gens(&self) -> HashSet<u64> {
-        self.files.iter().map(|&(gen, _)| gen).collect()
-    }
-}
-
 /// Durably records the manifest. Written after new images, after the
 /// pending tombstones are re-logged into the floor segment, and
 /// *before* any GC — the commit point of a persist pass. CRC-guarded so
@@ -487,15 +486,13 @@ pub struct DurableEngine {
     engine: StorageEngine,
     dir: PathBuf,
     io: Arc<dyn Io>,
-    faults: Arc<FailpointRegistry>,
     wal: Box<dyn WalFile>,
     generation: u64,
-    /// Per-shard map from engine file id to the disk generation it is
-    /// persisted under. Ids missing from a shard's current file set were
-    /// merged away by compaction; their disk files are deleted once no
-    /// shard references the generation (a multi-device file adopted into
-    /// several shards shares one).
-    persisted: Vec<HashMap<u64, u64>>,
+    /// Engine file id → the disk generation its image is persisted
+    /// under. Ids are unique engine-wide; a multi-device file adopted
+    /// into several shards has one id per shard, all under one
+    /// generation. Each pass keeps only the ids still live.
+    persisted: HashMap<u64, u64>,
     /// Cached registry handles — the WAL append sits on the durable
     /// write path, so it must not take the registry's name-map lock.
     wal_bytes: Arc<backsort_obs::Counter>,
@@ -526,104 +523,86 @@ impl DurableEngine {
     ) -> StoreResult<Self> {
         let dir = dir.as_ref().to_path_buf();
         io.create_dir_all(&dir).map_err(StoreError::Recover)?;
-        let engine =
-            StorageEngine::instrumented(config, Arc::new(Registry::new()), Arc::clone(&faults));
+        let engine = StorageEngine::instrumented(config, Arc::new(Registry::new()), faults);
 
         // Scan the directory for persisted TsFiles and WAL segments.
-        let mut tsfiles: Vec<(u64, String)> = Vec::new();
+        let mut tsfiles: HashMap<u64, String> = HashMap::new();
         let mut wals: Vec<(u64, String)> = Vec::new();
         for name in io.list_dir(&dir).map_err(StoreError::Recover)? {
-            if let Some(gen) = name
-                .strip_prefix("tsfile-")
-                .and_then(|s| s.strip_suffix(".bstf"))
-                .and_then(|s| s.parse().ok())
-            {
-                tsfiles.push((gen, name));
-            } else if let Some(gen) = name
-                .strip_prefix("wal-")
-                .and_then(|s| s.strip_suffix(".log"))
-                .and_then(|s| s.parse().ok())
-            {
+            if let Some(gen) = gen_of(&name, TSFILE) {
+                tsfiles.insert(gen, name);
+            } else if let Some(gen) = gen_of(&name, WAL) {
                 wals.push((gen, name));
             }
         }
-        tsfiles.sort();
         wals.sort();
+        let max_gen = tsfiles
+            .keys()
+            .chain(wals.iter().map(|(gen, _)| gen))
+            .copied()
+            .max()
+            .unwrap_or(0);
+        // A placeholder segment stands in as the outgoing one of the pass
+        // that ends recovery; that pass's manifest floor retires it along
+        // with every segment read here.
+        let generation = max_gen + 1;
+        let wal = io
+            .open_append(&dir.join(name_of(WAL, generation)))
+            .map_err(StoreError::Wal)?;
+        let wal_bytes = engine.obs().counter(backsort_obs::names::WAL_BYTES);
+        let mut this = Self {
+            engine,
+            dir: dir.clone(),
+            io: Arc::clone(&io),
+            wal,
+            generation,
+            persisted: HashMap::new(),
+            wal_bytes,
+            scratch: Vec::with_capacity(256),
+        };
 
-        // Adopt persisted TsFiles, oldest generation first, filtered by
-        // the manifest's live set: a generation on disk but not in the
-        // manifest is either a GC survivor (compaction inputs whose
-        // deletion was interrupted — adopting them would resurrect
-        // deleted points) or an image persisted by a rotation whose
-        // manifest commit never happened (its records are still covered
-        // by the replayed WAL segments). Both are removed.
+        // Adopt in the manifest's listed order — the previous process's
+        // merge-priority order, which a leveled compaction output
+        // (persisted late, ranked early) makes different from numeric
+        // generation order. Without a manifest (nothing ever committed,
+        // so no compaction output can be on disk either) numeric order is
+        // the write order and suffices. A generation on disk the manifest
+        // does not name — compaction inputs whose deletion was
+        // interrupted, or an image whose pass never committed (its
+        // records are still in the replayed segments) — is not adopted,
+        // and neither is a torn image; the pass below deletes both.
         let manifest = read_manifest(io.as_ref(), &dir);
         let wal_floor = manifest.as_ref().map_or(0, |m| m.wal_floor);
-        let live_gens = manifest.as_ref().map(Manifest::live_gens);
-        let mut persisted: Vec<HashMap<u64, u64>> = vec![HashMap::new(); engine.shard_count()];
-        let mut max_gen = 0u64;
-        let mut on_disk: HashMap<u64, String> = HashMap::new();
-        for (gen, name) in &tsfiles {
-            max_gen = max_gen.max(*gen);
-            if let Some(live) = &live_gens {
-                if !live.contains(gen) {
-                    remove_stale(&engine, io.as_ref(), &dir.join(name));
-                    continue;
-                }
-            }
-            on_disk.insert(*gen, name.clone());
-        }
-        // Adoption order is the manifest's listed order — the previous
-        // process's in-memory merge-priority order, which a leveled
-        // compaction output (persisted late, ranked early) makes
-        // different from numeric generation order. Without a manifest
-        // (nothing ever committed, so no compaction output can be on
-        // disk either) numeric order is the write order and suffices.
-        let adoption: Vec<(u64, u32)> = match &manifest {
-            Some(m) => m.files.clone(),
+        let adoption: Vec<(u64, u32)> = match manifest {
+            Some(m) => m.files,
             None => {
-                let mut gens: Vec<(u64, u32)> = on_disk.keys().map(|&gen| (gen, 0)).collect();
+                let mut gens: Vec<(u64, u32)> = tsfiles.keys().map(|&gen| (gen, 0)).collect();
                 gens.sort_unstable();
                 gens
             }
         };
+        let engine = &this.engine;
         for (gen, level) in adoption {
-            let Some(name) = on_disk.get(&gen) else {
+            let Some(name) = tsfiles.get(&gen) else {
                 continue;
             };
-            let path = dir.join(name);
-            let bytes = io.read(&path).map_err(StoreError::Recover)?;
-            match engine.adopt_file_at_level(bytes, level) {
-                Some(installed) => {
-                    // Already on disk under this generation; only later
-                    // images need persisting.
-                    for (shard, id) in installed {
-                        persisted[shard].insert(id, gen);
-                    }
-                }
-                None => {
-                    // A torn tsfile write: ignore it; its WAL segment
-                    // (which we only delete after a complete persist)
-                    // will replay.
-                    remove_stale(&engine, io.as_ref(), &path);
-                }
+            let bytes = io.read(&dir.join(name)).map_err(StoreError::Recover)?;
+            for (_, id) in engine.adopt_file_at_level(bytes, level).unwrap_or_default() {
+                this.persisted.insert(id, gen);
             }
         }
-        faults
-            .hit(fault_sites::STORE_OPEN_AFTER_ADOPT)
-            .map_err(StoreError::Recover)?;
+        this.failpoint(sites::STORE_OPEN_AFTER_ADOPT, StoreError::Recover)?;
 
         // Replay live WAL segments (at or above the manifest's floor)
         // into the memtables. The engine routes each record to its
         // device's shard exactly as the original write did. Segments
         // below the floor are logically dead — their surviving records
-        // are stale duplicates of data already in the adopted images —
-        // and are only physically deleted at the end. Live segments
-        // stay on disk until the replayed data is persisted below;
-        // deleting them here would lose the data to a crash mid-open.
+        // are stale duplicates of data already in the adopted images.
+        // Every segment stays on disk until the pass below has persisted
+        // what was replayed; deleting one here would lose its data to a
+        // crash mid-open.
         let mut discarded_total = 0usize;
         for (gen, name) in &wals {
-            max_gen = max_gen.max(*gen);
             if *gen < wal_floor {
                 continue;
             }
@@ -637,9 +616,7 @@ impl DurableEngine {
                     // seq/unseq split against the recovered watermarks,
                     // and a rotation installed before the next record.
                     WalRecord::PointBatch { key, batch } => {
-                        faults
-                            .hit(fault_sites::STORE_OPEN_BATCH_REPLAY)
-                            .map_err(StoreError::Recover)?;
+                        this.failpoint(sites::STORE_OPEN_BATCH_REPLAY, StoreError::Recover)?;
                         if let Ok(Some(job)) = engine.write_batch_nonblocking(&key, &batch) {
                             engine.complete_flush(job);
                         }
@@ -672,63 +649,22 @@ impl DurableEngine {
                 .counter(backsort_obs::names::WAL_REPLAY_DISCARDED_BYTES)
                 .add(discarded_total as u64);
         }
-        faults
-            .hit(fault_sites::STORE_OPEN_AFTER_REPLAY)
-            .map_err(StoreError::Recover)?;
+        this.failpoint(sites::STORE_OPEN_AFTER_REPLAY, StoreError::Recover)?;
 
-        // Anything replayed sits in memtables again and is still covered
-        // only by the old segments — flush it to files right away, then
-        // commit a manifest whose floor retires those segments.
-        let mut generation = max_gen;
-        engine.flush();
-        engine.flush_unseq();
-        let dropped = write_images(
-            &engine,
-            io.as_ref(),
-            &faults,
-            &dir,
-            &mut generation,
-            &mut persisted,
-        )?;
-        let generation = generation + 1;
-        let wal = io
-            .open_append(&dir.join(format!("wal-{generation}.log")))
-            .map_err(StoreError::Wal)?;
-        let wal_bytes = engine.obs().counter(backsort_obs::names::WAL_BYTES);
-        let mut this = Self {
-            engine,
-            dir,
-            io,
-            faults,
-            wal,
-            generation,
-            persisted,
-            wal_bytes,
-            scratch: Vec::with_capacity(256),
-        };
-        // Replayed deletes recreated pending tombstones whose only
-        // durable record is the segments about to be retired: re-log
-        // them into the fresh floor segment *before* the manifest commit
-        // makes the old segments dead.
-        this.log_pending_tombstones()?;
-        commit_manifest_and_gc(
-            &this.engine,
-            this.io.as_ref(),
-            &this.faults,
-            &this.dir,
-            &this.persisted,
-            dropped,
-            this.generation,
-        )?;
-        this.faults
-            .hit(fault_sites::STORE_OPEN_BEFORE_WAL_DELETE)
-            .map_err(StoreError::Recover)?;
-        for (gen, name) in &wals {
-            if *gen < this.generation {
-                let _ = this.io.remove(&this.dir.join(name));
-            }
-        }
+        // What was replayed sits in memtables again, covered only by the
+        // segments just read, and replayed deletes recreated tombstones
+        // whose only durable record is the same segments: the rotation's
+        // own pass persists and re-logs them, and its manifest's floor
+        // retires those segments.
+        let live = this.commit()?;
+        this.failpoint(sites::STORE_OPEN_BEFORE_WAL_DELETE, StoreError::Recover)?;
+        this.retire(&live)?;
         Ok(this)
+    }
+
+    /// Passes the failpoint `site`; an injected fault surfaces as `stage`.
+    fn failpoint(&self, site: &str, stage: fn(io::Error) -> StoreError) -> StoreResult<()> {
+        self.engine.faults.hit(site).map_err(stage)
     }
 
     /// The wrapped engine (for queries, aggregation, metrics).
@@ -752,11 +688,11 @@ impl DurableEngine {
     /// frame's CRC and replay drops the whole (unacknowledged) batch
     /// while keeping every record before it. A type-mismatched batch is
     /// rejected whole by the engine (nothing enters the memtables, the
-    /// reject counter ticks) and its logged frame replays into the same
+    /// reject counter ticks) and refused [`StoreError::Wal`]
+    /// (`InvalidInput`); its logged frame replays into the same
     /// whole-batch rejection. A batch the log cannot carry — a name over
-    /// `u16::MAX` bytes, a payload over `u32::MAX` — is refused
-    /// [`StoreError::Wal`] (`InvalidInput`) with nothing logged or
-    /// applied.
+    /// `u16::MAX` bytes, a payload over `u32::MAX` — is refused the same
+    /// way with nothing logged or applied.
     pub fn write_batch(
         &mut self,
         key: &SeriesKey,
@@ -768,10 +704,12 @@ impl DurableEngine {
         self.scratch.clear();
         WalRecord::encode_batch(&mut self.scratch, key, batch).map_err(StoreError::Wal)?;
         self.append_scratch()?;
-        self.faults
-            .hit(fault_sites::STORE_WRITE_BATCH_APPEND)
-            .map_err(StoreError::Wal)?;
-        let Ok(Some(job)) = self.engine.write_batch_nonblocking(key, batch) else {
+        self.failpoint(sites::STORE_WRITE_BATCH_APPEND, StoreError::Wal)?;
+        let Some(job) = self
+            .engine
+            .write_batch_nonblocking(key, batch)
+            .map_err(|e| StoreError::Wal(io::Error::new(io::ErrorKind::InvalidInput, e)))?
+        else {
             return Ok(None);
         };
         let flushed = self.engine.complete_flush(job);
@@ -799,9 +737,7 @@ impl DurableEngine {
         encode_range(&mut self.scratch, KIND_DELETE, key, t_lo, t_hi, horizon)
             .map_err(StoreError::Wal)?;
         self.append_scratch()?;
-        self.faults
-            .hit(fault_sites::STORE_DELETE_AFTER_WAL)
-            .map_err(StoreError::Wal)?;
+        self.failpoint(sites::STORE_DELETE_AFTER_WAL, StoreError::Wal)?;
         Ok(removed)
     }
 
@@ -841,82 +777,138 @@ impl DurableEngine {
     }
 
     fn persist_and_rotate(&mut self) -> StoreResult<()> {
-        self.faults
-            .hit(fault_sites::STORE_ROTATE_BEGIN)
-            .map_err(StoreError::Wal)?;
+        self.failpoint(sites::STORE_ROTATE_BEGIN, StoreError::Wal)?;
         // Commit the outgoing segment before any persist work. If the
         // pass dies after writing images but before its manifest commit,
         // recovery discards those images (not yet live) and must be able
         // to rebuild their content from this segment — which it can only
         // do if the records survived the crash.
         self.wal.sync().map_err(StoreError::Wal)?;
-        // A WAL segment interleaves every shard's records, so before any
-        // segment is deleted *all* shards' buffered data must reach
-        // persisted files: flush each non-empty working memtable (the
-        // shard whose rotation triggered this call is already empty) and
-        // every unsequence buffer, then write out the new images.
+        let live = self.commit()?;
+        self.retire(&live)
+    }
+
+    /// The one persist pass, run by every rotation and by recovery: it
+    /// makes everything buffered durable in files and commits a manifest
+    /// whose WAL floor retires every older segment. Returns the
+    /// generations that manifest names, for [`Self::retire`].
+    ///
+    /// A WAL segment interleaves every shard's records, so before any
+    /// segment is retired *all* shards' buffered data must reach files:
+    /// the pass flushes each non-empty working memtable and every
+    /// unsequence buffer, then walks every shard's files once, persisting
+    /// each image not yet on disk under a fresh generation and listing
+    /// the manifest's `(generation, level)` pairs as it goes. Reading the
+    /// levels in the same walk is sound because the pass holds `&mut
+    /// self` over an owned engine: no compaction can move a level between
+    /// this walk and the manifest write. Generation numbers are only
+    /// identities: a leveled compaction output ranks *before* newer files
+    /// of its shard but is persisted later, so priority at recovery comes
+    /// from the manifest's listed order, not numeric order.
+    ///
+    /// A pass that fails leaves the previous manifest in force. The
+    /// images it did write stay recorded, so the next pass names them
+    /// without rewriting; whatever that pass no longer names, its
+    /// [`Self::retire`] deletes.
+    fn commit(&mut self) -> StoreResult<HashSet<u64>> {
         self.engine.flush();
         self.engine.flush_unseq();
-        self.faults
-            .hit(fault_sites::STORE_ROTATE_AFTER_FLUSH)
-            .map_err(StoreError::Persist)?;
-        let dropped = write_images(
-            &self.engine,
-            self.io.as_ref(),
-            &self.faults,
-            &self.dir,
-            &mut self.generation,
-            &mut self.persisted,
-        )?;
+        self.failpoint(sites::STORE_ROTATE_AFTER_FLUSH, StoreError::Persist)?;
+        // Shards in index order, each shard's files oldest first: the
+        // merge-priority order recovery must reproduce. A generation
+        // adopted into several shards keeps its first position and takes
+        // the highest level any shard gave it; recovery re-adopts it at
+        // that level everywhere, which only delays (never corrupts)
+        // future compaction.
+        let mut files: Vec<(u64, u32)> = Vec::new();
+        let mut position: HashMap<u64, usize> = HashMap::new();
+        let mut live_ids = HashMap::with_capacity(self.persisted.len());
+        let mut wrote_any = false;
+        for shard in 0..self.engine.shard_count() {
+            for file in self.engine.shard_files(shard) {
+                let gen = match self.persisted.get(&file.id()) {
+                    Some(&gen) => gen,
+                    None => {
+                        self.generation += 1;
+                        let gen = self.generation;
+                        self.io
+                            .write_durable(&self.dir.join(name_of(TSFILE, gen)), file.image())
+                            .map_err(StoreError::Persist)?;
+                        self.persisted.insert(file.id(), gen);
+                        if !wrote_any {
+                            wrote_any = true;
+                            self.failpoint(
+                                sites::STORE_PERSIST_AFTER_FIRST_WRITE,
+                                StoreError::Persist,
+                            )?;
+                        }
+                        gen
+                    }
+                };
+                live_ids.insert(file.id(), gen);
+                let level = file.level();
+                match position.entry(gen) {
+                    Entry::Occupied(pos) => {
+                        let slot = &mut files[*pos.get()].1;
+                        *slot = (*slot).max(level);
+                    }
+                    Entry::Vacant(pos) => {
+                        pos.insert(files.len());
+                        files.push((gen, level));
+                    }
+                }
+            }
+        }
+        self.persisted = live_ids;
         // Rotate the WAL. The old segments stay *live* until the
-        // manifest commit below raises the floor past them — and before
-        // that commit, any still-pending tombstones (whose only durable
-        // record sits in those old segments) are re-logged into the new
-        // segment and synced.
+        // manifest raises the floor past them, so the still-pending
+        // tombstones, whose only durable record sits in them, are
+        // re-logged into the new segment and synced first.
         self.generation += 1;
-        let new_wal = self
+        self.wal = self
             .io
-            .open_append(&self.dir.join(format!("wal-{}.log", self.generation)))
+            .open_append(&self.dir.join(name_of(WAL, self.generation)))
             .map_err(StoreError::Wal)?;
-        let old = std::mem::replace(&mut self.wal, new_wal);
-        drop(old);
         self.log_pending_tombstones()?;
-        commit_manifest_and_gc(
-            &self.engine,
-            self.io.as_ref(),
-            &self.faults,
-            &self.dir,
-            &self.persisted,
-            dropped,
-            self.generation,
-        )?;
-        // Truncate stale segments strictly oldest-first: a crash mid-loop
-        // then leaves a *suffix* of segments, so a surviving re-logged
-        // tombstone record implies every later record survived too —
-        // replay can re-apply the delete without losing newer writes.
-        let mut stale: Vec<u64> = self
-            .io
-            .list_dir(&self.dir)
-            .map_err(StoreError::Wal)?
-            .into_iter()
-            .filter_map(|name| {
-                name.strip_prefix("wal-")?
-                    .strip_suffix(".log")?
-                    .parse()
-                    .ok()
-            })
-            .filter(|gen| *gen < self.generation)
-            .collect();
-        stale.sort_unstable();
-        for gen in stale {
-            self.faults
-                .hit(fault_sites::STORE_ROTATE_TRUNCATE)
-                .map_err(StoreError::Wal)?;
-            remove_stale(
-                &self.engine,
-                self.io.as_ref(),
-                &self.dir.join(format!("wal-{gen}.log")),
-            );
+        // Every image of the pass is durable at this point; the manifest
+        // write below is what makes them (and their levels) live.
+        self.failpoint(sites::STORE_PERSIST_BEFORE_MANIFEST, StoreError::Manifest)?;
+        write_manifest(self.io.as_ref(), &self.dir, &files, self.generation)
+            .map_err(StoreError::Manifest)?;
+        self.failpoint(sites::STORE_PERSIST_BEFORE_GC, StoreError::Manifest)?;
+        Ok(position.into_keys().collect())
+    }
+
+    /// Deletes what the manifest [`Self::commit`] just wrote does not
+    /// name: every `tsfile-<gen>.bstf` outside `live` (compaction inputs,
+    /// the images of a pass that failed before its commit, torn images),
+    /// then every `wal-<gen>.log` below the floor. Deleting only after
+    /// the commit matters: before it, a crash would leave the old
+    /// manifest naming compaction inputs whose files are gone.
+    ///
+    /// Segments go strictly oldest-first: a crash mid-way then leaves a
+    /// *suffix* of segments, so a surviving re-logged tombstone record
+    /// implies every later record survived too — replay can re-apply the
+    /// delete without losing newer writes. A failed removal is counted
+    /// ([`remove_stale`]) and retried by the next pass.
+    fn retire(&self, live: &HashSet<u64>) -> StoreResult<()> {
+        let mut dead_files = Vec::new();
+        let mut dead_segments = Vec::new();
+        for name in self.io.list_dir(&self.dir).map_err(StoreError::Manifest)? {
+            if gen_of(&name, TSFILE).is_some_and(|gen| !live.contains(&gen)) {
+                dead_files.push(name);
+            } else if let Some(gen) = gen_of(&name, WAL).filter(|&gen| gen < self.generation) {
+                dead_segments.push((gen, name));
+            }
+        }
+        for name in dead_files {
+            self.failpoint(sites::STORE_PERSIST_GC, StoreError::Manifest)?;
+            remove_stale(&self.engine, self.io.as_ref(), &self.dir.join(name));
+        }
+        dead_segments.sort_unstable();
+        for (_, name) in dead_segments {
+            self.failpoint(sites::STORE_ROTATE_TRUNCATE, StoreError::Wal)?;
+            remove_stale(&self.engine, self.io.as_ref(), &self.dir.join(name));
         }
         Ok(())
     }
@@ -931,77 +923,33 @@ impl DurableEngine {
     /// successful barrier may be assumed durable (a failed fsync leaves
     /// the page cache in an unknown state — do not ack).
     pub fn sync(&mut self) -> StoreResult<()> {
-        self.faults
-            .hit(fault_sites::STORE_SYNC)
-            .map_err(StoreError::Wal)?;
+        self.failpoint(sites::STORE_SYNC, StoreError::Wal)?;
         self.wal.sync().map_err(StoreError::Wal)
     }
 }
 
-/// Phase one of a persist pass: writes every not-yet-persisted file
-/// image durably under a fresh generation, keyed by file id.
-///
-/// Shards are walked in ascending order, each shard's files oldest
-/// first. Generation numbers are only identities here, not priorities:
-/// a leveled compaction output ranks *before* newer files of its shard
-/// but is persisted later (higher generation), so merge priority at
-/// recovery comes from the manifest's listed order, not numeric order.
-/// Returns the generations of files compaction merged away (no longer
-/// referenced by any id), for [`commit_manifest_and_gc`] to collect
-/// *after* the manifest commit.
-fn write_images(
-    engine: &StorageEngine,
-    io: &dyn Io,
-    faults: &FailpointRegistry,
-    dir: &Path,
-    generation: &mut u64,
-    persisted: &mut [HashMap<u64, u64>],
-) -> StoreResult<Vec<u64>> {
-    let mut first_written = false;
-    let mut dropped_gens: Vec<u64> = Vec::new();
-    for (shard, done) in persisted.iter_mut().enumerate() {
-        let files = engine.shard_files(shard);
-        for file in &files {
-            if done.contains_key(&file.id()) {
-                continue;
-            }
-            *generation += 1;
-            io.write_durable(&dir.join(format!("tsfile-{generation}.bstf")), file.image())
-                .map_err(StoreError::Persist)?;
-            done.insert(file.id(), *generation);
-            if !first_written {
-                first_written = true;
-                faults
-                    .hit(fault_sites::STORE_PERSIST_AFTER_FIRST_WRITE)
-                    .map_err(StoreError::Persist)?;
-            }
-        }
-        // Forget ids compaction merged away; a generation is dropped only
-        // once no shard references it anymore (a multi-device file adopted
-        // into several shards shares one).
-        let live: HashSet<u64> = files.iter().map(FileHandle::id).collect();
-        done.retain(|id, gen| {
-            if live.contains(id) {
-                true
-            } else {
-                dropped_gens.push(*gen);
-                false
-            }
-        });
-    }
-    Ok(dropped_gens)
+/// A persisted image's file name shape, `tsfile-<gen>.bstf`.
+const TSFILE: (&str, &str) = ("tsfile-", ".bstf");
+/// A WAL segment's file name shape, `wal-<gen>.log`.
+const WAL: (&str, &str) = ("wal-", ".log");
+
+/// The file name of generation `gen` in a [`TSFILE`] or [`WAL`] shape.
+fn name_of((prefix, suffix): (&str, &str), gen: u64) -> String {
+    format!("{prefix}{gen}{suffix}")
 }
 
-/// Phase two: durably commits the manifest (live file generations plus
-/// the WAL floor), then garbage-collects disk files no shard references
-/// anymore. The manifest write is the commit point of the whole pass —
-/// GC before it would let a crash in between resurrect compaction
-/// inputs at recovery, with their tombstones already consumed by the
-/// compaction.
+/// The generation a file name of a [`TSFILE`] or [`WAL`] shape carries.
+fn gen_of(name: &str, (prefix, suffix): (&str, &str)) -> Option<u64> {
+    name.strip_prefix(prefix)?
+        .strip_suffix(suffix)?
+        .parse()
+        .ok()
+}
+
 /// Best-effort removal of a file that is no longer live (a retired WAL
 /// segment, a dead tsfile generation, a torn image). Failure never
 /// endangers durability — the path is already outside the manifest's
-/// live set and the next open retries the removal — but it leaks disk,
+/// live set and the next pass retries the removal — but it leaks disk,
 /// so it is counted under `store.remove_failures` instead of being
 /// silently discarded.
 fn remove_stale(engine: &StorageEngine, io: &dyn Io, path: &Path) {
@@ -1011,67 +959,6 @@ fn remove_stale(engine: &StorageEngine, io: &dyn Io, path: &Path) {
             .counter(backsort_obs::names::STORE_REMOVE_FAILURES)
             .inc();
     }
-}
-
-fn commit_manifest_and_gc(
-    engine: &StorageEngine,
-    io: &dyn Io,
-    faults: &FailpointRegistry,
-    dir: &Path,
-    persisted: &[HashMap<u64, u64>],
-    mut dropped_gens: Vec<u64>,
-    wal_floor: u64,
-) -> StoreResult<()> {
-    // The live list is built from the engine *now*, not captured during
-    // `write_images`: a level promotion rewrites no image (same id, same
-    // generation), so only the current in-memory level is authoritative.
-    // Order follows each shard's current file order (the merge-priority
-    // order recovery must reproduce), shards concatenated in index
-    // order. A generation adopted into several shards keeps its first
-    // position and takes the maximum level any shard assigned it;
-    // recovery re-adopts it at that level everywhere, which only delays
-    // (never corrupts) future compaction.
-    let mut live_files: Vec<(u64, u32)> = Vec::new();
-    let mut seen: HashMap<u64, usize> = HashMap::new();
-    for (shard, done) in persisted.iter().enumerate() {
-        for file in engine.shard_files(shard) {
-            if let Some(&gen) = done.get(&file.id()) {
-                let level = file.level();
-                match seen.get(&gen) {
-                    Some(&pos) => {
-                        let slot = &mut live_files[pos].1;
-                        *slot = (*slot).max(level);
-                    }
-                    None => {
-                        seen.insert(gen, live_files.len());
-                        live_files.push((gen, level));
-                    }
-                }
-            }
-        }
-    }
-    let mut live_gens: Vec<u64> = live_files.iter().map(|&(gen, _)| gen).collect();
-    live_gens.sort_unstable();
-    // Every image of the pass is durable at this point; the manifest
-    // write below is what makes them (and their levels) live.
-    faults
-        .hit(fault_sites::STORE_PERSIST_BEFORE_MANIFEST)
-        .map_err(StoreError::Manifest)?;
-    write_manifest(io, dir, &live_files, wal_floor).map_err(StoreError::Manifest)?;
-    faults
-        .hit(fault_sites::STORE_PERSIST_BEFORE_GC)
-        .map_err(StoreError::Manifest)?;
-    dropped_gens.sort_unstable();
-    dropped_gens.dedup();
-    for gen in dropped_gens {
-        if live_gens.binary_search(&gen).is_err() {
-            faults
-                .hit(fault_sites::STORE_PERSIST_GC)
-                .map_err(StoreError::Manifest)?;
-            remove_stale(engine, io, &dir.join(format!("tsfile-{gen}.bstf")));
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1119,6 +1006,26 @@ mod tests {
             let batch = PointBatch::from_rows([point]).unwrap();
             eng.write_batch(key, &batch).unwrap();
         }
+    }
+
+    /// The directory as the manifest sees it: the generations the
+    /// committed manifest names, the `tsfile-*` generations on disk, and
+    /// the `wal-*` generations on disk, each sorted.
+    fn disk_state(dir: &Path) -> (Vec<u64>, Vec<u64>, Vec<u64>) {
+        let manifest = read_manifest(&RealIo, dir).expect("a committed manifest");
+        let mut named: Vec<u64> = manifest.files.iter().map(|&(gen, _)| gen).collect();
+        named.sort_unstable();
+        let (mut tsfiles, mut wals) = (Vec::new(), Vec::new());
+        for name in RealIo.list_dir(dir).unwrap() {
+            if let Some(gen) = gen_of(&name, TSFILE) {
+                tsfiles.push(gen);
+            } else if let Some(gen) = gen_of(&name, WAL) {
+                wals.push(gen);
+            }
+        }
+        tsfiles.sort_unstable();
+        wals.sort_unstable();
+        (named, tsfiles, wals)
     }
 
     #[test]
@@ -1480,17 +1387,19 @@ mod tests {
         let mut eng = DurableEngine::open(&dir, config(25)).unwrap();
         write_each(&mut eng, &key(), (0..100i64).map(|t| (t, TsValue::Long(t))));
         eng.sync().unwrap();
-        let wal_count = fs::read_dir(&dir)
-            .unwrap()
-            .filter(|e| {
-                e.as_ref()
-                    .unwrap()
-                    .file_name()
-                    .to_string_lossy()
-                    .starts_with("wal-")
-            })
-            .count();
-        assert_eq!(wal_count, 1, "only the active WAL segment survives");
+        let (_, _, wals) = disk_state(&dir);
+        assert_eq!(wals.len(), 1, "only the active WAL segment survives");
+        drop(eng);
+        // A reopen retires every segment it read, and the placeholder it
+        // opened before its own pass, keeping only the fresh one.
+        let eng = DurableEngine::open(&dir, config(25)).unwrap();
+        let (_, _, wals) = disk_state(&dir);
+        assert_eq!(
+            wals.len(),
+            1,
+            "only the active WAL segment survives a reopen"
+        );
+        assert_eq!(eng.query(&key(), i64::MIN, i64::MAX).len(), 100);
         drop(eng);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1575,23 +1484,62 @@ mod tests {
         for (t, v) in got {
             assert_eq!(v, TsValue::Long(t));
         }
-        // The merged-away generations were garbage collected from disk:
-        // the compacted image plus the post-compaction files remain.
+        // The merged-away generations were deleted from disk: exactly
+        // what the manifest names remains.
         drop(eng);
-        let tsfile_count = fs::read_dir(&dir)
-            .unwrap()
-            .filter(|e| {
-                e.as_ref()
-                    .unwrap()
-                    .file_name()
-                    .to_string_lossy()
-                    .starts_with("tsfile-")
-            })
-            .count();
-        assert!(
-            tsfile_count <= 4,
-            "stale tsfiles not collected: {tsfile_count}"
+        let (named, tsfiles, _) = disk_state(&dir);
+        assert_eq!(tsfiles, named, "tsfiles on disk against the manifest");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A pass that fails after it persisted a compaction's output still
+    /// gets the inputs deleted: the next pass removes every image its
+    /// manifest does not name.
+    #[test]
+    fn a_failed_pass_leaks_no_merged_away_file() {
+        let dir = tmpdir("failed-pass");
+        let faults = Arc::new(FailpointRegistry::new());
+        let mut eng =
+            DurableEngine::open_with(&dir, config(25), Arc::new(RealIo), Arc::clone(&faults))
+                .unwrap();
+        write_each(&mut eng, &key(), (0..75i64).map(|t| (t, TsValue::Long(t))));
+        let report = eng.engine().compact();
+        assert!(report.files_in >= 2, "files_in {}", report.files_in);
+        faults.arm(
+            sites::STORE_PERSIST_BEFORE_MANIFEST,
+            backsort_faults::FaultMode::Error,
+            1,
         );
+        assert!(eng.flush().is_err());
+        eng.flush().unwrap();
+        let (named, tsfiles, _) = disk_state(&dir);
+        assert_eq!(tsfiles, named, "tsfiles on disk against the manifest");
+        drop(eng);
+        let eng = DurableEngine::open(&dir, config(25)).unwrap();
+        assert_eq!(eng.query(&key(), i64::MIN, i64::MAX).len(), 75);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A batch of the wrong type for its series is refused, not acked,
+    /// and its logged frame replays into the same rejection.
+    #[test]
+    fn a_mistyped_durable_batch_is_refused() {
+        let dir = tmpdir("mistyped");
+        let longs = PointBatch::from_rows((0..5i64).map(|t| (t, TsValue::Long(t)))).unwrap();
+        let doubles =
+            PointBatch::from_rows((5..10i64).map(|t| (t, TsValue::Double(t as f64)))).unwrap();
+        let want: Vec<(i64, TsValue)> = (0..5i64).map(|t| (t, TsValue::Long(t))).collect();
+        let mut eng = DurableEngine::open(&dir, config(1_000)).unwrap();
+        eng.write_batch(&key(), &longs).unwrap();
+        let err = eng
+            .write_batch(&key(), &doubles)
+            .expect_err("a mistyped batch is refused");
+        assert!(matches!(&err, StoreError::Wal(e) if e.kind() == io::ErrorKind::InvalidInput));
+        assert_eq!(eng.query(&key(), i64::MIN, i64::MAX), want);
+        eng.sync().unwrap();
+        drop(eng);
+        let eng = DurableEngine::open(&dir, config(1_000)).unwrap();
+        assert_eq!(eng.query(&key(), i64::MIN, i64::MAX), want);
         let _ = fs::remove_dir_all(&dir);
     }
 
