@@ -47,12 +47,14 @@
 //!   oldest files are the most-merged). A run merge targets
 //!   `level + 1` and only fires when the run's predecessor is already
 //!   above that, so the invariant is preserved.
-//! * Tombstone horizons are remapped at the swap (see
-//!   `remap_horizon`): masks of the snapshot over merged files are
-//!   applied physically to the output, masks over untouched files shift
-//!   with them, a horizon that counted an in-flight flushing slot keeps
-//!   covering it, and a delete that landed during the merge keeps
-//!   masking the output.
+//! * The output is stamped at the snapshot. The merge applies every
+//!   tombstone of the snapshot to the inputs stamped below it, so none
+//!   of them masks the output; a delete that lands during the merge is
+//!   stamped above the output and masks it. Untouched files, and an
+//!   in-flight flushing slot, keep their stamps and so their masks.
+//!   After the swap, a tombstone left masking nothing goes.
+//! * Rank stays positional: the output's stamp can exceed that of a
+//!   newer file installed during the merge, so stamps cannot rank.
 
 use crate::delete::Tombstone;
 use crate::engine::StorageEngine;
@@ -120,35 +122,6 @@ impl CompactionReport {
         self.bytes_out += r.bytes_out;
         self.level_moves += r.level_moves;
     }
-}
-
-/// Where a tombstone's file horizon lands after the run `[a, b)` of a
-/// shard's file list is replaced by `has_output` output files (0 or 1)
-/// at position `a`; `applied` says whether the merge applied the
-/// tombstone (it was in the snapshot). `None` means the tombstone no
-/// longer masks any file and is dropped.
-///
-/// * `h <= a` — the mask never reached the run; unchanged.
-/// * `a < h <= b`, applied — the mask ends inside (or exactly at the end
-///   of) the run. Its effect on files `[a, h)` was applied *physically*
-///   during the merge (those points never reached the output), so only
-///   the untouched prefix `[0, a)` still needs masking.
-/// * otherwise `h >= b` — files past the run shift down by
-///   `(b - a) - has_output` positions and the mask with them, and it
-///   covers the output too. This includes a horizon that counted the
-///   shard's in-flight flushing slot: it keeps counting it. A tombstone
-///   pushed during the merge has `h >= b` (it was pushed over every
-///   file) and was not applied, so even at `h == b` it keeps masking
-///   the output.
-fn remap_horizon(h: usize, a: usize, b: usize, has_output: bool, applied: bool) -> Option<usize> {
-    let h2 = if h <= a {
-        h
-    } else if applied && h <= b {
-        a
-    } else {
-        h - (b - a) + usize::from(has_output)
-    };
-    (h2 > 0).then_some(h2)
 }
 
 /// What a compaction pass decided to do with one shard.
@@ -328,7 +301,8 @@ impl StorageEngine {
     /// One compaction of one shard: snapshot, merge, swap.
     ///
     /// Under the shard's read lock the pass clones the file list (a
-    /// refcount bump per file) and the tombstones. `pick` chooses from
+    /// refcount bump per file) and the tombstones, and draws the
+    /// output's stamp. `pick` chooses from
     /// that snapshot (told whether any tombstone is pending), and a
     /// merged run is built by [`merge_run`](Self::merge_run) with no lock
     /// held, while writes, flushes, deletes and reads go on. One write
@@ -336,12 +310,8 @@ impl StorageEngine {
     /// still hold the snapshot's files then: flushes and adoptions only
     /// append, and only compaction removes files — one at a time, under
     /// the engine's compaction mutex. Readers see the inputs up to the
-    /// swap and the output after it, never neither.
-    ///
-    /// The tombstones at the swap are the snapshot's, in order (their
-    /// horizons perhaps lowered by a flush that installed no file), then
-    /// those pushed during the merge. [`remap_horizon`] moves both kinds;
-    /// only the snapshot's were applied by the merge.
+    /// swap and the output after it, never neither. The swap then drops
+    /// the tombstones left masking nothing.
     fn compact_shard(
         &self,
         shard: usize,
@@ -350,9 +320,9 @@ impl StorageEngine {
     ) -> CompactionReport {
         let _serial = self.compaction.lock();
         let lock = &self.shards[shard];
-        let (files, tombstones) = {
+        let (files, tombstones, stamp) = {
             let st = lock.read();
-            (st.files.clone(), st.tombstones.clone())
+            (st.files.clone(), st.tombstones.clone(), self.draw_stamp())
         };
         // Crash site: the snapshot is taken and nothing merged yet.
         // Recovery must serve the data from the persisted inputs.
@@ -388,18 +358,17 @@ impl StorageEngine {
             ..CompactionReport::default()
         };
         let output = self
-            .merge_run(shard, &files, a, b, &tombstones)
+            .merge_run(shard, run, &tombstones)
             .map(|(image, points)| {
                 report.files_out = 1;
                 report.points = points;
                 report.bytes_out = image.len() as u64;
                 report.level_moves = 1;
-                // A fresh id: the durable store sees the inputs' ids
-                // vanish and this one appear, and re-persists.
-                self.parse_own_image(image).with_level(level)
+                // A new id: the durable store sees the inputs' ids vanish
+                // and this one appear, and re-persists.
+                self.parse_own_image(image, stamp).with_level(level)
             });
-        let has_output = output.is_some();
-        if has_output {
+        if output.is_some() {
             // Crash site: the output exists (id allocated, level
             // assigned) but the shard serves the inputs still — recovery
             // comes from the persisted inputs, and no file may surface
@@ -413,18 +382,13 @@ impl StorageEngine {
             .eq(run.iter().map(FileHandle::id))));
         // The inputs' images are freed with the snapshot, after the lock.
         st.files.splice(a..b, output);
-        let applied = tombstones.len();
-        st.tombstones = std::mem::take(&mut st.tombstones)
-            .into_iter()
-            .enumerate()
-            .filter_map(|(i, (ts, h))| Some((ts, remap_horizon(h, a, b, has_output, i < applied)?)))
-            .collect();
+        st.retain_tombstones();
         report
     }
 
-    /// Merges the run `handles[a..b)` into one image with the read
-    /// path's own merge: per series of this shard, in key order,
-    /// [`plan_files`] over the run (tombstones below their horizon
+    /// Merges the run `files` into one image with the read path's own
+    /// merge: per series of this shard, in key order, [`plan_files`]
+    /// over the run (each file's tombstones, those stamped above it,
     /// resolved per file, so they apply *physically*) and a full-range
     /// [`Scan`] — disjoint chunks stream as column slices, overlapping
     /// ones merge with later files winning equal timestamps. So the
@@ -439,12 +403,9 @@ impl StorageEngine {
     fn merge_run(
         &self,
         shard: usize,
-        handles: &[FileHandle],
-        a: usize,
-        b: usize,
-        tombstones: &[(Tombstone, usize)],
+        files: &[FileHandle],
+        tombstones: &[Tombstone],
     ) -> Option<(Vec<u8>, u64)> {
-        let files = handles.get(a..b)?;
         let mut keys: Vec<&SeriesKey> = files
             .iter()
             .flat_map(|h| h.envelopes().iter().map(|(key, _, _)| key))
@@ -457,7 +418,7 @@ impl StorageEngine {
             if self.shard_of(&key.device) != shard {
                 continue;
             }
-            let plan = plan_files(files, a, tombstones, key, i64::MIN, i64::MAX);
+            let plan = plan_files(files, tombstones, key, i64::MIN, i64::MAX);
             let mut merged = Columns::default();
             Scan::new(i64::MIN, i64::MAX, None).run(&plan.runs, &mut merged);
             points += merged.times.len() as u64;
@@ -793,16 +754,16 @@ mod tests {
 
     #[test]
     fn tombstone_over_inflight_flush_survives_compaction() {
-        // Regression: a delete whose horizon counts the in-flight
-        // flushing slot must keep masking the file that flush installs,
+        // Regression: a delete that masks the in-flight flushing slot
+        // must keep masking the file that flush installs,
         // even when a full compaction runs in between.
         let eng = engine(40);
         eng.write_points(&key("s"), (0..40i64).map(|t| (t, TsValue::Long(t)))); // flush at 40
         eng.write_points(&key("s"), (40..60i64).map(|t| (t, TsValue::Long(t))));
         let job = eng.begin_flush_shard(0).expect("rotates");
-        // Horizon = 1 file + 1 flushing slot = 2.
+        // Stamped above the file and the flushing slot.
         eng.delete_range(&key("s"), 45, 50);
-        eng.compact(); // must keep (and remap) the straddling tombstone
+        eng.compact(); // must keep the tombstone for the slot's file
         eng.complete_flush(job);
         let got = eng.query(&key("s"), 40, 60);
         assert!(
@@ -961,9 +922,9 @@ mod tests {
     }
 
     /// A delete that lands between a pass's snapshot and its swap was
-    /// not applied by the merge: its tombstone must move onto the
-    /// output, so the points stay hidden after the swap, and the next
-    /// pass erases them.
+    /// not applied by the merge: its tombstone, stamped above the
+    /// output, must mask it, so the points stay hidden after the swap,
+    /// and the next pass erases them.
     #[test]
     fn a_delete_during_the_merge_hides_its_points_after_the_swap() {
         use backsort_faults::{sites, FaultMode};

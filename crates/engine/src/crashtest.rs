@@ -255,7 +255,8 @@ pub fn matrix() -> Vec<CaseSpec> {
         cases.push(case(site, Kill, 1));
         cases.push(case(site, Kill, 2));
     }
-    // GC only runs after a compaction dropped generations; the workload
+    // GC deletes what the committed manifest does not name: generations
+    // a compaction dropped, and a failed pass's orphans. The workload
     // compacts twice, and a single pass can GC several files.
     cases.push(case(sites::STORE_PERSIST_GC, Error, 1));
     cases.push(case(sites::STORE_PERSIST_GC, Kill, 1));

@@ -9,6 +9,15 @@
 //! [`IntervalSet`](crate::IntervalSet) and skip what it covers, and
 //! [`StorageEngine::compact`](crate::compaction), reading the same way,
 //! drops deleted points for good.
+//!
+//! A tombstone's reach is a stamp, drawn from the engine's one counter
+//! as a file's id is: it masks a file iff the file's stamp is smaller.
+//! A file reflects every delete stamped below its own stamp and no later
+//! one — a flushed file is stamped at its rotation, so a delete that
+//! lands while it sits in the flushing slot masks it; a compaction
+//! output is stamped at its snapshot, so the merge applied every older
+//! tombstone and every newer one masks it. A tombstone is kept while a
+//! file of its shard, or the slot's occupant, is stamped below it.
 
 use crate::engine::{ShardState, StorageEngine};
 use crate::types::SeriesKey;
@@ -22,6 +31,8 @@ pub struct Tombstone {
     pub t_lo: i64,
     /// Inclusive upper bound.
     pub t_hi: i64,
+    /// The delete's stamp: it masks the files stamped below it.
+    pub stamp: u64,
 }
 
 impl ShardState {
@@ -33,27 +44,28 @@ impl ShardState {
         if let Some(fl) = self.flushing.as_mut() {
             // Readers lose the points now; the flush in flight may have
             // copied this series out already and still write them, so
-            // the tombstone's horizon covers that upcoming file as well.
+            // the tombstone's stamp, above the slot's, masks that file.
             fl.delete_range(key, t_lo, t_hi);
         }
         removed
     }
 
-    /// Masks `key`'s `[t_lo, t_hi]` in the files below `horizon`,
-    /// clamped to the files there are and the one an occupied slot
-    /// becomes. Returns the horizon recorded; at 0 the mask covers no
-    /// file and is not kept.
-    fn push_tombstone(&mut self, key: &SeriesKey, t_lo: i64, t_hi: i64, horizon: usize) -> usize {
-        let horizon = horizon.min(self.files.len() + usize::from(self.flushing.is_some()));
-        if horizon > 0 {
-            let tombstone = Tombstone {
-                key: key.clone(),
-                t_lo,
-                t_hi,
-            };
-            self.tombstones.push((tombstone, horizon));
-        }
-        horizon
+    /// Records `tombstone`, then drops every tombstone left masking
+    /// nothing.
+    fn push_tombstone(&mut self, tombstone: Tombstone) {
+        self.tombstones.push(tombstone);
+        self.retain_tombstones();
+    }
+
+    /// The one retention rule: a tombstone is kept while some file of
+    /// the shard, or the occupied slot, is stamped below it. Run after a
+    /// push, an install that produced no file, and a compaction swap.
+    pub(crate) fn retain_tombstones(&mut self) {
+        let oldest = (self.files.iter().map(|file| file.id()))
+            .chain(self.flushing.as_ref().map(|_| self.slot_generation))
+            .min();
+        self.tombstones
+            .retain(|tombstone| oldest.is_some_and(|stamp| stamp < tombstone.stamp));
     }
 }
 
@@ -61,64 +73,37 @@ impl StorageEngine {
     /// Deletes all points of `key` with timestamps in `[t_lo, t_hi]`.
     ///
     /// Memtable points (working, flushing slot, unsequence) are
-    /// removed immediately; flushed files are masked by a tombstone that
+    /// removed immediately; flushed files, and the file the flushing
+    /// slot becomes, are masked by a tombstone stamped above them that
     /// the next [`compact`](StorageEngine::compact) applies physically —
     /// IoTDB's "mods" mechanism. Returns how many in-memory points were
     /// removed.
     pub fn delete_range(&self, key: &SeriesKey, t_lo: i64, t_hi: i64) -> usize {
-        self.delete_range_with_horizon(key, t_lo, t_hi, usize::MAX)
-            .0
-    }
-
-    /// [`delete_range`](Self::delete_range) with its tombstone masking
-    /// only the files below `horizon`, clamped to the shard's file count
-    /// (plus an occupied flushing slot). Returns the points removed and
-    /// the horizon recorded. The durable store logs that horizon in the
-    /// delete's WAL record, and replays the record with it: files
-    /// created during replay after the record cannot exist yet, so the
-    /// clamp only covers files whose contents predate the delete, and
-    /// later re-writes, replayed (and flushed) after it, stay untouched.
-    pub(crate) fn delete_range_with_horizon(
-        &self,
-        key: &SeriesKey,
-        t_lo: i64,
-        t_hi: i64,
-        horizon: usize,
-    ) -> (usize, usize) {
         let mut st = self.shards[self.shard_of(&key.device)].write();
         let removed = st.erase(key, t_lo, t_hi);
-        (removed, st.push_tombstone(key, t_lo, t_hi, horizon))
+        st.push_tombstone(Tombstone {
+            key: key.clone(),
+            t_lo,
+            t_hi,
+            stamp: self.draw_stamp(),
+        });
+        removed
     }
 
-    /// Restores a *re-logged* tombstone recovered from the WAL: pushes
-    /// the file mask (horizon clamped exactly as in
-    /// [`delete_range_with_horizon`](Self::delete_range_with_horizon))
-    /// without touching any memtable. A re-logged record sits *after*
-    /// records of writes issued after the original delete — when the
-    /// segment carrying the original record also survives a crash,
-    /// deleting memtable points at the re-log's replay position would
-    /// erase those later writes. The delete's memtable effect is either
-    /// replayed positionally from the original record or already
-    /// persisted in the flushed files the mask covers.
-    pub(crate) fn restore_tombstone(
-        &self,
-        key: &SeriesKey,
-        t_lo: i64,
-        t_hi: i64,
-        logged_horizon: usize,
-    ) {
-        self.shards[self.shard_of(&key.device)]
+    /// Restores a tombstone at its own stamp, touching no memtable: the
+    /// durable store's recovery of the tombstones its manifest lists,
+    /// and of an older build's re-logged ones.
+    pub(crate) fn restore_tombstone(&self, tombstone: Tombstone) {
+        self.shards[self.shard_of(&tombstone.key.device)]
             .write()
-            .push_tombstone(key, t_lo, t_hi, logged_horizon);
+            .push_tombstone(tombstone);
     }
 
     /// A snapshot of one shard's tombstones still awaiting physical
-    /// application, with their file horizons. The durable store re-logs
-    /// these into each fresh WAL segment at rotation — the segments that
-    /// originally carried the delete records are about to be truncated,
-    /// and until compaction applies a tombstone the WAL is its only
-    /// durable record.
-    pub(crate) fn pending_tombstones(&self, shard: usize) -> Vec<(Tombstone, usize)> {
+    /// application. The durable store's manifest lists them: until
+    /// compaction applies a tombstone, the manifest is its durable
+    /// record.
+    pub(crate) fn pending_tombstones(&self, shard: usize) -> Vec<Tombstone> {
         self.shards[shard].read().tombstones.clone()
     }
 

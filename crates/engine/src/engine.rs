@@ -99,8 +99,9 @@ pub(crate) struct ShardState {
     /// (sorting its buffers in place when dirty), deletes edit it, and
     /// the flush copies it out series by series under the read lock.
     pub(crate) flushing: Option<MemTable>,
-    /// Rotations so far — the generation of the slot's occupant — and
-    /// whether that is an unsequence memtable: its [`FlushJob`] carries both.
+    /// The slot occupant's stamp, drawn from the engine's one counter
+    /// when it rotated in and kept by the file it becomes, and whether
+    /// it is an unsequence memtable: its [`FlushJob`] carries both.
     pub(crate) slot_generation: u64,
     pub(crate) slot_unseq: bool,
     pub(crate) unseq: MemTable,
@@ -108,19 +109,21 @@ pub(crate) struct ShardState {
     /// so later arrivals below it are "very long delayed" and take the
     /// unsequence path (the separation policy, paper §II).
     pub(crate) watermarks: HashMap<SeriesKey, i64>,
-    /// Flushed files, oldest first, each parsed once into a
-    /// [`FileHandle`] when installed (flush, adoption, compaction) —
+    /// Flushed files in merge rank, oldest first, each parsed once into
+    /// a [`FileHandle`] when installed (flush, adoption, compaction) —
     /// queries prune and read through the cached chunk index and never
-    /// re-parse a footer. Durable persistence keys on the handle's id
-    /// (not the position), so compaction replacing a shard's files is
-    /// observable as ids disappearing and a new id arriving. Flushes and
-    /// adoptions only append; only a compaction swap (`compaction.rs`,
-    /// under [`StorageEngine`]'s compaction mutex) removes files.
+    /// re-parse a footer. A handle's id is its stamp, which decides
+    /// which tombstones mask it; its position decides last-write-wins.
+    /// Durable persistence keys on the id, so compaction replacing a
+    /// shard's files is observable as ids disappearing and a new id
+    /// arriving. Flushes and adoptions only append; only a compaction
+    /// swap (`compaction.rs`, under [`StorageEngine`]'s compaction
+    /// mutex) removes files.
     pub(crate) files: Vec<FileHandle>,
-    /// Pending range deletions plus the file horizon they apply to:
-    /// only files at an index below the horizon are filtered (data
-    /// written after the delete must not be erased).
-    pub(crate) tombstones: Vec<(Tombstone, usize)>,
+    /// Pending range deletions. Each masks the files, and the slot's
+    /// occupant, stamped below its own stamp: data written after the
+    /// delete is never erased. One is kept while something it masks is.
+    pub(crate) tombstones: Vec<Tombstone>,
 }
 
 impl ShardState {
@@ -249,8 +252,11 @@ fn fnv1a(device: &str) -> u64 {
 pub struct StorageEngine {
     pub(crate) config: EngineConfig,
     pub(crate) shards: Vec<RwLock<ShardState>>,
-    /// Source of the per-file ids in [`ShardState::files`].
-    next_file_id: AtomicU64,
+    /// The one stamp counter: drawn by a rotation (the file's id), a
+    /// compaction's snapshot (its output's id), a delete (its
+    /// tombstone's stamp) and an adoption (one id for every shard's
+    /// copy).
+    next_stamp: AtomicU64,
     /// Query counter driving the 1-in-`trace_sample_n` trace sampler.
     trace_tick: AtomicU64,
     pub(crate) obs: EngineObs,
@@ -289,7 +295,7 @@ impl StorageEngine {
         Self {
             config,
             shards,
-            next_file_id: AtomicU64::new(0),
+            next_stamp: AtomicU64::new(0),
             trace_tick: AtomicU64::new(0),
             obs: EngineObs::new(registry),
             faults,
@@ -344,8 +350,17 @@ impl StorageEngine {
         &self.obs.registry
     }
 
-    pub(crate) fn alloc_file_id(&self) -> u64 {
-        self.next_file_id.fetch_add(1, Ordering::Relaxed)
+    /// Draws the next stamp. `Relaxed` suffices: a stamp publishes no
+    /// data, and the shard lock it is drawn under orders the draw
+    /// against every other draw made under that lock.
+    pub(crate) fn draw_stamp(&self) -> u64 {
+        self.next_stamp.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// Raises the counter so that every later draw exceeds `stamp`.
+    pub(crate) fn draw_above(&self, stamp: u64) {
+        self.next_stamp
+            .fetch_max(stamp.saturating_add(1), Ordering::Relaxed);
     }
 
     /// Number of shards (always ≥ 1).

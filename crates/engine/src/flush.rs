@@ -142,7 +142,8 @@ pub(crate) fn flush_series<K: Borrow<SeriesKey>>(
 /// [`flush`](StorageEngine::flush) or
 /// [`flush_unseq`](StorageEngine::flush_unseq), which installs an
 /// occupied slot first and so leaves the job stale (it names the slot's
-/// generation; completing it then installs nothing).
+/// generation, the stamp drawn at its rotation, which the file takes as
+/// its id; completing it then installs nothing).
 #[derive(Debug)]
 #[must_use = "the shard's flushing slot stays occupied until the job is completed"]
 pub struct FlushJob {
@@ -200,27 +201,29 @@ impl StorageEngine {
 
     /// Adopts an existing TsFile image (recovery path): registers it for
     /// queries and advances watermarks from its chunk statistics. The
-    /// image is parsed into a [`FileHandle`] exactly once; every shard
-    /// that owns one of its devices gets a handle sharing that parsed
-    /// image (ascending order — queries filter by series, so the
-    /// duplication is invisible, and per-shard compaction later drops
-    /// the chunks belonging to other shards). Returns the
-    /// `(shard, file id)` pairs installed, or `None` (and adopts
-    /// nothing) if the image does not parse.
+    /// image is parsed into a [`FileHandle`] exactly once, under one
+    /// fresh stamp; every shard that owns one of its devices gets a
+    /// handle sharing that parsed image and that id (ascending order —
+    /// queries filter by series, so the duplication is invisible, and
+    /// per-shard compaction later drops the chunks belonging to other
+    /// shards). Returns the `(shard, file id)` pairs installed, or
+    /// `None` (and adopts nothing) if the image does not parse.
     pub fn adopt_file(&self, image: Vec<u8>) -> Option<Vec<(usize, u64)>> {
-        self.adopt_file_at_level(image, 0)
+        self.adopt_file_at(image, 0, self.draw_stamp())
     }
 
-    /// [`adopt_file`](Self::adopt_file) with an explicit compaction
-    /// level — the durable store's recovery path reinstalls each file at
-    /// the level the manifest recorded, so a reopened engine resumes the
-    /// leveling ladder instead of re-treating merged output as fresh L0.
-    pub(crate) fn adopt_file_at_level(
+    /// [`adopt_file`](Self::adopt_file) at an explicit compaction level
+    /// and stamp — the durable store's recovery path reinstalls each
+    /// file where the manifest recorded it, so a reopened engine resumes
+    /// the leveling ladder instead of re-treating merged output as fresh
+    /// L0, and its tombstones mask what they masked before.
+    pub(crate) fn adopt_file_at(
         &self,
         image: Vec<u8>,
         level: u32,
+        stamp: u64,
     ) -> Option<Vec<(usize, u64)>> {
-        let handle = self.parse_image(image)?.with_level(level);
+        let handle = self.parse_image(image, stamp)?.with_level(level);
         let metas: Vec<(SeriesKey, i64)> = handle
             .chunks()
             .iter()
@@ -235,9 +238,7 @@ impl StorageEngine {
         if targets.is_empty() {
             targets.push(0); // an empty (but valid) file: park it in shard 0
         }
-        let last = targets.len() - 1;
-        let mut installed = Vec::with_capacity(targets.len());
-        for (i, &shard) in targets.iter().enumerate() {
+        for &shard in &targets {
             let mut st = self.shards[shard].write();
             for (key, max_time) in &metas {
                 if self.shard_of(&key.device) == shard {
@@ -245,31 +246,23 @@ impl StorageEngine {
                     *w = (*w).max(*max_time);
                 }
             }
-            // Every shard but the last gets a copy under a fresh id,
-            // sharing the already-parsed image.
-            let h = if i == last {
-                handle.clone()
-            } else {
-                handle.with_id(self.alloc_file_id())
-            };
-            installed.push((shard, h.id()));
-            st.files.push(h);
+            st.files.push(handle.clone());
         }
-        Some(installed)
+        Some(targets.into_iter().map(|shard| (shard, stamp)).collect())
     }
 
-    /// Parses a TsFile image under a fresh file id, counting the parse
-    /// in `file.parse`. `None` if the image is not a valid TsFile.
-    fn parse_image(&self, image: Vec<u8>) -> Option<FileHandle> {
+    /// Parses a TsFile image under the file id `stamp`, counting the
+    /// parse in `file.parse`. `None` if the image is not a valid TsFile.
+    fn parse_image(&self, image: Vec<u8>, stamp: u64) -> Option<FileHandle> {
         self.obs.file_parse.inc();
-        FileHandle::parse(self.alloc_file_id(), image)
+        FileHandle::parse(stamp, image)
     }
 
     /// [`Self::parse_image`] for an image this engine's own writer just
     /// produced (flush and compaction outputs).
-    pub(crate) fn parse_own_image(&self, image: Vec<u8>) -> FileHandle {
+    pub(crate) fn parse_own_image(&self, image: Vec<u8>, stamp: u64) -> FileHandle {
         // analyzer:allow(panic-freedom): the image was produced by our own encoder one call above (a flush or compaction output); dropping it on a parse error would silently lose acked writes
-        self.parse_image(image).expect("own image parses")
+        self.parse_image(image, stamp).expect("own image parses")
     }
 
     /// Runs a [`FlushJob`] and installs the result into the shard the
@@ -285,10 +278,9 @@ impl StorageEngine {
     /// series' copy at most — and sorted, encoded and parsed with no
     /// lock held. A delete that lands between two such copies edits the
     /// slot as usual; whether or not the file still carries its points,
-    /// the delete's tombstone horizon already covers this file. When
-    /// deletes have emptied the slot there is no file: the horizons
-    /// that counted one are lowered to the files that exist, so the
-    /// next file to land — later writes — is not masked in its place.
+    /// the delete's tombstone, stamped above the slot, masks this file,
+    /// which keeps the slot's stamp. When deletes have emptied the slot
+    /// there is no file, and a tombstone left masking nothing goes.
     ///
     /// Every copy and the install check the job's generation. A stale
     /// job — its slot already installed by a synchronous flush —
@@ -324,26 +316,16 @@ impl StorageEngine {
             .kill_point(fault_sites::FLUSH_COMPLETE_BEFORE_INSTALL);
         // Parse the chunk index outside the lock too — installing the
         // handle is then just a push.
-        let handle = (metrics.points > 0).then(|| self.parse_own_image(image));
+        let handle = (metrics.points > 0).then(|| self.parse_own_image(image, generation));
         let mut st = lock.write();
         if st.slot(generation).is_none() {
             return FlushMetrics::default();
         }
+        let retired = st.flushing.take();
         match handle {
             Some(handle) => st.files.push(handle),
-            None => {
-                // Deletes emptied the slot and it becomes no file after
-                // all. Their horizons counted it as one (`files.len() +
-                // 1`); left there they would mask whatever lands at
-                // that index next, which can only be newer than they are.
-                let files = st.files.len();
-                st.tombstones.retain_mut(|(_, horizon)| {
-                    *horizon = (*horizon).min(files);
-                    *horizon > 0
-                });
-            }
+            None => st.retain_tombstones(),
         }
-        let retired = st.flushing.take();
         drop(st);
         // Freeing the retired memtable's chunks holds nobody up.
         drop(retired);
@@ -581,9 +563,9 @@ mod tests {
 
     /// A synchronous flush beside an outstanding job installs the older
     /// slot first. At the wrong end of the file list, a newer unsequence
-    /// point would lose its duplicate timestamp to the slot's file, and a
-    /// tombstone that counted the slot as the next file would mask the
-    /// working memtable's instead. The job it overtook is stale.
+    /// point would lose its duplicate timestamp to the slot's file. The
+    /// delete between them masks the slot's file, stamped below it, and
+    /// not the working memtable's. The job it overtook is stale.
     #[test]
     fn a_synchronous_flush_installs_an_outstanding_slot_first() {
         let depth = |eng: &StorageEngine| eng.obs().gauge_value(names::ENGINE_FLUSH_QUEUE_DEPTH);
@@ -592,7 +574,7 @@ mod tests {
         let job = eng.write_batch_nonblocking(&key("s"), &full).unwrap();
         let job = job.expect("a full memtable rotates");
         eng.write_points(&key("s"), [(50, TsValue::Long(-50))]); // unsequence
-        eng.delete_range(&key("s"), 200, 300); // horizon 1: the slot's file
+        eng.delete_range(&key("s"), 200, 300); // stamped above the slot's file
         eng.write_points(&key("s"), [(250, TsValue::Long(250))]); // working
         assert_eq!(eng.flush_unseq().points, 101, "the slot, then unsequence");
         assert_eq!(eng.flush().points, 1);
@@ -611,7 +593,9 @@ mod tests {
         eng.write_points(&key("s"), (0..100i64).map(|i| (i, TsValue::Long(i))));
         let image = eng.shard_files(0)[0].image().to_vec();
         let other = small_engine(Algorithm::Backward(Default::default()));
-        other.adopt_file_at_level(image.clone(), 3).expect("adopts");
+        other
+            .adopt_file_at(image.clone(), 3, other.draw_stamp())
+            .expect("adopts");
         other.adopt_file(image).expect("adopts");
         let meta = other.shard_files(0);
         assert_eq!(meta.len(), 2);

@@ -195,7 +195,7 @@ impl StorageEngine {
             memtable_sources: 0,
         };
         if reaches_disk {
-            let files = plan_files(&st.files, 0, &st.tombstones, key, t_lo, t_hi);
+            let files = plan_files(&st.files, &st.tombstones, key, t_lo, t_hi);
             let mut levels = std::collections::BTreeMap::<u32, (usize, usize)>::new();
             for handle in &st.files {
                 levels.entry(handle.level()).or_default().0 += 1;
@@ -371,7 +371,7 @@ fn scan_with_state(
     // accounted here, next to the files it was done on.
     let span_files = obs_trace::span(names::SPAN_QUERY_FILES);
     let mut runs: Vec<Run<'_>> = if needs_disk(st, key, t_lo) {
-        let plan = plan_files(&st.files, 0, &st.tombstones, key, t_lo, t_hi);
+        let plan = plan_files(&st.files, &st.tombstones, key, t_lo, t_hi);
         let considered = st.files.len() as u64;
         obs.files_considered.add(considered);
         obs.files_pruned_by_filter.add(plan.pruned_by_filter);

@@ -46,10 +46,10 @@ use crate::types::{SeriesKey, TsValue};
 /// query survives that pruning are the overlapping chunks' pages
 /// decoded — lazily, page by page, by the `Scan`.
 ///
-/// The id and level belong to one install; the parsed part sits behind
-/// one `Arc`, so a clone — compaction's snapshot of a shard's list, an
-/// adopted image's copy for another shard — shares it and copies no
-/// byte.
+/// The level belongs to one install, and the id is the file's stamp;
+/// the parsed part sits behind one `Arc`, so a clone — compaction's
+/// snapshot of a shard's list, an adopted image's copy for another
+/// shard, under the same id — shares it and copies no byte.
 #[derive(Debug, Clone)]
 pub struct FileHandle {
     id: u64,
@@ -107,13 +107,6 @@ impl FileHandle {
         })
     }
 
-    /// Re-tags an already-parsed handle with a new engine file id,
-    /// sharing its image and index (the adopt path installs one parsed
-    /// image into several shards).
-    pub fn with_id(&self, id: u64) -> Self {
-        Self { id, ..self.clone() }
-    }
-
     /// The handle's compaction level (0 = fresh).
     pub fn level(&self) -> u32 {
         self.level
@@ -131,7 +124,9 @@ impl FileHandle {
         self
     }
 
-    /// The engine-unique file id.
+    /// The file id, which is its stamp: unique within a shard, and
+    /// shared by the copies of one adopted image. Tombstones stamped
+    /// above it mask the file.
     pub fn id(&self) -> u64 {
         self.id
     }
@@ -231,16 +226,14 @@ pub struct IntervalSet {
 }
 
 impl IntervalSet {
-    /// Resolves the tombstones whose horizon covers `file_idx` and whose
-    /// key matches into a merged interval list. `tombstones` pairs each
-    /// [`Tombstone`] with its file horizon: only files *below* the
-    /// horizon existed when the delete was issued, so only they are
-    /// masked.
-    pub fn resolve(tombstones: &[(Tombstone, usize)], key: &SeriesKey, file_idx: usize) -> Self {
+    /// Resolves the tombstones of `key` that mask the file stamped
+    /// `stamp` into a merged interval list: those stamped above it, the
+    /// deletes issued after the file's contents were.
+    pub fn resolve(tombstones: &[Tombstone], key: &SeriesKey, stamp: u64) -> Self {
         let mut intervals: Vec<(i64, i64)> = tombstones
             .iter()
-            .filter(|(ts, horizon)| file_idx < *horizon && &ts.key == key)
-            .map(|(ts, _)| (ts.t_lo, ts.t_hi))
+            .filter(|ts| stamp < ts.stamp && &ts.key == key)
+            .map(|ts| (ts.t_lo, ts.t_hi))
             .filter(|(lo, hi)| lo <= hi)
             .collect();
         intervals.sort_unstable();
@@ -408,26 +401,24 @@ pub(crate) struct FilePlan<'s> {
 
 /// The one file prune, shared by reads, `EXPLAIN` and compaction. Per
 /// file: the O(1) key filter (v1 files carry none and fall through),
-/// then the series' time envelope, then its tombstones resolved into one
-/// [`IntervalSet`] and a [`Run`] per chunk inside `[t_lo, t_hi]`. `files`
-/// starts at index `first` of the shard's list, which tombstone horizons
-/// index. Records no metric: each caller counts what it needs.
+/// then the series' time envelope, then the tombstones stamped above it
+/// resolved into one [`IntervalSet`] and a [`Run`] per chunk inside
+/// `[t_lo, t_hi]`. Records no metric: each caller counts what it needs.
 pub(crate) fn plan_files<'s>(
     files: &'s [FileHandle],
-    first: usize,
-    tombstones: &[(Tombstone, usize)],
+    tombstones: &[Tombstone],
     key: &SeriesKey,
     t_lo: i64,
     t_hi: i64,
 ) -> FilePlan<'s> {
     let mut plan = FilePlan::default();
-    for (file_idx, handle) in (first..).zip(files) {
+    for handle in files {
         if !handle.may_contain(key) {
             plan.pruned_by_filter += 1;
         } else if !handle.overlaps(key, t_lo, t_hi) {
             plan.pruned_by_envelope += 1;
         } else {
-            let erased = IntervalSet::resolve(tombstones, key, file_idx);
+            let erased = IntervalSet::resolve(tombstones, key, handle.id());
             let chunks = handle.chunks_for(key).iter();
             plan.runs.extend(
                 chunks.filter_map(|meta| Run::chunk(handle, meta, erased.clone(), t_lo, t_hi)),
@@ -720,11 +711,6 @@ mod tests {
         let reader = TsFileReader::open(h.image()).unwrap();
         let (pts, _) = reader.read_chunk_range(chunk, 15, 30).unwrap();
         assert_eq!(pts, vec![(20, TsValue::Long(2)), (30, TsValue::Long(3))]);
-
-        // Re-tagging reuses the index without a reparse.
-        let h2 = h.with_id(9);
-        assert_eq!(h2.id(), 9);
-        assert_eq!(h2.chunks().len(), 2);
     }
 
     #[test]
@@ -778,7 +764,6 @@ mod tests {
         assert_eq!(h.level(), 0, "fresh handles are L0");
         let h = h.with_level(3);
         assert_eq!(h.level(), 3);
-        assert_eq!(h.with_id(9).level(), 3, "re-tagging keeps the level");
         let mut h = h;
         h.set_level(1);
         assert_eq!(h.level(), 1);
@@ -802,20 +787,21 @@ mod tests {
         assert!(!empty.devices_overlap(&a));
     }
 
-    fn ts(s: &str, lo: i64, hi: i64) -> Tombstone {
+    fn ts(s: &str, lo: i64, hi: i64, stamp: u64) -> Tombstone {
         Tombstone {
             key: key(s),
             t_lo: lo,
             t_hi: hi,
+            stamp,
         }
     }
 
     #[test]
-    fn interval_set_resolves_horizon_and_key() {
+    fn interval_set_resolves_stamp_and_key() {
         let tombs = vec![
-            (ts("a", 10, 20), 2), // masks files 0 and 1
-            (ts("a", 15, 30), 1), // masks file 0 only
-            (ts("b", 0, 100), 2), // other key
+            ts("a", 10, 20, 2), // masks the files stamped 0 and 1
+            ts("a", 15, 30, 1), // masks the file stamped 0 only
+            ts("b", 0, 100, 2), // other key
         ];
         let f0 = IntervalSet::resolve(&tombs, &key("a"), 0);
         assert!(f0.contains(10) && f0.contains(25) && f0.contains(30));
@@ -831,10 +817,10 @@ mod tests {
     #[test]
     fn interval_set_merges_adjacent_and_overlapping() {
         let tombs = vec![
-            (ts("a", 1, 5), 1),
-            (ts("a", 6, 9), 1), // adjacent: merges with [1,5]
-            (ts("a", 20, 25), 1),
-            (ts("a", 22, 30), 1), // overlapping
+            ts("a", 1, 5, 1),
+            ts("a", 6, 9, 1), // adjacent: merges with [1,5]
+            ts("a", 20, 25, 1),
+            ts("a", 22, 30, 1), // overlapping
         ];
         let set = IntervalSet::resolve(&tombs, &key("a"), 0);
         assert_eq!(set.intervals, vec![(1, 9), (20, 30)]);
@@ -857,11 +843,11 @@ mod tests {
         assert_eq!(kept(&none, &times), vec![0..20]);
         assert!(kept(&none, &[]).is_empty());
         let tombs = vec![
-            (ts("a", -50, -1), 1),  // wholly before
-            (ts("a", 30, 55), 1),   // erases 30, 40, 50
-            (ts("a", 61, 69), 1),   // between two points: erases nothing
-            (ts("a", 100, 100), 1), // one point
-            (ts("a", 185, 900), 1), // runs off the end: erases 190
+            ts("a", -50, -1, 1),  // wholly before
+            ts("a", 30, 55, 1),   // erases 30, 40, 50
+            ts("a", 61, 69, 1),   // between two points: erases nothing
+            ts("a", 100, 100, 1), // one point
+            ts("a", 185, 900, 1), // runs off the end: erases 190
         ];
         let set = IntervalSet::resolve(&tombs, &key("a"), 0);
         assert_eq!(kept(&set, &times), vec![0..3, 6..10, 11..19]);
@@ -881,13 +867,13 @@ mod tests {
                 assert_eq!(got, want, "slice {lo}..{hi}");
             }
         }
-        let all = IntervalSet::resolve(&[(ts("a", i64::MIN, i64::MAX), 1)], &key("a"), 0);
+        let all = IntervalSet::resolve(&[ts("a", i64::MIN, i64::MAX, 1)], &key("a"), 0);
         assert!(kept(&all, &times).is_empty());
     }
 
     #[test]
     fn interval_set_handles_extreme_bounds() {
-        let tombs = vec![(ts("a", i64::MIN, i64::MAX), 1)];
+        let tombs = vec![ts("a", i64::MIN, i64::MAX, 1)];
         let set = IntervalSet::resolve(&tombs, &key("a"), 0);
         assert!(set.contains(i64::MIN) && set.contains(0) && set.contains(i64::MAX));
     }

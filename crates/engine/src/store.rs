@@ -6,22 +6,24 @@
 //!
 //! 1. every write is appended (CRC-framed) to the active WAL segment
 //!    *before* it enters a memtable, and every delete is appended right
-//!    after its tombstone is recorded (with the tombstone's file
-//!    horizon, so a replayed delete covers the same files);
+//!    after its tombstone is recorded. Replay runs a delete as a fresh
+//!    one: stamped above every file present, it masks them all, as the
+//!    live delete did;
 //! 2. when a shard's working memtable flushes, one persist pass runs:
 //!    every other shard's buffered data is flushed alongside it, a
 //!    flushing slot whose job is still outstanding installed first (a
 //!    WAL segment interleaves all shards' records, so all of them must
 //!    reach files before any segment is retired); each file not yet on
 //!    disk is persisted durably as `tsfile-<gen>.bstf`; a fresh segment
-//!    opens and the still-pending tombstones are re-logged into it; and
-//!    the `MANIFEST` commits the live generations plus the new WAL floor
-//!    — the single atomic point that retires the old segments. Only then
-//!    is anything deleted, and the manifest alone decides what: every
-//!    `tsfile-<gen>.bstf` it does not name and every `wal-<gen>.log`
-//!    below its floor;
+//!    opens; and the `MANIFEST` commits the live generations with their
+//!    levels and stamps, the pending tombstones with their stamps, and
+//!    the new WAL floor — the single atomic point that retires the old
+//!    segments. Only then is anything deleted, and the manifest alone
+//!    decides what: every `tsfile-<gen>.bstf` it does not name and every
+//!    `wal-<gen>.log` below its floor;
 //! 3. [`DurableEngine::open`] recovers by adopting every
-//!    manifest-listed TsFile, then replaying the WAL segments at or
+//!    manifest-listed TsFile at its recorded stamp and restoring the
+//!    listed tombstones at theirs, then replaying the WAL segments at or
 //!    above the manifest's floor (torn tails are truncated at the first
 //!    bad CRC, and the discarded byte count is reported through
 //!    `wal.replay_discarded_bytes`), then running the same pass: the
@@ -54,10 +56,12 @@ use backsort_faults::{sites, FailpointRegistry};
 use backsort_obs::Registry;
 
 use crate::batch::{put_batch, put_key, read_batch, PointBatch, Unread, ValueColumn};
+use crate::delete::Tombstone;
 use crate::encoding::{ts2diff, varint};
 use crate::engine::{EngineConfig, StorageEngine};
 use crate::flush::FlushMetrics;
 use crate::query::QueryResult;
+use crate::read::FileHandle;
 use crate::types::{DataType, SeriesKey};
 
 /// CRC-32 (IEEE, reflected), eight bytes a step ("slicing-by-8": table
@@ -193,8 +197,8 @@ fn put_frame(
     Ok(())
 }
 
-/// One WAL record: a batch write, a range delete, or a re-logged
-/// tombstone.
+/// One WAL record: a batch write, a range delete, or an older build's
+/// re-logged tombstone.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord {
     /// A whole columnar batch for one series, logged as a single frame
@@ -210,9 +214,9 @@ pub enum WalRecord {
         /// The columnar payload.
         batch: PointBatch,
     },
-    /// A range delete, with the tombstone's file horizon at the time it
-    /// was recorded — replay restores the tombstone over the same files
-    /// and never over files flushed after the delete.
+    /// A range delete. Replay runs it as a fresh delete, which masks
+    /// every file present — the files holding what was written before
+    /// it — as the live one did.
     Delete {
         /// Target series.
         key: SeriesKey,
@@ -220,15 +224,14 @@ pub enum WalRecord {
         t_lo: i64,
         /// Inclusive range end.
         t_hi: i64,
-        /// File-count horizon the tombstone covered when recorded.
+        /// An older build's file-count horizon: written 0, not read.
         horizon: u32,
     },
-    /// A pending tombstone *re-logged* into a fresh segment at rotation
-    /// (the segment carrying the original [`WalRecord::Delete`] is being
-    /// retired). Replay restores only the file mask — unlike a `Delete`,
-    /// it never removes memtable points, because a re-logged record sits
-    /// after the records of writes issued after the original delete and
-    /// must not erase them when both segments survive a crash.
+    /// A pending tombstone an older build *re-logged* at the head of a
+    /// fresh segment at rotation; nothing writes it any more (the
+    /// manifest lists pending tombstones). Replay restores only the file
+    /// mask, over the shard's first `horizon` files, and removes no
+    /// memtable point.
     Tombstone {
         /// Target series.
         key: SeriesKey,
@@ -309,7 +312,7 @@ impl WalRecord {
     }
 }
 
-/// Encodes a delete (`KIND_DELETE`) or a re-logged tombstone
+/// Encodes a delete (`KIND_DELETE`) or a legacy re-logged tombstone
 /// (`KIND_TOMBSTONE`) frame from borrowed parts.
 fn encode_range(
     out: &mut Vec<u8>,
@@ -398,8 +401,8 @@ const MANIFEST_NAME: &str = "MANIFEST";
 const MANIFEST_MAGIC: &str = "backsort-manifest-v1";
 
 /// The durable commit record of a persist pass: which TsFile
-/// generations are live, and the oldest WAL generation that still
-/// matters.
+/// generations are live, where they rank and what masks them, and the
+/// oldest WAL generation that still matters.
 ///
 /// The `wal_floor` is what makes a killed rotation recover to a clean
 /// prefix: once a rotation's images are durable, its manifest raises
@@ -412,33 +415,54 @@ const MANIFEST_MAGIC: &str = "backsort-manifest-v1";
 #[derive(Debug, PartialEq)]
 struct Manifest {
     /// Live files in merge-priority order (shard-major, each shard's
-    /// files oldest-first), each with its compaction level. The order is
-    /// load-bearing: a leveled compaction output sits *before* newer
-    /// files of its shard but is persisted under a *later* generation,
-    /// so numeric generation order no longer equals priority order —
-    /// recovery must walk this list front-to-back to preserve
-    /// last-write-wins.
-    files: Vec<(u64, u32)>,
+    /// files oldest-first), each as `(generation, level, stamp)`. The
+    /// order is load-bearing: a compaction output ranks before newer
+    /// files of its shard but is persisted under a later generation, and
+    /// may carry a larger stamp, so recovery must walk this list
+    /// front-to-back to preserve last-write-wins. The stamp is `None`
+    /// for an older build's token; recovery stamps those fresh, in
+    /// listed order.
+    files: Vec<(u64, u32, Option<u64>)>,
+    /// The tombstones pending at the commit, each at its stamp: until
+    /// compaction applies one, this is its only durable record.
+    tombstones: Vec<Tombstone>,
     wal_floor: u64,
 }
 
-/// Durably records the manifest. Written after new images, after the
-/// pending tombstones are re-logged into the floor segment, and
-/// *before* any GC — the commit point of a persist pass. CRC-guarded so
-/// a torn write reads as "no manifest".
-///
-/// Each file token is `generation:level`, making the compaction level a
-/// crash-safe part of the commit record; legacy manifests with plain
-/// `generation` tokens read back as level 0.
-fn write_manifest(io: &dyn Io, dir: &Path, files: &[(u64, u32)], wal_floor: u64) -> io::Result<()> {
-    let list = files
-        .iter()
-        .map(|(gen, level)| format!("{gen}:{level}"))
-        .collect::<Vec<_>>()
-        .join(" ");
-    let body = format!("{MANIFEST_MAGIC}\nfiles {list}\nwal-floor {wal_floor}\n");
-    let full = format!("{body}crc {:08x}\n", crc32(body.as_bytes()));
-    io.write_durable(&dir.join(MANIFEST_NAME), full.as_bytes())
+impl Manifest {
+    /// The manifest's bytes, CRC-guarded so a torn write reads as "no
+    /// manifest": the magic; a `files` line of `gen:level:stamp` tokens;
+    /// a `tombstones` line of `<hex of put_key(device, sensor)>:<t_lo>:
+    /// <t_hi>:<stamp>` tokens; the `wal-floor` line; then the CRC of all
+    /// of it. A tombstone name over `u16::MAX` bytes is `InvalidInput`.
+    fn encode(&self) -> io::Result<String> {
+        let files: Vec<String> = (self.files.iter())
+            .map(|&(gen, level, stamp)| match stamp {
+                Some(stamp) => format!("{gen}:{level}:{stamp}"),
+                None => format!("{gen}:{level}"),
+            })
+            .collect();
+        let mut tombstones = Vec::with_capacity(self.tombstones.len());
+        for t in &self.tombstones {
+            let mut key = Vec::new();
+            put_key(&mut key, &t.key.device, &t.key.sensor)?;
+            let hex: String = key.iter().map(|b| format!("{b:02x}")).collect();
+            tombstones.push(format!("{hex}:{}:{}:{}", t.t_lo, t.t_hi, t.stamp));
+        }
+        let body = format!(
+            "{MANIFEST_MAGIC}\nfiles {}\ntombstones {}\nwal-floor {}\n",
+            files.join(" "),
+            tombstones.join(" "),
+            self.wal_floor
+        );
+        Ok(format!("{body}crc {:08x}\n", crc32(body.as_bytes())))
+    }
+}
+
+/// Durably records the manifest. Written after new images and *before*
+/// any GC — the commit point of a persist pass.
+fn write_manifest(io: &dyn Io, dir: &Path, manifest: &Manifest) -> io::Result<()> {
+    io.write_durable(&dir.join(MANIFEST_NAME), manifest.encode()?.as_bytes())
 }
 
 /// Reads the manifest, or `None` if it is absent, torn or corrupt —
@@ -448,37 +472,71 @@ fn write_manifest(io: &dyn Io, dir: &Path, files: &[(u64, u32)], wal_floor: u64)
 /// rewrite is atomic-durable): at that point no GC and no logical WAL
 /// truncation has happened yet.
 fn read_manifest(io: &dyn Io, dir: &Path) -> Option<Manifest> {
-    let bytes = io.read(&dir.join(MANIFEST_NAME)).ok()?;
-    let text = std::str::from_utf8(&bytes).ok()?;
-    let mut lines = text.lines();
-    let magic = lines.next()?;
-    if magic != MANIFEST_MAGIC {
+    parse_manifest(&io.read(&dir.join(MANIFEST_NAME)).ok()?)
+}
+
+/// Parses [`Manifest::encode`]'s bytes, or `None` for anything else: a
+/// prefix, a CRC mismatch, a malformed token or line. An older build's
+/// manifest has no `tombstones` line, and its file tokens are `gen` or
+/// `gen:level` (level 0 when absent).
+fn parse_manifest(bytes: &[u8]) -> Option<Manifest> {
+    let text = std::str::from_utf8(bytes).ok()?;
+    // The last line is the CRC of everything before it.
+    let body_len = text.strip_suffix('\n')?.rfind('\n')? + 1;
+    let (body, crc_line) = text.split_at_checked(body_len)?;
+    let stored = crc_line.strip_prefix("crc ")?.strip_suffix('\n')?;
+    if crc32(body.as_bytes()) != u32::from_str_radix(stored, 16).ok()? {
         return None;
     }
-    let files_line = lines.next()?;
-    let floor_line = lines.next()?;
-    let crc_line = lines.next()?;
-    if lines.next().is_some() {
+    let mut lines = body.strip_suffix('\n')?.split('\n');
+    if lines.next()? != MANIFEST_MAGIC {
         return None;
     }
-    let body = format!("{magic}\n{files_line}\n{floor_line}\n");
-    let stored = u32::from_str_radix(crc_line.strip_prefix("crc ")?, 16).ok()?;
-    if crc32(body.as_bytes()) != stored {
-        return None;
+    let files = (lines.next()?.strip_prefix("files ")?.split_whitespace())
+        .map(|token| {
+            let mut fields = token.split(':');
+            let gen = fields.next()?.parse().ok()?;
+            let level = fields.next().map_or(Some(0), |f| f.parse().ok())?;
+            let stamp = fields.next().map(str::parse).transpose().ok()?;
+            fields.next().is_none().then_some((gen, level, stamp))
+        })
+        .collect::<Option<_>>()?;
+    let mut line = lines.next()?;
+    let mut tombstones = Vec::new();
+    if let Some(list) = line.strip_prefix("tombstones ") {
+        tombstones = list
+            .split_whitespace()
+            .map(parse_tombstone)
+            .collect::<Option<_>>()?;
+        line = lines.next()?;
     }
-    let mut files = Vec::new();
-    for tok in files_line.strip_prefix("files ")?.split_whitespace() {
-        // `gen:level` is the v2 token; a bare generation is a legacy
-        // manifest written before levels existed — everything was
-        // effectively level 0 then.
-        let (gen, level) = match tok.split_once(':') {
-            Some((gen, level)) => (gen.parse().ok()?, level.parse().ok()?),
-            None => (tok.parse().ok()?, 0),
-        };
-        files.push((gen, level));
-    }
-    let wal_floor = floor_line.strip_prefix("wal-floor ")?.parse().ok()?;
-    Some(Manifest { files, wal_floor })
+    let wal_floor = line.strip_prefix("wal-floor ")?.parse().ok()?;
+    lines.next().is_none().then_some(Manifest {
+        files,
+        tombstones,
+        wal_floor,
+    })
+}
+
+/// Parses one `<hex key>:<t_lo>:<t_hi>:<stamp>` token.
+fn parse_tombstone(token: &str) -> Option<Tombstone> {
+    let mut fields = token.split(':');
+    let hex = fields.next()?.as_bytes();
+    let nibble = |b: u8| char::from(b).to_digit(16);
+    let (pairs, odd) = hex.as_chunks::<2>();
+    let key: Vec<u8> = (odd.is_empty().then_some(pairs)?.iter())
+        .map(|&[hi, lo]| Some((nibble(hi)? << 4 | nibble(lo)?) as u8))
+        .collect::<Option<_>>()?;
+    let mut unread = Unread(&key);
+    let key = unread.key().ok()?;
+    unread.finish().ok()?;
+    let tombstone = Tombstone {
+        key,
+        t_lo: fields.next()?.parse().ok()?,
+        t_hi: fields.next()?.parse().ok()?,
+        stamp: fields.next()?.parse().ok()?,
+    };
+    fields.next().is_none().then_some(tombstone)
 }
 
 /// A [`StorageEngine`] with WAL-backed durability in a directory.
@@ -489,9 +547,9 @@ pub struct DurableEngine {
     wal: Box<dyn WalFile>,
     generation: u64,
     /// Engine file id → the disk generation its image is persisted
-    /// under. Ids are unique engine-wide; a multi-device file adopted
-    /// into several shards has one id per shard, all under one
-    /// generation. Each pass keeps only the ids still live.
+    /// under. An id is the file's stamp: every shard's copy of one
+    /// adopted multi-device image shares it, under one generation. Each
+    /// pass keeps only the ids still live.
     persisted: HashMap<u64, u64>,
     /// Cached registry handles — the WAL append sits on the durable
     /// write path, so it must not take the registry's name-map lock.
@@ -564,32 +622,41 @@ impl DurableEngine {
         // Adopt in the manifest's listed order — the previous process's
         // merge-priority order, which a leveled compaction output
         // (persisted late, ranked early) makes different from numeric
-        // generation order. Without a manifest (nothing ever committed,
-        // so no compaction output can be on disk either) numeric order is
-        // the write order and suffices. A generation on disk the manifest
-        // does not name — compaction inputs whose deletion was
-        // interrupted, or an image whose pass never committed (its
-        // records are still in the replayed segments) — is not adopted,
-        // and neither is a torn image; the pass below deletes both.
-        let manifest = read_manifest(io.as_ref(), &dir);
-        let wal_floor = manifest.as_ref().map_or(0, |m| m.wal_floor);
-        let adoption: Vec<(u64, u32)> = match manifest {
-            Some(m) => m.files,
+        // generation order — each file at its recorded stamp. Without a
+        // manifest (nothing ever committed, so no compaction output can
+        // be on disk either) numeric order is the write order and
+        // suffices. A generation on disk the manifest does not name —
+        // compaction inputs whose deletion was interrupted, or an image
+        // whose pass never committed (its records are still in the
+        // replayed segments) — is not adopted, and neither is a torn
+        // image; the pass below deletes both.
+        let (adoption, tombstones, wal_floor) = match read_manifest(io.as_ref(), &dir) {
+            Some(m) => (m.files, m.tombstones, m.wal_floor),
             None => {
-                let mut gens: Vec<(u64, u32)> = tsfiles.keys().map(|&gen| (gen, 0)).collect();
+                let mut gens: Vec<_> = tsfiles.keys().map(|&gen| (gen, 0, None)).collect();
                 gens.sort_unstable();
-                gens
+                (gens, Vec::new(), 0)
             }
         };
         let engine = &this.engine;
-        for (gen, level) in adoption {
+        // Every later draw lies above every stamp the manifest names, so
+        // no restored tombstone masks a replayed rotation's file.
+        let stamps = adoption.iter().filter_map(|&(_, _, stamp)| stamp);
+        if let Some(max) = stamps.chain(tombstones.iter().map(|t| t.stamp)).max() {
+            engine.draw_above(max);
+        }
+        for (gen, level, stamp) in adoption {
             let Some(name) = tsfiles.get(&gen) else {
                 continue;
             };
             let bytes = io.read(&dir.join(name)).map_err(StoreError::Recover)?;
-            for (_, id) in engine.adopt_file_at_level(bytes, level).unwrap_or_default() {
-                this.persisted.insert(id, gen);
+            let stamp = stamp.unwrap_or_else(|| engine.draw_stamp());
+            if engine.adopt_file_at(bytes, level, stamp).is_some() {
+                this.persisted.insert(stamp, gen);
             }
+        }
+        for tombstone in tombstones {
+            engine.restore_tombstone(tombstone);
         }
         this.failpoint(sites::STORE_OPEN_AFTER_ADOPT, StoreError::Recover)?;
 
@@ -621,24 +688,33 @@ impl DurableEngine {
                             engine.complete_flush(job);
                         }
                     }
+                    // Every file present holds what was written before
+                    // the delete, and the fresh delete masks them all.
                     WalRecord::Delete {
-                        key,
-                        t_lo,
-                        t_hi,
-                        horizon,
+                        key, t_lo, t_hi, ..
                     } => {
-                        engine.delete_range_with_horizon(&key, t_lo, t_hi, horizon as usize);
+                        engine.delete_range(&key, t_lo, t_hi);
                     }
-                    // Mask-only: a re-logged tombstone replays after the
-                    // records of writes issued after the original delete
-                    // and must not erase them from the memtables.
+                    // An older build re-logged it at the head of the
+                    // floor segment, right after adoption, where its
+                    // horizon `h` counted the shard's listed files: it
+                    // masks those stamped below the `h`-th, and removes
+                    // no memtable point.
                     WalRecord::Tombstone {
                         key,
                         t_lo,
                         t_hi,
                         horizon,
                     } => {
-                        engine.restore_tombstone(&key, t_lo, t_hi, horizon as usize);
+                        let files = engine.shard_files(engine.shard_of(&key.device));
+                        let stamp = (files.get(horizon as usize))
+                            .map_or_else(|| engine.draw_stamp(), FileHandle::id);
+                        engine.restore_tombstone(Tombstone {
+                            key,
+                            t_lo,
+                            t_hi,
+                            stamp,
+                        });
                     }
                 }
             }
@@ -654,8 +730,8 @@ impl DurableEngine {
         // What was replayed sits in memtables again, covered only by the
         // segments just read, and replayed deletes recreated tombstones
         // whose only durable record is the same segments: the rotation's
-        // own pass persists and re-logs them, and its manifest's floor
-        // retires those segments.
+        // own pass persists the one and lists the other, and its
+        // manifest's floor retires those segments.
         let live = this.commit()?;
         this.failpoint(sites::STORE_OPEN_BEFORE_WAL_DELETE, StoreError::Recover)?;
         this.retire(&live)?;
@@ -718,24 +794,19 @@ impl DurableEngine {
     }
 
     /// Durably deletes all points of `key` in `[t_lo, t_hi]`: the
-    /// tombstone is recorded in the engine (capturing the exact file
-    /// horizon), then logged to the WAL. A crash between the two loses
-    /// an unacknowledged delete — never an acknowledged one, and never a
-    /// previously acknowledged write. Returns how many in-memory points
-    /// were removed. A name over `u16::MAX` bytes is refused
-    /// [`StoreError::Wal`] (`InvalidInput`) with nothing recorded.
+    /// tombstone is recorded in the engine, then logged to the WAL. A
+    /// crash between the two loses an unacknowledged delete — never an
+    /// acknowledged one, and never a previously acknowledged write.
+    /// Returns how many in-memory points were removed. A name over
+    /// `u16::MAX` bytes is refused [`StoreError::Wal`] (`InvalidInput`)
+    /// with nothing recorded.
     pub fn delete_range(&mut self, key: &SeriesKey, t_lo: i64, t_hi: i64) -> StoreResult<usize> {
-        // A key the log cannot carry is refused before the engine records
-        // anything: with it, nothing else can fail to encode.
+        // The record is encoded before the engine records anything, so a
+        // key the log cannot carry is refused with nothing recorded.
         self.scratch.clear();
-        put_key(&mut self.scratch, &key.device, &key.sensor).map_err(StoreError::Wal)?;
-        let (removed, horizon) = self
-            .engine
-            .delete_range_with_horizon(key, t_lo, t_hi, usize::MAX);
-        self.scratch.clear();
-        let horizon = horizon.min(u32::MAX as usize) as u32;
-        encode_range(&mut self.scratch, KIND_DELETE, key, t_lo, t_hi, horizon)
+        encode_range(&mut self.scratch, KIND_DELETE, key, t_lo, t_hi, 0)
             .map_err(StoreError::Wal)?;
+        let removed = self.engine.delete_range(key, t_lo, t_hi);
         self.append_scratch()?;
         self.failpoint(sites::STORE_DELETE_AFTER_WAL, StoreError::Wal)?;
         Ok(removed)
@@ -744,36 +815,6 @@ impl DurableEngine {
     /// Durably flushes everything buffered.
     pub fn flush(&mut self) -> StoreResult<()> {
         self.persist_and_rotate()
-    }
-
-    /// Re-logs every still-pending tombstone into the active segment and
-    /// syncs it. Until compaction applies a tombstone physically, the
-    /// WAL is its only durable record — so each fresh segment must carry
-    /// the pending set before the segments that logged it originally are
-    /// truncated.
-    fn log_pending_tombstones(&mut self) -> StoreResult<()> {
-        let mut any = false;
-        for shard in 0..self.engine.shard_count() {
-            for (tomb, horizon) in self.engine.pending_tombstones(shard) {
-                self.scratch.clear();
-                let horizon = horizon.min(u32::MAX as usize) as u32;
-                encode_range(
-                    &mut self.scratch,
-                    KIND_TOMBSTONE,
-                    &tomb.key,
-                    tomb.t_lo,
-                    tomb.t_hi,
-                    horizon,
-                )
-                .map_err(StoreError::Wal)?;
-                self.append_scratch()?;
-                any = true;
-            }
-        }
-        if any {
-            self.wal.sync().map_err(StoreError::Wal)?;
-        }
-        Ok(())
     }
 
     fn persist_and_rotate(&mut self) -> StoreResult<()> {
@@ -798,13 +839,14 @@ impl DurableEngine {
     /// the pass flushes each non-empty working memtable and every
     /// unsequence buffer, then walks every shard's files once, persisting
     /// each image not yet on disk under a fresh generation and listing
-    /// the manifest's `(generation, level)` pairs as it goes. Reading the
-    /// levels in the same walk is sound because the pass holds `&mut
-    /// self` over an owned engine: no compaction can move a level between
-    /// this walk and the manifest write. Generation numbers are only
-    /// identities: a leveled compaction output ranks *before* newer files
-    /// of its shard but is persisted later, so priority at recovery comes
-    /// from the manifest's listed order, not numeric order.
+    /// the manifest's `(generation, level, stamp)` entries as it goes,
+    /// with the shard's pending tombstones. Reading them in the same walk
+    /// is sound because the pass holds `&mut self` over an owned engine:
+    /// no compaction or delete can move them between this walk and the
+    /// manifest write. Generation numbers are only identities: a leveled
+    /// compaction output ranks *before* newer files of its shard but is
+    /// persisted later, so priority at recovery comes from the
+    /// manifest's listed order, not numeric order.
     ///
     /// A pass that fails leaves the previous manifest in force. The
     /// images it did write stay recorded, so the next pass names them
@@ -820,7 +862,8 @@ impl DurableEngine {
         // the highest level any shard gave it; recovery re-adopts it at
         // that level everywhere, which only delays (never corrupts)
         // future compaction.
-        let mut files: Vec<(u64, u32)> = Vec::new();
+        let mut files: Vec<(u64, u32, Option<u64>)> = Vec::new();
+        let mut tombstones = Vec::new();
         let mut position: HashMap<u64, usize> = HashMap::new();
         let mut live_ids = HashMap::with_capacity(self.persisted.len());
         let mut wrote_any = false;
@@ -854,27 +897,30 @@ impl DurableEngine {
                     }
                     Entry::Vacant(pos) => {
                         pos.insert(files.len());
-                        files.push((gen, level));
+                        files.push((gen, level, Some(file.id())));
                     }
                 }
             }
+            tombstones.extend(self.engine.pending_tombstones(shard));
         }
         self.persisted = live_ids;
         // Rotate the WAL. The old segments stay *live* until the
-        // manifest raises the floor past them, so the still-pending
-        // tombstones, whose only durable record sits in them, are
-        // re-logged into the new segment and synced first.
+        // manifest raises the floor past them.
         self.generation += 1;
         self.wal = self
             .io
             .open_append(&self.dir.join(name_of(WAL, self.generation)))
             .map_err(StoreError::Wal)?;
-        self.log_pending_tombstones()?;
         // Every image of the pass is durable at this point; the manifest
-        // write below is what makes them (and their levels) live.
+        // write below is what makes them (their levels and stamps, and
+        // the pending tombstones) live.
         self.failpoint(sites::STORE_PERSIST_BEFORE_MANIFEST, StoreError::Manifest)?;
-        write_manifest(self.io.as_ref(), &self.dir, &files, self.generation)
-            .map_err(StoreError::Manifest)?;
+        let manifest = Manifest {
+            files,
+            tombstones,
+            wal_floor: self.generation,
+        };
+        write_manifest(self.io.as_ref(), &self.dir, &manifest).map_err(StoreError::Manifest)?;
         self.failpoint(sites::STORE_PERSIST_BEFORE_GC, StoreError::Manifest)?;
         Ok(position.into_keys().collect())
     }
@@ -886,11 +932,9 @@ impl DurableEngine {
     /// the commit matters: before it, a crash would leave the old
     /// manifest naming compaction inputs whose files are gone.
     ///
-    /// Segments go strictly oldest-first: a crash mid-way then leaves a
-    /// *suffix* of segments, so a surviving re-logged tombstone record
-    /// implies every later record survived too — replay can re-apply the
-    /// delete without losing newer writes. A failed removal is counted
-    /// ([`remove_stale`]) and retried by the next pass.
+    /// Segments go oldest-first, so a crash mid-way leaves a *suffix* of
+    /// them. A failed removal is counted ([`remove_stale`]) and retried
+    /// by the next pass.
     fn retire(&self, live: &HashSet<u64>) -> StoreResult<()> {
         let mut dead_files = Vec::new();
         let mut dead_segments = Vec::new();
@@ -1013,7 +1057,7 @@ mod tests {
     /// the `wal-*` generations on disk, each sorted.
     fn disk_state(dir: &Path) -> (Vec<u64>, Vec<u64>, Vec<u64>) {
         let manifest = read_manifest(&RealIo, dir).expect("a committed manifest");
-        let mut named: Vec<u64> = manifest.files.iter().map(|&(gen, _)| gen).collect();
+        let mut named: Vec<u64> = manifest.files.iter().map(|&(gen, ..)| gen).collect();
         named.sort_unstable();
         let (mut tsfiles, mut wals) = (Vec::new(), Vec::new());
         for name in RealIo.list_dir(dir).unwrap() {
@@ -1072,28 +1116,40 @@ mod tests {
         assert_eq!(discarded, n);
     }
 
+    /// Files with levels and stamps, and tombstones whose names hold
+    /// the token separators.
+    fn sample_manifest() -> Manifest {
+        let tombstone = |key, t_lo, t_hi, stamp| Tombstone {
+            key,
+            t_lo,
+            t_hi,
+            stamp,
+        };
+        Manifest {
+            files: vec![(3, 0, Some(4)), (7, 2, Some(11)), (12, 1, Some(9))],
+            tombstones: vec![
+                tombstone(key(), -5, i64::MAX, 10),
+                tombstone(SeriesKey::new("root.sg.d2", "a:b c"), i64::MIN, 0, 12),
+            ],
+            wal_floor: 13,
+        }
+    }
+
     #[test]
     fn manifest_roundtrips_and_rejects_corruption() {
         let io = RealIo;
         let dir = tmpdir("manifest");
         io.create_dir_all(&dir).unwrap();
-        write_manifest(&io, &dir, &[(3, 0), (7, 2), (12, 1)], 13).unwrap();
-        assert_eq!(
-            read_manifest(&io, &dir),
-            Some(Manifest {
-                files: vec![(3, 0), (7, 2), (12, 1)],
-                wal_floor: 13,
-            })
-        );
+        write_manifest(&io, &dir, &sample_manifest()).unwrap();
+        assert_eq!(read_manifest(&io, &dir), Some(sample_manifest()));
         // An empty generation set is a valid manifest.
-        write_manifest(&io, &dir, &[], 1).unwrap();
-        assert_eq!(
-            read_manifest(&io, &dir),
-            Some(Manifest {
-                files: Vec::new(),
-                wal_floor: 1,
-            })
-        );
+        let empty = Manifest {
+            files: Vec::new(),
+            tombstones: Vec::new(),
+            wal_floor: 1,
+        };
+        write_manifest(&io, &dir, &empty).unwrap();
+        assert_eq!(read_manifest(&io, &dir), Some(empty));
         // Any corruption (here: a flipped byte) reads as "no manifest".
         let path = dir.join(MANIFEST_NAME);
         let mut bytes = fs::read(&path).unwrap();
@@ -1105,21 +1161,94 @@ mod tests {
 
     #[test]
     fn legacy_manifest_tokens_read_as_level_zero() {
-        let io = RealIo;
-        let dir = tmpdir("manifest-legacy");
-        io.create_dir_all(&dir).unwrap();
         // A manifest written before levels existed: bare generations.
         let body = format!("{MANIFEST_MAGIC}\nfiles 4 9 11\nwal-floor 12\n");
         let full = format!("{body}crc {:08x}\n", crc32(body.as_bytes()));
-        io.write_durable(&dir.join(MANIFEST_NAME), full.as_bytes())
-            .unwrap();
         assert_eq!(
-            read_manifest(&io, &dir),
+            parse_manifest(full.as_bytes()),
             Some(Manifest {
-                files: vec![(4, 0), (9, 0), (11, 0)],
+                files: vec![(4, 0, None), (9, 0, None), (11, 0, None)],
+                tombstones: Vec::new(),
                 wal_floor: 12,
             })
         );
+    }
+
+    /// The manifest decoder under the mutation recipe: no prefix reads,
+    /// a flipped bit reads as nothing or as the whole manifest, and a
+    /// forgery with a valid CRC reads as nothing — never a panic.
+    #[test]
+    fn the_manifest_decoder_refuses_prefixes_flips_and_forgeries() {
+        let manifest = sample_manifest();
+        let bytes = manifest.encode().unwrap().into_bytes();
+        assert_eq!(parse_manifest(&bytes).as_ref(), Some(&manifest));
+        for len in 0..bytes.len() {
+            assert_eq!(parse_manifest(&bytes[..len]), None, "prefix {len}");
+        }
+        let mut flipped = bytes.clone();
+        for bit in 0..bytes.len() * 8 {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            if let Some(read) = parse_manifest(&flipped) {
+                assert_eq!(read, manifest, "bit {bit}");
+            }
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
+
+        let mut name = Vec::new();
+        put_key(&mut name, "root.sg.d1", "s1").unwrap();
+        let good: String = name.iter().map(|b| format!("{b:02x}")).collect();
+        let rest = &good[2..];
+        let sealed = |files: &str, tombstones: &str, tail: &str| {
+            let body = format!(
+                "{MANIFEST_MAGIC}\nfiles {files}\ntombstones {tombstones}\nwal-floor 9\n{tail}"
+            );
+            format!("{body}crc {:08x}\n", crc32(body.as_bytes())).into_bytes()
+        };
+        let valid = parse_manifest(&sealed("3:0:4", &format!("{good}:1:2:5"), ""));
+        assert_eq!(valid.map(|m| m.tombstones.len()), Some(1));
+        let forged_tombstones = [
+            format!("{}:1:2:5", &good[1..]),             // an odd-length name
+            format!("zz{rest}:1:2:5"),                   // a non-hex name
+            format!("ff{rest}:1:2:5"),                   // a name length past its bytes
+            format!("{good}:123456789012345678901:2:5"), // a 21-digit bound
+            format!("{good}:1:2"),                       // no stamp
+        ];
+        for forged in &forged_tombstones {
+            assert_eq!(
+                parse_manifest(&sealed("3:0:4", forged, "")),
+                None,
+                "{forged}"
+            );
+        }
+        // A 21-digit stamp, a fourth field, an extra line.
+        for (files, tail) in [
+            ("3:0:123456789012345678901", ""),
+            ("3:0:4:1", ""),
+            ("3:0:4", "x\n"),
+        ] {
+            assert_eq!(
+                parse_manifest(&sealed(files, "", tail)),
+                None,
+                "{files} {tail}"
+            );
+        }
+    }
+
+    /// A delete after a compaction no pass has persisted yet: the
+    /// manifest still lists the compaction's inputs, and the delete must
+    /// mask every one of them after a reopen, as it masked the output.
+    #[test]
+    fn an_acked_delete_after_an_unpersisted_compaction_survives_a_reopen() {
+        let dir = tmpdir("delete-after-compact");
+        {
+            let mut eng = DurableEngine::open(&dir, config(25)).unwrap();
+            write_each(&mut eng, &key(), (0..75i64).map(|t| (t, TsValue::Long(t))));
+            eng.engine().compact();
+            eng.delete_range(&key(), 0, 74).unwrap();
+            eng.sync().unwrap();
+        }
+        let eng = DurableEngine::open(&dir, config(25)).unwrap();
+        assert_eq!(eng.query(&key(), 0, 300), Vec::new());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1340,7 +1469,7 @@ mod tests {
             write_each(&mut eng, &key(), (0..30i64).map(|t| (t, TsValue::Long(t))));
             eng.delete_range(&key(), 0, 100).unwrap();
             // Re-written points arrive after the delete and must
-            // survive replay (the logged horizon excludes their file).
+            // survive replay (their file is stamped above the delete).
             write_each(&mut eng, &key(), (5..15i64).map(|t| (t, TsValue::Long(-t))));
             eng.sync().unwrap();
         }

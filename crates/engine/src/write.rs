@@ -165,8 +165,9 @@ impl StorageEngine {
 
     /// Swaps a fresh working (with `unseq`, unsequence) memtable into the
     /// (locked) shard and moves the old one into the free flushing slot
-    /// under a new generation, advancing the watermarks past everything
-    /// it holds — a no-op for an unsequence memtable, which is below them.
+    /// under a fresh stamp, which its file keeps, advancing the
+    /// watermarks past everything it holds — a no-op for an unsequence
+    /// memtable, which is below them.
     pub(crate) fn rotate_into_slot(
         &self,
         shard: usize,
@@ -185,7 +186,7 @@ impl StorageEngine {
         }
         st.flushing = Some(rotated);
         st.slot_unseq = unseq;
-        st.slot_generation += 1;
+        st.slot_generation = self.draw_stamp();
         self.obs.flush_queue_depth.inc();
         st.occupant(shard)
     }

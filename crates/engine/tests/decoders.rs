@@ -33,6 +33,10 @@
 //!   a batch of each type, a delete, a re-logged tombstone) replays to
 //!   the records it was written from, and a durable engine opened on it
 //!   answers their points.
+//! * A directory an earlier build's durable engine wrote
+//!   (`fixtures/parent_store/`: two files, a re-logged tombstone, and a
+//!   delete logged after a compaction no pass persisted) recovers each
+//!   delete over the files it masked when it was issued.
 //! * Names the earlier record mangled: a dotted sensor's records replay
 //!   under its own key, not the one its last `.` would split off, and
 //!   its points and its delete read back under it across reopens; a
@@ -955,7 +959,7 @@ fn a_durable_engine_recovers_a_segment_written_before_this_change() {
         shards: 2,
         ..EngineConfig::default()
     };
-    // The second open reads what the first one persisted and re-logged.
+    // The second open reads what the first one persisted.
     for _ in 0..2 {
         let engine = DurableEngine::open(&dir, config()).expect("the legacy segment replays");
         assert_eq!(
@@ -973,6 +977,65 @@ fn a_durable_engine_recovers_a_segment_written_before_this_change() {
             }
             assert_eq!(engine.query(&key, i64::MIN, i64::MAX), want, "{sensor}");
         }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The directory `fixtures/parent_store/`, which the durable engine of
+/// the commit before tombstones carried stamps wrote, with
+/// `memtable_max_points` 25, one shard and one series,
+/// `root.legacy.d1.s`:
+///
+/// 1. 25 points `t ↦ t` at `0..25`: a rotation, whose pass persists
+///    file F1 (`tsfile-3`);
+/// 2. delete A, `[10, 19]`;
+/// 3. rewrites `t ↦ -t` at `10..20`, then `flush`: the pass persists
+///    file F2 (`tsfile-5`) and re-logs A as a kind-6 tombstone with
+///    horizon 1 at the head of `wal-6`, the floor segment;
+/// 4. `compact()`, with no pass after it;
+/// 5. delete B, `[5, 14]`, logged as kind 5 with horizon 1 (the one
+///    compacted file);
+/// 6. `sync`, then drop.
+///
+/// The `MANIFEST` lists F1 and F2 as `gen:level` tokens.
+const PARENT_STORE: [(&str, &[u8]); 4] = [
+    ("MANIFEST", include_bytes!("fixtures/parent_store/MANIFEST")),
+    (
+        "tsfile-3.bstf",
+        include_bytes!("fixtures/parent_store/tsfile-3.bstf"),
+    ),
+    (
+        "tsfile-5.bstf",
+        include_bytes!("fixtures/parent_store/tsfile-5.bstf"),
+    ),
+    (
+        "wal-6.log",
+        include_bytes!("fixtures/parent_store/wal-6.log"),
+    ),
+];
+
+/// Recovered, A masks F1 only, so F2's rewrites stay visible, and B
+/// masks both files. The second open reads what the first committed.
+#[test]
+fn a_directory_written_before_tombstone_stamps_recovers_its_deletes() {
+    let dir = scratch_dir("parent-store");
+    std::fs::create_dir_all(&dir).expect("a scratch directory");
+    for (name, bytes) in PARENT_STORE {
+        std::fs::write(dir.join(name), bytes).expect("a fixture file");
+    }
+    let config = || EngineConfig {
+        memtable_max_points: 25,
+        ..one_shard()
+    };
+    let key = SeriesKey::new("root.legacy.d1", "s");
+    let want: Vec<(i64, TsValue)> = (0..5)
+        .map(|t| (t, TsValue::Long(t)))
+        .chain((15..20).map(|t| (t, TsValue::Long(-t))))
+        .chain((20..25).map(|t| (t, TsValue::Long(t))))
+        .collect();
+    for open in ["first", "second"] {
+        let engine = DurableEngine::open(&dir, config()).expect("the directory recovers");
+        assert_eq!(engine.query(&key, i64::MIN, i64::MAX), want, "{open} open");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

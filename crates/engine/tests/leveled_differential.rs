@@ -14,11 +14,12 @@
 //!
 //! This is the leveling tentpole's safety net: `pick_run` may fold any
 //! eligible run (L0 suffix or an over-full higher level, trimmed by
-//! device overlap), `merge_run` applies tombstones physically below
-//! their horizon, and the published file list remaps the surviving
-//! horizons — any slip in that surgery (a horizon pointing past the
-//! wrong file, a dropped in-flight mask, an LWW inversion inside the
-//! merged image) shows up here as a minimized counterexample.
+//! device overlap), `merge_run` applies each tombstone physically to
+//! the inputs stamped below it, the output is stamped at the snapshot,
+//! and the swap drops the tombstones left masking nothing — any slip in
+//! that surgery (a mask over the wrong file, a dropped in-flight mask,
+//! an LWW inversion inside the merged image) shows up here as a
+//! minimized counterexample.
 
 use backsort_core::{Algorithm, BackwardSort, InBlockSort};
 use backsort_engine::{
@@ -206,9 +207,9 @@ proptest! {
                     Op::CompactAuto => {
                         subject.compact_auto();
                         // Leveling is pure file-set surgery: checking
-                        // right after each pass pins the remapped
-                        // tombstone horizons before later ops can blur
-                        // the comparison.
+                        // right after each pass pins the tombstones'
+                        // masks over the new file list before later ops
+                        // can blur the comparison.
                         assert_agree(&reference, &subject, shards, "after a pass")?;
                     }
                 }

@@ -79,7 +79,7 @@ pub const COMPACTION_BEFORE_RESTORE: &str = "compaction.before_restore";
 /// Recovery must serve the run's data from the still-persisted inputs,
 /// and no file may end up live at two levels.
 pub const COMPACTION_LEVEL_PUBLISH: &str = "compaction.level.publish";
-/// In `commit_manifest_and_gc`, after every image of the new generation
+/// In `DurableEngine::commit`, after every image of the new generation
 /// set is durable, before the manifest that names (and levels) them is
 /// written. Models: crash between filter/image write and manifest
 /// publish — the old manifest must still describe a complete, correct
