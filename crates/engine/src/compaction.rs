@@ -24,9 +24,8 @@
 //!   (merging files that share no device only rewrites bytes), and a
 //!   singleton leftover is *promoted* — its level bumped without a
 //!   rewrite. Both count in the returned [`CompactionReport`]'s
-//!   `level_moves`. Adopted wide multi-device images shed their
-//!   foreign-shard chunks on their first merge, so unseq adoption stops
-//!   producing wide files that every query must probe.
+//!   `level_moves`. Adoption splits an image that spans shards with the
+//!   same merge, one piece per shard.
 //!
 //! Both are one snapshot–merge–swap per shard (`compact_shard`): the
 //! file list and tombstones are cloned under the shard's read lock (the
@@ -394,13 +393,14 @@ impl StorageEngine {
     /// ones merge with later files winning equal timestamps. So the
     /// output holds exactly what a query read from these files, a
     /// corrupt page's readable neighbours included. Chunks of other
-    /// shards' devices (adopted multi-device copies) are dropped. A
+    /// shards' devices are dropped: that is how adoption splits an image
+    /// that spans shards. A
     /// series whose surviving points are not all of one type (an adopted
     /// file may hold another type than the buffers flushed beside it) is
     /// written as one chunk per same-type stretch, in time order. The
     /// scan goes around the block cache. Returns `(image, points)`;
     /// `None` when nothing survives (no file is written).
-    fn merge_run(
+    pub(crate) fn merge_run(
         &self,
         shard: usize,
         files: &[FileHandle],
@@ -590,7 +590,7 @@ mod tests {
             ..EngineConfig::default()
         });
         let installed = eng.adopt_file(image).expect("valid image");
-        assert_eq!(installed.len(), 2, "one copy per owning shard");
+        assert_eq!(installed.len(), 2, "one piece per owning shard");
         // Give each shard a second file so compaction actually merges.
         eng.write_points(&ka, (20..40i64).map(|t| (t, TsValue::Long(t))));
         eng.write_points(&kb, (20..40i64).map(|t| (t, TsValue::Long(-t))));
@@ -715,9 +715,10 @@ mod tests {
 
     #[test]
     fn leveled_compaction_narrows_adopted_wide_files() {
-        // A wide two-device image adopted into a 4-shard engine leaves a
-        // copy in each owning shard; the first leveled merge sheds the
-        // foreign shard's chunks.
+        // Adoption already splits a wide two-device image into one
+        // 20-point piece per owning shard; the leveled merge over those
+        // pieces and the later flushes must neither duplicate nor lose
+        // a point.
         let single = engine(1_000);
         let ka = SeriesKey::new("root.sg.d0", "s");
         let kb = SeriesKey::new("root.sg.d2", "s");
@@ -733,7 +734,8 @@ mod tests {
         eng.flush();
 
         eng.compact_auto();
-        // Every surviving file now holds only its own shard's device.
+        // Every surviving file holds only its own shard's device.
+        crate::crashtest::check_files(&eng).expect("one shard owns each file");
         let total_points: u64 = (0..eng.shard_count())
             .map(|s| {
                 eng.shard_files(s)
@@ -747,7 +749,7 @@ mod tests {
                     .sum::<u64>()
             })
             .sum();
-        assert_eq!(total_points, 80, "cross-shard duplicates are shed");
+        assert_eq!(total_points, 80, "no cross-shard duplicates");
         assert_eq!(eng.query(&ka, i64::MIN, i64::MAX).len(), 40);
         assert_eq!(eng.query(&kb, i64::MIN, i64::MAX).len(), 40);
     }

@@ -21,7 +21,8 @@
 //!    *indeterminate* (it may or may not have reached the WAL before
 //!    the fault); the checker tries both readings.
 //! 3. **Recovery is idempotent.** A second crash-and-reopen lands in
-//!    exactly the same state.
+//!    exactly the same state, and so does a third at the other shard
+//!    count (1 ↔ 4); the first and the third pass [`check_files`].
 //!
 //! [`run_matrix`] runs every case of [`matrix`] for one shard count and
 //! additionally fails if any site in the [`sites::ALL`] catalog was
@@ -39,7 +40,7 @@ use backsort_faults::sim::SimIo;
 use backsort_faults::{sites, FailpointRegistry, FaultMode};
 
 use crate::batch::PointBatch;
-use crate::engine::EngineConfig;
+use crate::engine::{EngineConfig, StorageEngine};
 use crate::store::DurableEngine;
 use crate::types::{SeriesKey, TsValue};
 
@@ -480,6 +481,28 @@ fn snapshot(eng: &DurableEngine, keys: &[SeriesKey]) -> Vec<BTreeMap<i64, TsValu
         .collect()
 }
 
+/// The file oracle: every file holds only its own shard's devices, no id
+/// is live twice in the engine (a merge's inputs beside its output), and
+/// each shard's levels are non-increasing, as the leveled picker needs.
+pub fn check_files(engine: &StorageEngine) -> Result<(), String> {
+    let mut ids = BTreeSet::new();
+    for shard in 0..engine.shard_count() {
+        let files = engine.shard_files(shard);
+        let meta: Vec<(u64, u32)> = files.iter().map(|f| (f.id(), f.level())).collect();
+        let owned = (files.iter().flat_map(|f| f.envelopes()))
+            .all(|(key, ..)| engine.shard_of(&key.device) == shard);
+        let unique = meta.iter().all(|&(id, _)| ids.insert(id));
+        let leveled = meta.windows(2).all(|w| matches!(w, [a, b] if a.1 >= b.1));
+        if !(owned && unique && leveled) {
+            return Err(format!(
+                "shard {shard}'s (id, level) files {meta:?}: own devices only {owned}, \
+                 ids unique {unique}, levels non-increasing {leveled}"
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// Runs one matrix cell. `Err` carries a human-readable diagnosis: a
 /// durability violation, a recovery failure, or a coverage failure (the
 /// armed site was never reached, meaning the case tests nothing).
@@ -591,31 +614,20 @@ pub fn run_case(spec: &CaseSpec, shards: usize, seed: u64) -> Result<(), String>
             .check_key(k, state)
             .map_err(|e| format!("series {}: {e}", keys[k]))?;
     }
-    // Level oracle: recovery must not leave a file live twice, and each
-    // shard's level sequence must stay non-increasing oldest→newest —
-    // the shape the leveled picker relies on. A merge output surviving
-    // alongside its inputs, or a manifest/adoption ordering bug, shows
-    // up here as a duplicate id or an inversion.
-    for shard in 0..shards {
-        let files = eng.engine().shard_files(shard);
-        let meta: Vec<(u64, u32)> = files.iter().map(|f| (f.id(), f.level())).collect();
-        let mut ids: Vec<u64> = meta.iter().map(|&(id, _)| id).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        if ids.len() != meta.len() {
-            return Err(format!("shard {shard}: duplicate live file id in {meta:?}"));
-        }
-        if meta.iter().zip(meta.iter().skip(1)).any(|(a, b)| a.1 < b.1) {
+    check_files(eng.engine())?;
+    // A second reopen lands in the same state, and so does a third at the
+    // other shard count, which splits or gathers every file.
+    drop(eng);
+    for count in [shards, if shards == 1 { 4 } else { 1 }] {
+        io.crash();
+        let eng =
+            open(&io, &faults, count).map_err(|e| format!("reopen at {count} failed: {e}"))?;
+        check_files(eng.engine()).map_err(|e| format!("reopen at {count}: {e}"))?;
+        if snapshot(&eng, &keys) != recovered {
             return Err(format!(
-                "shard {shard}: recovered levels increase oldest→newest: {meta:?}"
+                "a reopen at {count} shards diverged from the recovery"
             ));
         }
-    }
-    drop(eng);
-    io.crash();
-    let eng = open(&io, &faults, shards).map_err(|e| format!("second recovery failed: {e}"))?;
-    if snapshot(&eng, &keys) != recovered {
-        return Err("second recovery diverged from the first (reopen not idempotent)".into());
     }
     Ok(())
 }

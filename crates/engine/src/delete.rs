@@ -50,16 +50,10 @@ impl ShardState {
         removed
     }
 
-    /// Records `tombstone`, then drops every tombstone left masking
-    /// nothing.
-    fn push_tombstone(&mut self, tombstone: Tombstone) {
-        self.tombstones.push(tombstone);
-        self.retain_tombstones();
-    }
-
     /// The one retention rule: a tombstone is kept while some file of
     /// the shard, or the occupied slot, is stamped below it. Run after a
-    /// push, an install that produced no file, and a compaction swap.
+    /// delete, an install that produced no file, a compaction swap, and
+    /// once after recovery has adopted every file.
     pub(crate) fn retain_tombstones(&mut self) {
         let oldest = (self.files.iter().map(|file| file.id()))
             .chain(self.flushing.as_ref().map(|_| self.slot_generation))
@@ -81,22 +75,28 @@ impl StorageEngine {
     pub fn delete_range(&self, key: &SeriesKey, t_lo: i64, t_hi: i64) -> usize {
         let mut st = self.shards[self.shard_of(&key.device)].write();
         let removed = st.erase(key, t_lo, t_hi);
-        st.push_tombstone(Tombstone {
+        st.tombstones.push(Tombstone {
             key: key.clone(),
             t_lo,
             t_hi,
             stamp: self.draw_stamp(),
         });
+        st.retain_tombstones();
         removed
     }
 
-    /// Restores a tombstone at its own stamp, touching no memtable: the
-    /// durable store's recovery of the tombstones its manifest lists,
-    /// and of an older build's re-logged ones.
+    /// Restores a tombstone at its own stamp, touching no memtable and
+    /// dropping none (see [`retain_tombstones`](Self::retain_tombstones)):
+    /// recovery's, of its manifest's and an older build's re-logged ones.
     pub(crate) fn restore_tombstone(&self, tombstone: Tombstone) {
-        self.shards[self.shard_of(&tombstone.key.device)]
-            .write()
-            .push_tombstone(tombstone);
+        let shard = self.shard_of(&tombstone.key.device);
+        self.shards[shard].write().tombstones.push(tombstone);
+    }
+
+    /// Runs the retention rule in every shard, once recovery has
+    /// adopted the files its restored tombstones mask.
+    pub(crate) fn retain_tombstones(&self) {
+        (self.shards.iter()).for_each(|shard| shard.write().retain_tombstones());
     }
 
     /// A snapshot of one shard's tombstones still awaiting physical

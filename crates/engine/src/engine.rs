@@ -254,8 +254,8 @@ pub struct StorageEngine {
     pub(crate) shards: Vec<RwLock<ShardState>>,
     /// The one stamp counter: drawn by a rotation (the file's id), a
     /// compaction's snapshot (its output's id), a delete (its
-    /// tombstone's stamp) and an adoption (one id for every shard's
-    /// copy).
+    /// tombstone's stamp) and an adoption (the file's id, or each
+    /// piece's when the image spans shards).
     next_stamp: AtomicU64,
     /// Query counter driving the 1-in-`trace_sample_n` trace sampler.
     trace_tick: AtomicU64,
@@ -378,15 +378,14 @@ impl StorageEngine {
     }
 
     /// One shard's files, oldest first, under one read lock: handles that
-    /// share their images, each with its id and compaction level. The
-    /// durable store persists new ids, and records each level.
+    /// share their images, each with its id (unique in the engine) and
+    /// compaction level, holding only this shard's devices. The durable
+    /// store persists new ids, and records each level.
     pub fn shard_files(&self, shard: usize) -> Vec<FileHandle> {
         self.shards[shard].read().files.clone()
     }
 
-    /// Number of flushed file images across all shards. (A recovered
-    /// multi-device file adopted into several shards counts once per
-    /// shard.)
+    /// Number of flushed file images across all shards.
     pub fn file_count(&self) -> usize {
         self.shards.iter().map(|s| s.read().files.len()).sum()
     }

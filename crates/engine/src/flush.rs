@@ -199,15 +199,12 @@ impl StorageEngine {
         total
     }
 
-    /// Adopts an existing TsFile image (recovery path): registers it for
-    /// queries and advances watermarks from its chunk statistics. The
-    /// image is parsed into a [`FileHandle`] exactly once, under one
-    /// fresh stamp; every shard that owns one of its devices gets a
-    /// handle sharing that parsed image and that id (ascending order —
-    /// queries filter by series, so the duplication is invisible, and
-    /// per-shard compaction later drops the chunks belonging to other
-    /// shards). Returns the `(shard, file id)` pairs installed, or
-    /// `None` (and adopts nothing) if the image does not parse.
+    /// Adopts an existing TsFile image: registers it for queries and
+    /// advances watermarks from its chunks. A file belongs to one shard:
+    /// an image whose devices span shards is split into a piece per
+    /// owning shard (ascending), and one with no chunk installs nothing.
+    /// Returns the `(shard, file id)` pairs installed, or `None` (and
+    /// adopts nothing) if the image does not parse.
     pub fn adopt_file(&self, image: Vec<u8>) -> Option<Vec<(usize, u64)>> {
         self.adopt_file_at(image, 0, self.draw_stamp())
     }
@@ -217,38 +214,47 @@ impl StorageEngine {
     /// file where the manifest recorded it, so a reopened engine resumes
     /// the leveling ladder instead of re-treating merged output as fresh
     /// L0, and its tombstones mask what they masked before.
+    /// A whole install keeps `stamp` and decodes no page. A piece is
+    /// compaction's merge of the one file (so an unreadable page's points
+    /// are not in it), under a fresh stamp, with the shard's tombstones
+    /// stamped above `stamp` applied: recovery restores them first.
     pub(crate) fn adopt_file_at(
         &self,
         image: Vec<u8>,
         level: u32,
         stamp: u64,
     ) -> Option<Vec<(usize, u64)>> {
-        let handle = self.parse_image(image, stamp)?.with_level(level);
-        let metas: Vec<(SeriesKey, i64)> = handle
-            .chunks()
-            .iter()
-            .map(|m| (m.key.clone(), m.max_time))
+        let source = self.parse_image(image, stamp)?.with_level(level);
+        let mut owners: Vec<usize> = (source.envelopes().iter())
+            .map(|(key, _, _)| self.shard_of(&key.device))
             .collect();
-        let mut targets: Vec<usize> = metas
-            .iter()
-            .map(|(k, _)| self.shard_of(&k.device))
-            .collect();
-        targets.sort_unstable();
-        targets.dedup();
-        if targets.is_empty() {
-            targets.push(0); // an empty (but valid) file: park it in shard 0
-        }
-        for &shard in &targets {
+        owners.sort_unstable();
+        owners.dedup();
+        let pieces: Vec<(usize, FileHandle)> = match owners[..] {
+            [shard] => vec![(shard, source)],
+            _ => (owners.into_iter())
+                .filter_map(|shard| {
+                    let (tombstones, stamp) = {
+                        let st = self.shards[shard].read();
+                        (st.tombstones.clone(), self.draw_stamp())
+                    };
+                    let run = std::slice::from_ref(&source);
+                    let (image, _) = self.merge_run(shard, run, &tombstones)?;
+                    Some((shard, self.parse_own_image(image, stamp).with_level(level)))
+                })
+                .collect(),
+        };
+        let installed = pieces.into_iter().map(|(shard, piece)| {
             let mut st = self.shards[shard].write();
-            for (key, max_time) in &metas {
-                if self.shard_of(&key.device) == shard {
-                    let w = st.watermarks.entry(key.clone()).or_insert(i64::MIN);
-                    *w = (*w).max(*max_time);
-                }
+            for (key, _, max_time) in piece.envelopes() {
+                let w = st.watermarks.entry(key.clone()).or_insert(i64::MIN);
+                *w = (*w).max(*max_time);
             }
-            st.files.push(handle.clone());
-        }
-        Some(targets.into_iter().map(|shard| (shard, stamp)).collect())
+            let id = piece.id();
+            st.files.push(piece);
+            (shard, id)
+        });
+        Some(installed.collect())
     }
 
     /// Parses a TsFile image under the file id `stamp`, counting the
@@ -339,6 +345,7 @@ impl StorageEngine {
 mod tests {
     use super::*;
     use crate::batch::PointBatch;
+    use crate::delete::Tombstone;
     use crate::engine::tests::{key, sharded_engine, small_engine};
     use crate::tsfile::TsFileReader;
     use crate::types::{DataType, TsValue};
@@ -601,5 +608,65 @@ mod tests {
         assert_eq!(meta.len(), 2);
         assert_eq!(meta[0].level(), 3, "explicit level survives adoption");
         assert_eq!(meta[1].level(), 0, "plain adoption lands at level 0");
+    }
+
+    /// An image whose devices span shards splits into one piece per
+    /// owning shard, each holding only its own devices under an id of
+    /// its own, at the source's level, with the shard's tombstones
+    /// stamped above the source applied. An image of one shard's
+    /// devices installs as it is, under its stamp and parsed once; one
+    /// with no chunk installs nothing.
+    #[test]
+    fn an_image_that_spans_shards_splits_into_one_piece_per_owner() {
+        let d0 = SeriesKey::new("root.sg.d0", "s");
+        let d2 = SeriesKey::new("root.sg.d2", "s");
+        let longs = |vs: &[i64]| vs.iter().map(|&v| TsValue::Long(v)).collect::<Vec<_>>();
+        let mut w = TsFileWriter::new();
+        w.write_chunk(&d0, &[1, 2], &longs(&[1, 2]));
+        w.write_chunk(&d2, &[1, 2], &longs(&[-1, -2]));
+        let wide = w.finish();
+        let eng = sharded_engine(4);
+        let (s0, s2) = (eng.shard_of(&d0.device), eng.shard_of(&d2.device));
+        assert_ne!(s0, s2, "the two devices land in different shards");
+        let source = eng.draw_stamp();
+        eng.restore_tombstone(Tombstone {
+            key: d2.clone(),
+            t_lo: 2,
+            t_hi: 2,
+            stamp: eng.draw_stamp(),
+        });
+        let parses = || eng.obs().counter_value(names::FILE_PARSE);
+        let installed = eng.adopt_file_at(wide, 2, source).expect("parses");
+        assert_eq!(parses(), 3, "the source, then each piece");
+        let shards: Vec<usize> = installed.iter().map(|&(shard, _)| shard).collect();
+        assert_eq!(shards, [s0.min(s2), s0.max(s2)]);
+        assert!(installed.iter().all(|&(_, id)| id > source));
+        assert_ne!(installed[0].1, installed[1].1, "one id a piece");
+        for (key, shard, points) in [(&d0, s0, 2), (&d2, s2, 1)] {
+            let files = eng.shard_files(shard);
+            assert_eq!(files.len(), 1);
+            let keys: Vec<&SeriesKey> = files[0].envelopes().iter().map(|(k, ..)| k).collect();
+            assert_eq!(keys, [key], "shard {shard} holds its own device only");
+            assert_eq!(files[0].level(), 2);
+            assert_eq!(
+                files[0].chunks()[0].num_points,
+                points,
+                "the delete applied"
+            );
+        }
+        eng.retain_tombstones();
+        assert_eq!(eng.tombstone_count(), 0, "the pieces carry the delete");
+        assert_eq!(eng.query(&d2, 0, 9), [(1, TsValue::Long(-1))]);
+
+        let mut w = TsFileWriter::new();
+        w.write_chunk(&d0, &[5], &longs(&[5]));
+        w.write_chunk(&SeriesKey::new("root.sg.d0", "t"), &[5], &longs(&[6]));
+        let stamp = eng.draw_stamp();
+        let whole = eng.adopt_file_at(w.finish(), 0, stamp).expect("parses");
+        assert_eq!((whole, parses()), (vec![(s0, stamp)], 4));
+        let empty = eng
+            .adopt_file(TsFileWriter::new().finish())
+            .expect("parses");
+        assert_eq!((empty, eng.file_count()), (Vec::new(), 3));
     }
 }

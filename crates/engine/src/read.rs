@@ -48,8 +48,8 @@ use crate::types::{SeriesKey, TsValue};
 ///
 /// The level belongs to one install, and the id is the file's stamp;
 /// the parsed part sits behind one `Arc`, so a clone — compaction's
-/// snapshot of a shard's list, an adopted image's copy for another
-/// shard, under the same id — shares it and copies no byte.
+/// snapshot of a shard's list, `shard_files`' copy — shares it and
+/// copies no byte.
 #[derive(Debug, Clone)]
 pub struct FileHandle {
     id: u64,
@@ -124,9 +124,9 @@ impl FileHandle {
         self
     }
 
-    /// The file id, which is its stamp: unique within a shard, and
-    /// shared by the copies of one adopted image. Tombstones stamped
-    /// above it mask the file.
+    /// The file id, which is its stamp, unique across the engine: the
+    /// block cache keys pages by it. Tombstones stamped above it mask
+    /// the file.
     pub fn id(&self) -> u64 {
         self.id
     }

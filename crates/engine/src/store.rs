@@ -21,9 +21,11 @@
 //!    segments. Only then is anything deleted, and the manifest alone
 //!    decides what: every `tsfile-<gen>.bstf` it does not name and every
 //!    `wal-<gen>.log` below its floor;
-//! 3. [`DurableEngine::open`] recovers by adopting every
-//!    manifest-listed TsFile at its recorded stamp and restoring the
-//!    listed tombstones at theirs, then replaying the WAL segments at or
+//! 3. [`DurableEngine::open`] recovers by restoring the listed
+//!    tombstones at their stamps and adopting every manifest-listed
+//!    TsFile at its recorded stamp — a file whose devices now span
+//!    shards (the directory was written at another shard count) is
+//!    split, and its pieces are new files — then replaying the WAL segments at or
 //!    above the manifest's floor (torn tails are truncated at the first
 //!    bad CRC, and the discarded byte count is reported through
 //!    `wal.replay_discarded_bytes`), then running the same pass: the
@@ -45,7 +47,7 @@
 //! ([`backsort_faults::sites`]), which is how `tests/crash_matrix.rs`
 //! kills the engine at each site and checks recovery.
 
-use std::collections::hash_map::Entry;
+use std::cmp::Reverse;
 use std::collections::{HashMap, HashSet};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -414,12 +416,13 @@ const MANIFEST_MAGIC: &str = "backsort-manifest-v1";
 /// values.
 #[derive(Debug, PartialEq)]
 struct Manifest {
-    /// Live files in merge-priority order (shard-major, each shard's
-    /// files oldest-first), each as `(generation, level, stamp)`. The
-    /// order is load-bearing: a compaction output ranks before newer
-    /// files of its shard but is persisted under a later generation, and
-    /// may carry a larger stamp, so recovery must walk this list
-    /// front-to-back to preserve last-write-wins. The stamp is `None`
+    /// Live files, each as `(generation, level, stamp)`, one entry per
+    /// file of one shard: each shard's files oldest-first, the shards'
+    /// lists merged by level, highest first. The order is load-bearing:
+    /// a compaction output ranks before newer files of its shard but is
+    /// persisted under a later generation, and may carry a larger stamp,
+    /// so recovery must walk this list front-to-back to preserve
+    /// last-write-wins. The stamp is `None`
     /// for an older build's token; recovery stamps those fresh, in
     /// listed order.
     files: Vec<(u64, u32, Option<u64>)>,
@@ -547,9 +550,9 @@ pub struct DurableEngine {
     wal: Box<dyn WalFile>,
     generation: u64,
     /// Engine file id → the disk generation its image is persisted
-    /// under. An id is the file's stamp: every shard's copy of one
-    /// adopted multi-device image shares it, under one generation. Each
-    /// pass keeps only the ids still live.
+    /// under. An id is the file's stamp, unique across the engine. Each
+    /// pass keeps only the ids still live, so after a commit the values
+    /// are the generations its manifest names.
     persisted: HashMap<u64, u64>,
     /// Cached registry handles — the WAL append sits on the durable
     /// write path, so it must not take the registry's name-map lock.
@@ -619,17 +622,16 @@ impl DurableEngine {
             scratch: Vec::with_capacity(256),
         };
 
-        // Adopt in the manifest's listed order — the previous process's
-        // merge-priority order, which a leveled compaction output
-        // (persisted late, ranked early) makes different from numeric
-        // generation order — each file at its recorded stamp. Without a
-        // manifest (nothing ever committed, so no compaction output can
-        // be on disk either) numeric order is the write order and
-        // suffices. A generation on disk the manifest does not name —
-        // compaction inputs whose deletion was interrupted, or an image
-        // whose pass never committed (its records are still in the
-        // replayed segments) — is not adopted, and neither is a torn
-        // image; the pass below deletes both.
+        // Adopt in the manifest's listed order, each file at its recorded
+        // stamp: a shard's listed order is its rank, which a leveled
+        // compaction output (persisted late, ranked early) makes differ
+        // from numeric generation order. Without a manifest (nothing ever
+        // committed, so no compaction output is on disk) numeric order is
+        // the write order. The pass below deletes what is not adopted — a
+        // generation the manifest does not name (compaction inputs whose
+        // deletion was interrupted, an image whose pass never committed:
+        // its records are still in the replayed segments), a torn image —
+        // and the source of a split, whose pieces it persists anew.
         let (adoption, tombstones, wal_floor) = match read_manifest(io.as_ref(), &dir) {
             Some(m) => (m.files, m.tombstones, m.wal_floor),
             None => {
@@ -645,18 +647,21 @@ impl DurableEngine {
         if let Some(max) = stamps.chain(tombstones.iter().map(|t| t.stamp)).max() {
             engine.draw_above(max);
         }
+        // The tombstones go first: a split's merge applies those stamped
+        // above the file it splits.
+        for tombstone in tombstones {
+            engine.restore_tombstone(tombstone);
+        }
         for (gen, level, stamp) in adoption {
             let Some(name) = tsfiles.get(&gen) else {
                 continue;
             };
             let bytes = io.read(&dir.join(name)).map_err(StoreError::Recover)?;
             let stamp = stamp.unwrap_or_else(|| engine.draw_stamp());
-            if engine.adopt_file_at(bytes, level, stamp).is_some() {
+            let installed = engine.adopt_file_at(bytes, level, stamp);
+            if installed.is_some_and(|ids| ids.iter().any(|&(_, id)| id == stamp)) {
                 this.persisted.insert(stamp, gen);
             }
-        }
-        for tombstone in tombstones {
-            engine.restore_tombstone(tombstone);
         }
         this.failpoint(sites::STORE_OPEN_AFTER_ADOPT, StoreError::Recover)?;
 
@@ -719,6 +724,8 @@ impl DurableEngine {
                 }
             }
         }
+        // Every file is in now, and a tombstone left masking nothing goes.
+        engine.retain_tombstones();
         if discarded_total > 0 {
             engine
                 .obs()
@@ -732,9 +739,9 @@ impl DurableEngine {
         // whose only durable record is the same segments: the rotation's
         // own pass persists the one and lists the other, and its
         // manifest's floor retires those segments.
-        let live = this.commit()?;
+        this.commit()?;
         this.failpoint(sites::STORE_OPEN_BEFORE_WAL_DELETE, StoreError::Recover)?;
-        this.retire(&live)?;
+        this.retire()?;
         Ok(this)
     }
 
@@ -825,24 +832,24 @@ impl DurableEngine {
         // to rebuild their content from this segment — which it can only
         // do if the records survived the crash.
         self.wal.sync().map_err(StoreError::Wal)?;
-        let live = self.commit()?;
-        self.retire(&live)
+        self.commit()?;
+        self.retire()
     }
 
     /// The one persist pass, run by every rotation and by recovery: it
     /// makes everything buffered durable in files and commits a manifest
-    /// whose WAL floor retires every older segment. Returns the
-    /// generations that manifest names, for [`Self::retire`].
+    /// whose WAL floor retires every older segment. On success,
+    /// `persisted` maps exactly the files that manifest names.
     ///
     /// A WAL segment interleaves every shard's records, so before any
     /// segment is retired *all* shards' buffered data must reach files:
     /// the pass flushes each non-empty working memtable and every
     /// unsequence buffer, then walks every shard's files once, persisting
     /// each image not yet on disk under a fresh generation and listing
-    /// the manifest's `(generation, level, stamp)` entries as it goes,
-    /// with the shard's pending tombstones. Reading them in the same walk
-    /// is sound because the pass holds `&mut self` over an owned engine:
-    /// no compaction or delete can move them between this walk and the
+    /// its `(generation, level, stamp)` entry as it goes, with the
+    /// shard's pending tombstones. Reading them in the same walk is sound
+    /// because the pass holds `&mut self` over an owned engine: no
+    /// compaction or delete can move them between this walk and the
     /// manifest write. Generation numbers are only identities: a leveled
     /// compaction output ranks *before* newer files of its shard but is
     /// persisted later, so priority at recovery comes from the
@@ -852,22 +859,16 @@ impl DurableEngine {
     /// images it did write stay recorded, so the next pass names them
     /// without rewriting; whatever that pass no longer names, its
     /// [`Self::retire`] deletes.
-    fn commit(&mut self) -> StoreResult<HashSet<u64>> {
+    fn commit(&mut self) -> StoreResult<()> {
         self.engine.flush();
         self.engine.flush_unseq();
         self.failpoint(sites::STORE_ROTATE_AFTER_FLUSH, StoreError::Persist)?;
-        // Shards in index order, each shard's files oldest first: the
-        // merge-priority order recovery must reproduce. A generation
-        // adopted into several shards keeps its first position and takes
-        // the highest level any shard gave it; recovery re-adopts it at
-        // that level everywhere, which only delays (never corrupts)
-        // future compaction.
-        let mut files: Vec<(u64, u32, Option<u64>)> = Vec::new();
+        let mut files = Vec::new();
         let mut tombstones = Vec::new();
-        let mut position: HashMap<u64, usize> = HashMap::new();
         let mut live_ids = HashMap::with_capacity(self.persisted.len());
         let mut wrote_any = false;
         for shard in 0..self.engine.shard_count() {
+            let mut floor = u32::MAX;
             for file in self.engine.shard_files(shard) {
                 let gen = match self.persisted.get(&file.id()) {
                     Some(&gen) => gen,
@@ -889,21 +890,16 @@ impl DurableEngine {
                     }
                 };
                 live_ids.insert(file.id(), gen);
-                let level = file.level();
-                match position.entry(gen) {
-                    Entry::Occupied(pos) => {
-                        let slot = &mut files[*pos.get()].1;
-                        *slot = (*slot).max(level);
-                    }
-                    Entry::Vacant(pos) => {
-                        pos.insert(files.len());
-                        files.push((gen, level, Some(file.id())));
-                    }
-                }
+                floor = floor.min(file.level());
+                files.push((floor, (gen, file.level(), Some(file.id()))));
             }
             tombstones.extend(self.engine.pending_tombstones(shard));
         }
         self.persisted = live_ids;
+        // Merged by level (a stable sort on each file's lowest level so
+        // far in its shard keeps every shard's order; shards share no
+        // device), so a reopen at any shard count finds levels ordered.
+        files.sort_by_key(|&(floor, _)| Reverse(floor));
         // Rotate the WAL. The old segments stay *live* until the
         // manifest raises the floor past them.
         self.generation += 1;
@@ -916,26 +912,27 @@ impl DurableEngine {
         // the pending tombstones) live.
         self.failpoint(sites::STORE_PERSIST_BEFORE_MANIFEST, StoreError::Manifest)?;
         let manifest = Manifest {
-            files,
+            files: files.into_iter().map(|(_, entry)| entry).collect(),
             tombstones,
             wal_floor: self.generation,
         };
         write_manifest(self.io.as_ref(), &self.dir, &manifest).map_err(StoreError::Manifest)?;
-        self.failpoint(sites::STORE_PERSIST_BEFORE_GC, StoreError::Manifest)?;
-        Ok(position.into_keys().collect())
+        self.failpoint(sites::STORE_PERSIST_BEFORE_GC, StoreError::Manifest)
     }
 
     /// Deletes what the manifest [`Self::commit`] just wrote does not
-    /// name: every `tsfile-<gen>.bstf` outside `live` (compaction inputs,
-    /// the images of a pass that failed before its commit, torn images),
-    /// then every `wal-<gen>.log` below the floor. Deleting only after
+    /// name: every `tsfile-<gen>.bstf` outside `persisted` (compaction
+    /// inputs, files split across shards, the images of a pass that
+    /// failed before its commit, torn images), then every `wal-<gen>.log`
+    /// below the floor. Deleting only after
     /// the commit matters: before it, a crash would leave the old
     /// manifest naming compaction inputs whose files are gone.
     ///
     /// Segments go oldest-first, so a crash mid-way leaves a *suffix* of
     /// them. A failed removal is counted ([`remove_stale`]) and retried
     /// by the next pass.
-    fn retire(&self, live: &HashSet<u64>) -> StoreResult<()> {
+    fn retire(&self) -> StoreResult<()> {
+        let live: HashSet<u64> = self.persisted.values().copied().collect();
         let mut dead_files = Vec::new();
         let mut dead_segments = Vec::new();
         for name in self.io.list_dir(&self.dir).map_err(StoreError::Manifest)? {
@@ -1669,6 +1666,98 @@ mod tests {
         drop(eng);
         let eng = DurableEngine::open(&dir, config(1_000)).unwrap();
         assert_eq!(eng.query(&key(), i64::MIN, i64::MAX), want);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// `root.sg.d0` and `root.sg.d2` written at one shard share a file;
+    /// at four they land in shards 3 and 1.
+    fn wide_file_at_one_shard(dir: &Path) -> [SeriesKey; 2] {
+        let keys = ["root.sg.d0", "root.sg.d2"].map(|d| SeriesKey::new(d, "s"));
+        let mut eng = DurableEngine::open(dir, config(1_000)).unwrap();
+        for key in &keys {
+            write_each(&mut eng, key, (0..10i64).map(|t| (t, TsValue::Long(t))));
+        }
+        eng.flush().unwrap();
+        assert_eq!(eng.engine().file_count(), 1);
+        keys
+    }
+
+    fn reopen(dir: &Path, shards: usize) -> DurableEngine {
+        let eng = DurableEngine::open(
+            dir,
+            EngineConfig {
+                shards,
+                ..config(1_000)
+            },
+        )
+        .unwrap();
+        crate::crashtest::check_files(eng.engine()).unwrap();
+        eng
+    }
+
+    /// A rewrite at four shards that the owning shard compacted over its
+    /// part of a file written at one shard: the reopens after it read
+    /// the rewrite, not the old values.
+    #[test]
+    fn a_reshard_keeps_a_rewrite_over_a_wide_file() {
+        let dir = tmpdir("reshard-rewrite");
+        let [d0, d2] = wide_file_at_one_shard(&dir);
+        {
+            let mut eng = reopen(&dir, 4);
+            assert_eq!(eng.engine().file_count(), 2, "one piece a shard");
+            write_each(&mut eng, &d2, (0..10i64).map(|t| (t, TsValue::Long(-t))));
+            eng.flush().unwrap();
+            eng.engine().compact();
+            eng.flush().unwrap();
+        }
+        for _ in 0..2 {
+            let eng = reopen(&dir, 4);
+            assert_eq!(eng.query(&d2, 5, 5), [(5, TsValue::Long(-5))]);
+            assert_eq!(eng.query(&d0, 5, 5), [(5, TsValue::Long(5))]);
+            let (named, on_disk, _) = disk_state(&dir);
+            assert_eq!(named, on_disk, "no file but the named");
+            let parses = eng
+                .engine()
+                .obs()
+                .counter_value(backsort_obs::names::FILE_PARSE);
+            assert_eq!(
+                parses,
+                named.len() as u64,
+                "one parse a file, nothing split"
+            );
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A delete still pending on a file written at one shard stays
+    /// applied across a reopen at four shards that splits the file, a
+    /// compaction there (only the deleted device's shard has anything to
+    /// merge), a second reopen at four and one back at one.
+    #[test]
+    fn a_pending_delete_on_a_wide_file_survives_a_reshard() {
+        let dir = tmpdir("reshard-delete");
+        let [d0, d2] = wide_file_at_one_shard(&dir);
+        {
+            let mut eng = reopen(&dir, 1);
+            eng.delete_range(&d2, 3, 5).unwrap();
+            eng.sync().unwrap();
+        }
+        let want = |key: &SeriesKey| -> Vec<(i64, TsValue)> {
+            let live = (0..10i64).filter(|t| *key != d2 || !(3..=5).contains(t));
+            live.map(|t| (t, TsValue::Long(t))).collect()
+        };
+        for (round, shards) in [4, 4, 1].into_iter().enumerate() {
+            let eng = reopen(&dir, shards);
+            for key in [&d0, &d2] {
+                let got = eng.query(key, i64::MIN, i64::MAX);
+                assert_eq!(got, want(key), "{key} at {shards} shards, reopen {round}");
+            }
+            if round == 0 {
+                eng.engine().compact();
+                let mut eng = eng;
+                eng.flush().unwrap();
+            }
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

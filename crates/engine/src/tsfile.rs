@@ -349,9 +349,11 @@ impl<'a> TsFileReader<'a> {
                 .try_into()
                 .ok()?,
         ) as usize;
-        let mut pos = footer_offset;
+        let mut pos = footer_offset.min(buf.len());
         let count = read_u32(buf, &mut pos)? as usize;
-        let mut chunks = Vec::with_capacity(count);
+        // Each chunk costs the footer eight offset bytes: a forged count
+        // reserves no more than the image could hold, and its reads fail.
+        let mut chunks = Vec::with_capacity(count.min(buf.len() / 8));
         for _ in 0..count {
             let off = read_u64(buf, &mut pos)? as usize;
             chunks.push(Self::read_chunk_meta(buf, off, version)?);

@@ -1,5 +1,5 @@
-//! The typed page decoder and the WAL record decoder against bytes they
-//! did not choose.
+//! The typed page decoder, the TsFile footer and the WAL record decoder
+//! against bytes they did not choose.
 //!
 //! * Truncated and bit-flipped `ts2diff`, `gorilla` (f32/f64),
 //!   `intcolumn` (both tags), `boolpack` and `textpack` pages go through
@@ -23,6 +23,11 @@
 //!   points they were written from: through the typed decoder, the row
 //!   adapters, and an engine that adopts them and answers every
 //!   aggregate — from page headers only where the format stores them.
+//! * TsFile footers and their key filter blocks, as recovery parses
+//!   every listed image: seeded images cut at every byte and flipped at
+//!   every bit parse or are refused, and a forged chunk count, filter
+//!   length or footer offset is refused, never a panic, with no single
+//!   allocation past what the image's bytes could describe.
 //! * WAL records of every kind, each payload wrapped in a frame whose
 //!   CRC is recomputed so the damage reaches the record decoder: every
 //!   strict prefix is refused, every flipped bit gives `None` or a record
@@ -55,8 +60,8 @@ use backsort_engine::tsfile::{
     PAGE_POINTS,
 };
 use backsort_engine::{
-    AggValue, Aggregation, DataType, DurableEngine, EngineConfig, ExactSum, PointBatch, SeriesKey,
-    StorageEngine, TsValue, ValueColumn,
+    AggValue, Aggregation, DataType, DurableEngine, EngineConfig, ExactSum, FileHandle, PointBatch,
+    SeriesKey, StorageEngine, TsValue, ValueColumn,
 };
 use backsort_obs::names;
 
@@ -710,6 +715,119 @@ fn write_the_v4_fixture() {
         "/tests/fixtures/writer_v4.tsfile"
     );
     std::fs::write(path, fixture_image(TsFileWriter::new())).expect("fixture written");
+}
+
+/// A small v4 image from `seed`: one to four chunks over two devices,
+/// of the types a flush writes most, each one or two pages long.
+fn seeded_image(seed: u64) -> Vec<u8> {
+    let mut x = seed | 1;
+    let mut next = move |n: u64| {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x % n
+    };
+    let mut w = TsFileWriter::new();
+    let chunks = 1 + next(4);
+    for c in 0..chunks {
+        let key = SeriesKey::new(format!("root.f.d{}", c % 2), format!("s{c}"));
+        let n = 1 + next(PAGE_POINTS as u64 + 40) as i64;
+        let times: Vec<i64> = (0..n).map(|i| i * 3 + next(3) as i64).collect();
+        let values: Vec<TsValue> = times
+            .iter()
+            .map(|&t| match c % 3 {
+                0 => TsValue::Long(t * 7 - next(9) as i64),
+                1 => TsValue::Double(t as f64 / 4.0),
+                _ => TsValue::Text(format!("v{}", next(100))),
+            })
+            .collect();
+        w.write_chunk(&key, &times, &values);
+    }
+    w.finish()
+}
+
+/// Parses `image` as recovery does, reporting whether it parsed and the
+/// largest single allocation the parse asked for.
+fn parse_footer(image: &[u8]) -> (bool, usize) {
+    LARGEST_REQUEST.with(|c| c.set(0));
+    let parsed = FileHandle::parse(0, image.to_vec()).is_some();
+    (parsed, LARGEST_REQUEST.with(Cell::get))
+}
+
+/// The most one allocation of a footer's parse may ask for: each chunk
+/// costs the footer eight offset bytes and becomes one [`ChunkMeta`].
+fn footer_allocation_bound(image_len: usize) -> usize {
+    image_len / 8 * std::mem::size_of::<ChunkMeta>() + image_len + 512
+}
+
+/// Where `image`'s footer keeps its chunk count and its filter length.
+fn footer_fields(image: &[u8]) -> (usize, usize) {
+    let at = image.len() - 6 - 8;
+    let footer = u64::from_le_bytes(image[at..at + 8].try_into().unwrap()) as usize;
+    let count = u32::from_le_bytes(image[footer..footer + 4].try_into().unwrap()) as usize;
+    (footer, footer + 4 + count * 8)
+}
+
+#[test]
+fn damaged_footers_and_key_filters_are_refused_or_parsed_never_a_panic_or_a_huge_reservation() {
+    for seed in [3u64, 17, 40, 99] {
+        let image = seeded_image(seed);
+        let bound = footer_allocation_bound(image.len());
+        let (parsed, largest) = parse_footer(&image);
+        assert!(parsed, "seed {seed}: the image parses");
+        assert!(largest <= bound, "seed {seed}: one allocation of {largest}");
+        for cut in 0..image.len() {
+            // `None`, or a parse: either way a bounded one.
+            let (_, largest) = parse_footer(&image[..cut]);
+            assert!(largest <= bound, "seed {seed} prefix {cut}: {largest}");
+        }
+        let mut damaged = image.clone();
+        for bit in 0..image.len() * 8 {
+            damaged[bit / 8] ^= 1 << (bit % 8);
+            let (_, largest) = parse_footer(&damaged);
+            assert!(largest <= bound, "seed {seed} bit {bit}: {largest}");
+            damaged[bit / 8] = image[bit / 8];
+        }
+    }
+}
+
+#[test]
+fn forged_chunk_counts_filter_lengths_and_footer_offsets_are_refused() {
+    let image = seeded_image(17);
+    let bound = footer_allocation_bound(image.len());
+    let (count_at, filter_at) = footer_fields(&image);
+    let count = u32::from_le_bytes(image[count_at..count_at + 4].try_into().unwrap());
+    let filter_len = u32::from_le_bytes(image[filter_at..filter_at + 4].try_into().unwrap());
+    let offset_at = image.len() - 6 - 8;
+    let forge = |at: usize, bytes: &[u8]| {
+        let mut forged = image.clone();
+        forged[at..at + bytes.len()].copy_from_slice(bytes);
+        forged
+    };
+    let mut forged = Vec::new();
+    for c in [count + 1, u32::MAX / 2, u32::MAX] {
+        forged.push((
+            format!("chunk count {c}"),
+            forge(count_at, &c.to_le_bytes()),
+        ));
+    }
+    for f in [filter_len - 1, filter_len + 1, u32::MAX] {
+        forged.push((
+            format!("filter length {f}"),
+            forge(filter_at, &f.to_le_bytes()),
+        ));
+    }
+    for o in [image.len() as u64 - 3, u64::MAX] {
+        forged.push((
+            format!("footer offset {o}"),
+            forge(offset_at, &o.to_le_bytes()),
+        ));
+    }
+    for (what, image) in forged {
+        let (parsed, largest) = parse_footer(&image);
+        assert!(!parsed, "{what}: refused");
+        assert!(largest <= bound, "{what}: one allocation of {largest}");
+    }
 }
 
 /// One WAL frame, `len | payload | crc32`, around whatever `payload`

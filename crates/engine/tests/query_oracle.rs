@@ -21,6 +21,12 @@
 //! big-integer reference in `exact_sum.rs`), so the two paths must agree
 //! bit for bit.
 //!
+//! Every other adopted file holds both devices, which at four shards
+//! land in different shards: adoption splits it into one piece per
+//! shard. After every operation each engine's files are held to
+//! `crashtest::check_files` — one shard's devices a file, no id live
+//! twice, levels non-increasing.
+//!
 //! A second stream adopts foreign files whose chunks hold DOUBLE values
 //! for a series the live buffers hold as INT64: rows of mixed type are
 //! what a series read has always been able to return, and the typed
@@ -53,6 +59,7 @@
 use std::collections::{BTreeMap, HashMap};
 
 use backsort_core::{Algorithm, BackwardSort, InBlockSort};
+use backsort_engine::crashtest::check_files;
 use backsort_engine::tsfile::TsFileWriter;
 use backsort_engine::{
     AggValue, Aggregation, DataType, EngineConfig, ExactSum, FlushJob, PointBatch, SeriesKey,
@@ -317,15 +324,23 @@ fn apply(
                     }
                 })
                 .collect();
-            w.write_chunk(key, &times, &values);
+            // Every other image also holds the other device, so at four
+            // shards it spans two and splits.
+            let wide = t.rem_euclid(2) == 0;
+            let adopted = keys.iter().filter(|k| wide || *k == key);
+            for k in adopted.clone() {
+                w.write_chunk(k, &times, &values);
+            }
             let image = w.finish();
             for eng in engines {
                 eng.adopt_file(image.clone())
                     .ok_or("adoptable image must parse")?;
             }
-            let m = oracle.entry(key.clone()).or_default();
-            for (&ts, value) in times.iter().zip(values) {
-                m.insert(ts, value);
+            for k in adopted {
+                let m = oracle.entry(k.clone()).or_default();
+                for (&ts, value) in times.iter().zip(&values) {
+                    m.insert(ts, value.clone());
+                }
             }
         }
         // Compact: a leveled pass or a full merge. Neither may change
@@ -373,6 +388,9 @@ fn run(ops: Vec<(u8, i64, i32)>, foreign_doubles: bool) -> Result<(), TestCaseEr
     let mut oracle = Oracle::new();
     for op in ops {
         apply(&engines, &mut oracle, op, foreign_doubles).map_err(TestCaseError::fail)?;
+        for eng in &engines {
+            check_files(eng).map_err(|e| TestCaseError::fail(format!("{op:?}: {e}")))?;
+        }
     }
     for key in &keys() {
         for (lo, hi) in [(i64::MIN, i64::MAX), (0, 400), (350, 801), (795, 810)] {

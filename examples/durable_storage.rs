@@ -1,6 +1,7 @@
 //! Durable storage: the WAL-backed engine survives a crash without losing
 //! a single point — including out-of-order stragglers that were still in
-//! the unsequence memtable.
+//! the unsequence memtable — and a reopen at another shard count, which
+//! splits each file between the shards its devices now hash to.
 //!
 //! Run with: `cargo run --release --example durable_storage`
 
@@ -18,6 +19,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..EngineConfig::default()
     };
     let key = SeriesKey::new("root.plant.turbine7", "rpm");
+    // Shard 1 of 4; turbine7 is shard 0's.
+    let other = SeriesKey::new("root.plant.turbine8", "rpm");
 
     // --- Session 1: ingest, then "crash" (drop without flushing). ------
     {
@@ -36,6 +39,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }))?;
             engine.write_batch(&key, &batch)?;
         }
+        let rows = (0..2_000i64).map(|t| (t, TsValue::Double(t as f64)));
+        engine.write_batch(&other, &PointBatch::from_rows(rows)?)?;
         // A long-delayed straggler lands below the flush watermark.
         engine.write_batch(&key, &PointBatch::from_rows([(3, TsValue::Double(-1.0))])?)?;
         engine.sync()?;
@@ -48,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // --- Session 2: recovery replays the WAL. --------------------------
-    {
+    let recovered = {
         let engine = DurableEngine::open(&dir, config)?;
         let all = engine.query(&key, i64::MIN, i64::MAX);
         println!("session 2: recovered {} distinct timestamps", all.len());
@@ -69,6 +74,33 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let avg = engine.engine().aggregate(&key, 0, 20_000, Aggregation::Avg);
         println!("count = {count:?}, avg = {avg:?}");
         assert!(matches!(count, AggValue::Number(n) if n > 7_500.0));
+        assert_eq!(engine.query(&other, i64::MIN, i64::MAX).len(), 2_000);
+        [&key, &other].map(|k| engine.query(k, i64::MIN, i64::MAX))
+    };
+
+    // --- Session 3: the same directory at four shards. -----------------
+    {
+        let config = EngineConfig {
+            shards: 4,
+            ..config
+        };
+        let engine = DurableEngine::open(&dir, config)?;
+        let engine = engine.engine();
+        for shard in 0..engine.shard_count() {
+            let files = engine.shard_files(shard);
+            let devices = files
+                .iter()
+                .flat_map(|f| f.envelopes().iter().map(|(k, ..)| k));
+            assert!(
+                devices
+                    .into_iter()
+                    .all(|k| engine.shard_of(&k.device) == shard),
+                "every file holds its own shard's devices"
+            );
+            println!("session 3: shard {shard}, files: {}", files.len());
+        }
+        let rows = [&key, &other].map(|k| engine.query(k, i64::MIN, i64::MAX));
+        assert_eq!(rows, recovered, "four shards read what one did");
     }
 
     std::fs::remove_dir_all(&dir)?;
