@@ -1,10 +1,14 @@
 //! Fig. 8: parameter tuning — IIR vs interval (panel a) and sort time vs
 //! fixed block size (panel b) on the four real-world datasets.
 //!
-//! Usage: `fig08_tuning [--panel iir|blocksize|both] [--n N] [--reps R]
+//! Usage: `fig08_tuning [--panel iir|blocksize|both|flat] [--n N] [--reps R]
 //!         [--seed S] [--json] [--full]`
 //! The paper uses 1M points and block sizes 2²…2¹⁷; the default is 200k
-//! (`--full` restores 1M).
+//! (`--full` restores 1M). `--panel flat` (not part of `both`) is panel
+//! (b) on flat memory: ns a point at fixed `L = 2⁶…2¹⁵` and `L = N`, and
+//! the block-size rule's own `L` and time, for the real datasets and
+//! `ingest-ooo`'s delays at `--n` points and `bench_flush`'s three
+//! memtables.
 
 use backsort_experiments::cli::Args;
 use backsort_experiments::experiments::fig08;
@@ -16,8 +20,8 @@ fn main() {
     let reps = args.get_or("reps", 3usize);
     let seed = args.get_or("seed", 42u64);
     let panel = args.get("panel").unwrap_or("both").to_string();
-    if !matches!(panel.as_str(), "iir" | "blocksize" | "both") {
-        eprintln!("error: unknown --panel {panel:?} (iir|blocksize|both)");
+    if !matches!(panel.as_str(), "iir" | "blocksize" | "both" | "flat") {
+        eprintln!("error: unknown --panel {panel:?} (iir|blocksize|both|flat)");
         std::process::exit(1);
     }
 
@@ -60,6 +64,31 @@ fn main() {
                 })
                 .collect();
             table::print_table(&["dataset", "L", "sort time"], &printable);
+        }
+    }
+
+    if panel == "flat" {
+        let (min_exp, max_exp) = if args.full() { (4, 17) } else { (6, 15) };
+        let rows = fig08::flat_rows(n, min_exp, max_exp, reps, seed);
+        if args.json() {
+            table::print_json(&rows);
+        } else {
+            table::heading("Fig. 8(b) on flat memory — Backward-Sort ns a point vs block size");
+            let printable: Vec<Vec<String>> = rows
+                .iter()
+                .map(|r| {
+                    let l = match r.block_size {
+                        usize::MAX => "N".to_string(),
+                        l => l.to_string(),
+                    };
+                    vec![
+                        r.input.clone(),
+                        if r.rule { format!("rule ({l})") } else { l },
+                        format!("{:.1}", r.ns_per_point),
+                    ]
+                })
+                .collect();
+            table::print_table(&["input", "L", "ns/point"], &printable);
         }
     }
 }

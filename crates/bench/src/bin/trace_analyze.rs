@@ -5,12 +5,13 @@
 //! Usage: `trace_analyze --file trace.csv [--reps R] [--json]`
 //! With no `--file`, analyzes a built-in demo trace.
 
+use backsort_core::iir::exact_iir;
 use backsort_core::{choose_block_size, Algorithm};
 use backsort_experiments::cli::Args;
 use backsort_experiments::table;
 use backsort_experiments::timing::time_sort_tvlist;
 use backsort_tvlist::SliceSeries;
-use backsort_workload::metrics::{displacement_stats, interval_inversion_ratio, inversions, runs};
+use backsort_workload::metrics::{displacement_stats, inversions, runs};
 use backsort_workload::{generate_pairs, read_csv, DelayModel, StreamSpec};
 
 fn main() {
@@ -81,7 +82,7 @@ fn main() {
             let interval = 1usize << e;
             vec![
                 interval.to_string(),
-                table::fmt_ratio(interval_inversion_ratio(&times, interval)),
+                table::fmt_ratio(exact_iir(&series, interval)),
             ]
         })
         .collect();

@@ -1,8 +1,10 @@
 //! Fig. 5 + Example 6: the Δτ density for exponential delays, empirical
 //! vs. the closed form, and the α̃ vs. `1/(2e^{λL})` check.
 
+use backsort_core::iir::sampled_iir;
+use backsort_tvlist::SliceSeries;
 use backsort_workload::analysis::{delta_tau_pdf_exponential, expected_iir_exponential};
-use backsort_workload::metrics::{sampled_interval_inversion_ratio, DeltaTauHistogram};
+use backsort_workload::metrics::DeltaTauHistogram;
 use backsort_workload::{generate_pairs, DelayModel, StreamSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -59,13 +61,14 @@ pub fn pdf_rows(points: usize, seed: u64) -> Vec<PdfRow> {
 pub fn alpha_rows(points: usize, seed: u64) -> Vec<AlphaRow> {
     let lambda = 2.0;
     let spec = StreamSpec::new(points, DelayModel::Exponential { lambda }, seed);
-    let times: Vec<i64> = generate_pairs(&spec).iter().map(|p| p.0).collect();
+    let mut pairs = generate_pairs(&spec);
+    let s = SliceSeries::new(&mut pairs);
     [1usize, 5]
         .into_iter()
         .map(|interval| AlphaRow {
             lambda,
             interval,
-            empirical: sampled_interval_inversion_ratio(&times, interval),
+            empirical: sampled_iir(&s, interval),
             theory: expected_iir_exponential(lambda, interval as f64),
         })
         .collect()

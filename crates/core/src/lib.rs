@@ -12,7 +12,8 @@
 //!
 //! 1. **Set block size** ([`choose_block_size`]) — grow `L` from `L0` by
 //!    doubling until the down-sampled empirical interval inversion ratio
-//!    `α̃_L` falls below the threshold `Θ`;
+//!    `α̃_L` falls below the threshold `Θ` (on flat memory from
+//!    [`FLAT_L0`]);
 //! 2. **Sort by blocks** — sort each `L`-sized block independently
 //!    (quicksort by default, substitutable — on flat memory, a counting
 //!    sort over the block's time range when that range is narrow, else
@@ -58,10 +59,12 @@ use backsort_tvlist::{SeriesAccess, SliceSeries};
 /// stable, since the backward merge itself is stable.
 ///
 /// On flat memory ([`SeriesAccess::contiguous_from`]) `Quick` and
-/// `Stable` share one rule: a block of at least 256 points whose time
-/// range (largest minus smallest timestamp) is below 2¹⁶ is sorted by a
-/// stable counting sort on `t − min` in two 8-bit passes; any other
-/// block by the standard library's sort.
+/// `Stable` share one rule: a block of at least [`COUNTING_MIN_LEN`]
+/// points whose time range (largest minus smallest timestamp) is below
+/// 2¹⁶ is sorted by a stable counting sort on `t − min` in two 8-bit
+/// passes; any other block by the standard library's sort. Phase 1
+/// searches flat blocks from [`FLAT_L0`] points up, so every searched
+/// block of a series that long can be counted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum InBlockSort {
     /// Middle-pivot quicksort (paper default); on flat memory, a
@@ -81,13 +84,18 @@ pub enum InBlockSort {
 /// Phase 1 grows the block size `L` from `L0` by doubling, the update
 /// the paper's analysis assumes (Eq. 15, Propositions 3 and 6). The
 /// defaults are the paper's fixed parameters: `Θ = 0.04` and `L0 = 4`
-/// (§VI-B "Fixed Parameter").
+/// (§VI-B "Fixed Parameter"). On flat memory the doubling starts at
+/// [`FLAT_L0`] instead when `l0` is smaller, since a flat block is
+/// counted rather than quicksorted; a `TVList` or an
+/// [`Instrumented`](backsort_tvlist::Instrumented) series starts at
+/// `l0`, as the paper's figures measure.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BackwardSort {
     /// Interval-inversion-ratio threshold `Θ`: block size stops growing
     /// once the down-sampled `α̃_L` falls below it.
     pub theta: f64,
-    /// Initial block size `L0`, doubled each probe round.
+    /// Initial block size `L0`, doubled each probe round; on flat
+    /// memory at least [`FLAT_L0`].
     pub l0: usize,
     /// In-block sorting algorithm.
     pub in_block: InBlockSort,
@@ -176,10 +184,14 @@ impl BackwardSort {
             return report;
         }
 
-        // Phase 1: set block size.
+        // Phase 1: set block size, doubling from `FLAT_L0` on flat memory.
         let (l, loops, alpha) = match self.fixed_block_size {
             Some(l) => (l.min(n), 0, 0.0),
-            None => choose_block_size_reporting(s, self.theta, self.l0),
+            None => {
+                let flat = s.contiguous_from(0).is_some();
+                let l0 = if flat { self.l0.max(FLAT_L0) } else { self.l0 };
+                choose_block_size_reporting(s, self.theta, l0)
+            }
         };
         report.block_size = l;
         report.size_loops = loops;
@@ -280,12 +292,29 @@ impl BackwardSort {
     }
 }
 
-/// The shortest flat block [`sort_flat_block`] counts. Each pass clears
-/// and sums 256 counters whatever the block's length; counting every
-/// short block too made a 100,000-point AbsNormal(1, 2) flush, whose
-/// searched blocks are short, sort at 67–82 ns a point instead of 19–22
-/// (2-core Xeon).
-const COUNTING_MIN_LEN: usize = 256;
+/// The shortest flat block the in-block sort counts. Each of its two
+/// passes clears and sums 256 counters whatever the block's length, a
+/// fixed cost a comparison sort of a shorter block undercuts. Since
+/// phase 1 starts at [`FLAT_L0`] on flat memory, a searched flat block
+/// is this short only when the whole series is, as one block; a fixed
+/// block size (Fig. 8(b)'s mode) can still cut shorter ones.
+pub const COUNTING_MIN_LEN: usize = 256;
+
+/// Where phase 1 starts doubling `L` on flat memory
+/// ([`SeriesAccess::contiguous_from`] is `Some`), in place of the
+/// paper's `L0 = 4` when that is smaller; the `Θ` stop is the paper's.
+///
+/// The paper tuned `L0` for quicksort inside `TVList` blocks (Fig. 8),
+/// where a block's cost grows as `L log L` and the merges' as `Q` per
+/// block. A flat block of at least [`COUNTING_MIN_LEN`] points whose
+/// range fits 16 bits is counted in two linear passes plus the fixed
+/// cost of two 256-counter tables, so there halving the block count
+/// halves both that fixed cost and the backward merges. `fig08_tuning
+/// --panel flat` sweeps a fixed `L` on flat memory over the real
+/// datasets, `ingest-ooo`'s delays and `bench_flush`'s memtables and
+/// prints this rule's `L` beside the sweep (DESIGN.md §3). A series
+/// shorter than this is one block.
+pub const FLAT_L0: usize = 1024;
 
 /// Sorts a block of flat pairs by timestamp — the substitution
 /// Algorithm 1 (line 11) allows for its in-block quicksort.
@@ -759,12 +788,28 @@ mod tests {
 
     #[test]
     fn sorted_input_stays_put_with_minimal_work() {
+        // The probe stops at its first size: the paper's L0 on a TVList,
+        // FLAT_L0 on flat memory.
         let mut pts: Vec<(i64, i32)> = (0..10_000).map(|i| (i as i64, i)).collect();
+        let mut list = TVList::from_pairs(pts.iter().copied());
+        let report = BackwardSort::default().sort_with_report(&mut list);
+        assert!(backsort_tvlist::is_time_sorted(&list));
+        assert_eq!((report.block_size, report.merges), (4, 0));
         let mut s = SliceSeries::new(&mut pts);
         let report = BackwardSort::default().sort_with_report(&mut s);
         assert!(backsort_tvlist::is_time_sorted(&s));
-        assert_eq!(report.block_size, 4, "sorted input should stop at L0");
-        assert_eq!(report.merges, 0, "no overlaps on sorted input");
+        assert_eq!((report.block_size, report.merges), (FLAT_L0, 0));
+    }
+
+    #[test]
+    fn a_flat_series_shorter_than_flat_l0_is_one_block() {
+        let mut pts = delayed_series(FLAT_L0 - 1, 10, 8);
+        let report = BackwardSort::default().sort_with_report(&mut SliceSeries::new(&mut pts));
+        assert!(pts.is_sorted_by_key(|p| p.0));
+        assert_eq!(
+            (report.block_size, report.blocks, report.size_loops),
+            (FLAT_L0 - 1, 1, 0)
+        );
     }
 
     #[test]

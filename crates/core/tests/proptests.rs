@@ -3,7 +3,8 @@
 //! the performance analysis relies on.
 
 use backsort_core::{
-    backward_sort, choose_block_size, iir, merge, Algorithm, BackwardSort, InBlockSort,
+    backward_sort, choose_block_size, choose_block_size_reporting, iir, merge, Algorithm,
+    BackwardSort, InBlockSort, COUNTING_MIN_LEN, FLAT_L0,
 };
 use backsort_sorts::SeriesSorter;
 use backsort_tvlist::{Instrumented, SeriesAccess, SliceSeries, TVList};
@@ -314,4 +315,95 @@ proptest! {
         prop_assert_eq!(at, bt);
         prop_assert!(backsort_tvlist::is_time_sorted(&SliceSeries::new(&mut a)));
     }
+}
+
+proptest! {
+    // Each case sorts 84 series of up to 3,000 points twice.
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Under `Stable` the flat rule — phase 1 from `FLAT_L0`, blocks
+    /// counted or compared — and a `TVList`'s paper path (`L0 = 4`,
+    /// quicksort through `SeriesAccess`) give the very same pairs: for
+    /// series shorter than `FLAT_L0` (one block), at `COUNTING_MIN_LEN ± 1`,
+    /// at and past `FLAT_L0`; with equal timestamps; at spans below,
+    /// around and above 2¹⁶; and shifted to start at `i64::MIN` or to
+    /// end at `i64::MAX`.
+    #[test]
+    fn the_flat_rule_and_the_tvlist_path_give_the_same_pairs(
+        delays in prop::collection::vec(0u16..64, 3 * FLAT_L0..3 * FLAT_L0 + 1),
+        short in 1usize..FLAT_L0,
+        long in FLAT_L0..3 * FLAT_L0,
+        dup in 1i64..4,
+    ) {
+        let stable = BackwardSort { in_block: InBlockSort::Stable, ..BackwardSort::default() };
+        let lens = [
+            short,
+            COUNTING_MIN_LEN - 1,
+            COUNTING_MIN_LEN,
+            COUNTING_MIN_LEN + 1,
+            FLAT_L0 - 1,
+            FLAT_L0,
+            long,
+        ];
+        for len in lens {
+            let base = delay_only(&delays[..len]);
+            let max = base.iter().map(|p| p.0).max().unwrap_or(0);
+            // 63 and 64 put a `FLAT_L0`-point block's span either side of 2¹⁶.
+            for scale in [1, 63, 64, 1_000] {
+                let scaled = |shift: i64| -> Vec<(i64, i32)> {
+                    base.iter().map(|&(t, v)| ((t / dup * scale).wrapping_add(shift), v)).collect()
+                };
+                for input in [scaled(0), scaled(i64::MIN), scaled(i64::MAX - max / dup * scale)] {
+                    let mut want = input.clone();
+                    want.sort_by_key(|p| p.0);
+                    let mut flat = input.clone();
+                    let report = stable.sort_with_report(&mut SliceSeries::new(&mut flat));
+                    let mut list = TVList::from_pairs(input.iter().copied());
+                    stable.sort_series(&mut list);
+                    let listed: Vec<(i64, i32)> = (0..list.len()).map(|i| list.get(i)).collect();
+                    prop_assert_eq!(&flat, &want, "len {} scale {}", len, scale);
+                    prop_assert_eq!(&listed, &want, "len {} scale {}", len, scale);
+                    if len < FLAT_L0 {
+                        prop_assert_eq!((report.block_size, report.blocks), (len, 1));
+                    } else {
+                        prop_assert!(report.block_size >= FLAT_L0, "{:?}", report);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A `TVList` (and an instrumented series) still takes the paper's phase
+/// 1 — `L` doubling from `L0 = 4` — so its report's block size and probe
+/// loops are `choose_block_size_reporting(s, 0.04, 4)`'s, well under
+/// `FLAT_L0` here; the same input on flat memory starts at `FLAT_L0`.
+#[test]
+fn a_tvlist_reports_the_papers_block_size_and_loops() {
+    let mut x = 0x5eed_u64;
+    let delays: Vec<u16> = (0..50_000)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % 24) as u16
+        })
+        .collect();
+    let input = delay_only(&delays);
+    let list = TVList::from_pairs(input.iter().copied());
+    let (l, loops, _) = choose_block_size_reporting(&list, 0.04, 4);
+    assert!(l < FLAT_L0 && loops > 1, "L {l} after {loops} loops");
+
+    let mut sorted = list.clone();
+    let report = BackwardSort::default().sort_with_report(&mut sorted);
+    assert_eq!((report.block_size, report.size_loops), (l, loops));
+    let mut generic = input.clone();
+    let report = BackwardSort::default()
+        .sort_with_report(&mut Instrumented::new(SliceSeries::new(&mut generic)));
+    assert_eq!((report.block_size, report.size_loops), (l, loops));
+
+    let mut flat = input;
+    let report = BackwardSort::default().sort_with_report(&mut SliceSeries::new(&mut flat));
+    assert!(report.block_size >= FLAT_L0, "{report:?}");
+    assert_eq!(flat, generic);
 }

@@ -125,6 +125,12 @@ pub mod bitio {
             self.write_bits(bit as u64, 1);
         }
 
+        /// Bytes written so far, the last one padded: what
+        /// [`finish_into`](Self::finish_into) appends.
+        pub fn byte_len(&self) -> usize {
+            self.bytes.len() + (self.used as usize).div_ceil(8)
+        }
+
         /// Pads to a byte boundary and returns the buffer.
         pub fn finish(mut self) -> Vec<u8> {
             self.flush_pending();
@@ -250,6 +256,7 @@ pub mod bitio {
 /// TS_2DIFF delta-of-delta encoding with per-block bit packing, as IoTDB
 /// applies to timestamps and integer columns.
 pub mod ts2diff {
+    use super::bitio::BitWriter;
     use super::varint;
 
     /// Values per packed block (IoTDB's default is 128).
@@ -262,39 +269,45 @@ pub mod ts2diff {
     /// offsets.
     pub fn encode(values: &[i64]) -> Vec<u8> {
         let mut out = Vec::with_capacity(values.len());
-        varint::write_u64(&mut out, values.len() as u64);
+        encode_into(values, &mut out, &mut BitWriter::new());
+        out
+    }
+
+    /// [`encode`], appending to `out` and packing through `bw`, which it
+    /// leaves empty with its buffer kept — so a writer encodes page after
+    /// page with no allocation. Generic over the integer width, so an
+    /// INT32 column is encoded as `i64` without a widened copy.
+    pub fn encode_into<T: Copy + Into<i64>>(values: &[T], out: &mut Vec<u8>, bw: &mut BitWriter) {
+        varint::write_u64(out, values.len() as u64);
         let Some((&head, rest)) = values.split_first() else {
-            return out;
+            return;
         };
-        varint::write_i64(&mut out, head);
+        let head: i64 = head.into();
+        varint::write_i64(out, head);
         // First-order deltas, a block at a time on the stack; their
         // offsets from the block's least delta get packed, through one
         // writer for the whole column.
         let mut prev = head;
         let mut deltas = [0i64; BLOCK];
-        let mut bw = super::bitio::BitWriter::new();
         for block in rest.chunks(BLOCK) {
             let deltas = &mut deltas[..block.len()];
             for (d, &v) in deltas.iter_mut().zip(block) {
+                let v: i64 = v.into();
                 *d = v.wrapping_sub(prev);
                 prev = v;
             }
             let min = deltas.iter().copied().min().unwrap_or(0);
             let max = deltas.iter().map(|&d| d.wrapping_sub(min) as u64).max();
             let width = (64 - max.unwrap_or(0).leading_zeros()) as u8;
-            varint::write_i64(&mut out, min);
+            varint::write_i64(out, min);
             out.push(width);
-            varint::write_u64(&mut out, block.len() as u64);
-            varint::write_u64(
-                &mut out,
-                (block.len() * usize::from(width)).div_ceil(8) as u64,
-            );
+            varint::write_u64(out, block.len() as u64);
+            varint::write_u64(out, (block.len() * usize::from(width)).div_ceil(8) as u64);
             for &d in deltas.iter() {
                 bw.write_bits(d.wrapping_sub(min) as u64, width);
             }
-            bw.finish_into(&mut out);
+            bw.finish_into(out);
         }
-        out
     }
 
     /// Decodes a TS_2DIFF column that must hold exactly `count` values.
@@ -361,16 +374,27 @@ pub mod gorilla {
     /// descriptor.
     pub fn encode_f64(values: &[f64]) -> Vec<u8> {
         let mut out = Vec::new();
-        varint::write_u64(&mut out, values.len() as u64);
-        let Some((&head, rest)) = values.split_first() else {
-            return out;
+        encode_into(values.iter().copied(), &mut out, &mut BitWriter::new());
+        out
+    }
+
+    /// [`encode_f64`] of `values`, appending to `out` and packing through
+    /// `bw`, which it leaves empty with its buffer kept. The values come
+    /// from an iterator, so an `f32` column is widened without a copy.
+    pub fn encode_into(
+        mut values: impl ExactSizeIterator<Item = f64>,
+        out: &mut Vec<u8>,
+        bw: &mut BitWriter,
+    ) {
+        varint::write_u64(out, values.len() as u64);
+        let Some(head) = values.next() else {
+            return;
         };
-        let mut bw = BitWriter::new();
         let mut prev = head.to_bits();
         bw.write_bits(prev, 64);
         let mut prev_leading = 65u8; // invalid -> force new window
         let mut prev_trailing = 0u8;
-        for &v in rest {
+        for v in values {
             let bits = v.to_bits();
             let xor = bits ^ prev;
             if xor == 0 {
@@ -402,10 +426,8 @@ pub mod gorilla {
             }
             prev = bits;
         }
-        let payload = bw.finish();
-        varint::write_u64(&mut out, payload.len() as u64);
-        out.extend_from_slice(&payload);
-        out
+        varint::write_u64(out, bw.byte_len() as u64);
+        bw.finish_into(out);
     }
 
     /// Decodes [`encode_f64`] output that must hold exactly `count`
@@ -453,8 +475,10 @@ pub mod gorilla {
 
     /// `f32` columns ride the `f64` path widened losslessly.
     pub fn encode_f32(values: &[f32]) -> Vec<u8> {
-        let widened: Vec<f64> = values.iter().map(|&v| v as f64).collect();
-        encode_f64(&widened)
+        let mut out = Vec::new();
+        let widened = values.iter().map(|&v| f64::from(v));
+        encode_into(widened, &mut out, &mut BitWriter::new());
+        out
     }
 
     /// Decodes [`encode_f32`] output of exactly `count` values.
@@ -472,25 +496,29 @@ pub mod rle {
     /// pairs.
     pub fn encode(values: &[i64]) -> Vec<u8> {
         let mut out = Vec::new();
-        varint::write_u64(&mut out, values.len() as u64);
-        let mut iter = values.iter().copied();
-        let Some(mut current) = iter.next() else {
-            return out;
+        encode_into(values.iter().copied(), &mut out);
+        out
+    }
+
+    /// [`encode`] of `values`, appending to `out`.
+    pub fn encode_into(mut values: impl ExactSizeIterator<Item = i64>, out: &mut Vec<u8>) {
+        varint::write_u64(out, values.len() as u64);
+        let Some(mut current) = values.next() else {
+            return;
         };
         let mut run = 1u64;
-        for v in iter {
+        for v in values {
             if v == current {
                 run += 1;
             } else {
-                varint::write_i64(&mut out, current);
-                varint::write_u64(&mut out, run);
+                varint::write_i64(out, current);
+                varint::write_u64(out, run);
                 current = v;
                 run = 1;
             }
         }
-        varint::write_i64(&mut out, current);
-        varint::write_u64(&mut out, run);
-        out
+        varint::write_i64(out, current);
+        varint::write_u64(out, run);
     }
 
     /// Inverse of [`encode`] for a column of exactly `count` values.
@@ -519,6 +547,7 @@ pub mod rle {
 /// the payload with one prefix byte (`0` = TS_2DIFF, `1` = RLE) — the
 /// per-column encoding choice IoTDB exposes in its schema.
 pub mod intcolumn {
+    use super::bitio::BitWriter;
     use super::{rle, ts2diff};
 
     /// Tag for TS_2DIFF payloads.
@@ -528,17 +557,28 @@ pub mod intcolumn {
 
     /// Encodes with whichever scheme is smaller.
     pub fn encode(values: &[i64]) -> Vec<u8> {
-        let dd = ts2diff::encode(values);
-        let rl = rle::encode(values);
-        let (tag, payload) = if rl.len() < dd.len() {
-            (TAG_RLE, rl)
-        } else {
-            (TAG_TS2DIFF, dd)
-        };
-        let mut out = Vec::with_capacity(payload.len() + 1);
-        out.push(tag);
-        out.extend_from_slice(&payload);
+        let mut out = Vec::new();
+        encode_into(values, &mut out, &mut BitWriter::new());
         out
+    }
+
+    /// [`encode`], appending to `out` and packing through `bw`, which it
+    /// leaves empty: both forms are written, TS_2DIFF then RLE, and the
+    /// smaller one is kept in place.
+    pub fn encode_into<T: Copy + Into<i64>>(values: &[T], out: &mut Vec<u8>, bw: &mut BitWriter) {
+        let tag = out.len();
+        out.push(TAG_TS2DIFF);
+        ts2diff::encode_into(values, out, bw);
+        let rle = out.len();
+        rle::encode_into(values.iter().map(|&v| v.into()), out);
+        let rle_len = out.len() - rle;
+        if rle_len < rle - tag - 1 {
+            out[tag] = TAG_RLE;
+            out.copy_within(rle.., tag + 1);
+            out.truncate(tag + 1 + rle_len);
+        } else {
+            out.truncate(rle);
+        }
     }
 
     /// Decodes a tagged integer column of exactly `count` values.
@@ -560,13 +600,18 @@ pub mod textpack {
     /// byte-length + bytes.
     pub fn encode<S: AsRef<str>>(values: &[S]) -> Vec<u8> {
         let mut out = Vec::new();
-        varint::write_u64(&mut out, values.len() as u64);
+        encode_into(values, &mut out);
+        out
+    }
+
+    /// [`encode`], appending to `out`.
+    pub fn encode_into<S: AsRef<str>>(values: &[S], out: &mut Vec<u8>) {
+        varint::write_u64(out, values.len() as u64);
         for v in values {
             let bytes = v.as_ref().as_bytes();
-            varint::write_u64(&mut out, bytes.len() as u64);
+            varint::write_u64(out, bytes.len() as u64);
             out.extend_from_slice(bytes);
         }
-        out
     }
 
     /// Inverse of [`encode`] for exactly `count` strings. `None` on
@@ -595,13 +640,22 @@ pub mod boolpack {
     /// Packs booleans 8 per byte.
     pub fn encode(values: &[bool]) -> Vec<u8> {
         let mut out = Vec::new();
-        varint::write_u64(&mut out, values.len() as u64);
-        let mut bw = BitWriter::new();
-        for &b in values {
+        encode_into(values.iter().copied(), &mut out, &mut BitWriter::new());
+        out
+    }
+
+    /// [`encode`] of `values`, appending to `out` and packing through
+    /// `bw`, which it leaves empty.
+    pub fn encode_into(
+        values: impl ExactSizeIterator<Item = bool>,
+        out: &mut Vec<u8>,
+        bw: &mut BitWriter,
+    ) {
+        varint::write_u64(out, values.len() as u64);
+        for b in values {
             bw.write_bit(b);
         }
-        out.extend_from_slice(&bw.finish());
-        out
+        bw.finish_into(out);
     }
 
     /// Inverse of [`encode`] for exactly `count` booleans.

@@ -15,7 +15,9 @@
 //! sort over a block's time range when the block holds at least 256
 //! points spanning under 2¹⁶, else with the standard library's sort —
 //! and merged in. The copy is then deduplicated into columns with the
-//! buffer's own [`SeriesBuffer::dedup_columns`], so a read and a flush
+//! buffer's own [`SeriesBuffer::dedup_columns_into`] — the definition
+//! [`SeriesBuffer::dedup_columns`] runs for a read — into one pair of
+//! columns the flush reuses across its series, so a read and a flush
 //! cannot disagree on which of two equal timestamps comes last.
 //! [`StorageEngine::complete_flush`] installs the file; adoption
 //! installs one this engine did not write.
@@ -28,6 +30,7 @@ use backsort_faults::sites as fault_sites;
 use backsort_obs::trace as obs_trace;
 use backsort_obs::{names, Registry};
 
+use crate::batch::ValueColumn;
 use crate::engine::StorageEngine;
 use crate::memtable::{MemTable, SeriesBuffer};
 use crate::read::FileHandle;
@@ -95,6 +98,8 @@ pub(crate) fn flush_series<K: Borrow<SeriesKey>>(
     let mut metrics = FlushMetrics::default();
     let mut writer = TsFileWriter::new();
     let dirty_points = obs.map(|o| o.histogram(backsort_obs::names::MEMTABLE_DIRTY_BUFFER_POINTS));
+    // One pair of columns serves every series of the flush.
+    let (mut times, mut values) = (Vec::new(), ValueColumn::Double(Vec::new()));
 
     loop {
         let t0 = Instant::now();
@@ -111,7 +116,7 @@ pub(crate) fn flush_series<K: Borrow<SeriesKey>>(
         metrics.sort_nanos += t0.elapsed().as_nanos() as u64;
 
         let t1 = Instant::now();
-        let (times, values) = buffer.dedup_columns(0..buffer.len());
+        buffer.dedup_columns_into(0..buffer.len(), &mut times, &mut values);
         metrics.encode_nanos += t1.elapsed().as_nanos() as u64;
         metrics.points += times.len() as u64;
 

@@ -26,7 +26,10 @@
 //! ([`EngineConfig::sorter`]), which is how the system experiments compare
 //! contenders.
 
-#![forbid(unsafe_code)]
+#![cfg_attr(not(test), forbid(unsafe_code))]
+// The unit tests' one unsafe item is the counting allocator in
+// `store::tests`, which bounds what a decoder may ask for.
+#![cfg_attr(test, deny(unsafe_code))]
 #![warn(missing_docs)]
 
 pub mod aggregate;

@@ -235,24 +235,36 @@ impl SeriesBuffer {
     /// query streams from a buffer no other run overlaps, and `0..len`
     /// what a flush encodes.
     pub fn dedup_columns(&self, range: std::ops::Range<usize>) -> (Vec<i64>, ValueColumn) {
+        let (mut times, mut values) = (Vec::new(), ValueColumn::new(self.data_type()));
+        self.dedup_columns_into(range, &mut times, &mut values);
+        (times, values)
+    }
+
+    /// [`dedup_columns`](Self::dedup_columns) into `times` and `values`,
+    /// which are cleared first (and `values` retyped to the buffer's
+    /// type), so a flush reuses one pair of columns across its series.
+    pub fn dedup_columns_into(
+        &self,
+        range: std::ops::Range<usize>,
+        times: &mut Vec<i64>,
+        values: &mut ValueColumn,
+    ) {
         debug_assert!(self.is_sorted());
-        fn columns<V: Copy>(
-            p: &[(i64, V)],
-            wrap: fn(Vec<V>) -> ValueColumn,
-        ) -> (Vec<i64>, ValueColumn) {
-            let (ts, vs) = dedup_last(p, |v| v);
-            (ts, wrap(vs))
+        times.clear();
+        values.clear();
+        if values.data_type() != self.data_type() {
+            *values = ValueColumn::new(self.data_type());
         }
-        match &self.points {
-            Points::Int(p) => columns(&p[range], ValueColumn::Int),
-            Points::Long(p) => columns(&p[range], ValueColumn::Long),
-            Points::Float(p) => columns(&p[range], ValueColumn::Float),
-            Points::Double(p) => columns(&p[range], ValueColumn::Double),
-            Points::Bool(p) => columns(&p[range], ValueColumn::Bool),
-            Points::Text(p, arena) => {
-                let (ts, vs) = dedup_last(&p[range], |i| arena[i as usize].clone());
-                (ts, ValueColumn::Text(vs))
+        match (&self.points, values) {
+            (Points::Int(p), ValueColumn::Int(vs)) => dedup_last(&p[range], times, vs, |v| v),
+            (Points::Long(p), ValueColumn::Long(vs)) => dedup_last(&p[range], times, vs, |v| v),
+            (Points::Float(p), ValueColumn::Float(vs)) => dedup_last(&p[range], times, vs, |v| v),
+            (Points::Double(p), ValueColumn::Double(vs)) => dedup_last(&p[range], times, vs, |v| v),
+            (Points::Bool(p), ValueColumn::Bool(vs)) => dedup_last(&p[range], times, vs, |v| v),
+            (Points::Text(p, arena), ValueColumn::Text(vs)) => {
+                dedup_last(&p[range], times, vs, |i| arena[i as usize].clone());
             }
+            _ => {} // unreachable: `values` was retyped to the buffer's type above
         }
     }
 
@@ -354,11 +366,18 @@ fn record_delta_tau(ts: &[i64], prev_max: Option<i64>, deltas: &mut LocalHistogr
     }
 }
 
-/// Columnar last-wins dedup of sorted pairs: of each run of equal
-/// timestamps the last pair's value (through `value`) is kept.
-fn dedup_last<V: Copy, T>(pairs: &[(i64, V)], value: impl Fn(V) -> T) -> (Vec<i64>, Vec<T>) {
-    let mut ts: Vec<i64> = Vec::with_capacity(pairs.len());
-    let mut vs: Vec<T> = Vec::with_capacity(pairs.len());
+/// Columnar last-wins dedup of sorted pairs onto the ends of `ts` and
+/// `vs` (empty from [`SeriesBuffer::dedup_columns_into`]):
+/// of each run of equal timestamps the last pair's value (through
+/// `value`) is kept.
+fn dedup_last<V: Copy, T>(
+    pairs: &[(i64, V)],
+    ts: &mut Vec<i64>,
+    vs: &mut Vec<T>,
+    value: impl Fn(V) -> T,
+) {
+    ts.reserve(pairs.len());
+    vs.reserve(pairs.len());
     for &(t, v) in pairs {
         if ts.last() == Some(&t) {
             if let Some(slot) = vs.last_mut() {
@@ -369,7 +388,6 @@ fn dedup_last<V: Copy, T>(pairs: &[(i64, V)], value: impl Fn(V) -> T) -> (Vec<i6
             vs.push(value(v));
         }
     }
-    (ts, vs)
 }
 
 /// A memtable: one [`SeriesBuffer`] per sensor, plus occupancy accounting.

@@ -1007,7 +1007,72 @@ mod tests {
     use super::*;
     use crate::types::TsValue;
     use backsort_core::Algorithm;
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
     use std::fs;
+
+    thread_local! {
+        /// The largest single allocation request this thread has made
+        /// since the cell was last reset.
+        static LARGEST_REQUEST: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// `System`, noting each request's size: the allocator
+    /// `tests/decoders.rs` bounds the footer and WAL decoders with.
+    struct CountingAllocator;
+
+    fn note(size: usize) {
+        // `try_with`: the allocator also runs while a thread's locals
+        // are being torn down.
+        let _ = LARGEST_REQUEST.try_with(|c| c.set(c.get().max(size)));
+    }
+
+    // SAFETY: every method forwards its arguments unchanged to `System`,
+    // which upholds the `GlobalAlloc` contract; the bookkeeping beside it
+    // touches a `const`-initialised thread-local `Cell` and allocates
+    // nothing.
+    #[allow(unsafe_code)]
+    unsafe impl GlobalAlloc for CountingAllocator {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            note(layout.size());
+            // SAFETY: the caller's contract for `alloc` is `System.alloc`'s.
+            unsafe { System.alloc(layout) }
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            // SAFETY: `ptr` came from `System` through this allocator,
+            // with this layout.
+            unsafe { System.dealloc(ptr, layout) }
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            note(new_size);
+            // SAFETY: as for `dealloc`; `new_size` is the caller's to
+            // vouch for.
+            unsafe { System.realloc(ptr, layout, new_size) }
+        }
+    }
+
+    #[global_allocator]
+    static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+    /// Parses `bytes` as recovery does, with the largest single
+    /// allocation the parse asked for. The manifest stores no count, so
+    /// the bound is its length: each file token takes at least two bytes
+    /// and each tombstone more, one list element apiece, and a list at
+    /// most doubles its capacity past its length.
+    fn parse_bounded(bytes: &[u8]) -> Option<Manifest> {
+        let element = size_of::<Tombstone>().max(size_of::<(u64, u32, Option<u64>)>());
+        LARGEST_REQUEST.with(|c| c.set(0));
+        let parsed = parse_manifest(bytes);
+        let largest = LARGEST_REQUEST.with(Cell::get);
+        assert!(
+            largest <= bytes.len() * element + 512,
+            "{} bytes asked for one allocation of {largest}",
+            bytes.len()
+        );
+        parsed
+    }
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("backsort-store-{tag}-{}", std::process::id()));
@@ -1173,19 +1238,21 @@ mod tests {
 
     /// The manifest decoder under the mutation recipe: no prefix reads,
     /// a flipped bit reads as nothing or as the whole manifest, and a
-    /// forgery with a valid CRC reads as nothing — never a panic.
+    /// forgery with a valid CRC reads as nothing — never a panic, and
+    /// never one allocation past what the bytes could hold
+    /// ([`parse_bounded`]).
     #[test]
     fn the_manifest_decoder_refuses_prefixes_flips_and_forgeries() {
         let manifest = sample_manifest();
         let bytes = manifest.encode().unwrap().into_bytes();
-        assert_eq!(parse_manifest(&bytes).as_ref(), Some(&manifest));
+        assert_eq!(parse_bounded(&bytes).as_ref(), Some(&manifest));
         for len in 0..bytes.len() {
-            assert_eq!(parse_manifest(&bytes[..len]), None, "prefix {len}");
+            assert_eq!(parse_bounded(&bytes[..len]), None, "prefix {len}");
         }
         let mut flipped = bytes.clone();
         for bit in 0..bytes.len() * 8 {
             flipped[bit / 8] ^= 1 << (bit % 8);
-            if let Some(read) = parse_manifest(&flipped) {
+            if let Some(read) = parse_bounded(&flipped) {
                 assert_eq!(read, manifest, "bit {bit}");
             }
             flipped[bit / 8] ^= 1 << (bit % 8);
@@ -1201,7 +1268,7 @@ mod tests {
             );
             format!("{body}crc {:08x}\n", crc32(body.as_bytes())).into_bytes()
         };
-        let valid = parse_manifest(&sealed("3:0:4", &format!("{good}:1:2:5"), ""));
+        let valid = parse_bounded(&sealed("3:0:4", &format!("{good}:1:2:5"), ""));
         assert_eq!(valid.map(|m| m.tombstones.len()), Some(1));
         let forged_tombstones = [
             format!("{}:1:2:5", &good[1..]),             // an odd-length name
@@ -1212,7 +1279,7 @@ mod tests {
         ];
         for forged in &forged_tombstones {
             assert_eq!(
-                parse_manifest(&sealed("3:0:4", forged, "")),
+                parse_bounded(&sealed("3:0:4", forged, "")),
                 None,
                 "{forged}"
             );
@@ -1224,7 +1291,7 @@ mod tests {
             ("3:0:4", "x\n"),
         ] {
             assert_eq!(
-                parse_manifest(&sealed(files, "", tail)),
+                parse_bounded(&sealed(files, "", tail)),
                 None,
                 "{files} {tail}"
             );

@@ -51,6 +51,7 @@
 //! sum over it decodes the page.
 
 use crate::batch::{put_key, ColumnSlice, Unread, ValueColumn};
+use crate::encoding::bitio::BitWriter;
 use crate::encoding::{boolpack, gorilla, intcolumn, textpack, ts2diff};
 use crate::filter::{key_hash, KeyFilter};
 use crate::stats::{for_each_image, max_of, min_of, ExactSum};
@@ -140,6 +141,11 @@ pub struct TsFileWriter {
     offsets: Vec<u64>,
     key_hashes: Vec<u64>,
     finished: bool,
+    /// A page's encoded values, held until its statistics (known only
+    /// after the values' pass) are in front of them in `buf`.
+    page: Vec<u8>,
+    /// The bit writer every page's encoders pack through.
+    bits: BitWriter,
 }
 
 impl Default for TsFileWriter {
@@ -168,6 +174,8 @@ impl TsFileWriter {
             offsets: Vec::new(),
             key_hashes: Vec::new(),
             finished: false,
+            page: Vec::new(),
+            bits: BitWriter::new(),
         }
     }
 
@@ -236,7 +244,9 @@ impl TsFileWriter {
 
         // Pages: fixed point budget per page with its own statistics,
         // so range reads decode only the overlapping pages (IoTDB's
-        // chunk -> page hierarchy).
+        // chunk -> page hierarchy). The values are encoded first, their
+        // statistics folded into that pass; the timestamps go straight
+        // into the image.
         let page_count = times.len().div_ceil(PAGE_POINTS);
         self.buf
             .extend_from_slice(&(page_count as u32).to_le_bytes());
@@ -249,18 +259,23 @@ impl TsFileWriter {
             self.buf
                 .extend_from_slice(&(t_page.len() as u32).to_le_bytes());
             let lo = page_idx * PAGE_POINTS;
-            let page_values = values.slice(lo, lo + t_page.len());
+            self.page.clear();
+            let stats = encode_page_into(
+                values.slice(lo, lo + t_page.len()),
+                &mut self.page,
+                &mut self.bits,
+            );
             if self.version.has_stats(data_type) {
-                PageStats::of(page_values).write_into(&mut self.buf);
+                stats.write_into(&mut self.buf);
             }
-            let ts_bytes = ts2diff::encode(t_page);
+            let len_at = self.buf.len();
+            self.buf.extend_from_slice(&[0; 4]);
+            ts2diff::encode_into(t_page, &mut self.buf, &mut self.bits);
+            let ts_len = (self.buf.len() - len_at - 4) as u32;
+            self.buf[len_at..len_at + 4].copy_from_slice(&ts_len.to_le_bytes());
             self.buf
-                .extend_from_slice(&(ts_bytes.len() as u32).to_le_bytes());
-            self.buf.extend_from_slice(&ts_bytes);
-            let val_bytes = encode_column_page(page_values);
-            self.buf
-                .extend_from_slice(&(val_bytes.len() as u32).to_le_bytes());
-            self.buf.extend_from_slice(&val_bytes);
+                .extend_from_slice(&(self.page.len() as u32).to_le_bytes());
+            self.buf.extend_from_slice(&self.page);
         }
     }
 
@@ -298,21 +313,44 @@ fn type_mismatch(expected: DataType, got: &TsValue) -> ! {
 }
 
 /// Encodes one page's worth of a typed column with the per-type
-/// scheme: TS_2DIFF/RLE for integers, Gorilla for floats, bit packing for
-/// booleans, length-prefixed UTF-8 for text. The INT32 arm widens to
-/// `i64` per page so the shared integer codec applies.
-pub(crate) fn encode_column_page(col: ColumnSlice<'_>) -> Vec<u8> {
+/// scheme — TS_2DIFF/RLE for integers (INT32 as `i64`), Gorilla for
+/// floats, bit packing for booleans, length-prefixed UTF-8 for text —
+/// appending to `out` and packing through `bw`, which it leaves empty.
+/// Returns the page's [`PageStats`] over [`for_each_image`]'s images (a
+/// TEXT page's go unused: no version stores them). The statistics take
+/// their own pass over the page: folded into the Gorilla loop they made
+/// writing `bench_flush`'s `4x25k` columns slower, not faster
+/// (EXPERIMENTS.md, "Backward-Sort's block size for flat memory").
+pub(crate) fn encode_page_into(
+    col: ColumnSlice<'_>,
+    out: &mut Vec<u8>,
+    bw: &mut BitWriter,
+) -> PageStats {
+    let (mut min, mut max, mut sum) = (f64::INFINITY, f64::NEG_INFINITY, ExactSum::new());
+    let mut adder = sum.adder();
+    for_each_image(col, |v| {
+        min = min_of(min, v);
+        max = max_of(max, v);
+        adder.add(v);
+    });
+    drop(adder);
     match col {
-        ColumnSlice::Int(s) => {
-            let widened: Vec<i64> = s.iter().map(|&v| i64::from(v)).collect();
-            intcolumn::encode(&widened)
-        }
-        ColumnSlice::Long(s) => intcolumn::encode(s),
-        ColumnSlice::Float(s) => gorilla::encode_f32(s),
-        ColumnSlice::Double(s) => gorilla::encode_f64(s),
-        ColumnSlice::Bool(s) => boolpack::encode(s),
-        ColumnSlice::Text(s) => textpack::encode(s),
+        ColumnSlice::Int(s) => intcolumn::encode_into(s, out, bw),
+        ColumnSlice::Long(s) => intcolumn::encode_into(s, out, bw),
+        ColumnSlice::Float(s) => gorilla::encode_into(s.iter().map(|&v| f64::from(v)), out, bw),
+        ColumnSlice::Double(s) => gorilla::encode_into(s.iter().copied(), out, bw),
+        ColumnSlice::Bool(s) => boolpack::encode_into(s.iter().copied(), out, bw),
+        ColumnSlice::Text(s) => textpack::encode_into(s, out),
     }
+    PageStats::new(min, max, &sum)
+}
+
+/// [`encode_page_into`] into a fresh buffer, statistics dropped.
+#[cfg(test)]
+pub(crate) fn encode_column_page(col: ColumnSlice<'_>) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_page_into(col, &mut out, &mut BitWriter::new());
+    out
 }
 
 /// Read access to a TsFile image.
@@ -514,16 +552,9 @@ pub struct PageStats {
 }
 
 impl PageStats {
-    /// The statistics of one page's values.
-    fn of(values: ColumnSlice<'_>) -> Self {
-        let (mut min, mut max, mut sum) = (f64::INFINITY, f64::NEG_INFINITY, ExactSum::new());
-        let mut adder = sum.adder();
-        for_each_image(values, |v| {
-            min = min_of(min, v);
-            max = max_of(max, v);
-            adder.add(v);
-        });
-        drop(adder);
+    /// The statistics of a page whose values' images fold to `min`,
+    /// `max` and `sum`.
+    fn new(min: f64, max: f64, sum: &ExactSum) -> Self {
         let mut stats = Self {
             min,
             max,
@@ -772,6 +803,48 @@ mod tests {
 
     fn key(s: &str) -> SeriesKey {
         SeriesKey::new("root.sg.d1", s)
+    }
+
+    /// A page encoded into a writer's buffers is each codec's own bytes,
+    /// after whatever the buffer held, an RLE-won integer page included,
+    /// and its statistics skip NaN and order signed zeros.
+    #[test]
+    fn a_page_encodes_into_the_buffer_it_is_given() {
+        let columns = [
+            ValueColumn::Int(vec![3, -7, 3, 3, i32::MAX, i32::MIN]),
+            ValueColumn::Long(vec![5; 40]),
+            ValueColumn::Long(vec![1 << 60, -3, 0, i64::MIN]),
+            ValueColumn::Float(vec![0.5, -0.0, f32::NAN, 0.0, f32::INFINITY]),
+            ValueColumn::Double(vec![-0.0, 1e300, -1e300, 2.5, 0.0]),
+            ValueColumn::Bool(vec![true, false, true]),
+            ValueColumn::Text(vec!["a".into(), "".into()]),
+        ];
+        let mut bw = BitWriter::new();
+        for col in &columns {
+            let mut out = vec![0xAB];
+            encode_page_into(col.as_slice(), &mut out, &mut bw);
+            let want = match col.as_slice() {
+                ColumnSlice::Int(s) => {
+                    intcolumn::encode(&s.iter().map(|&v| i64::from(v)).collect::<Vec<_>>())
+                }
+                ColumnSlice::Long(s) => intcolumn::encode(s),
+                ColumnSlice::Float(s) => gorilla::encode_f32(s),
+                ColumnSlice::Double(s) => gorilla::encode_f64(s),
+                ColumnSlice::Bool(s) => boolpack::encode(s),
+                ColumnSlice::Text(s) => textpack::encode(s),
+            };
+            assert_eq!(out[1..], want[..], "{col:?}");
+        }
+        let mut stats =
+            |col: ValueColumn| encode_page_into(col.as_slice(), &mut Vec::new(), &mut bw);
+        let float = stats(ValueColumn::Float(vec![0.5, -0.0, f32::NAN, 0.0, -2.0]));
+        assert_eq!((float.min, float.max), (-2.0, 0.5));
+        let zeros = stats(ValueColumn::Double(vec![0.0, -0.0]));
+        assert!(zeros.min.is_sign_negative() && zeros.max.is_sign_positive());
+        assert_eq!(
+            stats(ValueColumn::Long(vec![5; 40])).sum_partials(),
+            Some(&[200.0][..])
+        );
     }
 
     #[test]

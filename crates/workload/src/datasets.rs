@@ -162,7 +162,14 @@ impl Dataset {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::interval_inversion_ratio;
+    use backsort_core::iir::exact_iir;
+    use backsort_tvlist::SliceSeries;
+
+    /// The exact interval inversion ratio of `kind` at `n` points, `l`.
+    fn iir(kind: DatasetKind, n: usize, seed: u64, l: usize) -> f64 {
+        let mut ds = Dataset::generate(kind, n, seed);
+        exact_iir(&SliceSeries::new(&mut ds.pairs), l)
+    }
 
     #[test]
     fn all_datasets_generate_requested_size() {
@@ -183,11 +190,9 @@ mod tests {
 
     #[test]
     fn samsung_iir_truncates_by_2_to_5() {
-        let ds = Dataset::generate(DatasetKind::SamsungD5, 100_000, 3);
-        let times = ds.times();
-        assert!(interval_inversion_ratio(&times, 1) > 0.0);
+        assert!(iir(DatasetKind::SamsungD5, 100_000, 3, 1) > 0.0);
         assert_eq!(
-            interval_inversion_ratio(&times, 32),
+            iir(DatasetKind::SamsungD5, 100_000, 3, 32),
             0.0,
             "samsung IIR must die by 2^5"
         );
@@ -195,22 +200,18 @@ mod tests {
 
     #[test]
     fn citibike_iir_persists_past_2_to_10() {
-        let ds = Dataset::generate(DatasetKind::Citibike201808, 200_000, 3);
-        let times = ds.times();
         assert!(
-            interval_inversion_ratio(&times, 1024) > 0.0,
+            iir(DatasetKind::Citibike201808, 200_000, 3, 1024) > 0.0,
             "citibike IIR must persist past 2^10"
         );
     }
 
     #[test]
     fn citibike_more_disordered_than_samsung() {
-        let cb = Dataset::generate(DatasetKind::Citibike201808, 100_000, 5);
-        let sam = Dataset::generate(DatasetKind::SamsungS10, 100_000, 5);
         // The distinguishing feature (Fig. 8(a)) is tail reach: samsung's
         // IIR dies by 2^5 while citibike's persists for many octaves.
-        let a_cb = interval_inversion_ratio(&cb.times(), 64);
-        let a_sam = interval_inversion_ratio(&sam.times(), 64);
+        let a_cb = iir(DatasetKind::Citibike201808, 100_000, 5, 64);
+        let a_sam = iir(DatasetKind::SamsungS10, 100_000, 5, 64);
         assert!(
             a_cb > a_sam,
             "citibike α64 {a_cb} must exceed samsung α64 {a_sam}"

@@ -43,38 +43,6 @@ fn count_rec(a: &mut [i64], buf: &mut [i64]) -> u64 {
     inv
 }
 
-/// Exact interval inversion ratio `α_L` (Definitions 3–4) over a
-/// timestamp slice.
-pub fn interval_inversion_ratio(times: &[i64], l: usize) -> f64 {
-    let n = times.len();
-    if l == 0 || l >= n {
-        return 0.0;
-    }
-    let c = (0..n - l).filter(|&i| times[i] > times[i + l]).count();
-    c as f64 / (n - l) as f64
-}
-
-/// Down-sampled empirical IIR `α̃_L` (Example 5): one probe per stride.
-pub fn sampled_interval_inversion_ratio(times: &[i64], l: usize) -> f64 {
-    let n = times.len();
-    if l == 0 || l >= n {
-        return 0.0;
-    }
-    let (mut c, mut total, mut i) = (0usize, 0usize, 0usize);
-    while i + l < n {
-        total += 1;
-        if times[i] > times[i + l] {
-            c += 1;
-        }
-        i += l;
-    }
-    if total == 0 {
-        0.0
-    } else {
-        c as f64 / total as f64
-    }
-}
-
 /// Number of maximal non-decreasing runs — Patience sort's adaptivity
 /// measure (`Runs`, §III-A2).
 pub fn runs(times: &[i64]) -> usize {
@@ -82,17 +50,6 @@ pub fn runs(times: &[i64]) -> usize {
         return 0;
     }
     1 + times.windows(2).filter(|w| w[0] > w[1]).count()
-}
-
-/// The IIR profile over powers of two, `L = 2^0 … 2^max_exp`, as plotted
-/// in Fig. 8(a).
-pub fn iir_profile(times: &[i64], max_exp: u32) -> Vec<(usize, f64)> {
-    (0..=max_exp)
-        .map(|e| {
-            let l = 1usize << e;
-            (l, interval_inversion_ratio(times, l))
-        })
-        .collect()
 }
 
 /// Empirical delay-difference statistics (Definition 6).
@@ -185,28 +142,20 @@ mod tests {
         }
     }
 
+    /// The core estimators over a delay-only stream: the exact ratio
+    /// dies past the delay bound, and the down-sampled one tracks it.
     #[test]
-    fn iir_example4_alpha1() {
-        // The consistent part of the paper's Example 4: α1 = 6/14.
-        let times = [4i64, 3, 6, 9, 8, 5, 11, 1, 10, 12, 7, 15, 2, 13, 16];
-        assert!((interval_inversion_ratio(&times, 1) - 6.0 / 14.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn iir_monotone_for_delay_only_data() {
-        // For bounded delays, IIR hits zero once L exceeds the bound.
+    fn iir_dies_past_the_delay_bound_and_sampling_tracks_it() {
         use crate::delay::DelayModel;
         use crate::stream::{generate_pairs, StreamSpec};
+        use backsort_core::iir::{exact_iir, sampled_iir};
+        use backsort_tvlist::SliceSeries;
         let spec = StreamSpec::new(20_000, DelayModel::DiscreteUniform { k: 7 }, 3);
-        let times: Vec<i64> = generate_pairs(&spec).iter().map(|p| p.0).collect();
-        assert!(interval_inversion_ratio(&times, 1) > 0.0);
-        assert_eq!(interval_inversion_ratio(&times, 16), 0.0);
-    }
+        let mut pairs = generate_pairs(&spec);
+        let s = SliceSeries::new(&mut pairs);
+        assert!(exact_iir(&s, 1) > 0.0);
+        assert_eq!(exact_iir(&s, 16), 0.0);
 
-    #[test]
-    fn sampled_iir_approximates_exact() {
-        use crate::delay::DelayModel;
-        use crate::stream::{generate_pairs, StreamSpec};
         let spec = StreamSpec::new(
             200_000,
             DelayModel::AbsNormal {
@@ -215,10 +164,10 @@ mod tests {
             },
             5,
         );
-        let times: Vec<i64> = generate_pairs(&spec).iter().map(|p| p.0).collect();
+        let mut pairs = generate_pairs(&spec);
+        let s = SliceSeries::new(&mut pairs);
         for l in [2usize, 4, 8] {
-            let exact = interval_inversion_ratio(&times, l);
-            let sampled = sampled_interval_inversion_ratio(&times, l);
+            let (exact, sampled) = (exact_iir(&s, l), sampled_iir(&s, l));
             assert!(
                 (exact - sampled).abs() < 0.05,
                 "L={l}: exact {exact} vs sampled {sampled}"
@@ -234,16 +183,6 @@ mod tests {
         assert_eq!(runs(&[3, 2, 1]), 3);
         assert_eq!(runs(&[1, 3, 2, 4]), 2);
         assert_eq!(runs(&[2, 2, 2]), 1);
-    }
-
-    #[test]
-    fn iir_profile_is_power_of_two_grid() {
-        let times: Vec<i64> = (0..100).rev().collect();
-        let profile = iir_profile(&times, 5);
-        assert_eq!(profile.len(), 6);
-        assert_eq!(profile[0].0, 1);
-        assert_eq!(profile[5].0, 32);
-        assert!(profile.iter().all(|&(_, a)| a == 1.0));
     }
 
     #[test]

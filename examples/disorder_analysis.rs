@@ -6,11 +6,10 @@
 //! Run with: `cargo run --release --example disorder_analysis`
 
 use backward_sort_repro::core::choose_block_size;
+use backward_sort_repro::core::iir::{exact_iir, sampled_iir};
 use backward_sort_repro::tvlist::SliceSeries;
 use backward_sort_repro::workload::analysis::expected_iir_exponential;
-use backward_sort_repro::workload::metrics::{
-    interval_inversion_ratio, inversions, runs, sampled_interval_inversion_ratio,
-};
+use backward_sort_repro::workload::metrics::{inversions, runs};
 use backward_sort_repro::workload::{Dataset, DatasetKind};
 
 fn main() {
@@ -25,11 +24,11 @@ fn main() {
         let times = ds.times();
         let inv = inversions(&times);
         let r = runs(&times);
-        let a1 = interval_inversion_ratio(&times, 1);
-        let a64 = interval_inversion_ratio(&times, 64);
-        let a4096 = interval_inversion_ratio(&times, 4096);
         let mut pairs = ds.pairs.clone();
         let series = SliceSeries::new(&mut pairs);
+        let a1 = exact_iir(&series, 1);
+        let a64 = exact_iir(&series, 64);
+        let a4096 = exact_iir(&series, 4096);
         let (l, _) = choose_block_size(&series, 0.04, 4);
         println!(
             "{:<18} {:>12} {:>8} {:>10.2e} {:>10.2e} {:>10.2e} {:>8}",
@@ -45,16 +44,16 @@ fn main() {
 
     // Down-sampling accuracy: the estimator Backward-Sort actually uses.
     println!("\ndown-sampled vs exact IIR (citibike-201808):");
-    let ds = Dataset::generate(DatasetKind::Citibike201808, n, 42);
-    let times = ds.times();
+    let mut ds = Dataset::generate(DatasetKind::Citibike201808, n, 42);
+    let series = SliceSeries::new(&mut ds.pairs);
     println!("{:>8} {:>12} {:>12}", "L", "exact", "sampled");
     for e in [0u32, 2, 4, 6, 8, 10, 12] {
         let l = 1usize << e;
         println!(
             "{:>8} {:>12.4e} {:>12.4e}",
             l,
-            interval_inversion_ratio(&times, l),
-            sampled_interval_inversion_ratio(&times, l)
+            exact_iir(&series, l),
+            sampled_iir(&series, l)
         );
     }
 

@@ -1,12 +1,12 @@
 //! Statistical and analytical claims of the paper, checked across crates.
 
+use backward_sort_repro::core::iir::exact_iir;
 use backward_sort_repro::core::{BackwardSort, InBlockSort};
 use backward_sort_repro::sorts::SeriesSorter;
 use backward_sort_repro::tvlist::{AccessStats, Instrumented, SliceSeries};
 use backward_sort_repro::workload::analysis::{
     expected_iir_exponential, expected_overlap_discrete_uniform,
 };
-use backward_sort_repro::workload::metrics::interval_inversion_ratio;
 use backward_sort_repro::workload::{generate_pairs, DelayModel, StreamSpec};
 
 fn stream(n: usize, delay: DelayModel, seed: u64) -> Vec<(i64, i32)> {
@@ -20,10 +20,10 @@ fn stream(n: usize, delay: DelayModel, seed: u64) -> Vec<(i64, i32)> {
 /// of Example 6.
 #[test]
 fn proposition2_iir_equals_delta_tau_tail() {
-    let pairs = stream(500_000, DelayModel::Exponential { lambda: 2.0 }, 3);
-    let times: Vec<i64> = pairs.iter().map(|p| p.0).collect();
+    let mut pairs = stream(500_000, DelayModel::Exponential { lambda: 2.0 }, 3);
+    let series = SliceSeries::new(&mut pairs);
     for l in [1usize, 2, 3] {
-        let measured = interval_inversion_ratio(&times, l);
+        let measured = exact_iir(&series, l);
         let theory = expected_iir_exponential(2.0, l as f64);
         assert!(
             (measured - theory).abs() < 0.01,
