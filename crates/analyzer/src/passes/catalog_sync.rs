@@ -11,7 +11,7 @@
 //! 2. every string literal passed directly to a registry call
 //!    (`.counter("…")`, `.hit("…")`, …) in production code is declared
 //!    in the matching catalog (ad-hoc names bypass the pre-registered
-//!    catalog and the crash matrix's unexercised-site detection).
+//!    catalog and the crash explorer's unexercised-site detection).
 
 use crate::{Config, FileKind, Finding, Lint, Severity, Workspace};
 

@@ -22,7 +22,6 @@
 //! | `ablation` | Θ / L0 / estimator / stability / model ablations |
 //! | `trace_analyze` | disorder profile + sort comparison for any CSV |
 //! | `obs_overhead` | instrumentation and tracing overhead |
-//! | `crash_matrix` | failpoint sweep with recovery against a durability oracle |
 //!
 //! The end-to-end benchmark of record is `perf/`, a workspace of its
 //! own that drives the SQL server over loopback.

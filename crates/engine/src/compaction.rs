@@ -735,7 +735,7 @@ mod tests {
 
         eng.compact_auto();
         // Every surviving file holds only its own shard's device.
-        crate::crashtest::check_files(&eng).expect("one shard owns each file");
+        eng.check_files().expect("one shard owns each file");
         let total_points: u64 = (0..eng.shard_count())
             .map(|s| {
                 eng.shard_files(s)

@@ -390,6 +390,29 @@ impl StorageEngine {
         self.shards.iter().map(|s| s.read().files.len()).sum()
     }
 
+    /// The file invariants every test oracle holds the engine to: every
+    /// file holds only its own shard's devices, no id is live twice (a
+    /// merge's inputs beside its output), and each shard's levels are
+    /// non-increasing, as the leveled picker needs.
+    pub fn check_files(&self) -> Result<(), String> {
+        let mut ids = std::collections::BTreeSet::new();
+        for shard in 0..self.shard_count() {
+            let files = self.shard_files(shard);
+            let meta: Vec<(u64, u32)> = files.iter().map(|f| (f.id(), f.level())).collect();
+            let owned = (files.iter().flat_map(|f| f.envelopes()))
+                .all(|(key, ..)| self.shard_of(&key.device) == shard);
+            let unique = meta.iter().all(|&(id, _)| ids.insert(id));
+            let leveled = meta.windows(2).all(|w| matches!(w, [a, b] if a.1 >= b.1));
+            if !(owned && unique && leveled) {
+                return Err(format!(
+                    "shard {shard}'s (id, level) files {meta:?}: own devices only {owned}, \
+                     ids unique {unique}, levels non-increasing {leveled}"
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// Points currently buffered in (working, unsequence), summed across
     /// shards.
     pub fn buffered_points(&self) -> (usize, usize) {

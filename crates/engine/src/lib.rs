@@ -12,7 +12,6 @@
 //! * [`aggregate`] — the folds over a read, and which pages they answer from their headers.
 //! * [`compaction`] — which files merge, and when.
 //! * [`store`] — what is durable: the WAL, the persisted images, the manifest, and recovery.
-//! * [`crashtest`] — whether recovery keeps what was acked, at every failpoint.
 //! * [`memtable`] — how a series is buffered: the paper's TVList (Fig. 7) as one flat vector.
 //! * [`batch`] — the one columnar form of a write.
 //! * [`tsfile`] — the file layout: chunks, pages with statistics, a chunk index.
@@ -36,7 +35,6 @@ pub mod aggregate;
 pub mod batch;
 pub mod cache;
 pub mod compaction;
-pub mod crashtest;
 pub mod delete;
 pub mod encoding;
 pub mod engine;

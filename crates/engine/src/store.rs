@@ -15,37 +15,43 @@
 //!    WAL segment interleaves all shards' records, so all of them must
 //!    reach files before any segment is retired); each file not yet on
 //!    disk is persisted durably as `tsfile-<gen>.bstf`; a fresh segment
-//!    opens; and the `MANIFEST` commits the live generations with their
-//!    levels and stamps, the pending tombstones with their stamps, and
-//!    the new WAL floor — the single atomic point that retires the old
-//!    segments. Only then is anything deleted, and the manifest alone
-//!    decides what: every `tsfile-<gen>.bstf` it does not name and every
+//!    opens; and a new `MANIFEST-<floor>` commits the live generations
+//!    with their levels and stamps, the pending tombstones with their
+//!    stamps, and the new WAL floor — the single atomic point that
+//!    retires the old segments. Only then is anything deleted, and the
+//!    manifest alone decides what: every older manifest first, then
+//!    every `tsfile-<gen>.bstf` it does not name and every
 //!    `wal-<gen>.log` below its floor;
-//! 3. [`DurableEngine::open`] recovers by restoring the listed
-//!    tombstones at their stamps and adopting every manifest-listed
-//!    TsFile at its recorded stamp — a file whose devices now span
-//!    shards (the directory was written at another shard count) is
-//!    split, and its pieces are new files — then replaying the WAL segments at or
-//!    above the manifest's floor (torn tails are truncated at the first
-//!    bad CRC, and the discarded byte count is reported through
-//!    `wal.replay_discarded_bytes`), then running the same pass: the
-//!    replayed data reaches files, and the segments it came from go
-//!    with every file the old manifest did not name.
+//! 3. [`DurableEngine::open`] recovers from the newest manifest that
+//!    parses, by restoring the listed tombstones at their stamps and
+//!    adopting every listed TsFile at its recorded stamp — a file whose
+//!    devices now span shards (the directory was written at another
+//!    shard count) is split, and its pieces are new files — then
+//!    replaying the WAL segments at or above the manifest's floor (torn
+//!    tails are truncated at the first bad CRC, and the discarded byte
+//!    count is reported through `wal.replay_discarded_bytes`), then
+//!    running the same pass: the replayed data reaches files, and the
+//!    segments it came from go with every file the manifest did not
+//!    name. A listed file that is missing or does not parse, or files
+//!    with no manifest that parses, refuse the open and delete nothing.
 //!
 //! Persistence is keyed on the engine's per-file *ids*, not on file
 //! positions, so compaction collapsing a shard's files is picked up as
 //! "old ids gone, one new id" and the disk set follows along. The
-//! `MANIFEST` (live generations, CRC-guarded, written after new images
+//! manifest (live generations, CRC-guarded, written after new images
 //! and *before* any deletion) is what makes that safe across a crash: a
 //! merged image whose manifest write never happened is ignored at
 //! recovery (its data is still WAL-covered or in the manifest-listed
 //! inputs), and deleted inputs that survived a mid-deletion crash are
-//! dropped instead of resurrecting already-deleted points.
+//! dropped instead of resurrecting already-deleted points. A torn or
+//! flipped manifest write leaves the commit before it in force: every
+//! manifest on disk names only files and segments still on disk.
 //!
 //! All file traffic goes through an injectable [`Io`] sink and every
 //! state-changing step passes a named failpoint
-//! ([`backsort_faults::sites`]), which is how `tests/crash_matrix.rs`
-//! kills the engine at each site and checks recovery.
+//! ([`backsort_faults::sites`]), which is how the root crate's
+//! `tests/crash_explore.rs` kills the engine at each site and checks
+//! recovery.
 
 use std::cmp::Reverse;
 use std::collections::{HashMap, HashSet};
@@ -399,7 +405,6 @@ pub fn replay_wal(bytes: &[u8]) -> (Vec<WalRecord>, usize) {
     (out, bytes.len() - pos)
 }
 
-const MANIFEST_NAME: &str = "MANIFEST";
 const MANIFEST_MAGIC: &str = "backsort-manifest-v1";
 
 /// The durable commit record of a persist pass: which TsFile
@@ -462,20 +467,32 @@ impl Manifest {
     }
 }
 
-/// Durably records the manifest. Written after new images and *before*
-/// any GC — the commit point of a persist pass.
+/// Durably records the manifest as `MANIFEST-<floor>`, beside the one
+/// before it. Written after new images and *before* any GC — the commit
+/// point of a persist pass.
 fn write_manifest(io: &dyn Io, dir: &Path, manifest: &Manifest) -> io::Result<()> {
-    io.write_durable(&dir.join(MANIFEST_NAME), manifest.encode()?.as_bytes())
+    let path = dir.join(name_of(MANIFEST, manifest.wal_floor));
+    io.write_durable(&path, manifest.encode()?.as_bytes())
 }
 
-/// Reads the manifest, or `None` if it is absent, torn or corrupt —
-/// recovery then falls back to adopting every on-disk TsFile and
-/// replaying every segment, which is safe because a manifest only goes
-/// missing before the *first* persist pass completes (afterwards each
-/// rewrite is atomic-durable): at that point no GC and no logical WAL
-/// truncation has happened yet.
-fn read_manifest(io: &dyn Io, dir: &Path) -> Option<Manifest> {
-    parse_manifest(&io.read(&dir.join(MANIFEST_NAME)).ok()?)
+/// The newest manifest among `names` that parses, or `None`. A pass
+/// deletes the older manifests only after its own commit, and before
+/// anything they name, so a torn or flipped last write leaves the commit
+/// before it in force, with its files and the segments above its floor.
+fn read_manifest(io: &dyn Io, dir: &Path, names: &[String]) -> Option<Manifest> {
+    let mut ranked: Vec<(u64, &String)> = (names.iter())
+        .filter_map(|name| Some((manifest_rank(name)?, name)))
+        .collect();
+    ranked.sort_unstable_by_key(|&(rank, _)| Reverse(rank));
+    (ranked.into_iter()).find_map(|(_, name)| parse_manifest(&io.read(&dir.join(name)).ok()?))
+}
+
+/// A manifest's rank by its name: its floor, or 0 for an older build's
+/// single `MANIFEST`, which every numbered one outranks.
+fn manifest_rank(name: &str) -> Option<u64> {
+    (name == "MANIFEST")
+        .then_some(0)
+        .or_else(|| gen_of(name, MANIFEST))
 }
 
 /// Parses [`Manifest::encode`]'s bytes, or `None` for anything else: a
@@ -572,7 +589,7 @@ impl DurableEngine {
     }
 
     /// Opens a durable engine over an injected [`Io`] sink and failpoint
-    /// registry — the crash-matrix harness passes a
+    /// registry — the crash explorer passes a
     /// [`SimIo`](backsort_faults::sim::SimIo) sharing the registry, so
     /// armed sites can fire either in the engine's control flow or at
     /// byte granularity inside the sink.
@@ -586,23 +603,82 @@ impl DurableEngine {
         io.create_dir_all(&dir).map_err(StoreError::Recover)?;
         let engine = StorageEngine::instrumented(config, Arc::new(Registry::new()), faults);
 
-        // Scan the directory for persisted TsFiles and WAL segments.
-        let mut tsfiles: HashMap<u64, String> = HashMap::new();
-        let mut wals: Vec<(u64, String)> = Vec::new();
-        for name in io.list_dir(&dir).map_err(StoreError::Recover)? {
-            if let Some(gen) = gen_of(&name, TSFILE) {
+        // Scan the directory for persisted TsFiles, WAL segments and
+        // manifests.
+        let names = io.list_dir(&dir).map_err(StoreError::Recover)?;
+        let mut tsfiles: HashMap<u64, &String> = HashMap::new();
+        let mut wals: Vec<(u64, &String)> = Vec::new();
+        let mut max_gen = 0;
+        for name in &names {
+            if let Some(gen) = gen_of(name, TSFILE) {
                 tsfiles.insert(gen, name);
-            } else if let Some(gen) = gen_of(&name, WAL) {
+            } else if let Some(gen) = gen_of(name, WAL) {
                 wals.push((gen, name));
             }
+            let gen = [TSFILE, WAL, MANIFEST]
+                .into_iter()
+                .find_map(|shape| gen_of(name, shape));
+            max_gen = max_gen.max(gen.unwrap_or(0));
         }
         wals.sort();
-        let max_gen = tsfiles
-            .keys()
-            .chain(wals.iter().map(|(gen, _)| gen))
-            .copied()
+
+        // Recovery starts from the newest whole commit. Without one, only
+        // a directory that never committed opens: no file is on disk, and
+        // the WAL holds everything.
+        let refuse =
+            |why: String| StoreError::Recover(io::Error::new(io::ErrorKind::InvalidData, why));
+        let manifest = match read_manifest(io.as_ref(), &dir, &names) {
+            Some(m) => m,
+            None if tsfiles.is_empty() => Manifest {
+                files: Vec::new(),
+                tombstones: Vec::new(),
+                wal_floor: 0,
+            },
+            None => {
+                return Err(refuse(format!(
+                    "{} TsFiles but no manifest parses",
+                    tsfiles.len()
+                )))
+            }
+        };
+        // Every later draw lies above every stamp the manifest names, so
+        // no restored tombstone masks a replayed rotation's file.
+        let stamps = manifest.files.iter().filter_map(|&(_, _, stamp)| stamp);
+        if let Some(max) = stamps
+            .chain(manifest.tombstones.iter().map(|t| t.stamp))
             .max()
-            .unwrap_or(0);
+        {
+            engine.draw_above(max);
+        }
+        // The tombstones go first: a split's merge applies those stamped
+        // above the file it splits.
+        for tombstone in manifest.tombstones {
+            engine.restore_tombstone(tombstone);
+        }
+        // Adopt in the manifest's listed order, each file at its recorded
+        // stamp: a shard's listed order is its rank, which a leveled
+        // compaction output (persisted late, ranked early) makes differ
+        // from numeric generation order. A listed file that is missing or
+        // does not parse refuses the open, deleting nothing. The pass below
+        // deletes what is not adopted — a generation the manifest does not
+        // name (compaction inputs whose deletion was interrupted, an image
+        // whose pass never committed: its records are still in the
+        // replayed segments) — and the source of a split, whose pieces it
+        // persists anew.
+        let mut persisted = HashMap::new();
+        for (gen, level, stamp) in manifest.files {
+            let name = tsfiles
+                .get(&gen)
+                .ok_or_else(|| refuse(format!("tsfile-{gen} is missing")))?;
+            let bytes = io.read(&dir.join(name)).map_err(StoreError::Recover)?;
+            let stamp = stamp.unwrap_or_else(|| engine.draw_stamp());
+            let installed = (engine.adopt_file_at(bytes, level, stamp))
+                .ok_or_else(|| refuse(format!("tsfile-{gen} does not parse")))?;
+            if installed.iter().any(|&(_, id)| id == stamp) {
+                persisted.insert(stamp, gen);
+            }
+        }
+
         // A placeholder segment stands in as the outgoing one of the pass
         // that ends recovery; that pass's manifest floor retires it along
         // with every segment read here.
@@ -617,53 +693,12 @@ impl DurableEngine {
             io: Arc::clone(&io),
             wal,
             generation,
-            persisted: HashMap::new(),
+            persisted,
             wal_bytes,
             scratch: Vec::with_capacity(256),
         };
-
-        // Adopt in the manifest's listed order, each file at its recorded
-        // stamp: a shard's listed order is its rank, which a leveled
-        // compaction output (persisted late, ranked early) makes differ
-        // from numeric generation order. Without a manifest (nothing ever
-        // committed, so no compaction output is on disk) numeric order is
-        // the write order. The pass below deletes what is not adopted — a
-        // generation the manifest does not name (compaction inputs whose
-        // deletion was interrupted, an image whose pass never committed:
-        // its records are still in the replayed segments), a torn image —
-        // and the source of a split, whose pieces it persists anew.
-        let (adoption, tombstones, wal_floor) = match read_manifest(io.as_ref(), &dir) {
-            Some(m) => (m.files, m.tombstones, m.wal_floor),
-            None => {
-                let mut gens: Vec<_> = tsfiles.keys().map(|&gen| (gen, 0, None)).collect();
-                gens.sort_unstable();
-                (gens, Vec::new(), 0)
-            }
-        };
-        let engine = &this.engine;
-        // Every later draw lies above every stamp the manifest names, so
-        // no restored tombstone masks a replayed rotation's file.
-        let stamps = adoption.iter().filter_map(|&(_, _, stamp)| stamp);
-        if let Some(max) = stamps.chain(tombstones.iter().map(|t| t.stamp)).max() {
-            engine.draw_above(max);
-        }
-        // The tombstones go first: a split's merge applies those stamped
-        // above the file it splits.
-        for tombstone in tombstones {
-            engine.restore_tombstone(tombstone);
-        }
-        for (gen, level, stamp) in adoption {
-            let Some(name) = tsfiles.get(&gen) else {
-                continue;
-            };
-            let bytes = io.read(&dir.join(name)).map_err(StoreError::Recover)?;
-            let stamp = stamp.unwrap_or_else(|| engine.draw_stamp());
-            let installed = engine.adopt_file_at(bytes, level, stamp);
-            if installed.is_some_and(|ids| ids.iter().any(|&(_, id)| id == stamp)) {
-                this.persisted.insert(stamp, gen);
-            }
-        }
         this.failpoint(sites::STORE_OPEN_AFTER_ADOPT, StoreError::Recover)?;
+        let engine = &this.engine;
 
         // Replay live WAL segments (at or above the manifest's floor)
         // into the memtables. The engine routes each record to its
@@ -674,8 +709,8 @@ impl DurableEngine {
         // what was replayed; deleting one here would lose its data to a
         // crash mid-open.
         let mut discarded_total = 0usize;
-        for (gen, name) in &wals {
-            if *gen < wal_floor {
+        for (gen, name) in wals {
+            if gen < manifest.wal_floor {
                 continue;
             }
             let bytes = io.read(&dir.join(name)).map_err(StoreError::Recover)?;
@@ -920,19 +955,22 @@ impl DurableEngine {
         self.failpoint(sites::STORE_PERSIST_BEFORE_GC, StoreError::Manifest)
     }
 
-    /// Deletes what the manifest [`Self::commit`] just wrote does not
-    /// name: every `tsfile-<gen>.bstf` outside `persisted` (compaction
-    /// inputs, files split across shards, the images of a pass that
-    /// failed before its commit, torn images), then every `wal-<gen>.log`
-    /// below the floor. Deleting only after
-    /// the commit matters: before it, a crash would leave the old
-    /// manifest naming compaction inputs whose files are gone.
+    /// Deletes what the manifest [`Self::commit`] just wrote retires:
+    /// every older manifest first, then every `tsfile-<gen>.bstf` outside
+    /// `persisted` (compaction inputs, files split across shards, the
+    /// images of a pass that failed before its commit, torn images), then
+    /// every `wal-<gen>.log` below the floor. Deleting only after the
+    /// commit matters: before it, a crash would leave the old manifest
+    /// naming compaction inputs whose files are gone. Deleting the older
+    /// manifests before anything else, and stopping at the first that
+    /// stays, is what lets recovery fall back to any manifest on disk.
     ///
     /// Segments go oldest-first, so a crash mid-way leaves a *suffix* of
-    /// them. A failed removal is counted ([`remove_stale`]) and retried
-    /// by the next pass.
+    /// them. A failed file or segment removal is counted
+    /// ([`remove_stale`]) and retried by the next pass.
     fn retire(&self) -> StoreResult<()> {
         let live: HashSet<u64> = self.persisted.values().copied().collect();
+        let mut old_manifests = Vec::new();
         let mut dead_files = Vec::new();
         let mut dead_segments = Vec::new();
         for name in self.io.list_dir(&self.dir).map_err(StoreError::Manifest)? {
@@ -940,7 +978,14 @@ impl DurableEngine {
                 dead_files.push(name);
             } else if let Some(gen) = gen_of(&name, WAL).filter(|&gen| gen < self.generation) {
                 dead_segments.push((gen, name));
+            } else if manifest_rank(&name).is_some_and(|rank| rank < self.generation) {
+                old_manifests.push(name);
             }
+        }
+        for name in old_manifests {
+            self.failpoint(sites::STORE_PERSIST_GC, StoreError::Manifest)?;
+            let path = self.dir.join(name);
+            self.io.remove(&path).map_err(StoreError::Manifest)?;
         }
         for name in dead_files {
             self.failpoint(sites::STORE_PERSIST_GC, StoreError::Manifest)?;
@@ -973,13 +1018,17 @@ impl DurableEngine {
 const TSFILE: (&str, &str) = ("tsfile-", ".bstf");
 /// A WAL segment's file name shape, `wal-<gen>.log`.
 const WAL: (&str, &str) = ("wal-", ".log");
+/// A manifest's file name shape, `MANIFEST-<floor>`.
+const MANIFEST: (&str, &str) = ("MANIFEST-", "");
 
-/// The file name of generation `gen` in a [`TSFILE`] or [`WAL`] shape.
+/// The file name of generation `gen` in a [`TSFILE`], [`WAL`] or
+/// [`MANIFEST`] shape.
 fn name_of((prefix, suffix): (&str, &str), gen: u64) -> String {
     format!("{prefix}{gen}{suffix}")
 }
 
-/// The generation a file name of a [`TSFILE`] or [`WAL`] shape carries.
+/// The generation a file name of a [`TSFILE`], [`WAL`] or [`MANIFEST`]
+/// shape carries.
 fn gen_of(name: &str, (prefix, suffix): (&str, &str)) -> Option<u64> {
     name.strip_prefix(prefix)?
         .strip_suffix(suffix)?
@@ -1118,7 +1167,7 @@ mod tests {
     /// committed manifest names, the `tsfile-*` generations on disk, and
     /// the `wal-*` generations on disk, each sorted.
     fn disk_state(dir: &Path) -> (Vec<u64>, Vec<u64>, Vec<u64>) {
-        let manifest = read_manifest(&RealIo, dir).expect("a committed manifest");
+        let manifest = newest_manifest(dir).expect("a committed manifest");
         let mut named: Vec<u64> = manifest.files.iter().map(|&(gen, ..)| gen).collect();
         named.sort_unstable();
         let (mut tsfiles, mut wals) = (Vec::new(), Vec::new());
@@ -1197,13 +1246,16 @@ mod tests {
         }
     }
 
+    /// The newest manifest in `dir` that parses, as `open` reads it.
+    fn newest_manifest(dir: &Path) -> Option<Manifest> {
+        read_manifest(&RealIo, dir, &RealIo.list_dir(dir).unwrap())
+    }
+
     #[test]
-    fn manifest_roundtrips_and_rejects_corruption() {
+    fn the_newest_manifest_that_parses_is_read() {
         let io = RealIo;
         let dir = tmpdir("manifest");
         io.create_dir_all(&dir).unwrap();
-        write_manifest(&io, &dir, &sample_manifest()).unwrap();
-        assert_eq!(read_manifest(&io, &dir), Some(sample_manifest()));
         // An empty generation set is a valid manifest.
         let empty = Manifest {
             files: Vec::new(),
@@ -1211,13 +1263,19 @@ mod tests {
             wal_floor: 1,
         };
         write_manifest(&io, &dir, &empty).unwrap();
-        assert_eq!(read_manifest(&io, &dir), Some(empty));
-        // Any corruption (here: a flipped byte) reads as "no manifest".
-        let path = dir.join(MANIFEST_NAME);
-        let mut bytes = fs::read(&path).unwrap();
-        bytes[0] ^= 0x01;
-        fs::write(&path, &bytes).unwrap();
-        assert_eq!(read_manifest(&io, &dir), None);
+        assert_eq!(newest_manifest(&dir).as_ref(), Some(&empty));
+        write_manifest(&io, &dir, &sample_manifest()).unwrap();
+        assert_eq!(newest_manifest(&dir), Some(sample_manifest()));
+        // A corrupt one (here: a flipped byte) reads as absent, so the
+        // one before it is read, and with both corrupt, none is.
+        for floor in [13, 1] {
+            let path = dir.join(name_of(MANIFEST, floor));
+            let mut bytes = fs::read(&path).unwrap();
+            bytes[0] ^= 0x01;
+            fs::write(&path, &bytes).unwrap();
+            let want = (floor == 13).then_some(&empty);
+            assert_eq!(newest_manifest(&dir).as_ref(), want);
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1713,6 +1771,167 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// Ten points durably flushed into one file; returns its path.
+    fn one_listed_file(dir: &Path) -> PathBuf {
+        let mut eng = DurableEngine::open(dir, config(1_000)).unwrap();
+        write_each(&mut eng, &key(), (0..10i64).map(|t| (t, TsValue::Long(t))));
+        eng.flush().unwrap();
+        let (named, ..) = disk_state(dir);
+        assert_eq!(named.len(), 1);
+        dir.join(name_of(TSFILE, named[0]))
+    }
+
+    /// `dir`'s file names, sorted.
+    fn listing(dir: &Path) -> Vec<String> {
+        let mut names = RealIo.list_dir(dir).unwrap();
+        names.sort();
+        names
+    }
+
+    /// An open refused for `why` that leaves `dir` as it found it.
+    fn assert_refused(dir: &Path, why: &str) {
+        let before = listing(dir);
+        match DurableEngine::open(dir, config(1_000)) {
+            Err(StoreError::Recover(e)) => assert!(e.to_string().contains(why), "{e}"),
+            Err(e) => panic!("refused as {e}, not as recovery"),
+            Ok(eng) => panic!("opened with {:?}", eng.query(&key(), i64::MIN, i64::MAX)),
+        }
+        assert_eq!(listing(dir), before, "a refused open deletes nothing");
+    }
+
+    /// A listed file whose footer no longer parses refuses the open, and
+    /// stays, so the open succeeds once the image is whole again.
+    #[test]
+    fn a_listed_file_with_a_flipped_footer_refuses_the_open() {
+        let dir = tmpdir("flipped-footer");
+        let path = one_listed_file(&dir);
+        let image = fs::read(&path).unwrap();
+        let mut flipped = image.clone();
+        // The high byte of the footer's offset, just before the magic.
+        flipped[image.len() - 7] ^= 0x40;
+        fs::write(&path, &flipped).unwrap();
+        let name = path.file_name().unwrap().to_string_lossy();
+        let gen = gen_of(&name, TSFILE).unwrap();
+        assert_refused(&dir, &format!("tsfile-{gen} does not parse"));
+        assert_eq!(fs::read(&path).unwrap(), flipped);
+        fs::write(&path, &image).unwrap();
+        let eng = DurableEngine::open(&dir, config(1_000)).unwrap();
+        assert_eq!(eng.query(&key(), i64::MIN, i64::MAX).len(), 10);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A listed file that is gone refuses the open, deleting nothing.
+    #[test]
+    fn a_missing_listed_file_refuses_the_open() {
+        let dir = tmpdir("missing-file");
+        let path = one_listed_file(&dir);
+        fs::remove_file(&path).unwrap();
+        let name = path.file_name().unwrap().to_string_lossy();
+        let gen = gen_of(&name, TSFILE).unwrap();
+        assert_refused(&dir, &format!("tsfile-{gen} is missing"));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Files on disk but no manifest that parses: the open refuses
+    /// rather than guess at rank and tombstones.
+    #[test]
+    fn files_without_a_manifest_refuse_the_open() {
+        let dir = tmpdir("no-manifest");
+        one_listed_file(&dir);
+        for name in listing(&dir) {
+            if manifest_rank(&name).is_some() {
+                fs::remove_file(dir.join(name)).unwrap();
+            }
+        }
+        assert_refused(&dir, "no manifest parses");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Runs `build` on a fresh simulated disk, then a pass whose manifest
+    /// write `mode` tears and kills, and reopens after the power cut.
+    fn tear_the_next_manifest(
+        mode: backsort_faults::FaultMode,
+        cfg: EngineConfig,
+        build: impl FnOnce(&mut DurableEngine),
+    ) -> DurableEngine {
+        let faults = Arc::new(FailpointRegistry::new());
+        let io = Arc::new(backsort_faults::sim::SimIo::new(Arc::clone(&faults)));
+        let open = || {
+            let sink: Arc<dyn Io> = Arc::clone(&io) as Arc<dyn Io>;
+            DurableEngine::open_with("/db", cfg, sink, Arc::clone(&faults)).unwrap()
+        };
+        let mut eng = open();
+        build(&mut eng);
+        faults.arm(sites::IO_MANIFEST_WRITE, mode, 1);
+        assert!(eng.flush().is_err());
+        assert!(faults.is_dead());
+        drop(eng);
+        io.crash();
+        faults.revive();
+        open()
+    }
+
+    const TORN: [backsort_faults::FaultMode; 2] = [
+        backsort_faults::FaultMode::ShortWrite,
+        backsort_faults::FaultMode::BitFlip,
+    ];
+
+    /// A delete acked by a pass, still pending on the file it masks, when
+    /// the next pass's manifest write is torn: the commit before it holds
+    /// the tombstone.
+    #[test]
+    fn an_acked_delete_survives_a_torn_next_manifest() {
+        for mode in TORN {
+            let eng = tear_the_next_manifest(mode, config(1_000), |eng| {
+                write_each(eng, &key(), (0..10i64).map(|t| (t, TsValue::Long(t))));
+                eng.flush().unwrap();
+                eng.delete_range(&key(), 0, 4).unwrap();
+                eng.flush().unwrap();
+            });
+            let want: Vec<_> = (5..10i64).map(|t| (t, TsValue::Long(t))).collect();
+            assert_eq!(eng.query(&key(), i64::MIN, i64::MAX), want, "{mode:?}");
+        }
+    }
+
+    /// A compaction output ranked behind a newer file but persisted after
+    /// it (so under a larger generation), then a torn manifest: the
+    /// newer file's rewrites still win. The schedule is explorer seed
+    /// 19204's, on one series.
+    #[test]
+    fn a_compaction_output_keeps_its_rank_past_a_torn_next_manifest() {
+        let cfg = EngineConfig {
+            compaction: crate::CompactionConfig {
+                l0_trigger: 2,
+                level_base_bytes: 1 << 10,
+                growth: 2,
+            },
+            ..config(1_000)
+        };
+        for mode in TORN {
+            let eng = tear_the_next_manifest(mode, cfg, |eng| {
+                // Two level-1 files, each merged from two flushes.
+                for lo in [0i64, 20] {
+                    for lo in [lo, lo + 10] {
+                        write_each(eng, &key(), (lo..lo + 10).map(|t| (t, TsValue::Long(t))));
+                        eng.flush().unwrap();
+                    }
+                    assert_eq!(eng.engine().compact_auto().files_in, 2);
+                }
+                // A newer level-0 file rewrites the first ten points.
+                write_each(eng, &key(), (0..10i64).map(|t| (t, TsValue::Long(-t))));
+                eng.flush().unwrap();
+                // The two level-1 files merge ahead of it, and the next
+                // pass persists the output under a larger generation.
+                assert_eq!(eng.engine().compact_auto().files_in, 2);
+                eng.flush().unwrap();
+            });
+            let got = eng.query(&key(), 0, 9);
+            let want: Vec<_> = (0..10i64).map(|t| (t, TsValue::Long(-t))).collect();
+            assert_eq!(got, want, "{mode:?}");
+            assert_eq!(eng.query(&key(), i64::MIN, i64::MAX).len(), 40);
+        }
+    }
+
     /// A batch of the wrong type for its series is refused, not acked,
     /// and its logged frame replays into the same rejection.
     #[test]
@@ -1758,7 +1977,7 @@ mod tests {
             },
         )
         .unwrap();
-        crate::crashtest::check_files(eng.engine()).unwrap();
+        eng.engine().check_files().unwrap();
         eng
     }
 

@@ -24,7 +24,7 @@
 //! Every other adopted file holds both devices, which at four shards
 //! land in different shards: adoption splits it into one piece per
 //! shard. After every operation each engine's files are held to
-//! `crashtest::check_files` — one shard's devices a file, no id live
+//! `StorageEngine::check_files` — one shard's devices a file, no id live
 //! twice, levels non-increasing.
 //!
 //! A second stream adopts foreign files whose chunks hold DOUBLE values
@@ -59,7 +59,6 @@
 use std::collections::{BTreeMap, HashMap};
 
 use backsort_core::{Algorithm, BackwardSort, InBlockSort};
-use backsort_engine::crashtest::check_files;
 use backsort_engine::tsfile::TsFileWriter;
 use backsort_engine::{
     AggValue, Aggregation, DataType, EngineConfig, ExactSum, FlushJob, PointBatch, SeriesKey,
@@ -389,7 +388,8 @@ fn run(ops: Vec<(u8, i64, i32)>, foreign_doubles: bool) -> Result<(), TestCaseEr
     for op in ops {
         apply(&engines, &mut oracle, op, foreign_doubles).map_err(TestCaseError::fail)?;
         for eng in &engines {
-            check_files(eng).map_err(|e| TestCaseError::fail(format!("{op:?}: {e}")))?;
+            eng.check_files()
+                .map_err(|e| TestCaseError::fail(format!("{op:?}: {e}")))?;
         }
     }
     for key in &keys() {

@@ -2,8 +2,8 @@
 //! named crash site in the durability stack, mirroring the metric-name
 //! catalog in `backsort_obs::names`.
 //!
-//! The crash-matrix harness enumerates [`ALL`] and fails if any site was
-//! never exercised, so a refactor that silently drops an instrumented
+//! The crash explorer arms every site of [`ALL`] and fails if one never
+//! fires in its fixed seed set, so a refactor that silently drops an instrumented
 //! site breaks CI the same way dropping a metric fails the analyzer's
 //! `catalog-sync` lint.
 //!
@@ -35,8 +35,9 @@ pub const STORE_PERSIST_AFTER_FIRST_WRITE: &str = "store.persist.after_first_wri
 /// After all images and the manifest are durable, before GC starts.
 /// Models: crash between commit point and stale-file cleanup.
 pub const STORE_PERSIST_BEFORE_GC: &str = "store.persist.before_gc";
-/// Before each stale on-disk generation is removed during GC.
-/// Models: crash mid-GC (the write-before-delete ordering under test).
+/// Before each file a commit retires is removed during GC: every older
+/// manifest, then every stale on-disk generation. Models: crash mid-GC
+/// (the write-before-delete ordering under test).
 pub const STORE_PERSIST_GC: &str = "store.persist.gc";
 /// During recovery, after on-disk TsFiles are adopted, before WAL replay.
 /// Models: crash in the middle of a restart.
@@ -97,11 +98,11 @@ pub const IO_WAL_SYNC: &str = "io.wal.sync";
 /// on disk then dies (recovery must detect and drop it).
 pub const IO_TSFILE_WRITE: &str = "io.tsfile.write";
 /// Byte-granularity: the manifest write. `short` leaves a torn manifest
-/// then dies (recovery must fall back to adopt-everything).
+/// then dies (recovery must fall back to the previous commit).
 pub const IO_MANIFEST_WRITE: &str = "io.manifest.write";
 
-/// Every registered failpoint site. The crash matrix enumerates this
-/// list and fails on any site it could not exercise.
+/// Every registered failpoint site. The crash explorer arms each of
+/// them and fails on any site that never fired.
 pub const ALL: &[&str] = &[
     STORE_WRITE_BATCH_APPEND,
     STORE_DELETE_AFTER_WAL,
