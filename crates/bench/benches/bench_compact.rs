@@ -81,7 +81,7 @@ fn load(tombstones: usize) -> Load {
     engine.flush_unseq();
     for (k, key) in keys.iter().cycle().take(tombstones).enumerate() {
         let lo = (k as i64 * 3_119) % TIMESTAMPS;
-        engine.delete_range(key, lo, lo + 99);
+        engine.delete_range(key, lo, lo + 99).unwrap();
     }
     Load { engine, points }
 }

@@ -164,12 +164,7 @@ pub fn run_benchmark(config: &BenchConfig) -> BenchReport {
             let batch =
                 PointBatch::from_rows(stream[lo..hi].iter().map(|&(t, v)| (t, TsValue::Double(v))))
                     .expect("uniform Double rows");
-            let job = engine
-                .write_batch_nonblocking(&keys[idx], &batch)
-                .expect("uniform Double batch");
-            if let Some(job) = job {
-                engine.complete_flush(job);
-            }
+            (engine.write_batch(&keys[idx], &batch)).expect("uniform Double batch");
             report.writes += 1;
             report.points_written += (hi - lo) as u64;
         } else {

@@ -38,10 +38,7 @@ fn ingest(engine: &StorageEngine, points: &[(i64, TsValue)], batch: usize) {
     let key = SeriesKey::new("root.obs.d0", "s0");
     for chunk in points.chunks(batch) {
         let batch = PointBatch::from_rows(chunk.iter().cloned()).expect("uniform rows");
-        let job = engine.write_batch_nonblocking(&key, &batch);
-        if let Some(job) = job.expect("uniform batch") {
-            engine.complete_flush(job);
-        }
+        engine.write_batch(&key, &batch).expect("uniform batch");
     }
 }
 

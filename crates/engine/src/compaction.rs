@@ -363,7 +363,7 @@ impl StorageEngine {
                 report.points = points;
                 report.bytes_out = image.len() as u64;
                 report.level_moves = 1;
-                // A new id: the durable store sees the inputs' ids vanish
+                // A new id: the persist pass sees the inputs' ids vanish
                 // and this one appear, and re-persists.
                 self.parse_own_image(image, stamp).with_level(level)
             });
@@ -764,7 +764,7 @@ mod tests {
         eng.write_points(&key("s"), (40..60i64).map(|t| (t, TsValue::Long(t))));
         let job = eng.begin_flush_shard(0).expect("rotates");
         // Stamped above the file and the flushing slot.
-        eng.delete_range(&key("s"), 45, 50);
+        eng.delete_range(&key("s"), 45, 50).unwrap();
         eng.compact(); // must keep the tombstone for the slot's file
         eng.complete_flush(job);
         let got = eng.query(&key("s"), 40, 60);
@@ -882,7 +882,7 @@ mod tests {
             eng.write_points(&key("s"), (0..50i64).map(|t| (t * 4 + f, TsValue::Long(t))));
         }
         eng.flush();
-        eng.delete_range(&key("s"), 100, 140);
+        eng.delete_range(&key("s"), 100, 140).unwrap();
         assert!(eng.file_count() >= 4);
         assert!(eng.cache.is_some());
         // Warm the cache, so a merge that went through it would hit.
@@ -948,7 +948,7 @@ mod tests {
                 while faults.hits(sites::COMPACTION_AFTER_TAKE) == 0 {
                     std::hint::spin_loop();
                 }
-                eng.delete_range(&key("s"), lo, hi);
+                eng.delete_range(&key("s"), lo, hi).unwrap();
                 let in_merge = faults.hits(sites::COMPACTION_BEFORE_RESTORE) == 0;
                 assert_eq!(pass.join().expect("compaction").files_in, 4);
                 in_merge

@@ -4,8 +4,8 @@
 //! while flushed files get a *modification* ("mods") entry consulted at
 //! read time and physically applied by the next compaction. Same design
 //! here: [`StorageEngine::delete_range`](crate::StorageEngine::delete_range)
-//! purges memtables and records a
-//! [`Tombstone`]; reads resolve a file's tombstones into one
+//! (logged first on an engine opened on a directory) purges memtables
+//! and records a [`Tombstone`]; reads resolve a file's tombstones into one
 //! [`IntervalSet`](crate::IntervalSet) and skip what it covers, and
 //! [`StorageEngine::compact`](crate::compaction), reading the same way,
 //! drops deleted points for good.
@@ -19,7 +19,10 @@
 //! tombstone and every newer one masks it. A tombstone is kept while a
 //! file of its shard, or the slot's occupant, is stamped below it.
 
+use backsort_faults::sites;
+
 use crate::engine::{ShardState, StorageEngine};
+use crate::store::{encode_range, StoreResult, KIND_DELETE};
 use crate::types::SeriesKey;
 
 /// A recorded range deletion awaiting physical application.
@@ -36,24 +39,10 @@ pub struct Tombstone {
 }
 
 impl ShardState {
-    /// Removes `key`'s points in `[t_lo, t_hi]` from every memtable.
-    /// Returns how many the working and unsequence memtables held.
-    fn erase(&mut self, key: &SeriesKey, t_lo: i64, t_hi: i64) -> usize {
-        let removed =
-            self.working.delete_range(key, t_lo, t_hi) + self.unseq.delete_range(key, t_lo, t_hi);
-        if let Some(fl) = self.flushing.as_mut() {
-            // Readers lose the points now; the flush in flight may have
-            // copied this series out already and still write them, so
-            // the tombstone's stamp, above the slot's, masks that file.
-            fl.delete_range(key, t_lo, t_hi);
-        }
-        removed
-    }
-
     /// The one retention rule: a tombstone is kept while some file of
     /// the shard, or the occupied slot, is stamped below it. Run after a
     /// delete, an install that produced no file, a compaction swap, and
-    /// once after recovery has adopted every file.
+    /// in every shard once recovery has replayed the log.
     pub(crate) fn retain_tombstones(&mut self) {
         let oldest = (self.files.iter().map(|file| file.id()))
             .chain(self.flushing.as_ref().map(|_| self.slot_generation))
@@ -66,15 +55,28 @@ impl ShardState {
 impl StorageEngine {
     /// Deletes all points of `key` with timestamps in `[t_lo, t_hi]`.
     ///
-    /// Memtable points (working, flushing slot, unsequence) are
-    /// removed immediately; flushed files, and the file the flushing
-    /// slot becomes, are masked by a tombstone stamped above them that
-    /// the next [`compact`](StorageEngine::compact) applies physically —
-    /// IoTDB's "mods" mechanism. Returns how many in-memory points were
-    /// removed.
-    pub fn delete_range(&self, key: &SeriesKey, t_lo: i64, t_hi: i64) -> usize {
+    /// With a directory the delete is logged first
+    /// ([`StorageEngine::open`]): a key the log cannot carry, or an
+    /// append that fails, is refused with nothing recorded. Memtable
+    /// points (working, flushing slot, unsequence) are removed
+    /// immediately; flushed files, and the file the flushing slot
+    /// becomes, are masked by a tombstone stamped above them that the
+    /// next [`compact`](StorageEngine::compact) applies physically —
+    /// IoTDB's "mods" mechanism. Returns how many points the working and
+    /// unsequence memtables held.
+    pub fn delete_range(&self, key: &SeriesKey, t_lo: i64, t_hi: i64) -> StoreResult<usize> {
+        let _logged = self.log(sites::STORE_DELETE_AFTER_WAL, |out| {
+            encode_range(out, KIND_DELETE, key, t_lo, t_hi, 0)
+        })?;
         let mut st = self.shards[self.shard_of(&key.device)].write();
-        let removed = st.erase(key, t_lo, t_hi);
+        let removed =
+            st.working.delete_range(key, t_lo, t_hi) + st.unseq.delete_range(key, t_lo, t_hi);
+        if let Some(slot) = st.flushing.as_mut() {
+            // Readers lose the points now; the flush in flight may have
+            // copied this series out already and still write them, so
+            // the tombstone's stamp, above the slot's, masks that file.
+            slot.delete_range(key, t_lo, t_hi);
+        }
         st.tombstones.push(Tombstone {
             key: key.clone(),
             t_lo,
@@ -82,29 +84,7 @@ impl StorageEngine {
             stamp: self.draw_stamp(),
         });
         st.retain_tombstones();
-        removed
-    }
-
-    /// Restores a tombstone at its own stamp, touching no memtable and
-    /// dropping none (see [`retain_tombstones`](Self::retain_tombstones)):
-    /// recovery's, of its manifest's and an older build's re-logged ones.
-    pub(crate) fn restore_tombstone(&self, tombstone: Tombstone) {
-        let shard = self.shard_of(&tombstone.key.device);
-        self.shards[shard].write().tombstones.push(tombstone);
-    }
-
-    /// Runs the retention rule in every shard, once recovery has
-    /// adopted the files its restored tombstones mask.
-    pub(crate) fn retain_tombstones(&self) {
-        (self.shards.iter()).for_each(|shard| shard.write().retain_tombstones());
-    }
-
-    /// A snapshot of one shard's tombstones still awaiting physical
-    /// application. The durable store's manifest lists them: until
-    /// compaction applies a tombstone, the manifest is its durable
-    /// record.
-    pub(crate) fn pending_tombstones(&self, shard: usize) -> Vec<Tombstone> {
-        self.shards[shard].read().tombstones.clone()
+        Ok(removed)
     }
 
     /// Number of tombstones awaiting compaction, across all shards.
@@ -127,7 +107,7 @@ mod tests {
     fn delete_from_memtable_only() {
         let eng = engine(10_000);
         eng.write_points(&key(), (0..100i64).map(|t| (t, TsValue::Long(t))));
-        let removed = eng.delete_range(&key(), 20, 29);
+        let removed = eng.delete_range(&key(), 20, 29).unwrap();
         assert_eq!(removed, 10);
         let got = eng.query(&key(), 0, 200);
         assert_eq!(got.len(), 90);
@@ -139,7 +119,7 @@ mod tests {
         let eng = engine(50);
         eng.write_points(&key(), (0..80i64).map(|t| (t, TsValue::Long(t)))); // one flush at 50
         assert_eq!(eng.file_count(), 1, "0..=49 flushed, 50..=79 in memory");
-        let removed = eng.delete_range(&key(), 40, 60);
+        let removed = eng.delete_range(&key(), 40, 60).unwrap();
         // The in-memory half (50..=60) is removed physically...
         assert_eq!(removed, 11);
         // ...and the flushed half (40..=49) is masked by the tombstone.
@@ -153,7 +133,7 @@ mod tests {
         use crate::aggregate::{AggValue, Aggregation};
         let eng = engine(30);
         eng.write_points(&key(), (0..60i64).map(|t| (t, TsValue::Double(1.0))));
-        eng.delete_range(&key(), 0, 29);
+        eng.delete_range(&key(), 0, 29).unwrap();
         assert_eq!(
             eng.aggregate(&key(), 0, 100, Aggregation::Count),
             AggValue::Number(30.0)
@@ -165,7 +145,7 @@ mod tests {
         let eng = engine(25);
         eng.write_points(&key(), (0..75i64).map(|t| (t, TsValue::Long(t))));
         eng.flush();
-        eng.delete_range(&key(), 10, 19);
+        eng.delete_range(&key(), 10, 19).unwrap();
         assert_eq!(eng.tombstone_count(), 1);
         let before = eng.query(&key(), 0, 100);
 
@@ -183,7 +163,7 @@ mod tests {
         let other = SeriesKey::new("root.sg.d1", "other");
         eng.write_points(&key(), (0..20i64).map(|t| (t, TsValue::Long(t))));
         eng.write_points(&other, (0..20i64).map(|t| (t, TsValue::Long(t))));
-        eng.delete_range(&key(), 0, 100);
+        eng.delete_range(&key(), 0, 100).unwrap();
         assert!(eng.query(&key(), 0, 100).is_empty());
         assert_eq!(eng.query(&other, 0, 100).len(), 20);
     }
@@ -192,7 +172,7 @@ mod tests {
     fn delete_then_rewrite() {
         let eng = engine(1_000);
         eng.write_points(&key(), (0..10i64).map(|t| (t, TsValue::Long(t))));
-        eng.delete_range(&key(), 0, 9);
+        eng.delete_range(&key(), 0, 9).unwrap();
         // Rewriting the same timestamps after the delete must be visible
         // (tombstones only cover data written before the delete — here,
         // memtable data was physically removed, so this just works).
@@ -216,7 +196,7 @@ mod tests {
             }
             eng.write_points(&key(), (10..60i64).map(|t| (t, TsValue::Long(t))));
             let job = eng.begin_flush_shard(0).expect("rotates");
-            eng.delete_range(&key(), 5, 100);
+            eng.delete_range(&key(), 5, 100).unwrap();
             assert_eq!(eng.complete_flush(job).points, 0);
             assert_eq!(eng.file_count(), usize::from(earlier_file));
             // With no file left to mask the tombstone is gone; with

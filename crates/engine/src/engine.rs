@@ -28,7 +28,8 @@
 //! visit shards in **ascending index order**, releasing each shard's
 //! lock before taking the next. No code path nests shard locks.
 //! Compaction's mutex, which serializes compactions, is taken before
-//! any shard lock and never under one.
+//! any shard lock and never under one. So is the store's mutex
+//! ([`StorageEngine::open`]), never held together with compaction's.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -46,6 +47,7 @@ use crate::delete::Tombstone;
 use crate::flush::{FlushJob, FlushMetrics};
 use crate::memtable::MemTable;
 use crate::read::FileHandle;
+use crate::store::Store;
 use crate::types::SeriesKey;
 
 /// Engine tunables. There is no memory-layout knob: a memtable keeps
@@ -256,7 +258,7 @@ pub struct StorageEngine {
     /// compaction's snapshot (its output's id), a delete (its
     /// tombstone's stamp) and an adoption (the file's id, or each
     /// piece's when the image spans shards).
-    next_stamp: AtomicU64,
+    pub(crate) next_stamp: AtomicU64,
     /// Query counter driving the 1-in-`trace_sample_n` trace sampler.
     trace_tick: AtomicU64,
     pub(crate) obs: EngineObs,
@@ -270,6 +272,9 @@ pub struct StorageEngine {
     /// Serializes compactions, so only the one running moves a shard's
     /// files: taken before any shard lock, never under one.
     pub(crate) compaction: Mutex<()>,
+    /// The directory of an engine opened on one ([`StorageEngine::open`]);
+    /// `None` from [`new`](Self::new), whose writes log nothing.
+    pub(crate) store: Option<Mutex<Store>>,
 }
 
 impl StorageEngine {
@@ -301,6 +306,7 @@ impl StorageEngine {
             faults,
             cache,
             compaction: Mutex::new(()),
+            store: None,
         }
     }
 
@@ -357,12 +363,6 @@ impl StorageEngine {
         self.next_stamp.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Raises the counter so that every later draw exceeds `stamp`.
-    pub(crate) fn draw_above(&self, stamp: u64) {
-        self.next_stamp
-            .fetch_max(stamp.saturating_add(1), Ordering::Relaxed);
-    }
-
     /// Number of shards (always ≥ 1).
     pub fn shard_count(&self) -> usize {
         self.shards.len()
@@ -379,8 +379,7 @@ impl StorageEngine {
 
     /// One shard's files, oldest first, under one read lock: handles that
     /// share their images, each with its id (unique in the engine) and
-    /// compaction level, holding only this shard's devices. The durable
-    /// store persists new ids, and records each level.
+    /// compaction level, holding only this shard's devices.
     pub fn shard_files(&self, shard: usize) -> Vec<FileHandle> {
         self.shards[shard].read().files.clone()
     }

@@ -167,10 +167,8 @@ impl FlushJob {
 impl StorageEngine {
     /// Flushes every shard's flushing slot and working memtable that hold
     /// points (see [`flush_unseq`](Self::flush_unseq) for the procedure).
-    /// The durable store calls this before truncating WAL segments: a
-    /// segment interleaves every shard's records, so *all* shards'
-    /// buffered data must reach files before any segment is deleted.
-    /// Returns the metrics summed across the installs.
+    /// Nothing is persisted: [`persist`](Self::persist) runs this, then
+    /// writes the files. Returns the metrics summed across the installs.
     pub fn flush(&self) -> FlushMetrics {
         self.flush_through_slot(false)
     }
@@ -215,7 +213,7 @@ impl StorageEngine {
     }
 
     /// [`adopt_file`](Self::adopt_file) at an explicit compaction level
-    /// and stamp — the durable store's recovery path reinstalls each
+    /// and stamp — recovery ([`open`](Self::open)) reinstalls each
     /// file where the manifest recorded it, so a reopened engine resumes
     /// the leveling ladder instead of re-treating merged output as fresh
     /// L0, and its tombstones mask what they masked before.
@@ -586,7 +584,7 @@ mod tests {
         let job = eng.write_batch_nonblocking(&key("s"), &full).unwrap();
         let job = job.expect("a full memtable rotates");
         eng.write_points(&key("s"), [(50, TsValue::Long(-50))]); // unsequence
-        eng.delete_range(&key("s"), 200, 300); // stamped above the slot's file
+        eng.delete_range(&key("s"), 200, 300).unwrap(); // stamped above the slot's file
         eng.write_points(&key("s"), [(250, TsValue::Long(250))]); // working
         assert_eq!(eng.flush_unseq().points, 101, "the slot, then unsequence");
         assert_eq!(eng.flush().points, 1);
@@ -634,7 +632,7 @@ mod tests {
         let (s0, s2) = (eng.shard_of(&d0.device), eng.shard_of(&d2.device));
         assert_ne!(s0, s2, "the two devices land in different shards");
         let source = eng.draw_stamp();
-        eng.restore_tombstone(Tombstone {
+        eng.shards[s2].write().tombstones.push(Tombstone {
             key: d2.clone(),
             t_lo: 2,
             t_hi: 2,
@@ -659,7 +657,7 @@ mod tests {
                 "the delete applied"
             );
         }
-        eng.retain_tombstones();
+        (eng.shards.iter()).for_each(|shard| shard.write().retain_tombstones());
         assert_eq!(eng.tombstone_count(), 0, "the pieces carry the delete");
         assert_eq!(eng.query(&d2, 0, 9), [(1, TsValue::Long(-1))]);
 

@@ -739,7 +739,8 @@ mod tests {
             &key("s"),
             2 * PAGE_POINTS as i64 + 5,
             2 * PAGE_POINTS as i64 + 14,
-        );
+        )
+        .unwrap();
         let before = page_counts(&eng);
         assert_eq!(count(&eng), AggValue::Number((n - 10) as f64));
         let (decoded, from_header, _, scanned) = since(&eng, before);

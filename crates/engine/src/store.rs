@@ -1,56 +1,46 @@
 //! Durable storage: a write-ahead log plus persisted TsFiles, with crash
-//! recovery.
+//! recovery, owned by an engine opened on a directory
+//! ([`StorageEngine::open`]). On an engine built by
+//! [`StorageEngine::new`] the same calls log nothing.
 //!
-//! [`DurableEngine`] wraps [`StorageEngine`] with the durability protocol
-//! real IoTDB uses around its memtables:
+//! 1. [`StorageEngine::write_batch`] and [`StorageEngine::delete_range`]
+//!    append their record (CRC-framed) to the active WAL segment
+//!    *before* it is applied. Replay runs a delete as a fresh one:
+//!    stamped above every file present, it masks them all, as the live
+//!    delete did;
+//! 2. a logged write's rotation, and [`StorageEngine::persist`], run the
+//!    one persist pass: every shard's buffered data is flushed (a WAL
+//!    segment interleaves all shards' records), each file not yet on
+//!    disk is persisted as `tsfile-<gen>.bstf`, a fresh segment opens,
+//!    and a new `MANIFEST-<floor>` commits the live generations with
+//!    their levels and stamps, the pending tombstones with theirs, and
+//!    the new WAL floor — the single atomic point that retires the old
+//!    segments. Only then is anything deleted, and the manifest alone
+//!    decides what: every older manifest first, then every file it does
+//!    not name and every segment below its floor;
+//! 3. [`StorageEngine::open`] recovers from the newest manifest that
+//!    parses: it restores the listed tombstones at their stamps, adopts
+//!    every listed file at its stamp (splitting one whose devices now
+//!    span shards), replays the segments at or above the floor (a torn
+//!    tail ends at the first bad CRC, counted in
+//!    `wal.replay_discarded_bytes`), then runs the same pass. A listed
+//!    file that is missing or does not parse, or files with no manifest
+//!    that parses, refuse the open and delete nothing.
 //!
-//! 1. every write is appended (CRC-framed) to the active WAL segment
-//!    *before* it enters a memtable, and every delete is appended right
-//!    after its tombstone is recorded. Replay runs a delete as a fresh
-//!    one: stamped above every file present, it masks them all, as the
-//!    live delete did;
-//! 2. when a shard's working memtable flushes, one persist pass runs:
-//!    every other shard's buffered data is flushed alongside it, a
-//!    flushing slot whose job is still outstanding installed first (a
-//!    WAL segment interleaves all shards' records, so all of them must
-//!    reach files before any segment is retired); each file not yet on
-//!    disk is persisted durably as `tsfile-<gen>.bstf`; a fresh segment
-//!    opens; and a new `MANIFEST-<floor>` commits the live generations
-//!    with their levels and stamps, the pending tombstones with their
-//!    stamps, and the new WAL floor — the single atomic point that
-//!    retires the old segments. Only then is anything deleted, and the
-//!    manifest alone decides what: every older manifest first, then
-//!    every `tsfile-<gen>.bstf` it does not name and every
-//!    `wal-<gen>.log` below its floor;
-//! 3. [`DurableEngine::open`] recovers from the newest manifest that
-//!    parses, by restoring the listed tombstones at their stamps and
-//!    adopting every listed TsFile at its recorded stamp — a file whose
-//!    devices now span shards (the directory was written at another
-//!    shard count) is split, and its pieces are new files — then
-//!    replaying the WAL segments at or above the manifest's floor (torn
-//!    tails are truncated at the first bad CRC, and the discarded byte
-//!    count is reported through `wal.replay_discarded_bytes`), then
-//!    running the same pass: the replayed data reaches files, and the
-//!    segments it came from go with every file the manifest did not
-//!    name. A listed file that is missing or does not parse, or files
-//!    with no manifest that parses, refuse the open and delete nothing.
+//! The store sits behind one mutex, taken before any shard lock and
+//! never under one: a logged write holds it from its append through the
+//! pass its rotation runs. Compactions do not take it, so the pass
+//! snapshots each shard's files and tombstones under one read lock.
 //!
-//! Persistence is keyed on the engine's per-file *ids*, not on file
-//! positions, so compaction collapsing a shard's files is picked up as
-//! "old ids gone, one new id" and the disk set follows along. The
-//! manifest (live generations, CRC-guarded, written after new images
-//! and *before* any deletion) is what makes that safe across a crash: a
-//! merged image whose manifest write never happened is ignored at
-//! recovery (its data is still WAL-covered or in the manifest-listed
-//! inputs), and deleted inputs that survived a mid-deletion crash are
-//! dropped instead of resurrecting already-deleted points. A torn or
-//! flipped manifest write leaves the commit before it in force: every
-//! manifest on disk names only files and segments still on disk.
-//!
-//! All file traffic goes through an injectable [`Io`] sink and every
-//! state-changing step passes a named failpoint
-//! ([`backsort_faults::sites`]), which is how the root crate's
-//! `tests/crash_explore.rs` kills the engine at each site and checks
+//! Persistence is keyed on file *ids*, not positions, so a compaction
+//! shows as "old ids gone, one new id". A merged image whose manifest
+//! write never happened is ignored at recovery (its data is still in
+//! the WAL or the listed inputs), inputs that survived a mid-deletion
+//! crash are dropped, and a torn or flipped manifest leaves the commit
+//! before it in force. All file traffic goes through an injectable
+//! [`Io`] sink, and every state-changing step passes a named failpoint
+//! ([`backsort_faults::sites`]): the root crate's
+//! `tests/crash_explore.rs` kills the engine at each and checks
 //! recovery.
 
 use std::cmp::Reverse;
@@ -62,6 +52,7 @@ use std::sync::Arc;
 use backsort_faults::io::{Io, RealIo, WalFile};
 use backsort_faults::{sites, FailpointRegistry};
 use backsort_obs::Registry;
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::batch::{put_batch, put_key, read_batch, PointBatch, Unread, ValueColumn};
 use crate::delete::Tombstone;
@@ -119,7 +110,9 @@ pub fn crc32(data: &[u8]) -> u32 {
 /// [`StoreError::Persist`] or [`StoreError::Manifest`] failure leaves
 /// every acknowledged record still covered by the WAL — the engine can
 /// be reopened and recovery replays it. [`StoreError::Recover`] aborts
-/// an `open` with the directory untouched beyond idempotent cleanup.
+/// an `open` with the directory untouched beyond idempotent cleanup. A
+/// refused write (`Wal` of kind `InvalidInput`) is the only failure of
+/// an engine without a directory.
 #[derive(Debug)]
 pub enum StoreError {
     /// Appending to or syncing the active WAL segment failed.
@@ -148,6 +141,7 @@ impl StoreError {
 impl std::fmt::Display for StoreError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            StoreError::Wal(e) if e.kind() == io::ErrorKind::InvalidInput => write!(f, "{e}"),
             StoreError::Wal(e) => write!(f, "wal append/sync failed: {e}"),
             StoreError::Persist(e) => write!(f, "tsfile persist failed: {e}"),
             StoreError::Manifest(e) => write!(f, "manifest commit failed: {e}"),
@@ -162,7 +156,7 @@ impl std::error::Error for StoreError {
     }
 }
 
-/// Result alias for every fallible [`DurableEngine`] operation.
+/// Result alias for [`StorageEngine::open`] and the calls that log.
 pub type StoreResult<T> = Result<T, StoreError>;
 
 // Kind 0 was a single-point write. It is refused like any unknown kind
@@ -173,7 +167,7 @@ const LEGACY_DELETE: u8 = 1;
 const LEGACY_TOMBSTONE: u8 = 2;
 const LEGACY_BATCH: u8 = 3;
 const KIND_BATCH: u8 = 4;
-const KIND_DELETE: u8 = 5;
+pub(crate) const KIND_DELETE: u8 = 5;
 const KIND_TOMBSTONE: u8 = 6;
 
 /// Appends one `len(u32) | kind | body | crc32` frame, `body` writing
@@ -257,8 +251,8 @@ impl WalRecord {
     /// into `out`. The payload is a kind byte, then the batch payload
     /// ([`put_batch`]), or the same two length-prefixed names and
     /// `i64 t_lo | i64 t_hi | u32 horizon`. A record the log cannot
-    /// carry appends nothing and fails a debug assertion;
-    /// [`DurableEngine`] refuses such a write before it logs.
+    /// carry appends nothing and fails a debug assertion; an engine
+    /// refuses such a write before it logs.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         let written = match self {
             WalRecord::PointBatch { key, batch } => WalRecord::encode_batch(out, key, batch),
@@ -322,7 +316,7 @@ impl WalRecord {
 
 /// Encodes a delete (`KIND_DELETE`) or a legacy re-logged tombstone
 /// (`KIND_TOMBSTONE`) frame from borrowed parts.
-fn encode_range(
+pub(crate) fn encode_range(
     out: &mut Vec<u8>,
     kind: u8,
     key: &SeriesKey,
@@ -559,9 +553,9 @@ fn parse_tombstone(token: &str) -> Option<Tombstone> {
     fields.next().is_none().then_some(tombstone)
 }
 
-/// A [`StorageEngine`] with WAL-backed durability in a directory.
-pub struct DurableEngine {
-    engine: StorageEngine,
+/// The directory state of an engine opened on one: its WAL and what the
+/// persist pass needs.
+pub(crate) struct Store {
     dir: PathBuf,
     io: Arc<dyn Io>,
     wal: Box<dyn WalFile>,
@@ -571,25 +565,23 @@ pub struct DurableEngine {
     /// pass keeps only the ids still live, so after a commit the values
     /// are the generations its manifest names.
     persisted: HashMap<u64, u64>,
-    /// Cached registry handles — the WAL append sits on the durable
-    /// write path, so it must not take the registry's name-map lock.
+    /// Cached, so an append takes no registry lock.
     wal_bytes: Arc<backsort_obs::Counter>,
-    /// Reusable frame-encode buffer: every record of every kind is
-    /// encoded here, from borrowed parts, and handed to the WAL as one
-    /// slice, so the steady state allocates nothing per record.
+    /// Every record is encoded here, from borrowed parts, and appended as
+    /// one slice: the steady state allocates nothing per record.
     scratch: Vec<u8>,
 }
 
-impl DurableEngine {
-    /// Opens (creating or recovering) a durable engine in `dir`, on the
-    /// real file system. Failpoints arm from the `BACKSORT_FAULTS`
+impl StorageEngine {
+    /// Opens (creating or recovering) an engine on `dir`, on the real
+    /// file system. Failpoints arm from the `BACKSORT_FAULTS`
     /// environment variable (unset ⇒ all disarmed).
     pub fn open(dir: impl AsRef<Path>, config: EngineConfig) -> StoreResult<Self> {
         Self::open_with(dir, config, Arc::new(RealIo), FailpointRegistry::from_env())
     }
 
-    /// Opens a durable engine over an injected [`Io`] sink and failpoint
-    /// registry — the crash explorer passes a
+    /// Opens an engine on `dir` over an injected [`Io`] sink and
+    /// failpoint registry — the crash explorer passes a
     /// [`SimIo`](backsort_faults::sim::SimIo) sharing the registry, so
     /// armed sites can fire either in the engine's control flow or at
     /// byte granularity inside the sink.
@@ -601,7 +593,7 @@ impl DurableEngine {
     ) -> StoreResult<Self> {
         let dir = dir.as_ref().to_path_buf();
         io.create_dir_all(&dir).map_err(StoreError::Recover)?;
-        let engine = StorageEngine::instrumented(config, Arc::new(Registry::new()), faults);
+        let mut engine = StorageEngine::instrumented(config, Arc::new(Registry::new()), faults);
 
         // Scan the directory for persisted TsFiles, WAL segments and
         // manifests.
@@ -648,12 +640,13 @@ impl DurableEngine {
             .chain(manifest.tombstones.iter().map(|t| t.stamp))
             .max()
         {
-            engine.draw_above(max);
+            *engine.next_stamp.get_mut() = max.saturating_add(1);
         }
-        // The tombstones go first: a split's merge applies those stamped
-        // above the file it splits.
+        // The tombstones go first, at their stamps: a split's merge
+        // applies those stamped above the file it splits.
         for tombstone in manifest.tombstones {
-            engine.restore_tombstone(tombstone);
+            let shard = engine.shard_of(&tombstone.key.device);
+            engine.shards[shard].get_mut().tombstones.push(tombstone);
         }
         // Adopt in the manifest's listed order, each file at its recorded
         // stamp: a shard's listed order is its rank, which a leveled
@@ -686,28 +679,24 @@ impl DurableEngine {
         let wal = io
             .open_append(&dir.join(name_of(WAL, generation)))
             .map_err(StoreError::Wal)?;
-        let wal_bytes = engine.obs().counter(backsort_obs::names::WAL_BYTES);
-        let mut this = Self {
-            engine,
+        let mut store = Store {
             dir: dir.clone(),
             io: Arc::clone(&io),
             wal,
             generation,
             persisted,
-            wal_bytes,
+            wal_bytes: engine.obs().counter(backsort_obs::names::WAL_BYTES),
             scratch: Vec::with_capacity(256),
         };
-        this.failpoint(sites::STORE_OPEN_AFTER_ADOPT, StoreError::Recover)?;
-        let engine = &this.engine;
+        engine.failpoint(sites::STORE_OPEN_AFTER_ADOPT, StoreError::Recover)?;
 
         // Replay live WAL segments (at or above the manifest's floor)
-        // into the memtables. The engine routes each record to its
-        // device's shard exactly as the original write did. Segments
-        // below the floor are logically dead — their surviving records
-        // are stale duplicates of data already in the adopted images.
-        // Every segment stays on disk until the pass below has persisted
-        // what was replayed; deleting one here would lose its data to a
-        // crash mid-open.
+        // into the memtables; the store is not attached yet, so nothing
+        // is logged again. Segments below the floor are logically dead —
+        // their surviving records are stale duplicates of data already
+        // in the adopted images. Every segment stays on disk until the
+        // pass below has persisted what was replayed; deleting one here
+        // would lose its data to a crash mid-open.
         let mut discarded_total = 0usize;
         for (gen, name) in wals {
             if gen < manifest.wal_floor {
@@ -718,14 +707,13 @@ impl DurableEngine {
             discarded_total += discarded;
             for rec in records {
                 match rec {
-                    // A batch replays through the same columnar path the
-                    // live write took: one memtable lookup, the same
-                    // seq/unseq split against the recovered watermarks,
-                    // and a rotation installed before the next record.
+                    // A batch replays through the write that logged it,
+                    // a rotation installed before the next record; a
+                    // mistyped one meets the rejection it met live.
                     WalRecord::PointBatch { key, batch } => {
-                        this.failpoint(sites::STORE_OPEN_BATCH_REPLAY, StoreError::Recover)?;
-                        if let Ok(Some(job)) = engine.write_batch_nonblocking(&key, &batch) {
-                            engine.complete_flush(job);
+                        engine.failpoint(sites::STORE_OPEN_BATCH_REPLAY, StoreError::Recover)?;
+                        if engine.write_batch(&key, &batch).is_err() {
+                            continue;
                         }
                     }
                     // Every file present holds what was written before
@@ -733,7 +721,7 @@ impl DurableEngine {
                     WalRecord::Delete {
                         key, t_lo, t_hi, ..
                     } => {
-                        engine.delete_range(&key, t_lo, t_hi);
+                        engine.delete_range(&key, t_lo, t_hi)?;
                     }
                     // An older build re-logged it at the head of the
                     // floor segment, right after adoption, where its
@@ -746,10 +734,10 @@ impl DurableEngine {
                         t_hi,
                         horizon,
                     } => {
-                        let files = engine.shard_files(engine.shard_of(&key.device));
-                        let stamp = (files.get(horizon as usize))
+                        let mut st = engine.shards[engine.shard_of(&key.device)].write();
+                        let stamp = (st.files.get(horizon as usize))
                             .map_or_else(|| engine.draw_stamp(), FileHandle::id);
-                        engine.restore_tombstone(Tombstone {
+                        st.tombstones.push(Tombstone {
                             key,
                             t_lo,
                             t_hi,
@@ -760,160 +748,174 @@ impl DurableEngine {
             }
         }
         // Every file is in now, and a tombstone left masking nothing goes.
-        engine.retain_tombstones();
+        for shard in &mut engine.shards {
+            shard.get_mut().retain_tombstones();
+        }
         if discarded_total > 0 {
             engine
                 .obs()
                 .counter(backsort_obs::names::WAL_REPLAY_DISCARDED_BYTES)
                 .add(discarded_total as u64);
         }
-        this.failpoint(sites::STORE_OPEN_AFTER_REPLAY, StoreError::Recover)?;
+        engine.failpoint(sites::STORE_OPEN_AFTER_REPLAY, StoreError::Recover)?;
 
         // What was replayed sits in memtables again, covered only by the
         // segments just read, and replayed deletes recreated tombstones
         // whose only durable record is the same segments: the rotation's
         // own pass persists the one and lists the other, and its
         // manifest's floor retires those segments.
-        this.commit()?;
-        this.failpoint(sites::STORE_OPEN_BEFORE_WAL_DELETE, StoreError::Recover)?;
-        this.retire()?;
-        Ok(this)
+        engine.commit(&mut store)?;
+        engine.failpoint(sites::STORE_OPEN_BEFORE_WAL_DELETE, StoreError::Recover)?;
+        engine.retire(&store)?;
+        engine.store = Some(Mutex::new(store));
+        Ok(engine)
     }
 
     /// Passes the failpoint `site`; an injected fault surfaces as `stage`.
     fn failpoint(&self, site: &str, stage: fn(io::Error) -> StoreError) -> StoreResult<()> {
-        self.engine.faults.hit(site).map_err(stage)
+        self.faults.hit(site).map_err(stage)
     }
 
-    /// The wrapped engine (for queries, aggregation, metrics).
-    pub fn engine(&self) -> &StorageEngine {
-        &self.engine
+    /// Appends the frame `encode` writes to the active segment and passes
+    /// `site`, under the store mutex it returns held, so the caller
+    /// applies the record (and runs the pass its rotation calls for)
+    /// before another is logged. A record the log cannot carry is refused
+    /// with nothing appended. Without a directory, `None`: nothing is
+    /// logged.
+    pub(crate) fn log(
+        &self,
+        site: &str,
+        encode: impl FnOnce(&mut Vec<u8>) -> io::Result<()>,
+    ) -> StoreResult<Option<MutexGuard<'_, Store>>> {
+        let Some(store) = &self.store else {
+            return Ok(None);
+        };
+        let mut guard = store.lock();
+        let store = &mut *guard;
+        store.scratch.clear();
+        encode(&mut store.scratch).map_err(StoreError::Wal)?;
+        (store.wal.append(&store.scratch)).map_err(StoreError::Wal)?;
+        store.wal_bytes.add(store.scratch.len() as u64);
+        self.failpoint(site, StoreError::Wal)?;
+        Ok(Some(guard))
     }
 
-    /// Appends whatever frame sits in `scratch` to the active segment.
-    fn append_scratch(&mut self) -> StoreResult<()> {
-        self.wal.append(&self.scratch).map_err(StoreError::Wal)?;
-        self.wal_bytes.add(self.scratch.len() as u64);
-        Ok(())
-    }
-
-    /// Durably writes one columnar batch as a *single* WAL frame, then
-    /// applies it through [`StorageEngine::write_batch_nonblocking`]. A
-    /// rotation the batch causes is completed inline, then the images
-    /// are persisted and the WAL rotated; its metrics are returned.
+    /// Writes one columnar batch and completes the rotation it causes
+    /// inline, returning that flush's metrics. With a directory the batch
+    /// is first logged as a *single* WAL frame — the atomicity unit: a
+    /// torn frame loses the whole unacknowledged batch and nothing before
+    /// it — and a rotation then runs the persist pass.
     ///
-    /// The frame is the atomicity unit: a crash mid-append tears the
-    /// frame's CRC and replay drops the whole (unacknowledged) batch
-    /// while keeping every record before it. A type-mismatched batch is
-    /// rejected whole by the engine (nothing enters the memtables, the
-    /// reject counter ticks) and refused [`StoreError::Wal`]
-    /// (`InvalidInput`); its logged frame replays into the same
-    /// whole-batch rejection. A batch the log cannot carry — a name over
+    /// A type-mismatched batch is rejected whole (nothing enters the
+    /// memtables, the reject counter ticks) and refused
+    /// [`StoreError::Wal`] (`InvalidInput`); its logged frame replays into
+    /// the same rejection. A batch the log cannot carry — a name over
     /// `u16::MAX` bytes, a payload over `u32::MAX` — is refused the same
     /// way with nothing logged or applied.
     pub fn write_batch(
-        &mut self,
+        &self,
         key: &SeriesKey,
         batch: &PointBatch,
     ) -> StoreResult<Option<FlushMetrics>> {
         if batch.is_empty() {
             return Ok(None);
         }
-        self.scratch.clear();
-        WalRecord::encode_batch(&mut self.scratch, key, batch).map_err(StoreError::Wal)?;
-        self.append_scratch()?;
-        self.failpoint(sites::STORE_WRITE_BATCH_APPEND, StoreError::Wal)?;
-        let Some(job) = self
-            .engine
-            .write_batch_nonblocking(key, batch)
+        let mut store = self.log(sites::STORE_WRITE_BATCH_APPEND, |out| {
+            WalRecord::encode_batch(out, key, batch)
+        })?;
+        let Some(job) = (self.write_batch_nonblocking(key, batch))
             .map_err(|e| StoreError::Wal(io::Error::new(io::ErrorKind::InvalidInput, e)))?
         else {
             return Ok(None);
         };
-        let flushed = self.engine.complete_flush(job);
-        self.persist_and_rotate()?;
+        let flushed = self.complete_flush(job);
+        if let Some(store) = store.as_deref_mut() {
+            self.pass(store)?;
+        }
         Ok(Some(flushed))
     }
 
-    /// Durably deletes all points of `key` in `[t_lo, t_hi]`: the
-    /// tombstone is recorded in the engine, then logged to the WAL. A
-    /// crash between the two loses an unacknowledged delete — never an
-    /// acknowledged one, and never a previously acknowledged write.
-    /// Returns how many in-memory points were removed. A name over
-    /// `u16::MAX` bytes is refused [`StoreError::Wal`] (`InvalidInput`)
-    /// with nothing recorded.
-    pub fn delete_range(&mut self, key: &SeriesKey, t_lo: i64, t_hi: i64) -> StoreResult<usize> {
-        // The record is encoded before the engine records anything, so a
-        // key the log cannot carry is refused with nothing recorded.
-        self.scratch.clear();
-        encode_range(&mut self.scratch, KIND_DELETE, key, t_lo, t_hi, 0)
-            .map_err(StoreError::Wal)?;
-        let removed = self.engine.delete_range(key, t_lo, t_hi);
-        self.append_scratch()?;
-        self.failpoint(sites::STORE_DELETE_AFTER_WAL, StoreError::Wal)?;
-        Ok(removed)
+    /// Makes everything buffered durable: with a directory, the persist
+    /// pass; without one, [`flush`](Self::flush) and
+    /// [`flush_unseq`](Self::flush_unseq).
+    pub fn persist(&self) -> StoreResult<()> {
+        if let Some(store) = &self.store {
+            return self.pass(&mut store.lock());
+        }
+        self.flush();
+        self.flush_unseq();
+        Ok(())
     }
 
-    /// Durably flushes everything buffered.
-    pub fn flush(&mut self) -> StoreResult<()> {
-        self.persist_and_rotate()
+    /// Durability barrier: fsyncs the WAL. On `Ok`, everything written
+    /// so far survives a crash; on `Err`, nothing since the previous
+    /// successful barrier may be assumed durable (a failed fsync leaves
+    /// the page cache in an unknown state — do not ack). Without a
+    /// directory there is nothing to sync, and it is `Ok`.
+    pub fn sync(&self) -> StoreResult<()> {
+        let Some(store) = &self.store else {
+            return Ok(());
+        };
+        self.failpoint(sites::STORE_SYNC, StoreError::Wal)?;
+        store.lock().wal.sync().map_err(StoreError::Wal)
     }
 
-    fn persist_and_rotate(&mut self) -> StoreResult<()> {
+    /// The persist pass of a logged write's rotation and of
+    /// [`persist`](Self::persist).
+    fn pass(&self, store: &mut Store) -> StoreResult<()> {
         self.failpoint(sites::STORE_ROTATE_BEGIN, StoreError::Wal)?;
-        // Commit the outgoing segment before any persist work. If the
-        // pass dies after writing images but before its manifest commit,
-        // recovery discards those images (not yet live) and must be able
-        // to rebuild their content from this segment — which it can only
-        // do if the records survived the crash.
-        self.wal.sync().map_err(StoreError::Wal)?;
-        self.commit()?;
-        self.retire()
+        // Sync the outgoing segment first: a pass that dies before its
+        // manifest leaves images recovery discards, and their content
+        // must be rebuilt from this segment.
+        store.wal.sync().map_err(StoreError::Wal)?;
+        self.commit(store)?;
+        self.retire(store)
     }
 
-    /// The one persist pass, run by every rotation and by recovery: it
-    /// makes everything buffered durable in files and commits a manifest
-    /// whose WAL floor retires every older segment. On success,
-    /// `persisted` maps exactly the files that manifest names.
+    /// The one commit, run by every pass and by recovery: it makes
+    /// everything buffered durable in files and commits a manifest whose
+    /// WAL floor retires every older segment. On success,
+    /// `store.persisted` maps exactly the files that manifest names.
     ///
-    /// A WAL segment interleaves every shard's records, so before any
-    /// segment is retired *all* shards' buffered data must reach files:
-    /// the pass flushes each non-empty working memtable and every
-    /// unsequence buffer, then walks every shard's files once, persisting
-    /// each image not yet on disk under a fresh generation and listing
-    /// its `(generation, level, stamp)` entry as it goes, with the
-    /// shard's pending tombstones. Reading them in the same walk is sound
-    /// because the pass holds `&mut self` over an owned engine: no
-    /// compaction or delete can move them between this walk and the
-    /// manifest write. Generation numbers are only identities: a leveled
-    /// compaction output ranks *before* newer files of its shard but is
-    /// persisted later, so priority at recovery comes from the
-    /// manifest's listed order, not numeric order.
+    /// A WAL segment interleaves every shard's records, so *all* shards'
+    /// buffers are flushed first. Then one read lock per shard snapshots
+    /// its files with the tombstones pending on them — a compaction
+    /// beside the commit is taken before its swap or after it, never
+    /// half — and is released before each image not yet on disk is
+    /// persisted under a fresh generation. Generations are only
+    /// identities: a leveled compaction output ranks *before* newer files
+    /// of its shard but is persisted later, so recovery ranks by the
+    /// manifest's listed order.
     ///
-    /// A pass that fails leaves the previous manifest in force. The
-    /// images it did write stay recorded, so the next pass names them
-    /// without rewriting; whatever that pass no longer names, its
-    /// [`Self::retire`] deletes.
-    fn commit(&mut self) -> StoreResult<()> {
-        self.engine.flush();
-        self.engine.flush_unseq();
+    /// A commit that fails leaves the previous manifest in force. The
+    /// images it did write stay recorded, so the next one names them
+    /// without rewriting; whatever that one no longer names, its
+    /// [`retire`](Self::retire) deletes.
+    fn commit(&self, store: &mut Store) -> StoreResult<()> {
+        self.flush();
+        self.flush_unseq();
         self.failpoint(sites::STORE_ROTATE_AFTER_FLUSH, StoreError::Persist)?;
         let mut files = Vec::new();
         let mut tombstones = Vec::new();
-        let mut live_ids = HashMap::with_capacity(self.persisted.len());
+        let mut live_ids = HashMap::with_capacity(store.persisted.len());
         let mut wrote_any = false;
-        for shard in 0..self.engine.shard_count() {
+        for lock in &self.shards {
+            let snapshot = {
+                let st = lock.read();
+                tombstones.extend_from_slice(&st.tombstones);
+                st.files.clone()
+            };
             let mut floor = u32::MAX;
-            for file in self.engine.shard_files(shard) {
-                let gen = match self.persisted.get(&file.id()) {
+            for file in snapshot {
+                let gen = match store.persisted.get(&file.id()) {
                     Some(&gen) => gen,
                     None => {
-                        self.generation += 1;
-                        let gen = self.generation;
-                        self.io
-                            .write_durable(&self.dir.join(name_of(TSFILE, gen)), file.image())
+                        store.generation += 1;
+                        let gen = store.generation;
+                        let path = store.dir.join(name_of(TSFILE, gen));
+                        (store.io.write_durable(&path, file.image()))
                             .map_err(StoreError::Persist)?;
-                        self.persisted.insert(file.id(), gen);
+                        store.persisted.insert(file.id(), gen);
                         if !wrote_any {
                             wrote_any = true;
                             self.failpoint(
@@ -928,20 +930,17 @@ impl DurableEngine {
                 floor = floor.min(file.level());
                 files.push((floor, (gen, file.level(), Some(file.id()))));
             }
-            tombstones.extend(self.engine.pending_tombstones(shard));
         }
-        self.persisted = live_ids;
+        store.persisted = live_ids;
         // Merged by level (a stable sort on each file's lowest level so
         // far in its shard keeps every shard's order; shards share no
         // device), so a reopen at any shard count finds levels ordered.
         files.sort_by_key(|&(floor, _)| Reverse(floor));
         // Rotate the WAL. The old segments stay *live* until the
         // manifest raises the floor past them.
-        self.generation += 1;
-        self.wal = self
-            .io
-            .open_append(&self.dir.join(name_of(WAL, self.generation)))
-            .map_err(StoreError::Wal)?;
+        store.generation += 1;
+        let segment = store.dir.join(name_of(WAL, store.generation));
+        store.wal = store.io.open_append(&segment).map_err(StoreError::Wal)?;
         // Every image of the pass is durable at this point; the manifest
         // write below is what makes them (their levels and stamps, and
         // the pending tombstones) live.
@@ -949,68 +948,89 @@ impl DurableEngine {
         let manifest = Manifest {
             files: files.into_iter().map(|(_, entry)| entry).collect(),
             tombstones,
-            wal_floor: self.generation,
+            wal_floor: store.generation,
         };
-        write_manifest(self.io.as_ref(), &self.dir, &manifest).map_err(StoreError::Manifest)?;
+        write_manifest(store.io.as_ref(), &store.dir, &manifest).map_err(StoreError::Manifest)?;
         self.failpoint(sites::STORE_PERSIST_BEFORE_GC, StoreError::Manifest)
     }
 
-    /// Deletes what the manifest [`Self::commit`] just wrote retires:
-    /// every older manifest first, then every `tsfile-<gen>.bstf` outside
-    /// `persisted` (compaction inputs, files split across shards, the
-    /// images of a pass that failed before its commit, torn images), then
-    /// every `wal-<gen>.log` below the floor. Deleting only after the
-    /// commit matters: before it, a crash would leave the old manifest
-    /// naming compaction inputs whose files are gone. Deleting the older
-    /// manifests before anything else, and stopping at the first that
-    /// stays, is what lets recovery fall back to any manifest on disk.
+    /// Deletes what the manifest [`commit`](Self::commit) just wrote
+    /// retires: every older manifest first, then every
+    /// `tsfile-<gen>.bstf` outside `store.persisted` (compaction inputs,
+    /// files split across shards, the images of a pass that failed before
+    /// its commit, torn images), then every `wal-<gen>.log` below the
+    /// floor. Deleting only after the commit matters: before it, a crash
+    /// would leave the old manifest naming compaction inputs whose files
+    /// are gone. Deleting the older manifests before anything else, and
+    /// stopping at the first that stays, is what lets recovery fall back
+    /// to any manifest on disk.
     ///
     /// Segments go oldest-first, so a crash mid-way leaves a *suffix* of
     /// them. A failed file or segment removal is counted
     /// ([`remove_stale`]) and retried by the next pass.
-    fn retire(&self) -> StoreResult<()> {
-        let live: HashSet<u64> = self.persisted.values().copied().collect();
+    fn retire(&self, store: &Store) -> StoreResult<()> {
+        let live: HashSet<u64> = store.persisted.values().copied().collect();
         let mut old_manifests = Vec::new();
         let mut dead_files = Vec::new();
         let mut dead_segments = Vec::new();
-        for name in self.io.list_dir(&self.dir).map_err(StoreError::Manifest)? {
+        for name in store
+            .io
+            .list_dir(&store.dir)
+            .map_err(StoreError::Manifest)?
+        {
             if gen_of(&name, TSFILE).is_some_and(|gen| !live.contains(&gen)) {
                 dead_files.push(name);
-            } else if let Some(gen) = gen_of(&name, WAL).filter(|&gen| gen < self.generation) {
+            } else if let Some(gen) = gen_of(&name, WAL).filter(|&gen| gen < store.generation) {
                 dead_segments.push((gen, name));
-            } else if manifest_rank(&name).is_some_and(|rank| rank < self.generation) {
+            } else if manifest_rank(&name).is_some_and(|rank| rank < store.generation) {
                 old_manifests.push(name);
             }
         }
         for name in old_manifests {
             self.failpoint(sites::STORE_PERSIST_GC, StoreError::Manifest)?;
-            let path = self.dir.join(name);
-            self.io.remove(&path).map_err(StoreError::Manifest)?;
+            let path = store.dir.join(name);
+            store.io.remove(&path).map_err(StoreError::Manifest)?;
         }
         for name in dead_files {
             self.failpoint(sites::STORE_PERSIST_GC, StoreError::Manifest)?;
-            remove_stale(&self.engine, self.io.as_ref(), &self.dir.join(name));
+            remove_stale(self, store.io.as_ref(), &store.dir.join(name));
         }
         dead_segments.sort_unstable();
         for (_, name) in dead_segments {
             self.failpoint(sites::STORE_ROTATE_TRUNCATE, StoreError::Wal)?;
-            remove_stale(&self.engine, self.io.as_ref(), &self.dir.join(name));
+            remove_stale(self, store.io.as_ref(), &store.dir.join(name));
         }
         Ok(())
     }
+}
 
-    /// Time-range query (see [`StorageEngine::query`]).
-    pub fn query(&self, key: &SeriesKey, t_lo: i64, t_hi: i64) -> QueryResult {
-        self.engine.query(key, t_lo, t_hi)
+/// A shell over an opened [`StorageEngine`], kept for the four calls
+/// the benchmark ladder (`perf/`) makes; ROADMAP item 2a deletes it.
+pub struct DurableEngine(StorageEngine);
+
+impl DurableEngine {
+    /// [`StorageEngine::open`].
+    pub fn open(dir: impl AsRef<Path>, config: EngineConfig) -> StoreResult<Self> {
+        StorageEngine::open(dir, config).map(Self)
     }
 
-    /// Durability barrier: fsyncs the WAL. On `Ok`, everything written
-    /// so far survives a crash; on `Err`, nothing since the previous
-    /// successful barrier may be assumed durable (a failed fsync leaves
-    /// the page cache in an unknown state — do not ack).
-    pub fn sync(&mut self) -> StoreResult<()> {
-        self.failpoint(sites::STORE_SYNC, StoreError::Wal)?;
-        self.wal.sync().map_err(StoreError::Wal)
+    /// [`StorageEngine::write_batch`].
+    pub fn write_batch(
+        &mut self,
+        key: &SeriesKey,
+        batch: &PointBatch,
+    ) -> StoreResult<Option<FlushMetrics>> {
+        self.0.write_batch(key, batch)
+    }
+
+    /// [`StorageEngine::query`].
+    pub fn query(&self, key: &SeriesKey, t_lo: i64, t_hi: i64) -> QueryResult {
+        self.0.query(key, t_lo, t_hi)
+    }
+
+    /// The engine itself.
+    pub fn engine(&self) -> &StorageEngine {
+        &self.0
     }
 }
 
@@ -1153,7 +1173,7 @@ mod tests {
     /// Durably writes each point as a batch of its own, so rotations
     /// fall after exactly `memtable_max_points` points.
     fn write_each(
-        eng: &mut DurableEngine,
+        eng: &StorageEngine,
         key: &SeriesKey,
         points: impl IntoIterator<Item = (i64, TsValue)>,
     ) {
@@ -1363,13 +1383,13 @@ mod tests {
     fn an_acked_delete_after_an_unpersisted_compaction_survives_a_reopen() {
         let dir = tmpdir("delete-after-compact");
         {
-            let mut eng = DurableEngine::open(&dir, config(25)).unwrap();
-            write_each(&mut eng, &key(), (0..75i64).map(|t| (t, TsValue::Long(t))));
-            eng.engine().compact();
+            let eng = StorageEngine::open(&dir, config(25)).unwrap();
+            write_each(&eng, &key(), (0..75i64).map(|t| (t, TsValue::Long(t))));
+            eng.compact();
             eng.delete_range(&key(), 0, 74).unwrap();
             eng.sync().unwrap();
         }
-        let eng = DurableEngine::open(&dir, config(25)).unwrap();
+        let eng = StorageEngine::open(&dir, config(25)).unwrap();
         assert_eq!(eng.query(&key(), 0, 300), Vec::new());
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1386,24 +1406,24 @@ mod tests {
             ..config(20)
         };
         {
-            let mut eng = DurableEngine::open(&dir, cfg()).unwrap();
+            let eng = StorageEngine::open(&dir, cfg()).unwrap();
             // Four flushed files → the leveled pass folds the L0 suffix.
             for round in 0..4i64 {
                 let ts = (0..20i64).map(|t| round * 100 + t);
-                write_each(&mut eng, &key(), ts.map(|t| (t, TsValue::Long(t))));
+                write_each(&eng, &key(), ts.map(|t| (t, TsValue::Long(t))));
             }
-            eng.engine().compact_auto();
-            let files = eng.engine().shard_files(0);
+            eng.compact_auto();
+            let files = eng.shard_files(0);
             let meta: Vec<(u64, u32)> = files.iter().map(|f| (f.id(), f.level())).collect();
             assert!(
                 meta.iter().any(|&(_, level)| level > 0),
                 "compaction produced a leveled file: {meta:?}"
             );
             // Force a persist pass so the manifest records the levels.
-            eng.flush().unwrap();
+            eng.persist().unwrap();
         }
-        let eng = DurableEngine::open(&dir, cfg()).unwrap();
-        let files = eng.engine().shard_files(0);
+        let eng = StorageEngine::open(&dir, cfg()).unwrap();
+        let files = eng.shard_files(0);
         let meta: Vec<(u64, u32)> = files.iter().map(|f| (f.id(), f.level())).collect();
         assert!(
             meta.iter().any(|&(_, level)| level > 0),
@@ -1440,7 +1460,7 @@ mod tests {
     fn durable_batch_writes_recover_after_crash() {
         let dir = tmpdir("batch-recover");
         {
-            let mut eng = DurableEngine::open(&dir, config(50)).unwrap();
+            let eng = StorageEngine::open(&dir, config(50)).unwrap();
             // Batches big enough to rotate mid-stream (memtable max 50),
             // with a late straggler batch routed below the watermark.
             for lo in (0..120i64).step_by(30) {
@@ -1456,7 +1476,7 @@ mod tests {
             eng.sync().unwrap();
             // Drop without flushing: the tail lives only in batch frames.
         }
-        let eng = DurableEngine::open(&dir, config(50)).unwrap();
+        let eng = StorageEngine::open(&dir, config(50)).unwrap();
         let got = eng.query(&key(), i64::MIN, i64::MAX);
         assert_eq!(got.len(), 121, "all batch points recovered");
         assert!(got.windows(2).all(|w| w[0].0 < w[1].0));
@@ -1473,15 +1493,15 @@ mod tests {
 
     #[test]
     fn a_torn_wal_tail_is_counted_in_replay_discarded_bytes() {
-        let discarded = |eng: &DurableEngine| {
+        let discarded = |eng: &StorageEngine| {
             let name = backsort_obs::names::WAL_REPLAY_DISCARDED_BYTES;
-            eng.engine().obs().counter_value(name)
+            eng.obs().counter_value(name)
         };
         let batch =
             |lo: i64| PointBatch::from_rows((lo..lo + 10).map(|t| (t, TsValue::Long(t)))).unwrap();
         let dir = tmpdir("torn-wal-tail");
         {
-            let mut eng = DurableEngine::open(&dir, config(1_000)).unwrap();
+            let eng = StorageEngine::open(&dir, config(1_000)).unwrap();
             eng.write_batch(&key(), &batch(0)).unwrap();
             eng.write_batch(&key(), &batch(10)).unwrap();
             eng.sync().unwrap();
@@ -1506,12 +1526,12 @@ mod tests {
         assert!(bytes.ends_with(&last_frame));
         fs::write(&path, &bytes[..bytes.len() - last_frame.len() + torn]).unwrap();
 
-        let eng = DurableEngine::open(&dir, config(1_000)).unwrap();
+        let eng = StorageEngine::open(&dir, config(1_000)).unwrap();
         assert_eq!(discarded(&eng), torn as u64, "exactly the torn frame");
         assert_eq!(eng.query(&key(), i64::MIN, i64::MAX).len(), 10);
         drop(eng);
         // Recovery rewrote the log: the next open finds nothing torn.
-        let eng = DurableEngine::open(&dir, config(1_000)).unwrap();
+        let eng = StorageEngine::open(&dir, config(1_000)).unwrap();
         assert_eq!(discarded(&eng), 0);
         assert_eq!(eng.query(&key(), i64::MIN, i64::MAX).len(), 10);
         drop(eng);
@@ -1522,9 +1542,9 @@ mod tests {
     fn durable_write_and_reopen_recovers_everything() {
         let dir = tmpdir("recover");
         {
-            let mut eng = DurableEngine::open(&dir, config(50)).unwrap();
+            let eng = StorageEngine::open(&dir, config(50)).unwrap();
             write_each(
-                &mut eng,
+                &eng,
                 &key(),
                 (0..120i64).map(|t| (t, TsValue::Long(t * 10))),
             );
@@ -1532,7 +1552,7 @@ mod tests {
             // Drop without flushing: 20 points live only in WAL.
         }
         {
-            let eng = DurableEngine::open(&dir, config(50)).unwrap();
+            let eng = StorageEngine::open(&dir, config(50)).unwrap();
             let got = eng.query(&key(), 0, 200);
             assert_eq!(got.len(), 120, "all points recovered");
             for (t, v) in got {
@@ -1546,16 +1566,16 @@ mod tests {
     fn reopen_twice_is_idempotent() {
         let dir = tmpdir("idempotent");
         {
-            let mut eng = DurableEngine::open(&dir, config(30)).unwrap();
+            let eng = StorageEngine::open(&dir, config(30)).unwrap();
             write_each(
-                &mut eng,
+                &eng,
                 &key(),
                 (0..75i64).map(|t| (t, TsValue::Double(t as f64))),
             );
             eng.sync().unwrap();
         }
         for _ in 0..2 {
-            let eng = DurableEngine::open(&dir, config(30)).unwrap();
+            let eng = StorageEngine::open(&dir, config(30)).unwrap();
             assert_eq!(eng.query(&key(), 0, 100).len(), 75);
         }
         let _ = fs::remove_dir_all(&dir);
@@ -1565,16 +1585,16 @@ mod tests {
     fn deletes_survive_restart() {
         let dir = tmpdir("delete");
         {
-            let mut eng = DurableEngine::open(&dir, config(25)).unwrap();
+            let eng = StorageEngine::open(&dir, config(25)).unwrap();
             // 2 files + WAL tail
-            write_each(&mut eng, &key(), (0..60i64).map(|t| (t, TsValue::Long(t))));
+            write_each(&eng, &key(), (0..60i64).map(|t| (t, TsValue::Long(t))));
             // Covers flushed files (via tombstone) and memtable points.
             let removed = eng.delete_range(&key(), 10, 54).unwrap();
             assert!(removed > 0);
             eng.sync().unwrap();
         }
         for _ in 0..2 {
-            let eng = DurableEngine::open(&dir, config(25)).unwrap();
+            let eng = StorageEngine::open(&dir, config(25)).unwrap();
             let got = eng.query(&key(), i64::MIN, i64::MAX);
             let times: Vec<i64> = got.iter().map(|(t, _)| *t).collect();
             let want: Vec<i64> = (0..10).chain(55..60).collect();
@@ -1587,15 +1607,15 @@ mod tests {
     fn delete_then_write_survives_restart() {
         let dir = tmpdir("delete-rewrite");
         {
-            let mut eng = DurableEngine::open(&dir, config(25)).unwrap();
-            write_each(&mut eng, &key(), (0..30i64).map(|t| (t, TsValue::Long(t))));
+            let eng = StorageEngine::open(&dir, config(25)).unwrap();
+            write_each(&eng, &key(), (0..30i64).map(|t| (t, TsValue::Long(t))));
             eng.delete_range(&key(), 0, 100).unwrap();
             // Re-written points arrive after the delete and must
             // survive replay (their file is stamped above the delete).
-            write_each(&mut eng, &key(), (5..15i64).map(|t| (t, TsValue::Long(-t))));
+            write_each(&eng, &key(), (5..15i64).map(|t| (t, TsValue::Long(-t))));
             eng.sync().unwrap();
         }
-        let eng = DurableEngine::open(&dir, config(25)).unwrap();
+        let eng = StorageEngine::open(&dir, config(25)).unwrap();
         let got = eng.query(&key(), i64::MIN, i64::MAX);
         assert_eq!(got.len(), 10);
         for (t, v) in got {
@@ -1608,7 +1628,7 @@ mod tests {
     fn out_of_order_and_stragglers_survive_restart() {
         let dir = tmpdir("straggler");
         {
-            let mut eng = DurableEngine::open(&dir, config(40)).unwrap();
+            let eng = StorageEngine::open(&dir, config(40)).unwrap();
             // Out-of-order arrivals.
             let mut x = 3u64;
             let arrivals = (0..100i64).map(|i| {
@@ -1617,12 +1637,12 @@ mod tests {
                 x ^= x << 17;
                 (i + (x % 5) as i64, TsValue::Int(i as i32))
             });
-            write_each(&mut eng, &key(), arrivals);
+            write_each(&eng, &key(), arrivals);
             // A straggler below the watermark (memtable rotated at 40).
-            write_each(&mut eng, &key(), [(1, TsValue::Int(-1))]);
+            write_each(&eng, &key(), [(1, TsValue::Int(-1))]);
             eng.sync().unwrap();
         }
-        let eng = DurableEngine::open(&dir, config(40)).unwrap();
+        let eng = StorageEngine::open(&dir, config(40)).unwrap();
         let got = eng.query(&key(), i64::MIN, i64::MAX);
         assert!(got.windows(2).all(|w| w[0].0 < w[1].0));
         assert!(
@@ -1635,15 +1655,15 @@ mod tests {
     #[test]
     fn wal_segments_are_truncated_after_flush() {
         let dir = tmpdir("truncate");
-        let mut eng = DurableEngine::open(&dir, config(25)).unwrap();
-        write_each(&mut eng, &key(), (0..100i64).map(|t| (t, TsValue::Long(t))));
+        let eng = StorageEngine::open(&dir, config(25)).unwrap();
+        write_each(&eng, &key(), (0..100i64).map(|t| (t, TsValue::Long(t))));
         eng.sync().unwrap();
         let (_, _, wals) = disk_state(&dir);
         assert_eq!(wals.len(), 1, "only the active WAL segment survives");
         drop(eng);
         // A reopen retires every segment it read, and the placeholder it
         // opened before its own pass, keeping only the fresh one.
-        let eng = DurableEngine::open(&dir, config(25)).unwrap();
+        let eng = StorageEngine::open(&dir, config(25)).unwrap();
         let (_, _, wals) = disk_state(&dir);
         assert_eq!(
             wals.len(),
@@ -1665,20 +1685,84 @@ mod tests {
         let ka = SeriesKey::new("root.sg.d0", "s"); // heavy: rotates twice
         let kb = SeriesKey::new("root.sg.d2", "s"); // light: never rotates
         {
-            let mut eng = DurableEngine::open(&dir, sharded()).unwrap();
-            write_each(&mut eng, &kb, (0..10i64).map(|t| (t, TsValue::Long(-t))));
+            let eng = StorageEngine::open(&dir, sharded()).unwrap();
+            write_each(&eng, &kb, (0..10i64).map(|t| (t, TsValue::Long(-t))));
             // d0's rotations truncate the older WAL segments, which also
             // hold d2's only copies — d2's shard must be flushed too.
-            write_each(&mut eng, &ka, (0..85i64).map(|t| (t, TsValue::Long(t))));
+            write_each(&eng, &ka, (0..85i64).map(|t| (t, TsValue::Long(t))));
             eng.sync().unwrap();
         }
-        let eng = DurableEngine::open(&dir, sharded()).unwrap();
+        let eng = StorageEngine::open(&dir, sharded()).unwrap();
         assert_eq!(eng.query(&ka, 0, 200).len(), 85);
         let got = eng.query(&kb, 0, 200);
         assert_eq!(got.len(), 10, "unrotated shard's points survive");
         for (t, v) in got {
             assert_eq!(v, TsValue::Long(-t));
         }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The real file system, running `hook` once just before the next
+    /// TsFile image is written.
+    #[derive(Default)]
+    struct HookBeforeImage {
+        hook: Mutex<Option<Box<dyn FnOnce() + Send>>>,
+    }
+
+    impl Io for HookBeforeImage {
+        fn create_dir_all(&self, path: &Path) -> io::Result<()> {
+            RealIo.create_dir_all(path)
+        }
+        fn list_dir(&self, path: &Path) -> io::Result<Vec<String>> {
+            RealIo.list_dir(path)
+        }
+        fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+            RealIo.read(path)
+        }
+        fn write_durable(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+            let name = path.file_name().unwrap().to_string_lossy();
+            if gen_of(&name, TSFILE).is_some() {
+                if let Some(hook) = self.hook.lock().take() {
+                    hook();
+                }
+            }
+            RealIo.write_durable(path, bytes)
+        }
+        fn remove(&self, path: &Path) -> io::Result<()> {
+            RealIo.remove(path)
+        }
+        fn open_append(&self, path: &Path) -> io::Result<Box<dyn WalFile>> {
+            RealIo.open_append(path)
+        }
+    }
+
+    /// A compaction that lands while a pass writes its images applies a
+    /// pending delete and drops its tombstone. The pass's manifest must
+    /// list the files and the tombstones of one moment: the files it
+    /// snapshotted beside the tombstone that masks them, or the delete
+    /// comes back after a reopen.
+    #[test]
+    fn a_compaction_beside_a_pass_keeps_the_delete_it_applied() {
+        let dir = tmpdir("compact-beside-pass");
+        let io = Arc::new(HookBeforeImage::default());
+        let sink: Arc<dyn Io> = Arc::clone(&io) as Arc<dyn Io>;
+        let eng = StorageEngine::open_with(&dir, config(1_000), sink, Arc::default()).unwrap();
+        let eng = Arc::new(eng);
+        write_each(&eng, &key(), (0..10i64).map(|t| (t, TsValue::Long(t))));
+        eng.persist().unwrap();
+        write_each(&eng, &key(), (10..20i64).map(|t| (t, TsValue::Long(t))));
+        eng.delete_range(&key(), 0, 4).unwrap();
+        let beside = Arc::clone(&eng);
+        *io.hook.lock() = Some(Box::new(move || {
+            assert_eq!(beside.compact().files_in, 2, "the pass's two files merge");
+            assert_eq!(beside.tombstone_count(), 0, "the merge applied the delete");
+        }));
+        eng.persist().unwrap();
+        assert!(io.hook.lock().is_none(), "the compaction ran");
+        drop(eng);
+        let eng = StorageEngine::open(&dir, config(1_000)).unwrap();
+        let want: Vec<_> = (5..20i64).map(|t| (t, TsValue::Long(t))).collect();
+        assert_eq!(eng.query(&key(), i64::MIN, i64::MAX), want);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1692,21 +1776,18 @@ mod tests {
         let io = Arc::new(backsort_faults::sim::SimIo::new(Arc::clone(&faults)));
         let open = || {
             let sink: Arc<dyn Io> = Arc::clone(&io) as Arc<dyn Io>;
-            DurableEngine::open_with("/db", config(1_000), sink, Arc::clone(&faults)).unwrap()
+            StorageEngine::open_with("/db", config(1_000), sink, Arc::clone(&faults)).unwrap()
         };
-        let mut eng = open();
+        let eng = open();
         for lo in [0i64, 20] {
             let batch =
                 PointBatch::from_rows((lo..lo + 20).map(|t| (t, TsValue::Long(t)))).unwrap();
             assert!(eng.write_batch(&key(), &batch).unwrap().is_none());
         }
         eng.sync().unwrap();
-        let job = eng
-            .engine()
-            .begin_flush_shard(0)
-            .expect("the shard rotates");
-        eng.flush().unwrap();
-        let stale = eng.engine().complete_flush(job);
+        let job = eng.begin_flush_shard(0).expect("the shard rotates");
+        eng.persist().unwrap();
+        let stale = eng.complete_flush(job);
         drop(eng);
         io.crash();
         let eng = open();
@@ -1719,17 +1800,17 @@ mod tests {
         let dir = tmpdir("compact");
         let key = key();
         {
-            let mut eng = DurableEngine::open(&dir, config(25)).unwrap();
+            let eng = StorageEngine::open(&dir, config(25)).unwrap();
             // 3 files persisted
-            write_each(&mut eng, &key, (0..75i64).map(|t| (t, TsValue::Long(t))));
-            let report = eng.engine().compact();
+            write_each(&eng, &key, (0..75i64).map(|t| (t, TsValue::Long(t))));
+            let report = eng.compact();
             assert!(report.files_in >= 2, "files_in {}", report.files_in);
             // Everything flushed *after* the compaction must still reach
             // disk (persistence keys on ids, not positions).
-            write_each(&mut eng, &key, (75..150i64).map(|t| (t, TsValue::Long(t))));
+            write_each(&eng, &key, (75..150i64).map(|t| (t, TsValue::Long(t))));
             eng.sync().unwrap();
         }
-        let eng = DurableEngine::open(&dir, config(25)).unwrap();
+        let eng = StorageEngine::open(&dir, config(25)).unwrap();
         let got = eng.query(&key, 0, 300);
         assert_eq!(got.len(), 150, "post-compaction flushes survive restart");
         for (t, v) in got {
@@ -1750,32 +1831,31 @@ mod tests {
     fn a_failed_pass_leaks_no_merged_away_file() {
         let dir = tmpdir("failed-pass");
         let faults = Arc::new(FailpointRegistry::new());
-        let mut eng =
-            DurableEngine::open_with(&dir, config(25), Arc::new(RealIo), Arc::clone(&faults))
-                .unwrap();
-        write_each(&mut eng, &key(), (0..75i64).map(|t| (t, TsValue::Long(t))));
-        let report = eng.engine().compact();
+        let eng = StorageEngine::open_with(&dir, config(25), Arc::new(RealIo), Arc::clone(&faults))
+            .unwrap();
+        write_each(&eng, &key(), (0..75i64).map(|t| (t, TsValue::Long(t))));
+        let report = eng.compact();
         assert!(report.files_in >= 2, "files_in {}", report.files_in);
         faults.arm(
             sites::STORE_PERSIST_BEFORE_MANIFEST,
             backsort_faults::FaultMode::Error,
             1,
         );
-        assert!(eng.flush().is_err());
-        eng.flush().unwrap();
+        assert!(eng.persist().is_err());
+        eng.persist().unwrap();
         let (named, tsfiles, _) = disk_state(&dir);
         assert_eq!(tsfiles, named, "tsfiles on disk against the manifest");
         drop(eng);
-        let eng = DurableEngine::open(&dir, config(25)).unwrap();
+        let eng = StorageEngine::open(&dir, config(25)).unwrap();
         assert_eq!(eng.query(&key(), i64::MIN, i64::MAX).len(), 75);
         let _ = fs::remove_dir_all(&dir);
     }
 
     /// Ten points durably flushed into one file; returns its path.
     fn one_listed_file(dir: &Path) -> PathBuf {
-        let mut eng = DurableEngine::open(dir, config(1_000)).unwrap();
-        write_each(&mut eng, &key(), (0..10i64).map(|t| (t, TsValue::Long(t))));
-        eng.flush().unwrap();
+        let eng = StorageEngine::open(dir, config(1_000)).unwrap();
+        write_each(&eng, &key(), (0..10i64).map(|t| (t, TsValue::Long(t))));
+        eng.persist().unwrap();
         let (named, ..) = disk_state(dir);
         assert_eq!(named.len(), 1);
         dir.join(name_of(TSFILE, named[0]))
@@ -1791,7 +1871,7 @@ mod tests {
     /// An open refused for `why` that leaves `dir` as it found it.
     fn assert_refused(dir: &Path, why: &str) {
         let before = listing(dir);
-        match DurableEngine::open(dir, config(1_000)) {
+        match StorageEngine::open(dir, config(1_000)) {
             Err(StoreError::Recover(e)) => assert!(e.to_string().contains(why), "{e}"),
             Err(e) => panic!("refused as {e}, not as recovery"),
             Ok(eng) => panic!("opened with {:?}", eng.query(&key(), i64::MIN, i64::MAX)),
@@ -1815,7 +1895,7 @@ mod tests {
         assert_refused(&dir, &format!("tsfile-{gen} does not parse"));
         assert_eq!(fs::read(&path).unwrap(), flipped);
         fs::write(&path, &image).unwrap();
-        let eng = DurableEngine::open(&dir, config(1_000)).unwrap();
+        let eng = StorageEngine::open(&dir, config(1_000)).unwrap();
         assert_eq!(eng.query(&key(), i64::MIN, i64::MAX).len(), 10);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1852,18 +1932,18 @@ mod tests {
     fn tear_the_next_manifest(
         mode: backsort_faults::FaultMode,
         cfg: EngineConfig,
-        build: impl FnOnce(&mut DurableEngine),
-    ) -> DurableEngine {
+        build: impl FnOnce(&StorageEngine),
+    ) -> StorageEngine {
         let faults = Arc::new(FailpointRegistry::new());
         let io = Arc::new(backsort_faults::sim::SimIo::new(Arc::clone(&faults)));
         let open = || {
             let sink: Arc<dyn Io> = Arc::clone(&io) as Arc<dyn Io>;
-            DurableEngine::open_with("/db", cfg, sink, Arc::clone(&faults)).unwrap()
+            StorageEngine::open_with("/db", cfg, sink, Arc::clone(&faults)).unwrap()
         };
-        let mut eng = open();
-        build(&mut eng);
+        let eng = open();
+        build(&eng);
         faults.arm(sites::IO_MANIFEST_WRITE, mode, 1);
-        assert!(eng.flush().is_err());
+        assert!(eng.persist().is_err());
         assert!(faults.is_dead());
         drop(eng);
         io.crash();
@@ -1884,9 +1964,9 @@ mod tests {
         for mode in TORN {
             let eng = tear_the_next_manifest(mode, config(1_000), |eng| {
                 write_each(eng, &key(), (0..10i64).map(|t| (t, TsValue::Long(t))));
-                eng.flush().unwrap();
+                eng.persist().unwrap();
                 eng.delete_range(&key(), 0, 4).unwrap();
-                eng.flush().unwrap();
+                eng.persist().unwrap();
             });
             let want: Vec<_> = (5..10i64).map(|t| (t, TsValue::Long(t))).collect();
             assert_eq!(eng.query(&key(), i64::MIN, i64::MAX), want, "{mode:?}");
@@ -1913,17 +1993,17 @@ mod tests {
                 for lo in [0i64, 20] {
                     for lo in [lo, lo + 10] {
                         write_each(eng, &key(), (lo..lo + 10).map(|t| (t, TsValue::Long(t))));
-                        eng.flush().unwrap();
+                        eng.persist().unwrap();
                     }
-                    assert_eq!(eng.engine().compact_auto().files_in, 2);
+                    assert_eq!(eng.compact_auto().files_in, 2);
                 }
                 // A newer level-0 file rewrites the first ten points.
                 write_each(eng, &key(), (0..10i64).map(|t| (t, TsValue::Long(-t))));
-                eng.flush().unwrap();
+                eng.persist().unwrap();
                 // The two level-1 files merge ahead of it, and the next
                 // pass persists the output under a larger generation.
-                assert_eq!(eng.engine().compact_auto().files_in, 2);
-                eng.flush().unwrap();
+                assert_eq!(eng.compact_auto().files_in, 2);
+                eng.persist().unwrap();
             });
             let got = eng.query(&key(), 0, 9);
             let want: Vec<_> = (0..10i64).map(|t| (t, TsValue::Long(-t))).collect();
@@ -1941,7 +2021,7 @@ mod tests {
         let doubles =
             PointBatch::from_rows((5..10i64).map(|t| (t, TsValue::Double(t as f64)))).unwrap();
         let want: Vec<(i64, TsValue)> = (0..5i64).map(|t| (t, TsValue::Long(t))).collect();
-        let mut eng = DurableEngine::open(&dir, config(1_000)).unwrap();
+        let eng = StorageEngine::open(&dir, config(1_000)).unwrap();
         eng.write_batch(&key(), &longs).unwrap();
         let err = eng
             .write_batch(&key(), &doubles)
@@ -1950,7 +2030,7 @@ mod tests {
         assert_eq!(eng.query(&key(), i64::MIN, i64::MAX), want);
         eng.sync().unwrap();
         drop(eng);
-        let eng = DurableEngine::open(&dir, config(1_000)).unwrap();
+        let eng = StorageEngine::open(&dir, config(1_000)).unwrap();
         assert_eq!(eng.query(&key(), i64::MIN, i64::MAX), want);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1959,17 +2039,17 @@ mod tests {
     /// at four they land in shards 3 and 1.
     fn wide_file_at_one_shard(dir: &Path) -> [SeriesKey; 2] {
         let keys = ["root.sg.d0", "root.sg.d2"].map(|d| SeriesKey::new(d, "s"));
-        let mut eng = DurableEngine::open(dir, config(1_000)).unwrap();
+        let eng = StorageEngine::open(dir, config(1_000)).unwrap();
         for key in &keys {
-            write_each(&mut eng, key, (0..10i64).map(|t| (t, TsValue::Long(t))));
+            write_each(&eng, key, (0..10i64).map(|t| (t, TsValue::Long(t))));
         }
-        eng.flush().unwrap();
-        assert_eq!(eng.engine().file_count(), 1);
+        eng.persist().unwrap();
+        assert_eq!(eng.file_count(), 1);
         keys
     }
 
-    fn reopen(dir: &Path, shards: usize) -> DurableEngine {
-        let eng = DurableEngine::open(
+    fn reopen(dir: &Path, shards: usize) -> StorageEngine {
+        let eng = StorageEngine::open(
             dir,
             EngineConfig {
                 shards,
@@ -1977,7 +2057,7 @@ mod tests {
             },
         )
         .unwrap();
-        eng.engine().check_files().unwrap();
+        eng.check_files().unwrap();
         eng
     }
 
@@ -1989,12 +2069,12 @@ mod tests {
         let dir = tmpdir("reshard-rewrite");
         let [d0, d2] = wide_file_at_one_shard(&dir);
         {
-            let mut eng = reopen(&dir, 4);
-            assert_eq!(eng.engine().file_count(), 2, "one piece a shard");
-            write_each(&mut eng, &d2, (0..10i64).map(|t| (t, TsValue::Long(-t))));
-            eng.flush().unwrap();
-            eng.engine().compact();
-            eng.flush().unwrap();
+            let eng = reopen(&dir, 4);
+            assert_eq!(eng.file_count(), 2, "one piece a shard");
+            write_each(&eng, &d2, (0..10i64).map(|t| (t, TsValue::Long(-t))));
+            eng.persist().unwrap();
+            eng.compact();
+            eng.persist().unwrap();
         }
         for _ in 0..2 {
             let eng = reopen(&dir, 4);
@@ -2002,10 +2082,7 @@ mod tests {
             assert_eq!(eng.query(&d0, 5, 5), [(5, TsValue::Long(5))]);
             let (named, on_disk, _) = disk_state(&dir);
             assert_eq!(named, on_disk, "no file but the named");
-            let parses = eng
-                .engine()
-                .obs()
-                .counter_value(backsort_obs::names::FILE_PARSE);
+            let parses = eng.obs().counter_value(backsort_obs::names::FILE_PARSE);
             assert_eq!(
                 parses,
                 named.len() as u64,
@@ -2024,7 +2101,7 @@ mod tests {
         let dir = tmpdir("reshard-delete");
         let [d0, d2] = wide_file_at_one_shard(&dir);
         {
-            let mut eng = reopen(&dir, 1);
+            let eng = reopen(&dir, 1);
             eng.delete_range(&d2, 3, 5).unwrap();
             eng.sync().unwrap();
         }
@@ -2039,9 +2116,8 @@ mod tests {
                 assert_eq!(got, want(key), "{key} at {shards} shards, reopen {round}");
             }
             if round == 0 {
-                eng.engine().compact();
-                let mut eng = eng;
-                eng.flush().unwrap();
+                eng.compact();
+                eng.persist().unwrap();
             }
         }
         let _ = fs::remove_dir_all(&dir);
@@ -2059,12 +2135,12 @@ mod tests {
         let ka = SeriesKey::new("root.sg.d0", "s");
         let kb = SeriesKey::new("root.sg.d2", "s");
         {
-            let mut eng = DurableEngine::open(&dir, sharded()).unwrap();
-            write_each(&mut eng, &ka, (0..90i64).map(|t| (t, TsValue::Long(t))));
-            write_each(&mut eng, &kb, (0..90i64).map(|t| (t, TsValue::Long(-t))));
+            let eng = StorageEngine::open(&dir, sharded()).unwrap();
+            write_each(&eng, &ka, (0..90i64).map(|t| (t, TsValue::Long(t))));
+            write_each(&eng, &kb, (0..90i64).map(|t| (t, TsValue::Long(-t))));
             eng.sync().unwrap();
         }
-        let eng = DurableEngine::open(&dir, sharded()).unwrap();
+        let eng = StorageEngine::open(&dir, sharded()).unwrap();
         for (k, sign) in [(&ka, 1i64), (&kb, -1i64)] {
             let got = eng.query(k, 0, 200);
             assert_eq!(got.len(), 90);

@@ -112,7 +112,7 @@ fn run(ops: &[Op], shards: usize, batched: bool) -> (StorageEngine, bool) {
                 put(&engine, &keys[*k], &[(*t, *v)]);
             }
             Op::Delete { k, lo, len } => {
-                engine.delete_range(&keys[*k], *lo, lo + len);
+                engine.delete_range(&keys[*k], *lo, lo + len).unwrap();
             }
             Op::Flush => {
                 engine.flush();

@@ -60,8 +60,8 @@ use backsort_engine::tsfile::{
     PAGE_POINTS,
 };
 use backsort_engine::{
-    AggValue, Aggregation, DataType, DurableEngine, EngineConfig, ExactSum, FileHandle, PointBatch,
-    SeriesKey, StorageEngine, TsValue, ValueColumn,
+    AggValue, Aggregation, DataType, EngineConfig, ExactSum, FileHandle, PointBatch, SeriesKey,
+    StorageEngine, TsValue, ValueColumn,
 };
 use backsort_obs::names;
 
@@ -1079,10 +1079,9 @@ fn a_durable_engine_recovers_a_segment_written_before_this_change() {
     };
     // The second open reads what the first one persisted.
     for _ in 0..2 {
-        let engine = DurableEngine::open(&dir, config()).expect("the legacy segment replays");
+        let engine = StorageEngine::open(&dir, config()).expect("the legacy segment replays");
         assert_eq!(
             engine
-                .engine()
                 .obs()
                 .counter_value(names::WAL_REPLAY_DISCARDED_BYTES),
             0
@@ -1152,7 +1151,7 @@ fn a_directory_written_before_tombstone_stamps_recovers_its_deletes() {
         .chain((20..25).map(|t| (t, TsValue::Long(t))))
         .collect();
     for open in ["first", "second"] {
-        let engine = DurableEngine::open(&dir, config()).expect("the directory recovers");
+        let engine = StorageEngine::open(&dir, config()).expect("the directory recovers");
         assert_eq!(engine.query(&key, i64::MIN, i64::MAX), want, "{open} open");
     }
     let _ = std::fs::remove_dir_all(&dir);
@@ -1218,7 +1217,7 @@ fn a_dotted_sensor_replays_under_its_own_series() {
         horizon: 0,
     };
     {
-        let mut eng = DurableEngine::open(&dir, one_shard()).expect("open");
+        let eng = StorageEngine::open(&dir, one_shard()).expect("open");
         eng.write_batch(&dotted, &batch(1)).expect("write");
         eng.write_batch(&split, &batch(-1)).expect("write");
         eng.delete_range(&dotted, 2, 3).expect("delete");
@@ -1247,7 +1246,7 @@ fn a_dotted_sensor_replays_under_its_own_series() {
             .collect()
     };
     for _ in 0..2 {
-        let eng = DurableEngine::open(&dir, one_shard()).expect("reopen");
+        let eng = StorageEngine::open(&dir, one_shard()).expect("reopen");
         assert_eq!(eng.query(&dotted, i64::MIN, i64::MAX), rows(1, 2..=3));
         assert_eq!(eng.query(&split, i64::MIN, i64::MAX), rows(-1, 6..=8));
     }
@@ -1287,7 +1286,7 @@ fn an_over_long_name_is_refused_and_the_log_behind_it_survives() {
     let batch = PointBatch::from_rows((0..5i64).map(|t| (t, TsValue::Long(t)))).expect("rows");
     let logged = |dir: &Path| replay_dir(dir).len();
     {
-        let mut eng = DurableEngine::open(&dir, one_shard()).expect("open");
+        let eng = StorageEngine::open(&dir, one_shard()).expect("open");
         eng.write_batch(&key, &batch).expect("write");
         eng.sync().expect("sync");
         for refused in [
@@ -1308,9 +1307,9 @@ fn an_over_long_name_is_refused_and_the_log_behind_it_survives() {
         eng.write_batch(&key, &later).expect("write");
         eng.sync().expect("sync");
     }
-    let eng = DurableEngine::open(&dir, one_shard()).expect("reopen");
+    let eng = StorageEngine::open(&dir, one_shard()).expect("reopen");
     let discarded = names::WAL_REPLAY_DISCARDED_BYTES;
-    assert_eq!(eng.engine().obs().counter_value(discarded), 0);
+    assert_eq!(eng.obs().counter_value(discarded), 0);
     assert_eq!(eng.query(&key, i64::MIN, i64::MAX).len(), 6);
     assert!(eng.query(&long, i64::MIN, i64::MAX).is_empty());
     let _ = std::fs::remove_dir_all(&dir);

@@ -193,8 +193,8 @@ proptest! {
                         }
                     }
                     Op::Delete { k, lo, len } => {
-                        reference.delete_range(&keys[*k], *lo, lo + len);
-                        subject.delete_range(&keys[*k], *lo, lo + len);
+                        reference.delete_range(&keys[*k], *lo, lo + len).unwrap();
+                        subject.delete_range(&keys[*k], *lo, lo + len).unwrap();
                     }
                     Op::Flush => {
                         reference.flush();

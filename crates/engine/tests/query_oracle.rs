@@ -285,7 +285,7 @@ fn apply(
         6 | 7 => {
             let hi = t + (v as i64).rem_euclid(60);
             for eng in engines {
-                eng.delete_range(key, t, hi);
+                eng.delete_range(key, t, hi).unwrap();
             }
             if let Some(m) = oracle.get_mut(key) {
                 m.retain(|&ot, _| !(t..=hi).contains(&ot));
@@ -599,7 +599,7 @@ impl Traffic {
     fn delete(&mut self, lo: i64, hi: i64) {
         for (key, _) in typed_keys() {
             for eng in &self.engines {
-                eng.delete_range(&key, lo, hi);
+                eng.delete_range(&key, lo, hi).unwrap();
             }
             if let Some(m) = self.oracle.get_mut(&key) {
                 m.retain(|t, _| !(lo..=hi).contains(t));

@@ -150,11 +150,11 @@ fn latest_value_tracks_overrides_and_deletes() {
     assert_eq!(eng.latest_value(&key("a")), Some((60, TsValue::Long(60))));
 
     // Deleting the top forces the fallback to older (flushed) points.
-    eng.delete_range(&key("a"), 45, 100);
+    eng.delete_range(&key("a"), 45, 100).unwrap();
     assert_eq!(eng.latest_value(&key("a")), Some((44, TsValue::Long(44))));
 
     // Deleting everything leaves nothing.
-    eng.delete_range(&key("a"), i64::MIN, i64::MAX);
+    eng.delete_range(&key("a"), i64::MIN, i64::MAX).unwrap();
     assert_eq!(eng.latest_value(&key("a")), None);
 }
 
@@ -171,7 +171,7 @@ fn latest_value_agrees_with_full_query() {
         let k = if x.is_multiple_of(2) { &ka } else { &kb };
         put(&eng, k, [(i + (x % 5) as i64, TsValue::Long(i))]);
         if i % 97 == 0 {
-            eng.delete_range(k, i - 20, i - 10);
+            eng.delete_range(k, i - 20, i - 10).unwrap();
         }
     }
     for k in [&ka, &kb] {

@@ -17,10 +17,10 @@
 /// is applied to the memtable. Models: crash between logging and
 /// applying a whole batch — a torn frame must lose only unacked points.
 pub const STORE_WRITE_BATCH_APPEND: &str = "store.write_batch.append";
-/// After a delete's tombstone is applied and its WAL frame appended,
-/// before the caller is acked. Models: crash right after a delete.
+/// After a delete's WAL frame is appended, before its tombstone is
+/// recorded. Models: crash between logging and applying a delete.
 pub const STORE_DELETE_AFTER_WAL: &str = "store.delete.after_wal";
-/// Entry of `persist_and_rotate`, before anything is flushed.
+/// Entry of the persist pass, before the outgoing segment syncs.
 /// Models: crash at the rotation decision point.
 pub const STORE_ROTATE_BEGIN: &str = "store.rotate.begin";
 /// After every shard's memtables flushed, before images persist.
@@ -53,7 +53,7 @@ pub const STORE_OPEN_BATCH_REPLAY: &str = "store.open.batch_replay";
 /// Models: crash after re-persist, mid-cleanup (segments must be
 /// harmless to replay twice).
 pub const STORE_OPEN_BEFORE_WAL_DELETE: &str = "store.open.before_wal_delete";
-/// Entry of `DurableEngine::sync` — the explicit durability barrier.
+/// Entry of `StorageEngine::sync` — the explicit durability barrier.
 /// Models: fsync failure (fsyncgate): the caller must not ack.
 pub const STORE_SYNC: &str = "store.sync";
 
@@ -80,7 +80,7 @@ pub const COMPACTION_BEFORE_RESTORE: &str = "compaction.before_restore";
 /// Recovery must serve the run's data from the still-persisted inputs,
 /// and no file may end up live at two levels.
 pub const COMPACTION_LEVEL_PUBLISH: &str = "compaction.level.publish";
-/// In `DurableEngine::commit`, after every image of the new generation
+/// In the store's `commit`, after every image of the new generation
 /// set is durable, before the manifest that names (and levels) them is
 /// written. Models: crash between filter/image write and manifest
 /// publish — the old manifest must still describe a complete, correct

@@ -1,11 +1,11 @@
-//! Seeded crash exploration: random schedules over a [`DurableEngine`]
-//! on a simulated disk, with one failpoint armed a seed, and recovery
+//! Seeded crash exploration: random schedules over a [`StorageEngine`]
+//! opened on a simulated disk, with one failpoint armed a seed, and recovery
 //! checked against an in-memory oracle.
 //!
 //! [`explore`] turns a seed into an armed fault ([`Fault::of`]) and a
 //! schedule of 200–400 ops over six devices: batch writes with
 //! stragglers, range deletes, the asynchronous and synchronous flushes,
-//! `compact`, `compact_auto`, store flushes, syncs, and clean restarts
+//! `compact`, `compact_auto`, persist passes, syncs, and clean restarts
 //! at 1, 2 or 4 shards. The fault stays armed across restarts, so the
 //! `store.open.*` sites fire inside a recovery. When the fault kills
 //! the process, or fails an open, or the schedule ends, the power is
@@ -14,7 +14,7 @@
 //!
 //! 1. **No acknowledged op is lost.** An op is acknowledged once a
 //!    durability barrier after it succeeds — `sync()` returning `Ok`, a
-//!    `flush()` returning `Ok`, or a `write_batch()` that completed a
+//!    `persist()` returning `Ok`, or a `write_batch()` that completed a
 //!    rotation. The recovered state of every series must equal the
 //!    oracle's replay of some prefix of that series' ops at least as
 //!    long as its acknowledged prefix.
@@ -34,7 +34,6 @@
 //! A failure names the seed, the armed fault and the op list; the seed
 //! alone replays it.
 //!
-//! [`StorageEngine::check_files`]: backsort_engine::StorageEngine::check_files
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -42,8 +41,10 @@ use std::path::Path;
 use std::sync::Arc;
 
 use backsort_core::{Algorithm, BackwardSort, InBlockSort};
-use backsort_engine::store::{DurableEngine, StoreResult};
-use backsort_engine::{CompactionConfig, EngineConfig, PointBatch, SeriesKey, TsValue};
+use backsort_engine::store::StoreResult;
+use backsort_engine::{
+    CompactionConfig, EngineConfig, PointBatch, SeriesKey, StorageEngine, TsValue,
+};
 use backsort_faults::io::Io;
 use backsort_faults::sim::SimIo;
 use backsort_faults::{sites, FailpointRegistry, FaultMode};
@@ -232,7 +233,7 @@ impl Oracle {
 /// indeterminate as one group, the checker trying both readings (the
 /// frame is atomic, so a half-applied batch matches neither).
 fn write_rows(
-    eng: &mut DurableEngine,
+    eng: &StorageEngine,
     oracle: &mut Oracle,
     keys: &[SeriesKey],
     k: usize,
@@ -256,23 +257,23 @@ fn open(
     io: &Arc<SimIo>,
     faults: &Arc<FailpointRegistry>,
     shards: usize,
-) -> StoreResult<DurableEngine> {
+) -> StoreResult<StorageEngine> {
     let sink: Arc<dyn Io> = Arc::clone(io) as Arc<dyn Io>;
-    DurableEngine::open_with(Path::new(DIR), config(shards), sink, Arc::clone(faults))
+    StorageEngine::open_with(Path::new(DIR), config(shards), sink, Arc::clone(faults))
 }
 
-fn snapshot(eng: &DurableEngine, keys: &[SeriesKey]) -> Vec<BTreeMap<i64, TsValue>> {
+fn snapshot(eng: &StorageEngine, keys: &[SeriesKey]) -> Vec<BTreeMap<i64, TsValue>> {
     keys.iter()
         .map(|k| eng.query(k, i64::MIN, i64::MAX).into_iter().collect())
         .collect()
 }
 
 /// Holds a reopened engine to the oracle and to the file invariants.
-fn check(eng: &DurableEngine, oracle: &Oracle, keys: &[SeriesKey]) -> Result<(), String> {
+fn check(eng: &StorageEngine, oracle: &Oracle, keys: &[SeriesKey]) -> Result<(), String> {
     for (k, state) in snapshot(eng, keys).iter().enumerate() {
         (oracle.check_key(k, state)).map_err(|e| format!("series {}: {e}", keys[k]))?;
     }
-    eng.engine().check_files()
+    eng.check_files()
 }
 
 /// The one fault a seed arms: `site` fires `mode` on its `hit`-th hit,
@@ -283,7 +284,7 @@ pub struct Fault {
     pub site: &'static str,
     /// What happens when it fires.
     pub mode: FaultMode,
-    /// Fire on the Nth hit (1-based), 1–40.
+    /// Fire on the Nth hit (1-based).
     pub hit: u64,
     /// The shard count the engine opens at. A ladder seed reopens at it
     /// until the fault has fired, so the fault fires at this count;
@@ -295,25 +296,28 @@ impl Fault {
     /// The seed's fault, in mixed radix: the lowest digit picks the
     /// site, the next the mode, the next one shard or four, and the next
     /// the hit, 1, 2, 3 then 9 ([`LADDER_SEEDS`]). Each lap of seeds past
-    /// those draws its hit from 1–40 and its shard count from 1, 2 or 4.
+    /// those draws its shard count from 1, 2 or 4, and each seed its hit
+    /// uniformly from the hits its schedule makes of the site with
+    /// nothing firing (one more run of it), so rare sites fire too.
     pub fn of(seed: u64) -> Self {
         let n = sites::ALL.len() as u64;
-        let site = sites::ALL[(seed % n) as usize];
-        let mode = MODES[(seed / n % 4) as usize];
         let lap = seed / (4 * n);
-        let (hit, shards) = match LADDER.get((lap / 2) as usize) {
-            Some(&hit) => (hit, [1, 4][(lap % 2) as usize]),
+        let mut fault = Fault {
+            site: sites::ALL[(seed % n) as usize],
+            mode: MODES[(seed / n % 4) as usize],
+            hit: u64::MAX,
+            shards: [1, 4][(lap % 2) as usize],
+        };
+        match LADDER.get((lap / 2) as usize) {
+            Some(&hit) => fault.hit = hit,
             None => {
                 let mut rng = Rng::new(lap);
-                (1 + rng.below(40), SHARDS[rng.below(3) as usize])
+                fault.shards = SHARDS[rng.below(3) as usize];
+                let hits = Run::new(seed, fault).hits();
+                fault.hit = 1 + rng.below(hits.max(1));
             }
-        };
-        Fault {
-            site,
-            mode,
-            hit,
-            shards,
         }
+        fault
     }
 }
 
@@ -357,7 +361,7 @@ struct Run {
     rng: Rng,
     shards: usize,
     /// The engine, `None` once the process died or an open failed.
-    eng: Option<DurableEngine>,
+    eng: Option<StorageEngine>,
     log: Vec<String>,
 }
 
@@ -387,6 +391,13 @@ impl Run {
         }
     }
 
+    /// Runs the schedule with a fault that never fires, counting its
+    /// site's hits; the real run reports what the checks find.
+    fn hits(mut self) -> u64 {
+        let _ = self.schedule();
+        self.faults.hits(self.fault.site)
+    }
+
     /// Opens at `self.shards` with the fault still armed; a failed open
     /// leaves `eng` empty, which ends the schedule.
     fn reopen(&mut self) {
@@ -402,7 +413,7 @@ impl Run {
         self.faults.arm(site, mode, hit);
         let mut tick = vec![0i64; self.keys.len()];
         for _ in 0..200 + self.rng.below(201) {
-            let Some(eng) = self.eng.as_mut() else {
+            let Some(eng) = self.eng.as_ref() else {
                 break;
             };
             let (keys, oracle, rng) = (&self.keys, &mut self.oracle, &mut self.rng);
@@ -439,33 +450,33 @@ impl Run {
                 }
                 63..=66 => {
                     let shard = rng.below(self.shards as u64) as usize;
-                    if let Some(job) = eng.engine().begin_flush_shard(shard) {
-                        eng.engine().complete_flush(job);
+                    if let Some(job) = eng.begin_flush_shard(shard) {
+                        eng.complete_flush(job);
                     }
                     format!("begin_flush_shard({shard}) + complete_flush")
                 }
                 67..=69 => {
-                    eng.engine().flush();
-                    "engine flush".into()
+                    eng.flush();
+                    "flush".into()
                 }
                 70..=72 => {
-                    eng.engine().flush_unseq();
-                    "engine flush_unseq".into()
+                    eng.flush_unseq();
+                    "flush_unseq".into()
                 }
                 73..=75 => {
-                    eng.engine().compact();
+                    eng.compact();
                     "compact".into()
                 }
                 76..=80 => {
-                    let moves = eng.engine().compact_auto().level_moves;
+                    let moves = eng.compact_auto().level_moves;
                     format!("compact_auto -> {moves} level moves")
                 }
                 81..=85 => {
-                    let result = eng.flush();
+                    let result = eng.persist();
                     if result.is_ok() {
                         oracle.barrier();
                     }
-                    format!("store flush -> {result:?}")
+                    format!("persist -> {result:?}")
                 }
                 86..=95 => {
                     let result = eng.sync();
@@ -526,8 +537,7 @@ impl Run {
             self.io.crash();
             let eng = open(&self.io, &self.faults, count)
                 .map_err(|e| format!("reopen at {count} failed: {e}"))?;
-            eng.engine()
-                .check_files()
+            eng.check_files()
                 .map_err(|e| format!("reopen at {count}: {e}"))?;
             if snapshot(&eng, &self.keys) != recovered {
                 return Err(format!(

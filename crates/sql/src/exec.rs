@@ -165,7 +165,8 @@ pub fn execute_outcome(engine: &StorageEngine, statement: &Statement) -> Result<
             range,
         } => {
             let key = SeriesKey::new(device.clone(), sensor.clone());
-            QueryOutput::Deleted(engine.delete_range(&key, range.lo, range.hi))
+            let removed = engine.delete_range(&key, range.lo, range.hi);
+            QueryOutput::Deleted(removed.map_err(|e| SqlError::new(e.to_string()))?)
         }
         Statement::ShowStats => show_stats(engine),
         Statement::ShowSlowQueries => show_slow_queries(engine),
@@ -405,13 +406,12 @@ pub fn compile_insert(
 }
 
 /// Executes an `INSERT`: each sensor's column of literals becomes one
-/// columnar [`PointBatch`] handed to the engine whole — a multi-row
-/// statement costs one memtable lookup (and, under a durable store, one
-/// WAL frame) per sensor, not per point. A rotation the batch causes is
-/// flushed before the statement returns. See [`compile_insert`] for the
-/// literal-promotion rules; a batch whose promoted type contradicts the
-/// series' already-buffered type is rejected whole — either way nothing
-/// from the statement is written.
+/// columnar [`PointBatch`] handed whole to [`StorageEngine::write_batch`]
+/// — one memtable lookup (and, on an engine opened on a directory, one
+/// WAL frame) per sensor, not per point. See [`compile_insert`] for the
+/// literal-promotion rules. A batch whose type contradicts the series'
+/// buffered type, or that the log fails to take, fails the statement,
+/// naming its column; the columns before it stay written.
 fn insert(
     engine: &StorageEngine,
     device: &str,
@@ -419,12 +419,8 @@ fn insert(
     rows: &[(i64, Vec<Literal>)],
 ) -> Result<QueryOutput, SqlError> {
     for (key, batch) in compile_insert(device, sensors, rows)? {
-        let job = engine
-            .write_batch_nonblocking(&key, &batch)
+        (engine.write_batch(&key, &batch))
             .map_err(|e| SqlError::new(format!("column {}: {e}", key.sensor)))?;
-        if let Some(job) = job {
-            engine.complete_flush(job);
-        }
     }
     Ok(QueryOutput::Inserted(sensors.len() * rows.len()))
 }
@@ -884,8 +880,8 @@ mod tests {
                 // INSERT rides the columnar batch path: one run appended.
                 assert_eq!(get("memtable.batch_append_nanos.count"), "1");
                 assert_eq!(get("memtable.type_mismatch_rejects"), "0");
-                // The WAL registers too (zero without a durable store in
-                // front).
+                // The WAL registers too (zero on an engine without a
+                // directory).
                 assert_eq!(get("wal.bytes"), "0");
                 assert!(names.iter().any(|n| n == "merge.overlap_q.p99"));
                 // The read-path counters are pre-registered, so an
@@ -973,6 +969,52 @@ mod tests {
                 values: vec![AggValue::Number(1.0)],
             }
         );
+    }
+
+    /// A log that refuses its append fails the `INSERT` and the `DELETE`
+    /// as statements, and neither takes effect: after a reopen the
+    /// failed insert's row is absent and the failed delete's is present.
+    #[test]
+    fn a_store_failure_fails_insert_and_delete() {
+        use backsort_faults::io::Io;
+        use backsort_faults::{sim::SimIo, sites, FailpointRegistry, FaultMode};
+        use std::sync::Arc;
+        let faults = Arc::new(FailpointRegistry::new());
+        let io = Arc::new(SimIo::new(Arc::clone(&faults)));
+        let open = || {
+            let sink: Arc<dyn Io> = Arc::clone(&io) as Arc<dyn Io>;
+            let config = EngineConfig::default();
+            StorageEngine::open_with("/db", config, sink, Arc::clone(&faults)).unwrap()
+        };
+        let eng = open();
+        execute(
+            &eng,
+            "INSERT INTO root.sg.d1(timestamp, s) VALUES (1, 10), (2, 20)",
+        )
+        .unwrap();
+        let fail_next_append = || {
+            let next = faults.hits(sites::IO_WAL_APPEND) + 1;
+            faults.arm(sites::IO_WAL_APPEND, FaultMode::Error, next);
+        };
+        fail_next_append();
+        let insert = execute(&eng, "INSERT INTO root.sg.d1(timestamp, s) VALUES (3, 30)");
+        fail_next_append();
+        let delete = execute(&eng, "DELETE FROM root.sg.d1.s WHERE time <= 1");
+        for (statement, result) in [("INSERT", insert), ("DELETE", delete)] {
+            let err = result.expect_err(statement);
+            assert!(
+                err.message.contains("wal append"),
+                "{statement}: {}",
+                err.message
+            );
+        }
+        eng.sync().unwrap();
+        drop(eng);
+        io.crash();
+        let eng = open();
+        let key = SeriesKey::new("root.sg.d1", "s");
+        let want = [(1, TsValue::Long(10)), (2, TsValue::Long(20))];
+        assert_eq!(eng.query(&key, i64::MIN, i64::MAX), want);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use backward_sort_repro::core::Algorithm;
 use backward_sort_repro::engine::{AggValue, Aggregation};
-use backward_sort_repro::engine::{DurableEngine, EngineConfig, PointBatch, SeriesKey, TsValue};
+use backward_sort_repro::engine::{EngineConfig, PointBatch, SeriesKey, StorageEngine, TsValue};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dir = std::env::temp_dir().join(format!("backsort-demo-{}", std::process::id()));
@@ -24,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- Session 1: ingest, then "crash" (drop without flushing). ------
     {
-        let mut engine = DurableEngine::open(&dir, config)?;
+        let engine = StorageEngine::open(&dir, config)?;
         let mut x = 42u64;
         for lo in (0..12_000i64).step_by(500) {
             // Delay-only arrivals; colliding timestamps overwrite
@@ -44,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // A long-delayed straggler lands below the flush watermark.
         engine.write_batch(&key, &PointBatch::from_rows([(3, TsValue::Double(-1.0))])?)?;
         engine.sync()?;
-        let (working, unseq) = engine.engine().buffered_points();
+        let (working, unseq) = engine.buffered_points();
         println!(
             "session 1: {} files on disk, {working} pts in working, {unseq} in unsequence",
             std::fs::read_dir(&dir)?.count()
@@ -54,7 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- Session 2: recovery replays the WAL. --------------------------
     let recovered = {
-        let engine = DurableEngine::open(&dir, config)?;
+        let engine = StorageEngine::open(&dir, config)?;
         let all = engine.query(&key, i64::MIN, i64::MAX);
         println!("session 2: recovered {} distinct timestamps", all.len());
         assert!(
@@ -68,10 +68,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
 
         // Aggregations work straight off the recovered state.
-        let count = engine
-            .engine()
-            .aggregate(&key, 0, 20_000, Aggregation::Count);
-        let avg = engine.engine().aggregate(&key, 0, 20_000, Aggregation::Avg);
+        let count = engine.aggregate(&key, 0, 20_000, Aggregation::Count);
+        let avg = engine.aggregate(&key, 0, 20_000, Aggregation::Avg);
         println!("count = {count:?}, avg = {avg:?}");
         assert!(matches!(count, AggValue::Number(n) if n > 7_500.0));
         assert_eq!(engine.query(&other, i64::MIN, i64::MAX).len(), 2_000);
@@ -84,8 +82,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             shards: 4,
             ..config
         };
-        let engine = DurableEngine::open(&dir, config)?;
-        let engine = engine.engine();
+        let engine = StorageEngine::open(&dir, config)?;
         for shard in 0..engine.shard_count() {
             let files = engine.shard_files(shard);
             let devices = files

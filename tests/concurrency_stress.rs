@@ -462,7 +462,7 @@ fn traffic_during_an_outstanding_flush_reads_the_model() {
                         half_way.wait();
                     }
                     let (lo, hi) = delete_range(k);
-                    engine.delete_range(key, lo, hi);
+                    engine.delete_range(key, lo, hi).unwrap();
                 }
             }));
         }

@@ -3,9 +3,7 @@
 //! and queries.
 
 use backward_sort_repro::core::Algorithm;
-use backward_sort_repro::engine::{
-    DurableEngine, EngineConfig, PointBatch, SeriesKey, StorageEngine, TsValue,
-};
+use backward_sort_repro::engine::{EngineConfig, PointBatch, SeriesKey, StorageEngine, TsValue};
 
 fn config(max_points: usize) -> EngineConfig {
     EngineConfig {
@@ -80,7 +78,7 @@ fn text_survives_wal_recovery() {
     let dir = std::env::temp_dir().join(format!("backsort-text-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     {
-        let mut engine = DurableEngine::open(&dir, config(50)).unwrap();
+        let engine = StorageEngine::open(&dir, config(50)).unwrap();
         for lo in (0..120i64).step_by(20) {
             let rows = (lo..lo + 20).map(|t| (t, TsValue::Text(format!("log line {t}"))));
             engine
@@ -90,7 +88,7 @@ fn text_survives_wal_recovery() {
         engine.sync().unwrap();
         // crash without flush
     }
-    let engine = DurableEngine::open(&dir, config(50)).unwrap();
+    let engine = StorageEngine::open(&dir, config(50)).unwrap();
     let got = engine.query(&key(), 0, 200);
     assert_eq!(got.len(), 120);
     for (t, v) in &got {
