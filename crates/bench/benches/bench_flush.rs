@@ -21,6 +21,11 @@
 //! write) is printed as a mean per point over the row's samples. The
 //! `flush_probe` group times Backward-Sort's block-size probe alone on
 //! the `4x25k` series, the cost a per-series memory of `L` would save.
+//!
+//! A row's time depends on the rows run before it in the same process
+//! (the allocator's state as much as the code), so to compare one row
+//! across commits run it in a process of its own, by its id:
+//! `cargo bench --bench bench_flush -- 'BackSort-L=N/100k'`.
 
 use backsort_core::{choose_block_size_reporting, Algorithm, BackwardSort};
 use backsort_engine::{flush_memtable, ColumnSlice, FlushMetrics, MemTable, SeriesKey};
@@ -100,6 +105,9 @@ fn bench(c: &mut Criterion) {
                     BatchSize::LargeInput,
                 )
             });
+            if splits.is_empty() {
+                continue; // not selected by the filter
+            }
             let points: u64 = splits.iter().map(|m| m.points).sum();
             let per_point = |nanos: fn(&FlushMetrics) -> u64| {
                 splits.iter().map(nanos).sum::<u64>() as f64 / points.max(1) as f64

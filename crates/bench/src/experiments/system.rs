@@ -164,7 +164,10 @@ pub fn run_benchmark(config: &BenchConfig) -> BenchReport {
             let batch =
                 PointBatch::from_rows(stream[lo..hi].iter().map(|&(t, v)| (t, TsValue::Double(v))))
                     .expect("uniform Double rows");
-            (engine.write_batch(&keys[idx], &batch)).expect("uniform Double batch");
+            let job = engine.write_batch_nonblocking(&keys[idx], &batch);
+            if let Some(job) = job.expect("uniform Double batch") {
+                engine.complete_flush(job);
+            }
             report.writes += 1;
             report.points_written += (hi - lo) as u64;
         } else {

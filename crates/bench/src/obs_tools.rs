@@ -38,7 +38,10 @@ fn ingest(engine: &StorageEngine, points: &[(i64, TsValue)], batch: usize) {
     let key = SeriesKey::new("root.obs.d0", "s0");
     for chunk in points.chunks(batch) {
         let batch = PointBatch::from_rows(chunk.iter().cloned()).expect("uniform rows");
-        engine.write_batch(&key, &batch).expect("uniform batch");
+        let job = engine.write_batch_nonblocking(&key, &batch);
+        if let Some(job) = job.expect("uniform batch") {
+            engine.complete_flush(job);
+        }
     }
 }
 

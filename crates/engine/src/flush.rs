@@ -148,7 +148,8 @@ pub(crate) fn flush_series<K: Borrow<SeriesKey>>(
 /// [`flush_unseq`](StorageEngine::flush_unseq), which installs an
 /// occupied slot first and so leaves the job stale (it names the slot's
 /// generation, the stamp drawn at its rotation, which the file takes as
-/// its id; completing it then installs nothing).
+/// its id; completing it then installs nothing). An opened engine's
+/// write installs its own rotation and returns the job already stale.
 #[derive(Debug)]
 #[must_use = "the shard's flushing slot stays occupied until the job is completed"]
 pub struct FlushJob {

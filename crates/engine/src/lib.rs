@@ -3,7 +3,7 @@
 //! methods live in the module whose decision they make:
 //!
 //! * [`engine`] — the config, which shard a device hashes to, construction and counts.
-//! * `write` — a batch's route by the separation policy (paper §II), and rotation.
+//! * `write` — the one write: a batch logged if opened, routed by the separation policy (§II), rotated.
 //! * [`flush`] — a rotated memtable sorted, deduplicated, encoded (§V-C) and installed.
 //! * [`flusher`] — the pool that installs flushes off the write path (§VI-D2).
 //! * [`delete`] — which points a range delete erases, and which files its tombstone masks.

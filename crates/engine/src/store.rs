@@ -3,21 +3,22 @@
 //! ([`StorageEngine::open`]). On an engine built by
 //! [`StorageEngine::new`] the same calls log nothing.
 //!
-//! 1. [`StorageEngine::write_batch`] and [`StorageEngine::delete_range`]
-//!    append their record (CRC-framed) to the active WAL segment
-//!    *before* it is applied. Replay runs a delete as a fresh one:
-//!    stamped above every file present, it masks them all, as the live
-//!    delete did;
-//! 2. a logged write's rotation, and [`StorageEngine::persist`], run the
-//!    one persist pass: every shard's buffered data is flushed (a WAL
-//!    segment interleaves all shards' records), each file not yet on
-//!    disk is persisted as `tsfile-<gen>.bstf`, a fresh segment opens,
-//!    and a new `MANIFEST-<floor>` commits the live generations with
-//!    their levels and stamps, the pending tombstones with theirs, and
-//!    the new WAL floor — the single atomic point that retires the old
-//!    segments. Only then is anything deleted, and the manifest alone
-//!    decides what: every older manifest first, then every file it does
-//!    not name and every segment below its floor;
+//! 1. the one write, [`StorageEngine::write_batch_nonblocking`], and
+//!    [`StorageEngine::delete_range`] append their record (CRC-framed)
+//!    to the active WAL segment *before* it is applied. Replay runs a
+//!    delete as a fresh one: stamped above every file present, it masks
+//!    them all, as the live delete did;
+//! 2. a logged write's rotation, once installed, and
+//!    [`StorageEngine::persist`] run the one persist pass: every shard's
+//!    buffered data is flushed (a WAL segment interleaves all shards'
+//!    records), each file not yet on disk is persisted as
+//!    `tsfile-<gen>.bstf`, a fresh segment opens, and a new
+//!    `MANIFEST-<floor>` commits the live generations with their levels
+//!    and stamps, the pending tombstones with theirs, and the new WAL
+//!    floor — the single atomic point that retires the old segments.
+//!    Only then is anything deleted, and the manifest alone decides
+//!    what: every older manifest first, then every file it does not
+//!    name and every segment below its floor;
 //! 3. [`StorageEngine::open`] recovers from the newest manifest that
 //!    parses: it restores the listed tombstones at their stamps, adopts
 //!    every listed file at its stamp (splitting one whose devices now
@@ -111,8 +112,10 @@ pub fn crc32(data: &[u8]) -> u32 {
 /// every acknowledged record still covered by the WAL — the engine can
 /// be reopened and recovery replays it. [`StoreError::Recover`] aborts
 /// an `open` with the directory untouched beyond idempotent cleanup. A
-/// refused write (`Wal` of kind `InvalidInput`) is the only failure of
-/// an engine without a directory.
+/// write that fails in its rotation's pass was logged and applied: it
+/// survives a restart only if its frame reached the disk. A refused write
+/// (`Wal` of kind `InvalidInput`) is the only failure of an engine
+/// without a directory.
 #[derive(Debug)]
 pub enum StoreError {
     /// Appending to or syncing the active WAL segment failed.
@@ -712,8 +715,8 @@ impl StorageEngine {
                     // mistyped one meets the rejection it met live.
                     WalRecord::PointBatch { key, batch } => {
                         engine.failpoint(sites::STORE_OPEN_BATCH_REPLAY, StoreError::Recover)?;
-                        if engine.write_batch(&key, &batch).is_err() {
-                            continue;
+                        if let Ok(Some(job)) = engine.write_batch_nonblocking(&key, &batch) {
+                            engine.complete_flush(job);
                         }
                     }
                     // Every file present holds what was written before
@@ -800,41 +803,6 @@ impl StorageEngine {
         Ok(Some(guard))
     }
 
-    /// Writes one columnar batch and completes the rotation it causes
-    /// inline, returning that flush's metrics. With a directory the batch
-    /// is first logged as a *single* WAL frame — the atomicity unit: a
-    /// torn frame loses the whole unacknowledged batch and nothing before
-    /// it — and a rotation then runs the persist pass.
-    ///
-    /// A type-mismatched batch is rejected whole (nothing enters the
-    /// memtables, the reject counter ticks) and refused
-    /// [`StoreError::Wal`] (`InvalidInput`); its logged frame replays into
-    /// the same rejection. A batch the log cannot carry — a name over
-    /// `u16::MAX` bytes, a payload over `u32::MAX` — is refused the same
-    /// way with nothing logged or applied.
-    pub fn write_batch(
-        &self,
-        key: &SeriesKey,
-        batch: &PointBatch,
-    ) -> StoreResult<Option<FlushMetrics>> {
-        if batch.is_empty() {
-            return Ok(None);
-        }
-        let mut store = self.log(sites::STORE_WRITE_BATCH_APPEND, |out| {
-            WalRecord::encode_batch(out, key, batch)
-        })?;
-        let Some(job) = (self.write_batch_nonblocking(key, batch))
-            .map_err(|e| StoreError::Wal(io::Error::new(io::ErrorKind::InvalidInput, e)))?
-        else {
-            return Ok(None);
-        };
-        let flushed = self.complete_flush(job);
-        if let Some(store) = store.as_deref_mut() {
-            self.pass(store)?;
-        }
-        Ok(Some(flushed))
-    }
-
     /// Makes everything buffered durable: with a directory, the persist
     /// pass; without one, [`flush`](Self::flush) and
     /// [`flush_unseq`](Self::flush_unseq).
@@ -862,7 +830,7 @@ impl StorageEngine {
 
     /// The persist pass of a logged write's rotation and of
     /// [`persist`](Self::persist).
-    fn pass(&self, store: &mut Store) -> StoreResult<()> {
+    pub(crate) fn pass(&self, store: &mut Store) -> StoreResult<()> {
         self.failpoint(sites::STORE_ROTATE_BEGIN, StoreError::Wal)?;
         // Sync the outgoing segment first: a pass that dies before its
         // manifest leaves images recovery discards, and their content
@@ -1014,13 +982,14 @@ impl DurableEngine {
         StorageEngine::open(dir, config).map(Self)
     }
 
-    /// [`StorageEngine::write_batch`].
+    /// The one write, its job completed inline.
     pub fn write_batch(
         &mut self,
         key: &SeriesKey,
         batch: &PointBatch,
     ) -> StoreResult<Option<FlushMetrics>> {
-        self.0.write_batch(key, batch)
+        let job = self.0.write_batch_nonblocking(key, batch)?;
+        Ok(job.map(|job| self.0.complete_flush(job)))
     }
 
     /// [`StorageEngine::query`].
@@ -1179,7 +1148,7 @@ mod tests {
     ) {
         for point in points {
             let batch = PointBatch::from_rows([point]).unwrap();
-            eng.write_batch(key, &batch).unwrap();
+            eng.write_batch_nonblocking(key, &batch).unwrap();
         }
     }
 
@@ -1467,12 +1436,12 @@ mod tests {
                 let rows: Vec<(i64, TsValue)> =
                     (lo..lo + 30).map(|t| (t, TsValue::Long(t * 10))).collect();
                 let batch = PointBatch::from_rows(rows).unwrap();
-                eng.write_batch(&key(), &batch).unwrap();
+                eng.write_batch_nonblocking(&key(), &batch).unwrap();
             }
             let straggler =
                 PointBatch::from_rows([(3, TsValue::Long(-3)), (200, TsValue::Long(2000))])
                     .unwrap();
-            eng.write_batch(&key(), &straggler).unwrap();
+            eng.write_batch_nonblocking(&key(), &straggler).unwrap();
             eng.sync().unwrap();
             // Drop without flushing: the tail lives only in batch frames.
         }
@@ -1502,8 +1471,8 @@ mod tests {
         let dir = tmpdir("torn-wal-tail");
         {
             let eng = StorageEngine::open(&dir, config(1_000)).unwrap();
-            eng.write_batch(&key(), &batch(0)).unwrap();
-            eng.write_batch(&key(), &batch(10)).unwrap();
+            eng.write_batch_nonblocking(&key(), &batch(0)).unwrap();
+            eng.write_batch_nonblocking(&key(), &batch(10)).unwrap();
             eng.sync().unwrap();
         }
         // Tear the newest segment inside its last frame, as a crash
@@ -1782,7 +1751,10 @@ mod tests {
         for lo in [0i64, 20] {
             let batch =
                 PointBatch::from_rows((lo..lo + 20).map(|t| (t, TsValue::Long(t)))).unwrap();
-            assert!(eng.write_batch(&key(), &batch).unwrap().is_none());
+            assert!(eng
+                .write_batch_nonblocking(&key(), &batch)
+                .unwrap()
+                .is_none());
         }
         eng.sync().unwrap();
         let job = eng.begin_flush_shard(0).expect("the shard rotates");
@@ -1848,6 +1820,38 @@ mod tests {
         drop(eng);
         let eng = StorageEngine::open(&dir, config(25)).unwrap();
         assert_eq!(eng.query(&key(), i64::MIN, i64::MAX).len(), 75);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A write installs its rotation before the pass: a pass that fails
+    /// at its first step leaves no flushing slot occupied, so the shard
+    /// does not stall, the next rotation persists, and both writes'
+    /// rows survive a reopen.
+    #[test]
+    fn a_failed_pass_leaves_the_rotation_installed() {
+        let dir = tmpdir("install-before-pass");
+        let faults = Arc::new(FailpointRegistry::new());
+        let eng =
+            StorageEngine::open_with(&dir, config(100), Arc::new(RealIo), Arc::clone(&faults))
+                .unwrap();
+        faults.arm(
+            sites::STORE_ROTATE_BEGIN,
+            backsort_faults::FaultMode::Error,
+            1,
+        );
+        // Rotates at 100; the other 100 fill the fresh memtable.
+        let batch = PointBatch::from_rows((0..200i64).map(|t| (t, TsValue::Long(t)))).unwrap();
+        assert!(eng.write_batch_nonblocking(&key(), &batch).is_err());
+        assert!(!eng.flush_stalled(0), "the failed pass left the slot taken");
+        let next = PointBatch::from_rows([(200, TsValue::Long(200))]).unwrap();
+        let job = eng.write_batch_nonblocking(&key(), &next).unwrap();
+        let job = job.expect("the full memtable rotates, and its pass persists");
+        assert_eq!(eng.complete_flush(job), FlushMetrics::default(), "stale");
+        eng.persist().unwrap();
+        drop(eng);
+        let eng = StorageEngine::open(&dir, config(100)).unwrap();
+        let want: Vec<(i64, TsValue)> = (0..=200i64).map(|t| (t, TsValue::Long(t))).collect();
+        assert_eq!(eng.query(&key(), i64::MIN, i64::MAX), want);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -2022,9 +2026,9 @@ mod tests {
             PointBatch::from_rows((5..10i64).map(|t| (t, TsValue::Double(t as f64)))).unwrap();
         let want: Vec<(i64, TsValue)> = (0..5i64).map(|t| (t, TsValue::Long(t))).collect();
         let eng = StorageEngine::open(&dir, config(1_000)).unwrap();
-        eng.write_batch(&key(), &longs).unwrap();
+        eng.write_batch_nonblocking(&key(), &longs).unwrap();
         let err = eng
-            .write_batch(&key(), &doubles)
+            .write_batch_nonblocking(&key(), &doubles)
             .expect_err("a mistyped batch is refused");
         assert!(matches!(&err, StoreError::Wal(e) if e.kind() == io::ErrorKind::InvalidInput));
         assert_eq!(eng.query(&key(), i64::MIN, i64::MAX), want);

@@ -1,16 +1,19 @@
-//! The write: a batch split at the separation watermark into runs for
-//! the working and unsequence memtables (paper §II), and the rotation
-//! that hands a full memtable to its shard's one flushing slot, which
-//! [`flush`](crate::flush) installs.
+//! The write: a batch logged (on an engine with a directory), then split
+//! at the separation watermark into runs for the working and unsequence
+//! memtables (paper §II), and the rotation that hands a full memtable to
+//! its shard's one flushing slot, which [`flush`](crate::flush) installs.
 
+use std::io;
 use std::time::Instant;
 
+use backsort_faults::sites;
 use backsort_obs::LocalHistogram;
 
 use crate::batch::{type_mismatch, PointBatch, WriteError};
 use crate::engine::{ShardState, StorageEngine};
 use crate::flush::FlushJob;
 use crate::memtable::MemTable;
+use crate::store::{StoreError, StoreResult, WalRecord};
 use crate::types::SeriesKey;
 #[cfg(test)]
 use crate::types::TsValue;
@@ -41,32 +44,30 @@ fn next_run(
     (end, unseq)
 }
 
-impl StorageEngine {
-    /// Checks a batch's value type against the series' established buffer
-    /// type in any memtable of the (locked) shard, so a mismatched batch
-    /// is rejected whole before any column lands.
-    fn check_batch_type(
-        &self,
-        st: &ShardState,
-        key: &SeriesKey,
-        batch: &PointBatch,
-    ) -> Result<(), WriteError> {
-        match st.memtables().find_map(|m| m.get(key)) {
-            Some(buf) if buf.data_type() != batch.data_type() => {
-                self.obs.type_mismatch_rejects.inc();
-                Err(type_mismatch(buf.data_type(), batch.data_type()))
-            }
-            _ => Ok(()),
-        }
-    }
+/// A batch the memtables refuse, as the write reports it.
+fn refused(e: WriteError) -> StoreError {
+    StoreError::Wal(io::Error::new(io::ErrorKind::InvalidInput, e))
+}
 
+impl StorageEngine {
     /// Writes a columnar [`PointBatch`] for one sensor — the engine's
     /// one write (IoTDB-benchmark sends batches; §VI-A2). A full memtable
     /// (the fuller, if both are) rotates into the shard's flushing slot,
     /// and the returned [`FlushJob`] is completed inline by a caller that
     /// wants a synchronous write, or off the write path by a
     /// [`FlushPool`](crate::FlushPool) — IoTDB's asynchronous flushing
-    /// (paper §V-A, §VI-D2). At most one job is returned per call.
+    /// (paper §V-A, §VI-D2). At most one job is returned per call, none
+    /// for an empty batch, which writes and logs nothing.
+    ///
+    /// **With a directory** ([`open`](Self::open)) the batch is first
+    /// logged as one WAL frame, the atomicity unit, under the store mutex
+    /// held until the write returns. A rotation is installed *before* the
+    /// persist pass, so a failed pass leaves no slot occupied, and the job
+    /// returned is stale: the sign that the pass persisted it. A batch the
+    /// log cannot carry (a name over `u16::MAX` bytes) is refused with
+    /// nothing logged; a mistyped batch's frame replays into the same
+    /// rejection. Either refusal, on any engine, is [`StoreError::Wal`]
+    /// of kind `InvalidInput`.
     ///
     /// The batch is split at the separation watermark into seq/unseq
     /// column runs — each point is compared with it once, and it is only
@@ -76,15 +77,15 @@ impl StorageEngine {
     /// a memtable fills, before the run that would overfill it; a batch
     /// larger than the room left rotates once, and the rest lands in one
     /// run. A batch whose type does not match the series is rejected
-    /// whole.
+    /// whole, and the reject counter ticks.
     ///
-    /// **What bounds the memtables.** Not this call: it never blocks and
-    /// never refuses. While a shard's job is outstanding its slot is
-    /// occupied, a full memtable cannot rotate, and the rest of the batch
-    /// is appended to it regardless, in one run — so a caller that holds
-    /// the job itself (and may complete it only after further writes)
-    /// cannot deadlock here. The bound is the caller's to keep, by
-    /// waiting for the flush that frees the slot: ask
+    /// **What bounds the memtables.** Not this call: it never waits for a
+    /// flush and never refuses for room. While a shard's job is
+    /// outstanding its slot is occupied, a full memtable cannot rotate,
+    /// and the rest of the batch is appended to it regardless, in one
+    /// run — so a caller that holds the job itself (and may complete it
+    /// only after further writes) cannot deadlock here. The bound is the
+    /// caller's to keep, by waiting for the flush that frees the slot: ask
     /// [`flush_stalled`](Self::flush_stalled) before writing and wait in
     /// [`FlushPool::wait_while_stalled`](crate::FlushPool::wait_while_stalled),
     /// as `backsort-server` does, and each of a shard's two memtables
@@ -94,11 +95,23 @@ impl StorageEngine {
         &self,
         key: &SeriesKey,
         batch: &PointBatch,
-    ) -> Result<Option<FlushJob>, WriteError> {
+    ) -> StoreResult<Option<FlushJob>> {
+        if batch.is_empty() {
+            return Ok(None);
+        }
+        let store = self.log(sites::STORE_WRITE_BATCH_APPEND, |out| {
+            WalRecord::encode_batch(out, key, batch)
+        })?;
         let timed = self.obs.registry.is_enabled();
         let shard = self.shard_of(&key.device);
         let mut st = self.shards[shard].write();
-        self.check_batch_type(&st, key, batch)?;
+        // The series' type in any memtable of the shard decides, before
+        // any column lands.
+        let held = st.memtables().find_map(|m| Some(m.get(key)?.data_type()));
+        if let Some(held) = held.filter(|&held| held != batch.data_type()) {
+            self.obs.type_mismatch_rejects.inc();
+            return Err(refused(type_mismatch(held, batch.data_type())));
+        }
         let max_points = self.config.memtable_max_points;
         let mut job = None;
         let mut deltas = LocalHistogram::new();
@@ -125,7 +138,8 @@ impl StorageEngine {
             let append_start = timed.then(Instant::now);
             let (run_ts, run_vals) = batch.slice(idx, run_end);
             st.memtable(unseq)
-                .write_columns(key, run_ts, run_vals, &mut deltas)?;
+                .write_columns(key, run_ts, run_vals, &mut deltas)
+                .map_err(refused)?;
             if let Some(start) = append_start {
                 self.obs
                     .batch_append_nanos
@@ -138,6 +152,12 @@ impl StorageEngine {
         if deltas.count() > 0 {
             self.obs.ooo_points.add(deltas.count());
             self.obs.delta_tau.merge_local(&deltas);
+        }
+        drop(st);
+        if let (Some(job), Some(mut store)) = (&job, store) {
+            // A copy of the ticket installs the slot; `job` is stale then.
+            self.complete_flush(FlushJob { ..*job });
+            self.pass(&mut store)?;
         }
         Ok(job)
     }
@@ -297,8 +317,12 @@ mod tests {
         eng.write_points(&key("s"), [(1, TsValue::Long(1))]);
         eng.write_points(&key("s"), [(2, TsValue::Double(2.0))]); // dropped
         let bad = PointBatch::from_rows(vec![(3, TsValue::Bool(true))]).unwrap();
-        let err = eng.write_batch_nonblocking(&key("s"), &bad).unwrap_err();
-        assert!(matches!(err, WriteError::TypeMismatch { .. }));
+        let StoreError::Wal(err) = eng.write_batch_nonblocking(&key("s"), &bad).unwrap_err() else {
+            panic!("a mismatch is refused as a WAL-stage error");
+        };
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        let cause = err.get_ref().and_then(|e| e.downcast_ref());
+        assert!(matches!(cause, Some(WriteError::TypeMismatch { .. })));
         // The engine is alive, the series intact, and the rejects
         // counted.
         eng.write_points(&key("s"), [(3, TsValue::Long(3))]);

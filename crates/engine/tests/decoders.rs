@@ -1218,8 +1218,10 @@ fn a_dotted_sensor_replays_under_its_own_series() {
     };
     {
         let eng = StorageEngine::open(&dir, one_shard()).expect("open");
-        eng.write_batch(&dotted, &batch(1)).expect("write");
-        eng.write_batch(&split, &batch(-1)).expect("write");
+        eng.write_batch_nonblocking(&dotted, &batch(1))
+            .expect("write");
+        eng.write_batch_nonblocking(&split, &batch(-1))
+            .expect("write");
         eng.delete_range(&dotted, 2, 3).expect("delete");
         eng.delete_range(&split, 6, 8).expect("delete");
         eng.sync().expect("sync");
@@ -1287,10 +1289,10 @@ fn an_over_long_name_is_refused_and_the_log_behind_it_survives() {
     let logged = |dir: &Path| replay_dir(dir).len();
     {
         let eng = StorageEngine::open(&dir, one_shard()).expect("open");
-        eng.write_batch(&key, &batch).expect("write");
+        eng.write_batch_nonblocking(&key, &batch).expect("write");
         eng.sync().expect("sync");
         for refused in [
-            eng.write_batch(&long, &batch).map(|_| ()),
+            eng.write_batch_nonblocking(&long, &batch).map(|_| ()),
             eng.delete_range(&long, 0, 10).map(|_| ()),
         ] {
             match refused {
@@ -1304,7 +1306,7 @@ fn an_over_long_name_is_refused_and_the_log_behind_it_survives() {
         assert_eq!(logged(&dir), 1, "nothing was appended");
         assert!(eng.query(&long, i64::MIN, i64::MAX).is_empty());
         let later = PointBatch::from_rows([(100, TsValue::Long(100))]).expect("a row");
-        eng.write_batch(&key, &later).expect("write");
+        eng.write_batch_nonblocking(&key, &later).expect("write");
         eng.sync().expect("sync");
     }
     let eng = StorageEngine::open(&dir, one_shard()).expect("reopen");

@@ -13,8 +13,8 @@
 //! the engine passes through via [`crate::FailpointRegistry::hit`] /
 //! [`kill_point`](crate::FailpointRegistry::kill_point).
 
-/// After a `PointBatch` record's WAL frame is appended, before the batch
-/// is applied to the memtable. Models: crash between logging and
+/// In the one write on an opened engine: after a batch's WAL frame is
+/// appended, before it is applied. Models: crash between logging and
 /// applying a whole batch — a torn frame must lose only unacked points.
 pub const STORE_WRITE_BATCH_APPEND: &str = "store.write_batch.append";
 /// After a delete's WAL frame is appended, before its tombstone is

@@ -14,8 +14,8 @@
 //!
 //! 1. **No acknowledged op is lost.** An op is acknowledged once a
 //!    durability barrier after it succeeds — `sync()` returning `Ok`, a
-//!    `persist()` returning `Ok`, or a `write_batch()` that completed a
-//!    rotation. The recovered state of every series must equal the
+//!    `persist()` returning `Ok`, or a `write_batch_nonblocking()` that
+//!    returned a job: its rotation's pass succeeded. The recovered state of every series must equal the
 //!    oracle's replay of some prefix of that series' ops at least as
 //!    long as its acknowledged prefix.
 //! 2. **No op is invented.** The matching prefix is drawn from ops the
@@ -246,7 +246,7 @@ fn write_rows(
         .into_iter()
         .map(|(t, v)| oracle.record(k, KeyOp::Write(t, v)))
         .collect();
-    match eng.write_batch(&keys[k], &batch) {
+    match eng.write_batch_nonblocking(&keys[k], &batch) {
         Ok(Some(_)) => oracle.barrier(),
         Ok(None) => {}
         Err(_) => oracle.mark_optional(k, idxs),

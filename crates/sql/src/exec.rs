@@ -406,9 +406,9 @@ pub fn compile_insert(
 }
 
 /// Executes an `INSERT`: each sensor's column of literals becomes one
-/// columnar [`PointBatch`] handed whole to [`StorageEngine::write_batch`]
-/// — one memtable lookup (and, on an engine opened on a directory, one
-/// WAL frame) per sensor, not per point. See [`compile_insert`] for the
+/// columnar [`PointBatch`] handed whole to the engine's one write, its
+/// job completed inline — one memtable lookup (and, on an engine opened
+/// on a directory, one WAL frame) per sensor, not per point. See [`compile_insert`] for the
 /// literal-promotion rules. A batch whose type contradicts the series'
 /// buffered type, or that the log fails to take, fails the statement,
 /// naming its column; the columns before it stay written.
@@ -419,8 +419,11 @@ fn insert(
     rows: &[(i64, Vec<Literal>)],
 ) -> Result<QueryOutput, SqlError> {
     for (key, batch) in compile_insert(device, sensors, rows)? {
-        (engine.write_batch(&key, &batch))
+        let job = (engine.write_batch_nonblocking(&key, &batch))
             .map_err(|e| SqlError::new(format!("column {}: {e}", key.sensor)))?;
+        if let Some(job) = job {
+            engine.complete_flush(job);
+        }
     }
     Ok(QueryOutput::Inserted(sensors.len() * rows.len()))
 }

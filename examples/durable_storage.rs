@@ -1,13 +1,18 @@
 //! Durable storage: the WAL-backed engine survives a crash without losing
 //! a single point — including out-of-order stragglers that were still in
 //! the unsequence memtable — and a reopen at another shard count, which
-//! splits each file between the shards its devices now hash to.
+//! splits each file between the shards its devices now hash to. Last, a
+//! server on the opened engine acks a batch frame and an `INSERT` that
+//! a reopen reads back.
 //!
 //! Run with: `cargo run --release --example durable_storage`
+
+use std::sync::Arc;
 
 use backward_sort_repro::core::Algorithm;
 use backward_sort_repro::engine::{AggValue, Aggregation};
 use backward_sort_repro::engine::{EngineConfig, PointBatch, SeriesKey, StorageEngine, TsValue};
+use backward_sort_repro::server::{SqlClient, SqlServer};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dir = std::env::temp_dir().join(format!("backsort-demo-{}", std::process::id()));
@@ -37,12 +42,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 let t = i + (x % 6) as i64;
                 (t, TsValue::Double(1500.0 + (t % 97) as f64))
             }))?;
-            engine.write_batch(&key, &batch)?;
+            engine.write_batch_nonblocking(&key, &batch)?;
         }
         let rows = (0..2_000i64).map(|t| (t, TsValue::Double(t as f64)));
-        engine.write_batch(&other, &PointBatch::from_rows(rows)?)?;
+        engine.write_batch_nonblocking(&other, &PointBatch::from_rows(rows)?)?;
         // A long-delayed straggler lands below the flush watermark.
-        engine.write_batch(&key, &PointBatch::from_rows([(3, TsValue::Double(-1.0))])?)?;
+        engine
+            .write_batch_nonblocking(&key, &PointBatch::from_rows([(3, TsValue::Double(-1.0))])?)?;
         engine.sync()?;
         let (working, unseq) = engine.buffered_points();
         println!(
@@ -98,6 +104,35 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         let rows = [&key, &other].map(|k| engine.query(k, i64::MIN, i64::MAX));
         assert_eq!(rows, recovered, "four shards read what one did");
+    }
+
+    // --- Session 4: a server on the opened engine, shut down unpersisted.
+    let served: Vec<(i64, TsValue)> = (20_000..20_252i64)
+        .map(|t| (t, TsValue::Double(t as f64)))
+        .collect();
+    {
+        let engine = Arc::new(StorageEngine::open(&dir, config)?);
+        let server = SqlServer::start("127.0.0.1:0", Arc::clone(&engine))?;
+        let mut client = SqlClient::connect(server.addr())?;
+        let frame = PointBatch::from_rows(served[..250].iter().cloned())?;
+        client.insert_batch(&key.device, &key.sensor, &frame)?;
+        let (device, sensor) = (&key.device, &key.sensor);
+        client.execute(&format!(
+            "INSERT INTO {device}(timestamp, {sensor}) VALUES (20250, 20250.0), (20251, 20251.0)"
+        ))?;
+        engine.sync()?;
+        drop(client);
+        // No persist: the 252 acked rows are only in the WAL.
+        server.shutdown();
+        println!("session 4: served 252 rows, synced, shut down");
+    }
+    {
+        let engine = StorageEngine::open(&dir, config)?;
+        let before = engine.query(&key, i64::MIN, 19_999);
+        assert_eq!(before, recovered[0], "the earlier rows are untouched");
+        let got = engine.query(&key, 20_000, i64::MAX);
+        assert_eq!(got, served, "every acked row reads back");
+        println!("session 5: {} served rows recovered", got.len());
     }
 
     std::fs::remove_dir_all(&dir)?;

@@ -4,7 +4,11 @@
 //! `--bench` to the binary and benchmarks are timed over
 //! `sample_size` iterations (mean/min/max to stdout, no statistics
 //! beyond that); under `cargo test` (no `--bench` argument) every
-//! routine runs exactly once as a smoke test.
+//! routine runs exactly once as a smoke test. The first argument that is
+//! not a flag filters, as the real crate's does: `cargo bench --bench b
+//! -- 'f/100k'` runs only the benchmarks whose `group/function/parameter`
+//! id contains `f/100k` (a substring, where the real crate takes a
+//! regex).
 
 #![forbid(unsafe_code)]
 
@@ -19,12 +23,15 @@ pub fn black_box<T>(x: T) -> T {
 /// Top-level benchmark context.
 pub struct Criterion {
     test_mode: bool,
+    filter: Option<String>,
 }
 
 impl Default for Criterion {
     fn default() -> Self {
+        let args: Vec<String> = std::env::args().skip(1).collect();
         Self {
-            test_mode: !std::env::args().any(|a| a == "--bench"),
+            test_mode: !args.iter().any(|a| a == "--bench"),
+            filter: args.into_iter().find(|a| !a.starts_with('-')),
         }
     }
 }
@@ -37,7 +44,7 @@ impl Criterion {
             sample_size: 100,
             throughput: None,
             test_mode: self.test_mode,
-            _criterion: self,
+            criterion: self,
         }
     }
 }
@@ -71,7 +78,7 @@ pub struct BenchmarkGroup<'a> {
     sample_size: usize,
     throughput: Option<Throughput>,
     test_mode: bool,
-    _criterion: &'a mut Criterion,
+    criterion: &'a mut Criterion,
 }
 
 impl BenchmarkGroup<'_> {
@@ -88,7 +95,13 @@ impl BenchmarkGroup<'_> {
         self
     }
 
-    /// Runs one benchmark over `input`.
+    /// Whether the filter, if any, selects the benchmark `id`.
+    fn selected(&self, id: &str) -> bool {
+        let filter = self.criterion.filter.as_deref();
+        filter.is_none_or(|f| format!("{}/{id}", self.name).contains(f))
+    }
+
+    /// Runs one benchmark over `input`, if the filter selects it.
     pub fn bench_with_input<I: ?Sized, F>(
         &mut self,
         id: BenchmarkId,
@@ -98,6 +111,9 @@ impl BenchmarkGroup<'_> {
     where
         F: FnMut(&mut Bencher, &I),
     {
+        if !self.selected(&id.id) {
+            return self;
+        }
         let mut bencher = Bencher {
             samples: if self.test_mode { 1 } else { self.sample_size },
             durations: Vec::new(),
@@ -107,17 +123,21 @@ impl BenchmarkGroup<'_> {
         self
     }
 
-    /// Runs one benchmark with no extra input.
+    /// Runs one benchmark with no extra input, if the filter selects it.
     pub fn bench_function<F>(&mut self, id: impl Into<String>, mut f: F) -> &mut Self
     where
         F: FnMut(&mut Bencher),
     {
+        let id = id.into();
+        if !self.selected(&id) {
+            return self;
+        }
         let mut bencher = Bencher {
             samples: if self.test_mode { 1 } else { self.sample_size },
             durations: Vec::new(),
         };
         f(&mut bencher);
-        self.report(&id.into(), &bencher.durations);
+        self.report(&id, &bencher.durations);
         self
     }
 
@@ -261,8 +281,22 @@ mod tests {
 
     #[test]
     fn bench_mode_runs_sample_size_iterations() {
-        let mut c = Criterion { test_mode: false };
+        let mut c = Criterion {
+            test_mode: false,
+            filter: None,
+        };
         let (setups, iters) = run_group(&mut c);
         assert_eq!((setups, iters), (5, 5));
+    }
+
+    #[test]
+    fn a_filter_runs_only_the_ids_that_contain_it() {
+        for (filter, runs) in [("g/f/1", 1), ("f/1", 1), ("f/2", 0), ("h/", 0)] {
+            let mut c = Criterion {
+                test_mode: true,
+                filter: Some(filter.to_string()),
+            };
+            assert_eq!(run_group(&mut c), (runs, runs), "{filter}");
+        }
     }
 }

@@ -4,7 +4,12 @@
 //! the power is cut, and reopens at one shard and at four must read
 //! back every op, device by device, with the file invariants holding.
 //!
-//! The soak variant runs more rounds, over several seeds, in release:
+//! Two arms share the schedule. In the first the writers call the
+//! engine; in the served arm a `SqlServer` holds the engine and each
+//! writer is a `SqlClient` sending batch frames, multi-row `INSERT`s
+//! and `DELETE`s, so what the server acks is held to the same check.
+//!
+//! The soak variants run more rounds, over several seeds, in release:
 //! `cargo test --release --test durable_shared -- --ignored`.
 
 use std::collections::BTreeMap;
@@ -19,6 +24,7 @@ use backward_sort_repro::core::{Algorithm, BackwardSort, InBlockSort};
 use backward_sort_repro::engine::{
     CompactionConfig, EngineConfig, PointBatch, SeriesKey, StorageEngine, TsValue,
 };
+use backward_sort_repro::server::{SqlClient, SqlServer};
 
 const WRITERS: usize = 4;
 const DEVICES_PER_WRITER: usize = 2;
@@ -59,15 +65,63 @@ impl Rng {
 /// writer issued them.
 type Model = BTreeMap<i64, TsValue>;
 
+/// Where a writer's ops go: the shared engine, or a client of the server
+/// that holds it.
+enum Sink<'a> {
+    Engine(&'a StorageEngine),
+    Served(SqlClient),
+}
+
+impl Sink<'_> {
+    /// Writes `rows` to `key` as one batch. Over the wire an even-sized
+    /// batch travels as a batch frame and an odd-sized one as a
+    /// multi-row `INSERT`.
+    fn write(&mut self, key: &SeriesKey, rows: &[(i64, i64)]) {
+        let batch = PointBatch::from_rows(rows.iter().map(|&(t, v)| (t, TsValue::Long(v))))
+            .expect("Long rows");
+        match self {
+            Sink::Engine(engine) => {
+                // A job from an engine with a directory is stale already.
+                engine
+                    .write_batch_nonblocking(key, &batch)
+                    .expect("a batch is logged");
+            }
+            Sink::Served(client) if rows.len().is_multiple_of(2) => {
+                let acked = client.insert_batch(&key.device, &key.sensor, &batch);
+                assert_eq!(acked.expect("a batch frame is acked"), rows.len());
+            }
+            Sink::Served(client) => {
+                let values: Vec<String> = rows.iter().map(|(t, v)| format!("({t}, {v})")).collect();
+                let (device, sensor) = (&key.device, &key.sensor);
+                let sql = format!(
+                    "INSERT INTO {device}(timestamp, {sensor}) VALUES {}",
+                    values.join(", ")
+                );
+                client.execute(&sql).expect("an INSERT is acked");
+            }
+        }
+    }
+
+    /// Deletes `key`'s points in `lo..=hi`.
+    fn delete(&mut self, key: &SeriesKey, lo: i64, hi: i64) {
+        match self {
+            Sink::Engine(engine) => {
+                engine
+                    .delete_range(key, lo, hi)
+                    .expect("a delete is logged");
+            }
+            Sink::Served(client) => {
+                let sql = format!("DELETE FROM {key} WHERE time >= {lo} AND time <= {hi}");
+                client.execute(&sql).expect("a DELETE is acked");
+            }
+        }
+    }
+}
+
 /// One writer's `rounds` ops over its own devices: batches of 1–8
 /// points after the device's last, one in eight of them stragglers
 /// anywhere below it, and range deletes. Returns each device's model.
-fn write(
-    engine: &StorageEngine,
-    writer: usize,
-    rounds: usize,
-    seed: u64,
-) -> Vec<(SeriesKey, Model)> {
+fn write(mut sink: Sink<'_>, writer: usize, rounds: usize, seed: u64) -> Vec<(SeriesKey, Model)> {
     let mut rng = Rng((seed << 8 | writer as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
     let mut devices: Vec<(SeriesKey, Model, i64)> = (0..DEVICES_PER_WRITER)
         .map(|d| {
@@ -83,14 +137,12 @@ fn write(
         if rng.below(10) == 0 {
             let hi = rng.below(*tick as u64 + 8) as i64;
             let lo = hi - rng.below(40) as i64;
-            engine
-                .delete_range(key, lo, hi)
-                .expect("a delete is logged");
+            sink.delete(key, lo, hi);
             model.retain(|t, _| !(lo..=hi).contains(t));
             continue;
         }
         let straggle = rng.below(8) == 0;
-        let rows: Vec<(i64, TsValue)> = (0..1 + rng.below(8))
+        let rows: Vec<(i64, i64)> = (0..1 + rng.below(8))
             .map(|_| {
                 let t = if straggle {
                     rng.below(*tick as u64 + 1) as i64
@@ -98,12 +150,11 @@ fn write(
                     *tick += 1 + rng.below(3) as i64;
                     *tick
                 };
-                (t, TsValue::Long(rng.below(1_000_000) as i64))
+                (t, rng.below(1_000_000) as i64)
             })
             .collect();
-        let batch = PointBatch::from_rows(rows.iter().cloned()).expect("Long rows");
-        engine.write_batch(key, &batch).expect("a batch is logged");
-        model.extend(rows);
+        sink.write(key, &rows);
+        model.extend(rows.into_iter().map(|(t, v)| (t, TsValue::Long(v))));
     }
     devices
         .into_iter()
@@ -112,8 +163,9 @@ fn write(
 }
 
 /// Runs the writers and the maintenance thread over one engine on a
-/// simulated disk, then cuts the power and checks two reopens.
-fn shared_engine_keeps_every_op(rounds: usize, seed: u64) {
+/// simulated disk — `served`, through a server that holds it — then
+/// cuts the power and checks two reopens.
+fn shared_engine_keeps_every_op(rounds: usize, seed: u64, served: bool) {
     let faults = Arc::new(FailpointRegistry::new());
     let io = Arc::new(SimIo::new(Arc::clone(&faults)));
     let open = |shards| {
@@ -123,6 +175,9 @@ fn shared_engine_keeps_every_op(rounds: usize, seed: u64) {
             .expect("the directory opens")
     };
     let engine = Arc::new(open(2));
+    let server =
+        served.then(|| SqlServer::start("127.0.0.1:0", Arc::clone(&engine)).expect("bind"));
+    let addr = server.as_ref().map(SqlServer::addr);
     let done = AtomicBool::new(false);
     let (models, passes) = std::thread::scope(|s| {
         let maintainer = s.spawn(|| {
@@ -137,8 +192,14 @@ fn shared_engine_keeps_every_op(rounds: usize, seed: u64) {
         });
         let writers: Vec<_> = (0..WRITERS)
             .map(|w| {
-                let engine = Arc::clone(&engine);
-                s.spawn(move || write(&engine, w, rounds, seed))
+                let engine = &*engine;
+                s.spawn(move || {
+                    let sink = match addr {
+                        Some(addr) => Sink::Served(SqlClient::connect(addr).expect("connect")),
+                        None => Sink::Engine(engine),
+                    };
+                    write(sink, w, rounds, seed)
+                })
             })
             .collect();
         let models: Vec<(SeriesKey, Model)> = writers
@@ -150,6 +211,10 @@ fn shared_engine_keeps_every_op(rounds: usize, seed: u64) {
     });
     assert!(passes > 0, "the maintainer ran");
     engine.sync().expect("the last sync");
+    // The server goes without a persist: the WAL alone holds its tail.
+    if let Some(server) = server {
+        server.shutdown();
+    }
     drop(engine);
     io.crash();
     for shards in [1, 4] {
@@ -166,7 +231,12 @@ fn shared_engine_keeps_every_op(rounds: usize, seed: u64) {
 
 #[test]
 fn a_shared_engine_keeps_every_acked_op_across_a_crash() {
-    shared_engine_keeps_every_op(1_000, 1);
+    shared_engine_keeps_every_op(1_000, 1, false);
+}
+
+#[test]
+fn a_served_engine_keeps_every_acked_op_across_a_crash() {
+    shared_engine_keeps_every_op(1_000, 1, true);
 }
 
 /// CI's release soak of the same interleavings, with more rounds.
@@ -174,6 +244,15 @@ fn a_shared_engine_keeps_every_acked_op_across_a_crash() {
 #[ignore = "the release soak"]
 fn a_shared_engine_keeps_every_acked_op_across_a_crash_soak() {
     for seed in 1..=16 {
-        shared_engine_keeps_every_op(4_000, seed);
+        shared_engine_keeps_every_op(4_000, seed, false);
+    }
+}
+
+/// The served arm's release soak.
+#[test]
+#[ignore = "the release soak"]
+fn a_served_engine_keeps_every_acked_op_across_a_crash_soak() {
+    for seed in 1..=16 {
+        shared_engine_keeps_every_op(4_000, seed, true);
     }
 }

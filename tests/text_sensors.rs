@@ -82,7 +82,7 @@ fn text_survives_wal_recovery() {
         for lo in (0..120i64).step_by(20) {
             let rows = (lo..lo + 20).map(|t| (t, TsValue::Text(format!("log line {t}"))));
             engine
-                .write_batch(&key(), &PointBatch::from_rows(rows).unwrap())
+                .write_batch_nonblocking(&key(), &PointBatch::from_rows(rows).unwrap())
                 .unwrap();
         }
         engine.sync().unwrap();
