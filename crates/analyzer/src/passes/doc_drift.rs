@@ -2,7 +2,7 @@
 //! resolve.
 //!
 //! DESIGN.md anchors its arguments on concrete pub items
-//! (`backsort_core::merge::KWayMerge`, the sorter roster in
+//! (`backsort_core::merge::merge_block_with_suffix`, the sorter roster in
 //! `backsort_sorts`). When one of those is renamed or removed, the doc
 //! silently rots. This pass collects the pub items of the configured
 //! modules and checks two directions:

@@ -7,9 +7,10 @@
 //! galloping (exponential + binary search) from the boundary, and only the
 //! overlap is rewritten, buffering the smaller side in scratch. Move count
 //! is therefore `O(overlap)`, not `O(block)`.
-
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+//!
+//! The engine's read path merges overlapping runs the same way, on its
+//! own columns: `Scan::merge` in `backsort-engine`'s `read.rs` moves
+//! whole slices, each ended by a binary search, never single rows.
 
 use backsort_tvlist::SeriesAccess;
 
@@ -285,133 +286,6 @@ pub fn straight_merge_blocks<S: SeriesAccess>(
     moves
 }
 
-/// One pending head in a [`KWayMerge`] heap: the next `(t, value)` of
-/// source `rank`. Ordered as a *min*-heap on `(t, rank)` so the merge
-/// pops timestamps ascending and, on equal timestamps, lower-ranked
-/// (lower-priority) sources first.
-struct HeapEntry<V> {
-    t: i64,
-    rank: usize,
-    value: V,
-}
-
-impl<V> PartialEq for HeapEntry<V> {
-    fn eq(&self, other: &Self) -> bool {
-        self.t == other.t && self.rank == other.rank
-    }
-}
-impl<V> Eq for HeapEntry<V> {}
-impl<V> PartialOrd for HeapEntry<V> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<V> Ord for HeapEntry<V> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the smallest
-        // (t, rank) on top.
-        (other.t, other.rank).cmp(&(self.t, self.rank))
-    }
-}
-
-/// Streaming k-way merge over time-sorted sources.
-///
-/// Sources are registered in ascending *priority* order (rank = index in
-/// the source list): on duplicate timestamps, [`KWayMerge::next`] yields
-/// the lower-ranked point first and the higher-ranked one last, so a
-/// consumer that keeps the last point per timestamp gets
-/// last-write-wins-by-priority. [`LastWins`] wraps this into exactly
-/// that.
-///
-/// Each source must yield `(timestamp, value)` pairs in non-decreasing
-/// timestamp order; only one pending element per source is buffered, so
-/// the merge is `O(total)` time with `O(k)` memory and `O(log k)` per
-/// element — no collect-then-re-sort.
-pub struct KWayMerge<'a, V> {
-    sources: Vec<Box<dyn Iterator<Item = (i64, V)> + 'a>>,
-    heap: BinaryHeap<HeapEntry<V>>,
-}
-
-impl<'a, V> KWayMerge<'a, V> {
-    /// Builds a merge over `sources`, lowest priority first.
-    pub fn new(sources: Vec<Box<dyn Iterator<Item = (i64, V)> + 'a>>) -> Self {
-        let mut sources = sources;
-        let mut heap = BinaryHeap::with_capacity(sources.len());
-        for (rank, src) in sources.iter_mut().enumerate() {
-            if let Some((t, value)) = src.next() {
-                heap.push(HeapEntry { t, rank, value });
-            }
-        }
-        Self { sources, heap }
-    }
-}
-
-impl<V> Iterator for KWayMerge<'_, V> {
-    /// `(timestamp, source rank, value)`.
-    type Item = (i64, usize, V);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        use std::collections::binary_heap::PeekMut;
-        // Replace the head in place when its source has more: one
-        // sift-down instead of a pop + push pair.
-        let mut head = self.heap.peek_mut()?;
-        let (t, rank) = (head.t, head.rank);
-        let value = match self.sources[rank].next() {
-            Some((nt, nv)) => {
-                debug_assert!(nt >= t, "source {rank} is not time-sorted");
-                head.t = nt;
-                std::mem::replace(&mut head.value, nv)
-            }
-            None => PeekMut::pop(head).value,
-        };
-        Some((t, rank, value))
-    }
-}
-
-/// Deduplicating wrapper over [`KWayMerge`]: yields one `(t, value)` per
-/// distinct timestamp, keeping the highest-ranked (= highest-priority,
-/// freshest) point — the read-path dedup IoTDB performs across
-/// unsequence, working, flushing, and disk runs.
-pub struct LastWins<'a, V> {
-    inner: KWayMerge<'a, V>,
-    pending: Option<(i64, V)>,
-}
-
-impl<'a, V> LastWins<'a, V> {
-    /// Builds the merge over `sources`, lowest priority first.
-    pub fn new(sources: Vec<Box<dyn Iterator<Item = (i64, V)> + 'a>>) -> Self {
-        Self {
-            inner: KWayMerge::new(sources),
-            pending: None,
-        }
-    }
-}
-
-impl<V> Iterator for LastWins<'_, V> {
-    type Item = (i64, V);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let mut current = match self.pending.take() {
-            Some(p) => p,
-            None => {
-                let (t, _, v) = self.inner.next()?;
-                (t, v)
-            }
-        };
-        // Absorb every same-timestamp head; the merge yields them in
-        // ascending rank order, so the last one seen wins.
-        for (t, _, v) in self.inner.by_ref() {
-            if t == current.0 {
-                current = (t, v);
-            } else {
-                self.pending = Some((t, v));
-                break;
-            }
-        }
-        Some(current)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -588,54 +462,6 @@ mod tests {
         // Paper's Example 2 ratio: 3M+7 vs 4M+4 ≈ 25% fewer moves.
         let reduction = 1.0 - backward_moves as f64 / straight_moves as f64;
         assert!(reduction > 0.15, "reduction {reduction:.2} too small");
-    }
-
-    fn boxed<'a>(v: Vec<(i64, i32)>) -> Box<dyn Iterator<Item = (i64, i32)> + 'a> {
-        Box::new(v.into_iter())
-    }
-
-    #[test]
-    fn kway_merge_orders_and_tags_sources() {
-        let merged: Vec<(i64, usize, i32)> = KWayMerge::new(vec![
-            boxed(vec![(1, 10), (4, 40)]),
-            boxed(vec![(2, 20), (4, 41)]),
-            boxed(vec![]),
-            boxed(vec![(3, 30)]),
-        ])
-        .collect();
-        assert_eq!(
-            merged,
-            vec![(1, 0, 10), (2, 1, 20), (3, 3, 30), (4, 0, 40), (4, 1, 41),]
-        );
-    }
-
-    #[test]
-    fn last_wins_keeps_highest_rank_per_timestamp() {
-        let merged: Vec<(i64, i32)> = LastWins::new(vec![
-            boxed(vec![(1, 1), (2, 1), (3, 1)]),
-            boxed(vec![(2, 2), (4, 2)]),
-            boxed(vec![(2, 3), (3, 3)]),
-        ])
-        .collect();
-        assert_eq!(merged, vec![(1, 1), (2, 3), (3, 3), (4, 2)]);
-    }
-
-    #[test]
-    fn last_wins_dedups_within_one_source() {
-        // A single source may itself carry duplicate timestamps (a
-        // buffer holding two arrivals at the same t); the later element
-        // of the run must win.
-        let merged: Vec<(i64, i32)> =
-            LastWins::new(vec![boxed(vec![(1, 1), (1, 2), (1, 3), (2, 9)])]).collect();
-        assert_eq!(merged, vec![(1, 3), (2, 9)]);
-    }
-
-    #[test]
-    fn last_wins_on_empty_input() {
-        let merged: Vec<(i64, i32)> = LastWins::new(vec![]).collect();
-        assert!(merged.is_empty());
-        let merged: Vec<(i64, i32)> = LastWins::new(vec![boxed(vec![])]).collect();
-        assert!(merged.is_empty());
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub struct QueryPlan {
 }
 
 impl QueryPlan {
-    /// The k-way merge fan-in: disk chunk sources plus memtable
+    /// The runs the scan reads: disk chunk sources plus memtable
     /// sources.
     pub fn fan_in(&self) -> usize {
         self.chunk_sources + self.memtable_sources
@@ -751,7 +751,7 @@ mod tests {
         );
         // A late rewrite of one flushed timestamp sits in the unsequence
         // buffer: its envelope is inside the file's, so the two runs are
-        // merged point by point and the duplicate counts once.
+        // merged and the duplicate counts once.
         let eng = flushed_engine(n, n as usize);
         eng.write_points(&key("s"), [(7, TsValue::Double(-1.0))]);
         let before = page_counts(&eng);

@@ -20,22 +20,21 @@
 //!   chunks time-disjoint (paper §II, §V), so the scan sweeps the
 //!   envelopes and treats runs the way Backward-Sort treats blocks: a
 //!   run that overlaps no other is handed to the `Sink` as borrowed
-//!   typed column slices, page by page, never touching a heap or a
-//!   boxed value; only a group of runs whose envelopes really intersect
-//!   goes through the ranked last-write-wins merge.
+//!   typed column slices, page by page; a group of runs whose envelopes
+//!   intersect is merged last-write-wins by rank over the same columns,
+//!   one slice of one run's page a step, one page a run at a time.
 
 use std::cell::Cell;
+use std::ops::Range;
 use std::sync::Arc;
 
-use backsort_core::merge::LastWins;
-
-use crate::batch::{ColumnSlice, ValueColumn};
+use crate::batch::ColumnSlice;
 use crate::cache::{BlockCache, CachedPage, PageKey};
 use crate::delete::Tombstone;
 use crate::filter::KeyFilter;
 use crate::memtable::SeriesBuffer;
 use crate::tsfile::{range_within, ChunkMeta, ChunkPages, PageHeader, TsFileReader};
-use crate::types::{SeriesKey, TsValue};
+use crate::types::SeriesKey;
 
 /// A TsFile image with its chunk index parsed once, at install time.
 ///
@@ -444,9 +443,37 @@ fn bump(cell: &Cell<u64>, by: u64) {
     cell.set(cell.get() + by);
 }
 
-/// Points the ranked merge buffers before handing them to the sink as
-/// one typed stretch.
-const MERGE_BATCH: usize = 1024;
+/// A run's pieces in time order: each in-range stretch of a decoded
+/// page that no tombstone covers, or a buffer slice's deduplicated
+/// columns. None is empty.
+type Pieces<'r> = Box<dyn Iterator<Item = (CachedPage, Range<usize>)> + 'r>;
+
+/// One run's place in [`Scan::merge`]: the piece `cols[at]` it is on,
+/// and the pieces after it. A run holds one page at a time.
+struct Cursor<'r> {
+    cols: CachedPage,
+    at: Range<usize>,
+    rest: Pieces<'r>,
+}
+
+impl Cursor<'_> {
+    fn head(&self) -> i64 {
+        self.cols.0[self.at.start]
+    }
+
+    /// Steps past the points up to `t`, to the next piece when this one
+    /// runs out. `false` when the run has no point left.
+    fn skip_through(&mut self, t: i64) -> bool {
+        self.at.start += self.cols.0[self.at.clone()].partition_point(|&u| u <= t);
+        if self.at.is_empty() {
+            let Some((cols, at)) = self.rest.next() else {
+                return false;
+            };
+            (self.cols, self.at) = (cols, at);
+        }
+        true
+    }
+}
 
 /// One scan of a series over `[t_lo, t_hi]`.
 pub(crate) struct Scan<'s> {
@@ -556,75 +583,67 @@ impl<'s> Scan<'s> {
         }
     }
 
-    /// Merges runs whose envelopes intersect through [`LastWins`] —
-    /// `group` in ascending priority — and hands the survivors to the
-    /// sink in typed batches (a new batch whenever the value type
-    /// changes: a foreign file may hold another type than the live
-    /// buffer of the same series).
+    /// Merges runs whose envelopes intersect — `group` in ascending
+    /// priority — one piece a run at a time. Each step takes the least
+    /// head, the highest-ranked run winning a tie, and hands the sink as
+    /// one slice the winner's points below every higher-ranked head and
+    /// up to every lower-ranked one, which it shadows. Every run then
+    /// steps past the last point sent.
     fn merge<'r>(&'r self, group: impl Iterator<Item = &'r Run<'s>>, sink: &mut dyn Sink)
     where
         's: 'r,
     {
-        let sources = group
-            .map(|run| -> Box<dyn Iterator<Item = (i64, TsValue)> + 'r> {
-                match &run.source {
-                    RunSource::Buffer { buffer, lo, hi } => {
-                        Box::new((*lo..*hi).map(move |i| buffer.get(i)))
-                    }
-                    RunSource::Chunk { file, meta, erased } => {
-                        Box::new(self.chunk_rows(file, meta, erased))
-                    }
-                }
+        let mut cursors: Vec<Cursor<'r>> = group
+            .filter_map(|run| {
+                let mut rest = self.pieces(run);
+                let (cols, at) = rest.next()?;
+                Some(Cursor { cols, at, rest })
             })
             .collect();
-        let mut times: Vec<i64> = Vec::with_capacity(MERGE_BATCH);
-        let mut values: Option<ValueColumn> = None;
-        for (t, v) in LastWins::new(sources) {
-            let fits = values
-                .as_ref()
-                .is_some_and(|col| col.data_type() == v.data_type() && times.len() < MERGE_BATCH);
-            if !fits {
-                if let Some(col) = values.take() {
-                    self.push_merged(&mut times, &col, sink);
+        while !cursors.is_empty() {
+            let mut win = 0;
+            for (i, cursor) in cursors.iter().enumerate().skip(1) {
+                if cursor.head() <= cursors[win].head() {
+                    win = i;
                 }
             }
-            let col = values
-                .get_or_insert_with(|| ValueColumn::with_capacity(v.data_type(), MERGE_BATCH));
-            if col.push(v).is_ok() {
-                times.push(t);
+            let below = cursors[win + 1..].iter().map(Cursor::head).min();
+            let upto = cursors[..win].iter().map(Cursor::head).min();
+            let Cursor { cols, at, .. } = &cursors[win];
+            let times = &cols.0[at.clone()];
+            let n = times.partition_point(|&t| {
+                below.is_none_or(|below| t < below) && upto.is_none_or(|upto| t <= upto)
+            });
+            debug_assert!(n > 0, "a merge step sent no point");
+            let last = times[n - 1];
+            bump(&self.stats.points, n as u64);
+            sink.push(&times[..n], cols.1.slice(at.start, at.start + n));
+            cursors.retain_mut(|cursor| cursor.skip_through(last));
+        }
+    }
+
+    /// `run`'s [`Pieces`], a page decoded (or taken from the cache) as
+    /// the merge reaches it. A corrupt page ends the run.
+    fn pieces<'r>(&'r self, run: &'r Run<'s>) -> Pieces<'r> {
+        match &run.source {
+            RunSource::Buffer { buffer, lo, hi } => {
+                let cols = Arc::new(buffer.dedup_columns(*lo..*hi));
+                let all = 0..cols.0.len();
+                Box::new(std::iter::once((cols, all)))
             }
+            RunSource::Chunk { file, meta, erased } => Box::new(
+                self.pages(file, meta)
+                    .map_while(|header| self.page(file, meta, &header))
+                    .flat_map(|page| {
+                        let within = range_within(&page.0, self.t_lo, self.t_hi);
+                        let mut kept = Vec::new();
+                        erased.for_each_kept(&page.0[within.clone()], |r| {
+                            kept.push(within.start + r.start..within.start + r.end);
+                        });
+                        kept.into_iter().map(move |r| (Arc::clone(&page), r))
+                    }),
+            ),
         }
-        if let Some(col) = values {
-            self.push_merged(&mut times, &col, sink);
-        }
-    }
-
-    fn push_merged(&self, times: &mut Vec<i64>, values: &ValueColumn, sink: &mut dyn Sink) {
-        bump(&self.stats.points, times.len() as u64);
-        sink.push(times, values.as_slice());
-        times.clear();
-    }
-
-    /// A chunk's in-range, unerased points as rows, pages fetched as the
-    /// merge pulls — the shape [`LastWins`] takes its sources in. A
-    /// corrupt page ends the rows.
-    fn chunk_rows<'r>(
-        &'r self,
-        file: &'s FileHandle,
-        meta: &'s ChunkMeta,
-        erased: &'r IntervalSet,
-    ) -> impl Iterator<Item = (i64, TsValue)> + 'r {
-        self.pages(file, meta)
-            .map_while(move |header| self.page(file, meta, &header))
-            .flat_map(move |page| {
-                range_within(&page.0, self.t_lo, self.t_hi).filter_map(move |i| {
-                    let t = *page.0.get(i)?;
-                    if erased.contains(t) {
-                        return None;
-                    }
-                    Some((t, page.1.get(i)?))
-                })
-            })
     }
 
     /// The headers of `meta`'s pages that overlap the scan range, in
@@ -869,6 +888,161 @@ mod tests {
         }
         let all = IntervalSet::resolve(&[ts("a", i64::MIN, i64::MAX, 1)], &key("a"), 0);
         assert!(kept(&all, &times).is_empty());
+    }
+
+    /// One step of a [`a_merged_group_reads_like_a_last_wins_model`]
+    /// case, applied to the engine and the model alike.
+    enum Step {
+        Write(Vec<(i64, TsValue)>),
+        Flush,
+        Delete(i64, i64),
+        /// Adopts a file holding these points of the series.
+        Adopt(Vec<(i64, TsValue)>),
+    }
+
+    #[test]
+    fn a_merged_group_reads_like_a_last_wins_model() {
+        use std::collections::BTreeMap;
+        use Step::{Adopt, Delete, Flush, Write};
+        let double = |ts: std::ops::Range<i64>, step: usize, bias: f64| -> Vec<(i64, TsValue)> {
+            let point = |t: i64| (t, TsValue::Double(t as f64 + bias));
+            ts.step_by(step).map(point).collect()
+        };
+        let long = |ts: std::ops::Range<i64>, step: usize| -> Vec<(i64, TsValue)> {
+            ts.step_by(step).map(|t| (t, TsValue::Long(-t))).collect()
+        };
+        let cases = [
+            (
+                "ties across three ranks, over page boundaries",
+                vec![
+                    Write(double(0..3000, 1, 0.0)),
+                    Flush,
+                    Write(double(500..2500, 2, 0.25)),
+                    Flush,
+                    Write(double(1000..2000, 3, 0.5)),
+                ],
+                (700, 2100),
+            ),
+            (
+                "a buffer holding two arrivals at one timestamp",
+                vec![
+                    Write(double(0..100, 1, 0.0)),
+                    Flush,
+                    Write(vec![
+                        (50, TsValue::Double(-1.0)),
+                        (50, TsValue::Double(-2.0)),
+                        (60, TsValue::Double(-3.0)),
+                    ]),
+                ],
+                (40, 70),
+            ),
+            (
+                "a member a tombstone empties",
+                vec![
+                    Write(double(0..20, 1, 0.0)),
+                    Flush,
+                    Write(double(5..9, 1, 0.5)),
+                    Flush,
+                    Delete(5, 8),
+                    Write(vec![(6, TsValue::Double(-6.0))]),
+                ],
+                (0, 19),
+            ),
+            (
+                "a run with no point in range",
+                vec![
+                    Write(vec![(0, TsValue::Double(0.0)), (100, TsValue::Double(1.0))]),
+                    Flush,
+                    Write(vec![(50, TsValue::Double(2.0))]),
+                ],
+                (40, 60),
+            ),
+            (
+                "a type change between runs",
+                vec![
+                    Write(double(0..2000, 1, 0.0)),
+                    Flush,
+                    Adopt(long(500..1500, 2)),
+                    Write(double(1000..1100, 5, 0.5)),
+                ],
+                (400, 1600),
+            ),
+        ];
+        for (name, steps, range) in cases {
+            let eng = crate::engine::tests::engine(1 << 20);
+            let mut model: BTreeMap<i64, TsValue> = BTreeMap::new();
+            for step in steps {
+                match step {
+                    Write(points) => {
+                        eng.write_points(&key("s"), points.iter().cloned());
+                        model.extend(points);
+                    }
+                    Flush => {
+                        eng.flush();
+                        eng.flush_unseq();
+                    }
+                    Delete(lo, hi) => {
+                        eng.delete_range(&key("s"), lo, hi).expect("delete");
+                        model.retain(|t, _| !(lo..=hi).contains(t));
+                    }
+                    Adopt(points) => {
+                        let (times, values): (Vec<i64>, Vec<TsValue>) =
+                            points.iter().cloned().unzip();
+                        let mut w = TsFileWriter::new();
+                        w.write_chunk(&key("s"), &times, &values);
+                        eng.adopt_file(w.finish()).expect("a valid image");
+                        model.extend(points);
+                    }
+                }
+            }
+            // Twice: the second pass reads its pages out of the cache.
+            for (lo, hi) in [range, (i64::MIN, i64::MAX), range] {
+                let want: Vec<(i64, TsValue)> =
+                    model.range(lo..=hi).map(|(&t, v)| (t, v.clone())).collect();
+                assert_eq!(
+                    eng.query(&key("s"), lo, hi),
+                    want,
+                    "{name}: query [{lo}, {hi}]"
+                );
+                let (times, runs) = eng.read_columns(&key("s"), lo, hi);
+                let (mut rows, mut at) = (Vec::new(), 0);
+                for run in &runs {
+                    run.as_slice()
+                        .zip_rows_into(&times[at..at + run.len()], &mut rows);
+                    at += run.len();
+                }
+                assert_eq!(at, times.len(), "{name}: columns as long as times");
+                assert_eq!(rows, want, "{name}: read_columns [{lo}, {hi}]");
+            }
+        }
+    }
+
+    #[test]
+    fn a_straggler_merges_a_page_at_a_time() {
+        use crate::aggregate::{AggValue, Aggregation};
+        use crate::batch::{PointBatch, ValueColumn};
+        use crate::store::tests::LARGEST_REQUEST;
+        use crate::tsfile::PAGE_POINTS;
+        let n = 100_000;
+        let eng = crate::engine::tests::engine(n);
+        let times: Vec<i64> = (0..n as i64).collect();
+        let batch = PointBatch::from_columns(times, ValueColumn::Double(vec![1.0; n])).unwrap();
+        if let Some(job) = eng.write_batch_nonblocking(&key("s"), &batch).unwrap() {
+            eng.complete_flush(job);
+        }
+        eng.flush();
+        assert_eq!(eng.file_count(), 1);
+        // One point below the watermark: the chunk and the unsequence
+        // buffer make one group.
+        eng.write_points(&key("s"), [(n as i64 / 2, TsValue::Double(3.0))]);
+        LARGEST_REQUEST.with(|c| c.set(0));
+        let sum = eng.aggregate(&key("s"), 0, n as i64, Aggregation::Sum);
+        let largest = LARGEST_REQUEST.with(Cell::get);
+        assert_eq!(sum, AggValue::Number(n as f64 + 2.0));
+        assert!(
+            largest <= 2 * PAGE_POINTS * size_of::<i64>(),
+            "a merge over a {n}-point chunk asked for one allocation of {largest} bytes"
+        );
     }
 
     #[test]

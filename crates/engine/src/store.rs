@@ -1041,7 +1041,7 @@ fn remove_stale(engine: &StorageEngine, io: &dyn Io, path: &Path) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::types::TsValue;
     use backsort_core::Algorithm;
@@ -1052,7 +1052,7 @@ mod tests {
     thread_local! {
         /// The largest single allocation request this thread has made
         /// since the cell was last reset.
-        static LARGEST_REQUEST: Cell<usize> = const { Cell::new(0) };
+        pub(crate) static LARGEST_REQUEST: Cell<usize> = const { Cell::new(0) };
     }
 
     /// `System`, noting each request's size: the allocator

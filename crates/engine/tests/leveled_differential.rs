@@ -1,10 +1,11 @@
 //! Differential property test for leveled compaction: an engine whose
 //! files are repeatedly folded by `compact_auto` must stay
 //! *observationally identical* to a reference engine that never
-//! compacts — same LastWins query results, same latest-value answers,
-//! same tombstone masking, and the same `sum`/`avg`/`min`/`max`/`count`
-//! bit for bit — across randomized interleavings of writes, range
-//! deletes, flushes and leveled passes, at one shard and four.
+//! compacts — same last-write-wins query results, same latest-value
+//! answers, same tombstone masking, and the same
+//! `sum`/`avg`/`min`/`max`/`count` bit for bit — across randomized
+//! interleavings of writes, range deletes, flushes and leveled passes,
+//! at one shard and four.
 //!
 //! The values are DOUBLEs spread over 2^±120 with full mantissas, so a
 //! sum that depended on how points are grouped into pages — which is

@@ -240,8 +240,8 @@ fn resolve_sensors(
 
 /// Renders the static query plan: for each selected series, which shard
 /// it lives on, how many files per level survive key-filter and
-/// time-envelope pruning, and the k-way merge fan-in. Read-only — an
-/// unsorted memtable buffer is estimated, never sorted.
+/// time-envelope pruning, and the fan-in: the runs the scan reads.
+/// Read-only — an unsorted memtable buffer is estimated, never sorted.
 fn explain_plan(
     engine: &StorageEngine,
     items: &[SelectItem],
